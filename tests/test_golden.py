@@ -1,0 +1,44 @@
+"""Golden digests: every experiment's CSVs at tiny scale, hashed.
+
+Each of the six experiments runs with 2 trials and 3000 iterations on a
+grid where the sweep keeps its default iteration count. The SHA-256 of
+every CSV must equal the digest stored in ``golden_digests.json``, so a
+change that moves any number shows up in review as a changed digest.
+
+After a deliberate change of the numbers, regenerate the file with
+``PYTHONPATH=src python tests/test_golden.py`` and say in the change log
+which digests moved and why.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from fdsic.harness import EXPERIMENTS, ExperimentConfig, run_experiment
+from fdsic.transceiver import builtin_profile
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def experiment_digests(out: Path) -> dict[str, str]:
+    """``{"<experiment>/<csv name>": sha256}`` for tiny runs of every experiment."""
+    profile = builtin_profile("type2")
+    digests = {}
+    for name in EXPERIMENTS:
+        config = ExperimentConfig(experiment=name, profile=profile, trials=2,
+                                  iterations=3000, tx_grid_dbm=(-5.0, 5.0),
+                                  seed=17, output_dir=out / name)
+        for path in run_experiment(config).csv_paths:
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_csv_digests_unchanged(tmp_path):
+    assert experiment_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(experiment_digests(Path(tmp)), indent=2) + "\n")
+    print(f"wrote {GOLDEN}")

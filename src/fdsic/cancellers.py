@@ -1,66 +1,30 @@
-"""Adaptive self-interference cancellers on augmented regressors.
+"""The adaptive self-interference canceller: one widely nonlinear LMS.
 
-Two variants share the same LMS update w <- w + mu * e * conj(reg):
-
-* ``alms``   -- widely linear, regressor [x; x*] of length 2M.
-* ``anclms`` -- widely nonlinear, regressor [x; x_imd; x*; x_imd*] of length
-  2M + 2N with x_imd(n) = k_tiq^{3/2} |x(n)|^2 x(n), jointly cancelling the
-  linear and cubic interference.
+The canceller runs w <- w + mu * e * conj(reg) on the augmented regressor
+[x; x_imd; x*; x_imd*] of length 2(M + N), with
+x_imd(n) = k_tiq^{3/2} |x(n)|^2 x(n) over the N newest delays, and so
+cancels the linear and the cubic interference jointly (ANCLMS). The
+conventional widely linear canceller (ALMS) is the N = 0 case: its
+regressor is [x; x*] and it has no IMD taps.
 
 A pre-whitening transform Phi = Lambda^{-1/2} U^H, fitted on a held-out
-preamble of regressors, can be applied to the nonlinear regressor to
-equalize the LMS convergence modes.
+preamble of regressors, can be applied to the regressor to equalize the
+LMS convergence modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ComplexSequence
 from .transceiver import imd_sequence
+
+_BLOCK = 256  # time steps whose regressors run_batch builds at once
 
 
 class DegenerateInputError(ValueError):
     """Raised when the regressor sample covariance is singular."""
-
-
-@dataclass(frozen=True)
-class AugmentedRegressor:
-    """One augmented input vector; ``values[0]`` is the newest sample path."""
-
-    values: np.ndarray
-    variant: str
-    M: int
-    N: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
-
-
-def regressor_dim(variant: str, M: int, N: int) -> int:
-    return 2 * M if variant == "alms" else 2 * (M + N)
-
-
-def build_augmented(window) -> AugmentedRegressor:
-    """[x; x*] from the newest-first window of the last M samples."""
-    w = np.asarray(window, dtype=np.complex128)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("window must be a non-empty 1-D vector")
-    return AugmentedRegressor(np.concatenate([w, np.conj(w)]), "linear", M=w.size)
-
-
-def build_augmented_nonlinear(window, k_tiq: float, N: int) -> AugmentedRegressor:
-    """[x; x_imd; x*; x_imd*] with x_imd from the first N delays."""
-    w = np.asarray(window, dtype=np.complex128)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("window must be a non-empty 1-D vector")
-    if not 1 <= N < w.size:
-        raise ValueError("need 1 <= N < M")
-    imd = imd_sequence(w[:N], k_tiq)
-    values = np.concatenate([w, imd, np.conj(w), np.conj(imd)])
-    return AugmentedRegressor(values, "nonlinear", M=w.size, N=N)
 
 
 @dataclass(frozen=True)
@@ -73,7 +37,8 @@ class WhiteningTransform:
 
     def apply(self, regressors: np.ndarray) -> np.ndarray:
         """Whiten row-stacked regressors (..., dim)."""
-        return regressors @ self.matrix.T
+        rows = regressors.reshape(-1, regressors.shape[-1])
+        return (rows @ self.matrix.T).reshape(regressors.shape)
 
     def weights_to_original(self, weights: np.ndarray) -> np.ndarray:
         """Map whitened-domain weights back to original coordinates.
@@ -82,22 +47,13 @@ class WhiteningTransform:
         """
         return weights @ self.matrix
 
-    @property
-    def inverse(self) -> np.ndarray:
-        return self.basis @ np.diag(np.sqrt(self.eigenvalues))
-
 
 def prewhiten_fit(sample_regressors) -> WhiteningTransform:
-    """Fit the whitening transform on a sample of nonlinear regressors.
+    """Fit the whitening transform on a (samples, dim) array of regressors.
 
     Raises ``DegenerateInputError`` if any covariance eigenvalue is at or
     below 1e-12 (e.g. k_tiq = 0 makes the nonlinear entries vanish).
     """
-    if isinstance(sample_regressors, (list, tuple)):
-        sample_regressors = np.stack([
-            r.values if isinstance(r, AugmentedRegressor) else np.asarray(r)
-            for r in sample_regressors
-        ])
     x = np.asarray(sample_regressors, dtype=np.complex128)
     if x.ndim != 2:
         raise ValueError("expected a (samples, dim) array of regressors")
@@ -113,65 +69,10 @@ def prewhiten_fit(sample_regressors) -> WhiteningTransform:
 
 
 @dataclass(frozen=True)
-class CancellerState:
-    """Weight vector and update bookkeeping for one canceller instance."""
-
-    weights: np.ndarray
-    mu: float
-    variant: str
-    iteration: int = 0
-    whitener: WhiteningTransform | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.complex128))
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative (0 freezes the filter)")
-        if self.variant not in ("alms", "anclms"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-
-def make_state(variant: str, M: int, N: int, mu: float,
-               whitener: WhiteningTransform | None = None) -> CancellerState:
-    """All-zero initial state of the right dimensionality."""
-    dim = regressor_dim(variant, M, N)
-    return CancellerState(np.zeros(dim, dtype=np.complex128), mu, variant,
-                          whitener=whitener)
-
-
-def _lms_step(state: CancellerState, regressor: AugmentedRegressor,
-              d_sample: complex) -> tuple[CancellerState, complex]:
-    values = regressor.values
-    if state.whitener is not None:
-        values = state.whitener.matrix @ values
-    if values.shape != state.weights.shape:
-        raise ValueError("regressor/weight dimension mismatch")
-    e = d_sample - values @ state.weights
-    w = state.weights + state.mu * e * np.conj(values)
-    return replace(state, weights=w, iteration=state.iteration + 1), e
-
-
-def alms_step(state: CancellerState, regressor: AugmentedRegressor,
-              d_sample: complex) -> tuple[CancellerState, complex]:
-    """One widely linear LMS update; returns the new state and residual."""
-    if state.variant != "alms" or regressor.variant != "linear":
-        raise ValueError("alms_step requires an alms state and linear regressor")
-    return _lms_step(state, regressor, d_sample)
-
-
-def anclms_step(state: CancellerState, regressor: AugmentedRegressor,
-                d_sample: complex) -> tuple[CancellerState, complex]:
-    """One widely nonlinear LMS update on the (optionally whitened) regressor."""
-    if state.variant != "anclms" or regressor.variant != "nonlinear":
-        raise ValueError("anclms_step requires an anclms state and nonlinear regressor")
-    return _lms_step(state, regressor, d_sample)
-
-
-@dataclass(frozen=True)
 class CancellerConfig:
-    variant: str
     mu: float
     M: int
-    N: int = 0
+    N: int = 0           # IMD taps per branch; 0 is the widely linear ALMS
     k_tiq: float = 1.0
     whiten: bool = False
     steady_window: int | None = None
@@ -180,12 +81,8 @@ class CancellerConfig:
     def __post_init__(self):
         if self.mu < 0:
             raise ValueError("mu must be nonnegative (0 freezes the filter)")
-        if self.variant not in ("alms", "anclms"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "anclms" and not 1 <= self.N < self.M:
-            raise ValueError("anclms needs 1 <= N < M")
-        if self.whiten and self.variant != "anclms":
-            raise ValueError("whitening applies to the nonlinear canceller only")
+        if not 0 <= self.N < self.M:
+            raise ValueError("need 0 <= N < M")
 
 
 def default_steady_window(n_steps: int) -> int:
@@ -193,35 +90,22 @@ def default_steady_window(n_steps: int) -> int:
     return min(n_steps, max(int(0.2 * n_steps), 2000))
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """Per-iteration residuals and steady-state summary of one run."""
+def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0) -> np.ndarray:
+    """All augmented regressors [x; x_imd; x*; x_imd*] of a sequence, as rows.
 
-    residual_power: np.ndarray
-    residual_power_block: np.ndarray
-    block_size: int
-    final_weights: np.ndarray
-    mean_weights: np.ndarray
-    steady_state_mse: float
-    steady_state_window: tuple[int, int]
-    sinr_db: np.ndarray | None = None
-
-
-def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0,
-                     variant: str = "alms") -> np.ndarray:
-    """Row-stack all augmented regressors of a sequence (n_steps, dim).
-
-    Row t corresponds to time index M-1+t, the first index with a full
-    window; rows are [x(n), x(n-1), ..., x(n-M+1), ...].
+    ``x`` has shape (..., n) and the result (..., n-M+1, 2(M+N)). Row t
+    belongs to time index M-1+t, the first index with a full window, and
+    starts [x(n), x(n-1), ..., x(n-M+1)]; x_imd covers the N newest delays.
+    N = 0 gives the widely linear regressor [x; x*].
     """
-    xs = x.samples if isinstance(x, ComplexSequence) else np.asarray(x, dtype=np.complex128)
-    if len(xs) < M:
+    if not 0 <= N < M:
+        raise ValueError("need 0 <= N < M")
+    xs = np.asarray(x, dtype=np.complex128)
+    if xs.shape[-1] < M:
         raise ValueError("sequence shorter than the window")
-    win = np.lib.stride_tricks.sliding_window_view(xs, M)[:, ::-1]
-    if variant == "alms":
-        return np.concatenate([win, np.conj(win)], axis=1)
-    imd = imd_sequence(win[:, :N], k_tiq)
-    return np.concatenate([win, imd, np.conj(win), np.conj(imd)], axis=1)
+    win = np.lib.stride_tricks.sliding_window_view(xs, M, axis=-1)[..., ::-1]
+    imd = imd_sequence(win[..., :N], k_tiq)
+    return np.concatenate([win, imd, np.conj(win), np.conj(imd)], axis=-1)
 
 
 @dataclass
@@ -258,7 +142,7 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         raise ValueError("x and d must have identical shapes")
     trials, n = xs.shape
     M, N = config.M, config.N
-    dim = regressor_dim(config.variant, M, N)
+    dim = 2 * (M + N)
     start = M - 1
 
     whitener = None
@@ -268,18 +152,14 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         preamble = config.whiten_preamble or 50 * dim
         if n < M + preamble + 1:
             raise ValueError("sequence too short for the whitening preamble")
-        fit = regressor_matrix(xs[0], M, N, config.k_tiq, config.variant)[:preamble]
-        whitener = prewhiten_fit(fit)
+        whitener = prewhiten_fit(
+            regressor_matrix(xs[0, :M - 1 + preamble], M, N, config.k_tiq))
         start = M - 1 + preamble
 
     n_steps = n - start
     window = config.steady_window or default_steady_window(n_steps)
     if n_steps <= 0 or window > n_steps:
         raise ValueError("sequences too short for the requested run")
-
-    nonlinear = config.variant == "anclms"
-    x_imd = imd_sequence(xs, config.k_tiq) if nonlinear else None
-    phi_t = whitener.matrix.T if whitener is not None else None
 
     w = np.zeros((trials, dim), dtype=np.complex128)
     res = np.empty((trials, n_steps)) if keep_residuals else None
@@ -295,33 +175,32 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     mu = config.mu
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(n_steps):
-            idx = start + t
-            seg = xs[:, idx - M + 1: idx + 1][:, ::-1]
-            if nonlinear:
-                seg_imd = x_imd[:, idx - N + 1: idx + 1][:, ::-1]
-                reg = np.concatenate(
-                    [seg, seg_imd, np.conj(seg), np.conj(seg_imd)], axis=1)
-            else:
-                reg = np.concatenate([seg, np.conj(seg)], axis=1)
-            if phi_t is not None:
-                reg = reg @ phi_t
-            e = ds[:, idx] - np.einsum("ij,ij->i", reg, w)
-            w += mu * e[:, None] * np.conj(reg)
-            e2 = np.abs(e) ** 2
-            ok = np.isfinite(e2)
-            finite &= ok
-            np.maximum(peak, np.where(ok, e2, np.inf), out=peak)
-            if keep_residuals:
-                res[:, t] = e2
-            if track_error_mean:
-                err_mean[t] = e2.mean()
-            if taps is not None:
-                taps[t] = w[:, tap_idx].mean(axis=0)
-            if t >= win_start:
-                w_accum += w
-                steady_sum += np.where(ok, e2, 0.0)
-                steady_count += ok
+        for b0 in range(0, n_steps, _BLOCK):
+            # row j of the block is the regressor at sample start + b0 + j
+            regs = regressor_matrix(
+                xs[:, start + b0 - M + 1: start + min(b0 + _BLOCK, n_steps)],
+                M, N, config.k_tiq)
+            if whitener is not None:
+                regs = whitener.apply(regs)
+            for j in range(regs.shape[1]):
+                t = b0 + j
+                reg = regs[:, j]
+                e = ds[:, start + t] - np.einsum("ij,ij->i", reg, w)
+                w += mu * e[:, None] * np.conj(reg)
+                e2 = np.abs(e) ** 2
+                ok = np.isfinite(e2)
+                finite &= ok
+                np.maximum(peak, np.where(ok, e2, np.inf), out=peak)
+                if keep_residuals:
+                    res[:, t] = e2
+                if track_error_mean:
+                    err_mean[t] = e2.mean()
+                if taps is not None:
+                    taps[t] = w[:, tap_idx].mean(axis=0)
+                if t >= win_start:
+                    w_accum += w
+                    steady_sum += np.where(ok, e2, 0.0)
+                    steady_count += ok
 
     mean_w = w_accum / window
     if whitener is not None:
@@ -345,46 +224,4 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         residual_power=res,
         error_power_mean=err_mean,
         tap_mean=taps,
-    )
-
-
-def block_average(values: np.ndarray, block: int = 100) -> np.ndarray:
-    """Non-overlapping block means along the last axis (tail dropped)."""
-    n = values.shape[-1] // block
-    if n == 0:
-        return values.copy()
-    trimmed = values[..., : n * block]
-    return trimmed.reshape(*values.shape[:-1], n, block).mean(axis=-1)
-
-
-def run_canceller(x, d, config: CancellerConfig,
-                  soi_power: float | None = None) -> RunTrace:
-    """Stream one trial through the configured canceller.
-
-    ``steady_state_mse`` is the mean residual power over the trailing steady
-    window; ``sinr_db`` is emitted when ``soi_power`` is given.
-    """
-    if config.mu <= 0:
-        raise ValueError("run_canceller requires a positive step size")
-    xs = x.samples if isinstance(x, ComplexSequence) else np.asarray(x, dtype=np.complex128)
-    dsamp = d.samples if isinstance(d, ComplexSequence) else np.asarray(d, dtype=np.complex128)
-    if xs.shape != dsamp.shape:
-        raise ValueError("x and d must have the same length")
-    batch = run_batch(xs[None, :], dsamp[None, :], config, keep_residuals=True)
-
-    res = batch.residual_power[0]
-    block = block_average(res, 100)
-    sinr = None
-    if soi_power is not None:
-        with np.errstate(divide="ignore"):
-            sinr = 10.0 * np.log10(soi_power / np.maximum(block, 1e-300))
-    return RunTrace(
-        residual_power=res,
-        residual_power_block=block,
-        block_size=100,
-        final_weights=batch.final_weights[0],
-        mean_weights=batch.mean_weights[0],
-        steady_state_mse=float(batch.steady_state_mse[0]),
-        steady_state_window=batch.steady_state_window,
-        sinr_db=sinr,
     )

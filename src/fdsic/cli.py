@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .harness import EXPERIMENTS, ExperimentConfig, resolve_profile, run_experiment
+from .transceiver import read_key_values
 
 
 def parse_tx_grid(text: str) -> tuple[float, ...]:
@@ -72,17 +73,13 @@ _CONFIG_TYPES = {
 }
 
 
+# each option is accepted with dashes (as on the command line) or underscores
+_CONFIG_KEYS = {*_CONFIG_TYPES, *(k.replace("_", "-") for k in _CONFIG_TYPES)}
+
+
 def _apply_config_file(args: argparse.Namespace, path: str):
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, value = (p.strip() for p in line.split("=", 1))
+    for key, value in read_key_values(path, "config", _CONFIG_KEYS):
         attr = key.replace("-", "_")
-        if attr not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key: {key!r}")
         kind = _CONFIG_TYPES[attr]
         if kind is bool:
             setattr(args, attr, value.lower() in ("1", "true", "yes"))

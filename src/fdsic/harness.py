@@ -79,8 +79,18 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if len(self.tx_grid_dbm) == 0:
             raise ValueError("empty transmit-power grid")
+        for tx in self.tx_grid_dbm:
+            self.profile.with_tx_power(tx)  # raises outside the supported range
         if self.signal_source not in ("gaussian", "ofdm"):
             raise ValueError(f"unknown signal source {self.signal_source!r}")
+        if not 1 <= self.N < self.M:
+            raise ValueError("need 1 <= N < M")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        for name in ("mu_frac", "mu_abs"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -200,14 +210,19 @@ def _slow_mode_energy(inputs: TheoryInputs) -> tuple[float, float]:
     return spec.lam3, spec.lam3 * proj
 
 
-def _sweep_iterations(inputs: TheoryInputs, default: int) -> int:
-    """Iterations so the slowest mode decays below SLOW_MODE_BUDGET * J."""
+def _sweep_iterations(inputs: TheoryInputs, default: int) -> tuple[int, int]:
+    """(iterations to run, iterations requested) for the nonlinear canceller.
+
+    The request lets the slowest mode decay below SLOW_MODE_BUDGET * J; the
+    run is the request cut to MAX_SWEEP_ITERATIONS.
+    """
     lam3, energy = _slow_mode_energy(inputs)
     j_ap = anclms_steady_mse(inputs)
     if energy <= SLOW_MODE_BUDGET * j_ap or lam3 <= 0:
-        return default
+        return default, default
     need = math.log(energy / (SLOW_MODE_BUDGET * j_ap)) / (2.0 * inputs.mu * lam3)
-    return int(min(max(default, need / 0.8), MAX_SWEEP_ITERATIONS))
+    requested = int(max(default, need / 0.8))
+    return min(requested, MAX_SWEEP_ITERATIONS), requested
 
 
 def _mu_frac(config: ExperimentConfig) -> float:
@@ -344,15 +359,15 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
         mu = _resolve_mu(config, bound, frac)
         inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
         bias = alms_bias(inputs)
-        for variant, w_opt in (("alms", w_lin), ("anclms", w_nl)):
-            window = int(0.9 * n_iters) if variant == "alms" else None
-            cfg = CancellerConfig(variant=variant, mu=mu, M=config.M, N=config.N,
-                                  k_tiq=prof.k_tiq, steady_window=window)
+        for label, n_imd, w_opt in (("alms", 0, w_lin), ("anclms", config.N, w_nl)):
+            window = int(0.9 * n_iters) if label == "alms" else None
+            cfg = CancellerConfig(mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq,
+                                  steady_window=window)
             run = run_batch(xs, ds, cfg, keep_residuals=False, track_taps=(0, 1))
             for tap in (0, 1):
                 err = np.abs(run.tap_mean[::stride, tap] - w_opt[tap]) / abs(w_opt[tap])
-                traces[f"{variant}_mu{frac:g}_tap{tap + 1}"] = err
-            if variant == "alms" and frac == base_frac:
+                traces[f"{label}_mu{frac:g}_tap{tap + 1}"] = err
+            if label == "alms" and frac == base_frac:
                 mean_err = (run.mean_weights - w_lin).mean(axis=0)
                 idx = np.concatenate([np.arange(config.N),
                                       config.M + np.arange(config.N)])
@@ -362,7 +377,7 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
                     "measured_abs": np.abs(mean_err[idx]),
                     "rel_error": np.abs(mean_err[idx] - bias[idx]) / np.abs(bias[idx]),
                 }
-            if variant == "anclms" and frac == base_frac:
+            if label == "anclms" and frac == base_frac:
                 err_vec = (run.mean_weights - w_nl).mean(axis=0)
                 report.meta["anclms_weight_error_norm_frac"] = _fmt(
                     np.linalg.norm(err_vec) / np.linalg.norm(w_nl))
@@ -416,7 +431,7 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         "alms_sinr_sim_db", "alms_sinr_theory_db", "anclms_sinr_sim_db",
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
-    iter_notes = []
+    iter_notes, capped_notes = [], []
 
     for tx in grid:
         prof = prof0.with_tx_power(tx)
@@ -427,26 +442,28 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         # one shared step size for both cancellers at this grid point
         mu = _resolve_mu(config, alms_ms_bound(s2, config.M))
         inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-        n_b = _sweep_iterations(inp, config.iterations)
+        n_b, requested = _sweep_iterations(inp, config.iterations)
         iter_notes.append(f"{tx:g}:{n_b}")
+        if requested > n_b:
+            capped_notes.append(f"{tx:g}:{requested}")
 
         d_power = (s2 * (channels.norm2_h + channels.norm2_g)
                    + 6.0 * prof.k_tiq ** 3 * s2 ** 3
                    * (channels.norm2_h_imd + channels.norm2_g_imd)
                    + budget.sigma_v2 + budget.sigma_q2)
 
-        for variant, n_it in (("alms", config.iterations), ("anclms", n_b)):
-            cfg = CancellerConfig(variant=variant, mu=mu, M=config.M, N=config.N,
-                                  k_tiq=prof.k_tiq)
+        for label, n_imd, n_it in (("alms", 0, config.iterations),
+                                   ("anclms", config.N, n_b)):
+            cfg = CancellerConfig(mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
             mse = _chunked_steady_mse(config, prof, channels, budget, s2, n_it, cfg)
-            if variant == "alms":
+            if label == "alms":
                 j_theory = alms_steady_mse(inp, alms_regime(inp))
             else:
                 j_theory = anclms_steady_mse(inp)
-            cols[f"{variant}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
-            cols[f"{variant}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
-            cols[f"{variant}_att_sim_db"].append(lin_to_db(d_power / mse))
-            cols[f"{variant}_att_theory_db"].append(lin_to_db(d_power / j_theory))
+            cols[f"{label}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
+            cols[f"{label}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
+            cols[f"{label}_att_sim_db"].append(lin_to_db(d_power / mse))
+            cols[f"{label}_att_theory_db"].append(lin_to_db(d_power / j_theory))
 
     name = config.experiment
     report.csv_paths.append(write_csv(out / f"{name}.csv", "tx_power_dbm", grid, cols))
@@ -459,12 +476,13 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         "transmit power (dBm)", "dB"))
     report.tables["columns"] = cols
     report.meta["anclms_iterations"] = ";".join(iter_notes)
+    report.meta["anclms_iterations_capped"] = ";".join(capped_notes) or "none"
 
     if config.check:
         gaps = []
-        for variant in ("alms", "anclms"):
-            sim = np.array(cols[f"{variant}_sinr_sim_db"])
-            th = np.array(cols[f"{variant}_sinr_theory_db"])
+        for label in ("alms", "anclms"):
+            sim = np.array(cols[f"{label}_sinr_sim_db"])
+            th = np.array(cols[f"{label}_sinr_theory_db"])
             gaps.append(np.max(np.abs(sim - th)))
         report.add_check("sinr_theory_gap_0.5dB", max(gaps) <= 0.5,
                          f"worst |sim-theory| {max(gaps):.3f} dB")
@@ -545,8 +563,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         pad = preamble if whiten else 0
         xs = _signal_batch(config, s2, n_iters + config.M + pad)
         ds = _observation_batch(config, prof, channels, budget, xs)
-        cfg = CancellerConfig(variant="anclms", mu=mu, M=config.M, N=config.N,
-                              k_tiq=k, whiten=whiten, whiten_preamble=preamble if whiten else None)
+        cfg = CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k, whiten=whiten,
+                              whiten_preamble=preamble if whiten else None)
         run = run_batch(xs, ds, cfg, keep_residuals=False, track_error_mean=True)
         smooth = run.error_power_mean[: (run.n_steps // block) * block]
         smooth = smooth.reshape(-1, block).mean(axis=1)
@@ -558,7 +576,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     # small-step theory overlay for the raw run at the optimal power
     try:
         x_ref = gen_proper_gaussian(200_000 + config.M, s_opt, seed=config.seed + 991).samples
-        regs = regressor_matrix(x_ref, config.M, config.N, k, "anclms")[:200_000]
+        regs = regressor_matrix(x_ref, config.M, config.N, k)[:200_000]
         ana = anclms_ms_analysis(regs, s_opt, k, config.M, config.N)
         ch_opt = synthesize_channels(prof, config.M, config.N,
                                      seed=config.seed, sigma_x2=s_opt)
@@ -567,7 +585,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
                                   -ch_opt.stacked_nonlinear(), grid_pts)
         runs["anclms_optimal_theory"] = {
             "sinr": lin_to_db(budget.p_x_soi / np.maximum(j_pred, 1e-300))}
-    except Exception as exc:  # transient overlay is best-effort
+    except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
         report.meta["transient_overlay_error"] = repr(exc)
 
     min_len = min(len(r["sinr"]) for r in runs.values())
@@ -624,7 +642,7 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
     init_power = float(np.mean(np.abs(ds) ** 2))
 
     x_ref = gen_proper_gaussian(200_000 + config.M, s2, seed=config.seed + 991).samples
-    regs = regressor_matrix(x_ref, config.M, config.N, prof.k_tiq, "anclms")[:200_000]
+    regs = regressor_matrix(x_ref, config.M, config.N, prof.k_tiq)[:200_000]
     ana = anclms_ms_analysis(regs, s2, prof.k_tiq, config.M, config.N)
     bounds = {"alms": alms_ms_bound(s2, config.M), "anclms": ana.bound}
     report.meta["alms_ms_bound"] = _fmt(bounds["alms"])
@@ -634,17 +652,16 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
 
     fracs = (0.5, 0.9, 1.1, 1.5)
     rows = []
-    for variant in ("alms", "anclms"):
+    for label, n_imd in (("alms", 0), ("anclms", config.N)):
         for frac in fracs:
-            mu = frac * bounds[variant]
-            cfg = CancellerConfig(variant=variant, mu=mu, M=config.M,
-                                  N=config.N, k_tiq=prof.k_tiq)
+            mu = frac * bounds[label]
+            cfg = CancellerConfig(mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
             run = run_batch(xs, ds, cfg, keep_residuals=False)
             grew = run.diverged | (run.peak_residual > 1e3 * init_power)
             n_div = int(grew.sum())
             if frac < 1.0:
                 inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-                if variant == "alms":
+                if label == "alms":
                     j_theory = alms_steady_mse(inp, alms_regime(inp))
                 else:
                     j_theory = anclms_exact_steady_mse(ana, noise, mu)
@@ -652,7 +669,7 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
                 j_theory = math.inf
             conv = run.steady_state_mse[~grew]
             rows.append({
-                "variant": variant,
+                "variant": label,
                 "mu_frac": frac,
                 "mu": mu,
                 "n_diverged": n_div,

@@ -4,7 +4,7 @@ All formulas assume the reference waveform x(n) is zero-mean proper white
 complex Gaussian with power sigma_x2, so E|x|^4 = 2 sigma_x2^2 and
 E|x|^6 = 6 sigma_x2^3. Powers are linear mW throughout; dB only on output.
 
-Two condition-number figures coexist деliberately:
+Two condition-number figures coexist deliberately:
 
 * ``rb_eigenvalues`` gives the exact eigenvalues of the nonlinear-regressor
   covariance (they match the sample covariance of simulated regressors);
@@ -219,19 +219,6 @@ def alms_transient(inputs: TheoryInputs, n_iters: int, regime: str = "high",
     return AlmsTransient(kappas, mses, means, diverged)
 
 
-def q3_diag(inputs: TheoryInputs) -> np.ndarray:
-    """Steady-state diagonal of the noise/weight-error coupling term.
-
-    4 k^3 s2^3 [|h_imd,i|^2 ..., 0..., |g_imd,i|^2 ..., 0...]; its trace is
-    4 k^3 s2^3 (||h_imd||^2 + ||g_imd||^2).
-    """
-    c = inputs.channels
-    pad = np.zeros(inputs.M - inputs.N)
-    p_imd = np.concatenate([np.abs(c.h_imd) ** 2, pad,
-                            np.abs(c.g_imd) ** 2, pad])
-    return 4.0 * inputs.k_tiq ** 3 * inputs.sigma_x2 ** 3 * p_imd
-
-
 # --------------------------------------------------------------------------
 # widely nonlinear canceller (ANCLMS)
 # --------------------------------------------------------------------------
@@ -373,12 +360,6 @@ def anclms_ms_analysis(sample_regressors: np.ndarray, sigma_x2: float,
     )
 
 
-def anclms_ms_bound(sample_regressors: np.ndarray, sigma_x2: float,
-                    k_tiq: float, M: int, N: int) -> float:
-    """Mean-square step-size bound (see ``anclms_ms_analysis``)."""
-    return anclms_ms_analysis(sample_regressors, sigma_x2, k_tiq, M, N).bound
-
-
 def anclms_steady_mse(inputs: TheoryInputs) -> float:
     """Small-step steady-state MSE of the nonlinear canceller.
 
@@ -485,70 +466,3 @@ def optimal_sigma_x2(k_tiq: float) -> float:
     if k_tiq <= 0:
         raise ValueError("k_tiq must be positive")
     return math.sqrt(MIN_CONDITION_EPSILON / k_tiq ** 3)
-
-
-# --------------------------------------------------------------------------
-# aggregate report
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlmsPrediction:
-    mean_bound: float
-    ms_bound: float
-    bias_vector: np.ndarray
-    mse_low: float
-    mse_high: float
-    sinr_low_db: float
-    sinr_high_db: float
-    kappa_trajectory: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.ms_bound <= self.mean_bound:
-            raise ValueError("mean-square bound must not exceed the mean bound")
-
-
-@dataclass(frozen=True)
-class AnclmsPrediction:
-    spectrum: RbSpectrum
-    mean_bound: float
-    ms_bound: float | None
-    mse_approx: float
-    sinr_db: float
-    condition_number: float
-    eigenvalue_spread: float
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    inputs: TheoryInputs
-    alms: AlmsPrediction
-    anclms: AnclmsPrediction
-
-
-def build_theory_report(inputs: TheoryInputs,
-                        sample_regressors: np.ndarray | None = None) -> TheoryReport:
-    """Evaluate every closed form for one operating point."""
-    alms = AlmsPrediction(
-        mean_bound=alms_mean_bound(inputs.sigma_x2),
-        ms_bound=alms_ms_bound(inputs.sigma_x2, inputs.M),
-        bias_vector=alms_bias(inputs),
-        mse_low=alms_steady_mse(inputs, "low"),
-        mse_high=alms_steady_mse(inputs, "high"),
-        sinr_low_db=alms_sinr(inputs, "low"),
-        sinr_high_db=alms_sinr(inputs, "high"),
-    )
-    ms_bound = None
-    if sample_regressors is not None:
-        ms_bound = anclms_ms_bound(sample_regressors, inputs.sigma_x2,
-                                   inputs.k_tiq, inputs.M, inputs.N)
-    anclms = AnclmsPrediction(
-        spectrum=rb_eigenvalues(inputs.sigma_x2, inputs.k_tiq, inputs.M, inputs.N),
-        mean_bound=anclms_mean_bound(inputs.sigma_x2, inputs.k_tiq,
-                                     inputs.M, inputs.N),
-        ms_bound=ms_bound,
-        mse_approx=anclms_steady_mse(inputs),
-        sinr_db=anclms_sinr(inputs),
-        condition_number=condition_number(inputs.sigma_x2, inputs.k_tiq),
-        eigenvalue_spread=rb_eigenvalue_spread(inputs.sigma_x2, inputs.k_tiq),
-    )
-    return TheoryReport(inputs=inputs, alms=alms, anclms=anclms)

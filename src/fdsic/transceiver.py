@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -146,18 +147,28 @@ class TransceiverProfile:
         return dataclasses.replace(self, tx_power_dbm=tx_power_dbm)
 
 
-def load_profile(path: str | Path) -> TransceiverProfile:
-    """Parse a flat key-value profile file (``key = value [dB|dBm]``)."""
-    fields = {}
+def read_key_values(path: str | Path, kind: str, keys) -> Iterator[tuple[str, str]]:
+    """``(key, value)`` pairs of a flat ``key = value`` file, in file order.
+
+    ``#`` starts a comment and blank lines are skipped. A line without ``=``,
+    or a key not in ``keys``, raises ``ValueError`` naming the file's ``kind``.
+    """
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"malformed profile line: {raw!r}")
+            raise ValueError(f"malformed {kind} line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PROFILE_KEY_TO_FIELD:
-            raise ValueError(f"unknown profile key: {key!r}")
+        if key not in keys:
+            raise ValueError(f"unknown {kind} key: {key!r}")
+        yield key, value
+
+
+def load_profile(path: str | Path) -> TransceiverProfile:
+    """Parse a flat key-value profile file (``key = value [dB|dBm]``)."""
+    fields = {}
+    for key, value in read_key_values(path, "profile", _PROFILE_KEY_TO_FIELD):
         tokens = value.split()
         if not tokens:
             raise ValueError(f"missing value for {key!r}")

@@ -49,5 +49,5 @@ def lowpower_ms_analysis(lowpower_setup):
     prof, _, _ = lowpower_setup
     s2 = prof.natural_sigma_x2
     x = gen_proper_gaussian(200_000 + M, s2, seed=SEED + 991).samples
-    regs = regressor_matrix(x, M, N, prof.k_tiq, "anclms")[:200_000]
+    regs = regressor_matrix(x, M, N, prof.k_tiq)[:200_000]
     return anclms_ms_analysis(regs, s2, prof.k_tiq, M, N)

@@ -15,9 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from fdsic.cancellers import (CancellerConfig, build_augmented,
-                              build_augmented_nonlinear, regressor_matrix,
-                              run_batch)
+from fdsic.cancellers import CancellerConfig, regressor_matrix, run_batch
 from fdsic.harness import ExperimentConfig, run_bias, run_convergence, \
     run_power_budget, run_sinr_sweep
 from fdsic.signals import gen_proper_gaussian
@@ -60,7 +58,7 @@ def test_criterion_2_rb_spectrum():
     for s2 in (0.1, 1.0):
         for k in (1.0, 4.0):
             x = gen_proper_gaussian(1_000_000 + M, s2, seed=101).samples
-            regs = regressor_matrix(x, M, N, k, "anclms")
+            regs = regressor_matrix(x, M, N, k)
             cov = regs.T @ np.conj(regs) / regs.shape[0]
             sample = np.sort(np.linalg.eigvalsh(cov).real)
             spec = rb_eigenvalues(s2, k, M, N)
@@ -121,8 +119,8 @@ def test_criterion_5_low_power_limit(lowpower_setup):
     mu = 0.01 * alms_ms_bound(s2, M)
     xs, ds = make_batch(prof, channels, budget, trials=50, n=30_000 + M)
     worst = 0.0
-    for variant in ("alms", "anclms"):
-        cfg = CancellerConfig(variant=variant, mu=mu, M=M, N=N, k_tiq=prof.k_tiq)
+    for n_imd in (0, N):  # ALMS, then ANCLMS
+        cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
         run = run_batch(xs, ds, cfg, keep_residuals=False)
         sinr = lin_to_db(budget.p_x_soi / float(run.steady_state_mse.mean()))
         worst = max(worst, abs(sinr - prof.snr_req_db))
@@ -136,25 +134,26 @@ def test_criterion_5_low_power_limit(lowpower_setup):
 def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
     prof, channels, budget = lowpower_setup
     s2 = prof.natural_sigma_x2
-    bounds = {"alms": alms_ms_bound(s2, M), "anclms": lowpower_ms_analysis.bound}
+    cancellers = (("alms", 0, alms_ms_bound(s2, M)),
+                  ("anclms", N, lowpower_ms_analysis.bound))
     xs, ds = make_batch(prof, channels, budget, trials=50, n=30_000 + M)
     init = float(np.mean(np.abs(ds) ** 2))
     out = {}
-    for variant, bound in bounds.items():
+    for label, n_imd, bound in cancellers:
         mu = frac * bound
-        cfg = CancellerConfig(variant=variant, mu=mu, M=M, N=N, k_tiq=prof.k_tiq)
+        cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
         run = run_batch(xs, ds, cfg, keep_residuals=False)
         grew = run.diverged | (run.peak_residual > 1e3 * init)
         if frac >= 1.0:
             j_theory = math.inf
-        elif variant == "alms":
+        elif label == "alms":
             inp = TheoryInputs.from_profile(prof, channels, budget, mu)
             j_theory = alms_steady_mse(inp, alms_regime(inp))
         else:
             j_theory = anclms_exact_steady_mse(
                 lowpower_ms_analysis, budget.sigma_v2 + budget.sigma_q2, mu)
         finite = run.steady_state_mse[np.isfinite(run.steady_state_mse)]
-        out[variant] = {
+        out[label] = {
             "n_grew": int(grew.sum()),
             "mean_mse": float(finite.mean()) if finite.size else math.inf,
             "theory": j_theory,
@@ -169,8 +168,8 @@ def test_criterion_6_divergence(lowpower_setup, lowpower_ms_analysis):
     ok = all(r["n_grew"] >= 45 for r in res.values()) and elapsed < 600.0
     detail = ", ".join(f"{v}: {r['n_grew']}/50 diverged" for v, r in res.items())
     _line(6, ok, f"mu = 1.5x bound: {detail} ({elapsed:.0f}s)")
-    for variant, r in res.items():
-        assert r["n_grew"] >= 45, variant
+    for label, r in res.items():
+        assert r["n_grew"] >= 45, label
     assert elapsed < 600.0
 
 
@@ -188,8 +187,8 @@ def test_criterion_6_convergence_tracks_theory(lowpower_setup, lowpower_ms_analy
     ok = all(r["mean_mse"] <= 2.0 * r["theory"] and r["n_grew"] <= 5
              for r in res.values())
     _line(6, ok, f"mu = 0.9x bound: {detail}")
-    for variant, r in res.items():
-        assert r["mean_mse"] <= 2.0 * r["theory"], variant
+    for label, r in res.items():
+        assert r["mean_mse"] <= 2.0 * r["theory"], label
 
 
 def test_criterion_7_prewhitening_speedup(type2, tmp_path):
@@ -232,9 +231,9 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     # regressor structure invariants
     rng = np.random.default_rng(3)
     window = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    lin = build_augmented(window).values
+    lin = regressor_matrix(window[::-1], M)[0]
     assert np.array_equal(lin[M:], np.conj(lin[:M]))
-    nl = build_augmented_nonlinear(window, k_tiq=2.5, N=N).values
+    nl = regressor_matrix(window[::-1], M, N, 2.5)[0]
     assert np.allclose(nl[M + N:], np.conj(nl[:M + N]))
     assert np.allclose(nl[M:M + N], 2.5 ** 1.5 * np.abs(window[:N]) ** 2 * window[:N])
     notes.append("regressor structure")
@@ -283,13 +282,13 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     rng = np.random.default_rng(44)
     w_opt = rng.standard_normal(2 * (m2 + n2)) + 1j * rng.standard_normal(2 * (m2 + n2))
     xq = gen_proper_gaussian(60_000, 0.3, seed=45).samples
-    regs = regressor_matrix(xq, m2, n2, 1.5, "anclms")
+    regs = regressor_matrix(xq, m2, n2, 1.5)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     d = np.concatenate([np.zeros(m2 - 1), d_tail])
     mu_q = 0.02 * anclms_mean_bound(0.3, 1.5, m2, n2)
     run = run_batch(xq[None, :], d[None, :],
-                    CancellerConfig(variant="anclms", mu=mu_q, M=m2, N=n2, k_tiq=1.5))
+                    CancellerConfig(mu=mu_q, M=m2, N=n2, k_tiq=1.5))
     np.testing.assert_allclose(run.final_weights[0], ls, rtol=5e-5,
                                atol=5e-5 * np.abs(ls).max())
     notes.append("widely nonlinear LS oracle (4 digits)")

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
-                              alms_step, anclms_step, build_augmented,
-                              build_augmented_nonlinear, default_steady_window,
-                              make_state, prewhiten_fit, regressor_matrix,
-                              run_batch, run_canceller)
+                              default_steady_window, prewhiten_fit,
+                              regressor_matrix, run_batch)
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import alms_ms_bound, anclms_mean_bound
 from conftest import M, N, make_batch
@@ -16,31 +14,32 @@ complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
 
 
+def _row(window, N=0, k_tiq=1.0):
+    """The augmented regressor of one newest-first window."""
+    return regressor_matrix(np.asarray(window)[::-1], len(window), N, k_tiq)[0]
+
+
 def test_build_augmented_example():
-    reg = build_augmented([1 + 1j, 2])
-    assert np.array_equal(reg.values, [1 + 1j, 2, 1 - 1j, 2])
+    assert np.array_equal(_row([1 + 1j, 2]), [1 + 1j, 2, 1 - 1j, 2])
 
 
 def test_build_augmented_real_window():
-    reg = build_augmented([3.0, -1.0, 0.5])
-    assert np.array_equal(reg.values[:3], reg.values[3:])
+    reg = _row([3.0, -1.0, 0.5])
+    assert np.array_equal(reg[:3], reg[3:])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(complex_st, min_size=1, max_size=8))
 def test_augmented_conjugate_symmetry(window):
-    reg = build_augmented(window)
+    reg = _row(window)
     m = len(window)
-    assert np.array_equal(reg.values[m:], np.conj(reg.values[:m]))
+    assert np.array_equal(reg[m:], np.conj(reg[:m]))
 
 
 def test_build_nonlinear_examples():
-    reg = build_augmented_nonlinear([1.0, 0.0, 0.0], k_tiq=1.0, N=1)
-    assert np.array_equal(reg.values, [1, 0, 0, 1, 1, 0, 0, 1])
-    reg = build_augmented_nonlinear([2j, 0.0], k_tiq=1.0, N=1)
-    assert reg.values[2] == pytest.approx(8j)
-    reg = build_augmented_nonlinear([1.0, 0.0], k_tiq=4.0, N=1)
-    assert reg.values[2] == pytest.approx(8.0)  # 4^{3/2}
+    assert np.array_equal(_row([1.0, 0.0, 0.0], N=1), [1, 0, 0, 1, 1, 0, 0, 1])
+    assert _row([2j, 0.0], N=1)[2] == pytest.approx(8j)
+    assert _row([1.0, 0.0], N=1, k_tiq=4.0)[2] == pytest.approx(8.0)  # 4^{3/2}
 
 
 @settings(max_examples=50, deadline=None)
@@ -48,8 +47,7 @@ def test_build_nonlinear_examples():
 def test_nonlinear_regressor_structure(window, k_tiq):
     m = len(window)
     n = m - 1
-    reg = build_augmented_nonlinear(window, k_tiq=k_tiq, N=n)
-    vals = reg.values
+    vals = _row(window, N=n, k_tiq=k_tiq)
     assert len(vals) == 2 * (m + n)
     np.testing.assert_allclose(
         vals[m: m + n], k_tiq ** 1.5 * np.abs(vals[:n]) ** 2 * vals[:n],
@@ -59,48 +57,44 @@ def test_nonlinear_regressor_structure(window, k_tiq):
 
 def test_build_nonlinear_bad_n():
     with pytest.raises(ValueError):
-        build_augmented_nonlinear([1.0, 2.0], k_tiq=1.0, N=2)
+        regressor_matrix([1.0, 2.0], 2, 2)
+    with pytest.raises(ValueError):
+        CancellerConfig(mu=0.1, M=2, N=2)
+
+
+def _one_step(window, d, mu):
+    """A one-step run from w = 0 on a newest-first window and observation d."""
+    x = np.asarray(window, dtype=complex)[::-1]
+    d_seq = np.zeros(len(x), dtype=complex)
+    d_seq[-1] = d
+    return run_batch(x[None, :], d_seq[None, :], CancellerConfig(mu=mu, M=len(x)))
 
 
 def test_frozen_filter_step():
-    state = make_state("alms", M=2, N=0, mu=0.0)
-    reg = build_augmented([1.0 + 1j, 2.0])
-    new, e = alms_step(state, reg, 5.0)
-    assert e == pytest.approx(5.0)
-    assert np.array_equal(new.weights, state.weights)
-    assert new.iteration == 1
-
-
-def test_step_variant_mismatch():
-    state = make_state("alms", M=2, N=0, mu=0.1)
-    reg_nl = build_augmented_nonlinear([1.0, 2.0], k_tiq=1.0, N=1)
-    with pytest.raises(ValueError):
-        alms_step(state, reg_nl, 1.0)
-    state_nl = make_state("anclms", M=2, N=1, mu=0.1)
-    with pytest.raises(ValueError):
-        anclms_step(state_nl, build_augmented([1.0, 2.0]), 1.0)
+    run = _one_step([1.0 + 1j, 2.0], 5.0, mu=0.0)
+    assert run.residual_power[0, 0] == pytest.approx(25.0)
+    assert np.array_equal(run.final_weights[0], np.zeros(4))
+    assert run.n_steps == 1
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(complex_st, min_size=2, max_size=6), st.floats(0.01, 1.99),
        st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
 def test_one_step_contraction(window, mu_rel, d):
-    reg = build_augmented(window)
-    norm2 = float(np.sum(np.abs(reg.values) ** 2))
+    reg = _row(window)
+    norm2 = float(np.sum(np.abs(reg) ** 2))
     if norm2 < 1e-12:
         return
-    mu = mu_rel / norm2
-    state = make_state("alms", M=len(window), N=0, mu=mu)
-    new, e = alms_step(state, reg, d)
-    e_after = d - reg.values @ new.weights
-    assert abs(e_after) <= abs(e) * (1 + 1e-9)
+    run = _one_step(window, d, mu=mu_rel / norm2)
+    e_after = d - reg @ run.final_weights[0]
+    assert abs(e_after) ** 2 <= run.residual_power[0, 0] * (1 + 1e-9)
 
 
 def test_alms_noiseless_convergence_to_ls_oracle():
     rng = np.random.default_rng(5)
     w_opt = rng.standard_normal(2 * M) + 1j * rng.standard_normal(2 * M)
     x = gen_proper_gaussian(10_000 + M, 1.0, seed=6).samples
-    regs = regressor_matrix(x, M, 0, 1.0, "alms")
+    regs = regressor_matrix(x, M)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     np.testing.assert_allclose(ls, w_opt, atol=1e-8)  # identifiable
@@ -108,7 +102,7 @@ def test_alms_noiseless_convergence_to_ls_oracle():
     d = np.concatenate([np.zeros(M - 1), d_tail])
     mu = 0.5 * alms_ms_bound(1.0, M)
     run = run_batch(x[None, :], d[None, :],
-                    CancellerConfig(variant="alms", mu=mu, M=M, N=0, k_tiq=1.0))
+                    CancellerConfig(mu=mu, M=M))
     err = np.sum(np.abs(run.final_weights[0] - w_opt) ** 2)
     assert err / np.sum(np.abs(w_opt) ** 2) < 1e-6  # below -60 dB
 
@@ -118,12 +112,12 @@ def test_anclms_noiseless_residual_floor():
     dim = 2 * (M + N)
     w_opt = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x = gen_proper_gaussian(20_000, 0.3, seed=9).samples
-    regs = regressor_matrix(x, M, N, 1.0, "anclms")
+    regs = regressor_matrix(x, M, N, 1.0)
     d_tail = regs @ w_opt
     d = np.concatenate([np.zeros(M - 1), d_tail])
     mu = 0.02 * anclms_mean_bound(0.3, 1.0, M, N)
     run = run_batch(x[None, :], d[None, :],
-                    CancellerConfig(variant="anclms", mu=mu, M=M, N=N, k_tiq=1.0),
+                    CancellerConfig(mu=mu, M=M, N=N, k_tiq=1.0),
                     keep_residuals=True)
     res = run.residual_power[0]
     assert res[-100:].mean() < 1e-6 * res[:100].mean()
@@ -135,20 +129,20 @@ def test_anclms_matches_widely_nonlinear_ls():
     rng = np.random.default_rng(12)
     w_opt = rng.standard_normal(2 * (m + n)) + 1j * rng.standard_normal(2 * (m + n))
     x = gen_proper_gaussian(60_000, 0.3, seed=13).samples
-    regs = regressor_matrix(x, m, n, 1.5, "anclms")
+    regs = regressor_matrix(x, m, n, 1.5)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     d = np.concatenate([np.zeros(m - 1), d_tail])
     mu = 0.02 * anclms_mean_bound(0.3, 1.5, m, n)
     run = run_batch(x[None, :], d[None, :],
-                    CancellerConfig(variant="anclms", mu=mu, M=m, N=n, k_tiq=1.5))
+                    CancellerConfig(mu=mu, M=m, N=n, k_tiq=1.5))
     got = run.final_weights[0]
     np.testing.assert_allclose(got, ls, rtol=5e-5, atol=5e-5 * np.abs(ls).max())
 
 
 def test_prewhitening_whitens(type2):
     x = gen_proper_gaussian(5000, 0.05, seed=20).samples
-    regs = regressor_matrix(x, M, N, type2.k_tiq, "anclms")
+    regs = regressor_matrix(x, M, N, type2.k_tiq)
     wt = prewhiten_fit(regs)
     white = wt.apply(regs)
     cov = white.T @ np.conj(white) / len(white)
@@ -158,7 +152,7 @@ def test_prewhitening_whitens(type2):
 
 def test_prewhitening_degenerate():
     x = gen_proper_gaussian(5000, 1.0, seed=21).samples
-    regs = regressor_matrix(x, M, N, 0.0, "anclms")  # k_tiq = 0: IMD entries vanish
+    regs = regressor_matrix(x, M, N, 0.0)  # k_tiq = 0: IMD entries vanish
     with pytest.raises(DegenerateInputError):
         prewhiten_fit(regs)
     with pytest.raises(ValueError):
@@ -168,7 +162,7 @@ def test_prewhitening_degenerate():
 def test_whitened_weights_map_back(type2):
     """Whitened-domain weights reproduce regs @ w in original coordinates."""
     x = gen_proper_gaussian(3000, 0.05, seed=22).samples
-    regs = regressor_matrix(x, M, N, type2.k_tiq, "anclms")
+    regs = regressor_matrix(x, M, N, type2.k_tiq)
     wt = prewhiten_fit(regs)
     rng = np.random.default_rng(23)
     w_white = rng.standard_normal(regs.shape[1]) + 1j * rng.standard_normal(regs.shape[1])
@@ -178,19 +172,12 @@ def test_whitened_weights_map_back(type2):
 
 
 def test_run_canceller_zero_observation():
-    x = gen_proper_gaussian(4000, 1.0, seed=30)
+    x = gen_proper_gaussian(4000, 1.0, seed=30).samples
     d = np.zeros(4000, dtype=complex)
-    trace = run_canceller(x, d, CancellerConfig(variant="alms", mu=0.05, M=M, N=0))
-    assert np.all(trace.residual_power == 0.0)
-    assert np.all(trace.final_weights == 0.0)
-    assert trace.steady_state_mse == 0.0
-
-
-def test_run_canceller_rejects_bad_mu():
-    x = gen_proper_gaussian(4000, 1.0, seed=30)
-    with pytest.raises(ValueError):
-        run_canceller(x, x.samples.copy(),
-                      CancellerConfig(variant="alms", mu=0.0, M=M, N=0))
+    run = run_batch(x[None, :], d[None, :], CancellerConfig(mu=0.05, M=M))
+    assert np.all(run.residual_power == 0.0)
+    assert np.all(run.final_weights == 0.0)
+    assert run.steady_state_mse[0] == 0.0
 
 
 def test_run_canceller_low_power_mse(lowpower_setup):
@@ -198,21 +185,18 @@ def test_run_canceller_low_power_mse(lowpower_setup):
     s2 = prof.natural_sigma_x2
     mu = 0.1 * alms_ms_bound(s2, M)
     xs, ds = make_batch(prof, channels, budget, trials=1, n=30_000 + M)
-    trace = run_canceller(xs[0], ds[0],
-                          CancellerConfig(variant="alms", mu=mu, M=M, N=N,
-                                          k_tiq=prof.k_tiq),
-                          soi_power=budget.p_x_soi)
+    run = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
     j_low = ((1 - mu * s2) * budget.sigma_v2 / (1 - mu * (M + 1) * s2)
              + budget.sigma_q2)
-    assert trace.steady_state_mse == pytest.approx(j_low, rel=0.05)
-    assert trace.sinr_db is not None and len(trace.sinr_db) == len(trace.residual_power_block)
+    assert run.steady_state_mse[0] == pytest.approx(j_low, rel=0.05)
+    assert run.residual_power.shape == (1, run.n_steps)
 
 
 def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
     prof, channels, budget = lowpower_setup
     xs, ds = make_batch(prof, channels, budget, trials=4, n=8000 + M)
     mu = 1.5 * lowpower_ms_analysis.bound
-    run = run_batch(xs, ds, CancellerConfig(variant="anclms", mu=mu, M=M, N=N,
+    run = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, N=N,
                                             k_tiq=prof.k_tiq), keep_residuals=False)
     init = np.mean(np.abs(ds) ** 2)
     grew = run.diverged | (run.peak_residual > 1e3 * init)
@@ -222,8 +206,8 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
 def test_mu_zero_flat_residual(lowpower_setup):
     prof, channels, budget = lowpower_setup
     xs, ds = make_batch(prof, channels, budget, trials=2, n=5000 + M)
-    run = run_batch(xs, ds, CancellerConfig(variant="alms", mu=0.0, M=M, N=N,
-                                            k_tiq=prof.k_tiq), keep_residuals=True)
+    run = run_batch(xs, ds, CancellerConfig(mu=0.0, M=M, k_tiq=prof.k_tiq),
+                    keep_residuals=True)
     np.testing.assert_allclose(run.residual_power,
                                np.abs(ds[:, M - 1:]) ** 2, rtol=1e-12)
 
@@ -234,9 +218,14 @@ def test_default_steady_window():
     assert default_steady_window(900) == 900
 
 
-def test_regressor_matrix_matches_builders():
+def test_regressor_matrix_row_indexing():
+    """Row t is the regressor at sample M-1+t, for one trial and for a batch."""
     x = gen_proper_gaussian(50, 1.0, seed=40).samples
-    regs = regressor_matrix(x, 4, 2, 3.0, "anclms")
+    regs = regressor_matrix(x, 4, 2, 3.0)
     window = x[10:6:-1]  # newest first for row index 10 - (4-1) = 7
-    expected = build_augmented_nonlinear(window, k_tiq=3.0, N=2).values
+    imd = 3.0 ** 1.5 * np.abs(window[:2]) ** 2 * window[:2]
+    expected = np.concatenate([window, imd, np.conj(window), np.conj(imd)])
     np.testing.assert_allclose(regs[7], expected, rtol=1e-12)
+    batch = regressor_matrix(np.stack([x, 2 * x]), 4, 2, 3.0)
+    assert batch.shape == (2, 47, 12)
+    assert np.array_equal(batch[0], regs)

@@ -4,9 +4,11 @@ import pytest
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
-from fdsic.harness import (ExperimentConfig, _mu_frac, resolve_profile,
-                           run_experiment, write_csv)
-from fdsic.theory import alms_ms_bound
+from fdsic.harness import (MAX_SWEEP_ITERATIONS, ExperimentConfig, _mu_frac,
+                           _sweep_iterations, resolve_profile, run_experiment,
+                           write_csv)
+from fdsic.theory import TheoryInputs, alms_ms_bound
+from fdsic.transceiver import compute_noise_budget, synthesize_channels
 
 from conftest import M, N, SEED, make_batch
 
@@ -45,6 +47,22 @@ def test_mu_frac_defaults(type2):
                                      mu_frac=0.02)) == 0.02
 
 
+def test_sweep_iterations_reports_the_cap(type2):
+    """The sweep's slow-mode rule outruns the cap at 10 dBm and only there."""
+    runs = {}
+    for tx in (-5.0, 10.0, 15.0):
+        prof = type2.with_tx_power(tx)
+        s2 = prof.natural_sigma_x2
+        channels = synthesize_channels(prof, M, N, seed=SEED)
+        budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+        inputs = TheoryInputs.from_profile(prof, channels, budget,
+                                           0.15 * alms_ms_bound(s2, M))
+        runs[tx] = _sweep_iterations(inputs, 30_000)
+    assert runs[-5.0] == (30_000, 30_000)
+    assert runs[15.0][0] == runs[15.0][1] > 30_000
+    assert runs[10.0][0] == MAX_SWEEP_ITERATIONS < runs[10.0][1]
+
+
 def test_power_budget_determinism(type2, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -60,7 +78,7 @@ def test_trial_independence(lowpower_setup):
     """Doubling trials moves the trial-mean by less than the standard error."""
     prof, channels, budget = lowpower_setup
     mu = 0.05 * alms_ms_bound(prof.natural_sigma_x2, M)
-    cfg = CancellerConfig(variant="alms", mu=mu, M=M, N=N, k_tiq=prof.k_tiq)
+    cfg = CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq)
     xs, ds = make_batch(prof, channels, budget, trials=20, n=12_000 + M)
     run = run_batch(xs, ds, cfg, keep_residuals=False)
     mse = run.steady_state_mse
@@ -102,6 +120,17 @@ def test_cli_config_file(tmp_path):
     assert (tmp_path / "o" / "power-budget.csv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("trials 2\n", "malformed config line"),
+    ("trails = 2\n", "unknown config key"),
+])
+def test_cli_config_file_errors(tmp_path, capsys, text, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    assert cli_main(["power-budget", "--config", str(conf)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_bad_profile_exit_code(tmp_path):
     code = cli_main(["power-budget", "--profile", str(tmp_path / "nope.profile"),
                      "--out", str(tmp_path)])
@@ -111,6 +140,20 @@ def test_cli_bad_profile_exit_code(tmp_path):
 def test_cli_bad_grid_exit_code(tmp_path):
     code = cli_main(["power-budget", "--tx-grid", "25:5:-5", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bias", "--M", "1", "--N", "4"],
+    ["bias", "--iterations", "0"],
+    ["bias", "--mu", "-1"],
+    ["sinr-sweep", "--tx-grid", "30"],
+    ["sinr-sweep", "--tx-grid", "nan"],
+])
+def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
 
 
 def test_resolve_profile_default():

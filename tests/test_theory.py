@@ -13,11 +13,10 @@ from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
                           alms_steady_mse, alms_transient,
                           alms_transition_matrix, anclms_exact_steady_mse,
                           anclms_mean_bound, anclms_sinr, anclms_steady_mse,
-                          anclms_transient, build_theory_report,
-                          condition_number, condition_number_from_eps,
-                          min_condition_number, numeric_min_condition_number,
-                          optimal_sigma_x2, q3_diag, rb_eigenvalue_spread,
-                          rb_eigenvalues, rb_matrix)
+                          anclms_transient, condition_number,
+                          condition_number_from_eps, min_condition_number,
+                          numeric_min_condition_number, optimal_sigma_x2,
+                          rb_eigenvalue_spread, rb_eigenvalues, rb_matrix)
 from fdsic.transceiver import (ChannelSet, compute_noise_budget,
                                render_observation, synthesize_channels)
 
@@ -226,7 +225,7 @@ def test_anclms_ms_bound_gaussian_oracle():
     # the spectral bound should agree with 1/((M+1) s2) up to sampling error
     sigma = 1.0
     x = gen_proper_gaussian(60_000, sigma, seed=33).samples
-    regs = regressor_matrix(x, 1, 0, 1.0, "alms")
+    regs = regressor_matrix(x, 1)
     ana = theory.anclms_ms_analysis(regs, sigma, 1.0, 1, 0)
     assert ana.bound == pytest.approx(alms_ms_bound(sigma, 1), rel=0.15)
 
@@ -286,11 +285,16 @@ def test_anclms_beats_alms_at_high_power(type2):
 
 # -- Q3 diagonal ------------------------------------------------------------
 
+def _q3_diag(inputs):
+    """Steady-state diagonal of the noise/weight-error coupling, s2 |bias|^2."""
+    return inputs.sigma_x2 * np.abs(alms_bias(inputs)) ** 2
+
+
 def test_q3_diag_zero_and_trace():
-    assert np.all(q3_diag(_inputs()) == 0)
+    assert np.all(_q3_diag(_inputs()) == 0)
     ch = _toy_channels(h_imd=[0.3, 0.1, 0, 0], g_imd=[0.02, 0, 0, 0])
     inputs = _inputs(channels=ch, k_tiq=2.0, sigma_x2=0.2)
-    diag = q3_diag(inputs)
+    diag = _q3_diag(inputs)
     trace = 4 * 2.0 ** 3 * 0.2 ** 3 * (ch.norm2_h_imd + ch.norm2_g_imd)
     assert diag.sum() == pytest.approx(trace, rel=1e-12)
     assert diag.shape == (2 * M,)
@@ -314,7 +318,7 @@ def test_q3_diag_monte_carlo(type2):
                              prof, seed=78)
     u = (obs.components["imd_si"] + obs.components["image_imd_si"]
          + obs.components["thermal"] + obs.components["quantization"])
-    regs = regressor_matrix(x.samples, M, 0, 1.0, "alms")
+    regs = regressor_matrix(x.samples, M)
     prod = u[M - 1:, None] * np.conj(regs)
     b_hat = prod.mean(axis=0)
     blocks = np.array_split(prod, 20, axis=0)
@@ -324,7 +328,7 @@ def test_q3_diag_monte_carlo(type2):
     bias = alms_bias(inputs)
     diag_hat = np.real(b_hat * np.conj(bias))
     stderr = stderr_b * np.abs(bias)
-    expected = q3_diag(inputs)
+    expected = _q3_diag(inputs)
     nz = expected > 0
     err = np.abs(diag_hat[nz] - expected[nz])
     allowed = np.maximum(0.10 * expected[nz], 3.0 * stderr[nz])
@@ -397,14 +401,3 @@ def test_anclms_exact_vs_transient(lowpower_setup, lowpower_ms_analysis):
     # and the approximate closed form sits within a few percent at this mu
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
     assert anclms_steady_mse(inputs) == pytest.approx(j_exact, rel=0.05)
-
-
-def test_theory_report_assembles(type2):
-    channels = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
-    mu = 0.05 * alms_ms_bound(type2.natural_sigma_x2, M)
-    report = build_theory_report(TheoryInputs.from_profile(type2, channels, budget, mu))
-    assert report.alms.ms_bound <= report.alms.mean_bound
-    assert report.alms.mse_low >= budget.sigma_v2
-    assert report.anclms.spectrum.lam2 > 0
-    assert report.anclms.ms_bound is None

@@ -10,17 +10,76 @@ regressor is [x; x*] and it has no IMD taps.
 A pre-whitening transform Phi = Lambda^{-1/2} U^H, fitted on a held-out
 preamble of regressors, can be applied to the regressor to equalize the
 LMS convergence modes.
+
+The LMS steps run in a small C kernel (``_lms.c``), compiled with the local
+C compiler on the first ``run_batch`` call and cached next to this module
+in ``__pycache__``. Its arithmetic rounds exactly as the numpy expressions
+e = d - reg^T w (einsum), w += mu e conj(reg) and |e|^2 do, so results are
+bit-identical to a numpy loop over the steps.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .transceiver import imd_sequence
 
 _BLOCK = 256  # time steps whose regressors run_batch builds at once
+_KERNEL_SOURCE = Path(__file__).with_name("_lms.c")
+_COMPILER = "gcc"
+# no contraction or auto-vectorization: the kernel's own fma() calls are the
+# only fused operations; -march=native makes fma() an instruction
+_CFLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-tree-vectorize",
+           "-fno-tree-slp-vectorize", "-fPIC", "-shared")
+
+
+def _build_kernel() -> Path:
+    """Compile ``_lms.c`` unless a library for this source and command exists."""
+    command = [_COMPILER, *_CFLAGS]
+    source = _KERNEL_SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(command).encode()
+                         + platform.machine().encode()).hexdigest()[:16]
+    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_lms-{tag}.so"
+    if lib.exists():
+        return lib
+    lib.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_lms-", suffix=".so.tmp", dir=lib.parent)
+    os.close(fd)
+    command += [str(_KERNEL_SOURCE), "-o", tmp, "-lm"]
+    try:
+        proc = subprocess.run(command, capture_output=True, text=True)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise RuntimeError(f"cannot build the LMS kernel: `{' '.join(command)}` "
+                           f"did not start ({exc})") from exc
+    if proc.returncode != 0:
+        os.unlink(tmp)
+        raise RuntimeError(f"cannot build the LMS kernel: `{' '.join(command)}` "
+                           f"exited with {proc.returncode}:\n{proc.stderr}")
+    os.replace(tmp, lib)  # atomic: other processes never load a partial file
+    return lib
+
+
+@functools.cache
+def _kernel():
+    """The compiled ``lms_block`` function (built on first use)."""
+    cplx, real, index = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                         for dtype in (np.complex128, np.float64, np.int64))
+    fn = ctypes.CDLL(str(_build_kernel())).lms_block
+    fn.argtypes = [*[ctypes.c_int64] * 5, ctypes.c_double, *[cplx] * 4,
+                   *[real] * 4, index, ctypes.c_int64, index, cplx]
+    fn.restype = None
+    return fn
 
 
 class DegenerateInputError(ValueError):
@@ -119,6 +178,7 @@ class BatchRun:
     start_index: int                  # first sample index processed
     peak_residual: np.ndarray         # (trials,) max |e|^2 over the run
     diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
+    diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
     n_steps: int
     residual_power: np.ndarray | None = None    # (trials, n_steps)
     error_power_mean: np.ndarray | None = None  # (n_steps,) mean across trials
@@ -162,54 +222,48 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         raise ValueError("sequences too short for the requested run")
 
     w = np.zeros((trials, dim), dtype=np.complex128)
+    w_accum = np.zeros_like(w)
     res = np.empty((trials, n_steps)) if keep_residuals else None
     err_mean = np.empty(n_steps) if track_error_mean else None
     taps = np.empty((n_steps, len(track_taps)), dtype=np.complex128) if track_taps else None
-    tap_idx = list(track_taps)
-    w_accum = np.zeros_like(w)
+    tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]  # IndexError if out of range
     steady_sum = np.zeros(trials)
     steady_count = np.zeros(trials)
     peak = np.zeros(trials)
-    finite = np.ones(trials, dtype=bool)
+    diverged_at = np.full(trials, -1, dtype=np.int64)
     win_start = n_steps - window
-    mu = config.mu
+    lms_block = _kernel()
 
+    for b0 in range(0, n_steps, _BLOCK):
+        # row j of the block is the regressor at sample start + b0 + j
+        regs = regressor_matrix(
+            xs[:, start + b0 - M + 1: start + min(b0 + _BLOCK, n_steps)],
+            M, N, config.k_tiq)
+        if whitener is not None:
+            regs = whitener.apply(regs)
+        steps = regs.shape[1]
+        d = np.ascontiguousarray(ds[:, start + b0: start + b0 + steps])
+        e2 = np.empty((steps, trials))
+        tb = np.empty((steps, len(tap_idx), trials), dtype=np.complex128)
+        lms_block(trials, steps, dim, b0, win_start, config.mu, regs, d, w,
+                  w_accum, e2, peak, steady_sum, steady_count, diverged_at,
+                  len(tap_idx), tap_idx, tb)
+        if keep_residuals:
+            res[:, b0: b0 + steps] = e2.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            if track_error_mean:
+                err_mean[b0: b0 + steps] = e2.mean(axis=1)
+            if taps is not None:
+                taps[b0: b0 + steps] = tb.mean(axis=2)
+
+    # diverged trials carry inf/nan weights and sums; they are flagged below
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, n_steps, _BLOCK):
-            # row j of the block is the regressor at sample start + b0 + j
-            regs = regressor_matrix(
-                xs[:, start + b0 - M + 1: start + min(b0 + _BLOCK, n_steps)],
-                M, N, config.k_tiq)
-            if whitener is not None:
-                regs = whitener.apply(regs)
-            for j in range(regs.shape[1]):
-                t = b0 + j
-                reg = regs[:, j]
-                e = ds[:, start + t] - np.einsum("ij,ij->i", reg, w)
-                w += mu * e[:, None] * np.conj(reg)
-                e2 = np.abs(e) ** 2
-                ok = np.isfinite(e2)
-                finite &= ok
-                np.maximum(peak, np.where(ok, e2, np.inf), out=peak)
-                if keep_residuals:
-                    res[:, t] = e2
-                if track_error_mean:
-                    err_mean[t] = e2.mean()
-                if taps is not None:
-                    taps[t] = w[:, tap_idx].mean(axis=0)
-                if t >= win_start:
-                    w_accum += w
-                    steady_sum += np.where(ok, e2, 0.0)
-                    steady_count += ok
-
-    mean_w = w_accum / window
-    if whitener is not None:
-        w = whitener.weights_to_original(w)
-        mean_w = whitener.weights_to_original(mean_w)
-
-    with np.errstate(invalid="ignore"):
+        mean_w = w_accum / window
+        if whitener is not None:
+            w = whitener.weights_to_original(w)
+            mean_w = whitener.weights_to_original(mean_w)
         steady_mse = np.where(steady_count > 0, steady_sum / np.maximum(steady_count, 1), np.inf)
-    diverged = ~finite
+    diverged = diverged_at >= 0
     steady_mse = np.where(diverged, np.inf, steady_mse)
 
     return BatchRun(
@@ -220,6 +274,7 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         start_index=start,
         peak_residual=peak,
         diverged=diverged,
+        diverged_at=diverged_at,
         n_steps=n_steps,
         residual_power=res,
         error_power_mean=err_mean,

@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ValueError("iterations must be >= 1")
         for name in ("mu_frac", "mu_abs"):
             value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -659,6 +659,8 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
             run = run_batch(xs, ds, cfg, keep_residuals=False)
             grew = run.diverged | (run.peak_residual > 1e3 * init_power)
             n_div = int(grew.sum())
+            report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
+                _divergence_note(run.diverged_at)
             if frac < 1.0:
                 inp = TheoryInputs.from_profile(prof, channels, budget, mu)
                 if label == "alms":
@@ -707,6 +709,14 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
                          "empirical edge between the mean-square and mean bounds")
     _write_meta(report, config, out, started)
     return report
+
+
+def _divergence_note(diverged_at: np.ndarray) -> str:
+    """Count, earliest and median first nonfinite step of the diverged trials."""
+    steps = diverged_at[diverged_at >= 0]
+    if steps.size == 0:
+        return "none"
+    return f"n={steps.size} earliest={steps.min()} median={np.median(steps):g}"
 
 
 def _ensure_out(config: ExperimentConfig) -> Path:

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsic import cancellers
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
                               default_steady_window, prewhiten_fit,
                               regressor_matrix, run_batch)
 from fdsic.signals import gen_proper_gaussian
-from fdsic.theory import alms_ms_bound, anclms_mean_bound
-from conftest import M, N, make_batch
+from fdsic.theory import alms_ms_bound, anclms_mean_bound, anclms_ms_analysis
+from fdsic.transceiver import compute_noise_budget, synthesize_channels
+from conftest import M, N, SEED, make_batch
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
@@ -229,3 +233,164 @@ def test_regressor_matrix_row_indexing():
     batch = regressor_matrix(np.stack([x, 2 * x]), 4, 2, 3.0)
     assert batch.shape == (2, 47, 12)
     assert np.array_equal(batch[0], regs)
+
+
+def _reference_run_batch(xs, ds, config, keep_residuals=True,
+                         track_error_mean=False, track_taps=()):
+    """run_batch as a per-step numpy loop: the oracle for the C kernel.
+
+    Returns the BatchRun fields as a dict (``diverged_at`` excluded).
+    """
+    trials, n = xs.shape
+    M, N = config.M, config.N
+    dim = 2 * (M + N)
+    start, whitener = M - 1, None
+    if config.whiten:
+        preamble = config.whiten_preamble or 50 * dim
+        whitener = prewhiten_fit(
+            regressor_matrix(xs[0, :M - 1 + preamble], M, N, config.k_tiq))
+        start = M - 1 + preamble
+    n_steps = n - start
+    window = config.steady_window or default_steady_window(n_steps)
+    w = np.zeros((trials, dim), dtype=np.complex128)
+    res = np.empty((trials, n_steps)) if keep_residuals else None
+    err_mean = np.empty(n_steps) if track_error_mean else None
+    taps = (np.empty((n_steps, len(track_taps)), dtype=np.complex128)
+            if track_taps else None)
+    tap_idx = list(track_taps)
+    w_accum = np.zeros_like(w)
+    steady_sum = np.zeros(trials)
+    steady_count = np.zeros(trials)
+    peak = np.zeros(trials)
+    finite = np.ones(trials, dtype=bool)
+    win_start = n_steps - window
+    mu = config.mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        regs = regressor_matrix(xs[:, start - M + 1:], M, N, config.k_tiq)
+        if whitener is not None:
+            regs = whitener.apply(regs)
+        for t in range(n_steps):
+            reg = regs[:, t]
+            e = ds[:, start + t] - np.einsum("ij,ij->i", reg, w)
+            w += mu * e[:, None] * np.conj(reg)
+            e2 = np.abs(e) ** 2
+            ok = np.isfinite(e2)
+            finite &= ok
+            np.maximum(peak, np.where(ok, e2, np.inf), out=peak)
+            if keep_residuals:
+                res[:, t] = e2
+            if track_error_mean:
+                err_mean[t] = e2.mean()
+            if taps is not None:
+                taps[t] = w[:, tap_idx].mean(axis=0)
+            if t >= win_start:
+                w_accum += w
+                steady_sum += np.where(ok, e2, 0.0)
+                steady_count += ok
+        mean_w = w_accum / window
+        if whitener is not None:
+            w = whitener.weights_to_original(w)
+            mean_w = whitener.weights_to_original(mean_w)
+        steady_mse = np.where(steady_count > 0,
+                              steady_sum / np.maximum(steady_count, 1), np.inf)
+    steady_mse = np.where(~finite, np.inf, steady_mse)
+    return dict(final_weights=w, mean_weights=mean_w, steady_state_mse=steady_mse,
+                steady_state_window=(win_start, n_steps), start_index=start,
+                peak_residual=peak, diverged=~finite, n_steps=n_steps,
+                residual_power=res, error_power_mean=err_mean, tap_mean=taps)
+
+
+# N, mu as a multiple of the mean-square bound, run_batch options; 2x is
+# where ALMS overflows within the 3000 steps of the batch (1.5x needs ~4500)
+_KERNEL_MODES = {
+    "alms_taps": (0, 0.5, dict(keep_residuals=False, track_taps=(0, 1))),
+    "anclms_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 1, 5))),
+    "residuals_error_mean": (N, 0.3, dict(track_error_mean=True)),
+    "whitened_anclms": (N, None, dict(track_error_mean=True)),
+    "alms_diverging": (0, 2.0, dict(track_error_mean=True, track_taps=(0,))),
+    "anclms_diverging": (N, 3.0, dict(track_error_mean=True)),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_setup(type2):
+    """4 trials x 3000 steps at 15 dBm, where whitening is well conditioned,
+    and the mean-square bounds of ALMS and ANCLMS there."""
+    prof = type2.with_tx_power(15.0)
+    s2 = prof.natural_sigma_x2
+    channels = synthesize_channels(prof, M, N, seed=SEED)
+    budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+    xs, ds = make_batch(prof, channels, budget, trials=4, n=3000 + M - 1)
+    x = gen_proper_gaussian(40_000 + M, s2, seed=SEED + 991).samples
+    ana = anclms_ms_analysis(regressor_matrix(x, M, N, prof.k_tiq)[:40_000],
+                             s2, prof.k_tiq, M, N)
+    return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound}
+
+
+def _kernel_config(kernel_setup, n_imd, scale):
+    prof, _, _, bounds = kernel_setup
+    if scale is None:
+        return CancellerConfig(mu=0.01, M=M, N=n_imd, k_tiq=prof.k_tiq, whiten=True)
+    return CancellerConfig(mu=scale * bounds[n_imd], M=M, N=n_imd, k_tiq=prof.k_tiq)
+
+
+@pytest.mark.parametrize("mode", _KERNEL_MODES)
+def test_kernel_matches_numpy_loop(mode, kernel_setup):
+    _, xs, ds, _ = kernel_setup
+    n_imd, scale, options = _KERNEL_MODES[mode]
+    cfg = _kernel_config(kernel_setup, n_imd, scale)
+    got = run_batch(xs, ds, cfg, **options)
+    want = _reference_run_batch(xs, ds, cfg, **options)
+    assert np.array_equal(got.diverged, want["diverged"])
+    assert got.diverged.all() == (scale is not None and scale > 1)
+    for name, value in want.items():
+        actual = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(np.isfinite(actual), np.isfinite(value)), name
+            np.testing.assert_allclose(actual, value, rtol=1e-12, err_msg=name)
+        else:
+            assert actual == value, name
+
+
+def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
+    _, xs, ds, _ = kernel_setup
+    run = run_batch(xs, ds, _kernel_config(kernel_setup, 0, 2.0))
+    assert run.diverged_at.dtype == np.int64
+    assert np.all(run.diverged_at > 0)
+    np.testing.assert_array_equal(
+        run.diverged_at, np.argmax(~np.isfinite(run.residual_power), axis=1))
+    calm = run_batch(xs, ds, _kernel_config(kernel_setup, 0, 0.5))
+    assert np.array_equal(calm.diverged_at, np.full(len(xs), -1))
+    assert not calm.diverged.any()
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+def test_diverging_run_emits_no_warnings(whiten, kernel_setup):
+    prof, xs, ds, _ = kernel_setup
+    cfg = (CancellerConfig(mu=3.0, M=M, N=N, k_tiq=prof.k_tiq, whiten=True) if whiten
+           else _kernel_config(kernel_setup, N, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_batch(xs, ds, cfg, track_error_mean=True)
+    assert run.diverged.all()
+    assert np.all(np.isinf(run.steady_state_mse))
+
+
+def test_tracked_tap_out_of_range(kernel_setup):
+    _, xs, ds, _ = kernel_setup
+    with pytest.raises(IndexError):
+        run_batch(xs, ds, CancellerConfig(mu=0.01, M=M), track_taps=(2 * M,))
+
+
+def test_kernel_build_failure_names_the_command(monkeypatch):
+    monkeypatch.setattr(cancellers, "_COMPILER", "no-such-compiler-fdsic")
+    with pytest.raises(RuntimeError, match="no-such-compiler-fdsic .*_lms.c"):
+        cancellers._build_kernel()
+
+
+def test_kernel_build_failure_shows_compiler_stderr(monkeypatch):
+    monkeypatch.setattr(cancellers, "_CFLAGS",
+                        (*cancellers._CFLAGS, "--no-such-flag-fdsic"))
+    with pytest.raises(RuntimeError, match="(?s)exited with.*no-such-flag-fdsic"):
+        cancellers._build_kernel()
+    assert not list(cancellers._KERNEL_SOURCE.parent.glob("__pycache__/*.tmp"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,8 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["bias", "--mu", "-1"],
     ["sinr-sweep", "--tx-grid", "30"],
     ["sinr-sweep", "--tx-grid", "nan"],
+    ["sinr-sweep", "--mu", "0"],
+    ["bias", "--mu-frac", "0"],
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
@@ -174,3 +178,21 @@ def test_bias_plateau_earlier_for_larger_mu(type2, tmp_path):
         return above[-1] if above.size else 0
 
     assert settle(traces["alms_mu0.1_tap1"]) < settle(traces["alms_mu0.05_tap1"])
+
+
+def test_bounds_probe_records_first_divergence(type2, tmp_path):
+    """meta.txt names, per probed step size, when the diverged trials blew up."""
+    cfg = ExperimentConfig(experiment="bounds-probe", profile=type2, trials=2,
+                           iterations=6000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           output_dir=tmp_path)
+    report = run_experiment(cfg)
+    lines = dict(line.split(" = ", 1)
+                 for line in report.meta_path.read_text().splitlines())
+    notes = {k: v for k, v in lines.items() if k.startswith("first_divergence[")}
+    assert len(notes) == 8
+    for variant in ("alms", "anclms"):
+        assert notes[f"first_divergence[{variant}_mu0.5]"] == "none"
+        n, earliest, median = re.fullmatch(
+            r"n=(\d+) earliest=(\d+) median=([\d.]+)",
+            notes[f"first_divergence[{variant}_mu1.5]"]).groups()
+        assert int(n) == 2 and 0 < int(earliest) <= float(median) < 6000

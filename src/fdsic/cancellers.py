@@ -8,8 +8,8 @@ conventional widely linear canceller (ALMS) is the N = 0 case: its
 regressor is [x; x*] and it has no IMD taps.
 
 A pre-whitening transform Phi = Lambda^{-1/2} U^H, fitted on a held-out
-preamble of regressors, can be applied to the regressor to equalize the
-LMS convergence modes.
+preamble of ``WHITEN_PREAMBLE_PER_TAP`` regressors per regressor entry, can
+be applied to the regressor to equalize the LMS convergence modes.
 
 The LMS steps run in a small C kernel (``_lms.c``), compiled with the local
 C compiler on the first ``run_batch`` call and cached next to this module
@@ -35,6 +35,7 @@ import numpy as np
 from .transceiver import imd_sequence
 
 _BLOCK = 256  # time steps whose regressors run_batch builds at once
+WHITEN_PREAMBLE_PER_TAP = 50  # regressors that fit Phi, per regressor entry
 _KERNEL_SOURCE = Path(__file__).with_name("_lms.c")
 _COMPILER = "gcc"
 # no contraction or auto-vectorization: the kernel's own fma() calls are the
@@ -91,8 +92,6 @@ class WhiteningTransform:
     """Phi = Lambda^{-1/2} U^H from the sample covariance eigendecomposition."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    basis: np.ndarray
 
     def apply(self, regressors: np.ndarray) -> np.ndarray:
         """Whiten row-stacked regressors (..., dim)."""
@@ -124,7 +123,7 @@ def prewhiten_fit(sample_regressors) -> WhiteningTransform:
     if np.any(eigvals <= 1e-12):
         raise DegenerateInputError("singular regressor covariance")
     matrix = (basis / np.sqrt(eigvals)).conj().T
-    return WhiteningTransform(matrix=matrix, eigenvalues=eigvals, basis=basis)
+    return WhiteningTransform(matrix)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,6 @@ class CancellerConfig:
     k_tiq: float = 1.0
     whiten: bool = False
     steady_window: int | None = None
-    whiten_preamble: int | None = None  # regressors used to fit Phi
 
     def __post_init__(self):
         if self.mu < 0:
@@ -209,7 +207,7 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     if config.whiten:
         if track_taps:
             raise ValueError("tap tracking is not supported for whitened runs")
-        preamble = config.whiten_preamble or 50 * dim
+        preamble = WHITEN_PREAMBLE_PER_TAP * dim
         if n < M + preamble + 1:
             raise ValueError("sequence too short for the whitening preamble")
         whitener = prewhiten_fit(

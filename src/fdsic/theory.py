@@ -4,6 +4,12 @@ All formulas assume the reference waveform x(n) is zero-mean proper white
 complex Gaussian with power sigma_x2, so E|x|^4 = 2 sigma_x2^2 and
 E|x|^6 = 6 sigma_x2^3. Powers are linear mW throughout; dB only on output.
 
+The mean-square analysis of the nonlinear canceller is exact too: its
+fourth-moment matrix T (``fourth_moment``) follows from the moments
+E[x^p x*^q] = [p = q] p! sigma_x2^p, so the step-size bound is a function of
+the operating point (sigma_x2, k_tiq, M, N) alone. ``estimate_fourth_moment``
+is the sample-average estimate of the same matrix.
+
 Two condition-number figures coexist deliberately:
 
 * ``rb_eigenvalues`` gives the exact eigenvalues of the nonlinear-regressor
@@ -299,6 +305,42 @@ def estimate_fourth_moment(sample_regressors: np.ndarray,
     return t_mat / n
 
 
+def fourth_moment(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
+    """Exact fourth-moment matrix T = E[(x x^H) kron (x* x^T)] of the regressor.
+
+    Entry ((i, j), (k, l)) is E[r_i r_j* r_k* r_l], the convention of
+    ``estimate_fourth_moment``. Each regressor entry is a scaled monomial
+    c x(n-d)^p conj(x(n-d))^q, so every entry of T factorises over the
+    delays into proper Gaussian moments E[x^p x*^q] = [p = q] p! s2^p
+    (Isserlis). T is real and symmetric.
+    """
+    if sigma_x2 <= 0 or k_tiq < 0:
+        raise ValueError("need sigma_x2 > 0 and k_tiq >= 0")
+    if not 0 <= N < M:
+        raise ValueError("need 0 <= N < M")
+    sizes = [M, N, M, N]
+    # per entry: its delay, the powers of x and of x*, and its scale
+    delay = np.concatenate([np.arange(n) for n in sizes])
+    at_delay = delay[:, None] == np.arange(M)  # (dim, M)
+    p = np.repeat([1, 2, 0, 1], sizes)[:, None] * at_delay
+    q = np.repeat([0, 1, 1, 2], sizes)[:, None] * at_delay
+    coef = np.repeat([1.0, k_tiq ** 1.5, 1.0, k_tiq ** 1.5], sizes)
+
+    def outer4(a, b, c, d):  # a_i + b_j + c_k + d_l, per delay
+        return (a[:, None, None, None] + b[None, :, None, None]
+                + c[None, None, :, None] + d[None, None, None, :])
+
+    # conjugating r_j and r_k swaps their powers of x and x*
+    p_tot = outer4(p, q, q, p)
+    q_tot = outer4(q, p, p, q)
+    powers = np.arange(9)  # each factor brings at most 2 powers of x
+    moment = np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers
+    per_delay = np.where(p_tot == q_tot, moment[p_tot], 0.0)
+    t_mat = per_delay.prod(axis=-1) * np.einsum("i,j,k,l->ijkl", coef, coef, coef, coef)
+    dim = len(delay)
+    return t_mat.reshape(dim * dim, dim * dim)
+
+
 @dataclass(frozen=True)
 class AnclmsMsAnalysis:
     """Fourth-moment analysis backing the mean-square step-size bound."""
@@ -311,26 +353,22 @@ class AnclmsMsAnalysis:
     r_mat: np.ndarray
 
 
-def anclms_ms_analysis(sample_regressors: np.ndarray, sigma_x2: float,
-                       k_tiq: float, M: int, N: int) -> AnclmsMsAnalysis:
+def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
+                       N: int) -> AnclmsMsAnalysis:
     """Assemble S, T and the two spectral step-size bounds.
 
-    S = I kron R + R kron I uses the analytic covariance; T is estimated
-    from the sample regressors. The usable bound is
+    S = I kron R + R kron I uses the analytic covariance R and T is the exact
+    fourth-moment matrix (``fourth_moment``), so the analysis depends on the
+    operating point alone. The usable bound is
     min{1/lam_max[S^-1 T], 1/lam_max[Gamma]} with the companion matrix
-    Gamma = [[S/2, -T/2], [I, 0]].
+    Gamma = [[S/2, -T/2], [I, 0]]. N = 0 gives the widely linear bound
+    1/((M+1) s2).
     """
-    x = np.asarray(sample_regressors, dtype=np.complex128)
     dim = 2 * (M + N)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"expected (samples, {dim}) regressors")
-    if x.shape[0] < 100 * dim ** 2:
-        raise ValueError(f"need at least {100 * dim ** 2} sample regressors")
-
     r_mat = rb_matrix(sigma_x2, k_tiq, M, N)
     eye = np.eye(dim)
     s_mat = np.kron(eye, r_mat) + np.kron(r_mat, eye)
-    t_mat = estimate_fourth_moment(x)
+    t_mat = fourth_moment(sigma_x2, k_tiq, M, N)
 
     s_eigs = np.linalg.eigvalsh(s_mat)
     if s_eigs.min() <= 1e-12:
@@ -341,7 +379,7 @@ def anclms_ms_analysis(sample_regressors: np.ndarray, sigma_x2: float,
     bound_vec = 1.0 / lam_vec if lam_vec > 0 else math.inf
 
     big = dim * dim
-    gamma = np.zeros((2 * big, 2 * big), dtype=np.complex128)
+    gamma = np.zeros((2 * big, 2 * big))
     gamma[:big, :big] = s_mat / 2.0
     gamma[:big, big:] = -t_mat / 2.0
     gamma[big:, :big] = np.eye(big)
@@ -439,14 +477,6 @@ def condition_number_from_eps(eps: float) -> float:
         return math.inf
     root = math.sqrt(1.0 - 2.0 * eps + 36.0 * eps ** 2)
     return (1.0 + 6.0 * eps + root) / (1.0 + 6.0 * eps - root)
-
-
-def rb_eigenvalue_spread(sigma_x2: float, k_tiq: float) -> float:
-    """Exact eigenvalue ratio lam2/lam3 of the regressor covariance."""
-    if k_tiq == 0:
-        return math.inf
-    spec = rb_eigenvalues(sigma_x2, k_tiq, M=2, N=1)
-    return spec.lam2 / spec.lam3
 
 
 def min_condition_number() -> tuple[float, float]:

@@ -246,7 +246,7 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True,
     dim = 2 * (M + N)
     start, whitener = M - 1, None
     if config.whiten:
-        preamble = config.whiten_preamble or 50 * dim
+        preamble = cancellers.WHITEN_PREAMBLE_PER_TAP * dim
         whitener = prewhiten_fit(
             regressor_matrix(xs[0, :M - 1 + preamble], M, N, config.k_tiq))
         start = M - 1 + preamble
@@ -321,9 +321,7 @@ def kernel_setup(type2):
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
     xs, ds = make_batch(prof, channels, budget, trials=4, n=3000 + M - 1)
-    x = gen_proper_gaussian(40_000 + M, s2, seed=SEED + 991).samples
-    ana = anclms_ms_analysis(regressor_matrix(x, M, N, prof.k_tiq)[:40_000],
-                             s2, prof.k_tiq, M, N)
+    ana = anclms_ms_analysis(s2, prof.k_tiq, M, N)
     return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound}
 
 

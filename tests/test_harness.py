@@ -1,4 +1,11 @@
+import dataclasses
+import importlib
+import importlib.util
+import math
 import re
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +203,30 @@ def test_bounds_probe_records_first_divergence(type2, tmp_path):
             r"n=(\d+) earliest=(\d+) median=([\d.]+)",
             notes[f"first_divergence[{variant}_mu1.5]"]).groups()
         assert int(n) == 2 and 0 < int(earliest) <= float(median) < 6000
+
+
+def test_bias_check_at_infinite_irr(type2, tmp_path):
+    """Image taps without theoretical bias (irr = inf) keep a finite error."""
+    prof = dataclasses.replace(type2, irr_db=math.inf)
+    cfg = ExperimentConfig(experiment="bias", profile=prof, trials=2,
+                           iterations=3000, seed=SEED, output_dir=tmp_path,
+                           check=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(cfg)
+    table = report.tables["bias_taps"]
+    assert np.all(table["theory_abs"][N:] == 0)
+    assert np.all(np.isfinite(table["rel_error"]))
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    """Every (module, attribute) the benchmark tracer wraps still exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _, _ in tracing.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"

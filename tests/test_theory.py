@@ -16,7 +16,7 @@ from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
                           anclms_transient, condition_number,
                           condition_number_from_eps, min_condition_number,
                           numeric_min_condition_number, optimal_sigma_x2,
-                          rb_eigenvalue_spread, rb_eigenvalues, rb_matrix)
+                          rb_eigenvalues, rb_matrix)
 from fdsic.transceiver import (ChannelSet, compute_noise_budget,
                                render_observation, synthesize_channels)
 
@@ -221,13 +221,31 @@ def test_anclms_ms_bound_below_mean_bound(lowpower_setup, lowpower_ms_analysis):
 
 
 def test_anclms_ms_bound_gaussian_oracle():
-    # pure widely linear Gaussian regressor (M=1, no nonlinear entries):
-    # the spectral bound should agree with 1/((M+1) s2) up to sampling error
-    sigma = 1.0
-    x = gen_proper_gaussian(60_000, sigma, seed=33).samples
-    regs = regressor_matrix(x, 1)
-    ana = theory.anclms_ms_analysis(regs, sigma, 1.0, 1, 0)
-    assert ana.bound == pytest.approx(alms_ms_bound(sigma, 1), rel=0.15)
+    # the widely linear regressor (N = 0) has the closed-form bound 1/((M+1) s2)
+    for sigma, m in [(1.0, 1), (0.05, 2), (0.3, 5), (4.0, 3)]:
+        ana = theory.anclms_ms_analysis(sigma, 2.0, m, 0)
+        assert ana.bound == pytest.approx(alms_ms_bound(sigma, m), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma, k", [(0.3, 2.0), (1.0, 0.5)])
+def test_fourth_moment_matches_sample_estimate(sigma, k):
+    """Every entry of the exact T lies within 5 standard errors of the
+    sample estimate; the standard errors come from 20 block means."""
+    m, n = 2, 1
+    x = gen_proper_gaussian(200_000 + m - 1, sigma, seed=41).samples
+    blocks = np.array_split(regressor_matrix(x, m, n, k), 20)
+    block_means = np.stack([theory.estimate_fourth_moment(b) for b in blocks])
+    stderr = block_means.std(axis=0, ddof=1) / np.sqrt(len(blocks))
+    exact = theory.fourth_moment(sigma, k, m, n)
+    assert exact.shape == (36, 36)
+    assert np.all(np.abs(block_means.mean(axis=0) - exact) <= 5.0 * stderr)
+
+
+def test_fourth_moment_real_symmetric():
+    t_mat = theory.fourth_moment(0.2, 3.0, M, N)
+    assert t_mat.shape == ((2 * (M + N)) ** 2,) * 2
+    assert np.isrealobj(t_mat)
+    assert np.array_equal(t_mat, t_mat.T)
 
 
 def test_anclms_steady_mse_small_mu():
@@ -378,13 +396,6 @@ def test_optimal_sigma_x2():
     k = 10 ** 0.6
     s = optimal_sigma_x2(k)
     assert k ** 3 * s ** 2 == pytest.approx(1.0 / 6.0, rel=1e-12)
-
-
-def test_eigenvalue_spread_consistency():
-    spec = rb_eigenvalues(0.3, 2.0, M, N)
-    assert rb_eigenvalue_spread(0.3, 2.0) == pytest.approx(spec.lam2 / spec.lam3,
-                                                           rel=1e-12)
-    assert rb_eigenvalue_spread(0.3, 0.0) == math.inf
 
 
 # -- exact steady state and transient for the nonlinear canceller -----------

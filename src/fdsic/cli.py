@@ -82,7 +82,12 @@ def _apply_config_file(args: argparse.Namespace, path: str):
         attr = key.replace("-", "_")
         kind = _CONFIG_TYPES[attr]
         if kind is bool:
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
+            truth = {"1": True, "true": True, "yes": True, "on": True,
+                     "0": False, "false": False, "no": False, "off": False}
+            if value.lower() not in truth:
+                raise ValueError(f"{key} must be one of {', '.join(truth)}; "
+                                 f"got {value!r}")
+            setattr(args, attr, truth[value.lower()])
         else:
             setattr(args, attr, kind(value))
 

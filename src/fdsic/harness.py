@@ -2,8 +2,9 @@
 
 Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
-with seed ``base_seed + _NOISE_SEED_OFFSET + t``; aggregation is an ordered
-reduction over trials. Each plotted curve is backed by a CSV column.
+with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``trial_batch`` is the one
+function that applies this rule; aggregation is an ordered reduction over
+trials. Each plotted curve is backed by a CSV column.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,8 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"signal_source = {config.signal_source}",
         f"M = {config.M}",
         f"N = {config.N}",
-        f"mu_frac = {_mu_frac(config)}",
+        (f"mu_abs = {config.mu_abs}" if config.mu_abs is not None
+         else f"mu_frac = {_mu_frac(config)}"),
         f"tx_grid_dbm = {','.join(_fmt(v) for v in config.tx_grid_dbm)}",
         f"duration_s = {time.time() - started:.1f}",
     ]
@@ -165,30 +167,32 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
     report.meta_path = path
 
 
-def _signal_batch(config: ExperimentConfig, sigma_x2: float, n: int) -> np.ndarray:
-    """Per-trial reference waveforms, seed = base_seed + trial_index."""
-    xs = np.empty((config.trials, n), dtype=np.complex128)
-    if config.signal_source == "gaussian":
-        for t in range(config.trials):
-            xs[t] = gen_proper_gaussian(n, sigma_x2, seed=config.seed + t).samples
-    else:
+def trial_batch(config: ExperimentConfig, profile: TransceiverProfile,
+                channels, budget, sigma_x2: float, n: int, lo: int = 0,
+                hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reference waveforms and observations ``(xs, ds)`` of trials [lo, hi).
+
+    Row ``t - lo`` holds trial t: its waveform of power ``sigma_x2`` drawn
+    with seed ``config.seed + t`` from ``config.signal_source``, and the
+    observation rendered from it with noise seed
+    ``config.seed + _NOISE_SEED_OFFSET + t``. ``hi`` defaults to
+    ``config.trials``; each row has ``n`` samples.
+    """
+    hi = config.trials if hi is None else hi
+    xs = np.empty((hi - lo, n), dtype=np.complex128)
+    ds = np.empty_like(xs)
+    if config.signal_source == "ofdm":
         spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
         n_sym = -(-n // spec.samples_per_symbol)
-        for t in range(config.trials):
-            wf = gen_ofdm_waveform(spec, n_sym, seed=config.seed + t)
-            xs[t] = wf.samples[:n]
-    return xs
-
-
-def _observation_batch(config: ExperimentConfig, profile: TransceiverProfile,
-                       channels, budget, xs: np.ndarray) -> np.ndarray:
-    from .signals import ComplexSequence
-    ds = np.empty_like(xs)
-    for t in range(xs.shape[0]):
-        obs = render_observation(ComplexSequence(xs[t], 20e6), channels, budget,
-                                 profile, seed=config.seed + _NOISE_SEED_OFFSET + t)
-        ds[t] = obs.d.samples
-    return ds
+    for row, t in enumerate(range(lo, hi)):
+        seed = config.seed + t
+        if config.signal_source == "gaussian":
+            xs[row] = gen_proper_gaussian(n, sigma_x2, seed=seed).samples
+        else:
+            xs[row] = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
+        ds[row] = render_observation(xs[row], channels, budget, profile,
+                                     seed=seed + _NOISE_SEED_OFFSET).d.samples
+    return xs, ds
 
 
 def _slow_mode_energy(inputs: TheoryInputs) -> tuple[float, float]:
@@ -234,10 +238,10 @@ def _mu_frac(config: ExperimentConfig) -> float:
     return DEFAULT_MU_FRAC.get(config.experiment, 0.05)
 
 
-def _resolve_mu(config: ExperimentConfig, bound: float, frac: float | None = None) -> float:
+def _resolve_mu(config: ExperimentConfig, bound: float) -> float:
     if config.mu_abs is not None:
         return config.mu_abs
-    return (frac if frac is not None else _mu_frac(config)) * bound
+    return _mu_frac(config) * bound
 
 
 def _chunked_steady_mse(config: ExperimentConfig, profile: TransceiverProfile,
@@ -246,17 +250,14 @@ def _chunked_steady_mse(config: ExperimentConfig, profile: TransceiverProfile,
     """Trial-mean steady MSE, generating/running trials in memory-bound chunks."""
     n = n_iters + config.M
     chunk = max(2, min(config.trials, int(_CHUNK_ELEMENTS // n)))
-    total, count = 0.0, 0
+    total = 0.0
     for lo in range(0, config.trials, chunk):
-        hi = min(lo + chunk, config.trials)
-        sub = replace(config, trials=hi - lo, seed=config.seed + lo)
-        xs = _signal_batch(sub, sigma_x2, n)
-        ds = _observation_batch(sub, profile, channels, budget, xs)
+        xs, ds = trial_batch(config, profile, channels, budget, sigma_x2, n,
+                             lo, min(lo + chunk, config.trials))
         run = run_batch(xs, ds, cfg, keep_residuals=False)
         total += float(np.sum(run.steady_state_mse))
-        count += hi - lo
         del xs, ds
-    return total / count
+    return total / config.trials
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +274,13 @@ def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
     measured = {k: [] for k in ("linear_si", "image_si", "imd_si",
                                 "image_imd_si", "thermal", "quantization", "soi")}
     n_render = 100_000
-    from .signals import ComplexSequence
     for tx in config.tx_grid_dbm:
         prof = config.profile.with_tx_power(tx)
-        s2 = prof.natural_sigma_x2
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-        budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
-        x = gen_proper_gaussian(n_render, s2, seed=config.seed)
-        obs = render_observation(ComplexSequence(x.samples, 20e6), channels, budget,
-                                 prof, seed=config.seed + _NOISE_SEED_OFFSET,
+        budget = compute_noise_budget(prof)
+        x = gen_proper_gaussian(n_render, prof.natural_sigma_x2, seed=config.seed)
+        obs = render_observation(x.samples, channels, budget, prof,
+                                 seed=config.seed + _NOISE_SEED_OFFSET,
                                  include_soi=True)
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
@@ -344,22 +343,23 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
     prof = config.profile
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-    budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+    budget = compute_noise_budget(prof)
     bound = alms_ms_bound(s2, config.M)
     n_iters = config.iterations
 
-    xs = _signal_batch(config, s2, n_iters + config.M)
-    ds = _observation_batch(config, prof, channels, budget, xs)
+    xs, ds = trial_batch(config, prof, channels, budget, s2, n_iters + config.M)
 
     w_lin = channels.stacked_linear()
     w_nl = channels.stacked_nonlinear()
     stride = max(1, n_iters // 2000)
     traces: dict[str, np.ndarray] = {}
     bias_table = None
-    base_frac = _mu_frac(config)
+    base_mu = _resolve_mu(config, bound)
+    # each column is labelled with its step size as a fraction of the bound
+    base_tag = f"mu{base_mu / bound:g}"
 
-    for frac in (base_frac, 2 * base_frac):
-        mu = _resolve_mu(config, bound, frac)
+    for mu in (base_mu, 2 * base_mu):
+        tag = f"mu{mu / bound:g}"
         inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
         bias = alms_bias(inputs)
         for label, n_imd, w_opt in (("alms", 0, w_lin), ("anclms", config.N, w_nl)):
@@ -369,8 +369,8 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
             run = run_batch(xs, ds, cfg, keep_residuals=False, track_taps=(0, 1))
             for tap in (0, 1):
                 err = np.abs(run.tap_mean[::stride, tap] - w_opt[tap]) / abs(w_opt[tap])
-                traces[f"{label}_mu{frac:g}_tap{tap + 1}"] = err
-            if label == "alms" and frac == base_frac:
+                traces[f"{label}_{tag}_tap{tap + 1}"] = err
+            if label == "alms" and mu == base_mu:
                 mean_err = (run.mean_weights - w_lin).mean(axis=0)
                 idx = np.concatenate([np.arange(config.N),
                                       config.M + np.arange(config.N)])
@@ -384,14 +384,14 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
                     "measured_abs": np.abs(mean_err[idx]),
                     "rel_error": np.abs(mean_err[idx] - bias[idx]) / scale,
                 }
-            if label == "anclms" and frac == base_frac:
+            if label == "anclms" and mu == base_mu:
                 err_vec = (run.mean_weights - w_nl).mean(axis=0)
                 report.meta["anclms_weight_error_norm_frac"] = _fmt(
                     np.linalg.norm(err_vec) / np.linalg.norm(w_nl))
         for tap in (0, 1):
             level = abs(bias[tap]) / abs(w_lin[tap])
-            traces[f"theory_bias_mu{frac:g}_tap{tap + 1}"] = np.full(
-                len(traces[f"alms_mu{frac:g}_tap{tap + 1}"]), level)
+            traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
+                len(traces[f"alms_{tag}_tap{tap + 1}"]), level)
 
     iters_axis = np.arange(0, n_iters, stride)[: len(next(iter(traces.values())))]
     report.csv_paths.append(write_csv(out / "bias.csv", "iteration", iters_axis, traces))
@@ -411,9 +411,8 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
         rel = bias_table["rel_error"]
         report.add_check("alms_bias_10pct", bool(np.all(rel <= 0.10)),
                          f"worst per-tap rel error {rel.max():.3f}")
-        frac = base_frac
         for tap in (1, 2):
-            final = traces[f"anclms_mu{frac:g}_tap{tap}"][-5:].mean()
+            final = traces[f"anclms_{base_tag}_tap{tap}"][-5:].mean()
             report.add_check(f"anclms_bias_removed_tap{tap}", final < 1e-2,
                              f"final normalized error {final:.2e} (< -40 dB)")
         anorm = float(report.meta["anclms_weight_error_norm_frac"])
@@ -444,7 +443,7 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         prof = prof0.with_tx_power(tx)
         s2 = prof.natural_sigma_x2
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-        budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+        budget = compute_noise_budget(prof)
 
         # one shared step size for both cancellers at this grid point
         mu = _resolve_mu(config, alms_ms_bound(s2, config.M))
@@ -546,7 +545,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     s_sub = 10 ** (-10.0 / 10.0)
     n_iters = max(config.iterations, 20_000)
     block = 100
-    budget = compute_noise_budget(prof, prof.natural_sigma_x2, prof.f_rfe_norm2)
+    budget = compute_noise_budget(prof)
     noise = budget.sigma_v2 + budget.sigma_q2
     dim = 2 * (config.M + config.N)
     preamble = WHITEN_PREAMBLE_PER_TAP * dim
@@ -568,8 +567,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         channels = synthesize_channels(prof, config.M, config.N,
                                        seed=config.seed, sigma_x2=s2)
         pad = preamble if whiten else 0
-        xs = _signal_batch(config, s2, n_iters + config.M + pad)
-        ds = _observation_batch(config, prof, channels, budget, xs)
+        xs, ds = trial_batch(config, prof, channels, budget, s2,
+                             n_iters + config.M + pad)
         cfg = CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k, whiten=whiten)
         run = run_batch(xs, ds, cfg, keep_residuals=False, track_error_mean=True)
         smooth = run.error_power_mean[: (run.n_steps // block) * block]
@@ -638,11 +637,10 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
     prof = config.profile.with_tx_power(config.tx_grid_dbm[0])
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-    budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+    budget = compute_noise_budget(prof)
     noise = budget.sigma_v2 + budget.sigma_q2
 
-    xs = _signal_batch(config, s2, config.iterations + config.M)
-    ds = _observation_batch(config, prof, channels, budget, xs)
+    xs, ds = trial_batch(config, prof, channels, budget, s2, config.iterations + config.M)
     init_power = float(np.mean(np.abs(ds) ** 2))
 
     ana = anclms_ms_analysis(s2, prof.k_tiq, config.M, config.N)

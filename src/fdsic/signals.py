@@ -33,10 +33,9 @@ _CONSTELLATIONS["64QAM"] = _square_qam(8)
 
 @dataclass(frozen=True)
 class ComplexSequence:
-    """A stream of complex baseband samples with sample-rate metadata."""
+    """A non-empty, finite stream of complex baseband samples."""
 
     samples: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -45,16 +44,9 @@ class ComplexSequence:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def power_mw(self) -> float:
-        """Mean sample power in linear mW."""
-        return float(np.mean(np.abs(self.samples) ** 2))
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,6 @@ class WaveformSpec:
     null_subcarriers: int = 14
     cyclic_prefix: int = 16
     oversampling: int = 4
-    bandwidth_hz: float = 20e6
     constellation: str = "16QAM"
     target_power_dbm: float = 0.0
 
@@ -78,14 +69,8 @@ class WaveformSpec:
             raise ValueError("cyclic_prefix must be nonnegative")
         if self.oversampling < 1:
             raise ValueError("oversampling must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
         if self.constellation not in _CONSTELLATIONS:
             raise ValueError(f"unsupported constellation {self.constellation!r}")
-
-    @property
-    def symbol_duration_s(self) -> float:
-        return (self.subcarriers + self.cyclic_prefix) / self.bandwidth_hz
 
     @property
     def samples_per_symbol(self) -> int:
@@ -103,8 +88,7 @@ class SignalStats:
     sample_count: int
 
 
-def gen_proper_gaussian(n: int, sigma_x2: float, seed: int,
-                        sample_rate_hz: float = 20e6) -> ComplexSequence:
+def gen_proper_gaussian(n: int, sigma_x2: float, seed: int) -> ComplexSequence:
     """I.i.d. zero-mean proper white complex Gaussian samples.
 
     Real and imaginary parts are independent with variance ``sigma_x2 / 2``
@@ -117,7 +101,7 @@ def gen_proper_gaussian(n: int, sigma_x2: float, seed: int,
     rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma_x2 / 2.0)
     samples = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return ComplexSequence(samples, sample_rate_hz)
+    return ComplexSequence(samples)
 
 
 def active_subcarrier_bins(spec: WaveformSpec) -> np.ndarray:
@@ -173,7 +157,7 @@ def gen_ofdm_waveform(spec: WaveformSpec, num_symbols: int, seed: int) -> Comple
 
     target = dbm_to_mw(spec.target_power_dbm)
     samples = samples * np.sqrt(target / np.mean(np.abs(samples) ** 2))
-    return ComplexSequence(samples, spec.bandwidth_hz * kos)
+    return ComplexSequence(samples)
 
 
 def estimate_stats(seq: ComplexSequence) -> SignalStats:

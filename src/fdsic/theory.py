@@ -1,4 +1,4 @@
-"""Closed-form engine: bounds, biases, steady-state MSE/SINR, transients.
+"""Closed-form engine: bounds, biases, steady-state MSE, transients.
 
 All formulas assume the reference waveform x(n) is zero-mean proper white
 complex Gaussian with power sigma_x2, so E|x|^4 = 2 sigma_x2^2 and
@@ -32,7 +32,6 @@ from scipy.optimize import minimize_scalar
 
 from .cancellers import DegenerateInputError
 from .transceiver import ChannelSet, NoiseBudget, TransceiverProfile
-from .units import lin_to_db
 
 MIN_CONDITION_EPSILON = 1.0 / 6.0
 MIN_CONDITION_VALUE = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
@@ -60,10 +59,9 @@ class TheoryInputs:
 
     @classmethod
     def from_profile(cls, profile: TransceiverProfile, channels: ChannelSet,
-                     budget: NoiseBudget, mu: float,
-                     sigma_x2: float | None = None) -> "TheoryInputs":
+                     budget: NoiseBudget, mu: float) -> "TheoryInputs":
         return cls(
-            sigma_x2=sigma_x2 if sigma_x2 is not None else profile.natural_sigma_x2,
+            sigma_x2=profile.natural_sigma_x2,
             sigma_v2=budget.sigma_v2,
             sigma_q2=budget.sigma_q2,
             p_x_soi=budget.p_x_soi,
@@ -78,10 +76,6 @@ class TheoryInputs:
     def imd_norm2(self) -> float:
         c = self.channels
         return float(np.sum(np.abs(c.h_imd) ** 2) + np.sum(np.abs(c.g_imd) ** 2))
-
-    @property
-    def snr_req(self) -> float:
-        return self.p_x_soi / self.sigma_v2
 
 
 # --------------------------------------------------------------------------
@@ -137,11 +131,6 @@ def alms_steady_mse(inputs: TheoryInputs, regime: str) -> float:
         imd = inputs.k_tiq ** 3 * s2 ** 3 * inputs.imd_norm2
         return noise - 2.0 * imd + (mu * M * noise * s2 + 4.0 * imd) / denom
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def alms_sinr(inputs: TheoryInputs, regime: str) -> float:
-    """Achievable steady-state SINR (dB), p_soi / J(infinity)."""
-    return lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, regime))
 
 
 def alms_regime(inputs: TheoryInputs, threshold: float = 0.05) -> str:
@@ -281,7 +270,7 @@ def rb_matrix(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
     return scipy.linalg.block_diag(r0, r0)
 
 
-def anclms_mean_bound(sigma_x2: float, k_tiq: float, M: int = 2, N: int = 1) -> float:
+def anclms_mean_bound(sigma_x2: float, k_tiq: float, M: int, N: int) -> float:
     """Mean-convergence bound 2 / lam_max of the regressor covariance."""
     return 2.0 / rb_eigenvalues(sigma_x2, k_tiq, M, N).lam2
 
@@ -410,11 +399,6 @@ def anclms_steady_mse(inputs: TheoryInputs) -> float:
     trace_half = inputs.M * inputs.sigma_x2 \
         + 6.0 * inputs.N * inputs.k_tiq ** 3 * inputs.sigma_x2 ** 3
     return noise * (inputs.mu * trace_half + 1.0)
-
-
-def anclms_sinr(inputs: TheoryInputs) -> float:
-    """Achievable steady-state SINR (dB) of the nonlinear canceller."""
-    return lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs))
 
 
 def anclms_exact_steady_mse(analysis: AnclmsMsAnalysis, sigma_n2: float,

@@ -29,7 +29,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .signals import ComplexSequence
 from .units import db_to_lin, dbm_to_mw, mw_to_dbm
@@ -264,12 +263,9 @@ class Observation:
 
     d: ComplexSequence
     components: dict
-    channels: ChannelSet
-    budget: NoiseBudget
 
 
-def compute_noise_budget(profile: TransceiverProfile, sigma_x2: float,
-                         f_rfe_norm2: float) -> NoiseBudget:
+def compute_noise_budget(profile: TransceiverProfile) -> NoiseBudget:
     """Receiver VGA gain, thermal/quantization variances and SOI power.
 
     k_bb scales the LNA output so the strongest content fits the ADC range:
@@ -277,17 +273,17 @@ def compute_noise_budget(profile: TransceiverProfile, sigma_x2: float,
         k_bb = p_adc / (k_lna k_riq ([a0^2 k_vga k_tiq s2 + a1^2 k_vga^3
                 k_tiq^3 s2^3] ||f_rfe||^2 + p_sen))
 
-    with s2 the baseband reference power. The quantization-noise variance
-    follows the ADC SQNR rule sigma_q2 = p_adc / 10^((6.02 beta + 4.76 -
-    PAPR_dB)/10); the exponent is a dB quantity divided by 10.
+    with s2 the profile's natural baseband reference power. The
+    quantization-noise variance follows the ADC SQNR rule sigma_q2 = p_adc /
+    10^((6.02 beta + 4.76 - PAPR_dB)/10); the exponent is a dB quantity
+    divided by 10.
     """
-    if sigma_x2 <= 0:
-        raise ValueError("sigma_x2 must be positive")
+    sigma_x2 = profile.natural_sigma_x2
     a0 = profile.alpha0_amp
     alpha1 = -(4.0 / 3.0) * a0 / profile.iip3_mw
     p_lin = a0 ** 2 * profile.k_vga * profile.k_tiq * sigma_x2
     p_imd = alpha1 ** 2 * profile.k_vga ** 3 * profile.k_tiq ** 3 * sigma_x2 ** 3
-    denom = (p_lin + p_imd) * f_rfe_norm2 + profile.p_sen_mw
+    denom = (p_lin + p_imd) * profile.f_rfe_norm2 + profile.p_sen_mw
     k_bb = profile.p_adc_mw / (profile.k_lna * profile.k_riq * denom)
     sigma_v2 = k_bb * profile.k_lna * profile.k_riq * profile.p_sen_mw / profile.snr_req
     sqnr_db = 6.02 * profile.adc_bits + 4.76 - profile.papr_db
@@ -355,7 +351,7 @@ def synthesize_channels(profile: TransceiverProfile, M: int, N: int, seed: int,
     cascade *= np.sqrt(echo_power / np.sum(np.abs(cascade) ** 2))
     cascade_img = np.convolve(np.convolve(f_rfe, tx_image), rx_direct)
 
-    budget = compute_noise_budget(profile, profile.natural_sigma_x2, echo_power)
+    budget = compute_noise_budget(profile)
     rx_amp = np.sqrt(profile.k_lna * profile.k_riq * budget.k_bb)
     lin_amp = np.sqrt(profile.k_vga * profile.k_tiq) * profile.alpha0_amp * rx_amp
     imd_amp = budget.alpha1 * profile.k_vga ** 1.5 * rx_amp
@@ -381,11 +377,15 @@ def imd_sequence(x: np.ndarray, k_tiq: float) -> np.ndarray:
     return k_tiq ** 1.5 * np.abs(x) ** 2 * x
 
 
-def render_observation(x: ComplexSequence, channels: ChannelSet,
+def render_observation(xs: np.ndarray, channels: ChannelSet,
                        budget: NoiseBudget, profile: TransceiverProfile,
                        seed: int, include_soi: bool = False) -> Observation:
-    """Render d(n) from a reference waveform, storing each component."""
-    xs = x.samples
+    """Render d(n) from a reference waveform, storing each component.
+
+    Each branch is the channel's FIR response to its input, truncated to
+    ``len(xs)`` samples (zero initial state).
+    """
+    xs = np.asarray(xs, dtype=np.complex128)
     if len(xs) <= channels.m:
         raise ValueError("sequence must be longer than the channel length M")
     x_imd = imd_sequence(xs, profile.k_tiq)
@@ -396,17 +396,20 @@ def render_observation(x: ComplexSequence, channels: ChannelSet,
         w = rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs))
         return np.sqrt(power / 2.0) * w
 
+    def fir(taps: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.convolve(taps, v)[:len(xs)]
+
     components = {
-        "linear_si": lfilter(channels.h, [1.0], xs),
-        "image_si": lfilter(channels.g, [1.0], np.conj(xs)),
-        "imd_si": lfilter(channels.h_imd, [1.0], x_imd),
-        "image_imd_si": lfilter(channels.g_imd, [1.0], np.conj(x_imd)),
+        "linear_si": fir(channels.h, xs),
+        "image_si": fir(channels.g, np.conj(xs)),
+        "imd_si": fir(channels.h_imd, x_imd),
+        "image_imd_si": fir(channels.g_imd, np.conj(x_imd)),
         "thermal": noise(budget.sigma_v2),
         "quantization": noise(budget.sigma_q2),
         "soi": noise(budget.p_x_soi) if include_soi else np.zeros(len(xs), dtype=complex),
     }
     d = sum(components.values())
-    return Observation(ComplexSequence(d, x.sample_rate_hz), components, channels, budget)
+    return Observation(ComplexSequence(d), components)
 
 
 @dataclass(frozen=True)
@@ -437,7 +440,7 @@ def compute_power_budget(profile: TransceiverProfile, tx_powers_dbm) -> list[Pow
     for tx in tx_powers_dbm:
         prof = profile.with_tx_power(tx)
         s2 = prof.natural_sigma_x2
-        budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+        budget = compute_noise_budget(prof)
         g_rx = prof.k_lna * prof.k_riq * budget.k_bb
         chain = prof.f_rfe_norm2 * g_rx
         si = prof.tx_power_mw * chain

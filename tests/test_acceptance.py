@@ -17,7 +17,7 @@ import pytest
 
 from fdsic.cancellers import CancellerConfig, regressor_matrix, run_batch
 from fdsic.harness import ExperimentConfig, run_bias, run_convergence, \
-    run_power_budget, run_sinr_sweep
+    run_power_budget, run_sinr_sweep, trial_batch
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
                           alms_steady_mse, alms_transient,
@@ -27,7 +27,7 @@ from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 from fdsic.units import lin_to_db
 
-from conftest import M, N, SEED, make_batch
+from conftest import M, N, SEED
 
 MIN_C = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
 
@@ -117,7 +117,9 @@ def test_criterion_5_low_power_limit(lowpower_setup):
     prof, channels, budget = lowpower_setup
     s2 = prof.natural_sigma_x2
     mu = 0.01 * alms_ms_bound(s2, M)
-    xs, ds = make_batch(prof, channels, budget, trials=50, n=30_000 + M)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=50,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget, s2, 30_000 + M)
     worst = 0.0
     for n_imd in (0, N):  # ALMS, then ANCLMS
         cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
@@ -136,7 +138,9 @@ def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
     s2 = prof.natural_sigma_x2
     cancellers = (("alms", 0, alms_ms_bound(s2, M)),
                   ("anclms", N, lowpower_ms_analysis.bound))
-    xs, ds = make_batch(prof, channels, budget, trials=50, n=30_000 + M)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=50,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget, s2, 30_000 + M)
     init = float(np.mean(np.abs(ds) ** 2))
     out = {}
     for label, n_imd, bound in cancellers:
@@ -239,13 +243,12 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     notes.append("regressor structure")
 
     # component-sum identity
-    from fdsic.signals import ComplexSequence
     from fdsic.transceiver import render_observation
     channels = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
+    budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(20_000, type2.natural_sigma_x2, seed=5)
-    obs = render_observation(ComplexSequence(x.samples, 20e6), channels, budget,
-                             type2, seed=6, include_soi=True)
+    obs = render_observation(x.samples, channels, budget, type2, seed=6,
+                             include_soi=True)
     assert np.max(np.abs(obs.d.samples - sum(obs.components.values()))) == 0.0
     notes.append("component-sum identity")
 

@@ -9,10 +9,11 @@ from fdsic import cancellers
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
                               default_steady_window, prewhiten_fit,
                               regressor_matrix, run_batch)
+from fdsic.harness import ExperimentConfig, trial_batch
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import alms_ms_bound, anclms_mean_bound, anclms_ms_analysis
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
-from conftest import M, N, SEED, make_batch
+from conftest import M, N, SEED
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
@@ -188,7 +189,9 @@ def test_run_canceller_low_power_mse(lowpower_setup):
     prof, channels, budget = lowpower_setup
     s2 = prof.natural_sigma_x2
     mu = 0.1 * alms_ms_bound(s2, M)
-    xs, ds = make_batch(prof, channels, budget, trials=1, n=30_000 + M)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=1,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget, s2, 30_000 + M)
     run = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
     j_low = ((1 - mu * s2) * budget.sigma_v2 / (1 - mu * (M + 1) * s2)
              + budget.sigma_q2)
@@ -198,7 +201,10 @@ def test_run_canceller_low_power_mse(lowpower_setup):
 
 def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
     prof, channels, budget = lowpower_setup
-    xs, ds = make_batch(prof, channels, budget, trials=4, n=8000 + M)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=4,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget,
+                         prof.natural_sigma_x2, 8000 + M)
     mu = 1.5 * lowpower_ms_analysis.bound
     run = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, N=N,
                                             k_tiq=prof.k_tiq), keep_residuals=False)
@@ -209,7 +215,10 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
 
 def test_mu_zero_flat_residual(lowpower_setup):
     prof, channels, budget = lowpower_setup
-    xs, ds = make_batch(prof, channels, budget, trials=2, n=5000 + M)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=2,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget,
+                         prof.natural_sigma_x2, 5000 + M)
     run = run_batch(xs, ds, CancellerConfig(mu=0.0, M=M, k_tiq=prof.k_tiq),
                     keep_residuals=True)
     np.testing.assert_allclose(run.residual_power,
@@ -319,8 +328,10 @@ def kernel_setup(type2):
     prof = type2.with_tx_power(15.0)
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, M, N, seed=SEED)
-    budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
-    xs, ds = make_batch(prof, channels, budget, trials=4, n=3000 + M - 1)
+    budget = compute_noise_budget(prof)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=4,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget, s2, 3000 + M - 1)
     ana = anclms_ms_analysis(s2, prof.k_tiq, M, N)
     return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound}
 

@@ -2,7 +2,9 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -15,11 +17,11 @@ from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
 from fdsic.harness import (MAX_SWEEP_ITERATIONS, ExperimentConfig, _mu_frac,
                            _sweep_iterations, resolve_profile, run_experiment,
-                           write_csv)
+                           trial_batch, write_csv)
 from fdsic.theory import TheoryInputs, alms_ms_bound
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 
-from conftest import M, N, SEED, make_batch
+from conftest import M, N, SEED
 
 
 def test_parse_tx_grid():
@@ -63,7 +65,7 @@ def test_sweep_iterations_reports_the_cap(type2):
         prof = type2.with_tx_power(tx)
         s2 = prof.natural_sigma_x2
         channels = synthesize_channels(prof, M, N, seed=SEED)
-        budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+        budget = compute_noise_budget(prof)
         inputs = TheoryInputs.from_profile(prof, channels, budget,
                                            0.15 * alms_ms_bound(s2, M))
         runs[tx] = _sweep_iterations(inputs, 30_000)
@@ -88,7 +90,10 @@ def test_trial_independence(lowpower_setup):
     prof, channels, budget = lowpower_setup
     mu = 0.05 * alms_ms_bound(prof.natural_sigma_x2, M)
     cfg = CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq)
-    xs, ds = make_batch(prof, channels, budget, trials=20, n=12_000 + M)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=20,
+                              seed=SEED)
+    xs, ds = trial_batch(config, prof, channels, budget,
+                         prof.natural_sigma_x2, 12_000 + M)
     run = run_batch(xs, ds, cfg, keep_residuals=False)
     mse = run.steady_state_mse
     half, full = mse[:10].mean(), mse.mean()
@@ -123,21 +128,28 @@ def test_cli_small_bias_run(tmp_path):
 
 def test_cli_config_file(tmp_path):
     conf = tmp_path / "run.conf"
-    conf.write_text("tx-grid = 0,20\ntrials = 2\nout = %s\n" % (tmp_path / "o"))
+    conf.write_text("tx-grid = 0,20\ntrials = 2\ncheck = on\nout = %s\n"
+                    % (tmp_path / "o"))
     code = cli_main(["power-budget", "--config", str(conf)])
     assert code == 0
     assert (tmp_path / "o" / "power-budget.csv").exists()
+    assert "check[analytic_vs_rendered_0.5dB] = pass" in \
+        (tmp_path / "o" / "meta.txt").read_text()
 
 
 @pytest.mark.parametrize("text, message", [
     ("trials 2\n", "malformed config line"),
     ("trails = 2\n", "unknown config key"),
+    ("check = maybe\n", "check must be one of 1, true, yes, on, 0, false, no, off"),
 ])
 def test_cli_config_file_errors(tmp_path, capsys, text, message):
     conf = tmp_path / "run.conf"
     conf.write_text(text)
-    assert cli_main(["power-budget", "--config", str(conf)]) == 2
-    assert message in capsys.readouterr().err
+    argv = ["power-budget", "--config", str(conf), "--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert message in err
 
 
 def test_cli_bad_profile_exit_code(tmp_path):
@@ -165,6 +177,37 @@ def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+def test_cli_bias_absolute_mu(type2, tmp_path):
+    """``--mu`` runs mu and 2 mu, labelled by their fraction of the bound."""
+    mu = 1.0
+    code = cli_main(["bias", "--mu", str(mu), "--trials", "2", "--iterations",
+                     "3000", "--out", str(tmp_path)])
+    assert code == 0
+    bound = alms_ms_bound(type2.natural_sigma_x2, M)
+    lines = (tmp_path / "bias.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    cols = {name: rows[:, i] for i, name in enumerate(header)}
+    for label in ("alms", "anclms"):
+        one = cols[f"{label}_mu{mu / bound:g}_tap1"]
+        two = cols[f"{label}_mu{2 * mu / bound:g}_tap1"]
+        assert not np.array_equal(one, two), label
+    meta = (tmp_path / "meta.txt").read_text().splitlines()
+    assert f"mu_abs = {mu}" in meta
+    assert not any(line.startswith("mu_frac") for line in meta)
+
+
+def test_cli_import_skips_the_filter_module():
+    """Rendering needs numpy alone; the filter module took ~1 s to import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, fdsic.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_resolve_profile_default():

@@ -49,7 +49,6 @@ def test_proper_gaussian_args_and_determinism():
 
 def test_ofdm_symbol_geometry():
     spec = WaveformSpec()
-    assert spec.symbol_duration_s == pytest.approx((64 + 16) / 20e6)  # 4 us
     assert spec.samples_per_symbol == (64 + 16) * 4
     wf = gen_ofdm_waveform(spec, num_symbols=1, seed=0)
     assert len(wf) == spec.samples_per_symbol
@@ -59,7 +58,7 @@ def test_ofdm_symbol_geometry():
 def test_ofdm_power_normalization():
     spec = WaveformSpec(target_power_dbm=0.0)
     wf = gen_ofdm_waveform(spec, num_symbols=500, seed=4)
-    power_db = 10 * np.log10(wf.power_mw)
+    power_db = 10 * np.log10(np.mean(np.abs(wf.samples) ** 2))
     assert abs(power_db) < 0.1
 
 
@@ -81,11 +80,11 @@ def test_ofdm_seed_determinism():
 
 
 def test_estimate_stats_degenerate_and_errors():
-    stats = estimate_stats(ComplexSequence(np.ones(100, dtype=complex), 1.0))
+    stats = estimate_stats(ComplexSequence(np.ones(100, dtype=complex)))
     assert stats.variance == 0.0
     assert stats.pseudo_variance == 0.0
     with pytest.raises(ValueError):
-        estimate_stats(ComplexSequence(np.ones(1, dtype=complex), 1.0))
+        estimate_stats(ComplexSequence(np.ones(1, dtype=complex)))
 
 
 def test_estimate_stats_consistency():
@@ -105,8 +104,6 @@ def test_cauchy_schwarz_moment_inequality(seed, sigma):
 
 def test_complex_sequence_validation():
     with pytest.raises(ValueError):
-        ComplexSequence(np.array([], dtype=complex), 1.0)
+        ComplexSequence(np.array([], dtype=complex))
     with pytest.raises(ValueError):
-        ComplexSequence(np.array([np.inf + 0j]), 1.0)
-    with pytest.raises(ValueError):
-        ComplexSequence(np.array([1.0 + 0j]), 0.0)
+        ComplexSequence(np.array([np.inf + 0j]))

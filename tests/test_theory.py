@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from fdsic import theory
 from fdsic.cancellers import regressor_matrix
-from fdsic.signals import ComplexSequence, gen_proper_gaussian
+from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
-                          alms_ms_bound, alms_regime, alms_sinr,
-                          alms_steady_mse, alms_transient,
-                          alms_transition_matrix, anclms_exact_steady_mse,
-                          anclms_mean_bound, anclms_sinr, anclms_steady_mse,
+                          alms_ms_bound, alms_regime, alms_steady_mse,
+                          alms_transient, alms_transition_matrix,
+                          anclms_exact_steady_mse, anclms_mean_bound,
+                          anclms_steady_mse,
                           anclms_transient, condition_number,
                           condition_number_from_eps, min_condition_number,
                           numeric_min_condition_number, optimal_sigma_x2,
                           rb_eigenvalues, rb_matrix)
 from fdsic.transceiver import (ChannelSet, compute_noise_budget,
                                render_observation, synthesize_channels)
+from fdsic.units import lin_to_db
 
 from conftest import M, N, SEED
 
@@ -103,23 +104,27 @@ def test_alms_mse_bounds_and_errors():
 
 def test_alms_sinr_small_mu_is_snr_req():
     inputs = _inputs(mu=1e-9)
-    assert alms_sinr(inputs, "low") == pytest.approx(15.0, abs=1e-3)
+    sinr = lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "low"))
+    assert sinr == pytest.approx(15.0, abs=1e-3)
 
 
 def test_alms_sinr_monotone():
     base = dict(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0,
                 p_x_soi=10 ** 1.5 * 1e-5)
     ch = _toy_channels(h_imd=[0.01, 0, 0, 0])
+    p_soi = base["p_x_soi"]
     for regime in ("low", "high"):
-        sinrs = [alms_sinr(TheoryInputs(mu=mu, M=M, N=N, channels=ch, **base), regime)
+        sinrs = [lin_to_db(p_soi / alms_steady_mse(
+            TheoryInputs(mu=mu, M=M, N=N, channels=ch, **base), regime))
                  for mu in (0.01, 0.1, 0.5, 1.0)]
         assert all(a > b for a, b in zip(sinrs, sinrs[1:]))
-    sinr_m = [alms_sinr(TheoryInputs(mu=0.1, M=m, N=N, channels=ChannelSet(
-        h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)),
-        **base), "low") for m in (5, 8, 12)]
+    sinr_m = [lin_to_db(p_soi / alms_steady_mse(TheoryInputs(
+        mu=0.1, M=m, N=N, channels=ChannelSet(
+            h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)),
+        **base), "low")) for m in (5, 8, 12)]
     assert all(a > b for a, b in zip(sinr_m, sinr_m[1:]))
-    sinr_s = [alms_sinr(TheoryInputs(mu=0.1, M=M, N=N, channels=ch,
-                                     **{**base, "sigma_x2": s}), "low")
+    sinr_s = [lin_to_db(p_soi / alms_steady_mse(TheoryInputs(
+        mu=0.1, M=M, N=N, channels=ch, **{**base, "sigma_x2": s}), "low"))
               for s in (0.05, 0.1, 0.5)]
     assert all(a > b for a, b in zip(sinr_s, sinr_s[1:]))
 
@@ -129,7 +134,8 @@ def test_regime_continuity_at_low_power(lowpower_setup):
     mu = 0.05 * alms_ms_bound(prof.natural_sigma_x2, M)
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
     assert alms_regime(inputs) == "low"
-    gap = abs(alms_sinr(inputs, "high") - alms_sinr(inputs, "low"))
+    gap = abs(lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "high"))
+              - lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "low")))
     assert gap < 0.1
 
 
@@ -263,9 +269,9 @@ def test_anclms_steady_mse_channel_independent():
 def test_anclms_sinr_small_mu_limit(type2):
     prof = type2
     channels = synthesize_channels(prof, M, N, seed=SEED)
-    budget = compute_noise_budget(prof, prof.natural_sigma_x2, prof.f_rfe_norm2)
+    budget = compute_noise_budget(prof)
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu=1e-12)
-    got = anclms_sinr(inputs)
+    got = lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs))
     # limit: 1 / (1/SNR_req + sigma_q2 / (k_bb k_lna k_tiq p_sen)) in dB;
     # k_tiq == k_riq for the shipped presets so this equals p_soi/(sv+sq)
     denom = 1.0 / prof.snr_req + budget.sigma_q2 / (
@@ -282,23 +288,25 @@ def test_anclms_sinr_monotone():
         for v in values:
             kw = dict(sigma_x2=0.1, k_tiq=1.0, mu=0.1, M=M, N=N, **base)
             kw[key] = v
-            sinrs.append(anclms_sinr(TheoryInputs(**kw)))
+            inputs = TheoryInputs(**kw)
+            sinrs.append(lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs)))
         assert all(a > b for a, b in zip(sinrs, sinrs[1:])), key
-    s_m = [anclms_sinr(TheoryInputs(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6,
-                                    p_x_soi=10 ** 1.5 * 1e-5, k_tiq=1.0, M=m, N=N,
-                                    mu=0.1, channels=ChannelSet(
-                                        h=np.eye(m)[0], g=np.zeros(m),
-                                        h_imd=np.zeros(N), g_imd=np.zeros(N))))
+    s_m = [lin_to_db(base["p_x_soi"] / anclms_steady_mse(TheoryInputs(
+        sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, p_x_soi=10 ** 1.5 * 1e-5,
+        k_tiq=1.0, M=m, N=N, mu=0.1, channels=ChannelSet(
+            h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)))))
            for m in (5, 9)]
     assert s_m[0] > s_m[1]
 
 
 def test_anclms_beats_alms_at_high_power(type2):
     channels = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
+    budget = compute_noise_budget(type2)
     mu = 0.05 * alms_ms_bound(type2.natural_sigma_x2, M)
     inputs = TheoryInputs.from_profile(type2, channels, budget, mu)
-    assert anclms_sinr(inputs) > alms_sinr(inputs, "high") + 3.0
+    anclms_db = lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs))
+    alms_db = lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "high"))
+    assert anclms_db > alms_db + 3.0
 
 
 # -- Q3 diagonal ------------------------------------------------------------
@@ -328,12 +336,11 @@ def test_q3_diag_monte_carlo(type2):
     prof = type2
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, M, N, seed=SEED)
-    budget = compute_noise_budget(prof, s2, prof.f_rfe_norm2)
+    budget = compute_noise_budget(prof)
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu=0.01)
     n = 1_000_000
     x = gen_proper_gaussian(n, s2, seed=77)
-    obs = render_observation(ComplexSequence(x.samples, 20e6), channels, budget,
-                             prof, seed=78)
+    obs = render_observation(x.samples, channels, budget, prof, seed=78)
     u = (obs.components["imd_si"] + obs.components["image_imd_si"]
          + obs.components["thermal"] + obs.components["quantization"])
     regs = regressor_matrix(x.samples, M)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fdsic.signals import ComplexSequence, gen_proper_gaussian
+from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (ChannelSet, NoiseBudget, compute_noise_budget,
                                compute_power_budget, load_profile,
                                render_observation, synthesize_channels)
@@ -38,7 +38,7 @@ def test_profile_tx_power_range(type2):
 
 
 def test_sigma_q2_value(type2):
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
+    budget = compute_noise_budget(type2)
     # beta=12, PAPR=10 dB, p_adc=7 dB: SQNR exponent 6.02*12+4.76-10 = 67 dB
     assert 6.02 * 12 + 4.76 - 10 == pytest.approx(67.0)
     assert budget.sigma_q2 == pytest.approx(10 ** 0.7 / 10 ** 6.7, rel=1e-12)
@@ -47,12 +47,12 @@ def test_sigma_q2_value(type2):
 
 def test_sigma_v2_vanishes_with_snr_req(type2):
     strict = dataclasses.replace(type2, snr_req_db=300.0)
-    budget = compute_noise_budget(strict, strict.natural_sigma_x2, strict.f_rfe_norm2)
+    budget = compute_noise_budget(strict)
     assert budget.sigma_v2 < 1e-30
 
 
 def test_soi_to_thermal_is_snr_req(type2):
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
+    budget = compute_noise_budget(type2)
     assert budget.p_x_soi / budget.sigma_v2 == pytest.approx(type2.snr_req, rel=1e-12)
     assert budget.p_x_soi == pytest.approx(
         type2.p_sen_mw * type2.k_lna * budget.k_bb * type2.k_riq, rel=1e-12)
@@ -62,8 +62,7 @@ def test_sigma_q2_decreasing_in_bits(type2):
     values = []
     for bits in (8, 10, 12, 14):
         prof = dataclasses.replace(type2, adc_bits=bits)
-        values.append(compute_noise_budget(prof, prof.natural_sigma_x2,
-                                           prof.f_rfe_norm2).sigma_q2)
+        values.append(compute_noise_budget(prof).sigma_q2)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -115,7 +114,7 @@ def test_render_zero_channels(type2):
     ch = ChannelSet(h=np.array([1e-300, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
     x = gen_proper_gaussian(500, 1.0, seed=1)
-    obs = render_observation(x, ch, _zero_budget(), type2, seed=2)
+    obs = render_observation(x.samples, ch, _zero_budget(), type2, seed=2)
     assert np.allclose(obs.d.samples, 0.0, atol=1e-290)
 
 
@@ -123,32 +122,31 @@ def test_render_identity_channel(type2):
     ch = ChannelSet(h=np.array([1.0, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
     x = gen_proper_gaussian(500, 1.0, seed=1)
-    obs = render_observation(x, ch, _zero_budget(), type2, seed=2)
+    obs = render_observation(x.samples, ch, _zero_budget(), type2, seed=2)
     assert np.array_equal(obs.d.samples, x.samples)
 
 
 def test_render_too_short(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
-    x = ComplexSequence(np.ones(M, dtype=complex), 1.0)
+    budget = compute_noise_budget(type2)
     with pytest.raises(ValueError):
-        render_observation(x, ch, budget, type2, seed=0)
+        render_observation(np.ones(M, dtype=complex), ch, budget, type2, seed=0)
 
 
 def test_component_sum_identity(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
+    budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(10_000, type2.natural_sigma_x2, seed=5)
-    obs = render_observation(x, ch, budget, type2, seed=6, include_soi=True)
+    obs = render_observation(x.samples, ch, budget, type2, seed=6, include_soi=True)
     total = sum(obs.components.values())
     assert np.max(np.abs(obs.d.samples - total)) == 0.0
 
 
 def test_imd_moment_law(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2, type2.natural_sigma_x2, type2.f_rfe_norm2)
+    budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(100_000, type2.natural_sigma_x2, seed=7)
-    obs = render_observation(x, ch, budget, type2, seed=8)
+    obs = render_observation(x.samples, ch, budget, type2, seed=8)
     measured = np.mean(np.abs(obs.components["imd_si"]) ** 2)
     expected = (6 * type2.k_tiq ** 3 * type2.natural_sigma_x2 ** 3 * ch.norm2_h_imd)
     assert 0.95 <= measured / expected <= 1.05

@@ -1,9 +1,11 @@
-/* LMS steps of one block of regressors, for every trial of a batch.
+/* The native kernels of fdsic: the FIR that renders an observation branch
+ * and the LMS steps of one block of regressors, for every trial of a batch.
  *
  * The arithmetic is written out in real numbers so that every rounding
- * equals that of the numpy expressions it replaces (see cancellers.py):
- * the dot product reg^T w accumulates in order without FMA, as einsum does,
- * complex products use numpy's FMA form, and |e| is numpy's scaled hypot.
+ * equals that of the numpy expressions it replaces (see cancellers.py and
+ * transceiver.py): the dot product reg^T w accumulates in order without FMA,
+ * as einsum does, complex products use numpy's FMA form, |e| is numpy's
+ * scaled hypot, and the FIR sums as np.convolve does through BLAS zdotu.
  * Build with -ffp-contract=off and without auto-vectorization so that the
  * compiler keeps exactly these operations. Complex arrays are interleaved
  * (re, im) doubles; trials are independent, so each runs its whole block.
@@ -24,49 +26,129 @@ static double np_cabs(double re, double im)
     return sqrt(fma(r, r, 1.0)) * big;
 }
 
-/* reg (trials, steps, dim), d (trials, steps), w and w_accum (trials, dim);
- * e2 (steps, trials) and tap_buf (steps, ntaps, trials) receive per-step
+/* y(i) = sum_k h(k) v(i - k) for i < n, with v conjugated if conj: the first
+ * n samples of np.convolve(h, v) for m < n taps. numpy correlates v with
+ * the reversed taps, one zdotu per output over the oldest-first window, and
+ * OpenBLAS sums a short zdotu in four FMA accumulators. */
+void fir(int64_t n, int64_t m, const double *h, const double *v, int64_t conj,
+         double *y)
+{
+    double s = conj ? -1.0 : 1.0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k0 = i < m - 1 ? i : m - 1;
+        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+        for (int64_t k = k0; k >= 0; k--) {
+            double vr = v[2 * (i - k)], vi = s * v[2 * (i - k) + 1];
+            double hr = h[2 * k], hi = h[2 * k + 1];
+            d0 = fma(vr, hr, d0);
+            d1 = fma(vi, hi, d1);
+            d2 = fma(vr, hi, d2);
+            d3 = fma(vi, hr, d3);
+        }
+        y[2 * i] = 0.0 + (d0 - d1);
+        y[2 * i + 1] = 0.0 + (d2 + d3);
+    }
+}
+
+/* What the steps of one block share: w and w_accum (trials, dim); e2
+ * (steps, trials) and tap_buf (steps, ntaps, trials) receive per-step
  * values; peak, steady_sum, steady_count and diverged_at are per trial.
  * Step j is step t0 + j of the run; steps from win_start on are summed. */
+struct block {
+    int64_t trials, steps, dim, t0, win_start;
+    double mu;
+    double *w, *w_accum, *e2, *peak, *steady_sum, *steady_count;
+    int64_t *diverged_at;
+    int64_t ntaps;
+    const int64_t *taps;
+    double *tap_buf;
+};
+
+/* One LMS step of trial i on regressor r (dim entries) and observation d. */
+static inline void step(const struct block *b, int64_t i, int64_t j,
+                        const double *r, const double *d)
+{
+    int64_t dim = b->dim, trials = b->trials;
+    double *wi = b->w + 2 * dim * i, *ai = b->w_accum + 2 * dim * i;
+    double yr = 0.0, yi = 0.0;
+    for (int64_t k = 0; k < dim; k++) {
+        yr += r[2 * k] * wi[2 * k] - r[2 * k + 1] * wi[2 * k + 1];
+        yi += r[2 * k] * wi[2 * k + 1] + r[2 * k + 1] * wi[2 * k];
+    }
+    double er = d[0] - yr, ei = d[1] - yi;
+    double mr = fma(b->mu, er, -(0.0 * ei)), mi = fma(b->mu, ei, 0.0 * er);
+    for (int64_t k = 0; k < dim; k++) {
+        double cr = r[2 * k], ci = -r[2 * k + 1];
+        wi[2 * k] += fma(mr, cr, -(mi * ci));
+        wi[2 * k + 1] += fma(mr, ci, mi * cr);
+    }
+    double a = np_cabs(er, ei), p = a * a;
+    int ok = isfinite(p);
+    if (!ok && b->diverged_at[i] < 0) b->diverged_at[i] = b->t0 + j;
+    double top = ok ? p : INFINITY;
+    if (top > b->peak[i]) b->peak[i] = top;
+    b->e2[j * trials + i] = p;
+    for (int64_t k = 0; k < b->ntaps; k++) {
+        double *tb = b->tap_buf + 2 * ((j * b->ntaps + k) * trials + i);
+        tb[0] = wi[2 * b->taps[k]];
+        tb[1] = wi[2 * b->taps[k] + 1];
+    }
+    if (b->t0 + j >= b->win_start) {
+        for (int64_t k = 0; k < 2 * dim; k++) ai[k] += wi[k];
+        b->steady_sum[i] += ok ? p : 0.0;
+        b->steady_count[i] += ok;
+    }
+}
+
+/* reg (trials, steps, dim) holds every regressor (the whitened path);
+ * d is (trials, steps). */
 void lms_block(int64_t trials, int64_t steps, int64_t dim, int64_t t0,
                int64_t win_start, double mu, const double *reg, const double *d,
                double *w, double *w_accum, double *e2, double *peak,
                double *steady_sum, double *steady_count, int64_t *diverged_at,
                int64_t ntaps, const int64_t *taps, double *tap_buf)
 {
+    struct block b = {trials, steps, dim, t0, win_start, mu, w, w_accum, e2,
+                      peak, steady_sum, steady_count, diverged_at, ntaps, taps,
+                      tap_buf};
+    for (int64_t i = 0; i < trials; i++)
+        for (int64_t j = 0; j < steps; j++)
+            step(&b, i, j, reg + 2 * dim * (i * steps + j),
+                 d + 2 * (i * steps + j));
+}
+
+/* The regressor [x; x_imd; x*; x_imd*] of step j is read in place: x and
+ * x_imd are (trials, steps + m - 1) windows whose column j + m - 1 is the
+ * newest sample of step j; x_imd covers the nimd newest delays (dim is
+ * 2 (m + nimd)). d is (trials, steps). */
+void lms_block_raw(int64_t trials, int64_t steps, int64_t m, int64_t nimd,
+                   int64_t t0, int64_t win_start, double mu, const double *x,
+                   const double *x_imd, const double *d, double *w,
+                   double *w_accum, double *e2, double *peak,
+                   double *steady_sum, double *steady_count,
+                   int64_t *diverged_at, int64_t ntaps, const int64_t *taps,
+                   double *tap_buf)
+{
+    int64_t dim = 2 * (m + nimd), half = m + nimd, len = steps + m - 1;
+    struct block b = {trials, steps, dim, t0, win_start, mu, w, w_accum, e2,
+                      peak, steady_sum, steady_count, diverged_at, ntaps, taps,
+                      tap_buf};
+    double r[2 * dim];
     for (int64_t i = 0; i < trials; i++) {
-        double *wi = w + 2 * dim * i, *ai = w_accum + 2 * dim * i;
         for (int64_t j = 0; j < steps; j++) {
-            const double *r = reg + 2 * dim * (i * steps + j);
-            double yr = 0.0, yi = 0.0;
-            for (int64_t k = 0; k < dim; k++) {
-                yr += r[2 * k] * wi[2 * k] - r[2 * k + 1] * wi[2 * k + 1];
-                yi += r[2 * k] * wi[2 * k + 1] + r[2 * k + 1] * wi[2 * k];
+            const double *xn = x + 2 * (i * len + j + m - 1);
+            const double *qn = x_imd + 2 * (i * len + j + m - 1);
+            for (int64_t k = 0; k < m; k++) {
+                r[2 * k] = r[2 * (half + k)] = xn[-2 * k];
+                r[2 * k + 1] = xn[1 - 2 * k];
+                r[2 * (half + k) + 1] = -xn[1 - 2 * k];
             }
-            const double *dij = d + 2 * (i * steps + j);
-            double er = dij[0] - yr, ei = dij[1] - yi;
-            double mr = fma(mu, er, -(0.0 * ei)), mi = fma(mu, ei, 0.0 * er);
-            for (int64_t k = 0; k < dim; k++) {
-                double cr = r[2 * k], ci = -r[2 * k + 1];
-                wi[2 * k] += fma(mr, cr, -(mi * ci));
-                wi[2 * k + 1] += fma(mr, ci, mi * cr);
+            for (int64_t k = 0; k < nimd; k++) {
+                r[2 * (m + k)] = r[2 * (half + m + k)] = qn[-2 * k];
+                r[2 * (m + k) + 1] = qn[1 - 2 * k];
+                r[2 * (half + m + k) + 1] = -qn[1 - 2 * k];
             }
-            double a = np_cabs(er, ei), p = a * a;
-            int ok = isfinite(p);
-            if (!ok && diverged_at[i] < 0) diverged_at[i] = t0 + j;
-            double top = ok ? p : INFINITY;
-            if (top > peak[i]) peak[i] = top;
-            e2[j * trials + i] = p;
-            for (int64_t k = 0; k < ntaps; k++) {
-                double *tb = tap_buf + 2 * ((j * ntaps + k) * trials + i);
-                tb[0] = wi[2 * taps[k]];
-                tb[1] = wi[2 * taps[k] + 1];
-            }
-            if (t0 + j >= win_start) {
-                for (int64_t k = 0; k < 2 * dim; k++) ai[k] += wi[k];
-                steady_sum[i] += ok ? p : 0.0;
-                steady_count[i] += ok;
-            }
+            step(&b, i, j, r, d + 2 * (i * steps + j));
         }
     }
 }

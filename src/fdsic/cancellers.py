@@ -11,76 +11,26 @@ A pre-whitening transform Phi = Lambda^{-1/2} U^H, fitted on a held-out
 preamble of ``WHITEN_PREAMBLE_PER_TAP`` regressors per regressor entry, can
 be applied to the regressor to equalize the LMS convergence modes.
 
-The LMS steps run in a small C kernel (``_lms.c``), compiled with the local
-C compiler on the first ``run_batch`` call and cached next to this module
-in ``__pycache__``. Its arithmetic rounds exactly as the numpy expressions
-e = d - reg^T w (einsum), w += mu e conj(reg) and |e|^2 do, so results are
-bit-identical to a numpy loop over the steps.
+The LMS steps run in a small C kernel (``_lms.c``, built and loaded by
+``_native`` on the first ``run_batch`` call). Its arithmetic rounds exactly
+as the numpy expressions e = d - reg^T w (einsum), w += mu e conj(reg) and
+|e|^2 do, so results are bit-identical to a numpy loop over the steps. On
+the raw path the kernel reads each regressor in place from the block's
+window of x and x_imd, so ``regressor_matrix`` builds rows only for the
+whitened path, the whitening fit and the tests.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
-import os
-import platform
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .transceiver import imd_sequence
 
-_BLOCK = 256  # time steps whose regressors run_batch builds at once
+_BLOCK = 256  # time steps that run_batch hands the kernel at once
 WHITEN_PREAMBLE_PER_TAP = 50  # regressors that fit Phi, per regressor entry
-_KERNEL_SOURCE = Path(__file__).with_name("_lms.c")
-_COMPILER = "gcc"
-# no contraction or auto-vectorization: the kernel's own fma() calls are the
-# only fused operations; -march=native makes fma() an instruction
-_CFLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-tree-vectorize",
-           "-fno-tree-slp-vectorize", "-fPIC", "-shared")
-
-
-def _build_kernel() -> Path:
-    """Compile ``_lms.c`` unless a library for this source and command exists."""
-    command = [_COMPILER, *_CFLAGS]
-    source = _KERNEL_SOURCE.read_bytes()
-    tag = hashlib.sha256(source + " ".join(command).encode()
-                         + platform.machine().encode()).hexdigest()[:16]
-    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_lms-{tag}.so"
-    if lib.exists():
-        return lib
-    lib.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_lms-", suffix=".so.tmp", dir=lib.parent)
-    os.close(fd)
-    command += [str(_KERNEL_SOURCE), "-o", tmp, "-lm"]
-    try:
-        proc = subprocess.run(command, capture_output=True, text=True)
-    except OSError as exc:
-        os.unlink(tmp)
-        raise RuntimeError(f"cannot build the LMS kernel: `{' '.join(command)}` "
-                           f"did not start ({exc})") from exc
-    if proc.returncode != 0:
-        os.unlink(tmp)
-        raise RuntimeError(f"cannot build the LMS kernel: `{' '.join(command)}` "
-                           f"exited with {proc.returncode}:\n{proc.stderr}")
-    os.replace(tmp, lib)  # atomic: other processes never load a partial file
-    return lib
-
-
-@functools.cache
-def _kernel():
-    """The compiled ``lms_block`` function (built on first use)."""
-    cplx, real, index = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-                         for dtype in (np.complex128, np.float64, np.int64))
-    fn = ctypes.CDLL(str(_build_kernel())).lms_block
-    fn.argtypes = [*[ctypes.c_int64] * 5, ctypes.c_double, *[cplx] * 4,
-                   *[real] * 4, index, ctypes.c_int64, index, cplx]
-    fn.restype = None
-    return fn
 
 
 class DegenerateInputError(ValueError):
@@ -230,22 +180,26 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     peak = np.zeros(trials)
     diverged_at = np.full(trials, -1, dtype=np.int64)
     win_start = n_steps - window
-    lms_block = _kernel()
+    lib = _native.library()
 
     for b0 in range(0, n_steps, _BLOCK):
-        # row j of the block is the regressor at sample start + b0 + j
-        regs = regressor_matrix(
-            xs[:, start + b0 - M + 1: start + min(b0 + _BLOCK, n_steps)],
-            M, N, config.k_tiq)
-        if whitener is not None:
-            regs = whitener.apply(regs)
-        steps = regs.shape[1]
+        steps = min(_BLOCK, n_steps - b0)
+        # column j + M - 1 of the window is the newest sample of step j
+        x_win = xs[:, start + b0 - M + 1: start + b0 + steps]
         d = np.ascontiguousarray(ds[:, start + b0: start + b0 + steps])
         e2 = np.empty((steps, trials))
         tb = np.empty((steps, len(tap_idx), trials), dtype=np.complex128)
-        lms_block(trials, steps, dim, b0, win_start, config.mu, regs, d, w,
-                  w_accum, e2, peak, steady_sum, steady_count, diverged_at,
-                  len(tap_idx), tap_idx, tb)
+        state = (w, w_accum, e2, peak, steady_sum, steady_count, diverged_at,
+                 len(tap_idx), tap_idx, tb)
+        if whitener is None:
+            x_win = np.ascontiguousarray(x_win)
+            x_imd = imd_sequence(x_win, config.k_tiq) if N else x_win
+            lib.lms_block_raw(trials, steps, M, N, b0, win_start, config.mu,
+                              x_win, x_imd, d, *state)
+        else:
+            regs = whitener.apply(regressor_matrix(x_win, M, N, config.k_tiq))
+            lib.lms_block(trials, steps, dim, b0, win_start, config.mu, regs,
+                          d, *state)
         if keep_residuals:
             res[:, b0: b0 + steps] = e2.T
         with np.errstate(over="ignore", invalid="ignore"):

@@ -2,9 +2,10 @@
 
 Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
-with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``trial_batch`` is the one
-function that applies this rule; aggregation is an ordered reduction over
-trials. Each plotted curve is backed by a CSV column.
+with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``_trial_references`` is
+the one function that applies this rule (``trial_batch`` and the
+power-budget render draw through it); aggregation is an ordered reduction
+over trials. Each plotted curve is backed by a CSV column.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -58,6 +59,10 @@ EXPERIMENTS = ("power-budget", "bias", "sinr-sweep", "attenuation-sweep",
 # steady-state formulas accurate while letting the slowest nonlinear
 # covariance mode converge within the iteration cap at every grid point.
 DEFAULT_MU_FRAC = {"sinr-sweep": 0.15, "attenuation-sweep": 0.15}
+# convergence and bounds-probe run fixed fractions of their own bounds and
+# ignore --mu-frac and --mu
+CONVERGENCE_MU_FRAC = 0.005        # of the ANCLMS mean-convergence bound
+PROBE_MU_FRACS = (0.5, 0.9, 1.1, 1.5)  # of each canceller's mean-square bound
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,16 @@ def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
 
 
 def _write_meta(report: ExperimentReport, config: ExperimentConfig,
-                out: Path, started: float):
+                out: Path, started: float,
+                mu_fracs: tuple[float, ...] | None = None):
+    """Write ``meta.txt``; ``mu_fracs`` names the step sizes of an experiment
+    that runs fixed fractions of its bounds in place of the configured one."""
+    if mu_fracs is not None:
+        mu_line = f"mu_frac = {','.join(f'{f:g}' for f in mu_fracs)}"
+    elif config.mu_abs is not None:
+        mu_line = f"mu_abs = {config.mu_abs}"
+    else:
+        mu_line = f"mu_frac = {_mu_frac(config)}"
     lines = [
         f"experiment = {config.experiment}",
         f"version = {__version__}",
@@ -154,8 +168,7 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"signal_source = {config.signal_source}",
         f"M = {config.M}",
         f"N = {config.N}",
-        (f"mu_abs = {config.mu_abs}" if config.mu_abs is not None
-         else f"mu_frac = {_mu_frac(config)}"),
+        mu_line,
         f"tx_grid_dbm = {','.join(_fmt(v) for v in config.tx_grid_dbm)}",
         f"duration_s = {time.time() - started:.1f}",
     ]
@@ -167,31 +180,44 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
     report.meta_path = path
 
 
+def _trial_references(config: ExperimentConfig, sigma_x2: float, n: int,
+                      lo: int, hi: int):
+    """Yield ``(x, noise_seed)`` of each trial t in [lo, hi): the seed rule.
+
+    ``x`` is trial t's reference waveform of power ``sigma_x2`` and ``n``
+    samples, drawn with seed ``config.seed + t`` from
+    ``config.signal_source``; its observation noise uses seed
+    ``config.seed + _NOISE_SEED_OFFSET + t``.
+    """
+    if config.signal_source == "ofdm":
+        spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
+        n_sym = -(-n // spec.samples_per_symbol)
+    for t in range(lo, hi):
+        seed = config.seed + t
+        if config.signal_source == "gaussian":
+            x = gen_proper_gaussian(n, sigma_x2, seed=seed).samples
+        else:
+            x = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
+        yield x, seed + _NOISE_SEED_OFFSET
+
+
 def trial_batch(config: ExperimentConfig, profile: TransceiverProfile,
                 channels, budget, sigma_x2: float, n: int, lo: int = 0,
                 hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reference waveforms and observations ``(xs, ds)`` of trials [lo, hi).
 
-    Row ``t - lo`` holds trial t: its waveform of power ``sigma_x2`` drawn
-    with seed ``config.seed + t`` from ``config.signal_source``, and the
-    observation rendered from it with noise seed
-    ``config.seed + _NOISE_SEED_OFFSET + t``. ``hi`` defaults to
+    Row ``t - lo`` holds trial t: its waveform and the observation rendered
+    from it, seeded as ``_trial_references`` says. ``hi`` defaults to
     ``config.trials``; each row has ``n`` samples.
     """
     hi = config.trials if hi is None else hi
     xs = np.empty((hi - lo, n), dtype=np.complex128)
     ds = np.empty_like(xs)
-    if config.signal_source == "ofdm":
-        spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
-        n_sym = -(-n // spec.samples_per_symbol)
-    for row, t in enumerate(range(lo, hi)):
-        seed = config.seed + t
-        if config.signal_source == "gaussian":
-            xs[row] = gen_proper_gaussian(n, sigma_x2, seed=seed).samples
-        else:
-            xs[row] = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
+    for row, (x, noise_seed) in enumerate(
+            _trial_references(config, sigma_x2, n, lo, hi)):
+        xs[row] = x
         ds[row] = render_observation(xs[row], channels, budget, profile,
-                                     seed=seed + _NOISE_SEED_OFFSET).d.samples
+                                     seed=noise_seed).d.samples
     return xs, ds
 
 
@@ -246,18 +272,20 @@ def _resolve_mu(config: ExperimentConfig, bound: float) -> float:
 
 def _chunked_steady_mse(config: ExperimentConfig, profile: TransceiverProfile,
                         channels, budget, sigma_x2: float, n_iters: int,
-                        cfg: CancellerConfig) -> float:
-    """Trial-mean steady MSE, generating/running trials in memory-bound chunks."""
+                        cfgs: dict[str, CancellerConfig]) -> dict[str, float]:
+    """Trial-mean steady MSE of each named canceller, all run on one set of
+    trials that is generated in memory-bound chunks."""
     n = n_iters + config.M
     chunk = max(2, min(config.trials, int(_CHUNK_ELEMENTS // n)))
-    total = 0.0
+    totals = dict.fromkeys(cfgs, 0.0)
     for lo in range(0, config.trials, chunk):
         xs, ds = trial_batch(config, profile, channels, budget, sigma_x2, n,
                              lo, min(lo + chunk, config.trials))
-        run = run_batch(xs, ds, cfg, keep_residuals=False)
-        total += float(np.sum(run.steady_state_mse))
+        for label, cfg in cfgs.items():
+            run = run_batch(xs, ds, cfg, keep_residuals=False)
+            totals[label] += float(np.sum(run.steady_state_mse))
         del xs, ds
-    return total / config.trials
+    return {label: total / config.trials for label, total in totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +306,10 @@ def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
         prof = config.profile.with_tx_power(tx)
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
         budget = compute_noise_budget(prof)
-        x = gen_proper_gaussian(n_render, prof.natural_sigma_x2, seed=config.seed)
-        obs = render_observation(x.samples, channels, budget, prof,
-                                 seed=config.seed + _NOISE_SEED_OFFSET,
+        # trial 0 of the configured source
+        x, noise_seed = next(_trial_references(config, prof.natural_sigma_x2,
+                                               n_render, 0, 1))
+        obs = render_observation(x, channels, budget, prof, seed=noise_seed,
                                  include_soi=True)
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
@@ -458,10 +487,17 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
                    * (channels.norm2_h_imd + channels.norm2_g_imd)
                    + budget.sigma_v2 + budget.sigma_q2)
 
+        # cancellers with the same run length share one rendered trial set
+        jobs: dict[int, dict[str, CancellerConfig]] = {}
         for label, n_imd, n_it in (("alms", 0, config.iterations),
                                    ("anclms", config.N, n_b)):
-            cfg = CancellerConfig(mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
-            mse = _chunked_steady_mse(config, prof, channels, budget, s2, n_it, cfg)
+            jobs.setdefault(n_it, {})[label] = CancellerConfig(
+                mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
+        mses = {}
+        for n_it, cfgs in jobs.items():
+            mses.update(_chunked_steady_mse(config, prof, channels, budget, s2,
+                                            n_it, cfgs))
+        for label, mse in mses.items():
             if label == "alms":
                 j_theory = alms_steady_mse(inp, alms_regime(inp))
             else:
@@ -550,11 +586,12 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     dim = 2 * (config.M + config.N)
     preamble = WHITEN_PREAMBLE_PER_TAP * dim
 
-    # raw runs: 0.005 x the mean-convergence bound of their input covariance.
+    # raw runs: CONVERGENCE_MU_FRAC x the mean-convergence bound of their
+    # input covariance.
     # The whitened run keeps the raw run's theoretical steady-state excess
     # (mu_w = mu_raw Tr(R)/dim, equal misadjustment), so the comparison
     # isolates convergence speed at a common steady SINR.
-    mu_opt = 0.005 * anclms_mean_bound(s_opt, k, config.M, config.N)
+    mu_opt = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_opt, k, config.M, config.N)
     trace_r = (2 * config.M * s_opt
                + 2 * config.N * 6.0 * k ** 3 * s_opt ** 3)
     mu_white = mu_opt * trace_r / dim
@@ -562,7 +599,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     for label, s2, whiten, mu in (
             ("anclms_optimal", s_opt, False, mu_opt),
             ("anclms_suboptimal", s_sub, False,
-             0.005 * anclms_mean_bound(s_sub, k, config.M, config.N)),
+             CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)),
             ("anclms_whitened", s_opt, True, mu_white)):
         channels = synthesize_channels(prof, config.M, config.N,
                                        seed=config.seed, sigma_x2=s2)
@@ -621,7 +658,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         report.add_check("suboptimal_slower",
                          reach["anclms_optimal"] <= reach["anclms_suboptimal"],
                          "optimal reference power converges no slower than -10 dBm")
-    _write_meta(report, config, out, started)
+    report.meta["mu_bound"] = "anclms_mean_bound"
+    _write_meta(report, config, out, started, mu_fracs=(CONVERGENCE_MU_FRAC,))
     return report
 
 
@@ -649,8 +687,9 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
     report.meta["anclms_ms_bound"] = _fmt(bounds["anclms"])
     report.meta["anclms_mean_bound"] = _fmt(
         anclms_mean_bound(s2, prof.k_tiq, config.M, config.N))
+    report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
 
-    fracs = (0.5, 0.9, 1.1, 1.5)
+    fracs = PROBE_MU_FRACS
     rows = []
     for label, n_imd in (("alms", 0), ("anclms", config.N)):
         for frac in fracs:
@@ -707,7 +746,7 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
                    and by[("anclms", 1.5)]["verdict"] == "diverged")
         report.add_check("anclms_edge_bracketed", edge_ok,
                          "empirical edge between the mean-square and mean bounds")
-    _write_meta(report, config, out, started)
+    _write_meta(report, config, out, started, mu_fracs=fracs)
     return report
 
 

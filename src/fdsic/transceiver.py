@@ -17,6 +17,11 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 (amplitude alpha0 = 10^(pa_gain_db/20)); its third-order amplitude
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
+
+The four FIR branches of d(n) are filtered by the compiled ``fir`` of
+``_native`` (the C library that also runs the LMS steps), whose roundings
+equal those of ``np.convolve``, so a rendered observation is bit-identical
+to the numpy one.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .signals import ComplexSequence
 from .units import db_to_lin, dbm_to_mw, mw_to_dbm
 
@@ -396,14 +402,11 @@ def render_observation(xs: np.ndarray, channels: ChannelSet,
         w = rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs))
         return np.sqrt(power / 2.0) * w
 
-    def fir(taps: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.convolve(taps, v)[:len(xs)]
-
     components = {
-        "linear_si": fir(channels.h, xs),
-        "image_si": fir(channels.g, np.conj(xs)),
-        "imd_si": fir(channels.h_imd, x_imd),
-        "image_imd_si": fir(channels.g_imd, np.conj(x_imd)),
+        "linear_si": _native.fir(channels.h, xs),
+        "image_si": _native.fir(channels.g, xs, conj=True),
+        "imd_si": _native.fir(channels.h_imd, x_imd),
+        "image_imd_si": _native.fir(channels.g_imd, x_imd, conj=True),
         "thermal": noise(budget.sigma_v2),
         "quantization": noise(budget.sigma_q2),
         "soi": noise(budget.p_x_soi) if include_soi else np.zeros(len(xs), dtype=complex),

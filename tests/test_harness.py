@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdsic import harness
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
@@ -101,12 +102,19 @@ def test_trial_independence(lowpower_setup):
     assert abs(half - full) < 2 * stderr + 1e-18
 
 
-def test_ofdm_source_runs(type2, tmp_path):
+def test_ofdm_source_runs(type2, tmp_path, monkeypatch):
+    """power-budget renders its reference from the configured source."""
+    drawn = []
+    for name in ("gen_ofdm_waveform", "gen_proper_gaussian"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _real=real, _name=name, **k:
+                            drawn.append(_name) or _real(*a, **k))
     cfg = ExperimentConfig(experiment="power-budget", profile=type2,
                            tx_grid_dbm=(10.0,), signal_source="ofdm",
                            output_dir=tmp_path)
     report = run_experiment(cfg)
     assert report.csv_paths[0].exists()
+    assert drawn == ["gen_ofdm_waveform"]
 
 
 def test_cli_runs_power_budget(tmp_path):
@@ -210,6 +218,49 @@ def test_cli_import_skips_the_filter_module():
     assert out.strip() == "False"
 
 
+def test_cli_import_loads_no_kernel():
+    """Importing the CLI neither compiles nor loads the C library."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import fdsic.cli; from fdsic import _native; "
+            "print(_native.library.cache_info().currsize)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
+def _meta(report) -> dict[str, str]:
+    return dict(line.split(" = ", 1)
+                for line in report.meta_path.read_text().splitlines())
+
+
+def test_convergence_meta_names_its_step_size(type2, tmp_path):
+    """convergence runs a fixed fraction of the mean bound, whatever --mu says."""
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
+                           iterations=3000, mu_abs=1.0, seed=SEED,
+                           output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert meta["mu_frac"] == "0.005"
+    assert meta["mu_bound"] == "anclms_mean_bound"
+    assert "mu_abs" not in meta
+
+
+def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
+    """At a grid point that keeps the default count, both cancellers run on
+    one rendered set of trials."""
+    rendered = []
+    real = harness.render_observation
+    monkeypatch.setattr(harness, "render_observation",
+                        lambda *a, **k: rendered.append(1) or real(*a, **k))
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=2,
+                           iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           output_dir=tmp_path)
+    report = run_experiment(cfg)
+    assert report.meta["anclms_iterations"] == "-5:3000"
+    assert len(rendered) == 2
+
+
 def test_resolve_profile_default():
     prof = resolve_profile(None)
     assert prof.rf_separation_db == 30.0
@@ -231,13 +282,14 @@ def test_bias_plateau_earlier_for_larger_mu(type2, tmp_path):
 
 
 def test_bounds_probe_records_first_divergence(type2, tmp_path):
-    """meta.txt names, per probed step size, when the diverged trials blew up."""
+    """meta.txt names the probed step sizes and, for each, when the diverged
+    trials blew up."""
     cfg = ExperimentConfig(experiment="bounds-probe", profile=type2, trials=2,
                            iterations=6000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
-    report = run_experiment(cfg)
-    lines = dict(line.split(" = ", 1)
-                 for line in report.meta_path.read_text().splitlines())
+    lines = _meta(run_experiment(cfg))
+    assert lines["mu_frac"] == "0.5,0.9,1.1,1.5"
+    assert lines["mu_bound"] == "alms_ms_bound,anclms_ms_bound"
     notes = {k: v for k, v in lines.items() if k.startswith("first_divergence[")}
     assert len(notes) == 8
     for variant in ("alms", "anclms"):

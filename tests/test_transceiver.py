@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fdsic import _native
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (ChannelSet, NoiseBudget, compute_noise_budget,
                                compute_power_budget, load_profile,
@@ -202,3 +203,18 @@ def test_power_budget_rejects_empty(type2):
 
 def test_mw_dbm_roundtrip():
     assert mw_to_dbm(dbm_to_mw(13.0)) == pytest.approx(13.0)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_fir_matches_convolve(m):
+    """The C FIR gives np.convolve(h, v)[:n] bit for bit."""
+    rng = np.random.default_rng(m)
+    for n in (m + 1, m + 2, 64, 1000, 10_000):
+        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for conj in (False, True):
+            want = np.convolve(h, np.conj(v) if conj else v)[:n]
+            got = _native.fir(h, v, conj=conj)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (n, conj)
+    with pytest.raises(ValueError):
+        _native.fir(h, h)

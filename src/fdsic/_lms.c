@@ -1,5 +1,5 @@
-/* The native kernels of fdsic: the FIR that renders an observation branch
- * and the LMS steps of one block of regressors, for every trial of a batch.
+/* The native kernels of fdsic: the one-pass render of an observation and
+ * the LMS steps of one block of regressors, for every trial of a batch.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
@@ -26,27 +26,81 @@ static double np_cabs(double re, double im)
     return sqrt(fma(r, r, 1.0)) * big;
 }
 
-/* y(i) = sum_k h(k) v(i - k) for i < n, with v conjugated if conj: the first
- * n samples of np.convolve(h, v) for m < n taps. numpy correlates v with
- * the reversed taps, one zdotu per output over the oldest-first window, and
- * OpenBLAS sums a short zdotu in four FMA accumulators. */
-void fir(int64_t n, int64_t m, const double *h, const double *v, int64_t conj,
-         double *y)
+/* One FIR output sum_k h(k) v(-k) over the count newest samples of v, whose
+ * newest sample vn points at (v conjugated if s is -1): a sample of
+ * np.convolve(h, v). numpy correlates v with the reversed taps, one zdotu
+ * per output over the oldest-first window, and OpenBLAS sums a short zdotu
+ * in four FMA accumulators. */
+static inline void fir_at(int64_t count, const double *h, const double *vn,
+                          double s, double *y)
 {
-    double s = conj ? -1.0 : 1.0;
+    double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+    for (int64_t k = count - 1; k >= 0; k--) {
+        double vr = vn[-2 * k], vi = s * vn[1 - 2 * k];
+        double hr = h[2 * k], hi = h[2 * k + 1];
+        d0 = fma(vr, hr, d0);
+        d1 = fma(vi, hi, d1);
+        d2 = fma(vr, hi, d2);
+        d3 = fma(vi, hr, d3);
+    }
+    y[0] = 0.0 + (d0 - d1);
+    y[1] = 0.0 + (d2 + d3);
+}
+
+/* numpy's product of a real scale (promoted to complex) and (re, im) */
+static inline void scale_cplx(double a, double re, double im, double *y)
+{
+    y[0] = fma(a, re, -(0.0 * im));
+    y[1] = fma(a, im, 0.0 * re);
+}
+
+/* Render the observation of reference x (n samples) in one pass, as
+ * transceiver.render_observation defines it. h and g have m taps, h_imd and
+ * g_imd nimd < m; k15 is k_tiq^{3/2}. normals holds (4 or 6, n) standard
+ * normal draws, the real then the imaginary parts of the thermal, the
+ * quantization and (if soi) the SOI noise, which scale[0..2] scale. d
+ * receives the sum of the seven components in the order
+ * 0 + linear + image + imd + image_imd + thermal + quantization + soi;
+ * comp, if not NULL, receives the components as (7, n). Only the nimd newest
+ * IMD samples are kept. */
+void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
+            const double *g, const double *h_imd, const double *g_imd,
+            const double *x, const double *normals, int64_t soi,
+            const double *scale, double *d, double *comp)
+{
+    double q[2 * nimd + 2];  /* the IMD window, oldest first */
     for (int64_t i = 0; i < n; i++) {
-        int64_t k0 = i < m - 1 ? i : m - 1;
-        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-        for (int64_t k = k0; k >= 0; k--) {
-            double vr = v[2 * (i - k)], vi = s * v[2 * (i - k) + 1];
-            double hr = h[2 * k], hi = h[2 * k + 1];
-            d0 = fma(vr, hr, d0);
-            d1 = fma(vi, hi, d1);
-            d2 = fma(vr, hi, d2);
-            d3 = fma(vi, hr, d3);
+        const double *xn = x + 2 * i;
+        /* x_imd = (k15 * |x|^2) * x, rounded as numpy rounds it */
+        double a = np_cabs(xn[0], xn[1]), p = k15 * (a * a);
+        for (int64_t k = 0; k + 1 < nimd; k++) {
+            q[2 * k] = q[2 * k + 2];
+            q[2 * k + 1] = q[2 * k + 3];
         }
-        y[2 * i] = 0.0 + (d0 - d1);
-        y[2 * i + 1] = 0.0 + (d2 + d3);
+        double *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
+        scale_cplx(p, xn[0], xn[1], qn);
+        int64_t cx = i < m ? i + 1 : m, cq = i < nimd ? i + 1 : nimd;
+        double c[14];
+        fir_at(cx, h, xn, 1.0, c);
+        fir_at(cx, g, xn, -1.0, c + 2);
+        fir_at(cq, h_imd, qn, 1.0, c + 4);
+        fir_at(cq, g_imd, qn, -1.0, c + 6);
+        c[12] = c[13] = 0.0;
+        for (int64_t k = 0; k < (soi ? 3 : 2); k++)
+            scale_cplx(scale[k], normals[2 * k * n + i],
+                       normals[(2 * k + 1) * n + i], c + 8 + 2 * k);
+        double dr = 0.0, di = 0.0;
+        for (int64_t k = 0; k < 7; k++) {
+            dr = dr + c[2 * k];
+            di = di + c[2 * k + 1];
+        }
+        d[2 * i] = dr;
+        d[2 * i + 1] = di;
+        if (comp)
+            for (int64_t k = 0; k < 7; k++) {
+                comp[2 * (k * n + i)] = c[2 * k];
+                comp[2 * (k * n + i) + 1] = c[2 * k + 1];
+            }
     }
 }
 

@@ -1,4 +1,8 @@
-"""The compiled kernels of ``_lms.c``: the render FIR and the LMS steps.
+"""The compiled kernels of ``_lms.c``: the one-pass render and the LMS steps.
+
+``render`` forms one trial's observation (IMD product, four FIR branches,
+scaled noise and their sum) sample by sample; ``lms_block`` and
+``lms_block_raw`` run the LMS steps of one block for every trial.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -56,31 +60,43 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``fir``, ``lms_block`` and ``lms_block_raw``."""
+    """The compiled library, with ``render``, ``lms_block`` and ``lms_block_raw``."""
     cplx, real, index = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                          for dtype in (np.complex128, np.float64, np.int64))
     i64 = ctypes.c_int64
     lib = ctypes.CDLL(str(_build_kernel()))
     # the outputs shared by both LMS entry points, after d
     state = [cplx, cplx, *[real] * 4, index, i64, index, cplx]
-    lib.fir.argtypes = [i64, i64, cplx, cplx, i64, cplx]
+    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, real, i64,
+                           real, cplx, ctypes.c_void_p]
     lib.lms_block.argtypes = [*[i64] * 5, ctypes.c_double, cplx, cplx, *state]
     lib.lms_block_raw.argtypes = [*[i64] * 6, ctypes.c_double, cplx, cplx, cplx,
                                   *state]
-    for fn in (lib.fir, lib.lms_block, lib.lms_block_raw):
+    for fn in (lib.render, lib.lms_block, lib.lms_block_raw):
         fn.restype = None
     return lib
 
 
-def fir(h: np.ndarray, v: np.ndarray, conj: bool = False) -> np.ndarray:
-    """``np.convolve(h, conj(v) if conj else v)[:len(v)]``, bit for bit.
+def render(x: np.ndarray, taps: tuple[np.ndarray, ...], k15: float,
+           normals: np.ndarray, scales: np.ndarray, d: np.ndarray,
+           components: np.ndarray | None = None):
+    """Fill ``d`` (and ``components``, ``(7, n)``) with the observation of ``x``.
 
-    ``h`` and ``v`` are complex128 arrays; ``v`` must be longer than ``h``.
+    ``taps`` is ``(h, g, h_imd, g_imd)``; ``normals`` is ``(4, n)``, or
+    ``(6, n)`` with the SOI, and ``scales`` holds the three noise scales.
+    Every array is C-contiguous; ``render`` in ``_lms.c`` gives the
+    arithmetic.
     """
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    if not 1 <= len(h) < len(v):
-        raise ValueError("need 1 <= len(h) < len(v)")
-    y = np.empty(len(v), dtype=np.complex128)
-    library().fir(len(v), len(h), h, v, int(conj), y)
-    return y
+    n = len(x)
+    h, g, h_imd, g_imd = taps
+    if (d.shape != (n,) or normals.shape not in ((4, n), (6, n))
+            or scales.shape != (3,) or len(g) != len(h) or len(g_imd) != len(h_imd)
+            or not len(h_imd) < len(h) < n):
+        raise ValueError("render: mismatched array sizes")
+    if components is not None and not (
+            components.shape == (7, n) and components.dtype == np.complex128
+            and components.flags.c_contiguous):
+        raise ValueError("render: components must be a C-contiguous complex (7, n) array")
+    library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, x,
+                     normals, int(len(normals) == 6), scales, d,
+                     None if components is None else components.ctypes.data)

@@ -4,8 +4,9 @@ Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
 with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``_trial_references`` is
 the one function that applies this rule (``trial_batch`` and the
-power-budget render draw through it); aggregation is an ordered reduction
-over trials. Each plotted curve is backed by a CSV column.
+power-budget render draw through it, each trial's reference and
+observation written straight into its row of the batch); aggregation is an
+ordered reduction over trials. Each plotted curve is backed by a CSV column.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -152,13 +153,16 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
                 out: Path, started: float,
                 mu_fracs: tuple[float, ...] | None = None):
     """Write ``meta.txt``; ``mu_fracs`` names the step sizes of an experiment
-    that runs fixed fractions of its bounds in place of the configured one."""
+    that runs fixed fractions of its bounds in place of the configured one.
+    power-budget runs no canceller and names no step size."""
     if mu_fracs is not None:
-        mu_line = f"mu_frac = {','.join(f'{f:g}' for f in mu_fracs)}"
+        mu_lines = [f"mu_frac = {','.join(f'{f:g}' for f in mu_fracs)}"]
+    elif config.experiment == "power-budget":
+        mu_lines = []
     elif config.mu_abs is not None:
-        mu_line = f"mu_abs = {config.mu_abs}"
+        mu_lines = [f"mu_abs = {config.mu_abs}"]
     else:
-        mu_line = f"mu_frac = {_mu_frac(config)}"
+        mu_lines = [f"mu_frac = {_mu_frac(config)}"]
     lines = [
         f"experiment = {config.experiment}",
         f"version = {__version__}",
@@ -168,7 +172,7 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"signal_source = {config.signal_source}",
         f"M = {config.M}",
         f"N = {config.N}",
-        mu_line,
+        *mu_lines,
         f"tx_grid_dbm = {','.join(_fmt(v) for v in config.tx_grid_dbm)}",
         f"duration_s = {time.time() - started:.1f}",
     ]
@@ -180,24 +184,25 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
     report.meta_path = path
 
 
-def _trial_references(config: ExperimentConfig, sigma_x2: float, n: int,
-                      lo: int, hi: int):
-    """Yield ``(x, noise_seed)`` of each trial t in [lo, hi): the seed rule.
+def _trial_references(config: ExperimentConfig, sigma_x2: float,
+                      xs: np.ndarray, lo: int):
+    """Fill row r of ``xs`` with trial ``lo + r``'s reference and yield
+    ``(row, noise_seed)`` per trial: the seed rule.
 
-    ``x`` is trial t's reference waveform of power ``sigma_x2`` and ``n``
-    samples, drawn with seed ``config.seed + t`` from
-    ``config.signal_source``; its observation noise uses seed
-    ``config.seed + _NOISE_SEED_OFFSET + t``.
+    Trial t's reference waveform, of power ``sigma_x2``, is drawn with seed
+    ``config.seed + t`` from ``config.signal_source``; its observation noise
+    uses seed ``config.seed + _NOISE_SEED_OFFSET + t``.
     """
+    n = xs.shape[1]
     if config.signal_source == "ofdm":
         spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
         n_sym = -(-n // spec.samples_per_symbol)
-    for t in range(lo, hi):
-        seed = config.seed + t
+    for row, x in enumerate(xs):
+        seed = config.seed + lo + row
         if config.signal_source == "gaussian":
-            x = gen_proper_gaussian(n, sigma_x2, seed=seed).samples
+            gen_proper_gaussian(n, sigma_x2, seed=seed, out=x)
         else:
-            x = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
+            x[:] = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
         yield x, seed + _NOISE_SEED_OFFSET
 
 
@@ -213,11 +218,8 @@ def trial_batch(config: ExperimentConfig, profile: TransceiverProfile,
     hi = config.trials if hi is None else hi
     xs = np.empty((hi - lo, n), dtype=np.complex128)
     ds = np.empty_like(xs)
-    for row, (x, noise_seed) in enumerate(
-            _trial_references(config, sigma_x2, n, lo, hi)):
-        xs[row] = x
-        ds[row] = render_observation(xs[row], channels, budget, profile,
-                                     seed=noise_seed).d.samples
+    for d, (x, noise_seed) in zip(ds, _trial_references(config, sigma_x2, xs, lo)):
+        render_observation(x, channels, budget, profile, seed=noise_seed, out=d)
     return xs, ds
 
 
@@ -307,10 +309,11 @@ def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
         budget = compute_noise_budget(prof)
         # trial 0 of the configured source
-        x, noise_seed = next(_trial_references(config, prof.natural_sigma_x2,
-                                               n_render, 0, 1))
+        x, noise_seed = next(_trial_references(
+            config, prof.natural_sigma_x2,
+            np.empty((1, n_render), dtype=np.complex128), 0))
         obs = render_observation(x, channels, budget, prof, seed=noise_seed,
-                                 include_soi=True)
+                                 include_soi=True, components=True)
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
 

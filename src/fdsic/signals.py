@@ -1,4 +1,4 @@
-"""Self-interference waveform sources and sample statistics.
+"""Self-interference waveform sources.
 
 Two sources are provided: a proper (second-order circular) white complex
 Gaussian generator, which matches the critically-sampled input assumed by the
@@ -77,30 +77,25 @@ class WaveformSpec:
         return (self.subcarriers + self.cyclic_prefix) * self.oversampling
 
 
-@dataclass(frozen=True)
-class SignalStats:
-    """Sample moments of a complex sequence (powers in linear mW)."""
-
-    variance: float
-    pseudo_variance: complex
-    abs_moment4: float
-    abs_moment6: float
-    sample_count: int
-
-
-def gen_proper_gaussian(n: int, sigma_x2: float, seed: int) -> ComplexSequence:
+def gen_proper_gaussian(n: int, sigma_x2: float, seed: int,
+                        out: np.ndarray | None = None) -> ComplexSequence:
     """I.i.d. zero-mean proper white complex Gaussian samples.
 
     Real and imaginary parts are independent with variance ``sigma_x2 / 2``
     each, so the total power is ``sigma_x2`` and the pseudo-variance is zero.
+    The n real parts are the first n of 2n standard normals drawn with
+    ``seed``, the imaginary parts the last n. ``out``, a complex128 array of
+    ``n`` samples, receives them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma_x2 <= 0:
         raise ValueError("sigma_x2 must be positive")
-    rng = np.random.default_rng(seed)
+    normals = np.random.default_rng(seed).standard_normal(2 * n)
+    samples = np.empty(n, dtype=np.complex128) if out is None else out
     scale = np.sqrt(sigma_x2 / 2.0)
-    samples = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    np.multiply(scale, normals[:n], out=samples.real)
+    np.multiply(scale, normals[n:], out=samples.imag)
     return ComplexSequence(samples)
 
 
@@ -158,19 +153,3 @@ def gen_ofdm_waveform(spec: WaveformSpec, num_symbols: int, seed: int) -> Comple
     target = dbm_to_mw(spec.target_power_dbm)
     samples = samples * np.sqrt(target / np.mean(np.abs(samples) ** 2))
     return ComplexSequence(samples)
-
-
-def estimate_stats(seq: ComplexSequence) -> SignalStats:
-    """Sample-average moment estimates after mean removal."""
-    x = seq.samples
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    xc = x - np.mean(x)
-    a2 = np.abs(xc) ** 2
-    return SignalStats(
-        variance=float(np.mean(a2)),
-        pseudo_variance=complex(np.mean(xc ** 2)),
-        abs_moment4=float(np.mean(a2 ** 2)),
-        abs_moment6=float(np.mean(a2 ** 3)),
-        sample_count=x.size,
-    )

@@ -8,7 +8,9 @@ The mean-square analysis of the nonlinear canceller is exact too: its
 fourth-moment matrix T (``fourth_moment``) follows from the moments
 E[x^p x*^q] = [p = q] p! sigma_x2^p, so the step-size bound is a function of
 the operating point (sigma_x2, k_tiq, M, N) alone. ``estimate_fourth_moment``
-is the sample-average estimate of the same matrix.
+is the sample-average estimate of the same matrix. Everything here is numpy
+alone: the symmetric-definite pencil (T, S) of the bound is reduced to a
+standard eigenproblem through the Cholesky factor of S.
 
 Two condition-number figures coexist deliberately:
 
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from .cancellers import DegenerateInputError
 from .transceiver import ChannelSet, NoiseBudget, TransceiverProfile
@@ -267,7 +267,9 @@ def rb_matrix(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
     cross = 2.0 * k_tiq ** 1.5 * sigma_x2 ** 2
     r0[np.arange(N), np.arange(M, half)] = cross
     r0[np.arange(M, half), np.arange(N)] = cross
-    return scipy.linalg.block_diag(r0, r0)
+    r_mat = np.zeros((2 * half, 2 * half))
+    r_mat[:half, :half] = r_mat[half:, half:] = r0
+    return r_mat
 
 
 def anclms_mean_bound(sigma_x2: float, k_tiq: float, M: int, N: int) -> float:
@@ -350,8 +352,9 @@ def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
     fourth-moment matrix (``fourth_moment``), so the analysis depends on the
     operating point alone. The usable bound is
     min{1/lam_max[S^-1 T], 1/lam_max[Gamma]} with the companion matrix
-    Gamma = [[S/2, -T/2], [I, 0]]. N = 0 gives the widely linear bound
-    1/((M+1) s2).
+    Gamma = [[S/2, -T/2], [I, 0]]. lam_max[S^-1 T] is the largest
+    eigenvalue of L^-1 T L^-T with S = L L^T. N = 0 gives the widely linear
+    bound 1/((M+1) s2).
     """
     dim = 2 * (M + N)
     r_mat = rb_matrix(sigma_x2, k_tiq, M, N)
@@ -363,8 +366,10 @@ def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
     if s_eigs.min() <= 1e-12:
         raise DegenerateInputError("singular S matrix (degenerate covariance)")
 
-    gen = scipy.linalg.eigh(t_mat, s_mat, eigvals_only=True)
-    lam_vec = float(gen.max())
+    # the pencil (T, S) through S = L L^T: eig(T, S) = eig(L^-1 T L^-T)
+    chol = np.linalg.cholesky(s_mat)
+    half = np.linalg.solve(chol, t_mat)
+    lam_vec = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
     bound_vec = 1.0 / lam_vec if lam_vec > 0 else math.inf
 
     big = dim * dim
@@ -466,13 +471,6 @@ def condition_number_from_eps(eps: float) -> float:
 def min_condition_number() -> tuple[float, float]:
     """Analytic minimizer of C(eps): (1/6, (17 + 4 sqrt(15)) / 7)."""
     return MIN_CONDITION_EPSILON, MIN_CONDITION_VALUE
-
-
-def numeric_min_condition_number(lo: float = 1e-4, hi: float = 1e2) -> tuple[float, float]:
-    """Numeric cross-check of the minimizer by bounded 1-D search."""
-    res = minimize_scalar(condition_number_from_eps, bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-8})
-    return float(res.x), float(res.fun)
 
 
 def optimal_sigma_x2(k_tiq: float) -> float:

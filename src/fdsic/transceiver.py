@@ -18,10 +18,14 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
-The four FIR branches of d(n) are filtered by the compiled ``fir`` of
-``_native`` (the C library that also runs the LMS steps), whose roundings
-equal those of ``np.convolve``, so a rendered observation is bit-identical
-to the numpy one.
+``render_observation`` draws each trial's noise in one call and forms
+x_imd, the four FIR branches, the scaled noise and d(n) in one pass of the
+compiled ``render`` of ``_native`` (the C library that also runs the LMS
+steps), writing d(n) into the caller's row and the components only on
+request. Its roundings equal those of the numpy expressions
+``k^{3/2} |x|^2 x``, ``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)``
+and the ordered sum of the components, so a rendered observation is
+bit-identical to the numpy one.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ class ChannelSet:
 
     def __post_init__(self):
         for name in ("h", "g", "h_imd", "g_imd"):
-            v = np.asarray(getattr(self, name), dtype=np.complex128)
+            v = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
             object.__setattr__(self, name, v)
             if v.ndim != 1 or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite 1-D vector")
@@ -265,7 +269,8 @@ class NoiseBudget:
 
 @dataclass(frozen=True)
 class Observation:
-    """Rendered pre-cancellation signal with its additive components."""
+    """Rendered pre-cancellation signal with its additive components (empty
+    unless the render was asked for them)."""
 
     d: ComplexSequence
     components: dict
@@ -383,36 +388,40 @@ def imd_sequence(x: np.ndarray, k_tiq: float) -> np.ndarray:
     return k_tiq ** 1.5 * np.abs(x) ** 2 * x
 
 
+COMPONENTS = ("linear_si", "image_si", "imd_si", "image_imd_si", "thermal",
+              "quantization", "soi")
+
+
 def render_observation(xs: np.ndarray, channels: ChannelSet,
                        budget: NoiseBudget, profile: TransceiverProfile,
-                       seed: int, include_soi: bool = False) -> Observation:
-    """Render d(n) from a reference waveform, storing each component.
+                       seed: int, include_soi: bool = False,
+                       components: bool = False,
+                       out: np.ndarray | None = None) -> Observation:
+    """Render d(n) from a reference waveform in one compiled pass.
 
     Each branch is the channel's FIR response to its input, truncated to
-    ``len(xs)`` samples (zero initial state).
+    ``len(xs)`` samples (zero initial state); each noise is
+    ``sqrt(power / 2) * (re + 1j * im)`` with its real then imaginary
+    standard normals drawn in the order thermal, quantization, SOI from one
+    generator seeded with ``seed``. ``d`` is the sum of the components in
+    ``COMPONENTS`` order (the SOI is zero unless ``include_soi``).
+    ``components=True`` also stores each component; ``out``, a complex128
+    row of ``len(xs)`` samples, receives ``d``.
     """
-    xs = np.asarray(xs, dtype=np.complex128)
-    if len(xs) <= channels.m:
+    xs = np.ascontiguousarray(xs, dtype=np.complex128)
+    n = len(xs)
+    if n <= channels.m:
         raise ValueError("sequence must be longer than the channel length M")
-    x_imd = imd_sequence(xs, profile.k_tiq)
-
-    rng = np.random.default_rng(seed)
-
-    def noise(power: float) -> np.ndarray:
-        w = rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs))
-        return np.sqrt(power / 2.0) * w
-
-    components = {
-        "linear_si": _native.fir(channels.h, xs),
-        "image_si": _native.fir(channels.g, xs, conj=True),
-        "imd_si": _native.fir(channels.h_imd, x_imd),
-        "image_imd_si": _native.fir(channels.g_imd, x_imd, conj=True),
-        "thermal": noise(budget.sigma_v2),
-        "quantization": noise(budget.sigma_q2),
-        "soi": noise(budget.p_x_soi) if include_soi else np.zeros(len(xs), dtype=complex),
-    }
-    d = sum(components.values())
-    return Observation(ComplexSequence(d), components)
+    powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
+    scales = np.array([np.sqrt(p / 2.0) for p in powers])
+    normals = np.random.default_rng(seed).standard_normal(
+        (6 if include_soi else 4) * n).reshape(-1, n)
+    d = np.empty(n, dtype=np.complex128) if out is None else out
+    parts = np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None
+    taps = (channels.h, channels.g, channels.h_imd, channels.g_imd)
+    _native.render(xs, taps, profile.k_tiq ** 1.5, normals, scales, d, parts)
+    return Observation(ComplexSequence(d),
+                       dict(zip(COMPONENTS, parts)) if components else {})
 
 
 @dataclass(frozen=True)

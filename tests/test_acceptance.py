@@ -23,11 +23,12 @@ from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
                           alms_steady_mse, alms_transient,
                           anclms_exact_steady_mse, anclms_mean_bound,
                           anclms_transient, min_condition_number,
-                          numeric_min_condition_number, rb_eigenvalues)
+                          rb_eigenvalues)
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 from fdsic.units import lin_to_db
 
 from conftest import M, N, SEED
+from test_theory import numeric_min_condition_number
 
 MIN_C = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
 
@@ -248,7 +249,7 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(20_000, type2.natural_sigma_x2, seed=5)
     obs = render_observation(x.samples, channels, budget, type2, seed=6,
-                             include_soi=True)
+                             include_soi=True, components=True)
     assert np.max(np.abs(obs.d.samples - sum(obs.components.values()))) == 0.0
     notes.append("component-sum identity")
 

@@ -4,13 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic.signals import (ComplexSequence, WaveformSpec, active_subcarrier_bins,
-                           estimate_stats, gen_ofdm_waveform, gen_proper_gaussian)
+                           gen_ofdm_waveform, gen_proper_gaussian)
 
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
 # with mean s2, so E|x|^(2m) = m! s2^m. Cross-checked by brute force with an
 # independent legacy-RNG sampler in test_moment_law_oracle below.
 MOMENT4_OVER_VAR2 = 2.0
 MOMENT6_OVER_VAR3 = 6.0
+
+
+class Stats:
+    """Sample moments of a complex sequence after mean removal."""
+
+    def __init__(self, seq: ComplexSequence):
+        x = seq.samples
+        if x.size < 2:
+            raise ValueError("need at least 2 samples")
+        xc = x - np.mean(x)
+        a2 = np.abs(xc) ** 2
+        self.variance = float(np.mean(a2))
+        self.pseudo_variance = complex(np.mean(xc ** 2))
+        self.abs_moment4 = float(np.mean(a2 ** 2))
+        self.abs_moment6 = float(np.mean(a2 ** 3))
 
 
 def test_moment_law_oracle():
@@ -23,7 +38,7 @@ def test_moment_law_oracle():
 
 def test_proper_gaussian_examples():
     seq = gen_proper_gaussian(10 ** 6, 1.0, seed=7)
-    stats = estimate_stats(seq)
+    stats = Stats(seq)
     assert stats.variance == pytest.approx(1.0, rel=0.005)
     assert abs(stats.pseudo_variance) < 0.01
     assert stats.abs_moment4 == pytest.approx(2.0, rel=0.02)
@@ -31,7 +46,7 @@ def test_proper_gaussian_examples():
 
 
 def test_proper_gaussian_moment_ratios():
-    stats = estimate_stats(gen_proper_gaussian(10 ** 6, 0.37, seed=3))
+    stats = Stats(gen_proper_gaussian(10 ** 6, 0.37, seed=3))
     assert abs(stats.pseudo_variance) < 0.01 * stats.variance
     assert 1.96 <= stats.abs_moment4 / stats.variance ** 2 <= 2.04
     assert 5.8 <= stats.abs_moment6 / stats.variance ** 3 <= 6.2
@@ -45,6 +60,23 @@ def test_proper_gaussian_args_and_determinism():
     a = gen_proper_gaussian(1000, 0.5, seed=9).samples
     b = gen_proper_gaussian(1000, 0.5, seed=9).samples
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000])
+def test_proper_gaussian_matches_two_draws(n):
+    """One 2n draw scaled in place equals the two-draw numpy formula, bit for
+    bit, with or without an output row."""
+    for sigma_x2 in (1.0, 0.37, 3e-5):
+        rng = np.random.default_rng(n)
+        want = np.sqrt(sigma_x2 / 2.0) * (rng.standard_normal(n)
+                                          + 1j * rng.standard_normal(n))
+        got = gen_proper_gaussian(n, sigma_x2, seed=n).samples
+        np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+        rows = np.full((2, n), np.nan, dtype=complex)
+        seq = gen_proper_gaussian(n, sigma_x2, seed=n, out=rows[1])
+        assert np.shares_memory(seq.samples, rows)
+        np.testing.assert_array_equal(rows[1].view(np.float64), want.view(np.float64))
+        assert np.all(np.isnan(rows[0]))
 
 
 def test_ofdm_symbol_geometry():
@@ -64,7 +96,7 @@ def test_ofdm_power_normalization():
 
 def test_ofdm_properness():
     wf = gen_ofdm_waveform(WaveformSpec(), num_symbols=500, seed=4)
-    stats = estimate_stats(wf)
+    stats = Stats(wf)
     assert abs(stats.pseudo_variance) / stats.variance < 0.02
 
 
@@ -80,16 +112,16 @@ def test_ofdm_seed_determinism():
 
 
 def test_estimate_stats_degenerate_and_errors():
-    stats = estimate_stats(ComplexSequence(np.ones(100, dtype=complex)))
+    stats = Stats(ComplexSequence(np.ones(100, dtype=complex)))
     assert stats.variance == 0.0
     assert stats.pseudo_variance == 0.0
     with pytest.raises(ValueError):
-        estimate_stats(ComplexSequence(np.ones(1, dtype=complex)))
+        Stats(ComplexSequence(np.ones(1, dtype=complex)))
 
 
 def test_estimate_stats_consistency():
     seq = gen_proper_gaussian(10 ** 6, 0.25, seed=21)
-    stats = estimate_stats(seq)
+    stats = Stats(seq)
     assert stats.variance == pytest.approx(0.25, rel=0.01)
     assert stats.abs_moment4 == pytest.approx(2 * 0.25 ** 2, rel=0.02)
 
@@ -97,7 +129,7 @@ def test_estimate_stats_consistency():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31), st.floats(0.01, 10.0))
 def test_cauchy_schwarz_moment_inequality(seed, sigma):
-    stats = estimate_stats(gen_proper_gaussian(256, sigma, seed=seed))
+    stats = Stats(gen_proper_gaussian(256, sigma, seed=seed))
     assert stats.abs_moment4 >= stats.variance ** 2 * (1 - 1e-12)
     assert stats.abs_moment6 >= 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from fdsic import theory
 from fdsic.cancellers import regressor_matrix
@@ -15,13 +16,20 @@ from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
                           anclms_steady_mse,
                           anclms_transient, condition_number,
                           condition_number_from_eps, min_condition_number,
-                          numeric_min_condition_number, optimal_sigma_x2,
+                          optimal_sigma_x2,
                           rb_eigenvalues, rb_matrix)
 from fdsic.transceiver import (ChannelSet, compute_noise_budget,
                                render_observation, synthesize_channels)
 from fdsic.units import lin_to_db
 
 from conftest import M, N, SEED
+
+
+def numeric_min_condition_number(lo: float = 1e-4, hi: float = 1e2) -> tuple[float, float]:
+    """Numeric cross-check of the minimizer of C(eps) by bounded 1-D search."""
+    res = minimize_scalar(condition_number_from_eps, bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-8})
+    return float(res.x), float(res.fun)
 
 
 def _toy_channels(h_imd=None, g_imd=None):
@@ -340,7 +348,8 @@ def test_q3_diag_monte_carlo(type2):
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu=0.01)
     n = 1_000_000
     x = gen_proper_gaussian(n, s2, seed=77)
-    obs = render_observation(x.samples, channels, budget, prof, seed=78)
+    obs = render_observation(x.samples, channels, budget, prof, seed=78,
+                             components=True)
     u = (obs.components["imd_si"] + obs.components["image_imd_si"]
          + obs.components["thermal"] + obs.components["quantization"])
     regs = regressor_matrix(x.samples, M)

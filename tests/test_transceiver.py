@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fdsic import _native
 from fdsic.signals import gen_proper_gaussian
-from fdsic.transceiver import (ChannelSet, NoiseBudget, compute_noise_budget,
-                               compute_power_budget, load_profile,
-                               render_observation, synthesize_channels)
+from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
+                               compute_noise_budget, compute_power_budget,
+                               load_profile, render_observation,
+                               synthesize_channels)
 from fdsic.units import dbm_to_mw, mw_to_dbm
 
 from conftest import M, N, SEED
@@ -132,13 +132,17 @@ def test_render_too_short(type2):
     budget = compute_noise_budget(type2)
     with pytest.raises(ValueError):
         render_observation(np.ones(M, dtype=complex), ch, budget, type2, seed=0)
+    with pytest.raises(ValueError):  # an output row of the wrong length
+        render_observation(np.ones(M + 1, dtype=complex), ch, budget, type2,
+                           seed=0, out=np.empty(M, dtype=complex))
 
 
 def test_component_sum_identity(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(10_000, type2.natural_sigma_x2, seed=5)
-    obs = render_observation(x.samples, ch, budget, type2, seed=6, include_soi=True)
+    obs = render_observation(x.samples, ch, budget, type2, seed=6, include_soi=True,
+                             components=True)
     total = sum(obs.components.values())
     assert np.max(np.abs(obs.d.samples - total)) == 0.0
 
@@ -147,7 +151,7 @@ def test_imd_moment_law(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(100_000, type2.natural_sigma_x2, seed=7)
-    obs = render_observation(x.samples, ch, budget, type2, seed=8)
+    obs = render_observation(x.samples, ch, budget, type2, seed=8, components=True)
     measured = np.mean(np.abs(obs.components["imd_si"]) ** 2)
     expected = (6 * type2.k_tiq ** 3 * type2.natural_sigma_x2 ** 3 * ch.norm2_h_imd)
     assert 0.95 <= measured / expected <= 1.05
@@ -206,15 +210,84 @@ def test_mw_dbm_roundtrip():
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_fir_matches_convolve(m):
-    """The C FIR gives np.convolve(h, v)[:n] bit for bit."""
+def test_fir_matches_convolve(m, type2):
+    """The render's linear and image branches are np.convolve(h, v)[:n] and
+    np.convolve(g, conj(v))[:n], bit for bit."""
     rng = np.random.default_rng(m)
     for n in (m + 1, m + 2, 64, 1000, 10_000):
-        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        h, g = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for conj in (False, True):
-            want = np.convolve(h, np.conj(v) if conj else v)[:n]
-            got = _native.fir(h, v, conj=conj)
-            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (n, conj)
+        ch = ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0))
+        parts = render_observation(v, ch, _zero_budget(), type2, seed=0,
+                                   components=True).components
+        for got, want in ((parts["linear_si"], np.convolve(h, v)[:n]),
+                          (parts["image_si"], np.convolve(g, np.conj(v))[:n])):
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), n
     with pytest.raises(ValueError):
-        _native.fir(h, h)
+        render_observation(v[:m], ch, _zero_budget(), type2, seed=0)
+
+
+def _numpy_render(xs, channels, budget, profile, seed, include_soi):
+    """The observation as numpy formulas: the oracle of the one-pass render."""
+    n = len(xs)
+    x_imd = profile.k_tiq ** 1.5 * np.abs(xs) ** 2 * xs
+    rng = np.random.default_rng(seed)
+
+    def noise(power):
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return np.sqrt(power / 2.0) * w
+
+    def fir(h, v):
+        return np.convolve(h, v)[:n] if len(h) else np.zeros(n, dtype=complex)
+
+    components = {
+        "linear_si": fir(channels.h, xs),
+        "image_si": fir(channels.g, np.conj(xs)),
+        "imd_si": fir(channels.h_imd, x_imd),
+        "image_imd_si": fir(channels.g_imd, np.conj(x_imd)),
+        "thermal": noise(budget.sigma_v2),
+        "quantization": noise(budget.sigma_q2),
+        "soi": noise(budget.p_x_soi) if include_soi else np.zeros(n, dtype=complex),
+    }
+    return sum(components.values()), components
+
+
+def _assert_render_exact(xs, channels, budget, profile, seed, include_soi):
+    want_d, want = _numpy_render(xs, channels, budget, profile, seed, include_soi)
+    obs = render_observation(xs, channels, budget, profile, seed=seed,
+                             include_soi=include_soi, components=True)
+    assert tuple(obs.components) == COMPONENTS == tuple(want)
+    for key in COMPONENTS:
+        np.testing.assert_array_equal(obs.components[key].view(np.float64),
+                                      want[key].view(np.float64), err_msg=key)
+    np.testing.assert_array_equal(obs.d.samples.view(np.float64),
+                                  want_d.view(np.float64))
+    rows = np.full((2, len(xs)), np.nan, dtype=complex)
+    bare = render_observation(xs, channels, budget, profile, seed=seed,
+                              include_soi=include_soi, out=rows[1])
+    assert bare.components == {} and np.shares_memory(bare.d.samples, rows)
+    np.testing.assert_array_equal(rows[1].view(np.float64), want_d.view(np.float64))
+    assert np.all(np.isnan(rows[0]))
+
+
+@pytest.mark.parametrize("include_soi", [False, True])
+def test_render_matches_numpy(type2, include_soi):
+    """d and all seven components equal the numpy formulas bit for bit."""
+    for tx in (-5.0, 15.0, 25.0):
+        prof = type2.with_tx_power(tx)
+        ch = synthesize_channels(prof, M, N, seed=SEED)
+        x = gen_proper_gaussian(3000, prof.natural_sigma_x2, seed=4).samples
+        _assert_render_exact(x, ch, compute_noise_budget(prof), prof, 9, include_soi)
+
+
+@pytest.mark.parametrize("n_imd", range(1, M))
+def test_render_matches_numpy_edges(type2, n_imd):
+    """Every IMD length below M, zero image channels (irr = inf) and the
+    shortest sequence, M + 1 samples."""
+    budget = compute_noise_budget(type2)
+    inf_irr = dataclasses.replace(type2, irr_db=math.inf)
+    for prof in (type2, inf_irr):
+        ch = synthesize_channels(prof, M, n_imd, seed=SEED)
+        for n in (M + 1, 500):
+            x = gen_proper_gaussian(n, prof.natural_sigma_x2, seed=n_imd).samples
+            _assert_render_exact(x, ch, budget, prof, 3, include_soi=n_imd % 2 == 0)

@@ -1,5 +1,5 @@
 /* The native kernels of fdsic: the one-pass render of an observation and
- * the LMS steps of one block of regressors, for every trial of a batch.
+ * the LMS steps of a run, for every trial of a batch.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
@@ -8,7 +8,8 @@
  * scaled hypot, and the FIR sums as np.convolve does through BLAS zdotu.
  * Build with -ffp-contract=off and without auto-vectorization so that the
  * compiler keeps exactly these operations. Complex arrays are interleaved
- * (re, im) doubles; trials are independent, so each runs its whole block.
+ * (re, im) doubles; trials are independent, so each runs to its end before
+ * the next starts.
  */
 #include <math.h>
 #include <stdint.h>
@@ -54,6 +55,23 @@ static inline void scale_cplx(double a, double re, double im, double *y)
     y[1] = fma(a, im, 0.0 * re);
 }
 
+/* The IMD product x_imd = (k15 * |x|^2) * x of the sample xn, rounded as
+ * transceiver.imd_sequence rounds it */
+static inline void imd_at(double k15, const double *xn, double *y)
+{
+    double a = np_cabs(xn[0], xn[1]);
+    scale_cplx(k15 * (a * a), xn[0], xn[1], y);
+}
+
+/* Drop the oldest of the count samples of the window q (oldest first) */
+static inline void shift_out(double *q, int64_t count)
+{
+    for (int64_t k = 0; k + 1 < count; k++) {
+        q[2 * k] = q[2 * k + 2];
+        q[2 * k + 1] = q[2 * k + 3];
+    }
+}
+
 /* Render the observation of reference x (n samples) in one pass, as
  * transceiver.render_observation defines it. h and g have m taps, h_imd and
  * g_imd nimd < m; k15 is k_tiq^{3/2}. normals holds (4 or 6, n) standard
@@ -71,14 +89,9 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
     double q[2 * nimd + 2];  /* the IMD window, oldest first */
     for (int64_t i = 0; i < n; i++) {
         const double *xn = x + 2 * i;
-        /* x_imd = (k15 * |x|^2) * x, rounded as numpy rounds it */
-        double a = np_cabs(xn[0], xn[1]), p = k15 * (a * a);
-        for (int64_t k = 0; k + 1 < nimd; k++) {
-            q[2 * k] = q[2 * k + 2];
-            q[2 * k + 1] = q[2 * k + 3];
-        }
         double *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
-        scale_cplx(p, xn[0], xn[1], qn);
+        shift_out(q, nimd);
+        imd_at(k15, xn, qn);
         int64_t cx = i < m ? i + 1 : m, cq = i < nimd ? i + 1 : nimd;
         double c[14];
         fir_at(cx, h, xn, 1.0, c);
@@ -104,12 +117,12 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
     }
 }
 
-/* What the steps of one block share: w and w_accum (trials, dim); e2
- * (steps, trials) and tap_buf (steps, ntaps, trials) receive per-step
- * values; peak, steady_sum, steady_count and diverged_at are per trial.
- * Step j is step t0 + j of the run; steps from win_start on are summed. */
-struct block {
-    int64_t trials, steps, dim, t0, win_start;
+/* What the steps of one run share: w and w_accum are (trials, dim); e2, if
+ * not NULL, is (trials, steps) and tap_buf, if not NULL, (trials, steps,
+ * ntaps), and they receive per-step values; peak, steady_sum, steady_count
+ * and diverged_at are per trial. Steps from win_start on are summed. */
+struct run {
+    int64_t steps, dim, win_start;
     double mu;
     double *w, *w_accum, *e2, *peak, *steady_sum, *steady_count;
     int64_t *diverged_at;
@@ -119,10 +132,10 @@ struct block {
 };
 
 /* One LMS step of trial i on regressor r (dim entries) and observation d. */
-static inline void step(const struct block *b, int64_t i, int64_t j,
+static inline void step(const struct run *b, int64_t i, int64_t j,
                         const double *r, const double *d)
 {
-    int64_t dim = b->dim, trials = b->trials;
+    int64_t dim = b->dim;
     double *wi = b->w + 2 * dim * i, *ai = b->w_accum + 2 * dim * i;
     double yr = 0.0, yi = 0.0;
     for (int64_t k = 0; k < dim; k++) {
@@ -138,60 +151,72 @@ static inline void step(const struct block *b, int64_t i, int64_t j,
     }
     double a = np_cabs(er, ei), p = a * a;
     int ok = isfinite(p);
-    if (!ok && b->diverged_at[i] < 0) b->diverged_at[i] = b->t0 + j;
+    if (!ok && b->diverged_at[i] < 0) b->diverged_at[i] = j;
     double top = ok ? p : INFINITY;
     if (top > b->peak[i]) b->peak[i] = top;
-    b->e2[j * trials + i] = p;
-    for (int64_t k = 0; k < b->ntaps; k++) {
-        double *tb = b->tap_buf + 2 * ((j * b->ntaps + k) * trials + i);
-        tb[0] = wi[2 * b->taps[k]];
-        tb[1] = wi[2 * b->taps[k] + 1];
-    }
-    if (b->t0 + j >= b->win_start) {
+    if (b->e2) b->e2[i * b->steps + j] = p;
+    if (b->tap_buf)
+        for (int64_t k = 0; k < b->ntaps; k++) {
+            double *tb = b->tap_buf + 2 * ((i * b->steps + j) * b->ntaps + k);
+            tb[0] = wi[2 * b->taps[k]];
+            tb[1] = wi[2 * b->taps[k] + 1];
+        }
+    if (j >= b->win_start) {
         for (int64_t k = 0; k < 2 * dim; k++) ai[k] += wi[k];
         b->steady_sum[i] += ok ? p : 0.0;
         b->steady_count[i] += ok;
     }
 }
 
-/* reg (trials, steps, dim) holds every regressor (the whitened path);
- * d is (trials, steps). */
-void lms_block(int64_t trials, int64_t steps, int64_t dim, int64_t t0,
-               int64_t win_start, double mu, const double *reg, const double *d,
-               double *w, double *w_accum, double *e2, double *peak,
-               double *steady_sum, double *steady_count, int64_t *diverged_at,
-               int64_t ntaps, const int64_t *taps, double *tap_buf)
+/* Steps j0 <= j < j1 of a run of `steps` steps, on the regressors in reg,
+ * (trials, j1 - j0, dim) (the whitened path); d is (trials, steps + lead)
+ * and step j reads column lead + j. */
+void lms_whitened(int64_t trials, int64_t steps, int64_t dim, int64_t lead,
+                  int64_t j0, int64_t j1, int64_t win_start, double mu,
+                  const double *reg, const double *d, double *w,
+                  double *w_accum, double *e2, double *peak,
+                  double *steady_sum, double *steady_count,
+                  int64_t *diverged_at, int64_t ntaps, const int64_t *taps,
+                  double *tap_buf)
 {
-    struct block b = {trials, steps, dim, t0, win_start, mu, w, w_accum, e2,
-                      peak, steady_sum, steady_count, diverged_at, ntaps, taps,
-                      tap_buf};
+    struct run b = {steps, dim, win_start, mu, w, w_accum, e2, peak,
+                    steady_sum, steady_count, diverged_at, ntaps, taps,
+                    tap_buf};
     for (int64_t i = 0; i < trials; i++)
-        for (int64_t j = 0; j < steps; j++)
-            step(&b, i, j, reg + 2 * dim * (i * steps + j),
-                 d + 2 * (i * steps + j));
+        for (int64_t j = j0; j < j1; j++)
+            step(&b, i, j, reg + 2 * dim * (i * (j1 - j0) + j - j0),
+                 d + 2 * (i * (steps + lead) + lead + j));
 }
 
-/* The regressor [x; x_imd; x*; x_imd*] of step j is read in place: x and
- * x_imd are (trials, steps + m - 1) windows whose column j + m - 1 is the
- * newest sample of step j; x_imd covers the nimd newest delays (dim is
- * 2 (m + nimd)). d is (trials, steps). */
-void lms_block_raw(int64_t trials, int64_t steps, int64_t m, int64_t nimd,
-                   int64_t t0, int64_t win_start, double mu, const double *x,
-                   const double *x_imd, const double *d, double *w,
-                   double *w_accum, double *e2, double *peak,
-                   double *steady_sum, double *steady_count,
-                   int64_t *diverged_at, int64_t ntaps, const int64_t *taps,
-                   double *tap_buf)
+/* The regressor [x; x_imd; x*; x_imd*] of step j is read in place from x,
+ * and x_imd is formed from x as render forms it, keeping only the nimd
+ * newest values: x and d are (trials, n), step j's newest sample is
+ * j + m - 1, and dim is 2 (m + nimd). One trial runs to its end before the
+ * next starts. */
+void lms_raw(int64_t trials, int64_t n, int64_t m, int64_t nimd,
+             int64_t win_start, double mu, double k15, const double *x,
+             const double *d, double *w, double *w_accum, double *e2,
+             double *peak, double *steady_sum, double *steady_count,
+             int64_t *diverged_at, int64_t ntaps, const int64_t *taps,
+             double *tap_buf)
 {
-    int64_t dim = 2 * (m + nimd), half = m + nimd, len = steps + m - 1;
-    struct block b = {trials, steps, dim, t0, win_start, mu, w, w_accum, e2,
-                      peak, steady_sum, steady_count, diverged_at, ntaps, taps,
-                      tap_buf};
-    double r[2 * dim];
+    int64_t steps = n - m + 1, dim = 2 * (m + nimd), half = m + nimd;
+    struct run b = {steps, dim, win_start, mu, w, w_accum, e2, peak,
+                    steady_sum, steady_count, diverged_at, ntaps, taps,
+                    tap_buf};
+    double r[2 * dim], q[2 * nimd + 2];  /* q: the IMD window, oldest first */
+    const double *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
     for (int64_t i = 0; i < trials; i++) {
+        const double *xi = x + 2 * i * n;
+        /* the nimd - 1 samples before step 0's newest, shifted out below */
+        for (int64_t k = 1; k < nimd; k++)
+            imd_at(k15, xi + 2 * (m - nimd + k - 1), q + 2 * k);
         for (int64_t j = 0; j < steps; j++) {
-            const double *xn = x + 2 * (i * len + j + m - 1);
-            const double *qn = x_imd + 2 * (i * len + j + m - 1);
+            const double *xn = xi + 2 * (j + m - 1);
+            if (nimd > 0) {
+                shift_out(q, nimd);
+                imd_at(k15, xn, q + 2 * (nimd - 1));
+            }
             for (int64_t k = 0; k < m; k++) {
                 r[2 * k] = r[2 * (half + k)] = xn[-2 * k];
                 r[2 * k + 1] = xn[1 - 2 * k];
@@ -202,7 +227,7 @@ void lms_block_raw(int64_t trials, int64_t steps, int64_t m, int64_t nimd,
                 r[2 * (m + k) + 1] = qn[1 - 2 * k];
                 r[2 * (half + m + k) + 1] = -qn[1 - 2 * k];
             }
-            step(&b, i, j, r, d + 2 * (i * steps + j));
+            step(&b, i, j, r, d + 2 * (i * n + j + m - 1));
         }
     }
 }

@@ -1,8 +1,9 @@
 """The compiled kernels of ``_lms.c``: the one-pass render and the LMS steps.
 
 ``render`` forms one trial's observation (IMD product, four FIR branches,
-scaled noise and their sum) sample by sample; ``lms_block`` and
-``lms_block_raw`` run the LMS steps of one block for every trial.
+scaled noise and their sum) sample by sample; ``lms_raw`` runs the LMS
+steps of a whole run and ``lms_whitened`` those of a span of steps, one
+trial after another.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -60,19 +61,24 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``render``, ``lms_block`` and ``lms_block_raw``."""
+    """The compiled library, with ``render``, ``lms_raw`` and ``lms_whitened``.
+
+    The per-step outputs of the LMS entry points (residual powers and tracked
+    taps) are optional: they take an address or ``None``.
+    """
     cplx, real, index = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                          for dtype in (np.complex128, np.float64, np.int64))
     i64 = ctypes.c_int64
     lib = ctypes.CDLL(str(_build_kernel()))
     # the outputs shared by both LMS entry points, after d
-    state = [cplx, cplx, *[real] * 4, index, i64, index, cplx]
+    state = [cplx, cplx, ctypes.c_void_p, *[real] * 3, index, i64, index,
+             ctypes.c_void_p]
     lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, real, i64,
                            real, cplx, ctypes.c_void_p]
-    lib.lms_block.argtypes = [*[i64] * 5, ctypes.c_double, cplx, cplx, *state]
-    lib.lms_block_raw.argtypes = [*[i64] * 6, ctypes.c_double, cplx, cplx, cplx,
-                                  *state]
-    for fn in (lib.render, lib.lms_block, lib.lms_block_raw):
+    lib.lms_whitened.argtypes = [*[i64] * 7, ctypes.c_double, cplx, cplx, *state]
+    lib.lms_raw.argtypes = [*[i64] * 5, *[ctypes.c_double] * 2, cplx, cplx,
+                            *state]
+    for fn in (lib.render, lib.lms_whitened, lib.lms_raw):
         fn.restype = None
     return lib
 

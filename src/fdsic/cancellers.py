@@ -11,13 +11,16 @@ A pre-whitening transform Phi = Lambda^{-1/2} U^H, fitted on a held-out
 preamble of ``WHITEN_PREAMBLE_PER_TAP`` regressors per regressor entry, can
 be applied to the regressor to equalize the LMS convergence modes.
 
-The LMS steps run in a small C kernel (``_lms.c``, built and loaded by
-``_native`` on the first ``run_batch`` call). Its arithmetic rounds exactly
+``run_batch`` runs each trial on its own and returns per-trial rows;
+averaging across trials is the caller's. The LMS steps run in a small C
+kernel (``_lms.c``, built and loaded by ``_native`` on the first
+``run_batch`` call): one call per raw run, and one per chunk of
+``_WHITEN_ROWS`` steps on the whitened path. Its arithmetic rounds exactly
 as the numpy expressions e = d - reg^T w (einsum), w += mu e conj(reg) and
 |e|^2 do, so results are bit-identical to a numpy loop over the steps. On
-the raw path the kernel reads each regressor in place from the block's
-window of x and x_imd, so ``regressor_matrix`` builds rows only for the
-whitened path, the whitening fit and the tests.
+the raw path the kernel reads each regressor in place from x and forms
+x_imd as it goes, keeping only the N newest values, so ``regressor_matrix``
+builds rows only for the whitened path, the whitening fit and the tests.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import numpy as np
 from . import _native
 from .transceiver import imd_sequence
 
-_BLOCK = 256  # time steps that run_batch hands the kernel at once
 WHITEN_PREAMBLE_PER_TAP = 50  # regressors that fit Phi, per regressor entry
+MIN_STEADY_WINDOW = 2000  # the shortest default steady-state window, in steps
+_WHITEN_ROWS = 4096  # whitened steps per kernel call, at most
+_PRODUCT_ROWS = 128  # rows per BLAS product in WhiteningTransform
 
 
 class DegenerateInputError(ValueError):
@@ -45,15 +50,37 @@ class WhiteningTransform:
 
     def apply(self, regressors: np.ndarray) -> np.ndarray:
         """Whiten row-stacked regressors (..., dim)."""
-        rows = regressors.reshape(-1, regressors.shape[-1])
-        return (rows @ self.matrix.T).reshape(regressors.shape)
+        return _rows_times(regressors, self.matrix.T)
 
     def weights_to_original(self, weights: np.ndarray) -> np.ndarray:
         """Map whitened-domain weights back to original coordinates.
 
         reg^T w is preserved: x^T (Phi^T w) = (Phi x)^T w.
         """
-        return weights @ self.matrix
+        return _rows_times(weights, self.matrix)
+
+
+def _rows_times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` for rows stacked on the last axis, as BLAS products
+    of ``_PRODUCT_ROWS`` rows (the last padded with zeros).
+
+    Every row then rounds as it does in one many-row product, whatever the
+    number of rows (a one-row product goes through another BLAS routine and
+    rounds differently), so a trial's whitened regressors do not depend on
+    the batch it runs in. A product this small also runs on the calling
+    thread, so no BLAS thread spins between the products of a trial loop.
+    """
+    (k, m), n = matrix.shape, rows.size // rows.shape[-1]
+    flat = rows.reshape(n, k)
+    out = np.empty((n, m), dtype=np.result_type(rows, matrix))
+    full = n - n % _PRODUCT_ROWS
+    np.matmul(flat[:full].reshape(-1, _PRODUCT_ROWS, k), matrix,
+              out=out[:full].reshape(-1, _PRODUCT_ROWS, m))
+    if full < n:
+        tail = np.zeros((_PRODUCT_ROWS, k), dtype=out.dtype)
+        tail[:n - full] = flat[full:]
+        out[full:] = (tail @ matrix)[:n - full]
+    return out.reshape(*rows.shape[:-1], m)
 
 
 def prewhiten_fit(sample_regressors) -> WhiteningTransform:
@@ -82,7 +109,6 @@ class CancellerConfig:
     M: int
     N: int = 0           # IMD taps per branch; 0 is the widely linear ALMS
     k_tiq: float = 1.0
-    whiten: bool = False
     steady_window: int | None = None
 
     def __post_init__(self):
@@ -93,8 +119,8 @@ class CancellerConfig:
 
 
 def default_steady_window(n_steps: int) -> int:
-    """Final 20% of iterations, at least 2000 samples, capped at the run."""
-    return min(n_steps, max(int(0.2 * n_steps), 2000))
+    """Final 20% of iterations, at least MIN_STEADY_WINDOW, capped at the run."""
+    return min(n_steps, max(int(0.2 * n_steps), MIN_STEADY_WINDOW))
 
 
 def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0) -> np.ndarray:
@@ -110,61 +136,64 @@ def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0) -> np.ndarray:
     xs = np.asarray(x, dtype=np.complex128)
     if xs.shape[-1] < M:
         raise ValueError("sequence shorter than the window")
-    win = np.lib.stride_tricks.sliding_window_view(xs, M, axis=-1)[..., ::-1]
-    imd = imd_sequence(win[..., :N], k_tiq)
-    return np.concatenate([win, imd, np.conj(win), np.conj(imd)], axis=-1)
+    def newest_first(v):
+        return np.lib.stride_tricks.sliding_window_view(v, M, axis=-1)[..., ::-1]
+
+    half = M + N
+    win = newest_first(xs)
+    rows = np.empty((*win.shape[:-1], 2 * half), dtype=np.complex128)
+    rows[..., :M] = win
+    if N:
+        rows[..., M:half] = newest_first(imd_sequence(xs, k_tiq))[..., :N]
+    np.conjugate(rows[..., :half], out=rows[..., half:])
+    return rows
 
 
 @dataclass
 class BatchRun:
-    """Vectorized multi-trial run (one weight vector per trial)."""
+    """Per-trial results of a run (row t belongs to trial t)."""
 
     final_weights: np.ndarray         # (trials, dim), original coordinates
     mean_weights: np.ndarray          # window-averaged, original coordinates
     steady_state_mse: np.ndarray      # (trials,)
     steady_state_window: tuple[int, int]
-    start_index: int                  # first sample index processed
     peak_residual: np.ndarray         # (trials,) max |e|^2 over the run
     diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
     diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
     n_steps: int
     residual_power: np.ndarray | None = None    # (trials, n_steps)
-    error_power_mean: np.ndarray | None = None  # (n_steps,) mean across trials
-    tap_mean: np.ndarray | None = None          # (n_steps, len(track_taps))
+    taps: np.ndarray | None = None              # (trials, n_steps, len(track_taps))
+
+
+def _address(array: np.ndarray | None):
+    return None if array is None else array.ctypes.data
 
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
-              keep_residuals: bool = True, track_error_mean: bool = False,
-              track_taps: tuple[int, ...] = ()) -> BatchRun:
-    """Run independent trials in lockstep (trials stacked on axis 0).
+              keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
+              whitener: WhiteningTransform | None = None) -> BatchRun:
+    """Run each trial, a row of ``xs`` and ``ds``, from zero weights.
 
-    ``track_error_mean`` records the across-trial mean residual power per
-    iteration; ``track_taps`` records the across-trial mean weight of the
-    listed taps per iteration (original coordinates are restored afterwards
-    only for the final/window weights, so tap tracking is unavailable for
-    whitened runs).
+    Step t adapts on the regressor of sample M-1+t, so a row of n samples
+    runs n-M+1 steps. Trials are independent: the kernel runs one to its end
+    before it starts the next, and every output row depends on its own input
+    row alone, so a batch returns exactly the rows its trials return one at a
+    time. A 1-D ``xs`` and ``ds`` are one trial. ``keep_residuals`` stores
+    |e|^2 per step; ``track_taps`` stores the listed weights per step. With
+    ``whitener`` the LMS runs on whitened regressors; the final and window
+    weights are mapped back to original coordinates, and tap tracking is
+    unavailable.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.complex128))
-    ds = np.atleast_2d(np.asarray(ds, dtype=np.complex128))
+    xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=np.complex128))
+    ds = np.atleast_2d(np.ascontiguousarray(ds, dtype=np.complex128))
     if xs.shape != ds.shape:
         raise ValueError("x and d must have identical shapes")
+    if whitener is not None and track_taps:
+        raise ValueError("tap tracking is not supported for whitened runs")
     trials, n = xs.shape
     M, N = config.M, config.N
     dim = 2 * (M + N)
-    start = M - 1
-
-    whitener = None
-    if config.whiten:
-        if track_taps:
-            raise ValueError("tap tracking is not supported for whitened runs")
-        preamble = WHITEN_PREAMBLE_PER_TAP * dim
-        if n < M + preamble + 1:
-            raise ValueError("sequence too short for the whitening preamble")
-        whitener = prewhiten_fit(
-            regressor_matrix(xs[0, :M - 1 + preamble], M, N, config.k_tiq))
-        start = M - 1 + preamble
-
-    n_steps = n - start
+    n_steps = n - M + 1
     window = config.steady_window or default_steady_window(n_steps)
     if n_steps <= 0 or window > n_steps:
         raise ValueError("sequences too short for the requested run")
@@ -172,41 +201,28 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     w = np.zeros((trials, dim), dtype=np.complex128)
     w_accum = np.zeros_like(w)
     res = np.empty((trials, n_steps)) if keep_residuals else None
-    err_mean = np.empty(n_steps) if track_error_mean else None
-    taps = np.empty((n_steps, len(track_taps)), dtype=np.complex128) if track_taps else None
     tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]  # IndexError if out of range
+    taps = (np.empty((trials, n_steps, len(tap_idx)), dtype=np.complex128)
+            if track_taps else None)
     steady_sum = np.zeros(trials)
     steady_count = np.zeros(trials)
     peak = np.zeros(trials)
     diverged_at = np.full(trials, -1, dtype=np.int64)
     win_start = n_steps - window
+    state = (w, w_accum, _address(res), peak, steady_sum, steady_count,
+             diverged_at, len(tap_idx), tap_idx, _address(taps))
     lib = _native.library()
-
-    for b0 in range(0, n_steps, _BLOCK):
-        steps = min(_BLOCK, n_steps - b0)
-        # column j + M - 1 of the window is the newest sample of step j
-        x_win = xs[:, start + b0 - M + 1: start + b0 + steps]
-        d = np.ascontiguousarray(ds[:, start + b0: start + b0 + steps])
-        e2 = np.empty((steps, trials))
-        tb = np.empty((steps, len(tap_idx), trials), dtype=np.complex128)
-        state = (w, w_accum, e2, peak, steady_sum, steady_count, diverged_at,
-                 len(tap_idx), tap_idx, tb)
-        if whitener is None:
-            x_win = np.ascontiguousarray(x_win)
-            x_imd = imd_sequence(x_win, config.k_tiq) if N else x_win
-            lib.lms_block_raw(trials, steps, M, N, b0, win_start, config.mu,
-                              x_win, x_imd, d, *state)
-        else:
-            regs = whitener.apply(regressor_matrix(x_win, M, N, config.k_tiq))
-            lib.lms_block(trials, steps, dim, b0, win_start, config.mu, regs,
-                          d, *state)
-        if keep_residuals:
-            res[:, b0: b0 + steps] = e2.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            if track_error_mean:
-                err_mean[b0: b0 + steps] = e2.mean(axis=1)
-            if taps is not None:
-                taps[b0: b0 + steps] = tb.mean(axis=2)
+    if whitener is None:
+        lib.lms_raw(trials, n, M, N, win_start, config.mu, config.k_tiq ** 1.5,
+                    xs, ds, *state)
+    else:
+        # whitened regressors are formed and run in chunks that stay in cache
+        for a in range(0, n_steps, _WHITEN_ROWS):
+            b = min(a + _WHITEN_ROWS, n_steps)
+            regs = whitener.apply(regressor_matrix(xs[:, a:b + M - 1], M, N,
+                                                   config.k_tiq))
+            lib.lms_whitened(trials, n_steps, dim, M - 1, a, b, win_start,
+                             config.mu, regs, ds, *state)
 
     # diverged trials carry inf/nan weights and sums; they are flagged below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,12 +239,10 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         mean_weights=mean_w,
         steady_state_mse=steady_mse,
         steady_state_window=(win_start, n_steps),
-        start_index=start,
         peak_residual=peak,
         diverged=diverged,
         diverged_at=diverged_at,
         n_steps=n_steps,
         residual_power=res,
-        error_power_mean=err_mean,
-        tap_mean=taps,
+        taps=taps,
     )

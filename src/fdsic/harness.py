@@ -2,11 +2,15 @@
 
 Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
-with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``_trial_references`` is
-the one function that applies this rule (``trial_batch`` and the
-power-budget render draw through it, each trial's reference and
-observation written straight into its row of the batch); aggregation is an
-ordered reduction over trials. Each plotted curve is backed by a CSV column.
+with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``iter_trials`` is the one
+function that applies this rule. It generates and renders one trial at a
+time into two reused rows, and every canceller job of the same run length
+runs on that trial before the next one is drawn, so a run holds one trial's
+samples at a time whatever the number of trials. The per-trial results are
+then reduced across trials in trial order, and the averages that reach a
+CSV are taken over arrays laid out as the old whole-batch arrays were, so
+they round as they did. Each plotted curve is backed by a CSV column, and
+``meta.txt`` records the wall time of the generate, render and LMS phases.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -26,16 +30,16 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cancellers import WHITEN_PREAMBLE_PER_TAP, CancellerConfig, run_batch
-# not called here: perfbench/tracing.py wraps fdsic.harness.regressor_matrix
-# and a missing name fails every benchmark run
-from .cancellers import regressor_matrix  # noqa: F401
+from .cancellers import (MIN_STEADY_WINDOW, WHITEN_PREAMBLE_PER_TAP,
+                         BatchRun, CancellerConfig, prewhiten_fit,
+                         regressor_matrix, run_batch)
 from .plots import heatmap, line_plot
 from .signals import WaveformSpec, gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
@@ -51,7 +55,6 @@ from .units import lin_to_db, mw_to_dbm
 _NOISE_SEED_OFFSET = 10_000_019
 SLOW_MODE_BUDGET = 0.04      # tolerated slow-mode MSE excess, fraction of J
 MAX_SWEEP_ITERATIONS = 1_400_000
-_CHUNK_ELEMENTS = 20_000_000  # max trials x samples held in memory at once
 EXPERIMENTS = ("power-budget", "bias", "sinr-sweep", "attenuation-sweep",
                "convergence", "bounds-probe")
 
@@ -95,8 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown signal source {self.signal_source!r}")
         if not 1 <= self.N < self.M:
             raise ValueError("need 1 <= N < M")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if self.iterations <= MIN_STEADY_WINDOW:
+            # a shorter run would average its transient as the steady state
+            raise ValueError(f"iterations must exceed the {MIN_STEADY_WINDOW}-step "
+                             f"minimum steady-state window")
         for name in ("mu_frac", "mu_abs"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -110,6 +115,31 @@ class CheckResult:
     detail: str
 
 
+class PhaseClock:
+    """Wall seconds of a run's generate, render and LMS phases, and the
+    trial-steps its LMS runs took."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(("generate", "render", "lms"), 0.0)
+        self.trial_steps = 0
+
+    @contextmanager
+    def phase(self, name: str):
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - started
+
+    def meta_lines(self) -> list[str]:
+        lines = [f"phase.{name}_s = {s:.4g}" for name, s in self.seconds.items()]
+        if self.trial_steps:
+            ns = 1e9 * self.seconds["lms"] / self.trial_steps
+            lines += [f"trial_steps = {self.trial_steps}",
+                      f"ns_per_trial_step = {ns:.4g}"]
+        return lines
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -119,6 +149,7 @@ class ExperimentReport:
     checks: list[CheckResult] = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    clock: PhaseClock = field(default_factory=PhaseClock)
 
     @property
     def all_passed(self) -> bool:
@@ -177,6 +208,7 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"duration_s = {time.time() - started:.1f}",
     ]
     lines += [f"{k} = {v}" for k, v in report.meta.items()]
+    lines += report.clock.meta_lines()
     lines += [f"check[{c.name}] = {'pass' if c.passed else 'FAIL'} {c.detail}"
               for c in report.checks]
     path = out / "meta.txt"
@@ -184,43 +216,43 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
     report.meta_path = path
 
 
-def _trial_references(config: ExperimentConfig, sigma_x2: float,
-                      xs: np.ndarray, lo: int):
-    """Fill row r of ``xs`` with trial ``lo + r``'s reference and yield
-    ``(row, noise_seed)`` per trial: the seed rule.
+def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
+                channels, budget, sigma_x2: float, n: int, clock: PhaseClock,
+                **render_options):
+    """Yield ``(x, obs)`` for trials t = 0 ... config.trials - 1: the seed rule.
 
-    Trial t's reference waveform, of power ``sigma_x2``, is drawn with seed
-    ``config.seed + t`` from ``config.signal_source``; its observation noise
-    uses seed ``config.seed + _NOISE_SEED_OFFSET + t``.
+    Trial t's reference waveform ``x``, ``n`` samples of power ``sigma_x2``,
+    is drawn with seed ``config.seed + t`` from ``config.signal_source``;
+    its observation ``obs`` (``obs.d.samples``) is rendered from it with
+    noise seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
+    ``render_options``. The two rows are overwritten by the next trial: a
+    consumer copies whatever it keeps. ``clock`` times both phases.
     """
-    n = xs.shape[1]
+    x = np.empty(n, dtype=np.complex128)
+    d = np.empty_like(x)
     if config.signal_source == "ofdm":
         spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
         n_sym = -(-n // spec.samples_per_symbol)
-    for row, x in enumerate(xs):
-        seed = config.seed + lo + row
-        if config.signal_source == "gaussian":
-            gen_proper_gaussian(n, sigma_x2, seed=seed, out=x)
-        else:
-            x[:] = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
-        yield x, seed + _NOISE_SEED_OFFSET
+    for t in range(config.trials):
+        seed = config.seed + t
+        with clock.phase("generate"):
+            if config.signal_source == "gaussian":
+                gen_proper_gaussian(n, sigma_x2, seed=seed, out=x)
+            else:
+                x[:] = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
+        with clock.phase("render"):
+            obs = render_observation(x, channels, budget, profile,
+                                     seed=seed + _NOISE_SEED_OFFSET, out=d,
+                                     **render_options)
+        yield x, obs
 
 
-def trial_batch(config: ExperimentConfig, profile: TransceiverProfile,
-                channels, budget, sigma_x2: float, n: int, lo: int = 0,
-                hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Reference waveforms and observations ``(xs, ds)`` of trials [lo, hi).
-
-    Row ``t - lo`` holds trial t: its waveform and the observation rendered
-    from it, seeded as ``_trial_references`` says. ``hi`` defaults to
-    ``config.trials``; each row has ``n`` samples.
-    """
-    hi = config.trials if hi is None else hi
-    xs = np.empty((hi - lo, n), dtype=np.complex128)
-    ds = np.empty_like(xs)
-    for d, (x, noise_seed) in zip(ds, _trial_references(config, sigma_x2, xs, lo)):
-        render_observation(x, channels, budget, profile, seed=noise_seed, out=d)
-    return xs, ds
+def _cancel(clock: PhaseClock, x, d, config: CancellerConfig, **options) -> BatchRun:
+    """``run_batch`` on one trial, timed and counted as the LMS phase."""
+    with clock.phase("lms"):
+        run = run_batch(x, d, config, **options)
+    clock.trial_steps += run.n_steps * len(run.steady_state_mse)
+    return run
 
 
 def _slow_mode_energy(inputs: TheoryInputs) -> tuple[float, float]:
@@ -272,24 +304,6 @@ def _resolve_mu(config: ExperimentConfig, bound: float) -> float:
     return _mu_frac(config) * bound
 
 
-def _chunked_steady_mse(config: ExperimentConfig, profile: TransceiverProfile,
-                        channels, budget, sigma_x2: float, n_iters: int,
-                        cfgs: dict[str, CancellerConfig]) -> dict[str, float]:
-    """Trial-mean steady MSE of each named canceller, all run on one set of
-    trials that is generated in memory-bound chunks."""
-    n = n_iters + config.M
-    chunk = max(2, min(config.trials, int(_CHUNK_ELEMENTS // n)))
-    totals = dict.fromkeys(cfgs, 0.0)
-    for lo in range(0, config.trials, chunk):
-        xs, ds = trial_batch(config, profile, channels, budget, sigma_x2, n,
-                             lo, min(lo + chunk, config.trials))
-        for label, cfg in cfgs.items():
-            run = run_batch(xs, ds, cfg, keep_residuals=False)
-            totals[label] += float(np.sum(run.steady_state_mse))
-        del xs, ds
-    return {label: total / config.trials for label, total in totals.items()}
-
-
 # ---------------------------------------------------------------------------
 # power budget (component-power comparison)
 # ---------------------------------------------------------------------------
@@ -309,11 +323,9 @@ def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
         budget = compute_noise_budget(prof)
         # trial 0 of the configured source
-        x, noise_seed = next(_trial_references(
-            config, prof.natural_sigma_x2,
-            np.empty((1, n_render), dtype=np.complex128), 0))
-        obs = render_observation(x, channels, budget, prof, seed=noise_seed,
-                                 include_soi=True, components=True)
+        _, obs = next(iter_trials(config, prof, channels, budget,
+                                  prof.natural_sigma_x2, n_render, report.clock,
+                                  include_soi=True, components=True))
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
 
@@ -379,31 +391,47 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
     bound = alms_ms_bound(s2, config.M)
     n_iters = config.iterations
 
-    xs, ds = trial_batch(config, prof, channels, budget, s2, n_iters + config.M)
-
     w_lin = channels.stacked_linear()
     w_nl = channels.stacked_nonlinear()
     stride = max(1, n_iters // 2000)
+    kept = len(range(0, n_iters + 1, stride))  # plotted of the n_iters + 1 steps
     traces: dict[str, np.ndarray] = {}
     bias_table = None
     base_mu = _resolve_mu(config, bound)
     # each column is labelled with its step size as a fraction of the bound
     base_tag = f"mu{base_mu / bound:g}"
 
+    cfgs = {}
+    for mu in (base_mu, 2 * base_mu):
+        for label, n_imd in (("alms", 0), ("anclms", config.N)):
+            window = int(0.9 * n_iters) if label == "alms" else None
+            cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
+                                              k_tiq=prof.k_tiq, steady_window=window)
+    # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
+    # window-mean weights, (trials, dim)
+    tap_rows = {key: np.empty((kept, 2, config.trials), dtype=np.complex128)
+                for key in cfgs}
+    mean_weights = {key: np.empty((config.trials, 2 * (cfg.M + cfg.N)),
+                                  dtype=np.complex128) for key, cfg in cfgs.items()}
+    for t, (x, obs) in enumerate(iter_trials(config, prof, channels, budget, s2,
+                                             n_iters + config.M, report.clock)):
+        for key, cfg in cfgs.items():
+            run = _cancel(report.clock, x, obs.d.samples, cfg,
+                          keep_residuals=False, track_taps=(0, 1))
+            tap_rows[key][:, :, t] = run.taps[0, ::stride]
+            mean_weights[key][t] = run.mean_weights[0]
+
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
         inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
         bias = alms_bias(inputs)
-        for label, n_imd, w_opt in (("alms", 0, w_lin), ("anclms", config.N, w_nl)):
-            window = int(0.9 * n_iters) if label == "alms" else None
-            cfg = CancellerConfig(mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq,
-                                  steady_window=window)
-            run = run_batch(xs, ds, cfg, keep_residuals=False, track_taps=(0, 1))
+        for label, w_opt in (("alms", w_lin), ("anclms", w_nl)):
+            tap_mean = tap_rows[mu, label].mean(axis=2)
             for tap in (0, 1):
-                err = np.abs(run.tap_mean[::stride, tap] - w_opt[tap]) / abs(w_opt[tap])
+                err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
                 traces[f"{label}_{tag}_tap{tap + 1}"] = err
             if label == "alms" and mu == base_mu:
-                mean_err = (run.mean_weights - w_lin).mean(axis=0)
+                mean_err = (mean_weights[mu, label] - w_lin).mean(axis=0)
                 idx = np.concatenate([np.arange(config.N),
                                       config.M + np.arange(config.N)])
                 theory_abs = np.abs(bias[idx])
@@ -417,7 +445,7 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
                     "rel_error": np.abs(mean_err[idx] - bias[idx]) / scale,
                 }
             if label == "anclms" and mu == base_mu:
-                err_vec = (run.mean_weights - w_nl).mean(axis=0)
+                err_vec = (mean_weights[mu, label] - w_nl).mean(axis=0)
                 report.meta["anclms_weight_error_norm_frac"] = _fmt(
                     np.linalg.norm(err_vec) / np.linalg.norm(w_nl))
         for tap in (0, 1):
@@ -498,8 +526,16 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
                 mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
         mses = {}
         for n_it, cfgs in jobs.items():
-            mses.update(_chunked_steady_mse(config, prof, channels, budget, s2,
-                                            n_it, cfgs))
+            trial_mse = {label: np.empty(config.trials) for label in cfgs}
+            for t, (x, obs) in enumerate(iter_trials(
+                    config, prof, channels, budget, s2, n_it + config.M,
+                    report.clock)):
+                for label, cfg in cfgs.items():
+                    run = _cancel(report.clock, x, obs.d.samples, cfg,
+                                  keep_residuals=False)
+                    trial_mse[label][t] = run.steady_state_mse[0]
+            mses.update({label: float(np.sum(v)) / config.trials
+                         for label, v in trial_mse.items()})
         for label, mse in mses.items():
             if label == "alms":
                 j_theory = alms_steady_mse(inp, alms_regime(inp))
@@ -606,17 +642,31 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
             ("anclms_whitened", s_opt, True, mu_white)):
         channels = synthesize_channels(prof, config.M, config.N,
                                        seed=config.seed, sigma_x2=s2)
+        # the whitened run fits Phi on trial 0's preamble and every trial
+        # starts adapting after its own preamble
         pad = preamble if whiten else 0
-        xs, ds = trial_batch(config, prof, channels, budget, s2,
-                             n_iters + config.M + pad)
-        cfg = CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k, whiten=whiten)
-        run = run_batch(xs, ds, cfg, keep_residuals=False, track_error_mean=True)
-        smooth = run.error_power_mean[: (run.n_steps // block) * block]
+        cfg = CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k)
+        n_steps = n_iters + 1
+        residuals = np.empty((n_steps, config.trials))
+        steady = np.empty(config.trials)
+        whitener = None
+        for t, (x, obs) in enumerate(iter_trials(
+                config, prof, channels, budget, s2, n_iters + config.M + pad,
+                report.clock)):
+            if whiten and t == 0:
+                whitener = prewhiten_fit(regressor_matrix(
+                    x[:config.M - 1 + pad], config.M, config.N, k))
+            run = _cancel(report.clock, x[pad:], obs.d.samples[pad:], cfg,
+                          whitener=whitener)
+            residuals[:, t] = run.residual_power[0]
+            steady[t] = run.steady_state_mse[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            error_power_mean = residuals.mean(axis=1)
+        smooth = error_power_mean[: (n_steps // block) * block]
         smooth = smooth.reshape(-1, block).mean(axis=1)
         sinr = lin_to_db(budget.p_x_soi / smooth)
         runs[label] = {"sinr": sinr, "mu": mu, "s2": s2,
-                       "steady": float(np.mean(run.steady_state_mse))}
-        del xs, ds
+                       "steady": float(np.mean(steady))}
 
     # small-step theory overlay for the raw run at the optimal power
     try:
@@ -681,9 +731,6 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
     budget = compute_noise_budget(prof)
     noise = budget.sigma_v2 + budget.sigma_q2
 
-    xs, ds = trial_batch(config, prof, channels, budget, s2, config.iterations + config.M)
-    init_power = float(np.mean(np.abs(ds) ** 2))
-
     ana = anclms_ms_analysis(s2, prof.k_tiq, config.M, config.N)
     bounds = {"alms": alms_ms_bound(s2, config.M), "anclms": ana.bound}
     report.meta["alms_ms_bound"] = _fmt(bounds["alms"])
@@ -693,35 +740,50 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
     report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
 
     fracs = PROBE_MU_FRACS
+    cfgs = {(label, frac): CancellerConfig(mu=frac * bounds[label], M=config.M,
+                                           N=n_imd, k_tiq=prof.k_tiq)
+            for label, n_imd in (("alms", 0), ("anclms", config.N))
+            for frac in fracs}
+    trial_runs = {key: [] for key in cfgs}
+    n = config.iterations + config.M
+    energy = np.empty(config.trials)  # sum of |d|^2 per trial
+    for t, (x, obs) in enumerate(iter_trials(config, prof, channels, budget, s2,
+                                             n, report.clock)):
+        energy[t] = np.sum(np.abs(obs.d.samples) ** 2)
+        for key, cfg in cfgs.items():
+            trial_runs[key].append(_cancel(report.clock, x, obs.d.samples, cfg,
+                                           keep_residuals=False))
+    init_power = float(np.sum(energy)) / (config.trials * n)
+
     rows = []
-    for label, n_imd in (("alms", 0), ("anclms", config.N)):
-        for frac in fracs:
-            mu = frac * bounds[label]
-            cfg = CancellerConfig(mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
-            run = run_batch(xs, ds, cfg, keep_residuals=False)
-            grew = run.diverged | (run.peak_residual > 1e3 * init_power)
-            n_div = int(grew.sum())
-            report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
-                _divergence_note(run.diverged_at)
-            if frac < 1.0:
-                inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-                if label == "alms":
-                    j_theory = alms_steady_mse(inp, alms_regime(inp))
-                else:
-                    j_theory = anclms_exact_steady_mse(ana, noise, mu)
+    for (label, frac), cfg in cfgs.items():
+        diverged, peak, diverged_at, steady_mse = (
+            np.concatenate([getattr(run, name) for run in trial_runs[label, frac]])
+            for name in ("diverged", "peak_residual", "diverged_at",
+                         "steady_state_mse"))
+        grew = diverged | (peak > 1e3 * init_power)
+        n_div = int(grew.sum())
+        report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
+            _divergence_note(diverged_at)
+        if frac < 1.0:
+            inp = TheoryInputs.from_profile(prof, channels, budget, cfg.mu)
+            if label == "alms":
+                j_theory = alms_steady_mse(inp, alms_regime(inp))
             else:
-                j_theory = math.inf
-            conv = run.steady_state_mse[~grew]
-            rows.append({
-                "variant": label,
-                "mu_frac": frac,
-                "mu": mu,
-                "n_diverged": n_div,
-                "verdict": "diverged" if n_div > config.trials // 2 else "converged",
-                "theory_mse": j_theory,
-                "mean_mse": float(conv.mean()) if conv.size else math.inf,
-                "median_mse": float(np.median(run.steady_state_mse)),
-            })
+                j_theory = anclms_exact_steady_mse(ana, noise, cfg.mu)
+        else:
+            j_theory = math.inf
+        conv = steady_mse[~grew]
+        rows.append({
+            "variant": label,
+            "mu_frac": frac,
+            "mu": cfg.mu,
+            "n_diverged": n_div,
+            "verdict": "diverged" if n_div > config.trials // 2 else "converged",
+            "theory_mse": j_theory,
+            "mean_mse": float(conv.mean()) if conv.size else math.inf,
+            "median_mse": float(np.median(steady_mse)),
+        })
 
     axis = np.arange(len(rows))
     report.csv_paths.append(write_csv(

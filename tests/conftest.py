@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fdsic import harness
 from fdsic.theory import anclms_ms_analysis
 from fdsic.transceiver import builtin_profile, compute_noise_budget, synthesize_channels
 
@@ -31,3 +33,12 @@ def lowpower_ms_analysis(lowpower_setup):
     """Fourth-moment analysis of the nonlinear regressor at -5 dBm."""
     prof, _, _ = lowpower_setup
     return anclms_ms_analysis(prof.natural_sigma_x2, prof.k_tiq, M, N)
+
+
+def stack_trials(config, profile, channels, budget, sigma_x2, n):
+    """Copies of the rows ``harness.iter_trials`` yields, stacked as
+    ``(xs, ds)`` of shape (config.trials, n): the batch of the experiments'
+    trials for tests that run them at once."""
+    rows = [(x.copy(), obs.d.samples.copy()) for x, obs in harness.iter_trials(
+        config, profile, channels, budget, sigma_x2, n, harness.PhaseClock())]
+    return tuple(np.stack(r) for r in zip(*rows))

@@ -17,7 +17,7 @@ import pytest
 
 from fdsic.cancellers import CancellerConfig, regressor_matrix, run_batch
 from fdsic.harness import ExperimentConfig, run_bias, run_convergence, \
-    run_power_budget, run_sinr_sweep, trial_batch
+    run_power_budget, run_sinr_sweep
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
                           alms_steady_mse, alms_transient,
@@ -27,7 +27,7 @@ from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 from fdsic.units import lin_to_db
 
-from conftest import M, N, SEED
+from conftest import M, N, SEED, stack_trials
 from test_theory import numeric_min_condition_number
 
 MIN_C = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
@@ -120,7 +120,7 @@ def test_criterion_5_low_power_limit(lowpower_setup):
     mu = 0.01 * alms_ms_bound(s2, M)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=50,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget, s2, 30_000 + M)
+    xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
     worst = 0.0
     for n_imd in (0, N):  # ALMS, then ANCLMS
         cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
@@ -141,7 +141,7 @@ def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
                   ("anclms", N, lowpower_ms_analysis.bound))
     config = ExperimentConfig(experiment="bias", profile=prof, trials=50,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget, s2, 30_000 + M)
+    xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
     init = float(np.mean(np.abs(ds) ** 2))
     out = {}
     for label, n_imd, bound in cancellers:

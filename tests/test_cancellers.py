@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,11 +10,11 @@ from fdsic import _native, cancellers
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
                               default_steady_window, prewhiten_fit,
                               regressor_matrix, run_batch)
-from fdsic.harness import ExperimentConfig, trial_batch
+from fdsic.harness import ExperimentConfig
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import alms_ms_bound, anclms_mean_bound, anclms_ms_analysis
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
-from conftest import M, N, SEED
+from conftest import M, N, SEED, stack_trials
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
@@ -191,7 +192,7 @@ def test_run_canceller_low_power_mse(lowpower_setup):
     mu = 0.1 * alms_ms_bound(s2, M)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=1,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget, s2, 30_000 + M)
+    xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
     run = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
     j_low = ((1 - mu * s2) * budget.sigma_v2 / (1 - mu * (M + 1) * s2)
              + budget.sigma_q2)
@@ -203,8 +204,8 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
     prof, channels, budget = lowpower_setup
     config = ExperimentConfig(experiment="bias", profile=prof, trials=4,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget,
-                         prof.natural_sigma_x2, 8000 + M)
+    xs, ds = stack_trials(config, prof, channels, budget,
+                          prof.natural_sigma_x2, 8000 + M)
     mu = 1.5 * lowpower_ms_analysis.bound
     run = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, N=N,
                                             k_tiq=prof.k_tiq), keep_residuals=False)
@@ -217,8 +218,8 @@ def test_mu_zero_flat_residual(lowpower_setup):
     prof, channels, budget = lowpower_setup
     config = ExperimentConfig(experiment="bias", profile=prof, trials=2,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget,
-                         prof.natural_sigma_x2, 5000 + M)
+    xs, ds = stack_trials(config, prof, channels, budget,
+                          prof.natural_sigma_x2, 5000 + M)
     run = run_batch(xs, ds, CancellerConfig(mu=0.0, M=M, k_tiq=prof.k_tiq),
                     keep_residuals=True)
     np.testing.assert_allclose(run.residual_power,
@@ -244,8 +245,8 @@ def test_regressor_matrix_row_indexing():
     assert np.array_equal(batch[0], regs)
 
 
-def _reference_run_batch(xs, ds, config, keep_residuals=True,
-                         track_error_mean=False, track_taps=()):
+def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
+                         whitener=None):
     """run_batch as a per-step numpy loop: the oracle for the C kernel.
 
     Returns the BatchRun fields as a dict (``diverged_at`` excluded).
@@ -253,18 +254,11 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True,
     trials, n = xs.shape
     M, N = config.M, config.N
     dim = 2 * (M + N)
-    start, whitener = M - 1, None
-    if config.whiten:
-        preamble = cancellers.WHITEN_PREAMBLE_PER_TAP * dim
-        whitener = prewhiten_fit(
-            regressor_matrix(xs[0, :M - 1 + preamble], M, N, config.k_tiq))
-        start = M - 1 + preamble
-    n_steps = n - start
+    n_steps = n - M + 1
     window = config.steady_window or default_steady_window(n_steps)
     w = np.zeros((trials, dim), dtype=np.complex128)
     res = np.empty((trials, n_steps)) if keep_residuals else None
-    err_mean = np.empty(n_steps) if track_error_mean else None
-    taps = (np.empty((n_steps, len(track_taps)), dtype=np.complex128)
+    taps = (np.empty((trials, n_steps, len(track_taps)), dtype=np.complex128)
             if track_taps else None)
     tap_idx = list(track_taps)
     w_accum = np.zeros_like(w)
@@ -275,12 +269,12 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True,
     win_start = n_steps - window
     mu = config.mu
     with np.errstate(over="ignore", invalid="ignore"):
-        regs = regressor_matrix(xs[:, start - M + 1:], M, N, config.k_tiq)
+        regs = regressor_matrix(xs, M, N, config.k_tiq)
         if whitener is not None:
             regs = whitener.apply(regs)
         for t in range(n_steps):
             reg = regs[:, t]
-            e = ds[:, start + t] - np.einsum("ij,ij->i", reg, w)
+            e = ds[:, M - 1 + t] - np.einsum("ij,ij->i", reg, w)
             w += mu * e[:, None] * np.conj(reg)
             e2 = np.abs(e) ** 2
             ok = np.isfinite(e2)
@@ -288,10 +282,8 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True,
             np.maximum(peak, np.where(ok, e2, np.inf), out=peak)
             if keep_residuals:
                 res[:, t] = e2
-            if track_error_mean:
-                err_mean[t] = e2.mean()
             if taps is not None:
-                taps[t] = w[:, tap_idx].mean(axis=0)
+                taps[:, t] = w[:, tap_idx]
             if t >= win_start:
                 w_accum += w
                 steady_sum += np.where(ok, e2, 0.0)
@@ -304,20 +296,20 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True,
                               steady_sum / np.maximum(steady_count, 1), np.inf)
     steady_mse = np.where(~finite, np.inf, steady_mse)
     return dict(final_weights=w, mean_weights=mean_w, steady_state_mse=steady_mse,
-                steady_state_window=(win_start, n_steps), start_index=start,
-                peak_residual=peak, diverged=~finite, n_steps=n_steps,
-                residual_power=res, error_power_mean=err_mean, tap_mean=taps)
+                steady_state_window=(win_start, n_steps), peak_residual=peak,
+                diverged=~finite, n_steps=n_steps, residual_power=res, taps=taps)
 
 
-# N, mu as a multiple of the mean-square bound, run_batch options; 2x is
-# where ALMS overflows within the 3000 steps of the batch (1.5x needs ~4500)
+# N, mu as a multiple of the mean-square bound (None: whitened), run_batch
+# options; 2x is where ALMS overflows within the 3000 steps of the batch
+# (1.5x needs ~4500)
 _KERNEL_MODES = {
     "alms_taps": (0, 0.5, dict(keep_residuals=False, track_taps=(0, 1))),
     "anclms_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 1, 5))),
-    "residuals_error_mean": (N, 0.3, dict(track_error_mean=True)),
-    "whitened_anclms": (N, None, dict(track_error_mean=True)),
-    "alms_diverging": (0, 2.0, dict(track_error_mean=True, track_taps=(0,))),
-    "anclms_diverging": (N, 3.0, dict(track_error_mean=True)),
+    "anclms_residuals": (N, 0.3, {}),
+    "whitened_anclms": (N, None, {}),
+    "alms_diverging": (0, 2.0, dict(track_taps=(0,))),
+    "anclms_diverging": (N, 3.0, {}),
 }
 
 
@@ -331,23 +323,41 @@ def kernel_setup(type2):
     budget = compute_noise_budget(prof)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=4,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget, s2, 3000 + M - 1)
+    xs, ds = stack_trials(config, prof, channels, budget, s2, 3000 + M - 1)
     ana = anclms_ms_analysis(s2, prof.k_tiq, M, N)
     return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound}
 
 
 def _kernel_config(kernel_setup, n_imd, scale):
     prof, _, _, bounds = kernel_setup
+    mu = 0.01 if scale is None else scale * bounds[n_imd]
+    return CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
+
+
+def _whitened_inputs(xs, ds, config):
+    """The whitened run of the experiments: Phi fitted on trial 0's preamble,
+    and every trial adapting after its own preamble."""
+    pad = cancellers.WHITEN_PREAMBLE_PER_TAP * 2 * (config.M + config.N)
+    whitener = prewhiten_fit(regressor_matrix(xs[0, :config.M - 1 + pad],
+                                              config.M, config.N, config.k_tiq))
+    return xs[:, pad:], ds[:, pad:], whitener
+
+
+def _kernel_inputs(kernel_setup, mode):
+    """(xs, ds, config, run_batch options) of a mode of _KERNEL_MODES."""
+    _, xs, ds, _ = kernel_setup
+    n_imd, scale, options = _KERNEL_MODES[mode]
+    cfg = _kernel_config(kernel_setup, n_imd, scale)
     if scale is None:
-        return CancellerConfig(mu=0.01, M=M, N=n_imd, k_tiq=prof.k_tiq, whiten=True)
-    return CancellerConfig(mu=scale * bounds[n_imd], M=M, N=n_imd, k_tiq=prof.k_tiq)
+        xs, ds, whitener = _whitened_inputs(xs, ds, cfg)
+        options = {**options, "whitener": whitener}
+    return xs, ds, cfg, options
 
 
 @pytest.mark.parametrize("mode", _KERNEL_MODES)
 def test_kernel_matches_numpy_loop(mode, kernel_setup):
-    _, xs, ds, _ = kernel_setup
-    n_imd, scale, options = _KERNEL_MODES[mode]
-    cfg = _kernel_config(kernel_setup, n_imd, scale)
+    xs, ds, cfg, options = _kernel_inputs(kernel_setup, mode)
+    scale = _KERNEL_MODES[mode][1]
     got = run_batch(xs, ds, cfg, **options)
     want = _reference_run_batch(xs, ds, cfg, **options)
     assert np.array_equal(got.diverged, want["diverged"])
@@ -358,6 +368,25 @@ def test_kernel_matches_numpy_loop(mode, kernel_setup):
             np.testing.assert_array_equal(actual, value, err_msg=name)
         else:
             assert actual == value, name
+
+
+@pytest.mark.parametrize("mode", ["alms_diverging", "anclms_taps", "whitened_anclms"])
+def test_batch_equals_single_trial_runs(mode, kernel_setup):
+    """A 3-trial batch returns exactly the rows of three 1-trial runs."""
+    xs, ds, cfg, options = _kernel_inputs(kernel_setup, mode)
+    xs, ds = xs[:3], ds[:3]
+    batch = run_batch(xs, ds, cfg, **options)
+    singles = [run_batch(x, d, cfg, **options) for x, d in zip(xs, ds)]
+    for field in dataclasses.fields(batch):
+        got = getattr(batch, field.name)
+        each = [getattr(run, field.name) for run in singles]
+        if isinstance(got, np.ndarray):
+            want = np.concatenate(each)
+            if np.iscomplexobj(got):
+                got, want = got.view(np.float64), want.view(np.float64)
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
+        else:
+            assert all(value == got for value in each), field.name
 
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
@@ -375,11 +404,15 @@ def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
 @pytest.mark.parametrize("whiten", [False, True])
 def test_diverging_run_emits_no_warnings(whiten, kernel_setup):
     prof, xs, ds, _ = kernel_setup
-    cfg = (CancellerConfig(mu=3.0, M=M, N=N, k_tiq=prof.k_tiq, whiten=True) if whiten
-           else _kernel_config(kernel_setup, N, 3.0))
+    options = {}
+    if whiten:
+        cfg = CancellerConfig(mu=3.0, M=M, N=N, k_tiq=prof.k_tiq)
+        xs, ds, options["whitener"] = _whitened_inputs(xs, ds, cfg)
+    else:
+        cfg = _kernel_config(kernel_setup, N, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = run_batch(xs, ds, cfg, track_error_mean=True)
+        run = run_batch(xs, ds, cfg, **options)
     assert run.diverged.all()
     assert np.all(np.isinf(run.steady_state_mse))
 

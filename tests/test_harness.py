@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,11 +19,11 @@ from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
 from fdsic.harness import (MAX_SWEEP_ITERATIONS, ExperimentConfig, _mu_frac,
                            _sweep_iterations, resolve_profile, run_experiment,
-                           trial_batch, write_csv)
+                           write_csv)
 from fdsic.theory import TheoryInputs, alms_ms_bound
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 
-from conftest import M, N, SEED
+from conftest import M, N, SEED, stack_trials
 
 
 def test_parse_tx_grid():
@@ -93,8 +94,8 @@ def test_trial_independence(lowpower_setup):
     cfg = CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=20,
                               seed=SEED)
-    xs, ds = trial_batch(config, prof, channels, budget,
-                         prof.natural_sigma_x2, 12_000 + M)
+    xs, ds = stack_trials(config, prof, channels, budget,
+                          prof.natural_sigma_x2, 12_000 + M)
     run = run_batch(xs, ds, cfg, keep_residuals=False)
     mse = run.steady_state_mse
     half, full = mse[:10].mean(), mse.mean()
@@ -179,6 +180,8 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["sinr-sweep", "--tx-grid", "nan"],
     ["sinr-sweep", "--mu", "0"],
     ["bias", "--mu-frac", "0"],
+    ["sinr-sweep", "--iterations", "2"],  # at or below the 2000-step steady window
+    ["bias", "--iterations", "2000"],
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
@@ -272,6 +275,45 @@ def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
     report = run_experiment(cfg)
     assert report.meta["anclms_iterations"] == "-5:3000"
     assert len(rendered) == 2
+
+
+@pytest.mark.parametrize("experiment, trial_steps", [
+    ("bias", 2 * 4 * 3001),        # 2 trials x 4 jobs x 3001 steps
+    ("sinr-sweep", 2 * 2 * 3001),  # 2 trials x 2 cancellers at -5 dBm
+])
+def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
+    """meta.txt times the generate, render and LMS phases of the trial loop
+    and counts the LMS trial-steps."""
+    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
+                           iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    for key in ("phase.generate_s", "phase.render_s", "phase.lms_s",
+                "ns_per_trial_step"):
+        assert float(meta[key]) > 0, key
+    assert int(meta["trial_steps"]) == trial_steps
+
+
+def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
+    """The sweep holds one trial's samples at a time: its traced peak at 8
+    trials stays within 1.25x of its peak at 2 trials (a first, untraced run
+    takes the one-time allocations of the process)."""
+    peaks = {}
+    for trials in (1, 2, 8):
+        cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2,
+                               trials=trials, iterations=20_000,
+                               tx_grid_dbm=(-5.0,), seed=SEED,
+                               output_dir=tmp_path / str(trials))
+        if trials == 1:
+            run_experiment(cfg)
+            continue
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.25 * peaks[2], peaks
 
 
 def test_resolve_profile_default():

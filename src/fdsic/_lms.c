@@ -1,11 +1,13 @@
-/* The native kernels of fdsic: the one-pass render of an observation and
- * the LMS steps of a run, for every trial of a batch.
+/* The native kernels of fdsic: the standard normal draws of a trial, the
+ * one-pass render of an observation and the LMS steps of a run, for every
+ * trial of a batch.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
  * transceiver.py): the dot product reg^T w accumulates in order without FMA,
  * as einsum does, complex products use numpy's FMA form, |e| is numpy's
  * scaled hypot, and the FIR sums as np.convolve does through BLAS zdotu.
+ * The normals are those of numpy's Generator.standard_normal on PCG64.
  * Build with -ffp-contract=off and without auto-vectorization so that the
  * compiler keeps exactly these operations. Complex arrays are interleaved
  * (re, im) doubles; trials are independent, so each runs to its end before
@@ -13,6 +15,117 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+#include "_ziggurat.h"
+
+/* numpy's PCG64 (O'Neill, HMC-CS-2014-0905): the 128-bit LCG steps, then
+ * the XSL-RR output of the new state */
+struct pcg64 {
+    unsigned __int128 state, inc;
+};
+
+static inline uint64_t pcg64_next(struct pcg64 *g)
+{
+    const unsigned __int128 mult =
+        (unsigned __int128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
+    g->state = g->state * mult + g->inc;
+    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return v >> rot | v << (-rot & 63);
+}
+
+/* numpy's next_double: 53 random bits in [0, 1) */
+static inline double pcg64_double(struct pcg64 *g)
+{
+    return (double)(pcg64_next(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The rare exits of normal() below for the draw (rabs, idx, x): the wedge
+ * test of layers idx > 0 and the tail beyond r of layer 0. Returns 1 with
+ * the normal in *z, or 0 to draw again. Kept out of line so that the fast
+ * path keeps the generator in registers. */
+static __attribute__((noinline)) int normal_rare(struct pcg64 *g,
+                                                 uint64_t rabs, int idx,
+                                                 double x, double *z)
+{
+    /* numpy's ziggurat_nor_r and ziggurat_nor_inv_r */
+    const double r = 0x1.d3bb48209ad33p+1, inv_r = 0x1.183aa6c20e8c1p-2;
+    if (idx == 0) {
+        for (;;) {
+            double xx = -inv_r * log1p(-pcg64_double(g));
+            double yy = -log1p(-pcg64_double(g));
+            if (yy + yy > xx * xx) {
+                *z = rabs >> 8 & 1 ? -(r + xx) : r + xx;
+                return 1;
+            }
+        }
+    }
+    *z = x;
+    return (fi_double[idx - 1] - fi_double[idx]) * pcg64_double(g)
+           + fi_double[idx] < exp(-0.5 * x * x);
+}
+
+/* One standard normal by numpy's random_standard_normal: the 256-layer
+ * ziggurat of Marsaglia & Tsang (J. Stat. Softw. 5(8), 2000) with the same
+ * wedge and tail tests. Only the sign differs in form: it is applied by
+ * flipping the sign bit, which negates exactly, in place of a branch. */
+static inline __attribute__((always_inline)) double normal(struct pcg64 *g)
+{
+    for (;;) {
+        uint64_t u = pcg64_next(g), rabs = u >> 9 & 0x000fffffffffffffULL;
+        int idx = u & 0xff;
+        double x = (double)(int64_t)rabs * wi_double[idx], z;
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (u & 0x100) << 55;  /* bit 8 of u is the sign */
+        memcpy(&x, &bits, sizeof x);
+        if (rabs < ki_double[idx])
+            return x;
+        struct pcg64 rare = *g;  /* g itself never escapes */
+        int done = normal_rare(&rare, rabs, idx, x, &z);
+        *g = rare;
+        if (done)
+            return z;
+    }
+}
+
+/* The PCG64 state and increment as four words, least significant first */
+static struct pcg64 pcg64_load(const uint64_t *s)
+{
+    struct pcg64 g = {(unsigned __int128)s[1] << 64 | s[0],
+                      (unsigned __int128)s[3] << 64 | s[2]};
+    return g;
+}
+
+static void pcg64_store(const struct pcg64 *g, uint64_t *s)
+{
+    s[0] = (uint64_t)g->state;
+    s[1] = (uint64_t)(g->state >> 64);
+    s[2] = (uint64_t)g->inc;
+    s[3] = (uint64_t)(g->inc >> 64);
+}
+
+/* The next count standard normals of the generator whose state s holds
+ * (advanced past them) */
+void normals(uint64_t *s, int64_t count, double *out)
+{
+    struct pcg64 g = pcg64_load(s);
+    for (int64_t i = 0; i < count; i++)
+        out[i] = normal(&g);
+    pcg64_store(&g, s);
+}
+
+/* scale times the next 2n standard normals into the complex row y: the
+ * first n go to the real parts, the next n to the imaginary parts */
+void normals_complex(uint64_t *s, int64_t n, double scale, double *y)
+{
+    struct pcg64 g = pcg64_load(s);
+    for (int64_t k = 0; k < 2; k++)
+        for (int64_t i = 0; i < n; i++)
+            y[2 * i + k] = scale * normal(&g);
+    pcg64_store(&g, s);
+}
 
 /* numpy's complex absolute value: max * sqrt(1 + (min/max)^2) */
 static double np_cabs(double re, double im)

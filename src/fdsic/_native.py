@@ -1,14 +1,18 @@
-"""The compiled kernels of ``_lms.c``: the one-pass render and the LMS steps.
+"""The compiled kernels of ``_lms.c``: the normal draws, the one-pass render
+and the LMS steps.
 
-``render`` forms one trial's observation (IMD product, four FIR branches,
-scaled noise and their sum) sample by sample; ``lms_raw`` runs the LMS
-steps of a whole run and ``lms_whitened`` those of a span of steps, one
-trial after another.
+``NormalStream`` draws the standard normals of
+``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
+ziggurat written out in C; ``render`` forms one trial's observation (IMD
+product, four FIR branches, scaled noise and their sum) sample by sample;
+``lms_raw`` runs the LMS steps of a whole run and ``lms_whitened`` those of
+a span of steps, one trial after another.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
-``_lms-<hash>.so``, keyed by the source, the compiler command and the
-machine type. Importing this module compiles and loads nothing.
+``_lms-<hash>.so``, keyed by the source and its headers, the compiler
+command and the machine type. Importing this module compiles and loads
+nothing.
 """
 
 from __future__ import annotations
@@ -32,12 +36,21 @@ _CFLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-tree-vectorize",
            "-fno-tree-slp-vectorize", "-fPIC", "-shared")
 
 
+def _kernel_tag(source: Path) -> str:
+    """Hash of what the compile of ``source`` reads and runs: the source, the
+    headers beside it, the compiler command and the machine type."""
+    digest = hashlib.sha256()
+    for path in (source, *sorted(source.parent.glob("*.h"))):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    digest.update(" ".join([_COMPILER, *_CFLAGS]).encode()
+                  + platform.machine().encode())
+    return digest.hexdigest()[:16]
+
+
 def _build_kernel() -> Path:
-    """Compile ``_lms.c`` unless a library for this source and command exists."""
+    """Compile ``_lms.c`` unless a library for these sources and command exists."""
     command = [_COMPILER, *_CFLAGS]
-    source = _KERNEL_SOURCE.read_bytes()
-    tag = hashlib.sha256(source + " ".join(command).encode()
-                         + platform.machine().encode()).hexdigest()[:16]
+    tag = _kernel_tag(_KERNEL_SOURCE)
     lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_lms-{tag}.so"
     if lib.exists():
         return lib
@@ -61,7 +74,8 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``render``, ``lms_raw`` and ``lms_whitened``.
+    """The compiled library, with ``normals``, ``normals_complex``, ``render``,
+    ``lms_raw`` and ``lms_whitened``.
 
     The per-step outputs of the LMS entry points (residual powers and tracked
     taps) are optional: they take an address or ``None``.
@@ -70,6 +84,9 @@ def library() -> ctypes.CDLL:
                          for dtype in (np.complex128, np.float64, np.int64))
     i64 = ctypes.c_int64
     lib = ctypes.CDLL(str(_build_kernel()))
+    pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
+    lib.normals.argtypes = [pcg, i64, real]
+    lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, cplx]
     # the outputs shared by both LMS entry points, after d
     state = [cplx, cplx, ctypes.c_void_p, *[real] * 3, index, i64, index,
              ctypes.c_void_p]
@@ -78,9 +95,45 @@ def library() -> ctypes.CDLL:
     lib.lms_whitened.argtypes = [*[i64] * 7, ctypes.c_double, cplx, cplx, *state]
     lib.lms_raw.argtypes = [*[i64] * 5, *[ctypes.c_double] * 2, cplx, cplx,
                             *state]
-    for fn in (lib.render, lib.lms_whitened, lib.lms_raw):
+    for fn in (lib.normals, lib.normals_complex, lib.render, lib.lms_whitened,
+               lib.lms_raw):
         fn.restype = None
     return lib
+
+
+class NormalStream:
+    """The standard normals of ``np.random.default_rng(seed)``, drawn in C.
+
+    Successive calls continue one stream, so the draws equal those of
+    ``default_rng(seed).standard_normal`` bit for bit however they are split.
+    The start state is numpy's own (``SeedSequence`` seeding of PCG64); the
+    generator must be PCG64, whose steps the C code repeats.
+    """
+
+    def __init__(self, seed: int):
+        state = np.random.default_rng(seed).bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise RuntimeError("NormalStream repeats numpy's PCG64, but "
+                               f"default_rng gives {state['bit_generator']}")
+        words = []
+        for value in (state["state"]["state"], state["state"]["inc"]):
+            words += [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
+        self._state = np.array(words, dtype=np.uint64)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous float64 array ``out`` with the next
+        ``out.size`` normals and return it."""
+        library().normals(self._state, out.size, out)
+        return out
+
+    def fill_complex(self, scale: float, out: np.ndarray) -> np.ndarray:
+        """Fill the complex128 row ``out`` (n samples) with ``scale`` times
+        the next 2n normals, the first n as real parts and the next n as
+        imaginary parts, and return it."""
+        if out.ndim != 1:
+            raise ValueError("fill_complex: out must be a 1-D row")
+        library().normals_complex(self._state, len(out), scale, out)
+        return out
 
 
 def render(x: np.ndarray, taps: tuple[np.ndarray, ...], k15: float,

@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            # numpy's SeedSequence seeds every trial and takes no negative seed
+            raise ValueError("seed must be a non-negative integer")
         if len(self.tx_grid_dbm) == 0:
             raise ValueError("empty transmit-power grid")
         for tx in self.tx_grid_dbm:
@@ -116,11 +119,12 @@ class CheckResult:
 
 
 class PhaseClock:
-    """Wall seconds of a run's generate, render and LMS phases, and the
-    trial-steps its LMS runs took."""
+    """Wall seconds of a run's generate, render and LMS phases, the samples
+    it generated and rendered, and the trial-steps its LMS runs took."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(("generate", "render", "lms"), 0.0)
+        self.samples = 0
         self.trial_steps = 0
 
     @contextmanager
@@ -133,6 +137,11 @@ class PhaseClock:
 
     def meta_lines(self) -> list[str]:
         lines = [f"phase.{name}_s = {s:.4g}" for name, s in self.seconds.items()]
+        if self.samples:
+            lines.append(f"samples = {self.samples}")
+            lines += [f"ns_per_sample.{name} = "
+                      f"{1e9 * self.seconds[name] / self.samples:.4g}"
+                      for name in ("generate", "render")]
         if self.trial_steps:
             ns = 1e9 * self.seconds["lms"] / self.trial_steps
             lines += [f"trial_steps = {self.trial_steps}",
@@ -226,7 +235,8 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
     its observation ``obs`` (``obs.d.samples``) is rendered from it with
     noise seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
     ``render_options``. The two rows are overwritten by the next trial: a
-    consumer copies whatever it keeps. ``clock`` times both phases.
+    consumer copies whatever it keeps. ``clock`` times both phases and
+    counts the samples.
     """
     x = np.empty(n, dtype=np.complex128)
     d = np.empty_like(x)
@@ -244,6 +254,7 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
             obs = render_observation(x, channels, budget, profile,
                                      seed=seed + _NOISE_SEED_OFFSET, out=d,
                                      **render_options)
+        clock.samples += n
         yield x, obs
 
 

@@ -3,7 +3,9 @@
 Two sources are provided: a proper (second-order circular) white complex
 Gaussian generator, which matches the critically-sampled input assumed by the
 closed-form analysis, and an oversampled WLAN-style OFDM generator used for
-waveform-level runs. Both are deterministic for a fixed seed.
+waveform-level runs. Both are deterministic for a fixed seed. The Gaussian
+source draws its normals in C (``_native.NormalStream``), bit for bit those
+of ``np.random.default_rng(seed).standard_normal``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .units import dbm_to_mw
 
 _CONSTELLATIONS = {
@@ -83,19 +86,20 @@ def gen_proper_gaussian(n: int, sigma_x2: float, seed: int,
 
     Real and imaginary parts are independent with variance ``sigma_x2 / 2``
     each, so the total power is ``sigma_x2`` and the pseudo-variance is zero.
-    The n real parts are the first n of 2n standard normals drawn with
-    ``seed``, the imaginary parts the last n. ``out``, a complex128 array of
-    ``n`` samples, receives them.
+    The n real parts are the first n of the 2n standard normals of
+    ``np.random.default_rng(seed)``, the imaginary parts the last n, each
+    times ``sqrt(sigma_x2 / 2)``; they are drawn in C straight into the
+    samples. ``out``, a C-contiguous complex128 array of ``n`` samples,
+    receives them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma_x2 <= 0:
         raise ValueError("sigma_x2 must be positive")
-    normals = np.random.default_rng(seed).standard_normal(2 * n)
+    if out is not None and out.shape != (n,):
+        raise ValueError("out must hold n samples")
     samples = np.empty(n, dtype=np.complex128) if out is None else out
-    scale = np.sqrt(sigma_x2 / 2.0)
-    np.multiply(scale, normals[:n], out=samples.real)
-    np.multiply(scale, normals[n:], out=samples.imag)
+    _native.NormalStream(seed).fill_complex(np.sqrt(sigma_x2 / 2.0), samples)
     return ComplexSequence(samples)
 
 

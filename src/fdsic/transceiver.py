@@ -18,14 +18,16 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
-``render_observation`` draws each trial's noise in one call and forms
-x_imd, the four FIR branches, the scaled noise and d(n) in one pass of the
-compiled ``render`` of ``_native`` (the C library that also runs the LMS
-steps), writing d(n) into the caller's row and the components only on
-request. Its roundings equal those of the numpy expressions
-``k^{3/2} |x|^2 x``, ``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)``
-and the ordered sum of the components, so a rendered observation is
-bit-identical to the numpy one.
+``render_observation`` draws each trial's noise normals in one call of
+``_native.NormalStream`` (in C, bit for bit the stream of
+``np.random.default_rng(seed).standard_normal``) and forms x_imd, the four
+FIR branches, the scaled noise and d(n) in one pass of the compiled
+``render`` of ``_native`` (the C library that also runs the LMS steps),
+writing d(n) into the caller's row and the components only on request. Its
+roundings equal those of the numpy expressions ``k^{3/2} |x|^2 x``,
+``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)`` and the ordered sum
+of the components, so a rendered observation is bit-identical to the numpy
+one.
 """
 
 from __future__ import annotations
@@ -402,9 +404,10 @@ def render_observation(xs: np.ndarray, channels: ChannelSet,
     Each branch is the channel's FIR response to its input, truncated to
     ``len(xs)`` samples (zero initial state); each noise is
     ``sqrt(power / 2) * (re + 1j * im)`` with its real then imaginary
-    standard normals drawn in the order thermal, quantization, SOI from one
-    generator seeded with ``seed``. ``d`` is the sum of the components in
-    ``COMPONENTS`` order (the SOI is zero unless ``include_soi``).
+    standard normals drawn in the order thermal, quantization, SOI from the
+    stream of ``np.random.default_rng(seed)`` (by ``_native.NormalStream``).
+    ``d`` is the sum of the components in ``COMPONENTS`` order (the SOI is
+    zero unless ``include_soi``).
     ``components=True`` also stores each component; ``out``, a complex128
     row of ``len(xs)`` samples, receives ``d``.
     """
@@ -414,8 +417,8 @@ def render_observation(xs: np.ndarray, channels: ChannelSet,
         raise ValueError("sequence must be longer than the channel length M")
     powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
     scales = np.array([np.sqrt(p / 2.0) for p in powers])
-    normals = np.random.default_rng(seed).standard_normal(
-        (6 if include_soi else 4) * n).reshape(-1, n)
+    normals = _native.NormalStream(seed).fill(
+        np.empty((6 if include_soi else 4, n)))
     d = np.empty(n, dtype=np.complex128) if out is None else out
     parts = np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None
     taps = (channels.h, channels.g, channels.h_imd, channels.g_imd)

@@ -435,3 +435,21 @@ def test_kernel_build_failure_shows_compiler_stderr(monkeypatch):
     with pytest.raises(RuntimeError, match="(?s)exited with.*no-such-flag-fdsic"):
         _native._build_kernel()
     assert not list(_native._KERNEL_SOURCE.parent.glob("__pycache__/*.tmp"))
+
+
+def test_kernel_tag_covers_the_headers(tmp_path):
+    """An edited header beside the kernel source changes the library's tag,
+    so a stale library is never reused."""
+    sources = [_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")]
+    assert len(sources) > 1
+    for path in sources:
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    source = tmp_path / _native._KERNEL_SOURCE.name
+    tag = _native._kernel_tag(source)
+    assert tag == _native._kernel_tag(_native._KERNEL_SOURCE)
+    for path in sources[1:]:
+        header = tmp_path / path.name
+        original = header.read_bytes()
+        header.write_bytes(original.replace(b"0x", b"0X", 1))
+        assert _native._kernel_tag(source) != tag, path.name
+        header.write_bytes(original)

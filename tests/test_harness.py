@@ -182,6 +182,7 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["bias", "--mu-frac", "0"],
     ["sinr-sweep", "--iterations", "2"],  # at or below the 2000-step steady window
     ["bias", "--iterations", "2000"],
+    ["bias", "--seed", "-1"],
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
@@ -282,15 +283,19 @@ def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
     ("sinr-sweep", 2 * 2 * 3001),  # 2 trials x 2 cancellers at -5 dBm
 ])
 def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
-    """meta.txt times the generate, render and LMS phases of the trial loop
-    and counts the LMS trial-steps."""
+    """meta.txt times the generate, render and LMS phases of the trial loop,
+    and counts the samples generated and rendered and the LMS trial-steps."""
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
     for key in ("phase.generate_s", "phase.render_s", "phase.lms_s",
+                "ns_per_sample.generate", "ns_per_sample.render",
                 "ns_per_trial_step"):
         assert float(meta[key]) > 0, key
+    # 2 trials of 3000 + M samples: bias's 4 jobs share each trial, and so
+    # do the sweep's 2 cancellers, which run the same length at -5 dBm
+    assert int(meta["samples"]) == 2 * (3000 + cfg.M)
     assert int(meta["trial_steps"]) == trial_steps
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsic._native import NormalStream
 from fdsic.signals import (ComplexSequence, WaveformSpec, active_subcarrier_bins,
                            gen_ofdm_waveform, gen_proper_gaussian)
 
@@ -57,9 +58,54 @@ def test_proper_gaussian_args_and_determinism():
         gen_proper_gaussian(0, 1.0, seed=1)
     with pytest.raises(ValueError):
         gen_proper_gaussian(10, 0.0, seed=1)
+    with pytest.raises(ValueError):
+        gen_proper_gaussian(10, 1.0, seed=1, out=np.empty(11, dtype=complex))
     a = gen_proper_gaussian(1000, 0.5, seed=9).samples
     b = gen_proper_gaussian(1000, 0.5, seed=9).samples
     assert np.array_equal(a, b)
+
+
+# the trial seeds of seed 17 (waveform and noise), the ends of the 32-bit
+# range, one seed past 64 bits and 36 more
+STREAM_SEEDS = (0, 17, 17 + 10_000_019, 2 ** 32 - 1, 2 ** 64 + 12_345,
+                *range(1000, 1036))
+ZIGGURAT_R = 3.6541528853610088  # numpy's ziggurat samples its tail past r
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_normal_stream_matches_numpy():
+    """The C stream is numpy's ``default_rng(seed).standard_normal`` bit for
+    bit, 10^6 draws for each of 41 seeds, tail draws included."""
+    out = np.empty(10 ** 6)
+    tail = 0
+    for seed in STREAM_SEEDS:
+        want = np.random.default_rng(seed).standard_normal(out.size)
+        np.testing.assert_array_equal(_bits(NormalStream(seed).fill(out)),
+                                      _bits(want), err_msg=f"seed {seed}")
+        tail += np.count_nonzero(np.abs(out) > ZIGGURAT_R)
+    assert tail > 0
+
+
+def test_normal_stream_continues_across_calls():
+    """Counts 0 and 1 work, and a stream drawn in several calls, into flat
+    and 2-D arrays, equals one draw."""
+    stream = NormalStream(5)
+    parts = [stream.fill(np.empty(k)) for k in (0, 1, 0, 999)]
+    parts.append(stream.fill(np.empty((4, 1000))).ravel())
+    want = np.random.default_rng(5).standard_normal(5000)
+    np.testing.assert_array_equal(_bits(np.concatenate(parts)), _bits(want))
+    assert NormalStream(5).fill(np.empty(1))[0] == want[0]
+
+
+def test_normal_stream_requires_pcg64(monkeypatch):
+    """The C code repeats PCG64's steps, so another generator is refused."""
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: np.random.Generator(np.random.Philox(seed)))
+    with pytest.raises(RuntimeError, match="PCG64.*Philox"):
+        NormalStream(1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10_000])

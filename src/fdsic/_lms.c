@@ -106,16 +106,6 @@ static void pcg64_store(const struct pcg64 *g, uint64_t *s)
     s[3] = (uint64_t)(g->inc >> 64);
 }
 
-/* The next count standard normals of the generator whose state s holds
- * (advanced past them) */
-void normals(uint64_t *s, int64_t count, double *out)
-{
-    struct pcg64 g = pcg64_load(s);
-    for (int64_t i = 0; i < count; i++)
-        out[i] = normal(&g);
-    pcg64_store(&g, s);
-}
-
 /* scale times the next 2n standard normals into the complex row y: the
  * first n go to the real parts, the next n to the imaginary parts */
 void normals_complex(uint64_t *s, int64_t n, double scale, double *y)
@@ -185,19 +175,44 @@ static inline void shift_out(double *q, int64_t count)
     }
 }
 
-/* Render the observation of reference x (n samples) in one pass, as
- * transceiver.render_observation defines it. h and g have m taps, h_imd and
- * g_imd nimd < m; k15 is k_tiq^{3/2}. normals holds (4 or 6, n) standard
- * normal draws, the real then the imaginary parts of the thermal, the
- * quantization and (if soi) the SOI noise, which scale[0..2] scale. d
- * receives the sum of the seven components in the order
- * 0 + linear + image + imd + image_imd + thermal + quantization + soi;
- * comp, if not NULL, receives the components as (7, n). Only the nimd newest
- * IMD samples are kept. */
+/* Add scale times the next n standard normals of g to every second double
+ * of y, from y[0] (the real parts of a complex row) or y[1] (the imaginary
+ * parts), and store the normals likewise in z if it is not NULL. The render
+ * adds a noise part this way in place of numpy's y + fma(scale, z, +-0),
+ * the real-by-complex product written out by scale_cplx: a running sum that
+ * starts at 0.0 is never -0 (x + y is -0 in round-to-nearest only if x and
+ * y both are), and for such a y, y + fma(scale, z, +-0) equals
+ * y + scale * z whatever the sign of that zero: the two products round
+ * alike unless the exact product is zero, and then y + 0 and y + -0 are
+ * both y. */
+static void add_normals(struct pcg64 *g, int64_t n, double scale, double *y,
+                        double *z)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double v = normal(g);
+        y[2 * i] += scale * v;
+        if (z)
+            z[2 * i] = v;
+    }
+}
+
+/* Render the observation of reference x (n samples) in one pass over x and
+ * one pass of draws per noise part, as transceiver.render_observation
+ * defines it. h and g have m taps, h_imd and g_imd nimd < m; k15 is
+ * k_tiq^{3/2}. The noise is drawn from the generator whose state s holds
+ * (advanced past the draws): n standard normals for each of the real then
+ * the imaginary parts of the thermal, the quantization and (if soi) the SOI
+ * noise, which scale[0..2] scale. d receives the sum of the seven
+ * components in the order
+ * 0 + linear + image + imd + image_imd + thermal + quantization + soi,
+ * the noise parts added as they are drawn (see add_normals; adding the
+ * absent SOI, 0.0, leaves the sum as it is). comp, if not NULL, receives the
+ * components as (7, n), each noise component scaled from its stored draws
+ * by numpy's product. Only the nimd newest IMD samples are kept. */
 void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
             const double *g, const double *h_imd, const double *g_imd,
-            const double *x, const double *normals, int64_t soi,
-            const double *scale, double *d, double *comp)
+            const double *x, uint64_t *s, int64_t soi, const double *scale,
+            double *d, double *comp)
 {
     double q[2 * nimd + 2];  /* the IMD window, oldest first */
     for (int64_t i = 0; i < n; i++) {
@@ -206,28 +221,36 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
         shift_out(q, nimd);
         imd_at(k15, xn, qn);
         int64_t cx = i < m ? i + 1 : m, cq = i < nimd ? i + 1 : nimd;
-        double c[14];
+        double c[8];
         fir_at(cx, h, xn, 1.0, c);
         fir_at(cx, g, xn, -1.0, c + 2);
         fir_at(cq, h_imd, qn, 1.0, c + 4);
         fir_at(cq, g_imd, qn, -1.0, c + 6);
-        c[12] = c[13] = 0.0;
-        for (int64_t k = 0; k < (soi ? 3 : 2); k++)
-            scale_cplx(scale[k], normals[2 * k * n + i],
-                       normals[(2 * k + 1) * n + i], c + 8 + 2 * k);
         double dr = 0.0, di = 0.0;
-        for (int64_t k = 0; k < 7; k++) {
+        for (int64_t k = 0; k < 4; k++) {
             dr = dr + c[2 * k];
             di = di + c[2 * k + 1];
         }
         d[2 * i] = dr;
         d[2 * i + 1] = di;
         if (comp)
-            for (int64_t k = 0; k < 7; k++) {
+            for (int64_t k = 0; k < 4; k++) {
                 comp[2 * (k * n + i)] = c[2 * k];
                 comp[2 * (k * n + i) + 1] = c[2 * k + 1];
             }
     }
+    struct pcg64 gen = pcg64_load(s);
+    for (int64_t k = 0; k < (soi ? 3 : 2); k++) {
+        double *z = comp ? comp + 2 * (4 + k) * n : NULL;
+        add_normals(&gen, n, scale[k], d, z);
+        add_normals(&gen, n, scale[k], d + 1, z ? z + 1 : NULL);
+        if (z)
+            for (int64_t i = 0; i < n; i++)
+                scale_cplx(scale[k], z[2 * i], z[2 * i + 1], z + 2 * i);
+    }
+    pcg64_store(&gen, s);
+    if (comp && !soi)
+        memset(comp + 2 * 6 * n, 0, 2 * n * sizeof(double));
 }
 
 /* What the steps of one run share: w and w_accum are (trials, dim); e2, if

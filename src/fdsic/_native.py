@@ -4,15 +4,16 @@ and the LMS steps.
 ``NormalStream`` draws the standard normals of
 ``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
 ziggurat written out in C; ``render`` forms one trial's observation (IMD
-product, four FIR branches, scaled noise and their sum) sample by sample;
+product, four FIR branches and their sum) sample by sample, then adds the
+noise as a ``NormalStream`` draws it;
 ``lms_raw`` runs the LMS steps of a whole run and ``lms_whitened`` those of
 a span of steps, one trial after another.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
 ``_lms-<hash>.so``, keyed by the source and its headers, the compiler
-command and the machine type. Importing this module compiles and loads
-nothing.
+command and the machine type; a build deletes the libraries of other keys.
+Importing this module compiles and loads nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _kernel_tag(source: Path) -> str:
 
 
 def _build_kernel() -> Path:
-    """Compile ``_lms.c`` unless a library for these sources and command exists."""
+    """Compile ``_lms.c`` unless a library for these sources and command
+    exists, and delete the superseded ``_lms-*.so`` beside it."""
     command = [_COMPILER, *_CFLAGS]
     tag = _kernel_tag(_KERNEL_SOURCE)
     lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_lms-{tag}.so"
@@ -69,13 +71,16 @@ def _build_kernel() -> Path:
         raise RuntimeError(f"cannot build the LMS kernel: `{' '.join(command)}` "
                            f"exited with {proc.returncode}:\n{proc.stderr}")
     os.replace(tmp, lib)  # atomic: other processes never load a partial file
+    for old in lib.parent.glob("_lms-*.so"):
+        if old != lib:
+            old.unlink(missing_ok=True)
     return lib
 
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``normals``, ``normals_complex``, ``render``,
-    ``lms_raw`` and ``lms_whitened``.
+    """The compiled library, with ``normals_complex``, ``render``, ``lms_raw``
+    and ``lms_whitened``.
 
     The per-step outputs of the LMS entry points (residual powers and tracked
     taps) are optional: they take an address or ``None``.
@@ -85,18 +90,16 @@ def library() -> ctypes.CDLL:
     i64 = ctypes.c_int64
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
-    lib.normals.argtypes = [pcg, i64, real]
     lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, cplx]
     # the outputs shared by both LMS entry points, after d
     state = [cplx, cplx, ctypes.c_void_p, *[real] * 3, index, i64, index,
              ctypes.c_void_p]
-    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, real, i64,
+    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, pcg, i64,
                            real, cplx, ctypes.c_void_p]
     lib.lms_whitened.argtypes = [*[i64] * 7, ctypes.c_double, cplx, cplx, *state]
     lib.lms_raw.argtypes = [*[i64] * 5, *[ctypes.c_double] * 2, cplx, cplx,
                             *state]
-    for fn in (lib.normals, lib.normals_complex, lib.render, lib.lms_whitened,
-               lib.lms_raw):
+    for fn in (lib.normals_complex, lib.render, lib.lms_whitened, lib.lms_raw):
         fn.restype = None
     return lib
 
@@ -120,12 +123,6 @@ class NormalStream:
             words += [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
         self._state = np.array(words, dtype=np.uint64)
 
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """Fill the C-contiguous float64 array ``out`` with the next
-        ``out.size`` normals and return it."""
-        library().normals(self._state, out.size, out)
-        return out
-
     def fill_complex(self, scale: float, out: np.ndarray) -> np.ndarray:
         """Fill the complex128 row ``out`` (n samples) with ``scale`` times
         the next 2n normals, the first n as real parts and the next n as
@@ -137,25 +134,24 @@ class NormalStream:
 
 
 def render(x: np.ndarray, taps: tuple[np.ndarray, ...], k15: float,
-           normals: np.ndarray, scales: np.ndarray, d: np.ndarray,
+           noise: NormalStream, scales: np.ndarray, soi: bool, d: np.ndarray,
            components: np.ndarray | None = None):
     """Fill ``d`` (and ``components``, ``(7, n)``) with the observation of ``x``.
 
-    ``taps`` is ``(h, g, h_imd, g_imd)``; ``normals`` is ``(4, n)``, or
-    ``(6, n)`` with the SOI, and ``scales`` holds the three noise scales.
-    Every array is C-contiguous; ``render`` in ``_lms.c`` gives the
-    arithmetic.
+    ``taps`` is ``(h, g, h_imd, g_imd)``; ``noise`` draws the real then the
+    imaginary parts of the thermal, the quantization and, if ``soi``, the
+    SOI noise, n normals each, which ``scales`` (three) scale. Every array
+    is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic.
     """
     n = len(x)
     h, g, h_imd, g_imd = taps
-    if (d.shape != (n,) or normals.shape not in ((4, n), (6, n))
-            or scales.shape != (3,) or len(g) != len(h) or len(g_imd) != len(h_imd)
-            or not len(h_imd) < len(h) < n):
+    if (d.shape != (n,) or scales.shape != (3,) or len(g) != len(h)
+            or len(g_imd) != len(h_imd) or not len(h_imd) < len(h) < n):
         raise ValueError("render: mismatched array sizes")
     if components is not None and not (
             components.shape == (7, n) and components.dtype == np.complex128
             and components.flags.c_contiguous):
         raise ValueError("render: components must be a C-contiguous complex (7, n) array")
     library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, x,
-                     normals, int(len(normals) == 6), scales, d,
+                     noise._state, int(soi), scales, d,
                      None if components is None else components.ctypes.data)

@@ -3,14 +3,16 @@
 Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
 with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``iter_trials`` is the one
-function that applies this rule. It generates and renders one trial at a
-time into two reused rows, and every canceller job of the same run length
-runs on that trial before the next one is drawn, so a run holds one trial's
-samples at a time whatever the number of trials. The per-trial results are
-then reduced across trials in trial order, and the averages that reach a
-CSV are taken over arrays laid out as the old whole-batch arrays were, so
-they round as they did. Each plotted curve is backed by a CSV column, and
-``meta.txt`` records the wall time of the generate, render and LMS phases.
+function that applies this rule. It hands over one trial at a time in
+reused rows, and every canceller job of the same run length runs on that
+trial while one producer thread generates and renders the next one into a
+second pair of rows, so a run holds two trials' samples at a time whatever
+the number of trials. The per-trial results are then reduced across trials
+in trial order, and the averages that reach a CSV are taken over arrays
+laid out as the old whole-batch arrays were, so they round as they did.
+Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
+busy time of the generate, render and LMS phases and the time the LMS loop
+waited for its next trial.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,11 +121,17 @@ class CheckResult:
 
 
 class PhaseClock:
-    """Wall seconds of a run's generate, render and LMS phases, the samples
-    it generated and rendered, and the trial-steps its LMS runs took."""
+    """Wall seconds of a run's generate, render and LMS phases, of the LMS
+    loop's waits for its next trial, the samples generated and rendered, and
+    the trial-steps the LMS runs took.
+
+    The producer thread of ``iter_trials`` updates only the generate and
+    render times and the samples, the caller's thread only the rest, so no
+    key has two writers.
+    """
 
     def __init__(self):
-        self.seconds = dict.fromkeys(("generate", "render", "lms"), 0.0)
+        self.seconds = dict.fromkeys(("generate", "render", "lms", "wait"), 0.0)
         self.samples = 0
         self.trial_steps = 0
 
@@ -234,16 +242,26 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
     is drawn with seed ``config.seed + t`` from ``config.signal_source``;
     its observation ``obs`` (``obs.d.samples``) is rendered from it with
     noise seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
-    ``render_options``. The two rows are overwritten by the next trial: a
-    consumer copies whatever it keeps. ``clock`` times both phases and
-    counts the samples.
+    ``render_options``. ``clock`` times both phases, counts the samples and
+    times the waits for each trial.
+
+    One producer thread generates and renders the trials in order into two
+    pairs of rows, trial t + 1 while the caller runs trial t, so trial t's
+    rows are overwritten once the caller asks for trial t + 1: a consumer
+    copies whatever it keeps. Only the ``config.trials`` trials asked for
+    are made (a caller that wants fewer passes a config with fewer). An
+    error in the producer is raised here with its own type; an error in the
+    caller, or closing the generator, lets the producer finish the trial in
+    hand and joins its thread.
     """
-    x = np.empty(n, dtype=np.complex128)
-    d = np.empty_like(x)
+    rows = [(np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
+            for _ in range(min(config.trials, 2))]
     if config.signal_source == "ofdm":
         spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
         n_sym = -(-n // spec.samples_per_symbol)
-    for t in range(config.trials):
+
+    def make(t: int):
+        x, d = rows[t % 2]
         seed = config.seed + t
         with clock.phase("generate"):
             if config.signal_source == "gaussian":
@@ -255,7 +273,21 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
                                      seed=seed + _NOISE_SEED_OFFSET, out=d,
                                      **render_options)
         clock.samples += n
-        yield x, obs
+        return x, obs
+
+    # imported here, not at the top: concurrent.futures imports logging,
+    # about 5 ms of the CLI's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="fdsic-trials") as producer:
+        pending = producer.submit(make, 0)
+        for t in range(config.trials):
+            with clock.phase("wait"):
+                trial = pending.result()
+            if t + 1 < config.trials:
+                # the caller is done with trial t - 1, whose rows take t + 1
+                pending = producer.submit(make, t + 1)
+            yield trial
 
 
 def _cancel(clock: PhaseClock, x, d, config: CancellerConfig, **options) -> BatchRun:
@@ -333,10 +365,11 @@ def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
         prof = config.profile.with_tx_power(tx)
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
         budget = compute_noise_budget(prof)
-        # trial 0 of the configured source
-        _, obs = next(iter_trials(config, prof, channels, budget,
-                                  prof.natural_sigma_x2, n_render, report.clock,
-                                  include_soi=True, components=True))
+        # trial 0 of the configured source, alone
+        [(_, obs)] = iter_trials(replace(config, trials=1), prof,
+                                 channels, budget, prof.natural_sigma_x2,
+                                 n_render, report.clock, include_soi=True,
+                                 components=True)
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
 

@@ -18,12 +18,12 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
-``render_observation`` draws each trial's noise normals in one call of
-``_native.NormalStream`` (in C, bit for bit the stream of
-``np.random.default_rng(seed).standard_normal``) and forms x_imd, the four
-FIR branches, the scaled noise and d(n) in one pass of the compiled
-``render`` of ``_native`` (the C library that also runs the LMS steps),
-writing d(n) into the caller's row and the components only on request. Its
+``render_observation`` forms x_imd, the four FIR branches and their sum in
+one pass of the compiled ``render`` of ``_native`` (the C library that also
+runs the LMS steps), writing d(n) into the caller's row, and then adds each
+noise part to d(n) as ``_native.NormalStream`` draws it (in C, bit for bit
+the stream of ``np.random.default_rng(seed).standard_normal``), so no array
+of normals is allocated; the components are stored only on request. Its
 roundings equal those of the numpy expressions ``k^{3/2} |x|^2 x``,
 ``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)`` and the ordered sum
 of the components, so a rendered observation is bit-identical to the numpy
@@ -417,12 +417,11 @@ def render_observation(xs: np.ndarray, channels: ChannelSet,
         raise ValueError("sequence must be longer than the channel length M")
     powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
     scales = np.array([np.sqrt(p / 2.0) for p in powers])
-    normals = _native.NormalStream(seed).fill(
-        np.empty((6 if include_soi else 4, n)))
     d = np.empty(n, dtype=np.complex128) if out is None else out
     parts = np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None
     taps = (channels.h, channels.g, channels.h_imd, channels.g_imd)
-    _native.render(xs, taps, profile.k_tiq ** 1.5, normals, scales, d, parts)
+    _native.render(xs, taps, profile.k_tiq ** 1.5, _native.NormalStream(seed),
+                   scales, include_soi, d, parts)
     return Observation(ComplexSequence(d),
                        dict(zip(COMPONENTS, parts)) if components else {})
 

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import warnings
 
@@ -453,3 +454,22 @@ def test_kernel_tag_covers_the_headers(tmp_path):
         header.write_bytes(original.replace(b"0x", b"0X", 1))
         assert _native._kernel_tag(source) != tag, path.name
         header.write_bytes(original)
+
+
+def test_kernel_build_deletes_superseded_libraries(tmp_path, monkeypatch):
+    """A build deletes the other ``_lms-*.so`` beside the new library, and
+    the new library loads."""
+    for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / "_lms-0000000000000000.so"
+    stale.write_bytes(b"not a library")
+    other = cache / "_lms.c.txt"
+    other.write_text("kept")
+    monkeypatch.setattr(_native, "_KERNEL_SOURCE", tmp_path / "_lms.c")
+    lib = _native._build_kernel()
+    assert lib.parent == cache and lib.exists()
+    assert not stale.exists()
+    assert sorted(p.name for p in cache.iterdir()) == sorted([lib.name, other.name])
+    assert ctypes.CDLL(str(lib)).render is not None

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -21,7 +23,9 @@ from fdsic.harness import (MAX_SWEEP_ITERATIONS, ExperimentConfig, _mu_frac,
                            _sweep_iterations, resolve_profile, run_experiment,
                            write_csv)
 from fdsic.theory import TheoryInputs, alms_ms_bound
-from fdsic.transceiver import compute_noise_budget, synthesize_channels
+from fdsic.signals import gen_proper_gaussian
+from fdsic.transceiver import (compute_noise_budget, render_observation,
+                               synthesize_channels)
 
 from conftest import M, N, SEED, stack_trials
 
@@ -283,24 +287,123 @@ def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
     ("sinr-sweep", 2 * 2 * 3001),  # 2 trials x 2 cancellers at -5 dBm
 ])
 def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
-    """meta.txt times the generate, render and LMS phases of the trial loop,
-    and counts the samples generated and rendered and the LMS trial-steps."""
+    """meta.txt times the generate, render and LMS phases of the trial loop
+    and the LMS loop's waits for its next trial, and counts the samples
+    generated and rendered and the LMS trial-steps."""
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
     for key in ("phase.generate_s", "phase.render_s", "phase.lms_s",
-                "ns_per_sample.generate", "ns_per_sample.render",
-                "ns_per_trial_step"):
+                "phase.wait_s", "ns_per_sample.generate",
+                "ns_per_sample.render", "ns_per_trial_step"):
         assert float(meta[key]) > 0, key
+    # the LMS loop waits at least for trial 0, and never longer than the run
+    assert float(meta["phase.wait_s"]) <= float(meta["duration_s"]) + 0.05
     # 2 trials of 3000 + M samples: bias's 4 jobs share each trial, and so
     # do the sweep's 2 cancellers, which run the same length at -5 dBm
     assert int(meta["samples"]) == 2 * (3000 + cfg.M)
     assert int(meta["trial_steps"]) == trial_steps
 
 
+def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
+    """An ``iter_trials`` generator over ``trials`` trials of type2 at -5 dBm."""
+    prof = type2.with_tx_power(-5.0)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=trials,
+                              seed=SEED)
+    return harness.iter_trials(config, prof, synthesize_channels(prof, M, N, seed=SEED),
+                               compute_noise_budget(prof), prof.natural_sigma_x2,
+                               n, clock or harness.PhaseClock())
+
+
+def test_trials_are_made_only_when_asked_for(type2, tmp_path, monkeypatch):
+    """A 3-trial sweep point generates trials 0, 1 and 2 once each, in
+    order, and a 1-trial config generates trial 0 alone."""
+    seeds = []
+    real = harness.gen_proper_gaussian
+    monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, s2, seed, **k:
+                        seeds.append(seed) or real(n, s2, seed, **k))
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=3,
+                           iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           output_dir=tmp_path)
+    run_experiment(cfg)
+    assert seeds == [SEED, SEED + 1, SEED + 2]
+    seeds.clear()
+    assert len(list(_trial_loop(type2, trials=1))) == 1
+    assert seeds == [SEED]
+
+
+def test_trial_rows_match_one_thread(type2):
+    """The rows handed over equal the trials rendered one after another
+    without a producer thread, and trial t's rows stay intact until trial
+    t + 1 is asked for."""
+    prof = type2.with_tx_power(-5.0)
+    channels = synthesize_channels(prof, M, N, seed=SEED)
+    budget = compute_noise_budget(prof)
+    n = 3000 + M
+    for t, (x, obs) in enumerate(_trial_loop(type2, trials=4, n=n)):
+        want_x = gen_proper_gaussian(n, prof.natural_sigma_x2, seed=SEED + t).samples
+        want_d = render_observation(want_x, channels, budget, prof,
+                                    seed=SEED + harness._NOISE_SEED_OFFSET + t)
+        time.sleep(0.02)  # the producer renders trial t + 1 meanwhile
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(obs.d.samples, want_d.d.samples)
+
+
+def test_phase_clock_counts_exactly_across_threads(type2):
+    """With a thread switch forced every microsecond, every count of the
+    producer and of the caller lands: 200 trials count 200 n samples."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clock = harness.PhaseClock()
+        for _ in _trial_loop(type2, trials=200, n=64, clock=clock):
+            with clock.phase("lms"):
+                clock.trial_steps += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert clock.samples == 200 * 64 and clock.trial_steps == 200
+    assert all(s > 0 for s in clock.seconds.values()), clock.seconds
+
+
+def test_producer_error_reaches_the_caller(type2, tmp_path, monkeypatch):
+    """An error rendering a trial is raised in the caller, and out of the
+    CLI, with its own type, and the producer thread is gone."""
+    real = harness.render_observation
+
+    def render(x, *args, seed, **kwargs):
+        if seed == SEED + harness._NOISE_SEED_OFFSET + 1:
+            raise ValueError("render failed on trial 1")
+        return real(x, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(harness, "render_observation", render)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="trial 1"):
+        list(_trial_loop(type2))
+    assert threading.active_count() == threads
+    with pytest.raises(ValueError, match="trial 1"):
+        cli_main(["bias", "--trials", "3", "--iterations", "3000",
+                  "--out", str(tmp_path)])
+    assert threading.active_count() == threads
+
+
+def test_caller_error_or_close_joins_the_producer(type2):
+    """An error in the caller's loop, or closing the generator after one
+    trial, ends the producer thread."""
+    threads = threading.active_count()
+    with pytest.raises(KeyError):
+        for _ in _trial_loop(type2):
+            raise KeyError("caller failed")
+    assert threading.active_count() == threads
+    trials = _trial_loop(type2)
+    next(trials)
+    assert threading.active_count() == threads + 1
+    trials.close()
+    assert threading.active_count() == threads
+
+
 def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
-    """The sweep holds one trial's samples at a time: its traced peak at 8
+    """The sweep holds two trials' samples at a time: its traced peak at 8
     trials stays within 1.25x of its peak at 2 trials (a first, untraced run
     takes the one-time allocations of the process)."""
     peaks = {}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_fir_matches_convolve(m, type2):
                                    components=True).components
         for got, want in ((parts["linear_si"], np.convolve(h, v)[:n]),
                           (parts["image_si"], np.convolve(g, np.conj(v))[:n])):
-            assert np.array_equal(got.view(np.float64), want.view(np.float64)), n
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
     with pytest.raises(ValueError):
         render_observation(v[:m], ch, _zero_budget(), type2, seed=0)
 
@@ -253,20 +254,21 @@ def _numpy_render(xs, channels, budget, profile, seed, include_soi):
 
 
 def _assert_render_exact(xs, channels, budget, profile, seed, include_soi):
+    """The render equals ``_numpy_render`` in every bit, signs of zero too."""
     want_d, want = _numpy_render(xs, channels, budget, profile, seed, include_soi)
     obs = render_observation(xs, channels, budget, profile, seed=seed,
                              include_soi=include_soi, components=True)
     assert tuple(obs.components) == COMPONENTS == tuple(want)
     for key in COMPONENTS:
-        np.testing.assert_array_equal(obs.components[key].view(np.float64),
-                                      want[key].view(np.float64), err_msg=key)
-    np.testing.assert_array_equal(obs.d.samples.view(np.float64),
-                                  want_d.view(np.float64))
+        np.testing.assert_array_equal(obs.components[key].view(np.uint64),
+                                      want[key].view(np.uint64), err_msg=key)
+    np.testing.assert_array_equal(obs.d.samples.view(np.uint64),
+                                  want_d.view(np.uint64))
     rows = np.full((2, len(xs)), np.nan, dtype=complex)
     bare = render_observation(xs, channels, budget, profile, seed=seed,
                               include_soi=include_soi, out=rows[1])
     assert bare.components == {} and np.shares_memory(bare.d.samples, rows)
-    np.testing.assert_array_equal(rows[1].view(np.float64), want_d.view(np.float64))
+    np.testing.assert_array_equal(rows[1].view(np.uint64), want_d.view(np.uint64))
     assert np.all(np.isnan(rows[0]))
 
 
@@ -291,3 +293,31 @@ def test_render_matches_numpy_edges(type2, n_imd):
         for n in (M + 1, 500):
             x = gen_proper_gaussian(n, prof.natural_sigma_x2, seed=n_imd).samples
             _assert_render_exact(x, ch, budget, prof, 3, include_soi=n_imd % 2 == 0)
+
+
+@pytest.mark.parametrize("include_soi", [False, True])
+def test_render_matches_numpy_zero_noise(type2, include_soi):
+    """With every noise scale zero the noise components are numpy's signed
+    zeros, 0.0 * (re + 1j im), and d still equals the numpy sum bit for bit."""
+    ch = synthesize_channels(type2, M, N, seed=SEED)
+    x = gen_proper_gaussian(2000, type2.natural_sigma_x2, seed=4).samples
+    _assert_render_exact(x, ch, _zero_budget(), type2, 9, include_soi)
+
+
+def test_render_allocates_no_normals(type2):
+    """Rendering into a caller's row draws the noise straight into it: a
+    200,000-sample render allocates under 1 MB (a (4, n) array of normals
+    would be 6.4 MB)."""
+    n = 200_000
+    ch = synthesize_channels(type2, M, N, seed=SEED)
+    budget = compute_noise_budget(type2)
+    x = gen_proper_gaussian(n, type2.natural_sigma_x2, seed=4).samples
+    row = np.empty(n, dtype=complex)
+    render_observation(x, ch, budget, type2, seed=5, out=row)  # builds the kernel
+    tracemalloc.start()
+    try:
+        render_observation(x, ch, budget, type2, seed=5, out=row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

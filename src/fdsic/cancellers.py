@@ -171,18 +171,21 @@ def _address(array: np.ndarray | None):
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
               keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-              whitener: WhiteningTransform | None = None) -> BatchRun:
-    """Run each trial, a row of ``xs`` and ``ds``, from zero weights.
+              whitener: WhiteningTransform | None = None,
+              w0: np.ndarray | None = None) -> BatchRun:
+    """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``.
 
-    Step t adapts on the regressor of sample M-1+t, so a row of n samples
-    runs n-M+1 steps. Trials are independent: the kernel runs one to its end
-    before it starts the next, and every output row depends on its own input
-    row alone, so a batch returns exactly the rows its trials return one at a
-    time. A 1-D ``xs`` and ``ds`` are one trial. ``keep_residuals`` stores
-    |e|^2 per step; ``track_taps`` stores the listed weights per step. With
-    ``whitener`` the LMS runs on whitened regressors; the final and window
-    weights are mapped back to original coordinates, and tap tracking is
-    unavailable.
+    ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
+    None starts them at zero. Step t adapts on the regressor of sample
+    M-1+t, so a row of n samples runs n-M+1 steps. Trials are independent:
+    the kernel runs one to its end before it starts the next, and every
+    output row depends on its own input row alone, so a batch returns
+    exactly the rows its trials return one at a time. A 1-D ``xs`` and
+    ``ds`` are one trial. ``keep_residuals`` stores |e|^2 per step;
+    ``track_taps`` stores the listed weights per step. With ``whitener`` the
+    LMS runs on whitened regressors; the final and window weights are mapped
+    back to original coordinates, and neither tap tracking nor ``w0`` (whose
+    whitened coordinates would differ) is available.
     """
     xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=np.complex128))
     ds = np.atleast_2d(np.ascontiguousarray(ds, dtype=np.complex128))
@@ -190,6 +193,8 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
         raise ValueError("x and d must have identical shapes")
     if whitener is not None and track_taps:
         raise ValueError("tap tracking is not supported for whitened runs")
+    if whitener is not None and w0 is not None:
+        raise ValueError("start weights are not supported for whitened runs")
     trials, n = xs.shape
     M, N = config.M, config.N
     dim = 2 * (M + N)
@@ -197,8 +202,12 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     window = config.steady_window or default_steady_window(n_steps)
     if n_steps <= 0 or window > n_steps:
         raise ValueError("sequences too short for the requested run")
+    if w0 is not None and np.shape(w0) != (dim,):
+        raise ValueError(f"w0 must be a vector of {dim} weights")
 
     w = np.zeros((trials, dim), dtype=np.complex128)
+    if w0 is not None:
+        w[:] = w0
     w_accum = np.zeros_like(w)
     res = np.empty((trials, n_steps)) if keep_residuals else None
     tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]  # IndexError if out of range

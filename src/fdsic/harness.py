@@ -4,10 +4,10 @@ Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
 with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``iter_trials`` is the one
 function that applies this rule. It hands over one trial at a time in
-reused rows, and every canceller job of the same run length runs on that
-trial while one producer thread generates and renders the next one into a
-second pair of rows, so a run holds two trials' samples at a time whatever
-the number of trials. The per-trial results are then reduced across trials
+reused rows, and every canceller job of a run runs on that trial while one
+producer thread generates and renders the next one into a second pair of
+rows, so a run holds two trials' samples at a time whatever the number of
+trials. The per-trial results are then reduced across trials
 in trial order, and the averages that reach a CSV are taken over arrays
 laid out as the old whole-batch arrays were, so they round as they did.
 Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
@@ -19,10 +19,11 @@ Step-size conventions (fractions of closed-form bounds):
 * linear canceller: mu = mu_frac * (mean-square bound 1/((M+1) s2));
 * nonlinear canceller, bias/low-power runs: the same mu (both cancellers
   share the step size, so their transients are directly comparable);
-* SINR sweep: one shared mu per grid point (DEFAULT_MU_FRAC of the linear
-  mean-square bound), with the nonlinear run's iteration count extended
-  until the slowest covariance mode (eigenvalue lam3) has decayed below a
-  fixed fraction of the predicted steady MSE;
+* SINR sweep: one shared mu and run length per grid point (DEFAULT_MU_FRAC
+  of the linear mean-square bound). The nonlinear canceller starts at the
+  Wiener solution ``channels.stacked_nonlinear()``, so its slowest
+  covariance mode (eigenvalue lam3) has nothing to converge; the linear
+  canceller, whose white regressor has no slow mode, starts at zero;
 * whitening comparison: raw runs at 0.005 x the mean-convergence bound of
   their covariance; the whitened run keeps the raw run's steady-state
   misadjustment so only convergence speed differs.
@@ -48,22 +49,19 @@ from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
                      alms_steady_mse, anclms_exact_steady_mse,
                      anclms_mean_bound, anclms_ms_analysis,
                      anclms_steady_mse, anclms_transient, condition_number,
-                     optimal_sigma_x2, rb_eigenvalues)
+                     optimal_sigma_x2)
 from .transceiver import (TransceiverProfile, builtin_profile,
                           compute_noise_budget, compute_power_budget,
                           load_profile, render_observation, synthesize_channels)
 from .units import lin_to_db, mw_to_dbm
 
 _NOISE_SEED_OFFSET = 10_000_019
-SLOW_MODE_BUDGET = 0.04      # tolerated slow-mode MSE excess, fraction of J
-MAX_SWEEP_ITERATIONS = 1_400_000
 EXPERIMENTS = ("power-budget", "bias", "sinr-sweep", "attenuation-sweep",
                "convergence", "bounds-probe")
 
 # The SINR sweep shares one step size between the cancellers (as the source
 # experiments do); 0.15 of the linear mean-square bound keeps the small-step
-# steady-state formulas accurate while letting the slowest nonlinear
-# covariance mode converge within the iteration cap at every grid point.
+# steady-state formulas accurate.
 DEFAULT_MU_FRAC = {"sinr-sweep": 0.15, "attenuation-sweep": 0.15}
 # convergence and bounds-probe run fixed fractions of their own bounds and
 # ignore --mu-frac and --mu
@@ -298,43 +296,6 @@ def _cancel(clock: PhaseClock, x, d, config: CancellerConfig, **options) -> Batc
     return run
 
 
-def _slow_mode_energy(inputs: TheoryInputs) -> tuple[float, float]:
-    """(lam3, lam3 * ||projection of the optimal weights on lam3 modes||^2).
-
-    Each of the N delay pairs contributes the minor eigenvector of the 2x2
-    block [[s2, c], [c, b]] applied to (h_i, h_imd_i) and (g_i, g_imd_i).
-    """
-    s2, k = inputs.sigma_x2, inputs.k_tiq
-    spec = rb_eigenvalues(s2, k, inputs.M, inputs.N)
-    c = 2.0 * k ** 1.5 * s2 ** 2
-    v = np.array([c, spec.lam3 - s2])
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        return spec.lam3, 0.0
-    v = v / norm
-    ch = inputs.channels
-    proj = 0.0
-    for i in range(inputs.N):
-        proj += abs(v[0] * ch.h[i] + v[1] * ch.h_imd[i]) ** 2
-        proj += abs(v[0] * ch.g[i] + v[1] * ch.g_imd[i]) ** 2
-    return spec.lam3, spec.lam3 * proj
-
-
-def _sweep_iterations(inputs: TheoryInputs, default: int) -> tuple[int, int]:
-    """(iterations to run, iterations requested) for the nonlinear canceller.
-
-    The request lets the slowest mode decay below SLOW_MODE_BUDGET * J; the
-    run is the request cut to MAX_SWEEP_ITERATIONS.
-    """
-    lam3, energy = _slow_mode_energy(inputs)
-    j_ap = anclms_steady_mse(inputs)
-    if energy <= SLOW_MODE_BUDGET * j_ap or lam3 <= 0:
-        return default, default
-    need = math.log(energy / (SLOW_MODE_BUDGET * j_ap)) / (2.0 * inputs.mu * lam3)
-    requested = int(max(default, need / 0.8))
-    return min(requested, MAX_SWEEP_ITERATIONS), requested
-
-
 def _mu_frac(config: ExperimentConfig) -> float:
     if config.mu_frac is not None:
         return config.mu_frac
@@ -541,7 +502,6 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         "alms_sinr_sim_db", "alms_sinr_theory_db", "anclms_sinr_sim_db",
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
-    iter_notes, capped_notes = [], []
 
     for tx in grid:
         prof = prof0.with_tx_power(tx)
@@ -552,35 +512,28 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         # one shared step size for both cancellers at this grid point
         mu = _resolve_mu(config, alms_ms_bound(s2, config.M))
         inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-        n_b, requested = _sweep_iterations(inp, config.iterations)
-        iter_notes.append(f"{tx:g}:{n_b}")
-        if requested > n_b:
-            capped_notes.append(f"{tx:g}:{requested}")
 
         d_power = (s2 * (channels.norm2_h + channels.norm2_g)
                    + 6.0 * prof.k_tiq ** 3 * s2 ** 3
                    * (channels.norm2_h_imd + channels.norm2_g_imd)
                    + budget.sigma_v2 + budget.sigma_q2)
 
-        # cancellers with the same run length share one rendered trial set
-        jobs: dict[int, dict[str, CancellerConfig]] = {}
-        for label, n_imd, n_it in (("alms", 0, config.iterations),
-                                   ("anclms", config.N, n_b)):
-            jobs.setdefault(n_it, {})[label] = CancellerConfig(
-                mu=mu, M=config.M, N=n_imd, k_tiq=prof.k_tiq)
-        mses = {}
-        for n_it, cfgs in jobs.items():
-            trial_mse = {label: np.empty(config.trials) for label in cfgs}
-            for t, (x, obs) in enumerate(iter_trials(
-                    config, prof, channels, budget, s2, n_it + config.M,
-                    report.clock)):
-                for label, cfg in cfgs.items():
-                    run = _cancel(report.clock, x, obs.d.samples, cfg,
-                                  keep_residuals=False)
-                    trial_mse[label][t] = run.steady_state_mse[0]
-            mses.update({label: float(np.sum(v)) / config.trials
-                         for label, v in trial_mse.items()})
-        for label, mse in mses.items():
+        # both cancellers run on one rendered trial set; ANCLMS starts at the
+        # exact Wiener solution of the rendered model, ALMS at zero
+        jobs = {"alms": (CancellerConfig(mu=mu, M=config.M, k_tiq=prof.k_tiq), None),
+                "anclms": (CancellerConfig(mu=mu, M=config.M, N=config.N,
+                                           k_tiq=prof.k_tiq),
+                           channels.stacked_nonlinear())}
+        trial_mse = {label: np.empty(config.trials) for label in jobs}
+        for t, (x, obs) in enumerate(iter_trials(
+                config, prof, channels, budget, s2, config.iterations + config.M,
+                report.clock)):
+            for label, (cfg, w0) in jobs.items():
+                run = _cancel(report.clock, x, obs.d.samples, cfg,
+                              keep_residuals=False, w0=w0)
+                trial_mse[label][t] = run.steady_state_mse[0]
+        for label, v in trial_mse.items():
+            mse = float(np.sum(v)) / config.trials
             if label == "alms":
                 j_theory = alms_steady_mse(inp, alms_regime(inp))
             else:
@@ -600,8 +553,9 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         "Digital attenuation" if name == "attenuation-sweep" else "Achievable steady-state SINR",
         "transmit power (dBm)", "dB"))
     report.tables["columns"] = cols
-    report.meta["anclms_iterations"] = ";".join(iter_notes)
-    report.meta["anclms_iterations_capped"] = ";".join(capped_notes) or "none"
+    report.meta["anclms_iterations"] = ";".join(f"{tx:g}:{config.iterations}"
+                                                for tx in grid)
+    report.meta["anclms_start"] = "wiener"
 
     if config.check:
         gaps = []

@@ -247,7 +247,7 @@ def test_regressor_matrix_row_indexing():
 
 
 def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
-                         whitener=None):
+                         whitener=None, w0=None):
     """run_batch as a per-step numpy loop: the oracle for the C kernel.
 
     Returns the BatchRun fields as a dict (``diverged_at`` excluded).
@@ -258,6 +258,8 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
     n_steps = n - M + 1
     window = config.steady_window or default_steady_window(n_steps)
     w = np.zeros((trials, dim), dtype=np.complex128)
+    if w0 is not None:
+        w[:] = w0
     res = np.empty((trials, n_steps)) if keep_residuals else None
     taps = (np.empty((trials, n_steps, len(track_taps)), dtype=np.complex128)
             if track_taps else None)
@@ -303,10 +305,12 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
 
 # N, mu as a multiple of the mean-square bound (None: whitened), run_batch
 # options; 2x is where ALMS overflows within the 3000 steps of the batch
-# (1.5x needs ~4500)
+# (1.5x needs ~4500). w0="wiener" starts at the channels' exact Wiener
+# solution, as the SINR sweep does.
 _KERNEL_MODES = {
     "alms_taps": (0, 0.5, dict(keep_residuals=False, track_taps=(0, 1))),
     "anclms_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 1, 5))),
+    "anclms_warm": (N, 0.5, dict(track_taps=(0, 1, 5), w0="wiener")),
     "anclms_residuals": (N, 0.3, {}),
     "whitened_anclms": (N, None, {}),
     "alms_diverging": (0, 2.0, dict(track_taps=(0,))),
@@ -329,6 +333,13 @@ def kernel_setup(type2):
     return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound}
 
 
+@pytest.fixture(scope="module")
+def wiener(type2):
+    """The exact Wiener solution of the kernel_setup trials."""
+    return synthesize_channels(type2.with_tx_power(15.0), M, N,
+                               seed=SEED).stacked_nonlinear()
+
+
 def _kernel_config(kernel_setup, n_imd, scale):
     prof, _, _, bounds = kernel_setup
     mu = 0.01 if scale is None else scale * bounds[n_imd]
@@ -344,7 +355,7 @@ def _whitened_inputs(xs, ds, config):
     return xs[:, pad:], ds[:, pad:], whitener
 
 
-def _kernel_inputs(kernel_setup, mode):
+def _kernel_inputs(kernel_setup, wiener, mode):
     """(xs, ds, config, run_batch options) of a mode of _KERNEL_MODES."""
     _, xs, ds, _ = kernel_setup
     n_imd, scale, options = _KERNEL_MODES[mode]
@@ -352,12 +363,14 @@ def _kernel_inputs(kernel_setup, mode):
     if scale is None:
         xs, ds, whitener = _whitened_inputs(xs, ds, cfg)
         options = {**options, "whitener": whitener}
+    if options.get("w0") == "wiener":
+        options = {**options, "w0": wiener}
     return xs, ds, cfg, options
 
 
 @pytest.mark.parametrize("mode", _KERNEL_MODES)
-def test_kernel_matches_numpy_loop(mode, kernel_setup):
-    xs, ds, cfg, options = _kernel_inputs(kernel_setup, mode)
+def test_kernel_matches_numpy_loop(mode, kernel_setup, wiener):
+    xs, ds, cfg, options = _kernel_inputs(kernel_setup, wiener, mode)
     scale = _KERNEL_MODES[mode][1]
     got = run_batch(xs, ds, cfg, **options)
     want = _reference_run_batch(xs, ds, cfg, **options)
@@ -372,9 +385,9 @@ def test_kernel_matches_numpy_loop(mode, kernel_setup):
 
 
 @pytest.mark.parametrize("mode", ["alms_diverging", "anclms_taps", "whitened_anclms"])
-def test_batch_equals_single_trial_runs(mode, kernel_setup):
+def test_batch_equals_single_trial_runs(mode, kernel_setup, wiener):
     """A 3-trial batch returns exactly the rows of three 1-trial runs."""
-    xs, ds, cfg, options = _kernel_inputs(kernel_setup, mode)
+    xs, ds, cfg, options = _kernel_inputs(kernel_setup, wiener, mode)
     xs, ds = xs[:3], ds[:3]
     batch = run_batch(xs, ds, cfg, **options)
     singles = [run_batch(x, d, cfg, **options) for x, d in zip(xs, ds)]
@@ -388,6 +401,36 @@ def test_batch_equals_single_trial_runs(mode, kernel_setup):
             np.testing.assert_array_equal(got, want, err_msg=field.name)
         else:
             assert all(value == got for value in each), field.name
+
+
+def test_zero_start_weights_are_the_default(kernel_setup):
+    """w0 = 0 returns every field bit for bit as the default start does."""
+    _, xs, ds, _ = kernel_setup
+    cfg = _kernel_config(kernel_setup, N, 0.5)
+    options = dict(track_taps=(0, 1, 5))
+    cold = run_batch(xs, ds, cfg, **options)
+    zero = run_batch(xs, ds, cfg, w0=np.zeros(2 * (M + N)), **options)
+    def bits(a):  # the flags (bool) compare as they are
+        return a.view(np.uint64) if a.dtype.itemsize % 8 == 0 else a
+
+    for field in dataclasses.fields(cold):
+        want, got = getattr(cold, field.name), getattr(zero, field.name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=field.name)
+        else:
+            assert got == want, field.name
+
+
+def test_start_weights_contract(kernel_setup, wiener):
+    _, xs, ds, _ = kernel_setup
+    cfg = _kernel_config(kernel_setup, N, 0.5)
+    with pytest.raises(ValueError, match="w0 must be a vector of 18 weights"):
+        run_batch(xs, ds, cfg, w0=wiener[:-1])
+    with pytest.raises(ValueError, match="w0 must be a vector"):
+        run_batch(xs, ds, cfg, w0=np.stack([wiener] * len(xs)))
+    xw, dw, whitener = _whitened_inputs(xs, ds, cfg)
+    with pytest.raises(ValueError, match="start weights"):
+        run_batch(xw, dw, cfg, whitener=whitener, w0=wiener)
 
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):

@@ -1,9 +1,9 @@
 """Golden digests: every experiment's CSVs at tiny scale, hashed.
 
-Each of the six experiments runs with 2 trials and 3000 iterations on a
-grid where the sweep keeps its default iteration count. The SHA-256 of
-every CSV must equal the digest stored in ``golden_digests.json``, so a
-change that moves any number shows up in review as a changed digest.
+Each of the six experiments runs with 2 trials and 3000 iterations on the
+grid -5, 5 dBm. The SHA-256 of every CSV must equal the digest stored in
+``golden_digests.json``, so a change that moves any number shows up in
+review as a changed digest.
 
 After a deliberate change of the numbers, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in the change log

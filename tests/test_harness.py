@@ -19,10 +19,9 @@ from fdsic import harness
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
-from fdsic.harness import (MAX_SWEEP_ITERATIONS, ExperimentConfig, _mu_frac,
-                           _sweep_iterations, resolve_profile, run_experiment,
-                           write_csv)
-from fdsic.theory import TheoryInputs, alms_ms_bound
+from fdsic.harness import (ExperimentConfig, _mu_frac, resolve_profile,
+                           run_experiment, write_csv)
+from fdsic.theory import alms_ms_bound
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (compute_noise_budget, render_observation,
                                synthesize_channels)
@@ -62,22 +61,6 @@ def test_mu_frac_defaults(type2):
     assert _mu_frac(ExperimentConfig(experiment="sinr-sweep", profile=type2)) == 0.15
     assert _mu_frac(ExperimentConfig(experiment="sinr-sweep", profile=type2,
                                      mu_frac=0.02)) == 0.02
-
-
-def test_sweep_iterations_reports_the_cap(type2):
-    """The sweep's slow-mode rule outruns the cap at 10 dBm and only there."""
-    runs = {}
-    for tx in (-5.0, 10.0, 15.0):
-        prof = type2.with_tx_power(tx)
-        s2 = prof.natural_sigma_x2
-        channels = synthesize_channels(prof, M, N, seed=SEED)
-        budget = compute_noise_budget(prof)
-        inputs = TheoryInputs.from_profile(prof, channels, budget,
-                                           0.15 * alms_ms_bound(s2, M))
-        runs[tx] = _sweep_iterations(inputs, 30_000)
-    assert runs[-5.0] == (30_000, 30_000)
-    assert runs[15.0][0] == runs[15.0][1] > 30_000
-    assert runs[10.0][0] == MAX_SWEEP_ITERATIONS < runs[10.0][1]
 
 
 def test_power_budget_determinism(type2, tmp_path):
@@ -268,18 +251,33 @@ def test_convergence_meta_names_its_step_size(type2, tmp_path):
 
 
 def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
-    """At a grid point that keeps the default count, both cancellers run on
-    one rendered set of trials."""
+    """Both cancellers run on one rendered set of trials at every grid point,
+    15 dBm (where the cold-started ANCLMS once ran longer) included."""
     rendered = []
     real = harness.render_observation
     monkeypatch.setattr(harness, "render_observation",
                         lambda *a, **k: rendered.append(1) or real(*a, **k))
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=2,
-                           iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           iterations=3000, tx_grid_dbm=(-5.0, 15.0), seed=SEED,
                            output_dir=tmp_path)
     report = run_experiment(cfg)
-    assert report.meta["anclms_iterations"] == "-5:3000"
-    assert len(rendered) == 2
+    assert report.meta["anclms_iterations"] == "-5:3000;15:3000"
+    assert len(rendered) == cfg.trials * len(cfg.tx_grid_dbm)
+
+
+def test_sweep_anclms_starts_in_steady_state(type2, tmp_path):
+    """Started at the Wiener solution, ANCLMS reads its steady-state MSE
+    within 0.2 dB after 30k steps at 10 and 15 dBm, where its slowest
+    covariance mode would leave a cold start 1.3 and 8.8 dB short."""
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=4,
+                           iterations=30_000, tx_grid_dbm=(10.0, 15.0), seed=SEED,
+                           output_dir=tmp_path)
+    report = run_experiment(cfg)
+    cols = report.tables["columns"]
+    gaps = (np.array(cols["anclms_sinr_sim_db"])
+            - np.array(cols["anclms_sinr_theory_db"]))
+    assert np.all(np.abs(gaps) <= 0.2), gaps
+    assert _meta(report)["anclms_start"] == "wiener"
 
 
 @pytest.mark.parametrize("experiment, trial_steps", [

@@ -6,8 +6,13 @@ and the LMS steps.
 ziggurat written out in C; ``render`` forms one trial's observation (IMD
 product, four FIR branches and their sum) sample by sample, then adds the
 noise as a ``NormalStream`` draws it;
-``lms_raw`` runs the LMS steps of a whole run and ``lms_whitened`` those of
-a span of steps, one trial after another.
+``lms_raw`` runs the LMS steps of whole runs: the canceller jobs of one
+call share one set of trials and one regressor built per step, and two or
+more jobs run as the lanes of AVX2 vectors, four jobs per vector, each lane
+repeating its job's scalar step bit for bit (a one-job call, and every call
+on a build without AVX2, runs the scalar step). ``lms_whitened`` runs one
+job's steps over a span of whitened regressors. ``Run`` describes one job
+to both.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -77,31 +82,46 @@ def _build_kernel() -> Path:
     return lib
 
 
+class Run(ctypes.Structure):
+    """``struct run`` of ``_lms.c``: one canceller job of an LMS call, its
+    sizes, window start and step size, and the addresses of its state and
+    outputs (``e2`` and ``tap_buf`` may be ``None``)."""
+
+    _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
+                ("mu", ctypes.c_double),
+                *[(name, ctypes.c_void_p) for name in (
+                    "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
+                    "diverged_at")],
+                ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
+                ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p)]
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``normals_complex``, ``render``, ``lms_raw``
-    and ``lms_whitened``.
-
-    The per-step outputs of the LMS entry points (residual powers and tracked
-    taps) are optional: they take an address or ``None``.
-    """
-    cplx, real, index = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-                         for dtype in (np.complex128, np.float64, np.int64))
+    """The compiled library, with ``normals_complex``, ``render``,
+    ``lms_raw``, ``lms_whitened`` and ``lms_lanes``."""
+    cplx, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                  for dtype in (np.complex128, np.float64))
     i64 = ctypes.c_int64
+    runs = ctypes.POINTER(Run)
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
     lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, cplx]
-    # the outputs shared by both LMS entry points, after d
-    state = [cplx, cplx, ctypes.c_void_p, *[real] * 3, index, i64, index,
-             ctypes.c_void_p]
     lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, pcg, i64,
                            real, cplx, ctypes.c_void_p]
-    lib.lms_whitened.argtypes = [*[i64] * 7, ctypes.c_double, cplx, cplx, *state]
-    lib.lms_raw.argtypes = [*[i64] * 5, *[ctypes.c_double] * 2, cplx, cplx,
-                            *state]
+    lib.lms_whitened.argtypes = [*[i64] * 4, cplx, cplx, runs]
+    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, cplx, cplx, i64, runs]
+    lib.lms_lanes.argtypes = [i64]
     for fn in (lib.normals_complex, lib.render, lib.lms_whitened, lib.lms_raw):
         fn.restype = None
+    lib.lms_lanes.restype = i64
     return lib
+
+
+def lanes(jobs: int) -> int:
+    """The lanes per vector ``lms_raw`` runs ``jobs`` jobs of one call in:
+    4 for two or more jobs on a build with AVX2, else 1 (the scalar step)."""
+    return library().lms_lanes(jobs)
 
 
 class NormalStream:

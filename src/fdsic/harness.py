@@ -4,12 +4,13 @@ Every experiment is deterministic for a fixed (config, seed): trial t draws
 its reference waveform with seed ``base_seed + t`` and its receiver noise
 with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``iter_trials`` is the one
 function that applies this rule. It hands over one trial at a time in
-reused rows, and every canceller job of a run runs on that trial while one
-producer thread generates and renders the next one into a second pair of
-rows, so a run holds two trials' samples at a time whatever the number of
-trials. The per-trial results are then reduced across trials
-in trial order, and the averages that reach a CSV are taken over arrays
-laid out as the old whole-batch arrays were, so they round as they did.
+reused rows, and every canceller job of a run runs on that trial, all in
+one LMS kernel call (``run_jobs``), while one producer thread generates and
+renders the next one into a second pair of rows, so a run holds two trials'
+samples at a time whatever the number of trials. The per-trial results are
+then reduced across trials in trial order, and the averages that reach a
+CSV are taken over arrays laid out as the old whole-batch arrays were, so
+they round as they did.
 Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
 busy time of the generate, render and LMS phases and the time the LMS loop
 waited for its next trial.
@@ -39,10 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .cancellers import (MIN_STEADY_WINDOW, WHITEN_PREAMBLE_PER_TAP,
                          BatchRun, CancellerConfig, prewhiten_fit,
-                         regressor_matrix, run_batch)
+                         regressor_matrix, run_batch, run_jobs)
 from .plots import heatmap, line_plot
 from .signals import WaveformSpec, gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
@@ -120,8 +121,9 @@ class CheckResult:
 
 class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
-    loop's waits for its next trial, the samples generated and rendered, and
-    the trial-steps the LMS runs took.
+    loop's waits for its next trial, the samples generated and rendered, the
+    trial-steps the LMS runs took, the LMS calls and the widest lane count
+    (jobs per vector) the LMS kernel ran them in.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the samples, the caller's thread only the rest, so no
@@ -132,6 +134,15 @@ class PhaseClock:
         self.seconds = dict.fromkeys(("generate", "render", "lms", "wait"), 0.0)
         self.samples = 0
         self.trial_steps = 0
+        self.lms_calls = 0
+        self.lms_lanes = 1
+
+    def count_lms(self, runs: list[BatchRun]):
+        """Count one LMS call that ran ``runs``, one per job."""
+        self.lms_calls += 1
+        self.lms_lanes = max(self.lms_lanes, _native.lanes(len(runs)))
+        self.trial_steps += sum(run.n_steps * len(run.steady_state_mse)
+                                for run in runs)
 
     @contextmanager
     def phase(self, name: str):
@@ -151,7 +162,9 @@ class PhaseClock:
         if self.trial_steps:
             ns = 1e9 * self.seconds["lms"] / self.trial_steps
             lines += [f"trial_steps = {self.trial_steps}",
-                      f"ns_per_trial_step = {ns:.4g}"]
+                      f"ns_per_trial_step = {ns:.4g}",
+                      f"lms_lanes = {self.lms_lanes}",
+                      f"lms_calls = {self.lms_calls}"]
         return lines
 
 
@@ -288,12 +301,13 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
             yield trial
 
 
-def _cancel(clock: PhaseClock, x, d, config: CancellerConfig, **options) -> BatchRun:
-    """``run_batch`` on one trial, timed and counted as the LMS phase."""
+def _cancel(clock: PhaseClock, x, d, jobs, **options) -> list[BatchRun]:
+    """``run_jobs`` on one trial: every job, a ``(config, w0)`` pair, in one
+    kernel call, timed and counted as the LMS phase."""
     with clock.phase("lms"):
-        run = run_batch(x, d, config, **options)
-    clock.trial_steps += run.n_steps * len(run.steady_state_mse)
-    return run
+        runs = run_jobs(x, d, jobs, **options)
+    clock.count_lms(runs)
+    return runs
 
 
 def _mu_frac(config: ExperimentConfig) -> float:
@@ -412,6 +426,7 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
+    jobs = [(cfg, None) for cfg in cfgs.values()]
     # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
     # window-mean weights, (trials, dim)
     tap_rows = {key: np.empty((kept, 2, config.trials), dtype=np.complex128)
@@ -420,10 +435,10 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
                                   dtype=np.complex128) for key, cfg in cfgs.items()}
     for t, (x, obs) in enumerate(iter_trials(config, prof, channels, budget, s2,
                                              n_iters + config.M, report.clock)):
-        for key, cfg in cfgs.items():
-            run = _cancel(report.clock, x, obs.d.samples, cfg,
-                          keep_residuals=False, track_taps=(0, 1))
-            tap_rows[key][:, :, t] = run.taps[0, ::stride]
+        runs = _cancel(report.clock, x, obs.d.samples, jobs, keep_residuals=False,
+                       track_taps=(0, 1), tap_stride=stride)
+        for key, run in zip(cfgs, runs):
+            tap_rows[key][:, :, t] = run.taps[0]
             mean_weights[key][t] = run.mean_weights[0]
 
     for mu in (base_mu, 2 * base_mu):
@@ -528,9 +543,9 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         for t, (x, obs) in enumerate(iter_trials(
                 config, prof, channels, budget, s2, config.iterations + config.M,
                 report.clock)):
-            for label, (cfg, w0) in jobs.items():
-                run = _cancel(report.clock, x, obs.d.samples, cfg,
-                              keep_residuals=False, w0=w0)
+            runs = _cancel(report.clock, x, obs.d.samples, list(jobs.values()),
+                           keep_residuals=False)
+            for label, run in zip(jobs, runs):
                 trial_mse[label][t] = run.steady_state_mse[0]
         for label, v in trial_mse.items():
             mse = float(np.sum(v)) / config.trials
@@ -654,8 +669,11 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
             if whiten and t == 0:
                 whitener = prewhiten_fit(regressor_matrix(
                     x[:config.M - 1 + pad], config.M, config.N, k))
-            run = _cancel(report.clock, x[pad:], obs.d.samples[pad:], cfg,
-                          whitener=whitener)
+            # one job a call (the whitened path takes no more): the scalar step
+            with report.clock.phase("lms"):
+                run = run_batch(x[pad:], obs.d.samples[pad:], cfg,
+                                whitener=whitener)
+            report.clock.count_lms([run])
             residuals[:, t] = run.residual_power[0]
             steady[t] = run.steady_state_mse[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -742,15 +760,16 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
                                            N=n_imd, k_tiq=prof.k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
+    jobs = [(cfg, None) for cfg in cfgs.values()]
     trial_runs = {key: [] for key in cfgs}
     n = config.iterations + config.M
     energy = np.empty(config.trials)  # sum of |d|^2 per trial
     for t, (x, obs) in enumerate(iter_trials(config, prof, channels, budget, s2,
                                              n, report.clock)):
         energy[t] = np.sum(np.abs(obs.d.samples) ** 2)
-        for key, cfg in cfgs.items():
-            trial_runs[key].append(_cancel(report.clock, x, obs.d.samples, cfg,
-                                           keep_residuals=False))
+        runs = _cancel(report.clock, x, obs.d.samples, jobs, keep_residuals=False)
+        for key, run in zip(cfgs, runs):
+            trial_runs[key].append(run)
     init_power = float(np.sum(energy)) / (config.trials * n)
 
     rows = []

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import platform
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fdsic import _native, cancellers
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
                               default_steady_window, prewhiten_fit,
-                              regressor_matrix, run_batch)
+                              regressor_matrix, run_batch, run_jobs)
 from fdsic.harness import ExperimentConfig
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import alms_ms_bound, anclms_mean_bound, anclms_ms_analysis
@@ -247,7 +248,7 @@ def test_regressor_matrix_row_indexing():
 
 
 def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
-                         whitener=None, w0=None):
+                         whitener=None, w0=None, tap_stride=1):
     """run_batch as a per-step numpy loop: the oracle for the C kernel.
 
     Returns the BatchRun fields as a dict (``diverged_at`` excluded).
@@ -300,7 +301,27 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
     steady_mse = np.where(~finite, np.inf, steady_mse)
     return dict(final_weights=w, mean_weights=mean_w, steady_state_mse=steady_mse,
                 steady_state_window=(win_start, n_steps), peak_residual=peak,
-                diverged=~finite, n_steps=n_steps, residual_power=res, taps=taps)
+                diverged=~finite, n_steps=n_steps, residual_power=res,
+                taps=None if taps is None else taps[:, ::tap_stride])
+
+
+def _bits(a):
+    """An array's 8-byte items as uint64 words (so that NaN payloads and the
+    sign of zero count); other arrays (the bool flags) as they are."""
+    return a.view(np.uint64) if a.dtype.itemsize % 8 == 0 else a
+
+
+def _assert_same_bits(got, want):
+    """Every field of the BatchRun ``got`` equals the BatchRun or oracle
+    dict ``want`` bit for bit (the oracle has no ``diverged_at``)."""
+    if not isinstance(want, dict):
+        want = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
+    for name, value in want.items():
+        actual = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(_bits(actual), _bits(value), err_msg=name)
+        else:
+            assert actual == value, name
 
 
 # N, mu as a multiple of the mean-square bound (None: whitened), run_batch
@@ -311,6 +332,8 @@ _KERNEL_MODES = {
     "alms_taps": (0, 0.5, dict(keep_residuals=False, track_taps=(0, 1))),
     "anclms_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 1, 5))),
     "anclms_warm": (N, 0.5, dict(track_taps=(0, 1, 5), w0="wiener")),
+    "anclms_strided_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 5),
+                                         tap_stride=15)),
     "anclms_residuals": (N, 0.3, {}),
     "whitened_anclms": (N, None, {}),
     "alms_diverging": (0, 2.0, dict(track_taps=(0,))),
@@ -410,15 +433,107 @@ def test_zero_start_weights_are_the_default(kernel_setup):
     options = dict(track_taps=(0, 1, 5))
     cold = run_batch(xs, ds, cfg, **options)
     zero = run_batch(xs, ds, cfg, w0=np.zeros(2 * (M + N)), **options)
-    def bits(a):  # the flags (bool) compare as they are
-        return a.view(np.uint64) if a.dtype.itemsize % 8 == 0 else a
+    _assert_same_bits(zero, cold)
 
-    for field in dataclasses.fields(cold):
-        want, got = getattr(cold, field.name), getattr(zero, field.name)
-        if isinstance(want, np.ndarray):
-            np.testing.assert_array_equal(bits(got), bits(want), err_msg=field.name)
-        else:
-            assert got == want, field.name
+
+# The jobs of one call, (N, mu as a multiple of the mean-square bound of N
+# or, for N = 2, of N = 4, steady window, start): ALMS and ANCLMS, ALMS
+# diverging at 2x its bound next to converging lanes, default and explicit
+# windows, zero and Wiener starts, and an ANCLMS job with fewer IMD taps
+# than the call's largest N. Five jobs fill a group of four lanes and a
+# tail group of one.
+_GROUP_JOBS = (
+    (0, 0.5, 2500, None),
+    (N, 0.5, None, "wiener"),
+    (0, 2.0, None, None),
+    (2, 0.3, 2000, None),
+    (N, 0.2, 2800, "wiener"),
+)
+# the run_jobs options of a call of that many jobs; tap 5 is the first
+# conjugate entry of ALMS and the first IMD entry of ANCLMS (N = 4)
+_GROUP_OPTIONS = {
+    2: dict(keep_residuals=False),
+    3: dict(track_taps=(0, 1, 5)),
+    4: dict(keep_residuals=False, track_taps=(0, 5), tap_stride=7),
+    5: dict(track_taps=(5,), tap_stride=15),
+}
+
+
+def _group_jobs(kernel_setup, wiener, count):
+    """The first ``count`` jobs of _GROUP_JOBS as ``(config, w0)`` pairs."""
+    prof, _, _, bounds = kernel_setup
+    return [(CancellerConfig(mu=scale * bounds[0 if n_imd == 0 else N], M=M,
+                             N=n_imd, k_tiq=prof.k_tiq, steady_window=window),
+             wiener if start == "wiener" else None)
+            for n_imd, scale, window, start in _GROUP_JOBS[:count]]
+
+
+@pytest.mark.parametrize("count", sorted(_GROUP_OPTIONS))
+def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener):
+    """Every job of a multi-job call (AVX2 lanes where the build has them)
+    returns each BatchRun field bit for bit as its one-job run and as the
+    numpy loop do."""
+    _, xs, ds, _ = kernel_setup
+    jobs = _group_jobs(kernel_setup, wiener, count)
+    options = _GROUP_OPTIONS[count]
+    runs = run_jobs(xs, ds, jobs, **options)
+    assert len(runs) == count
+    assert runs[2 % count].diverged.all() == (count > 2)
+    assert not runs[0].diverged.any()
+    for (cfg, w0), run in zip(jobs, runs):
+        _assert_same_bits(run, run_batch(xs, ds, cfg, w0=w0, **options))
+        _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, w0=w0, **options))
+
+
+def test_grouped_jobs_zero_observation():
+    """A zero residual is |e|^2 = 0 in every lane (numpy's |0| is 0, where
+    the lanes' max * sqrt(1 + (min/max)^2) would be 0/0)."""
+    x = gen_proper_gaussian(4000, 1.0, seed=30).samples
+    d = np.zeros(4000, dtype=complex)
+    jobs = [(CancellerConfig(mu=0.05, M=M, N=n_imd), None) for n_imd in (0, N, 1)]
+    for run in run_jobs(x, d, jobs):
+        assert np.all(run.residual_power == 0.0)
+        assert np.all(run.final_weights == 0.0)
+        assert run.steady_state_mse[0] == 0.0 and not run.diverged.any()
+
+
+def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
+    _, xs, ds, _ = kernel_setup
+    base = CancellerConfig(mu=0.01, M=M, k_tiq=1.0)
+    for other in (dataclasses.replace(base, M=M - 1),
+                  dataclasses.replace(base, k_tiq=2.0)):
+        with pytest.raises(ValueError, match="share M and k_tiq"):
+            run_jobs(xs, ds, [(base, None), (other, None)])
+    with pytest.raises(ValueError, match="at least one job"):
+        run_jobs(xs, ds, [])
+    with pytest.raises(ValueError, match="tap_stride"):
+        run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="-mno-avx2 is an x86 flag")
+def test_scalar_build_matches_the_lanes(kernel_setup, wiener, tmp_path,
+                                        monkeypatch):
+    """A build without AVX2 runs a mixed 4-job call by the scalar step and
+    returns the bytes the default build returns."""
+    _, xs, ds, _ = kernel_setup
+    jobs = _group_jobs(kernel_setup, wiener, 4)
+    options = _GROUP_OPTIONS[4]
+    default = run_jobs(xs, ds, jobs, **options)
+    # a copy of the sources, so that the build's deletion of superseded
+    # libraries cannot reach the package's own
+    for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    monkeypatch.setattr(_native, "_KERNEL_SOURCE", tmp_path / "_lms.c")
+    monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-mno-avx2"))
+    _native.library.cache_clear()
+    try:
+        assert _native.lanes(len(jobs)) == 1
+        scalar = run_jobs(xs, ds, jobs, **options)
+    finally:
+        _native.library.cache_clear()  # the next call loads the default build
+    for got, want in zip(scalar, default):
+        _assert_same_bits(got, want)
 
 
 def test_start_weights_contract(kernel_setup, wiener):

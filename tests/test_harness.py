@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdsic import harness
+from fdsic import _native, harness
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
@@ -302,6 +302,25 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
     # do the sweep's 2 cancellers, which run the same length at -5 dBm
     assert int(meta["samples"]) == 2 * (3000 + cfg.M)
     assert int(meta["trial_steps"]) == trial_steps
+    # all jobs of a trial (4 and 2) in one kernel call
+    jobs = trial_steps // (2 * 3001)
+    assert int(meta["lms_calls"]) == 2
+    assert int(meta["lms_lanes"]) == _native.lanes(jobs)
+
+
+@pytest.mark.parametrize("experiment, calls, jobs", [
+    ("bounds-probe", 2, 8),   # 2 trials, 8 jobs each in one call: two lane groups
+    ("convergence", 6, 1),    # 3 runs x 2 trials, one job a call: the scalar step
+])
+def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path):
+    """meta.txt counts the LMS kernel calls and names the widest lane count
+    they ran in."""
+    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
+                           iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert int(meta["lms_calls"]) == calls
+    assert int(meta["lms_lanes"]) == _native.lanes(jobs)
 
 
 def _trial_loop(type2, trials=3, n=3000 + M, clock=None):

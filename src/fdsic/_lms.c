@@ -264,7 +264,9 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
  * NULL, is (trials, steps) and receives the residual power of every step;
  * tap_buf, if not NULL, is (trials, ceil(steps / tap_stride), ntaps) and
  * receives the weights taps[] after every tap_stride-th step from step 0;
- * peak, steady_sum, steady_count and diverged_at are per trial. */
+ * peak, steady_sum, steady_count and diverged_at are per trial. pre, if not
+ * NULL, is a real preconditioner P with at most two nonzeros per row, (dim, 2):
+ * row k holds P[k][k] and P[k][pair[k]] (0 where pair[k] is k). */
 struct run {
     int64_t steps, dim, win_start;
     double mu;
@@ -274,6 +276,8 @@ struct run {
     const int64_t *taps;
     int64_t tap_stride;
     double *tap_buf;
+    const double *pre;
+    const int64_t *pair;
 };
 
 /* The tap buffer row of trial i and its kept step k, ntaps complex values */
@@ -283,9 +287,33 @@ static inline double *tap_row(const struct run *b, int64_t i, int64_t k)
     return b->tap_buf + 2 * (i * kept + k) * b->ntaps;
 }
 
-/* One LMS step of trial i on regressor r (dim entries) and observation d. */
-static inline void step(const struct run *b, int64_t i, int64_t j,
-                        const double *r, const double *d)
+/* An entry of the LMS-Newton direction P conj(r): p[0] conj(rk) +
+ * p[1] conj(rp), p being the entry's row of the preconditioner (see struct
+ * run) and rk and rp its regressor entry and that of its pair, formed as
+ * numpy forms it. */
+static inline void newton_entry(const double *p, const double *rk,
+                                const double *rp, double *c)
+{
+    double g[2], h[2];
+    scale_cplx(p[0], rk[0], -rk[1], g);
+    scale_cplx(p[1], rp[0], -rp[1], h);
+    c[0] = g[0] + h[0];
+    c[1] = g[1] + h[1];
+}
+
+/* The LMS-Newton direction c = P conj(r) of the job b on its regressor r */
+static inline void newton_direction(const struct run *b, const double *r,
+                                    double *c)
+{
+    for (int64_t k = 0; k < b->dim; k++)
+        newton_entry(b->pre + 2 * k, r + 2 * k, r + 2 * b->pair[k], c + 2 * k);
+}
+
+/* One LMS step of trial i on regressor r (dim entries) and observation d:
+ * w += mu e conj(r), or, given the direction c (not NULL), w += mu e c. */
+static inline __attribute__((always_inline)) void step(
+    const struct run *b, int64_t i, int64_t j, const double *r,
+    const double *c, const double *d)
 {
     int64_t dim = b->dim;
     double *wi = b->w + 2 * dim * i, *ai = b->w_accum + 2 * dim * i;
@@ -297,7 +325,7 @@ static inline void step(const struct run *b, int64_t i, int64_t j,
     double er = d[0] - yr, ei = d[1] - yi;
     double mr = fma(b->mu, er, -(0.0 * ei)), mi = fma(b->mu, ei, 0.0 * er);
     for (int64_t k = 0; k < dim; k++) {
-        double cr = r[2 * k], ci = -r[2 * k + 1];
+        double cr = c ? c[2 * k] : r[2 * k], ci = c ? c[2 * k + 1] : -r[2 * k + 1];
         wi[2 * k] += fma(mr, cr, -(mi * ci));
         wi[2 * k + 1] += fma(mr, ci, mi * cr);
     }
@@ -319,19 +347,6 @@ static inline void step(const struct run *b, int64_t i, int64_t j,
         b->steady_sum[i] += ok ? p : 0.0;
         b->steady_count[i] += ok;
     }
-}
-
-/* Steps j0 <= j < j1 of the job b, on the regressors in reg,
- * (trials, j1 - j0, dim) (the whitened path); d is (trials, steps + lead)
- * and step j reads column lead + j. */
-void lms_whitened(int64_t trials, int64_t lead, int64_t j0, int64_t j1,
-                  const double *reg, const double *d, const struct run *b)
-{
-    int64_t steps = b->steps, dim = b->dim;
-    for (int64_t i = 0; i < trials; i++)
-        for (int64_t j = j0; j < j1; j++)
-            step(b, i, j, reg + 2 * dim * (i * (j1 - j0) + j - j0),
-                 d + 2 * (i * (steps + lead) + lead + j));
 }
 
 /* Start the IMD window q (nimd samples, oldest first) of a trial whose
@@ -373,13 +388,19 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
                         const double *x, const double *d, const struct run *b)
 {
     int64_t nimd = b->dim / 2 - m;
-    double r[2 * b->dim], q[2 * nimd + 2];
+    double r[2 * b->dim], c[2 * b->dim], q[2 * nimd + 2];
     for (int64_t i = 0; i < trials; i++) {
         const double *xi = x + 2 * i * n;
         regressor_start(m, nimd, k15, xi, q);
         for (int64_t j = 0; j < b->steps; j++) {
+            const double *dj = d + 2 * (i * n + j + m - 1);
             regressor(m, nimd, k15, xi + 2 * (j + m - 1), q, r);
-            step(b, i, j, r, d + 2 * (i * n + j + m - 1));
+            if (b->pre) {
+                newton_direction(b, r, c);
+                step(b, i, j, r, c, dj);
+            } else {
+                step(b, i, j, r, NULL, dj);
+            }
         }
     }
 }
@@ -392,24 +413,31 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
 /* Up to LANES jobs of one lms_raw call, one job per lane of AVX2 vectors.
  * Each lane repeats its job's scalar step (see step above) operation for
  * operation: the same products, sums and fma()s in the same order, the
- * fma()s as _mm256_fmadd_pd, np_cabs as cabs_lanes. The lanes share one
- * regressor layout, that of the call's largest nimd (half = m + nimd
- * entries per half); a job with fewer IMD taps leaves the extra entries of
- * both halves out. w holds the weights of regressor entry k as two
+ * fma()s as _mm256_fmadd_pd, or, for fma(a, b, -c), as _mm256_fmsub_pd,
+ * the instruction the compiler gives the scalar step (a NaN c keeps its
+ * sign there, where negating it first would flip it), np_cabs as
+ * cabs_lanes. The lanes share one regressor layout, that of the call's
+ * largest nimd (half = m + nimd entries per half); a job with fewer IMD
+ * taps leaves the extra entries of both halves out. w holds the weights of regressor entry k as two
  * vectors, w[2k] the real and w[2k + 1] the imaginary parts of every lane,
  * and w_accum likewise. Entries k < full of either half belong to the job
  * of every lane; from full on, keep[k] has a lane's bits set where entry k
  * of either half is one of its job's entries. An idle lane (no job) of the
- * last group runs with zero weights and step size and writes nothing. */
+ * last group runs with zero weights and step size and writes nothing. A
+ * lane whose job has a preconditioner steps along its LMS-Newton direction,
+ * which lanes_direction forms in dir, entry k in dir[2k] and dir[2k + 1]
+ * like w: two buffers of 4 half vectors, for the regressors of even and odd
+ * steps. */
 struct lanes {
     const struct run *job[LANES];  /* NULL for an idle lane */
     int64_t full;
     int finite_all, e2;            /* the lanes with a job; any e2 output */
-    __m256d mu, peak, steady_sum, steady_count, yr, yi;
+    int newton;                    /* the lanes with a preconditioner */
+    __m256d mu, peak, steady_sum, steady_count, yr, yi, newton_mask;
     __m256i win_last;              /* each lane's win_start - 1 */
     int64_t win_first, win_all;    /* the earliest and latest win_start */
     int64_t diverged_at[LANES], next_tap[LANES], tap_first;
-    __m256d *w, *w_accum, *keep;
+    __m256d *w, *w_accum, *keep, *dir;
 };
 
 /* The slot of a job's regressor entry s in the shared layout */
@@ -417,11 +445,6 @@ static inline int64_t lane_slot(const struct run *b, int64_t half, int64_t s)
 {
     int64_t own = b->dim / 2;
     return s < own ? s : s - own + half;
-}
-
-static inline __m256d negate(__m256d v)
-{
-    return _mm256_xor_pd(v, _mm256_set1_pd(-0.0));
 }
 
 /* np_cabs of every lane: the same max, min, quotient, fma, sqrt and
@@ -450,17 +473,27 @@ static inline __m256d cabs_lanes(__m256d re, __m256d im)
 static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
                        int64_t half)
 {
+    int64_t newton[LANES] = {0};
     g->full = half;
-    g->finite_all = g->e2 = 0;
+    g->finite_all = g->e2 = g->newton = 0;
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l] = l < count ? &jobs[l] : NULL;
         if (!b)
             continue;
         g->finite_all |= 1 << l;
         g->e2 |= b->e2 != NULL;
+        if (b->pre) {
+            g->newton |= 1 << l;
+            newton[l] = -1;
+        }
         if (b->dim / 2 < g->full)
             g->full = b->dim / 2;
     }
+    g->newton_mask = _mm256_castsi256_pd(
+        _mm256_loadu_si256((const __m256i *)newton));
+    /* the entries a job leaves out keep a zero direction */
+    for (int64_t k = 0; k < 8 * half; k++)
+        g->dir[k] = _mm256_setzero_pd();
     for (int64_t k = 0; k < half; k++) {
         int64_t keep[LANES];
         for (int l = 0; l < LANES; l++)
@@ -572,6 +605,27 @@ static void lanes_record(struct lanes *g, int64_t i, int64_t j, int64_t half,
     }
 }
 
+/* The LMS-Newton direction of every lane with a preconditioner on the
+ * shared regressor r, into dir: each entry as newton_direction forms it for
+ * the lane's job on its own regressor. */
+static void lanes_direction(const struct lanes *g, int64_t half,
+                            const double *r, __m256d *dir)
+{
+    for (int l = 0; l < LANES; l++) {
+        const struct run *b = g->job[l];
+        if (!(g->newton >> l & 1))
+            continue;
+        for (int64_t s = 0; s < b->dim; s++) {
+            int64_t k = lane_slot(b, half, s);
+            double c[2];
+            newton_entry(b->pre + 2 * s, r + 2 * k,
+                         r + 2 * lane_slot(b, half, b->pair[s]), c);
+            ((double *)&dir[2 * k])[l] = c[0];
+            ((double *)&dir[2 * k + 1])[l] = c[1];
+        }
+    }
+}
+
 /* Add the term of entry k of the regressor r (weights wr, wi) to the sums
  * yr and yi of reg^T w as step forms it, masked by keep if `masked` (see
  * lanes_step) */
@@ -605,19 +659,25 @@ static void lanes_dot(struct lanes *g, int64_t half, const double *r)
 }
 
 /* The weight update of entry k (mirror: the same entry in the other half)
- * as step forms it; the new weights go to w, join the sums yr and yi of
+ * as step forms it, along conj(r), or, if dir is not NULL, along dir in the
+ * lanes of newton_mask; the new weights go to w, join the sums yr and yi of
  * reg^T w of the regressor next (masked by keep if `masked`), and join the
  * window sums w_accum: none if sum is 0, masked by `in` if it is 1. */
 static inline __attribute__((always_inline)) void update_entry(
     const double *r, const double *next, int64_t k, int64_t mirror,
-    __m256d mr, __m256d mi, int masked, __m256d keep, __m256d *w,
-    __m256d *w_accum, int sum, __m256d in, __m256d *yr, __m256d *yi)
+    __m256d mr, __m256d mi, const __m256d *dir, __m256d newton_mask,
+    int masked, __m256d keep, __m256d *w, __m256d *w_accum, int sum,
+    __m256d in, __m256d *yr, __m256d *yi)
 {
     /* step's ci = -r[2k + 1] is the imaginary part of the mirror entry,
      * negated bit for bit when r was built */
     __m256d cr = _mm256_broadcast_sd(r + 2 * k),
-            ci = _mm256_broadcast_sd(r + 2 * mirror + 1),
-            dr = _mm256_fmadd_pd(mr, cr, negate(_mm256_mul_pd(mi, ci))),
+            ci = _mm256_broadcast_sd(r + 2 * mirror + 1);
+    if (dir) {
+        cr = _mm256_blendv_pd(cr, dir[2 * k], newton_mask);
+        ci = _mm256_blendv_pd(ci, dir[2 * k + 1], newton_mask);
+    }
+    __m256d dr = _mm256_fmsub_pd(mr, cr, _mm256_mul_pd(mi, ci)),
             di = _mm256_fmadd_pd(mr, ci, _mm256_mul_pd(mi, cr));
     __m256d wr = _mm256_add_pd(w[2 * k], dr), wi = _mm256_add_pd(w[2 * k + 1], di);
     w[2 * k] = wr;
@@ -634,18 +694,19 @@ static inline __attribute__((always_inline)) void update_entry(
 }
 
 /* Step j of trial i for every lane, on the shared regressor r (2 half
- * entries) and observation d, with g->yr and g->yi holding reg^T w of r;
- * they are left holding reg^T w of next, the regressor of step j + 1, with
- * the new weights: each entry's new weight joins that sum as soon as it is
- * formed, in step's order. Where a lane leaves an entry out, its terms are
- * masked to +0: the sums they would join start at +0 and so are never -0
- * (x + y is -0 only if x and y both are), and such a sum plus +0 is the sum
- * itself. The left-out weights are updated like the others but are read
+ * entries) and observation d, with g->yr and g->yi holding reg^T w of r,
+ * and dir holding the LMS-Newton directions on r (NULL if no lane has a
+ * preconditioner); g->yr and g->yi are left holding reg^T w of next, the
+ * regressor of step j + 1, with the new weights: each entry's new weight
+ * joins that sum as soon as it is formed, in step's order. Where a lane
+ * leaves an entry out, its terms are masked to +0: the sums they would join
+ * start at +0 and so are never -0 (x + y is -0 only if x and y both are),
+ * and such a sum plus +0 is the sum itself. The left-out weights are updated like the others but are read
  * only through those masks, and never stored back. Before its window
  * starts, a lane's window sums are masked the same way. */
 static inline __attribute__((always_inline)) void lanes_step(
     struct lanes *g, int64_t i, int64_t j, int64_t half, const double *r,
-    const double *next, const double *d)
+    const double *next, const __m256d *dir, const double *d)
 {
     const __m256d zero = _mm256_setzero_pd();
     __m256d *w = g->w, *w_accum = g->w_accum;
@@ -653,7 +714,7 @@ static inline __attribute__((always_inline)) void lanes_step(
     const int64_t full = g->full;
     __m256d er = _mm256_sub_pd(_mm256_set1_pd(d[0]), g->yr),
             ei = _mm256_sub_pd(_mm256_set1_pd(d[1]), g->yi);
-    __m256d mr = _mm256_fmadd_pd(g->mu, er, negate(_mm256_mul_pd(zero, ei))),
+    __m256d mr = _mm256_fmsub_pd(g->mu, er, _mm256_mul_pd(zero, ei)),
             mi = _mm256_fmadd_pd(g->mu, ei, _mm256_mul_pd(zero, er));
     __m256d yr = zero, yi = zero;
     /* the window sums of the new weights: none before the first window
@@ -664,11 +725,11 @@ static inline __attribute__((always_inline)) void lanes_step(
     for (int64_t h = 0; h < 2 * half; h += half) {
         int64_t other = h ? -half : half;  /* from an entry to its mirror */
         for (int64_t k = h; k < h + full; k++)
-            update_entry(r, next, k, k + other, mr, mi, 0, zero, w, w_accum,
-                         sum, in, &yr, &yi);
+            update_entry(r, next, k, k + other, mr, mi, dir, g->newton_mask, 0,
+                         zero, w, w_accum, sum, in, &yr, &yi);
         for (int64_t k = h + full; k < h + half; k++)
-            update_entry(r, next, k, k + other, mr, mi, 1, keep[k - h], w,
-                         w_accum, sum, in, &yr, &yi);
+            update_entry(r, next, k, k + other, mr, mi, dir, g->newton_mask, 1,
+                         keep[k - h], w, w_accum, sum, in, &yr, &yi);
     }
     g->yr = yr;
     g->yi = yi;
@@ -701,10 +762,10 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         if (runs[g].dim / 2 - m > nimd)
             nimd = runs[g].dim / 2 - m;
     int64_t half = m + nimd, groups = (jobs + LANES - 1) / LANES;
-    /* each group's w, w_accum (4 half vectors each) and keep (half), on the
-     * heap: the number of jobs has no bound */
+    /* each group's w, w_accum (4 half vectors each), keep (half) and dir
+     * (8 half), on the heap: the number of jobs has no bound */
     __m256d *state = aligned_alloc(sizeof(__m256d),
-                                   groups * 9 * half * sizeof(__m256d));
+                                   groups * 17 * half * sizeof(__m256d));
     struct lanes *lanes = aligned_alloc(sizeof(__m256d),
                                         groups * sizeof(struct lanes));
     if (!state || !lanes) {
@@ -713,12 +774,14 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         return 0;
     }
     for (int64_t g = 0; g < groups; g++) {
-        lanes[g].w = state + 9 * half * g;
+        lanes[g].w = state + 17 * half * g;
         lanes[g].w_accum = lanes[g].w + 4 * half;
         lanes[g].keep = lanes[g].w + 8 * half;
+        lanes[g].dir = lanes[g].w + 9 * half;
         lanes_init(&lanes[g], runs + g * LANES, jobs - g * LANES, half);
     }
-    /* the regressors of steps j and j + 1, alternately */
+    /* the regressors of steps j and j + 1, alternately, and likewise each
+     * group's LMS-Newton directions on them, formed a step ahead */
     double r[2][4 * half], q[2 * nimd + 2];
     int64_t steps = runs[0].steps;
     for (int64_t i = 0; i < trials; i++) {
@@ -728,15 +791,26 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         for (int64_t g = 0; g < groups; g++) {
             lanes_start(&lanes[g], i, half);
             lanes_dot(&lanes[g], half, r[0]);
+            if (lanes[g].newton)
+                lanes_direction(&lanes[g], half, r[0], lanes[g].dir);
         }
         for (int64_t j = 0; j < steps; j++) {
-            const double *now = r[j & 1];
+            const double *now = r[j & 1], *dj = d + 2 * (i * n + j + m - 1);
             double *next = r[~j & 1];
-            if (j + 1 < steps)
+            if (j + 1 < steps) {
                 regressor(m, nimd, k15, xi + 2 * (j + m), q, next);
-            for (int64_t g = 0; g < groups; g++)
-                lanes_step(&lanes[g], i, j, half, now, next,
-                           d + 2 * (i * n + j + m - 1));
+                for (int64_t g = 0; g < groups; g++)
+                    if (lanes[g].newton)
+                        lanes_direction(&lanes[g], half, next,
+                                        lanes[g].dir + 4 * half * (~j & 1));
+            }
+            for (int64_t g = 0; g < groups; g++) {
+                if (lanes[g].newton)
+                    lanes_step(&lanes[g], i, j, half, now, next,
+                               lanes[g].dir + 4 * half * (j & 1), dj);
+                else
+                    lanes_step(&lanes[g], i, j, half, now, next, NULL, dj);
+            }
         }
         for (int64_t g = 0; g < groups; g++)
             lanes_finish(&lanes[g], i, half);

@@ -10,9 +10,9 @@ noise as a ``NormalStream`` draws it;
 call share one set of trials and one regressor built per step, and two or
 more jobs run as the lanes of AVX2 vectors, four jobs per vector, each lane
 repeating its job's scalar step bit for bit (a one-job call, and every call
-on a build without AVX2, runs the scalar step). ``lms_whitened`` runs one
-job's steps over a span of whitened regressors. ``Run`` describes one job
-to both.
+on a build without AVX2, runs the scalar step); a job may carry a real
+preconditioner and then runs the LMS-Newton step. ``Run`` describes one
+job.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -84,8 +84,9 @@ def _build_kernel() -> Path:
 
 class Run(ctypes.Structure):
     """``struct run`` of ``_lms.c``: one canceller job of an LMS call, its
-    sizes, window start and step size, and the addresses of its state and
-    outputs (``e2`` and ``tap_buf`` may be ``None``)."""
+    sizes, window start and step size, and the addresses of its state,
+    outputs and preconditioner (``e2``, ``tap_buf``, ``pre`` and ``pair`` may
+    be ``None``)."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
                 ("mu", ctypes.c_double),
@@ -93,13 +94,14 @@ class Run(ctypes.Structure):
                     "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
                     "diverged_at")],
                 ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
-                ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p)]
+                ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p),
+                ("pre", ctypes.c_void_p), ("pair", ctypes.c_void_p)]
 
 
 @functools.cache
 def library() -> ctypes.CDLL:
     """The compiled library, with ``normals_complex``, ``render``,
-    ``lms_raw``, ``lms_whitened`` and ``lms_lanes``."""
+    ``lms_raw`` and ``lms_lanes``."""
     cplx, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                   for dtype in (np.complex128, np.float64))
     i64 = ctypes.c_int64
@@ -109,10 +111,9 @@ def library() -> ctypes.CDLL:
     lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, cplx]
     lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, pcg, i64,
                            real, cplx, ctypes.c_void_p]
-    lib.lms_whitened.argtypes = [*[i64] * 4, cplx, cplx, runs]
     lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, cplx, cplx, i64, runs]
     lib.lms_lanes.argtypes = [i64]
-    for fn in (lib.normals_complex, lib.render, lib.lms_whitened, lib.lms_raw):
+    for fn in (lib.normals_complex, lib.render, lib.lms_raw):
         fn.restype = None
     lib.lms_lanes.restype = i64
     return lib

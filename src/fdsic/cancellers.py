@@ -7,105 +7,79 @@ cancels the linear and the cubic interference jointly (ANCLMS). The
 conventional widely linear canceller (ALMS) is the N = 0 case: its
 regressor is [x; x*] and it has no IMD taps.
 
-A pre-whitening transform Phi = Lambda^{-1/2} U^H, fitted on a held-out
-preamble of ``WHITEN_PREAMBLE_PER_TAP`` regressors per regressor entry, can
-be applied to the regressor to equalize the LMS convergence modes.
+A job may carry a real preconditioner P and then runs the LMS-Newton step
+w <- w + mu * e * P conj(reg). With P = R^-1 of a real regressor covariance
+R = U Lambda U^T this is the pre-whitened (transform-domain) LMS in original
+coordinates: whitening the regressor by Phi = Lambda^{-1/2} U^T and mapping
+the whitened weights v back as w = Phi^T v gives P = Phi^T Phi, from the
+same zero start. ``newton_preconditioner`` builds P from R; the covariance
+of proper Gaussian input couples the regressor entries at most in pairs
+(x(n-d) with x_imd(n-d)), so every row of P has at most two nonzeros and
+the step costs O(dim).
 
 ``run_jobs`` runs several canceller jobs (each its own step size, N,
-steady window and start weights) on one set of trials, and ``run_batch``
-one job; each trial runs on its own and returns per-trial rows, and
-averaging across trials is the caller's. The LMS steps run in a small C
-kernel (``_lms.c``, built and loaded by ``_native`` on the first call): one
-call per raw set of jobs, and one per chunk of ``_WHITEN_ROWS`` steps on
-the whitened path. Its arithmetic rounds exactly as the numpy expressions
-e = d - reg^T w (einsum), w += mu e conj(reg) and |e|^2 do, so results are
-bit-identical to a numpy loop over the steps. On the raw path the kernel
-reads each regressor in place from x and forms x_imd as it goes, keeping
-only the N newest values, once per step for all jobs of the call; two or
-more jobs run as the lanes of AVX2 vectors, four jobs per vector, and
-return the bits each job returns alone. ``regressor_matrix`` builds rows
-only for the whitened path, the whitening fit and the tests.
+steady window, start weights and preconditioner) on one set of trials, and
+``run_batch`` one job; each trial runs on its own and returns per-trial
+rows, and averaging across trials is the caller's. The LMS steps run in a
+small C kernel (``_lms.c``, built and loaded by ``_native`` on the first
+call), one call per set of jobs. Its arithmetic rounds exactly as the numpy
+expressions e = d - reg^T w (einsum), w += mu e conj(reg) (or
+mu e (p_kk conj(reg_k) + p_kj conj(reg_j)) entry by entry) and |e|^2 do, so
+results are bit-identical to a numpy loop over the steps. The kernel reads
+each regressor in place from x and forms x_imd as it goes, keeping only the
+N newest values, once per step for all jobs of the call; two or more jobs
+run as the lanes of AVX2 vectors, four jobs per vector, and return the bits
+each job returns alone. ``regressor_matrix`` builds the same regressors as
+rows, for the tests' numpy loop.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _native
 from .transceiver import imd_sequence
 
-WHITEN_PREAMBLE_PER_TAP = 50  # regressors that fit Phi, per regressor entry
 MIN_STEADY_WINDOW = 2000  # the shortest default steady-state window, in steps
-_WHITEN_ROWS = 4096  # whitened steps per kernel call, at most
-_PRODUCT_ROWS = 128  # rows per BLAS product in WhiteningTransform
 
 
 class DegenerateInputError(ValueError):
-    """Raised when the regressor sample covariance is singular."""
+    """Raised when a regressor covariance is singular."""
 
 
-@dataclass(frozen=True)
-class WhiteningTransform:
-    """Phi = Lambda^{-1/2} U^H from the sample covariance eigendecomposition."""
+def newton_preconditioner(cov) -> np.ndarray:
+    """P = R^-1 of the real symmetric regressor covariance ``cov``, inverted
+    pair by pair in closed form, so that its zeros and symmetry are exact.
 
-    matrix: np.ndarray
-
-    def apply(self, regressors: np.ndarray) -> np.ndarray:
-        """Whiten row-stacked regressors (..., dim)."""
-        return _rows_times(regressors, self.matrix.T)
-
-    def weights_to_original(self, weights: np.ndarray) -> np.ndarray:
-        """Map whitened-domain weights back to original coordinates.
-
-        reg^T w is preserved: x^T (Phi^T w) = (Phi x)^T w.
-        """
-        return _rows_times(weights, self.matrix)
-
-
-def _rows_times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``rows @ matrix`` for rows stacked on the last axis, as BLAS products
-    of ``_PRODUCT_ROWS`` rows (the last padded with zeros).
-
-    Every row then rounds as it does in one many-row product, whatever the
-    number of rows (a one-row product goes through another BLAS routine and
-    rounds differently), so a trial's whitened regressors do not depend on
-    the batch it runs in. A product this small also runs on the calling
-    thread, so no BLAS thread spins between the products of a trial loop.
+    Every entry of R may couple with one other entry at most. Raises
+    ``DegenerateInputError`` if an eigenvalue of R is at or below 1e-12 of
+    the largest (k_tiq = 0 makes the nonlinear entries vanish), and
+    ``ValueError`` if R is not real symmetric or couples an entry with two.
     """
-    (k, m), n = matrix.shape, rows.size // rows.shape[-1]
-    flat = rows.reshape(n, k)
-    out = np.empty((n, m), dtype=np.result_type(rows, matrix))
-    full = n - n % _PRODUCT_ROWS
-    np.matmul(flat[:full].reshape(-1, _PRODUCT_ROWS, k), matrix,
-              out=out[:full].reshape(-1, _PRODUCT_ROWS, m))
-    if full < n:
-        tail = np.zeros((_PRODUCT_ROWS, k), dtype=out.dtype)
-        tail[:n - full] = flat[full:]
-        out[full:] = (tail @ matrix)[:n - full]
-    return out.reshape(*rows.shape[:-1], m)
-
-
-def prewhiten_fit(sample_regressors) -> WhiteningTransform:
-    """Fit the whitening transform on a (samples, dim) array of regressors.
-
-    Raises ``DegenerateInputError`` if any covariance eigenvalue is at or
-    below 1e-12 (e.g. k_tiq = 0 makes the nonlinear entries vanish).
-    """
-    x = np.asarray(sample_regressors, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("expected a (samples, dim) array of regressors")
-    dim = x.shape[1]
-    if x.shape[0] < 10 * dim:
-        raise ValueError(f"need at least {10 * dim} sample regressors")
-    cov = (x.T @ np.conj(x)) / x.shape[0]
-    eigvals, basis = np.linalg.eigh(cov)
-    if np.any(eigvals <= 1e-12):
+    r = np.asarray(cov)
+    if (r.ndim != 2 or r.shape[0] != r.shape[1] or np.iscomplexobj(r)
+            or not np.array_equal(r, r.T)):
+        raise ValueError("the covariance must be a real symmetric matrix")
+    eigvals = np.linalg.eigvalsh(r)
+    if eigvals[0] <= 1e-12 * abs(eigvals[-1]):
         raise DegenerateInputError("singular regressor covariance")
-    matrix = (basis / np.sqrt(eigvals)).conj().T
-    return WhiteningTransform(matrix)
+    inv = np.zeros(r.shape)
+    for k in range(len(r)):
+        [others] = np.nonzero(r[k])
+        others = others[others != k]
+        if len(others) > 1:
+            raise ValueError("the covariance couples an entry with two others")
+        if not len(others):
+            inv[k, k] = 1.0 / r[k, k]
+        elif others[0] > k:
+            j = others[0]
+            det = r[k, k] * r[j, j] - r[k, j] * r[j, k]
+            inv[k, k], inv[j, j] = r[j, j] / det, r[k, k] / det
+            inv[k, j] = inv[j, k] = -r[k, j] / det
+    return inv
 
 
 @dataclass(frozen=True)
@@ -158,8 +132,8 @@ def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0) -> np.ndarray:
 class BatchRun:
     """Per-trial results of a run (row t belongs to trial t)."""
 
-    final_weights: np.ndarray         # (trials, dim), original coordinates
-    mean_weights: np.ndarray          # window-averaged, original coordinates
+    final_weights: np.ndarray         # (trials, dim)
+    mean_weights: np.ndarray          # (trials, dim), window-averaged
     steady_state_mse: np.ndarray      # (trials,)
     steady_state_window: tuple[int, int]
     peak_residual: np.ndarray         # (trials,) max |e|^2 over the run
@@ -174,13 +148,41 @@ def _address(array: np.ndarray | None):
     return None if array is None else array.ctypes.data
 
 
+class Job(NamedTuple):
+    """A canceller job of ``run_jobs``: its config, the start weights ``w0``
+    of every trial (a vector of its 2(M + N) weights, None for zero) and a
+    real preconditioner P (a 2(M + N) square matrix with at most two nonzeros
+    per row, as ``newton_preconditioner`` gives; None for the plain LMS)."""
+
+    config: CancellerConfig
+    w0: np.ndarray | None = None
+    preconditioner: np.ndarray | None = None
+
+
+def _pairs(preconditioner, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """P as the kernel reads it: ``(coef, pair)``, where row k of the (dim, 2)
+    ``coef`` holds P[k, k] and P[k, pair[k]], pair[k] being the column of the
+    row's off-diagonal nonzero (k, with a coefficient 0, if there is none)."""
+    p = np.asarray(preconditioner)
+    if p.shape != (dim, dim) or np.iscomplexobj(p):
+        raise ValueError(f"the preconditioner must be a real {dim} x {dim} matrix")
+    p = p.astype(np.float64)
+    off = p - np.diag(np.diag(p))
+    rows, cols = np.nonzero(off)
+    if len(np.unique(rows)) != len(rows):
+        raise ValueError("the preconditioner must have at most two nonzeros per row")
+    pair = np.arange(dim, dtype=np.int64)
+    pair[rows] = cols
+    return np.stack([np.diag(p), off[np.arange(dim), pair]], axis=1), pair
+
+
 class _Job:
     """One canceller job of a kernel call: its state and output arrays, and
     the ``_native.Run`` that points the kernel at them."""
 
-    def __init__(self, config: CancellerConfig, trials: int, n_steps: int,
-                 w0: np.ndarray | None, keep_residuals: bool,
+    def __init__(self, job: Job, trials: int, n_steps: int, keep_residuals: bool,
                  track_taps: tuple[int, ...], tap_stride: int):
+        config, w0, preconditioner = job
         dim = 2 * (config.M + config.N)
         self.window = config.steady_window or default_steady_window(n_steps)
         if n_steps <= 0 or self.window > n_steps:
@@ -191,6 +193,9 @@ class _Job:
             raise ValueError("tap_stride must be a positive step count")
         # IndexError if out of range
         self.tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]
+        self.pre = self.pair = None
+        if preconditioner is not None:
+            self.pre, self.pair = _pairs(preconditioner, dim)
         self.n_steps = n_steps
         self.w = np.zeros((trials, dim), dtype=np.complex128)
         if w0 is not None:
@@ -208,22 +213,18 @@ class _Job:
                                     self.steady_sum, self.steady_count,
                                     self.diverged_at)),
             len(self.tap_idx), _address(self.tap_idx), tap_stride,
-            _address(self.taps))
+            _address(self.taps), _address(self.pre), _address(self.pair))
 
-    def result(self, whitener: WhiteningTransform | None = None) -> BatchRun:
-        w = self.w
+    def result(self) -> BatchRun:
         # diverged trials carry inf/nan weights and sums; they are flagged below
         with np.errstate(over="ignore", invalid="ignore"):
             mean_w = self.w_accum / self.window
-            if whitener is not None:
-                w = whitener.weights_to_original(w)
-                mean_w = whitener.weights_to_original(mean_w)
             steady_mse = np.where(self.steady_count > 0,
                                   self.steady_sum / np.maximum(self.steady_count, 1),
                                   np.inf)
         diverged = self.diverged_at >= 0
         return BatchRun(
-            final_weights=w,
+            final_weights=self.w,
             mean_weights=mean_w,
             steady_state_mse=np.where(diverged, np.inf, steady_mse),
             steady_state_window=(self.run.win_start, self.n_steps),
@@ -236,38 +237,33 @@ class _Job:
         )
 
 
-def _trial_rows(xs, ds) -> tuple[np.ndarray, np.ndarray]:
-    """``xs`` and ``ds`` as C-contiguous complex (trials, n) rows."""
+def run_jobs(xs: np.ndarray, ds: np.ndarray, jobs: list[tuple],
+             keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
+             tap_stride: int = 1) -> list[BatchRun]:
+    """Run every job, a ``Job`` or a tuple of its fields (``(config, w0)``
+    or ``(config, w0, preconditioner)``), on the trials in the rows of ``xs``
+    and ``ds``, in one kernel call; return one ``BatchRun`` per job.
+
+    The jobs share M and k_tiq (a ``ValueError`` otherwise) and may differ
+    in mu, N, steady window, start weights and preconditioner. Each job
+    returns exactly what it returns alone in ``run_batch``.
+    ``keep_residuals`` stores |e|^2 per step; ``track_taps`` stores the
+    listed weights (indices into each job's own weight vector) after steps
+    0, tap_stride, 2 tap_stride, ...
+    """
+    if not jobs:
+        raise ValueError("run_jobs needs at least one job")
+    jobs = [Job(*job) for job in jobs]
     xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=np.complex128))
     ds = np.atleast_2d(np.ascontiguousarray(ds, dtype=np.complex128))
     if xs.shape != ds.shape:
         raise ValueError("x and d must have identical shapes")
-    return xs, ds
-
-
-def run_jobs(xs: np.ndarray, ds: np.ndarray,
-             jobs: list[tuple[CancellerConfig, np.ndarray | None]],
-             keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-             tap_stride: int = 1) -> list[BatchRun]:
-    """Run every job, a ``(config, w0)`` pair, on the trials in the rows of
-    ``xs`` and ``ds``, in one kernel call; return one ``BatchRun`` per job.
-
-    The jobs share M and k_tiq (a ``ValueError`` otherwise) and may differ
-    in mu, N, steady window and start weights ``w0`` (a vector of the job's
-    2(M + N) weights, or None for zero). Each job returns exactly what it
-    returns alone in ``run_batch``. ``keep_residuals`` stores |e|^2 per step;
-    ``track_taps`` stores the listed weights (indices into each job's own
-    weight vector) after steps 0, tap_stride, 2 tap_stride, ...
-    """
-    if not jobs:
-        raise ValueError("run_jobs needs at least one job")
-    xs, ds = _trial_rows(xs, ds)
-    M, k_tiq = jobs[0][0].M, jobs[0][0].k_tiq
-    if any(config.M != M or config.k_tiq != k_tiq for config, _ in jobs):
+    M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
+    if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
     trials, n = xs.shape
-    state = [_Job(config, trials, n - M + 1, w0, keep_residuals, track_taps,
-                  tap_stride) for config, w0 in jobs]
+    state = [_Job(job, trials, n - M + 1, keep_residuals, track_taps, tap_stride)
+             for job in jobs]
     runs = (_native.Run * len(state))(*(job.run for job in state))
     _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, xs, ds, len(state), runs)
     return [job.result() for job in state]
@@ -275,9 +271,10 @@ def run_jobs(xs: np.ndarray, ds: np.ndarray,
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
               keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-              whitener: WhiteningTransform | None = None,
-              w0: np.ndarray | None = None, tap_stride: int = 1) -> BatchRun:
-    """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``.
+              w0: np.ndarray | None = None, tap_stride: int = 1,
+              preconditioner: np.ndarray | None = None) -> BatchRun:
+    """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``:
+    ``run_jobs`` with the one job ``(config, w0, preconditioner)``.
 
     ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
     None starts them at zero. Step t adapts on the regressor of sample
@@ -287,27 +284,8 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     exactly the rows its trials return one at a time. A 1-D ``xs`` and
     ``ds`` are one trial. ``keep_residuals`` stores |e|^2 per step;
     ``track_taps`` stores the listed weights after every ``tap_stride``-th
-    step from step 0. With ``whitener`` the LMS runs on whitened regressors;
-    the final and window weights are mapped back to original coordinates,
-    and neither tap tracking nor ``w0`` (whose whitened coordinates would
-    differ) is available. Without it this is ``run_jobs`` with one job.
+    step from step 0. With ``preconditioner`` P the job runs the LMS-Newton
+    step w += mu e P conj(reg).
     """
-    if whitener is None:
-        return run_jobs(xs, ds, [(config, w0)], keep_residuals, track_taps,
-                        tap_stride)[0]
-    if track_taps:
-        raise ValueError("tap tracking is not supported for whitened runs")
-    if w0 is not None:
-        raise ValueError("start weights are not supported for whitened runs")
-    xs, ds = _trial_rows(xs, ds)
-    trials, n = xs.shape
-    M = config.M
-    job = _Job(config, trials, n - M + 1, None, keep_residuals, (), 1)
-    lib = _native.library()
-    # whitened regressors are formed and run in chunks that stay in cache
-    for a in range(0, job.n_steps, _WHITEN_ROWS):
-        b = min(a + _WHITEN_ROWS, job.n_steps)
-        regs = whitener.apply(regressor_matrix(xs[:, a:b + M - 1], M, config.N,
-                                               config.k_tiq))
-        lib.lms_whitened(trials, M - 1, a, b, regs, ds, ctypes.byref(job.run))
-    return job.result(whitener)
+    return run_jobs(xs, ds, [(config, w0, preconditioner)], keep_residuals,
+                    track_taps, tap_stride)[0]

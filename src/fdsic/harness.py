@@ -26,8 +26,12 @@ Step-size conventions (fractions of closed-form bounds):
   covariance mode (eigenvalue lam3) has nothing to converge; the linear
   canceller, whose white regressor has no slow mode, starts at zero;
 * whitening comparison: raw runs at 0.005 x the mean-convergence bound of
-  their covariance; the whitened run keeps the raw run's steady-state
-  misadjustment so only convergence speed differs.
+  their covariance; the whitened run is the LMS-Newton step with the exact
+  inverse covariance ``rb_matrix``^-1 (the pre-whitened LMS in original
+  coordinates), run as a second job on the optimal-power run's own trials,
+  and keeps that run's steady-state misadjustment so only convergence speed
+  differs. The exact covariance assumes white Gaussian input, so
+  convergence takes no OFDM source.
 """
 
 from __future__ import annotations
@@ -41,16 +45,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _native
-from .cancellers import (MIN_STEADY_WINDOW, WHITEN_PREAMBLE_PER_TAP,
-                         BatchRun, CancellerConfig, prewhiten_fit,
-                         regressor_matrix, run_batch, run_jobs)
+# run_batch and regressor_matrix are not called here; the benchmark's tracer
+# (perfbench/tracing.py) wraps them by name in this module
+from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig,
+                         newton_preconditioner, regressor_matrix, run_batch,
+                         run_jobs)
 from .plots import heatmap, line_plot
 from .signals import WaveformSpec, gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
                      alms_steady_mse, anclms_exact_steady_mse,
                      anclms_mean_bound, anclms_ms_analysis,
                      anclms_steady_mse, anclms_transient, condition_number,
-                     optimal_sigma_x2)
+                     optimal_sigma_x2, rb_matrix)
 from .transceiver import (TransceiverProfile, builtin_profile,
                           compute_noise_budget, compute_power_budget,
                           load_profile, render_observation, synthesize_channels)
@@ -100,6 +106,10 @@ class ExperimentConfig:
             self.profile.with_tx_power(tx)  # raises outside the supported range
         if self.signal_source not in ("gaussian", "ofdm"):
             raise ValueError(f"unknown signal source {self.signal_source!r}")
+        if self.experiment == "convergence" and self.signal_source != "gaussian":
+            raise ValueError("convergence needs --source gaussian: its exact "
+                             "whitening and its transient overlay assume white "
+                             "Gaussian input")
         if not 1 <= self.N < self.M:
             raise ValueError("need 1 <= N < M")
         if self.iterations <= MIN_STEADY_WINDOW:
@@ -302,8 +312,9 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
 
 
 def _cancel(clock: PhaseClock, x, d, jobs, **options) -> list[BatchRun]:
-    """``run_jobs`` on one trial: every job, a ``(config, w0)`` pair, in one
-    kernel call, timed and counted as the LMS phase."""
+    """``run_jobs`` on one trial: every job, a ``(config, w0)`` pair or a
+    ``(config, w0, preconditioner)`` triple, in one kernel call, timed and
+    counted as the LMS phase."""
     with clock.phase("lms"):
         runs = run_jobs(x, d, jobs, **options)
     clock.count_lms(runs)
@@ -635,71 +646,61 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     block = 100
     budget = compute_noise_budget(prof)
     noise = budget.sigma_v2 + budget.sigma_q2
-    dim = 2 * (config.M + config.N)
-    preamble = WHITEN_PREAMBLE_PER_TAP * dim
 
     # raw runs: CONVERGENCE_MU_FRAC x the mean-convergence bound of their
-    # input covariance.
-    # The whitened run keeps the raw run's theoretical steady-state excess
+    # input covariance R. The whitened run is the LMS-Newton step with the
+    # exact R^-1 at the optimal power, on the optimal run's own trials; it
+    # keeps the raw run's theoretical steady-state excess
     # (mu_w = mu_raw Tr(R)/dim, equal misadjustment), so the comparison
     # isolates convergence speed at a common steady SINR.
+    r_opt = rb_matrix(s_opt, k, config.M, config.N)
     mu_opt = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_opt, k, config.M, config.N)
-    trace_r = (2 * config.M * s_opt
-               + 2 * config.N * 6.0 * k ** 3 * s_opt ** 3)
-    mu_white = mu_opt * trace_r / dim
-    runs = {}
-    for label, s2, whiten, mu in (
-            ("anclms_optimal", s_opt, False, mu_opt),
-            ("anclms_suboptimal", s_sub, False,
-             CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)),
-            ("anclms_whitened", s_opt, True, mu_white)):
+    mu_white = mu_opt * np.trace(r_opt) / len(r_opt)
+    mu_sub = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)
+
+    def cfg(mu):
+        return CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k)
+
+    # the SINR curve of each run, in the column order of convergence.csv
+    sinr = dict.fromkeys(("anclms_optimal", "anclms_suboptimal", "anclms_whitened"))
+    n_steps = n_iters + 1
+    for s2, jobs in (
+            (s_opt, {"anclms_optimal": (cfg(mu_opt), None),
+                     "anclms_whitened": (cfg(mu_white), None,
+                                         newton_preconditioner(r_opt))}),
+            (s_sub, {"anclms_suboptimal": (cfg(mu_sub), None)})):
         channels = synthesize_channels(prof, config.M, config.N,
                                        seed=config.seed, sigma_x2=s2)
-        # the whitened run fits Phi on trial 0's preamble and every trial
-        # starts adapting after its own preamble
-        pad = preamble if whiten else 0
-        cfg = CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k)
-        n_steps = n_iters + 1
-        residuals = np.empty((n_steps, config.trials))
-        steady = np.empty(config.trials)
-        whitener = None
+        residuals = {label: np.empty((n_steps, config.trials)) for label in jobs}
         for t, (x, obs) in enumerate(iter_trials(
-                config, prof, channels, budget, s2, n_iters + config.M + pad,
+                config, prof, channels, budget, s2, n_iters + config.M,
                 report.clock)):
-            if whiten and t == 0:
-                whitener = prewhiten_fit(regressor_matrix(
-                    x[:config.M - 1 + pad], config.M, config.N, k))
-            # one job a call (the whitened path takes no more): the scalar step
-            with report.clock.phase("lms"):
-                run = run_batch(x[pad:], obs.d.samples[pad:], cfg,
-                                whitener=whitener)
-            report.clock.count_lms([run])
-            residuals[:, t] = run.residual_power[0]
-            steady[t] = run.steady_state_mse[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            error_power_mean = residuals.mean(axis=1)
-        smooth = error_power_mean[: (n_steps // block) * block]
-        smooth = smooth.reshape(-1, block).mean(axis=1)
-        sinr = lin_to_db(budget.p_x_soi / smooth)
-        runs[label] = {"sinr": sinr, "mu": mu, "s2": s2,
-                       "steady": float(np.mean(steady))}
+            for label, run in zip(jobs, _cancel(report.clock, x, obs.d.samples,
+                                                list(jobs.values()))):
+                residuals[label][:, t] = run.residual_power[0]
+        for label, rows in residuals.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                error_power_mean = rows.mean(axis=1)
+            smooth = error_power_mean[: (n_steps // block) * block]
+            smooth = smooth.reshape(-1, block).mean(axis=1)
+            sinr[label] = lin_to_db(budget.p_x_soi / smooth)
 
     # small-step theory overlay for the raw run at the optimal power
     try:
         ana = anclms_ms_analysis(s_opt, k, config.M, config.N)
         ch_opt = synthesize_channels(prof, config.M, config.N,
                                      seed=config.seed, sigma_x2=s_opt)
-        grid_pts = np.arange(block // 2, len(runs["anclms_optimal"]["sinr"]) * block, block)
-        j_pred = anclms_transient(ana, noise, runs["anclms_optimal"]["mu"],
+        grid_pts = np.arange(block // 2, len(sinr["anclms_optimal"]) * block, block)
+        j_pred = anclms_transient(ana, noise, mu_opt,
                                   -ch_opt.stacked_nonlinear(), grid_pts)
-        runs["anclms_optimal_theory"] = {
-            "sinr": lin_to_db(budget.p_x_soi / np.maximum(j_pred, 1e-300))}
+        sinr["anclms_optimal_theory"] = lin_to_db(
+            budget.p_x_soi / np.maximum(j_pred, 1e-300))
     except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
         report.meta["transient_overlay_error"] = repr(exc)
 
-    min_len = min(len(r["sinr"]) for r in runs.values())
+    min_len = min(len(curve) for curve in sinr.values())
     iters_axis = (np.arange(min_len) + 0.5) * block
-    curves = {label: np.asarray(r["sinr"][:min_len]) for label, r in runs.items()}
+    curves = {label: np.asarray(curve[:min_len]) for label, curve in sinr.items()}
     report.csv_paths.append(write_csv(out / "convergence.csv", "iteration",
                                       iters_axis, curves))
     report.svg_paths.append(line_plot(out / "convergence.svg", iters_axis, curves,
@@ -728,6 +729,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
                          reach["anclms_optimal"] <= reach["anclms_suboptimal"],
                          "optimal reference power converges no slower than -10 dBm")
     report.meta["mu_bound"] = "anclms_mean_bound"
+    report.meta["whitening"] = "exact rb_matrix inverse"
     _write_meta(report, config, out, started, mu_fracs=(CONVERGENCE_MU_FRAC,))
     return report
 

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsic import _native, cancellers
+from fdsic import _native
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
-                              default_steady_window, prewhiten_fit,
+                              default_steady_window, newton_preconditioner,
                               regressor_matrix, run_batch, run_jobs)
 from fdsic.harness import ExperimentConfig
 from fdsic.signals import gen_proper_gaussian
-from fdsic.theory import alms_ms_bound, anclms_mean_bound, anclms_ms_analysis
+from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
+                          optimal_sigma_x2, rb_matrix)
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 from conftest import M, N, SEED, stack_trials
 
@@ -148,35 +149,60 @@ def test_anclms_matches_widely_nonlinear_ls():
     np.testing.assert_allclose(got, ls, rtol=5e-5, atol=5e-5 * np.abs(ls).max())
 
 
+def _exact_whitening(s2, k_tiq):
+    """Phi = Lambda^{-1/2} U^T of the exact covariance R = U Lambda U^T."""
+    lam, basis = np.linalg.eigh(rb_matrix(s2, k_tiq, M, N))
+    return (basis / np.sqrt(lam)).T
+
+
 def test_prewhitening_whitens(type2):
-    x = gen_proper_gaussian(5000, 0.05, seed=20).samples
-    regs = regressor_matrix(x, M, N, type2.k_tiq)
-    wt = prewhiten_fit(regs)
-    white = wt.apply(regs)
-    cov = white.T @ np.conj(white) / len(white)
-    eig = np.linalg.eigvalsh(cov)
-    assert eig.max() / eig.min() < 1.01
+    """Phi of the exact covariance whitens simulated regressors, and
+    Phi^T Phi is the Newton preconditioner R^-1, exactly pairwise."""
+    s2 = optimal_sigma_x2(type2.k_tiq)
+    phi = _exact_whitening(s2, type2.k_tiq)
+    regs = regressor_matrix(gen_proper_gaussian(50_000, s2, seed=20).samples,
+                            M, N, type2.k_tiq)
+
+    def spread(rows):
+        eig = np.linalg.eigvalsh(rows.T @ np.conj(rows) / len(rows))
+        return eig.max() / eig.min()
+
+    assert spread(regs) > 9.0
+    assert spread(regs @ phi.T) < 1.3
+    p = newton_preconditioner(rb_matrix(s2, type2.k_tiq, M, N))
+    np.testing.assert_allclose(phi.T @ phi, p, rtol=1e-9, atol=1e-9 * np.abs(p).max())
+    assert np.array_equal(p, p.T)
+    assert np.array_equal(p != 0, rb_matrix(s2, type2.k_tiq, M, N) != 0)
+    assert np.all(np.count_nonzero(p, axis=1) <= 2)
 
 
 def test_prewhitening_degenerate():
-    x = gen_proper_gaussian(5000, 1.0, seed=21).samples
-    regs = regressor_matrix(x, M, N, 0.0)  # k_tiq = 0: IMD entries vanish
+    # k_tiq = 0: the IMD entries vanish and R is singular
     with pytest.raises(DegenerateInputError):
-        prewhiten_fit(regs)
-    with pytest.raises(ValueError):
-        prewhiten_fit(regs[: 10 * regs.shape[1] - 1])
+        newton_preconditioner(rb_matrix(1.0, 0.0, M, N))
+    triple = np.eye(3) + 0.1 * (1 - np.eye(3))  # every entry couples with two
+    for bad in (np.eye(3)[:2], np.eye(3) * 1j, np.triu(triple), triple):
+        with pytest.raises(ValueError):
+            newton_preconditioner(bad)
 
 
 def test_whitened_weights_map_back(type2):
-    """Whitened-domain weights reproduce regs @ w in original coordinates."""
-    x = gen_proper_gaussian(3000, 0.05, seed=22).samples
-    regs = regressor_matrix(x, M, N, type2.k_tiq)
-    wt = prewhiten_fit(regs)
+    """The whitened LMS, run in numpy on Phi-whitened regressors and mapped
+    back by w = Phi^T v, is the Newton job: the same weights to rounding."""
+    s2 = optimal_sigma_x2(type2.k_tiq)
+    x = gen_proper_gaussian(3000, s2, seed=22).samples
     rng = np.random.default_rng(23)
-    w_white = rng.standard_normal(regs.shape[1]) + 1j * rng.standard_normal(regs.shape[1])
-    lhs = wt.apply(regs) @ w_white
-    rhs = regs @ wt.weights_to_original(w_white)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+    d = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+    cfg = CancellerConfig(mu=0.01, M=M, N=N, k_tiq=type2.k_tiq)
+    phi = _exact_whitening(s2, type2.k_tiq)
+    v = np.zeros(2 * (M + N), dtype=complex)
+    for t, u in enumerate(regressor_matrix(x, M, N, type2.k_tiq) @ phi.T):
+        v += cfg.mu * (d[M - 1 + t] - u @ v) * np.conj(u)
+    run = run_batch(x, d, cfg, preconditioner=newton_preconditioner(
+        rb_matrix(s2, type2.k_tiq, M, N)))
+    want = phi.T @ v
+    np.testing.assert_allclose(run.final_weights[0], want, rtol=0,
+                               atol=1e-9 * np.abs(want).max())
 
 
 def test_run_canceller_zero_observation():
@@ -248,9 +274,12 @@ def test_regressor_matrix_row_indexing():
 
 
 def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
-                         whitener=None, w0=None, tap_stride=1):
+                         w0=None, tap_stride=1, preconditioner=None):
     """run_batch as a per-step numpy loop: the oracle for the C kernel.
 
+    With ``preconditioner`` P the step moves along P conj(reg), formed entry
+    by entry as the diagonal term plus the term of the row's one
+    off-diagonal nonzero (column k with weight 0 if it has none).
     Returns the BatchRun fields as a dict (``diverged_at`` excluded).
     """
     trials, n = xs.shape
@@ -272,14 +301,20 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
     finite = np.ones(trials, dtype=bool)
     win_start = n_steps - window
     mu = config.mu
+    if preconditioner is not None:
+        p = np.asarray(preconditioner, dtype=float)
+        off = p - np.diag(np.diag(p))
+        pair = np.where(off.any(axis=1), np.argmax(off != 0, axis=1), np.arange(dim))
+        diag, coef = np.diag(p), off[np.arange(dim), pair]
     with np.errstate(over="ignore", invalid="ignore"):
         regs = regressor_matrix(xs, M, N, config.k_tiq)
-        if whitener is not None:
-            regs = whitener.apply(regs)
         for t in range(n_steps):
             reg = regs[:, t]
             e = ds[:, M - 1 + t] - np.einsum("ij,ij->i", reg, w)
-            w += mu * e[:, None] * np.conj(reg)
+            direction = np.conj(reg)
+            if preconditioner is not None:
+                direction = diag * direction + coef * np.conj(reg[:, pair])
+            w += mu * e[:, None] * direction
             e2 = np.abs(e) ** 2
             ok = np.isfinite(e2)
             finite &= ok
@@ -293,9 +328,6 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
                 steady_sum += np.where(ok, e2, 0.0)
                 steady_count += ok
         mean_w = w_accum / window
-        if whitener is not None:
-            w = whitener.weights_to_original(w)
-            mean_w = whitener.weights_to_original(mean_w)
         steady_mse = np.where(steady_count > 0,
                               steady_sum / np.maximum(steady_count, 1), np.inf)
     steady_mse = np.where(~finite, np.inf, steady_mse)
@@ -324,10 +356,13 @@ def _assert_same_bits(got, want):
             assert actual == value, name
 
 
-# N, mu as a multiple of the mean-square bound (None: whitened), run_batch
-# options; 2x is where ALMS overflows within the 3000 steps of the batch
-# (1.5x needs ~4500). w0="wiener" starts at the channels' exact Wiener
-# solution, as the SINR sweep does.
+# kind, mu as a multiple of the kind's bound, run_batch options. The kind is
+# 0 (ALMS) or N (ANCLMS), with their mean-square bounds, or "newton": ANCLMS
+# preconditioned by the exact R^-1 of the trials' power, whose mean bound is
+# 2 (P R = I, so every mode contracts by 1 - mu). 2x is where ALMS
+# overflows within the 3000 steps of the batch (1.5x needs ~4500).
+# w0="wiener" starts at the channels' exact Wiener solution, as the SINR
+# sweep does.
 _KERNEL_MODES = {
     "alms_taps": (0, 0.5, dict(keep_residuals=False, track_taps=(0, 1))),
     "anclms_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 1, 5))),
@@ -335,16 +370,19 @@ _KERNEL_MODES = {
     "anclms_strided_taps": (N, 0.5, dict(keep_residuals=False, track_taps=(0, 5),
                                          tap_stride=15)),
     "anclms_residuals": (N, 0.3, {}),
-    "whitened_anclms": (N, None, {}),
+    "whitened_anclms": ("newton", 0.005, {}),
+    "whitened_warm_taps": ("newton", 0.005, dict(track_taps=(0, 5, 9, 14),
+                                                 tap_stride=7, w0="wiener")),
     "alms_diverging": (0, 2.0, dict(track_taps=(0,))),
     "anclms_diverging": (N, 3.0, {}),
+    "whitened_diverging": ("newton", 1.5, dict(track_taps=(0,))),
 }
 
 
 @pytest.fixture(scope="module")
 def kernel_setup(type2):
-    """4 trials x 3000 steps at 15 dBm, where whitening is well conditioned,
-    and the mean-square bounds of ALMS and ANCLMS there."""
+    """4 trials x 3000 steps at 15 dBm, and the bounds of each kind of
+    _KERNEL_MODES there."""
     prof = type2.with_tx_power(15.0)
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, M, N, seed=SEED)
@@ -353,7 +391,7 @@ def kernel_setup(type2):
                               seed=SEED)
     xs, ds = stack_trials(config, prof, channels, budget, s2, 3000 + M - 1)
     ana = anclms_ms_analysis(s2, prof.k_tiq, M, N)
-    return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound}
+    return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound, "newton": 2.0}
 
 
 @pytest.fixture(scope="module")
@@ -363,29 +401,25 @@ def wiener(type2):
                                seed=SEED).stacked_nonlinear()
 
 
-def _kernel_config(kernel_setup, n_imd, scale):
+def _kernel_config(kernel_setup, kind, scale):
     prof, _, _, bounds = kernel_setup
-    mu = 0.01 if scale is None else scale * bounds[n_imd]
-    return CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
+    return CancellerConfig(mu=scale * bounds[kind], M=M, N=0 if kind == 0 else N,
+                           k_tiq=prof.k_tiq)
 
 
-def _whitened_inputs(xs, ds, config):
-    """The whitened run of the experiments: Phi fitted on trial 0's preamble,
-    and every trial adapting after its own preamble."""
-    pad = cancellers.WHITEN_PREAMBLE_PER_TAP * 2 * (config.M + config.N)
-    whitener = prewhiten_fit(regressor_matrix(xs[0, :config.M - 1 + pad],
-                                              config.M, config.N, config.k_tiq))
-    return xs[:, pad:], ds[:, pad:], whitener
+def _exact_inverse(kernel_setup):
+    """The Newton preconditioner R^-1 at the kernel_setup trials' power."""
+    prof = kernel_setup[0]
+    return newton_preconditioner(rb_matrix(prof.natural_sigma_x2, prof.k_tiq, M, N))
 
 
 def _kernel_inputs(kernel_setup, wiener, mode):
     """(xs, ds, config, run_batch options) of a mode of _KERNEL_MODES."""
     _, xs, ds, _ = kernel_setup
-    n_imd, scale, options = _KERNEL_MODES[mode]
-    cfg = _kernel_config(kernel_setup, n_imd, scale)
-    if scale is None:
-        xs, ds, whitener = _whitened_inputs(xs, ds, cfg)
-        options = {**options, "whitener": whitener}
+    kind, scale, options = _KERNEL_MODES[mode]
+    cfg = _kernel_config(kernel_setup, kind, scale)
+    if kind == "newton":
+        options = {**options, "preconditioner": _exact_inverse(kernel_setup)}
     if options.get("w0") == "wiener":
         options = {**options, "w0": wiener}
     return xs, ds, cfg, options
@@ -398,7 +432,7 @@ def test_kernel_matches_numpy_loop(mode, kernel_setup, wiener):
     got = run_batch(xs, ds, cfg, **options)
     want = _reference_run_batch(xs, ds, cfg, **options)
     assert np.array_equal(got.diverged, want["diverged"])
-    assert got.diverged.all() == (scale is not None and scale > 1)
+    assert got.diverged.all() == (scale > 1)
     for name, value in want.items():
         actual = getattr(got, name)
         if isinstance(value, np.ndarray):
@@ -436,18 +470,18 @@ def test_zero_start_weights_are_the_default(kernel_setup):
     _assert_same_bits(zero, cold)
 
 
-# The jobs of one call, (N, mu as a multiple of the mean-square bound of N
-# or, for N = 2, of N = 4, steady window, start): ALMS and ANCLMS, ALMS
-# diverging at 2x its bound next to converging lanes, default and explicit
-# windows, zero and Wiener starts, and an ANCLMS job with fewer IMD taps
-# than the call's largest N. Five jobs fill a group of four lanes and a
-# tail group of one.
+# The jobs of one call, (kind of _KERNEL_MODES or N = 2, mu as a multiple of
+# the kind's bound (for N = 2, of the bound of N = 4), steady window, start):
+# ALMS and ANCLMS, a Newton job next to plain ones, ALMS diverging at 2x its
+# bound next to converging lanes, default and explicit windows, zero and
+# Wiener starts, and an ANCLMS job with fewer IMD taps than the call's
+# largest N. Five jobs fill a group of four lanes and a tail group of one.
 _GROUP_JOBS = (
     (0, 0.5, 2500, None),
+    ("newton", 0.005, None, "wiener"),
     (N, 0.5, None, "wiener"),
     (0, 2.0, None, None),
     (2, 0.3, 2000, None),
-    (N, 0.2, 2800, "wiener"),
 )
 # the run_jobs options of a call of that many jobs; tap 5 is the first
 # conjugate entry of ALMS and the first IMD entry of ANCLMS (N = 4)
@@ -460,12 +494,17 @@ _GROUP_OPTIONS = {
 
 
 def _group_jobs(kernel_setup, wiener, count):
-    """The first ``count`` jobs of _GROUP_JOBS as ``(config, w0)`` pairs."""
+    """The first ``count`` jobs of _GROUP_JOBS as ``(config, w0,
+    preconditioner)`` triples."""
     prof, _, _, bounds = kernel_setup
-    return [(CancellerConfig(mu=scale * bounds[0 if n_imd == 0 else N], M=M,
-                             N=n_imd, k_tiq=prof.k_tiq, steady_window=window),
-             wiener if start == "wiener" else None)
-            for n_imd, scale, window, start in _GROUP_JOBS[:count]]
+    jobs = []
+    for kind, scale, window, start in _GROUP_JOBS[:count]:
+        config = CancellerConfig(mu=scale * bounds[kind if kind != 2 else N], M=M,
+                                 N=N if kind == "newton" else kind,
+                                 k_tiq=prof.k_tiq, steady_window=window)
+        jobs.append((config, wiener if start == "wiener" else None,
+                     _exact_inverse(kernel_setup) if kind == "newton" else None))
+    return jobs
 
 
 @pytest.mark.parametrize("count", sorted(_GROUP_OPTIONS))
@@ -478,11 +517,33 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener):
     options = _GROUP_OPTIONS[count]
     runs = run_jobs(xs, ds, jobs, **options)
     assert len(runs) == count
-    assert runs[2 % count].diverged.all() == (count > 2)
-    assert not runs[0].diverged.any()
-    for (cfg, w0), run in zip(jobs, runs):
-        _assert_same_bits(run, run_batch(xs, ds, cfg, w0=w0, **options))
-        _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, w0=w0, **options))
+    assert runs[3 % count].diverged.all() == (count > 3)
+    assert not runs[0].diverged.any() and not runs[1].diverged.any()
+    for (cfg, w0, pre), run in zip(jobs, runs):
+        _assert_same_bits(run, run_batch(xs, ds, cfg, w0=w0, preconditioner=pre,
+                                         **options))
+        _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, w0=w0,
+                                                    preconditioner=pre, **options))
+
+
+def test_newton_jobs_of_one_call(kernel_setup, wiener):
+    """Two Newton jobs of one call, one diverging, with taps and residuals,
+    each return their one-job bits, and the plain job beside them its own."""
+    _, xs, ds, _ = kernel_setup
+    p = _exact_inverse(kernel_setup)
+    jobs = [(_kernel_config(kernel_setup, "newton", 1.5), None, p),
+            (_kernel_config(kernel_setup, N, 0.3), wiener),
+            (_kernel_config(kernel_setup, "newton", 0.01), wiener, p)]
+    options = dict(track_taps=(0, 9, 17), tap_stride=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = run_jobs(xs, ds, jobs, **options)
+    assert [run.diverged.all() for run in runs] == [True, False, False]
+    assert np.all(runs[0].diverged_at >= 0)
+    for (cfg, w0, *pre), run in zip(jobs, runs):
+        options.update(w0=w0, preconditioner=pre[0] if pre else None)
+        _assert_same_bits(run, run_batch(xs, ds, cfg, **options))
+        _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, **options))
 
 
 def test_grouped_jobs_zero_observation():
@@ -543,9 +604,17 @@ def test_start_weights_contract(kernel_setup, wiener):
         run_batch(xs, ds, cfg, w0=wiener[:-1])
     with pytest.raises(ValueError, match="w0 must be a vector"):
         run_batch(xs, ds, cfg, w0=np.stack([wiener] * len(xs)))
-    xw, dw, whitener = _whitened_inputs(xs, ds, cfg)
-    with pytest.raises(ValueError, match="start weights"):
-        run_batch(xw, dw, cfg, whitener=whitener, w0=wiener)
+
+
+def test_preconditioner_contract(kernel_setup):
+    _, xs, ds, _ = kernel_setup
+    cfg = _kernel_config(kernel_setup, "newton", 0.005)
+    p = _exact_inverse(kernel_setup)
+    crowded = p.copy()
+    crowded[0, 2] = 1.0  # a third nonzero in row 0
+    for bad in (p[:-1, :-1], p * 1j, crowded):
+        with pytest.raises(ValueError, match="preconditioner"):
+            run_batch(xs, ds, cfg, preconditioner=bad)
 
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
@@ -562,17 +631,16 @@ def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
 
 @pytest.mark.parametrize("whiten", [False, True])
 def test_diverging_run_emits_no_warnings(whiten, kernel_setup):
-    prof, xs, ds, _ = kernel_setup
-    options = {}
-    if whiten:
-        cfg = CancellerConfig(mu=3.0, M=M, N=N, k_tiq=prof.k_tiq)
-        xs, ds, options["whitener"] = _whitened_inputs(xs, ds, cfg)
+    _, xs, ds, _ = kernel_setup
+    if whiten:  # the Newton step at 1.5x its mean bound
+        cfg = _kernel_config(kernel_setup, "newton", 1.5)
+        options = {"preconditioner": _exact_inverse(kernel_setup)}
     else:
-        cfg = _kernel_config(kernel_setup, N, 3.0)
+        cfg, options = _kernel_config(kernel_setup, N, 3.0), {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run = run_batch(xs, ds, cfg, **options)
-    assert run.diverged.all()
+    assert run.diverged.all() and np.all(run.diverged_at >= 0)
     assert np.all(np.isinf(run.steady_state_mse))
 
 

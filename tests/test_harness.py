@@ -250,6 +250,43 @@ def test_convergence_meta_names_its_step_size(type2, tmp_path):
     assert "mu_abs" not in meta
 
 
+def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch):
+    """The whitened run adapts on the optimal run's own trials: two rendered
+    trial sets, not three, and meta.txt names the exact whitening."""
+    rendered = []
+    real = harness.render_observation
+    monkeypatch.setattr(harness, "render_observation",
+                        lambda *a, **k: rendered.append(1) or real(*a, **k))
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert len(rendered) == 2 * cfg.trials
+    assert int(meta["samples"]) == 2 * cfg.trials * (20_000 + cfg.M)
+    assert int(meta["trial_steps"]) == 3 * cfg.trials * 20_001
+    assert meta["whitening"] == "exact rb_matrix inverse"
+
+
+def test_convergence_whitening_speedup_at_seed_22(type2, tmp_path):
+    """At seed 22, where a whitening transform fitted on a sampled
+    preamble fell short (5800 vs 7200 iterations), the exact one passes."""
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=50,
+                           iterations=20_000, seed=22, output_dir=tmp_path,
+                           check=True)
+    checks = {c.name: c for c in run_experiment(cfg).checks}
+    assert checks["whitening_speedup"].passed, checks["whitening_speedup"].detail
+
+
+def test_cli_convergence_ofdm_exit_code(tmp_path, capsys):
+    """convergence whitens with the covariance of white Gaussian input, so
+    an OFDM source is a configuration error."""
+    code = cli_main(["convergence", "--source", "ofdm", "--trials", "2",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "white Gaussian input" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
     """Both cancellers run on one rendered set of trials at every grid point,
     15 dBm (where the cold-started ANCLMS once ran longer) included."""
@@ -310,7 +347,9 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
 
 @pytest.mark.parametrize("experiment, calls, jobs", [
     ("bounds-probe", 2, 8),   # 2 trials, 8 jobs each in one call: two lane groups
-    ("convergence", 6, 1),    # 3 runs x 2 trials, one job a call: the scalar step
+    # 2 trials x 2 runs: the optimal and the whitened (Newton) jobs share a
+    # trial's call as lanes, and the suboptimal job runs alone
+    ("convergence", 4, 2),
 ])
 def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path):
     """meta.txt counts the LMS kernel calls and names the widest lane count

@@ -230,8 +230,21 @@ def test_anclms_ms_bound_below_mean_bound(lowpower_setup, lowpower_ms_analysis):
     prof, _, _ = lowpower_setup
     s2 = prof.natural_sigma_x2
     assert lowpower_ms_analysis.bound < anclms_mean_bound(s2, prof.k_tiq, M, N)
-    assert lowpower_ms_analysis.bound == min(lowpower_ms_analysis.bound_vec,
-                                             lowpower_ms_analysis.bound_gamma)
+
+
+def test_companion_bound_does_not_bind(lowpower_ms_analysis):
+    """The bound of the companion matrix Gamma = [[S/2, -T/2], [I, 0]],
+    1/lam_max over its real positive eigenvalues, is no tighter than the
+    analysis' bound 1/lam_max[S^-1 T], so the analysis leaves Gamma out."""
+    s_mat, t_mat = lowpower_ms_analysis.s_mat, lowpower_ms_analysis.t_mat
+    big = len(s_mat)
+    gamma = np.block([[s_mat / 2.0, -t_mat / 2.0],
+                      [np.eye(big), np.zeros((big, big))]])
+    eigs = np.linalg.eigvals(gamma)
+    real_pos = eigs.real[(np.abs(eigs.imag) <= 1e-9 * np.abs(eigs).clip(min=1e-30))
+                         & (eigs.real > 0)]
+    assert real_pos.size
+    assert lowpower_ms_analysis.bound <= 1.0 / real_pos.max()
 
 
 def test_anclms_ms_bound_gaussian_oracle():

@@ -425,9 +425,8 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
  * of either half is one of its job's entries. An idle lane (no job) of the
  * last group runs with zero weights and step size and writes nothing. A
  * lane whose job has a preconditioner steps along its LMS-Newton direction,
- * which lanes_direction forms in dir, entry k in dir[2k] and dir[2k + 1]
- * like w: two buffers of 4 half vectors, for the regressors of even and odd
- * steps. */
+ * which lanes_direction forms in dir on the step's own regressor, entry k in
+ * dir[2k] and dir[2k + 1] like w. */
 struct lanes {
     const struct run *job[LANES];  /* NULL for an idle lane */
     int64_t full;
@@ -492,7 +491,7 @@ static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
     g->newton_mask = _mm256_castsi256_pd(
         _mm256_loadu_si256((const __m256i *)newton));
     /* the entries a job leaves out keep a zero direction */
-    for (int64_t k = 0; k < 8 * half; k++)
+    for (int64_t k = 0; k < 4 * half; k++)
         g->dir[k] = _mm256_setzero_pd();
     for (int64_t k = 0; k < half; k++) {
         int64_t keep[LANES];
@@ -606,11 +605,12 @@ static void lanes_record(struct lanes *g, int64_t i, int64_t j, int64_t half,
 }
 
 /* The LMS-Newton direction of every lane with a preconditioner on the
- * shared regressor r, into dir: each entry as newton_direction forms it for
- * the lane's job on its own regressor. */
+ * shared regressor r, into g->dir: each entry as newton_direction forms it
+ * for the lane's job on its own regressor. */
 static void lanes_direction(const struct lanes *g, int64_t half,
-                            const double *r, __m256d *dir)
+                            const double *r)
 {
+    __m256d *dir = g->dir;
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l];
         if (!(g->newton >> l & 1))
@@ -762,10 +762,10 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         if (runs[g].dim / 2 - m > nimd)
             nimd = runs[g].dim / 2 - m;
     int64_t half = m + nimd, groups = (jobs + LANES - 1) / LANES;
-    /* each group's w, w_accum (4 half vectors each), keep (half) and dir
-     * (8 half), on the heap: the number of jobs has no bound */
+    /* each group's w, w_accum, dir (4 half vectors each) and keep (half),
+     * on the heap: the number of jobs has no bound */
     __m256d *state = aligned_alloc(sizeof(__m256d),
-                                   groups * 17 * half * sizeof(__m256d));
+                                   groups * 13 * half * sizeof(__m256d));
     struct lanes *lanes = aligned_alloc(sizeof(__m256d),
                                         groups * sizeof(struct lanes));
     if (!state || !lanes) {
@@ -774,14 +774,13 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         return 0;
     }
     for (int64_t g = 0; g < groups; g++) {
-        lanes[g].w = state + 17 * half * g;
+        lanes[g].w = state + 13 * half * g;
         lanes[g].w_accum = lanes[g].w + 4 * half;
         lanes[g].keep = lanes[g].w + 8 * half;
         lanes[g].dir = lanes[g].w + 9 * half;
         lanes_init(&lanes[g], runs + g * LANES, jobs - g * LANES, half);
     }
-    /* the regressors of steps j and j + 1, alternately, and likewise each
-     * group's LMS-Newton directions on them, formed a step ahead */
+    /* the regressors of steps j and j + 1, alternately */
     double r[2][4 * half], q[2 * nimd + 2];
     int64_t steps = runs[0].steps;
     for (int64_t i = 0; i < trials; i++) {
@@ -791,25 +790,19 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         for (int64_t g = 0; g < groups; g++) {
             lanes_start(&lanes[g], i, half);
             lanes_dot(&lanes[g], half, r[0]);
-            if (lanes[g].newton)
-                lanes_direction(&lanes[g], half, r[0], lanes[g].dir);
         }
         for (int64_t j = 0; j < steps; j++) {
             const double *now = r[j & 1], *dj = d + 2 * (i * n + j + m - 1);
             double *next = r[~j & 1];
-            if (j + 1 < steps) {
+            if (j + 1 < steps)
                 regressor(m, nimd, k15, xi + 2 * (j + m), q, next);
-                for (int64_t g = 0; g < groups; g++)
-                    if (lanes[g].newton)
-                        lanes_direction(&lanes[g], half, next,
-                                        lanes[g].dir + 4 * half * (~j & 1));
-            }
             for (int64_t g = 0; g < groups; g++) {
-                if (lanes[g].newton)
-                    lanes_step(&lanes[g], i, j, half, now, next,
-                               lanes[g].dir + 4 * half * (j & 1), dj);
-                else
+                if (lanes[g].newton) {
+                    lanes_direction(&lanes[g], half, now);
+                    lanes_step(&lanes[g], i, j, half, now, next, lanes[g].dir, dj);
+                } else {
                     lanes_step(&lanes[g], i, j, half, now, next, NULL, dj);
+                }
             }
         }
         for (int64_t g = 0; g < groups; g++)

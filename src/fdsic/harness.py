@@ -13,7 +13,9 @@ CSV are taken over arrays laid out as the old whole-batch arrays were, so
 they round as they did.
 Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
 busy time of the generate, render and LMS phases and the time the LMS loop
-waited for its next trial.
+waited for its next trial. ``run_experiment`` is every run's skeleton: it
+makes the output directory and the report, times the run and writes
+``meta.txt``; a runner fills the report in, the step size it runs included.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -219,19 +221,9 @@ def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
 
 
 def _write_meta(report: ExperimentReport, config: ExperimentConfig,
-                out: Path, started: float,
-                mu_fracs: tuple[float, ...] | None = None):
-    """Write ``meta.txt``; ``mu_fracs`` names the step sizes of an experiment
-    that runs fixed fractions of its bounds in place of the configured one.
-    power-budget runs no canceller and names no step size."""
-    if mu_fracs is not None:
-        mu_lines = [f"mu_frac = {','.join(f'{f:g}' for f in mu_fracs)}"]
-    elif config.experiment == "power-budget":
-        mu_lines = []
-    elif config.mu_abs is not None:
-        mu_lines = [f"mu_abs = {config.mu_abs}"]
-    else:
-        mu_lines = [f"mu_frac = {_mu_frac(config)}"]
+                out: Path, started: float):
+    """Write ``meta.txt``: the configuration, the duration, ``report.meta``
+    (a runner's step size among it), the phase clock and the checks."""
     lines = [
         f"experiment = {config.experiment}",
         f"version = {__version__}",
@@ -241,7 +233,6 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"signal_source = {config.signal_source}",
         f"M = {config.M}",
         f"N = {config.N}",
-        *mu_lines,
         f"tx_grid_dbm = {','.join(_fmt(v) for v in config.tx_grid_dbm)}",
         f"duration_s = {time.time() - started:.1f}",
     ]
@@ -321,27 +312,27 @@ def _cancel(clock: PhaseClock, x, d, jobs, **options) -> list[BatchRun]:
     return runs
 
 
-def _mu_frac(config: ExperimentConfig) -> float:
-    if config.mu_frac is not None:
-        return config.mu_frac
-    return DEFAULT_MU_FRAC.get(config.experiment, 0.05)
-
-
-def _resolve_mu(config: ExperimentConfig, bound: float) -> float:
+def _resolve_mu(config: ExperimentConfig, bound: float,
+                report: ExperimentReport) -> float:
+    """The configured step size, ``--mu`` or ``--mu-frac`` (else the
+    experiment's default) times ``bound``, recorded in ``report.meta`` as
+    ``mu_abs`` or ``mu_frac``."""
     if config.mu_abs is not None:
+        report.meta["mu_abs"] = str(config.mu_abs)
         return config.mu_abs
-    return _mu_frac(config) * bound
+    frac = config.mu_frac
+    if frac is None:
+        frac = DEFAULT_MU_FRAC.get(config.experiment, 0.05)
+    report.meta["mu_frac"] = str(frac)
+    return frac * bound
 
 
 # ---------------------------------------------------------------------------
 # power budget (component-power comparison)
 # ---------------------------------------------------------------------------
 
-def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
+def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Analytic per-component powers vs one rendered observation per point."""
-    started = time.time()
-    out = _ensure_out(config)
-    report = ExperimentReport("power-budget")
     rows = compute_power_budget(config.profile, config.tx_grid_dbm)
 
     measured = {k: [] for k in ("linear_si", "image_si", "imd_si",
@@ -401,19 +392,14 @@ def run_power_budget(config: ExperimentConfig) -> ExperimentReport:
             bool(np.all(thermal[below] > quant[below])
                  and np.all(thermal[above] < quant[above])),
             "thermal above quantization below 15 dBm, below it above 20 dBm")
-    _write_meta(report, config, out, started)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # bias (weight-error evolution and steady bias)
 # ---------------------------------------------------------------------------
 
-def run_bias(config: ExperimentConfig) -> ExperimentReport:
+def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Trial-averaged error-coefficient trajectories and steady bias table."""
-    started = time.time()
-    out = _ensure_out(config)
-    report = ExperimentReport("bias")
     prof = config.profile
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
@@ -427,7 +413,7 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
     kept = len(range(0, n_iters + 1, stride))  # plotted of the n_iters + 1 steps
     traces: dict[str, np.ndarray] = {}
     bias_table = None
-    base_mu = _resolve_mu(config, bound)
+    base_mu = _resolve_mu(config, bound, report)
     # each column is labelled with its step size as a fraction of the bound
     base_tag = f"mu{base_mu / bound:g}"
 
@@ -509,19 +495,14 @@ def run_bias(config: ExperimentConfig) -> ExperimentReport:
         anorm = float(report.meta["anclms_weight_error_norm_frac"])
         report.add_check("anclms_error_norm_5pct", anorm < 0.05,
                          f"weight error norm {anorm:.4f} of ||w_opt||")
-    _write_meta(report, config, out, started)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # SINR / attenuation sweep
 # ---------------------------------------------------------------------------
 
-def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
+def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Steady-state SINR and digital attenuation vs transmit power."""
-    started = time.time()
-    out = _ensure_out(config)
-    report = ExperimentReport(config.experiment)
     prof0 = config.profile
     grid = list(config.tx_grid_dbm)
     cols = {k: [] for k in (
@@ -536,7 +517,7 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         budget = compute_noise_budget(prof)
 
         # one shared step size for both cancellers at this grid point
-        mu = _resolve_mu(config, alms_ms_bound(s2, config.M))
+        mu = _resolve_mu(config, alms_ms_bound(s2, config.M), report)
         inp = TheoryInputs.from_profile(prof, channels, budget, mu)
 
         d_power = (s2 * (channels.norm2_h + channels.norm2_g)
@@ -598,8 +579,6 @@ def run_sinr_sweep(config: ExperimentConfig) -> ExperimentReport:
         gap25 = b[np.argmax(grid)] - a[np.argmax(grid)]
         report.add_check("gap_at_top_power_3dB", gap25 > 3.0,
                          f"gap at {max(grid):g} dBm is {gap25:.2f} dB")
-    _write_meta(report, config, out, started)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +596,8 @@ def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> 
     return idx * block
 
 
-def run_convergence(config: ExperimentConfig) -> ExperimentReport:
+def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Condition-number heatmap plus whitened-vs-raw SINR evolution."""
-    started = time.time()
-    out = _ensure_out(config)
-    report = ExperimentReport("convergence")
     prof = config.profile.with_tx_power(15.0)
     k = prof.k_tiq
 
@@ -657,13 +633,17 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     mu_opt = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_opt, k, config.M, config.N)
     mu_white = mu_opt * np.trace(r_opt) / len(r_opt)
     mu_sub = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)
+    report.meta["mu_frac"] = f"{CONVERGENCE_MU_FRAC:g}"
+    report.meta["mu_bound"] = "anclms_mean_bound"
 
     def cfg(mu):
         return CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k)
 
-    # the SINR curve of each run, in the column order of convergence.csv
-    sinr = dict.fromkeys(("anclms_optimal", "anclms_suboptimal", "anclms_whitened"))
+    # the SINR curve of each run, in the column order of convergence.csv,
+    # each of n_points block means
+    curves = dict.fromkeys(("anclms_optimal", "anclms_suboptimal", "anclms_whitened"))
     n_steps = n_iters + 1
+    n_points = n_steps // block
     for s2, jobs in (
             (s_opt, {"anclms_optimal": (cfg(mu_opt), None),
                      "anclms_whitened": (cfg(mu_white), None,
@@ -681,26 +661,24 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         for label, rows in residuals.items():
             with np.errstate(over="ignore", invalid="ignore"):
                 error_power_mean = rows.mean(axis=1)
-            smooth = error_power_mean[: (n_steps // block) * block]
+            smooth = error_power_mean[: n_points * block]
             smooth = smooth.reshape(-1, block).mean(axis=1)
-            sinr[label] = lin_to_db(budget.p_x_soi / smooth)
+            curves[label] = lin_to_db(budget.p_x_soi / smooth)
 
     # small-step theory overlay for the raw run at the optimal power
     try:
         ana = anclms_ms_analysis(s_opt, k, config.M, config.N)
         ch_opt = synthesize_channels(prof, config.M, config.N,
                                      seed=config.seed, sigma_x2=s_opt)
-        grid_pts = np.arange(block // 2, len(sinr["anclms_optimal"]) * block, block)
+        grid_pts = np.arange(block // 2, n_points * block, block)
         j_pred = anclms_transient(ana, noise, mu_opt,
                                   -ch_opt.stacked_nonlinear(), grid_pts)
-        sinr["anclms_optimal_theory"] = lin_to_db(
+        curves["anclms_optimal_theory"] = lin_to_db(
             budget.p_x_soi / np.maximum(j_pred, 1e-300))
     except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
         report.meta["transient_overlay_error"] = repr(exc)
 
-    min_len = min(len(curve) for curve in sinr.values())
-    iters_axis = (np.arange(min_len) + 0.5) * block
-    curves = {label: np.asarray(curve[:min_len]) for label, curve in sinr.items()}
+    iters_axis = (np.arange(n_points) + 0.5) * block
     report.csv_paths.append(write_csv(out / "convergence.csv", "iteration",
                                       iters_axis, curves))
     report.svg_paths.append(line_plot(out / "convergence.svg", iters_axis, curves,
@@ -709,7 +687,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
 
     reach = {}
     for label in ("anclms_optimal", "anclms_suboptimal", "anclms_whitened"):
-        steady = np.median(curves[label][-max(min_len // 10, 1):])
+        steady = np.median(curves[label][-max(n_points // 10, 1):])
         reach[label] = _iterations_to_within(curves[label], steady, block)
         report.meta[f"iters_to_1db_{label}"] = str(reach[label])
     report.tables["reach"] = reach
@@ -728,21 +706,15 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         report.add_check("suboptimal_slower",
                          reach["anclms_optimal"] <= reach["anclms_suboptimal"],
                          "optimal reference power converges no slower than -10 dBm")
-    report.meta["mu_bound"] = "anclms_mean_bound"
     report.meta["whitening"] = "exact rb_matrix inverse"
-    _write_meta(report, config, out, started, mu_fracs=(CONVERGENCE_MU_FRAC,))
-    return report
 
 
 # ---------------------------------------------------------------------------
 # bounds probe (empirical step-size dichotomy)
 # ---------------------------------------------------------------------------
 
-def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
+def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Converged/diverged verdicts at fractions of the step-size bounds."""
-    started = time.time()
-    out = _ensure_out(config)
-    report = ExperimentReport("bounds-probe")
     prof = config.profile.with_tx_power(config.tx_grid_dbm[0])
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
@@ -755,9 +727,9 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
     report.meta["anclms_ms_bound"] = _fmt(bounds["anclms"])
     report.meta["anclms_mean_bound"] = _fmt(
         anclms_mean_bound(s2, prof.k_tiq, config.M, config.N))
-    report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
-
     fracs = PROBE_MU_FRACS
+    report.meta["mu_frac"] = ",".join(f"{f:g}" for f in fracs)
+    report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
     cfgs = {(label, frac): CancellerConfig(mu=frac * bounds[label], M=config.M,
                                            N=n_imd, k_tiq=prof.k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
@@ -830,8 +802,6 @@ def run_bounds_probe(config: ExperimentConfig) -> ExperimentReport:
                    and by[("anclms", 1.5)]["verdict"] == "diverged")
         report.add_check("anclms_edge_bracketed", edge_ok,
                          "empirical edge between the mean-square and mean bounds")
-    _write_meta(report, config, out, started, mu_fracs=fracs)
-    return report
 
 
 def _divergence_note(diverged_at: np.ndarray) -> str:
@@ -840,12 +810,6 @@ def _divergence_note(diverged_at: np.ndarray) -> str:
     if steps.size == 0:
         return "none"
     return f"n={steps.size} earliest={steps.min()} median={np.median(steps):g}"
-
-
-def _ensure_out(config: ExperimentConfig) -> Path:
-    out = Path(config.output_dir) if config.output_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 _RUNNERS = {
@@ -859,7 +823,15 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[config.experiment](config)
+    """Run ``config``'s experiment into its output directory (made if
+    missing; the working directory if none is set) and write ``meta.txt``."""
+    started = time.time()
+    out = Path(config.output_dir) if config.output_dir else Path(".")
+    out.mkdir(parents=True, exist_ok=True)
+    report = ExperimentReport(config.experiment)
+    _RUNNERS[config.experiment](config, report, out)
+    _write_meta(report, config, out, started)
+    return report
 
 
 def resolve_profile(path_or_name: str | None) -> TransceiverProfile:

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from fdsic.cancellers import CancellerConfig, regressor_matrix, run_batch
-from fdsic.harness import ExperimentConfig, run_bias, run_convergence, \
-    run_power_budget, run_sinr_sweep
+from fdsic.harness import ExperimentConfig, run_experiment
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
                           alms_steady_mse, alms_transient,
@@ -81,7 +80,7 @@ def test_criterion_3_bias_reproduction(type2, tmp_path):
     cfg = ExperimentConfig(experiment="bias", profile=type2, trials=50,
                            iterations=30_000, seed=SEED,
                            output_dir=tmp_path, check=True)
-    report = run_bias(cfg)
+    report = run_experiment(cfg)
     elapsed = time.time() - t0
     rel = report.tables["bias_taps"]["rel_error"]
     norm_frac = float(report.meta["anclms_weight_error_norm_frac"])
@@ -97,7 +96,7 @@ def test_criterion_4_steady_state_sinr(type2, tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=50,
                            seed=SEED, output_dir=tmp_path, check=True)
-    report = run_sinr_sweep(cfg)
+    report = run_experiment(cfg)
     elapsed = time.time() - t0
     cols = report.tables["columns"]
     gaps = np.abs(np.concatenate([
@@ -201,7 +200,7 @@ def test_criterion_7_prewhitening_speedup(type2, tmp_path):
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=50,
                            iterations=20_000, seed=SEED,
                            output_dir=tmp_path, check=True)
-    report = run_convergence(cfg)
+    report = run_experiment(cfg)
     elapsed = time.time() - t0
     reach = report.tables["reach"]
     ratio = reach["anclms_optimal"] / max(reach["anclms_whitened"], 1)
@@ -219,7 +218,7 @@ def test_criterion_8_power_budget_crossover(type2, tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(experiment="power-budget", profile=type2,
                            seed=SEED, output_dir=tmp_path, check=True)
-    report = run_power_budget(cfg)
+    report = run_experiment(cfg)
     elapsed = time.time() - t0
     ok = report.all_passed and elapsed < 60.0
     detail = "; ".join(f"{c.name}: {c.detail}" for c in report.checks)
@@ -259,7 +258,7 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
         cfg = ExperimentConfig(experiment="power-budget", profile=type2,
                                tx_grid_dbm=(0.0, 25.0), seed=SEED,
                                output_dir=tmp_path / name)
-        run_power_budget(cfg)
+        run_experiment(cfg)
         paths.append((tmp_path / name / "power-budget.csv").read_bytes())
     assert paths[0] == paths[1]
     notes.append("byte-identical CSV")

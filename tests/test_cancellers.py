@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import platform
+import subprocess
 import warnings
 
 import numpy as np
@@ -595,6 +596,19 @@ def test_scalar_build_matches_the_lanes(kernel_setup, wiener, tmp_path,
         _native.library.cache_clear()  # the next call loads the default build
     for got, want in zip(scalar, default):
         _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("extra", [(), ("-mno-avx2",)], ids=["default", "no-avx2"])
+def test_kernel_compiles_without_warnings(extra, tmp_path):
+    """The kernel builds warning-free under -Wall -Wextra with the
+    production flags, and without AVX2 (the scalar step alone)."""
+    if extra and platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("-mno-avx2 is an x86 flag")
+    command = [_native._COMPILER, *_native._CFLAGS, *extra, "-Wall", "-Wextra",
+               "-Werror", str(_native._KERNEL_SOURCE), "-o",
+               str(tmp_path / "_lms.so"), "-lm"]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_start_weights_contract(kernel_setup, wiener):

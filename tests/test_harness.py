@@ -19,8 +19,8 @@ from fdsic import _native, harness
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
-from fdsic.harness import (ExperimentConfig, _mu_frac, resolve_profile,
-                           run_experiment, write_csv)
+from fdsic.harness import (ExperimentConfig, resolve_profile, run_experiment,
+                           write_csv)
 from fdsic.theory import alms_ms_bound
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (compute_noise_budget, render_observation,
@@ -56,11 +56,25 @@ def test_experiment_config_validation(type2):
         ExperimentConfig(experiment="bias", profile=type2, signal_source="noise")
 
 
-def test_mu_frac_defaults(type2):
-    assert _mu_frac(ExperimentConfig(experiment="bias", profile=type2)) == 0.05
-    assert _mu_frac(ExperimentConfig(experiment="sinr-sweep", profile=type2)) == 0.15
-    assert _mu_frac(ExperimentConfig(experiment="sinr-sweep", profile=type2,
-                                     mu_frac=0.02)) == 0.02
+def test_mu_frac_defaults(type2, tmp_path):
+    """A runner's step size is the experiment's default fraction of the
+    bound, the fraction asked for or the absolute step asked for, and the
+    runner names it in meta.txt as given."""
+    bound = 2.0
+    for experiment, options, mu, line in (
+            ("bias", {}, 0.05 * bound, ("mu_frac", "0.05")),
+            ("sinr-sweep", {}, 0.15 * bound, ("mu_frac", "0.15")),
+            ("sinr-sweep", {"mu_frac": 0.02}, 0.02 * bound, ("mu_frac", "0.02")),
+            ("bias", {"mu_abs": 1e-3}, 1e-3, ("mu_abs", "0.001"))):
+        cfg = ExperimentConfig(experiment=experiment, profile=type2, **options)
+        report = harness.ExperimentReport(experiment)
+        assert harness._resolve_mu(cfg, bound, report) == mu
+        assert report.meta == dict([line])
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=1,
+                           iterations=3000, tx_grid_dbm=(0.0,), seed=SEED,
+                           output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert meta["mu_frac"] == "0.15" and "mu_abs" not in meta
 
 
 def test_power_budget_determinism(type2, tmp_path):
@@ -533,14 +547,41 @@ def test_bias_check_at_infinite_irr(type2, tmp_path):
     assert np.all(np.isfinite(table["rel_error"]))
 
 
-def test_benchmark_tracer_targets_resolve(monkeypatch):
-    """Every (module, attribute) the benchmark tracer wraps still exists."""
+def _perfbench_tracing(monkeypatch):
+    """The benchmark's ``perfbench/tracing.py``, loaded without writing its
+    bytecode beside it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracing)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    """Every (module, attribute) the benchmark tracer wraps is a callable of
+    an fdsic module, though the package itself may no longer call it."""
+    tracing = _perfbench_tracing(monkeypatch)
     assert tracing.TARGETS
     for module, attr, _, _ in tracing.TARGETS:
-        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+        assert module.split(".")[0] == "fdsic", module
+        assert callable(getattr(importlib.import_module(module), attr, None)), \
+            f"{module}.{attr}"
+
+
+def test_benchmark_tracer_installs(tmp_path, monkeypatch):
+    """The tracer's wrappers install over their targets, and a run through
+    them records the spans of its layers."""
+    tracing = _perfbench_tracing(monkeypatch)
+    for module, attr, _, _ in tracing.TARGETS:
+        mod = importlib.import_module(module)
+        # install rebinds the name; the test's end restores it
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    recorder = tracing.Recorder("test", timed=True)
+    tracing.install(recorder)
+    assert cli_main(["power-budget", "--tx-grid", "0", "--out", str(tmp_path)]) == 0
+    names = {span.name for span in recorder.spans}
+    assert {"harness.run_experiment", "transceiver.render_observation",
+            "io.write_csv", "io.line_plot"} <= names, names

@@ -23,10 +23,12 @@ Step-size conventions (fractions of closed-form bounds):
 * nonlinear canceller, bias/low-power runs: the same mu (both cancellers
   share the step size, so their transients are directly comparable);
 * SINR sweep: one shared mu and run length per grid point (DEFAULT_MU_FRAC
-  of the linear mean-square bound). The nonlinear canceller starts at the
-  Wiener solution ``channels.stacked_nonlinear()``, so its slowest
-  covariance mode (eigenvalue lam3) has nothing to converge; the linear
-  canceller, whose white regressor has no slow mode, starts at zero;
+  of the linear mean-square bound); a mu at or above that bound at any grid
+  point is a configuration error, as the theory has no steady state there.
+  The nonlinear canceller starts at the Wiener solution
+  ``channels.stacked_nonlinear()``, so its slowest covariance mode
+  (eigenvalue lam3) has nothing to converge; the linear canceller, whose
+  white regressor has no slow mode, starts at zero;
 * whitening comparison: raw runs at 0.005 x the mean-convergence bound of
   their covariance; the whitened run is the LMS-Newton step with the exact
   inverse covariance ``rb_matrix``^-1 (the pre-whitened LMS in original
@@ -53,7 +55,7 @@ from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig,
                          newton_preconditioner, regressor_matrix, run_batch,
                          run_jobs)
 from .plots import heatmap, line_plot
-from .signals import WaveformSpec, gen_ofdm_waveform, gen_proper_gaussian
+from .signals import gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
                      alms_steady_mse, anclms_exact_steady_mse,
                      anclms_mean_bound, anclms_ms_analysis,
@@ -122,6 +124,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.experiment in DEFAULT_MU_FRAC:
+            # the sweeps' steady-state theory needs mu below the ALMS bound
+            for tx in self.tx_grid_dbm:
+                bound = alms_ms_bound(self.profile.with_tx_power(tx).natural_sigma_x2,
+                                      self.M)
+                mu = _step_size(self, bound)[0]
+                if not mu < bound:
+                    raise ValueError(f"mu = {mu:.6g} at {tx:g} dBm is not below the "
+                                     f"ALMS mean-square bound {bound:.6g}")
 
 
 @dataclass(frozen=True)
@@ -268,18 +279,15 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
     """
     rows = [(np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
             for _ in range(min(config.trials, 2))]
-    if config.signal_source == "ofdm":
-        spec = WaveformSpec(target_power_dbm=mw_to_dbm(sigma_x2))
-        n_sym = -(-n // spec.samples_per_symbol)
 
     def make(t: int):
         x, d = rows[t % 2]
         seed = config.seed + t
+        # looked up here at each call, so a wrapper installed over either
+        # module-level name sees it
+        source = gen_ofdm_waveform if config.signal_source == "ofdm" else gen_proper_gaussian
         with clock.phase("generate"):
-            if config.signal_source == "gaussian":
-                gen_proper_gaussian(n, sigma_x2, seed=seed, out=x)
-            else:
-                x[:] = gen_ofdm_waveform(spec, n_sym, seed=seed).samples[:n]
+            source(n, sigma_x2, seed=seed, out=x)
         with clock.phase("render"):
             obs = render_observation(x, channels, budget, profile,
                                      seed=seed + _NOISE_SEED_OFFSET, out=d,
@@ -312,19 +320,24 @@ def _cancel(clock: PhaseClock, x, d, jobs, **options) -> list[BatchRun]:
     return runs
 
 
-def _resolve_mu(config: ExperimentConfig, bound: float,
-                report: ExperimentReport) -> float:
+def _step_size(config: ExperimentConfig, bound: float) -> tuple[float, str, float]:
     """The configured step size, ``--mu`` or ``--mu-frac`` (else the
-    experiment's default) times ``bound``, recorded in ``report.meta`` as
-    ``mu_abs`` or ``mu_frac``."""
+    experiment's default) times ``bound``, with the ``meta.txt`` key and
+    value that record it: ``mu_abs`` or ``mu_frac``."""
     if config.mu_abs is not None:
-        report.meta["mu_abs"] = str(config.mu_abs)
-        return config.mu_abs
+        return config.mu_abs, "mu_abs", config.mu_abs
     frac = config.mu_frac
     if frac is None:
         frac = DEFAULT_MU_FRAC.get(config.experiment, 0.05)
-    report.meta["mu_frac"] = str(frac)
-    return frac * bound
+    return frac * bound, "mu_frac", frac
+
+
+def _resolve_mu(config: ExperimentConfig, bound: float,
+                report: ExperimentReport) -> float:
+    """``_step_size``'s step size, recorded in ``report.meta``."""
+    mu, key, value = _step_size(config, bound)
+    report.meta[key] = str(value)
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +364,9 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
 
     tx_axis = [r.tx_power_dbm for r in rows]
-    curves = {
-        "linear_si_dbm": [r.linear_si_dbm for r in rows],
-        "image_si_dbm": [r.image_si_dbm for r in rows],
-        "imd_si_dbm": [r.imd_si_dbm for r in rows],
-        "image_imd_si_dbm": [r.image_imd_si_dbm for r in rows],
-        "thermal_dbm": [r.thermal_dbm for r in rows],
-        "quantization_dbm": [r.quantization_dbm for r in rows],
-        "soi_dbm": [r.soi_dbm for r in rows],
-    }
-    for key, vals in measured.items():
-        curves[f"{key}_measured_dbm"] = vals
+    # each component's analytic column, then each measured one
+    curves = {f"{key}_dbm": [getattr(r, f"{key}_dbm") for r in rows] for key in measured}
+    curves.update({f"{key}_measured_dbm": vals for key, vals in measured.items()})
     report.csv_paths.append(write_csv(out / "power-budget.csv", "tx_power_dbm",
                                       tx_axis, curves))
     report.svg_paths.append(line_plot(
@@ -374,8 +379,7 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
 
     if config.check:
         worst = 0.0
-        for key in ("linear_si", "image_si", "imd_si", "image_imd_si",
-                    "thermal", "quantization", "soi"):
+        for key in measured:
             analytic = np.array(curves[f"{key}_dbm"])
             meas = np.array(measured[key])
             ok = np.isfinite(analytic)

@@ -35,6 +35,9 @@ from .transceiver import ChannelSet, NoiseBudget, TransceiverProfile
 
 MIN_CONDITION_EPSILON = 1.0 / 6.0
 MIN_CONDITION_VALUE = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
+# alms_regime's 'low' regime: quantization + IMD power within this fraction
+# of the thermal noise power
+ALMS_LOW_REGIME_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,7 @@ class TheoryInputs:
 
     @property
     def imd_norm2(self) -> float:
-        c = self.channels
-        return float(np.sum(np.abs(c.h_imd) ** 2) + np.sum(np.abs(c.g_imd) ** 2))
+        return self.channels.norm2_h_imd + self.channels.norm2_g_imd
 
 
 # --------------------------------------------------------------------------
@@ -133,10 +135,11 @@ def alms_steady_mse(inputs: TheoryInputs, regime: str) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def alms_regime(inputs: TheoryInputs, threshold: float = 0.05) -> str:
-    """'low' while quantization + IMD interference is negligible vs thermal."""
+def alms_regime(inputs: TheoryInputs) -> str:
+    """'low' while quantization + IMD interference is negligible vs thermal
+    (at most ``ALMS_LOW_REGIME_FRACTION`` of it)."""
     imd_power = 6.0 * inputs.k_tiq ** 3 * inputs.sigma_x2 ** 3 * inputs.imd_norm2
-    small = inputs.sigma_q2 + imd_power <= threshold * inputs.sigma_v2
+    small = inputs.sigma_q2 + imd_power <= ALMS_LOW_REGIME_FRACTION * inputs.sigma_v2
     return "low" if small else "high"
 
 

@@ -45,25 +45,6 @@ from . import _native
 from .signals import ComplexSequence
 from .units import db_to_lin, dbm_to_mw, mw_to_dbm
 
-_PROFILE_KEY_TO_FIELD = {
-    "p_sen": "p_sen_dbm",
-    "snr_req": "snr_req_db",
-    "noise_floor": "noise_floor_dbm",
-    "rf_separation": "rf_separation_db",
-    "rf_attenuation": "rf_attenuation_db",
-    "irr": "irr_db",
-    "k_tiq": "k_tiq_db",
-    "k_riq": "k_riq_db",
-    "pa_gain": "pa_gain_db",
-    "pa_iip3": "pa_iip3_dbm",
-    "k_lna": "k_lna_db",
-    "tx_power": "tx_power_dbm",
-    "adc_dynamic_range": "adc_dynamic_range_db",
-    "adc_bits": "adc_bits",
-    "papr": "papr_db",
-    "k_vga": "k_vga_db",
-}
-
 
 @dataclass(frozen=True)
 class TransceiverProfile:
@@ -158,6 +139,11 @@ class TransceiverProfile:
         return dataclasses.replace(self, tx_power_dbm=tx_power_dbm)
 
 
+# a profile file names each field without its unit suffix (_dbm or _db)
+_PROFILE_KEY_TO_FIELD = {f.name.removesuffix("_dbm").removesuffix("_db"): f.name
+                         for f in dataclasses.fields(TransceiverProfile)}
+
+
 def read_key_values(path: str | Path, kind: str, keys) -> Iterator[tuple[str, str]]:
     """``(key, value)`` pairs of a flat ``key = value`` file, in file order.
 
@@ -183,12 +169,14 @@ def load_profile(path: str | Path) -> TransceiverProfile:
         tokens = value.split()
         if not tokens:
             raise ValueError(f"missing value for {key!r}")
-        if tokens[0] == "inf":
-            number = math.inf
-        else:
-            number = float(tokens[0])
         field = _PROFILE_KEY_TO_FIELD[key]
-        fields[field] = int(number) if field == "adc_bits" else number
+        # a bit count is an integer: "12.7" and "inf" are errors, not 12 or a crash
+        kind = int if field == "adc_bits" else float
+        try:
+            fields[field] = kind(tokens[0])
+        except ValueError:
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"not {tokens[0]!r}") from None
     return TransceiverProfile(**fields)
 
 

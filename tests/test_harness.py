@@ -168,6 +168,20 @@ def test_cli_bad_profile_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bits", ["inf", "12.7"])
+def test_cli_profile_adc_bits_exit_code(bits, tmp_path, capsys):
+    """A bit count that is not an integer is a configuration error."""
+    text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
+    profile = tmp_path / "bits.profile"
+    profile.write_text(text.replace("adc_bits = 12\n", f"adc_bits = {bits}\n"))
+    assert profile.read_text() != text
+    code = cli_main(["power-budget", "--profile", str(profile), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: adc_bits must be an integer, not '{bits}'")
+    assert "Traceback" not in err
+
+
 def test_cli_bad_grid_exit_code(tmp_path):
     code = cli_main(["power-budget", "--tx-grid", "25:5:-5", "--out", str(tmp_path)])
     assert code == 2
@@ -184,6 +198,8 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["sinr-sweep", "--iterations", "2"],  # at or below the 2000-step steady window
     ["bias", "--iterations", "2000"],
     ["bias", "--seed", "-1"],
+    ["sinr-sweep", "--mu-frac", "1.2"],  # at or above the ALMS mean-square bound
+    ["attenuation-sweep", "--mu", "1e6"],
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
@@ -581,7 +597,17 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, attr, getattr(mod, attr))
     recorder = tracing.Recorder("test", timed=True)
     tracing.install(recorder)
-    assert cli_main(["power-budget", "--tx-grid", "0", "--out", str(tmp_path)]) == 0
-    names = {span.name for span in recorder.spans}
-    assert {"harness.run_experiment", "transceiver.render_observation",
-            "io.write_csv", "io.line_plot"} <= names, names
+    for source in ("gaussian", "ofdm"):
+        recorder.spans.clear()
+        recorder.counts.clear()
+        assert cli_main(["power-budget", "--source", source, "--tx-grid", "0",
+                         "--out", str(tmp_path / source)]) == 0
+        names = {span.name for span in recorder.spans}
+        generator = ("signals.gen_ofdm_waveform" if source == "ofdm"
+                     else "signals.gen_proper_gaussian")
+        assert {"harness.run_experiment", generator,
+                "transceiver.render_observation", "io.write_csv",
+                "io.line_plot"} <= names, names
+        # power-budget renders 100,000 samples per grid point, and the
+        # source draws exactly those
+        assert recorder.counts["signals.samples"] == 100_000, source

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic._native import NormalStream
-from fdsic.signals import (ComplexSequence, WaveformSpec, active_subcarrier_bins,
+from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
+                           SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence,
                            gen_ofdm_waveform, gen_proper_gaussian)
 
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
@@ -134,35 +135,52 @@ def test_proper_gaussian_matches_two_draws(n):
 
 
 def test_ofdm_symbol_geometry():
-    spec = WaveformSpec()
-    assert spec.samples_per_symbol == (64 + 16) * 4
-    wf = gen_ofdm_waveform(spec, num_symbols=1, seed=0)
-    assert len(wf) == spec.samples_per_symbol
-    assert active_subcarrier_bins(spec).size == spec.subcarriers - spec.null_subcarriers
+    """One symbol: 320 samples whose 64-sample prefix is the symbol's tail,
+    whose body carries only the 50 active bins, at exactly ``sigma_x2``."""
+    assert SAMPLES_PER_SYMBOL == (64 + 16) * 4
+    assert list(ACTIVE_BINS) == [*range(39, 64), *range(1, 26)]
+    sigma_x2 = 0.37
+    x = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, sigma_x2, seed=0).samples
+    assert x.shape == (SAMPLES_PER_SYMBOL,)
+    ncp = CYCLIC_PREFIX * OVERSAMPLING
+    np.testing.assert_array_equal(x[:ncp], x[-ncp:])
+    spectrum = np.abs(np.fft.fft(x[ncp:]))
+    nfft = SUBCARRIERS * OVERSAMPLING
+    on_grid = np.where(ACTIVE_BINS < SUBCARRIERS // 2, ACTIVE_BINS,
+                       ACTIVE_BINS + nfft - SUBCARRIERS)
+    assert set(np.flatnonzero(spectrum > 1e-9 * spectrum.max())) == set(on_grid)
+    assert np.mean(np.abs(x) ** 2) == pytest.approx(sigma_x2, rel=1e-12)
 
 
 def test_ofdm_power_normalization():
-    spec = WaveformSpec(target_power_dbm=0.0)
-    wf = gen_ofdm_waveform(spec, num_symbols=500, seed=4)
+    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, 1.0, seed=4)
     power_db = 10 * np.log10(np.mean(np.abs(wf.samples) ** 2))
     assert abs(power_db) < 0.1
 
 
 def test_ofdm_properness():
-    wf = gen_ofdm_waveform(WaveformSpec(), num_symbols=500, seed=4)
+    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, 1.0, seed=4)
     stats = Stats(wf)
     assert abs(stats.pseudo_variance) / stats.variance < 0.02
 
 
-def test_ofdm_invalid_constellation():
-    with pytest.raises(ValueError):
-        WaveformSpec(constellation="8PSK")
-
-
 def test_ofdm_seed_determinism():
-    a = gen_ofdm_waveform(WaveformSpec(), 3, seed=11).samples
-    b = gen_ofdm_waveform(WaveformSpec(), 3, seed=11).samples
+    """A seed fixes the waveform; n samples that end mid-symbol are the first
+    n of the whole symbol's waveform, written into ``out``; the arguments are
+    checked as the Gaussian source checks them."""
+    a = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, 1.0, seed=11).samples
+    b = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, 1.0, seed=11).samples
     assert np.array_equal(a, b)
+    row = np.full(100, np.nan, dtype=complex)
+    seq = gen_ofdm_waveform(100, 1.0, seed=11, out=row)
+    assert np.shares_memory(seq.samples, row)
+    one = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, 1.0, seed=11).samples
+    np.testing.assert_array_equal(row, one[:100])
+    for args in ((0, 1.0), (10, 0.0)):
+        with pytest.raises(ValueError):
+            gen_ofdm_waveform(*args, seed=1)
+    with pytest.raises(ValueError):
+        gen_ofdm_waveform(10, 1.0, seed=1, out=np.empty(11, dtype=complex))
 
 
 def test_estimate_stats_degenerate_and_errors():

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fdsic import transceiver
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
                                compute_noise_budget, compute_power_budget,
@@ -32,6 +34,12 @@ def test_profile_file_errors(tmp_path):
         load_profile(bad)
     with pytest.raises(FileNotFoundError):
         load_profile(tmp_path / "missing.profile")
+    # a bit count is an integer: neither truncated nor an OverflowError
+    text = (Path(transceiver.__file__).parent / "data" / "type2.profile").read_text()
+    for bits in ("inf", "12.7"):
+        bad.write_text(text.replace("adc_bits = 12\n", f"adc_bits = {bits}\n"))
+        with pytest.raises(ValueError, match="adc_bits must be an integer"):
+            load_profile(bad)
 
 
 def test_profile_tx_power_range(type2):

@@ -50,22 +50,28 @@ class DegenerateInputError(ValueError):
     """Raised when a regressor covariance is singular."""
 
 
+def check_nonsingular(cov) -> None:
+    """Raise ``DegenerateInputError`` if an eigenvalue of the symmetric
+    covariance ``cov`` is at or below 1e-12 of its largest."""
+    eigvals = np.linalg.eigvalsh(cov)
+    if eigvals[0] <= 1e-12 * abs(eigvals[-1]):
+        raise DegenerateInputError("singular regressor covariance")
+
+
 def newton_preconditioner(cov) -> np.ndarray:
     """P = R^-1 of the real symmetric regressor covariance ``cov``, inverted
     pair by pair in closed form, so that its zeros and symmetry are exact.
 
     Every entry of R may couple with one other entry at most. Raises
-    ``DegenerateInputError`` if an eigenvalue of R is at or below 1e-12 of
-    the largest (k_tiq = 0 makes the nonlinear entries vanish), and
-    ``ValueError`` if R is not real symmetric or couples an entry with two.
+    ``DegenerateInputError`` if R is singular (``check_nonsingular``; k_tiq = 0
+    makes the nonlinear entries vanish), and ``ValueError`` if R is not real
+    symmetric or couples an entry with two.
     """
     r = np.asarray(cov)
     if (r.ndim != 2 or r.shape[0] != r.shape[1] or np.iscomplexobj(r)
             or not np.array_equal(r, r.T)):
         raise ValueError("the covariance must be a real symmetric matrix")
-    eigvals = np.linalg.eigvalsh(r)
-    if eigvals[0] <= 1e-12 * abs(eigvals[-1]):
-        raise DegenerateInputError("singular regressor covariance")
+    check_nonsingular(r)
     inv = np.zeros(r.shape)
     for k in range(len(r)):
         [others] = np.nonzero(r[k])

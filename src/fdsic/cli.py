@@ -34,85 +34,77 @@ def parse_tx_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+# option -> (the ExperimentConfig field it sets, the parser of its text, help).
+# The command line and a --config file take these options under the same
+# names; an option given in neither takes the field's default, apart from
+# --profile (resolve_profile's default) and --out (the directory "out").
+OPTIONS = {
+    "profile": ("profile", str, "profile file path or builtin preset name"),
+    "trials": ("trials", int, "Monte Carlo trials"),
+    "mu-frac": ("mu_frac", float, "step size as a fraction of the mean-square "
+                                  "bound (default depends on the experiment)"),
+    "mu": ("mu_abs", float, "absolute step size (overrides --mu-frac)"),
+    "tx-grid": ("tx_grid_dbm", parse_tx_grid,
+                "transmit-power grid, a:b:step or comma list (dBm)"),
+    "source": ("signal_source", str, "reference waveform: gaussian or ofdm"),
+    "iterations": ("iterations", int, "LMS steps per trial"),
+    "seed": ("seed", int, "base seed; trial t uses seed + t"),
+    "M": ("M", int, "linear taps"),
+    "N": ("N", int, "IMD taps"),
+    "out": ("output_dir", Path, "output directory"),
+    "check": ("check", bool, "run the experiment's acceptance checks"),
+}
+
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A parser whose namespace holds the text of each option given, under
+    the option's name, and nothing for an option left out."""
     parser = argparse.ArgumentParser(
-        prog="fdsic",
+        prog="fdsic", argument_default=argparse.SUPPRESS,
         description="Self-interference cancellation experiments for "
                     "full-duplex direct-conversion transceivers.")
     parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--profile", default="type2",
-                        help="profile file path or builtin preset name")
-    parser.add_argument("--trials", type=int, default=50,
-                        help="Monte Carlo trials (desk-scale default 50)")
-    parser.add_argument("--full", action="store_true",
-                        help="reference scale: 200 trials")
-    parser.add_argument("--mu-frac", type=float, default=None,
-                        help="step size as a fraction of the mean-square bound "
-                             "(default depends on the experiment)")
-    parser.add_argument("--mu", type=float, default=None,
-                        help="absolute step size (overrides --mu-frac)")
-    parser.add_argument("--tx-grid", default="-5:25:5",
-                        help="transmit-power grid, a:b:step or comma list (dBm)")
-    parser.add_argument("--source", choices=("gaussian", "ofdm"), default="gaussian")
-    parser.add_argument("--iterations", type=int, default=30_000)
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--M", type=int, default=5)
-    parser.add_argument("--N", type=int, default=4)
-    parser.add_argument("--out", default="out")
-    parser.add_argument("--check", action="store_true",
-                        help="run the experiment's acceptance checks")
-    parser.add_argument("--config", default=None,
+    for option, (_, kind, text) in OPTIONS.items():
+        # a switch given on the command line reads as a --config file's "on"
+        switch = {"action": "store_const", "const": "on"} if kind is bool else {}
+        parser.add_argument(f"--{option}", dest=option, help=text, **switch)
+    parser.add_argument("--config",
                         help="flat key=value file providing any of the options above")
     return parser
 
 
-_CONFIG_TYPES = {
-    "profile": str, "trials": int, "full": bool, "mu_frac": float, "mu": float,
-    "tx_grid": str, "source": str, "iterations": int, "seed": int,
-    "M": int, "N": int, "out": str, "check": bool,
-}
-
-
-# each option is accepted with dashes (as on the command line) or underscores
-_CONFIG_KEYS = {*_CONFIG_TYPES, *(k.replace("_", "-") for k in _CONFIG_TYPES)}
-
-
-def _apply_config_file(args: argparse.Namespace, path: str):
-    for key, value in read_key_values(path, "config", _CONFIG_KEYS):
-        attr = key.replace("-", "_")
-        kind = _CONFIG_TYPES[attr]
-        if kind is bool:
-            truth = {"1": True, "true": True, "yes": True, "on": True,
-                     "0": False, "false": False, "no": False, "off": False}
-            if value.lower() not in truth:
-                raise ValueError(f"{key} must be one of {', '.join(truth)}; "
-                                 f"got {value!r}")
-            setattr(args, attr, truth[value.lower()])
-        else:
-            setattr(args, attr, kind(value))
+def _parse_options(texts: dict[str, str]) -> dict:
+    """ExperimentConfig fields from option texts keyed by option name."""
+    fields = {}
+    for option, text in texts.items():
+        field, kind, _ = OPTIONS[option]
+        try:
+            fields[field] = _SWITCH_VALUES[text.lower()] if kind is bool else kind(text)
+        except KeyError:
+            raise ValueError(f"{option} must be one of {', '.join(_SWITCH_VALUES)}; "
+                             f"got {text!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{option}: {exc}") from None
+    return fields
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    texts = vars(build_parser().parse_args(argv))
+    experiment = texts.pop("experiment")
     try:
-        if args.config:
-            _apply_config_file(args, args.config)
-        config = ExperimentConfig(
-            experiment=args.experiment,
-            profile=resolve_profile(args.profile),
-            trials=200 if args.full else args.trials,
-            M=args.M,
-            N=args.N,
-            mu_frac=args.mu_frac,
-            mu_abs=args.mu,
-            tx_grid_dbm=parse_tx_grid(args.tx_grid),
-            signal_source=args.source,
-            seed=args.seed,
-            iterations=args.iterations,
-            output_dir=Path(args.out),
-            check=args.check,
-        )
+        if "config" in texts:
+            # the file names each option with dashes, as on the command line,
+            # or underscores; its values override the command line's
+            keys = {*OPTIONS, *(option.replace("-", "_") for option in OPTIONS)}
+            texts.update((key.replace("_", "-"), value) for key, value
+                         in read_key_values(texts.pop("config"), "config", keys))
+        fields = {"output_dir": Path("out"), **_parse_options(texts)}
+        config = ExperimentConfig(experiment=experiment,
+                                  profile=resolve_profile(fields.pop("profile", None)),
+                                  **fields)
     except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

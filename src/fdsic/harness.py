@@ -67,13 +67,11 @@ from .transceiver import (TransceiverProfile, builtin_profile,
 from .units import lin_to_db, mw_to_dbm
 
 _NOISE_SEED_OFFSET = 10_000_019
-EXPERIMENTS = ("power-budget", "bias", "sinr-sweep", "attenuation-sweep",
-               "convergence", "bounds-probe")
 
 # The SINR sweep shares one step size between the cancellers (as the source
 # experiments do); 0.15 of the linear mean-square bound keeps the small-step
 # steady-state formulas accurate.
-DEFAULT_MU_FRAC = {"sinr-sweep": 0.15, "attenuation-sweep": 0.15}
+DEFAULT_MU_FRAC = {"sinr-sweep": 0.15}
 # convergence and bounds-probe run fixed fractions of their own bounds and
 # ignore --mu-frac and --mu
 CONVERGENCE_MU_FRAC = 0.005        # of the ANCLMS mean-convergence bound
@@ -124,8 +122,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.experiment in DEFAULT_MU_FRAC:
-            # the sweeps' steady-state theory needs mu below the ALMS bound
+        if self.experiment == "sinr-sweep":
+            # the sweep's steady-state theory needs mu below the ALMS bound
             for tx in self.tx_grid_dbm:
                 bound = alms_ms_bound(self.profile.with_tx_power(tx).natural_sigma_x2,
                                       self.M)
@@ -502,7 +500,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
 
 
 # ---------------------------------------------------------------------------
-# SINR / attenuation sweep
+# SINR sweep (SINR and digital-attenuation views)
 # ---------------------------------------------------------------------------
 
 def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path):
@@ -554,15 +552,14 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             cols[f"{label}_att_sim_db"].append(lin_to_db(d_power / mse))
             cols[f"{label}_att_theory_db"].append(lin_to_db(d_power / j_theory))
 
-    name = config.experiment
-    report.csv_paths.append(write_csv(out / f"{name}.csv", "tx_power_dbm", grid, cols))
-    sinr_keys = [k for k in cols if "sinr" in k]
-    att_keys = [k for k in cols if "att" in k]
-    report.svg_paths.append(line_plot(
-        out / f"{name}.svg", grid,
-        {k: np.array(cols[k]) for k in (att_keys if name == "attenuation-sweep" else sinr_keys)},
-        "Digital attenuation" if name == "attenuation-sweep" else "Achievable steady-state SINR",
-        "transmit power (dBm)", "dB"))
+    report.csv_paths.append(write_csv(out / "sinr-sweep.csv", "tx_power_dbm", grid, cols))
+    # two views of the one run: SINR, and digital attenuation (the power
+    # before cancellation over the residual)
+    for svg, view, title in (("sinr-sweep.svg", "_sinr_", "Achievable steady-state SINR"),
+                             ("attenuation.svg", "_att_", "Digital attenuation")):
+        report.svg_paths.append(line_plot(
+            out / svg, grid, {k: np.array(v) for k, v in cols.items() if view in k},
+            title, "transmit power (dBm)", "dB"))
     report.tables["columns"] = cols
     report.meta["anclms_iterations"] = ";".join(f"{tx:g}:{config.iterations}"
                                                 for tx in grid)
@@ -820,10 +817,10 @@ _RUNNERS = {
     "power-budget": run_power_budget,
     "bias": run_bias,
     "sinr-sweep": run_sinr_sweep,
-    "attenuation-sweep": run_sinr_sweep,
     "convergence": run_convergence,
     "bounds-probe": run_bounds_probe,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

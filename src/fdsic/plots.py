@@ -37,10 +37,31 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _write_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
+               body: list[str], overlay: list[str]) -> Path:
+    """Write the frame every figure shares (canvas, background, title and
+    axis labels) with the ``body`` elements drawn before the axis labels and
+    the ``overlay`` elements (curves and legend, or a colour range) after."""
+    path = Path(path)
+    mid_y = f"{(_MT + _H - _MB) / 2:.0f}"
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+             f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
+             f'<rect width="{_W}" height="{_H}" fill="white"/>',
+             f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+             *body,
+             f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 14}" '
+             f'text-anchor="middle">{xlabel}</text>',
+             f'<text x="18" y="{mid_y}" text-anchor="middle" '
+             f'transform="rotate(-90 18 {mid_y})">{ylabel}</text>',
+             *overlay,
+             "</svg>"]
+    path.write_text("\n".join(parts) + "\n")
+    return path
+
+
 def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
               xlabel: str, ylabel: str) -> Path:
     """Write a multi-curve line plot; NaN/inf samples break the polyline."""
-    path = Path(path)
     x = np.asarray(x, dtype=float)
     finite_y = [v for ys in curves.values()
                 for v in np.asarray(ys, dtype=float) if math.isfinite(v)]
@@ -61,10 +82,7 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
     def sy(v):
         return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-             f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-             f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>']
+    parts = []
     for tx in _ticks(xlo, xhi):
         px = sx(tx)
         parts.append(f'<line x1="{px:.1f}" y1="{_MT}" x2="{px:.1f}" y2="{_H - _MB}" '
@@ -77,40 +95,29 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>')
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                  f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 14}" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="18" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-                 f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.0f})">{ylabel}</text>')
 
+    curve_parts = []
     for ci, (name, ys) in enumerate(curves.items()):
         color = _COLORS[ci % len(_COLORS)]
-        ys = np.asarray(ys, dtype=float)
         segment = []
-        pieces = []
-        for xv, yv in zip(x, ys):
+        # a trailing NaN ends the last segment
+        for xv, yv in [*zip(x, np.asarray(ys, dtype=float)), (0.0, math.nan)]:
             if math.isfinite(yv):
                 segment.append(f"{sx(xv):.2f},{sy(yv):.2f}")
             elif segment:
-                pieces.append(segment)
+                curve_parts.append(f'<polyline points="{" ".join(segment)}" fill="none" '
+                                   f'stroke="{color}" stroke-width="1.6"/>')
                 segment = []
-        if segment:
-            pieces.append(segment)
-        for seg in pieces:
-            parts.append(f'<polyline points="{" ".join(seg)}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * ci
-        parts.append(f'<line x1="{_W - _MR + 8}" y1="{ly - 4}" x2="{_W - _MR + 30}" '
-                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_W - _MR + 35}" y="{ly}">{name}</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+        curve_parts.append(f'<line x1="{_W - _MR + 8}" y1="{ly - 4}" x2="{_W - _MR + 30}" '
+                           f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        curve_parts.append(f'<text x="{_W - _MR + 35}" y="{ly}">{name}</text>')
+    return _write_svg(path, title, xlabel, ylabel, parts, curve_parts)
 
 
 def heatmap(path: str | Path, x, y, z: np.ndarray, title: str,
             xlabel: str, ylabel: str, zlabel: str = "") -> Path:
     """Write a heatmap of z[y_index, x_index] with a simple color ramp."""
-    path = Path(path)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -130,10 +137,7 @@ def heatmap(path: str | Path, x, y, z: np.ndarray, title: str,
 
     cw = (_W - _ML - _MR) / len(x)
     chh = (_H - _MT - _MB) / len(y)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-             f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-             f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>']
+    parts = []
     for j in range(len(y)):
         for i in range(len(x)):
             px = _ML + i * cw
@@ -148,12 +152,6 @@ def heatmap(path: str | Path, x, y, z: np.ndarray, title: str,
     for j in range(0, len(y), step_y):
         py = _H - _MB - (j + 0.5) * chh
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(y[j])}</text>')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 14}" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="18" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-                 f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.0f})">{ylabel}</text>')
-    parts.append(f'<text x="{_W - _MR + 12}" y="{_MT + 10}">{zlabel} range '
-                 f'[{_fmt(zlo)}, {_fmt(zhi)}]</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    return _write_svg(path, title, xlabel, ylabel, parts,
+                      [f'<text x="{_W - _MR + 12}" y="{_MT + 10}">{zlabel} range '
+                       f'[{_fmt(zlo)}, {_fmt(zhi)}]</text>'])

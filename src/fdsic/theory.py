@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cancellers import DegenerateInputError
+from .cancellers import check_nonsingular
 from .transceiver import ChannelSet, NoiseBudget, TransceiverProfile
 
 MIN_CONDITION_EPSILON = 1.0 / 6.0
@@ -357,16 +357,17 @@ def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
     Gamma = [[S/2, -T/2], [I, 0]], 1/lam_max[Gamma] over its real positive
     eigenvalues, was never the tighter one at the operating points checked,
     so it is not computed here; a test keeps that cross-check.
+
+    Raises ``DegenerateInputError`` if R is singular (``check_nonsingular``):
+    the eigenvalues of S are the pairwise sums of R's, so S is singular by
+    the same relative rule exactly when R is.
     """
     dim = 2 * (M + N)
     r_mat = rb_matrix(sigma_x2, k_tiq, M, N)
+    check_nonsingular(r_mat)
     eye = np.eye(dim)
     s_mat = np.kron(eye, r_mat) + np.kron(r_mat, eye)
     t_mat = fourth_moment(sigma_x2, k_tiq, M, N)
-
-    s_eigs = np.linalg.eigvalsh(s_mat)
-    if s_eigs.min() <= 1e-12:
-        raise DegenerateInputError("singular S matrix (degenerate covariance)")
 
     # the pencil (T, S) through S = L L^T: eig(T, S) = eig(L^-1 T L^-T)
     chol = np.linalg.cholesky(s_mat)

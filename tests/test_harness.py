@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdsic import _native, harness
+from fdsic import _native, cli, harness
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
@@ -23,8 +23,8 @@ from fdsic.harness import (ExperimentConfig, resolve_profile, run_experiment,
                            write_csv)
 from fdsic.theory import alms_ms_bound
 from fdsic.signals import gen_proper_gaussian
-from fdsic.transceiver import (compute_noise_budget, render_observation,
-                               synthesize_channels)
+from fdsic.transceiver import (builtin_profile, compute_noise_budget,
+                               render_observation, synthesize_channels)
 
 from conftest import M, N, SEED, stack_trials
 
@@ -147,6 +147,48 @@ def test_cli_config_file(tmp_path):
         (tmp_path / "o" / "meta.txt").read_text()
 
 
+def _cli_config(argv, monkeypatch) -> ExperimentConfig:
+    """The ExperimentConfig that ``cli.main(argv)`` hands to run_experiment."""
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return harness.ExperimentReport(config.experiment)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert cli_main(argv) == 0
+    [config] = configs
+    return config
+
+
+def test_cli_defaults_are_the_config_defaults(monkeypatch):
+    """An experiment name alone gives ExperimentConfig's defaults, the type2
+    profile and the output directory ``out``."""
+    assert _cli_config(["bias"], monkeypatch) == ExperimentConfig(
+        experiment="bias", profile=builtin_profile("type2"), output_dir=Path("out"))
+
+
+def test_cli_options_match_config_file_keys(tmp_path, monkeypatch):
+    """Every command-line option, written under its name in a --config file,
+    gives the same config as on the command line."""
+    values = {"profile": "type1", "trials": "3", "mu-frac": "0.1", "mu": "1e-3",
+              "tx-grid": "0:10:5", "source": "ofdm", "iterations": "4000",
+              "seed": "5", "M": "6", "N": "3", "out": str(tmp_path / "o"),
+              "check": "on"}
+    assert set(values) == set(cli.OPTIONS)
+    argv = ["bias"]
+    for option, value in values.items():
+        argv += [f"--{option}"] if option == "check" else [f"--{option}", value]
+    from_argv = _cli_config(argv, monkeypatch)
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert _cli_config(["bias", "--config", str(conf)], monkeypatch) == from_argv
+    assert from_argv != ExperimentConfig(experiment="bias", profile=from_argv.profile)
+    for field, value in (("trials", 3), ("mu_abs", 1e-3), ("check", True),
+                         ("tx_grid_dbm", (0.0, 5.0, 10.0)), ("signal_source", "ofdm")):
+        assert getattr(from_argv, field) == value
+
+
 @pytest.mark.parametrize("text, message", [
     ("trials 2\n", "malformed config line"),
     ("trails = 2\n", "unknown config key"),
@@ -199,7 +241,7 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["bias", "--iterations", "2000"],
     ["bias", "--seed", "-1"],
     ["sinr-sweep", "--mu-frac", "1.2"],  # at or above the ALMS mean-square bound
-    ["attenuation-sweep", "--mu", "1e6"],
+    ["sinr-sweep", "--mu", "1e6"],
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
@@ -330,6 +372,23 @@ def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
     report = run_experiment(cfg)
     assert report.meta["anclms_iterations"] == "-5:3000;15:3000"
     assert len(rendered) == cfg.trials * len(cfg.tx_grid_dbm)
+
+
+def test_sweep_writes_attenuation_view(type2, tmp_path):
+    """One sweep run plots its SINR columns and its four attenuation columns."""
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=1,
+                           iterations=3000, tx_grid_dbm=(0.0, 10.0), seed=SEED,
+                           output_dir=tmp_path)
+    report = run_experiment(cfg)
+    assert [p.name for p in report.csv_paths] == ["sinr-sweep.csv"]
+    assert [p.name for p in report.svg_paths] == ["sinr-sweep.svg", "attenuation.svg"]
+    svg = (tmp_path / "attenuation.svg").read_text()
+    assert ">Digital attenuation</text>" in svg
+    att = [k for k in report.tables["columns"] if "_att_" in k]
+    assert len(att) == 4
+    for key in report.tables["columns"]:
+        assert (f">{key}</text>" in svg) == (key in att), key
+    assert svg.count("<polyline") == 4
 
 
 def test_sweep_anclms_starts_in_steady_state(type2, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from fdsic import theory
-from fdsic.cancellers import regressor_matrix
+from fdsic.cancellers import DegenerateInputError, regressor_matrix
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
                           alms_ms_bound, alms_regime, alms_steady_mse,
@@ -252,6 +252,13 @@ def test_anclms_ms_bound_gaussian_oracle():
     for sigma, m in [(1.0, 1), (0.05, 2), (0.3, 5), (4.0, 3)]:
         ana = theory.anclms_ms_analysis(sigma, 2.0, m, 0)
         assert ana.bound == pytest.approx(alms_ms_bound(sigma, m), rel=1e-12)
+
+
+def test_anclms_ms_analysis_degenerate():
+    # k_tiq = 0: the IMD entries of R vanish, so R and S = I kron R + R kron I
+    # are singular
+    with pytest.raises(DegenerateInputError):
+        theory.anclms_ms_analysis(1.0, 0.0, M, N)
 
 
 @pytest.mark.parametrize("sigma, k", [(0.3, 2.0), (1.0, 0.5)])

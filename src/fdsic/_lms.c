@@ -10,12 +10,16 @@
  * The normals are those of numpy's Generator.standard_normal on PCG64.
  * Build with -ffp-contract=off and without auto-vectorization so that the
  * compiler keeps exactly these operations. Complex arrays are interleaved
- * (re, im) doubles. Trials are independent and run one after another. The
- * jobs of one lms_raw call share each trial and its regressor: on a build
- * with AVX2 two or more jobs run together, step by step, four jobs per
- * vector as its lanes, and each lane repeats its job's scalar operations in
- * their order, so every job returns the bits it returns alone; one job, or
- * a build without AVX2, runs the scalar step job by job.
+ * (re, im) doubles. The render and the LMS read a trial's reference
+ * x = scale z from a source row z and a scale, and form each sample of x as
+ * the source would (x_at), so one row z serves every transmit power. Trials
+ * are independent and run one after another. The jobs of one lms_raw call
+ * share each trial's row z, and each job has its own scale and observation
+ * row: on a build with AVX2 two or more jobs run together, step by step,
+ * four jobs per vector as its lanes, each lane on its own regressor, and
+ * each lane repeats its job's scalar operations in their order, so every
+ * job returns the bits it returns alone; one job, or a build without AVX2,
+ * runs the scalar step job by job.
  */
 #include <math.h>
 #include <stdint.h>
@@ -163,6 +167,21 @@ static inline void scale_cplx(double a, double re, double im, double *y)
     y[1] = fma(a, im, 0.0 * re);
 }
 
+/* The reference sample x = scale z of the source sample zn, as the source
+ * forms it: each part times scale (cplx 0), or numpy's product of a real
+ * scale and a complex row (cplx 1). The two differ only in the sign of a
+ * zero part. */
+static inline void x_at(double scale, int64_t cplx, const double *zn,
+                        double *x)
+{
+    if (cplx) {
+        scale_cplx(scale, zn[0], zn[1], x);
+    } else {
+        x[0] = scale * zn[0];
+        x[1] = scale * zn[1];
+    }
+}
+
 /* The IMD product x_imd = (k15 * |x|^2) * x of the sample xn, rounded as
  * transceiver.imd_sequence rounds it */
 static inline void imd_at(double k15, const double *xn, double *y)
@@ -201,28 +220,30 @@ static void add_normals(struct pcg64 *g, int64_t n, double scale, double *y,
     }
 }
 
-/* Render the observation of reference x (n samples) in one pass over x and
- * one pass of draws per noise part, as transceiver.render_observation
- * defines it. h and g have m taps, h_imd and g_imd nimd < m; k15 is
- * k_tiq^{3/2}. The noise is drawn from the generator whose state s holds
- * (advanced past the draws): n standard normals for each of the real then
- * the imaginary parts of the thermal, the quantization and (if soi) the SOI
- * noise, which scale[0..2] scale. d receives the sum of the seven
- * components in the order
+/* Render the observation of the reference x = scale z (n samples, x_at
+ * forms each) in one pass over z and one pass of draws per noise part, as
+ * transceiver.render_observation defines it. h and g have m taps, h_imd and
+ * g_imd nimd < m; k15 is k_tiq^{3/2}. The noise is drawn from the generator
+ * whose state s holds (advanced past the draws): n standard normals for
+ * each of the real then the imaginary parts of the thermal, the
+ * quantization and (if soi) the SOI noise, which noise[0..2] scale. d
+ * receives the sum of the seven components in the order
  * 0 + linear + image + imd + image_imd + thermal + quantization + soi,
  * the noise parts added as they are drawn (see add_normals; adding the
  * absent SOI, 0.0, leaves the sum as it is). comp, if not NULL, receives the
  * components as (7, n), each noise component scaled from its stored draws
- * by numpy's product. Only the nimd newest IMD samples are kept. */
+ * by numpy's product. Only the m newest samples of x and the nimd newest
+ * IMD samples are kept. */
 void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
             const double *g, const double *h_imd, const double *g_imd,
-            const double *x, uint64_t *s, int64_t soi, const double *scale,
-            double *d, double *comp)
+            const double *z, double scale, int64_t cplx, uint64_t *s,
+            int64_t soi, const double *noise, double *d, double *comp)
 {
-    double q[2 * nimd + 2];  /* the IMD window, oldest first */
+    double xw[2 * m], q[2 * nimd + 2];  /* the x and IMD windows, oldest first */
+    double *xn = xw + 2 * (m - 1), *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
     for (int64_t i = 0; i < n; i++) {
-        const double *xn = x + 2 * i;
-        double *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
+        shift_out(xw, m);
+        x_at(scale, cplx, z + 2 * i, xn);
         shift_out(q, nimd);
         imd_at(k15, xn, qn);
         int64_t cx = i < m ? i + 1 : m, cq = i < nimd ? i + 1 : nimd;
@@ -246,12 +267,12 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
     }
     struct pcg64 gen = pcg64_load(s);
     for (int64_t k = 0; k < (soi ? 3 : 2); k++) {
-        double *z = comp ? comp + 2 * (4 + k) * n : NULL;
-        add_normals(&gen, n, scale[k], d, z);
-        add_normals(&gen, n, scale[k], d + 1, z ? z + 1 : NULL);
-        if (z)
+        double *w = comp ? comp + 2 * (4 + k) * n : NULL;
+        add_normals(&gen, n, noise[k], d, w);
+        add_normals(&gen, n, noise[k], d + 1, w ? w + 1 : NULL);
+        if (w)
             for (int64_t i = 0; i < n; i++)
-                scale_cplx(scale[k], z[2 * i], z[2 * i + 1], z + 2 * i);
+                scale_cplx(noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
     }
     pcg64_store(&gen, s);
     if (comp && !soi)
@@ -260,7 +281,8 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
 
 /* One canceller job of an LMS call: its steps, its dim regressor weights,
  * the step win_start from which its steady-state window sums, its step size
- * mu, and its state and outputs. w and w_accum are (trials, dim); e2, if not
+ * mu, the scale of its reference x = scale z, its observation rows d
+ * (trials, n), and its state and outputs. w and w_accum are (trials, dim); e2, if not
  * NULL, is (trials, steps) and receives the residual power of every step;
  * tap_buf, if not NULL, is (trials, ceil(steps / tap_stride), ntaps) and
  * receives the weights taps[] after every tap_stride-th step from step 0;
@@ -269,7 +291,8 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
  * row k holds P[k][k] and P[k][pair[k]] (0 where pair[k] is k). */
 struct run {
     int64_t steps, dim, win_start;
-    double mu;
+    double mu, scale;
+    const double *d;
     double *w, *w_accum, *e2, *peak, *steady_sum, *steady_count;
     int64_t *diverged_at;
     int64_t ntaps;
@@ -349,52 +372,50 @@ static inline __attribute__((always_inline)) void step(
     }
 }
 
-/* Start the IMD window q (nimd samples, oldest first) of a trial whose
- * first sample is xi: the nimd - 1 samples before step 0's newest, which
- * regressor() shifts on. */
-static inline void regressor_start(int64_t m, int64_t nimd, double k15,
-                                   const double *xi, double *q)
-{
-    for (int64_t k = 1; k < nimd; k++)
-        imd_at(k15, xi + 2 * (m - nimd + k - 1), q + 2 * k);
-}
-
-/* Move the IMD window q on by the newest sample xn and fill r with the
- * regressor [x; x_imd; x*; x_imd*] of xn, 2 (m + nimd) entries: x is read
- * in place and x_imd formed as render forms it. */
-static inline void regressor(int64_t m, int64_t nimd, double k15,
-                             const double *xn, double *q, double *r)
+/* Move the regressor r = [x; x_imd; x*; x_imd*] (m + nimd entries per
+ * half) on by the source sample zn, in place: every entry takes the one a
+ * delay newer, the oldest drops out, and x = scale zn (x_at) and its IMD
+ * product (imd_at, if nimd > 0) enter as the newest, with their conjugates.
+ * Pushing the first m samples of a trial into any r gives the regressor of
+ * sample m - 1. */
+static inline void regressor_push(int64_t m, int64_t nimd, double k15,
+                                  double scale, int64_t cplx, const double *zn,
+                                  double *r)
 {
     int64_t half = m + nimd;
-    const double *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
+    for (int64_t k = 2 * m - 1; k > 1; k--) {
+        r[k] = r[k - 2];
+        r[2 * half + k] = r[2 * half + k - 2];
+    }
+    for (int64_t k = 2 * nimd - 1; k > 1; k--) {
+        r[2 * m + k] = r[2 * m + k - 2];
+        r[2 * (half + m) + k] = r[2 * (half + m) + k - 2];
+    }
+    x_at(scale, cplx, zn, r);
+    r[2 * half] = r[0];
+    r[2 * half + 1] = -r[1];
     if (nimd > 0) {
-        shift_out(q, nimd);
-        imd_at(k15, xn, q + 2 * (nimd - 1));
-    }
-    for (int64_t k = 0; k < m; k++) {
-        r[2 * k] = r[2 * (half + k)] = xn[-2 * k];
-        r[2 * k + 1] = xn[1 - 2 * k];
-        r[2 * (half + k) + 1] = -xn[1 - 2 * k];
-    }
-    for (int64_t k = 0; k < nimd; k++) {
-        r[2 * (m + k)] = r[2 * (half + m + k)] = qn[-2 * k];
-        r[2 * (m + k) + 1] = qn[1 - 2 * k];
-        r[2 * (half + m + k) + 1] = -qn[1 - 2 * k];
+        double *y = r + 2 * m;
+        imd_at(k15, r, y);
+        r[2 * (half + m)] = y[0];
+        r[2 * (half + m) + 1] = -y[1];
     }
 }
 
 /* The job b alone, one trial run to its end before the next starts. */
 static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
-                        const double *x, const double *d, const struct run *b)
+                        const double *z, int64_t cplx, const struct run *b)
 {
     int64_t nimd = b->dim / 2 - m;
-    double r[2 * b->dim], c[2 * b->dim], q[2 * nimd + 2];
+    double r[2 * b->dim], c[2 * b->dim];
+    memset(r, 0, sizeof r);
     for (int64_t i = 0; i < trials; i++) {
-        const double *xi = x + 2 * i * n;
-        regressor_start(m, nimd, k15, xi, q);
+        const double *zi = z + 2 * i * n, *di = b->d + 2 * i * n;
+        for (int64_t j = 0; j < m - 1; j++)
+            regressor_push(m, nimd, k15, b->scale, cplx, zi + 2 * j, r);
         for (int64_t j = 0; j < b->steps; j++) {
-            const double *dj = d + 2 * (i * n + j + m - 1);
-            regressor(m, nimd, k15, xi + 2 * (j + m - 1), q, r);
+            const double *dj = di + 2 * (j + m - 1);
+            regressor_push(m, nimd, k15, b->scale, cplx, zi + 2 * (j + m - 1), r);
             if (b->pre) {
                 newton_direction(b, r, c);
                 step(b, i, j, r, c, dj);
@@ -416,27 +437,44 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
  * fma()s as _mm256_fmadd_pd, or, for fma(a, b, -c), as _mm256_fmsub_pd,
  * the instruction the compiler gives the scalar step (a NaN c keeps its
  * sign there, where negating it first would flip it), np_cabs as
- * cabs_lanes. The lanes share one regressor layout, that of the call's
- * largest nimd (half = m + nimd entries per half); a job with fewer IMD
- * taps leaves the extra entries of both halves out. w holds the weights of regressor entry k as two
- * vectors, w[2k] the real and w[2k + 1] the imaginary parts of every lane,
- * and w_accum likewise. Entries k < full of either half belong to the job
- * of every lane; from full on, keep[k] has a lane's bits set where entry k
- * of either half is one of its job's entries. An idle lane (no job) of the
- * last group runs with zero weights and step size and writes nothing. A
- * lane whose job has a preconditioner steps along its LMS-Newton direction,
- * which lanes_direction forms in dir on the step's own regressor, entry k in
- * dir[2k] and dir[2k + 1] like w. */
+ * cabs_lanes. Each lane steps on its own regressor and reads its own job's
+ * observation. The regressors are views into a history of the trial's
+ * newest samples, into which lanes_push enters one sample of the call's
+ * row z per step, each lane's x = scale z and IMD product formed as
+ * regressor_push forms them, so that no entry moves from step to step.
+ * The lanes share one regressor layout, that of the call's largest nimd
+ * (half = m + nimd slots per half, slot_offset placing each in a view); a
+ * job with fewer IMD taps leaves the extra slots of both halves out. The
+ * weights w hold slot k as two vectors, w[2k] the real and w[2k + 1] the
+ * imaginary parts of every lane, and so does w_accum. Slots k < full of
+ * either half belong to the job of every lane; from full on, keep[k] has
+ * a lane's bits set where slot k of either half is one of its job's
+ * entries. An idle lane (no job) of the last group repeats the scale and
+ * observation of lane 0 with zero weights and step size and writes
+ * nothing. A lane whose job has a preconditioner steps along its LMS-Newton
+ * direction, which update_entry forms from the per-lane coefficients in
+ * pre; the lanes of a group pair each slot with one slot (lanes_init). */
 struct lanes {
     const struct run *job[LANES];  /* NULL for an idle lane */
+    const double *d[LANES];        /* each lane's observation at step 0 */
     int64_t full;
     int finite_all, e2;            /* the lanes with a job; any e2 output */
     int newton;                    /* the lanes with a preconditioner */
-    __m256d mu, peak, steady_sum, steady_count, yr, yi, newton_mask;
+    __m256d mu, scale, peak, steady_sum, steady_count, yr, yi, newton_mask;
     __m256i win_last;              /* each lane's win_start - 1 */
     int64_t win_first, win_all;    /* the earliest and latest win_start */
     int64_t diverged_at[LANES], next_tap[LANES], tap_first;
-    __m256d *w, *w_accum, *keep, *dir;
+    __m256d *w, *w_accum, *keep, *pre;
+    /* the newest samples of the trial, newest first from hist[6 pos]; the
+     * regressors of steps j and j + 1 are the views now and next into it,
+     * or into those of group src, whose lanes have the same scales */
+    __m256d *hist;
+    int64_t pos, src;
+    /* per slot k, the view offsets of the parts of conj(r) of the slot it
+     * pairs with in P: the real part at pair[2k], the imaginary at
+     * pair[2k + 1] */
+    int64_t *pair;
+    const __m256d *now, *next;
 };
 
 /* The slot of a job's regressor entry s in the shared layout */
@@ -444,6 +482,16 @@ static inline int64_t lane_slot(const struct run *b, int64_t half, int64_t s)
 {
     int64_t own = b->dim / 2;
     return s < own ? s : s - own + half;
+}
+
+/* The real part of regressor slot k (of 2 half) in the history view v: a
+ * view holds each sample, newest first, as the six vectors xr, xi, -xi,
+ * qr, qi, -qi of x and of its IMD product q. The imaginary part of slot k
+ * is at [1] in the first half, and at [2], the conjugate's, in the second. */
+static inline int64_t slot_offset(int64_t m, int64_t half, int64_t k)
+{
+    int64_t e = k < half ? k : k - half;
+    return e < m ? 6 * e : 6 * (e - m) + 3;
 }
 
 /* np_cabs of every lane: the same max, min, quotient, fma, sqrt and
@@ -468,15 +516,25 @@ static inline __m256d cabs_lanes(__m256d re, __m256d im)
     return _mm256_blendv_pd(a, inf, infinite);
 }
 
-/* Point the lanes at jobs[0 .. count - 1] and set up their masks */
-static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
-                       int64_t half)
+/* Point the lanes at jobs[0 .. count - 1] and set up their masks and
+ * their preconditioners: pre[2k] and pre[2k + 1] hold each lane's P[k][k]
+ * and P[k][pair[k]] of slot k (0 in the lanes without one). Returns 0 if two
+ * lanes with a preconditioner pair a slot with different slots, which the
+ * lanes cannot run. */
+static int lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
+                      int64_t m, int64_t half)
 {
-    int64_t newton[LANES] = {0};
+    int64_t newton[LANES] = {0}, pair[2 * half];
+    double scale[LANES];
     g->full = half;
     g->finite_all = g->e2 = g->newton = 0;
+    for (int64_t k = 0; k < 2 * half; k++) {
+        pair[k] = -1;
+        g->pre[2 * k] = g->pre[2 * k + 1] = _mm256_setzero_pd();
+    }
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l] = l < count ? &jobs[l] : NULL;
+        scale[l] = (b ? b : jobs)->scale;
         if (!b)
             continue;
         g->finite_all |= 1 << l;
@@ -484,15 +542,26 @@ static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
         if (b->pre) {
             g->newton |= 1 << l;
             newton[l] = -1;
+            for (int64_t s = 0; s < b->dim; s++) {
+                int64_t k = lane_slot(b, half, s), p = lane_slot(b, half, b->pair[s]);
+                if (pair[k] >= 0 && pair[k] != p)
+                    return 0;
+                pair[k] = p;
+                ((double *)&g->pre[2 * k])[l] = b->pre[2 * s];
+                ((double *)&g->pre[2 * k + 1])[l] = b->pre[2 * s + 1];
+            }
         }
         if (b->dim / 2 < g->full)
             g->full = b->dim / 2;
     }
+    for (int64_t k = 0; k < 2 * half; k++) {
+        int64_t p = pair[k] >= 0 ? pair[k] : k;
+        g->pair[2 * k] = slot_offset(m, half, p);
+        g->pair[2 * k + 1] = g->pair[2 * k] + (p < half ? 2 : 1);
+    }
+    g->scale = _mm256_loadu_pd(scale);
     g->newton_mask = _mm256_castsi256_pd(
         _mm256_loadu_si256((const __m256i *)newton));
-    /* the entries a job leaves out keep a zero direction */
-    for (int64_t k = 0; k < 4 * half; k++)
-        g->dir[k] = _mm256_setzero_pd();
     for (int64_t k = 0; k < half; k++) {
         int64_t keep[LANES];
         for (int l = 0; l < LANES; l++)
@@ -500,10 +569,13 @@ static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
         g->keep[k] = _mm256_castsi256_pd(
             _mm256_loadu_si256((const __m256i *)keep));
     }
+    return 1;
 }
 
-/* Load the lanes' state of trial i from their jobs */
-static void lanes_start(struct lanes *g, int64_t i, int64_t half)
+/* Load the lanes' state of trial i (rows of n samples; step 0 is sample
+ * m - 1) from their jobs */
+static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m,
+                        int64_t half)
 {
     double mu[LANES] = {0}, peak[LANES] = {0}, sum[LANES] = {0},
            count[LANES] = {0};
@@ -516,6 +588,7 @@ static void lanes_start(struct lanes *g, int64_t i, int64_t half)
         const struct run *b = g->job[l];
         last[l] = INT64_MAX - 1;
         g->next_tap[l] = INT64_MAX;
+        g->d[l] = (b ? b : g->job[0])->d + 2 * (i * n + m - 1);
         if (!b)
             continue;
         for (int64_t s = 0; s < b->dim; s++) {
@@ -604,38 +677,14 @@ static void lanes_record(struct lanes *g, int64_t i, int64_t j, int64_t half,
     }
 }
 
-/* The LMS-Newton direction of every lane with a preconditioner on the
- * shared regressor r, into g->dir: each entry as newton_direction forms it
- * for the lane's job on its own regressor. */
-static void lanes_direction(const struct lanes *g, int64_t half,
-                            const double *r)
-{
-    __m256d *dir = g->dir;
-    for (int l = 0; l < LANES; l++) {
-        const struct run *b = g->job[l];
-        if (!(g->newton >> l & 1))
-            continue;
-        for (int64_t s = 0; s < b->dim; s++) {
-            int64_t k = lane_slot(b, half, s);
-            double c[2];
-            newton_entry(b->pre + 2 * s, r + 2 * k,
-                         r + 2 * lane_slot(b, half, b->pair[s]), c);
-            ((double *)&dir[2 * k])[l] = c[0];
-            ((double *)&dir[2 * k + 1])[l] = c[1];
-        }
-    }
-}
-
-/* Add the term of entry k of the regressor r (weights wr, wi) to the sums
- * yr and yi of reg^T w as step forms it, masked by keep if `masked` (see
- * lanes_step) */
+/* Add the term of a regressor entry (rr, ri) with weights (wr, wi) to the
+ * sums yr and yi of reg^T w as step forms it, masked by keep if `masked`
+ * (see lanes_step) */
 static inline __attribute__((always_inline)) void dot_term(
-    const double *r, int64_t k, __m256d wr, __m256d wi, int masked,
-    __m256d keep, __m256d *yr, __m256d *yi)
+    __m256d rr, __m256d ri, __m256d wr, __m256d wi, int masked, __m256d keep,
+    __m256d *yr, __m256d *yi)
 {
-    __m256d rr = _mm256_broadcast_sd(r + 2 * k),
-            ri = _mm256_broadcast_sd(r + 2 * k + 1),
-            tr = _mm256_sub_pd(_mm256_mul_pd(rr, wr), _mm256_mul_pd(ri, wi)),
+    __m256d tr = _mm256_sub_pd(_mm256_mul_pd(rr, wr), _mm256_mul_pd(ri, wi)),
             ti = _mm256_add_pd(_mm256_mul_pd(rr, wi), _mm256_mul_pd(ri, wr));
     if (masked) {
         tr = _mm256_and_pd(keep, tr);
@@ -645,44 +694,57 @@ static inline __attribute__((always_inline)) void dot_term(
     *yi = _mm256_add_pd(*yi, ti);
 }
 
-/* reg^T w of the regressor r for every lane, into g->yr and g->yi */
-static void lanes_dot(struct lanes *g, int64_t half, const double *r)
+/* reg^T w of the regressor view v for every lane, into g->yr and g->yi */
+static void lanes_dot(struct lanes *g, int64_t m, int64_t half, const __m256d *v)
 {
     __m256d yr = _mm256_setzero_pd(), yi = _mm256_setzero_pd();
     for (int64_t k = 0; k < 2 * half; k++) {
         int64_t e = k < half ? k : k - half;
-        dot_term(r, k, g->w[2 * k], g->w[2 * k + 1], e >= g->full, g->keep[e],
-                 &yr, &yi);
+        const __m256d *r = v + slot_offset(m, half, k);
+        dot_term(r[0], r[1 + (k >= half)], g->w[2 * k], g->w[2 * k + 1],
+                 e >= g->full, g->keep[e], &yr, &yi);
     }
     g->yr = yr;
     g->yi = yi;
 }
 
-/* The weight update of entry k (mirror: the same entry in the other half)
- * as step forms it, along conj(r), or, if dir is not NULL, along dir in the
- * lanes of newton_mask; the new weights go to w, join the sums yr and yi of
- * reg^T w of the regressor next (masked by keep if `masked`), and join the
- * window sums w_accum: none if sum is 0, masked by `in` if it is 1. */
+/* The weight update of slot k as step forms it, along conj(r) of the entry
+ * r of the view now (ci: the offset of the mirror entry's imaginary part,
+ * which is step's ci = -r[2k + 1], negated bit for bit when the entry was
+ * formed), or, if newton, in the lanes of g->newton_mask along the
+ * LMS-Newton direction P[k][k] conj(r) + P[k][pair] conj(r_pair), formed
+ * as newton_entry forms it, the pair's entry read from the view now; the
+ * new weights go to w, join the sums yr and yi of reg^T w of the same
+ * entry x of the view next (im: the offset of its imaginary part; masked
+ * by keep if `masked`), and join the window sums w_accum: none if sum is
+ * 0, masked by `in` if it is 1. */
 static inline __attribute__((always_inline)) void update_entry(
-    const double *r, const double *next, int64_t k, int64_t mirror,
-    __m256d mr, __m256d mi, const __m256d *dir, __m256d newton_mask,
-    int masked, __m256d keep, __m256d *w, __m256d *w_accum, int sum,
-    __m256d in, __m256d *yr, __m256d *yi)
+    const struct lanes *g, int newton, const __m256d *now, const __m256d *r,
+    const __m256d *x, int64_t im, int64_t ci, int64_t k, __m256d mr,
+    __m256d mi, int masked, __m256d keep, int sum, __m256d in, __m256d *yr,
+    __m256d *yi)
 {
-    /* step's ci = -r[2k + 1] is the imaginary part of the mirror entry,
-     * negated bit for bit when r was built */
-    __m256d cr = _mm256_broadcast_sd(r + 2 * k),
-            ci = _mm256_broadcast_sd(r + 2 * mirror + 1);
-    if (dir) {
-        cr = _mm256_blendv_pd(cr, dir[2 * k], newton_mask);
-        ci = _mm256_blendv_pd(ci, dir[2 * k + 1], newton_mask);
+    const __m256d zero = _mm256_setzero_pd();
+    __m256d *w = g->w, *w_accum = g->w_accum;
+    __m256d cr = r[0], cim = r[ci];
+    if (newton) {
+        __m256d p0 = g->pre[2 * k], p1 = g->pre[2 * k + 1],
+                pr = now[g->pair[2 * k]], pim = now[g->pair[2 * k + 1]];
+        __m256d c0 = _mm256_add_pd(
+                    _mm256_fmsub_pd(p0, cr, _mm256_mul_pd(zero, cim)),
+                    _mm256_fmsub_pd(p1, pr, _mm256_mul_pd(zero, pim))),
+                c1 = _mm256_add_pd(
+                    _mm256_fmadd_pd(p0, cim, _mm256_mul_pd(zero, cr)),
+                    _mm256_fmadd_pd(p1, pim, _mm256_mul_pd(zero, pr)));
+        cr = _mm256_blendv_pd(cr, c0, g->newton_mask);
+        cim = _mm256_blendv_pd(cim, c1, g->newton_mask);
     }
-    __m256d dr = _mm256_fmsub_pd(mr, cr, _mm256_mul_pd(mi, ci)),
-            di = _mm256_fmadd_pd(mr, ci, _mm256_mul_pd(mi, cr));
+    __m256d dr = _mm256_fmsub_pd(mr, cr, _mm256_mul_pd(mi, cim)),
+            di = _mm256_fmadd_pd(mr, cim, _mm256_mul_pd(mi, cr));
     __m256d wr = _mm256_add_pd(w[2 * k], dr), wi = _mm256_add_pd(w[2 * k + 1], di);
     w[2 * k] = wr;
     w[2 * k + 1] = wi;
-    dot_term(next, k, wr, wi, masked, keep, yr, yi);
+    dot_term(x[0], x[im], wr, wi, masked, keep, yr, yi);
     if (sum == 1) {
         wr = _mm256_and_pd(in, wr);
         wi = _mm256_and_pd(in, wi);
@@ -693,27 +755,31 @@ static inline __attribute__((always_inline)) void update_entry(
     }
 }
 
-/* Step j of trial i for every lane, on the shared regressor r (2 half
- * entries) and observation d, with g->yr and g->yi holding reg^T w of r,
- * and dir holding the LMS-Newton directions on r (NULL if no lane has a
- * preconditioner); g->yr and g->yi are left holding reg^T w of next, the
- * regressor of step j + 1, with the new weights: each entry's new weight
- * joins that sum as soon as it is formed, in step's order. Where a lane
- * leaves an entry out, its terms are masked to +0: the sums they would join
- * start at +0 and so are never -0 (x + y is -0 only if x and y both are),
- * and such a sum plus +0 is the sum itself. The left-out weights are updated like the others but are read
- * only through those masks, and never stored back. Before its window
- * starts, a lane's window sums are masked the same way. */
+/* Step j of trial i for every lane, on its regressor in the view g->now
+ * (2 half slots) and its observation, with g->yr and g->yi holding reg^T w
+ * of that regressor, along the LMS-Newton directions if newton (some lane
+ * has a preconditioner); g->yr and g->yi are left holding reg^T w of the
+ * view g->next, the regressor of step j + 1, with the new weights: each
+ * slot's new weight joins that sum as soon as it is formed, in step's
+ * order. Where a lane leaves a slot out, its terms are masked to +0: the
+ * sums they would join start at +0 and so are never -0 (x + y is -0 only
+ * if x and y both are), and such a sum plus +0 is the sum itself. The
+ * left-out weights are updated like the others but are read only through
+ * those masks, and never stored back. Before its window starts, a lane's
+ * window sums are masked the same way. */
 static inline __attribute__((always_inline)) void lanes_step(
-    struct lanes *g, int64_t i, int64_t j, int64_t half, const double *r,
-    const double *next, const __m256d *dir, const double *d)
+    struct lanes *g, int64_t i, int64_t j, int64_t m, int64_t half,
+    int newton)
 {
+    const __m256d *r = g->now, *next = g->next;
     const __m256d zero = _mm256_setzero_pd();
-    __m256d *w = g->w, *w_accum = g->w_accum;
     const __m256d *keep = g->keep;
     const int64_t full = g->full;
-    __m256d er = _mm256_sub_pd(_mm256_set1_pd(d[0]), g->yr),
-            ei = _mm256_sub_pd(_mm256_set1_pd(d[1]), g->yi);
+    const double *const *d = g->d;
+    __m256d dr = _mm256_set_pd(d[3][2 * j], d[2][2 * j], d[1][2 * j], d[0][2 * j]),
+            di = _mm256_set_pd(d[3][2 * j + 1], d[2][2 * j + 1], d[1][2 * j + 1],
+                               d[0][2 * j + 1]);
+    __m256d er = _mm256_sub_pd(dr, g->yr), ei = _mm256_sub_pd(di, g->yi);
     __m256d mr = _mm256_fmsub_pd(g->mu, er, _mm256_mul_pd(zero, ei)),
             mi = _mm256_fmadd_pd(g->mu, ei, _mm256_mul_pd(zero, er));
     __m256d yr = zero, yi = zero;
@@ -722,14 +788,18 @@ static inline __attribute__((always_inline)) void lanes_step(
     int sum = (j >= g->win_first) + (j >= g->win_all);
     __m256d in = _mm256_castsi256_pd(
         _mm256_cmpgt_epi64(_mm256_set1_epi64x(j), g->win_last));
-    for (int64_t h = 0; h < 2 * half; h += half) {
-        int64_t other = h ? -half : half;  /* from an entry to its mirror */
-        for (int64_t k = h; k < h + full; k++)
-            update_entry(r, next, k, k + other, mr, mi, dir, g->newton_mask, 0,
-                         zero, w, w_accum, sum, in, &yr, &yi);
-        for (int64_t k = h + full; k < h + half; k++)
-            update_entry(r, next, k, k + other, mr, mi, dir, g->newton_mask, 1,
-                         keep[k - h], w, w_accum, sum, in, &yr, &yi);
+    for (int64_t h = 0; h < 2; h++) {
+        /* the offsets of an entry's imaginary part and its mirror's */
+        int64_t im = 1 + h, ci = 2 - h, k = h * half;
+        for (int64_t e = 0; e < 6 * m; e += 6, k++)
+            update_entry(g, newton, r, r + e, next + e, im, ci, k, mr, mi, 0,
+                         zero, sum, in, &yr, &yi);
+        for (int64_t e = 3; e < 6 * (full - m); e += 6, k++)
+            update_entry(g, newton, r, r + e, next + e, im, ci, k, mr, mi, 0,
+                         zero, sum, in, &yr, &yi);
+        for (int64_t e = 6 * (full - m) + 3; e < 6 * (half - m); e += 6, k++)
+            update_entry(g, newton, r, r + e, next + e, im, ci, k, mr, mi, 1,
+                         keep[k - h * half], sum, in, &yr, &yi);
     }
     g->yr = yr;
     g->yi = yi;
@@ -750,11 +820,48 @@ static inline __attribute__((always_inline)) void lanes_step(
     }
 }
 
-/* The jobs in groups of LANES, step by step: each step builds the regressor
- * of the largest nimd once, and every group steps on it. Returns 0, having
- * run nothing, if the groups' state cannot be allocated. */
+/* Enter the source sample zn into the history of the lanes of g as its
+ * newest sample, and return the view of its regressor: each lane's
+ * x = scale zn and IMD product formed as x_at and imd_at form them. Every
+ * `spare` samples the m - 1 newest move to the far end of the history. */
+static inline __attribute__((always_inline)) const __m256d *lanes_push(
+    struct lanes *g, int64_t m, int64_t nimd, int64_t spare, double k15,
+    int64_t cplx, const double *zn)
+{
+    const __m256d zero = _mm256_setzero_pd(), sign = _mm256_set1_pd(-0.0);
+    if (g->pos == 0) {
+        g->pos = spare + 1;
+        memcpy(g->hist + 6 * g->pos, g->hist, 6 * (m - 1) * sizeof(__m256d));
+    }
+    __m256d *e = g->hist + 6 * --g->pos;
+    __m256d zr = _mm256_broadcast_sd(zn), zi = _mm256_broadcast_sd(zn + 1), xr, xi;
+    if (cplx) {
+        xr = _mm256_fmsub_pd(g->scale, zr, _mm256_mul_pd(zero, zi));
+        xi = _mm256_fmadd_pd(g->scale, zi, _mm256_mul_pd(zero, zr));
+    } else {
+        xr = _mm256_mul_pd(g->scale, zr);
+        xi = _mm256_mul_pd(g->scale, zi);
+    }
+    e[0] = xr;
+    e[1] = xi;
+    e[2] = _mm256_xor_pd(xi, sign);
+    if (nimd > 0) {
+        __m256d a = cabs_lanes(xr, xi),
+                t = _mm256_mul_pd(_mm256_set1_pd(k15), _mm256_mul_pd(a, a)),
+                yi = _mm256_fmadd_pd(t, xi, _mm256_mul_pd(zero, xr));
+        e[3] = _mm256_fmsub_pd(t, xr, _mm256_mul_pd(zero, xi));
+        e[4] = yi;
+        e[5] = _mm256_xor_pd(yi, sign);
+    }
+    return e;
+}
+
+/* The jobs in groups of LANES, step by step: each step enters one sample of
+ * z into every group's history (once for groups of equal scales), and every
+ * group steps on its own regressor. Returns 0, having run nothing, if the
+ * groups' state cannot be allocated or lanes_init refuses a group. */
 static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
-                         const double *x, const double *d, int64_t jobs,
+                         const double *z, int64_t cplx, int64_t jobs,
                          const struct run *runs)
 {
     int64_t nimd = 0;
@@ -762,10 +869,13 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         if (runs[g].dim / 2 - m > nimd)
             nimd = runs[g].dim / 2 - m;
     int64_t half = m + nimd, groups = (jobs + LANES - 1) / LANES;
-    /* each group's w, w_accum, dir (4 half vectors each) and keep (half),
-     * on the heap: the number of jobs has no bound */
+    /* each group's w, w_accum and pre (4 half vectors each), keep (half),
+     * pair (4 half int64) and history of spare + m samples, on the heap: the
+     * number of jobs has no bound */
+    const int64_t spare = m > 32 ? m : 32,
+                  size = 14 * half + 6 * (spare + m);
     __m256d *state = aligned_alloc(sizeof(__m256d),
-                                   groups * 13 * half * sizeof(__m256d));
+                                   groups * size * sizeof(__m256d));
     struct lanes *lanes = aligned_alloc(sizeof(__m256d),
                                         groups * sizeof(struct lanes));
     if (!state || !lanes) {
@@ -774,37 +884,54 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         return 0;
     }
     for (int64_t g = 0; g < groups; g++) {
-        lanes[g].w = state + 13 * half * g;
-        lanes[g].w_accum = lanes[g].w + 4 * half;
-        lanes[g].keep = lanes[g].w + 8 * half;
-        lanes[g].dir = lanes[g].w + 9 * half;
-        lanes_init(&lanes[g], runs + g * LANES, jobs - g * LANES, half);
+        struct lanes *lg = &lanes[g];
+        lg->w = state + size * g;
+        lg->w_accum = lg->w + 4 * half;
+        lg->keep = lg->w + 8 * half;
+        lg->pre = lg->w + 9 * half;
+        lg->pair = (int64_t *)(lg->w + 13 * half);
+        lg->hist = lg->w + 14 * half;
+        if (!lanes_init(lg, runs + g * LANES, jobs - g * LANES, m, half)) {
+            free(state);
+            free(lanes);
+            return 0;
+        }
+        for (lg->src = 0; lg->src < g; lg->src++)
+            if (!memcmp(&lanes[lg->src].scale, &lg->scale, sizeof(__m256d)))
+                break;
     }
-    /* the regressors of steps j and j + 1, alternately */
-    double r[2][4 * half], q[2 * nimd + 2];
     int64_t steps = runs[0].steps;
     for (int64_t i = 0; i < trials; i++) {
-        const double *xi = x + 2 * i * n;
-        regressor_start(m, nimd, k15, xi, q);
-        regressor(m, nimd, k15, xi + 2 * (m - 1), q, r[0]);
+        const double *zi = z + 2 * i * n;
         for (int64_t g = 0; g < groups; g++) {
-            lanes_start(&lanes[g], i, half);
-            lanes_dot(&lanes[g], half, r[0]);
-        }
-        for (int64_t j = 0; j < steps; j++) {
-            const double *now = r[j & 1], *dj = d + 2 * (i * n + j + m - 1);
-            double *next = r[~j & 1];
-            if (j + 1 < steps)
-                regressor(m, nimd, k15, xi + 2 * (j + m), q, next);
-            for (int64_t g = 0; g < groups; g++) {
-                if (lanes[g].newton) {
-                    lanes_direction(&lanes[g], half, now);
-                    lanes_step(&lanes[g], i, j, half, now, next, lanes[g].dir, dj);
-                } else {
-                    lanes_step(&lanes[g], i, j, half, now, next, NULL, dj);
-                }
+            struct lanes *lg = &lanes[g];
+            if (lg->src == g) {
+                lg->pos = spare + m;
+                for (int64_t j = 0; j < m; j++)
+                    lg->now = lanes_push(lg, m, nimd, spare, k15, cplx, zi + 2 * j);
+            } else {
+                lg->now = lanes[lg->src].now;
             }
+            lanes_start(lg, i, n, m, half);
+            lanes_dot(lg, m, half, lg->now);
         }
+        for (int64_t j = 0; j < steps; j++)
+            for (int64_t g = 0; g < groups; g++) {
+                struct lanes *lg = &lanes[g];
+                /* the last step's next is never read: any view serves */
+                if (lg->src != g)
+                    lg->next = lanes[lg->src].next;
+                else if (j + 1 < steps)
+                    lg->next = lanes_push(lg, m, nimd, spare, k15, cplx,
+                                          zi + 2 * (j + m));
+                else
+                    lg->next = lg->now;
+                if (lg->newton)
+                    lanes_step(lg, i, j, m, half, 1);
+                else
+                    lanes_step(lg, i, j, m, half, 0);
+                lg->now = lg->next;
+            }
         for (int64_t g = 0; g < groups; g++)
             lanes_finish(&lanes[g], i, half);
     }
@@ -826,21 +953,24 @@ int64_t lms_lanes(int64_t jobs)
 #endif
 }
 
-/* The jobs runs[0 .. jobs - 1] of one set of trials: x and d are (trials, n)
- * and every job runs steps = n - m + 1 steps on each trial, step j on the
- * regressor of sample j + m - 1, with the m of the call and its own
+/* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
+ * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
+ * step j on the regressor of sample j + m - 1 of its reference
+ * x = scale z (x_at with cplx), with the m of the call and its own
  * nimd = dim / 2 - m. Two or more jobs run as lanes (lms_lanes), one job, or
  * any job on a build without AVX2, by the scalar step; either way every job
  * returns the same bits. */
 void lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
-             const double *x, const double *d, int64_t jobs,
+             const double *z, int64_t cplx, int64_t jobs,
              const struct run *runs)
 {
 #ifdef LANES
-    /* the scalar step also serves if the lanes' state cannot be allocated */
-    if (lms_lanes(jobs) > 1 && lms_raw_lanes(trials, n, m, k15, x, d, jobs, runs))
+    /* the scalar step also serves if the lanes' state cannot be allocated,
+     * or if the Newton jobs of a group pair a slot differently */
+    if (lms_lanes(jobs) > 1
+        && lms_raw_lanes(trials, n, m, k15, z, cplx, jobs, runs))
         return;
 #endif
     for (int64_t g = 0; g < jobs; g++)
-        lms_raw_job(trials, n, m, k15, x, d, &runs[g]);
+        lms_raw_job(trials, n, m, k15, z, cplx, &runs[g]);
 }

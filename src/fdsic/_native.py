@@ -3,14 +3,18 @@ and the LMS steps.
 
 ``NormalStream`` draws the standard normals of
 ``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
-ziggurat written out in C; ``render`` forms one trial's observation (IMD
-product, four FIR branches and their sum) sample by sample, then adds the
-noise as a ``NormalStream`` draws it;
-``lms_raw`` runs the LMS steps of whole runs: the canceller jobs of one
-call share one set of trials and one regressor built per step, and two or
-more jobs run as the lanes of AVX2 vectors, four jobs per vector, each lane
-repeating its job's scalar step bit for bit (a one-job call, and every call
-on a build without AVX2, runs the scalar step); a job may carry a real
+ziggurat written out in C. Both other kernels read a trial's reference
+x = scale z from a source row z and a scale, forming each sample as the
+source does (the product of each part with the scale, or numpy's
+complex-by-real product), so that one row z serves every transmit power:
+``render`` forms one trial's observation (IMD product, four FIR branches
+and their sum) sample by sample, then adds the noise as a
+``NormalStream`` draws it; ``lms_raw`` runs the LMS steps of whole runs:
+the canceller jobs of one call share one set of rows z, each job with its
+own scale and observation rows, and two or more jobs run as the lanes of
+AVX2 vectors, four jobs per vector, each lane on its own regressor and
+repeating its job's scalar step bit for bit (a one-job call, and every
+call on a build without AVX2, runs the scalar step); a job may carry a real
 preconditioner and then runs the LMS-Newton step. ``Run`` describes one
 job.
 
@@ -84,14 +88,14 @@ def _build_kernel() -> Path:
 
 class Run(ctypes.Structure):
     """``struct run`` of ``_lms.c``: one canceller job of an LMS call, its
-    sizes, window start and step size, and the addresses of its state,
-    outputs and preconditioner (``e2``, ``tap_buf``, ``pre`` and ``pair`` may
-    be ``None``)."""
+    sizes, window start, step size and reference scale, and the addresses of
+    its observation rows, state, outputs and preconditioner (``e2``,
+    ``tap_buf``, ``pre`` and ``pair`` may be ``None``)."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
-                ("mu", ctypes.c_double),
+                ("mu", ctypes.c_double), ("scale", ctypes.c_double),
                 *[(name, ctypes.c_void_p) for name in (
-                    "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
+                    "d", "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
                     "diverged_at")],
                 ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
                 ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p),
@@ -109,9 +113,10 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
     lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, cplx]
-    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5, pcg, i64,
-                           real, cplx, ctypes.c_void_p]
-    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, cplx, cplx, i64, runs]
+    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5,
+                           ctypes.c_double, i64, pcg, i64, real, cplx,
+                           ctypes.c_void_p]
+    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, cplx, i64, i64, runs]
     lib.lms_lanes.argtypes = [i64]
     for fn in (lib.normals_complex, lib.render, lib.lms_raw):
         fn.restype = None
@@ -154,17 +159,20 @@ class NormalStream:
         return out
 
 
-def render(x: np.ndarray, taps: tuple[np.ndarray, ...], k15: float,
-           noise: NormalStream, scales: np.ndarray, soi: bool, d: np.ndarray,
+def render(z: np.ndarray, scale: float, complex_product: bool,
+           taps: tuple[np.ndarray, ...], k15: float, noise: NormalStream,
+           scales: np.ndarray, soi: bool, d: np.ndarray,
            components: np.ndarray | None = None):
-    """Fill ``d`` (and ``components``, ``(7, n)``) with the observation of ``x``.
+    """Fill ``d`` (and ``components``, ``(7, n)``) with the observation of the
+    reference x = ``scale`` ``z``, each sample numpy's complex-by-real
+    product if ``complex_product``, else each part times ``scale``.
 
     ``taps`` is ``(h, g, h_imd, g_imd)``; ``noise`` draws the real then the
     imaginary parts of the thermal, the quantization and, if ``soi``, the
     SOI noise, n normals each, which ``scales`` (three) scale. Every array
     is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic.
     """
-    n = len(x)
+    n = len(z)
     h, g, h_imd, g_imd = taps
     if (d.shape != (n,) or scales.shape != (3,) or len(g) != len(h)
             or len(g_imd) != len(h_imd) or not len(h_imd) < len(h) < n):
@@ -173,6 +181,6 @@ def render(x: np.ndarray, taps: tuple[np.ndarray, ...], k15: float,
             components.shape == (7, n) and components.dtype == np.complex128
             and components.flags.c_contiguous):
         raise ValueError("render: components must be a C-contiguous complex (7, n) array")
-    library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, x,
-                     noise._state, int(soi), scales, d,
+    library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, z, scale,
+                     int(complex_product), noise._state, int(soi), scales, d,
                      None if components is None else components.ctypes.data)

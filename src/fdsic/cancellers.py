@@ -18,19 +18,22 @@ of proper Gaussian input couples the regressor entries at most in pairs
 the step costs O(dim).
 
 ``run_jobs`` runs several canceller jobs (each its own step size, N,
-steady window, start weights and preconditioner) on one set of trials, and
-``run_batch`` one job; each trial runs on its own and returns per-trial
-rows, and averaging across trials is the caller's. The LMS steps run in a
-small C kernel (``_lms.c``, built and loaded by ``_native`` on the first
-call), one call per set of jobs. Its arithmetic rounds exactly as the numpy
+steady window, start weights and preconditioner) on one set of source rows
+z, each job on its own reference x = scale z and observation rows d, so
+that the jobs of several transmit powers share one call; ``run_batch`` runs
+one job on x itself. Each trial runs on its own and returns per-trial rows,
+and averaging across trials is the caller's. The LMS steps run in a small
+C kernel (``_lms.c``, built and loaded by ``_native`` on the first call),
+one call per set of jobs. Its arithmetic rounds exactly as the numpy
 expressions e = d - reg^T w (einsum), w += mu e conj(reg) (or
 mu e (p_kk conj(reg_k) + p_kj conj(reg_j)) entry by entry) and |e|^2 do, so
-results are bit-identical to a numpy loop over the steps. The kernel reads
-each regressor in place from x and forms x_imd as it goes, keeping only the
-N newest values, once per step for all jobs of the call; two or more jobs
-run as the lanes of AVX2 vectors, four jobs per vector, and return the bits
-each job returns alone. ``regressor_matrix`` builds the same regressors as
-rows, for the tests' numpy loop.
+results are bit-identical to a numpy loop over the steps. The kernel moves
+each job's regressor on by one sample of z per step, forming x = scale z
+as the source does (``signals.Draw.reference``) and x_imd from it; two or
+more jobs run as the lanes of AVX2 vectors, four jobs per vector, each lane
+on its own regressor, and return the bits each job returns alone.
+``regressor_matrix`` builds the same regressors as rows, for the tests'
+numpy loop.
 """
 
 from __future__ import annotations
@@ -183,11 +186,12 @@ def _pairs(preconditioner, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Job:
-    """One canceller job of a kernel call: its state and output arrays, and
-    the ``_native.Run`` that points the kernel at them."""
+    """One canceller job of a kernel call: its observation rows ``ds``, its
+    state and output arrays, and the ``_native.Run`` that points the kernel
+    at them and carries the job's reference ``scale``."""
 
-    def __init__(self, job: Job, trials: int, n_steps: int, keep_residuals: bool,
-                 track_taps: tuple[int, ...], tap_stride: int):
+    def __init__(self, job: Job, ds: np.ndarray, scale: float, n_steps: int,
+                 keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int):
         config, w0, preconditioner = job
         dim = 2 * (config.M + config.N)
         self.window = config.steady_window or default_steady_window(n_steps)
@@ -203,6 +207,8 @@ class _Job:
         if preconditioner is not None:
             self.pre, self.pair = _pairs(preconditioner, dim)
         self.n_steps = n_steps
+        self.ds = ds
+        trials = len(ds)
         self.w = np.zeros((trials, dim), dtype=np.complex128)
         if w0 is not None:
             self.w[:] = w0
@@ -214,8 +220,8 @@ class _Job:
         self.peak, self.steady_sum, self.steady_count = np.zeros((3, trials))
         self.diverged_at = np.full(trials, -1, dtype=np.int64)
         self.run = _native.Run(
-            n_steps, dim, n_steps - self.window, config.mu,
-            *(_address(a) for a in (self.w, self.w_accum, self.residuals, self.peak,
+            n_steps, dim, n_steps - self.window, config.mu, scale,
+            *(_address(a) for a in (ds, self.w, self.w_accum, self.residuals, self.peak,
                                     self.steady_sum, self.steady_count,
                                     self.diverged_at)),
             len(self.tap_idx), _address(self.tap_idx), tap_stride,
@@ -243,35 +249,50 @@ class _Job:
         )
 
 
-def run_jobs(xs: np.ndarray, ds: np.ndarray, jobs: list[tuple],
-             keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-             tap_stride: int = 1) -> list[BatchRun]:
-    """Run every job, a ``Job`` or a tuple of its fields (``(config, w0)``
-    or ``(config, w0, preconditioner)``), on the trials in the rows of ``xs``
-    and ``ds``, in one kernel call; return one ``BatchRun`` per job.
+def _rows(a) -> np.ndarray:
+    """``a`` as C-contiguous complex rows, one per trial (1-D: one trial)."""
+    return np.atleast_2d(np.ascontiguousarray(a, dtype=np.complex128))
 
-    The jobs share M and k_tiq (a ``ValueError`` otherwise) and may differ
-    in mu, N, steady window, start weights and preconditioner. Each job
-    returns exactly what it returns alone in ``run_batch``.
-    ``keep_residuals`` stores |e|^2 per step; ``track_taps`` stores the
-    listed weights (indices into each job's own weight vector) after steps
-    0, tap_stride, 2 tap_stride, ...
+
+def run_jobs(zs: np.ndarray, ds, jobs: list[tuple],
+             keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
+             tap_stride: int = 1, scales=1.0,
+             complex_product: bool = False) -> list[BatchRun]:
+    """Run every job, a ``Job`` or a tuple of its fields (``(config, w0)``
+    or ``(config, w0, preconditioner)``), on the trials in the rows of
+    ``zs``, in one kernel call; return one ``BatchRun`` per job.
+
+    Job k runs on the reference x = ``scales[k]`` zs and the observation
+    rows ``ds[k]``; ``ds`` may be one array for every job, and ``scales``
+    one number. Each sample of x is formed as ``signals.Draw.reference``
+    forms it: numpy's complex-by-real product if ``complex_product``, else
+    each part times the scale (so a scale of 1 runs on ``zs`` itself). The
+    jobs share M and k_tiq (a ``ValueError`` otherwise) and may differ in
+    mu, N, steady window, start weights, preconditioner, scale and
+    observation. Each job returns exactly what it returns alone in
+    ``run_batch`` on its own x and d. ``keep_residuals`` stores |e|^2 per
+    step; ``track_taps`` stores the listed weights (indices into each job's
+    own weight vector) after steps 0, tap_stride, 2 tap_stride, ...
     """
     if not jobs:
         raise ValueError("run_jobs needs at least one job")
     jobs = [Job(*job) for job in jobs]
-    xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=np.complex128))
-    ds = np.atleast_2d(np.ascontiguousarray(ds, dtype=np.complex128))
-    if xs.shape != ds.shape:
-        raise ValueError("x and d must have identical shapes")
+    zs = _rows(zs)
+    ds = [_rows(d) for d in ds] if isinstance(ds, (list, tuple)) else [_rows(ds)] * len(jobs)
+    scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), len(jobs))
+    if len(ds) != len(jobs):
+        raise ValueError("ds must hold one observation for every job")
+    if any(d.shape != zs.shape for d in ds):
+        raise ValueError("z and d must have identical shapes")
     M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
     if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
-    trials, n = xs.shape
-    state = [_Job(job, trials, n - M + 1, keep_residuals, track_taps, tap_stride)
-             for job in jobs]
+    trials, n = zs.shape
+    state = [_Job(job, d, scale, n - M + 1, keep_residuals, track_taps, tap_stride)
+             for job, d, scale in zip(jobs, ds, scales)]
     runs = (_native.Run * len(state))(*(job.run for job in state))
-    _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, xs, ds, len(state), runs)
+    _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, int(complex_product),
+                              len(state), runs)
     return [job.result() for job in state]
 
 

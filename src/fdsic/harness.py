@@ -1,21 +1,28 @@
 """Experiment runner: sweeps, Monte Carlo trials, CSV/SVG reports.
 
 Every experiment is deterministic for a fixed (config, seed): trial t draws
-its reference waveform with seed ``base_seed + t`` and its receiver noise
-with seed ``base_seed + _NOISE_SEED_OFFSET + t``. ``iter_trials`` is the one
-function that applies this rule. It hands over one trial at a time in
-reused rows, and every canceller job of a run runs on that trial, all in
-one LMS kernel call (``run_jobs``), while one producer thread generates and
-renders the next one into a second pair of rows, so a run holds two trials'
-samples at a time whatever the number of trials. The per-trial results are
-then reduced across trials in trial order, and the averages that reach a
-CSV are taken over arrays laid out as the old whole-batch arrays were, so
-they round as they did.
+its source row z with seed ``base_seed + t`` and its receiver noise with
+seed ``base_seed + _NOISE_SEED_OFFSET + t``, and the reference of every
+transmit power is x = scale z of that one row (``signals.Draw``).
+``iter_trials`` is the one function that applies this rule. It runs a pass
+over one or more grid points (``Point``) and hands over one trial at a
+time in reused rows, the source row and one observation row per point,
+and every canceller job of every point of the pass runs on that trial, all
+in one LMS kernel call (``run_jobs``), while one producer thread draws and
+renders the next one into a second set of rows. So a run holds two trials'
+rows at a time whatever the number of trials: the SINR sweep walks its grid
+in passes of two points, 2 x (1 + 2) rows, and fills the four lanes of an
+AVX2 vector with the ALMS and ANCLMS jobs of both; every other runner runs
+one point per pass. The per-trial results are then reduced across trials
+in trial order, and the averages that reach a CSV are taken over arrays
+laid out as the old whole-batch arrays were, so they round as they did.
 Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
-busy time of the generate, render and LMS phases and the time the LMS loop
-waited for its next trial. ``run_experiment`` is every run's skeleton: it
-makes the output directory and the report, times the run and writes
-``meta.txt``; a runner fills the report in, the step size it runs included.
+busy time of the generate, render and LMS phases, the time the LMS loop
+waited for its next trial, what the LMS calls ran (``lms_lane_fill``) and
+the trials that diverged, by job. ``run_experiment`` is every run's
+skeleton: it makes the output directory and the report, times the run and
+writes ``meta.txt``; a runner fills the report in, the step size it runs
+included.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -45,6 +52,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,15 +63,16 @@ from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig,
                          newton_preconditioner, regressor_matrix, run_batch,
                          run_jobs)
 from .plots import heatmap, line_plot
-from .signals import gen_ofdm_waveform, gen_proper_gaussian
+from .signals import Draw, gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
                      alms_steady_mse, anclms_exact_steady_mse,
                      anclms_mean_bound, anclms_ms_analysis,
                      anclms_steady_mse, anclms_transient, condition_number,
                      optimal_sigma_x2, rb_matrix)
-from .transceiver import (TransceiverProfile, builtin_profile,
-                          compute_noise_budget, compute_power_budget,
-                          load_profile, render_observation, synthesize_channels)
+from .transceiver import (ChannelSet, NoiseBudget, TransceiverProfile,
+                          builtin_profile, compute_noise_budget,
+                          compute_power_budget, load_profile,
+                          render_observation, synthesize_channels)
 from .units import lin_to_db, mw_to_dbm
 
 _NOISE_SEED_OFFSET = 10_000_019
@@ -123,6 +132,8 @@ class ExperimentConfig:
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive")
         if self.experiment == "sinr-sweep":
+            if len(set(self.tx_grid_dbm)) < len(self.tx_grid_dbm):
+                raise ValueError("the sweep's transmit-power grid repeats a point")
             # the sweep's steady-state theory needs mu below the ALMS bound
             for tx in self.tx_grid_dbm:
                 bound = alms_ms_bound(self.profile.with_tx_power(tx).natural_sigma_x2,
@@ -142,28 +153,47 @@ class CheckResult:
 
 class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
-    loop's waits for its next trial, the samples generated and rendered, the
-    trial-steps the LMS runs took, the LMS calls and the widest lane count
-    (jobs per vector) the LMS kernel ran them in.
+    loop's waits for its next trial, the samples drawn and rendered, and the
+    LMS calls: the trial-steps they took, their number, the widest lane
+    count (jobs per vector) the kernel ran them in, the jobs they ran and
+    the lanes they offered, and the trials that diverged, by job.
 
     The producer thread of ``iter_trials`` updates only the generate and
-    render times and the samples, the caller's thread only the rest, so no
-    key has two writers.
+    render times and the sample counts, the caller's thread only the rest,
+    so no key has two writers.
     """
 
     def __init__(self):
         self.seconds = dict.fromkeys(("generate", "render", "lms", "wait"), 0.0)
         self.samples = 0
+        self.samples_rendered = 0
         self.trial_steps = 0
         self.lms_calls = 0
         self.lms_lanes = 1
+        self.lms_jobs = 0
+        self.lms_lanes_offered = 0
+        self.diverged: dict[str, int] = {}        # diverged trials by job label
+        self.first_nonfinite: dict[str, int] = {}  # earliest such step by label
 
-    def count_lms(self, runs: list[BatchRun]):
-        """Count one LMS call that ran ``runs``, one per job."""
+    def count_lms(self, runs: dict[str, BatchRun], d_power: dict[str, float]):
+        """Count one LMS call that ran ``runs``, by job label, on trials
+        whose mean |d|^2 is ``d_power[label]``. A trial diverged, as
+        bounds-probe rules, if it went non-finite or its peak residual
+        exceeds 1e3 times that power."""
+        lanes = _native.lanes(len(runs))
         self.lms_calls += 1
-        self.lms_lanes = max(self.lms_lanes, _native.lanes(len(runs)))
-        self.trial_steps += sum(run.n_steps * len(run.steady_state_mse)
-                                for run in runs)
+        self.lms_lanes = max(self.lms_lanes, lanes)
+        self.lms_jobs += len(runs)
+        self.lms_lanes_offered += -(-len(runs) // lanes) * lanes
+        for label, run in runs.items():
+            self.trial_steps += run.n_steps * len(run.steady_state_mse)
+            grew = run.diverged | (run.peak_residual > 1e3 * d_power[label])
+            if grew.any():
+                self.diverged[label] = self.diverged.get(label, 0) + int(grew.sum())
+            if run.diverged.any():
+                step = int(run.diverged_at[run.diverged].min())
+                self.first_nonfinite[label] = min(
+                    step, self.first_nonfinite.get(label, step))
 
     @contextmanager
     def phase(self, name: str):
@@ -176,16 +206,25 @@ class PhaseClock:
     def meta_lines(self) -> list[str]:
         lines = [f"phase.{name}_s = {s:.4g}" for name, s in self.seconds.items()]
         if self.samples:
-            lines.append(f"samples = {self.samples}")
-            lines += [f"ns_per_sample.{name} = "
-                      f"{1e9 * self.seconds[name] / self.samples:.4g}"
-                      for name in ("generate", "render")]
+            lines += [f"samples = {self.samples}",
+                      f"samples_rendered = {self.samples_rendered}"]
+            lines += [f"ns_per_sample.{name} = {1e9 * self.seconds[name] / count:.4g}"
+                      for name, count in (("generate", self.samples),
+                                          ("render", self.samples_rendered))]
         if self.trial_steps:
             ns = 1e9 * self.seconds["lms"] / self.trial_steps
+            first = min(self.first_nonfinite.values(), default="none")
             lines += [f"trial_steps = {self.trial_steps}",
                       f"ns_per_trial_step = {ns:.4g}",
                       f"lms_lanes = {self.lms_lanes}",
-                      f"lms_calls = {self.lms_calls}"]
+                      f"lms_calls = {self.lms_calls}",
+                      f"lms_lane_fill = {self.lms_jobs / self.lms_lanes_offered:.4g}",
+                      f"diverged_trials = {sum(self.diverged.values())}",
+                      f"first_nonfinite_step = {first}"]
+            lines += [f"diverged_trials[{label}] = {count}"
+                      for label, count in self.diverged.items()]
+            lines += [f"first_nonfinite_step[{label}] = {step}"
+                      for label, step in self.first_nonfinite.items()]
         return lines
 
 
@@ -254,44 +293,64 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
     report.meta_path = path
 
 
-def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
-                channels, budget, sigma_x2: float, n: int, clock: PhaseClock,
-                **render_options):
-    """Yield ``(x, obs)`` for trials t = 0 ... config.trials - 1: the seed rule.
+class Point(NamedTuple):
+    """A transmit power as ``iter_trials`` renders it: the profile, channels
+    and noise budget of its observations and the power ``sigma_x2`` of its
+    reference."""
 
-    Trial t's reference waveform ``x``, ``n`` samples of power ``sigma_x2``,
-    is drawn with seed ``config.seed + t`` from ``config.signal_source``;
-    its observation ``obs`` (``obs.d.samples``) is rendered from it with
-    noise seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
-    ``render_options``. ``clock`` times both phases, counts the samples and
+    profile: TransceiverProfile
+    channels: ChannelSet
+    budget: NoiseBudget
+    sigma_x2: float
+
+
+def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
+                clock: PhaseClock, **render_options):
+    """Yield ``(draw, observations)`` for trials t = 0 ... config.trials - 1:
+    the seed rule.
+
+    Trial t's ``draw`` (``signals.Draw``), ``n`` samples, is drawn with seed
+    ``config.seed + t`` from ``config.signal_source``, and serves every
+    point of the pass: ``observations`` holds one observation per point
+    (``obs.d.samples``), rendered from the point's reference
+    x = ``draw.scale(point.sigma_x2)`` ``draw.samples`` with noise seed
+    ``config.seed + _NOISE_SEED_OFFSET + t`` and ``render_options``.
+    ``clock`` times both phases, counts the samples drawn and rendered and
     times the waits for each trial.
 
     One producer thread generates and renders the trials in order into two
-    pairs of rows, trial t + 1 while the caller runs trial t, so trial t's
-    rows are overwritten once the caller asks for trial t + 1: a consumer
-    copies whatever it keeps. Only the ``config.trials`` trials asked for
-    are made (a caller that wants fewer passes a config with fewer). An
-    error in the producer is raised here with its own type; an error in the
-    caller, or closing the generator, lets the producer finish the trial in
-    hand and joins its thread.
+    sets of rows, one source row and one observation row per point each,
+    trial t + 1 while the caller runs trial t, so trial t's rows are
+    overwritten once the caller asks for trial t + 1: a consumer copies
+    whatever it keeps. Only the ``config.trials`` trials asked for are made
+    (a caller that wants fewer passes a config with fewer). An error in the
+    producer is raised here with its own type; an error in the caller, or
+    closing the generator, lets the producer finish the trial in hand and
+    joins its thread.
     """
-    rows = [(np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
+    rows = [(np.empty(n, dtype=np.complex128),
+             [np.empty(n, dtype=np.complex128) for _ in points])
             for _ in range(min(config.trials, 2))]
 
     def make(t: int):
-        x, d = rows[t % 2]
+        z, ds = rows[t % 2]
         seed = config.seed + t
         # looked up here at each call, so a wrapper installed over either
         # module-level name sees it
         source = gen_ofdm_waveform if config.signal_source == "ofdm" else gen_proper_gaussian
         with clock.phase("generate"):
-            source(n, sigma_x2, seed=seed, out=x)
+            draw = source(n, seed=seed, out=z)
         with clock.phase("render"):
-            obs = render_observation(x, channels, budget, profile,
-                                     seed=seed + _NOISE_SEED_OFFSET, out=d,
-                                     **render_options)
+            observations = [
+                render_observation(draw.samples, point.channels, point.budget,
+                                   point.profile, seed=seed + _NOISE_SEED_OFFSET,
+                                   out=d, scale=draw.scale(point.sigma_x2),
+                                   complex_product=draw.complex_product,
+                                   **render_options)
+                for point, d in zip(points, ds)]
         clock.samples += n
-        return x, obs
+        clock.samples_rendered += n * len(points)
+        return draw, observations
 
     # imported here, not at the top: concurrent.futures imports logging,
     # about 5 ms of the CLI's start-up
@@ -308,13 +367,29 @@ def iter_trials(config: ExperimentConfig, profile: TransceiverProfile,
             yield trial
 
 
-def _cancel(clock: PhaseClock, x, d, jobs, **options) -> list[BatchRun]:
-    """``run_jobs`` on one trial: every job, a ``(config, w0)`` pair or a
-    ``(config, w0, preconditioner)`` triple, in one kernel call, timed and
-    counted as the LMS phase."""
+def _cancel(clock: PhaseClock, draw: Draw, points, **options) -> dict[str, BatchRun]:
+    """``run_jobs`` on one trial: the jobs of every point of a pass in one
+    kernel call, timed and counted as the LMS phase. ``points`` holds one
+    ``(jobs, point, obs)`` triple per point, ``jobs`` a dict of labelled
+    ``(config, w0)`` pairs or ``(config, w0, preconditioner)`` triples run
+    on the point's reference in ``draw`` and its observation ``obs``.
+    Returns the runs by label."""
+    jobs, ds, scales, d_power = {}, [], [], {}
+    for point_jobs, point, obs in points:
+        d, scale = obs.d.samples, draw.scale(point.sigma_x2)
+        # numpy's own loop: a BLAS dot would leave a BLAS thread spinning
+        # beside the producer after every call
+        power = np.einsum("i,i->", d.view(np.float64), d.view(np.float64)) / len(d)
+        for label, job in point_jobs.items():
+            jobs[label] = job
+            ds.append(d)
+            scales.append(scale)
+            d_power[label] = power
     with clock.phase("lms"):
-        runs = run_jobs(x, d, jobs, **options)
-    clock.count_lms(runs)
+        runs = run_jobs(draw.samples, ds, list(jobs.values()), scales=scales,
+                        complex_product=draw.complex_product, **options)
+    runs = dict(zip(jobs, runs))
+    clock.count_lms(runs, d_power)
     return runs
 
 
@@ -354,10 +429,10 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
         channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
         budget = compute_noise_budget(prof)
         # trial 0 of the configured source, alone
-        [(_, obs)] = iter_trials(replace(config, trials=1), prof,
-                                 channels, budget, prof.natural_sigma_x2,
-                                 n_render, report.clock, include_soi=True,
-                                 components=True)
+        [(_, [obs])] = iter_trials(replace(config, trials=1),
+                                   [Point(prof, channels, budget, prof.natural_sigma_x2)],
+                                   n_render, report.clock, include_soi=True,
+                                   components=True)
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
 
@@ -425,18 +500,19 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
-    jobs = [(cfg, None) for cfg in cfgs.values()]
+    jobs = {f"{label}_mu{mu / bound:g}": (cfg, None) for (mu, label), cfg in cfgs.items()}
     # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
     # window-mean weights, (trials, dim)
     tap_rows = {key: np.empty((kept, 2, config.trials), dtype=np.complex128)
                 for key in cfgs}
     mean_weights = {key: np.empty((config.trials, 2 * (cfg.M + cfg.N)),
                                   dtype=np.complex128) for key, cfg in cfgs.items()}
-    for t, (x, obs) in enumerate(iter_trials(config, prof, channels, budget, s2,
-                                             n_iters + config.M, report.clock)):
-        runs = _cancel(report.clock, x, obs.d.samples, jobs, keep_residuals=False,
+    point = Point(prof, channels, budget, s2)
+    for t, (draw, [obs]) in enumerate(iter_trials(config, [point], n_iters + config.M,
+                                                  report.clock)):
+        runs = _cancel(report.clock, draw, [(jobs, point, obs)], keep_residuals=False,
                        track_taps=(0, 1), tap_stride=stride)
-        for key, run in zip(cfgs, runs):
+        for key, run in zip(cfgs, runs.values()):
             tap_rows[key][:, :, t] = run.taps[0]
             mean_weights[key][t] = run.mean_weights[0]
 
@@ -504,53 +580,58 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
 # ---------------------------------------------------------------------------
 
 def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path):
-    """Steady-state SINR and digital attenuation vs transmit power."""
-    prof0 = config.profile
+    """Steady-state SINR and digital attenuation vs transmit power.
+
+    The grid is walked in passes of two points: trial t of every point draws
+    the same source row (seed ``config.seed + t``), so a pass draws it once,
+    renders one observation per point and runs the cancellers of both
+    points in one kernel call, four jobs to the AVX2 vector."""
     grid = list(config.tx_grid_dbm)
+    points = []  # (point, mu, its two jobs by label), in grid order
+    for tx in grid:
+        prof = config.profile.with_tx_power(tx)
+        channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
+        point = Point(prof, channels, compute_noise_budget(prof), prof.natural_sigma_x2)
+        # one shared step size for both cancellers at this grid point; ANCLMS
+        # starts at the exact Wiener solution of the rendered model, ALMS at zero
+        mu = _resolve_mu(config, alms_ms_bound(point.sigma_x2, config.M), report)
+        points.append((point, mu, {
+            f"alms@{tx:g}dBm": (CancellerConfig(mu=mu, M=config.M, k_tiq=prof.k_tiq),
+                                None),
+            f"anclms@{tx:g}dBm": (CancellerConfig(mu=mu, M=config.M, N=config.N,
+                                                  k_tiq=prof.k_tiq),
+                                  channels.stacked_nonlinear())}))
+
+    trial_mse = {label: np.empty(config.trials) for *_, jobs in points for label in jobs}
+    for first in range(0, len(points), 2):
+        pair = points[first:first + 2]
+        for t, (draw, observations) in enumerate(iter_trials(
+                config, [point for point, *_ in pair], config.iterations + config.M,
+                report.clock)):
+            runs = _cancel(report.clock, draw,
+                           [(jobs, point, obs)
+                            for (point, _, jobs), obs in zip(pair, observations)],
+                           keep_residuals=False)
+            for label, run in runs.items():
+                trial_mse[label][t] = run.steady_state_mse[0]
+
     cols = {k: [] for k in (
         "alms_sinr_sim_db", "alms_sinr_theory_db", "anclms_sinr_sim_db",
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
-
-    for tx in grid:
-        prof = prof0.with_tx_power(tx)
-        s2 = prof.natural_sigma_x2
-        channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-        budget = compute_noise_budget(prof)
-
-        # one shared step size for both cancellers at this grid point
-        mu = _resolve_mu(config, alms_ms_bound(s2, config.M), report)
+    for (prof, channels, budget, s2), mu, jobs in points:
         inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-
         d_power = (s2 * (channels.norm2_h + channels.norm2_g)
                    + 6.0 * prof.k_tiq ** 3 * s2 ** 3
                    * (channels.norm2_h_imd + channels.norm2_g_imd)
                    + budget.sigma_v2 + budget.sigma_q2)
-
-        # both cancellers run on one rendered trial set; ANCLMS starts at the
-        # exact Wiener solution of the rendered model, ALMS at zero
-        jobs = {"alms": (CancellerConfig(mu=mu, M=config.M, k_tiq=prof.k_tiq), None),
-                "anclms": (CancellerConfig(mu=mu, M=config.M, N=config.N,
-                                           k_tiq=prof.k_tiq),
-                           channels.stacked_nonlinear())}
-        trial_mse = {label: np.empty(config.trials) for label in jobs}
-        for t, (x, obs) in enumerate(iter_trials(
-                config, prof, channels, budget, s2, config.iterations + config.M,
-                report.clock)):
-            runs = _cancel(report.clock, x, obs.d.samples, list(jobs.values()),
-                           keep_residuals=False)
-            for label, run in zip(jobs, runs):
-                trial_mse[label][t] = run.steady_state_mse[0]
-        for label, v in trial_mse.items():
-            mse = float(np.sum(v)) / config.trials
-            if label == "alms":
-                j_theory = alms_steady_mse(inp, alms_regime(inp))
-            else:
-                j_theory = anclms_steady_mse(inp)
-            cols[f"{label}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
-            cols[f"{label}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
-            cols[f"{label}_att_sim_db"].append(lin_to_db(d_power / mse))
-            cols[f"{label}_att_theory_db"].append(lin_to_db(d_power / j_theory))
+        theory = (alms_steady_mse(inp, alms_regime(inp)), anclms_steady_mse(inp))
+        for name, label, j_theory in zip(("alms", "anclms"), jobs, theory):
+            mse = float(np.sum(trial_mse[label])) / config.trials
+            cols[f"{name}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
+            cols[f"{name}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
+            cols[f"{name}_att_sim_db"].append(lin_to_db(d_power / mse))
+            cols[f"{name}_att_theory_db"].append(lin_to_db(d_power / j_theory))
 
     report.csv_paths.append(write_csv(out / "sinr-sweep.csv", "tx_power_dbm", grid, cols))
     # two views of the one run: SINR, and digital attenuation (the power
@@ -650,14 +731,13 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
                      "anclms_whitened": (cfg(mu_white), None,
                                          newton_preconditioner(r_opt))}),
             (s_sub, {"anclms_suboptimal": (cfg(mu_sub), None)})):
-        channels = synthesize_channels(prof, config.M, config.N,
-                                       seed=config.seed, sigma_x2=s2)
+        point = Point(prof, synthesize_channels(prof, config.M, config.N,
+                                                seed=config.seed, sigma_x2=s2),
+                      budget, s2)
         residuals = {label: np.empty((n_steps, config.trials)) for label in jobs}
-        for t, (x, obs) in enumerate(iter_trials(
-                config, prof, channels, budget, s2, n_iters + config.M,
-                report.clock)):
-            for label, run in zip(jobs, _cancel(report.clock, x, obs.d.samples,
-                                                list(jobs.values()))):
+        for t, (draw, [obs]) in enumerate(iter_trials(
+                config, [point], n_iters + config.M, report.clock)):
+            for label, run in _cancel(report.clock, draw, [(jobs, point, obs)]).items():
                 residuals[label][:, t] = run.residual_power[0]
         for label, rows in residuals.items():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -735,15 +815,15 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
                                            N=n_imd, k_tiq=prof.k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
-    jobs = [(cfg, None) for cfg in cfgs.values()]
+    jobs = {f"{label}_mu{frac:g}": (cfg, None) for (label, frac), cfg in cfgs.items()}
     trial_runs = {key: [] for key in cfgs}
     n = config.iterations + config.M
     energy = np.empty(config.trials)  # sum of |d|^2 per trial
-    for t, (x, obs) in enumerate(iter_trials(config, prof, channels, budget, s2,
-                                             n, report.clock)):
+    point = Point(prof, channels, budget, s2)
+    for t, (draw, [obs]) in enumerate(iter_trials(config, [point], n, report.clock)):
         energy[t] = np.sum(np.abs(obs.d.samples) ** 2)
-        runs = _cancel(report.clock, x, obs.d.samples, jobs, keep_residuals=False)
-        for key, run in zip(cfgs, runs):
+        runs = _cancel(report.clock, draw, [(jobs, point, obs)], keep_residuals=False)
+        for key, run in zip(cfgs, runs.values()):
             trial_runs[key].append(run)
     init_power = float(np.sum(energy)) / (config.trials * n)
 

@@ -1,13 +1,16 @@
 """Self-interference waveform sources.
 
-Two sources, each called as ``gen(n, sigma_x2, seed, out=None)``, draw n
-samples of power ``sigma_x2`` mW: a proper (second-order circular) white
-complex Gaussian generator, which matches the critically-sampled input
-assumed by the closed-form analysis, and the oversampled WLAN OFDM waveform
-of the paper's simulations (16-QAM on 50 of 64 subcarriers, a 16-sample
-cyclic prefix, 4x oversampling: 320 samples per symbol). Both are
-deterministic for a fixed seed. The Gaussian source draws its normals in C
-(``_native.NormalStream``), bit for bit those of
+Two sources, each called as ``gen(n, seed, out=None)``, draw n samples of
+a waveform as a ``Draw``, whose reference of power ``sigma_x2`` mW is
+x = scale z, with z the drawn row and the scale ``Draw.scale(sigma_x2)``:
+a proper (second-order circular) white complex Gaussian generator, which
+matches the critically-sampled input assumed by the closed-form analysis,
+and the oversampled WLAN OFDM waveform of the paper's simulations (16-QAM
+on 50 of 64 subcarriers, a 16-sample cyclic prefix, 4x oversampling: 320
+samples per symbol). Both are deterministic for a fixed seed, and one draw
+serves every power: the kernels of ``_native`` form x from z and the scale
+sample by sample, as ``Draw.reference`` forms it. The Gaussian source
+draws its normals in C (``_native.NormalStream``), bit for bit those of
 ``np.random.default_rng(seed).standard_normal``.
 """
 
@@ -50,46 +53,74 @@ class ComplexSequence:
         return self.samples.size
 
 
-def _output_row(n: int, sigma_x2: float, out: np.ndarray | None) -> np.ndarray:
+@dataclass(frozen=True)
+class Draw:
+    """One draw of a source: the row ``samples`` (z), whose reference of
+    power ``sigma_x2`` is x = ``scale(sigma_x2)`` z.
+
+    The scale is sqrt(sigma_x2 / ``power``). Each sample of x is numpy's
+    product of the real scale and the complex z if ``complex_product``,
+    else the product of each part with the scale; the two differ only in
+    the sign of a zero part.
+    """
+
+    samples: np.ndarray
+    power: float
+    complex_product: bool
+
+    def scale(self, sigma_x2: float) -> float:
+        if not sigma_x2 > 0:
+            raise ValueError("sigma_x2 must be positive")
+        return np.sqrt(sigma_x2 / self.power)
+
+    def reference(self, sigma_x2: float) -> np.ndarray:
+        """The reference x of power ``sigma_x2``, a new row."""
+        scale = self.scale(sigma_x2)
+        if self.complex_product:
+            return self.samples * scale
+        x = np.empty_like(self.samples)
+        np.multiply(self.samples.real, scale, out=x.real)
+        np.multiply(self.samples.imag, scale, out=x.imag)
+        return x
+
+
+def _output_row(n: int, out: np.ndarray | None) -> np.ndarray:
     """``out`` (a C-contiguous complex128 array of ``n`` samples), or a new
     row, after checking a source's arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma_x2 <= 0:
-        raise ValueError("sigma_x2 must be positive")
     if out is not None and out.shape != (n,):
         raise ValueError("out must hold n samples")
     return np.empty(n, dtype=np.complex128) if out is None else out
 
 
-def gen_proper_gaussian(n: int, sigma_x2: float, seed: int,
-                        out: np.ndarray | None = None) -> ComplexSequence:
+def gen_proper_gaussian(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
     """I.i.d. zero-mean proper white complex Gaussian samples.
 
-    Real and imaginary parts are independent with variance ``sigma_x2 / 2``
-    each, so the total power is ``sigma_x2`` and the pseudo-variance is zero.
-    The n real parts are the first n of the 2n standard normals of
-    ``np.random.default_rng(seed)``, the imaginary parts the last n, each
-    times ``sqrt(sigma_x2 / 2)``; they are drawn in C straight into the
-    samples, in ``out`` if given.
+    The n real parts of z are the first n of the 2n standard normals of
+    ``np.random.default_rng(seed)``, the imaginary parts the last n, drawn
+    in C straight into the samples, in ``out`` if given. Each part of the
+    reference is the part times sqrt(sigma_x2 / 2), so the parts are
+    independent with variance ``sigma_x2 / 2`` each, the total power is
+    ``sigma_x2`` and the pseudo-variance is zero.
     """
-    samples = _output_row(n, sigma_x2, out)
-    _native.NormalStream(seed).fill_complex(np.sqrt(sigma_x2 / 2.0), samples)
-    return ComplexSequence(samples)
+    samples = _output_row(n, out)
+    _native.NormalStream(seed).fill_complex(1.0, samples)
+    return Draw(samples, 2.0, complex_product=False)
 
 
-def gen_ofdm_waveform(n: int, sigma_x2: float, seed: int,
-                      out: np.ndarray | None = None) -> ComplexSequence:
+def gen_ofdm_waveform(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
     """The first ``n`` samples of an oversampled cyclic-prefixed OFDM waveform.
 
     ceil(n / SAMPLES_PER_SYMBOL) symbols of random 16-QAM points, drawn with
     ``np.random.default_rng(seed).choice``, fill ``ACTIVE_BINS``; each symbol
     is zero-padded at the band edges to K*K_os bins, transformed with an
     inverse DFT (spectral interpolation) and prefixed with its last
-    K_cp*K_os samples. The whole waveform is scaled to mean power
-    ``sigma_x2`` and its first ``n`` samples go into ``out`` if given.
+    K_cp*K_os samples. The first ``n`` samples go into ``out`` if given; the
+    draw's ``power`` is the mean power of the whole waveform, so that the
+    whole waveform of the reference has exactly the power ``sigma_x2``.
     """
-    samples = _output_row(n, sigma_x2, out)
+    samples = _output_row(n, out)
     n_sym = -(-n // SAMPLES_PER_SYMBOL)
     nfft = SUBCARRIERS * OVERSAMPLING
     freq = np.zeros((n_sym, nfft), dtype=np.complex128)
@@ -100,5 +131,5 @@ def gen_ofdm_waveform(n: int, sigma_x2: float, seed: int,
     freq[:, grid_bins] = rng.choice(_QAM16, size=(n_sym, ACTIVE_BINS.size))
     time = np.fft.ifft(freq, axis=1) * nfft / np.sqrt(SUBCARRIERS)
     wave = np.concatenate([time[:, -CYCLIC_PREFIX * OVERSAMPLING:], time], axis=1).ravel()
-    samples[:] = (wave * np.sqrt(sigma_x2 / np.mean(np.abs(wave) ** 2)))[:n]
-    return ComplexSequence(samples)
+    samples[:] = wave[:n]
+    return Draw(samples, np.mean(np.abs(wave) ** 2), complex_product=True)

@@ -18,7 +18,9 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
-``render_observation`` forms x_imd, the four FIR branches and their sum in
+``render_observation`` reads the reference as a source row z and a scale,
+x = scale z (see ``signals.Draw``), so that one drawn row serves every
+transmit power, and forms x, x_imd, the four FIR branches and their sum in
 one pass of the compiled ``render`` of ``_native`` (the C library that also
 runs the LMS steps), writing d(n) into the caller's row, and then adds each
 noise part to d(n) as ``_native.NormalStream`` draws it (in C, bit for bit
@@ -382,25 +384,29 @@ COMPONENTS = ("linear_si", "image_si", "imd_si", "image_imd_si", "thermal",
               "quantization", "soi")
 
 
-def render_observation(xs: np.ndarray, channels: ChannelSet,
+def render_observation(zs: np.ndarray, channels: ChannelSet,
                        budget: NoiseBudget, profile: TransceiverProfile,
                        seed: int, include_soi: bool = False,
                        components: bool = False,
-                       out: np.ndarray | None = None) -> Observation:
-    """Render d(n) from a reference waveform in one compiled pass.
+                       out: np.ndarray | None = None, scale: float = 1.0,
+                       complex_product: bool = False) -> Observation:
+    """Render d(n) from the reference x = ``scale`` ``zs`` in one compiled pass.
 
-    Each branch is the channel's FIR response to its input, truncated to
-    ``len(xs)`` samples (zero initial state); each noise is
+    Each sample of x is numpy's complex-by-real product if
+    ``complex_product``, else each part times ``scale``, as
+    ``signals.Draw.reference`` forms it; the default scale 1 renders ``zs``
+    itself. Each branch is the channel's FIR response to its input,
+    truncated to ``len(zs)`` samples (zero initial state); each noise is
     ``sqrt(power / 2) * (re + 1j * im)`` with its real then imaginary
     standard normals drawn in the order thermal, quantization, SOI from the
     stream of ``np.random.default_rng(seed)`` (by ``_native.NormalStream``).
     ``d`` is the sum of the components in ``COMPONENTS`` order (the SOI is
     zero unless ``include_soi``).
     ``components=True`` also stores each component; ``out``, a complex128
-    row of ``len(xs)`` samples, receives ``d``.
+    row of ``len(zs)`` samples, receives ``d``.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.complex128)
-    n = len(xs)
+    zs = np.ascontiguousarray(zs, dtype=np.complex128)
+    n = len(zs)
     if n <= channels.m:
         raise ValueError("sequence must be longer than the channel length M")
     powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
@@ -408,8 +414,8 @@ def render_observation(xs: np.ndarray, channels: ChannelSet,
     d = np.empty(n, dtype=np.complex128) if out is None else out
     parts = np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None
     taps = (channels.h, channels.g, channels.h_imd, channels.g_imd)
-    _native.render(xs, taps, profile.k_tiq ** 1.5, _native.NormalStream(seed),
-                   scales, include_soi, d, parts)
+    _native.render(zs, scale, complex_product, taps, profile.k_tiq ** 1.5,
+                   _native.NormalStream(seed), scales, include_soi, d, parts)
     return Observation(ComplexSequence(d),
                        dict(zip(COMPONENTS, parts)) if components else {})
 

@@ -36,9 +36,12 @@ def lowpower_ms_analysis(lowpower_setup):
 
 
 def stack_trials(config, profile, channels, budget, sigma_x2, n):
-    """Copies of the rows ``harness.iter_trials`` yields, stacked as
-    ``(xs, ds)`` of shape (config.trials, n): the batch of the experiments'
-    trials for tests that run them at once."""
-    rows = [(x.copy(), obs.d.samples.copy()) for x, obs in harness.iter_trials(
-        config, profile, channels, budget, sigma_x2, n, harness.PhaseClock())]
+    """The references and copies of the observations ``harness.iter_trials``
+    hands over for one point, stacked as ``(xs, ds)`` of shape
+    (config.trials, n): the batch of the experiments' trials for tests that
+    run them at once."""
+    point = harness.Point(profile, channels, budget, sigma_x2)
+    rows = [(draw.reference(sigma_x2), obs.d.samples.copy())
+            for draw, [obs] in harness.iter_trials(config, [point], n,
+                                                   harness.PhaseClock())]
     return tuple(np.stack(r) for r in zip(*rows))

@@ -57,7 +57,7 @@ def test_criterion_2_rb_spectrum():
     worst = 0.0
     for s2 in (0.1, 1.0):
         for k in (1.0, 4.0):
-            x = gen_proper_gaussian(1_000_000 + M, s2, seed=101).samples
+            x = gen_proper_gaussian(1_000_000 + M, seed=101).reference(s2)
             regs = regressor_matrix(x, M, N, k)
             cov = regs.T @ np.conj(regs) / regs.shape[0]
             sample = np.sort(np.linalg.eigvalsh(cov).real)
@@ -246,8 +246,8 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     from fdsic.transceiver import render_observation
     channels = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
-    x = gen_proper_gaussian(20_000, type2.natural_sigma_x2, seed=5)
-    obs = render_observation(x.samples, channels, budget, type2, seed=6,
+    x = gen_proper_gaussian(20_000, seed=5).reference(type2.natural_sigma_x2)
+    obs = render_observation(x, channels, budget, type2, seed=6,
                              include_soi=True, components=True)
     assert np.max(np.abs(obs.d.samples - sum(obs.components.values()))) == 0.0
     notes.append("component-sum identity")
@@ -284,7 +284,7 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     m2, n2 = 2, 1
     rng = np.random.default_rng(44)
     w_opt = rng.standard_normal(2 * (m2 + n2)) + 1j * rng.standard_normal(2 * (m2 + n2))
-    xq = gen_proper_gaussian(60_000, 0.3, seed=45).samples
+    xq = gen_proper_gaussian(60_000, seed=45).reference(0.3)
     regs = regressor_matrix(xq, m2, n2, 1.5)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]

@@ -14,10 +14,11 @@ from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
                               default_steady_window, newton_preconditioner,
                               regressor_matrix, run_batch, run_jobs)
 from fdsic.harness import ExperimentConfig
-from fdsic.signals import gen_proper_gaussian
+from fdsic.signals import Draw, gen_proper_gaussian
 from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
                           optimal_sigma_x2, rb_matrix)
-from fdsic.transceiver import compute_noise_budget, synthesize_channels
+from fdsic.transceiver import (compute_noise_budget, render_observation,
+                               synthesize_channels)
 from conftest import M, N, SEED, stack_trials
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
@@ -103,7 +104,7 @@ def test_one_step_contraction(window, mu_rel, d):
 def test_alms_noiseless_convergence_to_ls_oracle():
     rng = np.random.default_rng(5)
     w_opt = rng.standard_normal(2 * M) + 1j * rng.standard_normal(2 * M)
-    x = gen_proper_gaussian(10_000 + M, 1.0, seed=6).samples
+    x = gen_proper_gaussian(10_000 + M, seed=6).reference(1.0)
     regs = regressor_matrix(x, M)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
@@ -121,7 +122,7 @@ def test_anclms_noiseless_residual_floor():
     rng = np.random.default_rng(8)
     dim = 2 * (M + N)
     w_opt = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x = gen_proper_gaussian(20_000, 0.3, seed=9).samples
+    x = gen_proper_gaussian(20_000, seed=9).reference(0.3)
     regs = regressor_matrix(x, M, N, 1.0)
     d_tail = regs @ w_opt
     d = np.concatenate([np.zeros(M - 1), d_tail])
@@ -138,7 +139,7 @@ def test_anclms_matches_widely_nonlinear_ls():
     m, n = 2, 1
     rng = np.random.default_rng(12)
     w_opt = rng.standard_normal(2 * (m + n)) + 1j * rng.standard_normal(2 * (m + n))
-    x = gen_proper_gaussian(60_000, 0.3, seed=13).samples
+    x = gen_proper_gaussian(60_000, seed=13).reference(0.3)
     regs = regressor_matrix(x, m, n, 1.5)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
@@ -161,7 +162,7 @@ def test_prewhitening_whitens(type2):
     Phi^T Phi is the Newton preconditioner R^-1, exactly pairwise."""
     s2 = optimal_sigma_x2(type2.k_tiq)
     phi = _exact_whitening(s2, type2.k_tiq)
-    regs = regressor_matrix(gen_proper_gaussian(50_000, s2, seed=20).samples,
+    regs = regressor_matrix(gen_proper_gaussian(50_000, seed=20).reference(s2),
                             M, N, type2.k_tiq)
 
     def spread(rows):
@@ -191,7 +192,7 @@ def test_whitened_weights_map_back(type2):
     """The whitened LMS, run in numpy on Phi-whitened regressors and mapped
     back by w = Phi^T v, is the Newton job: the same weights to rounding."""
     s2 = optimal_sigma_x2(type2.k_tiq)
-    x = gen_proper_gaussian(3000, s2, seed=22).samples
+    x = gen_proper_gaussian(3000, seed=22).reference(s2)
     rng = np.random.default_rng(23)
     d = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
     cfg = CancellerConfig(mu=0.01, M=M, N=N, k_tiq=type2.k_tiq)
@@ -207,7 +208,7 @@ def test_whitened_weights_map_back(type2):
 
 
 def test_run_canceller_zero_observation():
-    x = gen_proper_gaussian(4000, 1.0, seed=30).samples
+    x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
     run = run_batch(x[None, :], d[None, :], CancellerConfig(mu=0.05, M=M))
     assert np.all(run.residual_power == 0.0)
@@ -263,7 +264,7 @@ def test_default_steady_window():
 
 def test_regressor_matrix_row_indexing():
     """Row t is the regressor at sample M-1+t, for one trial and for a batch."""
-    x = gen_proper_gaussian(50, 1.0, seed=40).samples
+    x = gen_proper_gaussian(50, seed=40).reference(1.0)
     regs = regressor_matrix(x, 4, 2, 3.0)
     window = x[10:6:-1]  # newest first for row index 10 - (4-1) = 7
     imd = 3.0 ** 1.5 * np.abs(window[:2]) ** 2 * window[:2]
@@ -494,6 +495,44 @@ _GROUP_OPTIONS = {
 }
 
 
+# the point of each job of _GROUP_JOBS in point_rows: 15 dBm (0) or 13 dBm
+# (1), so that the jobs of every call differ in scale and observation and
+# the ALMS job at 2x its 15 dBm bound still diverges
+_GROUP_POINTS = (0, 1, 1, 0, 1)
+
+
+@pytest.fixture(scope="module")
+def point_rows(type2):
+    """The source rows z of the kernel_setup trials, shared by two transmit
+    powers, and each power's reference power and observation rows rendered
+    from its own reference x = scale z."""
+    n = 3000 + M - 1
+    zs = np.stack([gen_proper_gaussian(n, seed=SEED + t).samples for t in range(4)])
+    points = []
+    for tx in (15.0, 13.0):
+        prof = type2.with_tx_power(tx)
+        s2 = prof.natural_sigma_x2
+        channels = synthesize_channels(prof, M, N, seed=SEED)
+        budget = compute_noise_budget(prof)
+        scale = Draw(zs, 2.0, complex_product=False).scale(s2)
+        ds = np.stack([render_observation(z, channels, budget, prof, seed=100 + t,
+                                          scale=scale).d.samples
+                       for t, z in enumerate(zs)])
+        points.append((s2, ds))
+    return zs, points
+
+
+def _point_call(point_rows, count, complex_product):
+    """The run_jobs arguments of the first ``count`` jobs of _GROUP_JOBS at
+    their _GROUP_POINTS, and each job's own (x, d) rows as numpy forms x."""
+    zs, points = point_rows
+    chosen = [points[k] for k in _GROUP_POINTS[:count]]
+    draw = Draw(zs, 2.0, complex_product)
+    call = dict(scales=[draw.scale(s2) for s2, _ in chosen],
+                complex_product=complex_product)
+    return [ds for _, ds in chosen], call, [(draw.reference(s2), ds) for s2, ds in chosen]
+
+
 def _group_jobs(kernel_setup, wiener, count):
     """The first ``count`` jobs of _GROUP_JOBS as ``(config, w0,
     preconditioner)`` triples."""
@@ -509,22 +548,31 @@ def _group_jobs(kernel_setup, wiener, count):
 
 
 @pytest.mark.parametrize("count", sorted(_GROUP_OPTIONS))
-def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener):
-    """Every job of a multi-job call (AVX2 lanes where the build has them)
-    returns each BatchRun field bit for bit as its one-job run and as the
-    numpy loop do."""
-    _, xs, ds, _ = kernel_setup
+def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows):
+    """Every job of a multi-job call (AVX2 lanes where the build has them),
+    each on its own reference x = scale z of the call's rows z and its own
+    observation, returns each BatchRun field bit for bit as the scalar step
+    returns it alone on that x and d, and as the numpy loop does, for both
+    forms of the product scale z."""
+    zs, _ = point_rows
     jobs = _group_jobs(kernel_setup, wiener, count)
     options = _GROUP_OPTIONS[count]
-    runs = run_jobs(xs, ds, jobs, **options)
-    assert len(runs) == count
-    assert runs[3 % count].diverged.all() == (count > 3)
-    assert not runs[0].diverged.any() and not runs[1].diverged.any()
-    for (cfg, w0, pre), run in zip(jobs, runs):
-        _assert_same_bits(run, run_batch(xs, ds, cfg, w0=w0, preconditioner=pre,
-                                         **options))
-        _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, w0=w0,
-                                                    preconditioner=pre, **options))
+    for complex_product in (False, True):
+        ds, call, own = _point_call(point_rows, count, complex_product)
+        runs = run_jobs(zs, ds, jobs, **call, **options)
+        assert len(runs) == count
+        assert runs[3 % count].diverged.all() == (count > 3)
+        assert not runs[0].diverged.any() and not runs[1].diverged.any()
+        # one job alone runs the scalar step, forming its x from z too
+        [alone] = run_jobs(zs, ds[0], jobs[:1], scales=call["scales"][0],
+                           complex_product=complex_product, **options)
+        _assert_same_bits(alone, runs[0])
+        for (cfg, w0, pre), (xs, d), run in zip(jobs, own, runs):
+            _assert_same_bits(run, run_batch(xs, d, cfg, w0=w0, preconditioner=pre,
+                                             **options))
+            if not complex_product:
+                _assert_same_bits(run, _reference_run_batch(
+                    xs, d, cfg, w0=w0, preconditioner=pre, **options))
 
 
 def test_newton_jobs_of_one_call(kernel_setup, wiener):
@@ -547,10 +595,30 @@ def test_newton_jobs_of_one_call(kernel_setup, wiener):
         _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, **options))
 
 
+def test_newton_jobs_pairing_differently(kernel_setup, wiener):
+    """Newton jobs whose preconditioners pair a regressor entry with
+    different entries (N = 4 pairs x(n-2) with x_imd(n-2), N = 2 leaves it
+    alone) cannot share a group of lanes; the call runs them by the scalar
+    step and every job returns its one-job bits."""
+    prof, xs, ds, _ = kernel_setup
+    s2 = prof.natural_sigma_x2
+    jobs = [(_kernel_config(kernel_setup, "newton", 0.01), wiener,
+             _exact_inverse(kernel_setup)),
+            (CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), None,
+             newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2))),
+            (_kernel_config(kernel_setup, N, 0.3), wiener)]
+    options = dict(track_taps=(0, 5), tap_stride=5)
+    runs = run_jobs(xs, ds, jobs, **options)
+    for (cfg, w0, *pre), run in zip(jobs, runs):
+        _assert_same_bits(run, run_batch(xs, ds, cfg, w0=w0,
+                                         preconditioner=pre[0] if pre else None,
+                                         **options))
+
+
 def test_grouped_jobs_zero_observation():
     """A zero residual is |e|^2 = 0 in every lane (numpy's |0| is 0, where
     the lanes' max * sqrt(1 + (min/max)^2) would be 0/0)."""
-    x = gen_proper_gaussian(4000, 1.0, seed=30).samples
+    x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
     jobs = [(CancellerConfig(mu=0.05, M=M, N=n_imd), None) for n_imd in (0, N, 1)]
     for run in run_jobs(x, d, jobs):
@@ -568,20 +636,27 @@ def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
             run_jobs(xs, ds, [(base, None), (other, None)])
     with pytest.raises(ValueError, match="at least one job"):
         run_jobs(xs, ds, [])
+    with pytest.raises(ValueError, match="one observation for every job"):
+        run_jobs(xs, [ds], [(base, None), (base, None)])
+    with pytest.raises(ValueError, match="identical shapes"):
+        run_jobs(xs, [ds, ds[:, 1:]], [(base, None), (base, None)])
     with pytest.raises(ValueError, match="tap_stride"):
         run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="-mno-avx2 is an x86 flag")
-def test_scalar_build_matches_the_lanes(kernel_setup, wiener, tmp_path,
-                                        monkeypatch):
-    """A build without AVX2 runs a mixed 4-job call by the scalar step and
-    returns the bytes the default build returns."""
-    _, xs, ds, _ = kernel_setup
-    jobs = _group_jobs(kernel_setup, wiener, 4)
-    options = _GROUP_OPTIONS[4]
-    default = run_jobs(xs, ds, jobs, **options)
+def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
+                                        tmp_path, monkeypatch):
+    """A build without AVX2 runs a mixed 5-job call over two transmit powers
+    by the scalar step and returns the bytes the default build returns (two
+    groups of lanes, the second with three idle lanes), for both forms of
+    the product scale z."""
+    zs, _ = point_rows
+    jobs = _group_jobs(kernel_setup, wiener, 5)
+    options = _GROUP_OPTIONS[5]
+    calls = [_point_call(point_rows, 5, cplx)[:2] for cplx in (False, True)]
+    default = [run_jobs(zs, ds, jobs, **call, **options) for ds, call in calls]
     # a copy of the sources, so that the build's deletion of superseded
     # libraries cannot reach the package's own
     for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
@@ -591,10 +666,10 @@ def test_scalar_build_matches_the_lanes(kernel_setup, wiener, tmp_path,
     _native.library.cache_clear()
     try:
         assert _native.lanes(len(jobs)) == 1
-        scalar = run_jobs(xs, ds, jobs, **options)
+        scalar = [run_jobs(zs, ds, jobs, **call, **options) for ds, call in calls]
     finally:
         _native.library.cache_clear()  # the next call loads the default build
-    for got, want in zip(scalar, default):
+    for got, want in zip(sum(scalar, []), sum(default, [])):
         _assert_same_bits(got, want)
 
 

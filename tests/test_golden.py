@@ -1,7 +1,8 @@
 """Golden digests: every experiment's CSVs at tiny scale, hashed.
 
-Each of the six experiments runs with 2 trials and 3000 iterations on the
-grid -5, 5 dBm. The SHA-256 of every CSV must equal the digest stored in
+Each experiment runs with 2 trials and 3000 iterations on the grid -5,
+5 dBm, and so does ``sinr-sweep`` on the OFDM source (``sinr-sweep-ofdm``).
+The SHA-256 of every CSV must equal the digest stored in
 ``golden_digests.json``, so a change that moves any number shows up in
 review as a changed digest.
 
@@ -21,14 +22,19 @@ from fdsic.transceiver import builtin_profile
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 
+RUNS = {**{name: (name, "gaussian") for name in EXPERIMENTS},
+        "sinr-sweep-ofdm": ("sinr-sweep", "ofdm")}
+
+
 def experiment_digests(out: Path) -> dict[str, str]:
-    """``{"<experiment>/<csv name>": sha256}`` for tiny runs of every experiment."""
+    """``{"<run>/<csv name>": sha256}`` for tiny runs of every experiment."""
     profile = builtin_profile("type2")
     digests = {}
-    for name in EXPERIMENTS:
-        config = ExperimentConfig(experiment=name, profile=profile, trials=2,
+    for name, (experiment, source) in RUNS.items():
+        config = ExperimentConfig(experiment=experiment, profile=profile, trials=2,
                                   iterations=3000, tx_grid_dbm=(-5.0, 5.0),
-                                  seed=17, output_dir=out / name)
+                                  signal_source=source, seed=17,
+                                  output_dir=out / name)
         for path in run_experiment(config).csv_paths:
             digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests

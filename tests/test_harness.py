@@ -242,6 +242,7 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["bias", "--seed", "-1"],
     ["sinr-sweep", "--mu-frac", "1.2"],  # at or above the ALMS mean-square bound
     ["sinr-sweep", "--mu", "1e6"],
+    ["sinr-sweep", "--tx-grid", "5,0,5"],  # a repeated grid point
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
@@ -426,12 +427,15 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
     assert float(meta["phase.wait_s"]) <= float(meta["duration_s"]) + 0.05
     # 2 trials of 3000 + M samples: bias's 4 jobs share each trial, and so
     # do the sweep's 2 cancellers, which run the same length at -5 dBm
-    assert int(meta["samples"]) == 2 * (3000 + cfg.M)
+    assert int(meta["samples"]) == int(meta["samples_rendered"]) == 2 * (3000 + cfg.M)
     assert int(meta["trial_steps"]) == trial_steps
     # all jobs of a trial (4 and 2) in one kernel call
     jobs = trial_steps // (2 * 3001)
     assert int(meta["lms_calls"]) == 2
     assert int(meta["lms_lanes"]) == _native.lanes(jobs)
+    lanes = _native.lanes(jobs)
+    assert float(meta["lms_lane_fill"]) == jobs / (-(-jobs // lanes) * lanes)
+    assert meta["diverged_trials"] == "0" and meta["first_nonfinite_step"] == "none"
 
 
 @pytest.mark.parametrize("experiment, calls, jobs", [
@@ -451,14 +455,81 @@ def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path):
     assert int(meta["lms_lanes"]) == _native.lanes(jobs)
 
 
+@pytest.mark.parametrize("grid, jobs", [
+    ((-5.0, 5.0), (4,)),            # one pass of both points: 4 jobs a call
+    ((-5.0, 5.0, 15.0), (4, 2)),    # a pair, then the last point alone
+])
+def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatch):
+    """The sweep runs the cancellers of two grid points in one kernel call
+    per trial and draws each trial's source row once per pass: a 2-point
+    sweep makes ``trials`` calls and draws every trial once, a 3-point sweep
+    makes 2 ``trials`` calls; every point renders each trial."""
+    seeds = []
+    real = harness.gen_proper_gaussian
+    monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, seed, **k:
+                        seeds.append(seed) or real(n, seed, **k))
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=3,
+                           iterations=3000, tx_grid_dbm=grid, seed=SEED,
+                           output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    passes = len(jobs)
+    assert seeds == [SEED + t for t in range(cfg.trials)] * passes
+    assert int(meta["lms_calls"]) == passes * cfg.trials
+    n = 3000 + cfg.M
+    assert int(meta["samples"]) == passes * cfg.trials * n
+    assert int(meta["samples_rendered"]) == len(grid) * cfg.trials * n
+    offered = sum(-(-k // _native.lanes(k)) * _native.lanes(k) for k in jobs)
+    assert float(meta["lms_lane_fill"]) == pytest.approx(sum(jobs) / offered, abs=1e-4)
+
+
+def test_meta_names_diverged_trials(type2, tmp_path):
+    """A sweep step size of 0.95 of the ALMS bound is above the ANCLMS
+    bound at 25 dBm: both ANCLMS trials there grow without going
+    non-finite (their SINR reads about -144 dB), and meta.txt names them."""
+    cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=2,
+                           iterations=3000, tx_grid_dbm=(0.0, 25.0), mu_frac=0.95,
+                           seed=SEED, output_dir=tmp_path)
+    report = run_experiment(cfg)
+    meta = _meta(report)
+    assert report.tables["columns"]["anclms_sinr_sim_db"][1] < -100
+    assert meta["diverged_trials[anclms@25dBm]"] == "2"
+    assert meta["diverged_trials"] == "2"
+    assert meta["first_nonfinite_step"] == "none"
+
+
+def test_phase_clock_counts_diverged_trials():
+    """count_lms flags, by job, a trial that went non-finite or whose peak
+    residual exceeds 1e3 times its mean |d|^2, keeps each job's earliest
+    non-finite step, and counts the lanes the calls filled."""
+    x = gen_proper_gaussian(3000, seed=30).reference(1.0)
+    xs = np.stack([x] * 3)
+    calm = run_batch(xs, xs, CancellerConfig(mu=0.01, M=M), keep_residuals=False)
+    grown = dataclasses.replace(calm, peak_residual=np.array([0.5, 2e3, 999.0]))
+    broken = dataclasses.replace(calm, diverged=np.array([False, True, True]),
+                     diverged_at=np.array([-1, 70, 40]))
+    clock = harness.PhaseClock()
+    clock.count_lms({"calm": calm, "grown": grown, "broken": broken},
+                    {"calm": 1.0, "grown": 1.0, "broken": 1.0})
+    clock.count_lms({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]))},
+                    {"broken": 1.0})
+    lines = clock.meta_lines()
+    for line in ("diverged_trials = 5", "first_nonfinite_step = 40",
+                 "diverged_trials[grown] = 1", "diverged_trials[broken] = 4",
+                 "first_nonfinite_step[broken] = 40", "lms_calls = 2"):
+        assert line in lines, line
+    assert not any("[calm]" in line for line in lines)
+    offered = sum(-(-k // _native.lanes(k)) * _native.lanes(k) for k in (3, 1))
+    assert f"lms_lane_fill = {4 / offered:.4g}" in lines
+
+
 def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
     """An ``iter_trials`` generator over ``trials`` trials of type2 at -5 dBm."""
     prof = type2.with_tx_power(-5.0)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=trials,
                               seed=SEED)
-    return harness.iter_trials(config, prof, synthesize_channels(prof, M, N, seed=SEED),
-                               compute_noise_budget(prof), prof.natural_sigma_x2,
-                               n, clock or harness.PhaseClock())
+    point = harness.Point(prof, synthesize_channels(prof, M, N, seed=SEED),
+                          compute_noise_budget(prof), prof.natural_sigma_x2)
+    return harness.iter_trials(config, [point], n, clock or harness.PhaseClock())
 
 
 def test_trials_are_made_only_when_asked_for(type2, tmp_path, monkeypatch):
@@ -466,8 +537,8 @@ def test_trials_are_made_only_when_asked_for(type2, tmp_path, monkeypatch):
     order, and a 1-trial config generates trial 0 alone."""
     seeds = []
     real = harness.gen_proper_gaussian
-    monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, s2, seed, **k:
-                        seeds.append(seed) or real(n, s2, seed, **k))
+    monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, seed, **k:
+                        seeds.append(seed) or real(n, seed, **k))
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=3,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
@@ -486,12 +557,13 @@ def test_trial_rows_match_one_thread(type2):
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof)
     n = 3000 + M
-    for t, (x, obs) in enumerate(_trial_loop(type2, trials=4, n=n)):
-        want_x = gen_proper_gaussian(n, prof.natural_sigma_x2, seed=SEED + t).samples
-        want_d = render_observation(want_x, channels, budget, prof,
+    for t, (draw, [obs]) in enumerate(_trial_loop(type2, trials=4, n=n)):
+        want = gen_proper_gaussian(n, seed=SEED + t)
+        want_d = render_observation(want.reference(prof.natural_sigma_x2), channels,
+                                    budget, prof,
                                     seed=SEED + harness._NOISE_SEED_OFFSET + t)
         time.sleep(0.02)  # the producer renders trial t + 1 meanwhile
-        assert np.array_equal(x, want_x)
+        assert np.array_equal(draw.samples, want.samples)
         assert np.array_equal(obs.d.samples, want_d.d.samples)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fdsic._native import NormalStream
 from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
-                           SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence,
+                           SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence, Draw,
                            gen_ofdm_waveform, gen_proper_gaussian)
 
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
@@ -18,8 +18,7 @@ MOMENT6_OVER_VAR3 = 6.0
 class Stats:
     """Sample moments of a complex sequence after mean removal."""
 
-    def __init__(self, seq: ComplexSequence):
-        x = seq.samples
+    def __init__(self, x: np.ndarray):
         if x.size < 2:
             raise ValueError("need at least 2 samples")
         xc = x - np.mean(x)
@@ -39,8 +38,7 @@ def test_moment_law_oracle():
 
 
 def test_proper_gaussian_examples():
-    seq = gen_proper_gaussian(10 ** 6, 1.0, seed=7)
-    stats = Stats(seq)
+    stats = Stats(gen_proper_gaussian(10 ** 6, seed=7).reference(1.0))
     assert stats.variance == pytest.approx(1.0, rel=0.005)
     assert abs(stats.pseudo_variance) < 0.01
     assert stats.abs_moment4 == pytest.approx(2.0, rel=0.02)
@@ -48,7 +46,7 @@ def test_proper_gaussian_examples():
 
 
 def test_proper_gaussian_moment_ratios():
-    stats = Stats(gen_proper_gaussian(10 ** 6, 0.37, seed=3))
+    stats = Stats(gen_proper_gaussian(10 ** 6, seed=3).reference(0.37))
     assert abs(stats.pseudo_variance) < 0.01 * stats.variance
     assert 1.96 <= stats.abs_moment4 / stats.variance ** 2 <= 2.04
     assert 5.8 <= stats.abs_moment6 / stats.variance ** 3 <= 6.2
@@ -56,13 +54,14 @@ def test_proper_gaussian_moment_ratios():
 
 def test_proper_gaussian_args_and_determinism():
     with pytest.raises(ValueError):
-        gen_proper_gaussian(0, 1.0, seed=1)
+        gen_proper_gaussian(0, seed=1)
+    for sigma_x2 in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            gen_proper_gaussian(10, seed=1).scale(sigma_x2)
     with pytest.raises(ValueError):
-        gen_proper_gaussian(10, 0.0, seed=1)
-    with pytest.raises(ValueError):
-        gen_proper_gaussian(10, 1.0, seed=1, out=np.empty(11, dtype=complex))
-    a = gen_proper_gaussian(1000, 0.5, seed=9).samples
-    b = gen_proper_gaussian(1000, 0.5, seed=9).samples
+        gen_proper_gaussian(10, seed=1, out=np.empty(11, dtype=complex))
+    a = gen_proper_gaussian(1000, seed=9).reference(0.5)
+    b = gen_proper_gaussian(1000, seed=9).reference(0.5)
     assert np.array_equal(a, b)
 
 
@@ -119,19 +118,20 @@ def test_normal_stream_requires_pcg64(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10_000])
 def test_proper_gaussian_matches_two_draws(n):
-    """One 2n draw scaled in place equals the two-draw numpy formula, bit for
-    bit, with or without an output row."""
+    """One 2n draw, the unit normals in the row (``out`` if given), gives
+    the reference of the two-draw numpy formula bit for bit."""
+    rng = np.random.default_rng(n)
+    re, im = rng.standard_normal(n), rng.standard_normal(n)
+    rows = np.full((2, n), np.nan, dtype=complex)
+    draw = gen_proper_gaussian(n, seed=n, out=rows[1])
+    assert np.shares_memory(draw.samples, rows) and np.all(np.isnan(rows[0]))
+    np.testing.assert_array_equal(rows[1].view(np.uint64),
+                                  (re + 1j * im).view(np.uint64))
     for sigma_x2 in (1.0, 0.37, 3e-5):
-        rng = np.random.default_rng(n)
-        want = np.sqrt(sigma_x2 / 2.0) * (rng.standard_normal(n)
-                                          + 1j * rng.standard_normal(n))
-        got = gen_proper_gaussian(n, sigma_x2, seed=n).samples
+        want = np.sqrt(sigma_x2 / 2.0) * (re + 1j * im)
+        got = gen_proper_gaussian(n, seed=n).reference(sigma_x2)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        rows = np.full((2, n), np.nan, dtype=complex)
-        seq = gen_proper_gaussian(n, sigma_x2, seed=n, out=rows[1])
-        assert np.shares_memory(seq.samples, rows)
-        np.testing.assert_array_equal(rows[1].view(np.uint64), want.view(np.uint64))
-        assert np.all(np.isnan(rows[0]))
+        assert draw.scale(sigma_x2) == np.sqrt(sigma_x2 / 2.0)
 
 
 def test_ofdm_symbol_geometry():
@@ -140,7 +140,7 @@ def test_ofdm_symbol_geometry():
     assert SAMPLES_PER_SYMBOL == (64 + 16) * 4
     assert list(ACTIVE_BINS) == [*range(39, 64), *range(1, 26)]
     sigma_x2 = 0.37
-    x = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, sigma_x2, seed=0).samples
+    x = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, seed=0).reference(sigma_x2)
     assert x.shape == (SAMPLES_PER_SYMBOL,)
     ncp = CYCLIC_PREFIX * OVERSAMPLING
     np.testing.assert_array_equal(x[:ncp], x[-ncp:])
@@ -153,13 +153,38 @@ def test_ofdm_symbol_geometry():
 
 
 def test_ofdm_power_normalization():
-    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, 1.0, seed=4)
-    power_db = 10 * np.log10(np.mean(np.abs(wf.samples) ** 2))
+    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, seed=4).reference(1.0)
+    power_db = 10 * np.log10(np.mean(np.abs(wf) ** 2))
     assert abs(power_db) < 0.1
 
 
+def test_ofdm_reference_scales_the_whole_waveform():
+    """n samples that end mid-symbol are scaled by the power of the whole
+    symbols' waveform, as numpy's complex-by-real product of that waveform
+    forms them, bit for bit."""
+    whole = gen_ofdm_waveform(2 * SAMPLES_PER_SYMBOL, seed=8).samples
+    draw = gen_ofdm_waveform(500, seed=8)
+    assert draw.complex_product
+    for sigma_x2 in (1.0, 0.37, 3e-5):
+        want = (whole * np.sqrt(sigma_x2 / np.mean(np.abs(whole) ** 2)))[:500]
+        np.testing.assert_array_equal(draw.reference(sigma_x2).view(np.uint64),
+                                      want.view(np.uint64))
+
+
+def test_draw_reference_product_forms():
+    """The two product forms differ only in the sign of a zero part: per
+    part, 2 * -0 is -0; numpy's complex-by-real product adds the zero term
+    of the other part to it, here +0."""
+    z = np.array([complex(-0.0, -1.0), complex(3.0, -0.0)])
+    plain = Draw(z, 2.0, complex_product=False).reference(8.0)
+    cplx = Draw(z, 2.0, complex_product=True).reference(8.0)
+    assert np.array_equal(plain, cplx)
+    assert [np.signbit(plain.real[0]), np.signbit(plain.imag[1])] == [True, True]
+    assert [np.signbit(cplx.real[0]), np.signbit(cplx.imag[1])] == [False, False]
+
+
 def test_ofdm_properness():
-    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, 1.0, seed=4)
+    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, seed=4).reference(1.0)
     stats = Stats(wf)
     assert abs(stats.pseudo_variance) / stats.variance < 0.02
 
@@ -168,32 +193,32 @@ def test_ofdm_seed_determinism():
     """A seed fixes the waveform; n samples that end mid-symbol are the first
     n of the whole symbol's waveform, written into ``out``; the arguments are
     checked as the Gaussian source checks them."""
-    a = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, 1.0, seed=11).samples
-    b = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, 1.0, seed=11).samples
+    a = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, seed=11).reference(1.0)
+    b = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, seed=11).reference(1.0)
     assert np.array_equal(a, b)
     row = np.full(100, np.nan, dtype=complex)
-    seq = gen_ofdm_waveform(100, 1.0, seed=11, out=row)
+    seq = gen_ofdm_waveform(100, seed=11, out=row)
     assert np.shares_memory(seq.samples, row)
-    one = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, 1.0, seed=11).samples
+    one = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, seed=11).samples
     np.testing.assert_array_equal(row, one[:100])
-    for args in ((0, 1.0), (10, 0.0)):
-        with pytest.raises(ValueError):
-            gen_ofdm_waveform(*args, seed=1)
     with pytest.raises(ValueError):
-        gen_ofdm_waveform(10, 1.0, seed=1, out=np.empty(11, dtype=complex))
+        gen_ofdm_waveform(0, seed=1)
+    with pytest.raises(ValueError):
+        gen_ofdm_waveform(10, seed=1).scale(0.0)
+    with pytest.raises(ValueError):
+        gen_ofdm_waveform(10, seed=1, out=np.empty(11, dtype=complex))
 
 
 def test_estimate_stats_degenerate_and_errors():
-    stats = Stats(ComplexSequence(np.ones(100, dtype=complex)))
+    stats = Stats(np.ones(100, dtype=complex))
     assert stats.variance == 0.0
     assert stats.pseudo_variance == 0.0
     with pytest.raises(ValueError):
-        Stats(ComplexSequence(np.ones(1, dtype=complex)))
+        Stats(np.ones(1, dtype=complex))
 
 
 def test_estimate_stats_consistency():
-    seq = gen_proper_gaussian(10 ** 6, 0.25, seed=21)
-    stats = Stats(seq)
+    stats = Stats(gen_proper_gaussian(10 ** 6, seed=21).reference(0.25))
     assert stats.variance == pytest.approx(0.25, rel=0.01)
     assert stats.abs_moment4 == pytest.approx(2 * 0.25 ** 2, rel=0.02)
 
@@ -201,7 +226,7 @@ def test_estimate_stats_consistency():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31), st.floats(0.01, 10.0))
 def test_cauchy_schwarz_moment_inequality(seed, sigma):
-    stats = Stats(gen_proper_gaussian(256, sigma, seed=seed))
+    stats = Stats(gen_proper_gaussian(256, seed=seed).reference(sigma))
     assert stats.abs_moment4 >= stats.variance ** 2 * (1 - 1e-12)
     assert stats.abs_moment6 >= 0
 

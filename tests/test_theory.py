@@ -266,7 +266,7 @@ def test_fourth_moment_matches_sample_estimate(sigma, k):
     """Every entry of the exact T lies within 5 standard errors of the
     sample estimate; the standard errors come from 20 block means."""
     m, n = 2, 1
-    x = gen_proper_gaussian(200_000 + m - 1, sigma, seed=41).samples
+    x = gen_proper_gaussian(200_000 + m - 1, seed=41).reference(sigma)
     blocks = np.array_split(regressor_matrix(x, m, n, k), 20)
     block_means = np.stack([theory.estimate_fourth_moment(b) for b in blocks])
     stderr = block_means.std(axis=0, ddof=1) / np.sqrt(len(blocks))
@@ -367,12 +367,12 @@ def test_q3_diag_monte_carlo(type2):
     budget = compute_noise_budget(prof)
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu=0.01)
     n = 1_000_000
-    x = gen_proper_gaussian(n, s2, seed=77)
-    obs = render_observation(x.samples, channels, budget, prof, seed=78,
+    x = gen_proper_gaussian(n, seed=77).reference(s2)
+    obs = render_observation(x, channels, budget, prof, seed=78,
                              components=True)
     u = (obs.components["imd_si"] + obs.components["image_imd_si"]
          + obs.components["thermal"] + obs.components["quantization"])
-    regs = regressor_matrix(x.samples, M)
+    regs = regressor_matrix(x, M)
     prod = u[M - 1:, None] * np.conj(regs)
     b_hat = prod.mean(axis=0)
     blocks = np.array_split(prod, 20, axis=0)

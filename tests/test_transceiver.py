@@ -123,17 +123,17 @@ def _zero_budget():
 def test_render_zero_channels(type2):
     ch = ChannelSet(h=np.array([1e-300, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
-    x = gen_proper_gaussian(500, 1.0, seed=1)
-    obs = render_observation(x.samples, ch, _zero_budget(), type2, seed=2)
+    x = gen_proper_gaussian(500, seed=1).reference(1.0)
+    obs = render_observation(x, ch, _zero_budget(), type2, seed=2)
     assert np.allclose(obs.d.samples, 0.0, atol=1e-290)
 
 
 def test_render_identity_channel(type2):
     ch = ChannelSet(h=np.array([1.0, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
-    x = gen_proper_gaussian(500, 1.0, seed=1)
-    obs = render_observation(x.samples, ch, _zero_budget(), type2, seed=2)
-    assert np.array_equal(obs.d.samples, x.samples)
+    x = gen_proper_gaussian(500, seed=1).reference(1.0)
+    obs = render_observation(x, ch, _zero_budget(), type2, seed=2)
+    assert np.array_equal(obs.d.samples, x)
 
 
 def test_render_too_short(type2):
@@ -149,8 +149,8 @@ def test_render_too_short(type2):
 def test_component_sum_identity(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
-    x = gen_proper_gaussian(10_000, type2.natural_sigma_x2, seed=5)
-    obs = render_observation(x.samples, ch, budget, type2, seed=6, include_soi=True,
+    x = gen_proper_gaussian(10_000, seed=5).reference(type2.natural_sigma_x2)
+    obs = render_observation(x, ch, budget, type2, seed=6, include_soi=True,
                              components=True)
     total = sum(obs.components.values())
     assert np.max(np.abs(obs.d.samples - total)) == 0.0
@@ -159,8 +159,8 @@ def test_component_sum_identity(type2):
 def test_imd_moment_law(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
-    x = gen_proper_gaussian(100_000, type2.natural_sigma_x2, seed=7)
-    obs = render_observation(x.samples, ch, budget, type2, seed=8, components=True)
+    x = gen_proper_gaussian(100_000, seed=7).reference(type2.natural_sigma_x2)
+    obs = render_observation(x, ch, budget, type2, seed=8, components=True)
     measured = np.mean(np.abs(obs.components["imd_si"]) ** 2)
     expected = (6 * type2.k_tiq ** 3 * type2.natural_sigma_x2 ** 3 * ch.norm2_h_imd)
     assert 0.95 <= measured / expected <= 1.05
@@ -286,7 +286,7 @@ def test_render_matches_numpy(type2, include_soi):
     for tx in (-5.0, 15.0, 25.0):
         prof = type2.with_tx_power(tx)
         ch = synthesize_channels(prof, M, N, seed=SEED)
-        x = gen_proper_gaussian(3000, prof.natural_sigma_x2, seed=4).samples
+        x = gen_proper_gaussian(3000, seed=4).reference(prof.natural_sigma_x2)
         _assert_render_exact(x, ch, compute_noise_budget(prof), prof, 9, include_soi)
 
 
@@ -299,7 +299,7 @@ def test_render_matches_numpy_edges(type2, n_imd):
     for prof in (type2, inf_irr):
         ch = synthesize_channels(prof, M, n_imd, seed=SEED)
         for n in (M + 1, 500):
-            x = gen_proper_gaussian(n, prof.natural_sigma_x2, seed=n_imd).samples
+            x = gen_proper_gaussian(n, seed=n_imd).reference(prof.natural_sigma_x2)
             _assert_render_exact(x, ch, budget, prof, 3, include_soi=n_imd % 2 == 0)
 
 
@@ -308,7 +308,7 @@ def test_render_matches_numpy_zero_noise(type2, include_soi):
     """With every noise scale zero the noise components are numpy's signed
     zeros, 0.0 * (re + 1j im), and d still equals the numpy sum bit for bit."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
-    x = gen_proper_gaussian(2000, type2.natural_sigma_x2, seed=4).samples
+    x = gen_proper_gaussian(2000, seed=4).reference(type2.natural_sigma_x2)
     _assert_render_exact(x, ch, _zero_budget(), type2, 9, include_soi)
 
 
@@ -319,7 +319,7 @@ def test_render_allocates_no_normals(type2):
     n = 200_000
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
-    x = gen_proper_gaussian(n, type2.natural_sigma_x2, seed=4).samples
+    x = gen_proper_gaussian(n, seed=4).reference(type2.natural_sigma_x2)
     row = np.empty(n, dtype=complex)
     render_observation(x, ch, budget, type2, seed=5, out=row)  # builds the kernel
     tracemalloc.start()

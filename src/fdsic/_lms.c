@@ -12,14 +12,14 @@
  * compiler keeps exactly these operations. Complex arrays are interleaved
  * (re, im) doubles. The render and the LMS read a trial's reference
  * x = scale z from a source row z and a scale, and form each sample of x as
- * the source would (x_at), so one row z serves every transmit power. Trials
- * are independent and run one after another. The jobs of one lms_raw call
- * share each trial's row z, and each job has its own scale and observation
- * row: on a build with AVX2 two or more jobs run together, step by step,
- * four jobs per vector as its lanes, each lane on its own regressor, and
- * each lane repeats its job's scalar operations in their order, so every
- * job returns the bits it returns alone; one job, or a build without AVX2,
- * runs the scalar step job by job.
+ * signals.Draw.reference does, each part of z times the scale (x_at), so
+ * one row z serves every transmit power. Trials are independent and run
+ * one after another. The jobs of one lms_raw call share each trial's row z,
+ * and each job has its own scale and observation row: on a build with AVX2
+ * two or more jobs run together, step by step, four jobs per vector as its
+ * lanes, each lane on its own regressor, and each lane repeats its job's
+ * scalar operations in their order, so every job returns the bits it returns
+ * alone; one job, or a build without AVX2, runs the scalar step job by job.
  */
 #include <math.h>
 #include <stdint.h>
@@ -161,25 +161,18 @@ static inline void fir_at(int64_t count, const double *h, const double *vn,
 }
 
 /* numpy's product of a real scale (promoted to complex) and (re, im) */
-static inline void scale_cplx(double a, double re, double im, double *y)
+static inline void scale_complex(double a, double re, double im, double *y)
 {
     y[0] = fma(a, re, -(0.0 * im));
     y[1] = fma(a, im, 0.0 * re);
 }
 
-/* The reference sample x = scale z of the source sample zn, as the source
- * forms it: each part times scale (cplx 0), or numpy's product of a real
- * scale and a complex row (cplx 1). The two differ only in the sign of a
- * zero part. */
-static inline void x_at(double scale, int64_t cplx, const double *zn,
-                        double *x)
+/* The reference sample x = scale z of the source sample zn: each part of
+ * zn times scale */
+static inline void x_at(double scale, const double *zn, double *x)
 {
-    if (cplx) {
-        scale_cplx(scale, zn[0], zn[1], x);
-    } else {
-        x[0] = scale * zn[0];
-        x[1] = scale * zn[1];
-    }
+    x[0] = scale * zn[0];
+    x[1] = scale * zn[1];
 }
 
 /* The IMD product x_imd = (k15 * |x|^2) * x of the sample xn, rounded as
@@ -187,7 +180,7 @@ static inline void x_at(double scale, int64_t cplx, const double *zn,
 static inline void imd_at(double k15, const double *xn, double *y)
 {
     double a = np_cabs(xn[0], xn[1]);
-    scale_cplx(k15 * (a * a), xn[0], xn[1], y);
+    scale_complex(k15 * (a * a), xn[0], xn[1], y);
 }
 
 /* Drop the oldest of the count samples of the window q (oldest first) */
@@ -203,7 +196,7 @@ static inline void shift_out(double *q, int64_t count)
  * of y, from y[0] (the real parts of a complex row) or y[1] (the imaginary
  * parts), and store the normals likewise in z if it is not NULL. The render
  * adds a noise part this way in place of numpy's y + fma(scale, z, +-0),
- * the real-by-complex product written out by scale_cplx: a running sum that
+ * the real-by-complex product written out by scale_complex: a running sum that
  * starts at 0.0 is never -0 (x + y is -0 in round-to-nearest only if x and
  * y both are), and for such a y, y + fma(scale, z, +-0) equals
  * y + scale * z whatever the sign of that zero: the two products round
@@ -236,14 +229,14 @@ static void add_normals(struct pcg64 *g, int64_t n, double scale, double *y,
  * IMD samples are kept. */
 void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
             const double *g, const double *h_imd, const double *g_imd,
-            const double *z, double scale, int64_t cplx, uint64_t *s,
+            const double *z, double scale, uint64_t *s,
             int64_t soi, const double *noise, double *d, double *comp)
 {
     double xw[2 * m], q[2 * nimd + 2];  /* the x and IMD windows, oldest first */
     double *xn = xw + 2 * (m - 1), *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
     for (int64_t i = 0; i < n; i++) {
         shift_out(xw, m);
-        x_at(scale, cplx, z + 2 * i, xn);
+        x_at(scale, z + 2 * i, xn);
         shift_out(q, nimd);
         imd_at(k15, xn, qn);
         int64_t cx = i < m ? i + 1 : m, cq = i < nimd ? i + 1 : nimd;
@@ -272,7 +265,7 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
         add_normals(&gen, n, noise[k], d + 1, w ? w + 1 : NULL);
         if (w)
             for (int64_t i = 0; i < n; i++)
-                scale_cplx(noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
+                scale_complex(noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
     }
     pcg64_store(&gen, s);
     if (comp && !soi)
@@ -318,8 +311,8 @@ static inline void newton_entry(const double *p, const double *rk,
                                 const double *rp, double *c)
 {
     double g[2], h[2];
-    scale_cplx(p[0], rk[0], -rk[1], g);
-    scale_cplx(p[1], rp[0], -rp[1], h);
+    scale_complex(p[0], rk[0], -rk[1], g);
+    scale_complex(p[1], rp[0], -rp[1], h);
     c[0] = g[0] + h[0];
     c[1] = g[1] + h[1];
 }
@@ -379,8 +372,7 @@ static inline __attribute__((always_inline)) void step(
  * Pushing the first m samples of a trial into any r gives the regressor of
  * sample m - 1. */
 static inline void regressor_push(int64_t m, int64_t nimd, double k15,
-                                  double scale, int64_t cplx, const double *zn,
-                                  double *r)
+                                  double scale, const double *zn, double *r)
 {
     int64_t half = m + nimd;
     for (int64_t k = 2 * m - 1; k > 1; k--) {
@@ -391,7 +383,7 @@ static inline void regressor_push(int64_t m, int64_t nimd, double k15,
         r[2 * m + k] = r[2 * m + k - 2];
         r[2 * (half + m) + k] = r[2 * (half + m) + k - 2];
     }
-    x_at(scale, cplx, zn, r);
+    x_at(scale, zn, r);
     r[2 * half] = r[0];
     r[2 * half + 1] = -r[1];
     if (nimd > 0) {
@@ -404,7 +396,7 @@ static inline void regressor_push(int64_t m, int64_t nimd, double k15,
 
 /* The job b alone, one trial run to its end before the next starts. */
 static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
-                        const double *z, int64_t cplx, const struct run *b)
+                        const double *z, const struct run *b)
 {
     int64_t nimd = b->dim / 2 - m;
     double r[2 * b->dim], c[2 * b->dim];
@@ -412,10 +404,10 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
     for (int64_t i = 0; i < trials; i++) {
         const double *zi = z + 2 * i * n, *di = b->d + 2 * i * n;
         for (int64_t j = 0; j < m - 1; j++)
-            regressor_push(m, nimd, k15, b->scale, cplx, zi + 2 * j, r);
+            regressor_push(m, nimd, k15, b->scale, zi + 2 * j, r);
         for (int64_t j = 0; j < b->steps; j++) {
             const double *dj = di + 2 * (j + m - 1);
-            regressor_push(m, nimd, k15, b->scale, cplx, zi + 2 * (j + m - 1), r);
+            regressor_push(m, nimd, k15, b->scale, zi + 2 * (j + m - 1), r);
             if (b->pre) {
                 newton_direction(b, r, c);
                 step(b, i, j, r, c, dj);
@@ -826,7 +818,7 @@ static inline __attribute__((always_inline)) void lanes_step(
  * `spare` samples the m - 1 newest move to the far end of the history. */
 static inline __attribute__((always_inline)) const __m256d *lanes_push(
     struct lanes *g, int64_t m, int64_t nimd, int64_t spare, double k15,
-    int64_t cplx, const double *zn)
+    const double *zn)
 {
     const __m256d zero = _mm256_setzero_pd(), sign = _mm256_set1_pd(-0.0);
     if (g->pos == 0) {
@@ -834,14 +826,8 @@ static inline __attribute__((always_inline)) const __m256d *lanes_push(
         memcpy(g->hist + 6 * g->pos, g->hist, 6 * (m - 1) * sizeof(__m256d));
     }
     __m256d *e = g->hist + 6 * --g->pos;
-    __m256d zr = _mm256_broadcast_sd(zn), zi = _mm256_broadcast_sd(zn + 1), xr, xi;
-    if (cplx) {
-        xr = _mm256_fmsub_pd(g->scale, zr, _mm256_mul_pd(zero, zi));
-        xi = _mm256_fmadd_pd(g->scale, zi, _mm256_mul_pd(zero, zr));
-    } else {
-        xr = _mm256_mul_pd(g->scale, zr);
-        xi = _mm256_mul_pd(g->scale, zi);
-    }
+    __m256d xr = _mm256_mul_pd(g->scale, _mm256_broadcast_sd(zn)),
+            xi = _mm256_mul_pd(g->scale, _mm256_broadcast_sd(zn + 1));
     e[0] = xr;
     e[1] = xi;
     e[2] = _mm256_xor_pd(xi, sign);
@@ -861,8 +847,7 @@ static inline __attribute__((always_inline)) const __m256d *lanes_push(
  * group steps on its own regressor. Returns 0, having run nothing, if the
  * groups' state cannot be allocated or lanes_init refuses a group. */
 static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
-                         const double *z, int64_t cplx, int64_t jobs,
-                         const struct run *runs)
+                         const double *z, int64_t jobs, const struct run *runs)
 {
     int64_t nimd = 0;
     for (int64_t g = 0; g < jobs; g++)
@@ -908,7 +893,7 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
             if (lg->src == g) {
                 lg->pos = spare + m;
                 for (int64_t j = 0; j < m; j++)
-                    lg->now = lanes_push(lg, m, nimd, spare, k15, cplx, zi + 2 * j);
+                    lg->now = lanes_push(lg, m, nimd, spare, k15, zi + 2 * j);
             } else {
                 lg->now = lanes[lg->src].now;
             }
@@ -922,7 +907,7 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
                 if (lg->src != g)
                     lg->next = lanes[lg->src].next;
                 else if (j + 1 < steps)
-                    lg->next = lanes_push(lg, m, nimd, spare, k15, cplx,
+                    lg->next = lanes_push(lg, m, nimd, spare, k15,
                                           zi + 2 * (j + m));
                 else
                     lg->next = lg->now;
@@ -956,21 +941,20 @@ int64_t lms_lanes(int64_t jobs)
 /* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
  * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
  * step j on the regressor of sample j + m - 1 of its reference
- * x = scale z (x_at with cplx), with the m of the call and its own
+ * x = scale z (x_at), with the m of the call and its own
  * nimd = dim / 2 - m. Two or more jobs run as lanes (lms_lanes), one job, or
  * any job on a build without AVX2, by the scalar step; either way every job
  * returns the same bits. */
 void lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
-             const double *z, int64_t cplx, int64_t jobs,
-             const struct run *runs)
+             const double *z, int64_t jobs, const struct run *runs)
 {
 #ifdef LANES
     /* the scalar step also serves if the lanes' state cannot be allocated,
      * or if the Newton jobs of a group pair a slot differently */
     if (lms_lanes(jobs) > 1
-        && lms_raw_lanes(trials, n, m, k15, z, cplx, jobs, runs))
+        && lms_raw_lanes(trials, n, m, k15, z, jobs, runs))
         return;
 #endif
     for (int64_t g = 0; g < jobs; g++)
-        lms_raw_job(trials, n, m, k15, z, cplx, &runs[g]);
+        lms_raw_job(trials, n, m, k15, z, &runs[g]);
 }

@@ -4,9 +4,9 @@ and the LMS steps.
 ``NormalStream`` draws the standard normals of
 ``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
 ziggurat written out in C. Both other kernels read a trial's reference
-x = scale z from a source row z and a scale, forming each sample as the
-source does (the product of each part with the scale, or numpy's
-complex-by-real product), so that one row z serves every transmit power:
+x = scale z from a source row z and a scale, each part of z times the
+scale as ``signals.Draw.reference`` forms it, so that one row z serves
+every transmit power:
 ``render`` forms one trial's observation (IMD product, four FIR branches
 and their sum) sample by sample, then adds the noise as a
 ``NormalStream`` draws it; ``lms_raw`` runs the LMS steps of whole runs:
@@ -106,17 +106,16 @@ class Run(ctypes.Structure):
 def library() -> ctypes.CDLL:
     """The compiled library, with ``normals_complex``, ``render``,
     ``lms_raw`` and ``lms_lanes``."""
-    cplx, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-                  for dtype in (np.complex128, np.float64))
+    row, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                 for dtype in (np.complex128, np.float64))
     i64 = ctypes.c_int64
     runs = ctypes.POINTER(Run)
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
-    lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, cplx]
-    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[cplx] * 5,
-                           ctypes.c_double, i64, pcg, i64, real, cplx,
-                           ctypes.c_void_p]
-    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, cplx, i64, i64, runs]
+    lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, row]
+    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[row] * 5,
+                           ctypes.c_double, pcg, i64, real, row, ctypes.c_void_p]
+    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, row, i64, runs]
     lib.lms_lanes.argtypes = [i64]
     for fn in (lib.normals_complex, lib.render, lib.lms_raw):
         fn.restype = None
@@ -159,13 +158,11 @@ class NormalStream:
         return out
 
 
-def render(z: np.ndarray, scale: float, complex_product: bool,
-           taps: tuple[np.ndarray, ...], k15: float, noise: NormalStream,
-           scales: np.ndarray, soi: bool, d: np.ndarray,
-           components: np.ndarray | None = None):
+def render(z: np.ndarray, scale: float, taps: tuple[np.ndarray, ...],
+           k15: float, noise: NormalStream, scales: np.ndarray, soi: bool,
+           d: np.ndarray, components: np.ndarray | None = None):
     """Fill ``d`` (and ``components``, ``(7, n)``) with the observation of the
-    reference x = ``scale`` ``z``, each sample numpy's complex-by-real
-    product if ``complex_product``, else each part times ``scale``.
+    reference x = ``scale`` ``z``, each part of ``z`` times ``scale``.
 
     ``taps`` is ``(h, g, h_imd, g_imd)``; ``noise`` draws the real then the
     imaginary parts of the thermal, the quantization and, if ``soi``, the
@@ -182,5 +179,5 @@ def render(z: np.ndarray, scale: float, complex_product: bool,
             and components.flags.c_contiguous):
         raise ValueError("render: components must be a C-contiguous complex (7, n) array")
     library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, z, scale,
-                     int(complex_product), noise._state, int(soi), scales, d,
+                     noise._state, int(soi), scales, d,
                      None if components is None else components.ctypes.data)

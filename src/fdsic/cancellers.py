@@ -29,9 +29,10 @@ expressions e = d - reg^T w (einsum), w += mu e conj(reg) (or
 mu e (p_kk conj(reg_k) + p_kj conj(reg_j)) entry by entry) and |e|^2 do, so
 results are bit-identical to a numpy loop over the steps. The kernel moves
 each job's regressor on by one sample of z per step, forming x = scale z
-as the source does (``signals.Draw.reference``) and x_imd from it; two or
-more jobs run as the lanes of AVX2 vectors, four jobs per vector, each lane
-on its own regressor, and return the bits each job returns alone.
+(each part of z times the scale, as ``signals.Draw.reference`` does) and
+x_imd from it; two or more jobs run as the lanes of AVX2 vectors, four jobs
+per vector, each lane on its own regressor, and return the bits each job
+returns alone.
 ``regressor_matrix`` builds the same regressors as rows, for the tests'
 numpy loop.
 """
@@ -256,19 +257,17 @@ def _rows(a) -> np.ndarray:
 
 def run_jobs(zs: np.ndarray, ds, jobs: list[tuple],
              keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-             tap_stride: int = 1, scales=1.0,
-             complex_product: bool = False) -> list[BatchRun]:
+             tap_stride: int = 1, scales=1.0) -> list[BatchRun]:
     """Run every job, a ``Job`` or a tuple of its fields (``(config, w0)``
     or ``(config, w0, preconditioner)``), on the trials in the rows of
     ``zs``, in one kernel call; return one ``BatchRun`` per job.
 
     Job k runs on the reference x = ``scales[k]`` zs and the observation
     rows ``ds[k]``; ``ds`` may be one array for every job, and ``scales``
-    one number. Each sample of x is formed as ``signals.Draw.reference``
-    forms it: numpy's complex-by-real product if ``complex_product``, else
-    each part times the scale (so a scale of 1 runs on ``zs`` itself). The
-    jobs share M and k_tiq (a ``ValueError`` otherwise) and may differ in
-    mu, N, steady window, start weights, preconditioner, scale and
+    one number. Each part of x is the part of ``zs`` times the scale, as
+    ``signals.Draw.reference`` forms it (so a scale of 1 runs on ``zs``
+    itself). The jobs share M and k_tiq (a ``ValueError`` otherwise) and may
+    differ in mu, N, steady window, start weights, preconditioner, scale and
     observation. Each job returns exactly what it returns alone in
     ``run_batch`` on its own x and d. ``keep_residuals`` stores |e|^2 per
     step; ``track_taps`` stores the listed weights (indices into each job's
@@ -291,8 +290,7 @@ def run_jobs(zs: np.ndarray, ds, jobs: list[tuple],
     state = [_Job(job, d, scale, n - M + 1, keep_residuals, track_taps, tap_stride)
              for job, d, scale in zip(jobs, ds, scales)]
     runs = (_native.Run * len(state))(*(job.run for job in state))
-    _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, int(complex_product),
-                              len(state), runs)
+    _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, len(state), runs)
     return [job.result() for job in state]
 
 

@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         config = ExperimentConfig(experiment=experiment,
                                   profile=resolve_profile(fields.pop("profile", None)),
                                   **fields)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a --config or --profile path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -123,6 +123,12 @@ class ExperimentConfig:
                              "Gaussian input")
         if not 1 <= self.N < self.M:
             raise ValueError("need 1 <= N < M")
+        if self.output_dir is not None:
+            # run_experiment creates the directory and any missing parents
+            out = Path(self.output_dir).absolute()
+            if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+                raise ValueError(f"output directory {self.output_dir} is, or is "
+                                 f"inside, a file")
         if self.iterations <= MIN_STEADY_WINDOW:
             # a shorter run would average its transient as the steady state
             raise ValueError(f"iterations must exceed the {MIN_STEADY_WINDOW}-step "
@@ -151,6 +157,20 @@ class CheckResult:
     detail: str
 
 
+def _mean_power(d: np.ndarray) -> float:
+    """The mean |d|^2 of the observation row ``d``."""
+    # numpy's own loop: a BLAS dot would leave a BLAS thread spinning
+    # beside the producer after every call
+    return np.einsum("i,i->", d.view(np.float64), d.view(np.float64)) / len(d)
+
+
+def _diverged(run: BatchRun, d_power: float) -> np.ndarray:
+    """The trials of ``run`` that diverged, on observations of mean |d|^2
+    ``d_power``: each went non-finite, or its peak residual exceeds 1e3
+    times that power."""
+    return run.diverged | (run.peak_residual > 1e3 * d_power)
+
+
 class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
     loop's waits for its next trial, the samples drawn and rendered, and the
@@ -177,9 +197,8 @@ class PhaseClock:
 
     def count_lms(self, runs: dict[str, BatchRun], d_power: dict[str, float]):
         """Count one LMS call that ran ``runs``, by job label, on trials
-        whose mean |d|^2 is ``d_power[label]``. A trial diverged, as
-        bounds-probe rules, if it went non-finite or its peak residual
-        exceeds 1e3 times that power."""
+        whose mean |d|^2 is ``d_power[label]``, and the trials that
+        diverged (``_diverged``)."""
         lanes = _native.lanes(len(runs))
         self.lms_calls += 1
         self.lms_lanes = max(self.lms_lanes, lanes)
@@ -187,7 +206,7 @@ class PhaseClock:
         self.lms_lanes_offered += -(-len(runs) // lanes) * lanes
         for label, run in runs.items():
             self.trial_steps += run.n_steps * len(run.steady_state_mse)
-            grew = run.diverged | (run.peak_residual > 1e3 * d_power[label])
+            grew = _diverged(run, d_power[label])
             if grew.any():
                 self.diverged[label] = self.diverged.get(label, 0) + int(grew.sum())
             if run.diverged.any():
@@ -345,7 +364,6 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
                 render_observation(draw.samples, point.channels, point.budget,
                                    point.profile, seed=seed + _NOISE_SEED_OFFSET,
                                    out=d, scale=draw.scale(point.sigma_x2),
-                                   complex_product=draw.complex_product,
                                    **render_options)
                 for point, d in zip(points, ds)]
         clock.samples += n
@@ -377,17 +395,14 @@ def _cancel(clock: PhaseClock, draw: Draw, points, **options) -> dict[str, Batch
     jobs, ds, scales, d_power = {}, [], [], {}
     for point_jobs, point, obs in points:
         d, scale = obs.d.samples, draw.scale(point.sigma_x2)
-        # numpy's own loop: a BLAS dot would leave a BLAS thread spinning
-        # beside the producer after every call
-        power = np.einsum("i,i->", d.view(np.float64), d.view(np.float64)) / len(d)
+        power = _mean_power(d)
         for label, job in point_jobs.items():
             jobs[label] = job
             ds.append(d)
             scales.append(scale)
             d_power[label] = power
     with clock.phase("lms"):
-        runs = run_jobs(draw.samples, ds, list(jobs.values()), scales=scales,
-                        complex_product=draw.complex_product, **options)
+        runs = run_jobs(draw.samples, ds, list(jobs.values()), scales=scales, **options)
     runs = dict(zip(jobs, runs))
     clock.count_lms(runs, d_power)
     return runs
@@ -816,24 +831,21 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
     jobs = {f"{label}_mu{frac:g}": (cfg, None) for (label, frac), cfg in cfgs.items()}
-    trial_runs = {key: [] for key in cfgs}
+    trial_runs = {key: [] for key in cfgs}  # (run, diverged trials) per trial
     n = config.iterations + config.M
-    energy = np.empty(config.trials)  # sum of |d|^2 per trial
     point = Point(prof, channels, budget, s2)
-    for t, (draw, [obs]) in enumerate(iter_trials(config, [point], n, report.clock)):
-        energy[t] = np.sum(np.abs(obs.d.samples) ** 2)
+    for draw, [obs] in iter_trials(config, [point], n, report.clock):
         runs = _cancel(report.clock, draw, [(jobs, point, obs)], keep_residuals=False)
+        power = _mean_power(obs.d.samples)
         for key, run in zip(cfgs, runs.values()):
-            trial_runs[key].append(run)
-    init_power = float(np.sum(energy)) / (config.trials * n)
+            trial_runs[key].append((run, _diverged(run, power)))
 
     rows = []
     for (label, frac), cfg in cfgs.items():
-        diverged, peak, diverged_at, steady_mse = (
-            np.concatenate([getattr(run, name) for run in trial_runs[label, frac]])
-            for name in ("diverged", "peak_residual", "diverged_at",
-                         "steady_state_mse"))
-        grew = diverged | (peak > 1e3 * init_power)
+        runs, grew = zip(*trial_runs[label, frac])
+        diverged_at, steady_mse = (np.concatenate([getattr(run, name) for run in runs])
+                                   for name in ("diverged_at", "steady_state_mse"))
+        grew = np.concatenate(grew)
         n_div = int(grew.sum())
         report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
             _divergence_note(diverged_at)

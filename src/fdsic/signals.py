@@ -9,8 +9,9 @@ and the oversampled WLAN OFDM waveform of the paper's simulations (16-QAM
 on 50 of 64 subcarriers, a 16-sample cyclic prefix, 4x oversampling: 320
 samples per symbol). Both are deterministic for a fixed seed, and one draw
 serves every power: the kernels of ``_native`` form x from z and the scale
-sample by sample, as ``Draw.reference`` forms it. The Gaussian source
-draws its normals in C (``_native.NormalStream``), bit for bit those of
+sample by sample, each part of z times the scale, as ``Draw.reference``
+forms it. The Gaussian source draws its normals in C
+(``_native.NormalStream``), bit for bit those of
 ``np.random.default_rng(seed).standard_normal``.
 """
 
@@ -58,15 +59,12 @@ class Draw:
     """One draw of a source: the row ``samples`` (z), whose reference of
     power ``sigma_x2`` is x = ``scale(sigma_x2)`` z.
 
-    The scale is sqrt(sigma_x2 / ``power``). Each sample of x is numpy's
-    product of the real scale and the complex z if ``complex_product``,
-    else the product of each part with the scale; the two differ only in
-    the sign of a zero part.
+    The scale is sqrt(sigma_x2 / ``power``), and each part of x is the part
+    of z times the scale.
     """
 
     samples: np.ndarray
     power: float
-    complex_product: bool
 
     def scale(self, sigma_x2: float) -> float:
         if not sigma_x2 > 0:
@@ -75,13 +73,7 @@ class Draw:
 
     def reference(self, sigma_x2: float) -> np.ndarray:
         """The reference x of power ``sigma_x2``, a new row."""
-        scale = self.scale(sigma_x2)
-        if self.complex_product:
-            return self.samples * scale
-        x = np.empty_like(self.samples)
-        np.multiply(self.samples.real, scale, out=x.real)
-        np.multiply(self.samples.imag, scale, out=x.imag)
-        return x
+        return (self.samples.view(np.float64) * self.scale(sigma_x2)).view(np.complex128)
 
 
 def _output_row(n: int, out: np.ndarray | None) -> np.ndarray:
@@ -89,8 +81,9 @@ def _output_row(n: int, out: np.ndarray | None) -> np.ndarray:
     row, after checking a source's arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if out is not None and out.shape != (n,):
-        raise ValueError("out must hold n samples")
+    if out is not None and not (out.shape == (n,) and out.dtype == np.complex128
+                                and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous complex128 row of n samples")
     return np.empty(n, dtype=np.complex128) if out is None else out
 
 
@@ -106,7 +99,7 @@ def gen_proper_gaussian(n: int, seed: int, out: np.ndarray | None = None) -> Dra
     """
     samples = _output_row(n, out)
     _native.NormalStream(seed).fill_complex(1.0, samples)
-    return Draw(samples, 2.0, complex_product=False)
+    return Draw(samples, 2.0)
 
 
 def gen_ofdm_waveform(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
@@ -132,4 +125,4 @@ def gen_ofdm_waveform(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
     time = np.fft.ifft(freq, axis=1) * nfft / np.sqrt(SUBCARRIERS)
     wave = np.concatenate([time[:, -CYCLIC_PREFIX * OVERSAMPLING:], time], axis=1).ravel()
     samples[:] = wave[:n]
-    return Draw(samples, np.mean(np.abs(wave) ** 2), complex_product=True)
+    return Draw(samples, np.mean(np.abs(wave) ** 2))

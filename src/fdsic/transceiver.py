@@ -19,11 +19,12 @@ coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
 ``render_observation`` reads the reference as a source row z and a scale,
-x = scale z (see ``signals.Draw``), so that one drawn row serves every
-transmit power, and forms x, x_imd, the four FIR branches and their sum in
-one pass of the compiled ``render`` of ``_native`` (the C library that also
-runs the LMS steps), writing d(n) into the caller's row, and then adds each
-noise part to d(n) as ``_native.NormalStream`` draws it (in C, bit for bit
+x = scale z, each part of z times the scale (see ``signals.Draw``), so
+that one drawn row serves every transmit power, and forms x, x_imd, the
+four FIR branches and their sum in one pass of the compiled ``render`` of
+``_native`` (the C library that also runs the LMS steps), writing d(n)
+into the caller's row, and then adds each noise part to d(n) as
+``_native.NormalStream`` draws it (in C, bit for bit
 the stream of ``np.random.default_rng(seed).standard_normal``), so no array
 of normals is allocated; the components are stored only on request. Its
 roundings equal those of the numpy expressions ``k^{3/2} |x|^2 x``,
@@ -388,12 +389,10 @@ def render_observation(zs: np.ndarray, channels: ChannelSet,
                        budget: NoiseBudget, profile: TransceiverProfile,
                        seed: int, include_soi: bool = False,
                        components: bool = False,
-                       out: np.ndarray | None = None, scale: float = 1.0,
-                       complex_product: bool = False) -> Observation:
+                       out: np.ndarray | None = None, scale: float = 1.0) -> Observation:
     """Render d(n) from the reference x = ``scale`` ``zs`` in one compiled pass.
 
-    Each sample of x is numpy's complex-by-real product if
-    ``complex_product``, else each part times ``scale``, as
+    Each part of x is the part of ``zs`` times ``scale``, as
     ``signals.Draw.reference`` forms it; the default scale 1 renders ``zs``
     itself. Each branch is the channel's FIR response to its input,
     truncated to ``len(zs)`` samples (zero initial state); each noise is
@@ -414,7 +413,7 @@ def render_observation(zs: np.ndarray, channels: ChannelSet,
     d = np.empty(n, dtype=np.complex128) if out is None else out
     parts = np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None
     taps = (channels.h, channels.g, channels.h_imd, channels.g_imd)
-    _native.render(zs, scale, complex_product, taps, profile.k_tiq ** 1.5,
+    _native.render(zs, scale, taps, profile.k_tiq ** 1.5,
                    _native.NormalStream(seed), scales, include_soi, d, parts)
     return Observation(ComplexSequence(d),
                        dict(zip(COMPONENTS, parts)) if components else {})

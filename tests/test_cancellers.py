@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import platform
+import re
 import subprocess
 import warnings
 
@@ -514,7 +515,7 @@ def point_rows(type2):
         s2 = prof.natural_sigma_x2
         channels = synthesize_channels(prof, M, N, seed=SEED)
         budget = compute_noise_budget(prof)
-        scale = Draw(zs, 2.0, complex_product=False).scale(s2)
+        scale = Draw(zs, 2.0).scale(s2)
         ds = np.stack([render_observation(z, channels, budget, prof, seed=100 + t,
                                           scale=scale).d.samples
                        for t, z in enumerate(zs)])
@@ -522,15 +523,15 @@ def point_rows(type2):
     return zs, points
 
 
-def _point_call(point_rows, count, complex_product):
-    """The run_jobs arguments of the first ``count`` jobs of _GROUP_JOBS at
-    their _GROUP_POINTS, and each job's own (x, d) rows as numpy forms x."""
+def _point_call(point_rows, count):
+    """The observation rows and scales of the first ``count`` jobs of
+    _GROUP_JOBS at their _GROUP_POINTS, and each job's own (x, d) rows as
+    numpy forms x."""
     zs, points = point_rows
     chosen = [points[k] for k in _GROUP_POINTS[:count]]
-    draw = Draw(zs, 2.0, complex_product)
-    call = dict(scales=[draw.scale(s2) for s2, _ in chosen],
-                complex_product=complex_product)
-    return [ds for _, ds in chosen], call, [(draw.reference(s2), ds) for s2, ds in chosen]
+    draw = Draw(zs, 2.0)
+    return ([ds for _, ds in chosen], [draw.scale(s2) for s2, _ in chosen],
+            [(draw.reference(s2), ds) for s2, ds in chosen])
 
 
 def _group_jobs(kernel_setup, wiener, count):
@@ -552,27 +553,22 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows)
     """Every job of a multi-job call (AVX2 lanes where the build has them),
     each on its own reference x = scale z of the call's rows z and its own
     observation, returns each BatchRun field bit for bit as the scalar step
-    returns it alone on that x and d, and as the numpy loop does, for both
-    forms of the product scale z."""
+    returns it alone on that x and d, and as the numpy loop does."""
     zs, _ = point_rows
     jobs = _group_jobs(kernel_setup, wiener, count)
     options = _GROUP_OPTIONS[count]
-    for complex_product in (False, True):
-        ds, call, own = _point_call(point_rows, count, complex_product)
-        runs = run_jobs(zs, ds, jobs, **call, **options)
-        assert len(runs) == count
-        assert runs[3 % count].diverged.all() == (count > 3)
-        assert not runs[0].diverged.any() and not runs[1].diverged.any()
-        # one job alone runs the scalar step, forming its x from z too
-        [alone] = run_jobs(zs, ds[0], jobs[:1], scales=call["scales"][0],
-                           complex_product=complex_product, **options)
-        _assert_same_bits(alone, runs[0])
-        for (cfg, w0, pre), (xs, d), run in zip(jobs, own, runs):
-            _assert_same_bits(run, run_batch(xs, d, cfg, w0=w0, preconditioner=pre,
-                                             **options))
-            if not complex_product:
-                _assert_same_bits(run, _reference_run_batch(
-                    xs, d, cfg, w0=w0, preconditioner=pre, **options))
+    ds, scales, own = _point_call(point_rows, count)
+    runs = run_jobs(zs, ds, jobs, scales=scales, **options)
+    assert len(runs) == count
+    assert runs[3 % count].diverged.all() == (count > 3)
+    assert not runs[0].diverged.any() and not runs[1].diverged.any()
+    # one job alone runs the scalar step, forming its x from z too
+    [alone] = run_jobs(zs, ds[0], jobs[:1], scales=scales[0], **options)
+    _assert_same_bits(alone, runs[0])
+    for (cfg, w0, pre), (xs, d), run in zip(jobs, own, runs):
+        for oracle in (run_batch, _reference_run_batch):
+            _assert_same_bits(run, oracle(xs, d, cfg, w0=w0, preconditioner=pre,
+                                          **options))
 
 
 def test_newton_jobs_of_one_call(kernel_setup, wiener):
@@ -650,13 +646,12 @@ def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
                                         tmp_path, monkeypatch):
     """A build without AVX2 runs a mixed 5-job call over two transmit powers
     by the scalar step and returns the bytes the default build returns (two
-    groups of lanes, the second with three idle lanes), for both forms of
-    the product scale z."""
+    groups of lanes, the second with three idle lanes)."""
     zs, _ = point_rows
     jobs = _group_jobs(kernel_setup, wiener, 5)
     options = _GROUP_OPTIONS[5]
-    calls = [_point_call(point_rows, 5, cplx)[:2] for cplx in (False, True)]
-    default = [run_jobs(zs, ds, jobs, **call, **options) for ds, call in calls]
+    ds, scales, _ = _point_call(point_rows, 5)
+    default = run_jobs(zs, ds, jobs, scales=scales, **options)
     # a copy of the sources, so that the build's deletion of superseded
     # libraries cannot reach the package's own
     for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
@@ -666,10 +661,10 @@ def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
     _native.library.cache_clear()
     try:
         assert _native.lanes(len(jobs)) == 1
-        scalar = [run_jobs(zs, ds, jobs, **call, **options) for ds, call in calls]
+        scalar = run_jobs(zs, ds, jobs, scales=scales, **options)
     finally:
         _native.library.cache_clear()  # the next call loads the default build
-    for got, want in zip(sum(scalar, []), sum(default, [])):
+    for got, want in zip(scalar, default):
         _assert_same_bits(got, want)
 
 
@@ -769,6 +764,42 @@ def test_kernel_tag_covers_the_headers(tmp_path):
         header.write_bytes(original.replace(b"0x", b"0X", 1))
         assert _native._kernel_tag(source) != tag, path.name
         header.write_bytes(original)
+
+
+def _declarator(text: str) -> tuple[str, str]:
+    """A C parameter or first field declarator split as (type, declarator):
+    ``"const double *z"`` gives ``("const double", "*z")``."""
+    return re.fullmatch(r"\s*(.*?)\s*(\**\s*\w+)\s*", text).groups()
+
+
+def _c_kind(base: str, declarator: str) -> str:
+    return ("pointer" if "*" in declarator
+            else {"int64_t": "int64", "double": "double"}[base.split()[-1]])
+
+
+def _ctypes_kind(kind) -> str:
+    return {ctypes.c_int64: "int64", ctypes.c_double: "double"}.get(kind, "pointer")
+
+
+def test_ctypes_signatures_match_the_kernel_source():
+    """Each exported kernel function takes as many parameters, of the same
+    kinds (64-bit integer, double or pointer), as its ``argtypes`` declare,
+    and ``_native.Run`` has the fields of ``struct run`` in order: a call
+    with one argument too many or too few corrupts memory without an error."""
+    source = re.sub(r"/\*.*?\*/", "", _native._KERNEL_SOURCE.read_text(), flags=re.S)
+    lib = _native.library()
+    exported = dict(re.findall(r"^(?:void|int64_t) (\w+)\(([^)]*)\)", source, re.M))
+    assert sorted(exported) == ["lms_lanes", "lms_raw", "normals_complex", "render"]
+    for name, params in exported.items():
+        want = [_c_kind(*_declarator(param)) for param in params.split(",")]
+        assert [_ctypes_kind(kind) for kind in getattr(lib, name).argtypes] == want, name
+    [body] = re.findall(r"^struct run \{(.*?)\};", source, re.S | re.M)
+    fields = []
+    for statement in filter(str.strip, body.split(";")):
+        first, *rest = statement.split(",")
+        base, declarator = _declarator(first)
+        fields += [(d.replace("*", "").strip(), _c_kind(base, d)) for d in (declarator, *rest)]
+    assert [(name, _ctypes_kind(kind)) for name, kind in _native.Run._fields_] == fields
 
 
 def test_kernel_build_deletes_superseded_libraries(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """Golden digests: every experiment's CSVs at tiny scale, hashed.
 
 Each experiment runs with 2 trials and 3000 iterations on the grid -5,
-5 dBm, and so does ``sinr-sweep`` on the OFDM source (``sinr-sweep-ofdm``).
+5 dBm on the Gaussian source, and ``sinr-sweep``, ``bias``,
+``bounds-probe`` and ``power-budget`` run so on the OFDM source too
+(``<experiment>-ofdm``).
 The SHA-256 of every CSV must equal the digest stored in
 ``golden_digests.json``, so a change that moves any number shows up in
 review as a changed digest.
@@ -23,7 +25,8 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 
 RUNS = {**{name: (name, "gaussian") for name in EXPERIMENTS},
-        "sinr-sweep-ofdm": ("sinr-sweep", "ofdm")}
+        **{f"{name}-ofdm": (name, "ofdm")
+           for name in ("sinr-sweep", "bias", "bounds-probe", "power-budget")}}
 
 
 def experiment_digests(out: Path) -> dict[str, str]:

@@ -204,10 +204,15 @@ def test_cli_config_file_errors(tmp_path, capsys, text, message):
     assert message in err
 
 
-def test_cli_bad_profile_exit_code(tmp_path):
-    code = cli_main(["power-budget", "--profile", str(tmp_path / "nope.profile"),
-                     "--out", str(tmp_path)])
-    assert code == 2
+def test_cli_bad_profile_exit_code(tmp_path, capsys):
+    """A missing profile file and a directory are configuration errors."""
+    for profile in (tmp_path / "nope.profile", tmp_path):
+        code = cli_main(["power-budget", "--profile", str(profile),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bits", ["inf", "12.7"])
@@ -243,9 +248,16 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["sinr-sweep", "--mu-frac", "1.2"],  # at or above the ALMS mean-square bound
     ["sinr-sweep", "--mu", "1e6"],
     ["sinr-sweep", "--tx-grid", "5,0,5"],  # a repeated grid point
+    ["power-budget", "--config", "{tmp}"],  # a directory
+    ["power-budget", "--out", "{tmp}/a-file"],
+    ["power-budget", "--out", "{tmp}/a-file/run"],
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
-    assert cli_main([*argv, "--out", str(tmp_path)]) == 2
+    """``{tmp}`` in ``argv`` names tmp_path, which holds the file
+    ``a-file``; an ``--out`` in ``argv`` overrides the default tmp_path."""
+    (tmp_path / "a-file").write_text("")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli_main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
@@ -663,11 +675,15 @@ def test_bias_plateau_earlier_for_larger_mu(type2, tmp_path):
 
 def test_bounds_probe_records_first_divergence(type2, tmp_path):
     """meta.txt names the probed step sizes and, for each, when the diverged
-    trials blew up."""
+    trials blew up, and counts the diverged trials of each as the CSV does."""
     cfg = ExperimentConfig(experiment="bounds-probe", profile=type2, trials=2,
                            iterations=6000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
-    lines = _meta(run_experiment(cfg))
+    report = run_experiment(cfg)
+    lines = _meta(report)
+    for row in report.tables["rows"]:
+        label = f"{row['variant']}_mu{row['mu_frac']:g}"
+        assert int(lines.get(f"diverged_trials[{label}]", 0)) == row["n_diverged"]
     assert lines["mu_frac"] == "0.5,0.9,1.1,1.5"
     assert lines["mu_bound"] == "alms_ms_bound,anclms_ms_bound"
     notes = {k: v for k, v in lines.items() if k.startswith("first_divergence[")}

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fdsic._native import NormalStream
 from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
-                           SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence, Draw,
+                           SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence,
                            gen_ofdm_waveform, gen_proper_gaussian)
 
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
@@ -58,8 +58,9 @@ def test_proper_gaussian_args_and_determinism():
     for sigma_x2 in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             gen_proper_gaussian(10, seed=1).scale(sigma_x2)
-    with pytest.raises(ValueError):
-        gen_proper_gaussian(10, seed=1, out=np.empty(11, dtype=complex))
+    for out in (np.empty(11, dtype=complex), np.empty(20, dtype=complex)[::2]):
+        with pytest.raises(ValueError):
+            gen_proper_gaussian(10, seed=1, out=out)
     a = gen_proper_gaussian(1000, seed=9).reference(0.5)
     b = gen_proper_gaussian(1000, seed=9).reference(0.5)
     assert np.array_equal(a, b)
@@ -160,27 +161,15 @@ def test_ofdm_power_normalization():
 
 def test_ofdm_reference_scales_the_whole_waveform():
     """n samples that end mid-symbol are scaled by the power of the whole
-    symbols' waveform, as numpy's complex-by-real product of that waveform
-    forms them, bit for bit."""
+    symbols' waveform, each part of that waveform times the scale, bit for
+    bit."""
     whole = gen_ofdm_waveform(2 * SAMPLES_PER_SYMBOL, seed=8).samples
     draw = gen_ofdm_waveform(500, seed=8)
-    assert draw.complex_product
     for sigma_x2 in (1.0, 0.37, 3e-5):
-        want = (whole * np.sqrt(sigma_x2 / np.mean(np.abs(whole) ** 2)))[:500]
+        scale = np.sqrt(sigma_x2 / np.mean(np.abs(whole) ** 2))
+        want = (whole.view(np.float64) * scale).view(np.complex128)[:500]
         np.testing.assert_array_equal(draw.reference(sigma_x2).view(np.uint64),
                                       want.view(np.uint64))
-
-
-def test_draw_reference_product_forms():
-    """The two product forms differ only in the sign of a zero part: per
-    part, 2 * -0 is -0; numpy's complex-by-real product adds the zero term
-    of the other part to it, here +0."""
-    z = np.array([complex(-0.0, -1.0), complex(3.0, -0.0)])
-    plain = Draw(z, 2.0, complex_product=False).reference(8.0)
-    cplx = Draw(z, 2.0, complex_product=True).reference(8.0)
-    assert np.array_equal(plain, cplx)
-    assert [np.signbit(plain.real[0]), np.signbit(plain.imag[1])] == [True, True]
-    assert [np.signbit(cplx.real[0]), np.signbit(cplx.imag[1])] == [False, False]
 
 
 def test_ofdm_properness():
@@ -205,8 +194,9 @@ def test_ofdm_seed_determinism():
         gen_ofdm_waveform(0, seed=1)
     with pytest.raises(ValueError):
         gen_ofdm_waveform(10, seed=1).scale(0.0)
-    with pytest.raises(ValueError):
-        gen_ofdm_waveform(10, seed=1, out=np.empty(11, dtype=complex))
+    for out in (np.empty(11, dtype=complex), np.empty(20, dtype=complex)[::2]):
+        with pytest.raises(ValueError):
+            gen_ofdm_waveform(10, seed=1, out=out)
 
 
 def test_estimate_stats_degenerate_and_errors():

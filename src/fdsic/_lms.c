@@ -20,6 +20,9 @@
  * lanes, each lane on its own regressor, and each lane repeats its job's
  * scalar operations in their order, so every job returns the bits it returns
  * alone; one job, or a build without AVX2, runs the scalar step job by job.
+ * A job's preconditioner couples an entry only with its layout partner
+ * (partner), so any jobs can share the lanes, and lms_raw returns the lane
+ * count it ran.
  */
 #include <math.h>
 #include <stdint.h>
@@ -115,14 +118,14 @@ static void pcg64_store(const struct pcg64 *g, uint64_t *s)
     s[3] = (uint64_t)(g->inc >> 64);
 }
 
-/* scale times the next 2n standard normals into the complex row y: the
- * first n go to the real parts, the next n to the imaginary parts */
-void normals_complex(uint64_t *s, int64_t n, double scale, double *y)
+/* The next 2n standard normals into the complex row y: the first n go to
+ * the real parts, the next n to the imaginary parts */
+void normals_complex(uint64_t *s, int64_t n, double *y)
 {
     struct pcg64 g = pcg64_load(s);
     for (int64_t k = 0; k < 2; k++)
         for (int64_t i = 0; i < n; i++)
-            y[2 * i + k] = scale * normal(&g);
+            y[2 * i + k] = normal(&g);
     pcg64_store(&g, s);
 }
 
@@ -280,8 +283,9 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
  * tap_buf, if not NULL, is (trials, ceil(steps / tap_stride), ntaps) and
  * receives the weights taps[] after every tap_stride-th step from step 0;
  * peak, steady_sum, steady_count and diverged_at are per trial. pre, if not
- * NULL, is a real preconditioner P with at most two nonzeros per row, (dim, 2):
- * row k holds P[k][k] and P[k][pair[k]] (0 where pair[k] is k). */
+ * NULL, is a real preconditioner P that couples each entry only with its
+ * layout partner, (dim, 2): row k holds P[k][k] and P[k][partner(k)] (0
+ * where the partner is k itself). */
 struct run {
     int64_t steps, dim, win_start;
     double mu, scale;
@@ -293,7 +297,6 @@ struct run {
     int64_t tap_stride;
     double *tap_buf;
     const double *pre;
-    const int64_t *pair;
 };
 
 /* The tap buffer row of trial i and its kept step k, ntaps complex values */
@@ -303,9 +306,18 @@ static inline double *tap_row(const struct run *b, int64_t i, int64_t k)
     return b->tap_buf + 2 * (i * kept + k) * b->ntaps;
 }
 
+/* The layout partner of entry k of the regressor [x; x_imd; x*; x_imd*]
+ * (m + nimd entries per half): in either half, x(n-e) and x_imd(n-e) for
+ * e < nimd are each other's partners, and every other entry is its own. */
+static inline int64_t partner(int64_t m, int64_t nimd, int64_t k)
+{
+    int64_t base = k < m + nimd ? 0 : m + nimd, e = k - base;
+    return base + (e < nimd ? e + m : e >= m ? e - m : e);
+}
+
 /* An entry of the LMS-Newton direction P conj(r): p[0] conj(rk) +
  * p[1] conj(rp), p being the entry's row of the preconditioner (see struct
- * run) and rk and rp its regressor entry and that of its pair, formed as
+ * run) and rk and rp its regressor entry and that of its partner, formed as
  * numpy forms it. */
 static inline void newton_entry(const double *p, const double *rk,
                                 const double *rp, double *c)
@@ -317,12 +329,14 @@ static inline void newton_entry(const double *p, const double *rk,
     c[1] = g[1] + h[1];
 }
 
-/* The LMS-Newton direction c = P conj(r) of the job b on its regressor r */
-static inline void newton_direction(const struct run *b, const double *r,
-                                    double *c)
+/* The LMS-Newton direction c = P conj(r) of the job b on its regressor r
+ * (m + nimd entries per half) */
+static inline void newton_direction(const struct run *b, int64_t m,
+                                    int64_t nimd, const double *r, double *c)
 {
     for (int64_t k = 0; k < b->dim; k++)
-        newton_entry(b->pre + 2 * k, r + 2 * k, r + 2 * b->pair[k], c + 2 * k);
+        newton_entry(b->pre + 2 * k, r + 2 * k, r + 2 * partner(m, nimd, k),
+                     c + 2 * k);
 }
 
 /* One LMS step of trial i on regressor r (dim entries) and observation d:
@@ -409,7 +423,7 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
             const double *dj = di + 2 * (j + m - 1);
             regressor_push(m, nimd, k15, b->scale, zi + 2 * (j + m - 1), r);
             if (b->pre) {
-                newton_direction(b, r, c);
+                newton_direction(b, m, nimd, r, c);
                 step(b, i, j, r, c, dj);
             } else {
                 step(b, i, j, r, NULL, dj);
@@ -445,7 +459,9 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
  * observation of lane 0 with zero weights and step size and writes
  * nothing. A lane whose job has a preconditioner steps along its LMS-Newton
  * direction, which update_entry forms from the per-lane coefficients in
- * pre; the lanes of a group pair each slot with one slot (lanes_init). */
+ * pre and the slot's layout partner in the shared layout: the partner of
+ * a job's entry is that of its slot, or, where the job has fewer IMD taps,
+ * a slot whose coefficient is 0 in its lane (lanes_init). */
 struct lanes {
     const struct run *job[LANES];  /* NULL for an idle lane */
     const double *d[LANES];        /* each lane's observation at step 0 */
@@ -462,10 +478,6 @@ struct lanes {
      * or into those of group src, whose lanes have the same scales */
     __m256d *hist;
     int64_t pos, src;
-    /* per slot k, the view offsets of the parts of conj(r) of the slot it
-     * pairs with in P: the real part at pair[2k], the imaginary at
-     * pair[2k + 1] */
-    int64_t *pair;
     const __m256d *now, *next;
 };
 
@@ -510,20 +522,17 @@ static inline __m256d cabs_lanes(__m256d re, __m256d im)
 
 /* Point the lanes at jobs[0 .. count - 1] and set up their masks and
  * their preconditioners: pre[2k] and pre[2k + 1] hold each lane's P[k][k]
- * and P[k][pair[k]] of slot k (0 in the lanes without one). Returns 0 if two
- * lanes with a preconditioner pair a slot with different slots, which the
- * lanes cannot run. */
-static int lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
-                      int64_t m, int64_t half)
+ * and its coefficient of the partner of slot k (0 in the lanes without
+ * one). */
+static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
+                       int64_t half)
 {
-    int64_t newton[LANES] = {0}, pair[2 * half];
+    int64_t newton[LANES] = {0};
     double scale[LANES];
     g->full = half;
     g->finite_all = g->e2 = g->newton = 0;
-    for (int64_t k = 0; k < 2 * half; k++) {
-        pair[k] = -1;
-        g->pre[2 * k] = g->pre[2 * k + 1] = _mm256_setzero_pd();
-    }
+    for (int64_t k = 0; k < 4 * half; k++)
+        g->pre[k] = _mm256_setzero_pd();
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l] = l < count ? &jobs[l] : NULL;
         scale[l] = (b ? b : jobs)->scale;
@@ -535,21 +544,13 @@ static int lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
             g->newton |= 1 << l;
             newton[l] = -1;
             for (int64_t s = 0; s < b->dim; s++) {
-                int64_t k = lane_slot(b, half, s), p = lane_slot(b, half, b->pair[s]);
-                if (pair[k] >= 0 && pair[k] != p)
-                    return 0;
-                pair[k] = p;
+                int64_t k = lane_slot(b, half, s);
                 ((double *)&g->pre[2 * k])[l] = b->pre[2 * s];
                 ((double *)&g->pre[2 * k + 1])[l] = b->pre[2 * s + 1];
             }
         }
         if (b->dim / 2 < g->full)
             g->full = b->dim / 2;
-    }
-    for (int64_t k = 0; k < 2 * half; k++) {
-        int64_t p = pair[k] >= 0 ? pair[k] : k;
-        g->pair[2 * k] = slot_offset(m, half, p);
-        g->pair[2 * k + 1] = g->pair[2 * k] + (p < half ? 2 : 1);
     }
     g->scale = _mm256_loadu_pd(scale);
     g->newton_mask = _mm256_castsi256_pd(
@@ -561,7 +562,6 @@ static int lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
         g->keep[k] = _mm256_castsi256_pd(
             _mm256_loadu_si256((const __m256i *)keep));
     }
-    return 1;
 }
 
 /* Load the lanes' state of trial i (rows of n samples; step 0 is sample
@@ -704,14 +704,14 @@ static void lanes_dot(struct lanes *g, int64_t m, int64_t half, const __m256d *v
  * r of the view now (ci: the offset of the mirror entry's imaginary part,
  * which is step's ci = -r[2k + 1], negated bit for bit when the entry was
  * formed), or, if newton, in the lanes of g->newton_mask along the
- * LMS-Newton direction P[k][k] conj(r) + P[k][pair] conj(r_pair), formed
- * as newton_entry forms it, the pair's entry read from the view now; the
+ * LMS-Newton direction P[k][k] conj(r) + P[k][partner] conj(r_partner),
+ * formed as newton_entry forms it, the partner's entry at r[pe]; the
  * new weights go to w, join the sums yr and yi of reg^T w of the same
  * entry x of the view next (im: the offset of its imaginary part; masked
  * by keep if `masked`), and join the window sums w_accum: none if sum is
  * 0, masked by `in` if it is 1. */
 static inline __attribute__((always_inline)) void update_entry(
-    const struct lanes *g, int newton, const __m256d *now, const __m256d *r,
+    const struct lanes *g, int newton, const __m256d *r, int64_t pe,
     const __m256d *x, int64_t im, int64_t ci, int64_t k, __m256d mr,
     __m256d mi, int masked, __m256d keep, int sum, __m256d in, __m256d *yr,
     __m256d *yi)
@@ -721,7 +721,7 @@ static inline __attribute__((always_inline)) void update_entry(
     __m256d cr = r[0], cim = r[ci];
     if (newton) {
         __m256d p0 = g->pre[2 * k], p1 = g->pre[2 * k + 1],
-                pr = now[g->pair[2 * k]], pim = now[g->pair[2 * k + 1]];
+                pr = r[pe], pim = r[pe + ci];
         __m256d c0 = _mm256_add_pd(
                     _mm256_fmsub_pd(p0, cr, _mm256_mul_pd(zero, cim)),
                     _mm256_fmsub_pd(p1, pr, _mm256_mul_pd(zero, pim))),
@@ -781,16 +781,17 @@ static inline __attribute__((always_inline)) void lanes_step(
     __m256d in = _mm256_castsi256_pd(
         _mm256_cmpgt_epi64(_mm256_set1_epi64x(j), g->win_last));
     for (int64_t h = 0; h < 2; h++) {
-        /* the offsets of an entry's imaginary part and its mirror's */
+        /* the offsets of an entry's imaginary part and its mirror's; the
+         * partner of x(n-e) is x_imd(n-e), 3 further on, for e < half - m */
         int64_t im = 1 + h, ci = 2 - h, k = h * half;
         for (int64_t e = 0; e < 6 * m; e += 6, k++)
-            update_entry(g, newton, r, r + e, next + e, im, ci, k, mr, mi, 0,
-                         zero, sum, in, &yr, &yi);
+            update_entry(g, newton, r + e, e < 6 * (half - m) ? 3 : 0, next + e,
+                         im, ci, k, mr, mi, 0, zero, sum, in, &yr, &yi);
         for (int64_t e = 3; e < 6 * (full - m); e += 6, k++)
-            update_entry(g, newton, r, r + e, next + e, im, ci, k, mr, mi, 0,
+            update_entry(g, newton, r + e, -3, next + e, im, ci, k, mr, mi, 0,
                          zero, sum, in, &yr, &yi);
         for (int64_t e = 6 * (full - m) + 3; e < 6 * (half - m); e += 6, k++)
-            update_entry(g, newton, r, r + e, next + e, im, ci, k, mr, mi, 1,
+            update_entry(g, newton, r + e, -3, next + e, im, ci, k, mr, mi, 1,
                          keep[k - h * half], sum, in, &yr, &yi);
     }
     g->yr = yr;
@@ -845,7 +846,7 @@ static inline __attribute__((always_inline)) const __m256d *lanes_push(
 /* The jobs in groups of LANES, step by step: each step enters one sample of
  * z into every group's history (once for groups of equal scales), and every
  * group steps on its own regressor. Returns 0, having run nothing, if the
- * groups' state cannot be allocated or lanes_init refuses a group. */
+ * groups' state cannot be allocated. */
 static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
                          const double *z, int64_t jobs, const struct run *runs)
 {
@@ -854,11 +855,11 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         if (runs[g].dim / 2 - m > nimd)
             nimd = runs[g].dim / 2 - m;
     int64_t half = m + nimd, groups = (jobs + LANES - 1) / LANES;
-    /* each group's w, w_accum and pre (4 half vectors each), keep (half),
-     * pair (4 half int64) and history of spare + m samples, on the heap: the
-     * number of jobs has no bound */
+    /* each group's w, w_accum and pre (4 half vectors each), keep (half)
+     * and history of spare + m samples, on the heap: the number of jobs has
+     * no bound */
     const int64_t spare = m > 32 ? m : 32,
-                  size = 14 * half + 6 * (spare + m);
+                  size = 13 * half + 6 * (spare + m);
     __m256d *state = aligned_alloc(sizeof(__m256d),
                                    groups * size * sizeof(__m256d));
     struct lanes *lanes = aligned_alloc(sizeof(__m256d),
@@ -874,13 +875,8 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         lg->w_accum = lg->w + 4 * half;
         lg->keep = lg->w + 8 * half;
         lg->pre = lg->w + 9 * half;
-        lg->pair = (int64_t *)(lg->w + 13 * half);
-        lg->hist = lg->w + 14 * half;
-        if (!lanes_init(lg, runs + g * LANES, jobs - g * LANES, m, half)) {
-            free(state);
-            free(lanes);
-            return 0;
-        }
+        lg->hist = lg->w + 13 * half;
+        lanes_init(lg, runs + g * LANES, jobs - g * LANES, half);
         for (lg->src = 0; lg->src < g; lg->src++)
             if (!memcmp(&lanes[lg->src].scale, &lg->scale, sizeof(__m256d)))
                 break;
@@ -926,35 +922,22 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
 }
 #endif
 
-/* The lanes per vector that lms_raw runs `jobs` jobs in: LANES for two or
- * more jobs on an AVX2 build, else 1, the scalar step. */
-int64_t lms_lanes(int64_t jobs)
-{
-#ifdef LANES
-    return jobs > 1 ? LANES : 1;
-#else
-    (void)jobs;
-    return 1;
-#endif
-}
-
 /* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
  * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
  * step j on the regressor of sample j + m - 1 of its reference
  * x = scale z (x_at), with the m of the call and its own
- * nimd = dim / 2 - m. Two or more jobs run as lanes (lms_lanes), one job, or
- * any job on a build without AVX2, by the scalar step; either way every job
- * returns the same bits. */
-void lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
-             const double *z, int64_t jobs, const struct run *runs)
+ * nimd = dim / 2 - m. Returns the lanes per vector it ran the jobs in:
+ * LANES for two or more jobs on an AVX2 build, else 1, the scalar step job
+ * by job, which also serves if the lanes' state cannot be allocated; either
+ * way every job returns the same bits. */
+int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
+                const double *z, int64_t jobs, const struct run *runs)
 {
 #ifdef LANES
-    /* the scalar step also serves if the lanes' state cannot be allocated,
-     * or if the Newton jobs of a group pair a slot differently */
-    if (lms_lanes(jobs) > 1
-        && lms_raw_lanes(trials, n, m, k15, z, jobs, runs))
-        return;
+    if (jobs > 1 && lms_raw_lanes(trials, n, m, k15, z, jobs, runs))
+        return LANES;
 #endif
     for (int64_t g = 0; g < jobs; g++)
         lms_raw_job(trials, n, m, k15, z, &runs[g]);
+    return 1;
 }

@@ -14,9 +14,10 @@ the canceller jobs of one call share one set of rows z, each job with its
 own scale and observation rows, and two or more jobs run as the lanes of
 AVX2 vectors, four jobs per vector, each lane on its own regressor and
 repeating its job's scalar step bit for bit (a one-job call, and every
-call on a build without AVX2, runs the scalar step); a job may carry a real
-preconditioner and then runs the LMS-Newton step. ``Run`` describes one
-job.
+call on a build without AVX2, runs the scalar step); it returns the lanes
+per vector it ran, 4 or 1. A job may carry a real preconditioner that
+couples each regressor entry only with its layout partner, x(n-d) with
+x_imd(n-d), and then runs the LMS-Newton step. ``Run`` describes one job.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -90,7 +91,7 @@ class Run(ctypes.Structure):
     """``struct run`` of ``_lms.c``: one canceller job of an LMS call, its
     sizes, window start, step size and reference scale, and the addresses of
     its observation rows, state, outputs and preconditioner (``e2``,
-    ``tap_buf``, ``pre`` and ``pair`` may be ``None``)."""
+    ``tap_buf`` and ``pre`` may be ``None``)."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
                 ("mu", ctypes.c_double), ("scale", ctypes.c_double),
@@ -99,34 +100,26 @@ class Run(ctypes.Structure):
                     "diverged_at")],
                 ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
                 ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p),
-                ("pre", ctypes.c_void_p), ("pair", ctypes.c_void_p)]
+                ("pre", ctypes.c_void_p)]
 
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``normals_complex``, ``render``,
-    ``lms_raw`` and ``lms_lanes``."""
+    """The compiled library, with ``normals_complex``, ``render`` and
+    ``lms_raw``."""
     row, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                  for dtype in (np.complex128, np.float64))
     i64 = ctypes.c_int64
     runs = ctypes.POINTER(Run)
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
-    lib.normals_complex.argtypes = [pcg, i64, ctypes.c_double, row]
+    lib.normals_complex.argtypes = [pcg, i64, row]
     lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[row] * 5,
                            ctypes.c_double, pcg, i64, real, row, ctypes.c_void_p]
     lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, row, i64, runs]
-    lib.lms_lanes.argtypes = [i64]
-    for fn in (lib.normals_complex, lib.render, lib.lms_raw):
-        fn.restype = None
-    lib.lms_lanes.restype = i64
+    lib.normals_complex.restype = lib.render.restype = None
+    lib.lms_raw.restype = i64
     return lib
-
-
-def lanes(jobs: int) -> int:
-    """The lanes per vector ``lms_raw`` runs ``jobs`` jobs of one call in:
-    4 for two or more jobs on a build with AVX2, else 1 (the scalar step)."""
-    return library().lms_lanes(jobs)
 
 
 class NormalStream:
@@ -148,13 +141,13 @@ class NormalStream:
             words += [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
         self._state = np.array(words, dtype=np.uint64)
 
-    def fill_complex(self, scale: float, out: np.ndarray) -> np.ndarray:
-        """Fill the complex128 row ``out`` (n samples) with ``scale`` times
-        the next 2n normals, the first n as real parts and the next n as
-        imaginary parts, and return it."""
+    def fill_complex(self, out: np.ndarray) -> np.ndarray:
+        """Fill the complex128 row ``out`` (n samples) with the next 2n
+        normals, the first n as real parts and the next n as imaginary
+        parts, and return it."""
         if out.ndim != 1:
             raise ValueError("fill_complex: out must be a 1-D row")
-        library().normals_complex(self._state, len(out), scale, out)
+        library().normals_complex(self._state, len(out), out)
         return out
 
 

@@ -13,26 +13,29 @@ R = U Lambda U^T this is the pre-whitened (transform-domain) LMS in original
 coordinates: whitening the regressor by Phi = Lambda^{-1/2} U^T and mapping
 the whitened weights v back as w = Phi^T v gives P = Phi^T Phi, from the
 same zero start. ``newton_preconditioner`` builds P from R; the covariance
-of proper Gaussian input couples the regressor entries at most in pairs
-(x(n-d) with x_imd(n-d)), so every row of P has at most two nonzeros and
-the step costs O(dim).
+of proper Gaussian input couples each regressor entry at most with its
+layout partner (x(n-d) with x_imd(n-d), d < N, in each half), so P couples
+only those pairs and the step costs O(dim). A preconditioner that couples
+any other two entries is a ``ValueError``.
 
-``run_jobs`` runs several canceller jobs (each its own step size, N,
-steady window, start weights and preconditioner) on one set of source rows
-z, each job on its own reference x = scale z and observation rows d, so
-that the jobs of several transmit powers share one call; ``run_batch`` runs
-one job on x itself. Each trial runs on its own and returns per-trial rows,
-and averaging across trials is the caller's. The LMS steps run in a small
-C kernel (``_lms.c``, built and loaded by ``_native`` on the first call),
-one call per set of jobs. Its arithmetic rounds exactly as the numpy
-expressions e = d - reg^T w (einsum), w += mu e conj(reg) (or
-mu e (p_kk conj(reg_k) + p_kj conj(reg_j)) entry by entry) and |e|^2 do, so
+``run_jobs`` runs several canceller jobs (``Job``: each its own step size,
+N, steady window, observation rows d, reference scale, start weights and
+preconditioner) on one set of source rows z, each job on its own
+reference x = scale z, so that the jobs of several transmit powers share
+one call; ``run_batch`` runs one job on x itself. Each trial runs on its
+own and returns per-trial rows, and averaging across trials is the
+caller's. The LMS steps run in a small C kernel (``_lms.c``, built and
+loaded by ``_native`` on the first call), one call per set of jobs. Its
+arithmetic rounds exactly as the numpy expressions e = d - reg^T w
+(einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) + p_kj
+conj(reg_j)), j the partner of k, entry by entry) and |e|^2 do, so
 results are bit-identical to a numpy loop over the steps. The kernel moves
 each job's regressor on by one sample of z per step, forming x = scale z
 (each part of z times the scale, as ``signals.Draw.reference`` does) and
 x_imd from it; two or more jobs run as the lanes of AVX2 vectors, four jobs
 per vector, each lane on its own regressor, and return the bits each job
-returns alone.
+returns alone. Each ``BatchRun`` records the lanes per vector its call ran
+(``lanes``).
 ``regressor_matrix`` builds the same regressors as rows, for the tests'
 numpy loop.
 """
@@ -145,11 +148,11 @@ class BatchRun:
     final_weights: np.ndarray         # (trials, dim)
     mean_weights: np.ndarray          # (trials, dim), window-averaged
     steady_state_mse: np.ndarray      # (trials,)
-    steady_state_window: tuple[int, int]
     peak_residual: np.ndarray         # (trials,) max |e|^2 over the run
     diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
     diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
     n_steps: int
+    lanes: int                        # jobs per vector of its call: 4 or 1 (scalar)
     residual_power: np.ndarray | None = None    # (trials, n_steps)
     taps: np.ndarray | None = None              # (trials, kept steps, len(track_taps))
 
@@ -159,31 +162,40 @@ def _address(array: np.ndarray | None):
 
 
 class Job(NamedTuple):
-    """A canceller job of ``run_jobs``: its config, the start weights ``w0``
-    of every trial (a vector of its 2(M + N) weights, None for zero) and a
-    real preconditioner P (a 2(M + N) square matrix with at most two nonzeros
-    per row, as ``newton_preconditioner`` gives; None for the plain LMS)."""
+    """A canceller job of ``run_jobs``: its config, its observation rows
+    ``d`` (one per trial, or one row for one trial), the ``scale`` of its
+    reference x = scale z, the start weights ``w0`` of every trial (a vector
+    of its 2(M + N) weights, None for zero) and a real preconditioner P (a
+    2(M + N) square matrix that couples an entry only with its layout
+    partner, as ``newton_preconditioner`` gives; None for the plain LMS)."""
 
     config: CancellerConfig
+    d: np.ndarray
+    scale: float = 1.0
     w0: np.ndarray | None = None
     preconditioner: np.ndarray | None = None
 
 
-def _pairs(preconditioner, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """P as the kernel reads it: ``(coef, pair)``, where row k of the (dim, 2)
-    ``coef`` holds P[k, k] and P[k, pair[k]], pair[k] being the column of the
-    row's off-diagonal nonzero (k, with a coefficient 0, if there is none)."""
+def _newton_rows(preconditioner, M: int, N: int) -> np.ndarray:
+    """P as the kernel reads it: row k of the (dim, 2) result holds P[k, k]
+    and P[k, partner(k)], the partner of x(n-d) being x_imd(n-d) and back,
+    for d < N, in each half (0 for an entry without one). Raises
+    ``ValueError`` if P couples any other two entries."""
+    dim = 2 * (M + N)
     p = np.asarray(preconditioner)
     if p.shape != (dim, dim) or np.iscomplexobj(p):
         raise ValueError(f"the preconditioner must be a real {dim} x {dim} matrix")
     p = p.astype(np.float64)
-    off = p - np.diag(np.diag(p))
-    rows, cols = np.nonzero(off)
-    if len(np.unique(rows)) != len(rows):
-        raise ValueError("the preconditioner must have at most two nonzeros per row")
-    pair = np.arange(dim, dtype=np.int64)
-    pair[rows] = cols
-    return np.stack([np.diag(p), off[np.arange(dim), pair]], axis=1), pair
+    e = np.arange(M + N)
+    half = np.where(e < N, e + M, np.where(e >= M, e - M, e))
+    partner = np.concatenate([half, half + M + N])
+    k = np.arange(dim)
+    outside = p.copy()
+    outside[k, k] = outside[k, partner] = 0.0
+    if outside.any():
+        raise ValueError("the preconditioner may couple an entry only with its "
+                         "layout partner, x(n-d) with x_imd(n-d) for d < N")
+    return np.stack([np.diag(p), np.where(partner != k, p[k, partner], 0.0)], axis=1)
 
 
 class _Job:
@@ -191,28 +203,27 @@ class _Job:
     state and output arrays, and the ``_native.Run`` that points the kernel
     at them and carries the job's reference ``scale``."""
 
-    def __init__(self, job: Job, ds: np.ndarray, scale: float, n_steps: int,
+    def __init__(self, job: Job, ds: np.ndarray, n_steps: int,
                  keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int):
-        config, w0, preconditioner = job
+        config = job.config
         dim = 2 * (config.M + config.N)
         self.window = config.steady_window or default_steady_window(n_steps)
         if n_steps <= 0 or self.window > n_steps:
             raise ValueError("sequences too short for the requested run")
-        if w0 is not None and np.shape(w0) != (dim,):
+        if job.w0 is not None and np.shape(job.w0) != (dim,):
             raise ValueError(f"w0 must be a vector of {dim} weights")
         if tap_stride < 1:
             raise ValueError("tap_stride must be a positive step count")
         # IndexError if out of range
         self.tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]
-        self.pre = self.pair = None
-        if preconditioner is not None:
-            self.pre, self.pair = _pairs(preconditioner, dim)
+        self.pre = (None if job.preconditioner is None
+                    else _newton_rows(job.preconditioner, config.M, config.N))
         self.n_steps = n_steps
         self.ds = ds
         trials = len(ds)
         self.w = np.zeros((trials, dim), dtype=np.complex128)
-        if w0 is not None:
-            self.w[:] = w0
+        if job.w0 is not None:
+            self.w[:] = job.w0
         self.w_accum = np.zeros_like(self.w)
         self.residuals = np.empty((trials, n_steps)) if keep_residuals else None
         kept = -(-n_steps // tap_stride)
@@ -221,14 +232,14 @@ class _Job:
         self.peak, self.steady_sum, self.steady_count = np.zeros((3, trials))
         self.diverged_at = np.full(trials, -1, dtype=np.int64)
         self.run = _native.Run(
-            n_steps, dim, n_steps - self.window, config.mu, scale,
+            n_steps, dim, n_steps - self.window, config.mu, job.scale,
             *(_address(a) for a in (ds, self.w, self.w_accum, self.residuals, self.peak,
                                     self.steady_sum, self.steady_count,
                                     self.diverged_at)),
             len(self.tap_idx), _address(self.tap_idx), tap_stride,
-            _address(self.taps), _address(self.pre), _address(self.pair))
+            _address(self.taps), _address(self.pre))
 
-    def result(self) -> BatchRun:
+    def result(self, lanes: int) -> BatchRun:
         # diverged trials carry inf/nan weights and sums; they are flagged below
         with np.errstate(over="ignore", invalid="ignore"):
             mean_w = self.w_accum / self.window
@@ -240,11 +251,11 @@ class _Job:
             final_weights=self.w,
             mean_weights=mean_w,
             steady_state_mse=np.where(diverged, np.inf, steady_mse),
-            steady_state_window=(self.run.win_start, self.n_steps),
             peak_residual=self.peak,
             diverged=diverged,
             diverged_at=self.diverged_at,
             n_steps=self.n_steps,
+            lanes=lanes,
             residual_power=self.residuals,
             taps=self.taps,
         )
@@ -255,43 +266,39 @@ def _rows(a) -> np.ndarray:
     return np.atleast_2d(np.ascontiguousarray(a, dtype=np.complex128))
 
 
-def run_jobs(zs: np.ndarray, ds, jobs: list[tuple],
-             keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-             tap_stride: int = 1, scales=1.0) -> list[BatchRun]:
-    """Run every job, a ``Job`` or a tuple of its fields (``(config, w0)``
-    or ``(config, w0, preconditioner)``), on the trials in the rows of
-    ``zs``, in one kernel call; return one ``BatchRun`` per job.
+def run_jobs(zs: np.ndarray, jobs: list[Job], keep_residuals: bool = True,
+             track_taps: tuple[int, ...] = (), tap_stride: int = 1) -> list[BatchRun]:
+    """Run every ``Job`` on the trials in the rows of ``zs``, in one kernel
+    call; return one ``BatchRun`` per job.
 
-    Job k runs on the reference x = ``scales[k]`` zs and the observation
-    rows ``ds[k]``; ``ds`` may be one array for every job, and ``scales``
-    one number. Each part of x is the part of ``zs`` times the scale, as
-    ``signals.Draw.reference`` forms it (so a scale of 1 runs on ``zs``
-    itself). The jobs share M and k_tiq (a ``ValueError`` otherwise) and may
-    differ in mu, N, steady window, start weights, preconditioner, scale and
-    observation. Each job returns exactly what it returns alone in
-    ``run_batch`` on its own x and d. ``keep_residuals`` stores |e|^2 per
-    step; ``track_taps`` stores the listed weights (indices into each job's
-    own weight vector) after steps 0, tap_stride, 2 tap_stride, ...
+    A job runs on the reference x = ``job.scale`` zs and its observation
+    rows ``job.d``, which have the shape of ``zs``. Each part of x is the
+    part of ``zs`` times the scale, as ``signals.Draw.reference`` forms it
+    (so a scale of 1 runs on ``zs`` itself). The jobs share M and k_tiq (a
+    ``ValueError`` otherwise) and may differ in everything else. Each job
+    returns exactly what it returns alone in ``run_batch`` on its own x and
+    d, and every run records the lanes per vector the call ran (``lanes``).
+    ``keep_residuals`` stores |e|^2 per step; ``track_taps`` stores the
+    listed weights (indices into each job's own weight vector) after steps
+    0, tap_stride, 2 tap_stride, ...
     """
     if not jobs:
         raise ValueError("run_jobs needs at least one job")
-    jobs = [Job(*job) for job in jobs]
+    if not all(isinstance(job, Job) for job in jobs):
+        raise TypeError("run_jobs takes a list of Job records")
     zs = _rows(zs)
-    ds = [_rows(d) for d in ds] if isinstance(ds, (list, tuple)) else [_rows(ds)] * len(jobs)
-    scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), len(jobs))
-    if len(ds) != len(jobs):
-        raise ValueError("ds must hold one observation for every job")
+    ds = [_rows(job.d) for job in jobs]
     if any(d.shape != zs.shape for d in ds):
         raise ValueError("z and d must have identical shapes")
     M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
     if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
     trials, n = zs.shape
-    state = [_Job(job, d, scale, n - M + 1, keep_residuals, track_taps, tap_stride)
-             for job, d, scale in zip(jobs, ds, scales)]
+    state = [_Job(job, d, n - M + 1, keep_residuals, track_taps, tap_stride)
+             for job, d in zip(jobs, ds)]
     runs = (_native.Run * len(state))(*(job.run for job in state))
-    _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, len(state), runs)
-    return [job.result() for job in state]
+    lanes = _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, len(state), runs)
+    return [job.result(lanes) for job in state]
 
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
@@ -299,7 +306,7 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
               w0: np.ndarray | None = None, tap_stride: int = 1,
               preconditioner: np.ndarray | None = None) -> BatchRun:
     """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``:
-    ``run_jobs`` with the one job ``(config, w0, preconditioner)``.
+    ``run_jobs`` with the one job ``Job(config, ds, 1.0, w0, preconditioner)``.
 
     ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
     None starts them at zero. Step t adapts on the regressor of sample
@@ -312,5 +319,5 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
     step from step 0. With ``preconditioner`` P the job runs the LMS-Newton
     step w += mu e P conj(reg).
     """
-    return run_jobs(xs, ds, [(config, w0, preconditioner)], keep_residuals,
+    return run_jobs(xs, [Job(config, ds, 1.0, w0, preconditioner)], keep_residuals,
                     track_taps, tap_stride)[0]

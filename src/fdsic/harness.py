@@ -56,10 +56,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, _native
+from . import __version__
 # run_batch and regressor_matrix are not called here; the benchmark's tracer
 # (perfbench/tracing.py) wraps them by name in this module
-from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig,
+from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig, Job,
                          newton_preconditioner, regressor_matrix, run_batch,
                          run_jobs)
 from .plots import heatmap, line_plot
@@ -175,8 +175,9 @@ class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
     loop's waits for its next trial, the samples drawn and rendered, and the
     LMS calls: the trial-steps they took, their number, the widest lane
-    count (jobs per vector) the kernel ran them in, the jobs they ran and
-    the lanes they offered, and the trials that diverged, by job.
+    count (jobs per vector) the kernel reported running them in, the jobs
+    they ran and the lanes they offered, and the trials that diverged, by
+    job.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the sample counts, the caller's thread only the rest,
@@ -199,7 +200,8 @@ class PhaseClock:
         """Count one LMS call that ran ``runs``, by job label, on trials
         whose mean |d|^2 is ``d_power[label]``, and the trials that
         diverged (``_diverged``)."""
-        lanes = _native.lanes(len(runs))
+        # every run of one call reports the lanes the call ran
+        [lanes] = {run.lanes for run in runs.values()}
         self.lms_calls += 1
         self.lms_lanes = max(self.lms_lanes, lanes)
         self.lms_jobs += len(runs)
@@ -389,20 +391,18 @@ def _cancel(clock: PhaseClock, draw: Draw, points, **options) -> dict[str, Batch
     """``run_jobs`` on one trial: the jobs of every point of a pass in one
     kernel call, timed and counted as the LMS phase. ``points`` holds one
     ``(jobs, point, obs)`` triple per point, ``jobs`` a dict of labelled
-    ``(config, w0)`` pairs or ``(config, w0, preconditioner)`` triples run
-    on the point's reference in ``draw`` and its observation ``obs``.
-    Returns the runs by label."""
-    jobs, ds, scales, d_power = {}, [], [], {}
+    ``(config, w0)`` pairs or ``(config, w0, preconditioner)`` triples,
+    each made a ``Job`` on the point's reference in ``draw`` and its
+    observation ``obs``. Returns the runs by label."""
+    jobs, d_power = {}, {}
     for point_jobs, point, obs in points:
         d, scale = obs.d.samples, draw.scale(point.sigma_x2)
         power = _mean_power(d)
-        for label, job in point_jobs.items():
-            jobs[label] = job
-            ds.append(d)
-            scales.append(scale)
+        for label, (config, *start) in point_jobs.items():
+            jobs[label] = Job(config, d, scale, *start)
             d_power[label] = power
     with clock.phase("lms"):
-        runs = run_jobs(draw.samples, ds, list(jobs.values()), scales=scales, **options)
+        runs = run_jobs(draw.samples, list(jobs.values()), **options)
     runs = dict(zip(jobs, runs))
     clock.count_lms(runs, d_power)
     return runs

@@ -98,7 +98,7 @@ def gen_proper_gaussian(n: int, seed: int, out: np.ndarray | None = None) -> Dra
     ``sigma_x2`` and the pseudo-variance is zero.
     """
     samples = _output_row(n, out)
-    _native.NormalStream(seed).fill_complex(1.0, samples)
+    _native.NormalStream(seed).fill_complex(samples)
     return Draw(samples, 2.0)
 
 

@@ -151,8 +151,10 @@ def read_key_values(path: str | Path, kind: str, keys) -> Iterator[tuple[str, st
     """``(key, value)`` pairs of a flat ``key = value`` file, in file order.
 
     ``#`` starts a comment and blank lines are skipped. A line without ``=``,
-    or a key not in ``keys``, raises ``ValueError`` naming the file's ``kind``.
+    a key not in ``keys``, or a key given twice (``mu-frac`` and ``mu_frac``
+    are one key) raises ``ValueError`` naming the file's ``kind``.
     """
+    seen = set()
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,6 +164,9 @@ def read_key_values(path: str | Path, kind: str, keys) -> Iterator[tuple[str, st
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise ValueError(f"unknown {kind} key: {key!r}")
+        if key.replace("-", "_") in seen:
+            raise ValueError(f"repeated {kind} key: {key!r}")
+        seen.add(key.replace("-", "_"))
         yield key, value
 
 

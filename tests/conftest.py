@@ -1,7 +1,10 @@
+import contextlib
+import platform
+
 import numpy as np
 import pytest
 
-from fdsic import harness
+from fdsic import _native, harness
 from fdsic.theory import anclms_ms_analysis
 from fdsic.transceiver import builtin_profile, compute_noise_budget, synthesize_channels
 
@@ -17,6 +20,38 @@ def type1():
 @pytest.fixture(scope="session")
 def type2():
     return builtin_profile("type2")
+
+
+@pytest.fixture(scope="session")
+def _scalar_source(tmp_path_factory):
+    """A copy of the kernel sources, so that the scalar build's deletion of
+    superseded libraries cannot reach the package's own; the one library
+    built beside it serves every test that loads the scalar build."""
+    root = tmp_path_factory.mktemp("scalar-kernel")
+    for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
+        (root / path.name).write_bytes(path.read_bytes())
+    return root / _native._KERNEL_SOURCE.name
+
+
+@pytest.fixture
+def scalar_kernel(_scalar_source, monkeypatch):
+    """A context manager in which every kernel call runs the library built
+    with -mno-avx2: the scalar step alone, as on a CPU without AVX2."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("-mno-avx2 is an x86 flag")
+
+    @contextlib.contextmanager
+    def loaded():
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "_KERNEL_SOURCE", _scalar_source)
+            patch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-mno-avx2"))
+            _native.library.cache_clear()
+            try:
+                yield
+            finally:
+                _native.library.cache_clear()  # the next call loads the default build
+
+    return loaded
 
 
 @pytest.fixture(scope="session")

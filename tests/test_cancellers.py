@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import functools
 import platform
 import re
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic import _native
-from fdsic.cancellers import (CancellerConfig, DegenerateInputError,
+from fdsic.cancellers import (CancellerConfig, DegenerateInputError, Job,
                               default_steady_window, newton_preconditioner,
                               regressor_matrix, run_batch, run_jobs)
 from fdsic.harness import ExperimentConfig
@@ -335,9 +336,8 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
                               steady_sum / np.maximum(steady_count, 1), np.inf)
     steady_mse = np.where(~finite, np.inf, steady_mse)
     return dict(final_weights=w, mean_weights=mean_w, steady_state_mse=steady_mse,
-                steady_state_window=(win_start, n_steps), peak_residual=peak,
-                diverged=~finite, n_steps=n_steps, residual_power=res,
-                taps=None if taps is None else taps[:, ::tap_stride])
+                peak_residual=peak, diverged=~finite, n_steps=n_steps,
+                residual_power=res, taps=None if taps is None else taps[:, ::tap_stride])
 
 
 def _bits(a):
@@ -347,10 +347,12 @@ def _bits(a):
 
 
 def _assert_same_bits(got, want):
-    """Every field of the BatchRun ``got`` equals the BatchRun or oracle
-    dict ``want`` bit for bit (the oracle has no ``diverged_at``)."""
+    """Every field of the BatchRun ``got`` but ``lanes`` equals the BatchRun
+    or oracle dict ``want`` bit for bit (the oracle has no ``diverged_at``
+    and no ``lanes``)."""
     if not isinstance(want, dict):
-        want = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
+        want = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)
+                if f.name != "lanes"}
     for name, value in want.items():
         actual = getattr(got, name)
         if isinstance(value, np.ndarray):
@@ -523,29 +525,32 @@ def point_rows(type2):
     return zs, points
 
 
-def _point_call(point_rows, count):
-    """The observation rows and scales of the first ``count`` jobs of
-    _GROUP_JOBS at their _GROUP_POINTS, and each job's own (x, d) rows as
-    numpy forms x."""
-    zs, points = point_rows
-    chosen = [points[k] for k in _GROUP_POINTS[:count]]
-    draw = Draw(zs, 2.0)
-    return ([ds for _, ds in chosen], [draw.scale(s2) for s2, _ in chosen],
-            [(draw.reference(s2), ds) for s2, ds in chosen])
-
-
-def _group_jobs(kernel_setup, wiener, count):
-    """The first ``count`` jobs of _GROUP_JOBS as ``(config, w0,
-    preconditioner)`` triples."""
+def _group_jobs(kernel_setup, wiener, point_rows, count):
+    """The first ``count`` jobs of _GROUP_JOBS at their _GROUP_POINTS, as
+    ``Job`` records on the rows z of point_rows, and each job's own (x, d)
+    rows as numpy forms x."""
     prof, _, _, bounds = kernel_setup
-    jobs = []
-    for kind, scale, window, start in _GROUP_JOBS[:count]:
+    zs, points = point_rows
+    draw = Draw(zs, 2.0)
+    jobs, own = [], []
+    for (kind, scale, window, start), point in zip(_GROUP_JOBS[:count], _GROUP_POINTS):
+        s2, ds = points[point]
         config = CancellerConfig(mu=scale * bounds[kind if kind != 2 else N], M=M,
                                  N=N if kind == "newton" else kind,
                                  k_tiq=prof.k_tiq, steady_window=window)
-        jobs.append((config, wiener if start == "wiener" else None,
-                     _exact_inverse(kernel_setup) if kind == "newton" else None))
-    return jobs
+        jobs.append(Job(config, ds, draw.scale(s2), wiener if start == "wiener" else None,
+                        _exact_inverse(kernel_setup) if kind == "newton" else None))
+        own.append((draw.reference(s2), ds))
+    return jobs, own
+
+
+@functools.cache
+def _build_lanes() -> int:
+    """The lanes per vector of a multi-job call on the default build: 4 if
+    its flags give the kernel AVX2 and FMA, else 1."""
+    macros = subprocess.run([_native._COMPILER, *_native._CFLAGS, "-dM", "-E", "-x", "c",
+                             "/dev/null"], capture_output=True, text=True, check=True).stdout
+    return 4 if "__AVX2__" in macros and "__FMA__" in macros else 1
 
 
 @pytest.mark.parametrize("count", sorted(_GROUP_OPTIONS))
@@ -555,20 +560,21 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows)
     observation, returns each BatchRun field bit for bit as the scalar step
     returns it alone on that x and d, and as the numpy loop does."""
     zs, _ = point_rows
-    jobs = _group_jobs(kernel_setup, wiener, count)
+    jobs, own = _group_jobs(kernel_setup, wiener, point_rows, count)
     options = _GROUP_OPTIONS[count]
-    ds, scales, own = _point_call(point_rows, count)
-    runs = run_jobs(zs, ds, jobs, scales=scales, **options)
+    runs = run_jobs(zs, jobs, **options)
     assert len(runs) == count
+    assert [run.lanes for run in runs] == [_build_lanes()] * count
     assert runs[3 % count].diverged.all() == (count > 3)
     assert not runs[0].diverged.any() and not runs[1].diverged.any()
     # one job alone runs the scalar step, forming its x from z too
-    [alone] = run_jobs(zs, ds[0], jobs[:1], scales=scales[0], **options)
+    [alone] = run_jobs(zs, jobs[:1], **options)
+    assert alone.lanes == 1
     _assert_same_bits(alone, runs[0])
-    for (cfg, w0, pre), (xs, d), run in zip(jobs, own, runs):
+    for job, (xs, d), run in zip(jobs, own, runs):
         for oracle in (run_batch, _reference_run_batch):
-            _assert_same_bits(run, oracle(xs, d, cfg, w0=w0, preconditioner=pre,
-                                          **options))
+            _assert_same_bits(run, oracle(xs, d, job.config, w0=job.w0,
+                                          preconditioner=job.preconditioner, **options))
 
 
 def test_newton_jobs_of_one_call(kernel_setup, wiener):
@@ -576,39 +582,40 @@ def test_newton_jobs_of_one_call(kernel_setup, wiener):
     each return their one-job bits, and the plain job beside them its own."""
     _, xs, ds, _ = kernel_setup
     p = _exact_inverse(kernel_setup)
-    jobs = [(_kernel_config(kernel_setup, "newton", 1.5), None, p),
-            (_kernel_config(kernel_setup, N, 0.3), wiener),
-            (_kernel_config(kernel_setup, "newton", 0.01), wiener, p)]
+    jobs = [Job(_kernel_config(kernel_setup, "newton", 1.5), ds, preconditioner=p),
+            Job(_kernel_config(kernel_setup, N, 0.3), ds, w0=wiener),
+            Job(_kernel_config(kernel_setup, "newton", 0.01), ds, w0=wiener,
+                preconditioner=p)]
     options = dict(track_taps=(0, 9, 17), tap_stride=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        runs = run_jobs(xs, ds, jobs, **options)
+        runs = run_jobs(xs, jobs, **options)
     assert [run.diverged.all() for run in runs] == [True, False, False]
     assert np.all(runs[0].diverged_at >= 0)
-    for (cfg, w0, *pre), run in zip(jobs, runs):
-        options.update(w0=w0, preconditioner=pre[0] if pre else None)
-        _assert_same_bits(run, run_batch(xs, ds, cfg, **options))
-        _assert_same_bits(run, _reference_run_batch(xs, ds, cfg, **options))
+    for job, run in zip(jobs, runs):
+        options.update(w0=job.w0, preconditioner=job.preconditioner)
+        _assert_same_bits(run, run_batch(xs, ds, job.config, **options))
+        _assert_same_bits(run, _reference_run_batch(xs, ds, job.config, **options))
 
 
 def test_newton_jobs_pairing_differently(kernel_setup, wiener):
-    """Newton jobs whose preconditioners pair a regressor entry with
-    different entries (N = 4 pairs x(n-2) with x_imd(n-2), N = 2 leaves it
-    alone) cannot share a group of lanes; the call runs them by the scalar
-    step and every job returns its one-job bits."""
+    """Newton jobs of different N share a group of lanes: N = 4 couples
+    x(n-2) with x_imd(n-2), N = 2 has no partner for x(n-2), and its lane
+    weighs the shared layout's partner slot by 0. The call runs as lanes
+    where the build has them, and every job returns its one-job bits."""
     prof, xs, ds, _ = kernel_setup
     s2 = prof.natural_sigma_x2
-    jobs = [(_kernel_config(kernel_setup, "newton", 0.01), wiener,
-             _exact_inverse(kernel_setup)),
-            (CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), None,
-             newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2))),
-            (_kernel_config(kernel_setup, N, 0.3), wiener)]
+    jobs = [Job(_kernel_config(kernel_setup, "newton", 0.01), ds, w0=wiener,
+                preconditioner=_exact_inverse(kernel_setup)),
+            Job(CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), ds,
+                preconditioner=newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2))),
+            Job(_kernel_config(kernel_setup, N, 0.3), ds, w0=wiener)]
     options = dict(track_taps=(0, 5), tap_stride=5)
-    runs = run_jobs(xs, ds, jobs, **options)
-    for (cfg, w0, *pre), run in zip(jobs, runs):
-        _assert_same_bits(run, run_batch(xs, ds, cfg, w0=w0,
-                                         preconditioner=pre[0] if pre else None,
-                                         **options))
+    runs = run_jobs(xs, jobs, **options)
+    assert [run.lanes for run in runs] == [_build_lanes()] * 3
+    for job, run in zip(jobs, runs):
+        _assert_same_bits(run, run_batch(xs, ds, job.config, w0=job.w0,
+                                         preconditioner=job.preconditioner, **options))
 
 
 def test_grouped_jobs_zero_observation():
@@ -616,8 +623,8 @@ def test_grouped_jobs_zero_observation():
     the lanes' max * sqrt(1 + (min/max)^2) would be 0/0)."""
     x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
-    jobs = [(CancellerConfig(mu=0.05, M=M, N=n_imd), None) for n_imd in (0, N, 1)]
-    for run in run_jobs(x, d, jobs):
+    jobs = [Job(CancellerConfig(mu=0.05, M=M, N=n_imd), d) for n_imd in (0, N, 1)]
+    for run in run_jobs(x, jobs):
         assert np.all(run.residual_power == 0.0)
         assert np.all(run.final_weights == 0.0)
         assert run.steady_state_mse[0] == 0.0 and not run.diverged.any()
@@ -629,41 +636,29 @@ def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
     for other in (dataclasses.replace(base, M=M - 1),
                   dataclasses.replace(base, k_tiq=2.0)):
         with pytest.raises(ValueError, match="share M and k_tiq"):
-            run_jobs(xs, ds, [(base, None), (other, None)])
+            run_jobs(xs, [Job(base, ds), Job(other, ds)])
     with pytest.raises(ValueError, match="at least one job"):
-        run_jobs(xs, ds, [])
-    with pytest.raises(ValueError, match="one observation for every job"):
-        run_jobs(xs, [ds], [(base, None), (base, None)])
+        run_jobs(xs, [])
+    with pytest.raises(TypeError, match="Job records"):
+        run_jobs(xs, [(base, ds)])
     with pytest.raises(ValueError, match="identical shapes"):
-        run_jobs(xs, [ds, ds[:, 1:]], [(base, None), (base, None)])
+        run_jobs(xs, [Job(base, ds), Job(base, ds[:, 1:])])
     with pytest.raises(ValueError, match="tap_stride"):
         run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                    reason="-mno-avx2 is an x86 flag")
 def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
-                                        tmp_path, monkeypatch):
+                                        scalar_kernel):
     """A build without AVX2 runs a mixed 5-job call over two transmit powers
     by the scalar step and returns the bytes the default build returns (two
     groups of lanes, the second with three idle lanes)."""
     zs, _ = point_rows
-    jobs = _group_jobs(kernel_setup, wiener, 5)
+    jobs, _ = _group_jobs(kernel_setup, wiener, point_rows, 5)
     options = _GROUP_OPTIONS[5]
-    ds, scales, _ = _point_call(point_rows, 5)
-    default = run_jobs(zs, ds, jobs, scales=scales, **options)
-    # a copy of the sources, so that the build's deletion of superseded
-    # libraries cannot reach the package's own
-    for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
-        (tmp_path / path.name).write_bytes(path.read_bytes())
-    monkeypatch.setattr(_native, "_KERNEL_SOURCE", tmp_path / "_lms.c")
-    monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-mno-avx2"))
-    _native.library.cache_clear()
-    try:
-        assert _native.lanes(len(jobs)) == 1
-        scalar = run_jobs(zs, ds, jobs, scales=scales, **options)
-    finally:
-        _native.library.cache_clear()  # the next call loads the default build
+    default = run_jobs(zs, jobs, **options)
+    with scalar_kernel():
+        scalar = run_jobs(zs, jobs, **options)
+    assert [run.lanes for run in scalar] == [1] * len(jobs)
     for got, want in zip(scalar, default):
         _assert_same_bits(got, want)
 
@@ -694,11 +689,28 @@ def test_preconditioner_contract(kernel_setup):
     _, xs, ds, _ = kernel_setup
     cfg = _kernel_config(kernel_setup, "newton", 0.005)
     p = _exact_inverse(kernel_setup)
-    crowded = p.copy()
-    crowded[0, 2] = 1.0  # a third nonzero in row 0
-    for bad in (p[:-1, :-1], p * 1j, crowded):
-        with pytest.raises(ValueError, match="preconditioner"):
+    for bad in (p[:-1, :-1], p * 1j):
+        with pytest.raises(ValueError, match="must be a real"):
             run_batch(xs, ds, cfg, preconditioner=bad)
+
+
+# off-diagonal entries of P outside the layout partners (x(n-d), x_imd(n-d))
+# of the M = 5, N = 4 regressor: x(n) with x(n-1), x(n) with x_imd(n-1), x(n)
+# with x*(n), x(n-4) (no partner) with x_imd(n-3), and x_imd(n) with x*(n),
+# its partner's conjugate
+@pytest.mark.parametrize("entry", [(0, 1), (0, 6), (0, 9), (4, 8), (5, 9)])
+def test_preconditioner_couples_only_layout_partners(entry, kernel_setup):
+    """run_batch and run_jobs refuse a P with a nonzero off the diagonal
+    and off the partner positions, whatever its other entries."""
+    _, xs, ds, _ = kernel_setup
+    cfg = _kernel_config(kernel_setup, "newton", 0.005)
+    p = _exact_inverse(kernel_setup)
+    assert p[0, M] != 0 and p[M + N, 2 * M + N] != 0  # the partners couple
+    p[entry] = 0.25
+    with pytest.raises(ValueError, match="layout partner"):
+        run_batch(xs, ds, cfg, preconditioner=p)
+    with pytest.raises(ValueError, match="layout partner"):
+        run_jobs(xs, [Job(cfg, ds), Job(cfg, ds, preconditioner=p)])
 
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
@@ -788,11 +800,14 @@ def test_ctypes_signatures_match_the_kernel_source():
     with one argument too many or too few corrupts memory without an error."""
     source = re.sub(r"/\*.*?\*/", "", _native._KERNEL_SOURCE.read_text(), flags=re.S)
     lib = _native.library()
-    exported = dict(re.findall(r"^(?:void|int64_t) (\w+)\(([^)]*)\)", source, re.M))
-    assert sorted(exported) == ["lms_lanes", "lms_raw", "normals_complex", "render"]
-    for name, params in exported.items():
+    exported = {name: (result, params) for result, name, params in re.findall(
+        r"^(void|int64_t) (\w+)\(([^)]*)\)", source, re.M)}
+    assert sorted(exported) == ["lms_raw", "normals_complex", "render"]
+    for name, (result, params) in exported.items():
         want = [_c_kind(*_declarator(param)) for param in params.split(",")]
-        assert [_ctypes_kind(kind) for kind in getattr(lib, name).argtypes] == want, name
+        fn = getattr(lib, name)
+        assert [_ctypes_kind(kind) for kind in fn.argtypes] == want, name
+        assert fn.restype == {"void": None, "int64_t": ctypes.c_int64}[result], name
     [body] = re.findall(r"^struct run \{(.*?)\};", source, re.S | re.M)
     fields = []
     for statement in filter(str.strip, body.split(";")):

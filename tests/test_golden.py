@@ -8,6 +8,10 @@ The SHA-256 of every CSV must equal the digest stored in
 ``golden_digests.json``, so a change that moves any number shows up in
 review as a changed digest.
 
+The scalar step must give the same digests: a build of the kernel without
+AVX2 reruns ``bias``, ``sinr-sweep``, ``convergence`` (its whitened run is
+the scalar LMS-Newton step) and ``bounds-probe``.
+
 After a deliberate change of the numbers, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in the change log
 which digests moved and why.
@@ -29,11 +33,13 @@ RUNS = {**{name: (name, "gaussian") for name in EXPERIMENTS},
            for name in ("sinr-sweep", "bias", "bounds-probe", "power-budget")}}
 
 
-def experiment_digests(out: Path) -> dict[str, str]:
-    """``{"<run>/<csv name>": sha256}`` for tiny runs of every experiment."""
+def experiment_digests(out: Path, runs=tuple(RUNS)) -> dict[str, str]:
+    """``{"<run>/<csv name>": sha256}`` for tiny runs of the ``runs`` of
+    RUNS, every experiment by default."""
     profile = builtin_profile("type2")
     digests = {}
-    for name, (experiment, source) in RUNS.items():
+    for name in runs:
+        experiment, source = RUNS[name]
         config = ExperimentConfig(experiment=experiment, profile=profile, trials=2,
                                   iterations=3000, tx_grid_dbm=(-5.0, 5.0),
                                   signal_source=source, seed=17,
@@ -45,6 +51,14 @@ def experiment_digests(out: Path) -> dict[str, str]:
 
 def test_csv_digests_unchanged(tmp_path):
     assert experiment_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+def test_scalar_build_keeps_the_digests(tmp_path, scalar_kernel):
+    runs = ("bias", "sinr-sweep", "convergence", "bounds-probe")
+    want = {key: digest for key, digest in json.loads(GOLDEN.read_text()).items()
+            if key.split("/")[0] in runs}
+    with scalar_kernel():
+        assert experiment_digests(tmp_path, runs) == want
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdsic import _native, cli, harness
+from fdsic import cli, harness
 from fdsic.cancellers import CancellerConfig, run_batch
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
@@ -193,6 +193,9 @@ def test_cli_options_match_config_file_keys(tmp_path, monkeypatch):
     ("trials 2\n", "malformed config line"),
     ("trails = 2\n", "unknown config key"),
     ("check = maybe\n", "check must be one of 1, true, yes, on, 0, false, no, off"),
+    # a key given twice, under either spelling, is an error, not an override
+    ("trials = 2\ntrials = 3\n", "repeated config key: 'trials'"),
+    ("mu-frac = 0.1\ntrials = 2\nmu_frac = 0.2\n", "repeated config key: 'mu_frac'"),
 ])
 def test_cli_config_file_errors(tmp_path, capsys, text, message):
     conf = tmp_path / "run.conf"
@@ -226,6 +229,20 @@ def test_cli_profile_adc_bits_exit_code(bits, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: adc_bits must be an integer, not '{bits}'")
+    assert "Traceback" not in err
+
+
+def test_cli_profile_repeated_key_exit_code(tmp_path, capsys):
+    """A profile that gives tx_power twice is a configuration error that
+    names the key, not a run at the second value."""
+    text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
+    assert "tx_power = 25 dBm\n" in text
+    profile = tmp_path / "twice.profile"
+    profile.write_text(text + "tx_power = 0\n")
+    code = cli_main(["power-budget", "--profile", str(profile), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: repeated profile key: 'tx_power'")
     assert "Traceback" not in err
 
 
@@ -419,11 +436,33 @@ def test_sweep_anclms_starts_in_steady_state(type2, tmp_path):
     assert _meta(report)["anclms_start"] == "wiener"
 
 
+@pytest.fixture
+def lms_calls(monkeypatch):
+    """The ``(jobs, lanes)`` of every LMS kernel call a runner makes during
+    the test, the lanes as the kernel reports them on the runs."""
+    calls = []
+    real = harness.run_jobs
+
+    def counted(zs, jobs, **options):
+        runs = real(zs, jobs, **options)
+        calls.append((len(runs), runs[0].lanes))
+        return runs
+
+    monkeypatch.setattr(harness, "run_jobs", counted)
+    return calls
+
+
+def _lane_fill(calls) -> float:
+    """The jobs of ``calls`` over the lanes they offered, whole vectors."""
+    return sum(jobs for jobs, _ in calls) / sum(-(-jobs // lanes) * lanes
+                                                for jobs, lanes in calls)
+
+
 @pytest.mark.parametrize("experiment, trial_steps", [
     ("bias", 2 * 4 * 3001),        # 2 trials x 4 jobs x 3001 steps
     ("sinr-sweep", 2 * 2 * 3001),  # 2 trials x 2 cancellers at -5 dBm
 ])
-def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
+def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path, lms_calls):
     """meta.txt times the generate, render and LMS phases of the trial loop
     and the LMS loop's waits for its next trial, and counts the samples
     generated and rendered and the LMS trial-steps."""
@@ -444,9 +483,9 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
     # all jobs of a trial (4 and 2) in one kernel call
     jobs = trial_steps // (2 * 3001)
     assert int(meta["lms_calls"]) == 2
-    assert int(meta["lms_lanes"]) == _native.lanes(jobs)
-    lanes = _native.lanes(jobs)
-    assert float(meta["lms_lane_fill"]) == jobs / (-(-jobs // lanes) * lanes)
+    assert [count for count, _ in lms_calls] == [jobs] * 2
+    assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
+    assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
     assert meta["diverged_trials"] == "0" and meta["first_nonfinite_step"] == "none"
 
 
@@ -456,22 +495,24 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path):
     # trial's call as lanes, and the suboptimal job runs alone
     ("convergence", 4, 2),
 ])
-def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path):
+def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path, lms_calls):
     """meta.txt counts the LMS kernel calls and names the widest lane count
-    they ran in."""
+    the kernel reported running them in."""
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
-    assert int(meta["lms_calls"]) == calls
-    assert int(meta["lms_lanes"]) == _native.lanes(jobs)
+    assert int(meta["lms_calls"]) == calls == len(lms_calls)
+    assert max(count for count, _ in lms_calls) == jobs
+    assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
 
 
 @pytest.mark.parametrize("grid, jobs", [
     ((-5.0, 5.0), (4,)),            # one pass of both points: 4 jobs a call
     ((-5.0, 5.0, 15.0), (4, 2)),    # a pair, then the last point alone
 ])
-def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatch):
+def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatch,
+                                         lms_calls):
     """The sweep runs the cancellers of two grid points in one kernel call
     per trial and draws each trial's source row once per pass: a 2-point
     sweep makes ``trials`` calls and draws every trial once, a 3-point sweep
@@ -490,8 +531,8 @@ def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatc
     n = 3000 + cfg.M
     assert int(meta["samples"]) == passes * cfg.trials * n
     assert int(meta["samples_rendered"]) == len(grid) * cfg.trials * n
-    offered = sum(-(-k // _native.lanes(k)) * _native.lanes(k) for k in jobs)
-    assert float(meta["lms_lane_fill"]) == pytest.approx(sum(jobs) / offered, abs=1e-4)
+    assert [count for count, _ in lms_calls] == [k for k in jobs for _ in range(cfg.trials)]
+    assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
 
 
 def test_meta_names_diverged_trials(type2, tmp_path):
@@ -512,26 +553,28 @@ def test_meta_names_diverged_trials(type2, tmp_path):
 def test_phase_clock_counts_diverged_trials():
     """count_lms flags, by job, a trial that went non-finite or whose peak
     residual exceeds 1e3 times its mean |d|^2, keeps each job's earliest
-    non-finite step, and counts the lanes the calls filled."""
+    non-finite step, and counts the lanes the calls report they filled: a
+    3-job call in 4 lanes, then a 1-job call in 1."""
     x = gen_proper_gaussian(3000, seed=30).reference(1.0)
     xs = np.stack([x] * 3)
-    calm = run_batch(xs, xs, CancellerConfig(mu=0.01, M=M), keep_residuals=False)
+    calm = dataclasses.replace(
+        run_batch(xs, xs, CancellerConfig(mu=0.01, M=M), keep_residuals=False), lanes=4)
     grown = dataclasses.replace(calm, peak_residual=np.array([0.5, 2e3, 999.0]))
     broken = dataclasses.replace(calm, diverged=np.array([False, True, True]),
                      diverged_at=np.array([-1, 70, 40]))
     clock = harness.PhaseClock()
     clock.count_lms({"calm": calm, "grown": grown, "broken": broken},
                     {"calm": 1.0, "grown": 1.0, "broken": 1.0})
-    clock.count_lms({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]))},
+    clock.count_lms({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]),
+                                                   lanes=1)},
                     {"broken": 1.0})
     lines = clock.meta_lines()
     for line in ("diverged_trials = 5", "first_nonfinite_step = 40",
                  "diverged_trials[grown] = 1", "diverged_trials[broken] = 4",
-                 "first_nonfinite_step[broken] = 40", "lms_calls = 2"):
+                 "first_nonfinite_step[broken] = 40", "lms_calls = 2",
+                 "lms_lanes = 4", "lms_lane_fill = 0.8"):
         assert line in lines, line
     assert not any("[calm]" in line for line in lines)
-    offered = sum(-(-k // _native.lanes(k)) * _native.lanes(k) for k in (3, 1))
-    assert f"lms_lane_fill = {4 / offered:.4g}" in lines
 
 
 def _trial_loop(type2, trials=3, n=3000 + M, clock=None):

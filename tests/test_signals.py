@@ -79,8 +79,8 @@ def _bits(a):
 
 def _draws(stream, n):
     """The next 2n normals of ``stream`` in draw order, through
-    ``fill_complex(1.0, ...)``: the real parts, then the imaginary parts."""
-    row = stream.fill_complex(1.0, np.empty(n, dtype=complex))
+    ``fill_complex``: the real parts, then the imaginary parts."""
+    row = stream.fill_complex(np.empty(n, dtype=complex))
     return np.concatenate([row.real, row.imag])
 
 
@@ -106,7 +106,7 @@ def test_normal_stream_continues_across_calls():
     np.testing.assert_array_equal(_bits(np.concatenate(parts)), _bits(want))
     assert np.array_equal(_draws(NormalStream(5), 1), want[:2])
     with pytest.raises(ValueError):
-        NormalStream(5).fill_complex(1.0, np.empty((2, 3), dtype=complex))
+        NormalStream(5).fill_complex(np.empty((2, 3), dtype=complex))
 
 
 def test_normal_stream_requires_pcg64(monkeypatch):

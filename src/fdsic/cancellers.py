@@ -15,8 +15,8 @@ the whitened weights v back as w = Phi^T v gives P = Phi^T Phi, from the
 same zero start. ``newton_preconditioner`` builds P from R; the covariance
 of proper Gaussian input couples each regressor entry at most with its
 layout partner (x(n-d) with x_imd(n-d), d < N, in each half), so P couples
-only those pairs and the step costs O(dim). A preconditioner that couples
-any other two entries is a ``ValueError``.
+only those pairs and the step costs O(dim). A covariance or a
+preconditioner that couples any other two entries is a ``ValueError``.
 
 ``run_jobs`` runs several canceller jobs (``Job``: each its own step size,
 N, steady window, observation rows d, reference scale, start weights and
@@ -65,33 +65,27 @@ def check_nonsingular(cov) -> None:
         raise DegenerateInputError("singular regressor covariance")
 
 
-def newton_preconditioner(cov) -> np.ndarray:
-    """P = R^-1 of the real symmetric regressor covariance ``cov``, inverted
-    pair by pair in closed form, so that its zeros and symmetry are exact.
+def newton_preconditioner(cov, M: int, N: int) -> np.ndarray:
+    """P = R^-1 of the real symmetric covariance ``cov`` of the M, N
+    regressor, inverted block by block in closed form, so that its zeros and
+    symmetry are exact.
 
-    Every entry of R may couple with one other entry at most. Raises
-    ``DegenerateInputError`` if R is singular (``check_nonsingular``; k_tiq = 0
-    makes the nonlinear entries vanish), and ``ValueError`` if R is not real
-    symmetric or couples an entry with two.
+    R may couple an entry only with its layout partner (``_partner_pairs``).
+    Raises ``DegenerateInputError`` if R is singular (``check_nonsingular``;
+    k_tiq = 0 makes the nonlinear entries vanish), and ``ValueError`` if R
+    is not real symmetric or couples any other two entries.
     """
     r = np.asarray(cov)
-    if (r.ndim != 2 or r.shape[0] != r.shape[1] or np.iscomplexobj(r)
-            or not np.array_equal(r, r.T)):
-        raise ValueError("the covariance must be a real symmetric matrix")
+    partner, diag, off = _partner_pairs(r, M, N, "covariance")
+    if not np.array_equal(r, r.T):
+        raise ValueError("the covariance must be symmetric")
     check_nonsingular(r)
+    k = np.arange(len(r))
+    paired = partner != k
+    det = diag * diag[partner] - off * off[partner]
     inv = np.zeros(r.shape)
-    for k in range(len(r)):
-        [others] = np.nonzero(r[k])
-        others = others[others != k]
-        if len(others) > 1:
-            raise ValueError("the covariance couples an entry with two others")
-        if not len(others):
-            inv[k, k] = 1.0 / r[k, k]
-        elif others[0] > k:
-            j = others[0]
-            det = r[k, k] * r[j, j] - r[k, j] * r[j, k]
-            inv[k, k], inv[j, j] = r[j, j] / det, r[k, k] / det
-            inv[k, j] = inv[j, k] = -r[k, j] / det
+    inv[k, k] = np.where(paired, diag[partner] / det, 1.0 / diag)
+    inv[k[paired], partner[paired]] = -off[paired] / det[paired]
     return inv
 
 
@@ -176,15 +170,17 @@ class Job(NamedTuple):
     preconditioner: np.ndarray | None = None
 
 
-def _newton_rows(preconditioner, M: int, N: int) -> np.ndarray:
-    """P as the kernel reads it: row k of the (dim, 2) result holds P[k, k]
-    and P[k, partner(k)], the partner of x(n-d) being x_imd(n-d) and back,
-    for d < N, in each half (0 for an entry without one). Raises
-    ``ValueError`` if P couples any other two entries."""
+def _partner_pairs(matrix, M: int, N: int, name: str):
+    """``(partner, diagonal, coupling)`` of the real 2(M + N) square
+    ``matrix``: entry k's layout partner, x(n-d) for x_imd(n-d) and back,
+    for d < N, in each half (k itself for an entry without one), the
+    diagonal, and matrix[k, partner[k]] (0 for an entry without one).
+    Raises ``ValueError``, naming the matrix ``name``, if it has another
+    shape or couples any other two entries."""
     dim = 2 * (M + N)
-    p = np.asarray(preconditioner)
+    p = np.asarray(matrix)
     if p.shape != (dim, dim) or np.iscomplexobj(p):
-        raise ValueError(f"the preconditioner must be a real {dim} x {dim} matrix")
+        raise ValueError(f"the {name} must be a real {dim} x {dim} matrix")
     p = p.astype(np.float64)
     e = np.arange(M + N)
     half = np.where(e < N, e + M, np.where(e >= M, e - M, e))
@@ -193,9 +189,9 @@ def _newton_rows(preconditioner, M: int, N: int) -> np.ndarray:
     outside = p.copy()
     outside[k, k] = outside[k, partner] = 0.0
     if outside.any():
-        raise ValueError("the preconditioner may couple an entry only with its "
+        raise ValueError(f"the {name} may couple an entry only with its "
                          "layout partner, x(n-d) with x_imd(n-d) for d < N")
-    return np.stack([np.diag(p), np.where(partner != k, p[k, partner], 0.0)], axis=1)
+    return partner, np.diag(p), np.where(partner != k, p[k, partner], 0.0)
 
 
 class _Job:
@@ -216,8 +212,10 @@ class _Job:
             raise ValueError("tap_stride must be a positive step count")
         # IndexError if out of range
         self.tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]
-        self.pre = (None if job.preconditioner is None
-                    else _newton_rows(job.preconditioner, config.M, config.N))
+        # P as the kernel reads it: row k holds P[k, k] and P[k, partner(k)]
+        self.pre = (None if job.preconditioner is None else np.stack(
+            _partner_pairs(job.preconditioner, config.M, config.N, "preconditioner")[1:],
+            axis=1))
         self.n_steps = n_steps
         self.ds = ds
         trials = len(ds)

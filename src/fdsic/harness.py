@@ -4,25 +4,29 @@ Every experiment is deterministic for a fixed (config, seed): trial t draws
 its source row z with seed ``base_seed + t`` and its receiver noise with
 seed ``base_seed + _NOISE_SEED_OFFSET + t``, and the reference of every
 transmit power is x = scale z of that one row (``signals.Draw``).
-``iter_trials`` is the one function that applies this rule. It runs a pass
-over one or more grid points (``Point``) and hands over one trial at a
-time in reused rows, the source row and one observation row per point,
-and every canceller job of every point of the pass runs on that trial, all
-in one LMS kernel call (``run_jobs``), while one producer thread draws and
-renders the next one into a second set of rows. So a run holds two trials'
-rows at a time whatever the number of trials: the SINR sweep walks its grid
-in passes of two points, 2 x (1 + 2) rows, and fills the four lanes of an
-AVX2 vector with the ALMS and ANCLMS jobs of both; every other runner runs
-one point per pass. The per-trial results are then reduced across trials
-in trial order, and the averages that reach a CSV are taken over arrays
-laid out as the old whole-batch arrays were, so they round as they did.
+``_trial`` is the one function that applies this rule. ``run_trials`` is
+the trial loop of every canceller runner: it runs a pass over one or more
+grid points (``Point``, made by ``_point``), each with its canceller jobs
+(``cancellers.Job``), takes one trial at a time from ``iter_trials`` in
+reused rows, the source row and one observation row per point, and runs
+every job of every point of the pass on that trial in one LMS kernel call
+(``run_jobs``), while one producer thread draws and renders the next one
+into a second set of rows. So a run holds two trials' rows at a time
+whatever the number of trials: the SINR sweep walks its grid in passes of
+two points, 2 x (1 + 2) rows, and fills the four lanes of an AVX2 vector
+with the ALMS and ANCLMS jobs of both; every other runner runs one point
+per pass. A runner keeps only its science: it builds the jobs, reduces
+the per-trial runs across trials in trial order, and the averages that
+reach a CSV are taken over arrays laid out as the old whole-batch arrays
+were, so they round as they did. ``power-budget`` runs no canceller and
+renders trial 0 at every grid point from one draw, by ``_trial`` alone.
 Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
 busy time of the generate, render and LMS phases, the time the LMS loop
 waited for its next trial, what the LMS calls ran (``lms_lane_fill``) and
-the trials that diverged, by job. ``run_experiment`` is every run's
-skeleton: it makes the output directory and the report, times the run and
-writes ``meta.txt``; a runner fills the report in, the step size it runs
-included.
+the trials that diverged, by job (``PhaseClock.count_lms`` flags them once
+for every runner). ``run_experiment`` is every run's skeleton: it makes the
+output directory and the report, times the run and writes ``meta.txt``; a
+runner fills the report in, the step size it runs included.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -50,7 +54,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -63,7 +67,7 @@ from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig, Job,
                          newton_preconditioner, regressor_matrix, run_batch,
                          run_jobs)
 from .plots import heatmap, line_plot
-from .signals import Draw, gen_ofdm_waveform, gen_proper_gaussian
+from .signals import gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
                      alms_steady_mse, anclms_exact_steady_mse,
                      anclms_mean_bound, anclms_ms_analysis,
@@ -196,25 +200,28 @@ class PhaseClock:
         self.diverged: dict[str, int] = {}        # diverged trials by job label
         self.first_nonfinite: dict[str, int] = {}  # earliest such step by label
 
-    def count_lms(self, runs: dict[str, BatchRun], d_power: dict[str, float]):
+    def count_lms(self, runs: dict[str, BatchRun],
+                  d_power: dict[str, float]) -> dict[str, np.ndarray]:
         """Count one LMS call that ran ``runs``, by job label, on trials
         whose mean |d|^2 is ``d_power[label]``, and the trials that
-        diverged (``_diverged``)."""
+        diverged (``_diverged``); return those trials' masks by label."""
         # every run of one call reports the lanes the call ran
         [lanes] = {run.lanes for run in runs.values()}
         self.lms_calls += 1
         self.lms_lanes = max(self.lms_lanes, lanes)
         self.lms_jobs += len(runs)
         self.lms_lanes_offered += -(-len(runs) // lanes) * lanes
+        diverged = {}
         for label, run in runs.items():
             self.trial_steps += run.n_steps * len(run.steady_state_mse)
-            grew = _diverged(run, d_power[label])
+            grew = diverged[label] = _diverged(run, d_power[label])
             if grew.any():
                 self.diverged[label] = self.diverged.get(label, 0) + int(grew.sum())
             if run.diverged.any():
                 step = int(run.diverged_at[run.diverged].min())
                 self.first_nonfinite[label] = min(
                     step, self.first_nonfinite.get(label, step))
+        return diverged
 
     @contextmanager
     def phase(self, name: str):
@@ -325,19 +332,55 @@ class Point(NamedTuple):
     sigma_x2: float
 
 
-def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
-                clock: PhaseClock, **render_options):
-    """Yield ``(draw, observations)`` for trials t = 0 ... config.trials - 1:
-    the seed rule.
+def _point(config: ExperimentConfig, profile: TransceiverProfile,
+           sigma_x2: float | None = None) -> Point:
+    """``profile``'s ``Point`` at the reference power ``sigma_x2`` (the
+    profile's natural power if None): channels drawn for config's M and N
+    with seed ``config.seed``, and the profile's noise budget."""
+    channels = synthesize_channels(profile, config.M, config.N, seed=config.seed,
+                                   sigma_x2=sigma_x2)
+    return Point(profile, channels, compute_noise_budget(profile),
+                 profile.natural_sigma_x2 if sigma_x2 is None else sigma_x2)
 
-    Trial t's ``draw`` (``signals.Draw``), ``n`` samples, is drawn with seed
-    ``config.seed + t`` from ``config.signal_source``, and serves every
-    point of the pass: ``observations`` holds one observation per point
-    (``obs.d.samples``), rendered from the point's reference
-    x = ``draw.scale(point.sigma_x2)`` ``draw.samples`` with noise seed
-    ``config.seed + _NOISE_SEED_OFFSET + t`` and ``render_options``.
-    ``clock`` times both phases, counts the samples drawn and rendered and
-    times the waits for each trial.
+
+def _trial(config: ExperimentConfig, t: int, n: int, points: list[Point],
+           clock: PhaseClock, z=None, ds=None, **render_options):
+    """Trial t, by the seed rule: ``(draw, observations)``.
+
+    ``draw`` (``signals.Draw``), ``n`` samples of ``config.signal_source``,
+    is drawn with seed ``config.seed + t`` (into the row ``z`` if given).
+    ``observations`` is an iterator that renders, as it is advanced, the
+    observation of each of ``points`` (into the matching row of ``ds`` if
+    given) from the point's reference x = ``draw.scale(point.sigma_x2)``
+    ``draw.samples`` with noise seed ``config.seed + _NOISE_SEED_OFFSET + t``
+    and ``render_options``. ``clock`` times both phases and counts the
+    samples drawn and rendered.
+    """
+    # looked up here at each call, so a wrapper installed over any of these
+    # module-level names sees it
+    source = gen_ofdm_waveform if config.signal_source == "ofdm" else gen_proper_gaussian
+    with clock.phase("generate"):
+        draw = source(n, seed=config.seed + t, out=z)
+    clock.samples += n
+
+    def render(point: Point, d):
+        with clock.phase("render"):
+            obs = render_observation(draw.samples, point.channels, point.budget,
+                                     point.profile,
+                                     seed=config.seed + _NOISE_SEED_OFFSET + t, out=d,
+                                     scale=draw.scale(point.sigma_x2), **render_options)
+        clock.samples_rendered += n
+        return obs
+
+    return draw, map(render, points, ds or [None] * len(points))
+
+
+def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
+                clock: PhaseClock):
+    """Yield ``(draw, observations)`` for trials t = 0 ... config.trials - 1,
+    each made by ``_trial``: the draw of ``n`` samples and one observation
+    per point (``obs.d.samples``). ``clock`` also times the waits for each
+    trial.
 
     One producer thread generates and renders the trials in order into two
     sets of rows, one source row and one observation row per point each,
@@ -354,23 +397,8 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
             for _ in range(min(config.trials, 2))]
 
     def make(t: int):
-        z, ds = rows[t % 2]
-        seed = config.seed + t
-        # looked up here at each call, so a wrapper installed over either
-        # module-level name sees it
-        source = gen_ofdm_waveform if config.signal_source == "ofdm" else gen_proper_gaussian
-        with clock.phase("generate"):
-            draw = source(n, seed=seed, out=z)
-        with clock.phase("render"):
-            observations = [
-                render_observation(draw.samples, point.channels, point.budget,
-                                   point.profile, seed=seed + _NOISE_SEED_OFFSET,
-                                   out=d, scale=draw.scale(point.sigma_x2),
-                                   **render_options)
-                for point, d in zip(points, ds)]
-        clock.samples += n
-        clock.samples_rendered += n * len(points)
-        return draw, observations
+        draw, observations = _trial(config, t, n, points, clock, *rows[t % 2])
+        return draw, list(observations)
 
     # imported here, not at the top: concurrent.futures imports logging,
     # about 5 ms of the CLI's start-up
@@ -387,25 +415,33 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
             yield trial
 
 
-def _cancel(clock: PhaseClock, draw: Draw, points, **options) -> dict[str, BatchRun]:
-    """``run_jobs`` on one trial: the jobs of every point of a pass in one
-    kernel call, timed and counted as the LMS phase. ``points`` holds one
-    ``(jobs, point, obs)`` triple per point, ``jobs`` a dict of labelled
-    ``(config, w0)`` pairs or ``(config, w0, preconditioner)`` triples,
-    each made a ``Job`` on the point's reference in ``draw`` and its
-    observation ``obs``. Returns the runs by label."""
-    jobs, d_power = {}, {}
-    for point_jobs, point, obs in points:
-        d, scale = obs.d.samples, draw.scale(point.sigma_x2)
-        power = _mean_power(d)
-        for label, (config, *start) in point_jobs.items():
-            jobs[label] = Job(config, d, scale, *start)
-            d_power[label] = power
-    with clock.phase("lms"):
-        runs = run_jobs(draw.samples, list(jobs.values()), **options)
-    runs = dict(zip(jobs, runs))
-    clock.count_lms(runs, d_power)
-    return runs
+def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job]]],
+               n: int, clock: PhaseClock, **run_options):
+    """Run every trial of ``iter_trials`` over the ``points`` of a pass and
+    yield ``(t, runs, diverged)`` for trial t, each a dict by job label.
+
+    ``points`` holds one ``(point, jobs)`` pair per point, ``jobs`` the
+    point's ``Job`` records by label; each job runs on the trial's
+    observation at its point and on the point's reference (``d`` and
+    ``scale`` are filled in here), and the jobs of every point run in one
+    ``run_jobs`` call with ``run_options``, timed and counted as the LMS
+    phase. ``runs`` holds each job's ``BatchRun`` and ``diverged`` its
+    trials that diverged (``PhaseClock.count_lms``), in the order of the
+    labels in ``points``.
+    """
+    for t, (draw, observations) in enumerate(
+            iter_trials(config, [point for point, _ in points], n, clock)):
+        jobs, d_power = {}, {}
+        for (point, point_jobs), obs in zip(points, observations):
+            d, scale = obs.d.samples, draw.scale(point.sigma_x2)
+            power = _mean_power(d)
+            for label, job in point_jobs.items():
+                jobs[label] = job._replace(d=d, scale=scale)
+                d_power[label] = power
+        with clock.phase("lms"):
+            runs = dict(zip(jobs, run_jobs(draw.samples, list(jobs.values()),
+                                           **run_options)))
+        yield t, runs, clock.count_lms(runs, d_power)
 
 
 def _step_size(config: ExperimentConfig, bound: float) -> tuple[float, str, float]:
@@ -433,21 +469,17 @@ def _resolve_mu(config: ExperimentConfig, bound: float,
 # ---------------------------------------------------------------------------
 
 def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Path):
-    """Analytic per-component powers vs one rendered observation per point."""
+    """Analytic per-component powers vs one rendered observation per point:
+    trial 0 of the configured source, drawn once for the whole grid."""
     rows = compute_power_budget(config.profile, config.tx_grid_dbm)
 
     measured = {k: [] for k in ("linear_si", "image_si", "imd_si",
                                 "image_imd_si", "thermal", "quantization", "soi")}
-    n_render = 100_000
-    for tx in config.tx_grid_dbm:
-        prof = config.profile.with_tx_power(tx)
-        channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-        budget = compute_noise_budget(prof)
-        # trial 0 of the configured source, alone
-        [(_, [obs])] = iter_trials(replace(config, trials=1),
-                                   [Point(prof, channels, budget, prof.natural_sigma_x2)],
-                                   n_render, report.clock, include_soi=True,
-                                   components=True)
+    points = [_point(config, config.profile.with_tx_power(tx))
+              for tx in config.tx_grid_dbm]
+    _, observations = _trial(config, 0, 100_000, points, report.clock,
+                             include_soi=True, components=True)
+    for obs in observations:
         for key in measured:
             measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
 
@@ -492,10 +524,8 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
 
 def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Trial-averaged error-coefficient trajectories and steady bias table."""
-    prof = config.profile
-    s2 = prof.natural_sigma_x2
-    channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-    budget = compute_noise_budget(prof)
+    point = _point(config, config.profile)
+    prof, channels, budget, s2 = point
     bound = alms_ms_bound(s2, config.M)
     n_iters = config.iterations
 
@@ -515,18 +545,17 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
-    jobs = {f"{label}_mu{mu / bound:g}": (cfg, None) for (mu, label), cfg in cfgs.items()}
+    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg, None)
+            for (mu, label), cfg in cfgs.items()}
     # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
     # window-mean weights, (trials, dim)
     tap_rows = {key: np.empty((kept, 2, config.trials), dtype=np.complex128)
                 for key in cfgs}
     mean_weights = {key: np.empty((config.trials, 2 * (cfg.M + cfg.N)),
                                   dtype=np.complex128) for key, cfg in cfgs.items()}
-    point = Point(prof, channels, budget, s2)
-    for t, (draw, [obs]) in enumerate(iter_trials(config, [point], n_iters + config.M,
-                                                  report.clock)):
-        runs = _cancel(report.clock, draw, [(jobs, point, obs)], keep_residuals=False,
-                       track_taps=(0, 1), tap_stride=stride)
+    for t, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
+                                 report.clock, keep_residuals=False,
+                                 track_taps=(0, 1), tap_stride=stride):
         for key, run in zip(cfgs, runs.values()):
             tap_rows[key][:, :, t] = run.taps[0]
             mean_weights[key][t] = run.mean_weights[0]
@@ -604,29 +633,22 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
     grid = list(config.tx_grid_dbm)
     points = []  # (point, mu, its two jobs by label), in grid order
     for tx in grid:
-        prof = config.profile.with_tx_power(tx)
-        channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-        point = Point(prof, channels, compute_noise_budget(prof), prof.natural_sigma_x2)
+        point = _point(config, config.profile.with_tx_power(tx))
+        k_tiq = point.profile.k_tiq
         # one shared step size for both cancellers at this grid point; ANCLMS
         # starts at the exact Wiener solution of the rendered model, ALMS at zero
         mu = _resolve_mu(config, alms_ms_bound(point.sigma_x2, config.M), report)
         points.append((point, mu, {
-            f"alms@{tx:g}dBm": (CancellerConfig(mu=mu, M=config.M, k_tiq=prof.k_tiq),
-                                None),
-            f"anclms@{tx:g}dBm": (CancellerConfig(mu=mu, M=config.M, N=config.N,
-                                                  k_tiq=prof.k_tiq),
-                                  channels.stacked_nonlinear())}))
+            f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq), None),
+            f"anclms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, N=config.N,
+                                                     k_tiq=k_tiq),
+                                     None, w0=point.channels.stacked_nonlinear())}))
 
     trial_mse = {label: np.empty(config.trials) for *_, jobs in points for label in jobs}
     for first in range(0, len(points), 2):
-        pair = points[first:first + 2]
-        for t, (draw, observations) in enumerate(iter_trials(
-                config, [point for point, *_ in pair], config.iterations + config.M,
-                report.clock)):
-            runs = _cancel(report.clock, draw,
-                           [(jobs, point, obs)
-                            for (point, _, jobs), obs in zip(pair, observations)],
-                           keep_residuals=False)
+        pair = [(point, jobs) for point, _, jobs in points[first:first + 2]]
+        for t, runs, _ in run_trials(config, pair, config.iterations + config.M,
+                                     report.clock, keep_residuals=False):
             for label, run in runs.items():
                 trial_mse[label][t] = run.steady_state_mse[0]
 
@@ -717,7 +739,8 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     s_sub = 10 ** (-10.0 / 10.0)
     n_iters = max(config.iterations, 20_000)
     block = 100
-    budget = compute_noise_budget(prof)
+    opt = _point(config, prof, s_opt)
+    budget = opt.budget
     noise = budget.sigma_v2 + budget.sigma_q2
 
     # raw runs: CONVERGENCE_MU_FRAC x the mean-convergence bound of their
@@ -741,18 +764,15 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     curves = dict.fromkeys(("anclms_optimal", "anclms_suboptimal", "anclms_whitened"))
     n_steps = n_iters + 1
     n_points = n_steps // block
-    for s2, jobs in (
-            (s_opt, {"anclms_optimal": (cfg(mu_opt), None),
-                     "anclms_whitened": (cfg(mu_white), None,
-                                         newton_preconditioner(r_opt))}),
-            (s_sub, {"anclms_suboptimal": (cfg(mu_sub), None)})):
-        point = Point(prof, synthesize_channels(prof, config.M, config.N,
-                                                seed=config.seed, sigma_x2=s2),
-                      budget, s2)
+    newton = newton_preconditioner(r_opt, config.M, config.N)
+    for point, jobs in (
+            (opt, {"anclms_optimal": Job(cfg(mu_opt), None),
+                   "anclms_whitened": Job(cfg(mu_white), None, preconditioner=newton)}),
+            (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub), None)})):
         residuals = {label: np.empty((n_steps, config.trials)) for label in jobs}
-        for t, (draw, [obs]) in enumerate(iter_trials(
-                config, [point], n_iters + config.M, report.clock)):
-            for label, run in _cancel(report.clock, draw, [(jobs, point, obs)]).items():
+        for t, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
+                                     report.clock):
+            for label, run in runs.items():
                 residuals[label][:, t] = run.residual_power[0]
         for label, rows in residuals.items():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -764,11 +784,9 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # small-step theory overlay for the raw run at the optimal power
     try:
         ana = anclms_ms_analysis(s_opt, k, config.M, config.N)
-        ch_opt = synthesize_channels(prof, config.M, config.N,
-                                     seed=config.seed, sigma_x2=s_opt)
         grid_pts = np.arange(block // 2, n_points * block, block)
         j_pred = anclms_transient(ana, noise, mu_opt,
-                                  -ch_opt.stacked_nonlinear(), grid_pts)
+                                  -opt.channels.stacked_nonlinear(), grid_pts)
         curves["anclms_optimal_theory"] = lin_to_db(
             budget.p_x_soi / np.maximum(j_pred, 1e-300))
     except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
@@ -811,10 +829,8 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
 
 def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Converged/diverged verdicts at fractions of the step-size bounds."""
-    prof = config.profile.with_tx_power(config.tx_grid_dbm[0])
-    s2 = prof.natural_sigma_x2
-    channels = synthesize_channels(prof, config.M, config.N, seed=config.seed)
-    budget = compute_noise_budget(prof)
+    point = _point(config, config.profile.with_tx_power(config.tx_grid_dbm[0]))
+    prof, channels, budget, s2 = point
     noise = budget.sigma_v2 + budget.sigma_q2
 
     ana = anclms_ms_analysis(s2, prof.k_tiq, config.M, config.N)
@@ -830,15 +846,13 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
                                            N=n_imd, k_tiq=prof.k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
-    jobs = {f"{label}_mu{frac:g}": (cfg, None) for (label, frac), cfg in cfgs.items()}
+    jobs = {f"{label}_mu{frac:g}": Job(cfg, None) for (label, frac), cfg in cfgs.items()}
     trial_runs = {key: [] for key in cfgs}  # (run, diverged trials) per trial
-    n = config.iterations + config.M
-    point = Point(prof, channels, budget, s2)
-    for draw, [obs] in iter_trials(config, [point], n, report.clock):
-        runs = _cancel(report.clock, draw, [(jobs, point, obs)], keep_residuals=False)
-        power = _mean_power(obs.d.samples)
-        for key, run in zip(cfgs, runs.values()):
-            trial_runs[key].append((run, _diverged(run, power)))
+    for _, runs, diverged in run_trials(config, [(point, jobs)],
+                                        config.iterations + config.M, report.clock,
+                                        keep_residuals=False):
+        for key, label in zip(cfgs, jobs):
+            trial_runs[key].append((runs[label], diverged[label]))
 
     rows = []
     for (label, frac), cfg in cfgs.items():

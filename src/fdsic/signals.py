@@ -50,9 +50,6 @@ class ComplexSequence:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
 
-    def __len__(self) -> int:
-        return self.samples.size
-
 
 @dataclass(frozen=True)
 class Draw:

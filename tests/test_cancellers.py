@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from fdsic import _native
 from fdsic.cancellers import (CancellerConfig, DegenerateInputError, Job,
-                              default_steady_window, newton_preconditioner,
-                              regressor_matrix, run_batch, run_jobs)
+                              check_nonsingular, default_steady_window,
+                              newton_preconditioner, regressor_matrix, run_batch,
+                              run_jobs)
 from fdsic.harness import ExperimentConfig
 from fdsic.signals import Draw, gen_proper_gaussian
 from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
@@ -173,7 +174,7 @@ def test_prewhitening_whitens(type2):
 
     assert spread(regs) > 9.0
     assert spread(regs @ phi.T) < 1.3
-    p = newton_preconditioner(rb_matrix(s2, type2.k_tiq, M, N))
+    p = newton_preconditioner(rb_matrix(s2, type2.k_tiq, M, N), M, N)
     np.testing.assert_allclose(phi.T @ phi, p, rtol=1e-9, atol=1e-9 * np.abs(p).max())
     assert np.array_equal(p, p.T)
     assert np.array_equal(p != 0, rb_matrix(s2, type2.k_tiq, M, N) != 0)
@@ -183,11 +184,23 @@ def test_prewhitening_whitens(type2):
 def test_prewhitening_degenerate():
     # k_tiq = 0: the IMD entries vanish and R is singular
     with pytest.raises(DegenerateInputError):
-        newton_preconditioner(rb_matrix(1.0, 0.0, M, N))
-    triple = np.eye(3) + 0.1 * (1 - np.eye(3))  # every entry couples with two
-    for bad in (np.eye(3)[:2], np.eye(3) * 1j, np.triu(triple), triple):
+        newton_preconditioner(rb_matrix(1.0, 0.0, M, N), M, N)
+    r = rb_matrix(1.0, 1.0, 3, 1)  # x(n) couples with its partner x_imd(n)
+    assert r[0, 3] != 0
+    lopsided = r.copy()
+    lopsided[0, 3] *= 2.0
+    for bad in (r[:-1], r * 1j, lopsided, rb_matrix(1.0, 1.0, M, N)):
         with pytest.raises(ValueError):
-            newton_preconditioner(bad)
+            newton_preconditioner(bad, 3, 1)
+    # nonsingular, but coupling x(n) with x*(n), or x(n) with x_imd(n) and
+    # x(n-1): a P of such an R is one the kernel refuses
+    improper, triple = r.copy(), r.copy()
+    improper[0, 4] = improper[4, 0] = 0.3
+    triple[0, 1] = triple[1, 0] = 0.1
+    for bad in (improper, triple):
+        check_nonsingular(bad)
+        with pytest.raises(ValueError, match="layout partner"):
+            newton_preconditioner(bad, 3, 1)
 
 
 def test_whitened_weights_map_back(type2):
@@ -203,7 +216,7 @@ def test_whitened_weights_map_back(type2):
     for t, u in enumerate(regressor_matrix(x, M, N, type2.k_tiq) @ phi.T):
         v += cfg.mu * (d[M - 1 + t] - u @ v) * np.conj(u)
     run = run_batch(x, d, cfg, preconditioner=newton_preconditioner(
-        rb_matrix(s2, type2.k_tiq, M, N)))
+        rb_matrix(s2, type2.k_tiq, M, N), M, N))
     want = phi.T @ v
     np.testing.assert_allclose(run.final_weights[0], want, rtol=0,
                                atol=1e-9 * np.abs(want).max())
@@ -415,7 +428,8 @@ def _kernel_config(kernel_setup, kind, scale):
 def _exact_inverse(kernel_setup):
     """The Newton preconditioner R^-1 at the kernel_setup trials' power."""
     prof = kernel_setup[0]
-    return newton_preconditioner(rb_matrix(prof.natural_sigma_x2, prof.k_tiq, M, N))
+    return newton_preconditioner(rb_matrix(prof.natural_sigma_x2, prof.k_tiq, M, N),
+                                 M, N)
 
 
 def _kernel_inputs(kernel_setup, wiener, mode):
@@ -608,7 +622,8 @@ def test_newton_jobs_pairing_differently(kernel_setup, wiener):
     jobs = [Job(_kernel_config(kernel_setup, "newton", 0.01), ds, w0=wiener,
                 preconditioner=_exact_inverse(kernel_setup)),
             Job(CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), ds,
-                preconditioner=newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2))),
+                preconditioner=newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2),
+                                                     M, 2)),
             Job(_kernel_config(kernel_setup, N, 0.3), ds, w0=wiener)]
     options = dict(track_taps=(0, 5), tap_stride=5)
     runs = run_jobs(xs, jobs, **options)

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from fdsic import cli, harness
-from fdsic.cancellers import CancellerConfig, run_batch
+from fdsic.cancellers import (BatchRun, CancellerConfig, Job, newton_preconditioner,
+                              run_batch, run_jobs)
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
 from fdsic.harness import (ExperimentConfig, resolve_profile, run_experiment,
                            write_csv)
-from fdsic.theory import alms_ms_bound
+from fdsic.theory import alms_ms_bound, rb_matrix
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (builtin_profile, compute_noise_budget,
                                render_observation, synthesize_channels)
@@ -585,6 +586,59 @@ def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
     point = harness.Point(prof, synthesize_channels(prof, M, N, seed=SEED),
                           compute_noise_budget(prof), prof.natural_sigma_x2)
     return harness.iter_trials(config, [point], n, clock or harness.PhaseClock())
+
+
+def test_run_trials_equals_one_call_per_trial(type2):
+    """run_trials runs the jobs of two points, a plain ALMS job at twice its
+    bound (it overflows) and a Newton job, in one call per trial: the runs
+    come back by label in the order given, each bit for bit the run of its
+    job alone on the trial's reference and observation, and so do the
+    trials ``_diverged`` flags."""
+    config = ExperimentConfig(experiment="bias", profile=type2, trials=2, seed=SEED)
+    n = 3000 + M
+    low, high = (harness._point(config, type2.with_tx_power(tx)) for tx in (-5.0, 5.0))
+    k = type2.k_tiq
+    points = [
+        (low, {"plain": Job(CancellerConfig(mu=2 * alms_ms_bound(low.sigma_x2, M), M=M,
+                                            k_tiq=k), None)}),
+        (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k), None,
+                              preconditioner=newton_preconditioner(
+                                  rb_matrix(high.sigma_x2, k, M, N), M, N))})]
+    rows = [stack_trials(config, *point, n) for point, _ in points]
+    trials = []
+    for t, runs, diverged in harness.run_trials(config, points, n, harness.PhaseClock(),
+                                                track_taps=(0, 5)):
+        trials.append(t)
+        assert list(runs) == list(diverged) == ["plain", "newton"]
+        for (xs, ds), (_, jobs) in zip(rows, points):
+            for label, job in jobs.items():
+                [want] = run_jobs(xs[t], [job._replace(d=ds[t])], track_taps=(0, 5))
+                for name in (f.name for f in dataclasses.fields(BatchRun)
+                             if f.name != "lanes"):
+                    got, value = getattr(runs[label], name), getattr(want, name)
+                    assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), \
+                        (label, name)
+                assert np.array_equal(diverged[label], harness._diverged(
+                    want, harness._mean_power(ds[t])))
+        assert diverged["plain"].all() and not diverged["newton"].any()
+    assert trials == [0, 1]
+
+
+def test_power_budget_draws_its_source_once(type2, tmp_path, monkeypatch):
+    """power-budget renders trial 0 at every grid point from one source
+    row: one draw with seed ``config.seed``, one observation per point,
+    both phases timed."""
+    seeds = []
+    real = harness.gen_proper_gaussian
+    monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, seed, **k:
+                        seeds.append(seed) or real(n, seed, **k))
+    cfg = ExperimentConfig(experiment="power-budget", profile=type2,
+                           tx_grid_dbm=(0.0, 10.0, 20.0), seed=SEED, output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert seeds == [SEED]
+    assert int(meta["samples"]) == 100_000
+    assert int(meta["samples_rendered"]) == 3 * 100_000
+    assert float(meta["phase.generate_s"]) > 0 and float(meta["phase.render_s"]) > 0
 
 
 def test_trials_are_made_only_when_asked_for(type2, tmp_path, monkeypatch):

@@ -15,14 +15,15 @@
  * signals.Draw.reference does, each part of z times the scale (x_at), so
  * one row z serves every transmit power. Trials are independent and run
  * one after another. The jobs of one lms_raw call share each trial's row z,
- * and each job has its own scale and observation row: on a build with AVX2
- * two or more jobs run together, step by step, four jobs per vector as its
- * lanes, each lane on its own regressor, and each lane repeats its job's
- * scalar operations in their order, so every job returns the bits it returns
- * alone; one job, or a build without AVX2, runs the scalar step job by job.
+ * and each job has its own scale and observation row. The LMS steps are
+ * written once, over the vector operations v_*: the jobs run together,
+ * step by step, as the lanes of a vector, each lane on its own regressor,
+ * and each lane repeats its job's operations in their order, so every job
+ * returns the bits it returns alone. A build with AVX2 and FMA runs four
+ * lanes per vector; any other build runs one, each job a group of its own.
  * A job's preconditioner couples an entry only with its layout partner
- * (partner), so any jobs can share the lanes, and lms_raw returns the lane
- * count it ran.
+ * (see struct run), so any jobs can share the lanes, and lms_raw returns
+ * the lane count it ran.
  */
 #include <math.h>
 #include <stdint.h>
@@ -284,8 +285,10 @@ void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
  * receives the weights taps[] after every tap_stride-th step from step 0;
  * peak, steady_sum, steady_count and diverged_at are per trial. pre, if not
  * NULL, is a real preconditioner P that couples each entry only with its
- * layout partner, (dim, 2): row k holds P[k][k] and P[k][partner(k)] (0
- * where the partner is k itself). */
+ * layout partner, (dim, 2): row k holds P[k][k] and P[k][j], j the partner
+ * of entry k (0 where the partner is k itself). In either half of the
+ * regressor [x; x_imd; x*; x_imd*], x(n-e) and x_imd(n-e) for e < nimd are
+ * each other's partners, and every other entry is its own. */
 struct run {
     int64_t steps, dim, win_start;
     double mu, scale;
@@ -306,149 +309,109 @@ static inline double *tap_row(const struct run *b, int64_t i, int64_t k)
     return b->tap_buf + 2 * (i * kept + k) * b->ntaps;
 }
 
-/* The layout partner of entry k of the regressor [x; x_imd; x*; x_imd*]
- * (m + nimd entries per half): in either half, x(n-e) and x_imd(n-e) for
- * e < nimd are each other's partners, and every other entry is its own. */
-static inline int64_t partner(int64_t m, int64_t nimd, int64_t k)
-{
-    int64_t base = k < m + nimd ? 0 : m + nimd, e = k - base;
-    return base + (e < nimd ? e + m : e >= m ? e - m : e);
-}
-
-/* An entry of the LMS-Newton direction P conj(r): p[0] conj(rk) +
- * p[1] conj(rp), p being the entry's row of the preconditioner (see struct
- * run) and rk and rp its regressor entry and that of its partner, formed as
- * numpy forms it. */
-static inline void newton_entry(const double *p, const double *rk,
-                                const double *rp, double *c)
-{
-    double g[2], h[2];
-    scale_complex(p[0], rk[0], -rk[1], g);
-    scale_complex(p[1], rp[0], -rp[1], h);
-    c[0] = g[0] + h[0];
-    c[1] = g[1] + h[1];
-}
-
-/* The LMS-Newton direction c = P conj(r) of the job b on its regressor r
- * (m + nimd entries per half) */
-static inline void newton_direction(const struct run *b, int64_t m,
-                                    int64_t nimd, const double *r, double *c)
-{
-    for (int64_t k = 0; k < b->dim; k++)
-        newton_entry(b->pre + 2 * k, r + 2 * k, r + 2 * partner(m, nimd, k),
-                     c + 2 * k);
-}
-
-/* One LMS step of trial i on regressor r (dim entries) and observation d:
- * w += mu e conj(r), or, given the direction c (not NULL), w += mu e c. */
-static inline __attribute__((always_inline)) void step(
-    const struct run *b, int64_t i, int64_t j, const double *r,
-    const double *c, const double *d)
-{
-    int64_t dim = b->dim;
-    double *wi = b->w + 2 * dim * i, *ai = b->w_accum + 2 * dim * i;
-    double yr = 0.0, yi = 0.0;
-    for (int64_t k = 0; k < dim; k++) {
-        yr += r[2 * k] * wi[2 * k] - r[2 * k + 1] * wi[2 * k + 1];
-        yi += r[2 * k] * wi[2 * k + 1] + r[2 * k + 1] * wi[2 * k];
-    }
-    double er = d[0] - yr, ei = d[1] - yi;
-    double mr = fma(b->mu, er, -(0.0 * ei)), mi = fma(b->mu, ei, 0.0 * er);
-    for (int64_t k = 0; k < dim; k++) {
-        double cr = c ? c[2 * k] : r[2 * k], ci = c ? c[2 * k + 1] : -r[2 * k + 1];
-        wi[2 * k] += fma(mr, cr, -(mi * ci));
-        wi[2 * k + 1] += fma(mr, ci, mi * cr);
-    }
-    double a = np_cabs(er, ei), p = a * a;
-    int ok = isfinite(p);
-    if (!ok && b->diverged_at[i] < 0) b->diverged_at[i] = j;
-    double top = ok ? p : INFINITY;
-    if (top > b->peak[i]) b->peak[i] = top;
-    if (b->e2) b->e2[i * b->steps + j] = p;
-    if (b->tap_buf && j % b->tap_stride == 0) {
-        double *tb = tap_row(b, i, j / b->tap_stride);
-        for (int64_t k = 0; k < b->ntaps; k++) {
-            tb[2 * k] = wi[2 * b->taps[k]];
-            tb[2 * k + 1] = wi[2 * b->taps[k] + 1];
-        }
-    }
-    if (j >= b->win_start) {
-        for (int64_t k = 0; k < 2 * dim; k++) ai[k] += wi[k];
-        b->steady_sum[i] += ok ? p : 0.0;
-        b->steady_count[i] += ok;
-    }
-}
-
-/* Move the regressor r = [x; x_imd; x*; x_imd*] (m + nimd entries per
- * half) on by the source sample zn, in place: every entry takes the one a
- * delay newer, the oldest drops out, and x = scale zn (x_at) and its IMD
- * product (imd_at, if nimd > 0) enter as the newest, with their conjugates.
- * Pushing the first m samples of a trial into any r gives the regressor of
- * sample m - 1. */
-static inline void regressor_push(int64_t m, int64_t nimd, double k15,
-                                  double scale, const double *zn, double *r)
-{
-    int64_t half = m + nimd;
-    for (int64_t k = 2 * m - 1; k > 1; k--) {
-        r[k] = r[k - 2];
-        r[2 * half + k] = r[2 * half + k - 2];
-    }
-    for (int64_t k = 2 * nimd - 1; k > 1; k--) {
-        r[2 * m + k] = r[2 * m + k - 2];
-        r[2 * (half + m) + k] = r[2 * (half + m) + k - 2];
-    }
-    x_at(scale, zn, r);
-    r[2 * half] = r[0];
-    r[2 * half + 1] = -r[1];
-    if (nimd > 0) {
-        double *y = r + 2 * m;
-        imd_at(k15, r, y);
-        r[2 * (half + m)] = y[0];
-        r[2 * (half + m) + 1] = -y[1];
-    }
-}
-
-/* The job b alone, one trial run to its end before the next starts. */
-static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
-                        const double *z, const struct run *b)
-{
-    int64_t nimd = b->dim / 2 - m;
-    double r[2 * b->dim], c[2 * b->dim];
-    memset(r, 0, sizeof r);
-    for (int64_t i = 0; i < trials; i++) {
-        const double *zi = z + 2 * i * n, *di = b->d + 2 * i * n;
-        for (int64_t j = 0; j < m - 1; j++)
-            regressor_push(m, nimd, k15, b->scale, zi + 2 * j, r);
-        for (int64_t j = 0; j < b->steps; j++) {
-            const double *dj = di + 2 * (j + m - 1);
-            regressor_push(m, nimd, k15, b->scale, zi + 2 * (j + m - 1), r);
-            if (b->pre) {
-                newton_direction(b, m, nimd, r, c);
-                step(b, i, j, r, c, dj);
-            } else {
-                step(b, i, j, r, NULL, dj);
-            }
-        }
-    }
-}
-
+/* The vector operations of the LMS steps, on the LANES lanes of a vec: with
+ * AVX2 and FMA each is one intrinsic on four doubles, else plain C on one
+ * double. Compares give masks, each lane all bits set or none; v_and keeps
+ * a lane where the mask is set, v_blend(a, b, mask) takes b where the mask's
+ * sign bit is set, a elsewhere, and v_movemask gathers the sign bits.
+ * v_max(a, b) is a > b ? a : b and v_min(a, b) is a < b ? a : b, as
+ * maxpd and minpd are. v_fmsub(a, b, c) is fma(a, b, -c), the vfmsub
+ * instruction the compiler gives that fma() (a NaN c keeps its sign there,
+ * where negating it first would flip it). v_gather(p, o) loads the double
+ * p[l][o] into each lane l. */
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
 #define LANES 4
+typedef __m256d vec;
 
-/* Up to LANES jobs of one lms_raw call, one job per lane of AVX2 vectors.
- * Each lane repeats its job's scalar step (see step above) operation for
- * operation: the same products, sums and fma()s in the same order, the
- * fma()s as _mm256_fmadd_pd, or, for fma(a, b, -c), as _mm256_fmsub_pd,
- * the instruction the compiler gives the scalar step (a NaN c keeps its
- * sign there, where negating it first would flip it), np_cabs as
- * cabs_lanes. Each lane steps on its own regressor and reads its own job's
+static inline vec v_set1(double a) { return _mm256_set1_pd(a); }
+static inline vec v_load(const double *p) { return _mm256_loadu_pd(p); }
+static inline void v_store(double *p, vec a) { _mm256_storeu_pd(p, a); }
+static inline vec v_gather(const double *const *p, int64_t o)
+{
+    return _mm256_set_pd(p[3][o], p[2][o], p[1][o], p[0][o]);
+}
+static inline vec v_add(vec a, vec b) { return _mm256_add_pd(a, b); }
+static inline vec v_sub(vec a, vec b) { return _mm256_sub_pd(a, b); }
+static inline vec v_mul(vec a, vec b) { return _mm256_mul_pd(a, b); }
+static inline vec v_div(vec a, vec b) { return _mm256_div_pd(a, b); }
+static inline vec v_sqrt(vec a) { return _mm256_sqrt_pd(a); }
+static inline vec v_fmadd(vec a, vec b, vec c) { return _mm256_fmadd_pd(a, b, c); }
+static inline vec v_fmsub(vec a, vec b, vec c) { return _mm256_fmsub_pd(a, b, c); }
+static inline vec v_max(vec a, vec b) { return _mm256_max_pd(a, b); }
+static inline vec v_min(vec a, vec b) { return _mm256_min_pd(a, b); }
+static inline vec v_abs(vec a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
+static inline vec v_neg(vec a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
+static inline vec v_and(vec mask, vec a) { return _mm256_and_pd(mask, a); }
+static inline vec v_or(vec a, vec b) { return _mm256_or_pd(a, b); }
+static inline vec v_eq(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+static inline vec v_lt(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+static inline vec v_unord(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_UNORD_Q); }
+static inline vec v_blend(vec a, vec b, vec mask) { return _mm256_blendv_pd(a, b, mask); }
+static inline int v_movemask(vec mask) { return _mm256_movemask_pd(mask); }
+#else
+#define LANES 1
+typedef double vec;
+
+static inline uint64_t v_bits(double a)
+{
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    return bits;
+}
+static inline double v_mask(int on)
+{
+    uint64_t bits = on ? ~(uint64_t)0 : 0;
+    double mask;
+    memcpy(&mask, &bits, sizeof mask);
+    return mask;
+}
+static inline vec v_set1(double a) { return a; }
+static inline vec v_load(const double *p) { return *p; }
+static inline void v_store(double *p, vec a) { *p = a; }
+static inline vec v_gather(const double *const *p, int64_t o) { return p[0][o]; }
+static inline vec v_add(vec a, vec b) { return a + b; }
+static inline vec v_sub(vec a, vec b) { return a - b; }
+static inline vec v_mul(vec a, vec b) { return a * b; }
+static inline vec v_div(vec a, vec b) { return a / b; }
+static inline vec v_sqrt(vec a) { return sqrt(a); }
+static inline vec v_fmadd(vec a, vec b, vec c) { return fma(a, b, c); }
+static inline vec v_fmsub(vec a, vec b, vec c) { return fma(a, b, -c); }
+static inline vec v_max(vec a, vec b) { return a > b ? a : b; }
+static inline vec v_min(vec a, vec b) { return a < b ? a : b; }
+static inline vec v_abs(vec a) { return fabs(a); }
+static inline vec v_neg(vec a) { return -a; }
+static inline vec v_and(vec mask, vec a)
+{
+    uint64_t bits = v_bits(mask) & v_bits(a);
+    memcpy(&a, &bits, sizeof a);
+    return a;
+}
+static inline vec v_or(vec a, vec b)
+{
+    uint64_t bits = v_bits(a) | v_bits(b);
+    memcpy(&a, &bits, sizeof a);
+    return a;
+}
+static inline vec v_eq(vec a, vec b) { return v_mask(a == b); }
+static inline vec v_lt(vec a, vec b) { return v_mask(a < b); }
+static inline vec v_unord(vec a, vec b) { return v_mask(isunordered(a, b)); }
+static inline vec v_blend(vec a, vec b, vec mask) { return v_bits(mask) >> 63 ? b : a; }
+static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
+#endif
+
+/* Up to LANES jobs of one lms_raw call, one job per lane. Each lane repeats
+ * the numpy expressions of its job's LMS step, e = d - reg^T w (einsum's
+ * in-order sum, no FMA), w += mu e conj(reg) or, with a preconditioner,
+ * w += mu e P conj(reg), and |e|^2 (np_cabs), operation for operation: the
+ * same products, sums and fma()s in the same order, np_cabs as cabs_lanes.
+ * Each lane steps on its own regressor and reads its own job's
  * observation. The regressors are views into a history of the trial's
  * newest samples, into which lanes_push enters one sample of the call's
- * row z per step, each lane's x = scale z and IMD product formed as
- * regressor_push forms them, so that no entry moves from step to step.
- * The lanes share one regressor layout, that of the call's largest nimd
+ * row z per step, each lane's x = scale z (x_at) and IMD product (imd_at)
+ * formed as numpy forms them, so that no entry moves from step to step.
+ * The lanes share one regressor layout, that of the group's largest nimd
  * (half = m + nimd slots per half, slot_offset placing each in a view); a
  * job with fewer IMD taps leaves the extra slots of both halves out. The
  * weights w hold slot k as two vectors, w[2k] the real and w[2k + 1] the
@@ -465,20 +428,20 @@ static void lms_raw_job(int64_t trials, int64_t n, int64_t m, double k15,
 struct lanes {
     const struct run *job[LANES];  /* NULL for an idle lane */
     const double *d[LANES];        /* each lane's observation at step 0 */
-    int64_t full;
+    int64_t half, full;            /* the widest and narrowest job's dim / 2 */
     int finite_all, e2;            /* the lanes with a job; any e2 output */
     int newton;                    /* the lanes with a preconditioner */
-    __m256d mu, scale, peak, steady_sum, steady_count, yr, yi, newton_mask;
-    __m256i win_last;              /* each lane's win_start - 1 */
+    vec mu, scale, peak, steady_sum, steady_count, yr, yi, newton_mask;
+    vec win_last;                  /* each lane's win_start - 1 */
     int64_t win_first, win_all;    /* the earliest and latest win_start */
     int64_t diverged_at[LANES], next_tap[LANES], tap_first;
-    __m256d *w, *w_accum, *keep, *pre;
+    vec *w, *w_accum, *keep, *pre;
     /* the newest samples of the trial, newest first from hist[6 pos]; the
      * regressors of steps j and j + 1 are the views now and next into it,
      * or into those of group src, whose lanes have the same scales */
-    __m256d *hist;
+    vec *hist;
     int64_t pos, src;
-    const __m256d *now, *next;
+    const vec *now, *next;
 };
 
 /* The slot of a job's regressor entry s in the shared layout */
@@ -502,37 +465,38 @@ static inline int64_t slot_offset(int64_t m, int64_t half, int64_t k)
  * product, then the exits of np_cabs, last to first, as blends: a zero
  * magnitude gives 0 (where the quotient was 0/0), a NaN part NAN and an
  * infinite part INFINITY. */
-static inline __m256d cabs_lanes(__m256d re, __m256d im)
+static inline vec cabs_lanes(vec re, vec im)
 {
-    const __m256d inf = _mm256_set1_pd(INFINITY), zero = _mm256_setzero_pd();
-    re = _mm256_andnot_pd(_mm256_set1_pd(-0.0), re);
-    im = _mm256_andnot_pd(_mm256_set1_pd(-0.0), im);
-    /* max(a, b) is a > b ? a : b and min(a, b) is a < b ? a : b */
-    __m256d big = _mm256_max_pd(re, im), small = _mm256_min_pd(im, re);
-    __m256d r = _mm256_div_pd(small, big);
-    __m256d a = _mm256_mul_pd(
-        _mm256_sqrt_pd(_mm256_fmadd_pd(r, r, _mm256_set1_pd(1.0))), big);
-    a = _mm256_blendv_pd(a, zero, _mm256_cmp_pd(big, zero, _CMP_EQ_OQ));
-    a = _mm256_blendv_pd(a, _mm256_set1_pd(NAN),
-                         _mm256_cmp_pd(re, im, _CMP_UNORD_Q));
-    __m256d infinite = _mm256_or_pd(_mm256_cmp_pd(re, inf, _CMP_EQ_OQ),
-                                    _mm256_cmp_pd(im, inf, _CMP_EQ_OQ));
-    return _mm256_blendv_pd(a, inf, infinite);
+    const vec inf = v_set1(INFINITY), zero = v_set1(0.0);
+    re = v_abs(re);
+    im = v_abs(im);
+    vec big = v_max(re, im), small = v_min(im, re);
+    vec r = v_div(small, big);
+    vec a = v_mul(v_sqrt(v_fmadd(r, r, v_set1(1.0))), big);
+    a = v_blend(a, zero, v_eq(big, zero));
+    a = v_blend(a, v_set1(NAN), v_unord(re, im));
+    return v_blend(a, inf, v_or(v_eq(re, inf), v_eq(im, inf)));
 }
 
-/* Point the lanes at jobs[0 .. count - 1] and set up their masks and
- * their preconditioners: pre[2k] and pre[2k + 1] hold each lane's P[k][k]
+/* The vec whose lanes hold the 64-bit patterns bits[] */
+static inline vec lanes_mask(const int64_t *bits)
+{
+    vec mask;
+    memcpy(&mask, bits, sizeof mask);
+    return mask;
+}
+
+/* Point the lanes at jobs[0 .. count - 1] and set up their layout, masks
+ * and preconditioners: pre[2k] and pre[2k + 1] hold each lane's P[k][k]
  * and its coefficient of the partner of slot k (0 in the lanes without
  * one). */
-static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
-                       int64_t half)
+static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count)
 {
     int64_t newton[LANES] = {0};
     double scale[LANES];
-    g->full = half;
+    g->half = 0;
+    g->full = INT64_MAX;
     g->finite_all = g->e2 = g->newton = 0;
-    for (int64_t k = 0; k < 4 * half; k++)
-        g->pre[k] = _mm256_setzero_pd();
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l] = l < count ? &jobs[l] : NULL;
         scale[l] = (b ? b : jobs)->scale;
@@ -540,51 +504,54 @@ static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count,
             continue;
         g->finite_all |= 1 << l;
         g->e2 |= b->e2 != NULL;
-        if (b->pre) {
-            g->newton |= 1 << l;
-            newton[l] = -1;
-            for (int64_t s = 0; s < b->dim; s++) {
-                int64_t k = lane_slot(b, half, s);
-                ((double *)&g->pre[2 * k])[l] = b->pre[2 * s];
-                ((double *)&g->pre[2 * k + 1])[l] = b->pre[2 * s + 1];
-            }
-        }
+        if (b->dim / 2 > g->half)
+            g->half = b->dim / 2;
         if (b->dim / 2 < g->full)
             g->full = b->dim / 2;
     }
-    g->scale = _mm256_loadu_pd(scale);
-    g->newton_mask = _mm256_castsi256_pd(
-        _mm256_loadu_si256((const __m256i *)newton));
-    for (int64_t k = 0; k < half; k++) {
+    for (int64_t k = 0; k < 4 * g->half; k++)
+        g->pre[k] = v_set1(0.0);
+    for (int l = 0; l < LANES; l++) {
+        const struct run *b = g->job[l];
+        if (!b || !b->pre)
+            continue;
+        g->newton |= 1 << l;
+        newton[l] = -1;
+        for (int64_t s = 0; s < b->dim; s++) {
+            int64_t k = lane_slot(b, g->half, s);
+            ((double *)&g->pre[2 * k])[l] = b->pre[2 * s];
+            ((double *)&g->pre[2 * k + 1])[l] = b->pre[2 * s + 1];
+        }
+    }
+    g->scale = v_load(scale);
+    g->newton_mask = lanes_mask(newton);
+    for (int64_t k = 0; k < g->half; k++) {
         int64_t keep[LANES];
         for (int l = 0; l < LANES; l++)
             keep[l] = g->job[l] && k < g->job[l]->dim / 2 ? -1 : 0;
-        g->keep[k] = _mm256_castsi256_pd(
-            _mm256_loadu_si256((const __m256i *)keep));
+        g->keep[k] = lanes_mask(keep);
     }
 }
 
 /* Load the lanes' state of trial i (rows of n samples; step 0 is sample
  * m - 1) from their jobs */
-static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m,
-                        int64_t half)
+static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m)
 {
     double mu[LANES] = {0}, peak[LANES] = {0}, sum[LANES] = {0},
-           count[LANES] = {0};
-    int64_t last[LANES];
+           count[LANES] = {0}, last[LANES];
     g->win_first = g->tap_first = INT64_MAX;
     g->win_all = 0;
-    for (int64_t k = 0; k < 4 * half; k++)
-        g->w[k] = g->w_accum[k] = _mm256_setzero_pd();
+    for (int64_t k = 0; k < 4 * g->half; k++)
+        g->w[k] = g->w_accum[k] = v_set1(0.0);
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l];
-        last[l] = INT64_MAX - 1;
+        last[l] = INFINITY;
         g->next_tap[l] = INT64_MAX;
         g->d[l] = (b ? b : g->job[0])->d + 2 * (i * n + m - 1);
         if (!b)
             continue;
         for (int64_t s = 0; s < b->dim; s++) {
-            int64_t k = lane_slot(b, half, s);
+            int64_t k = lane_slot(b, g->half, s);
             const double *w = b->w + 2 * (i * b->dim + s),
                          *a = b->w_accum + 2 * (i * b->dim + s);
             ((double *)&g->w[2 * k])[l] = w[0];
@@ -597,7 +564,7 @@ static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m,
         sum[l] = b->steady_sum[i];
         count[l] = b->steady_count[i];
         g->diverged_at[l] = b->diverged_at[i];
-        last[l] = b->win_start - 1;
+        last[l] = (double)(b->win_start - 1);
         if (b->win_start < g->win_first)
             g->win_first = b->win_start;
         if (b->win_start > g->win_all)
@@ -605,26 +572,26 @@ static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m,
         if (b->tap_buf)
             g->next_tap[l] = g->tap_first = 0;
     }
-    g->mu = _mm256_loadu_pd(mu);
-    g->peak = _mm256_loadu_pd(peak);
-    g->steady_sum = _mm256_loadu_pd(sum);
-    g->steady_count = _mm256_loadu_pd(count);
-    g->win_last = _mm256_loadu_si256((const __m256i *)last);
+    g->mu = v_load(mu);
+    g->peak = v_load(peak);
+    g->steady_sum = v_load(sum);
+    g->steady_count = v_load(count);
+    g->win_last = v_load(last);
 }
 
 /* Store the lanes' state of trial i back into their jobs */
-static void lanes_finish(const struct lanes *g, int64_t i, int64_t half)
+static void lanes_finish(const struct lanes *g, int64_t i)
 {
     double peak[LANES], sum[LANES], count[LANES];
-    _mm256_storeu_pd(peak, g->peak);
-    _mm256_storeu_pd(sum, g->steady_sum);
-    _mm256_storeu_pd(count, g->steady_count);
+    v_store(peak, g->peak);
+    v_store(sum, g->steady_sum);
+    v_store(count, g->steady_count);
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l];
         if (!b)
             continue;
         for (int64_t s = 0; s < b->dim; s++) {
-            int64_t k = lane_slot(b, half, s);
+            int64_t k = lane_slot(b, g->half, s);
             double *w = b->w + 2 * (i * b->dim + s),
                    *a = b->w_accum + 2 * (i * b->dim + s);
             w[0] = ((const double *)&g->w[2 * k])[l];
@@ -641,11 +608,10 @@ static void lanes_finish(const struct lanes *g, int64_t i, int64_t half)
 
 /* The per-lane records of step j of trial i with residual powers p (finite
  * where the bit of `finite` is set): first non-finite step, e2 and taps. */
-static void lanes_record(struct lanes *g, int64_t i, int64_t j, int64_t half,
-                         __m256d p, int finite)
+static void lanes_record(struct lanes *g, int64_t i, int64_t j, vec p, int finite)
 {
     double pl[LANES];
-    _mm256_storeu_pd(pl, p);
+    v_store(pl, p);
     g->tap_first = INT64_MAX;
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l];
@@ -658,7 +624,7 @@ static void lanes_record(struct lanes *g, int64_t i, int64_t j, int64_t half,
         if (j == g->next_tap[l]) {
             double *tb = tap_row(b, i, j / b->tap_stride);
             for (int64_t k = 0; k < b->ntaps; k++) {
-                int64_t s = lane_slot(b, half, b->taps[k]);
+                int64_t s = lane_slot(b, g->half, b->taps[k]);
                 tb[2 * k] = ((const double *)&g->w[2 * s])[l];
                 tb[2 * k + 1] = ((const double *)&g->w[2 * s + 1])[l];
             }
@@ -670,29 +636,29 @@ static void lanes_record(struct lanes *g, int64_t i, int64_t j, int64_t half,
 }
 
 /* Add the term of a regressor entry (rr, ri) with weights (wr, wi) to the
- * sums yr and yi of reg^T w as step forms it, masked by keep if `masked`
- * (see lanes_step) */
+ * sums yr and yi of reg^T w, (rr wr - ri wi) and (rr wi + ri wr) as einsum
+ * sums them, masked by keep if `masked` (see lanes_step) */
 static inline __attribute__((always_inline)) void dot_term(
-    __m256d rr, __m256d ri, __m256d wr, __m256d wi, int masked, __m256d keep,
-    __m256d *yr, __m256d *yi)
+    vec rr, vec ri, vec wr, vec wi, int masked, vec keep, vec *yr, vec *yi)
 {
-    __m256d tr = _mm256_sub_pd(_mm256_mul_pd(rr, wr), _mm256_mul_pd(ri, wi)),
-            ti = _mm256_add_pd(_mm256_mul_pd(rr, wi), _mm256_mul_pd(ri, wr));
+    vec tr = v_sub(v_mul(rr, wr), v_mul(ri, wi)),
+        ti = v_add(v_mul(rr, wi), v_mul(ri, wr));
     if (masked) {
-        tr = _mm256_and_pd(keep, tr);
-        ti = _mm256_and_pd(keep, ti);
+        tr = v_and(keep, tr);
+        ti = v_and(keep, ti);
     }
-    *yr = _mm256_add_pd(*yr, tr);
-    *yi = _mm256_add_pd(*yi, ti);
+    *yr = v_add(*yr, tr);
+    *yi = v_add(*yi, ti);
 }
 
 /* reg^T w of the regressor view v for every lane, into g->yr and g->yi */
-static void lanes_dot(struct lanes *g, int64_t m, int64_t half, const __m256d *v)
+static void lanes_dot(struct lanes *g, int64_t m, const vec *v)
 {
-    __m256d yr = _mm256_setzero_pd(), yi = _mm256_setzero_pd();
+    int64_t half = g->half;
+    vec yr = v_set1(0.0), yi = v_set1(0.0);
     for (int64_t k = 0; k < 2 * half; k++) {
         int64_t e = k < half ? k : k - half;
-        const __m256d *r = v + slot_offset(m, half, k);
+        const vec *r = v + slot_offset(m, half, k);
         dot_term(r[0], r[1 + (k >= half)], g->w[2 * k], g->w[2 * k + 1],
                  e >= g->full, g->keep[e], &yr, &yi);
     }
@@ -700,50 +666,46 @@ static void lanes_dot(struct lanes *g, int64_t m, int64_t half, const __m256d *v
     g->yi = yi;
 }
 
-/* The weight update of slot k as step forms it, along conj(r) of the entry
- * r of the view now (ci: the offset of the mirror entry's imaginary part,
- * which is step's ci = -r[2k + 1], negated bit for bit when the entry was
- * formed), or, if newton, in the lanes of g->newton_mask along the
- * LMS-Newton direction P[k][k] conj(r) + P[k][partner] conj(r_partner),
- * formed as newton_entry forms it, the partner's entry at r[pe]; the
- * new weights go to w, join the sums yr and yi of reg^T w of the same
- * entry x of the view next (im: the offset of its imaginary part; masked
- * by keep if `masked`), and join the window sums w_accum: none if sum is
- * 0, masked by `in` if it is 1. */
+/* The weight update of slot k, w += m conj(r) with m = mu e, each part of
+ * the product an fma() as numpy's complex product rounds it, along conj(r)
+ * of the entry r of the view now (ci: the offset of the mirror entry's
+ * imaginary part, -r[1], negated bit for bit when the entry was formed),
+ * or, if newton, in the lanes of g->newton_mask along the LMS-Newton
+ * direction P[k][k] conj(r) + P[k][partner] conj(r_partner), each term
+ * numpy's real-by-complex product (scale_complex), the partner's entry at
+ * r[pe]; the new weights go to w, join the sums yr and yi of reg^T w of
+ * the same entry x of the view next (im: the offset of its imaginary part;
+ * masked by keep if `masked`), and join the window sums w_accum: none if
+ * sum is 0, masked by `in` if it is 1. */
 static inline __attribute__((always_inline)) void update_entry(
-    const struct lanes *g, int newton, const __m256d *r, int64_t pe,
-    const __m256d *x, int64_t im, int64_t ci, int64_t k, __m256d mr,
-    __m256d mi, int masked, __m256d keep, int sum, __m256d in, __m256d *yr,
-    __m256d *yi)
+    const struct lanes *g, int newton, const vec *r, int64_t pe,
+    const vec *x, int64_t im, int64_t ci, int64_t k, vec mr, vec mi,
+    int masked, vec keep, int sum, vec in, vec *yr, vec *yi)
 {
-    const __m256d zero = _mm256_setzero_pd();
-    __m256d *w = g->w, *w_accum = g->w_accum;
-    __m256d cr = r[0], cim = r[ci];
+    const vec zero = v_set1(0.0);
+    vec *w = g->w, *w_accum = g->w_accum;
+    vec cr = r[0], cim = r[ci];
     if (newton) {
-        __m256d p0 = g->pre[2 * k], p1 = g->pre[2 * k + 1],
-                pr = r[pe], pim = r[pe + ci];
-        __m256d c0 = _mm256_add_pd(
-                    _mm256_fmsub_pd(p0, cr, _mm256_mul_pd(zero, cim)),
-                    _mm256_fmsub_pd(p1, pr, _mm256_mul_pd(zero, pim))),
-                c1 = _mm256_add_pd(
-                    _mm256_fmadd_pd(p0, cim, _mm256_mul_pd(zero, cr)),
-                    _mm256_fmadd_pd(p1, pim, _mm256_mul_pd(zero, pr)));
-        cr = _mm256_blendv_pd(cr, c0, g->newton_mask);
-        cim = _mm256_blendv_pd(cim, c1, g->newton_mask);
+        vec p0 = g->pre[2 * k], p1 = g->pre[2 * k + 1], pr = r[pe], pim = r[pe + ci];
+        vec c0 = v_add(v_fmsub(p0, cr, v_mul(zero, cim)),
+                       v_fmsub(p1, pr, v_mul(zero, pim))),
+            c1 = v_add(v_fmadd(p0, cim, v_mul(zero, cr)),
+                       v_fmadd(p1, pim, v_mul(zero, pr)));
+        cr = v_blend(cr, c0, g->newton_mask);
+        cim = v_blend(cim, c1, g->newton_mask);
     }
-    __m256d dr = _mm256_fmsub_pd(mr, cr, _mm256_mul_pd(mi, cim)),
-            di = _mm256_fmadd_pd(mr, cim, _mm256_mul_pd(mi, cr));
-    __m256d wr = _mm256_add_pd(w[2 * k], dr), wi = _mm256_add_pd(w[2 * k + 1], di);
+    vec dr = v_fmsub(mr, cr, v_mul(mi, cim)), di = v_fmadd(mr, cim, v_mul(mi, cr));
+    vec wr = v_add(w[2 * k], dr), wi = v_add(w[2 * k + 1], di);
     w[2 * k] = wr;
     w[2 * k + 1] = wi;
     dot_term(x[0], x[im], wr, wi, masked, keep, yr, yi);
     if (sum == 1) {
-        wr = _mm256_and_pd(in, wr);
-        wi = _mm256_and_pd(in, wi);
+        wr = v_and(in, wr);
+        wi = v_and(in, wi);
     }
     if (sum) {
-        w_accum[2 * k] = _mm256_add_pd(w_accum[2 * k], wr);
-        w_accum[2 * k + 1] = _mm256_add_pd(w_accum[2 * k + 1], wi);
+        w_accum[2 * k] = v_add(w_accum[2 * k], wr);
+        w_accum[2 * k + 1] = v_add(w_accum[2 * k + 1], wi);
     }
 }
 
@@ -752,7 +714,7 @@ static inline __attribute__((always_inline)) void update_entry(
  * of that regressor, along the LMS-Newton directions if newton (some lane
  * has a preconditioner); g->yr and g->yi are left holding reg^T w of the
  * view g->next, the regressor of step j + 1, with the new weights: each
- * slot's new weight joins that sum as soon as it is formed, in step's
+ * slot's new weight joins that sum as soon as it is formed, in einsum's
  * order. Where a lane leaves a slot out, its terms are masked to +0: the
  * sums they would join start at +0 and so are never -0 (x + y is -0 only
  * if x and y both are), and such a sum plus +0 is the sum itself. The
@@ -760,26 +722,20 @@ static inline __attribute__((always_inline)) void update_entry(
  * those masks, and never stored back. Before its window starts, a lane's
  * window sums are masked the same way. */
 static inline __attribute__((always_inline)) void lanes_step(
-    struct lanes *g, int64_t i, int64_t j, int64_t m, int64_t half,
-    int newton)
+    struct lanes *g, int64_t i, int64_t j, int64_t m, int newton)
 {
-    const __m256d *r = g->now, *next = g->next;
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d *keep = g->keep;
-    const int64_t full = g->full;
-    const double *const *d = g->d;
-    __m256d dr = _mm256_set_pd(d[3][2 * j], d[2][2 * j], d[1][2 * j], d[0][2 * j]),
-            di = _mm256_set_pd(d[3][2 * j + 1], d[2][2 * j + 1], d[1][2 * j + 1],
-                               d[0][2 * j + 1]);
-    __m256d er = _mm256_sub_pd(dr, g->yr), ei = _mm256_sub_pd(di, g->yi);
-    __m256d mr = _mm256_fmsub_pd(g->mu, er, _mm256_mul_pd(zero, ei)),
-            mi = _mm256_fmadd_pd(g->mu, ei, _mm256_mul_pd(zero, er));
-    __m256d yr = zero, yi = zero;
+    const vec *r = g->now, *next = g->next;
+    const vec zero = v_set1(0.0);
+    const vec *keep = g->keep;
+    const int64_t half = g->half, full = g->full;
+    vec er = v_sub(v_gather(g->d, 2 * j), g->yr),
+        ei = v_sub(v_gather(g->d, 2 * j + 1), g->yi);
+    vec mr = v_fmsub(g->mu, er, v_mul(zero, ei)), mi = v_fmadd(g->mu, ei, v_mul(zero, er));
+    vec yr = zero, yi = zero;
     /* the window sums of the new weights: none before the first window
      * starts, masked until the last one starts */
     int sum = (j >= g->win_first) + (j >= g->win_all);
-    __m256d in = _mm256_castsi256_pd(
-        _mm256_cmpgt_epi64(_mm256_set1_epi64x(j), g->win_last));
+    vec in = v_lt(g->win_last, v_set1((double)j));
     for (int64_t h = 0; h < 2; h++) {
         /* the offsets of an entry's imaginary part and its mirror's; the
          * partner of x(n-e) is x_imd(n-e), 3 further on, for e < half - m */
@@ -796,20 +752,16 @@ static inline __attribute__((always_inline)) void lanes_step(
     }
     g->yr = yr;
     g->yi = yi;
-    __m256d a = cabs_lanes(er, ei), p = _mm256_mul_pd(a, a);
-    __m256d ok = _mm256_cmp_pd(p, _mm256_set1_pd(INFINITY), _CMP_LT_OQ);
-    int finite = _mm256_movemask_pd(ok);
-    if ((finite & g->finite_all) != g->finite_all || g->e2
-        || j >= g->tap_first)
-        lanes_record(g, i, j, half, p, finite);
-    /* max(top, peak) is top > peak ? top : peak */
-    g->peak = _mm256_max_pd(
-        _mm256_blendv_pd(_mm256_set1_pd(INFINITY), p, ok), g->peak);
+    vec a = cabs_lanes(er, ei), p = v_mul(a, a);
+    vec ok = v_lt(p, v_set1(INFINITY));
+    int finite = v_movemask(ok);
+    if ((finite & g->finite_all) != g->finite_all || g->e2 || j >= g->tap_first)
+        lanes_record(g, i, j, p, finite);
+    g->peak = v_max(v_blend(v_set1(INFINITY), p, ok), g->peak);
     if (sum) {
-        in = _mm256_and_pd(in, ok);
-        g->steady_sum = _mm256_add_pd(g->steady_sum, _mm256_and_pd(in, p));
-        g->steady_count = _mm256_add_pd(
-            g->steady_count, _mm256_and_pd(in, _mm256_set1_pd(1.0)));
+        in = v_and(in, ok);
+        g->steady_sum = v_add(g->steady_sum, v_and(in, p));
+        g->steady_count = v_add(g->steady_count, v_and(in, v_set1(1.0)));
     }
 }
 
@@ -817,38 +769,42 @@ static inline __attribute__((always_inline)) void lanes_step(
  * newest sample, and return the view of its regressor: each lane's
  * x = scale zn and IMD product formed as x_at and imd_at form them. Every
  * `spare` samples the m - 1 newest move to the far end of the history. */
-static inline __attribute__((always_inline)) const __m256d *lanes_push(
+static inline __attribute__((always_inline)) const vec *lanes_push(
     struct lanes *g, int64_t m, int64_t nimd, int64_t spare, double k15,
     const double *zn)
 {
-    const __m256d zero = _mm256_setzero_pd(), sign = _mm256_set1_pd(-0.0);
+    const vec zero = v_set1(0.0);
     if (g->pos == 0) {
         g->pos = spare + 1;
-        memcpy(g->hist + 6 * g->pos, g->hist, 6 * (m - 1) * sizeof(__m256d));
+        memcpy(g->hist + 6 * g->pos, g->hist, 6 * (m - 1) * sizeof(vec));
     }
-    __m256d *e = g->hist + 6 * --g->pos;
-    __m256d xr = _mm256_mul_pd(g->scale, _mm256_broadcast_sd(zn)),
-            xi = _mm256_mul_pd(g->scale, _mm256_broadcast_sd(zn + 1));
+    vec *e = g->hist + 6 * --g->pos;
+    vec xr = v_mul(g->scale, v_set1(zn[0])), xi = v_mul(g->scale, v_set1(zn[1]));
     e[0] = xr;
     e[1] = xi;
-    e[2] = _mm256_xor_pd(xi, sign);
+    e[2] = v_neg(xi);
     if (nimd > 0) {
-        __m256d a = cabs_lanes(xr, xi),
-                t = _mm256_mul_pd(_mm256_set1_pd(k15), _mm256_mul_pd(a, a)),
-                yi = _mm256_fmadd_pd(t, xi, _mm256_mul_pd(zero, xr));
-        e[3] = _mm256_fmsub_pd(t, xr, _mm256_mul_pd(zero, xi));
+        vec a = cabs_lanes(xr, xi), t = v_mul(v_set1(k15), v_mul(a, a)),
+            yi = v_fmadd(t, xi, v_mul(zero, xr));
+        e[3] = v_fmsub(t, xr, v_mul(zero, xi));
         e[4] = yi;
-        e[5] = _mm256_xor_pd(yi, sign);
+        e[5] = v_neg(yi);
     }
     return e;
 }
 
-/* The jobs in groups of LANES, step by step: each step enters one sample of
- * z into every group's history (once for groups of equal scales), and every
- * group steps on its own regressor. Returns 0, having run nothing, if the
- * groups' state cannot be allocated. */
-static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
-                         const double *z, int64_t jobs, const struct run *runs)
+/* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
+ * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
+ * step j on the regressor of sample j + m - 1 of its reference
+ * x = scale z (x_at), with the m of the call and its own
+ * nimd = dim / 2 - m. The jobs run in groups of LANES, step by step: each
+ * step enters one sample of z into every group's history (once for groups
+ * of equal scales), and every group steps on its own regressors, each job
+ * returning the bits it returns alone. Returns LANES, the lanes per vector
+ * it ran the jobs in, or 0, having run nothing, if the groups' state
+ * cannot be allocated. */
+int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
+                const double *z, int64_t jobs, const struct run *runs)
 {
     int64_t nimd = 0;
     for (int64_t g = 0; g < jobs; g++)
@@ -858,12 +814,9 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
     /* each group's w, w_accum and pre (4 half vectors each), keep (half)
      * and history of spare + m samples, on the heap: the number of jobs has
      * no bound */
-    const int64_t spare = m > 32 ? m : 32,
-                  size = 13 * half + 6 * (spare + m);
-    __m256d *state = aligned_alloc(sizeof(__m256d),
-                                   groups * size * sizeof(__m256d));
-    struct lanes *lanes = aligned_alloc(sizeof(__m256d),
-                                        groups * sizeof(struct lanes));
+    const int64_t spare = m > 32 ? m : 32, size = 13 * half + 6 * (spare + m);
+    vec *state = aligned_alloc(sizeof(vec), groups * size * sizeof(vec));
+    struct lanes *lanes = aligned_alloc(sizeof(vec), groups * sizeof(struct lanes));
     if (!state || !lanes) {
         free(state);
         free(lanes);
@@ -876,9 +829,9 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
         lg->keep = lg->w + 8 * half;
         lg->pre = lg->w + 9 * half;
         lg->hist = lg->w + 13 * half;
-        lanes_init(lg, runs + g * LANES, jobs - g * LANES, half);
+        lanes_init(lg, runs + g * LANES, jobs - g * LANES);
         for (lg->src = 0; lg->src < g; lg->src++)
-            if (!memcmp(&lanes[lg->src].scale, &lg->scale, sizeof(__m256d)))
+            if (!memcmp(&lanes[lg->src].scale, &lg->scale, sizeof(vec)))
                 break;
     }
     int64_t steps = runs[0].steps;
@@ -893,8 +846,8 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
             } else {
                 lg->now = lanes[lg->src].now;
             }
-            lanes_start(lg, i, n, m, half);
-            lanes_dot(lg, m, half, lg->now);
+            lanes_start(lg, i, n, m);
+            lanes_dot(lg, m, lg->now);
         }
         for (int64_t j = 0; j < steps; j++)
             for (int64_t g = 0; g < groups; g++) {
@@ -903,41 +856,19 @@ static int lms_raw_lanes(int64_t trials, int64_t n, int64_t m, double k15,
                 if (lg->src != g)
                     lg->next = lanes[lg->src].next;
                 else if (j + 1 < steps)
-                    lg->next = lanes_push(lg, m, nimd, spare, k15,
-                                          zi + 2 * (j + m));
+                    lg->next = lanes_push(lg, m, nimd, spare, k15, zi + 2 * (j + m));
                 else
                     lg->next = lg->now;
                 if (lg->newton)
-                    lanes_step(lg, i, j, m, half, 1);
+                    lanes_step(lg, i, j, m, 1);
                 else
-                    lanes_step(lg, i, j, m, half, 0);
+                    lanes_step(lg, i, j, m, 0);
                 lg->now = lg->next;
             }
         for (int64_t g = 0; g < groups; g++)
-            lanes_finish(&lanes[g], i, half);
+            lanes_finish(&lanes[g], i);
     }
     free(state);
     free(lanes);
-    return 1;
-}
-#endif
-
-/* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
- * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
- * step j on the regressor of sample j + m - 1 of its reference
- * x = scale z (x_at), with the m of the call and its own
- * nimd = dim / 2 - m. Returns the lanes per vector it ran the jobs in:
- * LANES for two or more jobs on an AVX2 build, else 1, the scalar step job
- * by job, which also serves if the lanes' state cannot be allocated; either
- * way every job returns the same bits. */
-int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
-                const double *z, int64_t jobs, const struct run *runs)
-{
-#ifdef LANES
-    if (jobs > 1 && lms_raw_lanes(trials, n, m, k15, z, jobs, runs))
-        return LANES;
-#endif
-    for (int64_t g = 0; g < jobs; g++)
-        lms_raw_job(trials, n, m, k15, z, &runs[g]);
-    return 1;
+    return LANES;
 }

@@ -11,11 +11,13 @@ every transmit power:
 and their sum) sample by sample, then adds the noise as a
 ``NormalStream`` draws it; ``lms_raw`` runs the LMS steps of whole runs:
 the canceller jobs of one call share one set of rows z, each job with its
-own scale and observation rows, and two or more jobs run as the lanes of
-AVX2 vectors, four jobs per vector, each lane on its own regressor and
-repeating its job's scalar step bit for bit (a one-job call, and every
-call on a build without AVX2, runs the scalar step); it returns the lanes
-per vector it ran, 4 or 1. A job may carry a real preconditioner that
+own scale and observation rows, and run as the lanes of vectors, each lane
+on its own regressor and repeating its job's arithmetic bit for bit. The
+lanes are written once over a block of vector operations, four lanes per
+AVX2 vector on a build with AVX2 and FMA and one double wide on any other
+build, and every call, one-job calls too, runs through them; ``lms_raw``
+returns the lanes per vector it ran, 4 or 1, or 0 if their state cannot
+be allocated. A job may carry a real preconditioner that
 couples each regressor entry only with its layout partner, x(n-d) with
 x_imd(n-d), and then runs the LMS-Newton step. ``Run`` describes one job.
 

@@ -32,10 +32,11 @@ conj(reg_j)), j the partner of k, entry by entry) and |e|^2 do, so
 results are bit-identical to a numpy loop over the steps. The kernel moves
 each job's regressor on by one sample of z per step, forming x = scale z
 (each part of z times the scale, as ``signals.Draw.reference`` does) and
-x_imd from it; two or more jobs run as the lanes of AVX2 vectors, four jobs
-per vector, each lane on its own regressor, and return the bits each job
-returns alone. Each ``BatchRun`` records the lanes per vector its call ran
-(``lanes``).
+x_imd from it; the jobs run as the lanes of vectors, four jobs per vector
+on a build with AVX2 and FMA and one on any other, each lane on its own
+regressor, and return the bits each job returns alone. Each ``BatchRun``
+records the lanes per vector its call ran (``lanes``), and a kernel that
+cannot allocate its lanes' state raises ``MemoryError``.
 ``regressor_matrix`` builds the same regressors as rows, for the tests'
 numpy loop.
 """
@@ -146,7 +147,7 @@ class BatchRun:
     diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
     diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
     n_steps: int
-    lanes: int                        # jobs per vector of its call: 4 or 1 (scalar)
+    lanes: int                        # jobs per vector of its call: 4 (AVX2) or 1
     residual_power: np.ndarray | None = None    # (trials, n_steps)
     taps: np.ndarray | None = None              # (trials, kept steps, len(track_taps))
 
@@ -275,7 +276,8 @@ def run_jobs(zs: np.ndarray, jobs: list[Job], keep_residuals: bool = True,
     (so a scale of 1 runs on ``zs`` itself). The jobs share M and k_tiq (a
     ``ValueError`` otherwise) and may differ in everything else. Each job
     returns exactly what it returns alone in ``run_batch`` on its own x and
-    d, and every run records the lanes per vector the call ran (``lanes``).
+    d, and every run records the lanes per vector the call ran (``lanes``);
+    a kernel that cannot allocate its lanes' state is a ``MemoryError``.
     ``keep_residuals`` stores |e|^2 per step; ``track_taps`` stores the
     listed weights (indices into each job's own weight vector) after steps
     0, tap_stride, 2 tap_stride, ...
@@ -296,6 +298,8 @@ def run_jobs(zs: np.ndarray, jobs: list[Job], keep_residuals: bool = True,
              for job, d in zip(jobs, ds)]
     runs = (_native.Run * len(state))(*(job.run for job in state))
     lanes = _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, len(state), runs)
+    if not lanes:
+        raise MemoryError("the LMS kernel cannot allocate the state of its lanes")
     return [job.result(lanes) for job in state]
 
 

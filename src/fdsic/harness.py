@@ -738,6 +738,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     s_opt = optimal_sigma_x2(k)
     s_sub = 10 ** (-10.0 / 10.0)
     n_iters = max(config.iterations, 20_000)
+    report.meta["iterations_run"] = str(n_iters)
     block = 100
     opt = _point(config, prof, s_opt)
     budget = opt.budget

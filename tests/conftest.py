@@ -24,9 +24,9 @@ def type2():
 
 @pytest.fixture(scope="session")
 def _scalar_source(tmp_path_factory):
-    """A copy of the kernel sources, so that the scalar build's deletion of
+    """A copy of the kernel sources, so that the 1-wide build's deletion of
     superseded libraries cannot reach the package's own; the one library
-    built beside it serves every test that loads the scalar build."""
+    built beside it serves every test that loads the 1-wide build."""
     root = tmp_path_factory.mktemp("scalar-kernel")
     for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
         (root / path.name).write_bytes(path.read_bytes())
@@ -36,7 +36,8 @@ def _scalar_source(tmp_path_factory):
 @pytest.fixture
 def scalar_kernel(_scalar_source, monkeypatch):
     """A context manager in which every kernel call runs the library built
-    with -mno-avx2: the scalar step alone, as on a CPU without AVX2."""
+    with -mno-avx2: the LMS lanes one double wide, as on a CPU without
+    AVX2."""
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("-mno-avx2 is an x86 flag")
 

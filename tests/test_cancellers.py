@@ -560,8 +560,8 @@ def _group_jobs(kernel_setup, wiener, point_rows, count):
 
 @functools.cache
 def _build_lanes() -> int:
-    """The lanes per vector of a multi-job call on the default build: 4 if
-    its flags give the kernel AVX2 and FMA, else 1."""
+    """The lanes per vector of every call on the default build: 4 if its
+    flags give the kernel AVX2 and FMA, else 1."""
     macros = subprocess.run([_native._COMPILER, *_native._CFLAGS, "-dM", "-E", "-x", "c",
                              "/dev/null"], capture_output=True, text=True, check=True).stdout
     return 4 if "__AVX2__" in macros and "__FMA__" in macros else 1
@@ -571,8 +571,8 @@ def _build_lanes() -> int:
 def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows):
     """Every job of a multi-job call (AVX2 lanes where the build has them),
     each on its own reference x = scale z of the call's rows z and its own
-    observation, returns each BatchRun field bit for bit as the scalar step
-    returns it alone on that x and d, and as the numpy loop does."""
+    observation, returns each BatchRun field bit for bit as it returns alone
+    on that x and d, and as the numpy loop does."""
     zs, _ = point_rows
     jobs, own = _group_jobs(kernel_setup, wiener, point_rows, count)
     options = _GROUP_OPTIONS[count]
@@ -581,9 +581,9 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows)
     assert [run.lanes for run in runs] == [_build_lanes()] * count
     assert runs[3 % count].diverged.all() == (count > 3)
     assert not runs[0].diverged.any() and not runs[1].diverged.any()
-    # one job alone runs the scalar step, forming its x from z too
+    # one job alone runs as the lanes too, forming its x from z
     [alone] = run_jobs(zs, jobs[:1], **options)
-    assert alone.lanes == 1
+    assert alone.lanes == _build_lanes()
     _assert_same_bits(alone, runs[0])
     for job, (xs, d), run in zip(jobs, own, runs):
         for oracle in (run_batch, _reference_run_batch):
@@ -662,11 +662,26 @@ def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
         run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
 
 
+def test_unallocated_lanes_raise_memory_error(kernel_setup, monkeypatch):
+    """A kernel that returns 0, its lanes' state not allocated and nothing
+    run, is a MemoryError, not runs of untouched state."""
+    _, xs, ds, _ = kernel_setup
+
+    class Refusing:
+        def lms_raw(self, *args):
+            return 0
+
+    monkeypatch.setattr(_native, "library", Refusing)
+    with pytest.raises(MemoryError, match="cannot allocate"):
+        run_batch(xs, ds, _kernel_config(kernel_setup, N, 0.5))
+
+
 def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
                                         scalar_kernel):
     """A build without AVX2 runs a mixed 5-job call over two transmit powers
-    by the scalar step and returns the bytes the default build returns (two
-    groups of lanes, the second with three idle lanes)."""
+    one lane wide, each job a group of its own, and returns the bytes the
+    default build returns (two groups of four lanes, the second with three
+    idle lanes)."""
     zs, _ = point_rows
     jobs, _ = _group_jobs(kernel_setup, wiener, point_rows, 5)
     options = _GROUP_OPTIONS[5]
@@ -681,7 +696,8 @@ def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
 @pytest.mark.parametrize("extra", [(), ("-mno-avx2",)], ids=["default", "no-avx2"])
 def test_kernel_compiles_without_warnings(extra, tmp_path):
     """The kernel builds warning-free under -Wall -Wextra with the
-    production flags, and without AVX2 (the scalar step alone)."""
+    production flags, and without AVX2 (the vector operations one double
+    wide)."""
     if extra and platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("-mno-avx2 is an x86 flag")
     command = [_native._COMPILER, *_native._CFLAGS, *extra, "-Wall", "-Wextra",
@@ -808,12 +824,36 @@ def _ctypes_kind(kind) -> str:
     return {ctypes.c_int64: "int64", ctypes.c_double: "double"}.get(kind, "pointer")
 
 
+def _kernel_code() -> str:
+    """The source of ``_lms.c`` with its comments stripped."""
+    return re.sub(r"/\*.*?\*/", "", _native._KERNEL_SOURCE.read_text(), flags=re.S)
+
+
+def test_kernel_writes_the_lms_once():
+    """The LMS is written once, over the vector operations v_*: the block
+    that defines them 4 wide (AVX2 and FMA) or 1 wide defines nothing else,
+    every AVX2 operation has its 1-wide form, no AVX2 name appears outside
+    the block, and ``lms_raw`` chooses no path by build."""
+    source = _kernel_code()
+    block = re.search(r"^#if defined\(__AVX2__\) && defined\(__FMA__\)\n(.*?)"
+                      r"^#else\n(.*?)^#endif\n", source, re.S | re.M)
+    assert block, "no vector-operation block with a 4-wide and a 1-wide branch"
+    wide, narrow = (re.findall(r"^static inline \w+ (\w+)\(", branch, re.M)
+                    for branch in block.groups())
+    assert all(name.startswith("v_") for name in wide + narrow), wide + narrow
+    assert set(wide) <= set(narrow)
+    outside = source[:block.start()] + source[block.end():]
+    assert not re.findall(r"immintrin\.h|_mm256_\w*|__m256\w*", outside)
+    [body] = re.findall(r"^int64_t lms_raw\([^)]*\)\n\{(.*?)^\}", source, re.S | re.M)
+    assert "#if" not in body
+
+
 def test_ctypes_signatures_match_the_kernel_source():
     """Each exported kernel function takes as many parameters, of the same
     kinds (64-bit integer, double or pointer), as its ``argtypes`` declare,
     and ``_native.Run`` has the fields of ``struct run`` in order: a call
     with one argument too many or too few corrupts memory without an error."""
-    source = re.sub(r"/\*.*?\*/", "", _native._KERNEL_SOURCE.read_text(), flags=re.S)
+    source = _kernel_code()
     lib = _native.library()
     exported = {name: (result, params) for result, name, params in re.findall(
         r"^(void|int64_t) (\w+)\(([^)]*)\)", source, re.M)}

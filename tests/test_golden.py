@@ -8,9 +8,9 @@ The SHA-256 of every CSV must equal the digest stored in
 ``golden_digests.json``, so a change that moves any number shows up in
 review as a changed digest.
 
-The scalar step must give the same digests: a build of the kernel without
-AVX2 reruns ``bias``, ``sinr-sweep``, ``convergence`` (its whitened run is
-the scalar LMS-Newton step) and ``bounds-probe``.
+The 1-wide lanes must give the same digests: a build of the kernel
+without AVX2 reruns ``bias``, ``sinr-sweep``, ``convergence`` (its whitened
+run is the LMS-Newton step) and ``bounds-probe``.
 
 After a deliberate change of the numbers, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in the change log

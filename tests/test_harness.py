@@ -353,6 +353,19 @@ def test_convergence_meta_names_its_step_size(type2, tmp_path):
     assert "mu_abs" not in meta
 
 
+@pytest.mark.parametrize("iterations, run", [(3000, 20_000), (20_500, 20_500)])
+def test_convergence_meta_names_the_iterations_it_ran(iterations, run, type2, tmp_path):
+    """convergence runs at least 20000 iterations, and meta.txt says how many
+    it ran beside the configured ``iterations``: every one of its three jobs
+    takes iterations_run + 1 steps a trial."""
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=1,
+                           iterations=iterations, seed=SEED, output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert meta["iterations"] == str(iterations)
+    assert meta["iterations_run"] == str(run)
+    assert int(meta["trial_steps"]) == 3 * cfg.trials * (run + 1)
+
+
 def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch):
     """The whitened run adapts on the optimal run's own trials: two rendered
     trial sets, not three, and meta.txt names the exact whitening."""

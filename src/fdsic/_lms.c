@@ -1,6 +1,6 @@
 /* The native kernels of fdsic: the standard normal draws of a trial, the
- * one-pass render of an observation and the LMS steps of the canceller
- * jobs run on a batch of trials.
+ * render of an observation and the LMS steps of the canceller jobs run on a
+ * batch of trials.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
@@ -11,19 +11,22 @@
  * Build with -ffp-contract=off and without auto-vectorization so that the
  * compiler keeps exactly these operations. Complex arrays are interleaved
  * (re, im) doubles. The render and the LMS read a trial's reference
- * x = scale z from a source row z and a scale, and form each sample of x as
- * signals.Draw.reference does, each part of z times the scale (x_at), so
- * one row z serves every transmit power. Trials are independent and run
- * one after another. The jobs of one lms_raw call share each trial's row z,
- * and each job has its own scale and observation row. The LMS steps are
- * written once, over the vector operations v_*: the jobs run together,
- * step by step, as the lanes of a vector, each lane on its own regressor,
- * and each lane repeats its job's operations in their order, so every job
- * returns the bits it returns alone. A build with AVX2 and FMA runs four
- * lanes per vector; any other build runs one, each job a group of its own.
- * A job's preconditioner couples an entry only with its layout partner
- * (see struct run), so any jobs can share the lanes, and lms_raw returns
- * the lane count it ran.
+ * x = scale z from a source row z and a scale, and form x and its IMD
+ * product in one place (reference_lanes): each part of z times the scale,
+ * as signals.Draw.reference does, so one row z serves every transmit power.
+ * Both are written over the vector operations v_*, each lane of a vector
+ * repeating the scalar operations in their order, so a lane returns the
+ * bits one sample or one job returns alone. A build with AVX2 and FMA runs
+ * four lanes per vector; any other build runs one. The render's lanes are
+ * four consecutive output samples, formed in blocks of RB samples on the
+ * heap; its noise is drawn one normal at a time. Trials are independent
+ * and run one after another. The jobs of one lms_raw call share each
+ * trial's row z, and each job has its own scale and observation row: the
+ * jobs run together, step by step, as the lanes of a vector, each lane on
+ * its own regressor, and each job a group of its own on a 1-wide build. A
+ * job's preconditioner couples an entry only with its layout partner (see
+ * struct run), so any jobs can share the lanes, and lms_raw returns the
+ * lane count it ran.
  */
 #include <math.h>
 #include <stdint.h>
@@ -130,70 +133,11 @@ void normals_complex(uint64_t *s, int64_t n, double *y)
     pcg64_store(&g, s);
 }
 
-/* numpy's complex absolute value: max * sqrt(1 + (min/max)^2) */
-static double np_cabs(double re, double im)
-{
-    re = fabs(re);
-    im = fabs(im);
-    if (isinf(re) || isinf(im)) return INFINITY;
-    if (isnan(re) || isnan(im)) return NAN;
-    double big = re > im ? re : im, small = re > im ? im : re;
-    if (big == 0.0) return 0.0;
-    double r = small / big;
-    return sqrt(fma(r, r, 1.0)) * big;
-}
-
-/* One FIR output sum_k h(k) v(-k) over the count newest samples of v, whose
- * newest sample vn points at (v conjugated if s is -1): a sample of
- * np.convolve(h, v). numpy correlates v with the reversed taps, one zdotu
- * per output over the oldest-first window, and OpenBLAS sums a short zdotu
- * in four FMA accumulators. */
-static inline void fir_at(int64_t count, const double *h, const double *vn,
-                          double s, double *y)
-{
-    double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-    for (int64_t k = count - 1; k >= 0; k--) {
-        double vr = vn[-2 * k], vi = s * vn[1 - 2 * k];
-        double hr = h[2 * k], hi = h[2 * k + 1];
-        d0 = fma(vr, hr, d0);
-        d1 = fma(vi, hi, d1);
-        d2 = fma(vr, hi, d2);
-        d3 = fma(vi, hr, d3);
-    }
-    y[0] = 0.0 + (d0 - d1);
-    y[1] = 0.0 + (d2 + d3);
-}
-
 /* numpy's product of a real scale (promoted to complex) and (re, im) */
 static inline void scale_complex(double a, double re, double im, double *y)
 {
     y[0] = fma(a, re, -(0.0 * im));
     y[1] = fma(a, im, 0.0 * re);
-}
-
-/* The reference sample x = scale z of the source sample zn: each part of
- * zn times scale */
-static inline void x_at(double scale, const double *zn, double *x)
-{
-    x[0] = scale * zn[0];
-    x[1] = scale * zn[1];
-}
-
-/* The IMD product x_imd = (k15 * |x|^2) * x of the sample xn, rounded as
- * transceiver.imd_sequence rounds it */
-static inline void imd_at(double k15, const double *xn, double *y)
-{
-    double a = np_cabs(xn[0], xn[1]);
-    scale_complex(k15 * (a * a), xn[0], xn[1], y);
-}
-
-/* Drop the oldest of the count samples of the window q (oldest first) */
-static inline void shift_out(double *q, int64_t count)
-{
-    for (int64_t k = 0; k + 1 < count; k++) {
-        q[2 * k] = q[2 * k + 2];
-        q[2 * k + 1] = q[2 * k + 3];
-    }
 }
 
 /* Add scale times the next n standard normals of g to every second double
@@ -215,65 +159,6 @@ static void add_normals(struct pcg64 *g, int64_t n, double scale, double *y,
         if (z)
             z[2 * i] = v;
     }
-}
-
-/* Render the observation of the reference x = scale z (n samples, x_at
- * forms each) in one pass over z and one pass of draws per noise part, as
- * transceiver.render_observation defines it. h and g have m taps, h_imd and
- * g_imd nimd < m; k15 is k_tiq^{3/2}. The noise is drawn from the generator
- * whose state s holds (advanced past the draws): n standard normals for
- * each of the real then the imaginary parts of the thermal, the
- * quantization and (if soi) the SOI noise, which noise[0..2] scale. d
- * receives the sum of the seven components in the order
- * 0 + linear + image + imd + image_imd + thermal + quantization + soi,
- * the noise parts added as they are drawn (see add_normals; adding the
- * absent SOI, 0.0, leaves the sum as it is). comp, if not NULL, receives the
- * components as (7, n), each noise component scaled from its stored draws
- * by numpy's product. Only the m newest samples of x and the nimd newest
- * IMD samples are kept. */
-void render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
-            const double *g, const double *h_imd, const double *g_imd,
-            const double *z, double scale, uint64_t *s,
-            int64_t soi, const double *noise, double *d, double *comp)
-{
-    double xw[2 * m], q[2 * nimd + 2];  /* the x and IMD windows, oldest first */
-    double *xn = xw + 2 * (m - 1), *qn = q + 2 * (nimd > 0 ? nimd - 1 : 0);
-    for (int64_t i = 0; i < n; i++) {
-        shift_out(xw, m);
-        x_at(scale, z + 2 * i, xn);
-        shift_out(q, nimd);
-        imd_at(k15, xn, qn);
-        int64_t cx = i < m ? i + 1 : m, cq = i < nimd ? i + 1 : nimd;
-        double c[8];
-        fir_at(cx, h, xn, 1.0, c);
-        fir_at(cx, g, xn, -1.0, c + 2);
-        fir_at(cq, h_imd, qn, 1.0, c + 4);
-        fir_at(cq, g_imd, qn, -1.0, c + 6);
-        double dr = 0.0, di = 0.0;
-        for (int64_t k = 0; k < 4; k++) {
-            dr = dr + c[2 * k];
-            di = di + c[2 * k + 1];
-        }
-        d[2 * i] = dr;
-        d[2 * i + 1] = di;
-        if (comp)
-            for (int64_t k = 0; k < 4; k++) {
-                comp[2 * (k * n + i)] = c[2 * k];
-                comp[2 * (k * n + i) + 1] = c[2 * k + 1];
-            }
-    }
-    struct pcg64 gen = pcg64_load(s);
-    for (int64_t k = 0; k < (soi ? 3 : 2); k++) {
-        double *w = comp ? comp + 2 * (4 + k) * n : NULL;
-        add_normals(&gen, n, noise[k], d, w);
-        add_normals(&gen, n, noise[k], d + 1, w ? w + 1 : NULL);
-        if (w)
-            for (int64_t i = 0; i < n; i++)
-                scale_complex(noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
-    }
-    pcg64_store(&gen, s);
-    if (comp && !soi)
-        memset(comp + 2 * 6 * n, 0, 2 * n * sizeof(double));
 }
 
 /* One canceller job of an LMS call: its steps, its dim regressor weights,
@@ -309,16 +194,19 @@ static inline double *tap_row(const struct run *b, int64_t i, int64_t k)
     return b->tap_buf + 2 * (i * kept + k) * b->ntaps;
 }
 
-/* The vector operations of the LMS steps, on the LANES lanes of a vec: with
- * AVX2 and FMA each is one intrinsic on four doubles, else plain C on one
- * double. Compares give masks, each lane all bits set or none; v_and keeps
- * a lane where the mask is set, v_blend(a, b, mask) takes b where the mask's
- * sign bit is set, a elsewhere, and v_movemask gathers the sign bits.
+/* The vector operations of the render and the LMS steps, on the LANES
+ * lanes of a vec: with AVX2 and FMA each is one intrinsic (or a short
+ * sequence) on four doubles, else plain C on one double. Compares give
+ * masks, each lane all bits set or none; v_and keeps a lane where the mask
+ * is set, v_blend(a, b, mask) takes b where the mask's sign bit is set, a
+ * elsewhere, and v_movemask gathers the sign bits.
  * v_max(a, b) is a > b ? a : b and v_min(a, b) is a < b ? a : b, as
  * maxpd and minpd are. v_fmsub(a, b, c) is fma(a, b, -c), the vfmsub
  * instruction the compiler gives that fma() (a NaN c keeps its sign there,
  * where negating it first would flip it). v_gather(p, o) loads the double
- * p[l][o] into each lane l. */
+ * p[l][o] into each lane l. v_load2(p, re, im) loads the LANES complex
+ * values at p, interleaved (re, im), as the vectors re and im of their
+ * parts, and v_store2(p, re, im) stores them back interleaved. */
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
@@ -331,6 +219,18 @@ static inline void v_store(double *p, vec a) { _mm256_storeu_pd(p, a); }
 static inline vec v_gather(const double *const *p, int64_t o)
 {
     return _mm256_set_pd(p[3][o], p[2][o], p[1][o], p[0][o]);
+}
+static inline void v_load2(const double *p, vec *re, vec *im)
+{
+    vec a = _mm256_loadu_pd(p), b = _mm256_loadu_pd(p + 4);
+    *re = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xd8);
+    *im = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xd8);
+}
+static inline void v_store2(double *p, vec re, vec im)
+{
+    vec lo = _mm256_unpacklo_pd(re, im), hi = _mm256_unpackhi_pd(re, im);
+    _mm256_storeu_pd(p, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
 }
 static inline vec v_add(vec a, vec b) { return _mm256_add_pd(a, b); }
 static inline vec v_sub(vec a, vec b) { return _mm256_sub_pd(a, b); }
@@ -371,6 +271,16 @@ static inline vec v_set1(double a) { return a; }
 static inline vec v_load(const double *p) { return *p; }
 static inline void v_store(double *p, vec a) { *p = a; }
 static inline vec v_gather(const double *const *p, int64_t o) { return p[0][o]; }
+static inline void v_load2(const double *p, vec *re, vec *im)
+{
+    *re = p[0];
+    *im = p[1];
+}
+static inline void v_store2(double *p, vec re, vec im)
+{
+    p[0] = re;
+    p[1] = im;
+}
 static inline vec v_add(vec a, vec b) { return a + b; }
 static inline vec v_sub(vec a, vec b) { return a - b; }
 static inline vec v_mul(vec a, vec b) { return a * b; }
@@ -404,13 +314,14 @@ static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
 /* Up to LANES jobs of one lms_raw call, one job per lane. Each lane repeats
  * the numpy expressions of its job's LMS step, e = d - reg^T w (einsum's
  * in-order sum, no FMA), w += mu e conj(reg) or, with a preconditioner,
- * w += mu e P conj(reg), and |e|^2 (np_cabs), operation for operation: the
- * same products, sums and fma()s in the same order, np_cabs as cabs_lanes.
+ * w += mu e P conj(reg), and |e|^2 (numpy's complex absolute value,
+ * cabs_lanes), operation for operation: the same products, sums and fma()s
+ * in the same order.
  * Each lane steps on its own regressor and reads its own job's
  * observation. The regressors are views into a history of the trial's
  * newest samples, into which lanes_push enters one sample of the call's
- * row z per step, each lane's x = scale z (x_at) and IMD product (imd_at)
- * formed as numpy forms them, so that no entry moves from step to step.
+ * row z per step, each lane's x = scale z and IMD product formed as numpy
+ * forms them (reference_lanes), so that no entry moves from step to step.
  * The lanes share one regressor layout, that of the group's largest nimd
  * (half = m + nimd slots per half, slot_offset placing each in a view); a
  * job with fewer IMD taps leaves the extra slots of both halves out. The
@@ -461,10 +372,10 @@ static inline int64_t slot_offset(int64_t m, int64_t half, int64_t k)
     return e < m ? 6 * e : 6 * (e - m) + 3;
 }
 
-/* np_cabs of every lane: the same max, min, quotient, fma, sqrt and
- * product, then the exits of np_cabs, last to first, as blends: a zero
- * magnitude gives 0 (where the quotient was 0/0), a NaN part NAN and an
- * infinite part INFINITY. */
+/* numpy's complex absolute value of every lane, max sqrt(1 + (min/max)^2):
+ * the same max, min, quotient, fma, sqrt and product, then numpy's exits,
+ * last to first, as blends: a zero magnitude gives 0 (where the quotient
+ * was 0/0), a NaN part NAN and an infinite part INFINITY. */
 static inline vec cabs_lanes(vec re, vec im)
 {
     const vec inf = v_set1(INFINITY), zero = v_set1(0.0);
@@ -476,6 +387,30 @@ static inline vec cabs_lanes(vec re, vec im)
     a = v_blend(a, zero, v_eq(big, zero));
     a = v_blend(a, v_set1(NAN), v_unord(re, im));
     return v_blend(a, inf, v_or(v_eq(re, inf), v_eq(im, inf)));
+}
+
+/* The reference x = scale z of the source samples (zr, zi) in every lane,
+ * each part of z times scale as signals.Draw.reference forms it, and, if
+ * imd, its IMD product x_imd = (k15 |x|^2) x as transceiver.imd_sequence
+ * rounds it, numpy's real-by-complex product (scale_complex), into
+ * x[0 .. 5] = xr, xi, -xi, x_imd_r, x_imd_i, -x_imd_i: the six vectors of a
+ * sample in an LMS history view (slot_offset), each conjugate's imaginary
+ * part negated bit for bit as np.conj negates it. */
+static inline __attribute__((always_inline)) void reference_lanes(
+    vec scale, vec zr, vec zi, double k15, int imd, vec *x)
+{
+    const vec zero = v_set1(0.0);
+    vec xr = v_mul(scale, zr), xi = v_mul(scale, zi);
+    x[0] = xr;
+    x[1] = xi;
+    x[2] = v_neg(xi);
+    if (imd) {
+        vec a = cabs_lanes(xr, xi), t = v_mul(v_set1(k15), v_mul(a, a)),
+            yi = v_fmadd(t, xi, v_mul(zero, xr));
+        x[3] = v_fmsub(t, xr, v_mul(zero, xi));
+        x[4] = yi;
+        x[5] = v_neg(yi);
+    }
 }
 
 /* The vec whose lanes hold the 64-bit patterns bits[] */
@@ -767,36 +702,25 @@ static inline __attribute__((always_inline)) void lanes_step(
 
 /* Enter the source sample zn into the history of the lanes of g as its
  * newest sample, and return the view of its regressor: each lane's
- * x = scale zn and IMD product formed as x_at and imd_at form them. Every
- * `spare` samples the m - 1 newest move to the far end of the history. */
+ * x = scale zn and IMD product (reference_lanes). Every `spare` samples the
+ * m - 1 newest move to the far end of the history. */
 static inline __attribute__((always_inline)) const vec *lanes_push(
     struct lanes *g, int64_t m, int64_t nimd, int64_t spare, double k15,
     const double *zn)
 {
-    const vec zero = v_set1(0.0);
     if (g->pos == 0) {
         g->pos = spare + 1;
         memcpy(g->hist + 6 * g->pos, g->hist, 6 * (m - 1) * sizeof(vec));
     }
     vec *e = g->hist + 6 * --g->pos;
-    vec xr = v_mul(g->scale, v_set1(zn[0])), xi = v_mul(g->scale, v_set1(zn[1]));
-    e[0] = xr;
-    e[1] = xi;
-    e[2] = v_neg(xi);
-    if (nimd > 0) {
-        vec a = cabs_lanes(xr, xi), t = v_mul(v_set1(k15), v_mul(a, a)),
-            yi = v_fmadd(t, xi, v_mul(zero, xr));
-        e[3] = v_fmsub(t, xr, v_mul(zero, xi));
-        e[4] = yi;
-        e[5] = v_neg(yi);
-    }
+    reference_lanes(g->scale, v_set1(zn[0]), v_set1(zn[1]), k15, nimd > 0, e);
     return e;
 }
 
 /* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
  * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
  * step j on the regressor of sample j + m - 1 of its reference
- * x = scale z (x_at), with the m of the call and its own
+ * x = scale z (reference_lanes), with the m of the call and its own
  * nimd = dim / 2 - m. The jobs run in groups of LANES, step by step: each
  * step enters one sample of z into every group's history (once for groups
  * of equal scales), and every group steps on its own regressors, each job
@@ -871,4 +795,139 @@ int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
     free(state);
     free(lanes);
     return LANES;
+}
+
+/* The samples per block of the render, a multiple of LANES */
+#define RB 256
+
+/* The LANES complex values of p, of which only the first count (at most
+ * LANES) are read, the others 0, as the vectors re and im of their parts */
+static inline void load_valid(const double *p, int64_t count, vec *re, vec *im)
+{
+    if (count < LANES) {
+        double part[2 * LANES] = {0};
+        v_load2(memcpy(part, p, 2 * count * sizeof(double)), re, im);
+    } else {
+        v_load2(p, re, im);
+    }
+}
+
+/* Store the first count (at most LANES) complex values of (re, im) at p */
+static inline void store_valid(double *p, int64_t count, vec re, vec im)
+{
+    double part[2 * LANES];
+    v_store2(count < LANES ? part : p, re, im);
+    if (count < LANES)
+        memcpy(p, part, 2 * count * sizeof(double));
+}
+
+/* The FIR outputs sum_k h(k) v(i - k) and sum_k g(k) v*(i - k) over count
+ * taps of LANES consecutive samples i of v, the first at re[0], im[0] and
+ * cim[0] (the planar real, imaginary and negated imaginary parts of v), into
+ * c[0 .. 3]: the real and imaginary parts of each, a sample of
+ * np.convolve(h, v) and np.convolve(g, conj(v)). numpy correlates v with
+ * the reversed taps, one zdotu per output over the oldest-first window, and
+ * OpenBLAS sums a short zdotu in four FMA accumulators. */
+static inline __attribute__((always_inline)) void fir_lanes(
+    int64_t count, const double *h, const double *g, const double *re,
+    const double *im, const double *cim, vec *c)
+{
+    const vec zero = v_set1(0.0);
+    vec a0 = zero, a1 = zero, a2 = zero, a3 = zero,
+        b0 = zero, b1 = zero, b2 = zero, b3 = zero;
+    for (int64_t k = count - 1; k >= 0; k--) {
+        vec vr = v_load(re - k), vi = v_load(im - k), vc = v_load(cim - k);
+        vec hr = v_set1(h[2 * k]), hi = v_set1(h[2 * k + 1]),
+            gr = v_set1(g[2 * k]), gi = v_set1(g[2 * k + 1]);
+        a0 = v_fmadd(vr, hr, a0);
+        a1 = v_fmadd(vi, hi, a1);
+        a2 = v_fmadd(vr, hi, a2);
+        a3 = v_fmadd(vi, hr, a3);
+        b0 = v_fmadd(vr, gr, b0);
+        b1 = v_fmadd(vc, gi, b1);
+        b2 = v_fmadd(vr, gi, b2);
+        b3 = v_fmadd(vc, gr, b3);
+    }
+    c[0] = v_add(zero, v_sub(a0, a1));
+    c[1] = v_add(zero, v_add(a2, a3));
+    c[2] = v_add(zero, v_sub(b0, b1));
+    c[3] = v_add(zero, v_add(b2, b3));
+}
+
+/* Render the observation of the reference x = scale z (n samples), as
+ * transceiver.render_observation defines it, then draw its noise. h and g
+ * have m taps, h_imd and g_imd nimd < m; k15 is k_tiq^{3/2}. x and x_imd
+ * are formed (reference_lanes) a block of RB samples at a time, as planar
+ * rows behind the m - 1 samples before the block, which are 0 before
+ * sample 0; the last block is padded with zeros to a multiple of LANES.
+ * Each lane of the FIRs is one output sample, summed over all m (or nimd)
+ * taps: a tap that reaches before sample 0 adds the exact product of a
+ * finite tap and 0 to an accumulator that is still +0, which leaves it +0,
+ * as the shorter sum of numpy leaves it. The noise
+ * is drawn from the generator whose state s holds (advanced past the
+ * draws): n standard normals for each of the real then the imaginary parts
+ * of the thermal, the quantization and (if soi) the SOI noise, which
+ * noise[0..2] scale. d receives the sum of the seven components in the
+ * order 0 + linear + image + imd + image_imd + thermal + quantization + soi,
+ * the noise parts added as they are drawn (see add_normals; adding the
+ * absent SOI, 0.0, leaves the sum as it is). comp, if not NULL, receives
+ * the components as (7, n), each noise component scaled from its stored
+ * draws by numpy's product. Returns 1, or 0, having rendered nothing, if
+ * the block rows cannot be allocated: they hold m - 1 + RB samples each,
+ * and m has no bound. */
+int64_t render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
+               const double *g, const double *h_imd, const double *g_imd,
+               const double *z, double scale, uint64_t *s,
+               int64_t soi, const double *noise, double *d, double *comp)
+{
+    /* six rows: xr, xi, -xi and those of x_imd, as reference_lanes forms them */
+    const int64_t past = m - 1, len = past + RB, rows = nimd > 0 ? 6 : 3;
+    double *x = calloc(6 * len, sizeof(double));
+    if (!x)
+        return 0;
+    const vec zero = v_set1(0.0);
+    for (int64_t b = 0; b < n; b += RB) {
+        int64_t size = n - b < RB ? n - b : RB;
+        if (b > 0)
+            for (int64_t r = 0; r < rows; r++)
+                memmove(x + r * len, x + r * len + RB, past * sizeof(double));
+        for (int64_t t = 0; t < size; t += LANES) {
+            vec zr, zi, v[6];
+            load_valid(z + 2 * (b + t), size - t, &zr, &zi);
+            reference_lanes(v_set1(scale), zr, zi, k15, nimd > 0, v);
+            for (int64_t r = 0; r < rows; r++)
+                v_store(x + r * len + past + t, v[r]);
+        }
+        for (int64_t t = 0; t < size; t += LANES) {
+            const double *xt = x + past + t;
+            vec c[8];
+            fir_lanes(m, h, g, xt, xt + len, xt + 2 * len, c);
+            fir_lanes(nimd, h_imd, g_imd, xt + 3 * len, xt + 4 * len,
+                      xt + 5 * len, c + 4);
+            vec dr = zero, di = zero;
+            for (int64_t k = 0; k < 4; k++) {
+                dr = v_add(dr, c[2 * k]);
+                di = v_add(di, c[2 * k + 1]);
+            }
+            store_valid(d + 2 * (b + t), size - t, dr, di);
+            if (comp)
+                for (int64_t k = 0; k < 4; k++)
+                    store_valid(comp + 2 * (k * n + b + t), size - t, c[2 * k],
+                                c[2 * k + 1]);
+        }
+    }
+    free(x);
+    struct pcg64 gen = pcg64_load(s);
+    for (int64_t k = 0; k < (soi ? 3 : 2); k++) {
+        double *w = comp ? comp + 2 * (4 + k) * n : NULL;
+        add_normals(&gen, n, noise[k], d, w);
+        add_normals(&gen, n, noise[k], d + 1, w ? w + 1 : NULL);
+        if (w)
+            for (int64_t i = 0; i < n; i++)
+                scale_complex(noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
+    }
+    pcg64_store(&gen, s);
+    if (comp && !soi)
+        memset(comp + 2 * 6 * n, 0, 2 * n * sizeof(double));
+    return 1;
 }

@@ -1,25 +1,28 @@
-"""The compiled kernels of ``_lms.c``: the normal draws, the one-pass render
-and the LMS steps.
+"""The compiled kernels of ``_lms.c``: the normal draws, the render and the
+LMS steps.
 
 ``NormalStream`` draws the standard normals of
 ``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
 ziggurat written out in C. Both other kernels read a trial's reference
 x = scale z from a source row z and a scale, each part of z times the
 scale as ``signals.Draw.reference`` forms it, so that one row z serves
-every transmit power:
-``render`` forms one trial's observation (IMD product, four FIR branches
-and their sum) sample by sample, then adds the noise as a
-``NormalStream`` draws it; ``lms_raw`` runs the LMS steps of whole runs:
-the canceller jobs of one call share one set of rows z, each job with its
-own scale and observation rows, and run as the lanes of vectors, each lane
-on its own regressor and repeating its job's arithmetic bit for bit. The
-lanes are written once over a block of vector operations, four lanes per
-AVX2 vector on a build with AVX2 and FMA and one double wide on any other
-build, and every call, one-job calls too, runs through them; ``lms_raw``
-returns the lanes per vector it ran, 4 or 1, or 0 if their state cannot
-be allocated. A job may carry a real preconditioner that
-couples each regressor entry only with its layout partner, x(n-d) with
-x_imd(n-d), and then runs the LMS-Newton step. ``Run`` describes one job.
+every transmit power, and both form x and its IMD product by one
+function of ``_lms.c``. Both are written once over a block of vector
+operations, four lanes per AVX2 vector on a build with AVX2 and FMA and
+one double wide on any other build, each lane repeating the scalar
+arithmetic bit for bit. ``render`` forms one trial's observation (IMD
+product, four FIR branches and their sum), four consecutive samples per
+vector, in blocks of samples whose rows it allocates on the heap, then
+adds the noise as a ``NormalStream`` draws it; it raises ``MemoryError``
+if those rows cannot be allocated. ``lms_raw`` runs the LMS steps of
+whole runs: the canceller jobs of one call share one set of rows z, each
+job with its own scale and observation rows, and run as the lanes of
+vectors, each lane on its own regressor. Every call, one-job calls too,
+runs through the lanes; ``lms_raw`` returns the lanes per vector it ran,
+4 or 1, or 0 if their state cannot be allocated. A job may carry a real
+preconditioner that couples each regressor entry only with its layout
+partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton step.
+``Run`` describes one job.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -119,8 +122,8 @@ def library() -> ctypes.CDLL:
     lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[row] * 5,
                            ctypes.c_double, pcg, i64, real, row, ctypes.c_void_p]
     lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, row, i64, runs]
-    lib.normals_complex.restype = lib.render.restype = None
-    lib.lms_raw.restype = i64
+    lib.normals_complex.restype = None
+    lib.render.restype = lib.lms_raw.restype = i64
     return lib
 
 
@@ -162,7 +165,13 @@ def render(z: np.ndarray, scale: float, taps: tuple[np.ndarray, ...],
     ``taps`` is ``(h, g, h_imd, g_imd)``; ``noise`` draws the real then the
     imaginary parts of the thermal, the quantization and, if ``soi``, the
     SOI noise, n normals each, which ``scales`` (three) scale. Every array
-    is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic.
+    is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic, four
+    samples per vector on an AVX2 build. It forms x and x_imd in blocks of
+    a few hundred samples behind the channel's M - 1 previous samples, in
+    rows it allocates on the heap, so no channel length overflows the
+    stack. The C ``render`` returns 1, or 0 if it cannot allocate those
+    rows; then it has rendered and drawn nothing, and this function raises
+    ``MemoryError``.
     """
     n = len(z)
     h, g, h_imd, g_imd = taps
@@ -173,6 +182,7 @@ def render(z: np.ndarray, scale: float, taps: tuple[np.ndarray, ...],
             components.shape == (7, n) and components.dtype == np.complex128
             and components.flags.c_contiguous):
         raise ValueError("render: components must be a C-contiguous complex (7, n) array")
-    library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, z, scale,
-                     noise._state, int(soi), scales, d,
-                     None if components is None else components.ctypes.data)
+    if not library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, z,
+                            scale, noise._state, int(soi), scales, d,
+                            None if components is None else components.ctypes.data):
+        raise MemoryError("the render kernel cannot allocate its block rows")

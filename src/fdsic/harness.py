@@ -22,7 +22,9 @@ were, so they round as they did. ``power-budget`` runs no canceller and
 renders trial 0 at every grid point from one draw, by ``_trial`` alone.
 Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
 busy time of the generate, render and LMS phases, the time the LMS loop
-waited for its next trial, what the LMS calls ran (``lms_lane_fill``) and
+waited for its next trial, the time spent writing CSVs and SVGs
+(``phase.output_s``; a runner writes them through ``ExperimentReport``'s
+``add_csv`` and ``add_svg``), what the LMS calls ran (``lms_lane_fill``) and
 the trials that diverged, by job (``PhaseClock.count_lms`` flags them once
 for every runner). ``run_experiment`` is every run's skeleton: it makes the
 output directory and the report, times the run and writes ``meta.txt``; a
@@ -177,19 +179,24 @@ def _diverged(run: BatchRun, d_power: float) -> np.ndarray:
 
 class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
-    loop's waits for its next trial, the samples drawn and rendered, and the
-    LMS calls: the trial-steps they took, their number, the widest lane
-    count (jobs per vector) the kernel reported running them in, the jobs
-    they ran and the lanes they offered, and the trials that diverged, by
-    job.
+    loop's waits for its next trial and of writing its CSVs and SVGs
+    (output, ``ExperimentReport.add_csv`` and ``add_svg``), the samples
+    drawn and rendered, and the LMS calls: the trial-steps they took, their
+    number, the widest lane count (jobs per vector) the kernel reported
+    running them in, the jobs they ran and the lanes they offered, and the
+    trials that diverged, by job.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the sample counts, the caller's thread only the rest,
     so no key has two writers.
     """
 
+    # the trial loop's phases, then the writing of the run's files, whose
+    # key the first write adds
+    PHASES = ("generate", "render", "lms", "wait", "output")
+
     def __init__(self):
-        self.seconds = dict.fromkeys(("generate", "render", "lms", "wait"), 0.0)
+        self.seconds = dict.fromkeys(self.PHASES[:-1], 0.0)
         self.samples = 0
         self.samples_rendered = 0
         self.trial_steps = 0
@@ -229,10 +236,12 @@ class PhaseClock:
         try:
             yield
         finally:
-            self.seconds[name] += time.perf_counter() - started
+            self.seconds[name] = (self.seconds.get(name, 0.0)
+                                  + time.perf_counter() - started)
 
     def meta_lines(self) -> list[str]:
-        lines = [f"phase.{name}_s = {s:.4g}" for name, s in self.seconds.items()]
+        lines = [f"phase.{name}_s = {self.seconds.get(name, 0.0):.4g}"
+                 for name in self.PHASES]
         if self.samples:
             lines += [f"samples = {self.samples}",
                       f"samples_rendered = {self.samples_rendered}"]
@@ -273,6 +282,17 @@ class ExperimentReport:
 
     def add_check(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(CheckResult(name, bool(passed), detail))
+
+    def add_csv(self, *args) -> None:
+        """Write a CSV by ``write_csv(*args)``, timed as the output phase."""
+        with self.clock.phase("output"):
+            self.csv_paths.append(write_csv(*args))
+
+    def add_svg(self, plot, *args) -> None:
+        """Draw an SVG by ``plot(*args)`` (``line_plot`` or ``heatmap``),
+        timed as the output phase."""
+        with self.clock.phase("output"):
+            self.svg_paths.append(plot(*args))
 
 
 def _fmt(v) -> str:
@@ -487,13 +507,12 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
     # each component's analytic column, then each measured one
     curves = {f"{key}_dbm": [getattr(r, f"{key}_dbm") for r in rows] for key in measured}
     curves.update({f"{key}_measured_dbm": vals for key, vals in measured.items()})
-    report.csv_paths.append(write_csv(out / "power-budget.csv", "tx_power_dbm",
-                                      tx_axis, curves))
-    report.svg_paths.append(line_plot(
-        out / "power-budget.svg", tx_axis,
+    report.add_csv(out / "power-budget.csv", "tx_power_dbm", tx_axis, curves)
+    report.add_svg(
+        line_plot, out / "power-budget.svg", tx_axis,
         {k: np.array(v) for k, v in curves.items() if not k.endswith("_measured_dbm")},
         "Component powers at the digital canceller input",
-        "transmit power (dBm)", "power (dBm)"))
+        "transmit power (dBm)", "power (dBm)")
     report.tables["rows"] = rows
     report.tables["measured"] = measured
 
@@ -593,16 +612,15 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                 len(traces[f"alms_{tag}_tap{tap + 1}"]), level)
 
     iters_axis = np.arange(0, n_iters, stride)[: len(next(iter(traces.values())))]
-    report.csv_paths.append(write_csv(out / "bias.csv", "iteration", iters_axis, traces))
-    report.csv_paths.append(write_csv(out / "bias_taps.csv", "tap",
-                                      bias_table["tap"],
-                                      {k: v for k, v in bias_table.items() if k != "tap"}))
+    report.add_csv(out / "bias.csv", "iteration", iters_axis, traces)
+    report.add_csv(out / "bias_taps.csv", "tap", bias_table["tap"],
+                   {k: v for k, v in bias_table.items() if k != "tap"})
     with np.errstate(divide="ignore"):
         db_traces = {k: 20.0 * np.log10(np.maximum(v, 1e-300)) for k, v in traces.items()}
-    report.svg_paths.append(line_plot(
-        out / "bias.svg", iters_axis, db_traces,
+    report.add_svg(
+        line_plot, out / "bias.svg", iters_axis, db_traces,
         "Normalized error-coefficient magnitude (dB)", "iteration",
-        "20 log10 |w_err / w_opt|"))
+        "20 log10 |w_err / w_opt|")
     report.tables["bias_taps"] = bias_table
     report.tables["traces"] = traces
 
@@ -670,14 +688,14 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             cols[f"{name}_att_sim_db"].append(lin_to_db(d_power / mse))
             cols[f"{name}_att_theory_db"].append(lin_to_db(d_power / j_theory))
 
-    report.csv_paths.append(write_csv(out / "sinr-sweep.csv", "tx_power_dbm", grid, cols))
+    report.add_csv(out / "sinr-sweep.csv", "tx_power_dbm", grid, cols)
     # two views of the one run: SINR, and digital attenuation (the power
     # before cancellation over the residual)
     for svg, view, title in (("sinr-sweep.svg", "_sinr_", "Achievable steady-state SINR"),
                              ("attenuation.svg", "_att_", "Digital attenuation")):
-        report.svg_paths.append(line_plot(
-            out / svg, grid, {k: np.array(v) for k, v in cols.items() if view in k},
-            title, "transmit power (dBm)", "dB"))
+        report.add_svg(
+            line_plot, out / svg, grid, {k: np.array(v) for k, v in cols.items() if view in k},
+            title, "transmit power (dBm)", "dB")
     report.tables["columns"] = cols
     report.meta["anclms_iterations"] = ";".join(f"{tx:g}:{config.iterations}"
                                                 for tx in grid)
@@ -726,13 +744,13 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     for j, sdbm in enumerate(sigma_grid_dbm):
         for i, kdb in enumerate(k_grid_db):
             z[j, i] = condition_number(10 ** (sdbm / 10.0), 10 ** (kdb / 10.0))
-    report.csv_paths.append(write_csv(
+    report.add_csv(
         out / "convergence_heatmap.csv", "sigma_x2_dbm", sigma_grid_dbm,
-        {f"k_tiq_{kdb:g}dB": z[:, i] for i, kdb in enumerate(k_grid_db)}))
-    report.svg_paths.append(heatmap(
-        out / "convergence_heatmap.svg", k_grid_db, sigma_grid_dbm, np.log10(z),
+        {f"k_tiq_{kdb:g}dB": z[:, i] for i, kdb in enumerate(k_grid_db)})
+    report.add_svg(
+        heatmap, out / "convergence_heatmap.svg", k_grid_db, sigma_grid_dbm, np.log10(z),
         "log10 condition number of the nonlinear regressor covariance",
-        "k_tiq (dB)", "reference power (dBm)", "log10 C"))
+        "k_tiq (dB)", "reference power (dBm)", "log10 C")
     report.tables["heatmap_min"] = float(np.nanmin(z))
 
     s_opt = optimal_sigma_x2(k)
@@ -794,11 +812,9 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         report.meta["transient_overlay_error"] = repr(exc)
 
     iters_axis = (np.arange(n_points) + 0.5) * block
-    report.csv_paths.append(write_csv(out / "convergence.csv", "iteration",
-                                      iters_axis, curves))
-    report.svg_paths.append(line_plot(out / "convergence.svg", iters_axis, curves,
-                                      "SINR evolution at 15 dBm transmit power",
-                                      "iteration", "SINR (dB)"))
+    report.add_csv(out / "convergence.csv", "iteration", iters_axis, curves)
+    report.add_svg(line_plot, out / "convergence.svg", iters_axis, curves,
+                   "SINR evolution at 15 dBm transmit power", "iteration", "SINR (dB)")
 
     reach = {}
     for label in ("anclms_optimal", "anclms_suboptimal", "anclms_whitened"):
@@ -885,17 +901,17 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
         })
 
     axis = np.arange(len(rows))
-    report.csv_paths.append(write_csv(
+    report.add_csv(
         out / "bounds-probe.csv", "row", axis,
         {key: [r[key] if key != "variant" else ("0" if r[key] == "alms" else "1")
                for r in rows]
          for key in ("variant", "mu_frac", "mu", "n_diverged", "theory_mse",
-                     "mean_mse", "median_mse")}))
-    report.svg_paths.append(line_plot(
-        out / "bounds-probe.svg", [r["mu_frac"] for r in rows[:len(fracs)]],
+                     "mean_mse", "median_mse")})
+    report.add_svg(
+        line_plot, out / "bounds-probe.svg", [r["mu_frac"] for r in rows[:len(fracs)]],
         {"alms_diverged": np.array([r["n_diverged"] for r in rows[:len(fracs)]]),
          "anclms_diverged": np.array([r["n_diverged"] for r in rows[len(fracs):]])},
-        "Diverged trials vs step-size fraction", "mu / bound", "diverged trials"))
+        "Diverged trials vs step-size fraction", "mu / bound", "diverged trials")
     report.tables["rows"] = rows
 
     if config.check:

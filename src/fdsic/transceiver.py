@@ -21,9 +21,10 @@ alpha1 = -(4/3) alpha0 / iip3_mw.
 ``render_observation`` reads the reference as a source row z and a scale,
 x = scale z, each part of z times the scale (see ``signals.Draw``), so
 that one drawn row serves every transmit power, and forms x, x_imd, the
-four FIR branches and their sum in one pass of the compiled ``render`` of
-``_native`` (the C library that also runs the LMS steps), writing d(n)
-into the caller's row, and then adds each noise part to d(n) as
+four FIR branches and their sum in the compiled ``render`` of ``_native``
+(the C library that also runs the LMS steps), four consecutive samples
+per AVX2 vector over blocks of a few hundred samples, writing d(n) into
+the caller's row, and then adds each noise part to d(n) as
 ``_native.NormalStream`` draws it (in C, bit for bit
 the stream of ``np.random.default_rng(seed).standard_normal``), so no array
 of normals is allocated; the components are stored only on request. Its
@@ -395,7 +396,7 @@ def render_observation(zs: np.ndarray, channels: ChannelSet,
                        seed: int, include_soi: bool = False,
                        components: bool = False,
                        out: np.ndarray | None = None, scale: float = 1.0) -> Observation:
-    """Render d(n) from the reference x = ``scale`` ``zs`` in one compiled pass.
+    """Render d(n) from the reference x = ``scale`` ``zs`` in one compiled call.
 
     Each part of x is the part of ``zs`` times ``scale``, as
     ``signals.Draw.reference`` forms it; the default scale 1 renders ``zs``
@@ -407,7 +408,12 @@ def render_observation(zs: np.ndarray, channels: ChannelSet,
     ``d`` is the sum of the components in ``COMPONENTS`` order (the SOI is
     zero unless ``include_soi``).
     ``components=True`` also stores each component; ``out``, a complex128
-    row of ``len(zs)`` samples, receives ``d``.
+    row of ``len(zs)`` samples, receives ``d``. Returns the ``Observation``
+    of ``d`` and the stored components. The kernel forms x and x_imd a block
+    of samples at a time, behind the M - 1 samples before the block, and
+    sums four consecutive output samples per vector, each as one sample
+    alone sums; it allocates those block rows on the heap, so any channel
+    length renders, and raises ``MemoryError`` if it cannot.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     n = len(zs)

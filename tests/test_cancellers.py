@@ -848,6 +848,32 @@ def test_kernel_writes_the_lms_once():
     assert "#if" not in body
 
 
+def _c_functions(source: str) -> dict[str, str]:
+    """The body of every function defined in the comment-stripped C
+    ``source``, by name: a definition's parameter list closes a line, and
+    its body opens and closes at the start of lines."""
+    return dict(re.findall(r"\b(\w+)\([^;{}()]*\)\n\{(.*?)^\}", source, re.S | re.M))
+
+
+def test_kernel_forms_the_reference_once():
+    """The render and the LMS form x and x_imd by one function, over the
+    vector operations: the scalar copies (``fir_at``, ``shift_out``,
+    ``x_at``, ``imd_at``, ``np_cabs``) are gone, ``render`` chooses no path
+    by build, and one function holds the x_imd expression and is called by
+    both ``render`` and ``lanes_push``, neither of which forms |x| itself."""
+    source = _kernel_code()
+    for name in ("fir_at", "shift_out", "x_at", "imd_at", "np_cabs"):
+        assert not re.search(rf"\b{name}\b", source), name
+    functions = _c_functions(source)
+    assert "#if" not in functions["render"]
+    [helper] = [name for name, body in functions.items()
+                if re.search(r"v_fmsub\(\s*\w+,\s*xr,\s*v_mul\(zero,\s*xi\)\)", body)]
+    for caller in ("render", "lanes_push"):
+        body = functions[caller]
+        assert re.search(rf"\b{helper}\(", body), caller
+        assert "cabs_lanes(" not in body, caller
+
+
 def test_ctypes_signatures_match_the_kernel_source():
     """Each exported kernel function takes as many parameters, of the same
     kinds (64-bit integer, double or pointer), as its ``argtypes`` declare,

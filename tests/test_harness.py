@@ -503,6 +503,25 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path, lms_
     assert meta["diverged_trials"] == "0" and meta["first_nonfinite_step"] == "none"
 
 
+@pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENTS))
+def test_meta_times_the_output(experiment, type2, tmp_path, monkeypatch):
+    """Every experiment's meta.txt times the writing of its CSVs and SVGs
+    as ``phase.output_s``, through the ``fdsic.harness`` names the
+    benchmark's tracer wraps."""
+    written = []
+    for name in ("write_csv", "line_plot", "heatmap"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, real=real: written.append(1)
+                            or real(*a))
+    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=1,
+                           iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           output_dir=tmp_path)
+    report = run_experiment(cfg)
+    meta = _meta(report)
+    assert 0 < float(meta["phase.output_s"]) <= float(meta["duration_s"]) + 0.05
+    assert len(written) == len(report.csv_paths) + len(report.svg_paths) > 0
+
+
 @pytest.mark.parametrize("experiment, calls, jobs", [
     ("bounds-probe", 2, 8),   # 2 trials, 8 jobs each in one call: two lane groups
     # 2 trials x 2 runs: the optimal and the whitened (Newton) jobs share a

@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
 import math
+import os
+import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdsic import transceiver
+from fdsic import _native, transceiver
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
                                compute_noise_budget, compute_power_budget,
@@ -218,12 +224,18 @@ def test_mw_dbm_roundtrip():
     assert mw_to_dbm(dbm_to_mw(13.0)) == pytest.approx(13.0)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_fir_matches_convolve(m, type2):
-    """The render's linear and image branches are np.convolve(h, v)[:n] and
-    np.convolve(g, conj(v))[:n], bit for bit."""
+def _kernel_block() -> int:
+    """The samples per block of the render, ``RB`` in ``_lms.c``."""
+    return int(re.search(r"^#define RB (\d+)$", _native._KERNEL_SOURCE.read_text(),
+                         re.M).group(1))
+
+
+def _assert_fir_matches_convolve(m, type2):
     rng = np.random.default_rng(m)
-    for n in (m + 1, m + 2, 64, 1000, 10_000):
+    rb = _kernel_block()
+    # every n mod 4 at the shortest rows, and the block edges
+    for n in (m + 1, m + 2, m + 3, m + 4, 64, rb - 1, rb, rb + 1, 2 * rb + 3,
+              1000, 10_000):
         h, g = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ch = ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0))
@@ -234,6 +246,21 @@ def test_fir_matches_convolve(m, type2):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
     with pytest.raises(ValueError):
         render_observation(v[:m], ch, _zero_budget(), type2, seed=0)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_fir_matches_convolve(m, type2):
+    """The render's linear and image branches are np.convolve(h, v)[:n] and
+    np.convolve(g, conj(v))[:n], bit for bit."""
+    _assert_fir_matches_convolve(m, type2)
+
+
+def test_fir_matches_convolve_one_wide(type2, scalar_kernel):
+    """The build without AVX2 renders one sample per vector through the same
+    code, and its branches equal np.convolve bit for bit too."""
+    with scalar_kernel():
+        for m in range(1, 7):
+            _assert_fir_matches_convolve(m, type2)
 
 
 def _numpy_render(xs, channels, budget, profile, seed, include_soi):
@@ -329,3 +356,92 @@ def test_render_allocates_no_normals(type2):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def _block_rows(rng, n):
+    """A reference row of n samples with exact zeros: a run of them from
+    sample 0, signed zeros in one part, and zero samples scattered."""
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x[:3] = 0.0
+    x[5::11] = complex(0.0, -0.0)
+    x[7::13] = complex(-0.0, 0.7)
+    x[n // 2:n // 2 + 6] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("build", ["default", "no-avx2"])
+def test_render_matches_numpy_over_blocks(type2, build, request):
+    """d and all seven components equal the numpy formulas bit for bit for
+    every length mod 4 (M + 1 .. M + 4), at the edges of the render's
+    sample blocks (RB - 1, RB, RB + 1, 2 RB + 3), for M = 1 (no history and
+    no IMD taps), and on references with exact zeros, on both builds."""
+    loaded = (contextlib.nullcontext if build == "default"
+              else request.getfixturevalue("scalar_kernel"))
+    rb = _kernel_block()
+    rng = np.random.default_rng(21)
+    prof = type2.with_tx_power(25.0)
+    budget = compute_noise_budget(prof)
+    ch = synthesize_channels(prof, M, N, seed=SEED)
+    h, g = (rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(2))
+    single = ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0))
+    with loaded():
+        for channels in (ch, single):
+            m = channels.m
+            for n in (m + 1, m + 2, m + 3, m + 4, rb - 1, rb, rb + 1, 2 * rb + 3):
+                x = _block_rows(rng, n) * np.sqrt(prof.natural_sigma_x2)
+                _assert_render_exact(x, channels, budget, prof, 5,
+                                     include_soi=n % 2 == 0)
+
+
+def test_render_raises_memory_error_when_unallocated(type2, monkeypatch):
+    """A kernel that returns 0, its block rows not allocated and nothing
+    rendered, is a MemoryError, not an observation of untouched memory."""
+    ch = synthesize_channels(type2, M, N, seed=SEED)
+    x = gen_proper_gaussian(100, seed=1).reference(type2.natural_sigma_x2)
+
+    class Refusing:
+        def render(self, *args):
+            return 0
+
+    monkeypatch.setattr(_native, "library", Refusing)
+    with pytest.raises(MemoryError, match="cannot allocate"):
+        render_observation(x, ch, compute_noise_budget(type2), type2, seed=2)
+
+
+_LONG_CHANNEL_RENDER = """
+import sys
+import numpy as np
+from fdsic import _native
+m, n = 20_000, 20_100
+rng = np.random.default_rng(4)
+taps = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (m, m, 3, 3)]
+z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+d = np.empty(n, dtype=complex)
+_native.render(z, 0.5, tuple(taps), 0.3, _native.NormalStream(1),
+               np.full(3, 1e-3), False, d)
+np.save(sys.argv[1], d)
+"""
+
+
+def test_render_keeps_long_channels_off_the_stack(tmp_path):
+    """A channel of M = 20 000 taps renders under a 256 KiB stack, to the
+    bits it renders under the default stack: the render's rows of x (a
+    320 KB window for this M) are on the heap, not the stack."""
+    _native.library()  # built here, so the limited process only loads it
+    src = str(Path(_native.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def limit_stack():
+        hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+        resource.setrlimit(resource.RLIMIT_STACK, (256 * 1024, hard))
+
+    rows = []
+    for limit in (limit_stack, None):
+        rows.append(tmp_path / f"d{len(rows)}.npy")
+        proc = subprocess.run([sys.executable, "-c", _LONG_CHANNEL_RENDER, str(rows[-1])],
+                              env=env, preexec_fn=limit, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    limited, default = (np.load(row) for row in rows)
+    np.testing.assert_array_equal(limited.view(np.uint64), default.view(np.uint64))

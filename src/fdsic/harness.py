@@ -14,8 +14,9 @@ every job of every point of the pass on that trial in one LMS kernel call
 into a second set of rows. So a run holds two trials' rows at a time
 whatever the number of trials: the SINR sweep walks its grid in passes of
 two points, 2 x (1 + 2) rows, and fills the four lanes of an AVX2 vector
-with the ALMS and ANCLMS jobs of both; every other runner runs one point
-per pass. A runner keeps only its science: it builds the jobs, reduces
+with the ALMS and ANCLMS jobs of both; convergence runs its two reference
+powers as one pass, its three jobs in one call; every other runner runs one
+point per pass. A runner keeps only its science: it builds the jobs, reduces
 the per-trial runs across trials in trial order, and the averages that
 reach a CSV are taken over arrays laid out as the old whole-batch arrays
 were, so they round as they did. ``power-budget`` runs no canceller and
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 # run_batch and regressor_matrix are not called here; the benchmark's tracer
 # (perfbench/tracing.py) wraps them by name in this module
 from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig, Job,
@@ -166,7 +167,7 @@ class CheckResult:
 def _mean_power(d: np.ndarray) -> float:
     """The mean |d|^2 of the observation row ``d``."""
     # numpy's own loop: a BLAS dot would leave a BLAS thread spinning
-    # beside the producer after every call
+    # beside the producer and the LMS loop after every call
     return np.einsum("i,i->", d.view(np.float64), d.view(np.float64)) / len(d)
 
 
@@ -295,23 +296,28 @@ class ExperimentReport:
             self.svg_paths.append(plot(*args))
 
 
+def _fmt_column(values) -> list[str]:
+    """Every value of a column as ``str(int)`` if the column's numpy dtype
+    is an integer (or bool) type, else as a float to 9 significant digits
+    (".9g" writes every NaN as nan and the infinities as inf and -inf)."""
+    column = np.asarray(values)
+    if column.dtype.kind in "biu":
+        return [str(int(v)) for v in column.tolist()]
+    return [f"{v:.9g}" for v in column.astype(float).tolist()]
+
+
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.9g}"
+    """One value as ``_fmt_column`` writes it."""
+    return _fmt_column([v])[0]
 
 
 def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
-    """First column ``x_name``, one column per curve, 9 significant digits."""
-    header = ",".join([x_name, *curves.keys()])
-    lines = [header]
-    for i, xv in enumerate(x_values):
-        lines.append(",".join([_fmt(xv), *(_fmt(c[i]) for c in curves.values())]))
+    """First column ``x_name``, one column per curve, 9 significant digits:
+    one row per x value, each curve's values after the last row unwritten."""
+    x_column = _fmt_column(x_values)
+    columns = [x_column, *(_fmt_column(c)[:len(x_column)] for c in curves.values())]
+    lines = [",".join([x_name, *curves.keys()]),
+             *map(",".join, zip(*columns, strict=True))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -329,7 +335,7 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"signal_source = {config.signal_source}",
         f"M = {config.M}",
         f"N = {config.N}",
-        f"tx_grid_dbm = {','.join(_fmt(v) for v in config.tx_grid_dbm)}",
+        f"tx_grid_dbm = {','.join(_fmt_column(config.tx_grid_dbm))}",
         f"duration_s = {time.time() - started:.1f}",
     ]
     lines += [f"{k} = {v}" for k, v in report.meta.items()]
@@ -397,10 +403,11 @@ def _trial(config: ExperimentConfig, t: int, n: int, points: list[Point],
 
 def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
                 clock: PhaseClock):
-    """Yield ``(draw, observations)`` for trials t = 0 ... config.trials - 1,
-    each made by ``_trial``: the draw of ``n`` samples and one observation
-    per point (``obs.d.samples``). ``clock`` also times the waits for each
-    trial.
+    """Yield ``(draw, observations, powers)`` for trials t = 0 ...
+    config.trials - 1, each made by ``_trial``: the draw of ``n`` samples,
+    one observation per point (``obs.d.samples``) and the mean |d|^2 of each
+    (``_mean_power``, timed as rendering). ``clock`` also times the waits
+    for each trial.
 
     One producer thread generates and renders the trials in order into two
     sets of rows, one source row and one observation row per point each,
@@ -418,7 +425,10 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
 
     def make(t: int):
         draw, observations = _trial(config, t, n, points, clock, *rows[t % 2])
-        return draw, list(observations)
+        observations = list(observations)
+        with clock.phase("render"):
+            powers = [_mean_power(obs.d.samples) for obs in observations]
+        return draw, observations, powers
 
     # imported here, not at the top: concurrent.futures imports logging,
     # about 5 ms of the CLI's start-up
@@ -449,12 +459,11 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
     trials that diverged (``PhaseClock.count_lms``), in the order of the
     labels in ``points``.
     """
-    for t, (draw, observations) in enumerate(
+    for t, (draw, observations, powers) in enumerate(
             iter_trials(config, [point for point, _ in points], n, clock)):
         jobs, d_power = {}, {}
-        for (point, point_jobs), obs in zip(points, observations):
+        for (point, point_jobs), obs, power in zip(points, observations, powers):
             d, scale = obs.d.samples, draw.scale(point.sigma_x2)
-            power = _mean_power(d)
             for label, job in point_jobs.items():
                 jobs[label] = job._replace(d=d, scale=scale)
                 d_power[label] = power
@@ -784,21 +793,25 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     n_steps = n_iters + 1
     n_points = n_steps // block
     newton = newton_preconditioner(r_opt, config.M, config.N)
-    for point, jobs in (
-            (opt, {"anclms_optimal": Job(cfg(mu_opt), None),
-                   "anclms_whitened": Job(cfg(mu_white), None, preconditioner=newton)}),
-            (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub), None)})):
-        residuals = {label: np.empty((n_steps, config.trials)) for label in jobs}
-        for t, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
-                                     report.clock):
-            for label, run in runs.items():
-                residuals[label][:, t] = run.residual_power[0]
-        for label, rows in residuals.items():
-            with np.errstate(over="ignore", invalid="ignore"):
-                error_power_mean = rows.mean(axis=1)
-            smooth = error_power_mean[: n_points * block]
-            smooth = smooth.reshape(-1, block).mean(axis=1)
-            curves[label] = lin_to_db(budget.p_x_soi / smooth)
+    # one pass of both reference powers, as the sweep's pairs of points: each
+    # trial draws its source row once, renders it at each power and runs all
+    # three jobs in one kernel call
+    points = [(opt, {"anclms_optimal": Job(cfg(mu_opt), None),
+                     "anclms_whitened": Job(cfg(mu_white), None, preconditioner=newton)}),
+              (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub), None)})]
+    residuals = {label: np.empty((n_steps, config.trials))
+                 for _, jobs in points for label in jobs}
+    for t, runs, _ in run_trials(config, points, n_iters + config.M, report.clock):
+        for label, run in runs.items():
+            residuals[label][:, t] = run.residual_power[0]
+    # each (n_steps, trials) matrix is released as it is reduced, so none is
+    # alive while the theory overlay allocates its own transients
+    for label in [*residuals]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            error_power_mean = residuals.pop(label).mean(axis=1)
+        smooth = error_power_mean[: n_points * block]
+        smooth = smooth.reshape(-1, block).mean(axis=1)
+        curves[label] = lin_to_db(budget.p_x_soi / smooth)
 
     # small-step theory overlay for the raw run at the optimal power
     try:
@@ -948,8 +961,13 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run ``config``'s experiment into its output directory (made if
-    missing; the working directory if none is set) and write ``meta.txt``."""
+    missing; the working directory if none is set) and write ``meta.txt``.
+
+    The compiled kernels are loaded first, built if their cached library is
+    missing, so that a build is timed in no phase of the run (it would
+    otherwise land in the generate phase of the first draw)."""
     started = time.time()
+    _native.library()
     out = Path(config.output_dir) if config.output_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(config.experiment)

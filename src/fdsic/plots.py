@@ -63,11 +63,12 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
               xlabel: str, ylabel: str) -> Path:
     """Write a multi-curve line plot; NaN/inf samples break the polyline."""
     x = np.asarray(x, dtype=float)
-    finite_y = [v for ys in curves.values()
-                for v in np.asarray(ys, dtype=float) if math.isfinite(v)]
-    if not finite_y:
-        finite_y = [0.0, 1.0]
-    ylo, yhi = min(finite_y), max(finite_y)
+    curves = {name: np.asarray(ys, dtype=float) for name, ys in curves.items()}
+    finite_y = np.concatenate([[], *curves.values()])
+    finite_y = finite_y[np.isfinite(finite_y)]
+    if not finite_y.size:
+        finite_y = np.array([0.0, 1.0])
+    ylo, yhi = finite_y.min(), finite_y.max()
     if yhi == ylo:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     pad = 0.05 * (yhi - ylo)
@@ -97,17 +98,19 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
                  f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
 
     curve_parts = []
+    # sx and sy over whole arrays: each value takes the operations, in the
+    # order, that it takes alone, so the coordinates keep their bits
+    px = sx(x).tolist()
     for ci, (name, ys) in enumerate(curves.items()):
         color = _COLORS[ci % len(_COLORS)]
-        segment = []
-        # a trailing NaN ends the last segment
-        for xv, yv in [*zip(x, np.asarray(ys, dtype=float)), (0.0, math.nan)]:
-            if math.isfinite(yv):
-                segment.append(f"{sx(xv):.2f},{sy(yv):.2f}")
-            elif segment:
-                curve_parts.append(f'<polyline points="{" ".join(segment)}" fill="none" '
-                                   f'stroke="{color}" stroke-width="1.6"/>')
-                segment = []
+        ys = ys[:len(px)]
+        py = sy(ys).tolist()
+        # each run of finite samples is one polyline
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], np.isfinite(ys), [0]])))
+        for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            points = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(px[lo:hi], py[lo:hi]))
+            curve_parts.append(f'<polyline points="{points}" fill="none" '
+                               f'stroke="{color}" stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * ci
         curve_parts.append(f'<line x1="{_W - _MR + 8}" y1="{ly - 4}" x2="{_W - _MR + 30}" '
                            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -320,18 +320,20 @@ def fourth_moment(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
     q = np.repeat([0, 1, 1, 2], sizes)[:, None] * at_delay
     coef = np.repeat([1.0, k_tiq ** 1.5, 1.0, k_tiq ** 1.5], sizes)
 
-    def outer4(a, b, c, d):  # a_i + b_j + c_k + d_l, per delay
+    def outer4(a, b, c, d):  # a_i + b_j + c_k + d_l
         return (a[:, None, None, None] + b[None, :, None, None]
                 + c[None, None, :, None] + d[None, None, None, :])
 
-    # conjugating r_j and r_k swaps their powers of x and x*
-    p_tot = outer4(p, q, q, p)
-    q_tot = outer4(q, p, p, q)
     powers = np.arange(9)  # each factor brings at most 2 powers of x
     moment = np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers
-    per_delay = np.where(p_tot == q_tot, moment[p_tot], 0.0)
-    t_mat = per_delay.prod(axis=-1) * np.einsum("i,j,k,l->ijkl", coef, coef, coef, coef)
+    # the product over the delays, multiplied in one delay at a time, left to
+    # right; conjugating r_j and r_k swaps their powers of x and x*
     dim = len(delay)
+    t_mat = np.ones((dim,) * 4)
+    for pd, qd in zip(p.T, q.T):
+        p_tot, q_tot = outer4(pd, qd, qd, pd), outer4(qd, pd, pd, qd)
+        t_mat *= np.where(p_tot == q_tot, moment[p_tot], 0.0)
+    t_mat *= np.einsum("i,j,k,l->ijkl", coef, coef, coef, coef)
     return t_mat.reshape(dim * dim, dim * dim)
 
 

@@ -78,6 +78,6 @@ def stack_trials(config, profile, channels, budget, sigma_x2, n):
     run them at once."""
     point = harness.Point(profile, channels, budget, sigma_x2)
     rows = [(draw.reference(sigma_x2), obs.d.samples.copy())
-            for draw, [obs] in harness.iter_trials(config, [point], n,
-                                                   harness.PhaseClock())]
+            for draw, [obs], _ in harness.iter_trials(config, [point], n,
+                                                      harness.PhaseClock())]
     return tuple(np.stack(r) for r in zip(*rows))

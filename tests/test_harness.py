@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdsic import cli, harness
+from fdsic import _native, cli, harness, plots
 from fdsic.cancellers import (BatchRun, CancellerConfig, Job, newton_preconditioner,
                               run_batch, run_jobs)
 from fdsic.cli import main as cli_main
@@ -44,6 +44,58 @@ def test_write_csv_format(tmp_path):
     assert lines[0] == "x,a,b"
     assert lines[1] == "1,1.23456789,0.1"
     assert lines[2] == "2,inf,nan"
+
+
+def _fmt_one(v) -> str:
+    """A CSV value written out one at a time: an integer by str(int), any
+    other value as a float to 9 digits, nan, inf or -inf."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    v = float(v)
+    if math.isnan(v):
+        return "nan"
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return f"{v:.9g}"
+
+
+def test_write_csv_formats_each_column_as_each_value(tmp_path):
+    """A column of integers (or bools) is written by str(int), any other as
+    floats to 9 digits, each value as ``_fmt_one`` writes it alone; a curve
+    longer than the x values is cut to them, a shorter one is an error."""
+    x = np.arange(4)
+    curves = {"ints": [3, -7, 10**12, 0], "bools": np.array([True, False, True, False]),
+              "floats": [1.23456789012, -np.nan, np.inf, -np.inf],
+              "float32": np.array([0.1, 2.5, -3.0, 1e-9], dtype=np.float32),
+              "digits": ["0", "1", "1", "0"], "longer": np.linspace(0.0, 1.0, 6)}
+    lines = write_csv(tmp_path / "t.csv", "x", x, curves).read_text().splitlines()
+    assert lines[0] == "x," + ",".join(curves)
+    assert lines[1:] == [",".join([_fmt_one(x[i]), *(_fmt_one(c[i]) for c in curves.values())])
+                         for i in range(len(x))]
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "u.csv", "x", x, {"shorter": [1.0, 2.0]})
+
+
+def test_line_plot_draws_each_finite_run_as_one_polyline(tmp_path):
+    """Each run of finite samples of a curve is one polyline, each point at
+    the pixel coordinates the scalar formulas give; the y range spans every
+    finite value, and a curve's samples past the last x are not drawn."""
+    x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    curves = {"a": [1.0, np.nan, 2.0, 3.0, np.inf, 4.0], "b": [np.nan] * 6,
+              "c": [-np.inf, 2.5, 2.5, 2.5, 2.5, 2.5, 9.0]}
+    svg = plots.line_plot(tmp_path / "p.svg", x, curves, "t", "x", "y").read_text()
+    ylo, yhi = 1.0 - 0.05 * 8.0, 9.0 + 0.05 * 8.0
+
+    def point(xv, yv):
+        px = plots._ML + (xv - 0.0) / (5.0 - 0.0) * (plots._W - plots._ML - plots._MR)
+        py = (plots._H - plots._MB
+              - (yv - ylo) / (yhi - ylo) * (plots._H - plots._MT - plots._MB))
+        return f"{px:.2f},{py:.2f}"
+
+    runs = [[(0, 1.0)], [(2, 2.0), (3, 3.0)], [(5, 4.0)],
+            [(i, 2.5) for i in range(1, 6)]]
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == [
+        " ".join(point(x[i], y) for i, y in run) for run in runs]
 
 
 def test_experiment_config_validation(type2):
@@ -366,19 +418,27 @@ def test_convergence_meta_names_the_iterations_it_ran(iterations, run, type2, tm
     assert int(meta["trial_steps"]) == 3 * cfg.trials * (run + 1)
 
 
-def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch):
+def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch, lms_calls):
     """The whitened run adapts on the optimal run's own trials: two rendered
-    trial sets, not three, and meta.txt names the exact whitening."""
-    rendered = []
+    trial sets, not three, from one source row per trial, drawn once with
+    seed ``seed + t``, and all three jobs of a trial in one kernel call;
+    meta.txt names the exact whitening."""
+    rendered, seeds = [], []
     real = harness.render_observation
     monkeypatch.setattr(harness, "render_observation",
                         lambda *a, **k: rendered.append(1) or real(*a, **k))
+    real_source = harness.gen_proper_gaussian
+    monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, seed, **k:
+                        seeds.append(seed) or real_source(n, seed, **k))
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
                            iterations=3000, seed=SEED, output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
     assert len(rendered) == 2 * cfg.trials
-    assert int(meta["samples"]) == 2 * cfg.trials * (20_000 + cfg.M)
+    assert seeds == [SEED + t for t in range(cfg.trials)]
+    assert int(meta["samples"]) == cfg.trials * (20_000 + cfg.M)
     assert int(meta["trial_steps"]) == 3 * cfg.trials * 20_001
+    assert [count for count, _ in lms_calls] == [3] * cfg.trials
+    assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
     assert meta["whitening"] == "exact rb_matrix inverse"
 
 
@@ -503,6 +563,44 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path, lms_
     assert meta["diverged_trials"] == "0" and meta["first_nonfinite_step"] == "none"
 
 
+@pytest.mark.parametrize("experiment", ["bias", "power-budget"])
+def test_kernel_build_is_not_timed_as_generation(experiment, type2, tmp_path,
+                                                 monkeypatch):
+    """With no cached library, the kernels are compiled on the caller's
+    thread before the run draws its first trial (before the trial loop's
+    producer starts), so the compile does not count as the generate
+    phase."""
+    kernel = tmp_path / "kernel"
+    kernel.mkdir()
+    for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
+        (kernel / path.name).write_bytes(path.read_bytes())
+    builds = []  # (thread name, seconds) of each compile
+    real = _native._build_kernel
+
+    def timed_build():
+        started = time.perf_counter()
+        try:
+            return real()
+        finally:
+            builds.append((threading.current_thread().name,
+                           time.perf_counter() - started))
+
+    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
+                           iterations=3000, seed=SEED, output_dir=tmp_path / "out")
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "_KERNEL_SOURCE", kernel / _native._KERNEL_SOURCE.name)
+        patch.setattr(_native, "_build_kernel", timed_build)
+        _native.library.cache_clear()
+        try:
+            meta = _meta(run_experiment(cfg))
+        finally:
+            _native.library.cache_clear()  # the next call loads the package's build
+    [(thread, built_s)] = builds
+    assert thread == threading.main_thread().name
+    assert list((kernel / "__pycache__").glob("_lms-*.so"))  # compiled, not cached
+    assert float(meta["phase.generate_s"]) < built_s / 4
+
+
 @pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENTS))
 def test_meta_times_the_output(experiment, type2, tmp_path, monkeypatch):
     """Every experiment's meta.txt times the writing of its CSVs and SVGs
@@ -524,9 +622,9 @@ def test_meta_times_the_output(experiment, type2, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment, calls, jobs", [
     ("bounds-probe", 2, 8),   # 2 trials, 8 jobs each in one call: two lane groups
-    # 2 trials x 2 runs: the optimal and the whitened (Newton) jobs share a
-    # trial's call as lanes, and the suboptimal job runs alone
-    ("convergence", 4, 2),
+    # 2 trials, one call each: the optimal, the whitened (Newton) and the
+    # suboptimal jobs share a trial's call as lanes
+    ("convergence", 2, 3),
 ])
 def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path, lms_calls):
     """meta.txt counts the LMS kernel calls and names the widest lane count
@@ -692,13 +790,13 @@ def test_trials_are_made_only_when_asked_for(type2, tmp_path, monkeypatch):
 
 def test_trial_rows_match_one_thread(type2):
     """The rows handed over equal the trials rendered one after another
-    without a producer thread, and trial t's rows stay intact until trial
-    t + 1 is asked for."""
+    without a producer thread, with the mean |d|^2 of each, and trial t's
+    rows stay intact until trial t + 1 is asked for."""
     prof = type2.with_tx_power(-5.0)
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof)
     n = 3000 + M
-    for t, (draw, [obs]) in enumerate(_trial_loop(type2, trials=4, n=n)):
+    for t, (draw, [obs], [power]) in enumerate(_trial_loop(type2, trials=4, n=n)):
         want = gen_proper_gaussian(n, seed=SEED + t)
         want_d = render_observation(want.reference(prof.natural_sigma_x2), channels,
                                     budget, prof,
@@ -706,6 +804,7 @@ def test_trial_rows_match_one_thread(type2):
         time.sleep(0.02)  # the producer renders trial t + 1 meanwhile
         assert np.array_equal(draw.samples, want.samples)
         assert np.array_equal(obs.d.samples, want_d.d.samples)
+        assert power == harness._mean_power(want_d.d.samples)
 
 
 def test_phase_clock_counts_exactly_across_threads(type2):

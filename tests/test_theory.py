@@ -282,6 +282,39 @@ def test_fourth_moment_real_symmetric():
     assert np.array_equal(t_mat, t_mat.T)
 
 
+def _fourth_moment_whole_array(sigma_x2, k_tiq, m, n):
+    """``theory.fourth_moment`` with every delay's factor held at once, as
+    (dim, dim, dim, dim, m) arrays, and their product taken along the
+    delays."""
+    sizes = [m, n, m, n]
+    delay = np.concatenate([np.arange(size) for size in sizes])
+    at_delay = delay[:, None] == np.arange(m)
+    p = np.repeat([1, 2, 0, 1], sizes)[:, None] * at_delay
+    q = np.repeat([0, 1, 1, 2], sizes)[:, None] * at_delay
+    coef = np.repeat([1.0, k_tiq ** 1.5, 1.0, k_tiq ** 1.5], sizes)
+
+    def outer4(a, b, c, d):
+        return (a[:, None, None, None] + b[None, :, None, None]
+                + c[None, None, :, None] + d[None, None, None, :])
+
+    p_tot, q_tot = outer4(p, q, q, p), outer4(q, p, p, q)
+    powers = np.arange(9)
+    moment = np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers
+    per_delay = np.where(p_tot == q_tot, moment[p_tot], 0.0)
+    t_mat = per_delay.prod(axis=-1) * np.einsum("i,j,k,l->ijkl", coef, coef, coef, coef)
+    return t_mat.reshape(len(delay) ** 2, len(delay) ** 2)
+
+
+@pytest.mark.parametrize("sigma, k, m, n", [
+    (0.2, 3.0, M, N), (1e-3, 10.0, M, N), (2.5, 0.0, M, N), (0.37, 1.0, M, 0),
+    (0.7, 0.5, 2, 1), (1.0, 1.0, 1, 0), (0.05, 3.7, 6, 2)])
+def test_fourth_moment_keeps_the_whole_array_bits(sigma, k, m, n):
+    """Multiplying the delays' factors in one at a time gives the bits of
+    the product of all of them held at once."""
+    got = theory.fourth_moment(sigma, k, m, n)
+    assert got.tobytes() == _fourth_moment_whole_array(sigma, k, m, n).tobytes()
+
+
 def test_anclms_steady_mse_small_mu():
     inputs = _inputs(mu=1e-12)
     assert anclms_steady_mse(inputs) == pytest.approx(

@@ -1,32 +1,34 @@
-/* The native kernels of fdsic: the standard normal draws of a trial, the
- * render of an observation and the LMS steps of the canceller jobs run on a
- * batch of trials.
+/* The native kernels of fdsic: the standard normal and uniform draws of a
+ * trial, the render of an observation and the LMS steps of the canceller
+ * jobs run on a batch of trials.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
  * transceiver.py): the dot product reg^T w accumulates in order without FMA,
  * as einsum does, complex products use numpy's FMA form, |e| is numpy's
  * scaled hypot, and the FIR sums as np.convolve does through BLAS zdotu.
- * The normals are those of numpy's Generator.standard_normal on PCG64.
- * Build with -ffp-contract=off and without auto-vectorization so that the
- * compiler keeps exactly these operations. Complex arrays are interleaved
- * (re, im) doubles. The render and the LMS read a trial's reference
- * x = scale z from a source row z and a scale, and form x and its IMD
- * product in one place (reference_lanes): each part of z times the scale,
- * as signals.Draw.reference does, so one row z serves every transmit power.
- * Both are written over the vector operations v_*, each lane of a vector
- * repeating the scalar operations in their order, so a lane returns the
- * bits one sample or one job returns alone. A build with AVX2 and FMA runs
- * four lanes per vector; any other build runs one. The render's lanes are
- * four consecutive output samples, formed in blocks of RB samples on the
- * heap; its noise is drawn one normal at a time. Trials are independent
- * and run one after another. The jobs of one lms_raw call share each
- * trial's row z, and each job has its own scale and observation row: the
- * jobs run together, step by step, as the lanes of a vector, each lane on
- * its own regressor, and each job a group of its own on a 1-wide build. A
- * job's preconditioner couples an entry only with its layout partner (see
- * struct run), so any jobs can share the lanes, and lms_raw returns the
- * lane count it ran.
+ * The draws are those of numpy's Generator.standard_normal and random on
+ * PCG64. Build with -ffp-contract=off and without auto-vectorization so
+ * that the compiler keeps exactly these operations. Complex arrays are
+ * interleaved (re, im) doubles. The render and the LMS read a trial's
+ * reference x = scale z from a source row z and a scale, and form x and its
+ * IMD product in one place (reference_lanes): each part of z times the
+ * scale, as signals.Draw.reference does, so one row z serves every transmit
+ * power. Both are written over the vector operations v_*, each lane of a
+ * vector repeating the scalar operations in their order, so a lane returns
+ * the bits one sample or one job returns alone. A build with AVX-512F and
+ * AVX-512DQ runs eight lanes per vector, one with AVX2 and FMA four, any
+ * other build one (lms_lanes). The render's lanes are consecutive output
+ * samples, formed in blocks of RB samples on the heap; its noise is drawn
+ * one normal at a time. Each job of an lms_raw call has its own source
+ * rows z, scale and observation rows, so the jobs of one call may belong to
+ * different trials: the harness fills the lanes with (trial, job) pairs.
+ * The jobs run in groups of LANES, one group after another, and within a
+ * group step by step as the lanes of a vector, each lane on its own
+ * regressor; the trials of a job's rows run one after another. A job's
+ * preconditioner couples an entry only with its layout partner (see struct
+ * run), so any jobs can share the lanes, and lms_raw returns the lane count
+ * it ran.
  */
 #include <math.h>
 #include <stdint.h>
@@ -133,6 +135,17 @@ void normals_complex(uint64_t *s, int64_t n, double *y)
     pcg64_store(&g, s);
 }
 
+/* The next n draws of the generator whose state s holds (advanced past
+ * them) into y: standard normals as Generator.standard_normal draws them
+ * if gauss, else doubles in [0, 1) as Generator.random draws them */
+void doubles(uint64_t *s, int64_t n, int64_t gauss, double *y)
+{
+    struct pcg64 g = pcg64_load(s);
+    for (int64_t i = 0; i < n; i++)
+        y[i] = gauss ? normal(&g) : pcg64_double(&g);
+    pcg64_store(&g, s);
+}
+
 /* numpy's product of a real scale (promoted to complex) and (re, im) */
 static inline void scale_complex(double a, double re, double im, double *y)
 {
@@ -163,21 +176,22 @@ static void add_normals(struct pcg64 *g, int64_t n, double scale, double *y,
 
 /* One canceller job of an LMS call: its steps, its dim regressor weights,
  * the step win_start from which its steady-state window sums, its step size
- * mu, the scale of its reference x = scale z, its observation rows d
- * (trials, n), and its state and outputs. w and w_accum are (trials, dim); e2, if not
- * NULL, is (trials, steps) and receives the residual power of every step;
- * tap_buf, if not NULL, is (trials, ceil(steps / tap_stride), ntaps) and
- * receives the weights taps[] after every tap_stride-th step from step 0;
- * peak, steady_sum, steady_count and diverged_at are per trial. pre, if not
- * NULL, is a real preconditioner P that couples each entry only with its
- * layout partner, (dim, 2): row k holds P[k][k] and P[k][j], j the partner
- * of entry k (0 where the partner is k itself). In either half of the
+ * mu, the scale of its reference x = scale z, its source rows z and
+ * observation rows d (trials, n each), and its state and outputs. w and
+ * w_accum are (trials, dim); e2, if not NULL, is (trials, steps) and
+ * receives the residual power of every step; tap_buf, if not NULL, is
+ * (trials, ceil(steps / tap_stride), ntaps) and receives the weights
+ * taps[] after every tap_stride-th step from step 0; peak, steady_sum,
+ * steady_count and diverged_at are per trial. pre, if not NULL, is a real
+ * preconditioner P that couples each entry only with its layout partner,
+ * (dim, 2): row k holds P[k][k] and P[k][j], j the partner of entry k (0
+ * where the partner is k itself). In either half of the
  * regressor [x; x_imd; x*; x_imd*], x(n-e) and x_imd(n-e) for e < nimd are
  * each other's partners, and every other entry is its own. */
 struct run {
     int64_t steps, dim, win_start;
     double mu, scale;
-    const double *d;
+    const double *z, *d;
     double *w, *w_accum, *e2, *peak, *steady_sum, *steady_count;
     int64_t *diverged_at;
     int64_t ntaps;
@@ -195,19 +209,69 @@ static inline double *tap_row(const struct run *b, int64_t i, int64_t k)
 }
 
 /* The vector operations of the render and the LMS steps, on the LANES
- * lanes of a vec: with AVX2 and FMA each is one intrinsic (or a short
- * sequence) on four doubles, else plain C on one double. Compares give
- * masks, each lane all bits set or none; v_and keeps a lane where the mask
- * is set, v_blend(a, b, mask) takes b where the mask's sign bit is set, a
- * elsewhere, and v_movemask gathers the sign bits.
- * v_max(a, b) is a > b ? a : b and v_min(a, b) is a < b ? a : b, as
- * maxpd and minpd are. v_fmsub(a, b, c) is fma(a, b, -c), the vfmsub
+ * lanes of a vec: with AVX-512F and AVX-512DQ each is one intrinsic (or a
+ * short sequence) on eight doubles, with AVX2 and FMA on four, else plain C
+ * on one double. Compares give masks, each lane all bits set or none (on
+ * AVX-512, a compare's mask register spread to the lanes' bits by v_mask);
+ * v_and keeps a lane where the mask is set, v_blend(a, b, mask) takes b
+ * where the mask's sign bit is set, a elsewhere, and v_movemask gathers the
+ * sign bits. v_max(a, b) is a > b ? a : b and v_min(a, b) is a < b ? a : b,
+ * as maxpd and minpd are. v_fmsub(a, b, c) is fma(a, b, -c), the vfmsub
  * instruction the compiler gives that fma() (a NaN c keeps its sign there,
  * where negating it first would flip it). v_gather(p, o) loads the double
  * p[l][o] into each lane l. v_load2(p, re, im) loads the LANES complex
  * values at p, interleaved (re, im), as the vectors re and im of their
  * parts, and v_store2(p, re, im) stores them back interleaved. */
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+
+#define LANES 8
+typedef __m512d vec;
+
+static inline vec v_set1(double a) { return _mm512_set1_pd(a); }
+static inline vec v_load(const double *p) { return _mm512_loadu_pd(p); }
+static inline void v_store(double *p, vec a) { _mm512_storeu_pd(p, a); }
+static inline vec v_gather(const double *const *p, int64_t o)
+{
+    return _mm512_set_pd(p[7][o], p[6][o], p[5][o], p[4][o], p[3][o], p[2][o],
+                         p[1][o], p[0][o]);
+}
+static inline void v_load2(const double *p, vec *re, vec *im)
+{
+    vec a = _mm512_loadu_pd(p), b = _mm512_loadu_pd(p + 8);
+    *re = _mm512_permutex2var_pd(a, _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0), b);
+    *im = _mm512_permutex2var_pd(a, _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1), b);
+}
+static inline void v_store2(double *p, vec re, vec im)
+{
+    _mm512_storeu_pd(p, _mm512_permutex2var_pd(
+        re, _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0), im));
+    _mm512_storeu_pd(p + 8, _mm512_permutex2var_pd(
+        re, _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), im));
+}
+static inline vec v_add(vec a, vec b) { return _mm512_add_pd(a, b); }
+static inline vec v_sub(vec a, vec b) { return _mm512_sub_pd(a, b); }
+static inline vec v_mul(vec a, vec b) { return _mm512_mul_pd(a, b); }
+static inline vec v_div(vec a, vec b) { return _mm512_div_pd(a, b); }
+static inline vec v_sqrt(vec a) { return _mm512_sqrt_pd(a); }
+static inline vec v_fmadd(vec a, vec b, vec c) { return _mm512_fmadd_pd(a, b, c); }
+static inline vec v_fmsub(vec a, vec b, vec c) { return _mm512_fmsub_pd(a, b, c); }
+static inline vec v_max(vec a, vec b) { return _mm512_max_pd(a, b); }
+static inline vec v_min(vec a, vec b) { return _mm512_min_pd(a, b); }
+static inline vec v_abs(vec a) { return _mm512_andnot_pd(_mm512_set1_pd(-0.0), a); }
+static inline vec v_neg(vec a) { return _mm512_xor_pd(a, _mm512_set1_pd(-0.0)); }
+static inline vec v_and(vec mask, vec a) { return _mm512_and_pd(mask, a); }
+static inline vec v_or(vec a, vec b) { return _mm512_or_pd(a, b); }
+static inline vec v_mask(__mmask8 on) { return _mm512_castsi512_pd(_mm512_movm_epi64(on)); }
+static inline vec v_eq(vec a, vec b) { return v_mask(_mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ)); }
+static inline vec v_lt(vec a, vec b) { return v_mask(_mm512_cmp_pd_mask(a, b, _CMP_LT_OQ)); }
+static inline vec v_unord(vec a, vec b) { return v_mask(_mm512_cmp_pd_mask(a, b, _CMP_UNORD_Q)); }
+static inline int v_movemask(vec mask) { return _mm512_movepi64_mask(_mm512_castpd_si512(mask)); }
+static inline vec v_blend(vec a, vec b, vec mask)
+{
+    return _mm512_mask_blend_pd(_mm512_movepi64_mask(_mm512_castpd_si512(mask)), a, b);
+}
+#elif defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
 #define LANES 4
@@ -311,15 +375,18 @@ static inline vec v_blend(vec a, vec b, vec mask) { return v_bits(mask) >> 63 ? 
 static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
 #endif
 
+/* The lanes per vector of this build, for the caller to fill */
+const int64_t lms_lanes = LANES;
+
 /* Up to LANES jobs of one lms_raw call, one job per lane. Each lane repeats
  * the numpy expressions of its job's LMS step, e = d - reg^T w (einsum's
  * in-order sum, no FMA), w += mu e conj(reg) or, with a preconditioner,
  * w += mu e P conj(reg), and |e|^2 (numpy's complex absolute value,
  * cabs_lanes), operation for operation: the same products, sums and fma()s
  * in the same order.
- * Each lane steps on its own regressor and reads its own job's
- * observation. The regressors are views into a history of the trial's
- * newest samples, into which lanes_push enters one sample of the call's
+ * Each lane steps on its own regressor and reads its own job's source and
+ * observation rows. The regressors are views into a history of the lanes'
+ * newest samples, into which lanes_push enters one sample of each lane's
  * row z per step, each lane's x = scale z and IMD product formed as numpy
  * forms them (reference_lanes), so that no entry moves from step to step.
  * The lanes share one regressor layout, that of the group's largest nimd
@@ -329,15 +396,16 @@ static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
  * imaginary parts of every lane, and so does w_accum. Slots k < full of
  * either half belong to the job of every lane; from full on, keep[k] has
  * a lane's bits set where slot k of either half is one of its job's
- * entries. An idle lane (no job) of the last group repeats the scale and
- * observation of lane 0 with zero weights and step size and writes
- * nothing. A lane whose job has a preconditioner steps along its LMS-Newton
- * direction, which update_entry forms from the per-lane coefficients in
- * pre and the slot's layout partner in the shared layout: the partner of
- * a job's entry is that of its slot, or, where the job has fewer IMD taps,
- * a slot whose coefficient is 0 in its lane (lanes_init). */
+ * entries. An idle lane (no job) of the last group repeats the scale,
+ * source and observation of lane 0 with zero weights and step size and
+ * writes nothing. A lane whose job has a preconditioner steps along its
+ * LMS-Newton direction, which update_entry forms from the per-lane
+ * coefficients in pre and the slot's layout partner in the shared layout:
+ * the partner of a job's entry is that of its slot, or, where the job has
+ * fewer IMD taps, a slot whose coefficient is 0 in its lane (lanes_init). */
 struct lanes {
     const struct run *job[LANES];  /* NULL for an idle lane */
+    const double *z[LANES];        /* each lane's source row */
     const double *d[LANES];        /* each lane's observation at step 0 */
     int64_t half, full;            /* the widest and narrowest job's dim / 2 */
     int finite_all, e2;            /* the lanes with a job; any e2 output */
@@ -348,10 +416,9 @@ struct lanes {
     int64_t diverged_at[LANES], next_tap[LANES], tap_first;
     vec *w, *w_accum, *keep, *pre;
     /* the newest samples of the trial, newest first from hist[6 pos]; the
-     * regressors of steps j and j + 1 are the views now and next into it,
-     * or into those of group src, whose lanes have the same scales */
+     * regressors of steps j and j + 1 are the views now and next into it */
     vec *hist;
-    int64_t pos, src;
+    int64_t pos;
     const vec *now, *next;
 };
 
@@ -482,6 +549,7 @@ static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m)
         const struct run *b = g->job[l];
         last[l] = INFINITY;
         g->next_tap[l] = INT64_MAX;
+        g->z[l] = (b ? b : g->job[0])->z + 2 * i * n;
         g->d[l] = (b ? b : g->job[0])->d + 2 * (i * n + m - 1);
         if (!b)
             continue;
@@ -700,100 +768,74 @@ static inline __attribute__((always_inline)) void lanes_step(
     }
 }
 
-/* Enter the source sample zn into the history of the lanes of g as its
- * newest sample, and return the view of its regressor: each lane's
- * x = scale zn and IMD product (reference_lanes). Every `spare` samples the
- * m - 1 newest move to the far end of the history. */
+/* Enter sample s of every lane's source row into the history of the lanes
+ * of g as its newest sample, and return the view of its regressor: each
+ * lane's x = scale z(s) and, if the group has IMD taps, its IMD product
+ * (reference_lanes). Every `spare` samples the m - 1 newest move to the far
+ * end of the history. */
 static inline __attribute__((always_inline)) const vec *lanes_push(
-    struct lanes *g, int64_t m, int64_t nimd, int64_t spare, double k15,
-    const double *zn)
+    struct lanes *g, int64_t m, int64_t spare, double k15, int64_t s)
 {
     if (g->pos == 0) {
         g->pos = spare + 1;
         memcpy(g->hist + 6 * g->pos, g->hist, 6 * (m - 1) * sizeof(vec));
     }
     vec *e = g->hist + 6 * --g->pos;
-    reference_lanes(g->scale, v_set1(zn[0]), v_set1(zn[1]), k15, nimd > 0, e);
+    reference_lanes(g->scale, v_gather(g->z, 2 * s), v_gather(g->z, 2 * s + 1),
+                    k15, g->half > m, e);
     return e;
 }
 
-/* The jobs runs[0 .. jobs - 1] of one set of trials: z and each job's d are
+/* The jobs runs[0 .. jobs - 1] of one call: each job's z and d are
  * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
  * step j on the regressor of sample j + m - 1 of its reference
  * x = scale z (reference_lanes), with the m of the call and its own
- * nimd = dim / 2 - m. The jobs run in groups of LANES, step by step: each
- * step enters one sample of z into every group's history (once for groups
- * of equal scales), and every group steps on its own regressors, each job
- * returning the bits it returns alone. Returns LANES, the lanes per vector
- * it ran the jobs in, or 0, having run nothing, if the groups' state
- * cannot be allocated. */
-int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15,
-                const double *z, int64_t jobs, const struct run *runs)
+ * nimd = dim / 2 - m. The jobs run in groups of LANES, one group after
+ * another, and the trials of a group one after another; a group steps its
+ * lanes together, each on its own regressor, each job returning the bits it
+ * returns alone. Returns LANES, the lanes per vector it ran the jobs in, or
+ * 0, having run nothing, if the lanes' state cannot be allocated. */
+int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15, int64_t jobs,
+                const struct run *runs)
 {
-    int64_t nimd = 0;
-    for (int64_t g = 0; g < jobs; g++)
-        if (runs[g].dim / 2 - m > nimd)
-            nimd = runs[g].dim / 2 - m;
-    int64_t half = m + nimd, groups = (jobs + LANES - 1) / LANES;
-    /* each group's w, w_accum and pre (4 half vectors each), keep (half)
-     * and history of spare + m samples, on the heap: the number of jobs has
-     * no bound */
-    const int64_t spare = m > 32 ? m : 32, size = 13 * half + 6 * (spare + m);
-    vec *state = aligned_alloc(sizeof(vec), groups * size * sizeof(vec));
-    struct lanes *lanes = aligned_alloc(sizeof(vec), groups * sizeof(struct lanes));
-    if (!state || !lanes) {
-        free(state);
-        free(lanes);
+    int64_t half = m;
+    for (int64_t r = 0; r < jobs; r++)
+        if (runs[r].dim / 2 > half)
+            half = runs[r].dim / 2;
+    /* w, w_accum and pre (4 half vectors each), keep (half) and a history
+     * of spare + m samples, on the heap: m has no bound */
+    const int64_t spare = m > 32 ? m : 32;
+    vec *state = aligned_alloc(sizeof(vec), (13 * half + 6 * (spare + m)) * sizeof(vec));
+    if (!state)
         return 0;
-    }
-    for (int64_t g = 0; g < groups; g++) {
-        struct lanes *lg = &lanes[g];
-        lg->w = state + size * g;
-        lg->w_accum = lg->w + 4 * half;
-        lg->keep = lg->w + 8 * half;
-        lg->pre = lg->w + 9 * half;
-        lg->hist = lg->w + 13 * half;
-        lanes_init(lg, runs + g * LANES, jobs - g * LANES);
-        for (lg->src = 0; lg->src < g; lg->src++)
-            if (!memcmp(&lanes[lg->src].scale, &lg->scale, sizeof(vec)))
-                break;
-    }
-    int64_t steps = runs[0].steps;
-    for (int64_t i = 0; i < trials; i++) {
-        const double *zi = z + 2 * i * n;
-        for (int64_t g = 0; g < groups; g++) {
-            struct lanes *lg = &lanes[g];
-            if (lg->src == g) {
-                lg->pos = spare + m;
-                for (int64_t j = 0; j < m; j++)
-                    lg->now = lanes_push(lg, m, nimd, spare, k15, zi + 2 * j);
-            } else {
-                lg->now = lanes[lg->src].now;
-            }
-            lanes_start(lg, i, n, m);
-            lanes_dot(lg, m, lg->now);
-        }
-        for (int64_t j = 0; j < steps; j++)
-            for (int64_t g = 0; g < groups; g++) {
-                struct lanes *lg = &lanes[g];
+    struct lanes g;
+    g.w = state;
+    g.w_accum = state + 4 * half;
+    g.keep = state + 8 * half;
+    g.pre = state + 9 * half;
+    g.hist = state + 13 * half;
+    const int64_t steps = runs[0].steps;
+    for (int64_t first = 0; first < jobs; first += LANES) {
+        lanes_init(&g, runs + first, jobs - first);
+        for (int64_t i = 0; i < trials; i++) {
+            lanes_start(&g, i, n, m);
+            g.pos = spare + m;
+            for (int64_t j = 0; j < m; j++)
+                g.now = lanes_push(&g, m, spare, k15, j);
+            lanes_dot(&g, m, g.now);
+            for (int64_t j = 0; j < steps; j++) {
                 /* the last step's next is never read: any view serves */
-                if (lg->src != g)
-                    lg->next = lanes[lg->src].next;
-                else if (j + 1 < steps)
-                    lg->next = lanes_push(lg, m, nimd, spare, k15, zi + 2 * (j + m));
+                g.next = j + 1 < steps ? lanes_push(&g, m, spare, k15, j + m) : g.now;
+                if (g.newton)
+                    lanes_step(&g, i, j, m, 1);
                 else
-                    lg->next = lg->now;
-                if (lg->newton)
-                    lanes_step(lg, i, j, m, 1);
-                else
-                    lanes_step(lg, i, j, m, 0);
-                lg->now = lg->next;
+                    lanes_step(&g, i, j, m, 0);
+                g.now = g.next;
             }
-        for (int64_t g = 0; g < groups; g++)
-            lanes_finish(&lanes[g], i);
+            lanes_finish(&g, i);
+        }
     }
     free(state);
-    free(lanes);
     return LANES;
 }
 

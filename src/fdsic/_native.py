@@ -1,32 +1,35 @@
-"""The compiled kernels of ``_lms.c``: the normal draws, the render and the
-LMS steps.
+"""The compiled kernels of ``_lms.c``: the normal and uniform draws, the
+render and the LMS steps.
 
-``NormalStream`` draws the standard normals of
+``NormalStream`` draws the standard normals and uniforms of
 ``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
-ziggurat written out in C. Both other kernels read a trial's reference
-x = scale z from a source row z and a scale, each part of z times the
-scale as ``signals.Draw.reference`` forms it, so that one row z serves
-every transmit power, and both form x and its IMD product by one
-function of ``_lms.c``. Both are written once over a block of vector
-operations, four lanes per AVX2 vector on a build with AVX2 and FMA and
-one double wide on any other build, each lane repeating the scalar
+ziggurat written out in C; its start state is numpy's ``SeedSequence``
+seeding of PCG64 written out in Python (``_pcg64_state``), so a run on the
+Gaussian source never imports ``numpy.random``. Both other kernels read a
+trial's reference x = scale z from a source row z and a scale, each part
+of z times the scale as ``signals.Draw.reference`` forms it, so that one
+row z serves every transmit power, and both form x and its IMD product by
+one function of ``_lms.c``. Both are written once over a block of vector
+operations, eight lanes per AVX-512 vector on a build with AVX-512F and
+AVX-512DQ, four per AVX2 vector on one with AVX2 and FMA and one double
+wide on any other build (``lanes()``), each lane repeating the scalar
 arithmetic bit for bit. ``render`` forms one trial's observation (IMD
-product, four FIR branches and their sum), four consecutive samples per
-vector, in blocks of samples whose rows it allocates on the heap, then
-adds the noise as a ``NormalStream`` draws it; it raises ``MemoryError``
-if those rows cannot be allocated. ``lms_raw`` runs the LMS steps of
-whole runs: the canceller jobs of one call share one set of rows z, each
-job with its own scale and observation rows, and run as the lanes of
-vectors, each lane on its own regressor. Every call, one-job calls too,
-runs through the lanes; ``lms_raw`` returns the lanes per vector it ran,
-4 or 1, or 0 if their state cannot be allocated. A job may carry a real
+product, four FIR branches and their sum), one sample per lane, in blocks
+of samples whose rows it allocates on the heap, then adds the noise as a
+``NormalStream`` draws it; it raises ``MemoryError`` if those rows cannot be
+allocated. ``lms_raw`` runs the LMS steps of whole runs: each canceller job
+of a call has its own source rows z, scale and observation rows, so the
+jobs of one call may be the jobs of several trials, and they run as the
+lanes of vectors, each lane on its own regressor. Every call, one-job calls
+too, runs through the lanes; ``lms_raw`` returns the lanes per vector it
+ran, or 0 if their state cannot be allocated. A job may carry a real
 preconditioner that couples each regressor entry only with its layout
 partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton step.
 ``Run`` describes one job.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
-``_lms-<hash>.so``, keyed by the source and its headers, the compiler
+``_lms-<tag>.so``, keyed by the source and its headers, the compiler
 command and the machine type; a build deletes the libraries of other keys.
 Importing this module compiles and loads nothing.
 """
@@ -35,11 +38,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
+import operator
 import os
 import platform
 import subprocess
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +57,15 @@ _CFLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-tree-vectorize",
 
 
 def _kernel_tag(source: Path) -> str:
-    """Hash of what the compile of ``source`` reads and runs: the source, the
-    headers beside it, the compiler command and the machine type."""
-    digest = hashlib.sha256()
+    """A 64-bit checksum of what the compile of ``source`` reads and runs:
+    the source, the headers beside it, the compiler command and the machine
+    type, as the CRC-32 and the Adler-32 of those bytes."""
+    crc, adler = 0, 1
     for path in (source, *sorted(source.parent.glob("*.h"))):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    digest.update(" ".join([_COMPILER, *_CFLAGS]).encode()
-                  + platform.machine().encode())
-    return digest.hexdigest()[:16]
+        for chunk in (path.name.encode() + b"\0", path.read_bytes()):
+            crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+    chunk = " ".join([_COMPILER, *_CFLAGS]).encode() + platform.machine().encode()
+    return f"{zlib.crc32(chunk, crc):08x}{zlib.adler32(chunk, adler):08x}"
 
 
 def _build_kernel() -> Path:
@@ -95,13 +100,13 @@ def _build_kernel() -> Path:
 class Run(ctypes.Structure):
     """``struct run`` of ``_lms.c``: one canceller job of an LMS call, its
     sizes, window start, step size and reference scale, and the addresses of
-    its observation rows, state, outputs and preconditioner (``e2``,
-    ``tap_buf`` and ``pre`` may be ``None``)."""
+    its source and observation rows, state, outputs and preconditioner
+    (``e2``, ``tap_buf`` and ``pre`` may be ``None``)."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
                 ("mu", ctypes.c_double), ("scale", ctypes.c_double),
                 *[(name, ctypes.c_void_p) for name in (
-                    "d", "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
+                    "z", "d", "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
                     "diverged_at")],
                 ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
                 ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p),
@@ -110,8 +115,8 @@ class Run(ctypes.Structure):
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled library, with ``normals_complex``, ``render`` and
-    ``lms_raw``."""
+    """The compiled library, with ``normals_complex``, ``doubles``,
+    ``render`` and ``lms_raw``."""
     row, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                  for dtype in (np.complex128, np.float64))
     i64 = ctypes.c_int64
@@ -119,30 +124,94 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
     lib.normals_complex.argtypes = [pcg, i64, row]
+    lib.doubles.argtypes = [pcg, i64, i64, real]
     lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[row] * 5,
                            ctypes.c_double, pcg, i64, real, row, ctypes.c_void_p]
-    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, row, i64, runs]
-    lib.normals_complex.restype = None
+    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, i64, runs]
+    lib.normals_complex.restype = lib.doubles.restype = None
     lib.render.restype = lib.lms_raw.restype = i64
     return lib
 
 
-class NormalStream:
-    """The standard normals of ``np.random.default_rng(seed)``, drawn in C.
+def lanes() -> int:
+    """The lanes per vector of the library's build: 8, 4 or 1."""
+    return ctypes.c_int64.in_dll(library(), "lms_lanes").value
 
-    Successive calls continue one stream, so the draws equal those of
-    ``default_rng(seed).standard_normal`` bit for bit however they are split.
-    The start state is numpy's own (``SeedSequence`` seeding of PCG64); the
-    generator must be PCG64, whose steps the C code repeats.
+
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state(seed: int) -> tuple[int, int]:
+    """The PCG64 ``(state, inc)`` of ``np.random.default_rng(seed)``, as
+    its ``bit_generator.state`` holds them.
+
+    numpy seeds PCG64 from ``SeedSequence(seed).generate_state(4, uint64)``:
+    the seed's 32-bit words, least significant first, are hashed into a pool
+    of four words, the pool is mixed and hashed out into eight words, read
+    as four little-endian 64-bit words (seed high, seed low, sequence high,
+    sequence low), and ``pcg64_srandom`` starts the generator on them. This
+    repeats numpy's arithmetic on 32- and 128-bit unsigned integers. A
+    negative seed is a ``ValueError`` and a non-integer one a ``TypeError``,
+    as numpy's.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("the seed must be a non-negative integer")
+    words = []
+    while True:  # the seed's 32-bit words; [0] for seed 0
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_b, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        out.append(value ^ value >> 16)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[2 * k] | out[2 * k + 1] << 32
+                                        for k in range(4))
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    state = inc  # pcg64_srandom: one step from 0, add the seed, one more step
+    state = (state + (seed_hi << 64 | seed_lo)) & _MASK128
+    return (state * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
+class NormalStream:
+    """The standard normals and uniforms of ``np.random.default_rng(seed)``,
+    drawn in C.
+
+    Successive calls continue one stream, so the draws equal those of the
+    same calls of ``default_rng(seed)`` (``standard_normal``, ``uniform``)
+    bit for bit however they are split. The start state is numpy's own
+    (``_pcg64_state``).
     """
 
     def __init__(self, seed: int):
-        state = np.random.default_rng(seed).bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise RuntimeError("NormalStream repeats numpy's PCG64, but "
-                               f"default_rng gives {state['bit_generator']}")
         words = []
-        for value in (state["state"]["state"], state["state"]["inc"]):
+        for value in _pcg64_state(seed):
             words += [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
         self._state = np.array(words, dtype=np.uint64)
 
@@ -155,6 +224,19 @@ class NormalStream:
         library().normals_complex(self._state, len(out), out)
         return out
 
+    def standard_normal(self, n: int) -> np.ndarray:
+        """The next ``n`` normals, as ``Generator.standard_normal(n)``."""
+        out = np.empty(n)
+        library().doubles(self._state, n, 1, out)
+        return out
+
+    def uniform(self, low: float, high: float) -> float:
+        """The next uniform on [low, high), as ``Generator.uniform(low,
+        high)`` rounds it: low + (high - low) u for u in [0, 1)."""
+        u = np.empty(1)
+        library().doubles(self._state, 1, 0, u)
+        return low + (high - low) * float(u[0])
+
 
 def render(z: np.ndarray, scale: float, taps: tuple[np.ndarray, ...],
            k15: float, noise: NormalStream, scales: np.ndarray, soi: bool,
@@ -165,8 +247,8 @@ def render(z: np.ndarray, scale: float, taps: tuple[np.ndarray, ...],
     ``taps`` is ``(h, g, h_imd, g_imd)``; ``noise`` draws the real then the
     imaginary parts of the thermal, the quantization and, if ``soi``, the
     SOI noise, n normals each, which ``scales`` (three) scale. Every array
-    is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic, four
-    samples per vector on an AVX2 build. It forms x and x_imd in blocks of
+    is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic, one
+    sample per lane (``lanes()`` per vector). It forms x and x_imd in blocks of
     a few hundred samples behind the channel's M - 1 previous samples, in
     rows it allocates on the heap, so no channel length overflows the
     stack. The C ``render`` returns 1, or 0 if it cannot allocate those

@@ -19,21 +19,22 @@ only those pairs and the step costs O(dim). A covariance or a
 preconditioner that couples any other two entries is a ``ValueError``.
 
 ``run_jobs`` runs several canceller jobs (``Job``: each its own step size,
-N, steady window, observation rows d, reference scale, start weights and
-preconditioner) on one set of source rows z, each job on its own
-reference x = scale z, so that the jobs of several transmit powers share
-one call; ``run_batch`` runs one job on x itself. Each trial runs on its
-own and returns per-trial rows, and averaging across trials is the
-caller's. The LMS steps run in a small C kernel (``_lms.c``, built and
-loaded by ``_native`` on the first call), one call per set of jobs. Its
-arithmetic rounds exactly as the numpy expressions e = d - reg^T w
-(einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) + p_kj
-conj(reg_j)), j the partner of k, entry by entry) and |e|^2 do, so
+N, steady window, source rows z, observation rows d, reference scale,
+start weights and preconditioner) in one call, each job on its own
+reference x = scale z, so that the jobs of several transmit powers, and of
+several trials, share one call; ``run_batch`` runs one job on x itself.
+Each trial runs on its own and returns per-trial rows, and averaging
+across trials is the caller's. The LMS steps run in a small C kernel
+(``_lms.c``, built and loaded by ``_native`` on the first call), one call
+per set of jobs. Its arithmetic rounds exactly as the numpy expressions
+e = d - reg^T w (einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) +
+p_kj conj(reg_j)), j the partner of k, entry by entry) and |e|^2 do, so
 results are bit-identical to a numpy loop over the steps. The kernel moves
-each job's regressor on by one sample of z per step, forming x = scale z
-(each part of z times the scale, as ``signals.Draw.reference`` does) and
-x_imd from it; the jobs run as the lanes of vectors, four jobs per vector
-on a build with AVX2 and FMA and one on any other, each lane on its own
+each job's regressor on by one sample of its z per step, forming
+x = scale z (each part of z times the scale, as ``signals.Draw.reference``
+does) and x_imd from it; the jobs run as the lanes of vectors, eight jobs
+per vector on a build with AVX-512F and AVX-512DQ, four on one with AVX2
+and FMA and one on any other (``_native.lanes()``), each lane on its own
 regressor, and return the bits each job returns alone. Each ``BatchRun``
 records the lanes per vector its call ran (``lanes``), and a kernel that
 cannot allocate its lanes' state raises ``MemoryError``.
@@ -147,7 +148,7 @@ class BatchRun:
     diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
     diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
     n_steps: int
-    lanes: int                        # jobs per vector of its call: 4 (AVX2) or 1
+    lanes: int                        # jobs per vector of its call: 8, 4 or 1
     residual_power: np.ndarray | None = None    # (trials, n_steps)
     taps: np.ndarray | None = None              # (trials, kept steps, len(track_taps))
 
@@ -160,15 +161,17 @@ class Job(NamedTuple):
     """A canceller job of ``run_jobs``: its config, its observation rows
     ``d`` (one per trial, or one row for one trial), the ``scale`` of its
     reference x = scale z, the start weights ``w0`` of every trial (a vector
-    of its 2(M + N) weights, None for zero) and a real preconditioner P (a
+    of its 2(M + N) weights, None for zero), a real preconditioner P (a
     2(M + N) square matrix that couples an entry only with its layout
-    partner, as ``newton_preconditioner`` gives; None for the plain LMS)."""
+    partner, as ``newton_preconditioner`` gives; None for the plain LMS)
+    and its source rows ``z``, shaped as ``d`` (None for the call's)."""
 
     config: CancellerConfig
     d: np.ndarray
     scale: float = 1.0
     w0: np.ndarray | None = None
     preconditioner: np.ndarray | None = None
+    z: np.ndarray | None = None
 
 
 def _partner_pairs(matrix, M: int, N: int, name: str):
@@ -196,11 +199,12 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
 
 
 class _Job:
-    """One canceller job of a kernel call: its observation rows ``ds``, its
-    state and output arrays, and the ``_native.Run`` that points the kernel
-    at them and carries the job's reference ``scale``."""
+    """One canceller job of a kernel call: its source and observation rows
+    ``zs`` and ``ds``, its state and output arrays, and the ``_native.Run``
+    that points the kernel at them and carries the job's reference
+    ``scale``."""
 
-    def __init__(self, job: Job, ds: np.ndarray, n_steps: int,
+    def __init__(self, job: Job, zs: np.ndarray, ds: np.ndarray, n_steps: int,
                  keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int):
         config = job.config
         dim = 2 * (config.M + config.N)
@@ -218,7 +222,7 @@ class _Job:
             _partner_pairs(job.preconditioner, config.M, config.N, "preconditioner")[1:],
             axis=1))
         self.n_steps = n_steps
-        self.ds = ds
+        self.zs, self.ds = zs, ds
         trials = len(ds)
         self.w = np.zeros((trials, dim), dtype=np.complex128)
         if job.w0 is not None:
@@ -232,7 +236,7 @@ class _Job:
         self.diverged_at = np.full(trials, -1, dtype=np.int64)
         self.run = _native.Run(
             n_steps, dim, n_steps - self.window, config.mu, job.scale,
-            *(_address(a) for a in (ds, self.w, self.w_accum, self.residuals, self.peak,
+            *(_address(a) for a in (zs, ds, self.w, self.w_accum, self.residuals, self.peak,
                                     self.steady_sum, self.steady_count,
                                     self.diverged_at)),
             len(self.tap_idx), _address(self.tap_idx), tap_stride,
@@ -265,39 +269,41 @@ def _rows(a) -> np.ndarray:
     return np.atleast_2d(np.ascontiguousarray(a, dtype=np.complex128))
 
 
-def run_jobs(zs: np.ndarray, jobs: list[Job], keep_residuals: bool = True,
+def run_jobs(zs: np.ndarray | None, jobs: list[Job], keep_residuals: bool = True,
              track_taps: tuple[int, ...] = (), tap_stride: int = 1) -> list[BatchRun]:
-    """Run every ``Job`` on the trials in the rows of ``zs``, in one kernel
-    call; return one ``BatchRun`` per job.
+    """Run every ``Job`` on the trials in its rows, in one kernel call;
+    return one ``BatchRun`` per job.
 
-    A job runs on the reference x = ``job.scale`` zs and its observation
-    rows ``job.d``, which have the shape of ``zs``. Each part of x is the
-    part of ``zs`` times the scale, as ``signals.Draw.reference`` forms it
-    (so a scale of 1 runs on ``zs`` itself). The jobs share M and k_tiq (a
-    ``ValueError`` otherwise) and may differ in everything else. Each job
-    returns exactly what it returns alone in ``run_batch`` on its own x and
-    d, and every run records the lanes per vector the call ran (``lanes``);
-    a kernel that cannot allocate its lanes' state is a ``MemoryError``.
-    ``keep_residuals`` stores |e|^2 per step; ``track_taps`` stores the
-    listed weights (indices into each job's own weight vector) after steps
-    0, tap_stride, 2 tap_stride, ...
+    A job runs on the reference x = ``job.scale`` z of its source rows z
+    (``job.z``, or ``zs`` where that is None) and on its observation rows
+    ``job.d``; every job's z and d have one shape. Each part of x is the
+    part of z times the scale, as ``signals.Draw.reference`` forms it (so a
+    scale of 1 runs on z itself). The jobs share M and k_tiq (a
+    ``ValueError`` otherwise) and may differ in everything else, their
+    rows included, so the jobs of one call may be those of several trials.
+    Each job returns exactly what it returns alone in ``run_batch`` on its
+    own x and d, and every run records the lanes per vector the call ran
+    (``lanes``); a kernel that cannot allocate its lanes' state is a
+    ``MemoryError``. ``keep_residuals`` stores |e|^2 per step;
+    ``track_taps`` stores the listed weights (indices into each job's own
+    weight vector) after steps 0, tap_stride, 2 tap_stride, ...
     """
     if not jobs:
         raise ValueError("run_jobs needs at least one job")
     if not all(isinstance(job, Job) for job in jobs):
         raise TypeError("run_jobs takes a list of Job records")
-    zs = _rows(zs)
-    ds = [_rows(job.d) for job in jobs]
-    if any(d.shape != zs.shape for d in ds):
+    rows = [(_rows(zs if job.z is None else job.z), _rows(job.d)) for job in jobs]
+    shape = rows[0][0].shape
+    if any(z.shape != shape or d.shape != shape for z, d in rows):
         raise ValueError("z and d must have identical shapes")
     M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
     if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
-    trials, n = zs.shape
-    state = [_Job(job, d, n - M + 1, keep_residuals, track_taps, tap_stride)
-             for job, d in zip(jobs, ds)]
+    trials, n = shape
+    state = [_Job(job, z, d, n - M + 1, keep_residuals, track_taps, tap_stride)
+             for job, (z, d) in zip(jobs, rows)]
     runs = (_native.Run * len(state))(*(job.run for job in state))
-    lanes = _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, zs, len(state), runs)
+    lanes = _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, len(state), runs)
     if not lanes:
         raise MemoryError("the LMS kernel cannot allocate the state of its lanes")
     return [job.result(lanes) for job in state]

@@ -7,16 +7,21 @@ transmit power is x = scale z of that one row (``signals.Draw``).
 ``_trial`` is the one function that applies this rule. ``run_trials`` is
 the trial loop of every canceller runner: it runs a pass over one or more
 grid points (``Point``, made by ``_point``), each with its canceller jobs
-(``cancellers.Job``), takes one trial at a time from ``iter_trials`` in
-reused rows, the source row and one observation row per point, and runs
-every job of every point of the pass on that trial in one LMS kernel call
-(``run_jobs``), while one producer thread draws and renders the next one
-into a second set of rows. So a run holds two trials' rows at a time
-whatever the number of trials: the SINR sweep walks its grid in passes of
-two points, 2 x (1 + 2) rows, and fills the four lanes of an AVX2 vector
-with the ALMS and ANCLMS jobs of both; convergence runs its two reference
-powers as one pass, its three jobs in one call; every other runner runs one
-point per pass. A runner keeps only its science: it builds the jobs, reduces
+(``cancellers.Job``), takes the trials from ``iter_trials`` a group at a
+time in reused rows, the source row and one observation row per point of
+each trial, and runs every job of every point of the pass on every trial
+of the group in one LMS kernel call (``run_jobs``), while one producer
+thread draws and renders the next group into a second set of rows. A group
+is max(1, lanes // jobs) consecutive trials, ``lanes`` the kernel build's
+lanes per vector (8 on AVX-512, 4 on AVX2, else 1), so that the call's
+(trial, job) pairs fill a vector: on 8 lanes, bias's four jobs and the
+sweep's pairs of points run two trials a call. So a run holds two groups'
+rows at a time whatever the number of trials: the SINR sweep walks its
+grid in passes of two points, 2 x group x (1 + 2) rows, each call running
+the ALMS and ANCLMS jobs of both; convergence runs its two reference powers
+as one pass, its three jobs in one call; every other runner runs one point
+per pass. A runner still takes its results one trial at a time, in trial
+order (``run_trials``), and keeps only its science: it builds the jobs, reduces
 the per-trial runs across trials in trial order, and the averages that
 reach a CSV are taken over arrays laid out as the old whole-batch arrays
 were, so they round as they did. ``power-budget`` runs no canceller and
@@ -54,6 +59,7 @@ Step-size conventions (fractions of closed-form bounds):
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -184,8 +190,8 @@ class PhaseClock:
     (output, ``ExperimentReport.add_csv`` and ``add_svg``), the samples
     drawn and rendered, and the LMS calls: the trial-steps they took, their
     number, the widest lane count (jobs per vector) the kernel reported
-    running them in, the jobs they ran and the lanes they offered, and the
-    trials that diverged, by job.
+    running them in, the (trial, job) pairs they ran and the lanes they
+    offered, and the trials that diverged, by job.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the sample counts, the caller's thread only the rest,
@@ -208,28 +214,33 @@ class PhaseClock:
         self.diverged: dict[str, int] = {}        # diverged trials by job label
         self.first_nonfinite: dict[str, int] = {}  # earliest such step by label
 
-    def count_lms(self, runs: dict[str, BatchRun],
-                  d_power: dict[str, float]) -> dict[str, np.ndarray]:
-        """Count one LMS call that ran ``runs``, by job label, on trials
-        whose mean |d|^2 is ``d_power[label]``, and the trials that
-        diverged (``_diverged``); return those trials' masks by label."""
+    def count_lms(self, trials: list[tuple[dict[str, BatchRun], dict[str, float]]]
+                  ) -> list[dict[str, np.ndarray]]:
+        """Count one LMS call that ran, for each of its trials, the ``runs``
+        of a ``(runs, d_power)`` pair, by job label, on observations whose
+        mean |d|^2 is ``d_power[label]``, and the trials that diverged
+        (``_diverged``); return those trials' masks by label, per pair."""
         # every run of one call reports the lanes the call ran
-        [lanes] = {run.lanes for run in runs.values()}
+        [lanes] = {run.lanes for runs, _ in trials for run in runs.values()}
+        jobs = sum(len(runs) for runs, _ in trials)
         self.lms_calls += 1
         self.lms_lanes = max(self.lms_lanes, lanes)
-        self.lms_jobs += len(runs)
-        self.lms_lanes_offered += -(-len(runs) // lanes) * lanes
-        diverged = {}
-        for label, run in runs.items():
-            self.trial_steps += run.n_steps * len(run.steady_state_mse)
-            grew = diverged[label] = _diverged(run, d_power[label])
-            if grew.any():
-                self.diverged[label] = self.diverged.get(label, 0) + int(grew.sum())
-            if run.diverged.any():
-                step = int(run.diverged_at[run.diverged].min())
-                self.first_nonfinite[label] = min(
-                    step, self.first_nonfinite.get(label, step))
-        return diverged
+        self.lms_jobs += jobs
+        self.lms_lanes_offered += -(-jobs // lanes) * lanes
+        masks = []
+        for runs, d_power in trials:
+            diverged = {}
+            for label, run in runs.items():
+                self.trial_steps += run.n_steps * len(run.steady_state_mse)
+                grew = diverged[label] = _diverged(run, d_power[label])
+                if grew.any():
+                    self.diverged[label] = self.diverged.get(label, 0) + int(grew.sum())
+                if run.diverged.any():
+                    step = int(run.diverged_at[run.diverged].min())
+                    self.first_nonfinite[label] = min(
+                        step, self.first_nonfinite.get(label, step))
+            masks.append(diverged)
+        return masks
 
     @contextmanager
     def phase(self, name: str):
@@ -402,33 +413,40 @@ def _trial(config: ExperimentConfig, t: int, n: int, points: list[Point],
 
 
 def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
-                clock: PhaseClock):
+                clock: PhaseClock, group: int = 1):
     """Yield ``(draw, observations, powers)`` for trials t = 0 ...
     config.trials - 1, each made by ``_trial``: the draw of ``n`` samples,
     one observation per point (``obs.d.samples``) and the mean |d|^2 of each
     (``_mean_power``, timed as rendering). ``clock`` also times the waits
-    for each trial.
+    for each group.
 
-    One producer thread generates and renders the trials in order into two
-    sets of rows, one source row and one observation row per point each,
-    trial t + 1 while the caller runs trial t, so trial t's rows are
-    overwritten once the caller asks for trial t + 1: a consumer copies
-    whatever it keeps. Only the ``config.trials`` trials asked for are made
-    (a caller that wants fewer passes a config with fewer). An error in the
-    producer is raised here with its own type; an error in the caller, or
-    closing the generator, lets the producer finish the trial in hand and
-    joins its thread.
+    The trials come in groups of ``group`` consecutive trials (the last may
+    be shorter). One producer thread generates and renders the groups in
+    order into two sets of rows, one source row and one observation row per
+    point for each trial of a group, group g + 1 while the caller runs group
+    g, so a trial's rows are overwritten once the caller asks for a trial of
+    the group after its own: a consumer copies whatever it keeps. Only the
+    ``config.trials`` trials asked for are made (a caller that wants fewer
+    passes a config with fewer). An error in the producer is raised here
+    with its own type; an error in the caller, or closing the generator,
+    lets the producer finish the group in hand and joins its thread.
     """
-    rows = [(np.empty(n, dtype=np.complex128),
-             [np.empty(n, dtype=np.complex128) for _ in points])
-            for _ in range(min(config.trials, 2))]
+    firsts = range(0, config.trials, group)
+    rows = [[(np.empty(n, dtype=np.complex128),
+              [np.empty(n, dtype=np.complex128) for _ in points])
+             for _ in range(min(config.trials, group))]
+            for _ in range(min(len(firsts), 2))]
 
-    def make(t: int):
-        draw, observations = _trial(config, t, n, points, clock, *rows[t % 2])
-        observations = list(observations)
-        with clock.phase("render"):
-            powers = [_mean_power(obs.d.samples) for obs in observations]
-        return draw, observations, powers
+    def make(first: int):
+        made = []
+        # a set holds the rows of at most `group` trials
+        for t, trial_rows in zip(range(first, config.trials), rows[first // group % 2]):
+            draw, observations = _trial(config, t, n, points, clock, *trial_rows)
+            observations = list(observations)
+            with clock.phase("render"):
+                powers = [_mean_power(obs.d.samples) for obs in observations]
+            made.append((draw, observations, powers))
+        return made
 
     # imported here, not at the top: concurrent.futures imports logging,
     # about 5 ms of the CLI's start-up
@@ -436,41 +454,55 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
 
     with ThreadPoolExecutor(1, thread_name_prefix="fdsic-trials") as producer:
         pending = producer.submit(make, 0)
-        for t in range(config.trials):
+        for first in firsts:
             with clock.phase("wait"):
-                trial = pending.result()
-            if t + 1 < config.trials:
-                # the caller is done with trial t - 1, whose rows take t + 1
-                pending = producer.submit(make, t + 1)
-            yield trial
+                made = pending.result()
+            if first + group < config.trials:
+                # the caller is done with the group before this one, whose
+                # rows take the next
+                pending = producer.submit(make, first + group)
+            yield from made
 
 
 def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job]]],
                n: int, clock: PhaseClock, **run_options):
     """Run every trial of ``iter_trials`` over the ``points`` of a pass and
-    yield ``(t, runs, diverged)`` for trial t, each a dict by job label.
+    yield ``(t, runs, diverged)`` for trial t, in trial order, each a dict
+    by job label.
 
     ``points`` holds one ``(point, jobs)`` pair per point, ``jobs`` the
-    point's ``Job`` records by label; each job runs on the trial's
-    observation at its point and on the point's reference (``d`` and
-    ``scale`` are filled in here), and the jobs of every point run in one
-    ``run_jobs`` call with ``run_options``, timed and counted as the LMS
-    phase. ``runs`` holds each job's ``BatchRun`` and ``diverged`` its
-    trials that diverged (``PhaseClock.count_lms``), in the order of the
-    labels in ``points``.
+    point's ``Job`` records by label; each job runs on the trial's source
+    row and its observation at the job's point, with the point's reference
+    scale (``z``, ``d`` and ``scale`` are filled in here). One ``run_jobs``
+    call with ``run_options`` runs the jobs of every point for
+    max(1, lanes // jobs) consecutive trials, ``lanes`` the build's lanes
+    per vector (``_native.lanes()``), so that the call's (trial, job) pairs
+    fill the lanes of a vector; it is timed and counted as the LMS phase.
+    ``runs`` holds each job's ``BatchRun`` and ``diverged`` its trials that
+    diverged (``PhaseClock.count_lms``), in the order of the labels in
+    ``points``.
     """
-    for t, (draw, observations, powers) in enumerate(
-            iter_trials(config, [point for point, _ in points], n, clock)):
-        jobs, d_power = {}, {}
-        for (point, point_jobs), obs, power in zip(points, observations, powers):
-            d, scale = obs.d.samples, draw.scale(point.sigma_x2)
-            for label, job in point_jobs.items():
-                jobs[label] = job._replace(d=d, scale=scale)
-                d_power[label] = power
+    labels = [label for _, jobs in points for label in jobs]
+    group = max(1, _native.lanes() // len(labels))
+    trials = iter_trials(config, [point for point, _ in points], n, clock, group)
+    for first in range(0, config.trials, group):
+        jobs, d_power = [], []
+        for draw, observations, powers in itertools.islice(trials, group):
+            d_power.append({})
+            for (point, point_jobs), obs, power in zip(points, observations, powers):
+                scale = draw.scale(point.sigma_x2)
+                for label, job in point_jobs.items():
+                    jobs.append(job._replace(z=draw.samples, d=obs.d.samples,
+                                             scale=scale))
+                    d_power[-1][label] = power
         with clock.phase("lms"):
-            runs = dict(zip(jobs, run_jobs(draw.samples, list(jobs.values()),
-                                           **run_options)))
-        yield t, runs, clock.count_lms(runs, d_power)
+            results = run_jobs(None, jobs, **run_options)
+        runs = [dict(zip(labels, results[k:k + len(labels)]))
+                for k in range(0, len(results), len(labels))]
+        for t, trial_runs, diverged in zip(
+                range(first, config.trials), runs,
+                clock.count_lms(list(zip(runs, d_power)))):
+            yield t, trial_runs, diverged
 
 
 def _step_size(config: ExperimentConfig, bound: float) -> tuple[float, str, float]:
@@ -560,7 +592,9 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     w_lin = channels.stacked_linear()
     w_nl = channels.stacked_nonlinear()
     stride = max(1, n_iters // 2000)
-    kept = len(range(0, n_iters + 1, stride))  # plotted of the n_iters + 1 steps
+    # the plotted steps of the n_iters + 1, as the kernel keeps them
+    iters_axis = np.arange(0, n_iters + 1, stride)
+    kept = len(iters_axis)
     traces: dict[str, np.ndarray] = {}
     bias_table = None
     base_mu = _resolve_mu(config, bound, report)
@@ -620,7 +654,6 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
                 len(traces[f"alms_{tag}_tap{tap + 1}"]), level)
 
-    iters_axis = np.arange(0, n_iters, stride)[: len(next(iter(traces.values())))]
     report.add_csv(out / "bias.csv", "iteration", iters_axis, traces)
     report.add_csv(out / "bias_taps.csv", "tap", bias_table["tap"],
                    {k: v for k, v in bias_table.items() if k != "tap"})
@@ -656,7 +689,8 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
     The grid is walked in passes of two points: trial t of every point draws
     the same source row (seed ``config.seed + t``), so a pass draws it once,
     renders one observation per point and runs the cancellers of both
-    points in one kernel call, four jobs to the AVX2 vector."""
+    points in one kernel call, four jobs a trial (with those of the next
+    trial on 8 lanes)."""
     grid = list(config.tx_grid_dbm)
     points = []  # (point, mu, its two jobs by label), in grid order
     for tx in grid:

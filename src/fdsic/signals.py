@@ -12,7 +12,10 @@ serves every power: the kernels of ``_native`` form x from z and the scale
 sample by sample, each part of z times the scale, as ``Draw.reference``
 forms it. The Gaussian source draws its normals in C
 (``_native.NormalStream``), bit for bit those of
-``np.random.default_rng(seed).standard_normal``.
+``np.random.default_rng(seed).standard_normal``, from numpy's seeding
+written out in Python, so a Gaussian run never imports ``numpy.random``;
+the OFDM source draws its symbols with ``numpy.random`` itself, which numpy
+imports on that first use.
 """
 
 from __future__ import annotations

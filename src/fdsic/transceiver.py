@@ -22,8 +22,9 @@ alpha1 = -(4/3) alpha0 / iip3_mw.
 x = scale z, each part of z times the scale (see ``signals.Draw``), so
 that one drawn row serves every transmit power, and forms x, x_imd, the
 four FIR branches and their sum in the compiled ``render`` of ``_native``
-(the C library that also runs the LMS steps), four consecutive samples
-per AVX2 vector over blocks of a few hundred samples, writing d(n) into
+(the C library that also runs the LMS steps), consecutive samples in the
+lanes of a vector (eight on AVX-512, four on AVX2) over blocks of a few
+hundred samples, writing d(n) into
 the caller's row, and then adds each noise part to d(n) as
 ``_native.NormalStream`` draws it (in C, bit for bit
 the stream of ``np.random.default_rng(seed).standard_normal``), so no array
@@ -302,7 +303,7 @@ def compute_noise_budget(profile: TransceiverProfile) -> NoiseBudget:
     return NoiseBudget(sigma_v2, sigma_q2, k_bb, p_x_soi, alpha1)
 
 
-def _rayleigh_taps(rng: np.random.Generator, pdp_db, total_power: float) -> np.ndarray:
+def _rayleigh_taps(rng: _native.NormalStream, pdp_db, total_power: float) -> np.ndarray:
     pdp = db_to_lin(np.asarray(pdp_db, dtype=float))
     taps = np.sqrt(pdp / 2.0) * (rng.standard_normal(len(pdp))
                                  + 1j * rng.standard_normal(len(pdp)))
@@ -339,11 +340,13 @@ def synthesize_channels(profile: TransceiverProfile, M: int, N: int, seed: int,
 
     ``sigma_x2`` rescales the reference-signal normalization without changing
     the physical component powers (the linear channels scale by the inverse
-    amplitude ratio, the IMD channels by its cube).
+    amplitude ratio, the IMD channels by its cube). The normals and uniforms
+    are those of ``np.random.default_rng(seed)``, drawn by
+    ``_native.NormalStream`` without importing ``numpy.random``.
     """
     if not 1 <= N < M:
         raise ValueError("need 1 <= N < M")
-    rng = np.random.default_rng(seed)
+    rng = _native.NormalStream(seed)
 
     echo_power = profile.f_rfe_norm2
     f_rfe = _rayleigh_taps(rng, [0.0, -3.0, -6.0], echo_power)
@@ -411,7 +414,7 @@ def render_observation(zs: np.ndarray, channels: ChannelSet,
     row of ``len(zs)`` samples, receives ``d``. Returns the ``Observation``
     of ``d`` and the stored components. The kernel forms x and x_imd a block
     of samples at a time, behind the M - 1 samples before the block, and
-    sums four consecutive output samples per vector, each as one sample
+    sums consecutive output samples in the lanes of a vector, each as one sample
     alone sums; it allocates those block rows on the heap, so any channel
     length renders, and raises ``MemoryError`` if it cannot.
     """

@@ -23,29 +23,36 @@ def type2():
 
 
 @pytest.fixture(scope="session")
-def _scalar_source(tmp_path_factory):
-    """A copy of the kernel sources, so that the 1-wide build's deletion of
-    superseded libraries cannot reach the package's own; the one library
-    built beside it serves every test that loads the 1-wide build."""
-    root = tmp_path_factory.mktemp("scalar-kernel")
-    for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
-        (root / path.name).write_bytes(path.read_bytes())
-    return root / _native._KERNEL_SOURCE.name
+def _kernel_sources(tmp_path_factory):
+    """A copy of the kernel sources per narrower build, so that a build's
+    deletion of superseded libraries can reach neither the package's own
+    nor the other build's; the one library built beside a copy serves every
+    test that loads that build."""
+    copies = {}
+
+    def source(flag: str):
+        if flag not in copies:
+            root = tmp_path_factory.mktemp(f"kernel{flag}")
+            for path in (_native._KERNEL_SOURCE,
+                         *_native._KERNEL_SOURCE.parent.glob("*.h")):
+                (root / path.name).write_bytes(path.read_bytes())
+            copies[flag] = root / _native._KERNEL_SOURCE.name
+        return copies[flag]
+
+    return source
 
 
-@pytest.fixture
-def scalar_kernel(_scalar_source, monkeypatch):
+def _narrow_kernel(flag, sources, monkeypatch):
     """A context manager in which every kernel call runs the library built
-    with -mno-avx2: the LMS lanes one double wide, as on a CPU without
-    AVX2."""
+    with the extra x86 ``flag``."""
     if platform.machine() not in ("x86_64", "AMD64"):
-        pytest.skip("-mno-avx2 is an x86 flag")
+        pytest.skip(f"{flag} is an x86 flag")
 
     @contextlib.contextmanager
     def loaded():
         with monkeypatch.context() as patch:
-            patch.setattr(_native, "_KERNEL_SOURCE", _scalar_source)
-            patch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-mno-avx2"))
+            patch.setattr(_native, "_KERNEL_SOURCE", sources(flag))
+            patch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, flag))
             _native.library.cache_clear()
             try:
                 yield
@@ -53,6 +60,21 @@ def scalar_kernel(_scalar_source, monkeypatch):
                 _native.library.cache_clear()  # the next call loads the default build
 
     return loaded
+
+
+@pytest.fixture
+def scalar_kernel(_kernel_sources, monkeypatch):
+    """A context manager in which every kernel call runs the library built
+    with -mno-avx2: the lanes one double wide, as on a CPU without AVX2."""
+    return _narrow_kernel("-mno-avx2", _kernel_sources, monkeypatch)
+
+
+@pytest.fixture
+def avx2_kernel(_kernel_sources, monkeypatch):
+    """A context manager in which every kernel call runs the library built
+    with -mno-avx512f: the lanes four doubles wide on a CPU with AVX2 and
+    FMA, as on one without AVX-512."""
+    return _narrow_kernel("-mno-avx512f", _kernel_sources, monkeypatch)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic import _native
-from fdsic.cancellers import (CancellerConfig, DegenerateInputError, Job,
+from fdsic.cancellers import (BatchRun, CancellerConfig, DegenerateInputError, Job,
                               check_nonsingular, default_steady_window,
                               newton_preconditioner, regressor_matrix, run_batch,
                               run_jobs)
@@ -559,17 +559,21 @@ def _group_jobs(kernel_setup, wiener, point_rows, count):
 
 
 @functools.cache
-def _build_lanes() -> int:
-    """The lanes per vector of every call on the default build: 4 if its
-    flags give the kernel AVX2 and FMA, else 1."""
-    macros = subprocess.run([_native._COMPILER, *_native._CFLAGS, "-dM", "-E", "-x", "c",
-                             "/dev/null"], capture_output=True, text=True, check=True).stdout
-    return 4 if "__AVX2__" in macros and "__FMA__" in macros else 1
+def _build_lanes(*extra: str) -> int:
+    """The lanes per vector of every call on the build with the ``extra``
+    flags (the default build without): 8 if its flags give the kernel
+    AVX-512F and AVX-512DQ, else 4 if AVX2 and FMA, else 1."""
+    macros = set(subprocess.run(
+        [_native._COMPILER, *_native._CFLAGS, *extra, "-dM", "-E", "-x", "c", "/dev/null"],
+        capture_output=True, text=True, check=True).stdout.split())
+    if {"__AVX512F__", "__AVX512DQ__"} <= macros:
+        return 8
+    return 4 if {"__AVX2__", "__FMA__"} <= macros else 1
 
 
 @pytest.mark.parametrize("count", sorted(_GROUP_OPTIONS))
 def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows):
-    """Every job of a multi-job call (AVX2 lanes where the build has them),
+    """Every job of a multi-job call (vector lanes where the build has them),
     each on its own reference x = scale z of the call's rows z and its own
     observation, returns each BatchRun field bit for bit as it returns alone
     on that x and d, and as the numpy loop does."""
@@ -658,6 +662,8 @@ def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
         run_jobs(xs, [(base, ds)])
     with pytest.raises(ValueError, match="identical shapes"):
         run_jobs(xs, [Job(base, ds), Job(base, ds[:, 1:])])
+    with pytest.raises(ValueError, match="identical shapes"):
+        run_jobs(None, [Job(base, ds, z=xs), Job(base, ds, z=xs[:, 1:])])
     with pytest.raises(ValueError, match="tap_stride"):
         run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
 
@@ -676,30 +682,63 @@ def test_unallocated_lanes_raise_memory_error(kernel_setup, monkeypatch):
         run_batch(xs, ds, _kernel_config(kernel_setup, N, 0.5))
 
 
+def _trial_fields(run: BatchRun, t: int) -> dict:
+    """The BatchRun fields of ``run`` but ``lanes``, its arrays cut to trial t."""
+    fields = {f.name: getattr(run, f.name) for f in dataclasses.fields(run)
+              if f.name != "lanes"}
+    return {name: value[t:t + 1] if isinstance(value, np.ndarray) else value
+            for name, value in fields.items()}
+
+
+def _assert_build_matches_the_default(build, flag, kernel_setup, wiener, point_rows):
+    """The build loaded by ``build`` runs a mixed 5-job call over two
+    transmit powers in its own lanes, and the same jobs of two trials as the
+    (trial, job) pairs of one call, each on its own trial's rows, and
+    returns the bytes the default build returns."""
+    zs, _ = point_rows
+    jobs, _ = _group_jobs(kernel_setup, wiener, point_rows, 5)
+    pairs = [job._replace(z=zs[t], d=job.d[t]) for t in range(2) for job in jobs]
+    options = _GROUP_OPTIONS[5]
+    default = run_jobs(zs, jobs, **options)
+    with build():
+        narrow = run_jobs(zs, jobs, **options)
+        narrow_pairs = run_jobs(None, pairs, **options)
+    assert [run.lanes for run in narrow] == [_build_lanes(flag)] * len(jobs)
+    for got, want in zip(narrow, default):
+        _assert_same_bits(got, want)
+    for k, got in enumerate(narrow_pairs):
+        t, j = divmod(k, len(jobs))
+        _assert_same_bits(got, _trial_fields(default[j], t))
+
+
 def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
                                         scalar_kernel):
     """A build without AVX2 runs a mixed 5-job call over two transmit powers
     one lane wide, each job a group of its own, and returns the bytes the
-    default build returns (two groups of four lanes, the second with three
-    idle lanes)."""
-    zs, _ = point_rows
-    jobs, _ = _group_jobs(kernel_setup, wiener, point_rows, 5)
-    options = _GROUP_OPTIONS[5]
-    default = run_jobs(zs, jobs, **options)
-    with scalar_kernel():
-        scalar = run_jobs(zs, jobs, **options)
-    assert [run.lanes for run in scalar] == [1] * len(jobs)
-    for got, want in zip(scalar, default):
-        _assert_same_bits(got, want)
+    default build returns (one group of eight lanes with three idle, or two
+    groups of four, the second with three idle)."""
+    _assert_build_matches_the_default(scalar_kernel, "-mno-avx2", kernel_setup,
+                                      wiener, point_rows)
+    assert _build_lanes("-mno-avx2") == 1
 
 
-@pytest.mark.parametrize("extra", [(), ("-mno-avx2",)], ids=["default", "no-avx2"])
+def test_avx2_build_matches_the_lanes(kernel_setup, wiener, point_rows, avx2_kernel):
+    """A build without AVX-512 runs the same call four lanes wide where the
+    CPU has AVX2 and FMA (two groups, the second with three idle lanes), and
+    returns the bytes the default build returns."""
+    _assert_build_matches_the_default(avx2_kernel, "-mno-avx512f", kernel_setup,
+                                      wiener, point_rows)
+    assert _build_lanes("-mno-avx512f") in (1, 4)
+
+
+@pytest.mark.parametrize("extra", [(), ("-mno-avx2",), ("-mno-avx512f",)],
+                         ids=["default", "no-avx2", "no-avx512f"])
 def test_kernel_compiles_without_warnings(extra, tmp_path):
     """The kernel builds warning-free under -Wall -Wextra with the
-    production flags, and without AVX2 (the vector operations one double
-    wide)."""
+    production flags, without AVX2 (the vector operations one double wide)
+    and without AVX-512 (four wide where the CPU has AVX2 and FMA)."""
     if extra and platform.machine() not in ("x86_64", "AMD64"):
-        pytest.skip("-mno-avx2 is an x86 flag")
+        pytest.skip(f"{extra[0]} is an x86 flag")
     command = [_native._COMPILER, *_native._CFLAGS, *extra, "-Wall", "-Wextra",
                "-Werror", str(_native._KERNEL_SOURCE), "-o",
                str(tmp_path / "_lms.so"), "-lm"]
@@ -831,19 +870,25 @@ def _kernel_code() -> str:
 
 def test_kernel_writes_the_lms_once():
     """The LMS is written once, over the vector operations v_*: the block
-    that defines them 4 wide (AVX2 and FMA) or 1 wide defines nothing else,
-    every AVX2 operation has its 1-wide form, no AVX2 name appears outside
-    the block, and ``lms_raw`` chooses no path by build."""
+    that defines them 8 wide (AVX-512F and AVX-512DQ), 4 wide (AVX2 and
+    FMA) or 1 wide defines nothing else, every vector operation of a wide
+    branch has its 1-wide form, no AVX name appears outside the block, and
+    ``lms_raw`` chooses no path by build."""
     source = _kernel_code()
-    block = re.search(r"^#if defined\(__AVX2__\) && defined\(__FMA__\)\n(.*?)"
+    block = re.search(r"^#if defined\(__AVX512F__\) && defined\(__AVX512DQ__\)\n(.*?)"
+                      r"^#elif defined\(__AVX2__\) && defined\(__FMA__\)\n(.*?)"
                       r"^#else\n(.*?)^#endif\n", source, re.S | re.M)
-    assert block, "no vector-operation block with a 4-wide and a 1-wide branch"
-    wide, narrow = (re.findall(r"^static inline \w+ (\w+)\(", branch, re.M)
-                    for branch in block.groups())
-    assert all(name.startswith("v_") for name in wide + narrow), wide + narrow
-    assert set(wide) <= set(narrow)
+    assert block, "no vector-operation block with an 8-, a 4- and a 1-wide branch"
+    *wide, narrow = (re.findall(r"^static inline \w+ (\w+)\(", branch, re.M)
+                     for branch in block.groups())
+    for names in (*wide, narrow):
+        assert all(name.startswith("v_") for name in names), names
+    for names in wide:
+        assert set(names) <= set(narrow)
+    assert re.findall(r"#define LANES (\d+)", block.group(0)) == ["8", "4", "1"]
     outside = source[:block.start()] + source[block.end():]
-    assert not re.findall(r"immintrin\.h|_mm256_\w*|__m256\w*", outside)
+    assert not re.findall(r"immintrin\.h|_mm(256|512)_\w*|__m(256|512)\w*|__mmask\w*",
+                          outside)
     [body] = re.findall(r"^int64_t lms_raw\([^)]*\)\n\{(.*?)^\}", source, re.S | re.M)
     assert "#if" not in body
 
@@ -883,7 +928,7 @@ def test_ctypes_signatures_match_the_kernel_source():
     lib = _native.library()
     exported = {name: (result, params) for result, name, params in re.findall(
         r"^(void|int64_t) (\w+)\(([^)]*)\)", source, re.M)}
-    assert sorted(exported) == ["lms_raw", "normals_complex", "render"]
+    assert sorted(exported) == ["doubles", "lms_raw", "normals_complex", "render"]
     for name, (result, params) in exported.items():
         want = [_c_kind(*_declarator(param)) for param in params.split(",")]
         fn = getattr(lib, name)

@@ -8,9 +8,11 @@ The SHA-256 of every CSV must equal the digest stored in
 ``golden_digests.json``, so a change that moves any number shows up in
 review as a changed digest.
 
-The 1-wide lanes must give the same digests: a build of the kernel
-without AVX2 reruns ``bias``, ``sinr-sweep``, ``convergence`` (its whitened
-run is the LMS-Newton step) and ``bounds-probe``.
+The 4- and 1-wide lanes must give the same digests: builds of the kernel
+without AVX-512 and without AVX2 rerun ``bias``, ``sinr-sweep``,
+``convergence`` (its whitened run is the LMS-Newton step) and
+``bounds-probe``; each build pairs trials in its own way, so each packs
+its (trial, job) lanes differently.
 
 After a deliberate change of the numbers, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in the change log
@@ -53,12 +55,20 @@ def test_csv_digests_unchanged(tmp_path):
     assert experiment_digests(tmp_path) == json.loads(GOLDEN.read_text())
 
 
-def test_scalar_build_keeps_the_digests(tmp_path, scalar_kernel):
+def _assert_build_keeps_the_digests(build, out: Path):
     runs = ("bias", "sinr-sweep", "convergence", "bounds-probe")
     want = {key: digest for key, digest in json.loads(GOLDEN.read_text()).items()
             if key.split("/")[0] in runs}
-    with scalar_kernel():
-        assert experiment_digests(tmp_path, runs) == want
+    with build():
+        assert experiment_digests(out, runs) == want
+
+
+def test_scalar_build_keeps_the_digests(tmp_path, scalar_kernel):
+    _assert_build_keeps_the_digests(scalar_kernel, tmp_path)
+
+
+def test_avx2_build_keeps_the_digests(tmp_path, avx2_kernel):
+    _assert_build_keeps_the_digests(avx2_kernel, tmp_path)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import json
 import math
 import os
 import re
@@ -421,8 +422,9 @@ def test_convergence_meta_names_the_iterations_it_ran(iterations, run, type2, tm
 def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch, lms_calls):
     """The whitened run adapts on the optimal run's own trials: two rendered
     trial sets, not three, from one source row per trial, drawn once with
-    seed ``seed + t``, and all three jobs of a trial in one kernel call;
-    meta.txt names the exact whitening."""
+    seed ``seed + t``, and all three jobs of a trial in one kernel call,
+    with those of the next trial where the lanes have room; meta.txt names
+    the exact whitening."""
     rendered, seeds = [], []
     real = harness.render_observation
     monkeypatch.setattr(harness, "render_observation",
@@ -437,7 +439,7 @@ def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch, lms_calls):
     assert seeds == [SEED + t for t in range(cfg.trials)]
     assert int(meta["samples"]) == cfg.trials * (20_000 + cfg.M)
     assert int(meta["trial_steps"]) == 3 * cfg.trials * 20_001
-    assert [count for count, _ in lms_calls] == [3] * cfg.trials
+    assert [count for count, _ in lms_calls] == _call_jobs(cfg.trials, 3)
     assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
     assert meta["whitening"] == "exact rb_matrix inverse"
 
@@ -532,6 +534,14 @@ def _lane_fill(calls) -> float:
                                                 for jobs, lanes in calls)
 
 
+def _call_jobs(trials: int, jobs: int) -> list[int]:
+    """The jobs of each kernel call of a pass of ``jobs`` jobs per trial
+    over ``trials`` trials: one call per max(1, lanes // jobs) consecutive
+    trials, ``lanes`` the build's lanes per vector."""
+    group = max(1, _native.lanes() // jobs)
+    return [min(group, trials - first) * jobs for first in range(0, trials, group)]
+
+
 @pytest.mark.parametrize("experiment, trial_steps", [
     ("bias", 2 * 4 * 3001),        # 2 trials x 4 jobs x 3001 steps
     ("sinr-sweep", 2 * 2 * 3001),  # 2 trials x 2 cancellers at -5 dBm
@@ -554,13 +564,51 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path, lms_
     # do the sweep's 2 cancellers, which run the same length at -5 dBm
     assert int(meta["samples"]) == int(meta["samples_rendered"]) == 2 * (3000 + cfg.M)
     assert int(meta["trial_steps"]) == trial_steps
-    # all jobs of a trial (4 and 2) in one kernel call
+    # all jobs of a trial (4 and 2) in one kernel call, and those of both
+    # trials where the lanes have room for them
     jobs = trial_steps // (2 * 3001)
-    assert int(meta["lms_calls"]) == 2
-    assert [count for count, _ in lms_calls] == [jobs] * 2
+    assert int(meta["lms_calls"]) == len(_call_jobs(2, jobs))
+    assert [count for count, _ in lms_calls] == _call_jobs(2, jobs)
     assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
     assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
     assert meta["diverged_trials"] == "0" and meta["first_nonfinite_step"] == "none"
+
+
+_IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from fdsic.harness import ExperimentConfig, run_experiment
+from fdsic.transceiver import builtin_profile
+out = Path(tempfile.mkdtemp())
+for experiment in ("bias", "sinr-sweep"):
+    run_experiment(ExperimentConfig(experiment=experiment, profile=builtin_profile("type2"),
+                                    trials=3, iterations=3000, tx_grid_dbm=(-5.0, 5.0, 15.0),
+                                    output_dir=out / experiment))
+loaded = sorted(name for name in ("numpy.random", "_hashlib", "hashlib", "secrets")
+                if name in sys.modules)
+sys.path.insert(0, sys.argv[1])
+from test_golden import GOLDEN, experiment_digests  # hashes with hashlib
+want = {k: v for k, v in json.loads(GOLDEN.read_text()).items() if k.startswith("bias-ofdm/")}
+ofdm_matches = experiment_digests(out / "golden", ("bias-ofdm",)) == want
+print(json.dumps([loaded, "numpy.random" in sys.modules, ofdm_matches]))
+"""
+
+
+def test_gaussian_runs_import_no_numpy_random():
+    """Gaussian bias and sinr-sweep runs in a fresh process draw their
+    channels, sources and noise without importing ``numpy.random`` or
+    OpenSSL's ``_hashlib`` (each adds resident memory), and an OFDM run
+    after them imports ``numpy.random`` for its symbols and still matches
+    its golden digests."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tests)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, ofdm_loaded, ofdm_matches = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == []
+    assert ofdm_loaded and ofdm_matches
 
 
 @pytest.mark.parametrize("experiment", ["bias", "power-budget"])
@@ -620,22 +668,45 @@ def test_meta_times_the_output(experiment, type2, tmp_path, monkeypatch):
     assert len(written) == len(report.csv_paths) + len(report.svg_paths) > 0
 
 
-@pytest.mark.parametrize("experiment, calls, jobs", [
-    ("bounds-probe", 2, 8),   # 2 trials, 8 jobs each in one call: two lane groups
-    # 2 trials, one call each: the optimal, the whitened (Newton) and the
-    # suboptimal jobs share a trial's call as lanes
+@pytest.mark.parametrize("experiment, trials, jobs", [
+    ("bounds-probe", 2, 8),   # 2 trials of 8 jobs: one call each
+    # 2 trials of 3 jobs: the optimal, the whitened (Newton) and the
+    # suboptimal jobs share a trial's call as lanes, both trials' on 8 lanes
     ("convergence", 2, 3),
 ])
-def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path, lms_calls):
+def test_meta_names_the_lms_path(experiment, trials, jobs, type2, tmp_path, lms_calls):
     """meta.txt counts the LMS kernel calls and names the widest lane count
-    the kernel reported running them in."""
-    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
+    the kernel reported running them in, the build's own."""
+    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=trials,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
-    assert int(meta["lms_calls"]) == calls == len(lms_calls)
-    assert max(count for count, _ in lms_calls) == jobs
+    assert int(meta["lms_calls"]) == len(lms_calls) == len(_call_jobs(trials, jobs))
+    assert [count for count, _ in lms_calls] == _call_jobs(trials, jobs)
     assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
+    assert int(meta["lms_lanes"]) == _native.lanes()
+
+
+@pytest.mark.parametrize("experiment, options, jobs, calls, fill", [
+    ("bias", dict(iterations=3000), 4, 25, "1"),
+    ("sinr-sweep", dict(iterations=3000, tx_grid_dbm=(15.0, 25.0)), 4, 25, "1"),
+    ("convergence", dict(iterations=20_000), 3, 25, "0.75"),
+], ids=["bias", "sweep-long", "convergence"])
+def test_meta_pairs_the_trials_on_eight_lanes(experiment, options, jobs, calls, fill,
+                                              type2, tmp_path):
+    """At 8 lanes, the 50 trials of the benchmark's workloads run two to a
+    kernel call: bias's and sweep-long's 4 jobs fill all 8 lanes of 25
+    calls, convergence's 3 jobs 6 of them, and every trial still takes every
+    step of every job."""
+    if _native.lanes() != 8:
+        pytest.skip("the build runs no 8-lane vectors")
+    cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=50, seed=SEED,
+                           output_dir=tmp_path, **options)
+    meta = _meta(run_experiment(cfg))
+    assert meta["lms_lanes"] == "8"
+    assert meta["lms_calls"] == str(calls)
+    assert meta["lms_lane_fill"] == fill
+    assert int(meta["trial_steps"]) == cfg.trials * jobs * (cfg.iterations + 1)
 
 
 @pytest.mark.parametrize("grid, jobs", [
@@ -645,9 +716,10 @@ def test_meta_names_the_lms_path(experiment, calls, jobs, type2, tmp_path, lms_c
 def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatch,
                                          lms_calls):
     """The sweep runs the cancellers of two grid points in one kernel call
-    per trial and draws each trial's source row once per pass: a 2-point
-    sweep makes ``trials`` calls and draws every trial once, a 3-point sweep
-    makes 2 ``trials`` calls; every point renders each trial."""
+    per trial (with those of the next trials where the lanes have room) and
+    draws each trial's source row once per pass: a 2-point sweep draws
+    every trial once, a 3-point sweep twice; every point renders each
+    trial."""
     seeds = []
     real = harness.gen_proper_gaussian
     monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, seed, **k:
@@ -657,12 +729,13 @@ def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatc
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
     passes = len(jobs)
+    calls = [count for k in jobs for count in _call_jobs(cfg.trials, k)]
     assert seeds == [SEED + t for t in range(cfg.trials)] * passes
-    assert int(meta["lms_calls"]) == passes * cfg.trials
+    assert int(meta["lms_calls"]) == len(calls)
     n = 3000 + cfg.M
     assert int(meta["samples"]) == passes * cfg.trials * n
     assert int(meta["samples_rendered"]) == len(grid) * cfg.trials * n
-    assert [count for count, _ in lms_calls] == [k for k in jobs for _ in range(cfg.trials)]
+    assert [count for count, _ in lms_calls] == calls
     assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
 
 
@@ -685,7 +758,8 @@ def test_phase_clock_counts_diverged_trials():
     """count_lms flags, by job, a trial that went non-finite or whose peak
     residual exceeds 1e3 times its mean |d|^2, keeps each job's earliest
     non-finite step, and counts the lanes the calls report they filled: a
-    3-job call in 4 lanes, then a 1-job call in 1."""
+    3-job call in 4 lanes, then a 1-job call in 1, then one call of two
+    trials' 4 jobs in 8 lanes."""
     x = gen_proper_gaussian(3000, seed=30).reference(1.0)
     xs = np.stack([x] * 3)
     calm = dataclasses.replace(
@@ -694,11 +768,13 @@ def test_phase_clock_counts_diverged_trials():
     broken = dataclasses.replace(calm, diverged=np.array([False, True, True]),
                      diverged_at=np.array([-1, 70, 40]))
     clock = harness.PhaseClock()
-    clock.count_lms({"calm": calm, "grown": grown, "broken": broken},
-                    {"calm": 1.0, "grown": 1.0, "broken": 1.0})
-    clock.count_lms({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]),
-                                                   lanes=1)},
-                    {"broken": 1.0})
+    [masks] = clock.count_lms([({"calm": calm, "grown": grown, "broken": broken},
+                                {"calm": 1.0, "grown": 1.0, "broken": 1.0})])
+    assert {label: mask.tolist() for label, mask in masks.items()} == {
+        "calm": [False] * 3, "grown": [False, True, False], "broken": [False, True, True]}
+    clock.count_lms([({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]),
+                                                     lanes=1)},
+                      {"broken": 1.0})])
     lines = clock.meta_lines()
     for line in ("diverged_trials = 5", "first_nonfinite_step = 40",
                  "diverged_trials[grown] = 1", "diverged_trials[broken] = 4",
@@ -706,6 +782,16 @@ def test_phase_clock_counts_diverged_trials():
                  "lms_lanes = 4", "lms_lane_fill = 0.8"):
         assert line in lines, line
     assert not any("[calm]" in line for line in lines)
+    # two trials of one call, each with its own powers and its own masks
+    wide = {"calm": dataclasses.replace(calm, lanes=8), "grown": dataclasses.replace(grown, lanes=8)}
+    first, second = clock.count_lms([(wide, {"calm": 1.0, "grown": 1.0}),
+                                     (wide, {"calm": 1.0, "grown": 3.0})])
+    assert first["grown"].tolist() == [False, True, False]
+    assert not second["grown"].any()
+    lines = clock.meta_lines()
+    for line in ("lms_calls = 3", "lms_lanes = 8", "lms_lane_fill = 0.6154",
+                 "diverged_trials[grown] = 2"):
+        assert line in lines, line
 
 
 def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
@@ -860,11 +946,14 @@ def test_caller_error_or_close_joins_the_producer(type2):
 
 
 def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
-    """The sweep holds two trials' samples at a time: its traced peak at 8
-    trials stays within 1.25x of its peak at 2 trials (a first, untraced run
-    takes the one-time allocations of the process)."""
+    """The sweep holds two groups of trials' samples at a time, a group the
+    max(1, lanes // 2) trials whose two jobs share a kernel call: its traced
+    peak at 8 groups' trials stays within 1.25x of its peak at 2 groups'
+    (a first, untraced run takes the one-time allocations of the
+    process)."""
+    group = max(1, _native.lanes() // 2)
     peaks = {}
-    for trials in (1, 2, 8):
+    for trials in (1, 2 * group, 8 * group):
         cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2,
                                trials=trials, iterations=20_000,
                                tx_grid_dbm=(-5.0,), seed=SEED,
@@ -878,7 +967,7 @@ def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
             peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[8] <= 1.25 * peaks[2], peaks
+    assert peaks[8 * group] <= 1.25 * peaks[2 * group], peaks
 
 
 def test_resolve_profile_default():

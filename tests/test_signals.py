@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsic._native import NormalStream
+from fdsic._native import NormalStream, _pcg64_state
+from fdsic.harness import _NOISE_SEED_OFFSET
 from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
                            SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence,
                            gen_ofdm_waveform, gen_proper_gaussian)
@@ -109,12 +110,41 @@ def test_normal_stream_continues_across_calls():
         NormalStream(5).fill_complex(np.empty((2, 3), dtype=complex))
 
 
-def test_normal_stream_requires_pcg64(monkeypatch):
-    """The C code repeats PCG64's steps, so another generator is refused."""
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: np.random.Generator(np.random.Philox(seed)))
-    with pytest.raises(RuntimeError, match="PCG64.*Philox"):
-        NormalStream(1)
+# seeds of one, two and three 32-bit words, and the noise seeds of the
+# trials of a 50-trial run at seed 17
+STATE_SEEDS = (*range(301), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+               *(17 + _NOISE_SEED_OFFSET + t for t in range(50)))
+
+
+def test_pcg64_state_matches_numpy():
+    """The Python port of numpy's SeedSequence seeding gives the PCG64 state
+    and increment of ``default_rng(seed)``, whose generator the C code
+    repeats (a numpy whose ``default_rng`` moved to another generator would
+    fail here)."""
+    for seed in STATE_SEEDS:
+        bit_generator = np.random.default_rng(seed).bit_generator
+        assert bit_generator.state["bit_generator"] == "PCG64"
+        want = bit_generator.state["state"]
+        assert _pcg64_state(seed) == (want["state"], want["inc"]), seed
+    for seed in (np.uint32(7), np.int64(2 ** 40)):  # numpy integers too
+        want = np.random.default_rng(seed).bit_generator.state["state"]
+        assert _pcg64_state(seed) == (want["state"], want["inc"])
+    with pytest.raises(ValueError, match="non-negative"):
+        NormalStream(-1)
+    with pytest.raises(TypeError):
+        NormalStream(1.0)
+
+
+def test_normal_stream_draws_as_numpy_generator():
+    """Normals and uniforms drawn in turn, as ``synthesize_channels`` draws
+    them, equal the same calls of ``default_rng(seed)`` bit for bit."""
+    for seed in (0, 17, 2 ** 40 + 5):
+        stream, rng = NormalStream(seed), np.random.default_rng(seed)
+        for n, bounds in ((3, (0.2, 0.4)), (0, (0.0, 2 * np.pi)), (2, (-1.0, 1e-300))):
+            np.testing.assert_array_equal(_bits(stream.standard_normal(n)),
+                                          _bits(rng.standard_normal(n)))
+            got, want = stream.uniform(*bounds), rng.uniform(*bounds)
+            assert type(got) is float and np.array_equal(_bits([got]), _bits([want]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10_000])

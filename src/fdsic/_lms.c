@@ -1,6 +1,6 @@
 /* The native kernels of fdsic: the standard normal and uniform draws of a
- * trial, the render of an observation and the LMS steps of the canceller
- * jobs run on a batch of trials.
+ * trial, the render of a trial's observations and the LMS steps of the
+ * canceller jobs run on a batch of trials.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
@@ -19,10 +19,13 @@
  * the bits one sample or one job returns alone. A build with AVX-512F and
  * AVX-512DQ runs eight lanes per vector, one with AVX2 and FMA four, any
  * other build one (lms_lanes). The render's lanes are consecutive output
- * samples, formed in blocks of RB samples on the heap; its noise is drawn
- * one normal at a time. Each job of an lms_raw call has its own source
+ * samples, formed in blocks of RB samples on the heap; one call renders
+ * the observations of several points (struct point) from one source row
+ * and draws their noise once, each normal added to every point's row as
+ * that point alone adds it. Each job of an lms_raw call has its own source
  * rows z, scale and observation rows, so the jobs of one call may belong to
- * different trials: the harness fills the lanes with (trial, job) pairs.
+ * different trials: the harness fills the lanes with (trial, job) pairs,
+ * job-major, so that a vector often holds one job over several trials.
  * The jobs run in groups of LANES, one group after another, and within a
  * group step by step as the lanes of a vector, each lane on its own
  * regressor; the trials of a job's rows run one after another. A job's
@@ -153,8 +156,8 @@ static inline void scale_complex(double a, double re, double im, double *y)
     y[1] = fma(a, im, 0.0 * re);
 }
 
-/* Add scale times the next n standard normals of g to every second double
- * of y, from y[0] (the real parts of a complex row) or y[1] (the imaginary
+/* Add scale times the n standard normals v to every second double of y,
+ * from y[0] (the real parts of a complex row) or y[1] (the imaginary
  * parts), and store the normals likewise in z if it is not NULL. The render
  * adds a noise part this way in place of numpy's y + fma(scale, z, +-0),
  * the real-by-complex product written out by scale_complex: a running sum that
@@ -163,14 +166,12 @@ static inline void scale_complex(double a, double re, double im, double *y)
  * y + scale * z whatever the sign of that zero: the two products round
  * alike unless the exact product is zero, and then y + 0 and y + -0 are
  * both y. */
-static void add_normals(struct pcg64 *g, int64_t n, double scale, double *y,
-                        double *z)
+static void add_normals(int64_t n, double scale, const double *v, double *y, double *z)
 {
     for (int64_t i = 0; i < n; i++) {
-        double v = normal(g);
-        y[2 * i] += scale * v;
+        y[2 * i] += scale * v[i];
         if (z)
-            z[2 * i] = v;
+            z[2 * i] = v[i];
     }
 }
 
@@ -896,80 +897,113 @@ static inline __attribute__((always_inline)) void fir_lanes(
     c[3] = v_add(zero, v_add(b2, b3));
 }
 
-/* Render the observation of the reference x = scale z (n samples), as
- * transceiver.render_observation defines it, then draw its noise. h and g
- * have m taps, h_imd and g_imd nimd < m; k15 is k_tiq^{3/2}. x and x_imd
- * are formed (reference_lanes) a block of RB samples at a time, as planar
- * rows behind the m - 1 samples before the block, which are 0 before
- * sample 0; the last block is padded with zeros to a multiple of LANES.
- * Each lane of the FIRs is one output sample, summed over all m (or nimd)
- * taps: a tap that reaches before sample 0 adds the exact product of a
- * finite tap and 0 to an accumulator that is still +0, which leaves it +0,
- * as the shorter sum of numpy leaves it. The noise
- * is drawn from the generator whose state s holds (advanced past the
- * draws): n standard normals for each of the real then the imaginary parts
- * of the thermal, the quantization and (if soi) the SOI noise, which
- * noise[0..2] scale. d receives the sum of the seven components in the
- * order 0 + linear + image + imd + image_imd + thermal + quantization + soi,
- * the noise parts added as they are drawn (see add_normals; adding the
- * absent SOI, 0.0, leaves the sum as it is). comp, if not NULL, receives
- * the components as (7, n), each noise component scaled from its stored
- * draws by numpy's product. Returns 1, or 0, having rendered nothing, if
- * the block rows cannot be allocated: they hold m - 1 + RB samples each,
- * and m has no bound. */
-int64_t render(int64_t n, int64_t m, int64_t nimd, double k15, const double *h,
-               const double *g, const double *h_imd, const double *g_imd,
-               const double *z, double scale, uint64_t *s,
-               int64_t soi, const double *noise, double *d, double *comp)
+/* One observation of a render call: the reference x = scale z of the
+ * call's source row z, the channel taps h and g (m each) and h_imd and
+ * g_imd (nimd < m each), k15 = k_tiq^{3/2}, the scales noise[0..2] of the
+ * thermal, the quantization and the SOI noise, the row d (n samples) that
+ * receives the observation and, if not NULL, comp, (7, n), that receives
+ * its components. */
+struct point {
+    int64_t m, nimd;
+    double scale, k15;
+    const double *h, *g, *h_imd, *g_imd, *noise;
+    double *d, *comp;
+};
+
+/* Render the observations pts[0 .. count - 1] of the source row z (n
+ * samples), each as transceiver.render_observation defines it, then draw
+ * their noise once. Each point's x and x_imd are formed (reference_lanes) a
+ * block of RB samples at a time, as planar rows behind the m - 1 samples
+ * before the block, which are 0 before sample 0; the last block is padded
+ * with zeros to a multiple of LANES. Each lane of the FIRs is one output
+ * sample, summed over all m (or nimd) taps: a tap that reaches before
+ * sample 0 adds the exact product of a finite tap and 0 to an accumulator
+ * that is still +0, which leaves it +0, as the shorter sum of numpy leaves
+ * it. The noise is drawn from the generator whose state s holds (advanced
+ * past the draws): n standard normals for each of the real then the
+ * imaginary parts of the thermal, the quantization and (if soi) the SOI
+ * noise. Each normal is drawn once and added to the row d of every point,
+ * scaled by that point's noise[k], so every point gets the operations, and
+ * the bits, it gets alone. d receives the sum of the seven components in
+ * the order 0 + linear + image + imd + image_imd + thermal + quantization +
+ * soi, the noise parts added as they are drawn (see add_normals; adding the
+ * absent SOI, 0.0, leaves the sum as it is). comp receives the components,
+ * each noise component scaled from its stored draws by numpy's product.
+ * Returns 1, or 0, having rendered and drawn nothing, if the block rows
+ * cannot be allocated: they hold m - 1 + RB samples each for the longest
+ * channel, and m has no bound. */
+int64_t render(int64_t n, const double *z, uint64_t *s, int64_t soi, int64_t count,
+               const struct point *pts)
 {
+    int64_t longest = 1;
+    for (int64_t p = 0; p < count; p++)
+        if (pts[p].m > longest)
+            longest = pts[p].m;
     /* six rows: xr, xi, -xi and those of x_imd, as reference_lanes forms them */
-    const int64_t past = m - 1, len = past + RB, rows = nimd > 0 ? 6 : 3;
-    double *x = calloc(6 * len, sizeof(double));
+    double *x = malloc(6 * (longest - 1 + RB) * sizeof(double));
     if (!x)
         return 0;
     const vec zero = v_set1(0.0);
-    for (int64_t b = 0; b < n; b += RB) {
-        int64_t size = n - b < RB ? n - b : RB;
-        if (b > 0)
-            for (int64_t r = 0; r < rows; r++)
-                memmove(x + r * len, x + r * len + RB, past * sizeof(double));
-        for (int64_t t = 0; t < size; t += LANES) {
-            vec zr, zi, v[6];
-            load_valid(z + 2 * (b + t), size - t, &zr, &zi);
-            reference_lanes(v_set1(scale), zr, zi, k15, nimd > 0, v);
-            for (int64_t r = 0; r < rows; r++)
-                v_store(x + r * len + past + t, v[r]);
-        }
-        for (int64_t t = 0; t < size; t += LANES) {
-            const double *xt = x + past + t;
-            vec c[8];
-            fir_lanes(m, h, g, xt, xt + len, xt + 2 * len, c);
-            fir_lanes(nimd, h_imd, g_imd, xt + 3 * len, xt + 4 * len,
-                      xt + 5 * len, c + 4);
-            vec dr = zero, di = zero;
-            for (int64_t k = 0; k < 4; k++) {
-                dr = v_add(dr, c[2 * k]);
-                di = v_add(di, c[2 * k + 1]);
+    for (int64_t p = 0; p < count; p++) {
+        const struct point *q = &pts[p];
+        const int64_t past = q->m - 1, len = past + RB, rows = q->nimd > 0 ? 6 : 3;
+        memset(x, 0, 6 * len * sizeof(double));
+        for (int64_t b = 0; b < n; b += RB) {
+            int64_t size = n - b < RB ? n - b : RB;
+            if (b > 0)
+                for (int64_t r = 0; r < rows; r++)
+                    memmove(x + r * len, x + r * len + RB, past * sizeof(double));
+            for (int64_t t = 0; t < size; t += LANES) {
+                vec zr, zi, v[6];
+                load_valid(z + 2 * (b + t), size - t, &zr, &zi);
+                reference_lanes(v_set1(q->scale), zr, zi, q->k15, q->nimd > 0, v);
+                for (int64_t r = 0; r < rows; r++)
+                    v_store(x + r * len + past + t, v[r]);
             }
-            store_valid(d + 2 * (b + t), size - t, dr, di);
-            if (comp)
-                for (int64_t k = 0; k < 4; k++)
-                    store_valid(comp + 2 * (k * n + b + t), size - t, c[2 * k],
-                                c[2 * k + 1]);
+            for (int64_t t = 0; t < size; t += LANES) {
+                const double *xt = x + past + t;
+                vec c[8];
+                fir_lanes(q->m, q->h, q->g, xt, xt + len, xt + 2 * len, c);
+                fir_lanes(q->nimd, q->h_imd, q->g_imd, xt + 3 * len, xt + 4 * len,
+                          xt + 5 * len, c + 4);
+                vec dr = zero, di = zero;
+                for (int64_t k = 0; k < 4; k++) {
+                    dr = v_add(dr, c[2 * k]);
+                    di = v_add(di, c[2 * k + 1]);
+                }
+                store_valid(q->d + 2 * (b + t), size - t, dr, di);
+                if (q->comp)
+                    for (int64_t k = 0; k < 4; k++)
+                        store_valid(q->comp + 2 * (k * n + b + t), size - t, c[2 * k],
+                                    c[2 * k + 1]);
+            }
         }
     }
     free(x);
     struct pcg64 gen = pcg64_load(s);
-    for (int64_t k = 0; k < (soi ? 3 : 2); k++) {
-        double *w = comp ? comp + 2 * (4 + k) * n : NULL;
-        add_normals(&gen, n, noise[k], d, w);
-        add_normals(&gen, n, noise[k], d + 1, w ? w + 1 : NULL);
-        if (w)
-            for (int64_t i = 0; i < n; i++)
-                scale_complex(noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
-    }
+    double v[RB];
+    for (int64_t k = 0; k < (soi ? 3 : 2); k++)
+        for (int64_t part = 0; part < 2; part++)
+            for (int64_t b = 0; b < n; b += RB) {
+                int64_t size = n - b < RB ? n - b : RB;
+                for (int64_t i = 0; i < size; i++)
+                    v[i] = normal(&gen);
+                for (int64_t p = 0; p < count; p++) {
+                    double *w = pts[p].comp;
+                    add_normals(size, pts[p].noise[k], v, pts[p].d + 2 * b + part,
+                                w ? w + 2 * ((4 + k) * n + b) + part : NULL);
+                }
+            }
     pcg64_store(&gen, s);
-    if (comp && !soi)
-        memset(comp + 2 * 6 * n, 0, 2 * n * sizeof(double));
+    for (int64_t p = 0; p < count; p++) {
+        double *w = pts[p].comp;
+        if (!w)
+            continue;
+        for (int64_t k = 0; k < (soi ? 3 : 2); k++)
+            for (int64_t i = (4 + k) * n; i < (5 + k) * n; i++)
+                scale_complex(pts[p].noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
+        if (!soi)
+            memset(w + 2 * 6 * n, 0, 2 * n * sizeof(double));
+    }
     return 1;
 }

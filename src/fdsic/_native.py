@@ -13,19 +13,21 @@ one function of ``_lms.c``. Both are written once over a block of vector
 operations, eight lanes per AVX-512 vector on a build with AVX-512F and
 AVX-512DQ, four per AVX2 vector on one with AVX2 and FMA and one double
 wide on any other build (``lanes()``), each lane repeating the scalar
-arithmetic bit for bit. ``render`` forms one trial's observation (IMD
-product, four FIR branches and their sum), one sample per lane, in blocks
-of samples whose rows it allocates on the heap, then adds the noise as a
-``NormalStream`` draws it; it raises ``MemoryError`` if those rows cannot be
-allocated. ``lms_raw`` runs the LMS steps of whole runs: each canceller job
-of a call has its own source rows z, scale and observation rows, so the
-jobs of one call may be the jobs of several trials, and they run as the
-lanes of vectors, each lane on its own regressor. Every call, one-job calls
+arithmetic bit for bit. ``render`` forms the observations of one trial at
+any number of points (``Target``: IMD product, four FIR branches and their
+sum), one sample per lane, in blocks of samples whose rows it allocates on
+the heap, then draws the noise once, as a ``NormalStream`` draws it, and
+adds each normal to every point's row; it raises ``MemoryError`` if those
+rows cannot be allocated. ``lms_raw`` runs the LMS steps of whole runs:
+each canceller job of a call has its own source rows z, scale and
+observation rows, so the jobs of one call may be the jobs of several
+trials, and they run as the lanes of vectors, each lane on its own
+regressor. Every call, one-job calls
 too, runs through the lanes; ``lms_raw`` returns the lanes per vector it
 ran, or 0 if their state cannot be allocated. A job may carry a real
 preconditioner that couples each regressor entry only with its layout
 partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton step.
-``Run`` describes one job.
+``Run`` describes one job and ``Point`` one observation of a render.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -45,6 +47,7 @@ import subprocess
 import tempfile
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +116,18 @@ class Run(ctypes.Structure):
                 ("pre", ctypes.c_void_p)]
 
 
+class Point(ctypes.Structure):
+    """``struct point`` of ``_lms.c``: one observation of a render call, its
+    channel lengths, reference scale and k_tiq^{3/2}, and the addresses of
+    its taps, noise scales, observation row and components (``comp`` may be
+    ``None``)."""
+
+    _fields_ = [("m", ctypes.c_int64), ("nimd", ctypes.c_int64),
+                ("scale", ctypes.c_double), ("k15", ctypes.c_double),
+                *[(name, ctypes.c_void_p) for name in (
+                    "h", "g", "h_imd", "g_imd", "noise", "d", "comp")]]
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
     """The compiled library, with ``normals_complex``, ``doubles``,
@@ -125,8 +140,7 @@ def library() -> ctypes.CDLL:
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
     lib.normals_complex.argtypes = [pcg, i64, row]
     lib.doubles.argtypes = [pcg, i64, i64, real]
-    lib.render.argtypes = [*[i64] * 3, ctypes.c_double, *[row] * 5,
-                           ctypes.c_double, pcg, i64, real, row, ctypes.c_void_p]
+    lib.render.argtypes = [i64, row, pcg, i64, i64, ctypes.POINTER(Point)]
     lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, i64, runs]
     lib.normals_complex.restype = lib.doubles.restype = None
     lib.render.restype = lib.lms_raw.restype = i64
@@ -238,33 +252,61 @@ class NormalStream:
         return low + (high - low) * float(u[0])
 
 
-def render(z: np.ndarray, scale: float, taps: tuple[np.ndarray, ...],
-           k15: float, noise: NormalStream, scales: np.ndarray, soi: bool,
-           d: np.ndarray, components: np.ndarray | None = None):
-    """Fill ``d`` (and ``components``, ``(7, n)``) with the observation of the
-    reference x = ``scale`` ``z``, each part of ``z`` times ``scale``.
+class Target(NamedTuple):
+    """One observation of a ``render`` call: the reference x = ``scale`` z,
+    the taps ``(h, g, h_imd, g_imd)``, ``k15`` = k_tiq^{3/2}, the three
+    ``noise`` scales of the thermal, the quantization and the SOI noise,
+    the row ``d`` that receives the observation and, if not None, the
+    ``components``, ``(7, n)``, that receive its components."""
 
-    ``taps`` is ``(h, g, h_imd, g_imd)``; ``noise`` draws the real then the
-    imaginary parts of the thermal, the quantization and, if ``soi``, the
-    SOI noise, n normals each, which ``scales`` (three) scale. Every array
-    is C-contiguous; ``render`` in ``_lms.c`` gives the arithmetic, one
-    sample per lane (``lanes()`` per vector). It forms x and x_imd in blocks of
-    a few hundred samples behind the channel's M - 1 previous samples, in
-    rows it allocates on the heap, so no channel length overflows the
-    stack. The C ``render`` returns 1, or 0 if it cannot allocate those
-    rows; then it has rendered and drawn nothing, and this function raises
-    ``MemoryError``.
+    scale: float
+    taps: tuple[np.ndarray, ...]
+    k15: float
+    noise: np.ndarray
+    d: np.ndarray
+    components: np.ndarray | None = None
+
+
+def _checked_address(array: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
+    """The address of ``array``, which must be a C-contiguous array of
+    ``dtype`` and ``shape`` (``ValueError`` otherwise)."""
+    if not (array.dtype == dtype and array.shape == shape and array.flags.c_contiguous):
+        raise ValueError(f"render: need a C-contiguous {np.dtype(dtype).name} "
+                         f"array of shape {shape}")
+    return array.ctypes.data
+
+
+def render(z: np.ndarray, targets: list[Target], noise: NormalStream,
+           soi: bool) -> None:
+    """Fill the row ``d`` (and the ``components``) of each of ``targets``
+    with its observation of the source row ``z``, its reference
+    x = ``scale`` ``z``, each part of ``z`` times the scale.
+
+    ``noise`` draws the real then the imaginary parts of the thermal, the
+    quantization and, if ``soi``, the SOI noise, n normals each, once for
+    every observation: each normal is added to every row, times that
+    observation's scale of its noise, so each row gets the bits it gets
+    rendered alone. Every array is C-contiguous; ``render`` in ``_lms.c``
+    gives the arithmetic, one sample per lane (``lanes()`` per vector). It
+    forms x and x_imd in blocks of a few hundred samples behind the
+    channel's M - 1 previous samples, in rows it allocates on the heap, so
+    no channel length overflows the stack. The C ``render`` returns 1, or 0
+    if it cannot allocate those rows; then it has rendered and drawn
+    nothing, and this function raises ``MemoryError``.
     """
     n = len(z)
-    h, g, h_imd, g_imd = taps
-    if (d.shape != (n,) or scales.shape != (3,) or len(g) != len(h)
-            or len(g_imd) != len(h_imd) or not len(h_imd) < len(h) < n):
-        raise ValueError("render: mismatched array sizes")
-    if components is not None and not (
-            components.shape == (7, n) and components.dtype == np.complex128
-            and components.flags.c_contiguous):
-        raise ValueError("render: components must be a C-contiguous complex (7, n) array")
-    if not library().render(n, len(h), len(h_imd), k15, h, g, h_imd, g_imd, z,
-                            scale, noise._state, int(soi), scales, d,
-                            None if components is None else components.ctypes.data):
+    points = (Point * len(targets))()
+    for point, target in zip(points, targets):
+        h, g, h_imd, g_imd = target.taps
+        if len(g) != len(h) or len(g_imd) != len(h_imd) or not len(h_imd) < len(h) < n:
+            raise ValueError("render: mismatched array sizes")
+        point.m, point.nimd = len(h), len(h_imd)
+        point.scale, point.k15 = target.scale, target.k15
+        for name, taps in zip(("h", "g", "h_imd", "g_imd"), target.taps):
+            setattr(point, name, _checked_address(taps, np.complex128, (len(taps),)))
+        point.noise = _checked_address(target.noise, np.float64, (3,))
+        point.d = _checked_address(target.d, np.complex128, (n,))
+        if target.components is not None:
+            point.comp = _checked_address(target.components, np.complex128, (7, n))
+    if not library().render(n, z, noise._state, int(soi), len(points), points):
         raise MemoryError("the render kernel cannot allocate its block rows")

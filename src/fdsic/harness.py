@@ -4,31 +4,41 @@ Every experiment is deterministic for a fixed (config, seed): trial t draws
 its source row z with seed ``base_seed + t`` and its receiver noise with
 seed ``base_seed + _NOISE_SEED_OFFSET + t``, and the reference of every
 transmit power is x = scale z of that one row (``signals.Draw``).
-``_trial`` is the one function that applies this rule. ``run_trials`` is
-the trial loop of every canceller runner: it runs a pass over one or more
-grid points (``Point``, made by ``_point``), each with its canceller jobs
-(``cancellers.Job``), takes the trials from ``iter_trials`` a group at a
-time in reused rows, the source row and one observation row per point of
-each trial, and runs every job of every point of the pass on every trial
-of the group in one LMS kernel call (``run_jobs``), while one producer
-thread draws and renders the next group into a second set of rows. A group
-is max(1, lanes // jobs) consecutive trials, ``lanes`` the kernel build's
-lanes per vector (8 on AVX-512, 4 on AVX2, else 1), so that the call's
-(trial, job) pairs fill a vector: on 8 lanes, bias's four jobs and the
-sweep's pairs of points run two trials a call. So a run holds two groups'
-rows at a time whatever the number of trials: the SINR sweep walks its
-grid in passes of two points, 2 x group x (1 + 2) rows, each call running
-the ALMS and ANCLMS jobs of both; convergence runs its two reference powers
-as one pass, its three jobs in one call; every other runner runs one point
-per pass. A runner still takes its results one trial at a time, in trial
-order (``run_trials``), and keeps only its science: it builds the jobs, reduces
-the per-trial runs across trials in trial order, and the averages that
-reach a CSV are taken over arrays laid out as the old whole-batch arrays
-were, so they round as they did. ``power-budget`` runs no canceller and
-renders trial 0 at every grid point from one draw, by ``_trial`` alone.
-Each plotted curve is backed by a CSV column, and ``meta.txt`` records the
-busy time of the generate, render and LMS phases, the time the LMS loop
-waited for its next trial, the time spent writing CSVs and SVGs
+``_trial`` is the one function that applies this rule: it draws the row,
+and renders the observations of any number of points from it in one call
+(``transceiver.render_observations``), with one noise draw shared by all.
+``run_trials`` is the trial loop of every canceller runner: it runs a pass
+over one or more grid points (``Point``, made by ``_point``), each with its
+canceller jobs (``cancellers.Job``), takes the trials from ``iter_trials``
+a group at a time in reused rows, the source row and one observation row
+per point of each trial, and runs every job of every point of the pass on
+every trial of the group in one LMS kernel call (``run_jobs``), while one
+producer thread draws and renders the next group into a second set of
+rows. A group is lanes / gcd(lanes, jobs) consecutive trials, ``lanes`` the
+kernel build's lanes per vector (8 on AVX-512, 4 on AVX2, else 1), so that
+the call's (trial, job) pairs fill whole vectors, and the call lays them
+out job-major, the lanes of one job over the group's trials side by side:
+on 8 lanes, bias's four jobs and the sweep's pairs of points run two trials
+a call, and convergence's three jobs eight, one job per vector, so only
+the whitened job's vector pays the LMS-Newton step. So a run holds two
+groups' rows at a time whatever the number of trials: the SINR sweep walks
+its grid in passes of two points, 2 x group x (1 + 2) rows, each call
+running the ALMS and ANCLMS jobs of both; convergence runs its two
+reference powers as one pass, its three jobs in one call; every other
+runner runs one point per pass. A runner still takes its results one trial
+at a time, in trial order (``run_trials``), and keeps only its science: it
+builds the jobs and reduces the per-trial runs across trials in trial
+order, and the averages that reach a CSV round as numpy's reductions of the
+old whole-batch arrays did: convergence streams each run's residual powers
+into a ``TrialMean``, which sums them in numpy's pairwise order, in place
+of a (steps, trials) matrix per run. ``power-budget`` runs no canceller and
+renders trial 0 at every grid point, a point at a time, from one draw, by
+``_trial`` alone. Each plotted curve is backed by a CSV column, and
+``meta.txt`` records the busy time of the generate, render and LMS phases,
+the time the LMS loop waited for its next trial, the time spent on the
+closed-form theory (``phase.theory_s``: bounds, analyses, transients and
+the condition landscape, each timed where it runs, by ``_theory``, which
+also runs it with one BLAS thread) and writing CSVs and SVGs
 (``phase.output_s``; a runner writes them through ``ExperimentReport``'s
 ``add_csv`` and ``add_svg``), what the LMS calls ran (``lms_lane_fill``) and
 the trials that diverged, by job (``PhaseClock.count_lms`` flags them once
@@ -59,6 +69,8 @@ Step-size conventions (fractions of closed-form bounds):
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 import time
@@ -70,8 +82,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, _native
-# run_batch and regressor_matrix are not called here; the benchmark's tracer
-# (perfbench/tracing.py) wraps them by name in this module
+# run_batch, regressor_matrix and render_observation are not called here;
+# the benchmark's tracer (perfbench/tracing.py) wraps them by name in this
+# module
 from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig, Job,
                          newton_preconditioner, regressor_matrix, run_batch,
                          run_jobs)
@@ -85,7 +98,8 @@ from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
 from .transceiver import (ChannelSet, NoiseBudget, TransceiverProfile,
                           builtin_profile, compute_noise_budget,
                           compute_power_budget, load_profile,
-                          render_observation, synthesize_channels)
+                          render_observation, render_observations,
+                          synthesize_channels)
 from .units import lin_to_db, mw_to_dbm
 
 _NOISE_SEED_OFFSET = 10_000_019
@@ -186,24 +200,26 @@ def _diverged(run: BatchRun, d_power: float) -> np.ndarray:
 
 class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
-    loop's waits for its next trial and of writing its CSVs and SVGs
-    (output, ``ExperimentReport.add_csv`` and ``add_svg``), the samples
-    drawn and rendered, and the LMS calls: the trial-steps they took, their
-    number, the widest lane count (jobs per vector) the kernel reported
-    running them in, the (trial, job) pairs they ran and the lanes they
-    offered, and the trials that diverged, by job.
+    loop's waits for its next trial, of its closed-form theory (bounds,
+    analyses, transients and the condition landscape, ``_theory``) and of
+    writing its CSVs and SVGs (output, ``ExperimentReport.add_csv`` and
+    ``add_svg``), the samples drawn and rendered, and the LMS calls: the
+    trial-steps they took, their number, the widest lane count (jobs per
+    vector) the kernel reported running them in, the (trial, job) pairs
+    they ran and the lanes they offered, and the trials that diverged, by
+    job.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the sample counts, the caller's thread only the rest,
     so no key has two writers.
     """
 
-    # the trial loop's phases, then the writing of the run's files, whose
-    # key the first write adds
-    PHASES = ("generate", "render", "lms", "wait", "output")
+    # the trial loop's phases, then the run's theory and the writing of its
+    # files, whose keys their first use adds
+    PHASES = ("generate", "render", "lms", "wait", "theory", "output")
 
     def __init__(self):
-        self.seconds = dict.fromkeys(self.PHASES[:-1], 0.0)
+        self.seconds = dict.fromkeys(self.PHASES[:4], 0.0)
         self.samples = 0
         self.samples_rendered = 0
         self.trial_steps = 0
@@ -275,6 +291,39 @@ class PhaseClock:
             lines += [f"first_nonfinite_step[{label}] = {step}"
                       for label, step in self.first_nonfinite.items()]
         return lines
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (``numpy.libs``) with its thread-count
+    functions, or None where numpy has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:  # not a library this process can load: try the next
+            continue
+        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set")):
+            return lib
+    return None
+
+
+@contextmanager
+def _theory(clock: PhaseClock):
+    """Time the block as ``clock``'s theory phase, with numpy's OpenBLAS on
+    one thread and its thread count restored after: the theory's small
+    LAPACK calls gain nothing from a second thread, whose helper spins on
+    after each call beside the producer and the LMS loop."""
+    lib = _openblas()
+    threads = lib.scipy_openblas_get_num_threads64_() if lib else None
+    if lib:
+        lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        with clock.phase("theory"):
+            yield
+    finally:
+        if lib:
+            lib.scipy_openblas_set_num_threads64_(threads)
 
 
 @dataclass
@@ -380,18 +429,18 @@ def _point(config: ExperimentConfig, profile: TransceiverProfile,
                  profile.natural_sigma_x2 if sigma_x2 is None else sigma_x2)
 
 
-def _trial(config: ExperimentConfig, t: int, n: int, points: list[Point],
-           clock: PhaseClock, z=None, ds=None, **render_options):
-    """Trial t, by the seed rule: ``(draw, observations)``.
+def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
+    """Trial t, by the seed rule: ``(draw, render)``.
 
     ``draw`` (``signals.Draw``), ``n`` samples of ``config.signal_source``,
     is drawn with seed ``config.seed + t`` (into the row ``z`` if given).
-    ``observations`` is an iterator that renders, as it is advanced, the
-    observation of each of ``points`` (into the matching row of ``ds`` if
-    given) from the point's reference x = ``draw.scale(point.sigma_x2)``
-    ``draw.samples`` with noise seed ``config.seed + _NOISE_SEED_OFFSET + t``
-    and ``render_options``. ``clock`` times both phases and counts the
-    samples drawn and rendered.
+    ``render(points, ds=None, **render_options)`` renders the observation of
+    each of ``points`` (into the matching row of ``ds`` if given) in one
+    ``render_observations`` call, from the point's reference
+    x = ``draw.scale(point.sigma_x2)`` ``draw.samples``, with the one noise
+    draw of seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
+    ``render_options``, and returns their observations. ``clock`` times
+    both phases and counts the samples drawn and rendered.
     """
     # looked up here at each call, so a wrapper installed over any of these
     # module-level names sees it
@@ -400,16 +449,16 @@ def _trial(config: ExperimentConfig, t: int, n: int, points: list[Point],
         draw = source(n, seed=config.seed + t, out=z)
     clock.samples += n
 
-    def render(point: Point, d):
+    def render(points: list[Point], ds=None, **render_options):
         with clock.phase("render"):
-            obs = render_observation(draw.samples, point.channels, point.budget,
-                                     point.profile,
-                                     seed=config.seed + _NOISE_SEED_OFFSET + t, out=d,
-                                     scale=draw.scale(point.sigma_x2), **render_options)
-        clock.samples_rendered += n
-        return obs
+            observations = render_observations(
+                draw.samples, [(point.channels, point.budget, point.profile,
+                                draw.scale(point.sigma_x2)) for point in points],
+                seed=config.seed + _NOISE_SEED_OFFSET + t, outs=ds, **render_options)
+        clock.samples_rendered += n * len(points)
+        return observations
 
-    return draw, map(render, points, ds or [None] * len(points))
+    return draw, render
 
 
 def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
@@ -440,9 +489,9 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
     def make(first: int):
         made = []
         # a set holds the rows of at most `group` trials
-        for t, trial_rows in zip(range(first, config.trials), rows[first // group % 2]):
-            draw, observations = _trial(config, t, n, points, clock, *trial_rows)
-            observations = list(observations)
+        for t, (z, ds) in zip(range(first, config.trials), rows[first // group % 2]):
+            draw, render = _trial(config, t, n, clock, z)
+            observations = render(points, ds)
             with clock.phase("render"):
                 powers = [_mean_power(obs.d.samples) for obs in observations]
             made.append((draw, observations, powers))
@@ -475,30 +524,32 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
     row and its observation at the job's point, with the point's reference
     scale (``z``, ``d`` and ``scale`` are filled in here). One ``run_jobs``
     call with ``run_options`` runs the jobs of every point for
-    max(1, lanes // jobs) consecutive trials, ``lanes`` the build's lanes
+    lanes / gcd(lanes, jobs) consecutive trials, ``lanes`` the build's lanes
     per vector (``_native.lanes()``), so that the call's (trial, job) pairs
-    fill the lanes of a vector; it is timed and counted as the LMS phase.
+    fill whole vectors. The call orders them job-major: the lanes of one job
+    over the group's trials sit next to each other, so where a vector holds
+    one job alone, only a vector of a preconditioned job pays the
+    LMS-Newton operations. The call is timed and counted as the LMS phase.
     ``runs`` holds each job's ``BatchRun`` and ``diverged`` its trials that
     diverged (``PhaseClock.count_lms``), in the order of the labels in
     ``points``.
     """
     labels = [label for _, jobs in points for label in jobs]
-    group = max(1, _native.lanes() // len(labels))
+    lanes = _native.lanes()
+    group = lanes // math.gcd(lanes, len(labels))
     trials = iter_trials(config, [point for point, _ in points], n, clock, group)
     for first in range(0, config.trials, group):
-        jobs, d_power = [], []
-        for draw, observations, powers in itertools.islice(trials, group):
-            d_power.append({})
-            for (point, point_jobs), obs, power in zip(points, observations, powers):
-                scale = draw.scale(point.sigma_x2)
-                for label, job in point_jobs.items():
-                    jobs.append(job._replace(z=draw.samples, d=obs.d.samples,
-                                             scale=scale))
-                    d_power[-1][label] = power
+        made = list(itertools.islice(trials, group))
+        jobs = [job._replace(z=draw.samples, d=observations[k].d.samples,
+                             scale=draw.scale(point.sigma_x2))
+                for k, (point, point_jobs) in enumerate(points)
+                for job in point_jobs.values()
+                for draw, observations, _ in made]
         with clock.phase("lms"):
             results = run_jobs(None, jobs, **run_options)
-        runs = [dict(zip(labels, results[k:k + len(labels)]))
-                for k in range(0, len(results), len(labels))]
+        runs = [dict(zip(labels, results[i::len(made)])) for i in range(len(made))]
+        d_power = [{label: powers[k] for k, (_, point_jobs) in enumerate(points)
+                    for label in point_jobs} for _, _, powers in made]
         for t, trial_runs, diverged in zip(
                 range(first, config.trials), runs,
                 clock.count_lms(list(zip(runs, d_power)))):
@@ -538,11 +589,15 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
                                 "image_imd_si", "thermal", "quantization", "soi")}
     points = [_point(config, config.profile.with_tx_power(tx))
               for tx in config.tx_grid_dbm]
-    _, observations = _trial(config, 0, 100_000, points, report.clock,
-                             include_soi=True, components=True)
-    for obs in observations:
+    _, render = _trial(config, 0, 100_000, report.clock)
+    # a point at a time: the seven components of every point at once would
+    # hold 11 MB a point
+    for point in points:
+        [obs] = render([point], include_soi=True, components=True)
         for key in measured:
-            measured[key].append(mw_to_dbm(np.mean(np.abs(obs.components[key]) ** 2)))
+            power = np.mean(np.abs(obs.components[key]) ** 2)
+            with np.errstate(divide="ignore"):  # no power is -inf dBm
+                measured[key].append(mw_to_dbm(power))
 
     tx_axis = [r.tx_power_dbm for r in rows]
     # each component's analytic column, then each measured one
@@ -558,14 +613,22 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
     report.tables["measured"] = measured
 
     if config.check:
-        worst = 0.0
+        # a component is compared where its analytic power is finite; where
+        # it is -inf dBm (the image branches at irr = inf) it must render
+        # exactly zero power
+        worst, stray = 0.0, []
         for key in measured:
             analytic = np.array(curves[f"{key}_dbm"])
             meas = np.array(measured[key])
             ok = np.isfinite(analytic)
-            worst = max(worst, float(np.max(np.abs(analytic[ok] - meas[ok]))))
-        report.add_check("analytic_vs_rendered_0.5dB", worst <= 0.5,
-                         f"worst gap {worst:.3f} dB")
+            if ok.any():
+                worst = max(worst, float(np.max(np.abs(analytic[ok] - meas[ok]))))
+            if np.any(meas[~ok] != -np.inf):
+                stray.append(key)
+        detail = f"worst gap {worst:.3f} dB"
+        if stray:
+            detail += f"; power where none is due in {', '.join(stray)}"
+        report.add_check("analytic_vs_rendered_0.5dB", worst <= 0.5 and not stray, detail)
         thermal = np.array(curves["thermal_dbm"])
         quant = np.array(curves["quantization_dbm"])
         grid = np.array(tx_axis)
@@ -586,7 +649,8 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Trial-averaged error-coefficient trajectories and steady bias table."""
     point = _point(config, config.profile)
     prof, channels, budget, s2 = point
-    bound = alms_ms_bound(s2, config.M)
+    with _theory(report.clock):
+        bound = alms_ms_bound(s2, config.M)
     n_iters = config.iterations
 
     w_lin = channels.stacked_linear()
@@ -624,8 +688,8 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
 
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
-        inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
-        bias = alms_bias(inputs)
+        with _theory(report.clock):
+            bias = alms_bias(TheoryInputs.from_profile(prof, channels, budget, mu))
         for label, w_opt in (("alms", w_lin), ("anclms", w_nl)):
             tap_mean = tap_rows[mu, label].mean(axis=2)
             for tap in (0, 1):
@@ -698,7 +762,9 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         k_tiq = point.profile.k_tiq
         # one shared step size for both cancellers at this grid point; ANCLMS
         # starts at the exact Wiener solution of the rendered model, ALMS at zero
-        mu = _resolve_mu(config, alms_ms_bound(point.sigma_x2, config.M), report)
+        with _theory(report.clock):
+            bound = alms_ms_bound(point.sigma_x2, config.M)
+        mu = _resolve_mu(config, bound, report)
         points.append((point, mu, {
             f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq), None),
             f"anclms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, N=config.N,
@@ -718,12 +784,13 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
     for (prof, channels, budget, s2), mu, jobs in points:
-        inp = TheoryInputs.from_profile(prof, channels, budget, mu)
         d_power = (s2 * (channels.norm2_h + channels.norm2_g)
                    + 6.0 * prof.k_tiq ** 3 * s2 ** 3
                    * (channels.norm2_h_imd + channels.norm2_g_imd)
                    + budget.sigma_v2 + budget.sigma_q2)
-        theory = (alms_steady_mse(inp, alms_regime(inp)), anclms_steady_mse(inp))
+        with _theory(report.clock):
+            inp = TheoryInputs.from_profile(prof, channels, budget, mu)
+            theory = (alms_steady_mse(inp, alms_regime(inp)), anclms_steady_mse(inp))
         for name, label, j_theory in zip(("alms", "anclms"), jobs, theory):
             mse = float(np.sum(trial_mse[label])) / config.trials
             cols[f"{name}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
@@ -765,6 +832,67 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
 # convergence (condition-number landscape and whitening speed-up)
 # ---------------------------------------------------------------------------
 
+class TrialMean:
+    """The mean over ``count`` rows, added one at a time in trial order by
+    ``add``, equal bit for bit to ``np.mean(m, axis=1)`` of the C-contiguous
+    ``(n, count)`` matrix m whose columns are the rows: numpy sums such a
+    contiguous axis pairwise, and this sums the rows in the same order
+    while holding at most eight sums per level.
+
+    numpy's pairwise sum of k values (``pairwise_sum`` of its add loop)
+    adds fewer than 8 in sequence onto 0.0; up to 128, it keeps 8 sums,
+    value i joining sum i mod 8, combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the values
+    past the last whole 8 in sequence; above 128, it adds the pairwise sums
+    of the first k // 2 - (k // 2) % 8 values and of the rest. The reduction
+    adds that sum to its start value, 0.0, and the mean divides by
+    ``count``.
+    """
+
+    def __init__(self, count: int):
+        if count < 1:
+            raise ValueError("TrialMean needs at least one row")
+        self.count = count
+        self.added = 0
+        self.total = None  # the sum of every row, once all are in
+        if count > 128:
+            half = count // 2 - count // 2 % 8
+            self._parts = (TrialMean(half), TrialMean(count - half))
+        else:
+            self._parts = None
+            self._sums = []
+
+    def add(self, row: np.ndarray) -> None:
+        if self.added == self.count:
+            raise ValueError(f"TrialMean takes {self.count} rows")
+        i, self.added = self.added, self.added + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._parts:
+                first, rest = self._parts
+                (first if i < first.count else rest).add(row)
+                if self.added == self.count:
+                    self.total, self._parts = first.total + rest.total, None
+                return
+            whole = self.count - self.count % 8
+            if i >= whole:  # in sequence: all of fewer than 8, else the rest
+                self.total = (0.0 if i == 0 else self.total) + row
+            elif i < 8:
+                self._sums.append(np.array(row, dtype=np.float64))
+            else:
+                self._sums[i % 8] += row
+            if i == whole - 1:
+                r = self._sums
+                self.total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+                self._sums = []
+
+    def mean(self) -> np.ndarray:
+        """The mean of the ``count`` rows, all of which must be in."""
+        if self.added < self.count:
+            raise ValueError(f"TrialMean has {self.added} of its {self.count} rows")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (0.0 + self.total) / self.count
+
+
 def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> int:
     """First iteration index whose smoothed SINR stays within 1 dB of target."""
     ok = sinr_db >= target_db - 1.0
@@ -784,9 +912,10 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     sigma_grid_dbm = np.arange(-30.0, 0.5, 1.0)
     k_grid_db = np.arange(0.0, 12.5, 0.5)
     z = np.empty((len(sigma_grid_dbm), len(k_grid_db)))
-    for j, sdbm in enumerate(sigma_grid_dbm):
-        for i, kdb in enumerate(k_grid_db):
-            z[j, i] = condition_number(10 ** (sdbm / 10.0), 10 ** (kdb / 10.0))
+    with _theory(report.clock):
+        for j, sdbm in enumerate(sigma_grid_dbm):
+            for i, kdb in enumerate(k_grid_db):
+                z[j, i] = condition_number(10 ** (sdbm / 10.0), 10 ** (kdb / 10.0))
     report.add_csv(
         out / "convergence_heatmap.csv", "sigma_x2_dbm", sigma_grid_dbm,
         {f"k_tiq_{kdb:g}dB": z[:, i] for i, kdb in enumerate(k_grid_db)})
@@ -796,25 +925,27 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         "k_tiq (dB)", "reference power (dBm)", "log10 C")
     report.tables["heatmap_min"] = float(np.nanmin(z))
 
-    s_opt = optimal_sigma_x2(k)
     s_sub = 10 ** (-10.0 / 10.0)
     n_iters = max(config.iterations, 20_000)
     report.meta["iterations_run"] = str(n_iters)
     block = 100
-    opt = _point(config, prof, s_opt)
-    budget = opt.budget
-    noise = budget.sigma_v2 + budget.sigma_q2
-
     # raw runs: CONVERGENCE_MU_FRAC x the mean-convergence bound of their
     # input covariance R. The whitened run is the LMS-Newton step with the
     # exact R^-1 at the optimal power, on the optimal run's own trials; it
     # keeps the raw run's theoretical steady-state excess
     # (mu_w = mu_raw Tr(R)/dim, equal misadjustment), so the comparison
     # isolates convergence speed at a common steady SINR.
-    r_opt = rb_matrix(s_opt, k, config.M, config.N)
-    mu_opt = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_opt, k, config.M, config.N)
-    mu_white = mu_opt * np.trace(r_opt) / len(r_opt)
-    mu_sub = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)
+    with _theory(report.clock):
+        s_opt = optimal_sigma_x2(k)
+        r_opt = rb_matrix(s_opt, k, config.M, config.N)
+        mu_opt = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_opt, k, config.M, config.N)
+        mu_white = mu_opt * np.trace(r_opt) / len(r_opt)
+        mu_sub = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)
+        newton = newton_preconditioner(r_opt, config.M, config.N)
+    opt = _point(config, prof, s_opt)
+    budget = opt.budget
+    noise = budget.sigma_v2 + budget.sigma_q2
+
     report.meta["mu_frac"] = f"{CONVERGENCE_MU_FRAC:g}"
     report.meta["mu_bound"] = "anclms_mean_bound"
 
@@ -826,33 +957,30 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     curves = dict.fromkeys(("anclms_optimal", "anclms_suboptimal", "anclms_whitened"))
     n_steps = n_iters + 1
     n_points = n_steps // block
-    newton = newton_preconditioner(r_opt, config.M, config.N)
     # one pass of both reference powers, as the sweep's pairs of points: each
     # trial draws its source row once, renders it at each power and runs all
     # three jobs in one kernel call
     points = [(opt, {"anclms_optimal": Job(cfg(mu_opt), None),
                      "anclms_whitened": Job(cfg(mu_white), None, preconditioner=newton)}),
               (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub), None)})]
-    residuals = {label: np.empty((n_steps, config.trials))
-                 for _, jobs in points for label in jobs}
-    for t, runs, _ in run_trials(config, points, n_iters + config.M, report.clock):
+    # each run's mean residual power over the trials, summed as the trials
+    # come, in numpy's order
+    means = {label: TrialMean(config.trials) for _, jobs in points for label in jobs}
+    for _, runs, _ in run_trials(config, points, n_iters + config.M, report.clock):
         for label, run in runs.items():
-            residuals[label][:, t] = run.residual_power[0]
-    # each (n_steps, trials) matrix is released as it is reduced, so none is
-    # alive while the theory overlay allocates its own transients
-    for label in [*residuals]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            error_power_mean = residuals.pop(label).mean(axis=1)
-        smooth = error_power_mean[: n_points * block]
+            means[label].add(run.residual_power[0])
+    for label, mean in means.items():
+        smooth = mean.mean()[: n_points * block]
         smooth = smooth.reshape(-1, block).mean(axis=1)
         curves[label] = lin_to_db(budget.p_x_soi / smooth)
 
     # small-step theory overlay for the raw run at the optimal power
     try:
-        ana = anclms_ms_analysis(s_opt, k, config.M, config.N)
-        grid_pts = np.arange(block // 2, n_points * block, block)
-        j_pred = anclms_transient(ana, noise, mu_opt,
-                                  -opt.channels.stacked_nonlinear(), grid_pts)
+        with _theory(report.clock):
+            ana = anclms_ms_analysis(s_opt, k, config.M, config.N)
+            grid_pts = np.arange(block // 2, n_points * block, block)
+            j_pred = anclms_transient(ana, noise, mu_opt,
+                                      -opt.channels.stacked_nonlinear(), grid_pts)
         curves["anclms_optimal_theory"] = lin_to_db(
             budget.p_x_soi / np.maximum(j_pred, 1e-300))
     except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
@@ -897,12 +1025,13 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     prof, channels, budget, s2 = point
     noise = budget.sigma_v2 + budget.sigma_q2
 
-    ana = anclms_ms_analysis(s2, prof.k_tiq, config.M, config.N)
-    bounds = {"alms": alms_ms_bound(s2, config.M), "anclms": ana.bound}
+    with _theory(report.clock):
+        ana = anclms_ms_analysis(s2, prof.k_tiq, config.M, config.N)
+        bounds = {"alms": alms_ms_bound(s2, config.M), "anclms": ana.bound}
+        mean_bound = anclms_mean_bound(s2, prof.k_tiq, config.M, config.N)
     report.meta["alms_ms_bound"] = _fmt(bounds["alms"])
     report.meta["anclms_ms_bound"] = _fmt(bounds["anclms"])
-    report.meta["anclms_mean_bound"] = _fmt(
-        anclms_mean_bound(s2, prof.k_tiq, config.M, config.N))
+    report.meta["anclms_mean_bound"] = _fmt(mean_bound)
     fracs = PROBE_MU_FRACS
     report.meta["mu_frac"] = ",".join(f"{f:g}" for f in fracs)
     report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
@@ -927,14 +1056,14 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
         n_div = int(grew.sum())
         report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
             _divergence_note(diverged_at)
+        j_theory = math.inf
         if frac < 1.0:
-            inp = TheoryInputs.from_profile(prof, channels, budget, cfg.mu)
-            if label == "alms":
-                j_theory = alms_steady_mse(inp, alms_regime(inp))
-            else:
-                j_theory = anclms_exact_steady_mse(ana, noise, cfg.mu)
-        else:
-            j_theory = math.inf
+            with _theory(report.clock):
+                inp = TheoryInputs.from_profile(prof, channels, budget, cfg.mu)
+                if label == "alms":
+                    j_theory = alms_steady_mse(inp, alms_regime(inp))
+                else:
+                    j_theory = anclms_exact_steady_mse(ana, noise, cfg.mu)
         conv = steady_mse[~grew]
         rows.append({
             "variant": label,

@@ -18,17 +18,18 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
-``render_observation`` reads the reference as a source row z and a scale,
-x = scale z, each part of z times the scale (see ``signals.Draw``), so
-that one drawn row serves every transmit power, and forms x, x_imd, the
-four FIR branches and their sum in the compiled ``render`` of ``_native``
-(the C library that also runs the LMS steps), consecutive samples in the
-lanes of a vector (eight on AVX-512, four on AVX2) over blocks of a few
-hundred samples, writing d(n) into
-the caller's row, and then adds each noise part to d(n) as
-``_native.NormalStream`` draws it (in C, bit for bit
-the stream of ``np.random.default_rng(seed).standard_normal``), so no array
-of normals is allocated; the components are stored only on request. Its
+``render_observations`` renders one trial at several points: it reads the
+reference of each as a source row z and a scale, x = scale z, each part of
+z times the scale (see ``signals.Draw``), so that one drawn row serves every
+transmit power, and forms x, x_imd, the four FIR branches and their sum in
+the compiled ``render`` of ``_native`` (the C library that also runs the
+LMS steps), consecutive samples in the lanes of a vector (eight on AVX-512,
+four on AVX2) over blocks of a few hundred samples, writing each d(n) into
+the caller's row, and then adds each noise part to every d(n) as
+``_native.NormalStream`` draws it (in C, bit for bit the stream of
+``np.random.default_rng(seed).standard_normal``), each normal drawn once
+for all points, so no array of normals is allocated; the components are
+stored only on request. ``render_observation`` is its one-point case. Its
 roundings equal those of the numpy expressions ``k^{3/2} |x|^2 x``,
 ``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)`` and the ordered sum
 of the components, so a rendered observation is bit-identical to the numpy
@@ -394,43 +395,66 @@ COMPONENTS = ("linear_si", "image_si", "imd_si", "image_imd_si", "thermal",
               "quantization", "soi")
 
 
+def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = False,
+                        components: bool = False, outs=None) -> list[Observation]:
+    """Render d(n) at each of ``points`` from one source row ``zs`` and one
+    noise draw, in one compiled call.
+
+    Each point is a ``(channels, budget, profile, scale)`` tuple, its
+    reference x = ``scale`` ``zs``: each part of x is the part of ``zs``
+    times ``scale``, as ``signals.Draw.reference`` forms it. Each branch is
+    the channel's FIR response to its input, truncated to ``len(zs)``
+    samples (zero initial state); each noise is ``sqrt(power / 2) * (re +
+    1j * im)``, with the point's budget's power, of the real then imaginary
+    standard normals drawn in the order thermal, quantization, SOI from the
+    stream of ``np.random.default_rng(seed)`` (by ``_native.NormalStream``).
+    Every point adds the same normals: they are drawn once, and each is
+    added to every point's row as it is drawn. ``d`` is the sum of the
+    components in ``COMPONENTS`` order (the SOI is zero unless
+    ``include_soi``). ``components=True`` also stores each component;
+    ``outs``, one complex128 row of ``len(zs)`` samples per point, receives
+    the ``d`` of each. Returns one ``Observation`` per point, of ``d`` and
+    the stored components: each the bits its point renders alone. The
+    kernel forms x and x_imd a block of samples at a time, behind the M - 1
+    samples before the block, and sums consecutive output samples in the
+    lanes of a vector, each as one sample alone sums; it allocates those
+    block rows on the heap, so any channel length renders, and raises
+    ``MemoryError`` if it cannot.
+    """
+    zs = np.ascontiguousarray(zs, dtype=np.complex128)
+    n = len(zs)
+    targets = []
+    for (channels, budget, profile, scale), out in zip(points, outs or [None] * len(points),
+                                                       strict=True):
+        if n <= channels.m:
+            raise ValueError("sequence must be longer than the channel length M")
+        powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
+        targets.append(_native.Target(
+            scale, (channels.h, channels.g, channels.h_imd, channels.g_imd),
+            profile.k_tiq ** 1.5, np.array([np.sqrt(p / 2.0) for p in powers]),
+            np.empty(n, dtype=np.complex128) if out is None else out,
+            np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None))
+    _native.render(zs, targets, _native.NormalStream(seed), include_soi)
+    return [Observation(ComplexSequence(target.d),
+                        dict(zip(COMPONENTS, target.components)) if components else {})
+            for target in targets]
+
+
 def render_observation(zs: np.ndarray, channels: ChannelSet,
                        budget: NoiseBudget, profile: TransceiverProfile,
                        seed: int, include_soi: bool = False,
                        components: bool = False,
                        out: np.ndarray | None = None, scale: float = 1.0) -> Observation:
-    """Render d(n) from the reference x = ``scale`` ``zs`` in one compiled call.
+    """Render d(n) from the reference x = ``scale`` ``zs``: the one-point
+    case of ``render_observations``, the point ``(channels, budget,
+    profile, scale)`` and its row ``out``.
 
-    Each part of x is the part of ``zs`` times ``scale``, as
-    ``signals.Draw.reference`` forms it; the default scale 1 renders ``zs``
-    itself. Each branch is the channel's FIR response to its input,
-    truncated to ``len(zs)`` samples (zero initial state); each noise is
-    ``sqrt(power / 2) * (re + 1j * im)`` with its real then imaginary
-    standard normals drawn in the order thermal, quantization, SOI from the
-    stream of ``np.random.default_rng(seed)`` (by ``_native.NormalStream``).
-    ``d`` is the sum of the components in ``COMPONENTS`` order (the SOI is
-    zero unless ``include_soi``).
-    ``components=True`` also stores each component; ``out``, a complex128
-    row of ``len(zs)`` samples, receives ``d``. Returns the ``Observation``
-    of ``d`` and the stored components. The kernel forms x and x_imd a block
-    of samples at a time, behind the M - 1 samples before the block, and
-    sums consecutive output samples in the lanes of a vector, each as one sample
-    alone sums; it allocates those block rows on the heap, so any channel
-    length renders, and raises ``MemoryError`` if it cannot.
+    The default scale 1 renders ``zs`` itself; ``out``, a complex128 row of
+    ``len(zs)`` samples, receives ``d``.
     """
-    zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    n = len(zs)
-    if n <= channels.m:
-        raise ValueError("sequence must be longer than the channel length M")
-    powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
-    scales = np.array([np.sqrt(p / 2.0) for p in powers])
-    d = np.empty(n, dtype=np.complex128) if out is None else out
-    parts = np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None
-    taps = (channels.h, channels.g, channels.h_imd, channels.g_imd)
-    _native.render(zs, scale, taps, profile.k_tiq ** 1.5,
-                   _native.NormalStream(seed), scales, include_soi, d, parts)
-    return Observation(ComplexSequence(d),
-                       dict(zip(COMPONENTS, parts)) if components else {})
+    [obs] = render_observations(zs, [(channels, budget, profile, scale)], seed,
+                                include_soi, components, None if out is None else [out])
+    return obs
 
 
 @dataclass(frozen=True)

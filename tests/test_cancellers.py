@@ -922,8 +922,9 @@ def test_kernel_forms_the_reference_once():
 def test_ctypes_signatures_match_the_kernel_source():
     """Each exported kernel function takes as many parameters, of the same
     kinds (64-bit integer, double or pointer), as its ``argtypes`` declare,
-    and ``_native.Run`` has the fields of ``struct run`` in order: a call
-    with one argument too many or too few corrupts memory without an error."""
+    and ``_native.Run`` and ``_native.Point`` have the fields of ``struct
+    run`` and ``struct point`` in order: a call with one argument too many
+    or too few corrupts memory without an error."""
     source = _kernel_code()
     lib = _native.library()
     exported = {name: (result, params) for result, name, params in re.findall(
@@ -934,13 +935,15 @@ def test_ctypes_signatures_match_the_kernel_source():
         fn = getattr(lib, name)
         assert [_ctypes_kind(kind) for kind in fn.argtypes] == want, name
         assert fn.restype == {"void": None, "int64_t": ctypes.c_int64}[result], name
-    [body] = re.findall(r"^struct run \{(.*?)\};", source, re.S | re.M)
-    fields = []
-    for statement in filter(str.strip, body.split(";")):
-        first, *rest = statement.split(",")
-        base, declarator = _declarator(first)
-        fields += [(d.replace("*", "").strip(), _c_kind(base, d)) for d in (declarator, *rest)]
-    assert [(name, _ctypes_kind(kind)) for name, kind in _native.Run._fields_] == fields
+    for struct, mirror in (("run", _native.Run), ("point", _native.Point)):
+        [body] = re.findall(rf"^struct {struct} \{{(.*?)\}};", source, re.S | re.M)
+        fields = []
+        for statement in filter(str.strip, body.split(";")):
+            first, *rest = statement.split(",")
+            base, declarator = _declarator(first)
+            fields += [(d.replace("*", "").strip(), _c_kind(base, d))
+                       for d in (declarator, *rest)]
+        assert [(name, _ctypes_kind(kind)) for name, kind in mirror._fields_] == fields, struct
 
 
 def test_kernel_build_deletes_superseded_libraries(tmp_path, monkeypatch):

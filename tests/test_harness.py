@@ -286,6 +286,45 @@ def test_cli_profile_adc_bits_exit_code(bits, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_power_budget_check_at_infinite_irr(tmp_path, capsys, monkeypatch):
+    """At irr = inf dB the image branches have no analytic power (-inf dBm)
+    and render none: power-budget --check compares the other components
+    and passes, exit 0. A component that renders power where the analytic
+    budget has none fails the check, exit 3."""
+    text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
+    profile = tmp_path / "balanced.profile"
+    profile.write_text(text.replace("irr = 25 dB\n", "irr = inf dB\n"))
+    assert profile.read_text() != text
+    argv = ["power-budget", "--profile", str(profile), "--check", "--tx-grid", "0,20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main([*argv, "--out", str(tmp_path / "balanced")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "Traceback" not in captured.err
+    check = "check[analytic_vs_rendered_0.5dB]"
+
+    def meta(out):
+        return dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+
+    assert meta(tmp_path / "balanced")[check].startswith("pass worst gap")
+    header, *rows = (tmp_path / "balanced" / "power-budget.csv").read_text().splitlines()
+    columns = header.split(",")
+    for row in rows:
+        values = dict(zip(columns, row.split(",")))
+        for key in ("image_si", "image_imd_si"):
+            assert values[f"{key}_dbm"] == values[f"{key}_measured_dbm"] == "-inf"
+    # the type2 image branches render power; claim the budget has none
+    real = harness.compute_power_budget
+    monkeypatch.setattr(harness, "compute_power_budget", lambda *a: [
+        dataclasses.replace(row, image_si_dbm=-math.inf) for row in real(*a)])
+    code = cli_main(["power-budget", "--check", "--tx-grid", "0,20",
+                     "--out", str(tmp_path / "stray")])
+    assert code == 3
+    assert meta(tmp_path / "stray")[check].startswith("FAIL")
+    assert "power where none is due in image_si" in meta(tmp_path / "stray")[check]
+
+
 def test_cli_profile_repeated_key_exit_code(tmp_path, capsys):
     """A profile that gives tx_power twice is a configuration error that
     names the key, not a run at the second value."""
@@ -422,20 +461,21 @@ def test_convergence_meta_names_the_iterations_it_ran(iterations, run, type2, tm
 def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch, lms_calls):
     """The whitened run adapts on the optimal run's own trials: two rendered
     trial sets, not three, from one source row per trial, drawn once with
-    seed ``seed + t``, and all three jobs of a trial in one kernel call,
-    with those of the next trial where the lanes have room; meta.txt names
-    the exact whitening."""
-    rendered, seeds = [], []
-    real = harness.render_observation
-    monkeypatch.setattr(harness, "render_observation",
-                        lambda *a, **k: rendered.append(1) or real(*a, **k))
+    seed ``seed + t`` and rendered at both powers in one call, and all three
+    jobs of a trial in one kernel call, with those of the next trials where
+    the lanes have room; meta.txt names the exact whitening."""
+    rendered, seeds = [], []  # the points of each render call
+    real = harness.render_observations
+    monkeypatch.setattr(harness, "render_observations", lambda zs, points, *a, **k:
+                        rendered.append(len(points)) or real(zs, points, *a, **k))
     real_source = harness.gen_proper_gaussian
     monkeypatch.setattr(harness, "gen_proper_gaussian", lambda n, seed, **k:
                         seeds.append(seed) or real_source(n, seed, **k))
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
                            iterations=3000, seed=SEED, output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
-    assert len(rendered) == 2 * cfg.trials
+    assert rendered == [2] * cfg.trials
+    assert int(meta["samples_rendered"]) == 2 * cfg.trials * (20_000 + cfg.M)
     assert seeds == [SEED + t for t in range(cfg.trials)]
     assert int(meta["samples"]) == cfg.trials * (20_000 + cfg.M)
     assert int(meta["trial_steps"]) == 3 * cfg.trials * 20_001
@@ -467,17 +507,18 @@ def test_cli_convergence_ofdm_exit_code(tmp_path, capsys):
 
 def test_sweep_renders_once_per_run_length(type2, tmp_path, monkeypatch):
     """Both cancellers run on one rendered set of trials at every grid point,
-    15 dBm (where the cold-started ANCLMS once ran longer) included."""
-    rendered = []
-    real = harness.render_observation
-    monkeypatch.setattr(harness, "render_observation",
-                        lambda *a, **k: rendered.append(1) or real(*a, **k))
+    15 dBm (where the cold-started ANCLMS once ran longer) included, and
+    one render call per trial renders both points of the pass."""
+    rendered = []  # the points of each render call
+    real = harness.render_observations
+    monkeypatch.setattr(harness, "render_observations", lambda zs, points, *a, **k:
+                        rendered.append(len(points)) or real(zs, points, *a, **k))
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=2,
                            iterations=3000, tx_grid_dbm=(-5.0, 15.0), seed=SEED,
                            output_dir=tmp_path)
     report = run_experiment(cfg)
     assert report.meta["anclms_iterations"] == "-5:3000;15:3000"
-    assert len(rendered) == cfg.trials * len(cfg.tx_grid_dbm)
+    assert rendered == [len(cfg.tx_grid_dbm)] * cfg.trials
 
 
 def test_sweep_writes_attenuation_view(type2, tmp_path):
@@ -536,9 +577,10 @@ def _lane_fill(calls) -> float:
 
 def _call_jobs(trials: int, jobs: int) -> list[int]:
     """The jobs of each kernel call of a pass of ``jobs`` jobs per trial
-    over ``trials`` trials: one call per max(1, lanes // jobs) consecutive
-    trials, ``lanes`` the build's lanes per vector."""
-    group = max(1, _native.lanes() // jobs)
+    over ``trials`` trials: one call per lanes / gcd(lanes, jobs)
+    consecutive trials, ``lanes`` the build's lanes per vector."""
+    lanes = _native.lanes()
+    group = lanes // math.gcd(lanes, jobs)
     return [min(group, trials - first) * jobs for first in range(0, trials, group)]
 
 
@@ -685,19 +727,43 @@ def test_meta_names_the_lms_path(experiment, trials, jobs, type2, tmp_path, lms_
     assert [count for count, _ in lms_calls] == _call_jobs(trials, jobs)
     assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
     assert int(meta["lms_lanes"]) == _native.lanes()
+    # both run the fourth-moment analysis, timed as the theory phase
+    assert 0 < float(meta["phase.theory_s"]) <= float(meta["duration_s"]) + 0.05
+
+
+def test_theory_runs_on_one_blas_thread(type2, tmp_path, monkeypatch):
+    """convergence's fourth-moment analysis and transient run with numpy's
+    OpenBLAS on one thread, and the thread count it had is restored after
+    the run."""
+    lib = harness._openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    threads = []
+    for name in ("anclms_ms_analysis", "anclms_transient"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, real=real: threads.append(
+            lib.scipy_openblas_get_num_threads64_()) or real(*a))
+    before = lib.scipy_openblas_get_num_threads64_()
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=1,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    run_experiment(cfg)
+    assert threads == [1, 1]
+    assert lib.scipy_openblas_get_num_threads64_() == before
 
 
 @pytest.mark.parametrize("experiment, options, jobs, calls, fill", [
     ("bias", dict(iterations=3000), 4, 25, "1"),
     ("sinr-sweep", dict(iterations=3000, tx_grid_dbm=(15.0, 25.0)), 4, 25, "1"),
-    ("convergence", dict(iterations=20_000), 3, 25, "0.75"),
+    ("convergence", dict(iterations=20_000), 3, 7, "0.9868"),
 ], ids=["bias", "sweep-long", "convergence"])
 def test_meta_pairs_the_trials_on_eight_lanes(experiment, options, jobs, calls, fill,
                                               type2, tmp_path):
-    """At 8 lanes, the 50 trials of the benchmark's workloads run two to a
-    kernel call: bias's and sweep-long's 4 jobs fill all 8 lanes of 25
-    calls, convergence's 3 jobs 6 of them, and every trial still takes every
-    step of every job."""
+    """At 8 lanes, the 50 trials of the benchmark's workloads fill the
+    vectors of their kernel calls: bias's and sweep-long's 4 jobs run two
+    trials to a call, all 8 lanes of 25 calls; convergence's 3 jobs run
+    eight trials to a call, three whole vectors each, and the last 2 trials'
+    6 jobs share one vector (150 jobs in 152 lanes); every trial still takes
+    every step of every job."""
     if _native.lanes() != 8:
         pytest.skip("the build runs no 8-lane vectors")
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=50, seed=SEED,
@@ -840,6 +906,37 @@ def test_run_trials_equals_one_call_per_trial(type2):
     assert trials == [0, 1]
 
 
+def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):
+    """A kernel call runs each job over the group's trials side by side:
+    convergence's calls hold its three jobs (optimal, whitened,
+    suboptimal) one after another, each over lanes / gcd(lanes, 3)
+    consecutive trials, so on 8 lanes each job fills a vector alone and
+    only the whitened job's carries a preconditioner."""
+    calls = []  # (step size, has a preconditioner, source row) of each job
+    real = harness.run_jobs
+
+    def recorded(zs, jobs, **options):
+        calls.append([(job.config.mu, job.preconditioner is not None, job.z.ctypes.data)
+                      for job in jobs])
+        return real(zs, jobs, **options)
+
+    monkeypatch.setattr(harness, "run_jobs", recorded)
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=5,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    run_experiment(cfg)
+    group = _native.lanes() // math.gcd(_native.lanes(), 3)
+    assert [len(call) for call in calls] == _call_jobs(cfg.trials, 3)
+    for call in calls:
+        trials = len(call) // 3
+        jobs = [call[k:k + trials] for k in range(0, len(call), trials)]
+        # one step size and preconditioner per job, the trials' rows in order
+        assert [len({(mu, pre) for mu, pre, _ in job}) for job in jobs] == [1, 1, 1]
+        assert [pre for (_, pre, _), *_ in jobs] == [False, True, False]
+        rows = [[z for _, _, z in job] for job in jobs]
+        assert rows[0] == rows[1] == rows[2] and len(set(rows[0])) == trials
+    assert len(calls[0]) == 3 * min(group, cfg.trials)
+
+
 def test_power_budget_draws_its_source_once(type2, tmp_path, monkeypatch):
     """power-budget renders trial 0 at every grid point from one source
     row: one draw with seed ``config.seed``, one observation per point,
@@ -912,14 +1009,14 @@ def test_phase_clock_counts_exactly_across_threads(type2):
 def test_producer_error_reaches_the_caller(type2, tmp_path, monkeypatch):
     """An error rendering a trial is raised in the caller, and out of the
     CLI, with its own type, and the producer thread is gone."""
-    real = harness.render_observation
+    real = harness.render_observations
 
     def render(x, *args, seed, **kwargs):
         if seed == SEED + harness._NOISE_SEED_OFFSET + 1:
             raise ValueError("render failed on trial 1")
         return real(x, *args, seed=seed, **kwargs)
 
-    monkeypatch.setattr(harness, "render_observation", render)
+    monkeypatch.setattr(harness, "render_observations", render)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="trial 1"):
         list(_trial_loop(type2))
@@ -947,11 +1044,11 @@ def test_caller_error_or_close_joins_the_producer(type2):
 
 def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
     """The sweep holds two groups of trials' samples at a time, a group the
-    max(1, lanes // 2) trials whose two jobs share a kernel call: its traced
-    peak at 8 groups' trials stays within 1.25x of its peak at 2 groups'
-    (a first, untraced run takes the one-time allocations of the
+    lanes / gcd(lanes, 2) trials whose two jobs share a kernel call: its
+    traced peak at 8 groups' trials stays within 1.25x of its peak at 2
+    groups' (a first, untraced run takes the one-time allocations of the
     process)."""
-    group = max(1, _native.lanes() // 2)
+    group = _native.lanes() // math.gcd(_native.lanes(), 2)
     peaks = {}
     for trials in (1, 2 * group, 8 * group):
         cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2,
@@ -968,6 +1065,77 @@ def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[8 * group] <= 1.25 * peaks[2 * group], peaks
+
+
+def test_convergence_memory_does_not_grow_with_trials(type2, tmp_path):
+    """convergence holds two groups of trials' rows at a time, a group the
+    lanes / gcd(lanes, 3) trials whose three jobs share a kernel call, and
+    sums each run's residual powers as the trials come (``TrialMean``), not
+    in a (steps, trials) matrix per run: its traced peak at 8 groups' trials
+    stays within 1.25x of its peak at 2 groups' (a first, untraced run takes
+    the one-time allocations of the process)."""
+    group = _native.lanes() // math.gcd(_native.lanes(), 3)
+    peaks = {}
+    for trials in (1, 2 * group, 8 * group):
+        cfg = ExperimentConfig(experiment="convergence", profile=type2,
+                               trials=trials, iterations=20_000, seed=SEED,
+                               output_dir=tmp_path / str(trials))
+        if trials == 1:
+            run_experiment(cfg)
+            continue
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8 * group] <= 1.25 * peaks[2 * group], peaks
+
+
+def _trial_rows(count: int, n: int = 301) -> list[np.ndarray]:
+    """``count`` rows of n residual powers spanning 16 decades, with an
+    infinity, a NaN and both at once in some columns."""
+    rng = np.random.default_rng(count)
+    rows = [10.0 ** rng.uniform(-8, 8, n) for _ in range(count)]
+    rows[count // 2][3] = np.inf
+    rows[-1][4] = np.nan
+    rows[0][5] = np.inf
+    rows[count // 3][5] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 50, 128, 129, 300])
+def test_trial_mean_sums_in_numpys_order(count):
+    """TrialMean, fed one row per trial, gives the bits of np.mean and of
+    np.add.reduce over axis 1 of the rows stacked as columns (numpy's
+    pairwise sum of a contiguous axis), infinities and NaNs included."""
+    rows = _trial_rows(count)
+    stacked = np.stack(rows, axis=1)
+    mean = harness.TrialMean(count)
+    for row in rows:
+        mean.add(row)
+    got = mean.mean()
+    assert got.tobytes() == np.mean(stacked, axis=1).tobytes()
+    assert got.tobytes() == (np.add.reduce(stacked, axis=1) / count).tobytes()
+    assert np.isinf(got[3]) and np.isnan(got[4]) and np.isnan(got[5])
+    with pytest.raises(ValueError, match="takes"):
+        mean.add(rows[0])
+
+
+def test_trial_mean_order_is_not_the_sequential_sum():
+    """The check above can tell the orders apart: at 50 rows, adding them
+    in sequence rounds differently from numpy's pairwise sum, and a
+    TrialMean still missing a row has no mean."""
+    rows = _trial_rows(50)
+    sequential = rows[0].copy()
+    for row in rows[1:]:
+        sequential += row
+    assert (sequential / 50).tobytes() != np.mean(np.stack(rows, axis=1), axis=1).tobytes()
+    mean = harness.TrialMean(50)
+    for row in rows[1:]:
+        mean.add(row)
+    with pytest.raises(ValueError, match="49 of its 50"):
+        mean.mean()
 
 
 def test_resolve_profile_default():
@@ -1070,7 +1238,7 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch):
         generator = ("signals.gen_ofdm_waveform" if source == "ofdm"
                      else "signals.gen_proper_gaussian")
         assert {"harness.run_experiment", generator,
-                "transceiver.render_observation", "io.write_csv",
+                "transceiver.synthesize_channels", "io.write_csv",
                 "io.line_plot"} <= names, names
         # power-budget renders 100,000 samples per grid point, and the
         # source draws exactly those

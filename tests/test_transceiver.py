@@ -17,7 +17,7 @@ from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
                                compute_noise_budget, compute_power_budget,
                                load_profile, render_observation,
-                               synthesize_channels)
+                               render_observations, synthesize_channels)
 from fdsic.units import dbm_to_mw, mw_to_dbm
 
 from conftest import M, N, SEED
@@ -393,6 +393,48 @@ def test_render_matches_numpy_over_blocks(type2, build, request):
                                      include_soi=n % 2 == 0)
 
 
+@pytest.mark.parametrize("build", ["default", "no-avx512f", "no-avx2"])
+def test_render_observations_equal_one_point_renders(type2, build, request):
+    """One render of several points draws the noise once and gives each
+    point the bits of its render alone, d and all seven components, with
+    and without the SOI, into the caller's rows or its own, on every
+    build: points at three transmit powers (each its own noise budget),
+    reference scales and channels, one of them with M = 1 and no IMD
+    taps."""
+    loaded = {"default": contextlib.nullcontext,
+              "no-avx512f": lambda: request.getfixturevalue("avx2_kernel")(),
+              "no-avx2": lambda: request.getfixturevalue("scalar_kernel")()}[build]
+    rng = np.random.default_rng(8)
+    draw = gen_proper_gaussian(2 * _kernel_block() + 7, seed=6)
+    points = []
+    for tx, n_imd in ((-5.0, N), (15.0, 2), (25.0, N)):
+        prof = type2.with_tx_power(tx)
+        points.append((synthesize_channels(prof, M, n_imd, seed=SEED),
+                       compute_noise_budget(prof), prof,
+                       draw.scale(prof.natural_sigma_x2)))
+    h, g = (rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(2))
+    points.append((ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0)),
+                   points[0][1], type2, 0.5))
+    with loaded():
+        for include_soi in (False, True):
+            alone = [render_observation(draw.samples, *point[:3], seed=3,
+                                        include_soi=include_soi, components=True,
+                                        scale=point[3]) for point in points]
+            together = render_observations(draw.samples, points, seed=3,
+                                           include_soi=include_soi, components=True)
+            rows = np.empty((len(points), len(draw.samples)), dtype=complex)
+            bare = render_observations(draw.samples, points, seed=3,
+                                       include_soi=include_soi, outs=list(rows))
+            for want, got, row, obs in zip(alone, together, rows, bare):
+                assert got.d.samples.tobytes() == want.d.samples.tobytes()
+                assert row.tobytes() == want.d.samples.tobytes()
+                assert obs.components == {} and np.shares_memory(obs.d.samples, row)
+                for key in COMPONENTS:
+                    assert got.components[key].tobytes() == want.components[key].tobytes(), key
+    with pytest.raises(ValueError):
+        render_observations(draw.samples, points, seed=3, outs=list(rows[:2]))
+
+
 def test_render_raises_memory_error_when_unallocated(type2, monkeypatch):
     """A kernel that returns 0, its block rows not allocated and nothing
     rendered, is a MemoryError, not an observation of untouched memory."""
@@ -417,8 +459,8 @@ rng = np.random.default_rng(4)
 taps = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (m, m, 3, 3)]
 z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 d = np.empty(n, dtype=complex)
-_native.render(z, 0.5, tuple(taps), 0.3, _native.NormalStream(1),
-               np.full(3, 1e-3), False, d)
+_native.render(z, [_native.Target(0.5, tuple(taps), 0.3, np.full(3, 1e-3), d)],
+               _native.NormalStream(1), False)
 np.save(sys.argv[1], d)
 """
 

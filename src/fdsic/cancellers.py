@@ -200,12 +200,14 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
 
 class _Job:
     """One canceller job of a kernel call: its source and observation rows
-    ``zs`` and ``ds``, its state and output arrays, and the ``_native.Run``
-    that points the kernel at them and carries the job's reference
-    ``scale``."""
+    ``zs`` and ``ds``, its state and output arrays, its preconditioner
+    ``pre`` as the kernel reads it (None for the plain LMS), and the
+    ``_native.Run`` that points the kernel at them and carries the job's
+    reference ``scale``."""
 
     def __init__(self, job: Job, zs: np.ndarray, ds: np.ndarray, n_steps: int,
-                 keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int):
+                 keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int,
+                 pre: np.ndarray | None):
         config = job.config
         dim = 2 * (config.M + config.N)
         self.window = config.steady_window or default_steady_window(n_steps)
@@ -215,12 +217,12 @@ class _Job:
             raise ValueError(f"w0 must be a vector of {dim} weights")
         if tap_stride < 1:
             raise ValueError("tap_stride must be a positive step count")
-        # IndexError if out of range
-        self.tap_idx = np.arange(dim, dtype=np.int64)[list(track_taps)]
-        # P as the kernel reads it: row k holds P[k, k] and P[k, partner(k)]
-        self.pre = (None if job.preconditioner is None else np.stack(
-            _partner_pairs(job.preconditioner, config.M, config.N, "preconditioner")[1:],
-            axis=1))
+        # IndexError if out of range. Built from a Python range: np.arange
+        # lets go of the interpreter lock to fill its array, and getting it
+        # back can wait for the trial loop's producer thread (100-400 us a
+        # job in a run, against 1-2 us alone)
+        self.tap_idx = np.array([range(dim)[k] for k in track_taps], dtype=np.int64)
+        self.pre = pre
         self.n_steps = n_steps
         self.zs, self.ds = zs, ds
         trials = len(ds)
@@ -300,7 +302,16 @@ def run_jobs(zs: np.ndarray | None, jobs: list[Job], keep_residuals: bool = True
     if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
     trials, n = shape
-    state = [_Job(job, z, d, n - M + 1, keep_residuals, track_taps, tap_stride)
+    # each preconditioner P as the kernel reads it, row k holding P[k, k] and
+    # P[k, partner(k)], formed once for the jobs of the call that share it
+    forms = {}
+    for job in jobs:
+        key = (id(job.preconditioner), job.config.N)
+        if job.preconditioner is not None and key not in forms:
+            forms[key] = np.stack(_partner_pairs(job.preconditioner, M, job.config.N,
+                                                 "preconditioner")[1:], axis=1)
+    state = [_Job(job, z, d, n - M + 1, keep_residuals, track_taps, tap_stride,
+                  forms.get((id(job.preconditioner), job.config.N)))
              for job, (z, d) in zip(jobs, rows)]
     runs = (_native.Run * len(state))(*(job.run for job in state))
     lanes = _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, len(state), runs)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsic import _native
+from fdsic import _native, cancellers
 from fdsic.cancellers import (BatchRun, CancellerConfig, DegenerateInputError, Job,
                               check_nonsingular, default_steady_window,
                               newton_preconditioner, regressor_matrix, run_batch,
@@ -595,11 +595,17 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows)
                                           preconditioner=job.preconditioner, **options))
 
 
-def test_newton_jobs_of_one_call(kernel_setup, wiener):
+def test_newton_jobs_of_one_call(kernel_setup, wiener, monkeypatch):
     """Two Newton jobs of one call, one diverging, with taps and residuals,
-    each return their one-job bits, and the plain job beside them its own."""
+    each return their one-job bits, and the plain job beside them its own;
+    the preconditioner they share is checked and laid out for the kernel
+    once."""
     _, xs, ds, _ = kernel_setup
     p = _exact_inverse(kernel_setup)
+    formed = []
+    real = cancellers._partner_pairs
+    monkeypatch.setattr(cancellers, "_partner_pairs",
+                        lambda *args: formed.append(args[0]) or real(*args))
     jobs = [Job(_kernel_config(kernel_setup, "newton", 1.5), ds, preconditioner=p),
             Job(_kernel_config(kernel_setup, N, 0.3), ds, w0=wiener),
             Job(_kernel_config(kernel_setup, "newton", 0.01), ds, w0=wiener,
@@ -608,6 +614,7 @@ def test_newton_jobs_of_one_call(kernel_setup, wiener):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runs = run_jobs(xs, jobs, **options)
+    assert len(formed) == 1 and formed[0] is p
     assert [run.diverged.all() for run in runs] == [True, False, False]
     assert np.all(runs[0].diverged_at >= 0)
     for job, run in zip(jobs, runs):

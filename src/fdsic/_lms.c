@@ -1,6 +1,6 @@
 /* The native kernels of fdsic: the standard normal and uniform draws of a
  * trial, the render of a trial's observations and the LMS steps of the
- * canceller jobs run on a batch of trials.
+ * canceller jobs run on one or more trials.
  *
  * The arithmetic is written out in real numbers so that every rounding
  * equals that of the numpy expressions it replaces (see cancellers.py and
@@ -22,16 +22,15 @@
  * samples, formed in blocks of RB samples on the heap; one call renders
  * the observations of several points (struct point) from one source row
  * and draws their noise once, each normal added to every point's row as
- * that point alone adds it. Each job of an lms_raw call has its own source
- * rows z, scale and observation rows, so the jobs of one call may belong to
- * different trials: the harness fills the lanes with (trial, job) pairs,
- * job-major, so that a vector often holds one job over several trials.
- * The jobs run in groups of LANES, one group after another, and within a
- * group step by step as the lanes of a vector, each lane on its own
- * regressor; the trials of a job's rows run one after another. A job's
- * preconditioner couples an entry only with its layout partner (see struct
- * run), so any jobs can share the lanes, and lms_raw returns the lane count
- * it ran.
+ * that point alone adds it. A job of an lms_raw call is one trial's run,
+ * with its own source row z, scale and observation row, so the jobs of one
+ * call may belong to different trials: the harness fills the lanes with
+ * (trial, job) pairs, job-major, so that a vector often holds one job over
+ * several trials. The jobs run in groups of LANES, one group after
+ * another, and within a group step by step as the lanes of a vector, each
+ * lane on its own regressor. A job's preconditioner couples an entry only
+ * with its layout partner (see struct run), so any jobs can share the
+ * lanes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -175,15 +174,19 @@ static void add_normals(int64_t n, double scale, const double *v, double *y, dou
     }
 }
 
-/* One canceller job of an LMS call: its steps, its dim regressor weights,
- * the step win_start from which its steady-state window sums, its step size
- * mu, the scale of its reference x = scale z, its source rows z and
- * observation rows d (trials, n each), and its state and outputs. w and
- * w_accum are (trials, dim); e2, if not NULL, is (trials, steps) and
- * receives the residual power of every step; tap_buf, if not NULL, is
- * (trials, ceil(steps / tap_stride), ntaps) and receives the weights
- * taps[] after every tap_stride-th step from step 0; peak, steady_sum,
- * steady_count and diverged_at are per trial. pre, if not NULL, is a real
+/* One canceller job of an LMS call, one trial's run: its steps, its dim
+ * regressor weights, the step win_start from which its steady-state window
+ * sums, its step size mu, the scale of its reference x = scale z, its
+ * source row z and observation row d (steps + m - 1 samples each), and its
+ * weights and outputs. w (dim) holds the start weights and receives the
+ * final ones; w_accum (dim) receives the sum of the weights over the
+ * window; e2, if not NULL, (steps) receives the residual power of every
+ * step; tap_buf, if not NULL, is (ceil(steps / tap_stride), ntaps) and
+ * receives the weights taps[] after every tap_stride-th step from step 0.
+ * peak receives the largest residual power (INFINITY once one is not
+ * finite), steady_mse the mean residual power over the window (INFINITY
+ * if the run went non-finite) and diverged_at the first step whose
+ * residual power is not finite, or -1. pre, if not NULL, is a real
  * preconditioner P that couples each entry only with its layout partner,
  * (dim, 2): row k holds P[k][k] and P[k][j], j the partner of entry k (0
  * where the partner is k itself). In either half of the
@@ -193,21 +196,15 @@ struct run {
     int64_t steps, dim, win_start;
     double mu, scale;
     const double *z, *d;
-    double *w, *w_accum, *e2, *peak, *steady_sum, *steady_count;
-    int64_t *diverged_at;
+    double *w, *w_accum, *e2;
     int64_t ntaps;
     const int64_t *taps;
     int64_t tap_stride;
     double *tap_buf;
     const double *pre;
+    double peak, steady_mse;
+    int64_t diverged_at;
 };
-
-/* The tap buffer row of trial i and its kept step k, ntaps complex values */
-static inline double *tap_row(const struct run *b, int64_t i, int64_t k)
-{
-    int64_t kept = (b->steps + b->tap_stride - 1) / b->tap_stride;
-    return b->tap_buf + 2 * (i * kept + k) * b->ntaps;
-}
 
 /* The vector operations of the render and the LMS steps, on the LANES
  * lanes of a vec: with AVX-512F and AVX-512DQ each is one intrinsic (or a
@@ -405,7 +402,7 @@ const int64_t lms_lanes = LANES;
  * the partner of a job's entry is that of its slot, or, where the job has
  * fewer IMD taps, a slot whose coefficient is 0 in its lane (lanes_init). */
 struct lanes {
-    const struct run *job[LANES];  /* NULL for an idle lane */
+    struct run *job[LANES];        /* NULL for an idle lane */
     const double *z[LANES];        /* each lane's source row */
     const double *d[LANES];        /* each lane's observation at step 0 */
     int64_t half, full;            /* the widest and narrowest job's dim / 2 */
@@ -416,7 +413,7 @@ struct lanes {
     int64_t win_first, win_all;    /* the earliest and latest win_start */
     int64_t diverged_at[LANES], next_tap[LANES], tap_first;
     vec *w, *w_accum, *keep, *pre;
-    /* the newest samples of the trial, newest first from hist[6 pos]; the
+    /* the newest samples of the run, newest first from hist[6 pos]; the
      * regressors of steps j and j + 1 are the views now and next into it */
     vec *hist;
     int64_t pos;
@@ -489,20 +486,29 @@ static inline vec lanes_mask(const int64_t *bits)
     return mask;
 }
 
-/* Point the lanes at jobs[0 .. count - 1] and set up their layout, masks
- * and preconditioners: pre[2k] and pre[2k + 1] hold each lane's P[k][k]
- * and its coefficient of the partner of slot k (0 in the lanes without
- * one). */
-static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count)
+/* Point the lanes at jobs[0 .. count - 1], whose step 0 reads sample
+ * m - 1 of their rows, and load their start weights and step sizes; set up
+ * the layout, masks, windows and preconditioners: pre[2k] and pre[2k + 1]
+ * hold each lane's P[k][k] and its coefficient of the partner of slot k (0
+ * in the lanes without one). Every other state starts at 0, and no lane
+ * has diverged. */
+static void lanes_init(struct lanes *g, struct run *jobs, int64_t count, int64_t m)
 {
     int64_t newton[LANES] = {0};
-    double scale[LANES];
+    double scale[LANES], mu[LANES] = {0}, last[LANES];
     g->half = 0;
-    g->full = INT64_MAX;
+    g->full = g->win_first = g->tap_first = INT64_MAX;
+    g->win_all = 0;
     g->finite_all = g->e2 = g->newton = 0;
     for (int l = 0; l < LANES; l++) {
-        const struct run *b = g->job[l] = l < count ? &jobs[l] : NULL;
-        scale[l] = (b ? b : jobs)->scale;
+        struct run *b = g->job[l] = l < count ? &jobs[l] : NULL;
+        const struct run *rows = b ? b : jobs;
+        scale[l] = rows->scale;
+        g->z[l] = rows->z;
+        g->d[l] = rows->d + 2 * (m - 1);
+        last[l] = INFINITY;
+        g->next_tap[l] = INT64_MAX;
+        g->diverged_at[l] = -1;
         if (!b)
             continue;
         g->finite_all |= 1 << l;
@@ -511,22 +517,39 @@ static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count)
             g->half = b->dim / 2;
         if (b->dim / 2 < g->full)
             g->full = b->dim / 2;
+        mu[l] = b->mu;
+        last[l] = (double)(b->win_start - 1);
+        if (b->win_start < g->win_first)
+            g->win_first = b->win_start;
+        if (b->win_start > g->win_all)
+            g->win_all = b->win_start;
+        if (b->tap_buf)
+            g->next_tap[l] = g->tap_first = 0;
     }
     for (int64_t k = 0; k < 4 * g->half; k++)
-        g->pre[k] = v_set1(0.0);
+        g->w[k] = g->w_accum[k] = g->pre[k] = v_set1(0.0);
     for (int l = 0; l < LANES; l++) {
         const struct run *b = g->job[l];
-        if (!b || !b->pre)
+        if (!b)
             continue;
-        g->newton |= 1 << l;
-        newton[l] = -1;
+        if (b->pre) {
+            g->newton |= 1 << l;
+            newton[l] = -1;
+        }
         for (int64_t s = 0; s < b->dim; s++) {
             int64_t k = lane_slot(b, g->half, s);
-            ((double *)&g->pre[2 * k])[l] = b->pre[2 * s];
-            ((double *)&g->pre[2 * k + 1])[l] = b->pre[2 * s + 1];
+            ((double *)&g->w[2 * k])[l] = b->w[2 * s];
+            ((double *)&g->w[2 * k + 1])[l] = b->w[2 * s + 1];
+            if (b->pre) {
+                ((double *)&g->pre[2 * k])[l] = b->pre[2 * s];
+                ((double *)&g->pre[2 * k + 1])[l] = b->pre[2 * s + 1];
+            }
         }
     }
     g->scale = v_load(scale);
+    g->mu = v_load(mu);
+    g->win_last = v_load(last);
+    g->peak = g->steady_sum = g->steady_count = v_set1(0.0);
     g->newton_mask = lanes_mask(newton);
     for (int64_t k = 0; k < g->half; k++) {
         int64_t keep[LANES];
@@ -536,83 +559,35 @@ static void lanes_init(struct lanes *g, const struct run *jobs, int64_t count)
     }
 }
 
-/* Load the lanes' state of trial i (rows of n samples; step 0 is sample
- * m - 1) from their jobs */
-static void lanes_start(struct lanes *g, int64_t i, int64_t n, int64_t m)
-{
-    double mu[LANES] = {0}, peak[LANES] = {0}, sum[LANES] = {0},
-           count[LANES] = {0}, last[LANES];
-    g->win_first = g->tap_first = INT64_MAX;
-    g->win_all = 0;
-    for (int64_t k = 0; k < 4 * g->half; k++)
-        g->w[k] = g->w_accum[k] = v_set1(0.0);
-    for (int l = 0; l < LANES; l++) {
-        const struct run *b = g->job[l];
-        last[l] = INFINITY;
-        g->next_tap[l] = INT64_MAX;
-        g->z[l] = (b ? b : g->job[0])->z + 2 * i * n;
-        g->d[l] = (b ? b : g->job[0])->d + 2 * (i * n + m - 1);
-        if (!b)
-            continue;
-        for (int64_t s = 0; s < b->dim; s++) {
-            int64_t k = lane_slot(b, g->half, s);
-            const double *w = b->w + 2 * (i * b->dim + s),
-                         *a = b->w_accum + 2 * (i * b->dim + s);
-            ((double *)&g->w[2 * k])[l] = w[0];
-            ((double *)&g->w[2 * k + 1])[l] = w[1];
-            ((double *)&g->w_accum[2 * k])[l] = a[0];
-            ((double *)&g->w_accum[2 * k + 1])[l] = a[1];
-        }
-        mu[l] = b->mu;
-        peak[l] = b->peak[i];
-        sum[l] = b->steady_sum[i];
-        count[l] = b->steady_count[i];
-        g->diverged_at[l] = b->diverged_at[i];
-        last[l] = (double)(b->win_start - 1);
-        if (b->win_start < g->win_first)
-            g->win_first = b->win_start;
-        if (b->win_start > g->win_all)
-            g->win_all = b->win_start;
-        if (b->tap_buf)
-            g->next_tap[l] = g->tap_first = 0;
-    }
-    g->mu = v_load(mu);
-    g->peak = v_load(peak);
-    g->steady_sum = v_load(sum);
-    g->steady_count = v_load(count);
-    g->win_last = v_load(last);
-}
-
-/* Store the lanes' state of trial i back into their jobs */
-static void lanes_finish(const struct lanes *g, int64_t i)
+/* Store the lanes' weights, window sums and outputs into their jobs */
+static void lanes_finish(const struct lanes *g)
 {
     double peak[LANES], sum[LANES], count[LANES];
     v_store(peak, g->peak);
     v_store(sum, g->steady_sum);
     v_store(count, g->steady_count);
     for (int l = 0; l < LANES; l++) {
-        const struct run *b = g->job[l];
+        struct run *b = g->job[l];
         if (!b)
             continue;
         for (int64_t s = 0; s < b->dim; s++) {
             int64_t k = lane_slot(b, g->half, s);
-            double *w = b->w + 2 * (i * b->dim + s),
-                   *a = b->w_accum + 2 * (i * b->dim + s);
-            w[0] = ((const double *)&g->w[2 * k])[l];
-            w[1] = ((const double *)&g->w[2 * k + 1])[l];
-            a[0] = ((const double *)&g->w_accum[2 * k])[l];
-            a[1] = ((const double *)&g->w_accum[2 * k + 1])[l];
+            b->w[2 * s] = ((const double *)&g->w[2 * k])[l];
+            b->w[2 * s + 1] = ((const double *)&g->w[2 * k + 1])[l];
+            b->w_accum[2 * s] = ((const double *)&g->w_accum[2 * k])[l];
+            b->w_accum[2 * s + 1] = ((const double *)&g->w_accum[2 * k + 1])[l];
         }
-        b->peak[i] = peak[l];
-        b->steady_sum[i] = sum[l];
-        b->steady_count[i] = count[l];
-        b->diverged_at[i] = g->diverged_at[l];
+        /* a run that stayed finite counted every step of its window */
+        b->peak = peak[l];
+        b->steady_mse = g->diverged_at[l] < 0 ? sum[l] / count[l] : INFINITY;
+        b->diverged_at = g->diverged_at[l];
     }
 }
 
-/* The per-lane records of step j of trial i with residual powers p (finite
- * where the bit of `finite` is set): first non-finite step, e2 and taps. */
-static void lanes_record(struct lanes *g, int64_t i, int64_t j, vec p, int finite)
+/* The per-lane records of step j with residual powers p (finite where the
+ * bit of `finite` is set): first non-finite step, e2 and taps, the kept
+ * step k's ntaps complex values at tap_buf + 2 k ntaps. */
+static void lanes_record(struct lanes *g, int64_t j, vec p, int finite)
 {
     double pl[LANES];
     v_store(pl, p);
@@ -624,9 +599,9 @@ static void lanes_record(struct lanes *g, int64_t i, int64_t j, vec p, int finit
         if (!(finite >> l & 1) && g->diverged_at[l] < 0)
             g->diverged_at[l] = j;
         if (b->e2)
-            b->e2[i * b->steps + j] = pl[l];
+            b->e2[j] = pl[l];
         if (j == g->next_tap[l]) {
-            double *tb = tap_row(b, i, j / b->tap_stride);
+            double *tb = b->tap_buf + 2 * (j / b->tap_stride) * b->ntaps;
             for (int64_t k = 0; k < b->ntaps; k++) {
                 int64_t s = lane_slot(b, g->half, b->taps[k]);
                 tb[2 * k] = ((const double *)&g->w[2 * s])[l];
@@ -713,7 +688,7 @@ static inline __attribute__((always_inline)) void update_entry(
     }
 }
 
-/* Step j of trial i for every lane, on its regressor in the view g->now
+/* Step j for every lane, on its regressor in the view g->now
  * (2 half slots) and its observation, with g->yr and g->yi holding reg^T w
  * of that regressor, along the LMS-Newton directions if newton (some lane
  * has a preconditioner); g->yr and g->yi are left holding reg^T w of the
@@ -726,7 +701,7 @@ static inline __attribute__((always_inline)) void update_entry(
  * those masks, and never stored back. Before its window starts, a lane's
  * window sums are masked the same way. */
 static inline __attribute__((always_inline)) void lanes_step(
-    struct lanes *g, int64_t i, int64_t j, int64_t m, int newton)
+    struct lanes *g, int64_t j, int64_t m, int newton)
 {
     const vec *r = g->now, *next = g->next;
     const vec zero = v_set1(0.0);
@@ -760,7 +735,7 @@ static inline __attribute__((always_inline)) void lanes_step(
     vec ok = v_lt(p, v_set1(INFINITY));
     int finite = v_movemask(ok);
     if ((finite & g->finite_all) != g->finite_all || g->e2 || j >= g->tap_first)
-        lanes_record(g, i, j, p, finite);
+        lanes_record(g, j, p, finite);
     g->peak = v_max(v_blend(v_set1(INFINITY), p, ok), g->peak);
     if (sum) {
         in = v_and(in, ok);
@@ -787,17 +762,15 @@ static inline __attribute__((always_inline)) const vec *lanes_push(
     return e;
 }
 
-/* The jobs runs[0 .. jobs - 1] of one call: each job's z and d are
- * (trials, n), and every job runs steps = n - m + 1 steps on each trial,
- * step j on the regressor of sample j + m - 1 of its reference
- * x = scale z (reference_lanes), with the m of the call and its own
- * nimd = dim / 2 - m. The jobs run in groups of LANES, one group after
- * another, and the trials of a group one after another; a group steps its
- * lanes together, each on its own regressor, each job returning the bits it
- * returns alone. Returns LANES, the lanes per vector it ran the jobs in, or
- * 0, having run nothing, if the lanes' state cannot be allocated. */
-int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15, int64_t jobs,
-                const struct run *runs)
+/* The jobs runs[0 .. jobs - 1] of one call, each one trial's run: every
+ * job runs the steps of runs[0], step j on the regressor of sample
+ * j + m - 1 of its reference x = scale z (reference_lanes), with the m of
+ * the call and its own nimd = dim / 2 - m. The jobs run in groups of
+ * LANES, one group after another; a group steps its lanes together, each
+ * on its own regressor, each job returning the bits it returns alone.
+ * Returns 1, or 0, having run nothing, if the lanes' state cannot be
+ * allocated. */
+int64_t lms_raw(int64_t m, double k15, int64_t jobs, struct run *runs)
 {
     int64_t half = m;
     for (int64_t r = 0; r < jobs; r++)
@@ -817,27 +790,24 @@ int64_t lms_raw(int64_t trials, int64_t n, int64_t m, double k15, int64_t jobs,
     g.hist = state + 13 * half;
     const int64_t steps = runs[0].steps;
     for (int64_t first = 0; first < jobs; first += LANES) {
-        lanes_init(&g, runs + first, jobs - first);
-        for (int64_t i = 0; i < trials; i++) {
-            lanes_start(&g, i, n, m);
-            g.pos = spare + m;
-            for (int64_t j = 0; j < m; j++)
-                g.now = lanes_push(&g, m, spare, k15, j);
-            lanes_dot(&g, m, g.now);
-            for (int64_t j = 0; j < steps; j++) {
-                /* the last step's next is never read: any view serves */
-                g.next = j + 1 < steps ? lanes_push(&g, m, spare, k15, j + m) : g.now;
-                if (g.newton)
-                    lanes_step(&g, i, j, m, 1);
-                else
-                    lanes_step(&g, i, j, m, 0);
-                g.now = g.next;
-            }
-            lanes_finish(&g, i);
+        lanes_init(&g, runs + first, jobs - first, m);
+        g.pos = spare + m;
+        for (int64_t j = 0; j < m; j++)
+            g.now = lanes_push(&g, m, spare, k15, j);
+        lanes_dot(&g, m, g.now);
+        for (int64_t j = 0; j < steps; j++) {
+            /* the last step's next is never read: any view serves */
+            g.next = j + 1 < steps ? lanes_push(&g, m, spare, k15, j + m) : g.now;
+            if (g.newton)
+                lanes_step(&g, j, m, 1);
+            else
+                lanes_step(&g, j, m, 0);
+            g.now = g.next;
         }
+        lanes_finish(&g);
     }
     free(state);
-    return LANES;
+    return 1;
 }
 
 /* The samples per block of the render, a multiple of LANES */

@@ -19,15 +19,15 @@ sum), one sample per lane, in blocks of samples whose rows it allocates on
 the heap, then draws the noise once, as a ``NormalStream`` draws it, and
 adds each normal to every point's row; it raises ``MemoryError`` if those
 rows cannot be allocated. ``lms_raw`` runs the LMS steps of whole runs:
-each canceller job of a call has its own source rows z, scale and
-observation rows, so the jobs of one call may be the jobs of several
-trials, and they run as the lanes of vectors, each lane on its own
-regressor. Every call, one-job calls
-too, runs through the lanes; ``lms_raw`` returns the lanes per vector it
-ran, or 0 if their state cannot be allocated. A job may carry a real
-preconditioner that couples each regressor entry only with its layout
-partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton step.
-``Run`` describes one job and ``Point`` one observation of a render.
+each canceller job of a call is one trial's run, with its own source row
+z, scale and observation row, so the jobs of one call may be the jobs of
+several trials, and they run as the lanes of vectors, each lane on its own
+regressor. Every call, one-job calls too, runs through the lanes;
+``lms_raw`` returns 1, or 0 if their state cannot be allocated. A job may
+carry a real preconditioner that couples each regressor entry only with
+its layout partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton
+step. ``Run`` describes one job and ``Point`` one observation of a
+render.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -101,19 +101,20 @@ def _build_kernel() -> Path:
 
 
 class Run(ctypes.Structure):
-    """``struct run`` of ``_lms.c``: one canceller job of an LMS call, its
-    sizes, window start, step size and reference scale, and the addresses of
-    its source and observation rows, state, outputs and preconditioner
-    (``e2``, ``tap_buf`` and ``pre`` may be ``None``)."""
+    """``struct run`` of ``_lms.c``: one canceller job of an LMS call, one
+    trial's run: its sizes, window start, step size and reference scale,
+    the addresses of its source and observation rows, weights, outputs and
+    preconditioner (``e2``, ``tap_buf`` and ``pre`` may be ``None``), and
+    the outputs the kernel writes into the struct itself: ``peak``,
+    ``steady_mse`` and ``diverged_at``."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
                 ("mu", ctypes.c_double), ("scale", ctypes.c_double),
-                *[(name, ctypes.c_void_p) for name in (
-                    "z", "d", "w", "w_accum", "e2", "peak", "steady_sum", "steady_count",
-                    "diverged_at")],
+                *[(name, ctypes.c_void_p) for name in ("z", "d", "w", "w_accum", "e2")],
                 ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
                 ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p),
-                ("pre", ctypes.c_void_p)]
+                ("pre", ctypes.c_void_p), ("peak", ctypes.c_double),
+                ("steady_mse", ctypes.c_double), ("diverged_at", ctypes.c_int64)]
 
 
 class Point(ctypes.Structure):
@@ -141,7 +142,7 @@ def library() -> ctypes.CDLL:
     lib.normals_complex.argtypes = [pcg, i64, row]
     lib.doubles.argtypes = [pcg, i64, i64, real]
     lib.render.argtypes = [i64, row, pcg, i64, i64, ctypes.POINTER(Point)]
-    lib.lms_raw.argtypes = [*[i64] * 3, ctypes.c_double, i64, runs]
+    lib.lms_raw.argtypes = [i64, ctypes.c_double, i64, runs]
     lib.normals_complex.restype = lib.doubles.restype = None
     lib.render.restype = lib.lms_raw.restype = i64
     return lib

@@ -18,13 +18,13 @@ layout partner (x(n-d) with x_imd(n-d), d < N, in each half), so P couples
 only those pairs and the step costs O(dim). A covariance or a
 preconditioner that couples any other two entries is a ``ValueError``.
 
-``run_jobs`` runs several canceller jobs (``Job``: each its own step size,
-N, steady window, source rows z, observation rows d, reference scale,
-start weights and preconditioner) in one call, each job on its own
-reference x = scale z, so that the jobs of several transmit powers, and of
-several trials, share one call; ``run_batch`` runs one job on x itself.
-Each trial runs on its own and returns per-trial rows, and averaging
-across trials is the caller's. The LMS steps run in a small C kernel
+``run_jobs`` runs several canceller jobs (``Job``: each one trial's run,
+with its own step size, N, steady window, source row z, observation row d,
+reference scale, start weights and preconditioner) in one call, each job
+on its own reference x = scale z, so that the jobs of several transmit
+powers, and of several trials, share one call; ``run_batch`` runs one job
+per trial on x itself. Each trial runs on its own and returns its own row,
+and averaging across trials is the caller's. The LMS steps run in a small C kernel
 (``_lms.c``, built and loaded by ``_native`` on the first call), one call
 per set of jobs. Its arithmetic rounds exactly as the numpy expressions
 e = d - reg^T w (einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) +
@@ -35,8 +35,7 @@ x = scale z (each part of z times the scale, as ``signals.Draw.reference``
 does) and x_imd from it; the jobs run as the lanes of vectors, eight jobs
 per vector on a build with AVX-512F and AVX-512DQ, four on one with AVX2
 and FMA and one on any other (``_native.lanes()``), each lane on its own
-regressor, and return the bits each job returns alone. Each ``BatchRun``
-records the lanes per vector its call ran (``lanes``), and a kernel that
+regressor, and return the bits each job returns alone. A kernel that
 cannot allocate its lanes' state raises ``MemoryError``.
 ``regressor_matrix`` builds the same regressors as rows, for the tests'
 numpy loop.
@@ -44,7 +43,7 @@ numpy loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +147,6 @@ class BatchRun:
     diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
     diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
     n_steps: int
-    lanes: int                        # jobs per vector of its call: 8, 4 or 1
     residual_power: np.ndarray | None = None    # (trials, n_steps)
     taps: np.ndarray | None = None              # (trials, kept steps, len(track_taps))
 
@@ -158,20 +156,20 @@ def _address(array: np.ndarray | None):
 
 
 class Job(NamedTuple):
-    """A canceller job of ``run_jobs``: its config, its observation rows
-    ``d`` (one per trial, or one row for one trial), the ``scale`` of its
-    reference x = scale z, the start weights ``w0`` of every trial (a vector
-    of its 2(M + N) weights, None for zero), a real preconditioner P (a
-    2(M + N) square matrix that couples an entry only with its layout
-    partner, as ``newton_preconditioner`` gives; None for the plain LMS)
-    and its source rows ``z``, shaped as ``d`` (None for the call's)."""
+    """A canceller job of ``run_jobs``, one trial's run: its config, its
+    source row ``z`` and observation row ``d`` (1-D, of one length), the
+    ``scale`` of its reference x = scale z, its start weights ``w0`` (a
+    vector of its 2(M + N) weights, None for zero) and a real
+    preconditioner P (a 2(M + N) square matrix that couples an entry only
+    with its layout partner, as ``newton_preconditioner`` gives; None for
+    the plain LMS)."""
 
     config: CancellerConfig
+    z: np.ndarray
     d: np.ndarray
     scale: float = 1.0
     w0: np.ndarray | None = None
     preconditioner: np.ndarray | None = None
-    z: np.ndarray | None = None
 
 
 def _partner_pairs(matrix, M: int, N: int, name: str):
@@ -199,13 +197,12 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
 
 
 class _Job:
-    """One canceller job of a kernel call: its source and observation rows
-    ``zs`` and ``ds``, its state and output arrays, its preconditioner
-    ``pre`` as the kernel reads it (None for the plain LMS), and the
-    ``_native.Run`` that points the kernel at them and carries the job's
-    reference ``scale``."""
+    """One canceller job of a kernel call: its weight and output rows and
+    the ``_native.Run`` that points the kernel at them, at the job's source
+    row ``z`` and observation row ``d`` and at its preconditioner ``pre`` as
+    the kernel reads it (None for the plain LMS)."""
 
-    def __init__(self, job: Job, zs: np.ndarray, ds: np.ndarray, n_steps: int,
+    def __init__(self, job: Job, z: np.ndarray, d: np.ndarray, n_steps: int,
                  keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int,
                  pre: np.ndarray | None):
         config = job.config
@@ -222,70 +219,55 @@ class _Job:
         # back can wait for the trial loop's producer thread (100-400 us a
         # job in a run, against 1-2 us alone)
         self.tap_idx = np.array([range(dim)[k] for k in track_taps], dtype=np.int64)
-        self.pre = pre
         self.n_steps = n_steps
-        self.zs, self.ds = zs, ds
-        trials = len(ds)
-        self.w = np.zeros((trials, dim), dtype=np.complex128)
+        self.w = np.zeros((1, dim), dtype=np.complex128)
         if job.w0 is not None:
-            self.w[:] = job.w0
-        self.w_accum = np.zeros_like(self.w)
-        self.residuals = np.empty((trials, n_steps)) if keep_residuals else None
+            self.w[0] = job.w0
+        self.w_accum = np.empty_like(self.w)
+        self.residuals = np.empty((1, n_steps)) if keep_residuals else None
         kept = -(-n_steps // tap_stride)
-        self.taps = (np.empty((trials, kept, len(self.tap_idx)), dtype=np.complex128)
+        self.taps = (np.empty((1, kept, len(self.tap_idx)), dtype=np.complex128)
                      if track_taps else None)
-        self.peak, self.steady_sum, self.steady_count = np.zeros((3, trials))
-        self.diverged_at = np.full(trials, -1, dtype=np.int64)
         self.run = _native.Run(
             n_steps, dim, n_steps - self.window, config.mu, job.scale,
-            *(_address(a) for a in (zs, ds, self.w, self.w_accum, self.residuals, self.peak,
-                                    self.steady_sum, self.steady_count,
-                                    self.diverged_at)),
+            *(_address(a) for a in (z, d, self.w, self.w_accum, self.residuals)),
             len(self.tap_idx), _address(self.tap_idx), tap_stride,
-            _address(self.taps), _address(self.pre))
+            _address(self.taps), _address(pre))
 
-    def result(self, lanes: int) -> BatchRun:
-        # diverged trials carry inf/nan weights and sums; they are flagged below
+    def result(self, run: _native.Run) -> BatchRun:
+        """The job's one-row ``BatchRun``, with the outputs the kernel wrote
+        into ``run``, its copy of ``self.run``."""
+        # a diverged run carries inf/nan weights and window sums; the kernel
+        # flags it (diverged_at)
         with np.errstate(over="ignore", invalid="ignore"):
             mean_w = self.w_accum / self.window
-            steady_mse = np.where(self.steady_count > 0,
-                                  self.steady_sum / np.maximum(self.steady_count, 1),
-                                  np.inf)
-        diverged = self.diverged_at >= 0
         return BatchRun(
             final_weights=self.w,
             mean_weights=mean_w,
-            steady_state_mse=np.where(diverged, np.inf, steady_mse),
-            peak_residual=self.peak,
-            diverged=diverged,
-            diverged_at=self.diverged_at,
+            steady_state_mse=np.array([run.steady_mse]),
+            peak_residual=np.array([run.peak]),
+            diverged=np.array([run.diverged_at >= 0]),
+            diverged_at=np.array([run.diverged_at], dtype=np.int64),
             n_steps=self.n_steps,
-            lanes=lanes,
             residual_power=self.residuals,
             taps=self.taps,
         )
 
 
-def _rows(a) -> np.ndarray:
-    """``a`` as C-contiguous complex rows, one per trial (1-D: one trial)."""
-    return np.atleast_2d(np.ascontiguousarray(a, dtype=np.complex128))
-
-
-def run_jobs(zs: np.ndarray | None, jobs: list[Job], keep_residuals: bool = True,
+def run_jobs(jobs: list[Job], keep_residuals: bool = True,
              track_taps: tuple[int, ...] = (), tap_stride: int = 1) -> list[BatchRun]:
-    """Run every ``Job`` on the trials in its rows, in one kernel call;
-    return one ``BatchRun`` per job.
+    """Run every ``Job``, each one trial's run, in one kernel call; return
+    one ``BatchRun`` of one row per job.
 
-    A job runs on the reference x = ``job.scale`` z of its source rows z
-    (``job.z``, or ``zs`` where that is None) and on its observation rows
-    ``job.d``; every job's z and d have one shape. Each part of x is the
-    part of z times the scale, as ``signals.Draw.reference`` forms it (so a
-    scale of 1 runs on z itself). The jobs share M and k_tiq (a
-    ``ValueError`` otherwise) and may differ in everything else, their
-    rows included, so the jobs of one call may be those of several trials.
-    Each job returns exactly what it returns alone in ``run_batch`` on its
-    own x and d, and every run records the lanes per vector the call ran
-    (``lanes``); a kernel that cannot allocate its lanes' state is a
+    A job runs on the reference x = ``job.scale`` z of its source row
+    ``job.z`` and on its observation row ``job.d``: every job's z and d are
+    1-D rows of one length (a ``ValueError`` otherwise). Each part of x is
+    the part of z times the scale, as ``signals.Draw.reference`` forms it
+    (so a scale of 1 runs on z itself). The jobs share M and k_tiq (a
+    ``ValueError`` otherwise) and may differ in everything else, their rows
+    included, so the jobs of one call may be those of several trials. Each
+    job returns exactly what it returns alone in ``run_batch`` on its own x
+    and d; a kernel that cannot allocate its lanes' state is a
     ``MemoryError``. ``keep_residuals`` stores |e|^2 per step;
     ``track_taps`` stores the listed weights (indices into each job's own
     weight vector) after steps 0, tap_stride, 2 tap_stride, ...
@@ -294,14 +276,14 @@ def run_jobs(zs: np.ndarray | None, jobs: list[Job], keep_residuals: bool = True
         raise ValueError("run_jobs needs at least one job")
     if not all(isinstance(job, Job) for job in jobs):
         raise TypeError("run_jobs takes a list of Job records")
-    rows = [(_rows(zs if job.z is None else job.z), _rows(job.d)) for job in jobs]
+    rows = [tuple(np.ascontiguousarray(row, dtype=np.complex128) for row in (job.z, job.d))
+            for job in jobs]
     shape = rows[0][0].shape
-    if any(z.shape != shape or d.shape != shape for z, d in rows):
-        raise ValueError("z and d must have identical shapes")
+    if any(z.ndim != 1 or not z.shape == d.shape == shape for z, d in rows):
+        raise ValueError("every job's z and d must be 1-D rows of one length")
     M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
     if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
-    trials, n = shape
     # each preconditioner P as the kernel reads it, row k holding P[k, k] and
     # P[k, partner(k)], formed once for the jobs of the call that share it
     forms = {}
@@ -310,14 +292,15 @@ def run_jobs(zs: np.ndarray | None, jobs: list[Job], keep_residuals: bool = True
         if job.preconditioner is not None and key not in forms:
             forms[key] = np.stack(_partner_pairs(job.preconditioner, M, job.config.N,
                                                  "preconditioner")[1:], axis=1)
-    state = [_Job(job, z, d, n - M + 1, keep_residuals, track_taps, tap_stride,
+    state = [_Job(job, z, d, shape[0] - M + 1, keep_residuals, track_taps, tap_stride,
                   forms.get((id(job.preconditioner), job.config.N)))
              for job, (z, d) in zip(jobs, rows)]
+    # the array holds copies of the structs: the kernel's outputs are read
+    # back from it
     runs = (_native.Run * len(state))(*(job.run for job in state))
-    lanes = _native.library().lms_raw(trials, n, M, k_tiq ** 1.5, len(state), runs)
-    if not lanes:
+    if not _native.library().lms_raw(M, k_tiq ** 1.5, len(state), runs):
         raise MemoryError("the LMS kernel cannot allocate the state of its lanes")
-    return [job.result(lanes) for job in state]
+    return [job.result(run) for job, run in zip(state, runs)]
 
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
@@ -325,18 +308,30 @@ def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
               w0: np.ndarray | None = None, tap_stride: int = 1,
               preconditioner: np.ndarray | None = None) -> BatchRun:
     """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``:
-    ``run_jobs`` with the one job ``Job(config, ds, 1.0, w0, preconditioner)``.
+    ``run_jobs`` with the job ``Job(config, x, d, 1.0, w0, preconditioner)``
+    of each row pair (x, d), its one-row runs stacked in trial order.
 
     ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
     None starts them at zero. Step t adapts on the regressor of sample
     M-1+t, so a row of n samples runs n-M+1 steps. Trials are independent:
-    the kernel runs one to its end before it starts the next, and every
-    output row depends on its own input row alone, so a batch returns
+    every output row depends on its own input row alone, so a batch returns
     exactly the rows its trials return one at a time. A 1-D ``xs`` and
     ``ds`` are one trial. ``keep_residuals`` stores |e|^2 per step;
     ``track_taps`` stores the listed weights after every ``tap_stride``-th
     step from step 0. With ``preconditioner`` P the job runs the LMS-Newton
     step w += mu e P conj(reg).
     """
-    return run_jobs(xs, [Job(config, ds, 1.0, w0, preconditioner)], keep_residuals,
-                    track_taps, tap_stride)[0]
+    return _stacked(run_jobs([Job(config, x, d, 1.0, w0, preconditioner)
+                              for x, d in zip(np.atleast_2d(xs), np.atleast_2d(ds),
+                                              strict=True)],
+                             keep_residuals, track_taps, tap_stride))
+
+
+def _stacked(runs: list[BatchRun]) -> BatchRun:
+    """The ``BatchRun`` whose rows are those of ``runs``, in order."""
+    stacked = {}
+    for field in fields(BatchRun):
+        values = [getattr(run, field.name) for run in runs]
+        stacked[field.name] = (np.concatenate(values) if isinstance(values[0], np.ndarray)
+                               else values[0])
+    return BatchRun(**stacked)

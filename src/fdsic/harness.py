@@ -204,10 +204,9 @@ class PhaseClock:
     analyses, transients and the condition landscape, ``_theory``) and of
     writing its CSVs and SVGs (output, ``ExperimentReport.add_csv`` and
     ``add_svg``), the samples drawn and rendered, and the LMS calls: the
-    trial-steps they took, their number, the widest lane count (jobs per
-    vector) the kernel reported running them in, the (trial, job) pairs
-    they ran and the lanes they offered, and the trials that diverged, by
-    job.
+    trial-steps they took, their number, the lane count (jobs per vector)
+    of the build that ran them, the (trial, job) pairs they ran and the
+    lanes they offered, and the trials that diverged, by job.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the sample counts, the caller's thread only the rest,
@@ -230,17 +229,16 @@ class PhaseClock:
         self.diverged: dict[str, int] = {}        # diverged trials by job label
         self.first_nonfinite: dict[str, int] = {}  # earliest such step by label
 
-    def count_lms(self, trials: list[tuple[dict[str, BatchRun], dict[str, float]]]
-                  ) -> list[dict[str, np.ndarray]]:
-        """Count one LMS call that ran, for each of its trials, the ``runs``
-        of a ``(runs, d_power)`` pair, by job label, on observations whose
-        mean |d|^2 is ``d_power[label]``, and the trials that diverged
-        (``_diverged``); return those trials' masks by label, per pair."""
-        # every run of one call reports the lanes the call ran
-        [lanes] = {run.lanes for runs, _ in trials for run in runs.values()}
+    def count_lms(self, trials: list[tuple[dict[str, BatchRun], dict[str, float]]],
+                  lanes: int) -> list[dict[str, np.ndarray]]:
+        """Count one LMS call that ran, in ``lanes`` lanes per vector, for
+        each of its trials, the ``runs`` of a ``(runs, d_power)`` pair, by
+        job label, on observations whose mean |d|^2 is ``d_power[label]``,
+        and the trials that diverged (``_diverged``); return those trials'
+        masks by label, per pair."""
         jobs = sum(len(runs) for runs, _ in trials)
         self.lms_calls += 1
-        self.lms_lanes = max(self.lms_lanes, lanes)
+        self.lms_lanes = lanes
         self.lms_jobs += jobs
         self.lms_lanes_offered += -(-jobs // lanes) * lanes
         masks = []
@@ -439,8 +437,9 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
     ``render_observations`` call, from the point's reference
     x = ``draw.scale(point.sigma_x2)`` ``draw.samples``, with the one noise
     draw of seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
-    ``render_options``, and returns their observations. ``clock`` times
-    both phases and counts the samples drawn and rendered.
+    ``render_options``, and returns what that call returns: the rows d, or
+    the ``(d, components)`` pairs. ``clock`` times both phases and counts
+    the samples drawn and rendered.
     """
     # looked up here at each call, so a wrapper installed over any of these
     # module-level names sees it
@@ -451,30 +450,30 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
 
     def render(points: list[Point], ds=None, **render_options):
         with clock.phase("render"):
-            observations = render_observations(
+            rendered = render_observations(
                 draw.samples, [(point.channels, point.budget, point.profile,
                                 draw.scale(point.sigma_x2)) for point in points],
                 seed=config.seed + _NOISE_SEED_OFFSET + t, outs=ds, **render_options)
         clock.samples_rendered += n * len(points)
-        return observations
+        return rendered
 
     return draw, render
 
 
 def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
                 clock: PhaseClock, group: int = 1):
-    """Yield ``(draw, observations, powers)`` for trials t = 0 ...
-    config.trials - 1, each made by ``_trial``: the draw of ``n`` samples,
-    one observation per point (``obs.d.samples``) and the mean |d|^2 of each
-    (``_mean_power``, timed as rendering). ``clock`` also times the waits
-    for each group.
+    """Yield the trials t = 0 ... config.trials - 1 in groups of ``group``
+    consecutive trials (the last may be shorter), each group a list of
+    ``(draw, ds, powers)``, one per trial, made by ``_trial``: the draw of
+    ``n`` samples, the observation row d of each point and the mean |d|^2 of
+    each (``_mean_power``, timed as rendering). ``clock`` also times the
+    waits for each group.
 
-    The trials come in groups of ``group`` consecutive trials (the last may
-    be shorter). One producer thread generates and renders the groups in
-    order into two sets of rows, one source row and one observation row per
-    point for each trial of a group, group g + 1 while the caller runs group
-    g, so a trial's rows are overwritten once the caller asks for a trial of
-    the group after its own: a consumer copies whatever it keeps. Only the
+    One producer thread generates and renders the groups in order into two
+    sets of rows, one source row and one observation row per point for each
+    trial of a group, group g + 1 while the caller runs group g, so a
+    group's rows are overwritten once the caller asks for the group after
+    it: a consumer copies whatever it keeps. Only the
     ``config.trials`` trials asked for are made (a caller that wants fewer
     passes a config with fewer). An error in the producer is raised here
     with its own type; an error in the caller, or closing the generator,
@@ -491,10 +490,10 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
         # a set holds the rows of at most `group` trials
         for t, (z, ds) in zip(range(first, config.trials), rows[first // group % 2]):
             draw, render = _trial(config, t, n, clock, z)
-            observations = render(points, ds)
+            render(points, ds)
             with clock.phase("render"):
-                powers = [_mean_power(obs.d.samples) for obs in observations]
-            made.append((draw, observations, powers))
+                powers = [_mean_power(d) for d in ds]
+            made.append((draw, ds, powers))
         return made
 
     # imported here, not at the top: concurrent.futures imports logging,
@@ -510,7 +509,7 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
                 # the caller is done with the group before this one, whose
                 # rows take the next
                 pending = producer.submit(make, first + group)
-            yield from made
+            yield made
 
 
 def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job]]],
@@ -537,23 +536,19 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
     labels = [label for _, jobs in points for label in jobs]
     lanes = _native.lanes()
     group = lanes // math.gcd(lanes, len(labels))
-    trials = iter_trials(config, [point for point, _ in points], n, clock, group)
-    for first in range(0, config.trials, group):
-        made = list(itertools.islice(trials, group))
-        jobs = [job._replace(z=draw.samples, d=observations[k].d.samples,
-                             scale=draw.scale(point.sigma_x2))
+    groups = iter_trials(config, [point for point, _ in points], n, clock, group)
+    for first, made in zip(itertools.count(0, group), groups):
+        jobs = [job._replace(z=draw.samples, d=ds[k], scale=draw.scale(point.sigma_x2))
                 for k, (point, point_jobs) in enumerate(points)
                 for job in point_jobs.values()
-                for draw, observations, _ in made]
+                for draw, ds, _ in made]
         with clock.phase("lms"):
-            results = run_jobs(None, jobs, **run_options)
+            results = run_jobs(jobs, **run_options)
         runs = [dict(zip(labels, results[i::len(made)])) for i in range(len(made))]
         d_power = [{label: powers[k] for k, (_, point_jobs) in enumerate(points)
                     for label in point_jobs} for _, _, powers in made]
-        for t, trial_runs, diverged in zip(
-                range(first, config.trials), runs,
-                clock.count_lms(list(zip(runs, d_power)))):
-            yield t, trial_runs, diverged
+        yield from zip(itertools.count(first), runs,
+                       clock.count_lms(list(zip(runs, d_power)), lanes))
 
 
 def _step_size(config: ExperimentConfig, bound: float) -> tuple[float, str, float]:
@@ -593,9 +588,9 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
     # a point at a time: the seven components of every point at once would
     # hold 11 MB a point
     for point in points:
-        [obs] = render([point], include_soi=True, components=True)
+        [(_, parts)] = render([point], include_soi=True, components=True)
         for key in measured:
-            power = np.mean(np.abs(obs.components[key]) ** 2)
+            power = np.mean(np.abs(parts[key]) ** 2)
             with np.errstate(divide="ignore"):  # no power is -inf dBm
                 measured[key].append(mw_to_dbm(power))
 
@@ -649,6 +644,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Trial-averaged error-coefficient trajectories and steady bias table."""
     point = _point(config, config.profile)
     prof, channels, budget, s2 = point
+    report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
     with _theory(report.clock):
         bound = alms_ms_bound(s2, config.M)
     n_iters = config.iterations
@@ -671,7 +667,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
-    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg, None)
+    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg, None, None)
             for (mu, label), cfg in cfgs.items()}
     # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
     # window-mean weights, (trials, dim)
@@ -766,10 +762,11 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             bound = alms_ms_bound(point.sigma_x2, config.M)
         mu = _resolve_mu(config, bound, report)
         points.append((point, mu, {
-            f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq), None),
+            f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq),
+                                   None, None),
             f"anclms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, N=config.N,
                                                      k_tiq=k_tiq),
-                                     None, w0=point.channels.stacked_nonlinear())}))
+                                     None, None, w0=point.channels.stacked_nonlinear())}))
 
     trial_mse = {label: np.empty(config.trials) for *_, jobs in points for label in jobs}
     for first in range(0, len(points), 2):
@@ -907,6 +904,7 @@ def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> 
 def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Condition-number heatmap plus whitened-vs-raw SINR evolution."""
     prof = config.profile.with_tx_power(15.0)
+    report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
     k = prof.k_tiq
 
     sigma_grid_dbm = np.arange(-30.0, 0.5, 1.0)
@@ -960,9 +958,11 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # one pass of both reference powers, as the sweep's pairs of points: each
     # trial draws its source row once, renders it at each power and runs all
     # three jobs in one kernel call
-    points = [(opt, {"anclms_optimal": Job(cfg(mu_opt), None),
-                     "anclms_whitened": Job(cfg(mu_white), None, preconditioner=newton)}),
-              (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub), None)})]
+    points = [(opt, {"anclms_optimal": Job(cfg(mu_opt), None, None),
+                     "anclms_whitened": Job(cfg(mu_white), None, None,
+                                            preconditioner=newton)}),
+              (_point(config, prof, s_sub),
+               {"anclms_suboptimal": Job(cfg(mu_sub), None, None)})]
     # each run's mean residual power over the trials, summed as the trials
     # come, in numpy's order
     means = {label: TrialMean(config.trials) for _, jobs in points for label in jobs}
@@ -1039,7 +1039,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
                                            N=n_imd, k_tiq=prof.k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
-    jobs = {f"{label}_mu{frac:g}": Job(cfg, None) for (label, frac), cfg in cfgs.items()}
+    jobs = {f"{label}_mu{frac:g}": Job(cfg, None, None) for (label, frac), cfg in cfgs.items()}
     trial_runs = {key: [] for key in cfgs}  # (run, diverged trials) per trial
     for _, runs, diverged in run_trials(config, [(point, jobs)],
                                         config.iterations + config.M, report.clock,

@@ -40,21 +40,6 @@ _QAM16 = (_LEVELS[:, None] + 1j * _LEVELS[None, :]).ravel() / np.sqrt(10.0)
 
 
 @dataclass(frozen=True)
-class ComplexSequence:
-    """A non-empty, finite stream of complex baseband samples."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-
-
-@dataclass(frozen=True)
 class Draw:
     """One draw of a source: the row ``samples`` (z), whose reference of
     power ``sigma_x2`` is x = ``scale(sigma_x2)`` z.

@@ -48,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
-from .signals import ComplexSequence
 from .units import db_to_lin, dbm_to_mw, mw_to_dbm
 
 
@@ -268,15 +267,6 @@ class NoiseBudget:
             raise ValueError("invalid noise budget")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Rendered pre-cancellation signal with its additive components (empty
-    unless the render was asked for them)."""
-
-    d: ComplexSequence
-    components: dict
-
-
 def compute_noise_budget(profile: TransceiverProfile) -> NoiseBudget:
     """Receiver VGA gain, thermal/quantization variances and SOI power.
 
@@ -396,7 +386,7 @@ COMPONENTS = ("linear_si", "image_si", "imd_si", "image_imd_si", "thermal",
 
 
 def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = False,
-                        components: bool = False, outs=None) -> list[Observation]:
+                        components: bool = False, outs=None) -> list:
     """Render d(n) at each of ``points`` from one source row ``zs`` and one
     noise draw, in one compiled call.
 
@@ -411,10 +401,11 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
     Every point adds the same normals: they are drawn once, and each is
     added to every point's row as it is drawn. ``d`` is the sum of the
     components in ``COMPONENTS`` order (the SOI is zero unless
-    ``include_soi``). ``components=True`` also stores each component;
-    ``outs``, one complex128 row of ``len(zs)`` samples per point, receives
-    the ``d`` of each. Returns one ``Observation`` per point, of ``d`` and
-    the stored components: each the bits its point renders alone. The
+    ``include_soi``). ``outs``, one complex128 row of ``len(zs)`` samples
+    per point, receives the ``d`` of each. Returns the complex128 row ``d``
+    of each point, or, with ``components=True``, a ``(d, components)`` pair
+    per point, ``components`` each component's row by name in
+    ``COMPONENTS`` order: each the bits its point renders alone. The
     kernel forms x and x_imd a block of samples at a time, behind the M - 1
     samples before the block, and sums consecutive output samples in the
     lanes of a vector, each as one sample alone sums; it allocates those
@@ -435,26 +426,28 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
             np.empty(n, dtype=np.complex128) if out is None else out,
             np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None))
     _native.render(zs, targets, _native.NormalStream(seed), include_soi)
-    return [Observation(ComplexSequence(target.d),
-                        dict(zip(COMPONENTS, target.components)) if components else {})
-            for target in targets]
+    if components:
+        return [(target.d, dict(zip(COMPONENTS, target.components))) for target in targets]
+    return [target.d for target in targets]
 
 
 def render_observation(zs: np.ndarray, channels: ChannelSet,
                        budget: NoiseBudget, profile: TransceiverProfile,
                        seed: int, include_soi: bool = False,
                        components: bool = False,
-                       out: np.ndarray | None = None, scale: float = 1.0) -> Observation:
+                       out: np.ndarray | None = None, scale: float = 1.0):
     """Render d(n) from the reference x = ``scale`` ``zs``: the one-point
     case of ``render_observations``, the point ``(channels, budget,
-    profile, scale)`` and its row ``out``.
+    profile, scale)`` and its row ``out``; returns its row ``d``, or its
+    ``(d, components)`` pair with ``components=True``.
 
     The default scale 1 renders ``zs`` itself; ``out``, a complex128 row of
     ``len(zs)`` samples, receives ``d``.
     """
-    [obs] = render_observations(zs, [(channels, budget, profile, scale)], seed,
-                                include_soi, components, None if out is None else [out])
-    return obs
+    [rendered] = render_observations(zs, [(channels, budget, profile, scale)], seed,
+                                     include_soi, components,
+                                     None if out is None else [out])
+    return rendered
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def stack_trials(config, profile, channels, budget, sigma_x2, n):
     (config.trials, n): the batch of the experiments' trials for tests that
     run them at once."""
     point = harness.Point(profile, channels, budget, sigma_x2)
-    rows = [(draw.reference(sigma_x2), obs.d.samples.copy())
-            for draw, [obs], _ in harness.iter_trials(config, [point], n,
-                                                      harness.PhaseClock())]
+    rows = [(draw.reference(sigma_x2), d.copy())
+            for group in harness.iter_trials(config, [point], n, harness.PhaseClock())
+            for draw, [d], _ in group]
     return tuple(np.stack(r) for r in zip(*rows))

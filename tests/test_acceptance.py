@@ -247,9 +247,9 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     channels = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(20_000, seed=5).reference(type2.natural_sigma_x2)
-    obs = render_observation(x, channels, budget, type2, seed=6,
-                             include_soi=True, components=True)
-    assert np.max(np.abs(obs.d.samples - sum(obs.components.values()))) == 0.0
+    d, parts = render_observation(x, channels, budget, type2, seed=6,
+                                  include_soi=True, components=True)
+    assert np.max(np.abs(d - sum(parts.values()))) == 0.0
     notes.append("component-sum identity")
 
     # determinism: identical config + seed -> byte-identical CSV

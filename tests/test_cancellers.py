@@ -360,12 +360,10 @@ def _bits(a):
 
 
 def _assert_same_bits(got, want):
-    """Every field of the BatchRun ``got`` but ``lanes`` equals the BatchRun
-    or oracle dict ``want`` bit for bit (the oracle has no ``diverged_at``
-    and no ``lanes``)."""
+    """Every field of the BatchRun ``got`` equals the BatchRun or oracle dict
+    ``want`` bit for bit (the oracle has no ``diverged_at``)."""
     if not isinstance(want, dict):
-        want = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)
-                if f.name != "lanes"}
+        want = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
     for name, value in want.items():
         actual = getattr(got, name)
         if isinstance(value, np.ndarray):
@@ -494,7 +492,8 @@ def test_zero_start_weights_are_the_default(kernel_setup):
 # ALMS and ANCLMS, a Newton job next to plain ones, ALMS diverging at 2x its
 # bound next to converging lanes, default and explicit windows, zero and
 # Wiener starts, and an ANCLMS job with fewer IMD taps than the call's
-# largest N. Five jobs fill a group of four lanes and a tail group of one.
+# largest N. A call runs them trial-major (``_grouped``), so that a vector
+# holds jobs of several kinds side by side.
 _GROUP_JOBS = (
     (0, 0.5, 2500, None),
     ("newton", 0.005, None, "wiener"),
@@ -533,7 +532,7 @@ def point_rows(type2):
         budget = compute_noise_budget(prof)
         scale = Draw(zs, 2.0).scale(s2)
         ds = np.stack([render_observation(z, channels, budget, prof, seed=100 + t,
-                                          scale=scale).d.samples
+                                          scale=scale)
                        for t, z in enumerate(zs)])
         points.append((s2, ds))
     return zs, points
@@ -541,8 +540,8 @@ def point_rows(type2):
 
 def _group_jobs(kernel_setup, wiener, point_rows, count):
     """The first ``count`` jobs of _GROUP_JOBS at their _GROUP_POINTS, as
-    ``Job`` records on the rows z of point_rows, and each job's own (x, d)
-    rows as numpy forms x."""
+    ``Job`` records whose d holds one row per row z of point_rows (for
+    ``_grouped``), and each job's own (x, d) rows as numpy forms x."""
     prof, _, _, bounds = kernel_setup
     zs, points = point_rows
     draw = Draw(zs, 2.0)
@@ -552,10 +551,21 @@ def _group_jobs(kernel_setup, wiener, point_rows, count):
         config = CancellerConfig(mu=scale * bounds[kind if kind != 2 else N], M=M,
                                  N=N if kind == "newton" else kind,
                                  k_tiq=prof.k_tiq, steady_window=window)
-        jobs.append(Job(config, ds, draw.scale(s2), wiener if start == "wiener" else None,
+        jobs.append(Job(config, None, ds, draw.scale(s2),
+                        wiener if start == "wiener" else None,
                         _exact_inverse(kernel_setup) if kind == "newton" else None))
         own.append((draw.reference(s2), ds))
     return jobs, own
+
+
+def _grouped(jobs, zs, **options) -> list[BatchRun]:
+    """Run every job of ``jobs`` on every trial, the trial's source row of
+    ``zs`` and its row of the job's d, in one call, trial-major, so that
+    each vector holds several jobs; return each job's runs stacked in trial
+    order."""
+    runs = run_jobs([job._replace(z=z, d=job.d[t]) for t, z in enumerate(zs)
+                     for job in jobs], **options)
+    return [cancellers._stacked(runs[k::len(jobs)]) for k in range(len(jobs))]
 
 
 @functools.cache
@@ -574,21 +584,20 @@ def _build_lanes(*extra: str) -> int:
 @pytest.mark.parametrize("count", sorted(_GROUP_OPTIONS))
 def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows):
     """Every job of a multi-job call (vector lanes where the build has them),
-    each on its own reference x = scale z of the call's rows z and its own
+    each on its own reference x = scale z of its trial's row z and its own
     observation, returns each BatchRun field bit for bit as it returns alone
     on that x and d, and as the numpy loop does."""
     zs, _ = point_rows
     jobs, own = _group_jobs(kernel_setup, wiener, point_rows, count)
     options = _GROUP_OPTIONS[count]
-    runs = run_jobs(zs, jobs, **options)
+    assert _native.lanes() == _build_lanes()
+    runs = _grouped(jobs, zs, **options)
     assert len(runs) == count
-    assert [run.lanes for run in runs] == [_build_lanes()] * count
     assert runs[3 % count].diverged.all() == (count > 3)
     assert not runs[0].diverged.any() and not runs[1].diverged.any()
     # one job alone runs as the lanes too, forming its x from z
-    [alone] = run_jobs(zs, jobs[:1], **options)
-    assert alone.lanes == _build_lanes()
-    _assert_same_bits(alone, runs[0])
+    [alone] = run_jobs([jobs[0]._replace(z=zs[0], d=jobs[0].d[0])], **options)
+    _assert_same_bits(alone, _trial_fields(runs[0], 0))
     for job, (xs, d), run in zip(jobs, own, runs):
         for oracle in (run_batch, _reference_run_batch):
             _assert_same_bits(run, oracle(xs, d, job.config, w0=job.w0,
@@ -606,14 +615,14 @@ def test_newton_jobs_of_one_call(kernel_setup, wiener, monkeypatch):
     real = cancellers._partner_pairs
     monkeypatch.setattr(cancellers, "_partner_pairs",
                         lambda *args: formed.append(args[0]) or real(*args))
-    jobs = [Job(_kernel_config(kernel_setup, "newton", 1.5), ds, preconditioner=p),
-            Job(_kernel_config(kernel_setup, N, 0.3), ds, w0=wiener),
-            Job(_kernel_config(kernel_setup, "newton", 0.01), ds, w0=wiener,
+    jobs = [Job(_kernel_config(kernel_setup, "newton", 1.5), None, ds, preconditioner=p),
+            Job(_kernel_config(kernel_setup, N, 0.3), None, ds, w0=wiener),
+            Job(_kernel_config(kernel_setup, "newton", 0.01), None, ds, w0=wiener,
                 preconditioner=p)]
     options = dict(track_taps=(0, 9, 17), tap_stride=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        runs = run_jobs(xs, jobs, **options)
+        runs = _grouped(jobs, xs, **options)
     assert len(formed) == 1 and formed[0] is p
     assert [run.diverged.all() for run in runs] == [True, False, False]
     assert np.all(runs[0].diverged_at >= 0)
@@ -630,15 +639,14 @@ def test_newton_jobs_pairing_differently(kernel_setup, wiener):
     where the build has them, and every job returns its one-job bits."""
     prof, xs, ds, _ = kernel_setup
     s2 = prof.natural_sigma_x2
-    jobs = [Job(_kernel_config(kernel_setup, "newton", 0.01), ds, w0=wiener,
+    jobs = [Job(_kernel_config(kernel_setup, "newton", 0.01), None, ds, w0=wiener,
                 preconditioner=_exact_inverse(kernel_setup)),
-            Job(CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), ds,
+            Job(CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), None, ds,
                 preconditioner=newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2),
                                                      M, 2)),
-            Job(_kernel_config(kernel_setup, N, 0.3), ds, w0=wiener)]
+            Job(_kernel_config(kernel_setup, N, 0.3), None, ds, w0=wiener)]
     options = dict(track_taps=(0, 5), tap_stride=5)
-    runs = run_jobs(xs, jobs, **options)
-    assert [run.lanes for run in runs] == [_build_lanes()] * 3
+    runs = _grouped(jobs, xs, **options)
     for job, run in zip(jobs, runs):
         _assert_same_bits(run, run_batch(xs, ds, job.config, w0=job.w0,
                                          preconditioner=job.preconditioner, **options))
@@ -649,28 +657,33 @@ def test_grouped_jobs_zero_observation():
     the lanes' max * sqrt(1 + (min/max)^2) would be 0/0)."""
     x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
-    jobs = [Job(CancellerConfig(mu=0.05, M=M, N=n_imd), d) for n_imd in (0, N, 1)]
-    for run in run_jobs(x, jobs):
+    jobs = [Job(CancellerConfig(mu=0.05, M=M, N=n_imd), x, d) for n_imd in (0, N, 1)]
+    for run in run_jobs(jobs):
         assert np.all(run.residual_power == 0.0)
         assert np.all(run.final_weights == 0.0)
         assert run.steady_state_mse[0] == 0.0 and not run.diverged.any()
 
 
 def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
+    """A call's jobs share M and k_tiq, and each brings 1-D rows z and d of
+    the call's one length."""
     _, xs, ds, _ = kernel_setup
+    x, d = xs[0], ds[0]
     base = CancellerConfig(mu=0.01, M=M, k_tiq=1.0)
     for other in (dataclasses.replace(base, M=M - 1),
                   dataclasses.replace(base, k_tiq=2.0)):
         with pytest.raises(ValueError, match="share M and k_tiq"):
-            run_jobs(xs, [Job(base, ds), Job(other, ds)])
+            run_jobs([Job(base, x, d), Job(other, x, d)])
     with pytest.raises(ValueError, match="at least one job"):
-        run_jobs(xs, [])
+        run_jobs([])
     with pytest.raises(TypeError, match="Job records"):
-        run_jobs(xs, [(base, ds)])
-    with pytest.raises(ValueError, match="identical shapes"):
-        run_jobs(xs, [Job(base, ds), Job(base, ds[:, 1:])])
-    with pytest.raises(ValueError, match="identical shapes"):
-        run_jobs(None, [Job(base, ds, z=xs), Job(base, ds, z=xs[:, 1:])])
+        run_jobs([(base, x, d)])
+    for jobs in ([Job(base, x, d), Job(base, x[1:], d[1:])],  # two lengths in a call
+                 [Job(base, x, d[1:])],                         # z and d unequal
+                 [Job(base, xs, ds)],                           # 2-D rows
+                 [Job(base, x, d), Job(base, x, ds)]):
+        with pytest.raises(ValueError, match="1-D rows of one length"):
+            run_jobs(jobs)
     with pytest.raises(ValueError, match="tap_stride"):
         run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
 
@@ -690,40 +703,34 @@ def test_unallocated_lanes_raise_memory_error(kernel_setup, monkeypatch):
 
 
 def _trial_fields(run: BatchRun, t: int) -> dict:
-    """The BatchRun fields of ``run`` but ``lanes``, its arrays cut to trial t."""
-    fields = {f.name: getattr(run, f.name) for f in dataclasses.fields(run)
-              if f.name != "lanes"}
+    """The BatchRun fields of ``run``, its arrays cut to trial t."""
+    fields = {f.name: getattr(run, f.name) for f in dataclasses.fields(run)}
     return {name: value[t:t + 1] if isinstance(value, np.ndarray) else value
             for name, value in fields.items()}
 
 
 def _assert_build_matches_the_default(build, flag, kernel_setup, wiener, point_rows):
-    """The build loaded by ``build`` runs a mixed 5-job call over two
-    transmit powers in its own lanes, and the same jobs of two trials as the
-    (trial, job) pairs of one call, each on its own trial's rows, and
-    returns the bytes the default build returns."""
+    """The build loaded by ``build`` runs the 5 mixed jobs over two
+    transmit powers of two trials, the 10 (trial, job) pairs of one call,
+    each on its own trial's rows, in its own lanes, and returns the bytes
+    the default build returns."""
     zs, _ = point_rows
     jobs, _ = _group_jobs(kernel_setup, wiener, point_rows, 5)
-    pairs = [job._replace(z=zs[t], d=job.d[t]) for t in range(2) for job in jobs]
     options = _GROUP_OPTIONS[5]
-    default = run_jobs(zs, jobs, **options)
+    default = _grouped(jobs, zs[:2], **options)
     with build():
-        narrow = run_jobs(zs, jobs, **options)
-        narrow_pairs = run_jobs(None, pairs, **options)
-    assert [run.lanes for run in narrow] == [_build_lanes(flag)] * len(jobs)
-    for got, want in zip(narrow, default):
+        assert _native.lanes() == _build_lanes(flag)
+        narrow = _grouped(jobs, zs[:2], **options)
+    for got, want in zip(narrow, default, strict=True):
         _assert_same_bits(got, want)
-    for k, got in enumerate(narrow_pairs):
-        t, j = divmod(k, len(jobs))
-        _assert_same_bits(got, _trial_fields(default[j], t))
 
 
 def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
                                         scalar_kernel):
-    """A build without AVX2 runs a mixed 5-job call over two transmit powers
-    one lane wide, each job a group of its own, and returns the bytes the
-    default build returns (one group of eight lanes with three idle, or two
-    groups of four, the second with three idle)."""
+    """A build without AVX2 runs a mixed 10-job call over two transmit
+    powers one lane wide, each job a group of its own, and returns the bytes
+    the default build returns (two groups of eight lanes, the second with
+    six idle, or three groups of four, the last with two idle)."""
     _assert_build_matches_the_default(scalar_kernel, "-mno-avx2", kernel_setup,
                                       wiener, point_rows)
     assert _build_lanes("-mno-avx2") == 1
@@ -731,7 +738,7 @@ def test_scalar_build_matches_the_lanes(kernel_setup, wiener, point_rows,
 
 def test_avx2_build_matches_the_lanes(kernel_setup, wiener, point_rows, avx2_kernel):
     """A build without AVX-512 runs the same call four lanes wide where the
-    CPU has AVX2 and FMA (two groups, the second with three idle lanes), and
+    CPU has AVX2 and FMA (three groups, the last with two idle lanes), and
     returns the bytes the default build returns."""
     _assert_build_matches_the_default(avx2_kernel, "-mno-avx512f", kernel_setup,
                                       wiener, point_rows)
@@ -787,7 +794,7 @@ def test_preconditioner_couples_only_layout_partners(entry, kernel_setup):
     with pytest.raises(ValueError, match="layout partner"):
         run_batch(xs, ds, cfg, preconditioner=p)
     with pytest.raises(ValueError, match="layout partner"):
-        run_jobs(xs, [Job(cfg, ds), Job(cfg, ds, preconditioner=p)])
+        run_jobs([Job(cfg, xs[0], ds[0]), Job(cfg, xs[0], ds[0], preconditioner=p)])
 
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):

@@ -556,13 +556,13 @@ def test_sweep_anclms_starts_in_steady_state(type2, tmp_path):
 @pytest.fixture
 def lms_calls(monkeypatch):
     """The ``(jobs, lanes)`` of every LMS kernel call a runner makes during
-    the test, the lanes as the kernel reports them on the runs."""
+    the test, the lanes those of the build (``_native.lanes()``)."""
     calls = []
     real = harness.run_jobs
 
-    def counted(zs, jobs, **options):
-        runs = real(zs, jobs, **options)
-        calls.append((len(runs), runs[0].lanes))
+    def counted(jobs, **options):
+        runs = real(jobs, **options)
+        calls.append((len(runs), _native.lanes()))
         return runs
 
     monkeypatch.setattr(harness, "run_jobs", counted)
@@ -820,38 +820,64 @@ def test_meta_names_diverged_trials(type2, tmp_path):
     assert meta["first_nonfinite_step"] == "none"
 
 
+def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch):
+    """A source row holding a NaN renders a non-finite observation from
+    that sample on: the run completes, and meta.txt names every job as
+    diverged on that trial, first non-finite at the step that reads the
+    sample."""
+    real = harness.gen_proper_gaussian
+
+    def source(n, seed, **kwargs):
+        draw = real(n, seed, **kwargs)
+        if seed == SEED + 1:
+            draw.samples[100] = np.nan
+        return draw
+
+    monkeypatch.setattr(harness, "gen_proper_gaussian", source)
+    cfg = ExperimentConfig(experiment="bias", profile=type2, trials=2,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    step = str(100 - (cfg.M - 1))
+    diverged = {key: value for key, value in meta.items()
+                if key.startswith("diverged_trials[")}
+    assert len(diverged) == 4 and set(diverged.values()) == {"1"}, diverged
+    assert meta["diverged_trials"] == "4"
+    assert meta["first_nonfinite_step"] == step
+    for key in diverged:
+        label = key.removeprefix("diverged_trials")
+        assert meta[f"first_nonfinite_step{label}"] == step
+
+
 def test_phase_clock_counts_diverged_trials():
     """count_lms flags, by job, a trial that went non-finite or whose peak
     residual exceeds 1e3 times its mean |d|^2, keeps each job's earliest
-    non-finite step, and counts the lanes the calls report they filled: a
-    3-job call in 4 lanes, then a 1-job call in 1, then one call of two
-    trials' 4 jobs in 8 lanes."""
+    non-finite step, and counts the lanes the calls filled: a 3-job call in
+    4 lanes, then a 1-job call in 1, then one call of two trials' 4 jobs in
+    8 lanes; ``lms_lanes`` names the lanes of the last call."""
     x = gen_proper_gaussian(3000, seed=30).reference(1.0)
     xs = np.stack([x] * 3)
-    calm = dataclasses.replace(
-        run_batch(xs, xs, CancellerConfig(mu=0.01, M=M), keep_residuals=False), lanes=4)
+    calm = run_batch(xs, xs, CancellerConfig(mu=0.01, M=M), keep_residuals=False)
     grown = dataclasses.replace(calm, peak_residual=np.array([0.5, 2e3, 999.0]))
     broken = dataclasses.replace(calm, diverged=np.array([False, True, True]),
                      diverged_at=np.array([-1, 70, 40]))
     clock = harness.PhaseClock()
     [masks] = clock.count_lms([({"calm": calm, "grown": grown, "broken": broken},
-                                {"calm": 1.0, "grown": 1.0, "broken": 1.0})])
+                                {"calm": 1.0, "grown": 1.0, "broken": 1.0})], 4)
     assert {label: mask.tolist() for label, mask in masks.items()} == {
         "calm": [False] * 3, "grown": [False, True, False], "broken": [False, True, True]}
-    clock.count_lms([({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]),
-                                                     lanes=1)},
-                      {"broken": 1.0})])
+    clock.count_lms([({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]))},
+                      {"broken": 1.0})], 1)
     lines = clock.meta_lines()
     for line in ("diverged_trials = 5", "first_nonfinite_step = 40",
                  "diverged_trials[grown] = 1", "diverged_trials[broken] = 4",
                  "first_nonfinite_step[broken] = 40", "lms_calls = 2",
-                 "lms_lanes = 4", "lms_lane_fill = 0.8"):
+                 "lms_lanes = 1", "lms_lane_fill = 0.8"):
         assert line in lines, line
     assert not any("[calm]" in line for line in lines)
     # two trials of one call, each with its own powers and its own masks
-    wide = {"calm": dataclasses.replace(calm, lanes=8), "grown": dataclasses.replace(grown, lanes=8)}
+    wide = {"calm": calm, "grown": grown}
     first, second = clock.count_lms([(wide, {"calm": 1.0, "grown": 1.0}),
-                                     (wide, {"calm": 1.0, "grown": 3.0})])
+                                     (wide, {"calm": 1.0, "grown": 3.0})], 8)
     assert first["grown"].tolist() == [False, True, False]
     assert not second["grown"].any()
     lines = clock.meta_lines()
@@ -861,7 +887,8 @@ def test_phase_clock_counts_diverged_trials():
 
 
 def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
-    """An ``iter_trials`` generator over ``trials`` trials of type2 at -5 dBm."""
+    """An ``iter_trials`` generator over ``trials`` trials of type2 at -5 dBm,
+    one trial a group."""
     prof = type2.with_tx_power(-5.0)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=trials,
                               seed=SEED)
@@ -882,8 +909,8 @@ def test_run_trials_equals_one_call_per_trial(type2):
     k = type2.k_tiq
     points = [
         (low, {"plain": Job(CancellerConfig(mu=2 * alms_ms_bound(low.sigma_x2, M), M=M,
-                                            k_tiq=k), None)}),
-        (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k), None,
+                                            k_tiq=k), None, None)}),
+        (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k), None, None,
                               preconditioner=newton_preconditioner(
                                   rb_matrix(high.sigma_x2, k, M, N), M, N))})]
     rows = [stack_trials(config, *point, n) for point, _ in points]
@@ -894,9 +921,8 @@ def test_run_trials_equals_one_call_per_trial(type2):
         assert list(runs) == list(diverged) == ["plain", "newton"]
         for (xs, ds), (_, jobs) in zip(rows, points):
             for label, job in jobs.items():
-                [want] = run_jobs(xs[t], [job._replace(d=ds[t])], track_taps=(0, 5))
-                for name in (f.name for f in dataclasses.fields(BatchRun)
-                             if f.name != "lanes"):
+                [want] = run_jobs([job._replace(z=xs[t], d=ds[t])], track_taps=(0, 5))
+                for name in (f.name for f in dataclasses.fields(BatchRun)):
                     got, value = getattr(runs[label], name), getattr(want, name)
                     assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), \
                         (label, name)
@@ -915,10 +941,10 @@ def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):
     calls = []  # (step size, has a preconditioner, source row) of each job
     real = harness.run_jobs
 
-    def recorded(zs, jobs, **options):
+    def recorded(jobs, **options):
         calls.append([(job.config.mu, job.preconditioner is not None, job.z.ctypes.data)
                       for job in jobs])
-        return real(zs, jobs, **options)
+        return real(jobs, **options)
 
     monkeypatch.setattr(harness, "run_jobs", recorded)
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=5,
@@ -979,15 +1005,15 @@ def test_trial_rows_match_one_thread(type2):
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof)
     n = 3000 + M
-    for t, (draw, [obs], [power]) in enumerate(_trial_loop(type2, trials=4, n=n)):
+    for t, [(draw, [d], [power])] in enumerate(_trial_loop(type2, trials=4, n=n)):
         want = gen_proper_gaussian(n, seed=SEED + t)
         want_d = render_observation(want.reference(prof.natural_sigma_x2), channels,
                                     budget, prof,
                                     seed=SEED + harness._NOISE_SEED_OFFSET + t)
         time.sleep(0.02)  # the producer renders trial t + 1 meanwhile
         assert np.array_equal(draw.samples, want.samples)
-        assert np.array_equal(obs.d.samples, want_d.d.samples)
-        assert power == harness._mean_power(want_d.d.samples)
+        assert np.array_equal(d, want_d)
+        assert power == harness._mean_power(want_d)
 
 
 def test_phase_clock_counts_exactly_across_threads(type2):

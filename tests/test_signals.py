@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from fdsic._native import NormalStream, _pcg64_state
 from fdsic.harness import _NOISE_SEED_OFFSET
 from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
-                           SAMPLES_PER_SYMBOL, SUBCARRIERS, ComplexSequence,
-                           gen_ofdm_waveform, gen_proper_gaussian)
+                           SAMPLES_PER_SYMBOL, SUBCARRIERS, gen_ofdm_waveform,
+                           gen_proper_gaussian)
 
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
 # with mean s2, so E|x|^(2m) = m! s2^m. Cross-checked by brute force with an
@@ -250,9 +250,3 @@ def test_cauchy_schwarz_moment_inequality(seed, sigma):
     assert stats.abs_moment4 >= stats.variance ** 2 * (1 - 1e-12)
     assert stats.abs_moment6 >= 0
 
-
-def test_complex_sequence_validation():
-    with pytest.raises(ValueError):
-        ComplexSequence(np.array([], dtype=complex))
-    with pytest.raises(ValueError):
-        ComplexSequence(np.array([np.inf + 0j]))

@@ -401,10 +401,8 @@ def test_q3_diag_monte_carlo(type2):
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu=0.01)
     n = 1_000_000
     x = gen_proper_gaussian(n, seed=77).reference(s2)
-    obs = render_observation(x, channels, budget, prof, seed=78,
-                             components=True)
-    u = (obs.components["imd_si"] + obs.components["image_imd_si"]
-         + obs.components["thermal"] + obs.components["quantization"])
+    _, parts = render_observation(x, channels, budget, prof, seed=78, components=True)
+    u = parts["imd_si"] + parts["image_imd_si"] + parts["thermal"] + parts["quantization"]
     regs = regressor_matrix(x, M)
     prod = u[M - 1:, None] * np.conj(regs)
     b_hat = prod.mean(axis=0)

@@ -27,11 +27,11 @@ running the ALMS and ANCLMS jobs of both; convergence runs its two
 reference powers as one pass, its three jobs in one call; every other
 runner runs one point per pass. A runner still takes its results one trial
 at a time, in trial order (``run_trials``), and keeps only its science: it
-builds the jobs and reduces the per-trial runs across trials in trial
-order, and the averages that reach a CSV round as numpy's reductions of the
-old whole-batch arrays did: convergence streams each run's residual powers
-into a ``TrialMean``, which sums them in numpy's pairwise order, in place
-of a (steps, trials) matrix per run. ``power-budget`` runs no canceller and
+builds the jobs and reduces the per-trial runs across trials. In
+convergence a run's trial mean is its rows summed in trial order over the
+trial count, added as the trials come, in place of a (steps, trials)
+matrix per run; the sweep and bias keep a value or a tap matrix per trial
+and take numpy's sum or mean of it. ``power-budget`` runs no canceller and
 renders trial 0 at every grid point, a point at a time, from one draw, by
 ``_trial`` alone. Each plotted curve is backed by a CSV column, and
 ``meta.txt`` records the busy time of the generate, render and LMS phases,
@@ -162,8 +162,16 @@ class ExperimentConfig:
                              f"minimum steady-state window")
         for name in ("mu_frac", "mu_abs"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.experiment == "bias":
+            # bias runs mu and 2 mu, its columns labelled by their fractions
+            # of the bound: were either infinite, both would read "inf"
+            bound = alms_ms_bound(self.profile.natural_sigma_x2, self.M)
+            mu = _step_size(self, bound)[0]
+            if not math.isfinite(2 * mu):
+                raise ValueError(f"bias runs mu = {mu:.6g} and 2 mu, which must "
+                                 f"be finite")
         if self.experiment == "sinr-sweep":
             if len(set(self.tx_grid_dbm)) < len(self.tx_grid_dbm):
                 raise ValueError("the sweep's transmit-power grid repeats a point")
@@ -326,7 +334,6 @@ def _theory(clock: PhaseClock):
 
 @dataclass
 class ExperimentReport:
-    experiment: str
     csv_paths: list[Path] = field(default_factory=list)
     svg_paths: list[Path] = field(default_factory=list)
     meta_path: Path | None = None
@@ -829,67 +836,6 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
 # convergence (condition-number landscape and whitening speed-up)
 # ---------------------------------------------------------------------------
 
-class TrialMean:
-    """The mean over ``count`` rows, added one at a time in trial order by
-    ``add``, equal bit for bit to ``np.mean(m, axis=1)`` of the C-contiguous
-    ``(n, count)`` matrix m whose columns are the rows: numpy sums such a
-    contiguous axis pairwise, and this sums the rows in the same order
-    while holding at most eight sums per level.
-
-    numpy's pairwise sum of k values (``pairwise_sum`` of its add loop)
-    adds fewer than 8 in sequence onto 0.0; up to 128, it keeps 8 sums,
-    value i joining sum i mod 8, combines them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the values
-    past the last whole 8 in sequence; above 128, it adds the pairwise sums
-    of the first k // 2 - (k // 2) % 8 values and of the rest. The reduction
-    adds that sum to its start value, 0.0, and the mean divides by
-    ``count``.
-    """
-
-    def __init__(self, count: int):
-        if count < 1:
-            raise ValueError("TrialMean needs at least one row")
-        self.count = count
-        self.added = 0
-        self.total = None  # the sum of every row, once all are in
-        if count > 128:
-            half = count // 2 - count // 2 % 8
-            self._parts = (TrialMean(half), TrialMean(count - half))
-        else:
-            self._parts = None
-            self._sums = []
-
-    def add(self, row: np.ndarray) -> None:
-        if self.added == self.count:
-            raise ValueError(f"TrialMean takes {self.count} rows")
-        i, self.added = self.added, self.added + 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self._parts:
-                first, rest = self._parts
-                (first if i < first.count else rest).add(row)
-                if self.added == self.count:
-                    self.total, self._parts = first.total + rest.total, None
-                return
-            whole = self.count - self.count % 8
-            if i >= whole:  # in sequence: all of fewer than 8, else the rest
-                self.total = (0.0 if i == 0 else self.total) + row
-            elif i < 8:
-                self._sums.append(np.array(row, dtype=np.float64))
-            else:
-                self._sums[i % 8] += row
-            if i == whole - 1:
-                r = self._sums
-                self.total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-                self._sums = []
-
-    def mean(self) -> np.ndarray:
-        """The mean of the ``count`` rows, all of which must be in."""
-        if self.added < self.count:
-            raise ValueError(f"TrialMean has {self.added} of its {self.count} rows")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (0.0 + self.total) / self.count
-
-
 def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> int:
     """First iteration index whose smoothed SINR stays within 1 dB of target."""
     ok = sinr_db >= target_db - 1.0
@@ -963,15 +909,17 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
                                             preconditioner=newton)}),
               (_point(config, prof, s_sub),
                {"anclms_suboptimal": Job(cfg(mu_sub), None, None)})]
-    # each run's mean residual power over the trials, summed as the trials
-    # come, in numpy's order
-    means = {label: TrialMean(config.trials) for _, jobs in points for label in jobs}
+    # each run's residual powers summed in trial order as the trials come; a
+    # diverged trial's huge or non-finite row may overflow the sum
+    sums = dict.fromkeys((label for _, jobs in points for label in jobs), 0.0)
     for _, runs, _ in run_trials(config, points, n_iters + config.M, report.clock):
-        for label, run in runs.items():
-            means[label].add(run.residual_power[0])
-    for label, mean in means.items():
-        smooth = mean.mean()[: n_points * block]
-        smooth = smooth.reshape(-1, block).mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for label, run in runs.items():
+                sums[label] += run.residual_power[0]
+    for label, total in sums.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = total / config.trials
+        smooth = mean[: n_points * block].reshape(-1, block).mean(axis=1)
         curves[label] = lin_to_db(budget.p_x_soi / smooth)
 
     # small-step theory overlay for the raw run at the optimal power
@@ -1023,6 +971,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     """Converged/diverged verdicts at fractions of the step-size bounds."""
     point = _point(config, config.profile.with_tx_power(config.tx_grid_dbm[0]))
     prof, channels, budget, s2 = point
+    report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
     noise = budget.sigma_v2 + budget.sigma_q2
 
     with _theory(report.clock):
@@ -1133,7 +1082,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _native.library()
     out = Path(config.output_dir) if config.output_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(config.experiment)
+    report = ExperimentReport()
     _RUNNERS[config.experiment](config, report, out)
     _write_meta(report, config, out, started)
     return report

@@ -228,11 +228,6 @@ class RbSpectrum:
     lam3: float
     multiplicities: tuple[int, int, int]
 
-    def as_vector(self) -> np.ndarray:
-        return np.repeat([self.lam2, self.lam1, self.lam3],
-                         [self.multiplicities[1], self.multiplicities[0],
-                          self.multiplicities[2]])
-
 
 def rb_eigenvalues(sigma_x2: float, k_tiq: float, M: int, N: int) -> RbSpectrum:
     """Exact eigenvalues of the nonlinear-regressor covariance.

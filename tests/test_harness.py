@@ -121,7 +121,7 @@ def test_mu_frac_defaults(type2, tmp_path):
             ("sinr-sweep", {"mu_frac": 0.02}, 0.02 * bound, ("mu_frac", "0.02")),
             ("bias", {"mu_abs": 1e-3}, 1e-3, ("mu_abs", "0.001"))):
         cfg = ExperimentConfig(experiment=experiment, profile=type2, **options)
-        report = harness.ExperimentReport(experiment)
+        report = harness.ExperimentReport()
         assert harness._resolve_mu(cfg, bound, report) == mu
         assert report.meta == dict([line])
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=1,
@@ -207,7 +207,7 @@ def _cli_config(argv, monkeypatch) -> ExperimentConfig:
 
     def record(config):
         configs.append(config)
-        return harness.ExperimentReport(config.experiment)
+        return harness.ExperimentReport()
 
     monkeypatch.setattr(cli, "run_experiment", record)
     assert cli_main(argv) == 0
@@ -358,6 +358,9 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["sinr-sweep", "--mu-frac", "1.2"],  # at or above the ALMS mean-square bound
     ["sinr-sweep", "--mu", "1e6"],
     ["sinr-sweep", "--tx-grid", "5,0,5"],  # a repeated grid point
+    ["bias", "--mu", "inf"],
+    ["bias", "--mu-frac", "inf"],
+    ["bias", "--mu-frac", "1e308"],  # mu, or 2 mu, overflows at the profile's bound
     ["power-budget", "--config", "{tmp}"],  # a directory
     ["power-budget", "--out", "{tmp}/a-file"],
     ["power-budget", "--out", "{tmp}/a-file/run"],
@@ -822,9 +825,10 @@ def test_meta_names_diverged_trials(type2, tmp_path):
 
 def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch):
     """A source row holding a NaN renders a non-finite observation from
-    that sample on: the run completes, and meta.txt names every job as
-    diverged on that trial, first non-finite at the step that reads the
-    sample."""
+    that sample on: a bias or convergence run completes, convergence's
+    trial sums taking the non-finite row included, and meta.txt names each
+    of its jobs as diverged on that trial, first non-finite at the step
+    that reads the sample."""
     real = harness.gen_proper_gaussian
 
     def source(n, seed, **kwargs):
@@ -834,18 +838,20 @@ def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch)
         return draw
 
     monkeypatch.setattr(harness, "gen_proper_gaussian", source)
-    cfg = ExperimentConfig(experiment="bias", profile=type2, trials=2,
-                           iterations=3000, seed=SEED, output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
-    step = str(100 - (cfg.M - 1))
-    diverged = {key: value for key, value in meta.items()
-                if key.startswith("diverged_trials[")}
-    assert len(diverged) == 4 and set(diverged.values()) == {"1"}, diverged
-    assert meta["diverged_trials"] == "4"
-    assert meta["first_nonfinite_step"] == step
-    for key in diverged:
-        label = key.removeprefix("diverged_trials")
-        assert meta[f"first_nonfinite_step{label}"] == step
+    for experiment, jobs in (("bias", 4), ("convergence", 3)):
+        cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
+                               iterations=3000, seed=SEED,
+                               output_dir=tmp_path / experiment)
+        meta = _meta(run_experiment(cfg))
+        step = str(100 - (cfg.M - 1))
+        diverged = {key: value for key, value in meta.items()
+                    if key.startswith("diverged_trials[")}
+        assert len(diverged) == jobs and set(diverged.values()) == {"1"}, diverged
+        assert meta["diverged_trials"] == str(jobs)
+        assert meta["first_nonfinite_step"] == step
+        for key in diverged:
+            label = key.removeprefix("diverged_trials")
+            assert meta[f"first_nonfinite_step{label}"] == step
 
 
 def test_phase_clock_counts_diverged_trials():
@@ -1096,10 +1102,10 @@ def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
 def test_convergence_memory_does_not_grow_with_trials(type2, tmp_path):
     """convergence holds two groups of trials' rows at a time, a group the
     lanes / gcd(lanes, 3) trials whose three jobs share a kernel call, and
-    sums each run's residual powers as the trials come (``TrialMean``), not
-    in a (steps, trials) matrix per run: its traced peak at 8 groups' trials
-    stays within 1.25x of its peak at 2 groups' (a first, untraced run takes
-    the one-time allocations of the process)."""
+    sums each run's rows of residual powers as the trials come, into one
+    row per run, not in a (steps, trials) matrix per run: its traced peak
+    at 8 groups' trials stays within 1.25x of its peak at 2 groups' (a
+    first, untraced run takes the one-time allocations of the process)."""
     group = _native.lanes() // math.gcd(_native.lanes(), 3)
     peaks = {}
     for trials in (1, 2 * group, 8 * group):
@@ -1116,52 +1122,6 @@ def test_convergence_memory_does_not_grow_with_trials(type2, tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[8 * group] <= 1.25 * peaks[2 * group], peaks
-
-
-def _trial_rows(count: int, n: int = 301) -> list[np.ndarray]:
-    """``count`` rows of n residual powers spanning 16 decades, with an
-    infinity, a NaN and both at once in some columns."""
-    rng = np.random.default_rng(count)
-    rows = [10.0 ** rng.uniform(-8, 8, n) for _ in range(count)]
-    rows[count // 2][3] = np.inf
-    rows[-1][4] = np.nan
-    rows[0][5] = np.inf
-    rows[count // 3][5] = np.nan
-    return rows
-
-
-@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 50, 128, 129, 300])
-def test_trial_mean_sums_in_numpys_order(count):
-    """TrialMean, fed one row per trial, gives the bits of np.mean and of
-    np.add.reduce over axis 1 of the rows stacked as columns (numpy's
-    pairwise sum of a contiguous axis), infinities and NaNs included."""
-    rows = _trial_rows(count)
-    stacked = np.stack(rows, axis=1)
-    mean = harness.TrialMean(count)
-    for row in rows:
-        mean.add(row)
-    got = mean.mean()
-    assert got.tobytes() == np.mean(stacked, axis=1).tobytes()
-    assert got.tobytes() == (np.add.reduce(stacked, axis=1) / count).tobytes()
-    assert np.isinf(got[3]) and np.isnan(got[4]) and np.isnan(got[5])
-    with pytest.raises(ValueError, match="takes"):
-        mean.add(rows[0])
-
-
-def test_trial_mean_order_is_not_the_sequential_sum():
-    """The check above can tell the orders apart: at 50 rows, adding them
-    in sequence rounds differently from numpy's pairwise sum, and a
-    TrialMean still missing a row has no mean."""
-    rows = _trial_rows(50)
-    sequential = rows[0].copy()
-    for row in rows[1:]:
-        sequential += row
-    assert (sequential / 50).tobytes() != np.mean(np.stack(rows, axis=1), axis=1).tobytes()
-    mean = harness.TrialMean(50)
-    for row in rows[1:]:
-        mean.add(row)
-    with pytest.raises(ValueError, match="49 of its 50"):
-        mean.mean()
 
 
 def test_resolve_profile_default():
@@ -1185,13 +1145,15 @@ def test_bias_plateau_earlier_for_larger_mu(type2, tmp_path):
 
 
 def test_bounds_probe_records_first_divergence(type2, tmp_path):
-    """meta.txt names the probed step sizes and, for each, when the diverged
-    trials blew up, and counts the diverged trials of each as the CSV does."""
+    """meta.txt names the transmit power probed, the first of the grid, the
+    probed step sizes and, for each, when the diverged trials blew up, and
+    counts the diverged trials of each as the CSV does."""
     cfg = ExperimentConfig(experiment="bounds-probe", profile=type2, trials=2,
-                           iterations=6000, tx_grid_dbm=(-5.0,), seed=SEED,
+                           iterations=6000, tx_grid_dbm=(-5.0, 10.0), seed=SEED,
                            output_dir=tmp_path)
     report = run_experiment(cfg)
     lines = _meta(report)
+    assert lines["tx_power_dbm"] == "-5"
     for row in report.tables["rows"]:
         label = f"{row['variant']}_mu{row['mu_frac']:g}"
         assert int(lines.get(f"diverged_trials[{label}]", 0)) == row["n_diverged"]

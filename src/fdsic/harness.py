@@ -73,6 +73,7 @@ import ctypes
 import functools
 import itertools
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -361,14 +362,21 @@ class ExperimentReport:
             self.svg_paths.append(plot(*args))
 
 
-def _fmt_column(values) -> list[str]:
-    """Every value of a column as ``str(int)`` if the column's numpy dtype
-    is an integer (or bool) type, else as a float to 9 significant digits
-    (".9g" writes every NaN as nan and the infinities as inf and -inf)."""
+def _column(values) -> tuple[str, list]:
+    """A column's format and its values as Python numbers: ``%d`` if the
+    column's numpy dtype is an integer (or bool) type, else ``%.9g`` of the
+    values as floats (".9g" writes every NaN as nan and the infinities as
+    inf and -inf)."""
     column = np.asarray(values)
     if column.dtype.kind in "biu":
-        return [str(int(v)) for v in column.tolist()]
-    return [f"{v:.9g}" for v in column.astype(float).tolist()]
+        return "%d", column.tolist()
+    return "%.9g", column.astype(float).tolist()
+
+
+def _fmt_column(values) -> list[str]:
+    """Every value of a column as ``_column`` formats it."""
+    fmt, column = _column(values)
+    return [fmt % v for v in column]
 
 
 def _fmt(v) -> str:
@@ -377,12 +385,14 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
-    """First column ``x_name``, one column per curve, 9 significant digits:
-    one row per x value, each curve's values after the last row unwritten."""
-    x_column = _fmt_column(x_values)
-    columns = [x_column, *(_fmt_column(c)[:len(x_column)] for c in curves.values())]
+    """First column ``x_name``, one column per curve, each written as
+    ``_fmt_column`` writes it: one row per x value, each curve's values
+    after the last row unwritten."""
+    fmts, columns = zip(_column(x_values), *map(_column, curves.values()))
+    rows = len(columns[0])
+    row = ",".join(fmts)
     lines = [",".join([x_name, *curves.keys()]),
-             *map(",".join, zip(*columns, strict=True))]
+             *(row % values for values in zip(*(c[:rows] for c in columns), strict=True))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -476,21 +486,27 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
     each (``_mean_power``, timed as rendering). ``clock`` also times the
     waits for each group.
 
-    One producer thread generates and renders the groups in order into two
-    sets of rows, one source row and one observation row per point for each
-    trial of a group, group g + 1 while the caller runs group g, so a
-    group's rows are overwritten once the caller asks for the group after
-    it: a consumer copies whatever it keeps. Only the
-    ``config.trials`` trials asked for are made (a caller that wants fewer
-    passes a config with fewer). An error in the producer is raised here
-    with its own type; an error in the caller, or closing the generator,
-    lets the producer finish the group in hand and joins its thread.
+    One producer thread, ``fdsic-trials``, started once for the whole loop,
+    generates and renders the groups in order into two sets of rows, one
+    source row and one observation row per point for each trial of a
+    group, group g + 1 while the caller runs group g: two semaphores hand
+    each group over and let the producer start the next, so a group's rows
+    are overwritten once the caller asks for the group after it: a consumer
+    copies whatever it keeps. Only the ``config.trials`` trials asked for
+    are made (a caller that wants fewer passes a config with fewer). An
+    error in the producer is raised here with its own type; an error in the
+    caller, or closing the generator, lets the producer finish the group in
+    hand and joins its thread.
     """
     firsts = range(0, config.trials, group)
     rows = [[(np.empty(n, dtype=np.complex128),
               [np.empty(n, dtype=np.complex128) for _ in points])
              for _ in range(min(config.trials, group))]
             for _ in range(min(len(firsts), 2))]
+    asked = threading.Semaphore(1)   # one per group the producer may make
+    handed = threading.Semaphore(0)  # one per group made, or for its error
+    slot = []                        # that group, or the producer's error
+    stopping = False
 
     def make(first: int):
         made = []
@@ -503,20 +519,37 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
             made.append((draw, ds, powers))
         return made
 
-    # imported here, not at the top: concurrent.futures imports logging,
-    # about 5 ms of the CLI's start-up
-    from concurrent.futures import ThreadPoolExecutor
+    def produce():
+        try:
+            for first in firsts:
+                asked.acquire()
+                if stopping:
+                    return
+                slot.append(make(first))
+                handed.release()
+        except BaseException as exc:  # handed over, raised in the caller
+            slot.append(exc)
+            handed.release()
 
-    with ThreadPoolExecutor(1, thread_name_prefix="fdsic-trials") as producer:
-        pending = producer.submit(make, 0)
-        for first in firsts:
+    # a daemon, so that a loop left unfinished and unclosed cannot hold up
+    # the interpreter's exit with its producer waiting for a request
+    producer = threading.Thread(target=produce, name="fdsic-trials", daemon=True)
+    producer.start()
+    try:
+        for _ in firsts:
             with clock.phase("wait"):
-                made = pending.result()
-            if first + group < config.trials:
-                # the caller is done with the group before this one, whose
-                # rows take the next
-                pending = producer.submit(make, first + group)
+                handed.acquire()
+            made = slot.pop()
+            if isinstance(made, BaseException):
+                raise made
+            # the caller is done with the group before this one, whose rows
+            # take the next (if there is one)
+            asked.release()
             yield made
+    finally:
+        stopping = True
+        asked.release()
+        producer.join()
 
 
 def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job]]],
@@ -836,6 +869,20 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
 # convergence (condition-number landscape and whitening speed-up)
 # ---------------------------------------------------------------------------
 
+def _median(values) -> float:
+    """The median of a non-empty sequence of numbers, with ``np.median``'s
+    bits: the middle value of an odd count, the two middle values'
+    (a + b) / 2 of an even count (as ``np.mean`` rounds it), and NaN if any
+    value is NaN. ``np.median`` would import ``numpy.ma`` on its first call."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64), axis=None)
+    mid = len(ordered) // 2
+    if np.isnan(ordered[-1]):  # NaN sorts last
+        return ordered[-1]
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
+
+
 def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> int:
     """First iteration index whose smoothed SINR stays within 1 dB of target."""
     ok = sinr_db >= target_db - 1.0
@@ -941,7 +988,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
 
     reach = {}
     for label in ("anclms_optimal", "anclms_suboptimal", "anclms_whitened"):
-        steady = np.median(curves[label][-max(n_points // 10, 1):])
+        steady = _median(curves[label][-max(n_points // 10, 1):])
         reach[label] = _iterations_to_within(curves[label], steady, block)
         report.meta[f"iters_to_1db_{label}"] = str(reach[label])
     report.tables["reach"] = reach
@@ -1022,7 +1069,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
             "verdict": "diverged" if n_div > config.trials // 2 else "converged",
             "theory_mse": j_theory,
             "mean_mse": float(conv.mean()) if conv.size else math.inf,
-            "median_mse": float(np.median(steady_mse)),
+            "median_mse": float(_median(steady_mse)),
         })
 
     axis = np.arange(len(rows))
@@ -1058,7 +1105,7 @@ def _divergence_note(diverged_at: np.ndarray) -> str:
     steps = diverged_at[diverged_at >= 0]
     if steps.size == 0:
         return "none"
-    return f"n={steps.size} earliest={steps.min()} median={np.median(steps):g}"
+    return f"n={steps.size} earliest={steps.min()} median={_median(steps):g}"
 
 
 _RUNNERS = {

@@ -108,7 +108,9 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
         # each run of finite samples is one polyline
         edges = np.flatnonzero(np.diff(np.concatenate([[0], np.isfinite(ys), [0]])))
         for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
-            points = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(px[lo:hi], py[lo:hi]))
+            coords = [0.0] * (2 * (hi - lo))  # x0, y0, x1, y1, ...
+            coords[::2], coords[1::2] = px[lo:hi], py[lo:hi]
+            points = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(coords)
             curve_parts.append(f'<polyline points="{points}" fill="none" '
                                f'stroke="{color}" stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * ci

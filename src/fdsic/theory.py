@@ -25,6 +25,7 @@ Two condition-number figures coexist deliberately:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -334,49 +335,55 @@ def fourth_moment(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnclmsMsAnalysis:
-    """Fourth-moment analysis backing the mean-square step-size bound."""
+    """Fourth-moment analysis of the nonlinear canceller at one operating
+    point: the regressor covariance R, S = I kron R + R kron I and the
+    fourth-moment matrix T, all exactly symmetric.
 
-    bound: float
+    ``bound``, the mean-square step-size bound, is computed on first read
+    and kept: a run that only needs S and T (the convergence transient)
+    never pays for it.
+    """
+
     s_mat: np.ndarray
     t_mat: np.ndarray
     r_mat: np.ndarray
 
+    @functools.cached_property
+    def bound(self) -> float:
+        """The mean-square step-size bound 1/lam_max[S^-1 T] (inf if
+        lam_max <= 0). lam_max[S^-1 T] is the largest eigenvalue of
+        L^-1 T L^-T with S = L L^T."""
+        chol = np.linalg.cholesky(self.s_mat)
+        half = np.linalg.solve(chol, self.t_mat)
+        lam_vec = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
+        return 1.0 / lam_vec if lam_vec > 0 else math.inf
+
 
 def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
                        N: int) -> AnclmsMsAnalysis:
-    """Assemble S, T and the mean-square step-size bound 1/lam_max[S^-1 T].
+    """Assemble R, S and T of the mean-square analysis, whose ``bound`` is
+    1/lam_max[S^-1 T].
 
     S = I kron R + R kron I uses the analytic covariance R and T is the exact
     fourth-moment matrix (``fourth_moment``), so the analysis depends on the
-    operating point alone. lam_max[S^-1 T] is the largest eigenvalue of
-    L^-1 T L^-T with S = L L^T. N = 0 gives the widely linear bound
+    operating point alone. N = 0 gives the widely linear bound
     1/((M+1) s2). The bound of the companion matrix
     Gamma = [[S/2, -T/2], [I, 0]], 1/lam_max[Gamma] over its real positive
     eigenvalues, was never the tighter one at the operating points checked,
     so it is not computed here; a test keeps that cross-check.
 
-    Raises ``DegenerateInputError`` if R is singular (``check_nonsingular``):
-    the eigenvalues of S are the pairwise sums of R's, so S is singular by
-    the same relative rule exactly when R is.
+    Raises ``DegenerateInputError`` if R is singular (``check_nonsingular``),
+    here rather than at the first read of ``bound``: the eigenvalues of S
+    are the pairwise sums of R's, so S is singular by the same relative rule
+    exactly when R is.
     """
     dim = 2 * (M + N)
     r_mat = rb_matrix(sigma_x2, k_tiq, M, N)
     check_nonsingular(r_mat)
     eye = np.eye(dim)
     s_mat = np.kron(eye, r_mat) + np.kron(r_mat, eye)
-    t_mat = fourth_moment(sigma_x2, k_tiq, M, N)
-
-    # the pencil (T, S) through S = L L^T: eig(T, S) = eig(L^-1 T L^-T)
-    chol = np.linalg.cholesky(s_mat)
-    half = np.linalg.solve(chol, t_mat)
-    lam_vec = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
-
-    return AnclmsMsAnalysis(
-        bound=1.0 / lam_vec if lam_vec > 0 else math.inf,
-        s_mat=s_mat,
-        t_mat=t_mat,
-        r_mat=r_mat,
-    )
+    return AnclmsMsAnalysis(s_mat=s_mat, t_mat=fourth_moment(sigma_x2, k_tiq, M, N),
+                            r_mat=r_mat)
 
 
 def anclms_steady_mse(inputs: TheoryInputs) -> float:
@@ -410,22 +417,26 @@ def anclms_transient(analysis: AnclmsMsAnalysis, sigma_n2: float, mu: float,
                      w0_error: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Predicted MSE J(n) at the requested iterations.
 
-    Diagonalizes the vectorized transition matrix F = I - mu S + mu^2 T once
-    and evaluates J(n) = J_inf + sum_m c_m lam_m^n.
+    The vectorized transition matrix F = I - mu S + mu^2 T is real and
+    exactly symmetric, as S and T are, so its symmetric eigensolve
+    F = V diag(lam) V^T gives real eigenvalues and orthonormal eigenvectors,
+    and J(n) = J_inf + sum_m c_m lam_m^n with
+    c = (vec(R)^T V) * (V^T (k0 - k_inf)). Only the real part of
+    k0 = vec(w0 w0^H) reaches J, since F and vec(R) are real.
     """
     iters = np.asarray(iters)
     dim2 = analysis.s_mat.shape[0]
     f_mat = np.eye(dim2) - mu * analysis.s_mat + mu ** 2 * analysis.t_mat
-    lam, v_mat = np.linalg.eig(f_mat)
+    lam, v_mat = np.linalg.eigh(f_mat)
     vec_r = analysis.r_mat.reshape(-1)
 
-    k0 = np.outer(w0_error, np.conj(w0_error)).reshape(-1)
+    k0 = np.outer(w0_error, np.conj(w0_error)).real.reshape(-1)
     drive = mu ** 2 * sigma_n2 * vec_r
     k_inf = np.linalg.solve(np.eye(dim2) - f_mat, drive)
-    coef = (vec_r @ v_mat) * np.linalg.solve(v_mat, k0 - k_inf)
-    j_inf = sigma_n2 + np.real(vec_r @ k_inf)
+    coef = (vec_r @ v_mat) * ((k0 - k_inf) @ v_mat)
+    j_inf = sigma_n2 + vec_r @ k_inf
     powers = lam[None, :] ** iters[:, None]
-    return j_inf + np.real(powers @ coef)
+    return j_inf + powers @ coef
 
 
 # --------------------------------------------------------------------------

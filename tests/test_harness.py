@@ -625,11 +625,12 @@ from pathlib import Path
 from fdsic.harness import ExperimentConfig, run_experiment
 from fdsic.transceiver import builtin_profile
 out = Path(tempfile.mkdtemp())
-for experiment in ("bias", "sinr-sweep"):
+for experiment in ("bias", "sinr-sweep", "convergence"):
     run_experiment(ExperimentConfig(experiment=experiment, profile=builtin_profile("type2"),
                                     trials=3, iterations=3000, tx_grid_dbm=(-5.0, 5.0, 15.0),
                                     output_dir=out / experiment))
-loaded = sorted(name for name in ("numpy.random", "_hashlib", "hashlib", "secrets")
+loaded = sorted(name for name in ("numpy.random", "_hashlib", "hashlib", "secrets",
+                                  "numpy.ma", "concurrent.futures", "logging")
                 if name in sys.modules)
 sys.path.insert(0, sys.argv[1])
 from test_golden import GOLDEN, experiment_digests  # hashes with hashlib
@@ -639,21 +640,38 @@ print(json.dumps([loaded, "numpy.random" in sys.modules, ofdm_matches]))
 """
 
 
-def test_gaussian_runs_import_no_numpy_random():
-    """Gaussian bias and sinr-sweep runs in a fresh process draw their
-    channels, sources and noise without importing ``numpy.random`` or
-    OpenSSL's ``_hashlib`` (each adds resident memory), and an OFDM run
-    after them imports ``numpy.random`` for its symbols and still matches
-    its golden digests."""
+@pytest.fixture(scope="module")
+def import_probe():
+    """What a fresh process imports running Gaussian bias, sinr-sweep and
+    convergence (``_IMPORT_PROBE``): the modules of its list it loaded,
+    whether a later OFDM run loaded ``numpy.random``, and whether that run
+    matched its golden digests."""
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tests)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, ofdm_loaded, ofdm_matches = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_gaussian_runs_import_no_numpy_random(import_probe):
+    """Gaussian bias, sinr-sweep and convergence runs in a fresh process
+    draw their channels, sources and noise without importing
+    ``numpy.random`` or OpenSSL's ``_hashlib`` (each adds resident memory),
+    and an OFDM run after them imports ``numpy.random`` for its symbols and
+    still matches its golden digests."""
+    loaded, ofdm_loaded, ofdm_matches = import_probe
+    assert not {"numpy.random", "_hashlib", "hashlib", "secrets"} & set(loaded)
     assert ofdm_loaded and ofdm_matches
+
+
+def test_gaussian_runs_import_no_numpy_ma_or_futures(import_probe):
+    """The same runs import neither ``numpy.ma`` (``np.median`` would, on
+    its first call) nor ``concurrent.futures`` and the ``logging`` it pulls
+    in: their import costs a fresh run milliseconds it does not need."""
+    loaded, _, _ = import_probe
+    assert not {"numpy.ma", "concurrent.futures", "logging"} & set(loaded)
 
 
 @pytest.mark.parametrize("experiment", ["bias", "power-budget"])
@@ -1059,6 +1077,20 @@ def test_producer_error_reaches_the_caller(type2, tmp_path, monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_producer_makes_every_group_on_one_thread(type2, monkeypatch):
+    """One long-lived producer thread, named ``fdsic-trials``, makes every
+    group of a run of four groups: it lives for the whole loop instead of
+    a thread per group, each of which would take fresh malloc-arena
+    memory."""
+    threads = []  # the thread that made each trial
+    real = harness._trial
+    monkeypatch.setattr(harness, "_trial", lambda *a: threads.append(
+        (threading.get_ident(), threading.current_thread().name)) or real(*a))
+    assert len(list(_trial_loop(type2, trials=4))) == 4
+    assert len(threads) == 4 and len(set(threads)) == 1
+    assert threads[0][0] != threading.get_ident() and threads[0][1] == "fdsic-trials"
+
+
 def test_caller_error_or_close_joins_the_producer(type2):
     """An error in the caller's loop, or closing the generator after one
     trial, ends the producer thread."""
@@ -1072,6 +1104,52 @@ def test_caller_error_or_close_joins_the_producer(type2):
     assert threading.active_count() == threads + 1
     trials.close()
     assert threading.active_count() == threads
+
+
+def test_convergence_leaves_the_bound_uncomputed(type2, tmp_path, monkeypatch):
+    """convergence reads S, T and R of its fourth-moment analysis for the
+    transient overlay, never the mean-square bound, so the bound's
+    factorisation and eigensolve never run."""
+    analyses = []
+    real = harness.anclms_ms_analysis
+    monkeypatch.setattr(harness, "anclms_ms_analysis",
+                        lambda *a: analyses.append(real(*a)) or analyses[-1])
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=1,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    run_experiment(cfg)
+    assert len(analyses) == 1 and "bound" not in vars(analyses[0])
+
+
+_MEDIAN_CASES = {
+    "single": [3.0],
+    "even2": [2.0, 1.0],
+    "odd3": [5.0, -1.0, 2.0],
+    "even4": [0.1, 0.7, 0.2, 0.3],
+    "odd201": list(np.random.default_rng(SEED).normal(size=201)),
+    "even200-huge": list(np.random.default_rng(SEED + 1).normal(size=200) * 1e300),
+    "odd-infs": [np.inf, 1.0, -np.inf],
+    "even-opposite-infs": [np.inf, -np.inf],
+    "even-inf": [np.inf, 1.0],
+    "even-minus-infs": [-np.inf, -np.inf],
+    "nan": [1.0, np.nan, 2.0],
+    "nan-alone": [np.nan],
+    "nan-even": [1.0, 2.0, np.nan, -np.inf],
+    "int-odd": [7, 2, 9],
+    "int-even": [4, 1, 3, 8],
+    "int-above-2**53": [2 ** 60 + 1, 3, 2 ** 60 + 3, 5],
+    "int-single": [-5],
+}
+
+
+@pytest.mark.parametrize("values", _MEDIAN_CASES.values(), ids=_MEDIAN_CASES)
+def test_median_equals_numpys(values):
+    """``harness._median`` returns ``np.median``'s bits on odd and even
+    counts, infinities, NaN, integers and a single value."""
+    with np.errstate(invalid="ignore"):  # inf - inf in numpy's mean
+        want = np.median(np.array(values))
+    got = harness._median(np.array(values))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    assert harness._median(values) == got or math.isnan(got)
 
 
 def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):

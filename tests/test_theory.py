@@ -479,3 +479,71 @@ def test_anclms_exact_vs_transient(lowpower_setup, lowpower_ms_analysis):
     # and the approximate closed form sits within a few percent at this mu
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
     assert anclms_steady_mse(inputs) == pytest.approx(j_exact, rel=0.05)
+
+
+@pytest.mark.parametrize("m, n", [(5, 4), (4, 2), (3, 0)])
+@pytest.mark.parametrize("profile", ["type1", "type2"])
+def test_mean_square_matrices_are_exactly_symmetric(profile, m, n, request):
+    """S, T and the transition matrix F = I - mu S + mu^2 T are symmetric
+    bit for bit, at the profile's own power and at the power that
+    minimizes the condition number, so a symmetric eigensolve of F is
+    exact."""
+    prof = request.getfixturevalue(profile)
+    for sigma_x2 in (prof.natural_sigma_x2, optimal_sigma_x2(prof.k_tiq)):
+        ana = theory.anclms_ms_analysis(sigma_x2, prof.k_tiq, m, n)
+        mu = 0.1 * alms_ms_bound(sigma_x2, m)
+        f_mat = np.eye(len(ana.s_mat)) - mu * ana.s_mat + mu ** 2 * ana.t_mat
+        for mat in (ana.r_mat, ana.s_mat, ana.t_mat, f_mat):
+            assert np.array_equal(mat, mat.T)
+
+
+def _transient_by_eig(analysis, sigma_n2, mu, w0_error, iters):
+    """``anclms_transient`` by a general eigensolve of F and a complex
+    solve against its eigenvectors."""
+    iters = np.asarray(iters)
+    dim2 = analysis.s_mat.shape[0]
+    f_mat = np.eye(dim2) - mu * analysis.s_mat + mu ** 2 * analysis.t_mat
+    lam, v_mat = np.linalg.eig(f_mat)
+    vec_r = analysis.r_mat.reshape(-1)
+    k0 = np.outer(w0_error, np.conj(w0_error)).reshape(-1)
+    k_inf = np.linalg.solve(np.eye(dim2) - f_mat, mu ** 2 * sigma_n2 * vec_r)
+    coef = (vec_r @ v_mat) * np.linalg.solve(v_mat, k0 - k_inf)
+    j_inf = sigma_n2 + np.real(vec_r @ k_inf)
+    return j_inf + np.real((lam[None, :] ** iters[:, None]) @ coef)
+
+
+def test_anclms_transient_matches_the_eig_formula(type2, lowpower_setup,
+                                                  lowpower_ms_analysis):
+    """The symmetric eigensolve gives the transient of the general one to
+    1e-9: at convergence's point (15 dBm, the optimal reference power, mu
+    0.005 of the mean bound, a cold start) and at -5 dBm near a tenth of
+    the mean-square bound from the Wiener solution's negative."""
+    prof = type2.with_tx_power(15.0)
+    k = prof.k_tiq
+    s_opt = optimal_sigma_x2(k)
+    channels = synthesize_channels(prof, M, N, seed=SEED, sigma_x2=s_opt)
+    budget = compute_noise_budget(prof)
+    low, low_channels, low_budget = lowpower_setup
+    cases = [(theory.anclms_ms_analysis(s_opt, k, M, N), budget,
+              0.005 * anclms_mean_bound(s_opt, k, M, N), channels),
+             (lowpower_ms_analysis, low_budget, 0.1 * lowpower_ms_analysis.bound,
+              low_channels)]
+    iters = np.concatenate([np.arange(50, 20_000, 100), [0, 1, 10 ** 6]])
+    for ana, noise, mu, ch in cases:
+        args = (ana, noise.sigma_v2 + noise.sigma_q2, mu, -ch.stacked_nonlinear(),
+                iters)
+        want = _transient_by_eig(*args)
+        np.testing.assert_allclose(anclms_transient(*args), want, rtol=1e-9, atol=0)
+
+
+def test_bound_is_computed_on_first_read_with_its_eager_bits():
+    """``bound`` is not computed by the analysis; its first read computes
+    it with the bits of the eager Cholesky-reduced eigensolve, and keeps
+    it."""
+    ana = theory.anclms_ms_analysis(0.3, 2.0, M, N)
+    assert "bound" not in vars(ana)
+    chol = np.linalg.cholesky(ana.s_mat)
+    half = np.linalg.solve(chol, ana.t_mat)
+    lam_max = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
+    assert np.float64(ana.bound).tobytes() == np.float64(1.0 / lam_max).tobytes()
+    assert vars(ana)["bound"] is ana.bound

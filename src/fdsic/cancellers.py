@@ -23,8 +23,10 @@ with its own step size, N, steady window, source row z, observation row d,
 reference scale, start weights and preconditioner) in one call, each job
 on its own reference x = scale z, so that the jobs of several transmit
 powers, and of several trials, share one call; ``run_batch`` runs one job
-per trial on x itself. Each trial runs on its own and returns its own row,
-and averaging across trials is the caller's. The LMS steps run in a small C kernel
+per trial on x itself. Each job returns its trial's ``JobRun`` record: its
+weights, steady-state MSE, peak residual, first nonfinite step and, if
+asked, its residual and tap rows; averaging across trials is the
+caller's. The LMS steps run in a small C kernel
 (``_lms.c``, built and loaded by ``_native`` on the first call), one call
 per set of jobs. Its arithmetic rounds exactly as the numpy expressions
 e = d - reg^T w (einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) +
@@ -43,7 +45,7 @@ numpy loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -137,18 +139,22 @@ def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0) -> np.ndarray:
 
 
 @dataclass
-class BatchRun:
-    """Per-trial results of a run (row t belongs to trial t)."""
+class JobRun:
+    """One trial's run of a canceller job."""
 
-    final_weights: np.ndarray         # (trials, dim)
-    mean_weights: np.ndarray          # (trials, dim), window-averaged
-    steady_state_mse: np.ndarray      # (trials,)
-    peak_residual: np.ndarray         # (trials,) max |e|^2 over the run
-    diverged: np.ndarray              # (trials,) bool (nonfinite trajectory)
-    diverged_at: np.ndarray           # (trials,) first nonfinite step, -1 if none
+    final_weights: np.ndarray         # (dim,)
+    mean_weights: np.ndarray          # (dim,), window-averaged
+    steady_state_mse: float
+    peak_residual: float              # max |e|^2 over the run
+    diverged_at: int                  # first nonfinite step, -1 if none
     n_steps: int
-    residual_power: np.ndarray | None = None    # (trials, n_steps)
-    taps: np.ndarray | None = None              # (trials, kept steps, len(track_taps))
+    residual_power: np.ndarray | None = None    # (n_steps,)
+    taps: np.ndarray | None = None              # (kept steps, len(track_taps))
+
+    @property
+    def diverged(self) -> bool:
+        """Whether the trajectory went nonfinite."""
+        return self.diverged_at >= 0
 
 
 def _address(array: np.ndarray | None):
@@ -165,8 +171,8 @@ class Job(NamedTuple):
     the plain LMS)."""
 
     config: CancellerConfig
-    z: np.ndarray
-    d: np.ndarray
+    z: np.ndarray | None = None
+    d: np.ndarray | None = None
     scale: float = 1.0
     w0: np.ndarray | None = None
     preconditioner: np.ndarray | None = None
@@ -196,68 +202,10 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
     return partner, np.diag(p), np.where(partner != k, p[k, partner], 0.0)
 
 
-class _Job:
-    """One canceller job of a kernel call: its weight and output rows and
-    the ``_native.Run`` that points the kernel at them, at the job's source
-    row ``z`` and observation row ``d`` and at its preconditioner ``pre`` as
-    the kernel reads it (None for the plain LMS)."""
-
-    def __init__(self, job: Job, z: np.ndarray, d: np.ndarray, n_steps: int,
-                 keep_residuals: bool, track_taps: tuple[int, ...], tap_stride: int,
-                 pre: np.ndarray | None):
-        config = job.config
-        dim = 2 * (config.M + config.N)
-        self.window = config.steady_window or default_steady_window(n_steps)
-        if n_steps <= 0 or self.window > n_steps:
-            raise ValueError("sequences too short for the requested run")
-        if job.w0 is not None and np.shape(job.w0) != (dim,):
-            raise ValueError(f"w0 must be a vector of {dim} weights")
-        if tap_stride < 1:
-            raise ValueError("tap_stride must be a positive step count")
-        # IndexError if out of range. Built from a Python range: np.arange
-        # lets go of the interpreter lock to fill its array, and getting it
-        # back can wait for the trial loop's producer thread (100-400 us a
-        # job in a run, against 1-2 us alone)
-        self.tap_idx = np.array([range(dim)[k] for k in track_taps], dtype=np.int64)
-        self.n_steps = n_steps
-        self.w = np.zeros((1, dim), dtype=np.complex128)
-        if job.w0 is not None:
-            self.w[0] = job.w0
-        self.w_accum = np.empty_like(self.w)
-        self.residuals = np.empty((1, n_steps)) if keep_residuals else None
-        kept = -(-n_steps // tap_stride)
-        self.taps = (np.empty((1, kept, len(self.tap_idx)), dtype=np.complex128)
-                     if track_taps else None)
-        self.run = _native.Run(
-            n_steps, dim, n_steps - self.window, config.mu, job.scale,
-            *(_address(a) for a in (z, d, self.w, self.w_accum, self.residuals)),
-            len(self.tap_idx), _address(self.tap_idx), tap_stride,
-            _address(self.taps), _address(pre))
-
-    def result(self, run: _native.Run) -> BatchRun:
-        """The job's one-row ``BatchRun``, with the outputs the kernel wrote
-        into ``run``, its copy of ``self.run``."""
-        # a diverged run carries inf/nan weights and window sums; the kernel
-        # flags it (diverged_at)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean_w = self.w_accum / self.window
-        return BatchRun(
-            final_weights=self.w,
-            mean_weights=mean_w,
-            steady_state_mse=np.array([run.steady_mse]),
-            peak_residual=np.array([run.peak]),
-            diverged=np.array([run.diverged_at >= 0]),
-            diverged_at=np.array([run.diverged_at], dtype=np.int64),
-            n_steps=self.n_steps,
-            residual_power=self.residuals,
-            taps=self.taps,
-        )
-
-
 def run_jobs(jobs: list[Job], keep_residuals: bool = True,
-             track_taps: tuple[int, ...] = (), tap_stride: int = 1) -> list[BatchRun]:
+             track_taps: tuple[int, ...] = (), tap_stride: int = 1) -> list[JobRun]:
     """Run every ``Job``, each one trial's run, in one kernel call; return
-    one ``BatchRun`` of one row per job.
+    one ``JobRun`` per job.
 
     A job runs on the reference x = ``job.scale`` z of its source row
     ``job.z`` and on its observation row ``job.d``: every job's z and d are
@@ -266,11 +214,11 @@ def run_jobs(jobs: list[Job], keep_residuals: bool = True,
     (so a scale of 1 runs on z itself). The jobs share M and k_tiq (a
     ``ValueError`` otherwise) and may differ in everything else, their rows
     included, so the jobs of one call may be those of several trials. Each
-    job returns exactly what it returns alone in ``run_batch`` on its own x
-    and d; a kernel that cannot allocate its lanes' state is a
-    ``MemoryError``. ``keep_residuals`` stores |e|^2 per step;
-    ``track_taps`` stores the listed weights (indices into each job's own
-    weight vector) after steps 0, tap_stride, 2 tap_stride, ...
+    job returns exactly what it returns alone; a kernel that cannot
+    allocate its lanes' state is a ``MemoryError``. ``keep_residuals``
+    stores |e|^2 per step; ``track_taps`` stores the listed weights
+    (indices into each job's own weight vector) after steps 0, tap_stride,
+    2 tap_stride, ...
     """
     if not jobs:
         raise ValueError("run_jobs needs at least one job")
@@ -284,54 +232,75 @@ def run_jobs(jobs: list[Job], keep_residuals: bool = True,
     M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
     if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
         raise ValueError("the jobs of one call must share M and k_tiq")
+    if tap_stride < 1:
+        raise ValueError("tap_stride must be a positive step count")
+    n_steps = shape[0] - M + 1
     # each preconditioner P as the kernel reads it, row k holding P[k, k] and
     # P[k, partner(k)], formed once for the jobs of the call that share it
     forms = {}
-    for job in jobs:
-        key = (id(job.preconditioner), job.config.N)
+    runs, outputs = [], []
+    for job, (z, d) in zip(jobs, rows):
+        config = job.config
+        dim = 2 * (M + config.N)
+        window = config.steady_window or default_steady_window(n_steps)
+        if n_steps <= 0 or window > n_steps:
+            raise ValueError("sequences too short for the requested run")
+        if job.w0 is not None and np.shape(job.w0) != (dim,):
+            raise ValueError(f"w0 must be a vector of {dim} weights")
+        key = (id(job.preconditioner), config.N)
         if job.preconditioner is not None and key not in forms:
-            forms[key] = np.stack(_partner_pairs(job.preconditioner, M, job.config.N,
+            forms[key] = np.stack(_partner_pairs(job.preconditioner, M, config.N,
                                                  "preconditioner")[1:], axis=1)
-    state = [_Job(job, z, d, shape[0] - M + 1, keep_residuals, track_taps, tap_stride,
-                  forms.get((id(job.preconditioner), job.config.N)))
-             for job, (z, d) in zip(jobs, rows)]
+        # IndexError if out of range. Built from a Python range: np.arange
+        # lets go of the interpreter lock to fill its array, and getting it
+        # back can wait for the trial loop's producer thread (100-400 us a
+        # job in a run, against 1-2 us alone)
+        tap_idx = np.array([range(dim)[k] for k in track_taps], dtype=np.int64)
+        w = np.zeros(dim, dtype=np.complex128)
+        if job.w0 is not None:
+            w[:] = job.w0
+        w_accum = np.empty_like(w)
+        residuals = np.empty(n_steps) if keep_residuals else None
+        taps = (np.empty((-(-n_steps // tap_stride), len(tap_idx)), dtype=np.complex128)
+                if track_taps else None)
+        runs.append(_native.Run(
+            n_steps, dim, n_steps - window, config.mu, job.scale,
+            *(_address(a) for a in (z, d, w, w_accum, residuals)),
+            len(tap_idx), _address(tap_idx), tap_stride, _address(taps),
+            _address(forms.get(key))))
+        # the arrays the kernel writes (and tap_idx, which it reads: rows and
+        # forms hold the rest) kept alive until it has run
+        outputs.append((window, w, w_accum, residuals, taps, tap_idx))
     # the array holds copies of the structs: the kernel's outputs are read
     # back from it
-    runs = (_native.Run * len(state))(*(job.run for job in state))
-    if not _native.library().lms_raw(M, k_tiq ** 1.5, len(state), runs):
+    runs = (_native.Run * len(runs))(*runs)
+    if not _native.library().lms_raw(M, k_tiq ** 1.5, len(runs), runs):
         raise MemoryError("the LMS kernel cannot allocate the state of its lanes")
-    return [job.result(run) for job, run in zip(state, runs)]
-
+    # a diverged run carries inf/nan weights and window sums; the kernel
+    # flags it (diverged_at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [JobRun(w, w_accum / window, run.steady_mse, run.peak, run.diverged_at,
+                       n_steps, residuals, taps)
+                for run, (window, w, w_accum, residuals, taps, _) in zip(runs, outputs)]
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
               keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
               w0: np.ndarray | None = None, tap_stride: int = 1,
-              preconditioner: np.ndarray | None = None) -> BatchRun:
+              preconditioner: np.ndarray | None = None) -> list[JobRun]:
     """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``:
     ``run_jobs`` with the job ``Job(config, x, d, 1.0, w0, preconditioner)``
-    of each row pair (x, d), its one-row runs stacked in trial order.
+    of each row pair (x, d); return its trials' ``JobRun`` records in
+    trial order.
 
     ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
     None starts them at zero. Step t adapts on the regressor of sample
     M-1+t, so a row of n samples runs n-M+1 steps. Trials are independent:
-    every output row depends on its own input row alone, so a batch returns
-    exactly the rows its trials return one at a time. A 1-D ``xs`` and
+    each record depends on its own input rows alone. A 1-D ``xs`` and
     ``ds`` are one trial. ``keep_residuals`` stores |e|^2 per step;
     ``track_taps`` stores the listed weights after every ``tap_stride``-th
     step from step 0. With ``preconditioner`` P the job runs the LMS-Newton
     step w += mu e P conj(reg).
     """
-    return _stacked(run_jobs([Job(config, x, d, 1.0, w0, preconditioner)
-                              for x, d in zip(np.atleast_2d(xs), np.atleast_2d(ds),
-                                              strict=True)],
-                             keep_residuals, track_taps, tap_stride))
-
-
-def _stacked(runs: list[BatchRun]) -> BatchRun:
-    """The ``BatchRun`` whose rows are those of ``runs``, in order."""
-    stacked = {}
-    for field in fields(BatchRun):
-        values = [getattr(run, field.name) for run in runs]
-        stacked[field.name] = (np.concatenate(values) if isinstance(values[0], np.ndarray)
-                               else values[0])
-    return BatchRun(**stacked)
+    return run_jobs([Job(config, x, d, 1.0, w0, preconditioner)
+                     for x, d in zip(np.atleast_2d(xs), np.atleast_2d(ds), strict=True)],
+                    keep_residuals, track_taps, tap_stride)

@@ -86,7 +86,7 @@ from . import __version__, _native
 # run_batch, regressor_matrix and render_observation are not called here;
 # the benchmark's tracer (perfbench/tracing.py) wraps them by name in this
 # module
-from .cancellers import (MIN_STEADY_WINDOW, BatchRun, CancellerConfig, Job,
+from .cancellers import (MIN_STEADY_WINDOW, CancellerConfig, Job, JobRun,
                          newton_preconditioner, regressor_matrix, run_batch,
                          run_jobs)
 from .plots import heatmap, line_plot
@@ -200,11 +200,10 @@ def _mean_power(d: np.ndarray) -> float:
     return np.einsum("i,i->", d.view(np.float64), d.view(np.float64)) / len(d)
 
 
-def _diverged(run: BatchRun, d_power: float) -> np.ndarray:
-    """The trials of ``run`` that diverged, on observations of mean |d|^2
-    ``d_power``: each went non-finite, or its peak residual exceeds 1e3
-    times that power."""
-    return run.diverged | (run.peak_residual > 1e3 * d_power)
+def _diverged(run: JobRun, d_power: float) -> bool:
+    """Whether ``run`` diverged, on observations of mean |d|^2 ``d_power``:
+    it went non-finite, or its peak residual exceeds 1e3 times that power."""
+    return bool(run.diverged or run.peak_residual > 1e3 * d_power)
 
 
 class PhaseClock:
@@ -238,32 +237,25 @@ class PhaseClock:
         self.diverged: dict[str, int] = {}        # diverged trials by job label
         self.first_nonfinite: dict[str, int] = {}  # earliest such step by label
 
-    def count_lms(self, trials: list[tuple[dict[str, BatchRun], dict[str, float]]],
-                  lanes: int) -> list[dict[str, np.ndarray]]:
-        """Count one LMS call that ran, in ``lanes`` lanes per vector, for
-        each of its trials, the ``runs`` of a ``(runs, d_power)`` pair, by
-        job label, on observations whose mean |d|^2 is ``d_power[label]``,
-        and the trials that diverged (``_diverged``); return those trials'
-        masks by label, per pair."""
-        jobs = sum(len(runs) for runs, _ in trials)
+    def count_lms(self, runs: list[tuple[str, JobRun, float]], lanes: int) -> list[bool]:
+        """Count one LMS call that ran, in ``lanes`` lanes per vector, the
+        trials' ``runs``, a ``(label, run, d_power)`` each: the job's label,
+        its run and the mean |d|^2 of its observation; count the trials that
+        diverged (``_diverged``) by label and return whether each did."""
         self.lms_calls += 1
         self.lms_lanes = lanes
-        self.lms_jobs += jobs
-        self.lms_lanes_offered += -(-jobs // lanes) * lanes
-        masks = []
-        for runs, d_power in trials:
-            diverged = {}
-            for label, run in runs.items():
-                self.trial_steps += run.n_steps * len(run.steady_state_mse)
-                grew = diverged[label] = _diverged(run, d_power[label])
-                if grew.any():
-                    self.diverged[label] = self.diverged.get(label, 0) + int(grew.sum())
-                if run.diverged.any():
-                    step = int(run.diverged_at[run.diverged].min())
-                    self.first_nonfinite[label] = min(
-                        step, self.first_nonfinite.get(label, step))
-            masks.append(diverged)
-        return masks
+        self.lms_jobs += len(runs)
+        self.lms_lanes_offered += -(-len(runs) // lanes) * lanes
+        grew = []
+        for label, run, d_power in runs:
+            self.trial_steps += run.n_steps
+            grew.append(_diverged(run, d_power))
+            if grew[-1]:
+                self.diverged[label] = self.diverged.get(label, 0) + 1
+            if run.diverged:
+                self.first_nonfinite[label] = min(
+                    run.diverged_at, self.first_nonfinite.get(label, run.diverged_at))
+        return grew
 
     @contextmanager
     def phase(self, name: str):
@@ -569,11 +561,13 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
     over the group's trials sit next to each other, so where a vector holds
     one job alone, only a vector of a preconditioned job pays the
     LMS-Newton operations. The call is timed and counted as the LMS phase.
-    ``runs`` holds each job's ``BatchRun`` and ``diverged`` its trials that
+    ``runs`` holds each job's ``JobRun`` and ``diverged`` whether it
     diverged (``PhaseClock.count_lms``), in the order of the labels in
     ``points``.
     """
     labels = [label for _, jobs in points for label in jobs]
+    # the point of each label, in that order
+    where = [k for k, (_, jobs) in enumerate(points) for _ in jobs]
     lanes = _native.lanes()
     group = lanes // math.gcd(lanes, len(labels))
     groups = iter_trials(config, [point for point, _ in points], n, clock, group)
@@ -584,11 +578,14 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
                 for draw, ds, _ in made]
         with clock.phase("lms"):
             results = run_jobs(jobs, **run_options)
-        runs = [dict(zip(labels, results[i::len(made)])) for i in range(len(made))]
-        d_power = [{label: powers[k] for k, (_, point_jobs) in enumerate(points)
-                    for label in point_jobs} for _, _, powers in made]
-        yield from zip(itertools.count(first), runs,
-                       clock.count_lms(list(zip(runs, d_power)), lanes))
+        # trial-major, as the trials are yielded
+        runs = [(label, run, powers[k]) for i, (_, _, powers) in enumerate(made)
+                for label, k, run in zip(labels, where, results[i::len(made)])]
+        grew = clock.count_lms(runs, lanes)
+        for i in range(len(made)):
+            trial = slice(i * len(labels), (i + 1) * len(labels))
+            yield (first + i, {label: run for label, run, _ in runs[trial]},
+                   dict(zip(labels, grew[trial])))
 
 
 def _step_size(config: ExperimentConfig, bound: float) -> tuple[float, str, float]:
@@ -707,8 +704,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
-    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg, None, None)
-            for (mu, label), cfg in cfgs.items()}
+    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg) for (mu, label), cfg in cfgs.items()}
     # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
     # window-mean weights, (trials, dim)
     tap_rows = {key: np.empty((kept, 2, config.trials), dtype=np.complex128)
@@ -719,20 +715,22 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                                  report.clock, keep_residuals=False,
                                  track_taps=(0, 1), tap_stride=stride):
         for key, run in zip(cfgs, runs.values()):
-            tap_rows[key][:, :, t] = run.taps[0]
-            mean_weights[key][t] = run.mean_weights[0]
+            tap_rows[key][:, :, t] = run.taps
+            mean_weights[key][t] = run.mean_weights
 
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
         with _theory(report.clock):
             bias = alms_bias(TheoryInputs.from_profile(prof, channels, budget, mu))
         for label, w_opt in (("alms", w_lin), ("anclms", w_nl)):
-            tap_mean = tap_rows[mu, label].mean(axis=2)
+            # a diverged trial's inf or nan weights may overflow the means
+            with np.errstate(over="ignore", invalid="ignore"):
+                tap_mean = tap_rows[mu, label].mean(axis=2)
+                mean_err = (mean_weights[mu, label] - w_opt).mean(axis=0)
             for tap in (0, 1):
                 err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
                 traces[f"{label}_{tag}_tap{tap + 1}"] = err
             if label == "alms" and mu == base_mu:
-                mean_err = (mean_weights[mu, label] - w_lin).mean(axis=0)
                 idx = np.concatenate([np.arange(config.N),
                                       config.M + np.arange(config.N)])
                 theory_abs = np.abs(bias[idx])
@@ -746,9 +744,8 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                     "rel_error": np.abs(mean_err[idx] - bias[idx]) / scale,
                 }
             if label == "anclms" and mu == base_mu:
-                err_vec = (mean_weights[mu, label] - w_nl).mean(axis=0)
                 report.meta["anclms_weight_error_norm_frac"] = _fmt(
-                    np.linalg.norm(err_vec) / np.linalg.norm(w_nl))
+                    np.linalg.norm(mean_err) / np.linalg.norm(w_nl))
         for tap in (0, 1):
             level = abs(bias[tap]) / abs(w_lin[tap])
             traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
@@ -802,11 +799,10 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             bound = alms_ms_bound(point.sigma_x2, config.M)
         mu = _resolve_mu(config, bound, report)
         points.append((point, mu, {
-            f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq),
-                                   None, None),
+            f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq)),
             f"anclms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, N=config.N,
                                                      k_tiq=k_tiq),
-                                     None, None, w0=point.channels.stacked_nonlinear())}))
+                                     w0=point.channels.stacked_nonlinear())}))
 
     trial_mse = {label: np.empty(config.trials) for *_, jobs in points for label in jobs}
     for first in range(0, len(points), 2):
@@ -814,7 +810,7 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         for t, runs, _ in run_trials(config, pair, config.iterations + config.M,
                                      report.clock, keep_residuals=False):
             for label, run in runs.items():
-                trial_mse[label][t] = run.steady_state_mse[0]
+                trial_mse[label][t] = run.steady_state_mse
 
     cols = {k: [] for k in (
         "alms_sinr_sim_db", "alms_sinr_theory_db", "anclms_sinr_sim_db",
@@ -951,18 +947,16 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # one pass of both reference powers, as the sweep's pairs of points: each
     # trial draws its source row once, renders it at each power and runs all
     # three jobs in one kernel call
-    points = [(opt, {"anclms_optimal": Job(cfg(mu_opt), None, None),
-                     "anclms_whitened": Job(cfg(mu_white), None, None,
-                                            preconditioner=newton)}),
-              (_point(config, prof, s_sub),
-               {"anclms_suboptimal": Job(cfg(mu_sub), None, None)})]
+    points = [(opt, {"anclms_optimal": Job(cfg(mu_opt)),
+                     "anclms_whitened": Job(cfg(mu_white), preconditioner=newton)}),
+              (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub))})]
     # each run's residual powers summed in trial order as the trials come; a
     # diverged trial's huge or non-finite row may overflow the sum
     sums = dict.fromkeys((label for _, jobs in points for label in jobs), 0.0)
     for _, runs, _ in run_trials(config, points, n_iters + config.M, report.clock):
         with np.errstate(over="ignore", invalid="ignore"):
             for label, run in runs.items():
-                sums[label] += run.residual_power[0]
+                sums[label] += run.residual_power
     for label, total in sums.items():
         with np.errstate(over="ignore", invalid="ignore"):
             mean = total / config.trials
@@ -1035,20 +1029,19 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
                                            N=n_imd, k_tiq=prof.k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
-    jobs = {f"{label}_mu{frac:g}": Job(cfg, None, None) for (label, frac), cfg in cfgs.items()}
-    trial_runs = {key: [] for key in cfgs}  # (run, diverged trials) per trial
+    jobs = {f"{label}_mu{frac:g}": Job(cfg) for (label, frac), cfg in cfgs.items()}
+    # per trial: (steady-state MSE, first nonfinite step, whether it diverged)
+    trial_runs = {key: [] for key in cfgs}
     for _, runs, diverged in run_trials(config, [(point, jobs)],
                                         config.iterations + config.M, report.clock,
                                         keep_residuals=False):
         for key, label in zip(cfgs, jobs):
-            trial_runs[key].append((runs[label], diverged[label]))
+            run = runs[label]
+            trial_runs[key].append((run.steady_state_mse, run.diverged_at, diverged[label]))
 
     rows = []
     for (label, frac), cfg in cfgs.items():
-        runs, grew = zip(*trial_runs[label, frac])
-        diverged_at, steady_mse = (np.concatenate([getattr(run, name) for run in runs])
-                                   for name in ("diverged_at", "steady_state_mse"))
-        grew = np.concatenate(grew)
+        steady_mse, diverged_at, grew = map(np.array, zip(*trial_runs[label, frac]))
         n_div = int(grew.sum())
         report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
             _divergence_note(diverged_at)

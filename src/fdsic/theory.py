@@ -43,15 +43,13 @@ ALMS_LOW_REGIME_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class TheoryInputs:
-    """Everything the closed forms need for one operating point."""
+    """Everything the closed forms need for one operating point; M and N
+    are those of its channels."""
 
     sigma_x2: float
     sigma_v2: float
     sigma_q2: float
-    p_x_soi: float
     k_tiq: float
-    M: int
-    N: int
     mu: float
     channels: ChannelSet
 
@@ -68,13 +66,18 @@ class TheoryInputs:
             sigma_x2=profile.natural_sigma_x2,
             sigma_v2=budget.sigma_v2,
             sigma_q2=budget.sigma_q2,
-            p_x_soi=budget.p_x_soi,
             k_tiq=profile.k_tiq,
-            M=channels.m,
-            N=channels.n,
             mu=mu,
             channels=channels,
         )
+
+    @property
+    def M(self) -> int:
+        return self.channels.m
+
+    @property
+    def N(self) -> int:
+        return self.channels.n
 
     @property
     def imd_norm2(self) -> float:

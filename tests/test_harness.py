@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fdsic import _native, cli, harness, plots
-from fdsic.cancellers import (BatchRun, CancellerConfig, Job, newton_preconditioner,
+from fdsic.cancellers import (CancellerConfig, Job, JobRun, newton_preconditioner,
                               run_batch, run_jobs)
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
@@ -151,8 +151,8 @@ def test_trial_independence(lowpower_setup):
                               seed=SEED)
     xs, ds = stack_trials(config, prof, channels, budget,
                           prof.natural_sigma_x2, 12_000 + M)
-    run = run_batch(xs, ds, cfg, keep_residuals=False)
-    mse = run.steady_state_mse
+    mse = np.array([run.steady_state_mse
+                    for run in run_batch(xs, ds, cfg, keep_residuals=False)])
     half, full = mse[:10].mean(), mse.mean()
     stderr = mse.std(ddof=1) / np.sqrt(10)
     assert abs(half - full) < 2 * stderr + 1e-18
@@ -394,6 +394,20 @@ def test_cli_bias_absolute_mu(type2, tmp_path):
     meta = (tmp_path / "meta.txt").read_text().splitlines()
     assert f"mu_abs = {mu}" in meta
     assert not any(line.startswith("mu_frac") for line in meta)
+
+
+def test_cli_diverged_bias_run_fails_without_warnings(tmp_path, capsys):
+    """A bias run whose every trial diverges fails each of its four checks
+    with nan and exits 3, without a numpy warning (which pytest raises),
+    and meta.txt counts the 8 diverged runs."""
+    code = cli_main(["bias", "--mu", "1e30", "--trials", "2", "--iterations",
+                     "3000", "--check", "--out", str(tmp_path)])
+    assert code == 3
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[")]
+    assert len(checks) == 4
+    assert all(line.startswith("[FAIL]") and " nan" in line for line in checks), checks
+    assert "diverged_trials = 8" in (tmp_path / "meta.txt").read_text().splitlines()
 
 
 def test_cli_import_skips_the_filter_module():
@@ -875,22 +889,27 @@ def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch)
 def test_phase_clock_counts_diverged_trials():
     """count_lms flags, by job, a trial that went non-finite or whose peak
     residual exceeds 1e3 times its mean |d|^2, keeps each job's earliest
-    non-finite step, and counts the lanes the calls filled: a 3-job call in
-    4 lanes, then a 1-job call in 1, then one call of two trials' 4 jobs in
-    8 lanes; ``lms_lanes`` names the lanes of the last call."""
+    non-finite step, and counts the lanes the calls filled: a 9-run call on
+    4 lanes per vector, then a 3-run call on 1, then a 6-run call on 8;
+    ``lms_lanes`` names the lanes of the last call."""
     x = gen_proper_gaussian(3000, seed=30).reference(1.0)
-    xs = np.stack([x] * 3)
-    calm = run_batch(xs, xs, CancellerConfig(mu=0.01, M=M), keep_residuals=False)
-    grown = dataclasses.replace(calm, peak_residual=np.array([0.5, 2e3, 999.0]))
-    broken = dataclasses.replace(calm, diverged=np.array([False, True, True]),
-                     diverged_at=np.array([-1, 70, 40]))
+    calm = run_batch(np.stack([x] * 3), np.stack([x] * 3),
+                     CancellerConfig(mu=0.01, M=M), keep_residuals=False)
+    grown = [dataclasses.replace(run, peak_residual=peak)
+             for run, peak in zip(calm, (0.5, 2e3, 999.0))]
+    broken = [dataclasses.replace(run, diverged_at=step)
+              for run, step in zip(calm, (-1, 70, 40))]
+
+    def call(runs: dict[str, list[JobRun]], power: float = 1.0):
+        """The (label, run, d_power) triples of ``runs``, trial-major."""
+        return [(label, trials[t], power) for t in range(3)
+                for label, trials in runs.items()]
+
     clock = harness.PhaseClock()
-    [masks] = clock.count_lms([({"calm": calm, "grown": grown, "broken": broken},
-                                {"calm": 1.0, "grown": 1.0, "broken": 1.0})], 4)
-    assert {label: mask.tolist() for label, mask in masks.items()} == {
-        "calm": [False] * 3, "grown": [False, True, False], "broken": [False, True, True]}
-    clock.count_lms([({"broken": dataclasses.replace(broken, diverged_at=np.array([-1, 90, 55]))},
-                      {"broken": 1.0})], 1)
+    grew = clock.count_lms(call({"calm": calm, "grown": grown, "broken": broken}), 4)
+    assert grew == [False, False, False, False, True, True, False, False, True]
+    clock.count_lms(call({"broken": [dataclasses.replace(run, diverged_at=step)
+                                     for run, step in zip(calm, (-1, 90, 55))]}), 1)
     lines = clock.meta_lines()
     for line in ("diverged_trials = 5", "first_nonfinite_step = 40",
                  "diverged_trials[grown] = 1", "diverged_trials[broken] = 4",
@@ -898,14 +917,11 @@ def test_phase_clock_counts_diverged_trials():
                  "lms_lanes = 1", "lms_lane_fill = 0.8"):
         assert line in lines, line
     assert not any("[calm]" in line for line in lines)
-    # two trials of one call, each with its own powers and its own masks
-    wide = {"calm": calm, "grown": grown}
-    first, second = clock.count_lms([(wide, {"calm": 1.0, "grown": 1.0}),
-                                     (wide, {"calm": 1.0, "grown": 3.0})], 8)
-    assert first["grown"].tolist() == [False, True, False]
-    assert not second["grown"].any()
+    # the runs of one call, each with its own power
+    grew = clock.count_lms(call({"grown": grown}) + call({"grown": grown}, 3.0), 8)
+    assert grew == [False, True, False, False, False, False]
     lines = clock.meta_lines()
-    for line in ("lms_calls = 3", "lms_lanes = 8", "lms_lane_fill = 0.6154",
+    for line in ("lms_calls = 3", "lms_lanes = 8", "lms_lane_fill = 0.7826",
                  "diverged_trials[grown] = 2"):
         assert line in lines, line
 
@@ -946,13 +962,13 @@ def test_run_trials_equals_one_call_per_trial(type2):
         for (xs, ds), (_, jobs) in zip(rows, points):
             for label, job in jobs.items():
                 [want] = run_jobs([job._replace(z=xs[t], d=ds[t])], track_taps=(0, 5))
-                for name in (f.name for f in dataclasses.fields(BatchRun)):
+                for name in (f.name for f in dataclasses.fields(JobRun)):
                     got, value = getattr(runs[label], name), getattr(want, name)
                     assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), \
                         (label, name)
-                assert np.array_equal(diverged[label], harness._diverged(
-                    want, harness._mean_power(ds[t])))
-        assert diverged["plain"].all() and not diverged["newton"].any()
+                assert diverged[label] is harness._diverged(
+                    want, harness._mean_power(ds[t]))
+        assert diverged == {"plain": True, "newton": False}
     assert trials == [0, 1]
 
 

@@ -42,14 +42,11 @@ def _toy_channels(h_imd=None, g_imd=None):
 
 
 def _inputs(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0, mu=0.1,
-            channels=None, p_x_soi=None):
+            channels=None):
     if channels is None:
         channels = _toy_channels()
-    if p_x_soi is None:
-        p_x_soi = sigma_v2 * 10 ** 1.5  # SNR_req = 15 dB
     return TheoryInputs(sigma_x2=sigma_x2, sigma_v2=sigma_v2, sigma_q2=sigma_q2,
-                        p_x_soi=p_x_soi, k_tiq=k_tiq, M=M, N=N, mu=mu,
-                        channels=channels)
+                        k_tiq=k_tiq, mu=mu, channels=channels)
 
 
 # -- step-size bounds -------------------------------------------------------
@@ -112,27 +109,27 @@ def test_alms_mse_bounds_and_errors():
 
 def test_alms_sinr_small_mu_is_snr_req():
     inputs = _inputs(mu=1e-9)
-    sinr = lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "low"))
+    p_soi = inputs.sigma_v2 * 10 ** 1.5  # SNR_req = 15 dB
+    sinr = lin_to_db(p_soi / alms_steady_mse(inputs, "low"))
     assert sinr == pytest.approx(15.0, abs=1e-3)
 
 
 def test_alms_sinr_monotone():
-    base = dict(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0,
-                p_x_soi=10 ** 1.5 * 1e-5)
+    base = dict(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0)
     ch = _toy_channels(h_imd=[0.01, 0, 0, 0])
-    p_soi = base["p_x_soi"]
+    p_soi = 10 ** 1.5 * 1e-5
     for regime in ("low", "high"):
         sinrs = [lin_to_db(p_soi / alms_steady_mse(
-            TheoryInputs(mu=mu, M=M, N=N, channels=ch, **base), regime))
+            TheoryInputs(mu=mu, channels=ch, **base), regime))
                  for mu in (0.01, 0.1, 0.5, 1.0)]
         assert all(a > b for a, b in zip(sinrs, sinrs[1:]))
     sinr_m = [lin_to_db(p_soi / alms_steady_mse(TheoryInputs(
-        mu=0.1, M=m, N=N, channels=ChannelSet(
+        mu=0.1, channels=ChannelSet(
             h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)),
         **base), "low")) for m in (5, 8, 12)]
     assert all(a > b for a, b in zip(sinr_m, sinr_m[1:]))
     sinr_s = [lin_to_db(p_soi / alms_steady_mse(TheoryInputs(
-        mu=0.1, M=M, N=N, channels=ch, **{**base, "sigma_x2": s}), "low"))
+        mu=0.1, channels=ch, **{**base, "sigma_x2": s}), "low"))
               for s in (0.05, 0.1, 0.5)]
     assert all(a > b for a, b in zip(sinr_s, sinr_s[1:]))
 
@@ -142,8 +139,8 @@ def test_regime_continuity_at_low_power(lowpower_setup):
     mu = 0.05 * alms_ms_bound(prof.natural_sigma_x2, M)
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
     assert alms_regime(inputs) == "low"
-    gap = abs(lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "high"))
-              - lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "low")))
+    gap = abs(lin_to_db(budget.p_x_soi / alms_steady_mse(inputs, "high"))
+              - lin_to_db(budget.p_x_soi / alms_steady_mse(inputs, "low")))
     assert gap < 0.1
 
 
@@ -332,7 +329,7 @@ def test_anclms_sinr_small_mu_limit(type2):
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof)
     inputs = TheoryInputs.from_profile(prof, channels, budget, mu=1e-12)
-    got = lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs))
+    got = lin_to_db(budget.p_x_soi / anclms_steady_mse(inputs))
     # limit: 1 / (1/SNR_req + sigma_q2 / (k_bb k_lna k_tiq p_sen)) in dB;
     # k_tiq == k_riq for the shipped presets so this equals p_soi/(sv+sq)
     denom = 1.0 / prof.snr_req + budget.sigma_q2 / (
@@ -342,19 +339,18 @@ def test_anclms_sinr_small_mu_limit(type2):
 
 def test_anclms_sinr_monotone():
     ch = _toy_channels(h_imd=[0.01, 0, 0, 0])
-    base = dict(sigma_v2=1e-5, sigma_q2=1e-6, p_x_soi=10 ** 1.5 * 1e-5, channels=ch)
+    p_soi = 10 ** 1.5 * 1e-5
+    base = dict(sigma_v2=1e-5, sigma_q2=1e-6, channels=ch)
     for key, values in (("mu", (0.01, 0.1, 1.0)), ("sigma_x2", (0.05, 0.1, 0.4)),
                         ("k_tiq", (0.5, 1.0, 4.0))):
         sinrs = []
         for v in values:
-            kw = dict(sigma_x2=0.1, k_tiq=1.0, mu=0.1, M=M, N=N, **base)
+            kw = dict(sigma_x2=0.1, k_tiq=1.0, mu=0.1, **base)
             kw[key] = v
-            inputs = TheoryInputs(**kw)
-            sinrs.append(lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs)))
+            sinrs.append(lin_to_db(p_soi / anclms_steady_mse(TheoryInputs(**kw))))
         assert all(a > b for a, b in zip(sinrs, sinrs[1:])), key
-    s_m = [lin_to_db(base["p_x_soi"] / anclms_steady_mse(TheoryInputs(
-        sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, p_x_soi=10 ** 1.5 * 1e-5,
-        k_tiq=1.0, M=m, N=N, mu=0.1, channels=ChannelSet(
+    s_m = [lin_to_db(p_soi / anclms_steady_mse(TheoryInputs(
+        sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0, mu=0.1, channels=ChannelSet(
             h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)))))
            for m in (5, 9)]
     assert s_m[0] > s_m[1]
@@ -365,8 +361,8 @@ def test_anclms_beats_alms_at_high_power(type2):
     budget = compute_noise_budget(type2)
     mu = 0.05 * alms_ms_bound(type2.natural_sigma_x2, M)
     inputs = TheoryInputs.from_profile(type2, channels, budget, mu)
-    anclms_db = lin_to_db(inputs.p_x_soi / anclms_steady_mse(inputs))
-    alms_db = lin_to_db(inputs.p_x_soi / alms_steady_mse(inputs, "high"))
+    anclms_db = lin_to_db(budget.p_x_soi / anclms_steady_mse(inputs))
+    alms_db = lin_to_db(budget.p_x_soi / alms_steady_mse(inputs, "high"))
     assert anclms_db > alms_db + 3.0
 
 

@@ -14,26 +14,26 @@ a group at a time in reused rows, the source row and one observation row
 per point of each trial, and runs every job of every point of the pass on
 every trial of the group in one LMS kernel call (``run_jobs``), while one
 producer thread draws and renders the next group into a second set of
-rows. A group is lanes / gcd(lanes, jobs) consecutive trials, ``lanes`` the
-kernel build's lanes per vector (8 on AVX-512, 4 on AVX2, else 1), so that
-the call's (trial, job) pairs fill whole vectors, and the call lays them
-out job-major, the lanes of one job over the group's trials side by side:
-on 8 lanes, bias's four jobs and the sweep's pairs of points run two trials
-a call, and convergence's three jobs eight, one job per vector, so only
-the whitened job's vector pays the LMS-Newton step. So a run holds two
-groups' rows at a time whatever the number of trials: the SINR sweep walks
-its grid in passes of two points, 2 x group x (1 + 2) rows, each call
-running the ALMS and ANCLMS jobs of both; convergence runs its two
-reference powers as one pass, its three jobs in one call; every other
-runner runs one point per pass. A runner still takes its results one trial
-at a time, in trial order (``run_trials``), and keeps only its science: it
-builds the jobs and reduces the per-trial runs across trials. In
-convergence a run's trial mean is its rows summed in trial order over the
-trial count, added as the trials come, in place of a (steps, trials)
-matrix per run; the sweep and bias keep a value or a tap matrix per trial
-and take numpy's sum or mean of it. ``power-budget`` runs no canceller and
-renders trial 0 at every grid point, a point at a time, from one draw, by
-``_trial`` alone. Each plotted curve is backed by a CSV column, and
+rows. A group of trials fills whole vectors of the kernel build's lanes
+(8 on AVX-512, 4 on AVX2, else 1), and the call lays its jobs out
+width-major, then job-major (``run_trials``): on 8 lanes, bias's four jobs
+run four trials a call and bounds-probe's eight two, one canceller width N
+per vector; the sweep's pairs of points run two, and convergence's three
+jobs eight, one job per vector, so only the whitened job's vector pays the
+LMS-Newton step. So a run holds two groups' rows at a time whatever the
+number of trials: the SINR sweep walks its grid in passes of two points,
+2 x group x (1 + 2) rows, each call running the ALMS and ANCLMS jobs of
+both; convergence runs its two reference powers as one pass, its three
+jobs in one call; every other runner runs one point per pass. A runner
+still takes its results one trial at a time, in trial order
+(``run_trials``), and keeps only its science: it builds the jobs and
+reduces the per-trial runs across trials. In convergence and bias a run's
+trial mean is its rows summed in trial order over the trial count, added
+as the trials come, in place of a matrix over the trials per run; the
+sweep keeps a value per trial and takes numpy's sum of it.
+``power-budget`` runs no canceller and renders trial 0 at every grid
+point, a point at a time, from one draw, by ``_trial`` alone. Each
+plotted curve is backed by a CSV column, and
 ``meta.txt`` records the busy time of the generate, render and LMS phases,
 the time the LMS loop waited for its next trial, the time spent on the
 closed-form theory (``phase.theory_s``: bounds, analyses, transients and
@@ -75,6 +75,7 @@ import itertools
 import math
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -554,33 +555,41 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
     point's ``Job`` records by label; each job runs on the trial's source
     row and its observation at the job's point, with the point's reference
     scale (``z``, ``d`` and ``scale`` are filled in here). One ``run_jobs``
-    call with ``run_options`` runs the jobs of every point for
-    lanes / gcd(lanes, jobs) consecutive trials, ``lanes`` the build's lanes
-    per vector (``_native.lanes()``), so that the call's (trial, job) pairs
-    fill whole vectors. The call orders them job-major: the lanes of one job
-    over the group's trials sit next to each other, so where a vector holds
-    one job alone, only a vector of a preconditioned job pays the
-    LMS-Newton operations. The call is timed and counted as the LMS phase.
-    ``runs`` holds each job's ``JobRun`` and ``diverged`` whether it
-    diverged (``PhaseClock.count_lms``), in the order of the labels in
-    ``points``.
+    call with ``run_options`` runs the jobs of every point for a group of
+    consecutive trials, width-major, then job-major: the jobs of each
+    canceller width N in turn (ALMS first), in label order, each job's
+    lanes over the group's trials side by side. A group is the fewest
+    trials whose jobs of each width fill whole vectors of ``lanes``
+    (``_native.lanes()``) if its rows (1 + points a trial) number at most
+    ``lanes``, else lanes / gcd(lanes, jobs), whose jobs fill them together.
+    So a vector holds one width, or one job, where the group allows, and
+    only a preconditioned job's vector pays the LMS-Newton operations. The
+    call is timed and counted as the LMS phase. ``runs`` holds each job's
+    ``JobRun`` and ``diverged`` whether it diverged
+    (``PhaseClock.count_lms``), in the order of the labels in ``points``.
     """
     labels = [label for _, jobs in points for label in jobs]
-    # the point of each label, in that order
-    where = [k for k, (_, jobs) in enumerate(points) for _ in jobs]
+    # the point and the job of each label, in that order
+    where = [(k, job) for k, (_, jobs) in enumerate(points) for job in jobs.values()]
+    layout = sorted(range(len(labels)), key=lambda j: where[j][1].config.N)
+    slots = [layout.index(j) for j in range(len(labels))]  # each label's place in it
     lanes = _native.lanes()
-    group = lanes // math.gcd(lanes, len(labels))
+    widths = Counter(job.config.N for _, job in where).values()
+    group = math.lcm(*(lanes // math.gcd(lanes, count) for count in widths))
+    if group * (1 + len(points)) > lanes:
+        group = lanes // math.gcd(lanes, len(labels))
     groups = iter_trials(config, [point for point, _ in points], n, clock, group)
     for first, made in zip(itertools.count(0, group), groups):
-        jobs = [job._replace(z=draw.samples, d=ds[k], scale=draw.scale(point.sigma_x2))
-                for k, (point, point_jobs) in enumerate(points)
-                for job in point_jobs.values()
+        jobs = [job._replace(z=draw.samples, d=ds[k],
+                             scale=draw.scale(points[k][0].sigma_x2))
+                for k, job in (where[j] for j in layout)
                 for draw, ds, _ in made]
         with clock.phase("lms"):
             results = run_jobs(jobs, **run_options)
-        # trial-major, as the trials are yielded
-        runs = [(label, run, powers[k]) for i, (_, _, powers) in enumerate(made)
-                for label, k, run in zip(labels, where, results[i::len(made)])]
+        # trial-major and in label order, as the trials are yielded
+        runs = [(label, results[slot * len(made) + i], powers[k])
+                for i, (_, _, powers) in enumerate(made)
+                for label, (k, _), slot in zip(labels, where, slots)]
         grew = clock.count_lms(runs, lanes)
         for i in range(len(made)):
             trial = slice(i * len(labels), (i + 1) * len(labels))
@@ -625,11 +634,12 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
     # a point at a time: the seven components of every point at once would
     # hold 11 MB a point
     for point in points:
-        [(_, parts)] = render([point], include_soi=True, components=True)
+        parts = render([point], include_soi=True, components=True)[0][1]
         for key in measured:
             power = np.mean(np.abs(parts[key]) ** 2)
             with np.errstate(divide="ignore"):  # no power is -inf dBm
                 measured[key].append(mw_to_dbm(power))
+        del parts  # before the next point renders its own
 
     tx_axis = [r.tx_power_dbm for r in rows]
     # each component's analytic column, then each measured one
@@ -691,7 +701,6 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     stride = max(1, n_iters // 2000)
     # the plotted steps of the n_iters + 1, as the kernel keeps them
     iters_axis = np.arange(0, n_iters + 1, stride)
-    kept = len(iters_axis)
     traces: dict[str, np.ndarray] = {}
     bias_table = None
     base_mu = _resolve_mu(config, bound, report)
@@ -705,28 +714,32 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
     jobs = {f"{label}_mu{mu / bound:g}": Job(cfg) for (mu, label), cfg in cfgs.items()}
-    # per job: taps 1 and 2 at the plotted steps, (kept, 2, trials), and the
-    # window-mean weights, (trials, dim)
-    tap_rows = {key: np.empty((kept, 2, config.trials), dtype=np.complex128)
-                for key in cfgs}
-    mean_weights = {key: np.empty((config.trials, 2 * (cfg.M + cfg.N)),
-                                  dtype=np.complex128) for key, cfg in cfgs.items()}
+    w_opts = {"alms": w_lin, "anclms": w_nl}
+    # per job: taps 1 and 2 at the plotted steps, (steps, 2), and the error
+    # of the window-mean weights, summed in trial order as the trials come,
+    # from trial 0's rows (so that a -0.0 keeps its sign)
+    tap_sums, err_sums = {}, {}
     for t, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
                                  report.clock, keep_residuals=False,
                                  track_taps=(0, 1), tap_stride=stride):
-        for key, run in zip(cfgs, runs.values()):
-            tap_rows[key][:, :, t] = run.taps
-            mean_weights[key][t] = run.mean_weights
+        # a diverged trial's inf or nan weights may overflow the sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, run in zip(cfgs, runs.values()):
+                err = run.mean_weights - w_opts[key[1]]
+                if t:
+                    tap_sums[key] += run.taps
+                    err_sums[key] += err
+                else:
+                    tap_sums[key], err_sums[key] = run.taps, err
 
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
         with _theory(report.clock):
             bias = alms_bias(TheoryInputs.from_profile(prof, channels, budget, mu))
-        for label, w_opt in (("alms", w_lin), ("anclms", w_nl)):
-            # a diverged trial's inf or nan weights may overflow the means
+        for label, w_opt in w_opts.items():
             with np.errstate(over="ignore", invalid="ignore"):
-                tap_mean = tap_rows[mu, label].mean(axis=2)
-                mean_err = (mean_weights[mu, label] - w_opt).mean(axis=0)
+                tap_mean = tap_sums[mu, label] / config.trials
+                mean_err = err_sums[mu, label] / config.trials
             for tap in (0, 1):
                 err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
                 traces[f"{label}_{tag}_tap{tap + 1}"] = err
@@ -826,10 +839,12 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             theory = (alms_steady_mse(inp, alms_regime(inp)), anclms_steady_mse(inp))
         for name, label, j_theory in zip(("alms", "anclms"), jobs, theory):
             mse = float(np.sum(trial_mse[label])) / config.trials
-            cols[f"{name}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
-            cols[f"{name}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
-            cols[f"{name}_att_sim_db"].append(lin_to_db(d_power / mse))
-            cols[f"{name}_att_theory_db"].append(lin_to_db(d_power / j_theory))
+            # a diverged job's infinite MSE reads -inf dB, named in meta.txt
+            with np.errstate(divide="ignore"):
+                cols[f"{name}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
+                cols[f"{name}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
+                cols[f"{name}_att_sim_db"].append(lin_to_db(d_power / mse))
+                cols[f"{name}_att_theory_db"].append(lin_to_db(d_power / j_theory))
 
     report.add_csv(out / "sinr-sweep.csv", "tx_power_dbm", grid, cols)
     # two views of the one run: SINR, and digital attenuation (the power

@@ -496,7 +496,7 @@ def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch, lms_calls):
     assert seeds == [SEED + t for t in range(cfg.trials)]
     assert int(meta["samples"]) == cfg.trials * (20_000 + cfg.M)
     assert int(meta["trial_steps"]) == 3 * cfg.trials * 20_001
-    assert [count for count, _ in lms_calls] == _call_jobs(cfg.trials, 3)
+    assert [count for count, _ in lms_calls] == _call_jobs(cfg.trials, (3,), points=2)
     assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
     assert meta["whitening"] == "exact rb_matrix inverse"
 
@@ -592,12 +592,18 @@ def _lane_fill(calls) -> float:
                                                 for jobs, lanes in calls)
 
 
-def _call_jobs(trials: int, jobs: int) -> list[int]:
-    """The jobs of each kernel call of a pass of ``jobs`` jobs per trial
-    over ``trials`` trials: one call per lanes / gcd(lanes, jobs)
-    consecutive trials, ``lanes`` the build's lanes per vector."""
+def _call_jobs(trials: int, widths: tuple[int, ...], points: int = 1) -> list[int]:
+    """The jobs of each kernel call of a pass over ``points`` points and
+    ``trials`` trials, each trial running ``widths[w]`` jobs of the w-th
+    canceller width N: one call per group of consecutive trials, the fewest
+    whose jobs of each width fill whole vectors where the group's rows
+    (1 + ``points`` a trial) are at most ``lanes``, else
+    lanes / gcd(lanes, jobs); ``lanes`` the build's lanes per vector."""
     lanes = _native.lanes()
-    group = lanes // math.gcd(lanes, jobs)
+    jobs = sum(widths)
+    group = math.lcm(*(lanes // math.gcd(lanes, count) for count in widths))
+    if group * (1 + points) > lanes:
+        group = lanes // math.gcd(lanes, jobs)
     return [min(group, trials - first) * jobs for first in range(0, trials, group)]
 
 
@@ -623,11 +629,12 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path, lms_
     # do the sweep's 2 cancellers, which run the same length at -5 dBm
     assert int(meta["samples"]) == int(meta["samples_rendered"]) == 2 * (3000 + cfg.M)
     assert int(meta["trial_steps"]) == trial_steps
-    # all jobs of a trial (4 and 2) in one kernel call, and those of both
-    # trials where the lanes have room for them
+    # all jobs of a trial (4 and 2, half of them ALMS) in one kernel call,
+    # and those of both trials where the lanes have room for them
     jobs = trial_steps // (2 * 3001)
-    assert int(meta["lms_calls"]) == len(_call_jobs(2, jobs))
-    assert [count for count, _ in lms_calls] == _call_jobs(2, jobs)
+    widths = (jobs // 2, jobs // 2)
+    assert int(meta["lms_calls"]) == len(_call_jobs(2, widths))
+    assert [count for count, _ in lms_calls] == _call_jobs(2, widths)
     assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
     assert float(meta["lms_lane_fill"]) == pytest.approx(_lane_fill(lms_calls), abs=1e-4)
     assert meta["diverged_trials"] == "0" and meta["first_nonfinite_step"] == "none"
@@ -745,21 +752,24 @@ def test_meta_times_the_output(experiment, type2, tmp_path, monkeypatch):
     assert len(written) == len(report.csv_paths) + len(report.svg_paths) > 0
 
 
-@pytest.mark.parametrize("experiment, trials, jobs", [
-    ("bounds-probe", 2, 8),   # 2 trials of 8 jobs: one call each
+@pytest.mark.parametrize("experiment, trials, widths, points", [
+    # 2 trials of 4 ALMS and 4 ANCLMS jobs: one call for both on 8 lanes
+    ("bounds-probe", 2, (4, 4), 1),
     # 2 trials of 3 jobs: the optimal, the whitened (Newton) and the
     # suboptimal jobs share a trial's call as lanes, both trials' on 8 lanes
-    ("convergence", 2, 3),
-])
-def test_meta_names_the_lms_path(experiment, trials, jobs, type2, tmp_path, lms_calls):
+    ("convergence", 2, (3,), 2),
+], ids=["bounds-probe-2-8", "convergence-2-3"])
+def test_meta_names_the_lms_path(experiment, trials, widths, points, type2, tmp_path,
+                                 lms_calls):
     """meta.txt counts the LMS kernel calls and names the widest lane count
     the kernel reported running them in, the build's own."""
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=trials,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
-    assert int(meta["lms_calls"]) == len(lms_calls) == len(_call_jobs(trials, jobs))
-    assert [count for count, _ in lms_calls] == _call_jobs(trials, jobs)
+    calls = _call_jobs(trials, widths, points)
+    assert int(meta["lms_calls"]) == len(lms_calls) == len(calls)
+    assert [count for count, _ in lms_calls] == calls
     assert int(meta["lms_lanes"]) == max(lanes for _, lanes in lms_calls)
     assert int(meta["lms_lanes"]) == _native.lanes()
     # both run the fourth-moment analysis, timed as the theory phase
@@ -787,18 +797,19 @@ def test_theory_runs_on_one_blas_thread(type2, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("experiment, options, jobs, calls, fill", [
-    ("bias", dict(iterations=3000), 4, 25, "1"),
+    ("bias", dict(iterations=3000), 4, 13, "1"),
     ("sinr-sweep", dict(iterations=3000, tx_grid_dbm=(15.0, 25.0)), 4, 25, "1"),
     ("convergence", dict(iterations=20_000), 3, 7, "0.9868"),
 ], ids=["bias", "sweep-long", "convergence"])
 def test_meta_pairs_the_trials_on_eight_lanes(experiment, options, jobs, calls, fill,
                                               type2, tmp_path):
     """At 8 lanes, the 50 trials of the benchmark's workloads fill the
-    vectors of their kernel calls: bias's and sweep-long's 4 jobs run two
-    trials to a call, all 8 lanes of 25 calls; convergence's 3 jobs run
-    eight trials to a call, three whole vectors each, and the last 2 trials'
-    6 jobs share one vector (150 jobs in 152 lanes); every trial still takes
-    every step of every job."""
+    vectors of their kernel calls: bias's 4 jobs run four trials to a call,
+    one vector per canceller width, two vectors in each of 12 calls and one
+    in the last; sweep-long's 4 jobs run two trials to a call, all 8 lanes
+    of 25 calls; convergence's 3 jobs run eight trials to a call, three
+    whole vectors each, and the last 2 trials' 6 jobs share one vector (150
+    jobs in 152 lanes); every trial still takes every step of every job."""
     if _native.lanes() != 8:
         pytest.skip("the build runs no 8-lane vectors")
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=50, seed=SEED,
@@ -830,7 +841,9 @@ def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatc
                            output_dir=tmp_path)
     meta = _meta(run_experiment(cfg))
     passes = len(jobs)
-    calls = [count for k in jobs for count in _call_jobs(cfg.trials, k)]
+    # a pass of k jobs runs an ALMS and an ANCLMS job at each of k / 2 points
+    calls = [count for k in jobs
+             for count in _call_jobs(cfg.trials, (k // 2, k // 2), k // 2)]
     assert seeds == [SEED + t for t in range(cfg.trials)] * passes
     assert int(meta["lms_calls"]) == len(calls)
     n = 3000 + cfg.M
@@ -853,6 +866,34 @@ def test_meta_names_diverged_trials(type2, tmp_path):
     assert meta["diverged_trials[anclms@25dBm]"] == "2"
     assert meta["diverged_trials"] == "2"
     assert meta["first_nonfinite_step"] == "none"
+
+
+@pytest.mark.parametrize("check, code", [(False, 0), (True, 3)])
+def test_cli_diverged_sweep_point_runs_without_warnings(check, code, tmp_path):
+    """At k_tiq = k_riq = 60 dB the sweep's step size diverges ANCLMS at
+    the upper grid points: their simulated SINR and attenuation cells read
+    -inf, without a numpy warning (which pytest raises); the run exits 0, or
+    3 with --check, and meta.txt names each such cell's job as diverged."""
+    text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
+    profile = tmp_path / "strong-iq.profile"
+    profile.write_text(text.replace("k_tiq = 6 dB\n", "k_tiq = 60 dB\n")
+                       .replace("k_riq = 6 dB\n", "k_riq = 60 dB\n"))
+    assert profile.read_text().count("= 60 dB") == 2
+    out = tmp_path / "out"
+    argv = ["sinr-sweep", "--profile", str(profile), "--trials", "2",
+            "--iterations", "3000", "--out", str(out)]
+    assert cli_main(argv + ["--check"] * check) == code
+    meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    header, *rows = (out / "sinr-sweep.csv").read_text().splitlines()
+    nonfinite = set()  # the job of each non-finite cell
+    for row in rows:
+        tx, *cells = row.split(",")
+        for column, cell in zip(header.split(",")[1:], cells):
+            if not math.isfinite(float(cell)):
+                nonfinite.add(f"{column.split('_')[0]}@{tx}dBm")
+    assert nonfinite
+    for label in nonfinite:
+        assert int(meta.get(f"diverged_trials[{label}]", "0")) > 0, label
 
 
 def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch):
@@ -991,7 +1032,7 @@ def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):
                            iterations=3000, seed=SEED, output_dir=tmp_path)
     run_experiment(cfg)
     group = _native.lanes() // math.gcd(_native.lanes(), 3)
-    assert [len(call) for call in calls] == _call_jobs(cfg.trials, 3)
+    assert [len(call) for call in calls] == _call_jobs(cfg.trials, (3,), points=2)
     for call in calls:
         trials = len(call) // 3
         jobs = [call[k:k + trials] for k in range(0, len(call), trials)]
@@ -1001,6 +1042,37 @@ def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):
         rows = [[z for _, _, z in job] for job in jobs]
         assert rows[0] == rows[1] == rows[2] and len(set(rows[0])) == trials
     assert len(calls[0]) == 3 * min(group, cfg.trials)
+
+
+@pytest.mark.parametrize("experiment, widths, calls_at_50", [
+    ("bias", (2, 2), 13), ("bounds-probe", (4, 4), 25)])
+def test_one_point_passes_run_one_width_per_vector(experiment, widths, calls_at_50,
+                                                   type2, tmp_path, monkeypatch):
+    """bias and bounds-probe lay a call out width-major, ALMS (N = 0) jobs
+    before ANCLMS ones, each job over the group's trials: every vector of a
+    call of a whole group holds jobs of one N. On 8 lanes a group is 4 bias
+    trials and 2 bounds-probe trials, so 50 trials take 13 and 25 calls."""
+    calls = []  # the N of each job of each call
+    real = harness.run_jobs
+
+    def recorded(jobs, **options):
+        calls.append([job.config.N for job in jobs])
+        return real(jobs, **options)
+
+    monkeypatch.setattr(harness, "run_jobs", recorded)
+    lanes = _native.lanes()
+    cfg = ExperimentConfig(experiment=experiment, profile=type2,
+                           trials=50 if lanes == 8 else 5, iterations=3000,
+                           seed=SEED, output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    assert [len(call) for call in calls] == _call_jobs(cfg.trials, widths)
+    for call in calls:
+        assert call == sorted(call)
+        if len(call) == len(calls[0]):
+            for first in range(0, len(call), lanes):
+                assert len(set(call[first:first + lanes])) == 1, call
+    if lanes == 8:
+        assert meta["lms_calls"] == str(calls_at_50) and meta["lms_lane_fill"] == "1"
 
 
 def test_power_budget_draws_its_source_once(type2, tmp_path, monkeypatch):
@@ -1216,6 +1288,50 @@ def test_convergence_memory_does_not_grow_with_trials(type2, tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[8 * group] <= 1.25 * peaks[2 * group], peaks
+
+
+def _traced_peak(config: ExperimentConfig) -> int:
+    """The ``tracemalloc`` peak of running ``config``, in bytes."""
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bias_memory_does_not_grow_with_trials(type2, tmp_path):
+    """bias sums each job's taps and weight errors as the trials come, in
+    place of a matrix per job over the trials: the traced peaks of 4 and 16
+    trials differ by less than 1 MB, where 12 more trials' kept taps of the
+    four jobs would take 4.6 MB (a first, untraced run takes the one-time
+    allocations of the process)."""
+    peaks = {}
+    for trials in (1, 4, 16):
+        cfg = ExperimentConfig(experiment="bias", profile=type2, trials=trials,
+                               iterations=3000, seed=SEED,
+                               output_dir=tmp_path / str(trials))
+        if trials == 1:
+            run_experiment(cfg)
+        else:
+            peaks[trials] = _traced_peak(cfg)
+    assert abs(peaks[16] - peaks[4]) < 1e6, peaks
+
+
+def test_power_budget_memory_does_not_grow_with_points(type2, tmp_path):
+    """power-budget drops a point's seven 100k-sample component rows
+    before the next point renders: the traced peak of a three-point grid
+    stays within 1 MB of a one-point grid's (a first, untraced run takes
+    the one-time allocations of the process)."""
+    peaks = {}
+    for name, grid in (("warm", (0.0,)), ("one", (0.0,)), ("three", (0.0, 10.0, 20.0))):
+        cfg = ExperimentConfig(experiment="power-budget", profile=type2,
+                               tx_grid_dbm=grid, seed=SEED, output_dir=tmp_path / name)
+        if name == "warm":
+            run_experiment(cfg)
+        else:
+            peaks[name] = _traced_peak(cfg)
+    assert peaks["three"] - peaks["one"] < 1e6, peaks
 
 
 def test_resolve_profile_default():

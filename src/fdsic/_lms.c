@@ -180,9 +180,13 @@ static void add_normals(int64_t n, double scale, const double *v, double *y, dou
  * source row z and observation row d (steps + m - 1 samples each), and its
  * weights and outputs. w (dim) holds the start weights and receives the
  * final ones; w_accum (dim) receives the sum of the weights over the
- * window; e2, if not NULL, (steps) receives the residual power of every
- * step; tap_buf, if not NULL, is (ceil(steps / tap_stride), ntaps) and
- * receives the weights taps[] after every tap_stride-th step from step 0.
+ * window; e2, if not NULL, (steps) has the residual power of every step
+ * added to it; tap_buf, if not NULL, is (ceil(steps / tap_stride), ntaps)
+ * and has the weights taps[] after every tap_stride-th step from step 0
+ * added to it. Several jobs may share e2 or tap_buf: each step's records
+ * are added in the order of the jobs in the call, so a row that starts at
+ * -0.0 (-0.0 + x is x, bit for bit, for every x) holds one job's records,
+ * or the in-order sum of several jobs' records.
  * peak receives the largest residual power (INFINITY once one is not
  * finite), steady_mse the mean residual power over the window (INFINITY
  * if the run went non-finite) and diverged_at the first step whose
@@ -585,8 +589,9 @@ static void lanes_finish(const struct lanes *g)
 }
 
 /* The per-lane records of step j with residual powers p (finite where the
- * bit of `finite` is set): first non-finite step, e2 and taps, the kept
- * step k's ntaps complex values at tap_buf + 2 k ntaps. */
+ * bit of `finite` is set): first non-finite step, and e2 and taps added in
+ * lane order, the kept step k's ntaps complex values at
+ * tap_buf + 2 k ntaps. */
 static void lanes_record(struct lanes *g, int64_t j, vec p, int finite)
 {
     double pl[LANES];
@@ -599,13 +604,13 @@ static void lanes_record(struct lanes *g, int64_t j, vec p, int finite)
         if (!(finite >> l & 1) && g->diverged_at[l] < 0)
             g->diverged_at[l] = j;
         if (b->e2)
-            b->e2[j] = pl[l];
+            b->e2[j] += pl[l];
         if (j == g->next_tap[l]) {
             double *tb = b->tap_buf + 2 * (j / b->tap_stride) * b->ntaps;
             for (int64_t k = 0; k < b->ntaps; k++) {
                 int64_t s = lane_slot(b, g->half, b->taps[k]);
-                tb[2 * k] = ((const double *)&g->w[2 * s])[l];
-                tb[2 * k + 1] = ((const double *)&g->w[2 * s + 1])[l];
+                tb[2 * k] += ((const double *)&g->w[2 * s])[l];
+                tb[2 * k + 1] += ((const double *)&g->w[2 * s + 1])[l];
             }
             g->next_tap[l] += b->tap_stride;
         }

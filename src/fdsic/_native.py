@@ -104,9 +104,10 @@ class Run(ctypes.Structure):
     """``struct run`` of ``_lms.c``: one canceller job of an LMS call, one
     trial's run: its sizes, window start, step size and reference scale,
     the addresses of its source and observation rows, weights, outputs and
-    preconditioner (``e2``, ``tap_buf`` and ``pre`` may be ``None``), and
-    the outputs the kernel writes into the struct itself: ``peak``,
-    ``steady_mse`` and ``diverged_at``."""
+    preconditioner (``e2``, ``tap_buf`` and ``pre`` may be ``None``; the
+    kernel adds its records to ``e2`` and ``tap_buf``, which several jobs
+    may share), and the outputs the kernel writes into the struct itself:
+    ``peak``, ``steady_mse`` and ``diverged_at``."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
                 ("mu", ctypes.c_double), ("scale", ctypes.c_double),

@@ -24,9 +24,12 @@ reference scale, start weights and preconditioner) in one call, each job
 on its own reference x = scale z, so that the jobs of several transmit
 powers, and of several trials, share one call; ``run_batch`` runs one job
 per trial on x itself. Each job returns its trial's ``JobRun`` record: its
-weights, steady-state MSE, peak residual, first nonfinite step and, if
-asked, its residual and tap rows; averaging across trials is the
-caller's. The LMS steps run in a small C kernel
+weights, steady-state MSE, peak residual and first nonfinite step. A job
+may also bring a residual row and a tap row, owned by the caller, into
+which the kernel adds its per-step records; the jobs of several trials
+that share a row add theirs in their order in the call, so a runner's
+trial sums are made in the kernel, with no per-trial row. The LMS steps
+run in a small C kernel
 (``_lms.c``, built and loaded by ``_native`` on the first call), one call
 per set of jobs. Its arithmetic rounds exactly as the numpy expressions
 e = d - reg^T w (einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) +
@@ -148,8 +151,6 @@ class JobRun:
     peak_residual: float              # max |e|^2 over the run
     diverged_at: int                  # first nonfinite step, -1 if none
     n_steps: int
-    residual_power: np.ndarray | None = None    # (n_steps,)
-    taps: np.ndarray | None = None              # (kept steps, len(track_taps))
 
     @property
     def diverged(self) -> bool:
@@ -157,18 +158,16 @@ class JobRun:
         return self.diverged_at >= 0
 
 
-def _address(array: np.ndarray | None):
-    return None if array is None else array.ctypes.data
-
-
 class Job(NamedTuple):
     """A canceller job of ``run_jobs``, one trial's run: its config, its
     source row ``z`` and observation row ``d`` (1-D, of one length), the
     ``scale`` of its reference x = scale z, its start weights ``w0`` (a
-    vector of its 2(M + N) weights, None for zero) and a real
+    vector of its 2(M + N) weights, None for zero), a real
     preconditioner P (a 2(M + N) square matrix that couples an entry only
     with its layout partner, as ``newton_preconditioner`` gives; None for
-    the plain LMS)."""
+    the plain LMS), and the rows ``residuals`` (float64, one per step) and
+    ``taps`` (complex128, one row of the tracked weights per kept step) to
+    which the run adds its records (None keeps none)."""
 
     config: CancellerConfig
     z: np.ndarray | None = None
@@ -176,6 +175,8 @@ class Job(NamedTuple):
     scale: float = 1.0
     w0: np.ndarray | None = None
     preconditioner: np.ndarray | None = None
+    residuals: np.ndarray | None = None
+    taps: np.ndarray | None = None
 
 
 def _partner_pairs(matrix, M: int, N: int, name: str):
@@ -202,8 +203,20 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
     return partner, np.diag(p), np.where(partner != k, p[k, partner], 0.0)
 
 
-def run_jobs(jobs: list[Job], keep_residuals: bool = True,
-             track_taps: tuple[int, ...] = (), tap_stride: int = 1) -> list[JobRun]:
+def _row_address(row: np.ndarray | None, dtype, shape: tuple[int, ...], name: str):
+    """The address of a job's record row ``row`` (None for none), which the
+    kernel adds to: a writable C-contiguous array of ``dtype`` and
+    ``shape`` (``ValueError`` otherwise)."""
+    if row is not None and not (isinstance(row, np.ndarray) and row.dtype == dtype
+                                and row.shape == shape and row.flags.c_contiguous
+                                and row.flags.writeable):
+        raise ValueError(f"a job's {name} row must be a writable C-contiguous "
+                         f"{np.dtype(dtype).name} array of shape {shape}")
+    return None if row is None else row.ctypes.data
+
+
+def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
+             tap_stride: int = 1) -> list[JobRun]:
     """Run every ``Job``, each one trial's run, in one kernel call; return
     one ``JobRun`` per job.
 
@@ -215,10 +228,16 @@ def run_jobs(jobs: list[Job], keep_residuals: bool = True,
     ``ValueError`` otherwise) and may differ in everything else, their rows
     included, so the jobs of one call may be those of several trials. Each
     job returns exactly what it returns alone; a kernel that cannot
-    allocate its lanes' state is a ``MemoryError``. ``keep_residuals``
-    stores |e|^2 per step; ``track_taps`` stores the listed weights
-    (indices into each job's own weight vector) after steps 0, tap_stride,
-    2 tap_stride, ...
+    allocate its lanes' state is a ``MemoryError``. A job's ``residuals``
+    row, of one value per step, has |e|^2 of each step added to it; its
+    ``taps`` row, (ceil(steps / tap_stride), len(track_taps)), has the
+    weights listed in ``track_taps`` (indices into each job's own weight
+    vector) after steps 0, tap_stride, 2 tap_stride, ... added to it. Jobs
+    may share a row: each step's records are added in the jobs' order in
+    ``jobs``, so a row that starts at -0.0 (-0.0 + x is x, bit for bit)
+    ends with one job's records, or the in-order sum of several jobs'.
+    A row of another shape or dtype, not C-contiguous or read-only is a
+    ``ValueError``.
     """
     if not jobs:
         raise ValueError("run_jobs needs at least one job")
@@ -235,6 +254,7 @@ def run_jobs(jobs: list[Job], keep_residuals: bool = True,
     if tap_stride < 1:
         raise ValueError("tap_stride must be a positive step count")
     n_steps = shape[0] - M + 1
+    kept = -(-n_steps // tap_stride)
     # each preconditioner P as the kernel reads it, row k holding P[k, k] and
     # P[k, partner(k)], formed once for the jobs of the call that share it
     forms = {}
@@ -256,21 +276,18 @@ def run_jobs(jobs: list[Job], keep_residuals: bool = True,
         # back can wait for the trial loop's producer thread (100-400 us a
         # job in a run, against 1-2 us alone)
         tap_idx = np.array([range(dim)[k] for k in track_taps], dtype=np.int64)
-        w = np.zeros(dim, dtype=np.complex128)
-        if job.w0 is not None:
-            w[:] = job.w0
+        w = np.array(np.zeros(dim) if job.w0 is None else job.w0, dtype=np.complex128)
         w_accum = np.empty_like(w)
-        residuals = np.empty(n_steps) if keep_residuals else None
-        taps = (np.empty((-(-n_steps // tap_stride), len(tap_idx)), dtype=np.complex128)
-                if track_taps else None)
         runs.append(_native.Run(
             n_steps, dim, n_steps - window, config.mu, job.scale,
-            *(_address(a) for a in (z, d, w, w_accum, residuals)),
-            len(tap_idx), _address(tap_idx), tap_stride, _address(taps),
-            _address(forms.get(key))))
-        # the arrays the kernel writes (and tap_idx, which it reads: rows and
-        # forms hold the rest) kept alive until it has run
-        outputs.append((window, w, w_accum, residuals, taps, tap_idx))
+            *(a.ctypes.data for a in (z, d, w, w_accum)),
+            _row_address(job.residuals, np.float64, (n_steps,), "residuals"),
+            len(tap_idx), tap_idx.ctypes.data, tap_stride,
+            _row_address(job.taps, np.complex128, (kept, len(tap_idx)), "taps"),
+            forms[key].ctypes.data if key in forms else None))
+        # the arrays the kernel writes (and tap_idx, which it reads: rows,
+        # forms and the jobs hold the rest) kept alive until it has run
+        outputs.append((window, w, w_accum, tap_idx))
     # the array holds copies of the structs: the kernel's outputs are read
     # back from it
     runs = (_native.Run * len(runs))(*runs)
@@ -280,27 +297,35 @@ def run_jobs(jobs: list[Job], keep_residuals: bool = True,
     # flags it (diverged_at)
     with np.errstate(over="ignore", invalid="ignore"):
         return [JobRun(w, w_accum / window, run.steady_mse, run.peak, run.diverged_at,
-                       n_steps, residuals, taps)
-                for run, (window, w, w_accum, residuals, taps, _) in zip(runs, outputs)]
+                       n_steps)
+                for run, (window, w, w_accum, _) in zip(runs, outputs)]
+
 
 def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
               keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
               w0: np.ndarray | None = None, tap_stride: int = 1,
-              preconditioner: np.ndarray | None = None) -> list[JobRun]:
+              preconditioner: np.ndarray | None = None) -> list[tuple]:
     """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``:
     ``run_jobs`` with the job ``Job(config, x, d, 1.0, w0, preconditioner)``
-    of each row pair (x, d); return its trials' ``JobRun`` records in
-    trial order.
+    of each row pair (x, d), each with rows of its own; return each
+    trial's ``(run, residuals, taps)`` in trial order: its ``JobRun`` and
+    its residual and tap rows (None where not kept).
 
     ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
     None starts them at zero. Step t adapts on the regressor of sample
     M-1+t, so a row of n samples runs n-M+1 steps. Trials are independent:
     each record depends on its own input rows alone. A 1-D ``xs`` and
-    ``ds`` are one trial. ``keep_residuals`` stores |e|^2 per step;
-    ``track_taps`` stores the listed weights after every ``tap_stride``-th
+    ``ds`` are one trial. ``keep_residuals`` keeps |e|^2 per step;
+    ``track_taps`` keeps the listed weights after every ``tap_stride``-th
     step from step 0. With ``preconditioner`` P the job runs the LMS-Newton
     step w += mu e P conj(reg).
     """
-    return run_jobs([Job(config, x, d, 1.0, w0, preconditioner)
-                     for x, d in zip(np.atleast_2d(xs), np.atleast_2d(ds), strict=True)],
-                    keep_residuals, track_taps, tap_stride)
+    n_steps = max(np.shape(xs)[-1] - config.M + 1, 0)
+    kept = -(-n_steps // max(tap_stride, 1))  # run_jobs refuses a stride below 1
+    # -0.0 rows, which the kernel's first record leaves bit for bit
+    jobs = [Job(config, x, d, 1.0, w0, preconditioner,
+                np.full(n_steps, -0.0) if keep_residuals else None,
+                np.full((kept, len(track_taps)), -0.0j) if track_taps else None)
+            for x, d in zip(np.atleast_2d(xs), np.atleast_2d(ds), strict=True)]
+    runs = run_jobs(jobs, track_taps, tap_stride)
+    return [(run, job.residuals, job.taps) for run, job in zip(runs, jobs)]

@@ -28,9 +28,12 @@ jobs in one call; every other runner runs one point per pass. A runner
 still takes its results one trial at a time, in trial order
 (``run_trials``), and keeps only its science: it builds the jobs and
 reduces the per-trial runs across trials. In convergence and bias a run's
-trial mean is its rows summed in trial order over the trial count, added
-as the trials come, in place of a matrix over the trials per run; the
-sweep keeps a value per trial and takes numpy's sum of it.
+trial mean is its per-step row summed in trial order over the trial
+count: the job carries one row, which ``run_trials`` hands to every trial
+and into which the kernel adds each trial's records in lane order, so
+that no per-trial row is made; bias sums its weight errors in Python as
+the trials come, and the sweep keeps a value per trial and takes numpy's
+sum of it.
 ``power-budget`` runs no canceller and renders trial 0 at every grid
 point, a point at a time, from one draw, by ``_trial`` alone. Each
 plotted curve is backed by a CSV column, and
@@ -79,6 +82,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 from typing import NamedTuple
 
 import numpy as np
@@ -563,7 +567,10 @@ def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job
     (``_native.lanes()``) if its rows (1 + points a trial) number at most
     ``lanes``, else lanes / gcd(lanes, jobs), whose jobs fill them together.
     So a vector holds one width, or one job, where the group allows, and
-    only a preconditioned job's vector pays the LMS-Newton operations. The
+    only a preconditioned job's vector pays the LMS-Newton operations. Every
+    trial of a job shares its ``residuals`` and ``taps`` rows, if it has
+    any, and its trials of a call are consecutive lanes in trial order, so
+    the kernel adds their records into those rows in trial order. The
     call is timed and counted as the LMS phase. ``runs`` holds each job's
     ``JobRun`` and ``diverged`` whether it diverged
     (``PhaseClock.count_lms``), in the order of the labels in ``points``.
@@ -696,8 +703,6 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
         bound = alms_ms_bound(s2, config.M)
     n_iters = config.iterations
 
-    w_lin = channels.stacked_linear()
-    w_nl = channels.stacked_nonlinear()
     stride = max(1, n_iters // 2000)
     # the plotted steps of the n_iters + 1, as the kernel keeps them
     iters_axis = np.arange(0, n_iters + 1, stride)
@@ -713,32 +718,30 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
                                               k_tiq=prof.k_tiq, steady_window=window)
-    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg) for (mu, label), cfg in cfgs.items()}
-    w_opts = {"alms": w_lin, "anclms": w_nl}
-    # per job: taps 1 and 2 at the plotted steps, (steps, 2), and the error
-    # of the window-mean weights, summed in trial order as the trials come,
-    # from trial 0's rows (so that a -0.0 keeps its sign)
-    tap_sums, err_sums = {}, {}
-    for t, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
-                                 report.clock, keep_residuals=False,
-                                 track_taps=(0, 1), tap_stride=stride):
+    # per job: taps 1 and 2 at the plotted steps, (steps, 2), summed by the
+    # kernel in trial order (run_trials' job-major lanes) into one row that
+    # starts at -0.0, as a -0.0 + x is x bit for bit
+    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg, taps=np.full((len(iters_axis), 2), -0.0j))
+            for (mu, label), cfg in cfgs.items()}
+    w_opts = {"alms": channels.stacked_linear(), "anclms": channels.stacked_nonlinear()}
+    # and the error of the window-mean weights, summed in trial order as the
+    # trials come, from -0.0 too
+    err_sums = {key: np.full(len(w_opts[key[1]]), -0.0j) for key in cfgs}
+    for _, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
+                                 report.clock, track_taps=(0, 1), tap_stride=stride):
         # a diverged trial's inf or nan weights may overflow the sums
         with np.errstate(over="ignore", invalid="ignore"):
             for key, run in zip(cfgs, runs.values()):
-                err = run.mean_weights - w_opts[key[1]]
-                if t:
-                    tap_sums[key] += run.taps
-                    err_sums[key] += err
-                else:
-                    tap_sums[key], err_sums[key] = run.taps, err
+                err_sums[key] += run.mean_weights - w_opts[key[1]]
 
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
         with _theory(report.clock):
             bias = alms_bias(TheoryInputs.from_profile(prof, channels, budget, mu))
         for label, w_opt in w_opts.items():
+            # a complex quotient of inf or nan parts warns
             with np.errstate(over="ignore", invalid="ignore"):
-                tap_mean = tap_sums[mu, label] / config.trials
+                tap_mean = jobs[f"{label}_{tag}"].taps / config.trials
                 mean_err = err_sums[mu, label] / config.trials
             for tap in (0, 1):
                 err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
@@ -758,9 +761,9 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                 }
             if label == "anclms" and mu == base_mu:
                 report.meta["anclms_weight_error_norm_frac"] = _fmt(
-                    np.linalg.norm(mean_err) / np.linalg.norm(w_nl))
+                    np.linalg.norm(mean_err) / np.linalg.norm(w_opt))
         for tap in (0, 1):
-            level = abs(bias[tap]) / abs(w_lin[tap])
+            level = abs(bias[tap]) / abs(w_opts["alms"][tap])
             traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
                 len(traces[f"alms_{tag}_tap{tap + 1}"]), level)
 
@@ -821,7 +824,7 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
     for first in range(0, len(points), 2):
         pair = [(point, jobs) for point, _, jobs in points[first:first + 2]]
         for t, runs, _ in run_trials(config, pair, config.iterations + config.M,
-                                     report.clock, keep_residuals=False):
+                                     report.clock):
             for label, run in runs.items():
                 trial_mse[label][t] = run.steady_state_mse
 
@@ -951,8 +954,12 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     report.meta["mu_frac"] = f"{CONVERGENCE_MU_FRAC:g}"
     report.meta["mu_bound"] = "anclms_mean_bound"
 
-    def cfg(mu):
-        return CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k)
+    def job(mu, preconditioner=None):
+        """A job at ``mu`` with a residual row, into which the kernel adds its
+        trials' residual powers in trial order (run_trials' job-major lanes),
+        from -0.0, as -0.0 + x is x bit for bit."""
+        return Job(CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k),
+                   preconditioner=preconditioner, residuals=np.full(n_steps, -0.0))
 
     # the SINR curve of each run, in the column order of convergence.csv,
     # each of n_points block means
@@ -962,19 +969,14 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # one pass of both reference powers, as the sweep's pairs of points: each
     # trial draws its source row once, renders it at each power and runs all
     # three jobs in one kernel call
-    points = [(opt, {"anclms_optimal": Job(cfg(mu_opt)),
-                     "anclms_whitened": Job(cfg(mu_white), preconditioner=newton)}),
-              (_point(config, prof, s_sub), {"anclms_suboptimal": Job(cfg(mu_sub))})]
-    # each run's residual powers summed in trial order as the trials come; a
-    # diverged trial's huge or non-finite row may overflow the sum
-    sums = dict.fromkeys((label for _, jobs in points for label in jobs), 0.0)
-    for _, runs, _ in run_trials(config, points, n_iters + config.M, report.clock):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for label, run in runs.items():
-                sums[label] += run.residual_power
-    for label, total in sums.items():
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = total / config.trials
+    points = [(opt, {"anclms_optimal": job(mu_opt), "anclms_whitened": job(mu_white, newton)}),
+              (_point(config, prof, s_sub), {"anclms_suboptimal": job(mu_sub)})]
+    for _ in run_trials(config, points, n_iters + config.M, report.clock):
+        pass
+    # a diverged trial's huge or non-finite residuals may have overflowed a sum;
+    # a quotient by the trial count never overflows
+    for label, ran in (points[0][1] | points[1][1]).items():
+        mean = ran.residuals / config.trials
         smooth = mean[: n_points * block].reshape(-1, block).mean(axis=1)
         curves[label] = lin_to_db(budget.p_x_soi / smooth)
 
@@ -1048,8 +1050,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     # per trial: (steady-state MSE, first nonfinite step, whether it diverged)
     trial_runs = {key: [] for key in cfgs}
     for _, runs, diverged in run_trials(config, [(point, jobs)],
-                                        config.iterations + config.M, report.clock,
-                                        keep_residuals=False):
+                                        config.iterations + config.M, report.clock):
         for key, label in zip(cfgs, jobs):
             run = runs[label]
             trial_runs[key].append((run.steady_state_mse, run.diverged_at, diverged[label]))
@@ -1132,13 +1133,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     The compiled kernels are loaded first, built if their cached library is
     missing, so that a build is timed in no phase of the run (it would
-    otherwise land in the generate phase of the first draw)."""
+    otherwise land in the generate phase of the first draw).
+
+    ``meta.txt`` records ``peak_rss_rise_mb``, the rise of the process's
+    peak resident set (``ru_maxrss``) over the run, in MB: it reads the
+    run's own memory, whatever the process held before it, but reads 0
+    when an earlier run in the same process peaked higher."""
     started = time.time()
+    peak_kb = getrusage(RUSAGE_SELF).ru_maxrss
     _native.library()
     out = Path(config.output_dir) if config.output_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport()
     _RUNNERS[config.experiment](config, report, out)
+    report.meta["peak_rss_rise_mb"] = _fmt((getrusage(RUSAGE_SELF).ru_maxrss - peak_kb) / 1024)
     _write_meta(report, config, out, started)
     return report
 

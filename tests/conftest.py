@@ -10,6 +10,9 @@ from fdsic.transceiver import builtin_profile, compute_noise_budget, synthesize_
 
 SEED = 17
 M, N = 5, 4
+# the warning flags of the session's narrower kernel builds: a warning fails
+# the build of every test that loads one
+WARNING_FLAGS = ("-Wall", "-Wextra", "-Werror")
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +47,7 @@ def _kernel_sources(tmp_path_factory):
 
 def _narrow_kernel(flag, sources, monkeypatch):
     """A context manager in which every kernel call runs the library built
-    with the extra x86 ``flag``."""
+    with the extra x86 ``flag`` and ``WARNING_FLAGS``."""
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip(f"{flag} is an x86 flag")
 
@@ -52,7 +55,7 @@ def _narrow_kernel(flag, sources, monkeypatch):
     def loaded():
         with monkeypatch.context() as patch:
             patch.setattr(_native, "_KERNEL_SOURCE", sources(flag))
-            patch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, flag))
+            patch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, flag, *WARNING_FLAGS))
             _native.library.cache_clear()
             try:
                 yield

@@ -125,7 +125,7 @@ def test_criterion_5_low_power_limit(lowpower_setup):
     for n_imd in (0, N):  # ALMS, then ANCLMS
         cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
         mse = np.mean([run.steady_state_mse
-                       for run in run_batch(xs, ds, cfg, keep_residuals=False)])
+                       for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)])
         sinr = lin_to_db(budget.p_x_soi / float(mse))
         worst = max(worst, abs(sinr - prof.snr_req_db))
     elapsed = time.time() - t0
@@ -148,7 +148,7 @@ def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
     for label, n_imd, bound in cancellers:
         mu = frac * bound
         cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
-        runs = run_batch(xs, ds, cfg, keep_residuals=False)
+        runs = [run for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)]
         grew = np.array([run.diverged or run.peak_residual > 1e3 * init for run in runs])
         steady_mse = np.array([run.steady_state_mse for run in runs])
         if frac >= 1.0:
@@ -293,8 +293,8 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     d = np.concatenate([np.zeros(m2 - 1), d_tail])
     mu_q = 0.02 * anclms_mean_bound(0.3, 1.5, m2, n2)
-    [run] = run_batch(xq[None, :], d[None, :],
-                      CancellerConfig(mu=mu_q, M=m2, N=n2, k_tiq=1.5))
+    [(run, _, _)] = run_batch(xq[None, :], d[None, :],
+                              CancellerConfig(mu=mu_q, M=m2, N=n2, k_tiq=1.5))
     np.testing.assert_allclose(run.final_weights, ls, rtol=5e-5,
                                atol=5e-5 * np.abs(ls).max())
     notes.append("widely nonlinear LS oracle (4 digits)")

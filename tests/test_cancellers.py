@@ -1,8 +1,8 @@
+import contextlib
 import ctypes
 import dataclasses
 import functools
 import math
-import platform
 import re
 import subprocess
 import warnings
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic import _native, cancellers, harness
-from fdsic.cancellers import (CancellerConfig, DegenerateInputError, Job, JobRun,
+from fdsic.cancellers import (CancellerConfig, DegenerateInputError, Job,
                               check_nonsingular, default_steady_window,
                               newton_preconditioner, regressor_matrix, run_batch,
                               run_jobs)
@@ -23,7 +23,7 @@ from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
                           optimal_sigma_x2, rb_matrix)
 from fdsic.transceiver import (compute_noise_budget, render_observation,
                                synthesize_channels)
-from conftest import M, N, SEED, stack_trials
+from conftest import M, N, SEED, WARNING_FLAGS, stack_trials
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
@@ -78,17 +78,19 @@ def test_build_nonlinear_bad_n():
 
 
 def _one_step(window, d, mu):
-    """A one-step run from w = 0 on a newest-first window and observation d."""
+    """A one-step run from w = 0 on a newest-first window and observation d:
+    its ``JobRun`` and residual row."""
     x = np.asarray(window, dtype=complex)[::-1]
     d_seq = np.zeros(len(x), dtype=complex)
     d_seq[-1] = d
-    [run] = run_batch(x[None, :], d_seq[None, :], CancellerConfig(mu=mu, M=len(x)))
-    return run
+    [(run, residuals, _)] = run_batch(x[None, :], d_seq[None, :],
+                                      CancellerConfig(mu=mu, M=len(x)))
+    return run, residuals
 
 
 def test_frozen_filter_step():
-    run = _one_step([1.0 + 1j, 2.0], 5.0, mu=0.0)
-    assert run.residual_power[0] == pytest.approx(25.0)
+    run, residuals = _one_step([1.0 + 1j, 2.0], 5.0, mu=0.0)
+    assert residuals[0] == pytest.approx(25.0)
     assert np.array_equal(run.final_weights, np.zeros(4))
     assert run.n_steps == 1
 
@@ -101,9 +103,9 @@ def test_one_step_contraction(window, mu_rel, d):
     norm2 = float(np.sum(np.abs(reg) ** 2))
     if norm2 < 1e-12:
         return
-    run = _one_step(window, d, mu=mu_rel / norm2)
+    run, residuals = _one_step(window, d, mu=mu_rel / norm2)
     e_after = d - reg @ run.final_weights
-    assert abs(e_after) ** 2 <= run.residual_power[0] * (1 + 1e-9)
+    assert abs(e_after) ** 2 <= residuals[0] * (1 + 1e-9)
 
 
 def test_alms_noiseless_convergence_to_ls_oracle():
@@ -117,8 +119,8 @@ def test_alms_noiseless_convergence_to_ls_oracle():
 
     d = np.concatenate([np.zeros(M - 1), d_tail])
     mu = 0.5 * alms_ms_bound(1.0, M)
-    [run] = run_batch(x[None, :], d[None, :],
-                      CancellerConfig(mu=mu, M=M))
+    [(run, _, _)] = run_batch(x[None, :], d[None, :],
+                              CancellerConfig(mu=mu, M=M))
     err = np.sum(np.abs(run.final_weights - w_opt) ** 2)
     assert err / np.sum(np.abs(w_opt) ** 2) < 1e-6  # below -60 dB
 
@@ -132,10 +134,9 @@ def test_anclms_noiseless_residual_floor():
     d_tail = regs @ w_opt
     d = np.concatenate([np.zeros(M - 1), d_tail])
     mu = 0.02 * anclms_mean_bound(0.3, 1.0, M, N)
-    [run] = run_batch(x[None, :], d[None, :],
-                      CancellerConfig(mu=mu, M=M, N=N, k_tiq=1.0),
-                      keep_residuals=True)
-    res = run.residual_power
+    [(_, res, _)] = run_batch(x[None, :], d[None, :],
+                              CancellerConfig(mu=mu, M=M, N=N, k_tiq=1.0),
+                              keep_residuals=True)
     assert res[-100:].mean() < 1e-6 * res[:100].mean()
 
 
@@ -150,8 +151,8 @@ def test_anclms_matches_widely_nonlinear_ls():
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     d = np.concatenate([np.zeros(m - 1), d_tail])
     mu = 0.02 * anclms_mean_bound(0.3, 1.5, m, n)
-    [run] = run_batch(x[None, :], d[None, :],
-                      CancellerConfig(mu=mu, M=m, N=n, k_tiq=1.5))
+    [(run, _, _)] = run_batch(x[None, :], d[None, :],
+                              CancellerConfig(mu=mu, M=m, N=n, k_tiq=1.5))
     got = run.final_weights
     np.testing.assert_allclose(got, ls, rtol=5e-5, atol=5e-5 * np.abs(ls).max())
 
@@ -217,7 +218,7 @@ def test_whitened_weights_map_back(type2):
     v = np.zeros(2 * (M + N), dtype=complex)
     for t, u in enumerate(regressor_matrix(x, M, N, type2.k_tiq) @ phi.T):
         v += cfg.mu * (d[M - 1 + t] - u @ v) * np.conj(u)
-    [run] = run_batch(x, d, cfg, preconditioner=newton_preconditioner(
+    [(run, _, _)] = run_batch(x, d, cfg, preconditioner=newton_preconditioner(
         rb_matrix(s2, type2.k_tiq, M, N), M, N))
     want = phi.T @ v
     np.testing.assert_allclose(run.final_weights, want, rtol=0,
@@ -227,8 +228,8 @@ def test_whitened_weights_map_back(type2):
 def test_run_batch_zero_observation():
     x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
-    [run] = run_batch(x[None, :], d[None, :], CancellerConfig(mu=0.05, M=M))
-    assert np.all(run.residual_power == 0.0)
+    [(run, residuals, _)] = run_batch(x[None, :], d[None, :], CancellerConfig(mu=0.05, M=M))
+    assert np.all(residuals == 0.0)
     assert np.all(run.final_weights == 0.0)
     assert run.steady_state_mse == 0.0
 
@@ -240,11 +241,11 @@ def test_run_batch_low_power_mse(lowpower_setup):
     config = ExperimentConfig(experiment="bias", profile=prof, trials=1,
                               seed=SEED)
     xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
-    [run] = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
+    [(run, residuals, _)] = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
     j_low = ((1 - mu * s2) * budget.sigma_v2 / (1 - mu * (M + 1) * s2)
              + budget.sigma_q2)
     assert run.steady_state_mse == pytest.approx(j_low, rel=0.05)
-    assert run.residual_power.shape == (run.n_steps,)
+    assert residuals.shape == (run.n_steps,)
 
 
 def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
@@ -256,7 +257,8 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
     mu = 1.5 * lowpower_ms_analysis.bound
     runs = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, N=N,
                                              k_tiq=prof.k_tiq), keep_residuals=False)
-    assert all(harness._diverged(run, harness._mean_power(d)) for run, d in zip(runs, ds))
+    assert all(harness._diverged(run, harness._mean_power(d))
+               for (run, _, _), d in zip(runs, ds))
 
 
 def test_mu_zero_flat_residual(lowpower_setup):
@@ -267,7 +269,7 @@ def test_mu_zero_flat_residual(lowpower_setup):
                           prof.natural_sigma_x2, 5000 + M)
     runs = run_batch(xs, ds, CancellerConfig(mu=0.0, M=M, k_tiq=prof.k_tiq),
                      keep_residuals=True)
-    np.testing.assert_allclose([run.residual_power for run in runs],
+    np.testing.assert_allclose([residuals for _, residuals, _ in runs],
                                np.abs(ds[:, M - 1:]) ** 2, rtol=1e-12)
 
 
@@ -297,8 +299,9 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
     With ``preconditioner`` P the step moves along P conj(reg), formed entry
     by entry as the diagonal term plus the term of the row's one
     off-diagonal nonzero (column k with weight 0 if it has none).
-    Returns each trial's JobRun fields as a dict (``diverged_at``
-    excluded), in trial order.
+    Returns each trial's ``(fields, residuals, taps)`` in trial order: its
+    JobRun fields as a dict (``diverged_at`` excluded) and its rows, as
+    ``run_batch`` returns them.
     """
     trials, n = xs.shape
     M, N = config.M, config.N
@@ -350,10 +353,11 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
                               steady_sum / np.maximum(steady_count, 1), np.inf)
     steady_mse = np.where(~finite, np.inf, steady_mse)
     stacked = dict(final_weights=w, mean_weights=mean_w, steady_state_mse=steady_mse,
-                   peak_residual=peak, diverged=~finite, residual_power=res,
-                   taps=None if taps is None else taps[:, ::tap_stride])
-    return [{"n_steps": n_steps, **{name: None if value is None else value[t]
-                                    for name, value in stacked.items()}}
+                   peak_residual=peak, diverged=~finite)
+    if taps is not None:
+        taps = taps[:, ::tap_stride]
+    return [({"n_steps": n_steps, **{name: value[t] for name, value in stacked.items()}},
+             None if res is None else res[t], None if taps is None else taps[t])
             for t in range(trials)]
 
 
@@ -364,14 +368,16 @@ def _bits(value):
     return a.view(np.uint64) if a.dtype.itemsize % 8 == 0 else a
 
 
-def _assert_same_bits(got: JobRun, want):
-    """Every field of the JobRun ``got`` equals the JobRun or oracle dict
-    ``want`` bit for bit, in shape and dtype too (the oracle has no
+def _assert_same_bits(got, want):
+    """The ``(run, residuals, taps)`` record ``got`` equals the record or
+    oracle triple ``want`` bit for bit, every JobRun field and row, in
+    shape and dtype too (the oracle's fields are a dict without
     ``diverged_at``)."""
-    if not isinstance(want, dict):
-        want = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
-    for name, value in want.items():
-        actual = getattr(got, name)
+    (run, *rows), (fields, *want_rows) = got, want
+    if not isinstance(fields, dict):
+        fields = {f.name: getattr(fields, f.name) for f in dataclasses.fields(fields)}
+    pairs = [(name, getattr(run, name), value) for name, value in fields.items()]
+    for name, actual, value in pairs + list(zip(("residuals", "taps"), rows, want_rows)):
         if value is None:
             assert actual is None, name
         else:
@@ -379,7 +385,7 @@ def _assert_same_bits(got: JobRun, want):
                                           strict=True)
 
 
-def _assert_same_runs(got: list[JobRun], want: list):
+def _assert_same_runs(got: list, want: list):
     """``_assert_same_bits`` of each trial's run in ``got`` and ``want``."""
     assert len(got) == len(want)
     for run, row in zip(got, want):
@@ -462,7 +468,7 @@ def test_kernel_matches_numpy_loop(mode, kernel_setup, wiener):
     scale = _KERNEL_MODES[mode][1]
     got = run_batch(xs, ds, cfg, **options)
     want = _reference_run_batch(xs, ds, cfg, **options)
-    assert [run.diverged for run in got] == [scale > 1] * len(xs)
+    assert [run.diverged for run, _, _ in got] == [scale > 1] * len(xs)
     _assert_same_runs(got, want)
 
 
@@ -499,8 +505,8 @@ _GROUP_JOBS = (
     (0, 2.0, None, None),
     (2, 0.3, 2000, None),
 )
-# the run_jobs options of a call of that many jobs; tap 5 is the first
-# conjugate entry of ALMS and the first IMD entry of ANCLMS (N = 4)
+# the records (_own_rows options) of a call of that many jobs; tap 5 is the
+# first conjugate entry of ALMS and the first IMD entry of ANCLMS (N = 4)
 _GROUP_OPTIONS = {
     2: dict(keep_residuals=False),
     3: dict(track_taps=(0, 1, 5)),
@@ -556,13 +562,26 @@ def _group_jobs(kernel_setup, wiener, point_rows, count):
     return jobs, own
 
 
-def _grouped(jobs, zs, **options) -> list[list[JobRun]]:
+def _own_rows(jobs, keep_residuals=True, track_taps=(), tap_stride=1) -> list:
+    """Run ``jobs`` in one call, each with residual and tap rows of its own
+    that start at -0.0 (none where not kept), as ``run_batch`` gives its
+    trials; return each job's ``(run, residuals, taps)``."""
+    n_steps = len(jobs[0].z) - jobs[0].config.M + 1
+    jobs = [job._replace(
+        residuals=np.full(n_steps, -0.0) if keep_residuals else None,
+        taps=(np.full((-(-n_steps // tap_stride), len(track_taps)), -0.0j)
+              if track_taps else None)) for job in jobs]
+    runs = run_jobs(jobs, track_taps, tap_stride)
+    return [(run, job.residuals, job.taps) for run, job in zip(runs, jobs)]
+
+
+def _grouped(jobs, zs, **options) -> list[list]:
     """Run every job of ``jobs`` on every trial, the trial's source row of
     ``zs`` and its row of the job's d, in one call, trial-major, so that
-    each vector holds several jobs; return each job's runs in trial
-    order."""
-    runs = run_jobs([job._replace(z=z, d=job.d[t]) for t, z in enumerate(zs)
-                     for job in jobs], **options)
+    each vector holds several jobs, each with rows of its own
+    (``_own_rows``); return each job's records in trial order."""
+    runs = _own_rows([job._replace(z=z, d=job.d[t]) for t, z in enumerate(zs)
+                      for job in jobs], **options)
     return [runs[k::len(jobs)] for k in range(len(jobs))]
 
 
@@ -591,10 +610,10 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows)
     assert _native.lanes() == _build_lanes()
     runs = _grouped(jobs, zs, **options)
     assert len(runs) == count
-    assert all(run.diverged for run in runs[3 % count]) == (count > 3)
-    assert not any(run.diverged for run in runs[0] + runs[1])
+    assert all(run.diverged for run, _, _ in runs[3 % count]) == (count > 3)
+    assert not any(run.diverged for run, _, _ in runs[0] + runs[1])
     # one job alone runs as the lanes too, forming its x from z
-    [alone] = run_jobs([jobs[0]._replace(z=zs[0], d=jobs[0].d[0])], **options)
+    [alone] = _own_rows([jobs[0]._replace(z=zs[0], d=jobs[0].d[0])], **options)
     _assert_same_bits(alone, runs[0][0])
     for job, (xs, d), job_runs in zip(jobs, own, runs):
         for oracle in (run_batch, _reference_run_batch):
@@ -623,7 +642,7 @@ def test_newton_jobs_of_one_call(kernel_setup, wiener, monkeypatch):
         warnings.simplefilter("error")
         runs = _grouped(jobs, xs, **options)
     assert len(formed) == 1 and formed[0] is p
-    assert [[run.diverged for run in job_runs] for job_runs in runs] == [
+    assert [[run.diverged for run, _, _ in job_runs] for job_runs in runs] == [
         [True] * len(xs), [False] * len(xs), [False] * len(xs)]
     for job, job_runs in zip(jobs, runs):
         options.update(w0=job.w0, preconditioner=job.preconditioner)
@@ -658,10 +677,106 @@ def test_grouped_jobs_zero_observation():
     x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
     jobs = [Job(CancellerConfig(mu=0.05, M=M, N=n_imd), x, d) for n_imd in (0, N, 1)]
-    for run in run_jobs(jobs):
-        assert np.all(run.residual_power == 0.0)
+    for run, residuals, _ in _own_rows(jobs):
+        assert np.all(residuals == 0.0)
         assert np.all(run.final_weights == 0.0)
         assert run.steady_state_mse == 0.0 and not run.diverged
+
+
+def test_record_rows_contract(kernel_setup):
+    """A job's residual and tap rows are arrays the kernel adds to: run_jobs
+    refuses a row of another shape or dtype, one that is not C-contiguous,
+    one that is read-only and one that is no array, before it runs
+    anything; a job without rows returns the run it returns with them."""
+    _, xs, ds, _ = kernel_setup
+    cfg = _kernel_config(kernel_setup, N, 0.5)
+    steps = xs.shape[1] - M + 1
+    kept = -(-steps // 7)
+    options = dict(track_taps=(0, 5), tap_stride=7)
+    good = dict(residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
+    read_only = {name: row.copy() for name, row in good.items()}
+    for row in read_only.values():
+        row.flags.writeable = False
+    bad = {"residuals": [np.full(steps + 1, -0.0), np.full((1, steps), -0.0),
+                         np.full(steps, -0.0, dtype=np.float32), np.full(steps, -0.0j),
+                         np.full(2 * steps, -0.0)[::2], read_only["residuals"],
+                         [-0.0] * steps],
+           "taps": [np.full((kept + 1, 2), -0.0j), np.full((kept, 3), -0.0j),
+                    np.full((kept, 2), -0.0j, dtype=np.complex64),
+                    np.full((kept, 2), -0.0), np.full((kept, 4), -0.0j)[:, ::2],
+                    np.full((2, kept), -0.0j).T, read_only["taps"]]}
+    for name, rows in bad.items():
+        for row in rows:
+            with pytest.raises(ValueError, match=f"{name} row must be a writable "
+                                                 "C-contiguous"):
+                run_jobs([Job(cfg, xs[0], ds[0], **good),
+                          Job(cfg, xs[1], ds[1], **{name: row})], **options)
+    for row in good.values():  # the refused calls ran nothing
+        assert np.all(row.view(np.uint64) == np.float64(-0.0).view(np.uint64))
+    [bare] = run_jobs([Job(cfg, xs[0], ds[0])], **options)
+    [with_rows] = _own_rows([Job(cfg, xs[0], ds[0])], **options)
+    _assert_same_bits((bare, None, None), (with_rows[0], None, None))
+
+
+@pytest.fixture(scope="module")
+def ten_trials(type2):
+    """10 trials x 3000 steps of kernel_setup's point, as (xs, ds), trial 3's
+    observation NaN at sample 500, so that every job diverges on it."""
+    prof = type2.with_tx_power(15.0)
+    config = ExperimentConfig(experiment="bias", profile=prof, trials=10, seed=SEED)
+    xs, ds = stack_trials(config, prof, synthesize_channels(prof, M, N, seed=SEED),
+                          compute_noise_budget(prof), prof.natural_sigma_x2,
+                          3000 + M - 1)
+    ds[3, 500] = np.nan
+    return xs, ds
+
+
+# the jobs of a call whose trials share their rows, (kind of _KERNEL_MODES,
+# mu as a multiple of the kind's bound) each: three like convergence's
+# (optimal, whitened, a smaller step) and bias's four, ALMS and ANCLMS at
+# two step sizes, laid out width-major as run_trials lays them
+_SHARED_JOBS = {
+    "three": ((N, 0.5), ("newton", 0.005), (N, 0.05)),
+    "bias": ((0, 0.05), (0, 0.1), (N, 0.05), (N, 0.1)),
+}
+
+
+@pytest.mark.parametrize("build", ["default", "scalar_kernel", "avx2_kernel"])
+@pytest.mark.parametrize("case", sorted(_SHARED_JOBS))
+def test_shared_rows_sum_in_trial_order(case, build, kernel_setup, ten_trials, request):
+    """Jobs whose 10 trials share one residual row and one tap row per job,
+    laid out job-major in one call (on 8 and 4 lanes some vectors hold two
+    jobs' trials), end with each row the trial-order numpy sum of the rows
+    of the one-job runs of the same trials, started at -0.0, bit for bit,
+    the NaN of the diverged trial included, and each trial returns its
+    one-job run, on the default, the -mno-avx2 and the -mno-avx512f
+    builds."""
+    xs, ds = ten_trials
+    trials = len(xs)
+    steps = xs.shape[1] - M + 1
+    kept = -(-steps // 7)
+    options = dict(track_taps=(0, 5), tap_stride=7)
+    jobs = [Job(_kernel_config(kernel_setup, kind, scale),
+                preconditioner=_exact_inverse(kernel_setup) if kind == "newton" else None,
+                residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
+            for kind, scale in _SHARED_JOBS[case]]
+    calls = [job._replace(z=x, d=d) for job in jobs for x, d in zip(xs, ds)]
+    build = contextlib.nullcontext if build == "default" else request.getfixturevalue(build)
+    with build():
+        runs = run_jobs(calls, **options)
+        alone = [record for call in calls for record in _own_rows([call], **options)]
+    for k, job in enumerate(jobs):
+        sums = dict(residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
+        for t in range(trials):
+            run, *rows = alone[k * trials + t]
+            _assert_same_bits((runs[k * trials + t], None, None), (run, None, None))
+            assert run.diverged is (t == 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for total, row in zip(sums.values(), rows):
+                    total += row
+        for name, total in sums.items():
+            np.testing.assert_array_equal(_bits(getattr(job, name)), _bits(total),
+                                          err_msg=name, strict=True)
 
 
 def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
@@ -738,17 +853,22 @@ def test_avx2_build_matches_the_lanes(kernel_setup, wiener, point_rows, avx2_ker
     assert _build_lanes("-mno-avx512f") in (1, 4)
 
 
-@pytest.mark.parametrize("extra", [(), ("-mno-avx2",), ("-mno-avx512f",)],
+@pytest.mark.parametrize("build", ["default", "scalar_kernel", "avx2_kernel"],
                          ids=["default", "no-avx2", "no-avx512f"])
-def test_kernel_compiles_without_warnings(extra, tmp_path):
+def test_kernel_compiles_without_warnings(build, tmp_path, request):
     """The kernel builds warning-free under -Wall -Wextra with the
     production flags, without AVX2 (the vector operations one double wide)
-    and without AVX-512 (four wide where the CPU has AVX2 and FMA)."""
-    if extra and platform.machine() not in ("x86_64", "AMD64"):
-        pytest.skip(f"{extra[0]} is an x86 flag")
-    command = [_native._COMPILER, *_native._CFLAGS, *extra, "-Wall", "-Wextra",
-               "-Werror", str(_native._KERNEL_SOURCE), "-o",
-               str(tmp_path / "_lms.so"), "-lm"]
+    and without AVX-512 (four wide where the CPU has AVX2 and FMA). The
+    session builds without AVX2 and without AVX-512, which the lane and
+    digest tests load too, are made with -Werror, so this loads them; the
+    production flags get one such build here."""
+    if build != "default":
+        with request.getfixturevalue(build)():
+            assert set(WARNING_FLAGS) <= set(_native._CFLAGS)
+            assert _native.library().lms_raw is not None
+        return
+    command = [_native._COMPILER, *_native._CFLAGS, *WARNING_FLAGS,
+               str(_native._KERNEL_SOURCE), "-o", str(tmp_path / "_lms.so"), "-lm"]
     proc = subprocess.run(command, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -792,12 +912,12 @@ def test_preconditioner_couples_only_layout_partners(entry, kernel_setup):
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
     _, xs, ds, _ = kernel_setup
-    for run in run_batch(xs, ds, _kernel_config(kernel_setup, 0, 2.0)):
+    for run, residuals, _ in run_batch(xs, ds, _kernel_config(kernel_setup, 0, 2.0)):
         assert type(run.diverged_at) is int and run.diverged_at > 0
-        assert run.diverged_at == np.argmax(~np.isfinite(run.residual_power))
+        assert run.diverged_at == np.argmax(~np.isfinite(residuals))
     calm = run_batch(xs, ds, _kernel_config(kernel_setup, 0, 0.5))
-    assert [run.diverged_at for run in calm] == [-1] * len(xs)
-    assert not any(run.diverged for run in calm)
+    assert [run.diverged_at for run, _, _ in calm] == [-1] * len(xs)
+    assert not any(run.diverged for run, _, _ in calm)
 
 
 @pytest.mark.parametrize("whiten", [False, True])
@@ -811,7 +931,7 @@ def test_diverging_run_emits_no_warnings(whiten, kernel_setup):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runs = run_batch(xs, ds, cfg, **options)
-    assert all(run.diverged and math.isinf(run.steady_state_mse) for run in runs)
+    assert all(run.diverged and math.isinf(run.steady_state_mse) for run, _, _ in runs)
 
 
 def test_tracked_tap_out_of_range(kernel_setup):

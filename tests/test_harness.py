@@ -152,7 +152,7 @@ def test_trial_independence(lowpower_setup):
     xs, ds = stack_trials(config, prof, channels, budget,
                           prof.natural_sigma_x2, 12_000 + M)
     mse = np.array([run.steady_state_mse
-                    for run in run_batch(xs, ds, cfg, keep_residuals=False)])
+                    for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)])
     half, full = mse[:10].mean(), mse.mean()
     stderr = mse.std(ddof=1) / np.sqrt(10)
     assert abs(half - full) < 2 * stderr + 1e-18
@@ -460,6 +460,15 @@ def test_convergence_meta_names_its_step_size(type2, tmp_path):
     assert meta["mu_frac"] == "0.005"
     assert meta["mu_bound"] == "anclms_mean_bound"
     assert "mu_abs" not in meta
+
+
+def test_convergence_meta_records_its_peak_rss_rise(type2, tmp_path):
+    """meta.txt records the rise of the process's peak RSS over the run, in
+    MB: 0 or more (0 when an earlier run of the process peaked higher)."""
+    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    rise = float(_meta(run_experiment(cfg))["peak_rss_rise_mb"])
+    assert math.isfinite(rise) and rise >= 0
 
 
 @pytest.mark.parametrize("iterations, run", [(3000, 20_000), (20_500, 20_500)])
@@ -896,6 +905,74 @@ def test_cli_diverged_sweep_point_runs_without_warnings(check, code, tmp_path):
         assert int(meta.get(f"diverged_trials[{label}]", "0")) > 0, label
 
 
+# the edge cases of bias and convergence runs: (command-line options, the
+# type2 profile entries they replace); --mu-frac is bias's alone, since
+# convergence runs a fixed fraction of its own bound
+_EDGE_CASES = {
+    "trials-1": (["--trials", "1"], {}),
+    "irr-inf": ([], {"irr": "inf dB"}),
+    "iq-60dB": ([], {"k_tiq": "60 dB", "k_riq": "60 dB"}),
+    "M2-N1": (["--M", "2", "--N", "1"], {}),
+    "M8-N6": (["--M", "8", "--N", "6"], {}),
+    "mu-frac-0.99": (["--mu-frac", "0.99"], {}),
+}
+
+
+def _cell_job(csv_name: str, column: str, base_job: str) -> str | None:
+    """The canceller job whose run a cell of ``column`` of a bias or
+    convergence CSV reads, or None for an axis or theory column:
+    ``bias.csv``'s curves are ``<job>_tap<k>``, ``bias_taps.csv``'s measured
+    columns read ``base_job`` (the ALMS job at the base step size) and
+    ``convergence.csv``'s curves are named by their jobs."""
+    if csv_name == "bias.csv" and re.fullmatch(r"a(nc)?lms_mu.*_tap\d", column):
+        return column.rsplit("_", 1)[0]
+    if csv_name == "bias_taps.csv" and column in ("measured_abs", "rel_error"):
+        return base_job
+    if csv_name == "convergence.csv" and re.fullmatch(r"anclms_[a-z]+", column):
+        return column
+    return None
+
+
+@pytest.mark.parametrize("experiment, case", [
+    (experiment, case) for experiment in ("bias", "convergence") for case in _EDGE_CASES
+    if experiment == "bias" or case != "mu-frac-0.99"])
+def test_edge_cases_run_explained(experiment, case, tmp_path):
+    """bias and convergence at 2 trials and 3000 steps, at each edge case,
+    through the command line with --check: the run exits 0, 2 or 3 without
+    a warning, and every non-finite cell of its CSVs reads a job that
+    meta.txt names as diverged."""
+    options, entries = _EDGE_CASES[case]
+    text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
+    for key, value in entries.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    profile = tmp_path / "edge.profile"
+    profile.write_text(text)
+    out = tmp_path / "out"
+    argv = [experiment, "--profile", str(profile), "--trials", "2", "--iterations",
+            "3000", "--check", "--out", str(out), *options]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        return
+    meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    diverged = {key[len("diverged_trials["):-1] for key, value in meta.items()
+                if key.startswith("diverged_trials[") and int(value) > 0}
+    base_job = None
+    for path in sorted(out.glob("*.csv")):  # bias.csv before bias_taps.csv
+        header, *rows = path.read_text().splitlines()
+        columns = header.split(",")
+        if path.name == "bias.csv":
+            base_job = columns[1].rsplit("_", 1)[0]
+        for row in rows:
+            for column, cell in zip(columns, row.split(",")):
+                if not math.isfinite(float(cell)):
+                    job = _cell_job(path.name, column, base_job)
+                    assert job in diverged, (path.name, column, cell)
+
+
 def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch):
     """A source row holding a NaN renders a non-finite observation from
     that sample on: a bias or convergence run completes, convergence's
@@ -934,8 +1011,9 @@ def test_phase_clock_counts_diverged_trials():
     4 lanes per vector, then a 3-run call on 1, then a 6-run call on 8;
     ``lms_lanes`` names the lanes of the last call."""
     x = gen_proper_gaussian(3000, seed=30).reference(1.0)
-    calm = run_batch(np.stack([x] * 3), np.stack([x] * 3),
-                     CancellerConfig(mu=0.01, M=M), keep_residuals=False)
+    calm = [run for run, _, _ in run_batch(np.stack([x] * 3), np.stack([x] * 3),
+                                           CancellerConfig(mu=0.01, M=M),
+                                           keep_residuals=False)]
     grown = [dataclasses.replace(run, peak_residual=peak)
              for run, peak in zip(calm, (0.5, 2e3, 999.0))]
     broken = [dataclasses.replace(run, diverged_at=step)
@@ -983,34 +1061,50 @@ def test_run_trials_equals_one_call_per_trial(type2):
     bound (it overflows) and a Newton job, in one call per trial: the runs
     come back by label in the order given, each bit for bit the run of its
     job alone on the trial's reference and observation, and so do the
-    trials ``_diverged`` flags."""
+    trials ``_diverged`` flags; each job's residual and tap rows, handed to
+    all its trials, end as the trial-order sums of its one-job rows."""
     config = ExperimentConfig(experiment="bias", profile=type2, trials=2, seed=SEED)
     n = 3000 + M
+    steps, kept = n - M + 1, -(-(n - M + 1) // 7)
     low, high = (harness._point(config, type2.with_tx_power(tx)) for tx in (-5.0, 5.0))
     k = type2.k_tiq
+
+    def rows():
+        return dict(residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
+
     points = [
         (low, {"plain": Job(CancellerConfig(mu=2 * alms_ms_bound(low.sigma_x2, M), M=M,
-                                            k_tiq=k), None, None)}),
-        (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k), None, None,
+                                            k_tiq=k), **rows())}),
+        (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k),
                               preconditioner=newton_preconditioner(
-                                  rb_matrix(high.sigma_x2, k, M, N), M, N))})]
-    rows = [stack_trials(config, *point, n) for point, _ in points]
+                                  rb_matrix(high.sigma_x2, k, M, N), M, N), **rows())})]
+    trial_rows = [stack_trials(config, *point, n) for point, _ in points]
+    sums = {label: rows() for _, jobs in points for label in jobs}
+    options = dict(track_taps=(0, 5), tap_stride=7)
     trials = []
     for t, runs, diverged in harness.run_trials(config, points, n, harness.PhaseClock(),
-                                                track_taps=(0, 5)):
+                                                **options):
         trials.append(t)
         assert list(runs) == list(diverged) == ["plain", "newton"]
-        for (xs, ds), (_, jobs) in zip(rows, points):
+        for (xs, ds), (_, jobs) in zip(trial_rows, points):
             for label, job in jobs.items():
-                [want] = run_jobs([job._replace(z=xs[t], d=ds[t])], track_taps=(0, 5))
+                alone = job._replace(z=xs[t], d=ds[t], **rows())
+                [want] = run_jobs([alone], **options)
                 for name in (f.name for f in dataclasses.fields(JobRun)):
                     got, value = getattr(runs[label], name), getattr(want, name)
                     assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), \
                         (label, name)
                 assert diverged[label] is harness._diverged(
                     want, harness._mean_power(ds[t]))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for name, total in sums[label].items():
+                        total += getattr(alone, name)
         assert diverged == {"plain": True, "newton": False}
     assert trials == [0, 1]
+    for _, jobs in points:
+        for label, job in jobs.items():
+            for name, total in sums[label].items():
+                assert getattr(job, name).tobytes() == total.tobytes(), (label, name)
 
 
 def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):

@@ -398,18 +398,11 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
                 out: Path, started: float):
     """Write ``meta.txt``: the configuration, the duration, ``report.meta``
     (a runner's step size among it), the phase clock and the checks."""
-    lines = [
-        f"experiment = {config.experiment}",
-        f"version = {__version__}",
-        f"seed = {config.seed}",
-        f"trials = {config.trials}",
-        f"iterations = {config.iterations}",
-        f"signal_source = {config.signal_source}",
-        f"M = {config.M}",
-        f"N = {config.N}",
-        f"tx_grid_dbm = {','.join(_fmt_column(config.tx_grid_dbm))}",
-        f"duration_s = {time.time() - started:.1f}",
-    ]
+    lines = [f"experiment = {config.experiment}", f"version = {__version__}"]
+    lines += [f"{key} = {getattr(config, key)}" for key in
+              ("seed", "trials", "iterations", "signal_source", "M", "N")]
+    lines += [f"tx_grid_dbm = {','.join(_fmt_column(config.tx_grid_dbm))}",
+              f"duration_s = {time.time() - started:.1f}"]
     lines += [f"{k} = {v}" for k, v in report.meta.items()]
     lines += report.clock.meta_lines()
     lines += [f"check[{c.name}] = {'pass' if c.passed else 'FAIL'} {c.detail}"
@@ -899,13 +892,8 @@ def _median(values) -> float:
 
 def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> int:
     """First iteration index whose smoothed SINR stays within 1 dB of target."""
-    ok = sinr_db >= target_db - 1.0
-    idx = len(ok)
-    for i in range(len(ok) - 1, -1, -1):
-        if not ok[i]:
-            break
-        idx = i
-    return idx * block
+    late = np.flatnonzero(~(sinr_db >= target_db - 1.0))  # NaN is not within
+    return int(late[-1] + 1 if late.size else 0) * block
 
 
 def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Path):
@@ -1138,15 +1126,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``meta.txt`` records ``peak_rss_rise_mb``, the rise of the process's
     peak resident set (``ru_maxrss``) over the run, in MB: it reads the
     run's own memory, whatever the process held before it, but reads 0
-    when an earlier run in the same process peaked higher."""
+    when an earlier run in the same process peaked higher. Beside it come
+    the process's user and system CPU seconds (``cpu_user_s``,
+    ``cpu_sys_s``, every thread's) and minor page faults
+    (``minor_faults``) over the run, each the difference of two
+    ``getrusage`` reads like the RSS rise."""
     started = time.time()
-    peak_kb = getrusage(RUSAGE_SELF).ru_maxrss
+    before = getrusage(RUSAGE_SELF)
     _native.library()
     out = Path(config.output_dir) if config.output_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport()
     _RUNNERS[config.experiment](config, report, out)
-    report.meta["peak_rss_rise_mb"] = _fmt((getrusage(RUSAGE_SELF).ru_maxrss - peak_kb) / 1024)
+    after = getrusage(RUSAGE_SELF)
+    report.meta["peak_rss_rise_mb"] = _fmt((after.ru_maxrss - before.ru_maxrss) / 1024)
+    report.meta["cpu_user_s"] = _fmt(after.ru_utime - before.ru_utime)
+    report.meta["cpu_sys_s"] = _fmt(after.ru_stime - before.ru_stime)
+    report.meta["minor_faults"] = _fmt(after.ru_minflt - before.ru_minflt)
     _write_meta(report, config, out, started)
     return report
 

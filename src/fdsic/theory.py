@@ -5,12 +5,30 @@ complex Gaussian with power sigma_x2, so E|x|^4 = 2 sigma_x2^2 and
 E|x|^6 = 6 sigma_x2^3. Powers are linear mW throughout; dB only on output.
 
 The mean-square analysis of the nonlinear canceller is exact too: its
-fourth-moment matrix T (``fourth_moment``) follows from the moments
+fourth-moment matrix T follows from the moments
 E[x^p x*^q] = [p = q] p! sigma_x2^p, so the step-size bound is a function of
 the operating point (sigma_x2, k_tiq, M, N) alone. ``estimate_fourth_moment``
 is the sample-average estimate of the same matrix. Everything here is numpy
 alone: the symmetric-definite pencil (T, S) of the bound is reduced to a
 standard eigenproblem through the Cholesky factor of S.
+
+The analysis runs on the exact block structure of S = I kron R + R kron I
+and T. Give regressor entry i the charge c_i e(d_i), a vector over the
+delays: c = +1 for x and x_imd, -1 for their conjugates, at the entry's
+delay d. Vec index i dim + j then has the charge Q_ij = c_i e(d_i) -
+c_j e(d_j), and both S and T vanish between indices of different charge, as
+a proper Gaussian moment vanishes unless its powers of x and x* match at
+every delay. So S, T and the transition matrix F = I - mu S + mu^2 T are
+block diagonal, one block per charge class; the classes are exactly the
+connected components of S + T. At the default M = 5, N = 4 the 324 vec
+indices fall into 51 blocks: one of 34, 24 of 8, 24 of 4 and 2 of 1
+(3,078 entries of the 104,976 of a dense S); at M = 8, N = 6 the 784 fall
+into 129. ``anclms_ms_analysis`` builds each block directly, never a dense
+(dim^2, dim^2) matrix or a dim^4 array. The bound reads every block;
+vec(R), and with it the drive of the recursion and the MSE it reads, lies
+in the Q = 0 block, of 2M + 6N indices, so ``anclms_transient`` and
+``anclms_exact_steady_mse`` solve that block alone. The dense engine they
+replace is the oracle of the tests (``tests/conftest.py``).
 
 Two condition-number figures coexist deliberately:
 
@@ -298,19 +316,23 @@ def estimate_fourth_moment(sample_regressors: np.ndarray,
     return t_mat / n
 
 
-def fourth_moment(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
-    """Exact fourth-moment matrix T = E[(x x^H) kron (x* x^T)] of the regressor.
+def _mean_square_blocks(sigma_x2: float, k_tiq: float, M: int, N: int,
+                        r_mat: np.ndarray) -> tuple:
+    """The diagonal blocks of S = I kron R + R kron I and of the exact
+    fourth-moment matrix T, one ``(index, S_b, T_b)`` per block size, of
+    shapes (blocks, n), (blocks, n, n) and (blocks, n, n).
 
-    Entry ((i, j), (k, l)) is E[r_i r_j* r_k* r_l], the convention of
-    ``estimate_fourth_moment``. Each regressor entry is a scaled monomial
-    c x(n-d)^p conj(x(n-d))^q, so every entry of T factorises over the
-    delays into proper Gaussian moments E[x^p x*^q] = [p = q] p! s2^p
-    (Isserlis). T is real and symmetric.
+    Entry ((i, j), (k, l)) of T, at vec indices i dim + j and k dim + l, is
+    E[r_i r_j* r_k* r_l], the convention of ``estimate_fourth_moment``. Each
+    regressor entry is a scaled monomial c x(n-d)^p conj(x(n-d))^q, so the
+    entry factorises over the delays into proper Gaussian moments
+    E[x^p x*^q] = [p = q] p! s2^p (Isserlis), multiplied in one delay at a
+    time, left to right, and then by the four scales. Both S and T vanish
+    between vec indices of different charge Q_ij = (p - q)_i - (p - q)_j, a
+    vector over the delays, so each charge class is one block. A row of
+    ``index`` lists one class's vec indices in ascending order, so each block
+    is the sub-block of the dense matrix at those indices, bit for bit.
     """
-    if sigma_x2 <= 0 or k_tiq < 0:
-        raise ValueError("need sigma_x2 > 0 and k_tiq >= 0")
-    if not 0 <= N < M:
-        raise ValueError("need 0 <= N < M")
     sizes = [M, N, M, N]
     # per entry: its delay, the powers of x and of x*, and its scale
     delay = np.concatenate([np.arange(n) for n in sizes])
@@ -318,58 +340,90 @@ def fourth_moment(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
     p = np.repeat([1, 2, 0, 1], sizes)[:, None] * at_delay
     q = np.repeat([0, 1, 1, 2], sizes)[:, None] * at_delay
     coef = np.repeat([1.0, k_tiq ** 1.5, 1.0, k_tiq ** 1.5], sizes)
-
-    def outer4(a, b, c, d):  # a_i + b_j + c_k + d_l
-        return (a[:, None, None, None] + b[None, :, None, None]
-                + c[None, None, :, None] + d[None, None, None, :])
-
+    charge = (p - q)[:, None] - (p - q)[None, :]  # Q_ij, (dim, dim, M)
+    _, cls = np.unique(charge.reshape(-1, M), axis=0, return_inverse=True)
+    size = np.bincount(cls)[cls]
+    order = np.lexsort((cls, size))  # stable: ascending vec index in a class
     powers = np.arange(9)  # each factor brings at most 2 powers of x
     moment = np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers
-    # the product over the delays, multiplied in one delay at a time, left to
-    # right; conjugating r_j and r_k swaps their powers of x and x*
-    dim = len(delay)
-    t_mat = np.ones((dim,) * 4)
-    for pd, qd in zip(p.T, q.T):
-        p_tot, q_tot = outer4(pd, qd, qd, pd), outer4(qd, pd, pd, qd)
-        t_mat *= np.where(p_tot == q_tot, moment[p_tot], 0.0)
-    t_mat *= np.einsum("i,j,k,l->ijkl", coef, coef, coef, coef)
-    return t_mat.reshape(dim * dim, dim * dim)
+    blocks = []
+    for n in np.flatnonzero(np.bincount(size)):  # np.unique would import numpy.ma
+        index = order[size[order] == n].reshape(-1, n)
+        i, j = np.divmod(index, len(p))
+        i, j, k, l = i[:, :, None], j[:, :, None], i[:, None, :], j[:, None, :]
+        s_b = (i == k) * r_mat[j, l] + r_mat[i, k] * (j == l)
+        # conjugating r_j and r_k swaps their powers of x and x*
+        t_b = np.ones(s_b.shape)
+        for pd, qd in zip(p.T, q.T):
+            p_tot, q_tot = pd[i] + qd[j] + qd[k] + pd[l], qd[i] + pd[j] + pd[k] + qd[l]
+            t_b *= np.where(p_tot == q_tot, moment[p_tot], 0.0)
+        t_b *= coef[i] * coef[j] * coef[k] * coef[l]
+        blocks.append((index, s_b, t_b))
+    return tuple(blocks)
+
+
+def _reduced_pencil(s_b: np.ndarray, t_b: np.ndarray) -> np.ndarray:
+    """L^-1 T L^-T with S = L L^T, for each block of the stacks: its
+    eigenvalues are those of S^-1 T."""
+    chol = np.linalg.cholesky(s_b)
+    half = np.linalg.solve(chol, t_b)
+    return np.linalg.solve(chol, np.swapaxes(half, -1, -2))
 
 
 @dataclass(frozen=True)
 class AnclmsMsAnalysis:
     """Fourth-moment analysis of the nonlinear canceller at one operating
-    point: the regressor covariance R, S = I kron R + R kron I and the
-    fourth-moment matrix T, all exactly symmetric.
+    point: the regressor covariance R and the diagonal blocks of
+    S = I kron R + R kron I and of the fourth-moment matrix T, all exactly
+    symmetric.
+
+    ``blocks`` holds one ``(index, S_b, T_b)`` per block size: ``index``
+    (blocks, n) lists each block's vec indices, and S_b and T_b (blocks,
+    n, n) are the dense matrices' sub-blocks at them. At M = 5, N = 4 the
+    324 vec indices fall into 51 blocks: one of 34, 24 of 8, 24 of 4 and 2
+    of 1. ``zero_block`` is the charge-0 block, of size 2M + 6N, which
+    holds vec(R).
 
     ``bound``, the mean-square step-size bound, is computed on first read
-    and kept: a run that only needs S and T (the convergence transient)
-    never pays for it.
+    and kept: a run that only needs the transient never pays for it.
     """
 
-    s_mat: np.ndarray
-    t_mat: np.ndarray
     r_mat: np.ndarray
+    blocks: tuple
+
+    @property
+    def zero_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(index, vec(R), S_0, T_0)`` of the charge-0 block, vec(R) on
+        its indices alone. The block holds the pairs of entries
+        of equal charge, the only ones where R may be nonzero, so vec(R)
+        lies in it. Each charge +-e(d) is carried by 2 entries at a delay
+        d < N and by 1 beyond, so the block has 2M + 6N vec indices, more
+        than any other block: 2 n_a n_b or n_a^2 with n_a, n_b at most 2,
+        and 1 at every delay if N = 0. So it is the one block of the last
+        size."""
+        index, s_b, t_b = self.blocks[-1]
+        return index[0], self.r_mat.reshape(-1)[index[0]], s_b[0], t_b[0]
 
     @functools.cached_property
     def bound(self) -> float:
         """The mean-square step-size bound 1/lam_max[S^-1 T] (inf if
-        lam_max <= 0). lam_max[S^-1 T] is the largest eigenvalue of
-        L^-1 T L^-T with S = L L^T."""
-        chol = np.linalg.cholesky(self.s_mat)
-        half = np.linalg.solve(chol, self.t_mat)
-        lam_vec = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
+        lam_max <= 0). S and T are block diagonal alike, so lam_max[S^-1 T]
+        is the largest over the blocks of the largest eigenvalue of
+        L_b^-1 T_b L_b^-T with S_b = L_b L_b^T, batched per block size."""
+        lam_vec = max(float(np.linalg.eigvalsh(_reduced_pencil(s_b, t_b)).max())
+                      for _, s_b, t_b in self.blocks)
         return 1.0 / lam_vec if lam_vec > 0 else math.inf
 
 
 def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
                        N: int) -> AnclmsMsAnalysis:
-    """Assemble R, S and T of the mean-square analysis, whose ``bound`` is
-    1/lam_max[S^-1 T].
+    """Assemble R and the blocks of S and T of the mean-square analysis,
+    whose ``bound`` is 1/lam_max[S^-1 T].
 
     S = I kron R + R kron I uses the analytic covariance R and T is the exact
-    fourth-moment matrix (``fourth_moment``), so the analysis depends on the
-    operating point alone. N = 0 gives the widely linear bound
+    fourth-moment matrix, so the analysis depends on the operating point
+    alone. No (dim^2, dim^2) matrix is built: only the blocks of
+    ``_mean_square_blocks``. N = 0 gives the widely linear bound
     1/((M+1) s2). The bound of the companion matrix
     Gamma = [[S/2, -T/2], [I, 0]], 1/lam_max[Gamma] over its real positive
     eigenvalues, was never the tighter one at the operating points checked,
@@ -380,13 +434,11 @@ def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
     are the pairwise sums of R's, so S is singular by the same relative rule
     exactly when R is.
     """
-    dim = 2 * (M + N)
+    if sigma_x2 <= 0 or k_tiq < 0:
+        raise ValueError("need sigma_x2 > 0 and k_tiq >= 0")
     r_mat = rb_matrix(sigma_x2, k_tiq, M, N)
     check_nonsingular(r_mat)
-    eye = np.eye(dim)
-    s_mat = np.kron(eye, r_mat) + np.kron(r_mat, eye)
-    return AnclmsMsAnalysis(s_mat=s_mat, t_mat=fourth_moment(sigma_x2, k_tiq, M, N),
-                            r_mat=r_mat)
+    return AnclmsMsAnalysis(r_mat, _mean_square_blocks(sigma_x2, k_tiq, M, N, r_mat))
 
 
 def anclms_steady_mse(inputs: TheoryInputs) -> float:
@@ -408,11 +460,12 @@ def anclms_exact_steady_mse(analysis: AnclmsMsAnalysis, sigma_n2: float,
     """Steady MSE from the full vectorized variance recursion.
 
     J = sigma_n2 (1 + mu^2 Tr[R vec^-1{(mu S - mu^2 T)^-1 vec R}]), valid
-    for any step size below the mean-square bound.
+    for any step size below the mean-square bound. vec R lies in the
+    charge-0 block and mu S - mu^2 T is block diagonal, so the solve runs on
+    that block alone.
     """
-    a_mat = mu * analysis.s_mat - mu ** 2 * analysis.t_mat
-    vec_r = analysis.r_mat.reshape(-1)
-    y = np.linalg.solve(a_mat, vec_r)
+    _, vec_r, s_mat, t_mat = analysis.zero_block
+    y = np.linalg.solve(mu * s_mat - mu ** 2 * t_mat, vec_r)
     return float(sigma_n2 * (1.0 + mu ** 2 * np.real(vec_r @ y)))
 
 
@@ -420,26 +473,27 @@ def anclms_transient(analysis: AnclmsMsAnalysis, sigma_n2: float, mu: float,
                      w0_error: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Predicted MSE J(n) at the requested iterations.
 
-    The vectorized transition matrix F = I - mu S + mu^2 T is real and
-    exactly symmetric, as S and T are, so its symmetric eigensolve
-    F = V diag(lam) V^T gives real eigenvalues and orthonormal eigenvectors,
-    and J(n) = J_inf + sum_m c_m lam_m^n with
-    c = (vec(R)^T V) * (V^T (k0 - k_inf)). Only the real part of
-    k0 = vec(w0 w0^H) reaches J, since F and vec(R) are real.
+    The vectorized transition matrix F = I - mu S + mu^2 T is block
+    diagonal, and J(n) = sigma_n2 + vec(R)^T k(n) reads only the charge-0
+    block of the state k(n), which the drive mu^2 sigma_n2 vec(R) feeds
+    alone; so only that block F_0 is solved. F_0 is real and exactly
+    symmetric, as S and T are, so its symmetric eigensolve
+    F_0 = V diag(lam) V^T gives real eigenvalues and orthonormal
+    eigenvectors, and J(n) = J_inf + sum_m c_m lam_m^n with
+    c = (vec(R)^T V) * (V^T (k0 - k_inf)), on the block's entries. Only the
+    real part of k0 = vec(w0 w0^H) reaches J, since F and vec(R) are real.
     """
     iters = np.asarray(iters)
-    dim2 = analysis.s_mat.shape[0]
-    f_mat = np.eye(dim2) - mu * analysis.s_mat + mu ** 2 * analysis.t_mat
+    index, vec_r, s_mat, t_mat = analysis.zero_block
+    eye = np.eye(len(index))
+    f_mat = eye - mu * s_mat + mu ** 2 * t_mat
     lam, v_mat = np.linalg.eigh(f_mat)
-    vec_r = analysis.r_mat.reshape(-1)
 
-    k0 = np.outer(w0_error, np.conj(w0_error)).real.reshape(-1)
-    drive = mu ** 2 * sigma_n2 * vec_r
-    k_inf = np.linalg.solve(np.eye(dim2) - f_mat, drive)
+    k0 = np.outer(w0_error, np.conj(w0_error)).real.reshape(-1)[index]
+    k_inf = np.linalg.solve(eye - f_mat, mu ** 2 * sigma_n2 * vec_r)
     coef = (vec_r @ v_mat) * ((k0 - k_inf) @ v_mat)
     j_inf = sigma_n2 + vec_r @ k_inf
-    powers = lam[None, :] ** iters[:, None]
-    return j_inf + powers @ coef
+    return j_inf + (lam[None, :] ** iters[:, None]) @ coef
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import contextlib
+import functools
+import math
 import platform
 
 import numpy as np
 import pytest
 
 from fdsic import _native, harness
-from fdsic.theory import anclms_ms_analysis
+from fdsic.theory import anclms_ms_analysis, rb_matrix
 from fdsic.transceiver import builtin_profile, compute_noise_budget, synthesize_channels
 
 SEED = 17
@@ -106,3 +108,82 @@ def stack_trials(config, profile, channels, budget, sigma_x2, n):
             for group in harness.iter_trials(config, [point], n, harness.PhaseClock())
             for draw, [d], _ in group]
     return tuple(np.stack(r) for r in zip(*rows))
+
+
+# -- the dense mean-square engine: the oracle of the block engine ------------
+
+def fourth_moment(sigma_x2: float, k_tiq: float, M: int, N: int) -> np.ndarray:
+    """Exact fourth-moment matrix T = E[(x x^H) kron (x* x^T)] of the regressor,
+    the whole (dim^2, dim^2) matrix.
+
+    Entry ((i, j), (k, l)) is E[r_i r_j* r_k* r_l], the convention of
+    ``estimate_fourth_moment``. Each regressor entry is a scaled monomial
+    c x(n-d)^p conj(x(n-d))^q, so every entry of T factorises over the
+    delays into proper Gaussian moments E[x^p x*^q] = [p = q] p! s2^p
+    (Isserlis). T is real and symmetric.
+    """
+    sizes = [M, N, M, N]
+    # per entry: its delay, the powers of x and of x*, and its scale
+    delay = np.concatenate([np.arange(n) for n in sizes])
+    at_delay = delay[:, None] == np.arange(M)  # (dim, M)
+    p = np.repeat([1, 2, 0, 1], sizes)[:, None] * at_delay
+    q = np.repeat([0, 1, 1, 2], sizes)[:, None] * at_delay
+    coef = np.repeat([1.0, k_tiq ** 1.5, 1.0, k_tiq ** 1.5], sizes)
+
+    def outer4(a, b, c, d):  # a_i + b_j + c_k + d_l
+        return (a[:, None, None, None] + b[None, :, None, None]
+                + c[None, None, :, None] + d[None, None, None, :])
+
+    powers = np.arange(9)  # each factor brings at most 2 powers of x
+    moment = np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers
+    # the product over the delays, multiplied in one delay at a time, left to
+    # right; conjugating r_j and r_k swaps their powers of x and x*
+    dim = len(delay)
+    t_mat = np.ones((dim,) * 4)
+    for pd, qd in zip(p.T, q.T):
+        p_tot, q_tot = outer4(pd, qd, qd, pd), outer4(qd, pd, pd, qd)
+        t_mat *= np.where(p_tot == q_tot, moment[p_tot], 0.0)
+    t_mat *= np.einsum("i,j,k,l->ijkl", coef, coef, coef, coef)
+    return t_mat.reshape(dim * dim, dim * dim)
+
+
+@functools.lru_cache(maxsize=16)
+def dense_ms_matrices(sigma_x2: float, k_tiq: float, M: int, N: int):
+    """``(S, T, R)`` of the mean-square analysis as whole matrices:
+    S = I kron R + R kron I and T (``fourth_moment``), both (dim^2, dim^2),
+    and R = ``rb_matrix``."""
+    r_mat = rb_matrix(sigma_x2, k_tiq, M, N)
+    eye = np.eye(len(r_mat))
+    s_mat = np.kron(eye, r_mat) + np.kron(r_mat, eye)
+    return s_mat, fourth_moment(sigma_x2, k_tiq, M, N), r_mat
+
+
+def dense_bound(s_mat, t_mat) -> float:
+    """1/lam_max[S^-1 T] by one Cholesky-reduced eigensolve of the whole
+    pencil (inf if lam_max <= 0)."""
+    chol = np.linalg.cholesky(s_mat)
+    half = np.linalg.solve(chol, t_mat)
+    lam_vec = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
+    return 1.0 / lam_vec if lam_vec > 0 else math.inf
+
+
+def dense_exact_steady_mse(s_mat, t_mat, r_mat, sigma_n2, mu) -> float:
+    """J = sigma_n2 (1 + mu^2 vec(R)^T (mu S - mu^2 T)^-1 vec(R)), solved
+    whole."""
+    vec_r = r_mat.reshape(-1)
+    y = np.linalg.solve(mu * s_mat - mu ** 2 * t_mat, vec_r)
+    return float(sigma_n2 * (1.0 + mu ** 2 * np.real(vec_r @ y)))
+
+
+def dense_transient(s_mat, t_mat, r_mat, sigma_n2, mu, w0_error, iters):
+    """J(n) by the symmetric eigensolve of the whole transition matrix
+    F = I - mu S + mu^2 T."""
+    iters = np.asarray(iters)
+    eye = np.eye(len(s_mat))
+    f_mat = eye - mu * s_mat + mu ** 2 * t_mat
+    lam, v_mat = np.linalg.eigh(f_mat)
+    vec_r = r_mat.reshape(-1)
+    k0 = np.outer(w0_error, np.conj(w0_error)).real.reshape(-1)
+    k_inf = np.linalg.solve(eye - f_mat, mu ** 2 * sigma_n2 * vec_r)
+    coef = (vec_r @ v_mat) * ((k0 - k_inf) @ v_mat)
+    return sigma_n2 + vec_r @ k_inf + (lam[None, :] ** iters[:, None]) @ coef

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -471,6 +472,31 @@ def test_convergence_meta_records_its_peak_rss_rise(type2, tmp_path):
     assert math.isfinite(rise) and rise >= 0
 
 
+def test_iterations_to_within_starts_after_the_last_block_below():
+    """The reach of a smoothed SINR curve is the iteration after its last
+    block more than 1 dB below the target (a NaN block counts as below):
+    0 if no block is, and the curve's length if its last one is."""
+    within = harness._iterations_to_within
+    assert within(np.array([0.0, 9.5, np.nan, 9.2, 10.0]), 10.0, 100) == 300
+    assert within(np.array([9.0, 9.5, 10.0]), 10.0, 100) == 0
+    assert within(np.array([10.0, 8.9]), 10.0, 100) == 200
+    assert within(np.array([10.0, np.nan]), 10.0, 100) == 200
+
+
+def test_meta_records_the_runs_cpu_time_and_page_faults(type2, tmp_path):
+    """meta.txt records the process's user and system CPU seconds and its
+    minor page faults over the run, as getrusage differences: each is 0 or
+    more, the faults a count, and the CPU time no more than the process has
+    spent in all."""
+    cfg = ExperimentConfig(experiment="bounds-probe", profile=type2, trials=2,
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
+    meta = _meta(run_experiment(cfg))
+    spent = resource.getrusage(resource.RUSAGE_SELF)
+    user, system = float(meta["cpu_user_s"]), float(meta["cpu_sys_s"])
+    assert 0 < user <= spent.ru_utime and 0 <= system <= spent.ru_stime
+    assert 0 <= int(meta["minor_faults"]) <= spent.ru_minflt
+
+
 @pytest.mark.parametrize("iterations, run", [(3000, 20_000), (20_500, 20_500)])
 def test_convergence_meta_names_the_iterations_it_ran(iterations, run, type2, tmp_path):
     """convergence runs at least 20000 iterations, and meta.txt says how many
@@ -905,9 +931,10 @@ def test_cli_diverged_sweep_point_runs_without_warnings(check, code, tmp_path):
         assert int(meta.get(f"diverged_trials[{label}]", "0")) > 0, label
 
 
-# the edge cases of bias and convergence runs: (command-line options, the
-# type2 profile entries they replace); --mu-frac is bias's alone, since
-# convergence runs a fixed fraction of its own bound
+# the edge cases of bias, convergence and bounds-probe runs: (command-line
+# options, the type2 profile entries they replace); --mu-frac is bias's
+# alone, since convergence and bounds-probe run fixed fractions of their own
+# bounds
 _EDGE_CASES = {
     "trials-1": (["--trials", "1"], {}),
     "irr-inf": ([], {"irr": "inf dB"}),
@@ -918,29 +945,36 @@ _EDGE_CASES = {
 }
 
 
-def _cell_job(csv_name: str, column: str, base_job: str) -> str | None:
-    """The canceller job whose run a cell of ``column`` of a bias or
-    convergence CSV reads, or None for an axis or theory column:
-    ``bias.csv``'s curves are ``<job>_tap<k>``, ``bias_taps.csv``'s measured
-    columns read ``base_job`` (the ALMS job at the base step size) and
-    ``convergence.csv``'s curves are named by their jobs."""
+def _cell_job(csv_name: str, column: str, base_job: str, cells: dict) -> str | None:
+    """The canceller job whose run a cell of ``column`` of a bias,
+    convergence or bounds-probe CSV reads, in the row whose cells by column
+    are ``cells``, or None for an axis or theory column: ``bias.csv``'s
+    curves are ``<job>_tap<k>``, ``bias_taps.csv``'s measured columns read
+    ``base_job`` (the ALMS job at the base step size), ``convergence.csv``'s
+    curves are named by their jobs and a ``bounds-probe.csv`` row's MSE
+    columns read the job ``<variant>_mu<fraction>`` of that row."""
     if csv_name == "bias.csv" and re.fullmatch(r"a(nc)?lms_mu.*_tap\d", column):
         return column.rsplit("_", 1)[0]
     if csv_name == "bias_taps.csv" and column in ("measured_abs", "rel_error"):
         return base_job
     if csv_name == "convergence.csv" and re.fullmatch(r"anclms_[a-z]+", column):
         return column
+    if csv_name == "bounds-probe.csv" and column in ("mean_mse", "median_mse"):
+        return f"{('alms', 'anclms')[int(cells['variant'])]}_mu{cells['mu_frac']}"
     return None
 
 
 @pytest.mark.parametrize("experiment, case", [
-    (experiment, case) for experiment in ("bias", "convergence") for case in _EDGE_CASES
-    if experiment == "bias" or case != "mu-frac-0.99"])
+    (experiment, case) for experiment in ("bias", "convergence", "bounds-probe")
+    for case in _EDGE_CASES if experiment == "bias" or case != "mu-frac-0.99"])
 def test_edge_cases_run_explained(experiment, case, tmp_path):
-    """bias and convergence at 2 trials and 3000 steps, at each edge case,
-    through the command line with --check: the run exits 0, 2 or 3 without
-    a warning, and every non-finite cell of its CSVs reads a job that
-    meta.txt names as diverged."""
+    """bias, convergence and bounds-probe at 2 trials and 3000 steps, at
+    each edge case, through the command line with --check: the run exits 0,
+    2 or 3 without a warning, and every non-finite cell of its CSVs reads a
+    job that meta.txt names as diverged. bounds-probe's are there by design
+    alone: in a row whose fraction of the bound, one of meta.txt's
+    ``mu_frac``, is at or above 1, where ``theory_mse`` has no steady state
+    and the MSE columns read that fraction's diverged job."""
     options, entries = _EDGE_CASES[case]
     text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
     for key, value in entries.items():
@@ -967,9 +1001,15 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
         if path.name == "bias.csv":
             base_job = columns[1].rsplit("_", 1)[0]
         for row in rows:
-            for column, cell in zip(columns, row.split(",")):
+            cells = dict(zip(columns, row.split(",")))
+            for column, cell in cells.items():
                 if not math.isfinite(float(cell)):
-                    job = _cell_job(path.name, column, base_job)
+                    if path.name == "bounds-probe.csv":
+                        assert cells["mu_frac"] in meta["mu_frac"].split(","), cells
+                        assert float(cells["mu_frac"]) >= 1, (column, cells)
+                        if column == "theory_mse":
+                            continue
+                    job = _cell_job(path.name, column, base_job, cells)
                     assert job in diverged, (path.name, column, cell)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.sparse.csgraph import connected_components
 
 from fdsic import theory
 from fdsic.cancellers import DegenerateInputError, regressor_matrix
@@ -22,7 +23,8 @@ from fdsic.transceiver import (ChannelSet, compute_noise_budget,
                                render_observation, synthesize_channels)
 from fdsic.units import lin_to_db
 
-from conftest import M, N, SEED
+from conftest import (M, N, SEED, dense_bound, dense_exact_steady_mse,
+                      dense_ms_matrices, dense_transient, fourth_moment)
 
 
 def numeric_min_condition_number(lo: float = 1e-4, hi: float = 1e2) -> tuple[float, float]:
@@ -232,12 +234,15 @@ def test_anclms_ms_bound_below_mean_bound(lowpower_setup, lowpower_ms_analysis):
 def test_companion_bound_does_not_bind(lowpower_ms_analysis):
     """The bound of the companion matrix Gamma = [[S/2, -T/2], [I, 0]],
     1/lam_max over its real positive eigenvalues, is no tighter than the
-    analysis' bound 1/lam_max[S^-1 T], so the analysis leaves Gamma out."""
-    s_mat, t_mat = lowpower_ms_analysis.s_mat, lowpower_ms_analysis.t_mat
-    big = len(s_mat)
-    gamma = np.block([[s_mat / 2.0, -t_mat / 2.0],
-                      [np.eye(big), np.zeros((big, big))]])
-    eigs = np.linalg.eigvals(gamma)
+    analysis' bound 1/lam_max[S^-1 T], so the analysis leaves Gamma out.
+    Gamma is block diagonal by the same charge classes as S and T, so its
+    eigenvalues are those of every block's [[S_b/2, -T_b/2], [I, 0]]."""
+    eigs = []
+    for index, s_b, t_b in lowpower_ms_analysis.blocks:
+        eye = np.broadcast_to(np.eye(index.shape[1]), s_b.shape)
+        gamma = np.block([[s_b / 2.0, -t_b / 2.0], [eye, np.zeros_like(eye)]])
+        eigs.append(np.linalg.eigvals(gamma).reshape(-1))
+    eigs = np.concatenate(eigs)
     real_pos = eigs.real[(np.abs(eigs.imag) <= 1e-9 * np.abs(eigs).clip(min=1e-30))
                          & (eigs.real > 0)]
     assert real_pos.size
@@ -267,20 +272,20 @@ def test_fourth_moment_matches_sample_estimate(sigma, k):
     blocks = np.array_split(regressor_matrix(x, m, n, k), 20)
     block_means = np.stack([theory.estimate_fourth_moment(b) for b in blocks])
     stderr = block_means.std(axis=0, ddof=1) / np.sqrt(len(blocks))
-    exact = theory.fourth_moment(sigma, k, m, n)
+    exact = fourth_moment(sigma, k, m, n)
     assert exact.shape == (36, 36)
     assert np.all(np.abs(block_means.mean(axis=0) - exact) <= 5.0 * stderr)
 
 
 def test_fourth_moment_real_symmetric():
-    t_mat = theory.fourth_moment(0.2, 3.0, M, N)
+    t_mat = fourth_moment(0.2, 3.0, M, N)
     assert t_mat.shape == ((2 * (M + N)) ** 2,) * 2
     assert np.isrealobj(t_mat)
     assert np.array_equal(t_mat, t_mat.T)
 
 
 def _fourth_moment_whole_array(sigma_x2, k_tiq, m, n):
-    """``theory.fourth_moment`` with every delay's factor held at once, as
+    """The oracle's ``fourth_moment`` with every delay's factor held at once, as
     (dim, dim, dim, dim, m) arrays, and their product taken along the
     delays."""
     sizes = [m, n, m, n]
@@ -308,7 +313,7 @@ def _fourth_moment_whole_array(sigma_x2, k_tiq, m, n):
 def test_fourth_moment_keeps_the_whole_array_bits(sigma, k, m, n):
     """Multiplying the delays' factors in one at a time gives the bits of
     the product of all of them held at once."""
-    got = theory.fourth_moment(sigma, k, m, n)
+    got = fourth_moment(sigma, k, m, n)
     assert got.tobytes() == _fourth_moment_whole_array(sigma, k, m, n).tobytes()
 
 
@@ -480,27 +485,29 @@ def test_anclms_exact_vs_transient(lowpower_setup, lowpower_ms_analysis):
 @pytest.mark.parametrize("m, n", [(5, 4), (4, 2), (3, 0)])
 @pytest.mark.parametrize("profile", ["type1", "type2"])
 def test_mean_square_matrices_are_exactly_symmetric(profile, m, n, request):
-    """S, T and the transition matrix F = I - mu S + mu^2 T are symmetric
-    bit for bit, at the profile's own power and at the power that
-    minimizes the condition number, so a symmetric eigensolve of F is
-    exact."""
+    """R and every block S_b and T_b, and every block's transition matrix
+    F_b = I - mu S_b + mu^2 T_b, are symmetric bit for bit, at the
+    profile's own power and at the power that minimizes the condition
+    number, so a symmetric eigensolve of F_0 is exact."""
     prof = request.getfixturevalue(profile)
     for sigma_x2 in (prof.natural_sigma_x2, optimal_sigma_x2(prof.k_tiq)):
         ana = theory.anclms_ms_analysis(sigma_x2, prof.k_tiq, m, n)
         mu = 0.1 * alms_ms_bound(sigma_x2, m)
-        f_mat = np.eye(len(ana.s_mat)) - mu * ana.s_mat + mu ** 2 * ana.t_mat
-        for mat in (ana.r_mat, ana.s_mat, ana.t_mat, f_mat):
-            assert np.array_equal(mat, mat.T)
+        assert np.array_equal(ana.r_mat, ana.r_mat.T)
+        for index, s_b, t_b in ana.blocks:
+            f_b = np.eye(index.shape[1]) - mu * s_b + mu ** 2 * t_b
+            for mat in (s_b, t_b, f_b):
+                assert np.array_equal(mat, np.swapaxes(mat, -1, -2))
 
 
-def _transient_by_eig(analysis, sigma_n2, mu, w0_error, iters):
-    """``anclms_transient`` by a general eigensolve of F and a complex
-    solve against its eigenvectors."""
+def _transient_by_eig(s_mat, t_mat, r_mat, sigma_n2, mu, w0_error, iters):
+    """The transient of the whole S and T by a general eigensolve of F and a
+    complex solve against its eigenvectors."""
     iters = np.asarray(iters)
-    dim2 = analysis.s_mat.shape[0]
-    f_mat = np.eye(dim2) - mu * analysis.s_mat + mu ** 2 * analysis.t_mat
+    dim2 = s_mat.shape[0]
+    f_mat = np.eye(dim2) - mu * s_mat + mu ** 2 * t_mat
     lam, v_mat = np.linalg.eig(f_mat)
-    vec_r = analysis.r_mat.reshape(-1)
+    vec_r = r_mat.reshape(-1)
     k0 = np.outer(w0_error, np.conj(w0_error)).reshape(-1)
     k_inf = np.linalg.solve(np.eye(dim2) - f_mat, mu ** 2 * sigma_n2 * vec_r)
     coef = (vec_r @ v_mat) * np.linalg.solve(v_mat, k0 - k_inf)
@@ -510,36 +517,132 @@ def _transient_by_eig(analysis, sigma_n2, mu, w0_error, iters):
 
 def test_anclms_transient_matches_the_eig_formula(type2, lowpower_setup,
                                                   lowpower_ms_analysis):
-    """The symmetric eigensolve gives the transient of the general one to
-    1e-9: at convergence's point (15 dBm, the optimal reference power, mu
-    0.005 of the mean bound, a cold start) and at -5 dBm near a tenth of
-    the mean-square bound from the Wiener solution's negative."""
+    """The symmetric eigensolve of the charge-0 block gives the transient of
+    the general eigensolve of the whole F (the dense oracle's) to 1e-9: at
+    convergence's point (15 dBm, the optimal reference power, mu 0.005 of
+    the mean bound, a cold start) and at -5 dBm near a tenth of the
+    mean-square bound from the Wiener solution's negative."""
     prof = type2.with_tx_power(15.0)
     k = prof.k_tiq
     s_opt = optimal_sigma_x2(k)
     channels = synthesize_channels(prof, M, N, seed=SEED, sigma_x2=s_opt)
     budget = compute_noise_budget(prof)
     low, low_channels, low_budget = lowpower_setup
-    cases = [(theory.anclms_ms_analysis(s_opt, k, M, N), budget,
-              0.005 * anclms_mean_bound(s_opt, k, M, N), channels),
-             (lowpower_ms_analysis, low_budget, 0.1 * lowpower_ms_analysis.bound,
-              low_channels)]
+    cases = [((s_opt, k), budget, 0.005 * anclms_mean_bound(s_opt, k, M, N), channels),
+             ((low.natural_sigma_x2, low.k_tiq), low_budget,
+              0.1 * lowpower_ms_analysis.bound, low_channels)]
     iters = np.concatenate([np.arange(50, 20_000, 100), [0, 1, 10 ** 6]])
-    for ana, noise, mu, ch in cases:
-        args = (ana, noise.sigma_v2 + noise.sigma_q2, mu, -ch.stacked_nonlinear(),
-                iters)
-        want = _transient_by_eig(*args)
-        np.testing.assert_allclose(anclms_transient(*args), want, rtol=1e-9, atol=0)
+    for (sigma_x2, k_tiq), noise, mu, ch in cases:
+        args = (noise.sigma_v2 + noise.sigma_q2, mu, -ch.stacked_nonlinear(), iters)
+        want = _transient_by_eig(*dense_ms_matrices(sigma_x2, k_tiq, M, N), *args)
+        ana = theory.anclms_ms_analysis(sigma_x2, k_tiq, M, N)
+        np.testing.assert_allclose(anclms_transient(ana, *args), want, rtol=1e-9, atol=0)
 
 
 def test_bound_is_computed_on_first_read_with_its_eager_bits():
     """``bound`` is not computed by the analysis; its first read computes
-    it with the bits of the eager Cholesky-reduced eigensolve, and keeps
-    it."""
+    it with the bits of the eager Cholesky-reduced eigensolve of every
+    block, batched per block size, and keeps it."""
     ana = theory.anclms_ms_analysis(0.3, 2.0, M, N)
     assert "bound" not in vars(ana)
-    chol = np.linalg.cholesky(ana.s_mat)
-    half = np.linalg.solve(chol, ana.t_mat)
-    lam_max = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T)).max())
+    lam_max = -math.inf
+    for _, s_b, t_b in ana.blocks:
+        chol = np.linalg.cholesky(s_b)
+        half = np.linalg.solve(chol, t_b)
+        reduced = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
+        lam_max = max(lam_max, float(np.linalg.eigvalsh(reduced).max()))
     assert np.float64(ana.bound).tobytes() == np.float64(1.0 / lam_max).tobytes()
     assert vars(ana)["bound"] is ana.bound
+
+
+# -- the block engine against the dense oracle --------------------------------
+
+# the (M, N) of the engine tests: the default, the largest edge case, and
+# smaller ones down to the widely linear regressor
+ENGINE_SHAPES = [(5, 4), (8, 6), (4, 2), (3, 1), (2, 1), (3, 0)]
+
+
+def _convergence_point(type2, m, n):
+    """convergence's operating point at (m, n): 15 dBm at the optimal
+    reference power, mu 0.005 of the mean bound 2 / lam_max[R]; returns
+    ``(sigma_x2, k_tiq, noise, mu, w0_error)``, a cold start."""
+    prof = type2.with_tx_power(15.0)
+    s_opt = optimal_sigma_x2(prof.k_tiq)
+    budget = compute_noise_budget(prof)
+    lam_max = np.linalg.eigvalsh(rb_matrix(s_opt, prof.k_tiq, m, n)).max()
+    return (s_opt, prof.k_tiq, budget.sigma_v2 + budget.sigma_q2, 0.005 * 2.0 / lam_max,
+            _cold_start_error(prof, m, n, s_opt))
+
+
+def _cold_start_error(prof, m, n, sigma_x2):
+    """The weight error of all-zero weights at (m, n): minus the Wiener
+    solution (the widely linear one at N = 0)."""
+    channels = synthesize_channels(prof, m, max(n, 1), seed=SEED, sigma_x2=sigma_x2)
+    return -(channels.stacked_nonlinear() if n else channels.stacked_linear())
+
+
+@pytest.mark.parametrize("m, n", ENGINE_SHAPES)
+def test_blocks_are_the_components_of_the_dense_pattern(m, n, type2):
+    """The charge classes, the rows of the blocks' indices, are exactly the
+    connected components of the nonzero pattern of the dense S + T, at
+    convergence's point, and cover every vec index once."""
+    sigma_x2, k_tiq = _convergence_point(type2, m, n)[:2]
+    ana = theory.anclms_ms_analysis(sigma_x2, k_tiq, m, n)
+    s_mat, t_mat, _ = dense_ms_matrices(sigma_x2, k_tiq, m, n)
+    count, label = connected_components((s_mat + t_mat != 0).astype(float),
+                                        directed=False)
+    components = sorted(tuple(np.flatnonzero(label == c)) for c in range(count))
+    classes = sorted(tuple(row) for index, _, _ in ana.blocks for row in index.tolist())
+    assert classes == components
+
+
+@pytest.mark.parametrize("m, n", ENGINE_SHAPES)
+def test_blocks_are_the_dense_sub_blocks_bit_for_bit(m, n, type2):
+    """Every block S_b and T_b is the sub-block of the dense S and T at its
+    vec indices, bit for bit, at convergence's point and at -5 dBm."""
+    low = type2.with_tx_power(-5.0)
+    for sigma_x2, k_tiq in (_convergence_point(type2, m, n)[:2],
+                            (low.natural_sigma_x2, low.k_tiq)):
+        s_mat, t_mat, _ = dense_ms_matrices(sigma_x2, k_tiq, m, n)
+        for index, s_b, t_b in theory.anclms_ms_analysis(sigma_x2, k_tiq, m, n).blocks:
+            for row, s_one, t_one in zip(index, s_b, t_b):
+                assert s_mat[np.ix_(row, row)].tobytes() == s_one.tobytes()
+                assert t_mat[np.ix_(row, row)].tobytes() == t_one.tobytes()
+
+
+@pytest.mark.parametrize("m, n", ENGINE_SHAPES)
+def test_vec_r_lies_in_the_zero_block(m, n):
+    """R vanishes off the charge-0 block, the largest, of 2M + 6N vec
+    indices; ``zero_block`` gives vec(R) on its indices."""
+    ana = theory.anclms_ms_analysis(0.3, 2.0, m, n)
+    index, vec_r, _, _ = ana.zero_block
+    assert len(index) == 2 * m + 6 * n
+    assert max(idx.shape[1] for idx, _, _ in ana.blocks[:-1]) < len(index)
+    full = ana.r_mat.reshape(-1)
+    assert np.array_equal(vec_r, full[index])
+    assert not np.delete(full, index).any()
+
+
+@pytest.mark.parametrize("m, n", ENGINE_SHAPES)
+def test_block_engine_matches_the_dense_oracle(m, n, type2):
+    """The bound and the exact steady MSE match the dense engine to 1e-12,
+    and the transient to 1e-9, at convergence's point and at bounds-probe's
+    (-5 dBm, at 0.5 and 0.9 of the bound, from all-zero weights)."""
+    low = type2.with_tx_power(-5.0)
+    low_budget = compute_noise_budget(low)
+    s_conv, k_conv, noise, mu, w0_error = _convergence_point(type2, m, n)
+    probe = (low.natural_sigma_x2, low.k_tiq, low_budget.sigma_v2 + low_budget.sigma_q2)
+    iters = np.concatenate([np.arange(50, 20_000, 500), [0, 1, 10 ** 6]])
+    for sigma_x2, k_tiq, sigma_n2, fracs in ((s_conv, k_conv, noise, ()),
+                                             (*probe, (0.5, 0.9))):
+        ana = theory.anclms_ms_analysis(sigma_x2, k_tiq, m, n)
+        dense = dense_ms_matrices(sigma_x2, k_tiq, m, n)
+        assert ana.bound == pytest.approx(dense_bound(*dense[:2]), rel=1e-12, abs=0)
+        mus = [mu] if not fracs else [frac * ana.bound for frac in fracs]
+        start = w0_error if not fracs else _cold_start_error(low, m, n, sigma_x2)
+        for step in mus:
+            assert anclms_exact_steady_mse(ana, sigma_n2, step) == pytest.approx(
+                dense_exact_steady_mse(*dense, sigma_n2, step), rel=1e-12, abs=0)
+            np.testing.assert_allclose(
+                anclms_transient(ana, sigma_n2, step, start, iters),
+                dense_transient(*dense, sigma_n2, step, start, iters), rtol=1e-9, atol=0)

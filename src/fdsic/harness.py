@@ -398,11 +398,18 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
                 out: Path, started: float):
     """Write ``meta.txt``: the configuration, the duration, ``report.meta``
     (a runner's step size among it), the phase clock and the checks."""
-    lines = [f"experiment = {config.experiment}", f"version = {__version__}"]
-    lines += [f"{key} = {getattr(config, key)}" for key in
-              ("seed", "trials", "iterations", "signal_source", "M", "N")]
-    lines += [f"tx_grid_dbm = {','.join(_fmt_column(config.tx_grid_dbm))}",
-              f"duration_s = {time.time() - started:.1f}"]
+    lines = [
+        f"experiment = {config.experiment}",
+        f"version = {__version__}",
+        f"seed = {config.seed}",
+        f"trials = {config.trials}",
+        f"iterations = {config.iterations}",
+        f"signal_source = {config.signal_source}",
+        f"M = {config.M}",
+        f"N = {config.N}",
+        f"tx_grid_dbm = {','.join(_fmt_column(config.tx_grid_dbm))}",
+        f"duration_s = {time.time() - started:.1f}",
+    ]
     lines += [f"{k} = {v}" for k, v in report.meta.items()]
     lines += report.clock.meta_lines()
     lines += [f"check[{c.name}] = {'pass' if c.passed else 'FAIL'} {c.detail}"
@@ -892,8 +899,13 @@ def _median(values) -> float:
 
 def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> int:
     """First iteration index whose smoothed SINR stays within 1 dB of target."""
-    late = np.flatnonzero(~(sinr_db >= target_db - 1.0))  # NaN is not within
-    return int(late[-1] + 1 if late.size else 0) * block
+    ok = sinr_db >= target_db - 1.0
+    idx = len(ok)
+    for i in range(len(ok) - 1, -1, -1):
+        if not ok[i]:
+            break
+        idx = i
+    return idx * block
 
 
 def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Path):

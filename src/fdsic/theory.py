@@ -342,6 +342,7 @@ def _mean_square_blocks(sigma_x2: float, k_tiq: float, M: int, N: int,
     coef = np.repeat([1.0, k_tiq ** 1.5, 1.0, k_tiq ** 1.5], sizes)
     charge = (p - q)[:, None] - (p - q)[None, :]  # Q_ij, (dim, dim, M)
     _, cls = np.unique(charge.reshape(-1, M), axis=0, return_inverse=True)
+    cls = cls.reshape(-1)  # flat on every numpy: 2.0.0's may carry an extra axis
     size = np.bincount(cls)[cls]
     order = np.lexsort((cls, size))  # stable: ascending vec index in a class
     powers = np.arange(9)  # each factor brings at most 2 powers of x
@@ -490,10 +491,12 @@ def anclms_transient(analysis: AnclmsMsAnalysis, sigma_n2: float, mu: float,
     lam, v_mat = np.linalg.eigh(f_mat)
 
     k0 = np.outer(w0_error, np.conj(w0_error)).real.reshape(-1)[index]
-    k_inf = np.linalg.solve(eye - f_mat, mu ** 2 * sigma_n2 * vec_r)
+    drive = mu ** 2 * sigma_n2 * vec_r
+    k_inf = np.linalg.solve(eye - f_mat, drive)
     coef = (vec_r @ v_mat) * ((k0 - k_inf) @ v_mat)
     j_inf = sigma_n2 + vec_r @ k_inf
-    return j_inf + (lam[None, :] ** iters[:, None]) @ coef
+    powers = lam[None, :] ** iters[:, None]
+    return j_inf + powers @ coef
 
 
 # --------------------------------------------------------------------------

@@ -472,17 +472,6 @@ def test_convergence_meta_records_its_peak_rss_rise(type2, tmp_path):
     assert math.isfinite(rise) and rise >= 0
 
 
-def test_iterations_to_within_starts_after_the_last_block_below():
-    """The reach of a smoothed SINR curve is the iteration after its last
-    block more than 1 dB below the target (a NaN block counts as below):
-    0 if no block is, and the curve's length if its last one is."""
-    within = harness._iterations_to_within
-    assert within(np.array([0.0, 9.5, np.nan, 9.2, 10.0]), 10.0, 100) == 300
-    assert within(np.array([9.0, 9.5, 10.0]), 10.0, 100) == 0
-    assert within(np.array([10.0, 8.9]), 10.0, 100) == 200
-    assert within(np.array([10.0, np.nan]), 10.0, 100) == 200
-
-
 def test_meta_records_the_runs_cpu_time_and_page_faults(type2, tmp_path):
     """meta.txt records the process's user and system CPU seconds and its
     minor page faults over the run, as getrusage differences: each is 0 or

@@ -265,16 +265,22 @@ def test_anclms_ms_analysis_degenerate():
 
 @pytest.mark.parametrize("sigma, k", [(0.3, 2.0), (1.0, 0.5)])
 def test_fourth_moment_matches_sample_estimate(sigma, k):
-    """Every entry of the exact T lies within 5 standard errors of the
-    sample estimate; the standard errors come from 20 block means."""
+    """Every entry of the exact T, the oracle's and each block of the
+    engine's, lies within 5 standard errors of the sample estimate; the
+    standard errors come from 20 block means."""
     m, n = 2, 1
     x = gen_proper_gaussian(200_000 + m - 1, seed=41).reference(sigma)
     blocks = np.array_split(regressor_matrix(x, m, n, k), 20)
     block_means = np.stack([theory.estimate_fourth_moment(b) for b in blocks])
+    estimate = block_means.mean(axis=0)
     stderr = block_means.std(axis=0, ddof=1) / np.sqrt(len(blocks))
     exact = fourth_moment(sigma, k, m, n)
     assert exact.shape == (36, 36)
-    assert np.all(np.abs(block_means.mean(axis=0) - exact) <= 5.0 * stderr)
+    assert np.all(np.abs(estimate - exact) <= 5.0 * stderr)
+    for index, _, t_b in theory.anclms_ms_analysis(sigma, k, m, n).blocks:
+        for row, t_one in zip(index, t_b):
+            at = np.ix_(row, row)
+            assert np.all(np.abs(estimate[at] - t_one) <= 5.0 * stderr[at])
 
 
 def test_fourth_moment_real_symmetric():

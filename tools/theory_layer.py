@@ -1,35 +1,37 @@
 """Time the fourth-moment theory engine, layer by layer, in one process.
 
-Usage: python tools/theory_layer.py [--src DIR] [--calls N]
+Usage: PYTHONPATH=<checkout>/src python tools/theory_layer.py
 
-Imports ``fdsic`` from ``DIR`` (default: this checkout's ``src``), so the
-one script times any checkout whose engine has the same public API. It
-times ``anclms_ms_analysis``, the first read of its ``bound``,
-``anclms_transient`` (convergence's 200-point overlay grid) and
-``anclms_exact_steady_mse`` (at half the bound) at M, N = 5, 4 and 8, 6, at
-convergence's operating point (type2 at 15 dBm, the optimal reference
-power, mu 0.005 of the mean bound, a cold start). Each figure is the
-minimum of N calls (default 20) in milliseconds, on one BLAS thread.
-Prints one JSON object.
+Times the ``fdsic`` on the path, so the one script times any checkout whose
+engine has the same public API. It times ``anclms_ms_analysis``, the first
+read of its ``bound``, ``anclms_transient`` (convergence's 200-point
+overlay grid) and ``anclms_exact_steady_mse`` (at half the bound) at
+M, N = 5, 4 and 8, 6, at convergence's operating point (type2 at 15 dBm,
+the optimal reference power, mu 0.005 of the mean bound, a cold start).
+Each figure is the minimum of ``CALLS`` calls in milliseconds, on one BLAS
+thread. Prints one JSON object.
 """
 
-import argparse
 import json
 import os
-import sys
 import time
-from pathlib import Path
 
 # one BLAS thread, set before numpy loads its BLAS
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
+from fdsic import theory  # noqa: E402
+from fdsic.transceiver import (builtin_profile, compute_noise_budget,  # noqa: E402
+                               synthesize_channels)
+
 SHAPES = ((5, 4), (8, 6))
+CALLS = 20
 
 
-def _min_ms(call, calls: int) -> float:
+def _min_ms(call) -> float:
     best = float("inf")
-    for _ in range(calls):
+    for _ in range(CALLS):
         started = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - started)
@@ -37,16 +39,6 @@ def _min_ms(call, calls: int) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--calls", type=int, default=20)
-    args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
-
-    import numpy as np
-    from fdsic import theory
-    from fdsic.transceiver import builtin_profile, compute_noise_budget, synthesize_channels
-
     prof = builtin_profile("type2").with_tx_power(15.0)
     k = prof.k_tiq
     s_opt = theory.optimal_sigma_x2(k)
@@ -58,19 +50,18 @@ def main() -> None:
         mu = 0.005 * theory.anclms_mean_bound(s_opt, k, m, n)
         w0_error = -synthesize_channels(prof, m, n, seed=17, sigma_x2=s_opt).stacked_nonlinear()
         ana = theory.anclms_ms_analysis(s_opt, k, m, n)
-        fresh = [theory.anclms_ms_analysis(s_opt, k, m, n) for _ in range(args.calls)]
-        bound_reads = iter(fresh)  # a fresh analysis per read: the bound is kept
+        # a fresh analysis per read, as the bound is kept once read
+        bound_reads = iter([theory.anclms_ms_analysis(s_opt, k, m, n) for _ in range(CALLS)])
         timings[f"M{m}_N{n}"] = {
-            "ms_analysis_ms": _min_ms(lambda: theory.anclms_ms_analysis(s_opt, k, m, n),
-                                      args.calls),
-            "bound_ms": _min_ms(lambda: next(bound_reads).bound, args.calls),
+            "ms_analysis_ms": _min_ms(lambda: theory.anclms_ms_analysis(s_opt, k, m, n)),
+            "bound_ms": _min_ms(lambda: next(bound_reads).bound),
             "transient_ms": _min_ms(
-                lambda: theory.anclms_transient(ana, noise, mu, w0_error, iters), args.calls),
+                lambda: theory.anclms_transient(ana, noise, mu, w0_error, iters)),
             "exact_steady_mse_ms": _min_ms(
-                lambda: theory.anclms_exact_steady_mse(ana, noise, 0.5 * ana.bound), args.calls),
+                lambda: theory.anclms_exact_steady_mse(ana, noise, 0.5 * ana.bound)),
         }
-    print(json.dumps({"src": str(Path(args.src).resolve()), "numpy": np.__version__,
-                      "calls": args.calls, "timings": timings}, indent=1))
+    print(json.dumps({"numpy": np.__version__, "calls": CALLS, "timings": timings},
+                     indent=1))
 
 
 if __name__ == "__main__":

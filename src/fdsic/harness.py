@@ -7,8 +7,11 @@ transmit power is x = scale z of that one row (``signals.Draw``).
 ``_trial`` is the one function that applies this rule: it draws the row,
 and renders the observations of any number of points from it in one call
 (``transceiver.render_observations``), with one noise draw shared by all.
+A grid point is a ``transceiver.OperatingPoint``, made by ``_point``: the
+one record of it that the render and the closed forms read, so a runner
+hands the point it simulates to the theory with each step size.
 ``run_trials`` is the trial loop of every canceller runner: it runs a pass
-over one or more grid points (``Point``, made by ``_point``), each with its
+over one or more grid points, each with its
 canceller jobs (``cancellers.Job``), takes the trials from ``iter_trials``
 a group at a time in reused rows, the source row and one observation row
 per point of each trial, and runs every job of every point of the pass on
@@ -83,7 +86,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from resource import RUSAGE_SELF, getrusage
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,12 +98,11 @@ from .cancellers import (MIN_STEADY_WINDOW, CancellerConfig, Job, JobRun,
                          run_jobs)
 from .plots import heatmap, line_plot
 from .signals import gen_ofdm_waveform, gen_proper_gaussian
-from .theory import (TheoryInputs, alms_bias, alms_ms_bound, alms_regime,
-                     alms_steady_mse, anclms_exact_steady_mse,
-                     anclms_mean_bound, anclms_ms_analysis,
-                     anclms_steady_mse, anclms_transient, condition_number,
-                     optimal_sigma_x2, rb_matrix)
-from .transceiver import (ChannelSet, NoiseBudget, TransceiverProfile,
+from .theory import (alms_bias, alms_ms_bound, alms_regime, alms_steady_mse,
+                     anclms_exact_steady_mse, anclms_mean_bound,
+                     anclms_ms_analysis, anclms_steady_mse, anclms_transient,
+                     condition_number, optimal_sigma_x2, rb_matrix)
+from .transceiver import (COMPONENTS, OperatingPoint, TransceiverProfile,
                           builtin_profile, compute_noise_budget,
                           compute_power_budget, load_profile,
                           render_observation, render_observations,
@@ -419,26 +420,18 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
     report.meta_path = path
 
 
-class Point(NamedTuple):
-    """A transmit power as ``iter_trials`` renders it: the profile, channels
-    and noise budget of its observations and the power ``sigma_x2`` of its
-    reference."""
-
-    profile: TransceiverProfile
-    channels: ChannelSet
-    budget: NoiseBudget
-    sigma_x2: float
-
-
 def _point(config: ExperimentConfig, profile: TransceiverProfile,
-           sigma_x2: float | None = None) -> Point:
-    """``profile``'s ``Point`` at the reference power ``sigma_x2`` (the
-    profile's natural power if None): channels drawn for config's M and N
-    with seed ``config.seed``, and the profile's noise budget."""
+           sigma_x2: float | None = None) -> OperatingPoint:
+    """``profile``'s ``OperatingPoint`` at the reference power ``sigma_x2``
+    (the profile's natural power if None): its k_tiq, channels drawn for
+    config's M and N with seed ``config.seed``, and the noise powers of the
+    profile's noise budget."""
     channels = synthesize_channels(profile, config.M, config.N, seed=config.seed,
                                    sigma_x2=sigma_x2)
-    return Point(profile, channels, compute_noise_budget(profile),
-                 profile.natural_sigma_x2 if sigma_x2 is None else sigma_x2)
+    budget = compute_noise_budget(profile)
+    return OperatingPoint(profile.natural_sigma_x2 if sigma_x2 is None else sigma_x2,
+                          profile.k_tiq, channels, budget.sigma_v2, budget.sigma_q2,
+                          budget.p_x_soi)
 
 
 def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
@@ -462,11 +455,10 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
         draw = source(n, seed=config.seed + t, out=z)
     clock.samples += n
 
-    def render(points: list[Point], ds=None, **render_options):
+    def render(points: list[OperatingPoint], ds=None, **render_options):
         with clock.phase("render"):
             rendered = render_observations(
-                draw.samples, [(point.channels, point.budget, point.profile,
-                                draw.scale(point.sigma_x2)) for point in points],
+                draw.samples, [(point, draw.scale(point.sigma_x2)) for point in points],
                 seed=config.seed + _NOISE_SEED_OFFSET + t, outs=ds, **render_options)
         clock.samples_rendered += n * len(points)
         return rendered
@@ -474,7 +466,7 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
     return draw, render
 
 
-def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
+def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
                 clock: PhaseClock, group: int = 1):
     """Yield the trials t = 0 ... config.trials - 1 in groups of ``group``
     consecutive trials (the last may be shorter), each group a list of
@@ -549,7 +541,7 @@ def iter_trials(config: ExperimentConfig, points: list[Point], n: int,
         producer.join()
 
 
-def run_trials(config: ExperimentConfig, points: list[tuple[Point, dict[str, Job]]],
+def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict[str, Job]]],
                n: int, clock: PhaseClock, **run_options):
     """Run every trial of ``iter_trials`` over the ``points`` of a pass and
     yield ``(t, runs, diverged)`` for trial t, in trial order, each a dict
@@ -633,8 +625,7 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
     trial 0 of the configured source, drawn once for the whole grid."""
     rows = compute_power_budget(config.profile, config.tx_grid_dbm)
 
-    measured = {k: [] for k in ("linear_si", "image_si", "imd_si",
-                                "image_imd_si", "thermal", "quantization", "soi")}
+    measured = {k: [] for k in COMPONENTS}
     points = [_point(config, config.profile.with_tx_power(tx))
               for tx in config.tx_grid_dbm]
     _, render = _trial(config, 0, 100_000, report.clock)
@@ -697,10 +688,10 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
 def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Trial-averaged error-coefficient trajectories and steady bias table."""
     point = _point(config, config.profile)
-    prof, channels, budget, s2 = point
-    report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
+    channels = point.channels
+    report.meta["tx_power_dbm"] = _fmt(config.profile.tx_power_dbm)
     with _theory(report.clock):
-        bound = alms_ms_bound(s2, config.M)
+        bound = alms_ms_bound(point.sigma_x2, config.M)
     n_iters = config.iterations
 
     stride = max(1, n_iters // 2000)
@@ -717,7 +708,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
         for label, n_imd in (("alms", 0), ("anclms", config.N)):
             window = int(0.9 * n_iters) if label == "alms" else None
             cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
-                                              k_tiq=prof.k_tiq, steady_window=window)
+                                              k_tiq=point.k_tiq, steady_window=window)
     # per job: taps 1 and 2 at the plotted steps, (steps, 2), summed by the
     # kernel in trial order (run_trials' job-major lanes) into one row that
     # starts at -0.0, as a -0.0 + x is x bit for bit
@@ -734,10 +725,11 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             for key, run in zip(cfgs, runs.values()):
                 err_sums[key] += run.mean_weights - w_opts[key[1]]
 
+    # the bias does not depend on the step size
+    with _theory(report.clock):
+        bias = alms_bias(point)
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
-        with _theory(report.clock):
-            bias = alms_bias(TheoryInputs.from_profile(prof, channels, budget, mu))
         for label, w_opt in w_opts.items():
             # a complex quotient of inf or nan parts warns
             with np.errstate(over="ignore", invalid="ignore"):
@@ -808,7 +800,7 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
     points = []  # (point, mu, its two jobs by label), in grid order
     for tx in grid:
         point = _point(config, config.profile.with_tx_power(tx))
-        k_tiq = point.profile.k_tiq
+        k_tiq = point.k_tiq
         # one shared step size for both cancellers at this grid point; ANCLMS
         # starts at the exact Wiener solution of the rendered model, ALMS at zero
         with _theory(report.clock):
@@ -832,20 +824,20 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         "alms_sinr_sim_db", "alms_sinr_theory_db", "anclms_sinr_sim_db",
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
-    for (prof, channels, budget, s2), mu, jobs in points:
+    for point, mu, jobs in points:
+        s2, channels = point.sigma_x2, point.channels
         d_power = (s2 * (channels.norm2_h + channels.norm2_g)
-                   + 6.0 * prof.k_tiq ** 3 * s2 ** 3
-                   * (channels.norm2_h_imd + channels.norm2_g_imd)
-                   + budget.sigma_v2 + budget.sigma_q2)
+                   + 6.0 * point.k_tiq ** 3 * s2 ** 3 * point.imd_norm2
+                   + point.sigma_v2 + point.sigma_q2)
         with _theory(report.clock):
-            inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-            theory = (alms_steady_mse(inp, alms_regime(inp)), anclms_steady_mse(inp))
+            theory = (alms_steady_mse(point, mu, alms_regime(point)),
+                      anclms_steady_mse(point, mu))
         for name, label, j_theory in zip(("alms", "anclms"), jobs, theory):
             mse = float(np.sum(trial_mse[label])) / config.trials
             # a diverged job's infinite MSE reads -inf dB, named in meta.txt
             with np.errstate(divide="ignore"):
-                cols[f"{name}_sinr_sim_db"].append(lin_to_db(budget.p_x_soi / mse))
-                cols[f"{name}_sinr_theory_db"].append(lin_to_db(budget.p_x_soi / j_theory))
+                cols[f"{name}_sinr_sim_db"].append(lin_to_db(point.p_x_soi / mse))
+                cols[f"{name}_sinr_theory_db"].append(lin_to_db(point.p_x_soi / j_theory))
                 cols[f"{name}_att_sim_db"].append(lin_to_db(d_power / mse))
                 cols[f"{name}_att_theory_db"].append(lin_to_db(d_power / j_theory))
 
@@ -948,8 +940,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         mu_sub = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_sub, k, config.M, config.N)
         newton = newton_preconditioner(r_opt, config.M, config.N)
     opt = _point(config, prof, s_opt)
-    budget = opt.budget
-    noise = budget.sigma_v2 + budget.sigma_q2
+    noise = opt.sigma_v2 + opt.sigma_q2
 
     report.meta["mu_frac"] = f"{CONVERGENCE_MU_FRAC:g}"
     report.meta["mu_bound"] = "anclms_mean_bound"
@@ -978,7 +969,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     for label, ran in (points[0][1] | points[1][1]).items():
         mean = ran.residuals / config.trials
         smooth = mean[: n_points * block].reshape(-1, block).mean(axis=1)
-        curves[label] = lin_to_db(budget.p_x_soi / smooth)
+        curves[label] = lin_to_db(opt.p_x_soi / smooth)
 
     # small-step theory overlay for the raw run at the optimal power
     try:
@@ -988,7 +979,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
             j_pred = anclms_transient(ana, noise, mu_opt,
                                       -opt.channels.stacked_nonlinear(), grid_pts)
         curves["anclms_optimal_theory"] = lin_to_db(
-            budget.p_x_soi / np.maximum(j_pred, 1e-300))
+            opt.p_x_soi / np.maximum(j_pred, 1e-300))
     except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
         report.meta["transient_overlay_error"] = repr(exc)
 
@@ -1027,15 +1018,16 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
 
 def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Converged/diverged verdicts at fractions of the step-size bounds."""
-    point = _point(config, config.profile.with_tx_power(config.tx_grid_dbm[0]))
-    prof, channels, budget, s2 = point
+    prof = config.profile.with_tx_power(config.tx_grid_dbm[0])
+    point = _point(config, prof)
+    s2, k_tiq = point.sigma_x2, point.k_tiq
     report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
-    noise = budget.sigma_v2 + budget.sigma_q2
+    noise = point.sigma_v2 + point.sigma_q2
 
     with _theory(report.clock):
-        ana = anclms_ms_analysis(s2, prof.k_tiq, config.M, config.N)
+        ana = anclms_ms_analysis(s2, k_tiq, config.M, config.N)
         bounds = {"alms": alms_ms_bound(s2, config.M), "anclms": ana.bound}
-        mean_bound = anclms_mean_bound(s2, prof.k_tiq, config.M, config.N)
+        mean_bound = anclms_mean_bound(s2, k_tiq, config.M, config.N)
     report.meta["alms_ms_bound"] = _fmt(bounds["alms"])
     report.meta["anclms_ms_bound"] = _fmt(bounds["anclms"])
     report.meta["anclms_mean_bound"] = _fmt(mean_bound)
@@ -1043,7 +1035,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     report.meta["mu_frac"] = ",".join(f"{f:g}" for f in fracs)
     report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
     cfgs = {(label, frac): CancellerConfig(mu=frac * bounds[label], M=config.M,
-                                           N=n_imd, k_tiq=prof.k_tiq)
+                                           N=n_imd, k_tiq=k_tiq)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
     jobs = {f"{label}_mu{frac:g}": Job(cfg) for (label, frac), cfg in cfgs.items()}
@@ -1064,9 +1056,8 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
         j_theory = math.inf
         if frac < 1.0:
             with _theory(report.clock):
-                inp = TheoryInputs.from_profile(prof, channels, budget, cfg.mu)
                 if label == "alms":
-                    j_theory = alms_steady_mse(inp, alms_regime(inp))
+                    j_theory = alms_steady_mse(point, cfg.mu, alms_regime(point))
                 else:
                     j_theory = anclms_exact_steady_mse(ana, noise, cfg.mu)
         conv = steady_mse[~grew]

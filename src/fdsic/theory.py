@@ -3,6 +3,10 @@
 All formulas assume the reference waveform x(n) is zero-mean proper white
 complex Gaussian with power sigma_x2, so E|x|^4 = 2 sigma_x2^2 and
 E|x|^6 = 6 sigma_x2^3. Powers are linear mW throughout; dB only on output.
+The closed forms of the bias and the steady state read the operating point
+as the harness simulates it, a ``transceiver.OperatingPoint``, and take the
+step size mu as an argument of its own: one point serves every step size
+run at it.
 
 The mean-square analysis of the nonlinear canceller is exact too: its
 fourth-moment matrix T follows from the moments
@@ -50,56 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cancellers import check_nonsingular
-from .transceiver import ChannelSet, NoiseBudget, TransceiverProfile
+from .transceiver import OperatingPoint
 
 MIN_CONDITION_EPSILON = 1.0 / 6.0
 MIN_CONDITION_VALUE = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
 # alms_regime's 'low' regime: quantization + IMD power within this fraction
 # of the thermal noise power
 ALMS_LOW_REGIME_FRACTION = 0.05
-
-
-@dataclass(frozen=True)
-class TheoryInputs:
-    """Everything the closed forms need for one operating point; M and N
-    are those of its channels."""
-
-    sigma_x2: float
-    sigma_v2: float
-    sigma_q2: float
-    k_tiq: float
-    mu: float
-    channels: ChannelSet
-
-    def __post_init__(self):
-        if not 1 <= self.N < self.M:
-            raise ValueError("need 1 <= N < M")
-        if min(self.sigma_v2, self.sigma_q2) < 0 or self.sigma_x2 <= 0:
-            raise ValueError("variances must be nonnegative, sigma_x2 positive")
-
-    @classmethod
-    def from_profile(cls, profile: TransceiverProfile, channels: ChannelSet,
-                     budget: NoiseBudget, mu: float) -> "TheoryInputs":
-        return cls(
-            sigma_x2=profile.natural_sigma_x2,
-            sigma_v2=budget.sigma_v2,
-            sigma_q2=budget.sigma_q2,
-            k_tiq=profile.k_tiq,
-            mu=mu,
-            channels=channels,
-        )
-
-    @property
-    def M(self) -> int:
-        return self.channels.m
-
-    @property
-    def N(self) -> int:
-        return self.channels.n
-
-    @property
-    def imd_norm2(self) -> float:
-        return self.channels.norm2_h_imd + self.channels.norm2_g_imd
 
 
 # --------------------------------------------------------------------------
@@ -120,48 +81,49 @@ def alms_ms_bound(sigma_x2: float, M: int) -> float:
     return 1.0 / ((M + 1) * sigma_x2)
 
 
-def alms_bias(inputs: TheoryInputs) -> np.ndarray:
+def alms_bias(point: OperatingPoint) -> np.ndarray:
     """Steady-state mean weight error 2 k^{3/2} s2 [h_imd; 0; g_imd; 0].
 
     Nonzero only on the 2N taps aligned with the unmodeled IMD channels;
     vanishes when k_tiq = 0 or the IMD channels are zero.
     """
-    c = inputs.channels
-    scale = 2.0 * inputs.k_tiq ** 1.5 * inputs.sigma_x2
-    pad = np.zeros(inputs.M - inputs.N, dtype=complex)
+    c = point.channels
+    scale = 2.0 * point.k_tiq ** 1.5 * point.sigma_x2
+    pad = np.zeros(point.M - point.N, dtype=complex)
     return scale * np.concatenate([c.h_imd, pad, c.g_imd, pad])
 
 
-def _check_mu(inputs: TheoryInputs):
-    bound = alms_ms_bound(inputs.sigma_x2, inputs.M)
-    if not 0 < inputs.mu < bound:
+def _check_mu(point: OperatingPoint, mu: float):
+    bound = alms_ms_bound(point.sigma_x2, point.M)
+    if not 0 < mu < bound:
         raise ValueError(f"mu must lie in (0, {bound:.6g}) for a steady state")
 
 
-def alms_steady_mse(inputs: TheoryInputs, regime: str) -> float:
-    """Steady-state residual power of the widely linear canceller.
+def alms_steady_mse(point: OperatingPoint, mu: float, regime: str) -> float:
+    """Steady-state residual power of the widely linear canceller at step
+    size ``mu``.
 
     regime 'low' keeps thermal noise only; regime 'high' adds quantization
     noise and the residual third-order interference that the linear model
     cannot represent.
     """
-    _check_mu(inputs)
-    mu, s2, M = inputs.mu, inputs.sigma_x2, inputs.M
+    _check_mu(point, mu)
+    s2, M = point.sigma_x2, point.M
     denom = 1.0 - mu * (M + 1) * s2
     if regime == "low":
-        return (1.0 - mu * s2) * inputs.sigma_v2 / denom
+        return (1.0 - mu * s2) * point.sigma_v2 / denom
     if regime == "high":
-        noise = inputs.sigma_v2 + inputs.sigma_q2
-        imd = inputs.k_tiq ** 3 * s2 ** 3 * inputs.imd_norm2
+        noise = point.sigma_v2 + point.sigma_q2
+        imd = point.k_tiq ** 3 * s2 ** 3 * point.imd_norm2
         return noise - 2.0 * imd + (mu * M * noise * s2 + 4.0 * imd) / denom
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def alms_regime(inputs: TheoryInputs) -> str:
+def alms_regime(point: OperatingPoint) -> str:
     """'low' while quantization + IMD interference is negligible vs thermal
     (at most ``ALMS_LOW_REGIME_FRACTION`` of it)."""
-    imd_power = 6.0 * inputs.k_tiq ** 3 * inputs.sigma_x2 ** 3 * inputs.imd_norm2
-    small = inputs.sigma_q2 + imd_power <= ALMS_LOW_REGIME_FRACTION * inputs.sigma_v2
+    imd_power = 6.0 * point.k_tiq ** 3 * point.sigma_x2 ** 3 * point.imd_norm2
+    small = point.sigma_q2 + imd_power <= ALMS_LOW_REGIME_FRACTION * point.sigma_v2
     return "low" if small else "high"
 
 
@@ -188,9 +150,10 @@ class AlmsTransient:
     diverged: bool
 
 
-def alms_transient(inputs: TheoryInputs, n_iters: int, regime: str = "high",
-                   w0: np.ndarray | None = None) -> AlmsTransient:
-    """Iterate the mean and variance recursions of the linear canceller.
+def alms_transient(point: OperatingPoint, mu: float, n_iters: int,
+                   regime: str = "high", w0: np.ndarray | None = None) -> AlmsTransient:
+    """Iterate the mean and variance recursions of the linear canceller at
+    step size ``mu``.
 
     Starts from weights ``w0`` (all-zero by default). Divergence (any
     variance above 1e12) is reported through the flag, not raised.
@@ -199,20 +162,20 @@ def alms_transient(inputs: TheoryInputs, n_iters: int, regime: str = "high",
         raise ValueError("n_iters must be >= 1")
     if regime not in ("low", "high"):
         raise ValueError(f"unknown regime {regime!r}")
-    mu, s2, M = inputs.mu, inputs.sigma_x2, inputs.M
-    w_opt = inputs.channels.stacked_linear()
+    s2, M = point.sigma_x2, point.M
+    w_opt = point.channels.stacked_linear()
     w0 = np.zeros_like(w_opt) if w0 is None else np.asarray(w0, dtype=complex)
     werr = w0 - w_opt
 
-    imd = inputs.k_tiq ** 3 * s2 ** 3 * inputs.imd_norm2
+    imd = point.k_tiq ** 3 * s2 ** 3 * point.imd_norm2
     if regime == "high":
-        bias_drive = s2 * alms_bias(inputs)  # E[u(n) x^a*(n)]
-        u_power = inputs.sigma_v2 + inputs.sigma_q2 + 6.0 * imd
-        noise_drive = mu ** 2 * (inputs.sigma_v2 + inputs.sigma_q2) * s2
+        bias_drive = s2 * alms_bias(point)  # E[u(n) x^a*(n)]
+        u_power = point.sigma_v2 + point.sigma_q2 + 6.0 * imd
+        noise_drive = mu ** 2 * (point.sigma_v2 + point.sigma_q2) * s2
     else:
         bias_drive = np.zeros(2 * M, dtype=complex)
-        u_power = inputs.sigma_v2
-        noise_drive = mu ** 2 * inputs.sigma_v2 * s2
+        u_power = point.sigma_v2
+        noise_drive = mu ** 2 * point.sigma_v2 * s2
 
     f_mat = alms_transition_matrix(s2, mu, M)
     kappa = np.abs(werr) ** 2
@@ -442,18 +405,19 @@ def anclms_ms_analysis(sigma_x2: float, k_tiq: float, M: int,
     return AnclmsMsAnalysis(r_mat, _mean_square_blocks(sigma_x2, k_tiq, M, N, r_mat))
 
 
-def anclms_steady_mse(inputs: TheoryInputs) -> float:
-    """Small-step steady-state MSE of the nonlinear canceller.
+def anclms_steady_mse(point: OperatingPoint, mu: float) -> float:
+    """Small-step steady-state MSE of the nonlinear canceller at step size
+    ``mu``.
 
     (sigma_v2 + sigma_q2) [mu (M s2 + 6 N k^3 s2^3) + 1]; independent of the
     IMD channel impulse responses by construction.
     """
-    if inputs.mu <= 0:
+    if mu <= 0:
         raise ValueError("mu must be positive")
-    noise = inputs.sigma_v2 + inputs.sigma_q2
-    trace_half = inputs.M * inputs.sigma_x2 \
-        + 6.0 * inputs.N * inputs.k_tiq ** 3 * inputs.sigma_x2 ** 3
-    return noise * (inputs.mu * trace_half + 1.0)
+    noise = point.sigma_v2 + point.sigma_q2
+    trace_half = point.M * point.sigma_x2 \
+        + 6.0 * point.N * point.k_tiq ** 3 * point.sigma_x2 ** 3
+    return noise * (mu * trace_half + 1.0)
 
 
 def anclms_exact_steady_mse(analysis: AnclmsMsAnalysis, sigma_n2: float,

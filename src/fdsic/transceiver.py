@@ -18,10 +18,15 @@ roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
 coefficient alpha1 is derived from the two-tone intercept point,
 alpha1 = -(4/3) alpha0 / iip3_mw.
 
-``render_observations`` renders one trial at several points: it reads the
-reference of each as a source row z and a scale, x = scale z, each part of
-z times the scale (see ``signals.Draw``), so that one drawn row serves every
-transmit power, and forms x, x_imd, the four FIR branches and their sum in
+``OperatingPoint`` is the one record of an operating point: the reference
+power, k_tiq, the channels and the noise powers. The harness simulates at
+it, and the closed forms of ``theory`` analyse it.
+
+``render_observations`` renders one trial at several points, each an
+``OperatingPoint`` with a scale: it reads the reference of each as a source
+row z and that scale, x = scale z, each part of z times the scale (see
+``signals.Draw``), so that one drawn row serves every transmit power, and
+forms x, x_imd, the four FIR branches and their sum in
 the compiled ``render`` of ``_native`` (the C library that also runs the
 LMS steps), consecutive samples in the lanes of a vector (eight on AVX-512,
 four on AVX2) over blocks of a few hundred samples, writing each d(n) into
@@ -253,6 +258,39 @@ class ChannelSet:
 
 
 @dataclass(frozen=True)
+class OperatingPoint:
+    """One operating point, as the render and the closed forms read it: the
+    reference power ``sigma_x2``, the Tx I/Q gain ``k_tiq``, the four SI
+    channels (M and N are theirs) and the thermal, quantization and SOI
+    powers at the canceller input."""
+
+    sigma_x2: float
+    k_tiq: float
+    channels: ChannelSet
+    sigma_v2: float
+    sigma_q2: float
+    p_x_soi: float
+
+    def __post_init__(self):
+        if not 1 <= self.N < self.M:
+            raise ValueError("need 1 <= N < M")
+        if min(self.sigma_v2, self.sigma_q2, self.p_x_soi) < 0 or self.sigma_x2 <= 0:
+            raise ValueError("variances must be nonnegative, sigma_x2 positive")
+
+    @property
+    def M(self) -> int:
+        return self.channels.m
+
+    @property
+    def N(self) -> int:
+        return self.channels.n
+
+    @property
+    def imd_norm2(self) -> float:
+        return self.channels.norm2_h_imd + self.channels.norm2_g_imd
+
+
+@dataclass(frozen=True)
 class NoiseBudget:
     """Noise variances and gains at the digital canceller input (linear mW)."""
 
@@ -390,12 +428,12 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
     """Render d(n) at each of ``points`` from one source row ``zs`` and one
     noise draw, in one compiled call.
 
-    Each point is a ``(channels, budget, profile, scale)`` tuple, its
-    reference x = ``scale`` ``zs``: each part of x is the part of ``zs``
-    times ``scale``, as ``signals.Draw.reference`` forms it. Each branch is
+    Each point is an ``(OperatingPoint, scale)`` pair, its reference
+    x = ``scale`` ``zs``: each part of x is the part of ``zs`` times
+    ``scale``, as ``signals.Draw.reference`` forms it. Each branch is
     the channel's FIR response to its input, truncated to ``len(zs)``
     samples (zero initial state); each noise is ``sqrt(power / 2) * (re +
-    1j * im)``, with the point's budget's power, of the real then imaginary
+    1j * im)``, with the point's power, of the real then imaginary
     standard normals drawn in the order thermal, quantization, SOI from the
     stream of ``np.random.default_rng(seed)`` (by ``_native.NormalStream``).
     Every point adds the same normals: they are drawn once, and each is
@@ -415,14 +453,14 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     n = len(zs)
     targets = []
-    for (channels, budget, profile, scale), out in zip(points, outs or [None] * len(points),
-                                                       strict=True):
+    for (point, scale), out in zip(points, outs or [None] * len(points), strict=True):
+        channels = point.channels
         if n <= channels.m:
             raise ValueError("sequence must be longer than the channel length M")
-        powers = (budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
+        powers = (point.sigma_v2, point.sigma_q2, point.p_x_soi)
         targets.append(_native.Target(
             scale, (channels.h, channels.g, channels.h_imd, channels.g_imd),
-            profile.k_tiq ** 1.5, np.array([np.sqrt(p / 2.0) for p in powers]),
+            point.k_tiq ** 1.5, np.array([np.sqrt(p / 2.0) for p in powers]),
             np.empty(n, dtype=np.complex128) if out is None else out,
             np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None))
     _native.render(zs, targets, _native.NormalStream(seed), include_soi)
@@ -431,21 +469,18 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
     return [target.d for target in targets]
 
 
-def render_observation(zs: np.ndarray, channels: ChannelSet,
-                       budget: NoiseBudget, profile: TransceiverProfile,
-                       seed: int, include_soi: bool = False,
-                       components: bool = False,
+def render_observation(zs: np.ndarray, point: OperatingPoint, seed: int,
+                       include_soi: bool = False, components: bool = False,
                        out: np.ndarray | None = None, scale: float = 1.0):
     """Render d(n) from the reference x = ``scale`` ``zs``: the one-point
-    case of ``render_observations``, the point ``(channels, budget,
-    profile, scale)`` and its row ``out``; returns its row ``d``, or its
-    ``(d, components)`` pair with ``components=True``.
+    case of ``render_observations``, the pair ``(point, scale)`` and its row
+    ``out``; returns its row ``d``, or its ``(d, components)`` pair with
+    ``components=True``.
 
     The default scale 1 renders ``zs`` itself; ``out``, a complex128 row of
     ``len(zs)`` samples, receives ``d``.
     """
-    [rendered] = render_observations(zs, [(channels, budget, profile, scale)], seed,
-                                     include_soi, components,
+    [rendered] = render_observations(zs, [(point, scale)], seed, include_soi, components,
                                      None if out is None else [out])
     return rendered
 

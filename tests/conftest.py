@@ -8,7 +8,8 @@ import pytest
 
 from fdsic import _native, harness
 from fdsic.theory import anclms_ms_analysis, rb_matrix
-from fdsic.transceiver import builtin_profile, compute_noise_budget, synthesize_channels
+from fdsic.transceiver import (OperatingPoint, builtin_profile, compute_noise_budget,
+                               synthesize_channels)
 
 SEED = 17
 M, N = 5, 4
@@ -98,13 +99,21 @@ def lowpower_ms_analysis(lowpower_setup):
     return anclms_ms_analysis(prof.natural_sigma_x2, prof.k_tiq, M, N)
 
 
-def stack_trials(config, profile, channels, budget, sigma_x2, n):
+def operating_point(profile, channels, budget, sigma_x2=None):
+    """The ``OperatingPoint`` of ``profile`` with ``channels`` and the noise
+    powers of ``budget``, at the reference power ``sigma_x2`` (the profile's
+    natural power if None), each field as ``harness._point`` reads it."""
+    return OperatingPoint(profile.natural_sigma_x2 if sigma_x2 is None else sigma_x2,
+                          profile.k_tiq, channels, budget.sigma_v2, budget.sigma_q2,
+                          budget.p_x_soi)
+
+
+def stack_trials(config, point, n):
     """The references and copies of the observations ``harness.iter_trials``
-    hands over for one point, stacked as ``(xs, ds)`` of shape
+    hands over for ``point``, stacked as ``(xs, ds)`` of shape
     (config.trials, n): the batch of the experiments' trials for tests that
     run them at once."""
-    point = harness.Point(profile, channels, budget, sigma_x2)
-    rows = [(draw.reference(sigma_x2), d.copy())
+    rows = [(draw.reference(point.sigma_x2), d.copy())
             for group in harness.iter_trials(config, [point], n, harness.PhaseClock())
             for draw, [d], _ in group]
     return tuple(np.stack(r) for r in zip(*rows))

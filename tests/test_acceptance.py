@@ -18,15 +18,14 @@ import pytest
 from fdsic.cancellers import CancellerConfig, regressor_matrix, run_batch
 from fdsic.harness import ExperimentConfig, run_experiment
 from fdsic.signals import gen_proper_gaussian
-from fdsic.theory import (TheoryInputs, alms_ms_bound, alms_regime,
-                          alms_steady_mse, alms_transient,
-                          anclms_exact_steady_mse, anclms_mean_bound,
-                          anclms_transient, min_condition_number,
-                          rb_eigenvalues)
+from fdsic.theory import (alms_ms_bound, alms_regime, alms_steady_mse,
+                          alms_transient, anclms_exact_steady_mse,
+                          anclms_mean_bound, anclms_transient,
+                          min_condition_number, rb_eigenvalues)
 from fdsic.transceiver import compute_noise_budget, synthesize_channels
 from fdsic.units import lin_to_db
 
-from conftest import M, N, SEED, stack_trials
+from conftest import M, N, SEED, operating_point, stack_trials
 from test_theory import numeric_min_condition_number
 
 MIN_C = (17.0 + 4.0 * math.sqrt(15.0)) / 7.0
@@ -120,7 +119,7 @@ def test_criterion_5_low_power_limit(lowpower_setup):
     mu = 0.01 * alms_ms_bound(s2, M)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=50,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 30_000 + M)
     worst = 0.0
     for n_imd in (0, N):  # ALMS, then ANCLMS
         cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
@@ -142,7 +141,7 @@ def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
                   ("anclms", N, lowpower_ms_analysis.bound))
     config = ExperimentConfig(experiment="bias", profile=prof, trials=50,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 30_000 + M)
     init = float(np.mean(np.abs(ds) ** 2))
     out = {}
     for label, n_imd, bound in cancellers:
@@ -154,8 +153,8 @@ def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
         if frac >= 1.0:
             j_theory = math.inf
         elif label == "alms":
-            inp = TheoryInputs.from_profile(prof, channels, budget, mu)
-            j_theory = alms_steady_mse(inp, alms_regime(inp))
+            point = operating_point(prof, channels, budget)
+            j_theory = alms_steady_mse(point, mu, alms_regime(point))
         else:
             j_theory = anclms_exact_steady_mse(
                 lowpower_ms_analysis, budget.sigma_v2 + budget.sigma_q2, mu)
@@ -250,7 +249,7 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     channels = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(20_000, seed=5).reference(type2.natural_sigma_x2)
-    d, parts = render_observation(x, channels, budget, type2, seed=6,
+    d, parts = render_observation(x, operating_point(type2, channels, budget), seed=6,
                                   include_soi=True, components=True)
     assert np.max(np.abs(d - sum(parts.values()))) == 0.0
     notes.append("component-sum identity")
@@ -269,10 +268,10 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     # transient/steady fixed-point consistency (0.1%)
     prof, ch_low, bud_low = lowpower_setup
     mu = 0.1 * alms_ms_bound(prof.natural_sigma_x2, M)
-    inputs = TheoryInputs.from_profile(prof, ch_low, bud_low, mu)
+    point = operating_point(prof, ch_low, bud_low)
     for regime in ("low", "high"):
-        traj = alms_transient(inputs, 6000, regime=regime)
-        assert traj.mse[-1] == pytest.approx(alms_steady_mse(inputs, regime),
+        traj = alms_transient(point, mu, 6000, regime=regime)
+        assert traj.mse[-1] == pytest.approx(alms_steady_mse(point, mu, regime),
                                              rel=1e-3)
     mu_b = 0.1 * lowpower_ms_analysis.bound
     noise = bud_low.sigma_v2 + bud_low.sigma_q2

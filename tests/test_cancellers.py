@@ -23,7 +23,7 @@ from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
                           optimal_sigma_x2, rb_matrix)
 from fdsic.transceiver import (compute_noise_budget, render_observation,
                                synthesize_channels)
-from conftest import M, N, SEED, WARNING_FLAGS, stack_trials
+from conftest import M, N, SEED, WARNING_FLAGS, operating_point, stack_trials
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
@@ -240,7 +240,7 @@ def test_run_batch_low_power_mse(lowpower_setup):
     mu = 0.1 * alms_ms_bound(s2, M)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=1,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget, s2, 30_000 + M)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 30_000 + M)
     [(run, residuals, _)] = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
     j_low = ((1 - mu * s2) * budget.sigma_v2 / (1 - mu * (M + 1) * s2)
              + budget.sigma_q2)
@@ -252,8 +252,7 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
     prof, channels, budget = lowpower_setup
     config = ExperimentConfig(experiment="bias", profile=prof, trials=4,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget,
-                          prof.natural_sigma_x2, 8000 + M)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 8000 + M)
     mu = 1.5 * lowpower_ms_analysis.bound
     runs = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, N=N,
                                              k_tiq=prof.k_tiq), keep_residuals=False)
@@ -265,8 +264,7 @@ def test_mu_zero_flat_residual(lowpower_setup):
     prof, channels, budget = lowpower_setup
     config = ExperimentConfig(experiment="bias", profile=prof, trials=2,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget,
-                          prof.natural_sigma_x2, 5000 + M)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 5000 + M)
     runs = run_batch(xs, ds, CancellerConfig(mu=0.0, M=M, k_tiq=prof.k_tiq),
                      keep_residuals=True)
     np.testing.assert_allclose([residuals for _, residuals, _ in runs],
@@ -425,7 +423,7 @@ def kernel_setup(type2):
     budget = compute_noise_budget(prof)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=4,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget, s2, 3000 + M - 1)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 3000 + M - 1)
     ana = anclms_ms_analysis(s2, prof.k_tiq, M, N)
     return prof, xs, ds, {0: alms_ms_bound(s2, M), N: ana.bound, "newton": 2.0}
 
@@ -535,8 +533,8 @@ def point_rows(type2):
         channels = synthesize_channels(prof, M, N, seed=SEED)
         budget = compute_noise_budget(prof)
         scale = Draw(zs, 2.0).scale(s2)
-        ds = np.stack([render_observation(z, channels, budget, prof, seed=100 + t,
-                                          scale=scale)
+        point = operating_point(prof, channels, budget)
+        ds = np.stack([render_observation(z, point, seed=100 + t, scale=scale)
                        for t, z in enumerate(zs)])
         points.append((s2, ds))
     return zs, points
@@ -724,9 +722,9 @@ def ten_trials(type2):
     observation NaN at sample 500, so that every job diverges on it."""
     prof = type2.with_tx_power(15.0)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=10, seed=SEED)
-    xs, ds = stack_trials(config, prof, synthesize_channels(prof, M, N, seed=SEED),
-                          compute_noise_budget(prof), prof.natural_sigma_x2,
-                          3000 + M - 1)
+    point = operating_point(prof, synthesize_channels(prof, M, N, seed=SEED),
+                            compute_noise_budget(prof))
+    xs, ds = stack_trials(config, point, 3000 + M - 1)
     ds[3, 500] = np.nan
     return xs, ds
 

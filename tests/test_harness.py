@@ -29,7 +29,7 @@ from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (builtin_profile, compute_noise_budget,
                                render_observation, synthesize_channels)
 
-from conftest import M, N, SEED, stack_trials
+from conftest import M, N, SEED, operating_point, stack_trials
 
 
 def test_parse_tx_grid():
@@ -150,8 +150,7 @@ def test_trial_independence(lowpower_setup):
     cfg = CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=20,
                               seed=SEED)
-    xs, ds = stack_trials(config, prof, channels, budget,
-                          prof.natural_sigma_x2, 12_000 + M)
+    xs, ds = stack_trials(config, operating_point(prof, channels, budget), 12_000 + M)
     mse = np.array([run.steady_state_mse
                     for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)])
     half, full = mse[:10].mean(), mse.mean()
@@ -920,10 +919,10 @@ def test_cli_diverged_sweep_point_runs_without_warnings(check, code, tmp_path):
         assert int(meta.get(f"diverged_trials[{label}]", "0")) > 0, label
 
 
-# the edge cases of bias, convergence and bounds-probe runs: (command-line
-# options, the type2 profile entries they replace); --mu-frac is bias's
+# the edge cases of the five experiments' runs: (command-line options, the
+# type2 profile entries they replace); --mu-frac is bias's and the sweep's
 # alone, since convergence and bounds-probe run fixed fractions of their own
-# bounds
+# bounds and power-budget runs no canceller
 _EDGE_CASES = {
     "trials-1": (["--trials", "1"], {}),
     "irr-inf": ([], {"irr": "inf dB"}),
@@ -935,17 +934,22 @@ _EDGE_CASES = {
 
 
 def _cell_job(csv_name: str, column: str, base_job: str, cells: dict) -> str | None:
-    """The canceller job whose run a cell of ``column`` of a bias,
+    """The canceller job whose run a cell of ``column`` of a bias, sweep,
     convergence or bounds-probe CSV reads, in the row whose cells by column
     are ``cells``, or None for an axis or theory column: ``bias.csv``'s
     curves are ``<job>_tap<k>``, ``bias_taps.csv``'s measured columns read
-    ``base_job`` (the ALMS job at the base step size), ``convergence.csv``'s
-    curves are named by their jobs and a ``bounds-probe.csv`` row's MSE
-    columns read the job ``<variant>_mu<fraction>`` of that row."""
+    ``base_job`` (the ALMS job at the base step size), a
+    ``sinr-sweep.csv`` row's simulated columns ``<canceller>_{sinr,att}_sim_db``
+    read the job ``<canceller>@<tx>dBm`` at that row's transmit power,
+    ``convergence.csv``'s curves are named by their jobs and a
+    ``bounds-probe.csv`` row's MSE columns read the job
+    ``<variant>_mu<fraction>`` of that row."""
     if csv_name == "bias.csv" and re.fullmatch(r"a(nc)?lms_mu.*_tap\d", column):
         return column.rsplit("_", 1)[0]
     if csv_name == "bias_taps.csv" and column in ("measured_abs", "rel_error"):
         return base_job
+    if csv_name == "sinr-sweep.csv" and re.fullmatch(r"a(nc)?lms_(sinr|att)_sim_db", column):
+        return f"{column.split('_')[0]}@{cells['tx_power_dbm']}dBm"
     if csv_name == "convergence.csv" and re.fullmatch(r"anclms_[a-z]+", column):
         return column
     if csv_name == "bounds-probe.csv" and column in ("mean_mse", "median_mse"):
@@ -954,16 +958,19 @@ def _cell_job(csv_name: str, column: str, base_job: str, cells: dict) -> str | N
 
 
 @pytest.mark.parametrize("experiment, case", [
-    (experiment, case) for experiment in ("bias", "convergence", "bounds-probe")
-    for case in _EDGE_CASES if experiment == "bias" or case != "mu-frac-0.99"])
+    (experiment, case)
+    for experiment in ("power-budget", "bias", "sinr-sweep", "convergence", "bounds-probe")
+    for case in _EDGE_CASES if experiment in ("bias", "sinr-sweep") or case != "mu-frac-0.99"])
 def test_edge_cases_run_explained(experiment, case, tmp_path):
-    """bias, convergence and bounds-probe at 2 trials and 3000 steps, at
-    each edge case, through the command line with --check: the run exits 0,
-    2 or 3 without a warning, and every non-finite cell of its CSVs reads a
-    job that meta.txt names as diverged. bounds-probe's are there by design
-    alone: in a row whose fraction of the bound, one of meta.txt's
-    ``mu_frac``, is at or above 1, where ``theory_mse`` has no steady state
-    and the MSE columns read that fraction's diverged job."""
+    """Each experiment at 2 trials and 3000 steps, at each edge case,
+    through the command line with --check: the run exits 0, 2 or 3 without
+    a warning, and every non-finite cell of its CSVs reads a job that
+    meta.txt names as diverged. bounds-probe's are there by design alone:
+    in a row whose fraction of the bound, one of meta.txt's ``mu_frac``, is
+    at or above 1, where ``theory_mse`` has no steady state and the MSE
+    columns read that fraction's diverged job. power-budget runs no job: its
+    only non-finite cells are the -inf dBm of its image columns, analytic
+    and rendered, where irr = inf leaves no image branch."""
     options, entries = _EDGE_CASES[case]
     text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
     for key, value in entries.items():
@@ -993,6 +1000,10 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
             cells = dict(zip(columns, row.split(",")))
             for column, cell in cells.items():
                 if not math.isfinite(float(cell)):
+                    if path.name == "power-budget.csv":
+                        assert entries.get("irr") == "inf dB", (column, cells)
+                        assert column.startswith("image_") and cell == "-inf", column
+                        continue
                     if path.name == "bounds-probe.csv":
                         assert cells["mu_frac"] in meta["mu_frac"].split(","), cells
                         assert float(cells["mu_frac"]) >= 1, (column, cells)
@@ -1074,14 +1085,35 @@ def test_phase_clock_counts_diverged_trials():
         assert line in lines, line
 
 
+def test_point_holds_the_profiles_fields_bit_for_bit(type2):
+    """``_point`` builds a profile's point from the profile's natural
+    sigma_x2, its k_tiq and the three noise powers of its noise budget, bit
+    for bit, and from channels drawn with the config's M, N and seed; at a
+    reference power given, from that power and the channels scaled to it."""
+    for tx in (-5.0, 25.0):
+        prof = type2.with_tx_power(tx)
+        config = ExperimentConfig(experiment="bias", profile=prof, M=8, N=6, seed=SEED + 1)
+        budget = compute_noise_budget(prof)
+        for sigma_x2 in (None, 0.25):
+            point = harness._point(config, prof, sigma_x2)
+            want = (prof.natural_sigma_x2 if sigma_x2 is None else sigma_x2, prof.k_tiq,
+                    budget.sigma_v2, budget.sigma_q2, budget.p_x_soi)
+            got = (point.sigma_x2, point.k_tiq, point.sigma_v2, point.sigma_q2, point.p_x_soi)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            channels = synthesize_channels(prof, 8, 6, seed=SEED + 1, sigma_x2=sigma_x2)
+            for name in ("h", "g", "h_imd", "g_imd"):
+                assert (getattr(point.channels, name).tobytes()
+                        == getattr(channels, name).tobytes()), name
+
+
 def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
     """An ``iter_trials`` generator over ``trials`` trials of type2 at -5 dBm,
     one trial a group."""
     prof = type2.with_tx_power(-5.0)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=trials,
                               seed=SEED)
-    point = harness.Point(prof, synthesize_channels(prof, M, N, seed=SEED),
-                          compute_noise_budget(prof), prof.natural_sigma_x2)
+    point = operating_point(prof, synthesize_channels(prof, M, N, seed=SEED),
+                            compute_noise_budget(prof))
     return harness.iter_trials(config, [point], n, clock or harness.PhaseClock())
 
 
@@ -1107,7 +1139,7 @@ def test_run_trials_equals_one_call_per_trial(type2):
         (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k),
                               preconditioner=newton_preconditioner(
                                   rb_matrix(high.sigma_x2, k, M, N), M, N), **rows())})]
-    trial_rows = [stack_trials(config, *point, n) for point, _ in points]
+    trial_rows = [stack_trials(config, point, n) for point, _ in points]
     sums = {label: rows() for _, jobs in points for label in jobs}
     options = dict(track_taps=(0, 5), tap_stride=7)
     trials = []
@@ -1242,8 +1274,8 @@ def test_trial_rows_match_one_thread(type2):
     n = 3000 + M
     for t, [(draw, [d], [power])] in enumerate(_trial_loop(type2, trials=4, n=n)):
         want = gen_proper_gaussian(n, seed=SEED + t)
-        want_d = render_observation(want.reference(prof.natural_sigma_x2), channels,
-                                    budget, prof,
+        want_d = render_observation(want.reference(prof.natural_sigma_x2),
+                                    operating_point(prof, channels, budget),
                                     seed=SEED + harness._NOISE_SEED_OFFSET + t)
         time.sleep(0.02)  # the producer renders trial t + 1 meanwhile
         assert np.array_equal(draw.samples, want.samples)

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from fdsic import theory
 from fdsic.cancellers import DegenerateInputError, regressor_matrix
 from fdsic.signals import gen_proper_gaussian
-from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
+from fdsic.theory import (alms_bias, alms_mean_bound,
                           alms_ms_bound, alms_regime, alms_steady_mse,
                           alms_transient, alms_transition_matrix,
                           anclms_exact_steady_mse, anclms_mean_bound,
@@ -19,12 +19,13 @@ from fdsic.theory import (TheoryInputs, alms_bias, alms_mean_bound,
                           condition_number_from_eps, min_condition_number,
                           optimal_sigma_x2,
                           rb_eigenvalues, rb_matrix)
-from fdsic.transceiver import (ChannelSet, compute_noise_budget,
+from fdsic.transceiver import (ChannelSet, OperatingPoint, compute_noise_budget,
                                render_observation, synthesize_channels)
 from fdsic.units import lin_to_db
 
 from conftest import (M, N, SEED, dense_bound, dense_exact_steady_mse,
-                      dense_ms_matrices, dense_transient, fourth_moment)
+                      dense_ms_matrices, dense_transient, fourth_moment,
+                      operating_point)
 
 
 def numeric_min_condition_number(lo: float = 1e-4, hi: float = 1e2) -> tuple[float, float]:
@@ -43,12 +44,11 @@ def _toy_channels(h_imd=None, g_imd=None):
         g_imd=np.zeros(N) if g_imd is None else np.asarray(g_imd, dtype=complex))
 
 
-def _inputs(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0, mu=0.1,
-            channels=None):
+def _point(sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0, channels=None):
     if channels is None:
         channels = _toy_channels()
-    return TheoryInputs(sigma_x2=sigma_x2, sigma_v2=sigma_v2, sigma_q2=sigma_q2,
-                        k_tiq=k_tiq, mu=mu, channels=channels)
+    return OperatingPoint(sigma_x2=sigma_x2, k_tiq=k_tiq, channels=channels,
+                          sigma_v2=sigma_v2, sigma_q2=sigma_q2, p_x_soi=0.0)
 
 
 # -- step-size bounds -------------------------------------------------------
@@ -72,14 +72,13 @@ def test_ms_bound_tighter_than_mean(sigma, m):
 # -- bias -------------------------------------------------------------------
 
 def test_alms_bias_zero_cases():
-    assert np.all(alms_bias(_inputs(k_tiq=0.0)) == 0)
-    assert np.all(alms_bias(_inputs(channels=_toy_channels())) == 0)
+    assert np.all(alms_bias(_point(k_tiq=0.0)) == 0)
+    assert np.all(alms_bias(_point(channels=_toy_channels())) == 0)
 
 
 def test_alms_bias_direct_substitution():
-    inputs = _inputs(sigma_x2=0.1, k_tiq=1.0,
-                     channels=_toy_channels(h_imd=[1, 0, 0, 0]))
-    bias = alms_bias(inputs)
+    point = _point(sigma_x2=0.1, k_tiq=1.0, channels=_toy_channels(h_imd=[1, 0, 0, 0]))
+    bias = alms_bias(point)
     assert bias[0] == pytest.approx(2 * 1.0 * 0.1)  # 2 k^{3/2} s2 h_imd,1
     assert np.all(bias[1:] == 0)
     assert bias.shape == (2 * M,)
@@ -88,31 +87,31 @@ def test_alms_bias_direct_substitution():
 # -- steady-state MSE / SINR ------------------------------------------------
 
 def test_alms_mse_low_small_mu_limit():
-    inputs = _inputs(mu=1e-9)
-    assert alms_steady_mse(inputs, "low") == pytest.approx(inputs.sigma_v2, rel=1e-6)
+    point = _point()
+    assert alms_steady_mse(point, 1e-9, "low") == pytest.approx(point.sigma_v2, rel=1e-6)
 
 
 def test_alms_mse_high_reduces_to_low():
     # no IMD channels and no quantization noise: the high-power expression
     # collapses exactly onto the low-power formula
-    inputs = _inputs(sigma_q2=0.0, mu=0.5)
-    assert alms_steady_mse(inputs, "high") == pytest.approx(
-        alms_steady_mse(inputs, "low"), rel=1e-12)
+    point = _point(sigma_q2=0.0)
+    assert alms_steady_mse(point, 0.5, "high") == pytest.approx(
+        alms_steady_mse(point, 0.5, "low"), rel=1e-12)
 
 
 def test_alms_mse_bounds_and_errors():
-    inputs = _inputs(mu=0.5)
-    assert alms_steady_mse(inputs, "low") >= inputs.sigma_v2
+    point = _point()
+    assert alms_steady_mse(point, 0.5, "low") >= point.sigma_v2
     with pytest.raises(ValueError):
-        alms_steady_mse(_inputs(mu=alms_ms_bound(0.1, M) * 1.01), "low")
+        alms_steady_mse(point, alms_ms_bound(0.1, M) * 1.01, "low")
     with pytest.raises(ValueError):
-        alms_steady_mse(inputs, "mid")
+        alms_steady_mse(point, 0.5, "mid")
 
 
 def test_alms_sinr_small_mu_is_snr_req():
-    inputs = _inputs(mu=1e-9)
-    p_soi = inputs.sigma_v2 * 10 ** 1.5  # SNR_req = 15 dB
-    sinr = lin_to_db(p_soi / alms_steady_mse(inputs, "low"))
+    point = _point()
+    p_soi = point.sigma_v2 * 10 ** 1.5  # SNR_req = 15 dB
+    sinr = lin_to_db(p_soi / alms_steady_mse(point, 1e-9, "low"))
     assert sinr == pytest.approx(15.0, abs=1e-3)
 
 
@@ -121,17 +120,16 @@ def test_alms_sinr_monotone():
     ch = _toy_channels(h_imd=[0.01, 0, 0, 0])
     p_soi = 10 ** 1.5 * 1e-5
     for regime in ("low", "high"):
-        sinrs = [lin_to_db(p_soi / alms_steady_mse(
-            TheoryInputs(mu=mu, channels=ch, **base), regime))
+        sinrs = [lin_to_db(p_soi / alms_steady_mse(_point(channels=ch, **base), mu, regime))
                  for mu in (0.01, 0.1, 0.5, 1.0)]
         assert all(a > b for a, b in zip(sinrs, sinrs[1:]))
-    sinr_m = [lin_to_db(p_soi / alms_steady_mse(TheoryInputs(
-        mu=0.1, channels=ChannelSet(
+    sinr_m = [lin_to_db(p_soi / alms_steady_mse(_point(
+        channels=ChannelSet(
             h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)),
-        **base), "low")) for m in (5, 8, 12)]
+        **base), 0.1, "low")) for m in (5, 8, 12)]
     assert all(a > b for a, b in zip(sinr_m, sinr_m[1:]))
-    sinr_s = [lin_to_db(p_soi / alms_steady_mse(TheoryInputs(
-        mu=0.1, channels=ch, **{**base, "sigma_x2": s}), "low"))
+    sinr_s = [lin_to_db(p_soi / alms_steady_mse(_point(
+        channels=ch, **{**base, "sigma_x2": s}), 0.1, "low"))
               for s in (0.05, 0.1, 0.5)]
     assert all(a > b for a, b in zip(sinr_s, sinr_s[1:]))
 
@@ -139,10 +137,10 @@ def test_alms_sinr_monotone():
 def test_regime_continuity_at_low_power(lowpower_setup):
     prof, channels, budget = lowpower_setup
     mu = 0.05 * alms_ms_bound(prof.natural_sigma_x2, M)
-    inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
-    assert alms_regime(inputs) == "low"
-    gap = abs(lin_to_db(budget.p_x_soi / alms_steady_mse(inputs, "high"))
-              - lin_to_db(budget.p_x_soi / alms_steady_mse(inputs, "low")))
+    point = operating_point(prof, channels, budget)
+    assert alms_regime(point) == "low"
+    gap = abs(lin_to_db(budget.p_x_soi / alms_steady_mse(point, mu, "high"))
+              - lin_to_db(budget.p_x_soi / alms_steady_mse(point, mu, "low")))
     assert gap < 0.1
 
 
@@ -162,26 +160,24 @@ def test_transition_matrix_eigenvalues():
 
 
 def test_transient_initial_value_low_power():
-    inputs = _inputs(mu=0.05)
-    out = alms_transient(inputs, 10, regime="low",
-                         w0=inputs.channels.stacked_linear())
-    assert out.mse[0] == pytest.approx(inputs.sigma_v2, rel=1e-12)
+    point = _point()
+    out = alms_transient(point, 0.05, 10, regime="low", w0=point.channels.stacked_linear())
+    assert out.mse[0] == pytest.approx(point.sigma_v2, rel=1e-12)
     assert np.all(out.kappa[0] == 0)
 
 
 def test_transient_fixed_point_matches_steady_mse():
     ch = _toy_channels(h_imd=[0.05, 0.02, 0, 0], g_imd=[0.005, 0, 0, 0])
     for regime in ("low", "high"):
-        inputs = _inputs(mu=0.1 * alms_ms_bound(0.1, M), channels=ch)
-        out = alms_transient(inputs, 8000, regime=regime)
+        point, mu = _point(channels=ch), 0.1 * alms_ms_bound(0.1, M)
+        out = alms_transient(point, mu, 8000, regime=regime)
         assert not out.diverged
-        assert out.mse[-1] == pytest.approx(alms_steady_mse(inputs, regime),
+        assert out.mse[-1] == pytest.approx(alms_steady_mse(point, mu, regime),
                                             rel=1e-3)
 
 
 def test_transient_divergence_reported_not_raised():
-    inputs = _inputs(mu=1.3 * alms_ms_bound(0.1, M))
-    out = alms_transient(inputs, 50_000, regime="low")
+    out = alms_transient(_point(), 1.3 * alms_ms_bound(0.1, M), 50_000, regime="low")
     assert out.diverged
 
 
@@ -324,23 +320,23 @@ def test_fourth_moment_keeps_the_whole_array_bits(sigma, k, m, n):
 
 
 def test_anclms_steady_mse_small_mu():
-    inputs = _inputs(mu=1e-12)
-    assert anclms_steady_mse(inputs) == pytest.approx(
-        inputs.sigma_v2 + inputs.sigma_q2, rel=1e-9)
+    point = _point()
+    assert anclms_steady_mse(point, 1e-12) == pytest.approx(
+        point.sigma_v2 + point.sigma_q2, rel=1e-9)
 
 
 def test_anclms_steady_mse_channel_independent():
-    a = _inputs(mu=0.1, channels=_toy_channels(h_imd=[1, 1, 1, 1]))
-    b = _inputs(mu=0.1, channels=_toy_channels())
-    assert anclms_steady_mse(a) == anclms_steady_mse(b)
+    a = _point(channels=_toy_channels(h_imd=[1, 1, 1, 1]))
+    b = _point(channels=_toy_channels())
+    assert anclms_steady_mse(a, 0.1) == anclms_steady_mse(b, 0.1)
 
 
 def test_anclms_sinr_small_mu_limit(type2):
     prof = type2
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof)
-    inputs = TheoryInputs.from_profile(prof, channels, budget, mu=1e-12)
-    got = lin_to_db(budget.p_x_soi / anclms_steady_mse(inputs))
+    point = operating_point(prof, channels, budget)
+    got = lin_to_db(budget.p_x_soi / anclms_steady_mse(point, 1e-12))
     # limit: 1 / (1/SNR_req + sigma_q2 / (k_bb k_lna k_tiq p_sen)) in dB;
     # k_tiq == k_riq for the shipped presets so this equals p_soi/(sv+sq)
     denom = 1.0 / prof.snr_req + budget.sigma_q2 / (
@@ -358,11 +354,12 @@ def test_anclms_sinr_monotone():
         for v in values:
             kw = dict(sigma_x2=0.1, k_tiq=1.0, mu=0.1, **base)
             kw[key] = v
-            sinrs.append(lin_to_db(p_soi / anclms_steady_mse(TheoryInputs(**kw))))
+            mu = kw.pop("mu")
+            sinrs.append(lin_to_db(p_soi / anclms_steady_mse(_point(**kw), mu)))
         assert all(a > b for a, b in zip(sinrs, sinrs[1:])), key
-    s_m = [lin_to_db(p_soi / anclms_steady_mse(TheoryInputs(
-        sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0, mu=0.1, channels=ChannelSet(
-            h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N)))))
+    s_m = [lin_to_db(p_soi / anclms_steady_mse(_point(
+        sigma_x2=0.1, sigma_v2=1e-5, sigma_q2=1e-6, k_tiq=1.0, channels=ChannelSet(
+            h=np.eye(m)[0], g=np.zeros(m), h_imd=np.zeros(N), g_imd=np.zeros(N))), 0.1))
            for m in (5, 9)]
     assert s_m[0] > s_m[1]
 
@@ -371,24 +368,23 @@ def test_anclms_beats_alms_at_high_power(type2):
     channels = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     mu = 0.05 * alms_ms_bound(type2.natural_sigma_x2, M)
-    inputs = TheoryInputs.from_profile(type2, channels, budget, mu)
-    anclms_db = lin_to_db(budget.p_x_soi / anclms_steady_mse(inputs))
-    alms_db = lin_to_db(budget.p_x_soi / alms_steady_mse(inputs, "high"))
+    point = operating_point(type2, channels, budget)
+    anclms_db = lin_to_db(budget.p_x_soi / anclms_steady_mse(point, mu))
+    alms_db = lin_to_db(budget.p_x_soi / alms_steady_mse(point, mu, "high"))
     assert anclms_db > alms_db + 3.0
 
 
 # -- Q3 diagonal ------------------------------------------------------------
 
-def _q3_diag(inputs):
+def _q3_diag(point):
     """Steady-state diagonal of the noise/weight-error coupling, s2 |bias|^2."""
-    return inputs.sigma_x2 * np.abs(alms_bias(inputs)) ** 2
+    return point.sigma_x2 * np.abs(alms_bias(point)) ** 2
 
 
 def test_q3_diag_zero_and_trace():
-    assert np.all(_q3_diag(_inputs()) == 0)
+    assert np.all(_q3_diag(_point()) == 0)
     ch = _toy_channels(h_imd=[0.3, 0.1, 0, 0], g_imd=[0.02, 0, 0, 0])
-    inputs = _inputs(channels=ch, k_tiq=2.0, sigma_x2=0.2)
-    diag = _q3_diag(inputs)
+    diag = _q3_diag(_point(channels=ch, k_tiq=2.0, sigma_x2=0.2))
     trace = 4 * 2.0 ** 3 * 0.2 ** 3 * (ch.norm2_h_imd + ch.norm2_g_imd)
     assert diag.sum() == pytest.approx(trace, rel=1e-12)
     assert diag.shape == (2 * M,)
@@ -405,10 +401,10 @@ def test_q3_diag_monte_carlo(type2):
     s2 = prof.natural_sigma_x2
     channels = synthesize_channels(prof, M, N, seed=SEED)
     budget = compute_noise_budget(prof)
-    inputs = TheoryInputs.from_profile(prof, channels, budget, mu=0.01)
+    point = operating_point(prof, channels, budget)
     n = 1_000_000
     x = gen_proper_gaussian(n, seed=77).reference(s2)
-    _, parts = render_observation(x, channels, budget, prof, seed=78, components=True)
+    _, parts = render_observation(x, point, seed=78, components=True)
     u = parts["imd_si"] + parts["image_imd_si"] + parts["thermal"] + parts["quantization"]
     regs = regressor_matrix(x, M)
     prod = u[M - 1:, None] * np.conj(regs)
@@ -417,10 +413,10 @@ def test_q3_diag_monte_carlo(type2):
     block_means = np.stack([b.mean(axis=0) for b in blocks])
     stderr_b = block_means.std(axis=0, ddof=1) / np.sqrt(len(blocks))
 
-    bias = alms_bias(inputs)
+    bias = alms_bias(point)
     diag_hat = np.real(b_hat * np.conj(bias))
     stderr = stderr_b * np.abs(bias)
-    expected = _q3_diag(inputs)
+    expected = _q3_diag(point)
     nz = expected > 0
     err = np.abs(diag_hat[nz] - expected[nz])
     allowed = np.maximum(0.10 * expected[nz], 3.0 * stderr[nz])
@@ -484,8 +480,8 @@ def test_anclms_exact_vs_transient(lowpower_setup, lowpower_ms_analysis):
                               np.array([5_000_000]))
     assert j_traj[0] == pytest.approx(j_exact, rel=1e-3)
     # and the approximate closed form sits within a few percent at this mu
-    inputs = TheoryInputs.from_profile(prof, channels, budget, mu)
-    assert anclms_steady_mse(inputs) == pytest.approx(j_exact, rel=0.05)
+    assert anclms_steady_mse(operating_point(prof, channels, budget), mu) == pytest.approx(
+        j_exact, rel=0.05)
 
 
 @pytest.mark.parametrize("m, n", [(5, 4), (4, 2), (3, 0)])

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
                                render_observations, synthesize_channels)
 from fdsic.units import dbm_to_mw, mw_to_dbm
 
-from conftest import M, N, SEED
+from conftest import M, N, SEED, operating_point
 
 
 def test_builtin_profiles(type1, type2):
@@ -110,6 +111,25 @@ def test_channel_bad_lengths(type2):
         ChannelSet(h=np.ones(4), g=np.ones(4), h_imd=np.ones(4), g_imd=np.ones(4))
 
 
+def test_operating_point_refuses_invalid_fields(type2):
+    """An ``OperatingPoint`` refuses channels without IMD taps (N = 0), a
+    negative noise power and a reference power at or below zero, and reads
+    M, N and the IMD channels' power from its channels."""
+    ch = synthesize_channels(type2, M, N, seed=SEED)
+    point = operating_point(type2, ch, compute_noise_budget(type2))
+    assert (point.M, point.N) == (M, N)
+    assert point.imd_norm2 == ch.norm2_h_imd + ch.norm2_g_imd
+    no_imd = ChannelSet(h=ch.h, g=ch.g, h_imd=np.zeros(0), g_imd=np.zeros(0))
+    with pytest.raises(ValueError, match="1 <= N < M"):
+        dataclasses.replace(point, channels=no_imd)
+    for power in ("sigma_v2", "sigma_q2", "p_x_soi"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(point, **{power: -1e-30})
+    for sigma_x2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma_x2 positive"):
+            dataclasses.replace(point, sigma_x2=sigma_x2)
+
+
 def test_sigma_x2_override_preserves_component_powers(type2):
     n = 50_000
     base = synthesize_channels(type2, M, N, seed=SEED)
@@ -126,11 +146,21 @@ def _zero_budget():
     return NoiseBudget(sigma_v2=0.0, sigma_q2=0.0, k_bb=1.0, p_x_soi=0.0, alpha1=-1.0)
 
 
+def _imd_free_point(profile, channels, budget):
+    """``operating_point(profile, channels, budget)`` for ``channels``
+    without IMD taps (N = 0), which an ``OperatingPoint`` refuses: the
+    fields the render reads, in a plain namespace. Only such channels reach
+    the kernel's M = 1 case, which has no history."""
+    return types.SimpleNamespace(sigma_x2=profile.natural_sigma_x2, k_tiq=profile.k_tiq,
+                                 channels=channels, sigma_v2=budget.sigma_v2,
+                                 sigma_q2=budget.sigma_q2, p_x_soi=budget.p_x_soi)
+
+
 def test_render_zero_channels(type2):
     ch = ChannelSet(h=np.array([1e-300, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
     x = gen_proper_gaussian(500, seed=1).reference(1.0)
-    d = render_observation(x, ch, _zero_budget(), type2, seed=2)
+    d = render_observation(x, operating_point(type2, ch, _zero_budget()), seed=2)
     assert np.allclose(d, 0.0, atol=1e-290)
 
 
@@ -138,26 +168,26 @@ def test_render_identity_channel(type2):
     ch = ChannelSet(h=np.array([1.0, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
     x = gen_proper_gaussian(500, seed=1).reference(1.0)
-    d = render_observation(x, ch, _zero_budget(), type2, seed=2)
+    d = render_observation(x, operating_point(type2, ch, _zero_budget()), seed=2)
     assert np.array_equal(d, x)
 
 
 def test_render_too_short(type2):
-    ch = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2)
+    point = operating_point(type2, synthesize_channels(type2, M, N, seed=SEED),
+                            compute_noise_budget(type2))
     with pytest.raises(ValueError):
-        render_observation(np.ones(M, dtype=complex), ch, budget, type2, seed=0)
+        render_observation(np.ones(M, dtype=complex), point, seed=0)
     with pytest.raises(ValueError):  # an output row of the wrong length
-        render_observation(np.ones(M + 1, dtype=complex), ch, budget, type2,
-                           seed=0, out=np.empty(M, dtype=complex))
+        render_observation(np.ones(M + 1, dtype=complex), point, seed=0,
+                           out=np.empty(M, dtype=complex))
 
 
 def test_component_sum_identity(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(10_000, seed=5).reference(type2.natural_sigma_x2)
-    d, parts = render_observation(x, ch, budget, type2, seed=6, include_soi=True,
-                                  components=True)
+    d, parts = render_observation(x, operating_point(type2, ch, budget), seed=6,
+                                  include_soi=True, components=True)
     assert np.max(np.abs(d - sum(parts.values()))) == 0.0
 
 
@@ -165,7 +195,8 @@ def test_imd_moment_law(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(100_000, seed=7).reference(type2.natural_sigma_x2)
-    _, parts = render_observation(x, ch, budget, type2, seed=8, components=True)
+    _, parts = render_observation(x, operating_point(type2, ch, budget), seed=8,
+                                  components=True)
     measured = np.mean(np.abs(parts["imd_si"]) ** 2)
     expected = (6 * type2.k_tiq ** 3 * type2.natural_sigma_x2 ** 3 * ch.norm2_h_imd)
     assert 0.95 <= measured / expected <= 1.05
@@ -237,14 +268,14 @@ def _assert_fir_matches_convolve(m, type2):
               1000, 10_000):
         h, g = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ch = ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0))
-        _, parts = render_observation(v, ch, _zero_budget(), type2, seed=0,
-                                      components=True)
+        point = _imd_free_point(type2, ChannelSet(h=h, g=g, h_imd=np.zeros(0),
+                                                  g_imd=np.zeros(0)), _zero_budget())
+        _, parts = render_observation(v, point, seed=0, components=True)
         for got, want in ((parts["linear_si"], np.convolve(h, v)[:n]),
                           (parts["image_si"], np.convolve(g, np.conj(v))[:n])):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
     with pytest.raises(ValueError):
-        render_observation(v[:m], ch, _zero_budget(), type2, seed=0)
+        render_observation(v[:m], point, seed=0)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -262,10 +293,11 @@ def test_fir_matches_convolve_one_wide(type2, scalar_kernel):
             _assert_fir_matches_convolve(m, type2)
 
 
-def _numpy_render(xs, channels, budget, profile, seed, include_soi):
+def _numpy_render(xs, point, seed, include_soi):
     """The observation as numpy formulas: the oracle of the one-pass render."""
     n = len(xs)
-    x_imd = profile.k_tiq ** 1.5 * np.abs(xs) ** 2 * xs
+    channels = point.channels
+    x_imd = point.k_tiq ** 1.5 * np.abs(xs) ** 2 * xs
     rng = np.random.default_rng(seed)
 
     def noise(power):
@@ -280,26 +312,26 @@ def _numpy_render(xs, channels, budget, profile, seed, include_soi):
         "image_si": fir(channels.g, np.conj(xs)),
         "imd_si": fir(channels.h_imd, x_imd),
         "image_imd_si": fir(channels.g_imd, np.conj(x_imd)),
-        "thermal": noise(budget.sigma_v2),
-        "quantization": noise(budget.sigma_q2),
-        "soi": noise(budget.p_x_soi) if include_soi else np.zeros(n, dtype=complex),
+        "thermal": noise(point.sigma_v2),
+        "quantization": noise(point.sigma_q2),
+        "soi": noise(point.p_x_soi) if include_soi else np.zeros(n, dtype=complex),
     }
     return sum(components.values()), components
 
 
-def _assert_render_exact(xs, channels, budget, profile, seed, include_soi):
+def _assert_render_exact(xs, point, seed, include_soi):
     """The render equals ``_numpy_render`` in every bit, signs of zero too."""
-    want_d, want = _numpy_render(xs, channels, budget, profile, seed, include_soi)
-    d, parts = render_observation(xs, channels, budget, profile, seed=seed,
-                                  include_soi=include_soi, components=True)
+    want_d, want = _numpy_render(xs, point, seed, include_soi)
+    d, parts = render_observation(xs, point, seed=seed, include_soi=include_soi,
+                                  components=True)
     assert tuple(parts) == COMPONENTS == tuple(want)
     for key in COMPONENTS:
         np.testing.assert_array_equal(parts[key].view(np.uint64),
                                       want[key].view(np.uint64), err_msg=key)
     np.testing.assert_array_equal(d.view(np.uint64), want_d.view(np.uint64))
     rows = np.full((2, len(xs)), np.nan, dtype=complex)
-    bare = render_observation(xs, channels, budget, profile, seed=seed,
-                              include_soi=include_soi, out=rows[1])
+    bare = render_observation(xs, point, seed=seed, include_soi=include_soi,
+                              out=rows[1])
     assert np.shares_memory(bare, rows[1])
     np.testing.assert_array_equal(rows[1].view(np.uint64), want_d.view(np.uint64))
     assert np.all(np.isnan(rows[0]))
@@ -312,7 +344,8 @@ def test_render_matches_numpy(type2, include_soi):
         prof = type2.with_tx_power(tx)
         ch = synthesize_channels(prof, M, N, seed=SEED)
         x = gen_proper_gaussian(3000, seed=4).reference(prof.natural_sigma_x2)
-        _assert_render_exact(x, ch, compute_noise_budget(prof), prof, 9, include_soi)
+        _assert_render_exact(x, operating_point(prof, ch, compute_noise_budget(prof)), 9,
+                             include_soi)
 
 
 @pytest.mark.parametrize("n_imd", range(1, M))
@@ -325,7 +358,8 @@ def test_render_matches_numpy_edges(type2, n_imd):
         ch = synthesize_channels(prof, M, n_imd, seed=SEED)
         for n in (M + 1, 500):
             x = gen_proper_gaussian(n, seed=n_imd).reference(prof.natural_sigma_x2)
-            _assert_render_exact(x, ch, budget, prof, 3, include_soi=n_imd % 2 == 0)
+            _assert_render_exact(x, operating_point(prof, ch, budget), 3,
+                                 include_soi=n_imd % 2 == 0)
 
 
 @pytest.mark.parametrize("include_soi", [False, True])
@@ -334,7 +368,7 @@ def test_render_matches_numpy_zero_noise(type2, include_soi):
     zeros, 0.0 * (re + 1j im), and d still equals the numpy sum bit for bit."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
     x = gen_proper_gaussian(2000, seed=4).reference(type2.natural_sigma_x2)
-    _assert_render_exact(x, ch, _zero_budget(), type2, 9, include_soi)
+    _assert_render_exact(x, operating_point(type2, ch, _zero_budget()), 9, include_soi)
 
 
 def test_render_allocates_no_normals(type2):
@@ -342,14 +376,14 @@ def test_render_allocates_no_normals(type2):
     200,000-sample render allocates under 1 MB (a (4, n) array of normals
     would be 6.4 MB)."""
     n = 200_000
-    ch = synthesize_channels(type2, M, N, seed=SEED)
-    budget = compute_noise_budget(type2)
+    point = operating_point(type2, synthesize_channels(type2, M, N, seed=SEED),
+                            compute_noise_budget(type2))
     x = gen_proper_gaussian(n, seed=4).reference(type2.natural_sigma_x2)
     row = np.empty(n, dtype=complex)
-    render_observation(x, ch, budget, type2, seed=5, out=row)  # builds the kernel
+    render_observation(x, point, seed=5, out=row)  # builds the kernel
     tracemalloc.start()
     try:
-        render_observation(x, ch, budget, type2, seed=5, out=row)
+        render_observation(x, point, seed=5, out=row)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,12 +417,12 @@ def test_render_matches_numpy_over_blocks(type2, build, request):
     h, g = (rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(2))
     single = ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0))
     with loaded():
-        for channels in (ch, single):
-            m = channels.m
+        for point in (operating_point(prof, ch, budget),
+                      _imd_free_point(prof, single, budget)):
+            m = point.channels.m
             for n in (m + 1, m + 2, m + 3, m + 4, rb - 1, rb, rb + 1, 2 * rb + 3):
                 x = _block_rows(rng, n) * np.sqrt(prof.natural_sigma_x2)
-                _assert_render_exact(x, channels, budget, prof, 5,
-                                     include_soi=n % 2 == 0)
+                _assert_render_exact(x, point, 5, include_soi=n % 2 == 0)
 
 
 @pytest.mark.parametrize("build", ["default", "no-avx512f", "no-avx2"])
@@ -407,17 +441,18 @@ def test_render_observations_equal_one_point_renders(type2, build, request):
     points = []
     for tx, n_imd in ((-5.0, N), (15.0, 2), (25.0, N)):
         prof = type2.with_tx_power(tx)
-        points.append((synthesize_channels(prof, M, n_imd, seed=SEED),
-                       compute_noise_budget(prof), prof,
+        points.append((operating_point(prof, synthesize_channels(prof, M, n_imd, seed=SEED),
+                                       compute_noise_budget(prof)),
                        draw.scale(prof.natural_sigma_x2)))
     h, g = (rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(2))
-    points.append((ChannelSet(h=h, g=g, h_imd=np.zeros(0), g_imd=np.zeros(0)),
-                   points[0][1], type2, 0.5))
+    points.append((_imd_free_point(type2, ChannelSet(h=h, g=g, h_imd=np.zeros(0),
+                                                     g_imd=np.zeros(0)),
+                                   compute_noise_budget(type2.with_tx_power(-5.0))), 0.5))
     with loaded():
         for include_soi in (False, True):
-            alone = [render_observation(draw.samples, *point[:3], seed=3,
+            alone = [render_observation(draw.samples, point, seed=3,
                                         include_soi=include_soi, components=True,
-                                        scale=point[3]) for point in points]
+                                        scale=scale) for point, scale in points]
             together = render_observations(draw.samples, points, seed=3,
                                            include_soi=include_soi, components=True)
             rows = np.empty((len(points), len(draw.samples)), dtype=complex)
@@ -445,7 +480,8 @@ def test_render_raises_memory_error_when_unallocated(type2, monkeypatch):
 
     monkeypatch.setattr(_native, "library", Refusing)
     with pytest.raises(MemoryError, match="cannot allocate"):
-        render_observation(x, ch, compute_noise_budget(type2), type2, seed=2)
+        render_observation(x, operating_point(type2, ch, compute_noise_budget(type2)),
+                           seed=2)
 
 
 _LONG_CHANNEL_RENDER = """

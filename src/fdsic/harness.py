@@ -103,8 +103,7 @@ from .theory import (alms_bias, alms_ms_bound, alms_regime, alms_steady_mse,
                      anclms_ms_analysis, anclms_steady_mse, anclms_transient,
                      condition_number, optimal_sigma_x2, rb_matrix)
 from .transceiver import (COMPONENTS, OperatingPoint, TransceiverProfile,
-                          builtin_profile, compute_noise_budget,
-                          compute_power_budget, load_profile,
+                          builtin_profile, compute_noise_budget, load_profile,
                           render_observation, render_observations,
                           synthesize_channels)
 from .units import lin_to_db, mw_to_dbm
@@ -621,56 +620,54 @@ def _resolve_mu(config: ExperimentConfig, bound: float,
 # ---------------------------------------------------------------------------
 
 def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Path):
-    """Analytic per-component powers vs one rendered observation per point:
-    trial 0 of the configured source, drawn once for the whole grid."""
-    rows = compute_power_budget(config.profile, config.tx_grid_dbm)
-
-    measured = {k: [] for k in COMPONENTS}
-    points = [_point(config, config.profile.with_tx_power(tx))
-              for tx in config.tx_grid_dbm]
+    """Each grid point's closed-form component powers
+    (``OperatingPoint.component_powers``, over the point's own M and N
+    taps) vs one rendered observation per point: trial 0 of the configured
+    source, drawn once for the whole grid."""
+    tx_axis = list(config.tx_grid_dbm)
+    # each component's power in dBm at each grid point
+    analytic = {key: [] for key in COMPONENTS}
+    measured = {key: [] for key in COMPONENTS}
     _, render = _trial(config, 0, 100_000, report.clock)
     # a point at a time: the seven components of every point at once would
     # hold 11 MB a point
-    for point in points:
+    for tx in tx_axis:
+        point = _point(config, config.profile.with_tx_power(tx))
         parts = render([point], include_soi=True, components=True)[0][1]
-        for key in measured:
-            power = np.mean(np.abs(parts[key]) ** 2)
-            with np.errstate(divide="ignore"):  # no power is -inf dBm
-                measured[key].append(mw_to_dbm(power))
+        with np.errstate(divide="ignore"):  # no power is -inf dBm
+            for key, power in point.component_powers.items():
+                analytic[key].append(mw_to_dbm(power))
+                measured[key].append(mw_to_dbm(np.mean(np.abs(parts[key]) ** 2)))
         del parts  # before the next point renders its own
 
-    tx_axis = [r.tx_power_dbm for r in rows]
     # each component's analytic column, then each measured one
-    curves = {f"{key}_dbm": [getattr(r, f"{key}_dbm") for r in rows] for key in measured}
-    curves.update({f"{key}_measured_dbm": vals for key, vals in measured.items()})
-    report.add_csv(out / "power-budget.csv", "tx_power_dbm", tx_axis, curves)
+    curves = {f"{key}_dbm": vals for key, vals in analytic.items()}
+    report.add_csv(out / "power-budget.csv", "tx_power_dbm", tx_axis,
+                   curves | {f"{key}_measured_dbm": vals for key, vals in measured.items()})
     report.add_svg(
         line_plot, out / "power-budget.svg", tx_axis,
-        {k: np.array(v) for k, v in curves.items() if not k.endswith("_measured_dbm")},
+        {k: np.array(v) for k, v in curves.items()},
         "Component powers at the digital canceller input",
         "transmit power (dBm)", "power (dBm)")
-    report.tables["rows"] = rows
-    report.tables["measured"] = measured
 
     if config.check:
         # a component is compared where its analytic power is finite; where
         # it is -inf dBm (the image branches at irr = inf) it must render
         # exactly zero power
         worst, stray = 0.0, []
-        for key in measured:
-            analytic = np.array(curves[f"{key}_dbm"])
-            meas = np.array(measured[key])
-            ok = np.isfinite(analytic)
+        for key in COMPONENTS:
+            want, got = np.array(analytic[key]), np.array(measured[key])
+            ok = np.isfinite(want)
             if ok.any():
-                worst = max(worst, float(np.max(np.abs(analytic[ok] - meas[ok]))))
-            if np.any(meas[~ok] != -np.inf):
+                worst = max(worst, float(np.max(np.abs(want[ok] - got[ok]))))
+            if np.any(got[~ok] != -np.inf):
                 stray.append(key)
         detail = f"worst gap {worst:.3f} dB"
         if stray:
             detail += f"; power where none is due in {', '.join(stray)}"
         report.add_check("analytic_vs_rendered_0.5dB", worst <= 0.5 and not stray, detail)
-        thermal = np.array(curves["thermal_dbm"])
-        quant = np.array(curves["quantization_dbm"])
+        thermal = np.array(analytic["thermal"])
+        quant = np.array(analytic["quantization"])
         grid = np.array(tx_axis)
         below = grid < 15.0
         above = grid > 20.0
@@ -825,10 +822,9 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
     for point, mu, jobs in points:
-        s2, channels = point.sigma_x2, point.channels
-        d_power = (s2 * (channels.norm2_h + channels.norm2_g)
-                   + 6.0 * point.k_tiq ** 3 * s2 ** 3 * point.imd_norm2
-                   + point.sigma_v2 + point.sigma_q2)
+        # the mean |d|^2 of the observation the cancellers run on: every
+        # component but the SOI
+        d_power = sum(power for key, power in point.component_powers.items() if key != "soi")
         with _theory(report.clock):
             theory = (alms_steady_mse(point, mu, alms_regime(point)),
                       anclms_steady_mse(point, mu))
@@ -920,7 +916,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         heatmap, out / "convergence_heatmap.svg", k_grid_db, sigma_grid_dbm, np.log10(z),
         "log10 condition number of the nonlinear regressor covariance",
         "k_tiq (dB)", "reference power (dBm)", "log10 C")
-    report.tables["heatmap_min"] = float(np.nanmin(z))
+    heatmap_min = float(np.nanmin(z))
 
     s_sub = 10 ** (-10.0 / 10.0)
     n_iters = max(config.iterations, 20_000)
@@ -994,12 +990,10 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         reach[label] = _iterations_to_within(curves[label], steady, block)
         report.meta[f"iters_to_1db_{label}"] = str(reach[label])
     report.tables["reach"] = reach
-    report.tables["curves"] = curves
 
     if config.check:
-        report.add_check("heatmap_min_4p64",
-                         abs(report.tables["heatmap_min"] - 4.6417) < 0.1,
-                         f"min condition number {report.tables['heatmap_min']:.4f}")
+        report.add_check("heatmap_min_4p64", abs(heatmap_min - 4.6417) < 0.1,
+                         f"min condition number {heatmap_min:.4f}")
         ratio = reach["anclms_optimal"] / max(reach["anclms_whitened"], 1)
         report.add_check("whitening_speedup",
                          reach["anclms_whitened"] < reach["anclms_optimal"]
@@ -1133,13 +1127,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     the process's user and system CPU seconds (``cpu_user_s``,
     ``cpu_sys_s``, every thread's) and minor page faults
     (``minor_faults``) over the run, each the difference of two
-    ``getrusage`` reads like the RSS rise."""
+    ``getrusage`` reads like the RSS rise. A run on any source but the
+    Gaussian one records ``theory_input``: every closed form it checks
+    against assumes white proper Gaussian input."""
     started = time.time()
     before = getrusage(RUSAGE_SELF)
     _native.library()
     out = Path(config.output_dir) if config.output_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport()
+    if config.signal_source != "gaussian":
+        # the run still checks its closed forms, on input they do not describe
+        report.meta["theory_input"] = (f"white proper Gaussian, which the "
+                                       f"{config.signal_source} source is not")
     _RUNNERS[config.experiment](config, report, out)
     after = getrusage(RUSAGE_SELF)
     report.meta["peak_rss_rise_mb"] = _fmt((after.ru_maxrss - before.ru_maxrss) / 1024)

@@ -34,6 +34,15 @@ in the Q = 0 block, of 2M + 6N indices, so ``anclms_transient`` and
 ``anclms_exact_steady_mse`` solve that block alone. The dense engine they
 replace is the oracle of the tests (``tests/conftest.py``).
 
+These LAPACK calls are small, and numpy's bundled OpenBLAS runs small calls
+slowly on more than one thread: on a 2-vCPU Xeon (numpy 2.4), the
+``np.linalg.eigh`` of the 34 x 34 F_0 of ``anclms_transient`` takes about
+16 ms on two OpenBLAS threads, against 0.1-0.35 ms on one. The command line
+pays the fast figure, since the harness runs every closed form on one
+thread (``harness._theory``); a library caller pays whatever thread count
+its process has, unless it sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+loads.
+
 Two condition-number figures coexist deliberately:
 
 * ``rb_eigenvalues`` gives the exact eigenvalues of the nonlinear-regressor
@@ -122,8 +131,9 @@ def alms_steady_mse(point: OperatingPoint, mu: float, regime: str) -> float:
 def alms_regime(point: OperatingPoint) -> str:
     """'low' while quantization + IMD interference is negligible vs thermal
     (at most ``ALMS_LOW_REGIME_FRACTION`` of it)."""
-    imd_power = 6.0 * point.k_tiq ** 3 * point.sigma_x2 ** 3 * point.imd_norm2
-    small = point.sigma_q2 + imd_power <= ALMS_LOW_REGIME_FRACTION * point.sigma_v2
+    powers = point.component_powers
+    interference = powers["quantization"] + powers["imd_si"] + powers["image_imd_si"]
+    small = interference <= ALMS_LOW_REGIME_FRACTION * powers["thermal"]
     return "low" if small else "high"
 
 

@@ -20,7 +20,9 @@ alpha1 = -(4/3) alpha0 / iip3_mw.
 
 ``OperatingPoint`` is the one record of an operating point: the reference
 power, k_tiq, the channels and the noise powers. The harness simulates at
-it, and the closed forms of ``theory`` analyse it.
+it, and the closed forms of ``theory`` analyse it; its
+``component_powers`` are the expected power of each component at the
+canceller input, over the taps the point renders.
 
 ``render_observations`` renders one trial at several points, each an
 ``OperatingPoint`` with a scale: it reads the reference of each as a source
@@ -53,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
-from .units import db_to_lin, dbm_to_mw, mw_to_dbm
+from .units import db_to_lin, dbm_to_mw
 
 
 @dataclass(frozen=True)
@@ -289,6 +291,20 @@ class OperatingPoint:
     def imd_norm2(self) -> float:
         return self.channels.norm2_h_imd + self.channels.norm2_g_imd
 
+    @property
+    def component_powers(self) -> dict[str, float]:
+        """The mean power (mW) at the canceller input of each component, by
+        name in ``COMPONENTS`` order, over the point's own M and N taps:
+        s2 ||h||^2 and s2 ||g||^2 of the linear and image SI, the Gaussian
+        moment law E|x_imd|^2 = 6 k_tiq^3 s2^3 times ||h_imd||^2 and
+        ||g_imd||^2 of the IMD and its image, then the thermal, quantization
+        and SOI powers. The one place that computes them."""
+        c = self.channels
+        imd = 6.0 * self.k_tiq ** 3 * self.sigma_x2 ** 3
+        return dict(zip(COMPONENTS, (
+            self.sigma_x2 * c.norm2_h, self.sigma_x2 * c.norm2_g, imd * c.norm2_h_imd,
+            imd * c.norm2_g_imd, self.sigma_v2, self.sigma_q2, self.p_x_soi), strict=True))
+
 
 @dataclass(frozen=True)
 class NoiseBudget:
@@ -483,49 +499,3 @@ def render_observation(zs: np.ndarray, point: OperatingPoint, seed: int,
     [rendered] = render_observations(zs, [(point, scale)], seed, include_soi, components,
                                      None if out is None else [out])
     return rendered
-
-
-@dataclass(frozen=True)
-class PowerBudgetRow:
-    """Analytic per-component powers (dBm) at the digital canceller input."""
-
-    tx_power_dbm: float
-    linear_si_dbm: float
-    image_si_dbm: float
-    imd_si_dbm: float
-    image_imd_si_dbm: float
-    thermal_dbm: float
-    quantization_dbm: float
-    soi_dbm: float
-
-
-def compute_power_budget(profile: TransceiverProfile, tx_powers_dbm) -> list[PowerBudgetRow]:
-    """Expected component powers over a transmit-power grid (no simulation).
-
-    Uses the gain chain and the Gaussian moment laws E|x|^2 = s2,
-    E|x_imd|^2 = 6 k_tiq^3 s2^3 for the component expectations.
-    """
-    tx_powers_dbm = np.atleast_1d(np.asarray(tx_powers_dbm, dtype=float))
-    if tx_powers_dbm.size == 0:
-        raise ValueError("empty transmit-power grid")
-    rows = []
-    image_ratio = db_to_lin(-profile.irr_db) if math.isfinite(profile.irr_db) else 0.0
-    for tx in tx_powers_dbm:
-        prof = profile.with_tx_power(tx)
-        s2 = prof.natural_sigma_x2
-        budget = compute_noise_budget(prof)
-        g_rx = prof.k_lna * prof.k_riq * budget.k_bb
-        chain = prof.f_rfe_norm2 * g_rx
-        si = prof.tx_power_mw * chain
-        imd = 6.0 * prof.k_tiq ** 3 * s2 ** 3 * budget.alpha1 ** 2 * prof.k_vga ** 3 * chain
-        rows.append(PowerBudgetRow(
-            tx_power_dbm=float(tx),
-            linear_si_dbm=mw_to_dbm(si),
-            image_si_dbm=mw_to_dbm(si * image_ratio) if image_ratio else -math.inf,
-            imd_si_dbm=mw_to_dbm(imd),
-            image_imd_si_dbm=mw_to_dbm(imd * image_ratio) if image_ratio else -math.inf,
-            thermal_dbm=mw_to_dbm(budget.sigma_v2),
-            quantization_dbm=mw_to_dbm(budget.sigma_q2),
-            soi_dbm=mw_to_dbm(budget.p_x_soi),
-        ))
-    return rows

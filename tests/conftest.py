@@ -8,8 +8,9 @@ import pytest
 
 from fdsic import _native, harness
 from fdsic.theory import anclms_ms_analysis, rb_matrix
-from fdsic.transceiver import (OperatingPoint, builtin_profile, compute_noise_budget,
-                               synthesize_channels)
+from fdsic.transceiver import (COMPONENTS, OperatingPoint, builtin_profile,
+                               compute_noise_budget, synthesize_channels)
+from fdsic.units import db_to_lin
 
 SEED = 17
 M, N = 5, 4
@@ -106,6 +107,26 @@ def operating_point(profile, channels, budget, sigma_x2=None):
     return OperatingPoint(profile.natural_sigma_x2 if sigma_x2 is None else sigma_x2,
                           profile.k_tiq, channels, budget.sigma_v2, budget.sigma_q2,
                           budget.p_x_soi)
+
+
+def gain_chain_powers(profile) -> dict[str, float]:
+    """The mean power (mW) at the canceller input of each component, by name
+    in ``COMPONENTS`` order, from ``profile``'s gain chain alone: the
+    transmit power through the residual echo and the receiver gain for the
+    linear SI, the Gaussian moment law E|x_imd|^2 = 6 k_tiq^3 s2^3 through
+    the PA's third-order path and the same echo for the IMD, each image
+    branch 10^(-irr/10) of its direct one (none at irr = inf), and the noise
+    budget's powers. It holds the whole 5-tap channel cascade, so it is the
+    oracle of ``OperatingPoint.component_powers`` at an M and N that keep
+    every tap."""
+    s2 = profile.natural_sigma_x2
+    budget = compute_noise_budget(profile)
+    chain = profile.f_rfe_norm2 * profile.k_lna * profile.k_riq * budget.k_bb
+    si = profile.tx_power_mw * chain
+    imd = 6.0 * profile.k_tiq ** 3 * s2 ** 3 * budget.alpha1 ** 2 * profile.k_vga ** 3 * chain
+    image = db_to_lin(-profile.irr_db)
+    return dict(zip(COMPONENTS, (si, si * image, imd, imd * image, budget.sigma_v2,
+                                 budget.sigma_q2, budget.p_x_soi), strict=True))
 
 
 def stack_trials(config, point, n):

@@ -26,7 +26,7 @@ from fdsic.harness import (ExperimentConfig, resolve_profile, run_experiment,
                            write_csv)
 from fdsic.theory import alms_ms_bound, rb_matrix
 from fdsic.signals import gen_proper_gaussian
-from fdsic.transceiver import (builtin_profile, compute_noise_budget,
+from fdsic.transceiver import (OperatingPoint, builtin_profile, compute_noise_budget,
                                render_observation, synthesize_channels)
 
 from conftest import M, N, SEED, operating_point, stack_trials
@@ -173,6 +173,22 @@ def test_ofdm_source_runs(type2, tmp_path, monkeypatch):
     assert drawn == ["gen_ofdm_waveform"]
 
 
+@pytest.mark.parametrize("experiment", ["power-budget", "bias", "sinr-sweep", "bounds-probe"])
+def test_ofdm_run_says_what_its_theory_assumes(experiment, type2, tmp_path):
+    """Every experiment that takes the OFDM source records in meta.txt that
+    the closed forms it checks against assume white proper Gaussian input;
+    the same run on the Gaussian source records no such line."""
+    metas = {}
+    for source in ("ofdm", "gaussian"):
+        cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=1,
+                               iterations=3000, tx_grid_dbm=(-5.0,), signal_source=source,
+                               seed=SEED, output_dir=tmp_path / source)
+        metas[source] = _meta(run_experiment(cfg))
+    assert metas["ofdm"]["theory_input"] == ("white proper Gaussian, which the ofdm "
+                                             "source is not")
+    assert "theory_input" not in metas["gaussian"]
+
+
 def test_cli_runs_power_budget(tmp_path):
     code = cli_main(["power-budget", "--profile", "type2", "--tx-grid", "0,20",
                      "--out", str(tmp_path), "--check"])
@@ -314,10 +330,10 @@ def test_cli_power_budget_check_at_infinite_irr(tmp_path, capsys, monkeypatch):
         values = dict(zip(columns, row.split(",")))
         for key in ("image_si", "image_imd_si"):
             assert values[f"{key}_dbm"] == values[f"{key}_measured_dbm"] == "-inf"
-    # the type2 image branches render power; claim the budget has none
-    real = harness.compute_power_budget
-    monkeypatch.setattr(harness, "compute_power_budget", lambda *a: [
-        dataclasses.replace(row, image_si_dbm=-math.inf) for row in real(*a)])
+    # the type2 image branches render power; claim the closed form has none
+    real = OperatingPoint.component_powers
+    monkeypatch.setattr(OperatingPoint, "component_powers",
+                        property(lambda point: real.fget(point) | {"image_si": 0.0}))
     code = cli_main(["power-budget", "--check", "--tx-grid", "0,20",
                      "--out", str(tmp_path / "stray")])
     assert code == 3
@@ -928,6 +944,7 @@ _EDGE_CASES = {
     "irr-inf": ([], {"irr": "inf dB"}),
     "iq-60dB": ([], {"k_tiq": "60 dB", "k_riq": "60 dB"}),
     "M2-N1": (["--M", "2", "--N", "1"], {}),
+    "M3-N1": (["--M", "3", "--N", "1"], {}),
     "M8-N6": (["--M", "8", "--N", "6"], {}),
     "mu-frac-0.99": (["--mu-frac", "0.99"], {}),
 }
@@ -970,7 +987,8 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
     at or above 1, where ``theory_mse`` has no steady state and the MSE
     columns read that fraction's diverged job. power-budget runs no job: its
     only non-finite cells are the -inf dBm of its image columns, analytic
-    and rendered, where irr = inf leaves no image branch."""
+    and rendered, where irr = inf leaves no image branch, and its check
+    passes at every case, exit 0."""
     options, entries = _EDGE_CASES[case]
     text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
     for key, value in entries.items():
@@ -985,6 +1003,10 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
         warnings.simplefilter("error")
         code = cli_main(argv)
     assert code in (0, 2, 3)
+    if experiment == "power-budget":
+        # each component's closed form reads the taps the point renders, so
+        # it matches the render at every edge case, truncated channels too
+        assert code == 0, case
     if code == 2:
         return
     meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())

@@ -16,12 +16,12 @@ import pytest
 from fdsic import _native, transceiver
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
-                               compute_noise_budget, compute_power_budget,
-                               load_profile, render_observation,
-                               render_observations, synthesize_channels)
+                               compute_noise_budget, load_profile,
+                               render_observation, render_observations,
+                               synthesize_channels)
 from fdsic.units import dbm_to_mw, mw_to_dbm
 
-from conftest import M, N, SEED, operating_point
+from conftest import M, N, SEED, gain_chain_powers, operating_point
 
 
 def test_builtin_profiles(type1, type2):
@@ -131,15 +131,12 @@ def test_operating_point_refuses_invalid_fields(type2):
 
 
 def test_sigma_x2_override_preserves_component_powers(type2):
-    n = 50_000
-    base = synthesize_channels(type2, M, N, seed=SEED)
-    scaled = synthesize_channels(type2, M, N, seed=SEED, sigma_x2=0.5)
-    s_nat = type2.natural_sigma_x2
-    assert base.norm2_h * s_nat == pytest.approx(scaled.norm2_h * 0.5, rel=1e-9)
-    assert (6 * type2.k_tiq ** 3 * s_nat ** 3 * base.norm2_h_imd
-            == pytest.approx(6 * type2.k_tiq ** 3 * 0.5 ** 3 * scaled.norm2_h_imd,
-                             rel=1e-9))
-    del n
+    budget = compute_noise_budget(type2)
+    base = operating_point(type2, synthesize_channels(type2, M, N, seed=SEED), budget)
+    scaled = operating_point(type2, synthesize_channels(type2, M, N, seed=SEED, sigma_x2=0.5),
+                             budget, sigma_x2=0.5)
+    for key, power in base.component_powers.items():
+        assert scaled.component_powers[key] == pytest.approx(power, rel=1e-9), key
 
 
 def _zero_budget():
@@ -205,23 +202,42 @@ def test_imd_moment_law(type2):
 GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
 
+def _grid_powers(profile, M=M, N=N) -> dict[float, dict[str, float]]:
+    """``component_powers`` of ``profile``'s point at each transmit power of
+    GRID, with channels of M and N taps drawn as ``harness._point`` draws
+    them, by transmit power."""
+    powers = {}
+    for tx in GRID:
+        prof = profile.with_tx_power(tx)
+        channels = synthesize_channels(prof, M, N, seed=SEED)
+        powers[tx] = operating_point(prof, channels, compute_noise_budget(prof)).component_powers
+    return powers
+
+
+def test_component_powers_match_the_gain_chain(type1, type2):
+    """At M = 8, N = 6 the channels keep the whole 5-tap cascade, so each
+    component's closed-form power is the gain chain's, and
+    ``synthesize_channels``' normalisation is checked against it."""
+    for profile in (type1, type2):
+        for tx, powers in _grid_powers(profile, M=8, N=6).items():
+            want = gain_chain_powers(profile.with_tx_power(tx))
+            assert tuple(powers) == COMPONENTS
+            for key in COMPONENTS:
+                assert powers[key] == pytest.approx(want[key], rel=1e-12), (tx, key)
+
+
 def test_power_budget_type1_dominance(type1):
-    rows = compute_power_budget(type1, GRID)
-    for row in rows:
-        interferers = sorted(
-            [row.linear_si_dbm, row.image_si_dbm, row.imd_si_dbm,
-             row.image_imd_si_dbm, row.thermal_dbm, row.quantization_dbm],
-            reverse=True)
-        assert {row.linear_si_dbm, row.image_si_dbm} == set(interferers[:2])
+    for powers in _grid_powers(type1).values():
+        interferers = sorted(COMPONENTS[:6], key=powers.get, reverse=True)
+        assert set(interferers[:2]) == {"linear_si", "image_si"}
 
 
 def test_power_budget_type2_crossover(type2):
-    rows = {r.tx_power_dbm: r for r in compute_power_budget(type2, GRID)}
-    for tx, row in rows.items():
+    for tx, powers in _grid_powers(type2).items():
         if tx < 15.0:
-            assert row.thermal_dbm > row.quantization_dbm
+            assert powers["thermal"] > powers["quantization"]
         if tx > 20.0:
-            assert row.thermal_dbm < row.quantization_dbm
+            assert powers["thermal"] < powers["quantization"]
 
 
 def test_power_budget_imd_slope(type2):
@@ -229,25 +245,21 @@ def test_power_budget_imd_slope(type2):
     # transmit power in the SI-limited regime, so the cubic |x|^2 x law shows
     # up as exactly 3 dB/dB once the shared gain is divided out (thermal
     # noise tracks k_bb, making imd - thermal a gain-free probe).
-    rows = compute_power_budget(type2, GRID)
-    referred = [r.imd_si_dbm - r.thermal_dbm for r in rows]
-    slopes = np.diff(referred) / np.diff([r.tx_power_dbm for r in rows])
+    powers = _grid_powers(type2).values()
+    referred = [mw_to_dbm(p["imd_si"] / p["thermal"]) for p in powers]
+    slopes = np.diff(referred) / np.diff(GRID)
     assert np.allclose(slopes, 3.0, atol=0.02)
-    gap_vs_si = [r.imd_si_dbm - r.linear_si_dbm for r in rows]
-    slopes_gap = np.diff(gap_vs_si) / 5.0
+    gap_vs_si = [mw_to_dbm(p["imd_si"] / p["linear_si"]) for p in powers]
+    slopes_gap = np.diff(gap_vs_si) / np.diff(GRID)
     assert np.allclose(slopes_gap, 2.0, atol=0.02)
 
 
 def test_power_budget_zero_channels(type2):
-    prof = dataclasses.replace(type2, irr_db=math.inf)
-    rows = compute_power_budget(prof, [0.0])
-    assert rows[0].image_si_dbm == -math.inf
-    assert rows[0].image_imd_si_dbm == -math.inf
-
-
-def test_power_budget_rejects_empty(type2):
-    with pytest.raises(ValueError):
-        compute_power_budget(type2, [])
+    prof = dataclasses.replace(type2, irr_db=math.inf).with_tx_power(0.0)
+    channels = synthesize_channels(prof, M, N, seed=SEED)
+    powers = operating_point(prof, channels, compute_noise_budget(prof)).component_powers
+    assert powers["image_si"] == powers["image_imd_si"] == 0.0
+    assert powers["linear_si"] > 0 and powers["imd_si"] > 0
 
 
 def test_mw_dbm_roundtrip():

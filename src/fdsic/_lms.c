@@ -155,12 +155,12 @@ static inline void scale_complex(double a, double re, double im, double *y)
     y[1] = fma(a, im, 0.0 * re);
 }
 
-/* Add scale times the n standard normals v to every second double of y,
- * from y[0] (the real parts of a complex row) or y[1] (the imaginary
- * parts), and store the normals likewise in z if it is not NULL. The render
- * adds a noise part this way in place of numpy's y + fma(scale, z, +-0),
- * the real-by-complex product written out by scale_complex: a running sum that
- * starts at 0.0 is never -0 (x + y is -0 in round-to-nearest only if x and
+/* Add scale times the n standard normals v to every second double of y, if
+ * y is not NULL, from y[0] (the real parts of a complex row) or y[1] (the
+ * imaginary parts), and store the normals likewise in z if it is not NULL.
+ * The render adds a noise part this way in place of numpy's
+ * y + fma(scale, z, +-0), the real-by-complex product written out by
+ * scale_complex: a running sum that starts at 0.0 is never -0 (x + y is -0 in round-to-nearest only if x and
  * y both are), and for such a y, y + fma(scale, z, +-0) equals
  * y + scale * z whatever the sign of that zero: the two products round
  * alike unless the exact product is zero, and then y + 0 and y + -0 are
@@ -168,7 +168,8 @@ static inline void scale_complex(double a, double re, double im, double *y)
 static void add_normals(int64_t n, double scale, const double *v, double *y, double *z)
 {
     for (int64_t i = 0; i < n; i++) {
-        y[2 * i] += scale * v[i];
+        if (y)
+            y[2 * i] += scale * v[i];
         if (z)
             z[2 * i] = v[i];
     }
@@ -877,7 +878,7 @@ static inline __attribute__((always_inline)) void fir_lanes(
  * g_imd (nimd < m each), k15 = k_tiq^{3/2}, the scales noise[0..2] of the
  * thermal, the quantization and the SOI noise, the row d (n samples) that
  * receives the observation and, if not NULL, comp, (7, n), that receives
- * its components. */
+ * its components, the SOI's included. */
 struct point {
     int64_t m, nimd;
     double scale, k15;
@@ -896,24 +897,28 @@ struct point {
  * that is still +0, which leaves it +0, as the shorter sum of numpy leaves
  * it. The noise is drawn from the generator whose state s holds (advanced
  * past the draws): n standard normals for each of the real then the
- * imaginary parts of the thermal, the quantization and (if soi) the SOI
- * noise. Each normal is drawn once and added to the row d of every point,
- * scaled by that point's noise[k], so every point gets the operations, and
- * the bits, it gets alone. d receives the sum of the seven components in
- * the order 0 + linear + image + imd + image_imd + thermal + quantization +
- * soi, the noise parts added as they are drawn (see add_normals; adding the
- * absent SOI, 0.0, leaves the sum as it is). comp receives the components,
- * each noise component scaled from its stored draws by numpy's product.
+ * imaginary parts of the thermal and the quantization noise, then, only if
+ * a point has comp, of the SOI. Each thermal and quantization normal is
+ * drawn once and added to the row d of every point, scaled by that point's
+ * noise[k], so every point gets the operations, and the bits, it gets
+ * alone. d receives the sum of the six components other than the SOI in
+ * the order 0 + linear + image + imd + image_imd + thermal + quantization,
+ * the noise parts added as they are drawn (see add_normals); d never holds
+ * the SOI. comp receives the seven components, each noise component scaled
+ * from its stored draws by numpy's product.
  * Returns 1, or 0, having rendered and drawn nothing, if the block rows
  * cannot be allocated: they hold m - 1 + RB samples each for the longest
  * channel, and m has no bound. */
-int64_t render(int64_t n, const double *z, uint64_t *s, int64_t soi, int64_t count,
+int64_t render(int64_t n, const double *z, uint64_t *s, int64_t count,
                const struct point *pts)
 {
-    int64_t longest = 1;
-    for (int64_t p = 0; p < count; p++)
+    int64_t longest = 1, noises = 2;
+    for (int64_t p = 0; p < count; p++) {
         if (pts[p].m > longest)
             longest = pts[p].m;
+        if (pts[p].comp)
+            noises = 3;
+    }
     /* six rows: xr, xi, -xi and those of x_imd, as reference_lanes forms them */
     double *x = malloc(6 * (longest - 1 + RB) * sizeof(double));
     if (!x)
@@ -957,7 +962,7 @@ int64_t render(int64_t n, const double *z, uint64_t *s, int64_t soi, int64_t cou
     free(x);
     struct pcg64 gen = pcg64_load(s);
     double v[RB];
-    for (int64_t k = 0; k < (soi ? 3 : 2); k++)
+    for (int64_t k = 0; k < noises; k++)
         for (int64_t part = 0; part < 2; part++)
             for (int64_t b = 0; b < n; b += RB) {
                 int64_t size = n - b < RB ? n - b : RB;
@@ -965,7 +970,8 @@ int64_t render(int64_t n, const double *z, uint64_t *s, int64_t soi, int64_t cou
                     v[i] = normal(&gen);
                 for (int64_t p = 0; p < count; p++) {
                     double *w = pts[p].comp;
-                    add_normals(size, pts[p].noise[k], v, pts[p].d + 2 * b + part,
+                    add_normals(size, pts[p].noise[k], v,
+                                k < 2 ? pts[p].d + 2 * b + part : NULL,
                                 w ? w + 2 * ((4 + k) * n + b) + part : NULL);
                 }
             }
@@ -974,11 +980,9 @@ int64_t render(int64_t n, const double *z, uint64_t *s, int64_t soi, int64_t cou
         double *w = pts[p].comp;
         if (!w)
             continue;
-        for (int64_t k = 0; k < (soi ? 3 : 2); k++)
+        for (int64_t k = 0; k < 3; k++)
             for (int64_t i = (4 + k) * n; i < (5 + k) * n; i++)
                 scale_complex(pts[p].noise[k], w[2 * i], w[2 * i + 1], w + 2 * i);
-        if (!soi)
-            memset(w + 2 * 6 * n, 0, 2 * n * sizeof(double));
     }
     return 1;
 }

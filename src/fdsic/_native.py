@@ -14,20 +14,27 @@ operations, eight lanes per AVX-512 vector on a build with AVX-512F and
 AVX-512DQ, four per AVX2 vector on one with AVX2 and FMA and one double
 wide on any other build (``lanes()``), each lane repeating the scalar
 arithmetic bit for bit. ``render`` forms the observations of one trial at
-any number of points (``Target``: IMD product, four FIR branches and their
+any number of points (``Point``: IMD product, four FIR branches and their
 sum), one sample per lane, in blocks of samples whose rows it allocates on
 the heap, then draws the noise once, as a ``NormalStream`` draws it, and
-adds each normal to every point's row; it raises ``MemoryError`` if those
-rows cannot be allocated. ``lms_raw`` runs the LMS steps of whole runs:
-each canceller job of a call is one trial's run, with its own source row
-z, scale and observation row, so the jobs of one call may be the jobs of
-several trials, and they run as the lanes of vectors, each lane on its own
-regressor. Every call, one-job calls too, runs through the lanes;
+adds each normal to every point's row; it returns 0 if those rows cannot
+be allocated. ``lms_raw`` runs the LMS steps of whole runs (``Run``: one
+job): each canceller job of a call is one trial's run, with its own source
+row z, scale and observation row, so the jobs of one call may be the jobs
+of several trials, and they run as the lanes of vectors, each lane on its
+own regressor. Every call, one-job calls too, runs through the lanes;
 ``lms_raw`` returns 1, or 0 if their state cannot be allocated. A job may
 carry a real preconditioner that couples each regressor entry only with
 its layout partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton
-step. ``Run`` describes one job and ``Point`` one observation of a
-render.
+step.
+
+Both kernels write into rows their caller owns: ``transceiver`` fills the
+``Point`` structs of a render and ``cancellers`` the ``Run`` structs of an
+LMS call, and each takes the address of every caller's row through
+``row_address``, the one check that such a row is a writable C-contiguous
+array of the dtype and shape the kernel writes; so does
+``NormalStream.fill_complex``. ``one_blas_thread`` is the guard under which
+fdsic's small LAPACK calls run: numpy's OpenBLAS on one thread.
 
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
@@ -38,6 +45,7 @@ Importing this module compiles and loads nothing.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import operator
@@ -47,7 +55,6 @@ import subprocess
 import tempfile
 import zlib
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +137,20 @@ class Point(ctypes.Structure):
                     "h", "g", "h_imd", "g_imd", "noise", "d", "comp")]]
 
 
+def row_address(row: np.ndarray | None, dtype, shape: tuple[int, ...],
+                name: str) -> int | None:
+    """The address of ``row``, a row the caller owns that a kernel writes,
+    which must be a writable C-contiguous array of ``dtype`` and ``shape``
+    (a ``ValueError`` naming the row ``name`` otherwise); None, for no row,
+    gives None. The one check of every caller's row that C writes."""
+    if row is not None and not (isinstance(row, np.ndarray) and row.dtype == dtype
+                                and row.shape == shape and row.flags.c_contiguous
+                                and row.flags.writeable):
+        raise ValueError(f"{name} row must be a writable C-contiguous "
+                         f"{np.dtype(dtype).name} array of shape {shape}")
+    return None if row is None else row.ctypes.data
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
     """The compiled library, with ``normals_complex``, ``doubles``,
@@ -140,9 +161,9 @@ def library() -> ctypes.CDLL:
     runs = ctypes.POINTER(Run)
     lib = ctypes.CDLL(str(_build_kernel()))
     pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
-    lib.normals_complex.argtypes = [pcg, i64, row]
+    lib.normals_complex.argtypes = [pcg, i64, ctypes.c_void_p]
     lib.doubles.argtypes = [pcg, i64, i64, real]
-    lib.render.argtypes = [i64, row, pcg, i64, i64, ctypes.POINTER(Point)]
+    lib.render.argtypes = [i64, row, pcg, i64, ctypes.POINTER(Point)]
     lib.lms_raw.argtypes = [i64, ctypes.c_double, i64, runs]
     lib.normals_complex.restype = lib.doubles.restype = None
     lib.render.restype = lib.lms_raw.restype = i64
@@ -152,6 +173,38 @@ def library() -> ctypes.CDLL:
 def lanes() -> int:
     """The lanes per vector of the library's build: 8, 4 or 1."""
     return ctypes.c_int64.in_dll(library(), "lms_lanes").value
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (``numpy.libs``) with its thread-count
+    functions, or None where numpy has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:  # not a library this process can load: try the next
+            continue
+        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set")):
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block, or the function it decorates, with numpy's OpenBLAS
+    on one thread, and restore its thread count after: fdsic's LAPACK calls
+    are small, and gain nothing from a second thread, whose helper spins on
+    after each call."""
+    lib = _openblas()
+    threads = lib.scipy_openblas_get_num_threads64_() if lib else None
+    if lib:
+        lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        if lib:
+            lib.scipy_openblas_set_num_threads64_(threads)
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -222,93 +275,35 @@ class NormalStream:
     Successive calls continue one stream, so the draws equal those of the
     same calls of ``default_rng(seed)`` (``standard_normal``, ``uniform``)
     bit for bit however they are split. The start state is numpy's own
-    (``_pcg64_state``).
+    (``_pcg64_state``); ``state`` holds it as four 64-bit words, which the
+    kernels that draw from the stream advance.
     """
 
     def __init__(self, seed: int):
         words = []
         for value in _pcg64_state(seed):
             words += [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
-        self._state = np.array(words, dtype=np.uint64)
+        self.state = np.array(words, dtype=np.uint64)
 
-    def fill_complex(self, out: np.ndarray) -> np.ndarray:
-        """Fill the complex128 row ``out`` (n samples) with the next 2n
-        normals, the first n as real parts and the next n as imaginary
-        parts, and return it."""
-        if out.ndim != 1:
-            raise ValueError("fill_complex: out must be a 1-D row")
-        library().normals_complex(self._state, len(out), out)
+    def fill_complex(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next 2n normals as n complex samples, the first n the real
+        parts and the next n the imaginary parts, in the row ``out``
+        (checked by ``row_address``) or a new row, which it returns."""
+        if out is None:
+            out = np.empty(n, dtype=np.complex128)
+        library().normals_complex(self.state, n,
+                                  row_address(out, np.complex128, (n,), "out"))
         return out
 
     def standard_normal(self, n: int) -> np.ndarray:
         """The next ``n`` normals, as ``Generator.standard_normal(n)``."""
         out = np.empty(n)
-        library().doubles(self._state, n, 1, out)
+        library().doubles(self.state, n, 1, out)
         return out
 
     def uniform(self, low: float, high: float) -> float:
         """The next uniform on [low, high), as ``Generator.uniform(low,
         high)`` rounds it: low + (high - low) u for u in [0, 1)."""
         u = np.empty(1)
-        library().doubles(self._state, 1, 0, u)
+        library().doubles(self.state, 1, 0, u)
         return low + (high - low) * float(u[0])
-
-
-class Target(NamedTuple):
-    """One observation of a ``render`` call: the reference x = ``scale`` z,
-    the taps ``(h, g, h_imd, g_imd)``, ``k15`` = k_tiq^{3/2}, the three
-    ``noise`` scales of the thermal, the quantization and the SOI noise,
-    the row ``d`` that receives the observation and, if not None, the
-    ``components``, ``(7, n)``, that receive its components."""
-
-    scale: float
-    taps: tuple[np.ndarray, ...]
-    k15: float
-    noise: np.ndarray
-    d: np.ndarray
-    components: np.ndarray | None = None
-
-
-def _checked_address(array: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
-    """The address of ``array``, which must be a C-contiguous array of
-    ``dtype`` and ``shape`` (``ValueError`` otherwise)."""
-    if not (array.dtype == dtype and array.shape == shape and array.flags.c_contiguous):
-        raise ValueError(f"render: need a C-contiguous {np.dtype(dtype).name} "
-                         f"array of shape {shape}")
-    return array.ctypes.data
-
-
-def render(z: np.ndarray, targets: list[Target], noise: NormalStream,
-           soi: bool) -> None:
-    """Fill the row ``d`` (and the ``components``) of each of ``targets``
-    with its observation of the source row ``z``, its reference
-    x = ``scale`` ``z``, each part of ``z`` times the scale.
-
-    ``noise`` draws the real then the imaginary parts of the thermal, the
-    quantization and, if ``soi``, the SOI noise, n normals each, once for
-    every observation: each normal is added to every row, times that
-    observation's scale of its noise, so each row gets the bits it gets
-    rendered alone. Every array is C-contiguous; ``render`` in ``_lms.c``
-    gives the arithmetic, one sample per lane (``lanes()`` per vector). It
-    forms x and x_imd in blocks of a few hundred samples behind the
-    channel's M - 1 previous samples, in rows it allocates on the heap, so
-    no channel length overflows the stack. The C ``render`` returns 1, or 0
-    if it cannot allocate those rows; then it has rendered and drawn
-    nothing, and this function raises ``MemoryError``.
-    """
-    n = len(z)
-    points = (Point * len(targets))()
-    for point, target in zip(points, targets):
-        h, g, h_imd, g_imd = target.taps
-        if len(g) != len(h) or len(g_imd) != len(h_imd) or not len(h_imd) < len(h) < n:
-            raise ValueError("render: mismatched array sizes")
-        point.m, point.nimd = len(h), len(h_imd)
-        point.scale, point.k15 = target.scale, target.k15
-        for name, taps in zip(("h", "g", "h_imd", "g_imd"), target.taps):
-            setattr(point, name, _checked_address(taps, np.complex128, (len(taps),)))
-        point.noise = _checked_address(target.noise, np.float64, (3,))
-        point.d = _checked_address(target.d, np.complex128, (n,))
-        if target.components is not None:
-            point.comp = _checked_address(target.components, np.complex128, (7, n))
-    if not library().render(n, z, noise._state, int(soi), len(points), points):
-        raise MemoryError("the render kernel cannot allocate its block rows")

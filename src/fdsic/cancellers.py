@@ -26,9 +26,11 @@ powers, and of several trials, share one call; ``run_batch`` runs one job
 per trial on x itself. Each job returns its trial's ``JobRun`` record: its
 weights, steady-state MSE, peak residual and first nonfinite step. A job
 may also bring a residual row and a tap row, owned by the caller, into
-which the kernel adds its per-step records; the jobs of several trials
-that share a row add theirs in their order in the call, so a runner's
-trial sums are made in the kernel, with no per-trial row. The LMS steps
+which the kernel adds its per-step records; ``_native.row_address``, the
+one check of every caller's row that C writes, refuses a row the kernel
+cannot write, before any job runs. The jobs of several trials that share
+a row add theirs in their order in the call, so a runner's trial sums are
+made in the kernel, with no per-trial row. The LMS steps
 run in a small C kernel
 (``_lms.c``, built and loaded by ``_native`` on the first call), one call
 per set of jobs. Its arithmetic rounds exactly as the numpy expressions
@@ -63,9 +65,11 @@ class DegenerateInputError(ValueError):
     """Raised when a regressor covariance is singular."""
 
 
+@_native.one_blas_thread()
 def check_nonsingular(cov) -> None:
     """Raise ``DegenerateInputError`` if an eigenvalue of the symmetric
-    covariance ``cov`` is at or below 1e-12 of its largest."""
+    covariance ``cov`` is at or below 1e-12 of its largest (on one BLAS
+    thread, ``_native.one_blas_thread``)."""
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals[0] <= 1e-12 * abs(eigvals[-1]):
         raise DegenerateInputError("singular regressor covariance")
@@ -203,18 +207,6 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
     return partner, np.diag(p), np.where(partner != k, p[k, partner], 0.0)
 
 
-def _row_address(row: np.ndarray | None, dtype, shape: tuple[int, ...], name: str):
-    """The address of a job's record row ``row`` (None for none), which the
-    kernel adds to: a writable C-contiguous array of ``dtype`` and
-    ``shape`` (``ValueError`` otherwise)."""
-    if row is not None and not (isinstance(row, np.ndarray) and row.dtype == dtype
-                                and row.shape == shape and row.flags.c_contiguous
-                                and row.flags.writeable):
-        raise ValueError(f"a job's {name} row must be a writable C-contiguous "
-                         f"{np.dtype(dtype).name} array of shape {shape}")
-    return None if row is None else row.ctypes.data
-
-
 def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
              tap_stride: int = 1) -> list[JobRun]:
     """Run every ``Job``, each one trial's run, in one kernel call; return
@@ -281,9 +273,11 @@ def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
         runs.append(_native.Run(
             n_steps, dim, n_steps - window, config.mu, job.scale,
             *(a.ctypes.data for a in (z, d, w, w_accum)),
-            _row_address(job.residuals, np.float64, (n_steps,), "residuals"),
+            _native.row_address(job.residuals, np.float64, (n_steps,),
+                                "a job's residuals"),
             len(tap_idx), tap_idx.ctypes.data, tap_stride,
-            _row_address(job.taps, np.complex128, (kept, len(tap_idx)), "taps"),
+            _native.row_address(job.taps, np.complex128, (kept, len(tap_idx)),
+                                "a job's taps"),
             forms[key].ctypes.data if key in forms else None))
         # the arrays the kernel writes (and tap_idx, which it reads: rows,
         # forms and the jobs hold the rest) kept alive until it has run

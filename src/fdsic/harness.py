@@ -43,8 +43,7 @@ plotted curve is backed by a CSV column, and
 ``meta.txt`` records the busy time of the generate, render and LMS phases,
 the time the LMS loop waited for its next trial, the time spent on the
 closed-form theory (``phase.theory_s``: bounds, analyses, transients and
-the condition landscape, each timed where it runs, by ``_theory``, which
-also runs it with one BLAS thread) and writing CSVs and SVGs
+the condition landscape, each timed where it runs) and writing CSVs and SVGs
 (``phase.output_s``; a runner writes them through ``ExperimentReport``'s
 ``add_csv`` and ``add_svg``), what the LMS calls ran (``lms_lane_fill``) and
 the trials that diverged, by job (``PhaseClock.count_lms`` flags them once
@@ -75,8 +74,6 @@ Step-size conventions (fractions of closed-form bounds):
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import itertools
 import math
 import threading
@@ -214,7 +211,7 @@ def _diverged(run: JobRun, d_power: float) -> bool:
 class PhaseClock:
     """Wall seconds of a run's generate, render and LMS phases, of the LMS
     loop's waits for its next trial, of its closed-form theory (bounds,
-    analyses, transients and the condition landscape, ``_theory``) and of
+    analyses, transients and the condition landscape) and of
     writing its CSVs and SVGs (output, ``ExperimentReport.add_csv`` and
     ``add_svg``), the samples drawn and rendered, and the LMS calls: the
     trial-steps they took, their number, the lane count (jobs per vector)
@@ -295,39 +292,6 @@ class PhaseClock:
             lines += [f"first_nonfinite_step[{label}] = {step}"
                       for label, step in self.first_nonfinite.items()]
         return lines
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS (``numpy.libs``) with its thread-count
-    functions, or None where numpy has none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:  # not a library this process can load: try the next
-            continue
-        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set")):
-            return lib
-    return None
-
-
-@contextmanager
-def _theory(clock: PhaseClock):
-    """Time the block as ``clock``'s theory phase, with numpy's OpenBLAS on
-    one thread and its thread count restored after: the theory's small
-    LAPACK calls gain nothing from a second thread, whose helper spins on
-    after each call beside the producer and the LMS loop."""
-    lib = _openblas()
-    threads = lib.scipy_openblas_get_num_threads64_() if lib else None
-    if lib:
-        lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        with clock.phase("theory"):
-            yield
-    finally:
-        if lib:
-            lib.scipy_openblas_set_num_threads64_(threads)
 
 
 @dataclass
@@ -438,14 +402,13 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
 
     ``draw`` (``signals.Draw``), ``n`` samples of ``config.signal_source``,
     is drawn with seed ``config.seed + t`` (into the row ``z`` if given).
-    ``render(points, ds=None, **render_options)`` renders the observation of
-    each of ``points`` (into the matching row of ``ds`` if given) in one
+    ``render(points, ds, components=None)`` renders the observation of each
+    of ``points`` into the matching row of ``ds`` (and its components into
+    the matching array of ``components``, if given) in one
     ``render_observations`` call, from the point's reference
     x = ``draw.scale(point.sigma_x2)`` ``draw.samples``, with the one noise
-    draw of seed ``config.seed + _NOISE_SEED_OFFSET + t`` and
-    ``render_options``, and returns what that call returns: the rows d, or
-    the ``(d, components)`` pairs. ``clock`` times both phases and counts
-    the samples drawn and rendered.
+    draw of seed ``config.seed + _NOISE_SEED_OFFSET + t``. ``clock`` times
+    both phases and counts the samples drawn and rendered.
     """
     # looked up here at each call, so a wrapper installed over any of these
     # module-level names sees it
@@ -454,13 +417,12 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
         draw = source(n, seed=config.seed + t, out=z)
     clock.samples += n
 
-    def render(points: list[OperatingPoint], ds=None, **render_options):
+    def render(points: list[OperatingPoint], ds, components=None):
         with clock.phase("render"):
-            rendered = render_observations(
+            render_observations(
                 draw.samples, [(point, draw.scale(point.sigma_x2)) for point in points],
-                seed=config.seed + _NOISE_SEED_OFFSET + t, outs=ds, **render_options)
+                seed=config.seed + _NOISE_SEED_OFFSET + t, ds=ds, components=components)
         clock.samples_rendered += n * len(points)
-        return rendered
 
     return draw, render
 
@@ -628,17 +590,18 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
     # each component's power in dBm at each grid point
     analytic = {key: [] for key in COMPONENTS}
     measured = {key: [] for key in COMPONENTS}
-    _, render = _trial(config, 0, 100_000, report.clock)
-    # a point at a time: the seven components of every point at once would
-    # hold 11 MB a point
+    n = 100_000
+    _, render = _trial(config, 0, n, report.clock)
+    # a point at a time, into one set of rows: the seven components of every
+    # point at once would hold 11 MB a point
+    d, parts = np.empty(n, dtype=complex), np.empty((len(COMPONENTS), n), dtype=complex)
     for tx in tx_axis:
         point = _point(config, config.profile.with_tx_power(tx))
-        parts = render([point], include_soi=True, components=True)[0][1]
+        render([point], [d], [parts])
         with np.errstate(divide="ignore"):  # no power is -inf dBm
-            for key, power in point.component_powers.items():
+            for (key, power), row in zip(point.component_powers.items(), parts):
                 analytic[key].append(mw_to_dbm(power))
-                measured[key].append(mw_to_dbm(np.mean(np.abs(parts[key]) ** 2)))
-        del parts  # before the next point renders its own
+                measured[key].append(mw_to_dbm(np.mean(np.abs(row) ** 2)))
 
     # each component's analytic column, then each measured one
     curves = {f"{key}_dbm": vals for key, vals in analytic.items()}
@@ -666,16 +629,16 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
         if stray:
             detail += f"; power where none is due in {', '.join(stray)}"
         report.add_check("analytic_vs_rendered_0.5dB", worst <= 0.5 and not stray, detail)
-        thermal = np.array(analytic["thermal"])
-        quant = np.array(analytic["quantization"])
-        grid = np.array(tx_axis)
-        below = grid < 15.0
-        above = grid > 20.0
+        # the quantization noise, fixed by the ADC, overtakes the thermal
+        # noise, which falls with the receiver gain, where the point's own
+        # closed forms cross: the rendered noises must be in their order
+        ahead = {name: " ".join(f"{tx:g}" for tx, t, q in zip(
+                     tx_axis, powers["thermal"], powers["quantization"]) if t > q) or "none"
+                 for name, powers in (("analytic", analytic), ("rendered", measured))}
         report.add_check(
-            "thermal_quant_crossover",
-            bool(np.all(thermal[below] > quant[below])
-                 and np.all(thermal[above] < quant[above])),
-            "thermal above quantization below 15 dBm, below it above 20 dBm")
+            "thermal_quant_crossover", ahead["analytic"] == ahead["rendered"],
+            "thermal above quantization at tx (dBm) "
+            + "; ".join(f"{name} {txs}" for name, txs in ahead.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +650,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     point = _point(config, config.profile)
     channels = point.channels
     report.meta["tx_power_dbm"] = _fmt(config.profile.tx_power_dbm)
-    with _theory(report.clock):
+    with report.clock.phase("theory"):
         bound = alms_ms_bound(point.sigma_x2, config.M)
     n_iters = config.iterations
 
@@ -723,7 +686,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                 err_sums[key] += run.mean_weights - w_opts[key[1]]
 
     # the bias does not depend on the step size
-    with _theory(report.clock):
+    with report.clock.phase("theory"):
         bias = alms_bias(point)
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
@@ -800,7 +763,7 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         k_tiq = point.k_tiq
         # one shared step size for both cancellers at this grid point; ANCLMS
         # starts at the exact Wiener solution of the rendered model, ALMS at zero
-        with _theory(report.clock):
+        with report.clock.phase("theory"):
             bound = alms_ms_bound(point.sigma_x2, config.M)
         mu = _resolve_mu(config, bound, report)
         points.append((point, mu, {
@@ -825,7 +788,7 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         # the mean |d|^2 of the observation the cancellers run on: every
         # component but the SOI
         d_power = sum(power for key, power in point.component_powers.items() if key != "soi")
-        with _theory(report.clock):
+        with report.clock.phase("theory"):
             theory = (alms_steady_mse(point, mu, alms_regime(point)),
                       anclms_steady_mse(point, mu))
         for name, label, j_theory in zip(("alms", "anclms"), jobs, theory):
@@ -905,7 +868,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     sigma_grid_dbm = np.arange(-30.0, 0.5, 1.0)
     k_grid_db = np.arange(0.0, 12.5, 0.5)
     z = np.empty((len(sigma_grid_dbm), len(k_grid_db)))
-    with _theory(report.clock):
+    with report.clock.phase("theory"):
         for j, sdbm in enumerate(sigma_grid_dbm):
             for i, kdb in enumerate(k_grid_db):
                 z[j, i] = condition_number(10 ** (sdbm / 10.0), 10 ** (kdb / 10.0))
@@ -928,7 +891,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # keeps the raw run's theoretical steady-state excess
     # (mu_w = mu_raw Tr(R)/dim, equal misadjustment), so the comparison
     # isolates convergence speed at a common steady SINR.
-    with _theory(report.clock):
+    with report.clock.phase("theory"):
         s_opt = optimal_sigma_x2(k)
         r_opt = rb_matrix(s_opt, k, config.M, config.N)
         mu_opt = CONVERGENCE_MU_FRAC * anclms_mean_bound(s_opt, k, config.M, config.N)
@@ -969,7 +932,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
 
     # small-step theory overlay for the raw run at the optimal power
     try:
-        with _theory(report.clock):
+        with report.clock.phase("theory"):
             ana = anclms_ms_analysis(s_opt, k, config.M, config.N)
             grid_pts = np.arange(block // 2, n_points * block, block)
             j_pred = anclms_transient(ana, noise, mu_opt,
@@ -1018,7 +981,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
     noise = point.sigma_v2 + point.sigma_q2
 
-    with _theory(report.clock):
+    with report.clock.phase("theory"):
         ana = anclms_ms_analysis(s2, k_tiq, config.M, config.N)
         bounds = {"alms": alms_ms_bound(s2, config.M), "anclms": ana.bound}
         mean_bound = anclms_mean_bound(s2, k_tiq, config.M, config.N)
@@ -1049,7 +1012,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
             _divergence_note(diverged_at)
         j_theory = math.inf
         if frac < 1.0:
-            with _theory(report.clock):
+            with report.clock.phase("theory"):
                 if label == "alms":
                     j_theory = alms_steady_mse(point, cfg.mu, alms_regime(point))
                 else:

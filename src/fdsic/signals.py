@@ -10,7 +10,11 @@ on 50 of 64 subcarriers, a 16-sample cyclic prefix, 4x oversampling: 320
 samples per symbol). Both are deterministic for a fixed seed, and one draw
 serves every power: the kernels of ``_native`` form x from z and the scale
 sample by sample, each part of z times the scale, as ``Draw.reference``
-forms it. The Gaussian source draws its normals in C
+forms it. A source writes its samples into ``out`` if given, a row the
+caller owns, which must be writable, C-contiguous, complex128 and of n
+samples: the one check of every row a kernel writes,
+``_native.row_address``, refuses any other with a ``ValueError`` before a
+sample is drawn. The Gaussian source draws its normals in C
 (``_native.NormalStream``), bit for bit those of
 ``np.random.default_rng(seed).standard_normal``, from numpy's seeding
 written out in Python, so a Gaussian run never imports ``numpy.random``;
@@ -61,15 +65,9 @@ class Draw:
         return (self.samples.view(np.float64) * self.scale(sigma_x2)).view(np.complex128)
 
 
-def _output_row(n: int, out: np.ndarray | None) -> np.ndarray:
-    """``out`` (a C-contiguous complex128 array of ``n`` samples), or a new
-    row, after checking a source's arguments."""
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if out is not None and not (out.shape == (n,) and out.dtype == np.complex128
-                                and out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous complex128 row of n samples")
-    return np.empty(n, dtype=np.complex128) if out is None else out
 
 
 def gen_proper_gaussian(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
@@ -82,9 +80,8 @@ def gen_proper_gaussian(n: int, seed: int, out: np.ndarray | None = None) -> Dra
     independent with variance ``sigma_x2 / 2`` each, the total power is
     ``sigma_x2`` and the pseudo-variance is zero.
     """
-    samples = _output_row(n, out)
-    _native.NormalStream(seed).fill_complex(samples)
-    return Draw(samples, 2.0)
+    _check_n(n)
+    return Draw(_native.NormalStream(seed).fill_complex(n, out), 2.0)
 
 
 def gen_ofdm_waveform(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
@@ -98,7 +95,9 @@ def gen_ofdm_waveform(n: int, seed: int, out: np.ndarray | None = None) -> Draw:
     draw's ``power`` is the mean power of the whole waveform, so that the
     whole waveform of the reference has exactly the power ``sigma_x2``.
     """
-    samples = _output_row(n, out)
+    _check_n(n)
+    _native.row_address(out, np.complex128, (n,), "out")
+    samples = np.empty(n, dtype=np.complex128) if out is None else out
     n_sym = -(-n // SAMPLES_PER_SYMBOL)
     nfft = SUBCARRIERS * OVERSAMPLING
     freq = np.zeros((n_sym, nfft), dtype=np.complex128)

@@ -37,11 +37,13 @@ replace is the oracle of the tests (``tests/conftest.py``).
 These LAPACK calls are small, and numpy's bundled OpenBLAS runs small calls
 slowly on more than one thread: on a 2-vCPU Xeon (numpy 2.4), the
 ``np.linalg.eigh`` of the 34 x 34 F_0 of ``anclms_transient`` takes about
-16 ms on two OpenBLAS threads, against 0.1-0.35 ms on one. The command line
-pays the fast figure, since the harness runs every closed form on one
-thread (``harness._theory``); a library caller pays whatever thread count
-its process has, unless it sets ``OPENBLAS_NUM_THREADS=1`` before numpy
-loads.
+16 ms on two OpenBLAS threads, against 0.1-0.35 ms on one. So every
+function here that calls LAPACK (``AnclmsMsAnalysis.bound``,
+``anclms_exact_steady_mse``, ``anclms_transient``, and
+``cancellers.check_nonsingular`` through ``anclms_ms_analysis``) runs under
+``_native.one_blas_thread``, which sets one OpenBLAS thread for the call
+and restores the count after: the command line, the tests and a library
+caller all pay the fast figure, whatever thread count the process has.
 
 Two condition-number figures coexist deliberately:
 
@@ -62,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .cancellers import check_nonsingular
 from .transceiver import OperatingPoint
 
@@ -379,6 +382,7 @@ class AnclmsMsAnalysis:
         return index[0], self.r_mat.reshape(-1)[index[0]], s_b[0], t_b[0]
 
     @functools.cached_property
+    @_native.one_blas_thread()
     def bound(self) -> float:
         """The mean-square step-size bound 1/lam_max[S^-1 T] (inf if
         lam_max <= 0). S and T are block diagonal alike, so lam_max[S^-1 T]
@@ -430,6 +434,7 @@ def anclms_steady_mse(point: OperatingPoint, mu: float) -> float:
     return noise * (mu * trace_half + 1.0)
 
 
+@_native.one_blas_thread()
 def anclms_exact_steady_mse(analysis: AnclmsMsAnalysis, sigma_n2: float,
                             mu: float) -> float:
     """Steady MSE from the full vectorized variance recursion.
@@ -444,6 +449,7 @@ def anclms_exact_steady_mse(analysis: AnclmsMsAnalysis, sigma_n2: float,
     return float(sigma_n2 * (1.0 + mu ** 2 * np.real(vec_r @ y)))
 
 
+@_native.one_blas_thread()
 def anclms_transient(analysis: AnclmsMsAnalysis, sigma_n2: float, mu: float,
                      w0_error: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Predicted MSE J(n) at the requested iterations.

@@ -7,10 +7,12 @@ The observed pre-cancellation signal is
 
 where x_imd(n) = k_tiq^{3/2} |x(n)|^2 x(n) is the third-order
 intermodulation product of the power amplifier, v(n) thermal noise, q(n)
-quantization noise. The four end-to-end impulse responses absorb the Tx
-chain, the residual analog-cancellation echo and the Rx chain including the
-receiver VGA gain k_bb, so all component powers here are referenced to the
-digital canceller input.
+quantization noise and x_soi(n) the signal of interest, which the render
+keeps out of d: no canceller run reads it there, and its power is read
+from its own component row. The four end-to-end impulse responses absorb
+the Tx chain, the residual analog-cancellation echo and the Rx chain
+including the receiver VGA gain k_bb, so all component powers here are
+referenced to the digital canceller input.
 
 Conventions: every k_* gain is a power gain; amplitude paths use square
 roots. The PA linear gain 'pa_gain_db' is the power gain of the linear path
@@ -25,22 +27,26 @@ it, and the closed forms of ``theory`` analyse it; its
 canceller input, over the taps the point renders.
 
 ``render_observations`` renders one trial at several points, each an
-``OperatingPoint`` with a scale: it reads the reference of each as a source
-row z and that scale, x = scale z, each part of z times the scale (see
-``signals.Draw``), so that one drawn row serves every transmit power, and
-forms x, x_imd, the four FIR branches and their sum in
-the compiled ``render`` of ``_native`` (the C library that also runs the
-LMS steps), consecutive samples in the lanes of a vector (eight on AVX-512,
-four on AVX2) over blocks of a few hundred samples, writing each d(n) into
-the caller's row, and then adds each noise part to every d(n) as
-``_native.NormalStream`` draws it (in C, bit for bit the stream of
-``np.random.default_rng(seed).standard_normal``), each normal drawn once
-for all points, so no array of normals is allocated; the components are
-stored only on request. ``render_observation`` is its one-point case. Its
-roundings equal those of the numpy expressions ``k^{3/2} |x|^2 x``,
-``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)`` and the ordered sum
-of the components, so a rendered observation is bit-identical to the numpy
-one.
+``OperatingPoint`` with a scale, into rows the caller owns: it reads the
+reference of each as a source row z and that scale, x = scale z, each part
+of z times the scale (see ``signals.Draw``), so that one drawn row serves
+every transmit power. It fills one ``_native.Point`` struct per point, as
+``cancellers.run_jobs`` fills its ``Run`` structs, checking each caller's
+row with ``_native.row_address``, and calls the compiled ``render`` (the C
+library that also runs the LMS steps). That forms x, x_imd, the four FIR
+branches and their sum, consecutive samples in the lanes of a vector
+(eight on AVX-512, four on AVX2) over blocks of a few hundred samples,
+writing each d(n) into the caller's row, and then adds the thermal and the
+quantization noise to every d(n) as ``_native.NormalStream`` draws it (in
+C, bit for bit the stream of ``np.random.default_rng(seed).standard_normal``),
+each normal drawn once for all points, so no array of normals is
+allocated. d never holds the SOI: its normals are drawn last, and only
+into the component rows, which are rendered only where the caller hands
+them in. ``render_observation`` is its one-point case, which allocates its
+rows. Its roundings equal those of the numpy expressions
+``k^{3/2} |x|^2 x``, ``np.convolve(h, x)[:n]``, ``sqrt(p/2) (re + 1j im)``
+and the ordered sum of the components, so a rendered observation is
+bit-identical to the numpy one.
 """
 
 from __future__ import annotations
@@ -439,10 +445,10 @@ COMPONENTS = ("linear_si", "image_si", "imd_si", "image_imd_si", "thermal",
               "quantization", "soi")
 
 
-def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = False,
-                        components: bool = False, outs=None) -> list:
+def render_observations(zs: np.ndarray, points, seed: int, ds,
+                        components=None) -> None:
     """Render d(n) at each of ``points`` from one source row ``zs`` and one
-    noise draw, in one compiled call.
+    noise draw, in one compiled call, into the rows ``ds`` the caller owns.
 
     Each point is an ``(OperatingPoint, scale)`` pair, its reference
     x = ``scale`` ``zs``: each part of x is the part of ``zs`` times
@@ -453,13 +459,15 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
     standard normals drawn in the order thermal, quantization, SOI from the
     stream of ``np.random.default_rng(seed)`` (by ``_native.NormalStream``).
     Every point adds the same normals: they are drawn once, and each is
-    added to every point's row as it is drawn. ``d`` is the sum of the
-    components in ``COMPONENTS`` order (the SOI is zero unless
-    ``include_soi``). ``outs``, one complex128 row of ``len(zs)`` samples
-    per point, receives the ``d`` of each. Returns the complex128 row ``d``
-    of each point, or, with ``components=True``, a ``(d, components)`` pair
-    per point, ``components`` each component's row by name in
-    ``COMPONENTS`` order: each the bits its point renders alone. The
+    added to every point's row as it is drawn. ``ds`` holds one complex128
+    row of ``len(zs)`` samples per point, which receives its ``d``: the sum
+    of the components in ``COMPONENTS`` order but the SOI, which d never
+    holds. ``components``, None or one ``(len(COMPONENTS), len(zs))``
+    complex128 array per point (None for none), receives each component's
+    row in ``COMPONENTS`` order, the SOI's included; its normals are drawn
+    after the others, only when a point asks for its components, and only
+    into them. Each row gets the bits its point renders alone. Every row is
+    checked (``_native.row_address``) before anything is rendered. The
     kernel forms x and x_imd a block of samples at a time, behind the M - 1
     samples before the block, and sums consecutive output samples in the
     lanes of a vector, each as one sample alone sums; it allocates those
@@ -468,34 +476,38 @@ def render_observations(zs: np.ndarray, points, seed: int, include_soi: bool = F
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     n = len(zs)
-    targets = []
-    for (point, scale), out in zip(points, outs or [None] * len(points), strict=True):
-        channels = point.channels
-        if n <= channels.m:
+    structs, scales = [], []  # scales: each point's noise scales, alive until C runs
+    for (point, scale), d, parts in zip(points, ds, components or [None] * len(points),
+                                        strict=True):
+        c = point.channels
+        if n <= c.m:
             raise ValueError("sequence must be longer than the channel length M")
-        powers = (point.sigma_v2, point.sigma_q2, point.p_x_soi)
-        targets.append(_native.Target(
-            scale, (channels.h, channels.g, channels.h_imd, channels.g_imd),
-            point.k_tiq ** 1.5, np.array([np.sqrt(p / 2.0) for p in powers]),
-            np.empty(n, dtype=np.complex128) if out is None else out,
-            np.empty((len(COMPONENTS), n), dtype=np.complex128) if components else None))
-    _native.render(zs, targets, _native.NormalStream(seed), include_soi)
-    if components:
-        return [(target.d, dict(zip(COMPONENTS, target.components))) for target in targets]
-    return [target.d for target in targets]
+        scales.append(np.array([np.sqrt(p / 2.0) for p in (point.sigma_v2, point.sigma_q2,
+                                                           point.p_x_soi)]))
+        structs.append(_native.Point(
+            c.m, c.n, scale, point.k_tiq ** 1.5,
+            *(row.ctypes.data for row in (c.h, c.g, c.h_imd, c.g_imd, scales[-1])),
+            _native.row_address(d, np.complex128, (n,), "an observation"),
+            _native.row_address(parts, np.complex128, (len(COMPONENTS), n),
+                                "a point's components")))
+    structs = (_native.Point * len(structs))(*structs)
+    if not _native.library().render(n, zs, _native.NormalStream(seed).state, len(structs),
+                                    structs):
+        raise MemoryError("the render kernel cannot allocate its block rows")
 
 
 def render_observation(zs: np.ndarray, point: OperatingPoint, seed: int,
-                       include_soi: bool = False, components: bool = False,
-                       out: np.ndarray | None = None, scale: float = 1.0):
+                       components: bool = False, out: np.ndarray | None = None,
+                       scale: float = 1.0):
     """Render d(n) from the reference x = ``scale`` ``zs``: the one-point
-    case of ``render_observations``, the pair ``(point, scale)`` and its row
-    ``out``; returns its row ``d``, or its ``(d, components)`` pair with
-    ``components=True``.
+    case of ``render_observations``, the pair ``(point, scale)``, into the
+    row ``out`` (a new row if None); returns the row ``d``, or, with
+    ``components=True``, the pair ``(d, components)``, ``components`` a new
+    row of each component by name in ``COMPONENTS`` order.
 
-    The default scale 1 renders ``zs`` itself; ``out``, a complex128 row of
-    ``len(zs)`` samples, receives ``d``.
+    The default scale 1 renders ``zs`` itself.
     """
-    [rendered] = render_observations(zs, [(point, scale)], seed, include_soi, components,
-                                     None if out is None else [out])
-    return rendered
+    d = np.empty(len(zs), dtype=np.complex128) if out is None else out
+    parts = np.empty((len(COMPONENTS), len(zs)), dtype=np.complex128) if components else None
+    render_observations(zs, [(point, scale)], seed, [d], [parts])
+    return (d, dict(zip(COMPONENTS, parts))) if components else d

@@ -129,6 +129,39 @@ def gain_chain_powers(profile) -> dict[str, float]:
                                  budget.sigma_q2, budget.p_x_soi), strict=True))
 
 
+def bad_rows(good: np.ndarray) -> list:
+    """Rows that a kernel must refuse in place of ``good``, a writable
+    C-contiguous array it writes: one longer on each end axis, one with an
+    extra leading axis, one of the other precision, one of the other kind
+    (complex for real and back), a strided one, a transposed one (2-D
+    only), a read-only copy of ``good`` and ``good`` as a list."""
+    shape, dtype = good.shape, good.dtype
+    precision = {np.float64: np.float32, np.complex128: np.complex64}[dtype.type]
+    kind = np.complex128 if dtype.kind == "f" else np.float64
+    read_only = good.copy()
+    read_only.flags.writeable = False
+    rows = [np.zeros((shape[0] + 1, *shape[1:]), dtype),
+            np.zeros((*shape[:-1], shape[-1] + 1), dtype), np.zeros((1, *shape), dtype),
+            np.zeros(shape, precision), np.zeros(shape, kind),
+            np.zeros((*shape[:-1], 2 * shape[-1]), dtype)[..., ::2], read_only,
+            good.tolist()]
+    if good.ndim == 2:
+        rows.append(np.zeros(shape[::-1], dtype).T)
+    return rows
+
+
+def assert_refuses(call, good: np.ndarray, name: str) -> None:
+    """``call(row)`` refuses each of ``bad_rows(good)`` with the one
+    ``ValueError`` of a row a kernel cannot write, naming the row ``name``,
+    and leaves the row as it was."""
+    for row in bad_rows(good):
+        before = np.array(row, copy=True)
+        with pytest.raises(ValueError, match=f"{name} row must be a writable "
+                                             "C-contiguous"):
+            call(row)
+        assert np.array_equal(np.asarray(row), before, equal_nan=True)
+
+
 def stack_trials(config, point, n):
     """The references and copies of the observations ``harness.iter_trials``
     hands over for ``point``, stacked as ``(xs, ds)`` of shape

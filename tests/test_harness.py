@@ -24,7 +24,8 @@ from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
 from fdsic.harness import (ExperimentConfig, resolve_profile, run_experiment,
                            write_csv)
-from fdsic.theory import alms_ms_bound, rb_matrix
+from fdsic.theory import (alms_ms_bound, anclms_exact_steady_mse, anclms_ms_analysis,
+                          anclms_transient, rb_matrix)
 from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (OperatingPoint, builtin_profile, compute_noise_budget,
                                render_observation, synthesize_channels)
@@ -339,6 +340,32 @@ def test_cli_power_budget_check_at_infinite_irr(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert meta(tmp_path / "stray")[check].startswith("FAIL")
     assert "power where none is due in image_si" in meta(tmp_path / "stray")[check]
+
+
+def test_cli_power_budget_crossover_check_reads_the_render(tmp_path, monkeypatch):
+    """The crossover check holds the rendered thermal and quantization noises
+    to the order of the point's own closed forms: type1, whose thermal noise
+    stays above the quantization noise over the grid, passes (exit 0), and
+    type2 with the two closed forms swapped fails (exit 3)."""
+    check = "check[thermal_quant_crossover]"
+
+    def meta(out):
+        return dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+
+    argv = ["power-budget", "--check", "--tx-grid", "10,15,25"]
+    assert cli_main([*argv, "--profile", "type1", "--out", str(tmp_path / "type1")]) == 0
+    assert meta(tmp_path / "type1")[check] == (
+        "pass thermal above quantization at tx (dBm) analytic 10 15 25; rendered 10 15 25")
+    real = OperatingPoint.component_powers
+
+    def swapped(point):
+        powers = real.fget(point)
+        return powers | {"thermal": powers["quantization"], "quantization": powers["thermal"]}
+
+    monkeypatch.setattr(OperatingPoint, "component_powers", property(swapped))
+    assert cli_main([*argv, "--out", str(tmp_path / "swapped")]) == 3
+    assert meta(tmp_path / "swapped")[check] == (
+        "FAIL thermal above quantization at tx (dBm) analytic 15 25; rendered 10")
 
 
 def test_cli_profile_repeated_key_exit_code(tmp_path, capsys):
@@ -816,23 +843,34 @@ def test_meta_names_the_lms_path(experiment, trials, widths, points, type2, tmp_
 
 
 def test_theory_runs_on_one_blas_thread(type2, tmp_path, monkeypatch):
-    """convergence's fourth-moment analysis and transient run with numpy's
-    OpenBLAS on one thread, and the thread count it had is restored after
-    the run."""
-    lib = harness._openblas()
+    """Every LAPACK call of the theory and of the covariance checks runs
+    with numpy's OpenBLAS on one thread, in convergence's run and in a
+    library caller's calls of the analysis, its bound, its steady state and
+    its transient alike, and the thread count the process had, two here, is
+    restored after each."""
+    lib = _native._openblas()
     if lib is None:
         pytest.skip("numpy bundles no OpenBLAS here")
     threads = []
-    for name in ("anclms_ms_analysis", "anclms_transient"):
-        real = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda *a, real=real: threads.append(
+    for name in ("cholesky", "eigh", "eigvalsh", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, real=real: threads.append(
             lib.scipy_openblas_get_num_threads64_()) or real(*a))
     before = lib.scipy_openblas_get_num_threads64_()
-    cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=1,
-                           iterations=3000, seed=SEED, output_dir=tmp_path)
-    run_experiment(cfg)
-    assert threads == [1, 1]
-    assert lib.scipy_openblas_get_num_threads64_() == before
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=1,
+                               iterations=3000, seed=SEED, output_dir=tmp_path)
+        run_experiment(cfg)
+        assert len(threads) >= 3  # the preconditioner, the analysis, the transient
+        ana = anclms_ms_analysis(type2.natural_sigma_x2, type2.k_tiq, M, N)
+        mu = 0.5 * ana.bound
+        anclms_exact_steady_mse(ana, 1e-3, mu)
+        anclms_transient(ana, 1e-3, mu, np.ones(2 * (M + N)), np.arange(3))
+        assert len(threads) >= 3 + 5 and set(threads) == {1}
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 @pytest.mark.parametrize("experiment, options, jobs, calls, fill", [
@@ -947,6 +985,9 @@ _EDGE_CASES = {
     "M3-N1": (["--M", "3", "--N", "1"], {}),
     "M8-N6": (["--M", "8", "--N", "6"], {}),
     "mu-frac-0.99": (["--mu-frac", "0.99"], {}),
+    "iip3-1000dBm": ([], {"pa_iip3": "1000 dBm"}),
+    "adc-30bits": ([], {"adc_bits": "30"}),
+    "ktiq-minus-inf": ([], {"k_tiq": "-inf dB"}),
 }
 
 
@@ -987,8 +1028,11 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
     at or above 1, where ``theory_mse`` has no steady state and the MSE
     columns read that fraction's diverged job. power-budget runs no job: its
     only non-finite cells are the -inf dBm of its image columns, analytic
-    and rendered, where irr = inf leaves no image branch, and its check
-    passes at every case, exit 0."""
+    and rendered, where irr = inf leaves no image branch, and its analytic
+    powers match the rendered ones at every case, so it exits 0 at each,
+    a 30-bit ADC's included, whose quantization noise stays below the
+    thermal noise over the whole grid. A k_tiq of -inf dB is a configuration
+    error (exit 2)."""
     options, entries = _EDGE_CASES[case]
     text = (Path(harness.__file__).parent / "data" / "type2.profile").read_text()
     for key, value in entries.items():
@@ -1003,13 +1047,17 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
         warnings.simplefilter("error")
         code = cli_main(argv)
     assert code in (0, 2, 3)
-    if experiment == "power-budget":
-        # each component's closed form reads the taps the point renders, so
-        # it matches the render at every edge case, truncated channels too
-        assert code == 0, case
+    assert (code == 2) == (case == "ktiq-minus-inf"), case
     if code == 2:
         return
     meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    if experiment == "power-budget":
+        # each component's closed form reads the taps the point renders, so
+        # it matches the render at every edge case, truncated channels too
+        failed = [key for key, value in meta.items()
+                  if key.startswith("check[") and value.startswith("FAIL")]
+        assert failed == [], case
+        assert code == 0, case
     diverged = {key[len("diverged_trials["):-1] for key, value in meta.items()
                 if key.startswith("diverged_trials[") and int(value) > 0}
     base_job = None

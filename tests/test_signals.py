@@ -9,6 +9,8 @@ from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
                            SAMPLES_PER_SYMBOL, SUBCARRIERS, gen_ofdm_waveform,
                            gen_proper_gaussian)
 
+from conftest import assert_refuses
+
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
 # with mean s2, so E|x|^(2m) = m! s2^m. Cross-checked by brute force with an
 # independent legacy-RNG sampler in test_moment_law_oracle below.
@@ -81,7 +83,7 @@ def _bits(a):
 def _draws(stream, n):
     """The next 2n normals of ``stream`` in draw order, through
     ``fill_complex``: the real parts, then the imaginary parts."""
-    row = stream.fill_complex(np.empty(n, dtype=complex))
+    row = stream.fill_complex(n)
     return np.concatenate([row.real, row.imag])
 
 
@@ -107,7 +109,7 @@ def test_normal_stream_continues_across_calls():
     np.testing.assert_array_equal(_bits(np.concatenate(parts)), _bits(want))
     assert np.array_equal(_draws(NormalStream(5), 1), want[:2])
     with pytest.raises(ValueError):
-        NormalStream(5).fill_complex(np.empty((2, 3), dtype=complex))
+        NormalStream(5).fill_complex(6, np.empty((2, 3), dtype=complex))
 
 
 # seeds of one, two and three 32-bit words, and the noise seeds of the
@@ -227,6 +229,16 @@ def test_ofdm_seed_determinism():
     for out in (np.empty(11, dtype=complex), np.empty(20, dtype=complex)[::2]):
         with pytest.raises(ValueError):
             gen_ofdm_waveform(10, seed=1, out=out)
+
+
+@pytest.mark.parametrize("source", [gen_proper_gaussian, gen_ofdm_waveform],
+                         ids=["gaussian", "ofdm"])
+def test_sources_refuse_rows_they_cannot_write(source):
+    """A source's ``out`` is checked as every row a kernel writes is: a
+    read-only, misshapen, strided or mistyped row, or no array, is refused
+    with the one ValueError before a sample is written."""
+    assert_refuses(lambda row: source(10, seed=1, out=row),
+                   np.full(10, np.nan, dtype=complex), "out")
 
 
 def test_estimate_stats_degenerate_and_errors():

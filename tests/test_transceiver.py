@@ -21,7 +21,7 @@ from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
                                synthesize_channels)
 from fdsic.units import dbm_to_mw, mw_to_dbm
 
-from conftest import M, N, SEED, gain_chain_powers, operating_point
+from conftest import M, N, SEED, assert_refuses, gain_chain_powers, operating_point
 
 
 def test_builtin_profiles(type1, type2):
@@ -179,13 +179,37 @@ def test_render_too_short(type2):
                            out=np.empty(M, dtype=complex))
 
 
+def test_render_refuses_rows_it_cannot_write(type2):
+    """The observation and component rows of ``render_observations`` and
+    the ``out`` of ``render_observation`` are checked as every row a
+    kernel writes is: each bad row is refused with the one ValueError, and
+    nothing is rendered, into the other point's good rows either."""
+    point = operating_point(type2, synthesize_channels(type2, M, N, seed=SEED),
+                            compute_noise_budget(type2))
+    z = gen_proper_gaussian(300, seed=1).samples
+    d = np.full(len(z), np.nan, dtype=complex)
+    parts = np.full((len(COMPONENTS), len(z)), np.nan, dtype=complex)
+    points = [(point, 1.0), (point, 0.5)]
+    assert_refuses(lambda row: render_observations(z, points, 2, [d, row]), d,
+                   "an observation")
+    assert_refuses(lambda row: render_observations(z, points, 2, [d, d.copy()],
+                                                   [parts, row]), parts,
+                   "a point's components")
+    assert_refuses(lambda row: render_observation(z, point, 2, out=row), d,
+                   "an observation")
+    assert np.all(np.isnan(d)) and np.all(np.isnan(parts))
+
+
 def test_component_sum_identity(type2):
+    """d is the in-order sum of every component but the SOI, bit for bit."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
     x = gen_proper_gaussian(10_000, seed=5).reference(type2.natural_sigma_x2)
     d, parts = render_observation(x, operating_point(type2, ch, budget), seed=6,
-                                  include_soi=True, components=True)
-    assert np.max(np.abs(d - sum(parts.values()))) == 0.0
+                                  components=True)
+    assert np.any(parts["soi"])
+    want = sum(parts[key] for key in COMPONENTS if key != "soi")
+    assert d.tobytes() == want.tobytes()
 
 
 def test_imd_moment_law(type2):
@@ -305,8 +329,9 @@ def test_fir_matches_convolve_one_wide(type2, scalar_kernel):
             _assert_fir_matches_convolve(m, type2)
 
 
-def _numpy_render(xs, point, seed, include_soi):
-    """The observation as numpy formulas: the oracle of the one-pass render."""
+def _numpy_render(xs, point, seed):
+    """The observation as numpy formulas, d the sum of every component but
+    the SOI: the oracle of the one-pass render."""
     n = len(xs)
     channels = point.channels
     x_imd = point.k_tiq ** 1.5 * np.abs(xs) ** 2 * xs
@@ -326,38 +351,40 @@ def _numpy_render(xs, point, seed, include_soi):
         "image_imd_si": fir(channels.g_imd, np.conj(x_imd)),
         "thermal": noise(point.sigma_v2),
         "quantization": noise(point.sigma_q2),
-        "soi": noise(point.p_x_soi) if include_soi else np.zeros(n, dtype=complex),
+        "soi": noise(point.p_x_soi),
     }
-    return sum(components.values()), components
+    return sum(components[key] for key in COMPONENTS if key != "soi"), components
 
 
-def _assert_render_exact(xs, point, seed, include_soi):
-    """The render equals ``_numpy_render`` in every bit, signs of zero too."""
-    want_d, want = _numpy_render(xs, point, seed, include_soi)
-    d, parts = render_observation(xs, point, seed=seed, include_soi=include_soi,
-                                  components=True)
+def _assert_render_exact(xs, point, seed, components):
+    """The render equals ``_numpy_render`` in every bit, signs of zero too:
+    d and all seven components rendered into new rows, and d rendered into
+    a caller's row, with the components (whose SOI normals the kernel draws
+    after d's) or without them, leaving the caller's other row untouched."""
+    want_d, want = _numpy_render(xs, point, seed)
+    d, parts = render_observation(xs, point, seed=seed, components=True)
     assert tuple(parts) == COMPONENTS == tuple(want)
     for key in COMPONENTS:
         np.testing.assert_array_equal(parts[key].view(np.uint64),
                                       want[key].view(np.uint64), err_msg=key)
     np.testing.assert_array_equal(d.view(np.uint64), want_d.view(np.uint64))
     rows = np.full((2, len(xs)), np.nan, dtype=complex)
-    bare = render_observation(xs, point, seed=seed, include_soi=include_soi,
-                              out=rows[1])
-    assert np.shares_memory(bare, rows[1])
+    bare = render_observation(xs, point, seed=seed, components=components, out=rows[1])
+    assert np.shares_memory(bare[0] if components else bare, rows[1])
     np.testing.assert_array_equal(rows[1].view(np.uint64), want_d.view(np.uint64))
     assert np.all(np.isnan(rows[0]))
 
 
-@pytest.mark.parametrize("include_soi", [False, True])
-def test_render_matches_numpy(type2, include_soi):
-    """d and all seven components equal the numpy formulas bit for bit."""
+@pytest.mark.parametrize("components", [False, True])
+def test_render_matches_numpy(type2, components):
+    """d and the seven components equal the numpy formulas bit for bit, and
+    so does d rendered into a caller's row alone or with the components."""
     for tx in (-5.0, 15.0, 25.0):
         prof = type2.with_tx_power(tx)
         ch = synthesize_channels(prof, M, N, seed=SEED)
         x = gen_proper_gaussian(3000, seed=4).reference(prof.natural_sigma_x2)
         _assert_render_exact(x, operating_point(prof, ch, compute_noise_budget(prof)), 9,
-                             include_soi)
+                             components)
 
 
 @pytest.mark.parametrize("n_imd", range(1, M))
@@ -371,16 +398,16 @@ def test_render_matches_numpy_edges(type2, n_imd):
         for n in (M + 1, 500):
             x = gen_proper_gaussian(n, seed=n_imd).reference(prof.natural_sigma_x2)
             _assert_render_exact(x, operating_point(prof, ch, budget), 3,
-                                 include_soi=n_imd % 2 == 0)
+                                 components=n_imd % 2 == 0)
 
 
-@pytest.mark.parametrize("include_soi", [False, True])
-def test_render_matches_numpy_zero_noise(type2, include_soi):
+@pytest.mark.parametrize("components", [False, True])
+def test_render_matches_numpy_zero_noise(type2, components):
     """With every noise scale zero the noise components are numpy's signed
     zeros, 0.0 * (re + 1j im), and d still equals the numpy sum bit for bit."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
     x = gen_proper_gaussian(2000, seed=4).reference(type2.natural_sigma_x2)
-    _assert_render_exact(x, operating_point(type2, ch, _zero_budget()), 9, include_soi)
+    _assert_render_exact(x, operating_point(type2, ch, _zero_budget()), 9, components)
 
 
 def test_render_allocates_no_normals(type2):
@@ -434,17 +461,16 @@ def test_render_matches_numpy_over_blocks(type2, build, request):
             m = point.channels.m
             for n in (m + 1, m + 2, m + 3, m + 4, rb - 1, rb, rb + 1, 2 * rb + 3):
                 x = _block_rows(rng, n) * np.sqrt(prof.natural_sigma_x2)
-                _assert_render_exact(x, point, 5, include_soi=n % 2 == 0)
+                _assert_render_exact(x, point, 5, components=n % 2 == 0)
 
 
 @pytest.mark.parametrize("build", ["default", "no-avx512f", "no-avx2"])
 def test_render_observations_equal_one_point_renders(type2, build, request):
     """One render of several points draws the noise once and gives each
     point the bits of its render alone, d and all seven components, with
-    and without the SOI, into the caller's rows or its own, on every
-    build: points at three transmit powers (each its own noise budget),
-    reference scales and channels, one of them with M = 1 and no IMD
-    taps."""
+    the components of every point, of some or of none, on every build:
+    points at three transmit powers (each its own noise budget), reference
+    scales and channels, one of them with M = 1 and no IMD taps."""
     loaded = {"default": contextlib.nullcontext,
               "no-avx512f": lambda: request.getfixturevalue("avx2_kernel")(),
               "no-avx2": lambda: request.getfixturevalue("scalar_kernel")()}[build]
@@ -460,24 +486,25 @@ def test_render_observations_equal_one_point_renders(type2, build, request):
     points.append((_imd_free_point(type2, ChannelSet(h=h, g=g, h_imd=np.zeros(0),
                                                      g_imd=np.zeros(0)),
                                    compute_noise_budget(type2.with_tx_power(-5.0))), 0.5))
+    n = len(draw.samples)
     with loaded():
-        for include_soi in (False, True):
-            alone = [render_observation(draw.samples, point, seed=3,
-                                        include_soi=include_soi, components=True,
-                                        scale=scale) for point, scale in points]
-            together = render_observations(draw.samples, points, seed=3,
-                                           include_soi=include_soi, components=True)
-            rows = np.empty((len(points), len(draw.samples)), dtype=complex)
-            bare = render_observations(draw.samples, points, seed=3,
-                                       include_soi=include_soi, outs=list(rows))
-            for (want_d, want), (got_d, got), row, d in zip(alone, together, rows, bare):
-                assert got_d.tobytes() == want_d.tobytes()
-                assert row.tobytes() == want_d.tobytes()
-                assert np.shares_memory(d, row)
-                for key in COMPONENTS:
-                    assert got[key].tobytes() == want[key].tobytes(), key
-    with pytest.raises(ValueError):
-        render_observations(draw.samples, points, seed=3, outs=list(rows[:2]))
+        alone = [render_observation(draw.samples, point, seed=3, components=True,
+                                    scale=scale) for point, scale in points]
+        for asked in ((True,) * 4, (False, True, False, True), (False,) * 4):
+            ds = np.full((len(points), n), np.nan, dtype=complex)
+            parts = np.full((len(points), len(COMPONENTS), n), np.nan, dtype=complex)
+            render_observations(draw.samples, points, 3, list(ds),
+                                [p if a else None for p, a in zip(parts, asked)]
+                                if any(asked) else None)
+            for (want_d, want), d, got, a in zip(alone, ds, parts, asked):
+                assert d.tobytes() == want_d.tobytes()
+                if a:
+                    for key, row in zip(COMPONENTS, got):
+                        assert row.tobytes() == want[key].tobytes(), key
+                else:
+                    assert np.all(np.isnan(got))
+        with pytest.raises(ValueError):
+            render_observations(draw.samples, points, 3, list(ds[:2]))
 
 
 def test_render_raises_memory_error_when_unallocated(type2, monkeypatch):
@@ -499,15 +526,13 @@ def test_render_raises_memory_error_when_unallocated(type2, monkeypatch):
 _LONG_CHANNEL_RENDER = """
 import sys
 import numpy as np
-from fdsic import _native
+from fdsic.transceiver import ChannelSet, OperatingPoint, render_observation
 m, n = 20_000, 20_100
 rng = np.random.default_rng(4)
 taps = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (m, m, 3, 3)]
 z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-d = np.empty(n, dtype=complex)
-_native.render(z, [_native.Target(0.5, tuple(taps), 0.3, np.full(3, 1e-3), d)],
-               _native.NormalStream(1), False)
-np.save(sys.argv[1], d)
+point = OperatingPoint(1.0, 0.3 ** (2 / 3), ChannelSet(*taps), 2e-6, 2e-6, 2e-6)
+np.save(sys.argv[1], render_observation(z, point, seed=1, scale=0.5))
 """
 
 

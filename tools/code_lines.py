@@ -1,16 +1,23 @@
-"""Count the code lines of Python sources: lines that hold code, leaving
-out blank lines, comments and docstrings.
+"""Count the code lines of Python and C sources: lines that hold code,
+leaving out blank lines, comments and docstrings (Python) and blank lines
+and /* */ and // comments (C).
 
 Usage: python tools/code_lines.py [DIR ...]   (default: src/fdsic)
 
-Prints each module's count and the total of every directory.
+Prints each Python module's count and the total of every directory, then
+the count of each C source and header (*.c, *.h) beside it and their total.
 """
 
 import ast
+import re
 import sys
 import tokenize
 from pathlib import Path
 
+# a C comment or a string or character literal, which may hold a comment's
+# delimiters without opening one
+_C_TOKEN = re.compile(r"""/\*.*?\*/|//[^\n]*|"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'""",
+                      re.S)
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -40,6 +47,16 @@ def code_lines(path: Path) -> int:
     return len(lines - docstrings)
 
 
+def c_code_lines(path: Path) -> int:
+    """The number of lines of the C source ``path`` that hold code once its
+    comments are taken out."""
+    def strip(match: re.Match) -> str:
+        token = match.group()
+        return token if token[0] in "\"'" else "\n" * token.count("\n")
+    return sum(1 for line in _C_TOKEN.sub(strip, path.read_text()).splitlines()
+               if line.strip())
+
+
 def main(dirs: list[str]) -> None:
     for directory in dirs or ["src/fdsic"]:
         total = 0
@@ -48,6 +65,12 @@ def main(dirs: list[str]) -> None:
             total += count
             print(f"{count:6d}  {path}")
         print(f"{total:6d}  total of {directory}")
+        sources = sorted([*Path(directory).glob("*.c"), *Path(directory).glob("*.h")])
+        if sources:
+            counts = [c_code_lines(path) for path in sources]
+            for count, path in zip(counts, sources):
+                print(f"{count:6d}  {path}")
+            print(f"{sum(counts):6d}  C total of {directory}")
 
 
 if __name__ == "__main__":

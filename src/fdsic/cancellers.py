@@ -22,10 +22,11 @@ preconditioner that couples any other two entries is a ``ValueError``.
 with its own step size, N, steady window, source row z, observation row d,
 reference scale, start weights and preconditioner) in one call, each job
 on its own reference x = scale z, so that the jobs of several transmit
-powers, and of several trials, share one call; ``run_batch`` runs one job
-per trial on x itself. Each job returns its trial's ``JobRun`` record: its
-weights, steady-state MSE, peak residual and first nonfinite step. A job
-may also bring a residual row and a tap row, owned by the caller, into
+powers, and of several trials, share one call; M and k_tiq, which shape
+every regressor of a call, are the call's arguments. ``run_batch`` runs a
+template job once per trial on x itself. Each job returns its trial's
+``JobRun`` record: its weights, steady-state MSE, peak residual and first
+nonfinite step. A job may also bring a residual row and a tap row, owned by the caller, into
 which the kernel adds its per-step records; ``_native.row_address``, the
 one check of every caller's row that C writes, refuses a row the kernel
 cannot write, before any job runs. The jobs of several trials that share
@@ -99,21 +100,6 @@ def newton_preconditioner(cov, M: int, N: int) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
-class CancellerConfig:
-    mu: float
-    M: int
-    N: int = 0           # IMD taps per branch; 0 is the widely linear ALMS
-    k_tiq: float = 1.0
-    steady_window: int | None = None
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative (0 freezes the filter)")
-        if not 0 <= self.N < self.M:
-            raise ValueError("need 0 <= N < M")
-
-
 def default_steady_window(n_steps: int) -> int:
     """Final 20% of iterations, at least MIN_STEADY_WINDOW, capped at the run."""
     return min(n_steps, max(int(0.2 * n_steps), MIN_STEADY_WINDOW))
@@ -163,17 +149,22 @@ class JobRun:
 
 
 class Job(NamedTuple):
-    """A canceller job of ``run_jobs``, one trial's run: its config, its
-    source row ``z`` and observation row ``d`` (1-D, of one length), the
-    ``scale`` of its reference x = scale z, its start weights ``w0`` (a
-    vector of its 2(M + N) weights, None for zero), a real
-    preconditioner P (a 2(M + N) square matrix that couples an entry only
-    with its layout partner, as ``newton_preconditioner`` gives; None for
-    the plain LMS), and the rows ``residuals`` (float64, one per step) and
-    ``taps`` (complex128, one row of the tracked weights per kept step) to
-    which the run adds its records (None keeps none)."""
+    """A canceller job of ``run_jobs``, one trial's run: its step size
+    ``mu`` (0 freezes the filter), its IMD taps per branch ``N`` (0 is the
+    widely linear ALMS), its ``steady_window`` in steps (None for
+    ``default_steady_window``), its source row ``z`` and observation row
+    ``d`` (1-D, of one length), the ``scale`` of its reference x = scale z,
+    its start weights ``w0`` (a vector of its 2(M + N) weights, None for
+    zero), a real preconditioner P (a 2(M + N) square matrix that couples
+    an entry only with its layout partner, as ``newton_preconditioner``
+    gives; None for the plain LMS), and the rows ``residuals`` (float64, one
+    per step) and ``taps`` (complex128, one row of the tracked weights per
+    kept step) to which the run adds its records (None keeps none). M and
+    k_tiq belong to the call (``run_jobs``)."""
 
-    config: CancellerConfig
+    mu: float
+    N: int = 0
+    steady_window: int | None = None
     z: np.ndarray | None = None
     d: np.ndarray | None = None
     scale: float = 1.0
@@ -207,29 +198,29 @@ def _partner_pairs(matrix, M: int, N: int, name: str):
     return partner, np.diag(p), np.where(partner != k, p[k, partner], 0.0)
 
 
-def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
+def run_jobs(jobs: list[Job], M: int, k_tiq: float, track_taps: tuple[int, ...] = (),
              tap_stride: int = 1) -> list[JobRun]:
-    """Run every ``Job``, each one trial's run, in one kernel call; return
-    one ``JobRun`` per job.
+    """Run every ``Job``, each one trial's run, in one kernel call with M
+    delays of the reference and the Tx I/Q gain ``k_tiq``; return one
+    ``JobRun`` per job.
 
     A job runs on the reference x = ``job.scale`` z of its source row
     ``job.z`` and on its observation row ``job.d``: every job's z and d are
     1-D rows of one length (a ``ValueError`` otherwise). Each part of x is
     the part of z times the scale, as ``signals.Draw.reference`` forms it
-    (so a scale of 1 runs on z itself). The jobs share M and k_tiq (a
-    ``ValueError`` otherwise) and may differ in everything else, their rows
-    included, so the jobs of one call may be those of several trials. Each
-    job returns exactly what it returns alone; a kernel that cannot
-    allocate its lanes' state is a ``MemoryError``. A job's ``residuals``
-    row, of one value per step, has |e|^2 of each step added to it; its
-    ``taps`` row, (ceil(steps / tap_stride), len(track_taps)), has the
-    weights listed in ``track_taps`` (indices into each job's own weight
-    vector) after steps 0, tap_stride, 2 tap_stride, ... added to it. Jobs
-    may share a row: each step's records are added in the jobs' order in
-    ``jobs``, so a row that starts at -0.0 (-0.0 + x is x, bit for bit)
-    ends with one job's records, or the in-order sum of several jobs'.
-    A row of another shape or dtype, not C-contiguous or read-only is a
-    ``ValueError``.
+    (so a scale of 1 runs on z itself). The jobs may differ in every field,
+    their rows included, so the jobs of one call may be those of several
+    trials; a job with mu < 0 or N outside 0 <= N < M is a ``ValueError``. Each job returns exactly what it returns alone; a
+    kernel that cannot allocate its lanes' state is a ``MemoryError``. A
+    job's ``residuals`` row, of one value per step, has |e|^2 of each step
+    added to it; its ``taps`` row, (ceil(steps / tap_stride),
+    len(track_taps)), has the weights listed in ``track_taps`` (indices
+    into each job's own weight vector) after steps 0, tap_stride,
+    2 tap_stride, ... added to it. Jobs may share a row: each step's
+    records are added in the jobs' order in ``jobs``, so a row that starts
+    at -0.0 (-0.0 + x is x, bit for bit) ends with one job's records, or
+    the in-order sum of several jobs'. A row of another shape or dtype, not
+    C-contiguous or read-only is a ``ValueError``.
     """
     if not jobs:
         raise ValueError("run_jobs needs at least one job")
@@ -240,9 +231,6 @@ def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
     shape = rows[0][0].shape
     if any(z.ndim != 1 or not z.shape == d.shape == shape for z, d in rows):
         raise ValueError("every job's z and d must be 1-D rows of one length")
-    M, k_tiq = jobs[0].config.M, jobs[0].config.k_tiq
-    if any(job.config.M != M or job.config.k_tiq != k_tiq for job in jobs):
-        raise ValueError("the jobs of one call must share M and k_tiq")
     if tap_stride < 1:
         raise ValueError("tap_stride must be a positive step count")
     n_steps = shape[0] - M + 1
@@ -252,16 +240,19 @@ def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
     forms = {}
     runs, outputs = [], []
     for job, (z, d) in zip(jobs, rows):
-        config = job.config
-        dim = 2 * (M + config.N)
-        window = config.steady_window or default_steady_window(n_steps)
+        if job.mu < 0:
+            raise ValueError("mu must be nonnegative (0 freezes the filter)")
+        if not 0 <= job.N < M:
+            raise ValueError("need 0 <= N < M")
+        dim = 2 * (M + job.N)
+        window = job.steady_window or default_steady_window(n_steps)
         if n_steps <= 0 or window > n_steps:
             raise ValueError("sequences too short for the requested run")
         if job.w0 is not None and np.shape(job.w0) != (dim,):
             raise ValueError(f"w0 must be a vector of {dim} weights")
-        key = (id(job.preconditioner), config.N)
+        key = (id(job.preconditioner), job.N)
         if job.preconditioner is not None and key not in forms:
-            forms[key] = np.stack(_partner_pairs(job.preconditioner, M, config.N,
+            forms[key] = np.stack(_partner_pairs(job.preconditioner, M, job.N,
                                                  "preconditioner")[1:], axis=1)
         # IndexError if out of range. Built from a Python range: np.arange
         # lets go of the interpreter lock to fill its array, and getting it
@@ -271,7 +262,7 @@ def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
         w = np.array(np.zeros(dim) if job.w0 is None else job.w0, dtype=np.complex128)
         w_accum = np.empty_like(w)
         runs.append(_native.Run(
-            n_steps, dim, n_steps - window, config.mu, job.scale,
+            n_steps, dim, n_steps - window, job.mu, job.scale,
             *(a.ctypes.data for a in (z, d, w, w_accum)),
             _native.row_address(job.residuals, np.float64, (n_steps,),
                                 "a job's residuals"),
@@ -295,31 +286,29 @@ def run_jobs(jobs: list[Job], track_taps: tuple[int, ...] = (),
                 for run, (window, w, w_accum, _) in zip(runs, outputs)]
 
 
-def run_batch(xs: np.ndarray, ds: np.ndarray, config: CancellerConfig,
+def run_batch(xs: np.ndarray, ds: np.ndarray, job: Job, M: int, k_tiq: float,
               keep_residuals: bool = True, track_taps: tuple[int, ...] = (),
-              w0: np.ndarray | None = None, tap_stride: int = 1,
-              preconditioner: np.ndarray | None = None) -> list[tuple]:
-    """Run each trial, a row of ``xs`` and ``ds``, from the weights ``w0``:
-    ``run_jobs`` with the job ``Job(config, x, d, 1.0, w0, preconditioner)``
-    of each row pair (x, d), each with rows of its own; return each
-    trial's ``(run, residuals, taps)`` in trial order: its ``JobRun`` and
-    its residual and tap rows (None where not kept).
+              tap_stride: int = 1) -> list[tuple]:
+    """Run each trial, a row of ``xs`` and ``ds``, as the template ``job``:
+    ``run_jobs`` with M and ``k_tiq`` over ``job`` on each row pair (x, d)
+    at scale 1, each with rows of its own; return each trial's
+    ``(run, residuals, taps)`` in trial order: its ``JobRun`` and its
+    residual and tap rows (None where not kept).
 
-    ``w0``, a vector of the 2(M + N) regressor weights, starts every trial;
-    None starts them at zero. Step t adapts on the regressor of sample
-    M-1+t, so a row of n samples runs n-M+1 steps. Trials are independent:
-    each record depends on its own input rows alone. A 1-D ``xs`` and
-    ``ds`` are one trial. ``keep_residuals`` keeps |e|^2 per step;
-    ``track_taps`` keeps the listed weights after every ``tap_stride``-th
-    step from step 0. With ``preconditioner`` P the job runs the LMS-Newton
-    step w += mu e P conj(reg).
+    The template's step size, N, steady window, start weights and
+    preconditioner run every trial; its rows are not used. Step t adapts on
+    the regressor of sample M-1+t, so a row of n samples runs n-M+1 steps.
+    Trials are independent: each record depends on its own input rows
+    alone. A 1-D ``xs`` and ``ds`` are one trial. ``keep_residuals`` keeps
+    |e|^2 per step; ``track_taps`` keeps the listed weights after every
+    ``tap_stride``-th step from step 0.
     """
-    n_steps = max(np.shape(xs)[-1] - config.M + 1, 0)
+    n_steps = max(np.shape(xs)[-1] - M + 1, 0)
     kept = -(-n_steps // max(tap_stride, 1))  # run_jobs refuses a stride below 1
     # -0.0 rows, which the kernel's first record leaves bit for bit
-    jobs = [Job(config, x, d, 1.0, w0, preconditioner,
-                np.full(n_steps, -0.0) if keep_residuals else None,
-                np.full((kept, len(track_taps)), -0.0j) if track_taps else None)
+    jobs = [job._replace(z=x, d=d, scale=1.0,
+                         residuals=np.full(n_steps, -0.0) if keep_residuals else None,
+                         taps=np.full((kept, len(track_taps)), -0.0j) if track_taps else None)
             for x, d in zip(np.atleast_2d(xs), np.atleast_2d(ds), strict=True)]
-    runs = run_jobs(jobs, track_taps, tap_stride)
+    runs = run_jobs(jobs, M, k_tiq, track_taps, tap_stride)
     return [(run, job.residuals, job.taps) for run, job in zip(runs, jobs)]

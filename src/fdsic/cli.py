@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 acceptance-check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ def parse_tx_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError("grid must be a:b:step")
         a, b, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (a, b, step))):
+            raise ValueError("grid a:b:step must be finite")
         if step <= 0 or b < a:
             raise ValueError("grid must satisfy a <= b, step > 0")
         vals, v = [], a

@@ -11,8 +11,9 @@ A grid point is a ``transceiver.OperatingPoint``, made by ``_point``: the
 one record of it that the render and the closed forms read, so a runner
 hands the point it simulates to the theory with each step size.
 ``run_trials`` is the trial loop of every canceller runner: it runs a pass
-over one or more grid points, each with its
-canceller jobs (``cancellers.Job``), takes the trials from ``iter_trials``
+over one or more grid points, each with its canceller jobs
+(``cancellers.Job``: step size, N and what a job adds to), with the M and
+k_tiq the points of the pass share, takes the trials from ``iter_trials``
 a group at a time in reused rows, the source row and one observation row
 per point of each trial, and runs every job of every point of the pass on
 every trial of the group in one LMS kernel call (``run_jobs``), while one
@@ -90,9 +91,8 @@ from . import __version__, _native
 # run_batch, regressor_matrix and render_observation are not called here;
 # the benchmark's tracer (perfbench/tracing.py) wraps them by name in this
 # module
-from .cancellers import (MIN_STEADY_WINDOW, CancellerConfig, Job, JobRun,
-                         newton_preconditioner, regressor_matrix, run_batch,
-                         run_jobs)
+from .cancellers import (MIN_STEADY_WINDOW, Job, JobRun, newton_preconditioner,
+                         regressor_matrix, run_batch, run_jobs)
 from .plots import heatmap, line_plot
 from .signals import gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (alms_bias, alms_ms_bound, alms_regime, alms_steady_mse,
@@ -511,7 +511,10 @@ def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict
     ``points`` holds one ``(point, jobs)`` pair per point, ``jobs`` the
     point's ``Job`` records by label; each job runs on the trial's source
     row and its observation at the job's point, with the point's reference
-    scale (``z``, ``d`` and ``scale`` are filled in here). One ``run_jobs``
+    scale (``z``, ``d`` and ``scale`` are filled in here). The points of a
+    pass share M and k_tiq (a ``ValueError`` otherwise), and each
+    ``run_jobs`` call runs with them, so a job adapts with the k_tiq its
+    observation was rendered with. One ``run_jobs``
     call with ``run_options`` runs the jobs of every point for a group of
     consecutive trials, width-major, then job-major: the jobs of each
     canceller width N in turn (ALMS first), in label order, each job's
@@ -528,13 +531,16 @@ def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict
     ``JobRun`` and ``diverged`` whether it diverged
     (``PhaseClock.count_lms``), in the order of the labels in ``points``.
     """
+    M, k_tiq = points[0][0].M, points[0][0].k_tiq
+    if any(point.M != M or point.k_tiq != k_tiq for point, _ in points):
+        raise ValueError("the points of one pass must share M and k_tiq")
     labels = [label for _, jobs in points for label in jobs]
     # the point and the job of each label, in that order
     where = [(k, job) for k, (_, jobs) in enumerate(points) for job in jobs.values()]
-    layout = sorted(range(len(labels)), key=lambda j: where[j][1].config.N)
+    layout = sorted(range(len(labels)), key=lambda j: where[j][1].N)
     slots = [layout.index(j) for j in range(len(labels))]  # each label's place in it
     lanes = _native.lanes()
-    widths = Counter(job.config.N for _, job in where).values()
+    widths = Counter(job.N for _, job in where).values()
     group = math.lcm(*(lanes // math.gcd(lanes, count) for count in widths))
     if group * (1 + len(points)) > lanes:
         group = lanes // math.gcd(lanes, len(labels))
@@ -545,7 +551,7 @@ def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict
                 for k, job in (where[j] for j in layout)
                 for draw, ds, _ in made]
         with clock.phase("lms"):
-            results = run_jobs(jobs, **run_options)
+            results = run_jobs(jobs, M, k_tiq, **run_options)
         # trial-major and in label order, as the trials are yielded
         runs = [(label, results[slot * len(made) + i], powers[k])
                 for i, (_, _, powers) in enumerate(made)
@@ -663,27 +669,25 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     # each column is labelled with its step size as a fraction of the bound
     base_tag = f"mu{base_mu / bound:g}"
 
-    cfgs = {}
-    for mu in (base_mu, 2 * base_mu):
-        for label, n_imd in (("alms", 0), ("anclms", config.N)):
-            window = int(0.9 * n_iters) if label == "alms" else None
-            cfgs[mu, label] = CancellerConfig(mu=mu, M=config.M, N=n_imd,
-                                              k_tiq=point.k_tiq, steady_window=window)
-    # per job: taps 1 and 2 at the plotted steps, (steps, 2), summed by the
-    # kernel in trial order (run_trials' job-major lanes) into one row that
-    # starts at -0.0, as a -0.0 + x is x bit for bit
-    jobs = {f"{label}_mu{mu / bound:g}": Job(cfg, taps=np.full((len(iters_axis), 2), -0.0j))
-            for (mu, label), cfg in cfgs.items()}
+    # per job, by label: taps 1 and 2 at the plotted steps, (steps, 2), summed
+    # by the kernel in trial order (run_trials' job-major lanes) into one row
+    # that starts at -0.0, as a -0.0 + x is x bit for bit
+    jobs = {f"{label}_mu{mu / bound:g}": Job(mu, n_imd,
+                                             int(0.9 * n_iters) if label == "alms" else None,
+                                             taps=np.full((len(iters_axis), 2), -0.0j))
+            for mu in (base_mu, 2 * base_mu)
+            for label, n_imd in (("alms", 0), ("anclms", config.N))}
     w_opts = {"alms": channels.stacked_linear(), "anclms": channels.stacked_nonlinear()}
     # and the error of the window-mean weights, summed in trial order as the
     # trials come, from -0.0 too
-    err_sums = {key: np.full(len(w_opts[key[1]]), -0.0j) for key in cfgs}
+    err_sums = {label: np.full(len(w_opts[label.partition("_")[0]]), -0.0j)
+                for label in jobs}
     for _, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
                                  report.clock, track_taps=(0, 1), tap_stride=stride):
         # a diverged trial's inf or nan weights may overflow the sums
         with np.errstate(over="ignore", invalid="ignore"):
-            for key, run in zip(cfgs, runs.values()):
-                err_sums[key] += run.mean_weights - w_opts[key[1]]
+            for label, run in runs.items():
+                err_sums[label] += run.mean_weights - w_opts[label.partition("_")[0]]
 
     # the bias does not depend on the step size
     with report.clock.phase("theory"):
@@ -694,7 +698,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             # a complex quotient of inf or nan parts warns
             with np.errstate(over="ignore", invalid="ignore"):
                 tap_mean = jobs[f"{label}_{tag}"].taps / config.trials
-                mean_err = err_sums[mu, label] / config.trials
+                mean_err = err_sums[f"{label}_{tag}"] / config.trials
             for tap in (0, 1):
                 err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
                 traces[f"{label}_{tag}_tap{tap + 1}"] = err
@@ -760,17 +764,14 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
     points = []  # (point, mu, its two jobs by label), in grid order
     for tx in grid:
         point = _point(config, config.profile.with_tx_power(tx))
-        k_tiq = point.k_tiq
         # one shared step size for both cancellers at this grid point; ANCLMS
         # starts at the exact Wiener solution of the rendered model, ALMS at zero
         with report.clock.phase("theory"):
             bound = alms_ms_bound(point.sigma_x2, config.M)
         mu = _resolve_mu(config, bound, report)
         points.append((point, mu, {
-            f"alms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, k_tiq=k_tiq)),
-            f"anclms@{tx:g}dBm": Job(CancellerConfig(mu=mu, M=config.M, N=config.N,
-                                                     k_tiq=k_tiq),
-                                     w0=point.channels.stacked_nonlinear())}))
+            f"alms@{tx:g}dBm": Job(mu),
+            f"anclms@{tx:g}dBm": Job(mu, config.N, w0=point.channels.stacked_nonlinear())}))
 
     trial_mse = {label: np.empty(config.trials) for *_, jobs in points for label in jobs}
     for first in range(0, len(points), 2):
@@ -908,8 +909,8 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         """A job at ``mu`` with a residual row, into which the kernel adds its
         trials' residual powers in trial order (run_trials' job-major lanes),
         from -0.0, as -0.0 + x is x bit for bit."""
-        return Job(CancellerConfig(mu=mu, M=config.M, N=config.N, k_tiq=k),
-                   preconditioner=preconditioner, residuals=np.full(n_steps, -0.0))
+        return Job(mu, config.N, preconditioner=preconditioner,
+                   residuals=np.full(n_steps, -0.0))
 
     # the SINR curve of each run, in the column order of convergence.csv,
     # each of n_points block means
@@ -991,37 +992,35 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     fracs = PROBE_MU_FRACS
     report.meta["mu_frac"] = ",".join(f"{f:g}" for f in fracs)
     report.meta["mu_bound"] = "alms_ms_bound,anclms_ms_bound"
-    cfgs = {(label, frac): CancellerConfig(mu=frac * bounds[label], M=config.M,
-                                           N=n_imd, k_tiq=k_tiq)
+    jobs = {f"{label}_mu{frac:g}": Job(frac * bounds[label], n_imd)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
-    jobs = {f"{label}_mu{frac:g}": Job(cfg) for (label, frac), cfg in cfgs.items()}
     # per trial: (steady-state MSE, first nonfinite step, whether it diverged)
-    trial_runs = {key: [] for key in cfgs}
+    trial_runs = {key: [] for key in jobs}
     for _, runs, diverged in run_trials(config, [(point, jobs)],
                                         config.iterations + config.M, report.clock):
-        for key, label in zip(cfgs, jobs):
-            run = runs[label]
-            trial_runs[key].append((run.steady_state_mse, run.diverged_at, diverged[label]))
+        for key, run in runs.items():
+            trial_runs[key].append((run.steady_state_mse, run.diverged_at, diverged[key]))
 
     rows = []
-    for (label, frac), cfg in cfgs.items():
-        steady_mse, diverged_at, grew = map(np.array, zip(*trial_runs[label, frac]))
+    for label, frac in itertools.product(bounds, fracs):
+        key = f"{label}_mu{frac:g}"
+        job = jobs[key]
+        steady_mse, diverged_at, grew = map(np.array, zip(*trial_runs[key]))
         n_div = int(grew.sum())
-        report.meta[f"first_divergence[{label}_mu{frac:g}]"] = \
-            _divergence_note(diverged_at)
+        report.meta[f"first_divergence[{key}]"] = _divergence_note(diverged_at)
         j_theory = math.inf
         if frac < 1.0:
             with report.clock.phase("theory"):
                 if label == "alms":
-                    j_theory = alms_steady_mse(point, cfg.mu, alms_regime(point))
+                    j_theory = alms_steady_mse(point, job.mu, alms_regime(point))
                 else:
-                    j_theory = anclms_exact_steady_mse(ana, noise, cfg.mu)
+                    j_theory = anclms_exact_steady_mse(ana, noise, job.mu)
         conv = steady_mse[~grew]
         rows.append({
             "variant": label,
             "mu_frac": frac,
-            "mu": cfg.mu,
+            "mu": job.mu,
             "n_diverged": n_div,
             "verdict": "diverged" if n_div > config.trials // 2 else "converged",
             "theory_mse": j_theory,

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from fdsic.cancellers import CancellerConfig, regressor_matrix, run_batch
+from fdsic.cancellers import Job, regressor_matrix, run_batch
 from fdsic.harness import ExperimentConfig, run_experiment
 from fdsic.signals import gen_proper_gaussian
 from fdsic.theory import (alms_ms_bound, alms_regime, alms_steady_mse,
@@ -122,9 +122,9 @@ def test_criterion_5_low_power_limit(lowpower_setup):
     xs, ds = stack_trials(config, operating_point(prof, channels, budget), 30_000 + M)
     worst = 0.0
     for n_imd in (0, N):  # ALMS, then ANCLMS
-        cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
         mse = np.mean([run.steady_state_mse
-                       for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)])
+                       for run, _, _ in run_batch(xs, ds, Job(mu, n_imd), M, prof.k_tiq,
+                                                  keep_residuals=False)])
         sinr = lin_to_db(budget.p_x_soi / float(mse))
         worst = max(worst, abs(sinr - prof.snr_req_db))
     elapsed = time.time() - t0
@@ -146,8 +146,8 @@ def _dichotomy_runs(lowpower_setup, lowpower_ms_analysis, frac):
     out = {}
     for label, n_imd, bound in cancellers:
         mu = frac * bound
-        cfg = CancellerConfig(mu=mu, M=M, N=n_imd, k_tiq=prof.k_tiq)
-        runs = [run for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)]
+        runs = [run for run, _, _ in run_batch(xs, ds, Job(mu, n_imd), M, prof.k_tiq,
+                                               keep_residuals=False)]
         grew = np.array([run.diverged or run.peak_residual > 1e3 * init for run in runs])
         steady_mse = np.array([run.steady_state_mse for run in runs])
         if frac >= 1.0:
@@ -297,8 +297,7 @@ def test_criterion_9_property_suite(type2, lowpower_setup, lowpower_ms_analysis,
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     d = np.concatenate([np.zeros(m2 - 1), d_tail])
     mu_q = 0.02 * anclms_mean_bound(0.3, 1.5, m2, n2)
-    [(run, _, _)] = run_batch(xq[None, :], d[None, :],
-                              CancellerConfig(mu=mu_q, M=m2, N=n2, k_tiq=1.5))
+    [(run, _, _)] = run_batch(xq[None, :], d[None, :], Job(mu_q, n2), m2, 1.5)
     np.testing.assert_allclose(run.final_weights, ls, rtol=5e-5,
                                atol=5e-5 * np.abs(ls).max())
     notes.append("widely nonlinear LS oracle (4 digits)")

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsic import _native, cancellers, harness
-from fdsic.cancellers import (CancellerConfig, DegenerateInputError, Job,
-                              check_nonsingular, default_steady_window,
-                              newton_preconditioner, regressor_matrix, run_batch,
-                              run_jobs)
+from fdsic.cancellers import (DegenerateInputError, Job, check_nonsingular,
+                              default_steady_window, newton_preconditioner,
+                              regressor_matrix, run_batch, run_jobs)
 from fdsic.harness import ExperimentConfig
 from fdsic.signals import Draw, gen_proper_gaussian
 from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
@@ -74,8 +73,11 @@ def test_nonlinear_regressor_structure(window, k_tiq):
 def test_build_nonlinear_bad_n():
     with pytest.raises(ValueError):
         regressor_matrix([1.0, 2.0], 2, 2)
-    with pytest.raises(ValueError):
-        CancellerConfig(mu=0.1, M=2, N=2)
+    x = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError, match="0 <= N < M"):
+        run_jobs([Job(0.1, 2, z=x, d=x)], 2, 1.0)
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        run_jobs([Job(-0.1, z=x, d=x)], 2, 1.0)
 
 
 def _one_step(window, d, mu):
@@ -84,8 +86,7 @@ def _one_step(window, d, mu):
     x = np.asarray(window, dtype=complex)[::-1]
     d_seq = np.zeros(len(x), dtype=complex)
     d_seq[-1] = d
-    [(run, residuals, _)] = run_batch(x[None, :], d_seq[None, :],
-                                      CancellerConfig(mu=mu, M=len(x)))
+    [(run, residuals, _)] = run_batch(x[None, :], d_seq[None, :], Job(mu), len(x), 1.0)
     return run, residuals
 
 
@@ -120,8 +121,7 @@ def test_alms_noiseless_convergence_to_ls_oracle():
 
     d = np.concatenate([np.zeros(M - 1), d_tail])
     mu = 0.5 * alms_ms_bound(1.0, M)
-    [(run, _, _)] = run_batch(x[None, :], d[None, :],
-                              CancellerConfig(mu=mu, M=M))
+    [(run, _, _)] = run_batch(x[None, :], d[None, :], Job(mu), M, 1.0)
     err = np.sum(np.abs(run.final_weights - w_opt) ** 2)
     assert err / np.sum(np.abs(w_opt) ** 2) < 1e-6  # below -60 dB
 
@@ -135,8 +135,7 @@ def test_anclms_noiseless_residual_floor():
     d_tail = regs @ w_opt
     d = np.concatenate([np.zeros(M - 1), d_tail])
     mu = 0.02 * anclms_mean_bound(0.3, 1.0, M, N)
-    [(_, res, _)] = run_batch(x[None, :], d[None, :],
-                              CancellerConfig(mu=mu, M=M, N=N, k_tiq=1.0),
+    [(_, res, _)] = run_batch(x[None, :], d[None, :], Job(mu, N), M, 1.0,
                               keep_residuals=True)
     assert res[-100:].mean() < 1e-6 * res[:100].mean()
 
@@ -152,8 +151,7 @@ def test_anclms_matches_widely_nonlinear_ls():
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
     d = np.concatenate([np.zeros(m - 1), d_tail])
     mu = 0.02 * anclms_mean_bound(0.3, 1.5, m, n)
-    [(run, _, _)] = run_batch(x[None, :], d[None, :],
-                              CancellerConfig(mu=mu, M=m, N=n, k_tiq=1.5))
+    [(run, _, _)] = run_batch(x[None, :], d[None, :], Job(mu, n), m, 1.5)
     got = run.final_weights
     np.testing.assert_allclose(got, ls, rtol=5e-5, atol=5e-5 * np.abs(ls).max())
 
@@ -214,13 +212,14 @@ def test_whitened_weights_map_back(type2):
     x = gen_proper_gaussian(3000, seed=22).reference(s2)
     rng = np.random.default_rng(23)
     d = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
-    cfg = CancellerConfig(mu=0.01, M=M, N=N, k_tiq=type2.k_tiq)
+    mu = 0.01
     phi = _exact_whitening(s2, type2.k_tiq)
     v = np.zeros(2 * (M + N), dtype=complex)
     for t, u in enumerate(regressor_matrix(x, M, N, type2.k_tiq) @ phi.T):
-        v += cfg.mu * (d[M - 1 + t] - u @ v) * np.conj(u)
-    [(run, _, _)] = run_batch(x, d, cfg, preconditioner=newton_preconditioner(
+        v += mu * (d[M - 1 + t] - u @ v) * np.conj(u)
+    newton = Job(mu, N, preconditioner=newton_preconditioner(
         rb_matrix(s2, type2.k_tiq, M, N), M, N))
+    [(run, _, _)] = run_batch(x, d, newton, M, type2.k_tiq)
     want = phi.T @ v
     np.testing.assert_allclose(run.final_weights, want, rtol=0,
                                atol=1e-9 * np.abs(want).max())
@@ -229,7 +228,7 @@ def test_whitened_weights_map_back(type2):
 def test_run_batch_zero_observation():
     x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
-    [(run, residuals, _)] = run_batch(x[None, :], d[None, :], CancellerConfig(mu=0.05, M=M))
+    [(run, residuals, _)] = run_batch(x[None, :], d[None, :], Job(0.05), M, 1.0)
     assert np.all(residuals == 0.0)
     assert np.all(run.final_weights == 0.0)
     assert run.steady_state_mse == 0.0
@@ -242,7 +241,7 @@ def test_run_batch_low_power_mse(lowpower_setup):
     config = ExperimentConfig(experiment="bias", profile=prof, trials=1,
                               seed=SEED)
     xs, ds = stack_trials(config, operating_point(prof, channels, budget), 30_000 + M)
-    [(run, residuals, _)] = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq))
+    [(run, residuals, _)] = run_batch(xs, ds, Job(mu), M, prof.k_tiq)
     j_low = ((1 - mu * s2) * budget.sigma_v2 / (1 - mu * (M + 1) * s2)
              + budget.sigma_q2)
     assert run.steady_state_mse == pytest.approx(j_low, rel=0.05)
@@ -255,8 +254,7 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
                               seed=SEED)
     xs, ds = stack_trials(config, operating_point(prof, channels, budget), 8000 + M)
     mu = 1.5 * lowpower_ms_analysis.bound
-    runs = run_batch(xs, ds, CancellerConfig(mu=mu, M=M, N=N,
-                                             k_tiq=prof.k_tiq), keep_residuals=False)
+    runs = run_batch(xs, ds, Job(mu, N), M, prof.k_tiq, keep_residuals=False)
     assert all(harness._diverged(run, harness._mean_power(d))
                for (run, _, _), d in zip(runs, ds))
 
@@ -266,8 +264,7 @@ def test_mu_zero_flat_residual(lowpower_setup):
     config = ExperimentConfig(experiment="bias", profile=prof, trials=2,
                               seed=SEED)
     xs, ds = stack_trials(config, operating_point(prof, channels, budget), 5000 + M)
-    runs = run_batch(xs, ds, CancellerConfig(mu=0.0, M=M, k_tiq=prof.k_tiq),
-                     keep_residuals=True)
+    runs = run_batch(xs, ds, Job(0.0), M, prof.k_tiq, keep_residuals=True)
     np.testing.assert_allclose([residuals for _, residuals, _ in runs],
                                np.abs(ds[:, M - 1:]) ** 2, rtol=1e-12)
 
@@ -291,11 +288,11 @@ def test_regressor_matrix_row_indexing():
     assert np.array_equal(batch[0], regs)
 
 
-def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
-                         w0=None, tap_stride=1, preconditioner=None):
+def _reference_run_batch(xs, ds, job, M, k_tiq, keep_residuals=True, track_taps=(),
+                         tap_stride=1):
     """run_batch as a per-step numpy loop: the oracle for the C kernel.
 
-    With ``preconditioner`` P the step moves along P conj(reg), formed entry
+    With the job's ``preconditioner`` P the step moves along P conj(reg), formed entry
     by entry as the diagonal term plus the term of the row's one
     off-diagonal nonzero (column k with weight 0 if it has none).
     Returns each trial's ``(fields, residuals, taps)`` in trial order: its
@@ -303,13 +300,13 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
     ``run_batch`` returns them.
     """
     trials, n = xs.shape
-    M, N = config.M, config.N
+    N, preconditioner = job.N, job.preconditioner
     dim = 2 * (M + N)
     n_steps = n - M + 1
-    window = config.steady_window or default_steady_window(n_steps)
+    window = job.steady_window or default_steady_window(n_steps)
     w = np.zeros((trials, dim), dtype=np.complex128)
-    if w0 is not None:
-        w[:] = w0
+    if job.w0 is not None:
+        w[:] = job.w0
     res = np.empty((trials, n_steps)) if keep_residuals else None
     taps = (np.empty((trials, n_steps, len(track_taps)), dtype=np.complex128)
             if track_taps else None)
@@ -320,14 +317,14 @@ def _reference_run_batch(xs, ds, config, keep_residuals=True, track_taps=(),
     peak = np.zeros(trials)
     finite = np.ones(trials, dtype=bool)
     win_start = n_steps - window
-    mu = config.mu
+    mu = job.mu
     if preconditioner is not None:
         p = np.asarray(preconditioner, dtype=float)
         off = p - np.diag(np.diag(p))
         pair = np.where(off.any(axis=1), np.argmax(off != 0, axis=1), np.arange(dim))
         diag, coef = np.diag(p), off[np.arange(dim), pair]
     with np.errstate(over="ignore", invalid="ignore"):
-        regs = regressor_matrix(xs, M, N, config.k_tiq)
+        regs = regressor_matrix(xs, M, N, k_tiq)
         for t in range(n_steps):
             reg = regs[:, t]
             e = ds[:, M - 1 + t] - np.einsum("ij,ij->i", reg, w)
@@ -436,10 +433,11 @@ def wiener(type2):
                                seed=SEED).stacked_nonlinear()
 
 
-def _kernel_config(kernel_setup, kind, scale):
-    prof, _, _, bounds = kernel_setup
-    return CancellerConfig(mu=scale * bounds[kind], M=M, N=0 if kind == 0 else N,
-                           k_tiq=prof.k_tiq)
+def _kernel_job(kernel_setup, kind, scale, **fields):
+    """The ``Job`` of a kind of _KERNEL_MODES at ``scale`` times its bound,
+    with the other ``fields`` given."""
+    bounds = kernel_setup[3]
+    return Job(scale * bounds[kind], 0 if kind == 0 else N, **fields)
 
 
 def _exact_inverse(kernel_setup):
@@ -450,23 +448,23 @@ def _exact_inverse(kernel_setup):
 
 
 def _kernel_inputs(kernel_setup, wiener, mode):
-    """(xs, ds, config, run_batch options) of a mode of _KERNEL_MODES."""
-    _, xs, ds, _ = kernel_setup
+    """(xs, ds, job, run_batch options) of a mode of _KERNEL_MODES, the
+    options with the call's M and k_tiq."""
+    prof, xs, ds, _ = kernel_setup
     kind, scale, options = _KERNEL_MODES[mode]
-    cfg = _kernel_config(kernel_setup, kind, scale)
-    if kind == "newton":
-        options = {**options, "preconditioner": _exact_inverse(kernel_setup)}
-    if options.get("w0") == "wiener":
-        options = {**options, "w0": wiener}
-    return xs, ds, cfg, options
+    options = dict(options, M=M, k_tiq=prof.k_tiq)
+    job = _kernel_job(kernel_setup, kind, scale,
+                      w0=wiener if options.pop("w0", None) == "wiener" else None,
+                      preconditioner=_exact_inverse(kernel_setup) if kind == "newton" else None)
+    return xs, ds, job, options
 
 
 @pytest.mark.parametrize("mode", _KERNEL_MODES)
 def test_kernel_matches_numpy_loop(mode, kernel_setup, wiener):
-    xs, ds, cfg, options = _kernel_inputs(kernel_setup, wiener, mode)
+    xs, ds, job, options = _kernel_inputs(kernel_setup, wiener, mode)
     scale = _KERNEL_MODES[mode][1]
-    got = run_batch(xs, ds, cfg, **options)
-    want = _reference_run_batch(xs, ds, cfg, **options)
+    got = run_batch(xs, ds, job, **options)
+    want = _reference_run_batch(xs, ds, job, **options)
     assert [run.diverged for run, _, _ in got] == [scale > 1] * len(xs)
     _assert_same_runs(got, want)
 
@@ -474,19 +472,20 @@ def test_kernel_matches_numpy_loop(mode, kernel_setup, wiener):
 @pytest.mark.parametrize("mode", ["alms_diverging", "anclms_taps", "whitened_anclms"])
 def test_batch_equals_single_trial_runs(mode, kernel_setup, wiener):
     """A 3-trial batch returns exactly the runs of three 1-trial runs."""
-    xs, ds, cfg, options = _kernel_inputs(kernel_setup, wiener, mode)
+    xs, ds, job, options = _kernel_inputs(kernel_setup, wiener, mode)
     xs, ds = xs[:3], ds[:3]
-    _assert_same_runs(run_batch(xs, ds, cfg, **options),
-                      [run for x, d in zip(xs, ds) for run in run_batch(x, d, cfg, **options)])
+    _assert_same_runs(run_batch(xs, ds, job, **options),
+                      [run for x, d in zip(xs, ds) for run in run_batch(x, d, job, **options)])
 
 
 def test_zero_start_weights_are_the_default(kernel_setup):
     """w0 = 0 returns every field bit for bit as the default start does."""
-    _, xs, ds, _ = kernel_setup
-    cfg = _kernel_config(kernel_setup, N, 0.5)
+    prof, xs, ds, _ = kernel_setup
+    job = _kernel_job(kernel_setup, N, 0.5)
     options = dict(track_taps=(0, 1, 5))
-    cold = run_batch(xs, ds, cfg, **options)
-    zero = run_batch(xs, ds, cfg, w0=np.zeros(2 * (M + N)), **options)
+    cold = run_batch(xs, ds, job, M, prof.k_tiq, **options)
+    zero = run_batch(xs, ds, job._replace(w0=np.zeros(2 * (M + N))), M, prof.k_tiq,
+                     **options)
     _assert_same_runs(zero, cold)
 
 
@@ -551,36 +550,35 @@ def _group_jobs(kernel_setup, wiener, point_rows, count):
     jobs, own = [], []
     for (kind, scale, window, start), point in zip(_GROUP_JOBS[:count], _GROUP_POINTS):
         s2, ds = points[point]
-        config = CancellerConfig(mu=scale * bounds[kind if kind != 2 else N], M=M,
-                                 N=N if kind == "newton" else kind,
-                                 k_tiq=prof.k_tiq, steady_window=window)
-        jobs.append(Job(config, None, ds, draw.scale(s2),
+        jobs.append(Job(scale * bounds[kind if kind != 2 else N],
+                        N if kind == "newton" else kind, window, None, ds, draw.scale(s2),
                         wiener if start == "wiener" else None,
                         _exact_inverse(kernel_setup) if kind == "newton" else None))
         own.append((draw.reference(s2), ds))
     return jobs, own
 
 
-def _own_rows(jobs, keep_residuals=True, track_taps=(), tap_stride=1) -> list:
-    """Run ``jobs`` in one call, each with residual and tap rows of its own
-    that start at -0.0 (none where not kept), as ``run_batch`` gives its
-    trials; return each job's ``(run, residuals, taps)``."""
-    n_steps = len(jobs[0].z) - jobs[0].config.M + 1
+def _own_rows(jobs, k_tiq, keep_residuals=True, track_taps=(), tap_stride=1) -> list:
+    """Run ``jobs`` in one call of M and ``k_tiq``, each with residual and
+    tap rows of its own that start at -0.0 (none where not kept), as
+    ``run_batch`` gives its trials; return each job's
+    ``(run, residuals, taps)``."""
+    n_steps = len(jobs[0].z) - M + 1
     jobs = [job._replace(
         residuals=np.full(n_steps, -0.0) if keep_residuals else None,
         taps=(np.full((-(-n_steps // tap_stride), len(track_taps)), -0.0j)
               if track_taps else None)) for job in jobs]
-    runs = run_jobs(jobs, track_taps, tap_stride)
+    runs = run_jobs(jobs, M, k_tiq, track_taps, tap_stride)
     return [(run, job.residuals, job.taps) for run, job in zip(runs, jobs)]
 
 
-def _grouped(jobs, zs, **options) -> list[list]:
+def _grouped(jobs, zs, k_tiq, **options) -> list[list]:
     """Run every job of ``jobs`` on every trial, the trial's source row of
-    ``zs`` and its row of the job's d, in one call, trial-major, so that
-    each vector holds several jobs, each with rows of its own
-    (``_own_rows``); return each job's records in trial order."""
+    ``zs`` and its row of the job's d, in one call of M and ``k_tiq``,
+    trial-major, so that each vector holds several jobs, each with rows of
+    its own (``_own_rows``); return each job's records in trial order."""
     runs = _own_rows([job._replace(z=z, d=job.d[t]) for t, z in enumerate(zs)
-                      for job in jobs], **options)
+                      for job in jobs], k_tiq, **options)
     return [runs[k::len(jobs)] for k in range(len(jobs))]
 
 
@@ -604,21 +602,20 @@ def test_grouped_jobs_equal_single_jobs(count, kernel_setup, wiener, point_rows)
     observation, returns each JobRun field bit for bit as it returns alone
     on that x and d, and as the numpy loop does."""
     zs, _ = point_rows
+    k_tiq = kernel_setup[0].k_tiq
     jobs, own = _group_jobs(kernel_setup, wiener, point_rows, count)
     options = _GROUP_OPTIONS[count]
     assert _native.lanes() == _build_lanes()
-    runs = _grouped(jobs, zs, **options)
+    runs = _grouped(jobs, zs, k_tiq, **options)
     assert len(runs) == count
     assert all(run.diverged for run, _, _ in runs[3 % count]) == (count > 3)
     assert not any(run.diverged for run, _, _ in runs[0] + runs[1])
     # one job alone runs as the lanes too, forming its x from z
-    [alone] = _own_rows([jobs[0]._replace(z=zs[0], d=jobs[0].d[0])], **options)
+    [alone] = _own_rows([jobs[0]._replace(z=zs[0], d=jobs[0].d[0])], k_tiq, **options)
     _assert_same_bits(alone, runs[0][0])
     for job, (xs, d), job_runs in zip(jobs, own, runs):
         for oracle in (run_batch, _reference_run_batch):
-            _assert_same_runs(job_runs, oracle(xs, d, job.config, w0=job.w0,
-                                               preconditioner=job.preconditioner,
-                                               **options))
+            _assert_same_runs(job_runs, oracle(xs, d, job, M, k_tiq, **options))
 
 
 def test_newton_jobs_of_one_call(kernel_setup, wiener, monkeypatch):
@@ -626,27 +623,26 @@ def test_newton_jobs_of_one_call(kernel_setup, wiener, monkeypatch):
     each return their one-job bits, and the plain job beside them its own;
     the preconditioner they share is checked and laid out for the kernel
     once."""
-    _, xs, ds, _ = kernel_setup
+    prof, xs, ds, _ = kernel_setup
     p = _exact_inverse(kernel_setup)
     formed = []
     real = cancellers._partner_pairs
     monkeypatch.setattr(cancellers, "_partner_pairs",
                         lambda *args: formed.append(args[0]) or real(*args))
-    jobs = [Job(_kernel_config(kernel_setup, "newton", 1.5), None, ds, preconditioner=p),
-            Job(_kernel_config(kernel_setup, N, 0.3), None, ds, w0=wiener),
-            Job(_kernel_config(kernel_setup, "newton", 0.01), None, ds, w0=wiener,
-                preconditioner=p)]
+    jobs = [_kernel_job(kernel_setup, "newton", 1.5, d=ds, preconditioner=p),
+            _kernel_job(kernel_setup, N, 0.3, d=ds, w0=wiener),
+            _kernel_job(kernel_setup, "newton", 0.01, d=ds, w0=wiener, preconditioner=p)]
     options = dict(track_taps=(0, 9, 17), tap_stride=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        runs = _grouped(jobs, xs, **options)
+        runs = _grouped(jobs, xs, prof.k_tiq, **options)
     assert len(formed) == 1 and formed[0] is p
     assert [[run.diverged for run, _, _ in job_runs] for job_runs in runs] == [
         [True] * len(xs), [False] * len(xs), [False] * len(xs)]
     for job, job_runs in zip(jobs, runs):
-        options.update(w0=job.w0, preconditioner=job.preconditioner)
-        _assert_same_runs(job_runs, run_batch(xs, ds, job.config, **options))
-        _assert_same_runs(job_runs, _reference_run_batch(xs, ds, job.config, **options))
+        _assert_same_runs(job_runs, run_batch(xs, ds, job, M, prof.k_tiq, **options))
+        _assert_same_runs(job_runs, _reference_run_batch(xs, ds, job, M, prof.k_tiq,
+                                                         **options))
 
 
 def test_newton_jobs_pairing_differently(kernel_setup, wiener):
@@ -656,18 +652,16 @@ def test_newton_jobs_pairing_differently(kernel_setup, wiener):
     where the build has them, and every job returns its one-job bits."""
     prof, xs, ds, _ = kernel_setup
     s2 = prof.natural_sigma_x2
-    jobs = [Job(_kernel_config(kernel_setup, "newton", 0.01), None, ds, w0=wiener,
-                preconditioner=_exact_inverse(kernel_setup)),
-            Job(CancellerConfig(mu=0.01, M=M, N=2, k_tiq=prof.k_tiq), None, ds,
+    jobs = [_kernel_job(kernel_setup, "newton", 0.01, d=ds, w0=wiener,
+                        preconditioner=_exact_inverse(kernel_setup)),
+            Job(0.01, 2, d=ds,
                 preconditioner=newton_preconditioner(rb_matrix(s2, prof.k_tiq, M, 2),
                                                      M, 2)),
-            Job(_kernel_config(kernel_setup, N, 0.3), None, ds, w0=wiener)]
+            _kernel_job(kernel_setup, N, 0.3, d=ds, w0=wiener)]
     options = dict(track_taps=(0, 5), tap_stride=5)
-    runs = _grouped(jobs, xs, **options)
+    runs = _grouped(jobs, xs, prof.k_tiq, **options)
     for job, job_runs in zip(jobs, runs):
-        _assert_same_runs(job_runs, run_batch(xs, ds, job.config, w0=job.w0,
-                                              preconditioner=job.preconditioner,
-                                              **options))
+        _assert_same_runs(job_runs, run_batch(xs, ds, job, M, prof.k_tiq, **options))
 
 
 def test_grouped_jobs_zero_observation():
@@ -675,8 +669,8 @@ def test_grouped_jobs_zero_observation():
     the lanes' max * sqrt(1 + (min/max)^2) would be 0/0)."""
     x = gen_proper_gaussian(4000, seed=30).reference(1.0)
     d = np.zeros(4000, dtype=complex)
-    jobs = [Job(CancellerConfig(mu=0.05, M=M, N=n_imd), x, d) for n_imd in (0, N, 1)]
-    for run, residuals, _ in _own_rows(jobs):
+    jobs = [Job(0.05, n_imd, z=x, d=d) for n_imd in (0, N, 1)]
+    for run, residuals, _ in _own_rows(jobs, 1.0):
         assert np.all(residuals == 0.0)
         assert np.all(run.final_weights == 0.0)
         assert run.steady_state_mse == 0.0 and not run.diverged
@@ -687,20 +681,20 @@ def test_record_rows_contract(kernel_setup):
     refuses a row of another shape or dtype, one that is not C-contiguous,
     one that is read-only and one that is no array, before it runs
     anything; a job without rows returns the run it returns with them."""
-    _, xs, ds, _ = kernel_setup
-    cfg = _kernel_config(kernel_setup, N, 0.5)
+    prof, xs, ds, _ = kernel_setup
+    job = _kernel_job(kernel_setup, N, 0.5)
     steps = xs.shape[1] - M + 1
     kept = -(-steps // 7)
     options = dict(track_taps=(0, 5), tap_stride=7)
     good = dict(residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
     for name, ok in good.items():
-        assert_refuses(lambda row: run_jobs([Job(cfg, xs[0], ds[0], **good),
-                                             Job(cfg, xs[1], ds[1], **{name: row})],
-                                            **options), ok, name)
+        assert_refuses(lambda row: run_jobs([job._replace(z=xs[0], d=ds[0], **good),
+                                             job._replace(z=xs[1], d=ds[1], **{name: row})],
+                                            M, prof.k_tiq, **options), ok, name)
     for row in good.values():  # the refused calls ran nothing
         assert np.all(row.view(np.uint64) == np.float64(-0.0).view(np.uint64))
-    [bare] = run_jobs([Job(cfg, xs[0], ds[0])], **options)
-    [with_rows] = _own_rows([Job(cfg, xs[0], ds[0])], **options)
+    [bare] = run_jobs([job._replace(z=xs[0], d=ds[0])], M, prof.k_tiq, **options)
+    [with_rows] = _own_rows([job._replace(z=xs[0], d=ds[0])], prof.k_tiq, **options)
     _assert_same_bits((bare, None, None), (with_rows[0], None, None))
 
 
@@ -738,19 +732,20 @@ def test_shared_rows_sum_in_trial_order(case, build, kernel_setup, ten_trials, r
     one-job run, on the default, the -mno-avx2 and the -mno-avx512f
     builds."""
     xs, ds = ten_trials
+    k_tiq = kernel_setup[0].k_tiq
     trials = len(xs)
     steps = xs.shape[1] - M + 1
     kept = -(-steps // 7)
     options = dict(track_taps=(0, 5), tap_stride=7)
-    jobs = [Job(_kernel_config(kernel_setup, kind, scale),
-                preconditioner=_exact_inverse(kernel_setup) if kind == "newton" else None,
-                residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
+    jobs = [_kernel_job(kernel_setup, kind, scale,
+                        preconditioner=_exact_inverse(kernel_setup) if kind == "newton" else None,
+                        residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
             for kind, scale in _SHARED_JOBS[case]]
     calls = [job._replace(z=x, d=d) for job in jobs for x, d in zip(xs, ds)]
     build = contextlib.nullcontext if build == "default" else request.getfixturevalue(build)
     with build():
-        runs = run_jobs(calls, **options)
-        alone = [record for call in calls for record in _own_rows([call], **options)]
+        runs = run_jobs(calls, M, k_tiq, **options)
+        alone = [record for call in calls for record in _own_rows([call], k_tiq, **options)]
     for k, job in enumerate(jobs):
         sums = dict(residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
         for t in range(trials):
@@ -766,27 +761,22 @@ def test_shared_rows_sum_in_trial_order(case, build, kernel_setup, ten_trials, r
 
 
 def test_jobs_of_one_call_share_m_and_k_tiq(kernel_setup):
-    """A call's jobs share M and k_tiq, and each brings 1-D rows z and d of
-    the call's one length."""
+    """A call's jobs share the M and k_tiq the call is given, and each
+    brings 1-D rows z and d of the call's one length."""
     _, xs, ds, _ = kernel_setup
     x, d = xs[0], ds[0]
-    base = CancellerConfig(mu=0.01, M=M, k_tiq=1.0)
-    for other in (dataclasses.replace(base, M=M - 1),
-                  dataclasses.replace(base, k_tiq=2.0)):
-        with pytest.raises(ValueError, match="share M and k_tiq"):
-            run_jobs([Job(base, x, d), Job(other, x, d)])
     with pytest.raises(ValueError, match="at least one job"):
-        run_jobs([])
+        run_jobs([], M, 1.0)
     with pytest.raises(TypeError, match="Job records"):
-        run_jobs([(base, x, d)])
-    for jobs in ([Job(base, x, d), Job(base, x[1:], d[1:])],  # two lengths in a call
-                 [Job(base, x, d[1:])],                         # z and d unequal
-                 [Job(base, xs, ds)],                           # 2-D rows
-                 [Job(base, x, d), Job(base, x, ds)]):
+        run_jobs([(0.01, x, d)], M, 1.0)
+    for jobs in ([Job(0.01, z=x, d=d), Job(0.01, z=x[1:], d=d[1:])],  # two lengths
+                 [Job(0.01, z=x, d=d[1:])],                           # z and d unequal
+                 [Job(0.01, z=xs, d=ds)],                             # 2-D rows
+                 [Job(0.01, z=x, d=d), Job(0.01, z=x, d=ds)]):
         with pytest.raises(ValueError, match="1-D rows of one length"):
-            run_jobs(jobs)
+            run_jobs(jobs, M, 1.0)
     with pytest.raises(ValueError, match="tap_stride"):
-        run_batch(xs, ds, base, track_taps=(0,), tap_stride=0)
+        run_batch(xs, ds, Job(0.01), M, 1.0, track_taps=(0,), tap_stride=0)
 
 
 def test_unallocated_lanes_raise_memory_error(kernel_setup, monkeypatch):
@@ -800,7 +790,7 @@ def test_unallocated_lanes_raise_memory_error(kernel_setup, monkeypatch):
 
     monkeypatch.setattr(_native, "library", Refusing)
     with pytest.raises(MemoryError, match="cannot allocate"):
-        run_batch(xs, ds, _kernel_config(kernel_setup, N, 0.5))
+        run_batch(xs, ds, _kernel_job(kernel_setup, N, 0.5), M, 1.0)
 
 
 def _assert_build_matches_the_default(build, flag, kernel_setup, wiener, point_rows):
@@ -809,12 +799,13 @@ def _assert_build_matches_the_default(build, flag, kernel_setup, wiener, point_r
     each on its own trial's rows, in its own lanes, and returns the bytes
     the default build returns."""
     zs, _ = point_rows
+    k_tiq = kernel_setup[0].k_tiq
     jobs, _ = _group_jobs(kernel_setup, wiener, point_rows, 5)
     options = _GROUP_OPTIONS[5]
-    default = _grouped(jobs, zs[:2], **options)
+    default = _grouped(jobs, zs[:2], k_tiq, **options)
     with build():
         assert _native.lanes() == _build_lanes(flag)
-        narrow = _grouped(jobs, zs[:2], **options)
+        narrow = _grouped(jobs, zs[:2], k_tiq, **options)
     for got, want in zip(narrow, default, strict=True):
         _assert_same_runs(got, want)
 
@@ -860,21 +851,21 @@ def test_kernel_compiles_without_warnings(build, tmp_path, request):
 
 
 def test_start_weights_contract(kernel_setup, wiener):
-    _, xs, ds, _ = kernel_setup
-    cfg = _kernel_config(kernel_setup, N, 0.5)
+    prof, xs, ds, _ = kernel_setup
+    job = _kernel_job(kernel_setup, N, 0.5)
     with pytest.raises(ValueError, match="w0 must be a vector of 18 weights"):
-        run_batch(xs, ds, cfg, w0=wiener[:-1])
+        run_batch(xs, ds, job._replace(w0=wiener[:-1]), M, prof.k_tiq)
     with pytest.raises(ValueError, match="w0 must be a vector"):
-        run_batch(xs, ds, cfg, w0=np.stack([wiener] * len(xs)))
+        run_batch(xs, ds, job._replace(w0=np.stack([wiener] * len(xs))), M, prof.k_tiq)
 
 
 def test_preconditioner_contract(kernel_setup):
-    _, xs, ds, _ = kernel_setup
-    cfg = _kernel_config(kernel_setup, "newton", 0.005)
+    prof, xs, ds, _ = kernel_setup
     p = _exact_inverse(kernel_setup)
     for bad in (p[:-1, :-1], p * 1j):
         with pytest.raises(ValueError, match="must be a real"):
-            run_batch(xs, ds, cfg, preconditioner=bad)
+            run_batch(xs, ds, _kernel_job(kernel_setup, "newton", 0.005, preconditioner=bad),
+                      M, prof.k_tiq)
 
 
 # off-diagonal entries of P outside the layout partners (x(n-d), x_imd(n-d))
@@ -885,45 +876,46 @@ def test_preconditioner_contract(kernel_setup):
 def test_preconditioner_couples_only_layout_partners(entry, kernel_setup):
     """run_batch and run_jobs refuse a P with a nonzero off the diagonal
     and off the partner positions, whatever its other entries."""
-    _, xs, ds, _ = kernel_setup
-    cfg = _kernel_config(kernel_setup, "newton", 0.005)
+    prof, xs, ds, _ = kernel_setup
+    job = _kernel_job(kernel_setup, "newton", 0.005, z=xs[0], d=ds[0])
     p = _exact_inverse(kernel_setup)
     assert p[0, M] != 0 and p[M + N, 2 * M + N] != 0  # the partners couple
     p[entry] = 0.25
     with pytest.raises(ValueError, match="layout partner"):
-        run_batch(xs, ds, cfg, preconditioner=p)
+        run_batch(xs, ds, job._replace(preconditioner=p), M, prof.k_tiq)
     with pytest.raises(ValueError, match="layout partner"):
-        run_jobs([Job(cfg, xs[0], ds[0]), Job(cfg, xs[0], ds[0], preconditioner=p)])
+        run_jobs([job, job._replace(preconditioner=p)], M, prof.k_tiq)
 
 
 def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
-    _, xs, ds, _ = kernel_setup
-    for run, residuals, _ in run_batch(xs, ds, _kernel_config(kernel_setup, 0, 2.0)):
+    prof, xs, ds, _ = kernel_setup
+    for run, residuals, _ in run_batch(xs, ds, _kernel_job(kernel_setup, 0, 2.0), M,
+                                       prof.k_tiq):
         assert type(run.diverged_at) is int and run.diverged_at > 0
         assert run.diverged_at == np.argmax(~np.isfinite(residuals))
-    calm = run_batch(xs, ds, _kernel_config(kernel_setup, 0, 0.5))
+    calm = run_batch(xs, ds, _kernel_job(kernel_setup, 0, 0.5), M, prof.k_tiq)
     assert [run.diverged_at for run, _, _ in calm] == [-1] * len(xs)
     assert not any(run.diverged for run, _, _ in calm)
 
 
 @pytest.mark.parametrize("whiten", [False, True])
 def test_diverging_run_emits_no_warnings(whiten, kernel_setup):
-    _, xs, ds, _ = kernel_setup
+    prof, xs, ds, _ = kernel_setup
     if whiten:  # the Newton step at 1.5x its mean bound
-        cfg = _kernel_config(kernel_setup, "newton", 1.5)
-        options = {"preconditioner": _exact_inverse(kernel_setup)}
+        job = _kernel_job(kernel_setup, "newton", 1.5,
+                          preconditioner=_exact_inverse(kernel_setup))
     else:
-        cfg, options = _kernel_config(kernel_setup, N, 3.0), {}
+        job = _kernel_job(kernel_setup, N, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        runs = run_batch(xs, ds, cfg, **options)
+        runs = run_batch(xs, ds, job, M, prof.k_tiq)
     assert all(run.diverged and math.isinf(run.steady_state_mse) for run, _, _ in runs)
 
 
 def test_tracked_tap_out_of_range(kernel_setup):
     _, xs, ds, _ = kernel_setup
     with pytest.raises(IndexError):
-        run_batch(xs, ds, CancellerConfig(mu=0.01, M=M), track_taps=(2 * M,))
+        run_batch(xs, ds, Job(0.01), M, 1.0, track_taps=(2 * M,))
 
 
 def test_kernel_build_failure_names_the_command(monkeypatch):

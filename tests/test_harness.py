@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from fdsic import _native, cli, harness, plots
-from fdsic.cancellers import (CancellerConfig, Job, JobRun, newton_preconditioner,
-                              run_batch, run_jobs)
+from fdsic.cancellers import Job, JobRun, newton_preconditioner, run_batch, run_jobs
 from fdsic.cli import main as cli_main
 from fdsic.cli import parse_tx_grid
 from fdsic.harness import (ExperimentConfig, resolve_profile, run_experiment,
@@ -38,6 +37,9 @@ def test_parse_tx_grid():
     assert parse_tx_grid("0,10,20") == (0.0, 10.0, 20.0)
     with pytest.raises(ValueError):
         parse_tx_grid("5:0:1")
+    for text in ("-inf:0:1", "0:inf:1", "0:25:nan"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_tx_grid(text)
 
 
 def test_write_csv_format(tmp_path):
@@ -148,12 +150,12 @@ def test_trial_independence(lowpower_setup):
     """Doubling trials moves the trial-mean by less than the standard error."""
     prof, channels, budget = lowpower_setup
     mu = 0.05 * alms_ms_bound(prof.natural_sigma_x2, M)
-    cfg = CancellerConfig(mu=mu, M=M, k_tiq=prof.k_tiq)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=20,
                               seed=SEED)
     xs, ds = stack_trials(config, operating_point(prof, channels, budget), 12_000 + M)
     mse = np.array([run.steady_state_mse
-                    for run, _, _ in run_batch(xs, ds, cfg, keep_residuals=False)])
+                    for run, _, _ in run_batch(xs, ds, Job(mu), M, prof.k_tiq,
+                                               keep_residuals=False)])
     half, full = mse[:10].mean(), mse.mean()
     stderr = mse.std(ddof=1) / np.sqrt(10)
     assert abs(half - full) < 2 * stderr + 1e-18
@@ -401,6 +403,9 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["sinr-sweep", "--mu-frac", "1.2"],  # at or above the ALMS mean-square bound
     ["sinr-sweep", "--mu", "1e6"],
     ["sinr-sweep", "--tx-grid", "5,0,5"],  # a repeated grid point
+    ["sinr-sweep", "--tx-grid=-inf:0:1"],
+    ["sinr-sweep", "--tx-grid", "0:inf:1"],
+    ["sinr-sweep", "--tx-grid", "0:25:nan"],
     ["bias", "--mu", "inf"],
     ["bias", "--mu-frac", "inf"],
     ["bias", "--mu-frac", "1e308"],  # mu, or 2 mu, overflows at the profile's bound
@@ -643,8 +648,8 @@ def lms_calls(monkeypatch):
     calls = []
     real = harness.run_jobs
 
-    def counted(jobs, **options):
-        runs = real(jobs, **options)
+    def counted(jobs, *args, **options):
+        runs = real(jobs, *args, **options)
         calls.append((len(runs), _native.lanes()))
         return runs
 
@@ -1122,8 +1127,7 @@ def test_phase_clock_counts_diverged_trials():
     ``lms_lanes`` names the lanes of the last call."""
     x = gen_proper_gaussian(3000, seed=30).reference(1.0)
     calm = [run for run, _, _ in run_batch(np.stack([x] * 3), np.stack([x] * 3),
-                                           CancellerConfig(mu=0.01, M=M),
-                                           keep_residuals=False)]
+                                           Job(0.01), M, 1.0, keep_residuals=False)]
     grown = [dataclasses.replace(run, peak_residual=peak)
              for run, peak in zip(calm, (0.5, 2e3, 999.0))]
     broken = [dataclasses.replace(run, diverged_at=step)
@@ -1193,7 +1197,8 @@ def test_run_trials_equals_one_call_per_trial(type2):
     come back by label in the order given, each bit for bit the run of its
     job alone on the trial's reference and observation, and so do the
     trials ``_diverged`` flags; each job's residual and tap rows, handed to
-    all its trials, end as the trial-order sums of its one-job rows."""
+    all its trials, end as the trial-order sums of its one-job rows. A pass
+    whose points differ in k_tiq is refused."""
     config = ExperimentConfig(experiment="bias", profile=type2, trials=2, seed=SEED)
     n = 3000 + M
     steps, kept = n - M + 1, -(-(n - M + 1) // 7)
@@ -1204,11 +1209,9 @@ def test_run_trials_equals_one_call_per_trial(type2):
         return dict(residuals=np.full(steps, -0.0), taps=np.full((kept, 2), -0.0j))
 
     points = [
-        (low, {"plain": Job(CancellerConfig(mu=2 * alms_ms_bound(low.sigma_x2, M), M=M,
-                                            k_tiq=k), **rows())}),
-        (high, {"newton": Job(CancellerConfig(mu=0.01, M=M, N=N, k_tiq=k),
-                              preconditioner=newton_preconditioner(
-                                  rb_matrix(high.sigma_x2, k, M, N), M, N), **rows())})]
+        (low, {"plain": Job(2 * alms_ms_bound(low.sigma_x2, M), **rows())}),
+        (high, {"newton": Job(0.01, N, preconditioner=newton_preconditioner(
+            rb_matrix(high.sigma_x2, k, M, N), M, N), **rows())})]
     trial_rows = [stack_trials(config, point, n) for point, _ in points]
     sums = {label: rows() for _, jobs in points for label in jobs}
     options = dict(track_taps=(0, 5), tap_stride=7)
@@ -1220,7 +1223,7 @@ def test_run_trials_equals_one_call_per_trial(type2):
         for (xs, ds), (_, jobs) in zip(trial_rows, points):
             for label, job in jobs.items():
                 alone = job._replace(z=xs[t], d=ds[t], **rows())
-                [want] = run_jobs([alone], **options)
+                [want] = run_jobs([alone], M, k, **options)
                 for name in (f.name for f in dataclasses.fields(JobRun)):
                     got, value = getattr(runs[label], name), getattr(want, name)
                     assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), \
@@ -1236,6 +1239,11 @@ def test_run_trials_equals_one_call_per_trial(type2):
         for label, job in jobs.items():
             for name, total in sums[label].items():
                 assert getattr(job, name).tobytes() == total.tobytes(), (label, name)
+    # a pass runs in kernel calls of one M and one k_tiq
+    other = dataclasses.replace(high, k_tiq=2 * k)
+    with pytest.raises(ValueError, match="share M and k_tiq"):
+        next(harness.run_trials(config, [points[0], (other, points[1][1])], n,
+                                harness.PhaseClock()))
 
 
 def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):
@@ -1247,10 +1255,10 @@ def test_run_trials_lays_the_lanes_out_job_major(type2, tmp_path, monkeypatch):
     calls = []  # (step size, has a preconditioner, source row) of each job
     real = harness.run_jobs
 
-    def recorded(jobs, **options):
-        calls.append([(job.config.mu, job.preconditioner is not None, job.z.ctypes.data)
+    def recorded(jobs, *args, **options):
+        calls.append([(job.mu, job.preconditioner is not None, job.z.ctypes.data)
                       for job in jobs])
-        return real(jobs, **options)
+        return real(jobs, *args, **options)
 
     monkeypatch.setattr(harness, "run_jobs", recorded)
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=5,
@@ -1280,9 +1288,9 @@ def test_one_point_passes_run_one_width_per_vector(experiment, widths, calls_at_
     calls = []  # the N of each job of each call
     real = harness.run_jobs
 
-    def recorded(jobs, **options):
-        calls.append([job.config.N for job in jobs])
-        return real(jobs, **options)
+    def recorded(jobs, *args, **options):
+        calls.append([job.N for job in jobs])
+        return real(jobs, *args, **options)
 
     monkeypatch.setattr(harness, "run_jobs", recorded)
     lanes = _native.lanes()

@@ -39,8 +39,9 @@ fdsic's small LAPACK calls run: numpy's OpenBLAS on one thread.
 The library is compiled with the local C compiler on the first call of
 ``library()`` and cached next to this module in ``__pycache__`` as
 ``_lms-<tag>.so``, keyed by the source and its headers, the compiler
-command and the machine type; a build deletes the libraries of other keys.
-Importing this module compiles and loads nothing.
+command and the machine type (``os.uname().machine``); a build deletes the
+libraries of other keys. Importing this module compiles and loads nothing,
+nor imports the build's tools (``subprocess``, ``tempfile``).
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ import ctypes
 import functools
 import operator
 import os
-import platform
-import subprocess
-import tempfile
 import zlib
 from pathlib import Path
 
@@ -74,13 +72,16 @@ def _kernel_tag(source: Path) -> str:
     for path in (source, *sorted(source.parent.glob("*.h"))):
         for chunk in (path.name.encode() + b"\0", path.read_bytes()):
             crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
-    chunk = " ".join([_COMPILER, *_CFLAGS]).encode() + platform.machine().encode()
+    chunk = " ".join([_COMPILER, *_CFLAGS]).encode() + os.uname().machine.encode()
     return f"{zlib.crc32(chunk, crc):08x}{zlib.adler32(chunk, adler):08x}"
 
 
 def _build_kernel() -> Path:
     """Compile ``_lms.c`` unless a library for these sources and command
     exists, and delete the superseded ``_lms-*.so`` beside it."""
+    import subprocess  # the build tools load only for a build
+    import tempfile
+
     command = [_COMPILER, *_CFLAGS]
     tag = _kernel_tag(_KERNEL_SOURCE)
     lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_lms-{tag}.so"
@@ -195,7 +196,10 @@ def one_blas_thread():
     """Run the block, or the function it decorates, with numpy's OpenBLAS
     on one thread, and restore its thread count after: fdsic's LAPACK calls
     are small, and gain nothing from a second thread, whose helper spins on
-    after each call."""
+    after each call. The command line starts OpenBLAS on one thread anyway
+    (``cli``), so there this guard finds one thread and the process has no
+    helper at all; it matters to a library caller, whose numpy keeps its
+    own thread count."""
     lib = _openblas()
     threads = lib.scipy_openblas_get_num_threads64_() if lib else None
     if lib:

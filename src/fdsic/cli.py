@@ -5,21 +5,48 @@ Usage:
           --tx-grid a:b:step --source gaussian|ofdm --seed S --out DIR [--check]
 
 Exit codes: 0 success, 2 configuration error, 3 acceptance-check failure.
+
+This module owns the command-line process, so it starts numpy's OpenBLAS on
+one thread: if numpy is not loaded yet and none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, it imports numpy with
+``OPENBLAS_NUM_THREADS=1`` and then removes the variable again. OpenBLAS
+reads it only when it loads, so it starts no helper thread, which would
+otherwise busy-wait beside every run without ever being given work (each
+LAPACK call of fdsic runs under ``_native.one_blas_thread``), and the
+kernel build's compiler and any other child process inherit the user's
+environment unchanged. A preset variable wins, and a process that imported
+numpy first keeps its own thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
+
+if "numpy" not in sys.modules and not any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .harness import EXPERIMENTS, ExperimentConfig, resolve_profile, run_experiment
 from .transceiver import read_key_values
 
 
+# far above any real grid (the default has 7 points), and bounds the loop
+_MAX_GRID_POINTS = 10_000
+
+
 def parse_tx_grid(text: str) -> tuple[float, ...]:
-    """'a:b:step' inclusive range, or a comma-separated list."""
+    """'a:b:step' inclusive range, or a comma-separated list. A range of
+    more than ``_MAX_GRID_POINTS`` points, or whose step does not advance
+    its points, is a ``ValueError``."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -29,9 +56,14 @@ def parse_tx_grid(text: str) -> tuple[float, ...]:
             raise ValueError("grid a:b:step must be finite")
         if step <= 0 or b < a:
             raise ValueError("grid must satisfy a <= b, step > 0")
+        if (b - a) / step >= _MAX_GRID_POINTS:
+            raise ValueError(f"grid a:b:step asks for more than "
+                             f"{_MAX_GRID_POINTS} points")
         vals, v = [], a
         while v <= b + 1e-9:
             vals.append(round(v, 9))
+            if v + step == v:
+                raise ValueError(f"grid step {step:g} does not advance {v:g}")
             v += step
         return tuple(vals)
     return tuple(float(p) for p in text.split(","))

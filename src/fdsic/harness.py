@@ -738,7 +738,7 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     if config.check:
         rel = bias_table["rel_error"]
         report.add_check("alms_bias_10pct", bool(np.all(rel <= 0.10)),
-                         f"worst per-tap rel error {rel.max():.3f}")
+                         f"worst per-tap rel error {rel.max():.3g}")
         for tap in (1, 2):
             final = traces[f"anclms_{base_tag}_tap{tap}"][-5:].mean()
             report.add_check(f"anclms_bias_removed_tap{tap}", final < 1e-2,
@@ -1089,7 +1089,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     the process's user and system CPU seconds (``cpu_user_s``,
     ``cpu_sys_s``, every thread's) and minor page faults
     (``minor_faults``) over the run, each the difference of two
-    ``getrusage`` reads like the RSS rise. A run on any source but the
+    ``getrusage`` reads like the RSS rise, and ``blas_threads``, the thread
+    count numpy's OpenBLAS ran with outside fdsic's one-thread LAPACK calls
+    (``none`` where numpy bundles no OpenBLAS). A run on any source but the
     Gaussian one records ``theory_input``: every closed form it checks
     against assumes white proper Gaussian input."""
     started = time.time()
@@ -1108,6 +1110,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     report.meta["cpu_user_s"] = _fmt(after.ru_utime - before.ru_utime)
     report.meta["cpu_sys_s"] = _fmt(after.ru_stime - before.ru_stime)
     report.meta["minor_faults"] = _fmt(after.ru_minflt - before.ru_minflt)
+    blas = _native._openblas()
+    report.meta["blas_threads"] = (str(blas.scipy_openblas_get_num_threads64_())
+                                   if blas else "none")
     _write_meta(report, config, out, started)
     return report
 

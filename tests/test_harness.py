@@ -40,6 +40,12 @@ def test_parse_tx_grid():
     for text in ("-inf:0:1", "0:inf:1", "0:25:nan"):
         with pytest.raises(ValueError, match="finite"):
             parse_tx_grid(text)
+    # 10^12 points, and a step that leaves the point where it is: each is
+    # refused before the range is walked
+    with pytest.raises(ValueError, match="more than"):
+        parse_tx_grid("0:1e6:1e-6")
+    with pytest.raises(ValueError, match="does not advance"):
+        parse_tx_grid("1e17:1e17:1")
 
 
 def test_write_csv_format(tmp_path):
@@ -412,6 +418,8 @@ def test_cli_bad_grid_exit_code(tmp_path):
     ["power-budget", "--config", "{tmp}"],  # a directory
     ["power-budget", "--out", "{tmp}/a-file"],
     ["power-budget", "--out", "{tmp}/a-file/run"],
+    ["sinr-sweep", "--tx-grid", "0:1e6:1e-6"],  # 10^12 points
+    ["sinr-sweep", "--tx-grid", "1e17:1e17:1"],  # a step that does not advance
 ])
 def test_cli_invalid_config_exit_code(argv, tmp_path, capsys):
     """``{tmp}`` in ``argv`` names tmp_path, which holds the file
@@ -458,29 +466,111 @@ def test_cli_diverged_bias_run_fails_without_warnings(tmp_path, capsys):
     assert "diverged_trials = 8" in (tmp_path / "meta.txt").read_text().splitlines()
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(argv: list[str], **preset: str) -> str:
+    """The standard output of a fresh interpreter run with ``argv``, fdsic
+    importable from the sources, none of the BLAS thread variables set but
+    those ``preset``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items()
+           if key not in _BLAS_THREAD_VARIABLES}
+    env.update(preset, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _skip_without_two_cpus():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("OpenBLAS runs at most one thread per CPU")
+
+
+needs_openblas = pytest.mark.skipif(_native._openblas() is None,
+                                    reason="numpy bundles no OpenBLAS")
+
+
 def test_cli_import_skips_the_filter_module():
     """The package needs numpy alone: importing the CLI loads no scipy module
     (scipy took about 0.5 s and 49 MB to import)."""
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, fdsic.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(["-c", code]).strip() == "[]"
 
 
 def test_cli_import_loads_no_kernel():
     """Importing the CLI neither compiles nor loads the C library."""
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import fdsic.cli; from fdsic import _native; "
             "print(_native.library.cache_info().currsize)")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "0"
+    assert _fresh_python(["-c", code]).strip() == "0"
+
+
+def test_package_import_loads_no_numpy():
+    """``import fdsic`` alone imports no numpy, so the CLI imported after it
+    still chooses numpy's BLAS threads."""
+    code = "import sys, fdsic; print('numpy' in sys.modules)"
+    assert _fresh_python(["-c", code]).strip() == "False"
+
+
+def test_cli_import_loads_no_build_tools():
+    """The CLI's imports load none of the kernel build's tools; numpy (which
+    imports ``platform`` itself) is loaded first, so that what is counted is
+    fdsic's own."""
+    code = ("import sys, numpy; before = set(sys.modules); import fdsic.cli; "
+            "print(sorted(({'subprocess', 'tempfile', 'platform'} - before) "
+            "& set(sys.modules)))")
+    assert _fresh_python(["-c", code]).strip() == "[]"
+
+
+@needs_openblas
+def test_cli_import_starts_openblas_on_one_thread():
+    """A fresh ``import fdsic.cli`` starts numpy's OpenBLAS on one thread,
+    so the process holds its main thread alone, and leaves the environment,
+    the one its child processes inherit too, as it found it."""
+    code = """
+import os, subprocess, sys
+before = dict(os.environ)
+import fdsic.cli
+from fdsic import _native
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+probe = "import os; print('OPENBLAS_NUM_THREADS' in os.environ)"
+child = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       text=True).stdout.strip()
+print(tasks, _native._openblas().scipy_openblas_get_num_threads64_(),
+      dict(os.environ) == before, "OPENBLAS_NUM_THREADS" in os.environ, child)
+"""
+    tasks, threads, same_env, left, child = _fresh_python(["-c", code]).split()
+    assert (threads, same_env, left, child) == ("1", "True", "False", "False")
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count the threads in")
+    assert tasks == "1"
+
+
+@needs_openblas
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_import_obeys_a_preset_blas_thread_count(variable):
+    """A thread count the user set before the CLI starts wins, and stays set."""
+    _skip_without_two_cpus()
+    code = ("import os; before = dict(os.environ); import fdsic.cli; "
+            "from fdsic import _native; "
+            "print(_native._openblas().scipy_openblas_get_num_threads64_(), "
+            f"dict(os.environ) == before, os.environ[{variable!r}])")
+    assert _fresh_python(["-c", code], **{variable: "2"}).split() == ["2", "True", "2"]
+
+
+@needs_openblas
+@pytest.mark.parametrize("preset, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_run_records_its_blas_threads(preset, threads, tmp_path):
+    """A command-line run in a fresh process records in meta.txt the
+    OpenBLAS thread count it ran with: 1 by the CLI's choice, or the
+    user's preset count."""
+    if preset:
+        _skip_without_two_cpus()
+    _fresh_python(["-m", "fdsic.cli", "power-budget", "--tx-grid", "0",
+                   "--out", str(tmp_path)], **preset)
+    meta = dict(line.split(" = ", 1) for line in (tmp_path / "meta.txt").read_text().splitlines())
+    assert meta["blas_threads"] == threads
 
 
 def _meta(report) -> dict[str, str]:
@@ -1063,6 +1153,12 @@ def test_edge_cases_run_explained(experiment, case, tmp_path):
                   if key.startswith("check[") and value.startswith("FAIL")]
         assert failed == [], case
         assert code == 0, case
+    if (experiment, case) == ("bias", "iip3-1000dBm"):
+        # the predicted bias is about zero, so the relative error is about
+        # 1e99: the detail gives it to three digits
+        detail = meta["check[alms_bias_10pct]"]
+        assert code == 3 and detail.startswith("FAIL worst per-tap rel error "), detail
+        assert len(detail) < 50, detail
     diverged = {key[len("diverged_trials["):-1] for key, value in meta.items()
                 if key.startswith("diverged_trials[") and int(value) > 0}
     base_job = None

@@ -190,8 +190,9 @@ static void add_normals(int64_t n, double scale, const double *v, double *y, dou
  * or the in-order sum of several jobs' records.
  * peak receives the largest residual power (INFINITY once one is not
  * finite), steady_mse the mean residual power over the window (INFINITY
- * if the run went non-finite) and diverged_at the first step whose
- * residual power is not finite, or -1. pre, if not NULL, is a real
+ * if the run went non-finite), d_power the mean |d|^2 of the samples its
+ * steps observe (d from sample m - 1 on) and diverged_at the first step
+ * whose residual power is not finite, or -1. pre, if not NULL, is a real
  * preconditioner P that couples each entry only with its layout partner,
  * (dim, 2): row k holds P[k][k] and P[k][j], j the partner of entry k (0
  * where the partner is k itself). In either half of the
@@ -207,7 +208,7 @@ struct run {
     int64_t tap_stride;
     double *tap_buf;
     const double *pre;
-    double peak, steady_mse;
+    double peak, steady_mse, d_power;
     int64_t diverged_at;
 };
 
@@ -413,7 +414,7 @@ struct lanes {
     int64_t half, full;            /* the widest and narrowest job's dim / 2 */
     int finite_all, e2;            /* the lanes with a job; any e2 output */
     int newton;                    /* the lanes with a preconditioner */
-    vec mu, scale, peak, steady_sum, steady_count, yr, yi, newton_mask;
+    vec mu, scale, peak, steady_sum, steady_count, d_sum, yr, yi, newton_mask;
     vec win_last;                  /* each lane's win_start - 1 */
     int64_t win_first, win_all;    /* the earliest and latest win_start */
     int64_t diverged_at[LANES], next_tap[LANES], tap_first;
@@ -554,7 +555,7 @@ static void lanes_init(struct lanes *g, struct run *jobs, int64_t count, int64_t
     g->scale = v_load(scale);
     g->mu = v_load(mu);
     g->win_last = v_load(last);
-    g->peak = g->steady_sum = g->steady_count = v_set1(0.0);
+    g->peak = g->steady_sum = g->steady_count = g->d_sum = v_set1(0.0);
     g->newton_mask = lanes_mask(newton);
     for (int64_t k = 0; k < g->half; k++) {
         int64_t keep[LANES];
@@ -567,10 +568,11 @@ static void lanes_init(struct lanes *g, struct run *jobs, int64_t count, int64_t
 /* Store the lanes' weights, window sums and outputs into their jobs */
 static void lanes_finish(const struct lanes *g)
 {
-    double peak[LANES], sum[LANES], count[LANES];
+    double peak[LANES], sum[LANES], count[LANES], d_sum[LANES];
     v_store(peak, g->peak);
     v_store(sum, g->steady_sum);
     v_store(count, g->steady_count);
+    v_store(d_sum, g->d_sum);
     for (int l = 0; l < LANES; l++) {
         struct run *b = g->job[l];
         if (!b)
@@ -585,6 +587,7 @@ static void lanes_finish(const struct lanes *g)
         /* a run that stayed finite counted every step of its window */
         b->peak = peak[l];
         b->steady_mse = g->diverged_at[l] < 0 ? sum[l] / count[l] : INFINITY;
+        b->d_power = d_sum[l] / (double)b->steps;
         b->diverged_at = g->diverged_at[l];
     }
 }
@@ -713,8 +716,8 @@ static inline __attribute__((always_inline)) void lanes_step(
     const vec zero = v_set1(0.0);
     const vec *keep = g->keep;
     const int64_t half = g->half, full = g->full;
-    vec er = v_sub(v_gather(g->d, 2 * j), g->yr),
-        ei = v_sub(v_gather(g->d, 2 * j + 1), g->yi);
+    vec dr = v_gather(g->d, 2 * j), di = v_gather(g->d, 2 * j + 1);
+    vec er = v_sub(dr, g->yr), ei = v_sub(di, g->yi);
     vec mr = v_fmsub(g->mu, er, v_mul(zero, ei)), mi = v_fmadd(g->mu, ei, v_mul(zero, er));
     vec yr = zero, yi = zero;
     /* the window sums of the new weights: none before the first window
@@ -743,6 +746,7 @@ static inline __attribute__((always_inline)) void lanes_step(
     if ((finite & g->finite_all) != g->finite_all || g->e2 || j >= g->tap_first)
         lanes_record(g, j, p, finite);
     g->peak = v_max(v_blend(v_set1(INFINITY), p, ok), g->peak);
+    g->d_sum = v_add(g->d_sum, v_fmadd(dr, dr, v_mul(di, di)));
     if (sum) {
         in = v_and(in, ok);
         g->steady_sum = v_add(g->steady_sum, v_and(in, p));

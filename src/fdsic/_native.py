@@ -115,7 +115,7 @@ class Run(ctypes.Structure):
     preconditioner (``e2``, ``tap_buf`` and ``pre`` may be ``None``; the
     kernel adds its records to ``e2`` and ``tap_buf``, which several jobs
     may share), and the outputs the kernel writes into the struct itself:
-    ``peak``, ``steady_mse`` and ``diverged_at``."""
+    ``peak``, ``steady_mse``, ``d_power`` and ``diverged_at``."""
 
     _fields_ = [*[(name, ctypes.c_int64) for name in ("steps", "dim", "win_start")],
                 ("mu", ctypes.c_double), ("scale", ctypes.c_double),
@@ -123,7 +123,8 @@ class Run(ctypes.Structure):
                 ("ntaps", ctypes.c_int64), ("taps", ctypes.c_void_p),
                 ("tap_stride", ctypes.c_int64), ("tap_buf", ctypes.c_void_p),
                 ("pre", ctypes.c_void_p), ("peak", ctypes.c_double),
-                ("steady_mse", ctypes.c_double), ("diverged_at", ctypes.c_int64)]
+                ("steady_mse", ctypes.c_double), ("d_power", ctypes.c_double),
+                ("diverged_at", ctypes.c_int64)]
 
 
 class Point(ctypes.Structure):

@@ -139,6 +139,7 @@ class JobRun:
     mean_weights: np.ndarray          # (dim,), window-averaged
     steady_state_mse: float
     peak_residual: float              # max |e|^2 over the run
+    d_power: float                    # mean |d|^2 of the samples its steps observed
     diverged_at: int                  # first nonfinite step, -1 if none
     n_steps: int
 
@@ -281,8 +282,8 @@ def run_jobs(jobs: list[Job], M: int, k_tiq: float, track_taps: tuple[int, ...] 
     # a diverged run carries inf/nan weights and window sums; the kernel
     # flags it (diverged_at)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [JobRun(w, w_accum / window, run.steady_mse, run.peak, run.diverged_at,
-                       n_steps)
+        return [JobRun(w, w_accum / window, run.steady_mse, run.peak, run.d_power,
+                       run.diverged_at, n_steps)
                 for run, (window, w, w_accum, _) in zip(runs, outputs)]
 
 

@@ -29,15 +29,15 @@ number of trials: the SINR sweep walks its grid in passes of two points,
 2 x group x (1 + 2) rows, each call running the ALMS and ANCLMS jobs of
 both; convergence runs its two reference powers as one pass, its three
 jobs in one call; every other runner runs one point per pass. A runner
-still takes its results one trial at a time, in trial order
-(``run_trials``), and keeps only its science: it builds the jobs and
-reduces the per-trial runs across trials. In convergence and bias a run's
-trial mean is its per-step row summed in trial order over the trial
-count: the job carries one row, which ``run_trials`` hands to every trial
-and into which the kernel adds each trial's records in lane order, so
-that no per-trial row is made; bias sums its weight errors in Python as
-the trials come, and the sweep keeps a value per trial and takes numpy's
-sum of it.
+takes from ``run_trials`` what it keeps of each job's runs, in trial
+order, and keeps only its science: it builds the jobs and reduces the
+per-trial runs across trials. In convergence and bias a run's trial mean
+is its per-step row summed in trial order over the trial count: the job
+carries one row, which ``run_trials`` hands to every trial and into which
+the kernel adds each trial's records in lane order, so that no per-trial
+row is made; bias keeps each run's window-mean weights and sums their
+errors in trial order, the sweep keeps each run's steady-state MSE and
+takes numpy's sum of them, and convergence keeps nothing of its runs.
 ``power-budget`` runs no canceller and renders trial 0 at every grid
 point, a point at a time, from one draw, by ``_trial`` alone. Each
 plotted curve is backed by a CSV column, and
@@ -46,11 +46,13 @@ the time the LMS loop waited for its next trial, the time spent on the
 closed-form theory (``phase.theory_s``: bounds, analyses, transients and
 the condition landscape, each timed where it runs) and writing CSVs and SVGs
 (``phase.output_s``; a runner writes them through ``ExperimentReport``'s
-``add_csv`` and ``add_svg``), what the LMS calls ran (``lms_lane_fill``) and
-the trials that diverged, by job (``PhaseClock.count_lms`` flags them once
-for every runner). ``run_experiment`` is every run's skeleton: it makes the
-output directory and the report, times the run and writes ``meta.txt``; a
-runner fills the report in, the step size it runs included.
+``add_csv`` and ``add_svg``), each phase's thread CPU beside it
+(``phase_cpu.*``), what the LMS calls ran (``lms_lane_fill``) and the
+trials that diverged, by job (``PhaseClock.count_lms`` makes the one
+verdict, ``_diverged``, for every runner). ``run_experiment`` is every
+run's skeleton: it makes the output directory and the report, times the
+run and writes ``meta.txt``; a runner fills the report in, the step size
+it runs included.
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -91,8 +93,8 @@ from . import __version__, _native
 # run_batch, regressor_matrix and render_observation are not called here;
 # the benchmark's tracer (perfbench/tracing.py) wraps them by name in this
 # module
-from .cancellers import (MIN_STEADY_WINDOW, Job, JobRun, newton_preconditioner,
-                         regressor_matrix, run_batch, run_jobs)
+from .cancellers import (MIN_STEADY_WINDOW, Job, JobRun, check_nonsingular,
+                         newton_preconditioner, regressor_matrix, run_batch, run_jobs)
 from .plots import heatmap, line_plot
 from .signals import gen_ofdm_waveform, gen_proper_gaussian
 from .theory import (alms_bias, alms_ms_bound, alms_regime, alms_steady_mse,
@@ -186,6 +188,12 @@ class ExperimentConfig:
                 if not mu < bound:
                     raise ValueError(f"mu = {mu:.6g} at {tx:g} dBm is not below the "
                                      f"ALMS mean-square bound {bound:.6g}")
+        if self.experiment == "bounds-probe":
+            # its steps are fractions of the ANCLMS mean-square bound, which a
+            # singular regressor covariance leaves undefined: a
+            # DegenerateInputError, a ValueError
+            prof = self.profile.with_tx_power(self.tx_grid_dbm[0])
+            check_nonsingular(rb_matrix(prof.natural_sigma_x2, prof.k_tiq, self.M, self.N))
 
 
 @dataclass(frozen=True)
@@ -195,28 +203,23 @@ class CheckResult:
     detail: str
 
 
-def _mean_power(d: np.ndarray) -> float:
-    """The mean |d|^2 of the observation row ``d``."""
-    # numpy's own loop: a BLAS dot would leave a BLAS thread spinning
-    # beside the producer and the LMS loop after every call
-    return np.einsum("i,i->", d.view(np.float64), d.view(np.float64)) / len(d)
-
-
-def _diverged(run: JobRun, d_power: float) -> bool:
-    """Whether ``run`` diverged, on observations of mean |d|^2 ``d_power``:
-    it went non-finite, or its peak residual exceeds 1e3 times that power."""
-    return bool(run.diverged or run.peak_residual > 1e3 * d_power)
+def _diverged(run: JobRun) -> bool:
+    """Whether ``run`` diverged: it went non-finite, or its peak residual
+    exceeds 1e3 times the mean |d|^2 of the observation it ran on
+    (``JobRun.d_power``, measured by the kernel)."""
+    return bool(run.diverged or run.peak_residual > 1e3 * run.d_power)
 
 
 class PhaseClock:
-    """Wall seconds of a run's generate, render and LMS phases, of the LMS
-    loop's waits for its next trial, of its closed-form theory (bounds,
-    analyses, transients and the condition landscape) and of
-    writing its CSVs and SVGs (output, ``ExperimentReport.add_csv`` and
+    """Wall and thread CPU seconds of a run's generate, render and LMS
+    phases, of the LMS loop's waits for its next trial, of its closed-form
+    theory (bounds, analyses, transients and the condition landscape) and
+    of writing its CSVs and SVGs (output, ``ExperimentReport.add_csv`` and
     ``add_svg``), the samples drawn and rendered, and the LMS calls: the
     trial-steps they took, their number, the lane count (jobs per vector)
     of the build that ran them, the (trial, job) pairs they ran and the
-    lanes they offered, and the trials that diverged, by job.
+    lanes they offered, and, by job label, the trials that diverged and the
+    first non-finite step of each trial that went non-finite.
 
     The producer thread of ``iter_trials`` updates only the generate and
     render times and the sample counts, the caller's thread only the rest,
@@ -229,6 +232,7 @@ class PhaseClock:
 
     def __init__(self):
         self.seconds = dict.fromkeys(self.PHASES[:4], 0.0)
+        self.cpu_seconds = dict.fromkeys(self.PHASES[:4], 0.0)
         self.samples = 0
         self.samples_rendered = 0
         self.trial_steps = 0
@@ -236,40 +240,39 @@ class PhaseClock:
         self.lms_lanes = 1
         self.lms_jobs = 0
         self.lms_lanes_offered = 0
-        self.diverged: dict[str, int] = {}        # diverged trials by job label
-        self.first_nonfinite: dict[str, int] = {}  # earliest such step by label
+        self.diverged: dict[str, int] = {}  # diverged trials by job label
+        self.first_nonfinite: dict[str, list[int]] = {}  # by label, in trial order
 
-    def count_lms(self, runs: list[tuple[str, JobRun, float]], lanes: int) -> list[bool]:
+    def count_lms(self, runs: list[tuple[str, JobRun]], lanes: int):
         """Count one LMS call that ran, in ``lanes`` lanes per vector, the
-        trials' ``runs``, a ``(label, run, d_power)`` each: the job's label,
-        its run and the mean |d|^2 of its observation; count the trials that
-        diverged (``_diverged``) by label and return whether each did."""
+        ``runs``, a ``(label, run)`` each; count the runs that diverged
+        (``_diverged``) by label and keep the first non-finite step of each
+        that went non-finite."""
         self.lms_calls += 1
         self.lms_lanes = lanes
         self.lms_jobs += len(runs)
         self.lms_lanes_offered += -(-len(runs) // lanes) * lanes
-        grew = []
-        for label, run, d_power in runs:
+        for label, run in runs:
             self.trial_steps += run.n_steps
-            grew.append(_diverged(run, d_power))
-            if grew[-1]:
+            if _diverged(run):
                 self.diverged[label] = self.diverged.get(label, 0) + 1
             if run.diverged:
-                self.first_nonfinite[label] = min(
-                    run.diverged_at, self.first_nonfinite.get(label, run.diverged_at))
-        return grew
+                self.first_nonfinite.setdefault(label, []).append(run.diverged_at)
 
     @contextmanager
     def phase(self, name: str):
-        started = time.perf_counter()
+        started, cpu = time.perf_counter(), time.thread_time()
         try:
             yield
         finally:
             self.seconds[name] = (self.seconds.get(name, 0.0)
                                   + time.perf_counter() - started)
+            self.cpu_seconds[name] = (self.cpu_seconds.get(name, 0.0)
+                                      + time.thread_time() - cpu)
 
     def meta_lines(self) -> list[str]:
-        lines = [f"phase.{name}_s = {self.seconds.get(name, 0.0):.4g}"
+        lines = [f"phase{kind}.{name}_s = {seconds.get(name, 0.0):.4g}"
+                 for kind, seconds in (("", self.seconds), ("_cpu", self.cpu_seconds))
                  for name in self.PHASES]
         if self.samples:
             lines += [f"samples = {self.samples}",
@@ -278,10 +281,12 @@ class PhaseClock:
                       for name, count in (("generate", self.samples),
                                           ("render", self.samples_rendered))]
         if self.trial_steps:
-            ns = 1e9 * self.seconds["lms"] / self.trial_steps
-            first = min(self.first_nonfinite.values(), default="none")
+            ns, ns_cpu = (1e9 * seconds["lms"] / self.trial_steps
+                          for seconds in (self.seconds, self.cpu_seconds))
+            first = min(map(min, self.first_nonfinite.values()), default="none")
             lines += [f"trial_steps = {self.trial_steps}",
                       f"ns_per_trial_step = {ns:.4g}",
+                      f"ns_per_trial_step_cpu = {ns_cpu:.4g}",
                       f"lms_lanes = {self.lms_lanes}",
                       f"lms_calls = {self.lms_calls}",
                       f"lms_lane_fill = {self.lms_jobs / self.lms_lanes_offered:.4g}",
@@ -289,8 +294,8 @@ class PhaseClock:
                       f"first_nonfinite_step = {first}"]
             lines += [f"diverged_trials[{label}] = {count}"
                       for label, count in self.diverged.items()]
-            lines += [f"first_nonfinite_step[{label}] = {step}"
-                      for label, step in self.first_nonfinite.items()]
+            lines += [f"first_nonfinite_step[{label}] = {min(steps)}"
+                      for label, steps in self.first_nonfinite.items()]
         return lines
 
 
@@ -431,10 +436,9 @@ def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
                 clock: PhaseClock, group: int = 1):
     """Yield the trials t = 0 ... config.trials - 1 in groups of ``group``
     consecutive trials (the last may be shorter), each group a list of
-    ``(draw, ds, powers)``, one per trial, made by ``_trial``: the draw of
-    ``n`` samples, the observation row d of each point and the mean |d|^2 of
-    each (``_mean_power``, timed as rendering). ``clock`` also times the
-    waits for each group.
+    ``(draw, ds)``, one per trial, made by ``_trial``: the draw of ``n``
+    samples and the observation row d of each point. ``clock`` also times
+    the waits for each group.
 
     One producer thread, ``fdsic-trials``, started once for the whole loop,
     generates and renders the groups in order into two sets of rows, one
@@ -464,9 +468,7 @@ def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
         for t, (z, ds) in zip(range(first, config.trials), rows[first // group % 2]):
             draw, render = _trial(config, t, n, clock, z)
             render(points, ds)
-            with clock.phase("render"):
-                powers = [_mean_power(d) for d in ds]
-            made.append((draw, ds, powers))
+            made.append((draw, ds))
         return made
 
     def produce():
@@ -503,10 +505,13 @@ def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
 
 
 def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict[str, Job]]],
-               n: int, clock: PhaseClock, **run_options):
+               n: int, clock: PhaseClock, keep=None, **run_options) -> dict[str, list]:
     """Run every trial of ``iter_trials`` over the ``points`` of a pass and
-    yield ``(t, runs, diverged)`` for trial t, in trial order, each a dict
-    by job label.
+    return ``keep(run)`` of each job's ``JobRun`` of each trial, in trial
+    order, by label in the order of ``points``: a runner keeps only what it
+    reads of the runs, so its results grow by that much a trial. With no
+    ``keep`` the lists stay empty, for a runner that reads only the rows
+    its jobs fill.
 
     ``points`` holds one ``(point, jobs)`` pair per point, ``jobs`` the
     point's ``Job`` records by label; each job runs on the trial's source
@@ -514,53 +519,45 @@ def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict
     scale (``z``, ``d`` and ``scale`` are filled in here). The points of a
     pass share M and k_tiq (a ``ValueError`` otherwise), and each
     ``run_jobs`` call runs with them, so a job adapts with the k_tiq its
-    observation was rendered with. One ``run_jobs``
-    call with ``run_options`` runs the jobs of every point for a group of
-    consecutive trials, width-major, then job-major: the jobs of each
-    canceller width N in turn (ALMS first), in label order, each job's
-    lanes over the group's trials side by side. A group is the fewest
-    trials whose jobs of each width fill whole vectors of ``lanes``
-    (``_native.lanes()``) if its rows (1 + points a trial) number at most
-    ``lanes``, else lanes / gcd(lanes, jobs), whose jobs fill them together.
-    So a vector holds one width, or one job, where the group allows, and
-    only a preconditioned job's vector pays the LMS-Newton operations. Every
-    trial of a job shares its ``residuals`` and ``taps`` rows, if it has
-    any, and its trials of a call are consecutive lanes in trial order, so
-    the kernel adds their records into those rows in trial order. The
-    call is timed and counted as the LMS phase. ``runs`` holds each job's
-    ``JobRun`` and ``diverged`` whether it diverged
-    (``PhaseClock.count_lms``), in the order of the labels in ``points``.
+    observation was rendered with. One ``run_jobs`` call with
+    ``run_options`` runs the jobs of every point for a group of consecutive
+    trials, width-major, then job-major: the jobs of each canceller width N
+    in turn (ALMS first), in label order, each job's lanes over the group's
+    trials side by side. A group is the fewest trials whose jobs of each
+    width fill whole vectors of ``lanes`` (``_native.lanes()``) if its rows
+    (1 + points a trial) number at most ``lanes``, else
+    lanes / gcd(lanes, jobs), whose jobs fill them together. So a vector
+    holds one width, or one job, where the group allows, and only a
+    preconditioned job's vector pays the LMS-Newton operations. Every trial
+    of a job shares its ``residuals`` and ``taps`` rows, if it has any, and
+    its trials of a call are consecutive lanes in trial order, so the
+    kernel adds their records into those rows in trial order. The call is
+    timed as the LMS phase and counted, with its divergence verdicts, by
+    ``PhaseClock.count_lms``.
     """
     M, k_tiq = points[0][0].M, points[0][0].k_tiq
     if any(point.M != M or point.k_tiq != k_tiq for point, _ in points):
         raise ValueError("the points of one pass must share M and k_tiq")
-    labels = [label for _, jobs in points for label in jobs]
-    # the point and the job of each label, in that order
-    where = [(k, job) for k, (_, jobs) in enumerate(points) for job in jobs.values()]
-    layout = sorted(range(len(labels)), key=lambda j: where[j][1].N)
-    slots = [layout.index(j) for j in range(len(labels))]  # each label's place in it
+    # the call's layout: (label, index of its point, job), width-major
+    calls = sorted(((label, k, job) for k, (_, jobs) in enumerate(points)
+                    for label, job in jobs.items()), key=lambda call: call[2].N)
     lanes = _native.lanes()
-    widths = Counter(job.N for _, job in where).values()
+    widths = Counter(job.N for *_, job in calls).values()
     group = math.lcm(*(lanes // math.gcd(lanes, count) for count in widths))
     if group * (1 + len(points)) > lanes:
-        group = lanes // math.gcd(lanes, len(labels))
-    groups = iter_trials(config, [point for point, _ in points], n, clock, group)
-    for first, made in zip(itertools.count(0, group), groups):
-        jobs = [job._replace(z=draw.samples, d=ds[k],
-                             scale=draw.scale(points[k][0].sigma_x2))
-                for k, job in (where[j] for j in layout)
-                for draw, ds, _ in made]
+        group = lanes // math.gcd(lanes, len(calls))
+    runs = {label: [] for _, jobs in points for label in jobs}
+    for made in iter_trials(config, [point for point, _ in points], n, clock, group):
+        jobs = [job._replace(z=draw.samples, d=ds[k], scale=draw.scale(points[k][0].sigma_x2))
+                for _, k, job in calls for draw, ds in made]
         with clock.phase("lms"):
-            results = run_jobs(jobs, M, k_tiq, **run_options)
-        # trial-major and in label order, as the trials are yielded
-        runs = [(label, results[slot * len(made) + i], powers[k])
-                for i, (_, _, powers) in enumerate(made)
-                for label, (k, _), slot in zip(labels, where, slots)]
-        grew = clock.count_lms(runs, lanes)
-        for i in range(len(made)):
-            trial = slice(i * len(labels), (i + 1) * len(labels))
-            yield (first + i, {label: run for label, run, _ in runs[trial]},
-                   dict(zip(labels, grew[trial])))
+            results = iter(run_jobs(jobs, M, k_tiq, **run_options))
+        ran = [(label, run) for label, *_ in calls
+               for run in itertools.islice(results, len(made))]
+        clock.count_lms(ran, lanes)
+        for label, run in ran if keep else ():
+            runs[label].append(keep(run))
+    return runs
 
 
 def _step_size(config: ExperimentConfig, bound: float) -> tuple[float, str, float]:
@@ -678,16 +675,9 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
             for mu in (base_mu, 2 * base_mu)
             for label, n_imd in (("alms", 0), ("anclms", config.N))}
     w_opts = {"alms": channels.stacked_linear(), "anclms": channels.stacked_nonlinear()}
-    # and the error of the window-mean weights, summed in trial order as the
-    # trials come, from -0.0 too
-    err_sums = {label: np.full(len(w_opts[label.partition("_")[0]]), -0.0j)
-                for label in jobs}
-    for _, runs, _ in run_trials(config, [(point, jobs)], n_iters + config.M,
-                                 report.clock, track_taps=(0, 1), tap_stride=stride):
-        # a diverged trial's inf or nan weights may overflow the sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            for label, run in runs.items():
-                err_sums[label] += run.mean_weights - w_opts[label.partition("_")[0]]
+    mean_weights = run_trials(config, [(point, jobs)], n_iters + config.M, report.clock,
+                              keep=lambda run: run.mean_weights,
+                              track_taps=(0, 1), tap_stride=stride)
 
     # the bias does not depend on the step size
     with report.clock.phase("theory"):
@@ -695,10 +685,14 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     for mu in (base_mu, 2 * base_mu):
         tag = f"mu{mu / bound:g}"
         for label, w_opt in w_opts.items():
-            # a complex quotient of inf or nan parts warns
+            # a diverged trial's inf or nan weights may overflow the sums,
+            # and a complex quotient of inf or nan parts warns
             with np.errstate(over="ignore", invalid="ignore"):
                 tap_mean = jobs[f"{label}_{tag}"].taps / config.trials
-                mean_err = err_sums[f"{label}_{tag}"] / config.trials
+                # the error of the window-mean weights, summed in trial
+                # order from -0.0 too
+                mean_err = sum((w - w_opt for w in mean_weights[f"{label}_{tag}"]),
+                               np.full(len(w_opt), -0.0j)) / config.trials
             for tap in (0, 1):
                 err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
                 traces[f"{label}_{tag}_tap{tap + 1}"] = err
@@ -716,8 +710,10 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                     "rel_error": np.abs(mean_err[idx] - bias[idx]) / scale,
                 }
             if label == "anclms" and mu == base_mu:
-                report.meta["anclms_weight_error_norm_frac"] = _fmt(
-                    np.linalg.norm(mean_err) / np.linalg.norm(w_opt))
+                # finite errors near 1e300 overflow the norm's squares: inf
+                with np.errstate(over="ignore"):
+                    report.meta["anclms_weight_error_norm_frac"] = _fmt(
+                        np.linalg.norm(mean_err) / np.linalg.norm(w_opt))
         for tap in (0, 1):
             level = abs(bias[tap]) / abs(w_opts["alms"][tap])
             traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
@@ -773,22 +769,17 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             f"alms@{tx:g}dBm": Job(mu),
             f"anclms@{tx:g}dBm": Job(mu, config.N, w0=point.channels.stacked_nonlinear())}))
 
-    trial_mse = {label: np.empty(config.trials) for *_, jobs in points for label in jobs}
+    trial_mse = {}
     for first in range(0, len(points), 2):
         pair = [(point, jobs) for point, _, jobs in points[first:first + 2]]
-        for t, runs, _ in run_trials(config, pair, config.iterations + config.M,
-                                     report.clock):
-            for label, run in runs.items():
-                trial_mse[label][t] = run.steady_state_mse
+        trial_mse |= run_trials(config, pair, config.iterations + config.M, report.clock,
+                                keep=lambda run: run.steady_state_mse)
 
     cols = {k: [] for k in (
         "alms_sinr_sim_db", "alms_sinr_theory_db", "anclms_sinr_sim_db",
         "anclms_sinr_theory_db", "alms_att_sim_db", "alms_att_theory_db",
         "anclms_att_sim_db", "anclms_att_theory_db")}
     for point, mu, jobs in points:
-        # the mean |d|^2 of the observation the cancellers run on: every
-        # component but the SOI
-        d_power = sum(power for key, power in point.component_powers.items() if key != "soi")
         with report.clock.phase("theory"):
             theory = (alms_steady_mse(point, mu, alms_regime(point)),
                       anclms_steady_mse(point, mu))
@@ -798,8 +789,8 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
             with np.errstate(divide="ignore"):
                 cols[f"{name}_sinr_sim_db"].append(lin_to_db(point.p_x_soi / mse))
                 cols[f"{name}_sinr_theory_db"].append(lin_to_db(point.p_x_soi / j_theory))
-                cols[f"{name}_att_sim_db"].append(lin_to_db(d_power / mse))
-                cols[f"{name}_att_theory_db"].append(lin_to_db(d_power / j_theory))
+                cols[f"{name}_att_sim_db"].append(lin_to_db(point.d_power / mse))
+                cols[f"{name}_att_theory_db"].append(lin_to_db(point.d_power / j_theory))
 
     report.add_csv(out / "sinr-sweep.csv", "tx_power_dbm", grid, cols)
     # two views of the one run: SINR, and digital attenuation (the power
@@ -922,8 +913,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # three jobs in one kernel call
     points = [(opt, {"anclms_optimal": job(mu_opt), "anclms_whitened": job(mu_white, newton)}),
               (_point(config, prof, s_sub), {"anclms_suboptimal": job(mu_sub)})]
-    for _ in run_trials(config, points, n_iters + config.M, report.clock):
-        pass
+    run_trials(config, points, n_iters + config.M, report.clock)
     # a diverged trial's huge or non-finite residuals may have overflowed a sum;
     # a quotient by the trial count never overflows
     for label, ran in (points[0][1] | points[1][1]).items():
@@ -995,20 +985,18 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     jobs = {f"{label}_mu{frac:g}": Job(frac * bounds[label], n_imd)
             for label, n_imd in (("alms", 0), ("anclms", config.N))
             for frac in fracs}
-    # per trial: (steady-state MSE, first nonfinite step, whether it diverged)
-    trial_runs = {key: [] for key in jobs}
-    for _, runs, diverged in run_trials(config, [(point, jobs)],
-                                        config.iterations + config.M, report.clock):
-        for key, run in runs.items():
-            trial_runs[key].append((run.steady_state_mse, run.diverged_at, diverged[key]))
+    # per trial: (steady-state MSE, whether it diverged)
+    trial_runs = run_trials(config, [(point, jobs)], config.iterations + config.M,
+                            report.clock, keep=lambda run: (run.steady_state_mse, _diverged(run)))
 
     rows = []
     for label, frac in itertools.product(bounds, fracs):
         key = f"{label}_mu{frac:g}"
         job = jobs[key]
-        steady_mse, diverged_at, grew = map(np.array, zip(*trial_runs[key]))
+        steady_mse, grew = map(np.array, zip(*trial_runs[key]))
         n_div = int(grew.sum())
-        report.meta[f"first_divergence[{key}]"] = _divergence_note(diverged_at)
+        report.meta[f"first_divergence[{key}]"] = _divergence_note(
+            report.clock.first_nonfinite.get(key, []))
         j_theory = math.inf
         if frac < 1.0:
             with report.clock.phase("theory"):
@@ -1056,12 +1044,11 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
                          "empirical edge between the mean-square and mean bounds")
 
 
-def _divergence_note(diverged_at: np.ndarray) -> str:
-    """Count, earliest and median first nonfinite step of the diverged trials."""
-    steps = diverged_at[diverged_at >= 0]
-    if steps.size == 0:
+def _divergence_note(steps: list[int]) -> str:
+    """Count, earliest and median of the first non-finite steps ``steps``."""
+    if not steps:
         return "none"
-    return f"n={steps.size} earliest={steps.min()} median={_median(steps):g}"
+    return f"n={len(steps)} earliest={min(steps)} median={_median(steps):g}"
 
 
 _RUNNERS = {

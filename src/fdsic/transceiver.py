@@ -311,6 +311,12 @@ class OperatingPoint:
             self.sigma_x2 * c.norm2_h, self.sigma_x2 * c.norm2_g, imd * c.norm2_h_imd,
             imd * c.norm2_g_imd, self.sigma_v2, self.sigma_q2, self.p_x_soi), strict=True))
 
+    @property
+    def d_power(self) -> float:
+        """The closed-form mean |d|^2 of the observation the cancellers run
+        on: every component power but the SOI's."""
+        return sum(power for key, power in self.component_powers.items() if key != "soi")
+
 
 @dataclass(frozen=True)
 class NoiseBudget:

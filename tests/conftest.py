@@ -169,7 +169,7 @@ def stack_trials(config, point, n):
     run them at once."""
     rows = [(draw.reference(point.sigma_x2), d.copy())
             for group in harness.iter_trials(config, [point], n, harness.PhaseClock())
-            for draw, [d], _ in group]
+            for draw, [d] in group]
     return tuple(np.stack(r) for r in zip(*rows))
 
 

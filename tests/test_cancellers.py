@@ -255,8 +255,7 @@ def test_anclms_diverges_above_ms_bound(lowpower_setup, lowpower_ms_analysis):
     xs, ds = stack_trials(config, operating_point(prof, channels, budget), 8000 + M)
     mu = 1.5 * lowpower_ms_analysis.bound
     runs = run_batch(xs, ds, Job(mu, N), M, prof.k_tiq, keep_residuals=False)
-    assert all(harness._diverged(run, harness._mean_power(d))
-               for (run, _, _), d in zip(runs, ds))
+    assert all(harness._diverged(run) for run, _, _ in runs)
 
 
 def test_mu_zero_flat_residual(lowpower_setup):
@@ -896,6 +895,19 @@ def test_diverged_at_is_the_first_nonfinite_step(kernel_setup):
     calm = run_batch(xs, ds, _kernel_job(kernel_setup, 0, 0.5), M, prof.k_tiq)
     assert [run.diverged_at for run, _, _ in calm] == [-1] * len(xs)
     assert not any(run.diverged for run, _, _ in calm)
+
+
+def test_d_power_is_the_mean_power_of_the_observed_samples(kernel_setup):
+    """Each job of a call reports the mean |d|^2 of the samples its steps
+    observe, its row d from sample M - 1 on, whatever shares its vector:
+    jobs of both widths on each trial's own row, a diverging one included."""
+    prof, xs, ds, _ = kernel_setup
+    jobs = [job._replace(z=x, d=d) for x, d in zip(xs, ds)
+            for job in (_kernel_job(kernel_setup, 0, 0.5), _kernel_job(kernel_setup, N, 3.0))]
+    runs = run_jobs(jobs, M, prof.k_tiq)
+    assert any(run.diverged for run in runs)
+    for job, run in zip(jobs, runs):
+        assert run.d_power == pytest.approx(np.mean(np.abs(job.d[M - 1:]) ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("whiten", [False, True])

@@ -15,7 +15,7 @@ import pytest
 
 from fdsic import _native, transceiver
 from fdsic.signals import gen_proper_gaussian
-from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget,
+from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget, OperatingPoint,
                                compute_noise_budget, load_profile,
                                render_observation, render_observations,
                                synthesize_channels)
@@ -226,28 +226,37 @@ def test_imd_moment_law(type2):
 GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
 
-def _grid_powers(profile, M=M, N=N) -> dict[float, dict[str, float]]:
-    """``component_powers`` of ``profile``'s point at each transmit power of
-    GRID, with channels of M and N taps drawn as ``harness._point`` draws
-    them, by transmit power."""
-    powers = {}
+def _grid_points(profile, M=M, N=N) -> dict[float, OperatingPoint]:
+    """``profile``'s point at each transmit power of GRID, with channels of
+    M and N taps drawn as ``harness._point`` draws them, by transmit
+    power."""
+    points = {}
     for tx in GRID:
         prof = profile.with_tx_power(tx)
         channels = synthesize_channels(prof, M, N, seed=SEED)
-        powers[tx] = operating_point(prof, channels, compute_noise_budget(prof)).component_powers
-    return powers
+        points[tx] = operating_point(prof, channels, compute_noise_budget(prof))
+    return points
+
+
+def _grid_powers(profile, M=M, N=N) -> dict[float, dict[str, float]]:
+    """``component_powers`` of each point of ``_grid_points``."""
+    return {tx: point.component_powers for tx, point in _grid_points(profile, M, N).items()}
 
 
 def test_component_powers_match_the_gain_chain(type1, type2):
     """At M = 8, N = 6 the channels keep the whole 5-tap cascade, so each
-    component's closed-form power is the gain chain's, and
+    component's closed-form power is the gain chain's, and so is the mean
+    |d|^2 of the observation, every component but the SOI (``d_power``);
     ``synthesize_channels``' normalisation is checked against it."""
     for profile in (type1, type2):
-        for tx, powers in _grid_powers(profile, M=8, N=6).items():
+        for tx, point in _grid_points(profile, M=8, N=6).items():
             want = gain_chain_powers(profile.with_tx_power(tx))
+            powers = point.component_powers
             assert tuple(powers) == COMPONENTS
             for key in COMPONENTS:
                 assert powers[key] == pytest.approx(want[key], rel=1e-12), (tx, key)
+            d_power = sum(power for key, power in want.items() if key != "soi")
+            assert point.d_power == pytest.approx(d_power, rel=1e-12), tx
 
 
 def test_power_budget_type1_dominance(type1):

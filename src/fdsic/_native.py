@@ -41,7 +41,8 @@ The library is compiled with the local C compiler on the first call of
 ``_lms-<tag>.so``, keyed by the source and its headers, the compiler
 command and the machine type (``os.uname().machine``); a build deletes the
 libraries of other keys. Importing this module compiles and loads nothing,
-nor imports the build's tools (``subprocess``, ``tempfile``).
+and only a build imports the build's tools (``subprocess``, ``tempfile``):
+loading a cached library does not.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ def _kernel_tag(source: Path) -> str:
 def _build_kernel() -> Path:
     """Compile ``_lms.c`` unless a library for these sources and command
     exists, and delete the superseded ``_lms-*.so`` beside it."""
-    import subprocess  # the build tools load only for a build
-    import tempfile
-
     command = [_COMPILER, *_CFLAGS]
     tag = _kernel_tag(_KERNEL_SOURCE)
     lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_lms-{tag}.so"
     if lib.exists():
         return lib
+    import subprocess  # the build tools load only for a build
+    import tempfile
+
     lib.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix="_lms-", suffix=".so.tmp", dir=lib.parent)
     os.close(fd)
@@ -156,17 +157,15 @@ def row_address(row: np.ndarray | None, dtype, shape: tuple[int, ...],
 @functools.cache
 def library() -> ctypes.CDLL:
     """The compiled library, with ``normals_complex``, ``doubles``,
-    ``render`` and ``lms_raw``."""
-    row, real = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-                 for dtype in (np.complex128, np.float64))
-    i64 = ctypes.c_int64
-    runs = ctypes.POINTER(Run)
+    ``render`` and ``lms_raw``. Every array crosses as its address
+    (``ndarray.ctypes.data``), as every field of ``Run`` and ``Point``
+    does, so the caller keeps the array alive through the call."""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib = ctypes.CDLL(str(_build_kernel()))
-    pcg = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS")
-    lib.normals_complex.argtypes = [pcg, i64, ctypes.c_void_p]
-    lib.doubles.argtypes = [pcg, i64, i64, real]
-    lib.render.argtypes = [i64, row, pcg, i64, ctypes.POINTER(Point)]
-    lib.lms_raw.argtypes = [i64, ctypes.c_double, i64, runs]
+    lib.normals_complex.argtypes = [ptr, i64, ptr]
+    lib.doubles.argtypes = [ptr, i64, i64, ptr]
+    lib.render.argtypes = [i64, ptr, ptr, i64, ctypes.POINTER(Point)]
+    lib.lms_raw.argtypes = [i64, ctypes.c_double, i64, ctypes.POINTER(Run)]
     lib.normals_complex.restype = lib.doubles.restype = None
     lib.render.restype = lib.lms_raw.restype = i64
     return lib
@@ -296,19 +295,19 @@ class NormalStream:
         (checked by ``row_address``) or a new row, which it returns."""
         if out is None:
             out = np.empty(n, dtype=np.complex128)
-        library().normals_complex(self.state, n,
+        library().normals_complex(self.state.ctypes.data, n,
                                   row_address(out, np.complex128, (n,), "out"))
         return out
 
     def standard_normal(self, n: int) -> np.ndarray:
         """The next ``n`` normals, as ``Generator.standard_normal(n)``."""
         out = np.empty(n)
-        library().doubles(self.state, n, 1, out)
+        library().doubles(self.state.ctypes.data, n, 1, out.ctypes.data)
         return out
 
     def uniform(self, low: float, high: float) -> float:
         """The next uniform on [low, high), as ``Generator.uniform(low,
         high)`` rounds it: low + (high - low) u for u in [0, 1)."""
         u = np.empty(1)
-        library().doubles(self.state, 1, 0, u)
+        library().doubles(self.state.ctypes.data, 1, 0, u.ctypes.data)
         return low + (high - low) * float(u[0])

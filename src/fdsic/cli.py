@@ -4,7 +4,11 @@ Usage:
     fdsic <experiment> --profile <path|type1|type2> --trials N --mu-frac F
           --tx-grid a:b:step --source gaussian|ofdm --seed S --out DIR [--check]
 
-Exit codes: 0 success, 2 configuration error, 3 acceptance-check failure.
+Every run prints its acceptance checks against the closed-form theory and
+records them in ``meta.txt``; ``--check`` only sets the exit status.
+
+Exit codes: 0 success, 2 configuration error, 3 acceptance-check failure
+(with ``--check``).
 
 This module owns the command-line process, so it starts numpy's OpenBLAS on
 one thread: if numpy is not loaded yet and none of ``OPENBLAS_NUM_THREADS``,
@@ -72,7 +76,8 @@ def parse_tx_grid(text: str) -> tuple[float, ...]:
 # option -> (the ExperimentConfig field it sets, the parser of its text, help).
 # The command line and a --config file take these options under the same
 # names; an option given in neither takes the field's default, apart from
-# --profile (resolve_profile's default) and --out (the directory "out").
+# --profile (resolve_profile's default), --out (the directory "out") and
+# --check, which sets no field: main alone reads it, for the exit status.
 OPTIONS = {
     "profile": ("profile", str, "profile file path or builtin preset name"),
     "trials": ("trials", int, "Monte Carlo trials"),
@@ -87,7 +92,8 @@ OPTIONS = {
     "M": ("M", int, "linear taps"),
     "N": ("N", int, "IMD taps"),
     "out": ("output_dir", Path, "output directory"),
-    "check": ("check", bool, "run the experiment's acceptance checks"),
+    "check": ("check", bool, "exit 3 if an acceptance check fails (every run "
+                             "prints and records its checks)"),
 }
 
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
@@ -112,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_options(texts: dict[str, str]) -> dict:
-    """ExperimentConfig fields from option texts keyed by option name."""
+    """ExperimentConfig fields, and ``check``, from option texts keyed by
+    option name."""
     fields = {}
     for option, text in texts.items():
         field, kind, _ = OPTIONS[option]
@@ -137,6 +144,7 @@ def main(argv=None) -> int:
             texts.update((key.replace("_", "-"), value) for key, value
                          in read_key_values(texts.pop("config"), "config", keys))
         fields = {"output_dir": Path("out"), **_parse_options(texts)}
+        check = fields.pop("check", False)
         config = ExperimentConfig(experiment=experiment,
                                   profile=resolve_profile(fields.pop("profile", None)),
                                   **fields)
@@ -147,10 +155,10 @@ def main(argv=None) -> int:
     report = run_experiment(config)
     for path in report.csv_paths + report.svg_paths + [report.meta_path]:
         print(f"wrote {path}")
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: {check.detail}")
-    if config.check and not report.all_passed:
+    for result in report.checks:
+        status = "PASS" if result.passed else "FAIL"
+        print(f"[{status}] {result.name}: {result.detail}")
+    if check and not report.all_passed:
         return 3
     return 0
 

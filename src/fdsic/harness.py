@@ -52,7 +52,9 @@ trials that diverged, by job (``PhaseClock.count_lms`` makes the one
 verdict, ``_diverged``, for every runner). ``run_experiment`` is every
 run's skeleton: it makes the output directory and the report, times the
 run and writes ``meta.txt``; a runner fills the report in, the step size
-it runs included.
+it runs and its checks against the closed-form theory included. Every run
+makes its checks; what a failed one means is its caller's choice (the
+command line's ``--check`` turns it into exit status 3).
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -133,7 +135,6 @@ class ExperimentConfig:
     seed: int = 17
     iterations: int = 30_000
     output_dir: Path | None = None
-    check: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -616,32 +617,31 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
         "Component powers at the digital canceller input",
         "transmit power (dBm)", "power (dBm)")
 
-    if config.check:
-        # a component is compared where its analytic power is finite; where
-        # it is -inf dBm (the image branches at irr = inf) it must render
-        # exactly zero power
-        worst, stray = 0.0, []
-        for key in COMPONENTS:
-            want, got = np.array(analytic[key]), np.array(measured[key])
-            ok = np.isfinite(want)
-            if ok.any():
-                worst = max(worst, float(np.max(np.abs(want[ok] - got[ok]))))
-            if np.any(got[~ok] != -np.inf):
-                stray.append(key)
-        detail = f"worst gap {worst:.3f} dB"
-        if stray:
-            detail += f"; power where none is due in {', '.join(stray)}"
-        report.add_check("analytic_vs_rendered_0.5dB", worst <= 0.5 and not stray, detail)
-        # the quantization noise, fixed by the ADC, overtakes the thermal
-        # noise, which falls with the receiver gain, where the point's own
-        # closed forms cross: the rendered noises must be in their order
-        ahead = {name: " ".join(f"{tx:g}" for tx, t, q in zip(
-                     tx_axis, powers["thermal"], powers["quantization"]) if t > q) or "none"
-                 for name, powers in (("analytic", analytic), ("rendered", measured))}
-        report.add_check(
-            "thermal_quant_crossover", ahead["analytic"] == ahead["rendered"],
-            "thermal above quantization at tx (dBm) "
-            + "; ".join(f"{name} {txs}" for name, txs in ahead.items()))
+    # a component is compared where its analytic power is finite; where
+    # it is -inf dBm (the image branches at irr = inf) it must render
+    # exactly zero power
+    worst, stray = 0.0, []
+    for key in COMPONENTS:
+        want, got = np.array(analytic[key]), np.array(measured[key])
+        ok = np.isfinite(want)
+        if ok.any():
+            worst = max(worst, float(np.max(np.abs(want[ok] - got[ok]))))
+        if np.any(got[~ok] != -np.inf):
+            stray.append(key)
+    detail = f"worst gap {worst:.3f} dB"
+    if stray:
+        detail += f"; power where none is due in {', '.join(stray)}"
+    report.add_check("analytic_vs_rendered_0.5dB", worst <= 0.5 and not stray, detail)
+    # the quantization noise, fixed by the ADC, overtakes the thermal
+    # noise, which falls with the receiver gain, where the point's own
+    # closed forms cross: the rendered noises must be in their order
+    ahead = {name: " ".join(f"{tx:g}" for tx, t, q in zip(
+                 tx_axis, powers["thermal"], powers["quantization"]) if t > q) or "none"
+             for name, powers in (("analytic", analytic), ("rendered", measured))}
+    report.add_check(
+        "thermal_quant_crossover", ahead["analytic"] == ahead["rendered"],
+        "thermal above quantization at tx (dBm) "
+        + "; ".join(f"{name} {txs}" for name, txs in ahead.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -731,17 +731,16 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     report.tables["bias_taps"] = bias_table
     report.tables["traces"] = traces
 
-    if config.check:
-        rel = bias_table["rel_error"]
-        report.add_check("alms_bias_10pct", bool(np.all(rel <= 0.10)),
-                         f"worst per-tap rel error {rel.max():.3g}")
-        for tap in (1, 2):
-            final = traces[f"anclms_{base_tag}_tap{tap}"][-5:].mean()
-            report.add_check(f"anclms_bias_removed_tap{tap}", final < 1e-2,
-                             f"final normalized error {final:.2e} (< -40 dB)")
-        anorm = float(report.meta["anclms_weight_error_norm_frac"])
-        report.add_check("anclms_error_norm_5pct", anorm < 0.05,
-                         f"weight error norm {anorm:.4f} of ||w_opt||")
+    rel = bias_table["rel_error"]
+    report.add_check("alms_bias_10pct", bool(np.all(rel <= 0.10)),
+                     f"worst per-tap rel error {rel.max():.3g}")
+    for tap in (1, 2):
+        final = traces[f"anclms_{base_tag}_tap{tap}"][-5:].mean()
+        report.add_check(f"anclms_bias_removed_tap{tap}", final < 1e-2,
+                         f"final normalized error {final:.2e} (< -40 dB)")
+    anorm = float(report.meta["anclms_weight_error_norm_frac"])
+    report.add_check("anclms_error_norm_5pct", anorm < 0.05,
+                     f"weight error norm {anorm:.4f} of ||w_opt||")
 
 
 # ---------------------------------------------------------------------------
@@ -805,21 +804,20 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
                                                 for tx in grid)
     report.meta["anclms_start"] = "wiener"
 
-    if config.check:
-        gaps = []
-        for label in ("alms", "anclms"):
-            sim = np.array(cols[f"{label}_sinr_sim_db"])
-            th = np.array(cols[f"{label}_sinr_theory_db"])
-            gaps.append(np.max(np.abs(sim - th)))
-        report.add_check("sinr_theory_gap_0.5dB", max(gaps) <= 0.5,
-                         f"worst |sim-theory| {max(gaps):.3f} dB")
-        a = np.array(cols["alms_sinr_sim_db"])
-        b = np.array(cols["anclms_sinr_sim_db"])
-        report.add_check("anclms_dominates", bool(np.all(b >= a - 0.2)),
-                         "nonlinear canceller at least matches the linear one")
-        gap25 = b[np.argmax(grid)] - a[np.argmax(grid)]
-        report.add_check("gap_at_top_power_3dB", gap25 > 3.0,
-                         f"gap at {max(grid):g} dBm is {gap25:.2f} dB")
+    gaps = []
+    for label in ("alms", "anclms"):
+        sim = np.array(cols[f"{label}_sinr_sim_db"])
+        th = np.array(cols[f"{label}_sinr_theory_db"])
+        gaps.append(np.max(np.abs(sim - th)))
+    report.add_check("sinr_theory_gap_0.5dB", max(gaps) <= 0.5,
+                     f"worst |sim-theory| {max(gaps):.3f} dB")
+    a = np.array(cols["alms_sinr_sim_db"])
+    b = np.array(cols["anclms_sinr_sim_db"])
+    report.add_check("anclms_dominates", bool(np.all(b >= a - 0.2)),
+                     "nonlinear canceller at least matches the linear one")
+    gap25 = b[np.argmax(grid)] - a[np.argmax(grid)]
+    report.add_check("gap_at_top_power_3dB", gap25 > 3.0,
+                     f"gap at {max(grid):g} dBm is {gap25:.2f} dB")
 
 
 # ---------------------------------------------------------------------------
@@ -945,18 +943,17 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
         report.meta[f"iters_to_1db_{label}"] = str(reach[label])
     report.tables["reach"] = reach
 
-    if config.check:
-        report.add_check("heatmap_min_4p64", abs(heatmap_min - 4.6417) < 0.1,
-                         f"min condition number {heatmap_min:.4f}")
-        ratio = reach["anclms_optimal"] / max(reach["anclms_whitened"], 1)
-        report.add_check("whitening_speedup",
-                         reach["anclms_whitened"] < reach["anclms_optimal"]
-                         and ratio >= 1.8,
-                         f"{reach['anclms_whitened']} vs {reach['anclms_optimal']} iterations "
-                         f"(ratio {ratio:.2f})")
-        report.add_check("suboptimal_slower",
-                         reach["anclms_optimal"] <= reach["anclms_suboptimal"],
-                         "optimal reference power converges no slower than -10 dBm")
+    report.add_check("heatmap_min_4p64", abs(heatmap_min - 4.6417) < 0.1,
+                     f"min condition number {heatmap_min:.4f}")
+    ratio = reach["anclms_optimal"] / max(reach["anclms_whitened"], 1)
+    report.add_check("whitening_speedup",
+                     reach["anclms_whitened"] < reach["anclms_optimal"]
+                     and ratio >= 1.8,
+                     f"{reach['anclms_whitened']} vs {reach['anclms_optimal']} iterations "
+                     f"(ratio {ratio:.2f})")
+    report.add_check("suboptimal_slower",
+                     reach["anclms_optimal"] <= reach["anclms_suboptimal"],
+                     "optimal reference power converges no slower than -10 dBm")
     report.meta["whitening"] = "exact rb_matrix inverse"
 
 
@@ -1030,18 +1027,17 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
         "Diverged trials vs step-size fraction", "mu / bound", "diverged trials")
     report.tables["rows"] = rows
 
-    if config.check:
-        by = {(r["variant"], r["mu_frac"]): r for r in rows}
-        report.add_check("alms_0.9_converged",
-                         by[("alms", 0.9)]["verdict"] == "converged",
-                         f"{by[('alms', 0.9)]['n_diverged']} diverged")
-        report.add_check("alms_1.5_diverged",
-                         by[("alms", 1.5)]["n_diverged"] >= 0.9 * config.trials,
-                         f"{by[('alms', 1.5)]['n_diverged']} diverged")
-        edge_ok = (by[("anclms", 0.9)]["verdict"] == "converged"
-                   and by[("anclms", 1.5)]["verdict"] == "diverged")
-        report.add_check("anclms_edge_bracketed", edge_ok,
-                         "empirical edge between the mean-square and mean bounds")
+    by = {(r["variant"], r["mu_frac"]): r for r in rows}
+    report.add_check("alms_0.9_converged",
+                     by[("alms", 0.9)]["verdict"] == "converged",
+                     f"{by[('alms', 0.9)]['n_diverged']} diverged")
+    report.add_check("alms_1.5_diverged",
+                     by[("alms", 1.5)]["n_diverged"] >= 0.9 * config.trials,
+                     f"{by[('alms', 1.5)]['n_diverged']} diverged")
+    edge_ok = (by[("anclms", 0.9)]["verdict"] == "converged"
+               and by[("anclms", 1.5)]["verdict"] == "diverged")
+    report.add_check("anclms_edge_bracketed", edge_ok,
+                     "empirical edge between the mean-square and mean bounds")
 
 
 def _divergence_note(steps: list[int]) -> str:

@@ -70,7 +70,6 @@ class TransceiverProfile:
 
     p_sen_dbm: float
     snr_req_db: float
-    noise_floor_dbm: float
     rf_separation_db: float
     rf_attenuation_db: float
     irr_db: float
@@ -88,11 +87,9 @@ class TransceiverProfile:
     def __post_init__(self):
         if self.adc_bits < 1:
             raise ValueError("adc_bits must be >= 1")
-        for name in ("p_sen_dbm", "snr_req_db", "noise_floor_dbm",
-                     "rf_separation_db", "rf_attenuation_db", "k_tiq_db",
-                     "k_riq_db", "pa_gain_db", "pa_iip3_dbm", "k_lna_db",
-                     "tx_power_dbm", "adc_dynamic_range_db", "papr_db",
-                     "k_vga_db"):
+        for name in ("p_sen_dbm", "snr_req_db", "rf_separation_db", "rf_attenuation_db",
+                     "k_tiq_db", "k_riq_db", "pa_gain_db", "pa_iip3_dbm", "k_lna_db",
+                     "tx_power_dbm", "adc_dynamic_range_db", "papr_db", "k_vga_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         # irr_db may be +inf (perfectly balanced mixers, no image branch)
@@ -497,8 +494,9 @@ def render_observations(zs: np.ndarray, points, seed: int, ds,
             _native.row_address(parts, np.complex128, (len(COMPONENTS), n),
                                 "a point's components")))
     structs = (_native.Point * len(structs))(*structs)
-    if not _native.library().render(n, zs, _native.NormalStream(seed).state, len(structs),
-                                    structs):
+    noise = _native.NormalStream(seed)
+    if not _native.library().render(n, zs.ctypes.data, noise.state.ctypes.data,
+                                    len(structs), structs):
         raise MemoryError("the render kernel cannot allocate its block rows")
 
 

@@ -78,8 +78,7 @@ def test_criterion_2_rb_spectrum():
 def test_criterion_3_bias_reproduction(type2, tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(experiment="bias", profile=type2, trials=50,
-                           iterations=30_000, seed=SEED,
-                           output_dir=tmp_path, check=True)
+                           iterations=30_000, seed=SEED, output_dir=tmp_path)
     report = run_experiment(cfg)
     elapsed = time.time() - t0
     rel = report.tables["bias_taps"]["rel_error"]
@@ -95,7 +94,7 @@ def test_criterion_3_bias_reproduction(type2, tmp_path):
 def test_criterion_4_steady_state_sinr(type2, tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=50,
-                           seed=SEED, output_dir=tmp_path, check=True)
+                           seed=SEED, output_dir=tmp_path)
     report = run_experiment(cfg)
     elapsed = time.time() - t0
     cols = report.tables["columns"]
@@ -200,8 +199,7 @@ def test_criterion_6_convergence_tracks_theory(lowpower_setup, lowpower_ms_analy
 def test_criterion_7_prewhitening_speedup(type2, tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=50,
-                           iterations=20_000, seed=SEED,
-                           output_dir=tmp_path, check=True)
+                           iterations=20_000, seed=SEED, output_dir=tmp_path)
     report = run_experiment(cfg)
     elapsed = time.time() - t0
     reach = report.tables["reach"]
@@ -219,7 +217,7 @@ def test_criterion_7_prewhitening_speedup(type2, tmp_path):
 def test_criterion_8_power_budget_crossover(type2, tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(experiment="power-budget", profile=type2,
-                           seed=SEED, output_dir=tmp_path, check=True)
+                           seed=SEED, output_dir=tmp_path)
     report = run_experiment(cfg)
     elapsed = time.time() - t0
     ok = report.all_passed and elapsed < 60.0

@@ -226,30 +226,61 @@ def test_cli_config_file(tmp_path):
         (tmp_path / "o" / "meta.txt").read_text()
 
 
-def _cli_config(argv, monkeypatch) -> ExperimentConfig:
-    """The ExperimentConfig that ``cli.main(argv)`` hands to run_experiment."""
+@pytest.mark.parametrize("experiment, source",
+                         [(experiment, "gaussian") for experiment in harness.EXPERIMENTS]
+                         + [("power-budget", "ofdm")])
+def test_every_run_judges_itself(experiment, source, tmp_path, capsys):
+    """A run prints its checks and records them in meta.txt, the same lines
+    with --check or without, and exits 0 without it; with it, the run exits
+    3 exactly when one of its checks fails. The OFDM power budget fails its
+    check, as its closed forms assume Gaussian input."""
+    printed, recorded, codes = {}, {}, {}
+    for check in (False, True):
+        out = tmp_path / f"check-{check}"
+        codes[check] = cli_main([experiment, "--profile", "type2", "--trials", "2",
+                                 "--iterations", "3000", "--seed", "17", "--source", source,
+                                 "--out", str(out)] + ["--check"] * check)
+        printed[check] = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith(("[PASS] ", "[FAIL] "))]
+        recorded[check] = [line for line in (out / "meta.txt").read_text().splitlines()
+                           if line.startswith("check[")]
+    assert printed[True] and printed[False] == printed[True]
+    assert len(recorded[True]) == len(printed[True]) and recorded[False] == recorded[True]
+    failed = any(line.startswith("[FAIL]") for line in printed[True])
+    assert codes == {False: 0, True: 3 if failed else 0}
+    assert failed or source == "gaussian"
+
+
+def _cli_config(argv, monkeypatch) -> tuple[ExperimentConfig, int]:
+    """The ExperimentConfig that ``cli.main(argv)`` hands to run_experiment,
+    and main's exit status when that run's one check fails."""
     configs = []
 
     def record(config):
         configs.append(config)
-        return harness.ExperimentReport()
+        report = harness.ExperimentReport()
+        report.add_check("failing", False)
+        return report
 
     monkeypatch.setattr(cli, "run_experiment", record)
-    assert cli_main(argv) == 0
+    code = cli_main(argv)
     [config] = configs
-    return config
+    return config, code
 
 
 def test_cli_defaults_are_the_config_defaults(monkeypatch):
     """An experiment name alone gives ExperimentConfig's defaults, the type2
-    profile and the output directory ``out``."""
-    assert _cli_config(["bias"], monkeypatch) == ExperimentConfig(
-        experiment="bias", profile=builtin_profile("type2"), output_dir=Path("out"))
+    profile and the output directory ``out``, and exits 0 though a check
+    fails."""
+    assert _cli_config(["bias"], monkeypatch) == (ExperimentConfig(
+        experiment="bias", profile=builtin_profile("type2"), output_dir=Path("out")), 0)
 
 
 def test_cli_options_match_config_file_keys(tmp_path, monkeypatch):
     """Every command-line option, written under its name in a --config file,
-    gives the same config as on the command line."""
+    gives the same config, and the same exit status, as on the command
+    line: ``check``, which sets no config field, exits 3 on a failed check
+    from either."""
     values = {"profile": "type1", "trials": "3", "mu-frac": "0.1", "mu": "1e-3",
               "tx-grid": "0:10:5", "source": "ofdm", "iterations": "4000",
               "seed": "5", "M": "6", "N": "3", "out": str(tmp_path / "o"),
@@ -258,12 +289,15 @@ def test_cli_options_match_config_file_keys(tmp_path, monkeypatch):
     argv = ["bias"]
     for option, value in values.items():
         argv += [f"--{option}"] if option == "check" else [f"--{option}", value]
-    from_argv = _cli_config(argv, monkeypatch)
+    from_argv, code = _cli_config(argv, monkeypatch)
+    assert code == 3
     conf = tmp_path / "run.conf"
     conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-    assert _cli_config(["bias", "--config", str(conf)], monkeypatch) == from_argv
+    assert _cli_config(["bias", "--config", str(conf)], monkeypatch) == (from_argv, 3)
+    conf.write_text("check = off\n")
+    assert _cli_config(["bias", "--check", "--config", str(conf)], monkeypatch)[1] == 0
     assert from_argv != ExperimentConfig(experiment="bias", profile=from_argv.profile)
-    for field, value in (("trials", 3), ("mu_abs", 1e-3), ("check", True),
+    for field, value in (("trials", 3), ("mu_abs", 1e-3),
                          ("tx_grid_dbm", (0.0, 5.0, 10.0)), ("signal_source", "ofdm")):
         assert getattr(from_argv, field) == value
 
@@ -539,6 +573,18 @@ def test_cli_import_loads_no_build_tools():
     assert _fresh_python(["-c", code]).strip() == "[]"
 
 
+def test_cli_run_with_the_kernel_cached_loads_no_build_tools(tmp_path):
+    """A CLI run whose kernel is cached imports neither the build's
+    ``subprocess`` nor ``numpy.ctypeslib``: every array crosses into C as
+    its address. (``site`` may import ``tempfile`` itself, so it is not
+    counted.)"""
+    _native.library()  # cached before the fresh process looks for it
+    code = ("import sys; from fdsic.cli import main; "
+            f"main(['bias', '--trials', '2', '--iterations', '3000', '--out', {str(tmp_path)!r}]); "
+            "print(sorted({'subprocess', 'numpy.ctypeslib'} & set(sys.modules)))")
+    assert _fresh_python(["-c", code]).splitlines()[-1] == "[]"
+
+
 @needs_openblas
 def test_cli_import_starts_openblas_on_one_thread():
     """A fresh ``import fdsic.cli`` starts numpy's OpenBLAS on one thread,
@@ -682,8 +728,7 @@ def test_convergence_whitening_speedup_at_seed_22(type2, tmp_path):
     """At seed 22, where a whitening transform fitted on a sampled
     preamble fell short (5800 vs 7200 iterations), the exact one passes."""
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=50,
-                           iterations=20_000, seed=22, output_dir=tmp_path,
-                           check=True)
+                           iterations=20_000, seed=22, output_dir=tmp_path)
     checks = {c.name: c for c in run_experiment(cfg).checks}
     assert checks["whitening_speedup"].passed, checks["whitening_speedup"].detail
 
@@ -1799,8 +1844,7 @@ def test_bias_check_at_infinite_irr(type2, tmp_path):
     """Image taps without theoretical bias (irr = inf) keep a finite error."""
     prof = dataclasses.replace(type2, irr_db=math.inf)
     cfg = ExperimentConfig(experiment="bias", profile=prof, trials=2,
-                           iterations=3000, seed=SEED, output_dir=tmp_path,
-                           check=True)
+                           iterations=3000, seed=SEED, output_dir=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_experiment(cfg)

@@ -47,6 +47,10 @@ def test_profile_file_errors(tmp_path):
         bad.write_text(text.replace("adc_bits = 12\n", f"adc_bits = {bits}\n"))
         with pytest.raises(ValueError, match="adc_bits must be an integer"):
             load_profile(bad)
+    # the thermal noise follows from p_sen and snr_req: no noise floor is read
+    bad.write_text(text + "noise_floor = -104 dBm\n")
+    with pytest.raises(ValueError, match="unknown profile key: 'noise_floor'"):
+        load_profile(bad)
 
 
 def test_profile_tx_power_range(type2):

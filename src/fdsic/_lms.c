@@ -8,9 +8,15 @@
  * as einsum does, complex products use numpy's FMA form, |e| is numpy's
  * scaled hypot, and the FIR sums as np.convolve does through BLAS zdotu.
  * The draws are those of numpy's Generator.standard_normal and random on
- * PCG64. Build with -ffp-contract=off and without auto-vectorization so
- * that the compiler keeps exactly these operations. Complex arrays are
- * interleaved (re, im) doubles. The render and the LMS read a trial's
+ * PCG64. The normals are drawn in the lanes (struct stream): the lanes hold
+ * consecutive states of the one stream, and each batch moves them on by
+ * LANES steps with jump constants formed when the stream loads; the
+ * ziggurat's fast path runs in the lanes, and its rare path (wedge and
+ * tail) in stream order from the first lane that fails; the state stored
+ * back is the state after the last output consumed. Build with
+ * -ffp-contract=off and without auto-vectorization so that the compiler
+ * keeps exactly these operations. Complex arrays are interleaved (re, im)
+ * doubles. The render and the LMS read a trial's
  * reference x = scale z from a source row z and a scale, and form x and its
  * IMD product in one place (reference_lanes): each part of z times the
  * scale, as signals.Draw.reference does, so one row z serves every transmit
@@ -21,16 +27,16 @@
  * other build one (lms_lanes). The render's lanes are consecutive output
  * samples, formed in blocks of RB samples on the heap; one call renders
  * the observations of several points (struct point) from one source row
- * and draws their noise once, each normal added to every point's row as
- * that point alone adds it. A job of an lms_raw call is one trial's run,
- * with its own source row z, scale and observation row, so the jobs of one
- * call may belong to different trials: the harness fills the lanes with
- * (trial, job) pairs, job-major, so that a vector often holds one job over
- * several trials. The jobs run in groups of LANES, one group after
- * another, and within a group step by step as the lanes of a vector, each
- * lane on its own regressor. A job's preconditioner couples an entry only
- * with its layout partner (see struct run), so any jobs can share the
- * lanes.
+ * and draws their noise once, RB normals at a time, each block added in
+ * the lanes to every point's row as that point alone adds it. A job of an
+ * lms_raw call is one trial's run, with its own source row z, scale and
+ * observation row, so the jobs of one call may belong to different trials:
+ * the harness fills the lanes with (trial, job) pairs, job-major, so that a
+ * vector often holds one job over several trials. The jobs run in groups
+ * of LANES, one group after another, and within a group step by step as
+ * the lanes of a vector, each lane on its own regressor. A job's
+ * preconditioner couples an entry only with its layout partner (see struct
+ * run), so any jobs can share the lanes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -45,11 +51,12 @@ struct pcg64 {
     unsigned __int128 state, inc;
 };
 
+static const unsigned __int128 pcg64_mult =
+    (unsigned __int128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
+
 static inline uint64_t pcg64_next(struct pcg64 *g)
 {
-    const unsigned __int128 mult =
-        (unsigned __int128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
-    g->state = g->state * mult + g->inc;
+    g->state = g->state * pcg64_mult + g->inc;
     uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
     unsigned rot = (unsigned)(g->state >> 122);
     return v >> rot | v << (-rot & 63);
@@ -61,10 +68,11 @@ static inline double pcg64_double(struct pcg64 *g)
     return (double)(pcg64_next(g) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* The rare exits of normal() below for the draw (rabs, idx, x): the wedge
- * test of layers idx > 0 and the tail beyond r of layer 0. Returns 1 with
- * the normal in *z, or 0 to draw again. Kept out of line so that the fast
- * path keeps the generator in registers. */
+/* The rare exits of the ziggurat (stream_normals below) for the draw
+ * (rabs, idx, x), from the state g after that draw's output: the wedge test
+ * of layers idx > 0 and the tail beyond r of layer 0, which read the
+ * following outputs of g one at a time. Returns 1 with the normal in *z, or
+ * 0 to draw again. */
 static __attribute__((noinline)) int normal_rare(struct pcg64 *g,
                                                  uint64_t rabs, int idx,
                                                  double x, double *z)
@@ -86,30 +94,6 @@ static __attribute__((noinline)) int normal_rare(struct pcg64 *g,
            + fi_double[idx] < exp(-0.5 * x * x);
 }
 
-/* One standard normal by numpy's random_standard_normal: the 256-layer
- * ziggurat of Marsaglia & Tsang (J. Stat. Softw. 5(8), 2000) with the same
- * wedge and tail tests. Only the sign differs in form: it is applied by
- * flipping the sign bit, which negates exactly, in place of a branch. */
-static inline __attribute__((always_inline)) double normal(struct pcg64 *g)
-{
-    for (;;) {
-        uint64_t u = pcg64_next(g), rabs = u >> 9 & 0x000fffffffffffffULL;
-        int idx = u & 0xff;
-        double x = (double)(int64_t)rabs * wi_double[idx], z;
-        uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
-        bits ^= (u & 0x100) << 55;  /* bit 8 of u is the sign */
-        memcpy(&x, &bits, sizeof x);
-        if (rabs < ki_double[idx])
-            return x;
-        struct pcg64 rare = *g;  /* g itself never escapes */
-        int done = normal_rare(&rare, rabs, idx, x, &z);
-        *g = rare;
-        if (done)
-            return z;
-    }
-}
-
 /* The PCG64 state and increment as four words, least significant first */
 static struct pcg64 pcg64_load(const uint64_t *s)
 {
@@ -126,53 +110,11 @@ static void pcg64_store(const struct pcg64 *g, uint64_t *s)
     s[3] = (uint64_t)(g->inc >> 64);
 }
 
-/* The next 2n standard normals into the complex row y: the first n go to
- * the real parts, the next n to the imaginary parts */
-void normals_complex(uint64_t *s, int64_t n, double *y)
-{
-    struct pcg64 g = pcg64_load(s);
-    for (int64_t k = 0; k < 2; k++)
-        for (int64_t i = 0; i < n; i++)
-            y[2 * i + k] = normal(&g);
-    pcg64_store(&g, s);
-}
-
-/* The next n draws of the generator whose state s holds (advanced past
- * them) into y: standard normals as Generator.standard_normal draws them
- * if gauss, else doubles in [0, 1) as Generator.random draws them */
-void doubles(uint64_t *s, int64_t n, int64_t gauss, double *y)
-{
-    struct pcg64 g = pcg64_load(s);
-    for (int64_t i = 0; i < n; i++)
-        y[i] = gauss ? normal(&g) : pcg64_double(&g);
-    pcg64_store(&g, s);
-}
-
 /* numpy's product of a real scale (promoted to complex) and (re, im) */
 static inline void scale_complex(double a, double re, double im, double *y)
 {
     y[0] = fma(a, re, -(0.0 * im));
     y[1] = fma(a, im, 0.0 * re);
-}
-
-/* Add scale times the n standard normals v to every second double of y, if
- * y is not NULL, from y[0] (the real parts of a complex row) or y[1] (the
- * imaginary parts), and store the normals likewise in z if it is not NULL.
- * The render adds a noise part this way in place of numpy's
- * y + fma(scale, z, +-0), the real-by-complex product written out by
- * scale_complex: a running sum that starts at 0.0 is never -0 (x + y is -0 in round-to-nearest only if x and
- * y both are), and for such a y, y + fma(scale, z, +-0) equals
- * y + scale * z whatever the sign of that zero: the two products round
- * alike unless the exact product is zero, and then y + 0 and y + -0 are
- * both y. */
-static void add_normals(int64_t n, double scale, const double *v, double *y, double *z)
-{
-    for (int64_t i = 0; i < n; i++) {
-        if (y)
-            y[2 * i] += scale * v[i];
-        if (z)
-            z[2 * i] = v[i];
-    }
 }
 
 /* One canceller job of an LMS call, one trial's run: its steps, its dim
@@ -212,10 +154,10 @@ struct run {
     int64_t diverged_at;
 };
 
-/* The vector operations of the render and the LMS steps, on the LANES
- * lanes of a vec: with AVX-512F and AVX-512DQ each is one intrinsic (or a
- * short sequence) on eight doubles, with AVX2 and FMA on four, else plain C
- * on one double. Compares give masks, each lane all bits set or none (on
+/* The vector operations of the draws, the render and the LMS steps, on the
+ * LANES lanes of a vec: with AVX-512F and AVX-512DQ each is one intrinsic
+ * (or a short sequence) on eight doubles, with AVX2 and FMA on four, else
+ * plain C on one double. Compares give masks, each lane all bits set or none (on
  * AVX-512, a compare's mask register spread to the lanes' bits by v_mask);
  * v_and keeps a lane where the mask is set, v_blend(a, b, mask) takes b
  * where the mask's sign bit is set, a elsewhere, and v_movemask gathers the
@@ -225,7 +167,15 @@ struct run {
  * where negating it first would flip it). v_gather(p, o) loads the double
  * p[l][o] into each lane l. v_load2(p, re, im) loads the LANES complex
  * values at p, interleaved (re, im), as the vectors re and im of their
- * parts, and v_store2(p, re, im) stores them back interleaved. */
+ * parts, and v_store2(p, re, im) stores them back interleaved.
+ * The draws' operations act on an ivec of LANES unsigned 64-bit integers:
+ * v_u* as their names say (v_ushr and v_ushl shift every lane by n, v_uror
+ * rotates each lane right by its own count), v_mullo and v_mulhi the low
+ * and high 64 bits of the 128-bit product, v_uaddc the sum and, in
+ * *carry, 1 where it wrapped, v_ult the bits (lane l at bit l) of the
+ * lanes where a < b unsigned, v_ulookup and v_lookup the entries t[i] of
+ * an integer and a double table, v_u52tod the double of an integer below
+ * 2^52 (exact), and v_xorbits a with its bits xor b. */
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 #include <immintrin.h>
 
@@ -275,6 +225,44 @@ static inline vec v_blend(vec a, vec b, vec mask)
 {
     return _mm512_mask_blend_pd(_mm512_movepi64_mask(_mm512_castpd_si512(mask)), a, b);
 }
+
+typedef __m512i ivec;
+
+static inline ivec v_uset1(uint64_t a) { return _mm512_set1_epi64((long long)a); }
+static inline ivec v_uload(const uint64_t *p) { return _mm512_loadu_si512(p); }
+static inline void v_ustore(uint64_t *p, ivec a) { _mm512_storeu_si512(p, a); }
+static inline ivec v_uadd(ivec a, ivec b) { return _mm512_add_epi64(a, b); }
+static inline ivec v_uxor(ivec a, ivec b) { return _mm512_xor_si512(a, b); }
+static inline ivec v_uand(ivec a, ivec b) { return _mm512_and_si512(a, b); }
+static inline ivec v_ushr(ivec a, unsigned n) { return _mm512_srli_epi64(a, n); }
+static inline ivec v_ushl(ivec a, unsigned n) { return _mm512_slli_epi64(a, n); }
+static inline ivec v_uror(ivec a, ivec r) { return _mm512_rorv_epi64(a, r); }
+static inline ivec v_mullo(ivec a, ivec b) { return _mm512_mullo_epi64(a, b); }
+static inline ivec v_mulhi(ivec a, ivec b)
+{
+    ivec ah = _mm512_srli_epi64(a, 32), bh = _mm512_srli_epi64(b, 32);
+    ivec t = _mm512_add_epi64(_mm512_mul_epu32(ah, b),
+                              _mm512_srli_epi64(_mm512_mul_epu32(a, b), 32));
+    ivec w = _mm512_add_epi64(_mm512_and_si512(t, _mm512_set1_epi64(0xffffffff)),
+                              _mm512_mul_epu32(a, bh));
+    return _mm512_add_epi64(_mm512_add_epi64(_mm512_mul_epu32(ah, bh),
+                                             _mm512_srli_epi64(t, 32)),
+                            _mm512_srli_epi64(w, 32));
+}
+static inline ivec v_uaddc(ivec a, ivec b, ivec *carry)
+{
+    ivec sum = _mm512_add_epi64(a, b);
+    *carry = _mm512_maskz_set1_epi64(_mm512_cmplt_epu64_mask(sum, b), 1);
+    return sum;
+}
+static inline int v_ult(ivec a, ivec b) { return _mm512_cmplt_epu64_mask(a, b); }
+static inline ivec v_ulookup(const uint64_t *t, ivec i) { return _mm512_i64gather_epi64(i, t, 8); }
+static inline vec v_lookup(const double *t, ivec i) { return _mm512_i64gather_pd(i, t, 8); }
+static inline vec v_u52tod(ivec a) { return _mm512_cvtepi64_pd(a); }
+static inline vec v_xorbits(vec a, ivec b)
+{
+    return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(a), b));
+}
 #elif defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
@@ -318,6 +306,71 @@ static inline vec v_lt(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
 static inline vec v_unord(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_UNORD_Q); }
 static inline vec v_blend(vec a, vec b, vec mask) { return _mm256_blendv_pd(a, b, mask); }
 static inline int v_movemask(vec mask) { return _mm256_movemask_pd(mask); }
+
+typedef __m256i ivec;
+
+static inline ivec v_uset1(uint64_t a) { return _mm256_set1_epi64x((long long)a); }
+static inline ivec v_uload(const uint64_t *p) { return _mm256_loadu_si256((const ivec *)p); }
+static inline void v_ustore(uint64_t *p, ivec a) { _mm256_storeu_si256((ivec *)p, a); }
+static inline ivec v_uadd(ivec a, ivec b) { return _mm256_add_epi64(a, b); }
+static inline ivec v_uxor(ivec a, ivec b) { return _mm256_xor_si256(a, b); }
+static inline ivec v_uand(ivec a, ivec b) { return _mm256_and_si256(a, b); }
+static inline ivec v_ushr(ivec a, unsigned n) { return _mm256_srli_epi64(a, (int)n); }
+static inline ivec v_ushl(ivec a, unsigned n) { return _mm256_slli_epi64(a, (int)n); }
+static inline ivec v_uror(ivec a, ivec r)
+{
+    return _mm256_or_si256(_mm256_srlv_epi64(a, r),
+                           _mm256_sllv_epi64(a, _mm256_sub_epi64(_mm256_set1_epi64x(64), r)));
+}
+static inline ivec v_mullo(ivec a, ivec b)
+{
+    ivec cross = _mm256_add_epi64(_mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
+                                  _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
+    return _mm256_add_epi64(_mm256_mul_epu32(a, b), _mm256_slli_epi64(cross, 32));
+}
+static inline ivec v_mulhi(ivec a, ivec b)
+{
+    ivec ah = _mm256_srli_epi64(a, 32), bh = _mm256_srli_epi64(b, 32);
+    ivec t = _mm256_add_epi64(_mm256_mul_epu32(ah, b),
+                              _mm256_srli_epi64(_mm256_mul_epu32(a, b), 32));
+    ivec w = _mm256_add_epi64(_mm256_and_si256(t, _mm256_set1_epi64x(0xffffffff)),
+                              _mm256_mul_epu32(a, bh));
+    return _mm256_add_epi64(_mm256_add_epi64(_mm256_mul_epu32(ah, bh),
+                                             _mm256_srli_epi64(t, 32)),
+                            _mm256_srli_epi64(w, 32));
+}
+/* the carry out of the top bit: set where both top bits are, or either is
+ * and the sum's is not */
+static inline ivec v_uaddc(ivec a, ivec b, ivec *carry)
+{
+    ivec sum = _mm256_add_epi64(a, b);
+    *carry = _mm256_srli_epi64(_mm256_or_si256(_mm256_and_si256(a, b),
+                                               _mm256_andnot_si256(sum, _mm256_or_si256(a, b))),
+                               63);
+    return sum;
+}
+/* unsigned a < b as the signed compare of both with the top bit flipped */
+static inline int v_ult(ivec a, ivec b)
+{
+    ivec top = _mm256_set1_epi64x((long long)0x8000000000000000ULL);
+    ivec lt = _mm256_cmpgt_epi64(_mm256_xor_si256(b, top), _mm256_xor_si256(a, top));
+    return _mm256_movemask_pd(_mm256_castsi256_pd(lt));
+}
+static inline ivec v_ulookup(const uint64_t *t, ivec i)
+{
+    return _mm256_i64gather_epi64((const long long *)t, i, 8);
+}
+static inline vec v_lookup(const double *t, ivec i) { return _mm256_i64gather_pd(t, i, 8); }
+static inline vec v_u52tod(ivec a)
+{
+    const ivec two52 = _mm256_set1_epi64x(0x4330000000000000LL);  /* 2^52 */
+    return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(a, two52)),
+                         _mm256_set1_pd(0x1p52));
+}
+static inline vec v_xorbits(vec a, ivec b)
+{
+    return _mm256_castsi256_pd(_mm256_xor_si256(_mm256_castpd_si256(a), b));
+}
 #else
 #define LANES 1
 typedef double vec;
@@ -377,6 +430,39 @@ static inline vec v_lt(vec a, vec b) { return v_mask(a < b); }
 static inline vec v_unord(vec a, vec b) { return v_mask(isunordered(a, b)); }
 static inline vec v_blend(vec a, vec b, vec mask) { return v_bits(mask) >> 63 ? b : a; }
 static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
+
+typedef uint64_t ivec;
+
+static inline ivec v_uset1(uint64_t a) { return a; }
+static inline ivec v_uload(const uint64_t *p) { return *p; }
+static inline void v_ustore(uint64_t *p, ivec a) { *p = a; }
+static inline ivec v_uadd(ivec a, ivec b) { return a + b; }
+static inline ivec v_uxor(ivec a, ivec b) { return a ^ b; }
+static inline ivec v_uand(ivec a, ivec b) { return a & b; }
+static inline ivec v_ushr(ivec a, unsigned n) { return a >> n; }
+static inline ivec v_ushl(ivec a, unsigned n) { return a << n; }
+static inline ivec v_uror(ivec a, ivec r) { return a >> r | a << (-r & 63); }
+static inline ivec v_mullo(ivec a, ivec b) { return a * b; }
+static inline ivec v_mulhi(ivec a, ivec b)
+{
+    return (uint64_t)((unsigned __int128)a * b >> 64);
+}
+static inline ivec v_uaddc(ivec a, ivec b, ivec *carry)
+{
+    ivec sum = a + b;
+    *carry = sum < b;
+    return sum;
+}
+static inline int v_ult(ivec a, ivec b) { return a < b; }
+static inline ivec v_ulookup(const uint64_t *t, ivec i) { return t[i]; }
+static inline vec v_lookup(const double *t, ivec i) { return t[i]; }
+static inline vec v_u52tod(ivec a) { return (double)(int64_t)a; }
+static inline vec v_xorbits(vec a, ivec b)
+{
+    uint64_t bits = v_bits(a) ^ b;
+    memcpy(&a, &bits, sizeof a);
+    return a;
+}
 #endif
 
 /* The lanes per vector of this build, for the caller to fill */
@@ -844,6 +930,184 @@ static inline void store_valid(double *p, int64_t count, vec re, vec im)
         memcpy(p, part, 2 * count * sizeof(double));
 }
 
+/* numpy's PCG64 stream drawn LANES outputs at a time: lane l of hi and lo
+ * (the high and low words of a 128-bit state) holds the state whose output
+ * is the l-th next draw, the state g after the last output consumed advanced
+ * l + 1 steps. An LCG jumps ahead by an affine map (F. B. Brown, "Random
+ * number generation with arbitrary strides", Trans. Am. Nucl. Soc. 71,
+ * 1994): k steps take a state s to mult^k s + inc sum_{j<k} mult^j (mod
+ * 2^128). jump holds that map for l + 1 steps in lane l, which forms the
+ * lanes from g, and batch that for LANES steps in every lane, which moves
+ * all lanes past a batch of LANES outputs; both are formed when the stream
+ * loads. jump and batch hold the multiplier's and the addend's high and low
+ * words, in that order. */
+struct stream {
+    struct pcg64 g;
+    ivec hi, lo, jump[4], batch[4];
+};
+
+/* The states (hi, lo) of every lane taken through the affine map a (the
+ * multiplier's and the addend's high and low words): hi:lo times the
+ * multiplier, its low 128 bits, plus the addend */
+static inline __attribute__((always_inline)) void lanes_affine(ivec *hi, ivec *lo,
+                                                               const ivec *a)
+{
+    ivec carry, h = v_uadd(v_uadd(v_mulhi(*lo, a[1]), v_mullo(*lo, a[0])),
+                           v_mullo(*hi, a[1]));
+    *lo = v_uaddc(v_mullo(*lo, a[1]), a[3], &carry);
+    *hi = v_uadd(v_uadd(h, a[2]), carry);
+}
+
+/* The lanes of st formed from its state g */
+static inline void stream_lanes(struct stream *st)
+{
+    st->hi = v_uset1((uint64_t)(st->g.state >> 64));
+    st->lo = v_uset1((uint64_t)st->g.state);
+    lanes_affine(&st->hi, &st->lo, st->jump);
+}
+
+/* The stream of the PCG64 state and increment s holds (pcg64_load), its
+ * jumps formed and its lanes loaded */
+static struct stream stream_load(const uint64_t *s)
+{
+    struct stream st;
+    uint64_t words[4][LANES];
+    unsigned __int128 mult = 1, add = 0;
+    st.g = pcg64_load(s);
+    for (int l = 0; l < LANES; l++) {
+        mult *= pcg64_mult;
+        add = add * pcg64_mult + st.g.inc;
+        words[0][l] = (uint64_t)(mult >> 64);
+        words[1][l] = (uint64_t)mult;
+        words[2][l] = (uint64_t)(add >> 64);
+        words[3][l] = (uint64_t)add;
+    }
+    for (int k = 0; k < 4; k++) {
+        st.jump[k] = v_uload(words[k]);
+        st.batch[k] = v_uset1(words[k][LANES - 1]);
+    }
+    stream_lanes(&st);
+    return st;
+}
+
+/* The next n standard normals of st into y, by numpy's
+ * random_standard_normal: the 256-layer ziggurat of Marsaglia & Tsang
+ * (J. Stat. Softw. 5(8), 2000) with the same wedge and tail tests. The fast
+ * path runs in the lanes, one output per lane: the layer idx, the 52-bit
+ * magnitude rabs, the sign, the ki and wi lookups and the test rabs <
+ * ki[idx]. Only the sign differs in form: it is applied by flipping the
+ * sign bit, which negates exactly, in place of a branch. A batch whose
+ * lanes all pass is stored whole. Otherwise its passing prefix is stored,
+ * and the first failing lane's draw goes on in stream order from that
+ * lane's state through normal_rare, which reads the outputs after it; the
+ * lanes are then formed again from the state it leaves. On return st->g is
+ * the state after the last output consumed and the lanes follow it. */
+static void stream_normals(struct stream *st, int64_t n, double *y)
+{
+    const ivec layer = v_uset1(0xff), magnitude = v_uset1(0x000fffffffffffffULL),
+               sign = v_uset1(0x100);
+    ivec hi = st->hi, lo = st->lo;
+    for (int64_t i = 0; i < n;) {
+        ivec u = v_uror(v_uxor(hi, lo), v_ushr(hi, 58));
+        ivec idx = v_uand(u, layer), rabs = v_uand(v_ushr(u, 9), magnitude);
+        vec x = v_xorbits(v_mul(v_u52tod(rabs), v_lookup(wi_double, idx)),
+                          v_ushl(v_uand(u, sign), 55));  /* bit 8 of u is the sign */
+        int pass = __builtin_ctz(~(unsigned)v_ult(rabs, v_ulookup(ki_double, idx)));
+        if (pass == LANES && n - i > LANES) {
+            v_store(y + i, x);
+            i += LANES;
+            lanes_affine(&hi, &lo, st->batch);
+            continue;
+        }
+        double xs[LANES];
+        uint64_t us[LANES], his[LANES], los[LANES];
+        v_store(xs, x);
+        v_ustore(us, u);
+        v_ustore(his, hi);
+        v_ustore(los, lo);
+        int64_t take = pass < n - i ? pass : n - i;
+        if (n - i >= LANES)
+            v_store(y + i, x);  /* the lanes past take are drawn over next */
+        else
+            memcpy(y + i, xs, take * sizeof *y);
+        i += take;
+        /* the draw ends in the batch, or goes on from the failing lane */
+        int last = i == n ? (int)take - 1 : pass;
+        st->g.state = (unsigned __int128)his[last] << 64 | los[last];
+        double z;
+        if (i < n && normal_rare(&st->g, us[pass] >> 9 & 0x000fffffffffffffULL,
+                                 (int)(us[pass] & 0xff), xs[pass], &z))
+            y[i++] = z;
+        stream_lanes(st);
+        hi = st->hi;
+        lo = st->lo;
+    }
+    st->hi = hi;
+    st->lo = lo;
+}
+
+/* Into part (0: the real, 1: the imaginary) of each of the n complex values
+ * of the row y, the doubles v (read LANES at a time: v holds n rounded up to
+ * a multiple of LANES) if scale is NULL, else add *scale times each: y +
+ * *scale v, lane by lane, the parts split and interleaved again as v_load2
+ * and v_store2 do. Storing the real parts reads nothing of y and sets the
+ * imaginary parts to 0, for the imaginary parts stored next: a fresh row is
+ * first touched by a write. The render adds a noise part this way in place of
+ * numpy's y + fma(scale, v, +-0), the real-by-complex product written out
+ * by scale_complex: a running sum that starts at 0.0 is never -0 (x + y is
+ * -0 in round-to-nearest only if x and y both are), and for such a y,
+ * y + fma(scale, v, +-0) equals y + scale * v whatever the sign of that
+ * zero: the two products round alike unless the exact product is zero, and
+ * then y + 0 and y + -0 are both y. */
+static void part_lanes(int64_t n, const double *v, const double *scale, int part,
+                       double *y)
+{
+    for (int64_t t = 0; t < n; t += LANES) {
+        vec re = v_set1(0.0), im = re, a = v_load(v + t);
+        if (scale || part)
+            load_valid(y + 2 * t, n - t, &re, &im);
+        if (scale)
+            a = v_add(part ? im : re, v_mul(v_set1(*scale), a));
+        store_valid(y + 2 * t, n - t, part ? re : a, part ? a : im);
+    }
+}
+
+/* The next 2n standard normals of the generator whose state s holds
+ * (advanced past them) into the complex row y: the first n go to the real
+ * parts, the next n to the imaginary parts. The real parts are drawn into
+ * the upper half of y, the doubles y[n] ... y[2n - 1], and a block of them
+ * is copied out before the block of imaginary parts drawn after them is
+ * interleaved with it: the block from b writes y only below 2 (b + size) <=
+ * n + b + size, over real parts already copied. */
+void normals_complex(uint64_t *s, int64_t n, double *y)
+{
+    struct stream st = stream_load(s);
+    double re[RB] = {0}, im[RB] = {0};
+    stream_normals(&st, n, y + n);
+    for (int64_t b = 0; b < n; b += RB) {
+        int64_t size = n - b < RB ? n - b : RB;
+        memcpy(re, y + n + b, size * sizeof *re);
+        stream_normals(&st, size, im);
+        for (int64_t t = 0; t < size; t += LANES)
+            store_valid(y + 2 * (b + t), size - t, v_load(re + t), v_load(im + t));
+    }
+    pcg64_store(&st.g, s);
+}
+
+/* The next n draws of the generator whose state s holds (advanced past
+ * them) into y: standard normals as Generator.standard_normal draws them
+ * if gauss, else doubles in [0, 1) as Generator.random draws them */
+void doubles(uint64_t *s, int64_t n, int64_t gauss, double *y)
+{
+    struct stream st = stream_load(s);
+    if (gauss)
+        stream_normals(&st, n, y);
+    else
+        for (int64_t i = 0; i < n; i++)
+            y[i] = pcg64_double(&st.g);
+    pcg64_store(&st.g, s);
+}
+
 /* The FIR outputs sum_k h(k) v(i - k) and sum_k g(k) v*(i - k) over count
  * taps of LANES consecutive samples i of v, the first at re[0], im[0] and
  * cim[0] (the planar real, imaginary and negated imaginary parts of v), into
@@ -907,8 +1171,8 @@ struct point {
  * noise[k], so every point gets the operations, and the bits, it gets
  * alone. d receives the sum of the six components other than the SOI in
  * the order 0 + linear + image + imd + image_imd + thermal + quantization,
- * the noise parts added as they are drawn (see add_normals); d never holds
- * the SOI. comp receives the seven components, each noise component scaled
+ * the noise parts added a block of draws at a time (see part_lanes); d
+ * never holds the SOI. comp receives the seven components, each noise component scaled
  * from its stored draws by numpy's product.
  * Returns 1, or 0, having rendered and drawn nothing, if the block rows
  * cannot be allocated: they hold m - 1 + RB samples each for the longest
@@ -964,22 +1228,21 @@ int64_t render(int64_t n, const double *z, uint64_t *s, int64_t count,
         }
     }
     free(x);
-    struct pcg64 gen = pcg64_load(s);
-    double v[RB];
+    struct stream st = stream_load(s);
+    double v[RB] = {0};
     for (int64_t k = 0; k < noises; k++)
-        for (int64_t part = 0; part < 2; part++)
+        for (int part = 0; part < 2; part++)
             for (int64_t b = 0; b < n; b += RB) {
                 int64_t size = n - b < RB ? n - b : RB;
-                for (int64_t i = 0; i < size; i++)
-                    v[i] = normal(&gen);
+                stream_normals(&st, size, v);
                 for (int64_t p = 0; p < count; p++) {
-                    double *w = pts[p].comp;
-                    add_normals(size, pts[p].noise[k], v,
-                                k < 2 ? pts[p].d + 2 * b + part : NULL,
-                                w ? w + 2 * ((4 + k) * n + b) + part : NULL);
+                    if (k < 2)
+                        part_lanes(size, v, &pts[p].noise[k], part, pts[p].d + 2 * b);
+                    if (pts[p].comp)
+                        part_lanes(size, v, NULL, part, pts[p].comp + 2 * ((4 + k) * n + b));
                 }
             }
-    pcg64_store(&gen, s);
+    pcg64_store(&st.g, s);
     for (int64_t p = 0; p < count; p++) {
         double *w = pts[p].comp;
         if (!w)

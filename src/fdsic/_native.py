@@ -2,31 +2,39 @@
 render and the LMS steps.
 
 ``NormalStream`` draws the standard normals and uniforms of
-``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and
-ziggurat written out in C; its start state is numpy's ``SeedSequence``
-seeding of PCG64 written out in Python (``_pcg64_state``), so a run on the
-Gaussian source never imports ``numpy.random``. Both other kernels read a
-trial's reference x = scale z from a source row z and a scale, each part
-of z times the scale as ``signals.Draw.reference`` forms it, so that one
-row z serves every transmit power, and both form x and its IMD product by
-one function of ``_lms.c``. Both are written once over a block of vector
-operations, eight lanes per AVX-512 vector on a build with AVX-512F and
-AVX-512DQ, four per AVX2 vector on one with AVX2 and FMA and one double
-wide on any other build (``lanes()``), each lane repeating the scalar
-arithmetic bit for bit. ``render`` forms the observations of one trial at
-any number of points (``Point``: IMD product, four FIR branches and their
-sum), one sample per lane, in blocks of samples whose rows it allocates on
-the heap, then draws the noise once, as a ``NormalStream`` draws it, and
-adds each normal to every point's row; it returns 0 if those rows cannot
-be allocated. ``lms_raw`` runs the LMS steps of whole runs (``Run``: one
-job): each canceller job of a call is one trial's run, with its own source
-row z, scale and observation row, so the jobs of one call may be the jobs
-of several trials, and they run as the lanes of vectors, each lane on its
-own regressor. Every call, one-job calls too, runs through the lanes;
-``lms_raw`` returns 1, or 0 if their state cannot be allocated. A job may
-carry a real preconditioner that couples each regressor entry only with
-its layout partner, x(n-d) with x_imd(n-d), and then runs the LMS-Newton
-step.
+``np.random.default_rng(seed)`` bit for bit, by numpy's PCG64 and ziggurat
+written out in C; its start state is numpy's ``SeedSequence`` seeding of
+PCG64 written out in Python (``_pcg64_state``), so a run on the Gaussian
+source never imports ``numpy.random``. The C code draws the normals in the
+lanes of a vector: the lanes hold consecutive states of the one stream,
+and each batch moves them all on by as many steps as there are lanes, with
+jump constants (mult^lanes and inc times the sum of mult^k for k below
+lanes, mod 2^128) formed when the stream loads. The ziggurat's fast path
+runs in the lanes; at the first lane that fails it, the lanes before it
+are kept and that draw goes on in stream order through the wedge and tail
+tests, on the outputs that follow. The state stored back is the state
+after the last output consumed, so calls continue one stream. Both other
+kernels read a trial's reference x = scale z from a source row z and a
+scale, each part of z times the scale as ``signals.Draw.reference`` forms
+it, so that one row z serves every transmit power, and both form x and its
+IMD product by one function of ``_lms.c``. Both are written once over a
+block of vector operations, eight lanes per AVX-512 vector on a build with
+AVX-512F and AVX-512DQ, four per AVX2 vector on one with AVX2 and FMA and
+one double wide on any other build (``lanes()``), each lane repeating the
+scalar arithmetic bit for bit. ``render`` forms the observations of one
+trial at any number of points (``Point``: IMD product, four FIR branches
+and their sum), one sample per lane, in blocks of samples whose rows it
+allocates on the heap, then draws the noise once, as a ``NormalStream``
+draws it, and adds each block of normals to every point's row in the
+lanes; it returns 0 if those rows cannot be allocated. ``lms_raw`` runs
+the LMS steps of whole runs (``Run``: one job): each canceller job of a
+call is one trial's run, with its own source row z, scale and observation
+row, so the jobs of one call may be the jobs of several trials, and they
+run as the lanes of vectors, each lane on its own regressor. Every call,
+one-job calls too, runs through the lanes; ``lms_raw`` returns 1, or 0 if
+their state cannot be allocated. A job may carry a real preconditioner
+that couples each regressor entry only with its layout partner, x(n-d)
+with x_imd(n-d), and then runs the LMS-Newton step.
 
 Both kernels write into rows their caller owns: ``transceiver`` fills the
 ``Point`` structs of a render and ``cancellers`` the ``Run`` structs of an

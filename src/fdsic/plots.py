@@ -7,6 +7,7 @@ SVG is a derived convenience view.
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +100,9 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
 
     curve_parts = []
     # sx and sy over whole arrays: each value takes the operations, in the
-    # order, that it takes alone, so the coordinates keep their bits
-    px = sx(x).tolist()
+    # order, that it takes alone, so the coordinates keep their bits; the x
+    # text "x," of each point is formatted once for every curve
+    px = ["%.2f," % v for v in sx(x).tolist()]
     for ci, (name, ys) in enumerate(curves.items()):
         color = _COLORS[ci % len(_COLORS)]
         ys = ys[:len(px)]
@@ -108,9 +110,8 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
         # each run of finite samples is one polyline
         edges = np.flatnonzero(np.diff(np.concatenate([[0], np.isfinite(ys), [0]])))
         for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
-            coords = [0.0] * (2 * (hi - lo))  # x0, y0, x1, y1, ...
-            coords[::2], coords[1::2] = px[lo:hi], py[lo:hi]
-            points = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(coords)
+            y_text = ("%.2f " * (hi - lo) % tuple(py[lo:hi])).split()
+            points = " ".join(map(operator.add, px[lo:hi], y_text))
             curve_parts.append(f'<polyline points="{points}" fill="none" '
                                f'stroke="{color}" stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * ci

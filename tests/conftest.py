@@ -2,6 +2,7 @@ import contextlib
 import functools
 import math
 import platform
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +83,27 @@ def avx2_kernel(_kernel_sources, monkeypatch):
     with -mno-avx512f: the lanes four doubles wide on a CPU with AVX2 and
     FMA, as on one without AVX-512."""
     return _narrow_kernel("-mno-avx512f", _kernel_sources, monkeypatch)
+
+
+@pytest.fixture
+def stub_compiler(tmp_path):
+    """A maker of stand-ins for the C compiler, for ``_native._COMPILER``:
+    ``stub_compiler(delay)`` writes an executable that waits ``delay``
+    seconds and copies the library the test session built from the
+    package's kernel source to the path after its ``-o``. A test of the build's
+    bookkeeping then runs every step of ``_build_kernel`` but the compile,
+    and loads a real library."""
+    built = _native._build_kernel()
+
+    def make(delay: float = 0.0) -> str:
+        stub = tmp_path / f"cc-stub-{delay}"
+        stub.write_text(f"#!{sys.executable}\nimport shutil, sys, time\n"
+                        f"time.sleep({delay!r})\n"
+                        f"shutil.copyfile({str(built)!r}, sys.argv[sys.argv.index('-o') + 1])\n")
+        stub.chmod(0o755)
+        return str(stub)
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -1060,9 +1060,11 @@ def test_ctypes_signatures_match_the_kernel_source():
         assert [(name, _ctypes_kind(kind)) for name, kind in mirror._fields_] == fields, struct
 
 
-def test_kernel_build_deletes_superseded_libraries(tmp_path, monkeypatch):
+def test_kernel_build_deletes_superseded_libraries(tmp_path, monkeypatch, stub_compiler):
     """A build deletes the other ``_lms-*.so`` beside the new library, and
-    the new library loads."""
+    the new library loads. The compiler is a stub that copies the test
+    session's library (``stub_compiler``): the kernel's own compile is
+    tested by ``test_kernel_compiles_without_warnings``."""
     for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
         (tmp_path / path.name).write_bytes(path.read_bytes())
     cache = tmp_path / "__pycache__"
@@ -1072,6 +1074,7 @@ def test_kernel_build_deletes_superseded_libraries(tmp_path, monkeypatch):
     other = cache / "_lms.c.txt"
     other.write_text("kept")
     monkeypatch.setattr(_native, "_KERNEL_SOURCE", tmp_path / "_lms.c")
+    monkeypatch.setattr(_native, "_COMPILER", stub_compiler())
     lib = _native._build_kernel()
     assert lib.parent == cache and lib.exists()
     assert not stale.exists()

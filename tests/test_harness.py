@@ -919,11 +919,13 @@ def test_gaussian_runs_import_no_numpy_ma_or_futures(import_probe):
 
 @pytest.mark.parametrize("experiment", ["bias", "power-budget"])
 def test_kernel_build_is_not_timed_as_generation(experiment, type2, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, stub_compiler):
     """With no cached library, the kernels are compiled on the caller's
     thread before the run draws its first trial (before the trial loop's
     producer starts), so the compile does not count as the generate
-    phase."""
+    phase. The compiler is a stub that takes a fixed 0.3 s and copies the
+    test session's library (``stub_compiler``), so the build has a known
+    length without a compile of the kernel."""
     kernel = tmp_path / "kernel"
     kernel.mkdir()
     for path in (_native._KERNEL_SOURCE, *_native._KERNEL_SOURCE.parent.glob("*.h")):
@@ -943,6 +945,7 @@ def test_kernel_build_is_not_timed_as_generation(experiment, type2, tmp_path,
                            iterations=3000, seed=SEED, output_dir=tmp_path / "out")
     with monkeypatch.context() as patch:
         patch.setattr(_native, "_KERNEL_SOURCE", kernel / _native._KERNEL_SOURCE.name)
+        patch.setattr(_native, "_COMPILER", stub_compiler(0.3))
         patch.setattr(_native, "_build_kernel", timed_build)
         _native.library.cache_clear()
         try:

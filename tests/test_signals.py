@@ -1,9 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsic._native import NormalStream, _pcg64_state
+from fdsic._native import _PCG64_MULTIPLIER, NormalStream, _pcg64_state
 from fdsic.harness import _NOISE_SEED_OFFSET
 from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
                            SAMPLES_PER_SYMBOL, SUBCARRIERS, gen_ofdm_waveform,
@@ -110,6 +112,74 @@ def test_normal_stream_continues_across_calls():
     assert np.array_equal(_draws(NormalStream(5), 1), want[:2])
     with pytest.raises(ValueError):
         NormalStream(5).fill_complex(6, np.empty((2, 3), dtype=complex))
+
+
+def _stream_state(stream):
+    """``stream.state`` as numpy's ``bit_generator.state["state"]`` holds it."""
+    lo, hi, inc_lo, inc_hi = (int(word) for word in stream.state)
+    return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+
+def _first_tail_draw(seed: int) -> int:
+    """The index of the first normal of ``default_rng(seed)`` drawn from the
+    tail of the ziggurat's layer 0, after at least eight normals that each
+    took one output. It is found from numpy alone: the normal takes more
+    than one PCG64 output (its state moves more than one step), and its
+    first output, a raw output of the same stream, has layer 0 (its low
+    byte) and so was not accepted by the fast test."""
+    rng = np.random.default_rng(seed)
+    state, inc = rng.bit_generator.state["state"].values()
+    raw = np.random.default_rng(seed).bit_generator.random_raw(10_000)
+    outputs, single = 0, 0  # outputs consumed; single-output normals in a row
+    for i in range(5000):
+        rng.standard_normal()
+        after, steps = rng.bit_generator.state["state"]["state"], 0
+        while state != after:
+            state = (state * _PCG64_MULTIPLIER + inc) % 2 ** 128
+            steps += 1
+        if steps > 1 and raw[outputs] & 0xFF == 0 and single >= 8:
+            return i
+        single = single + 1 if steps == 1 else 0
+        outputs += steps
+    raise AssertionError(f"no tail draw in the first 5000 normals of seed {seed}")
+
+
+@pytest.mark.parametrize("build", ["default", "avx2_kernel", "scalar_kernel"],
+                         ids=["default", "no-avx512f", "no-avx2"])
+def test_normal_stream_state_follows_numpy(build, request):
+    """After every call ``NormalStream.state`` is numpy's PCG64 state after
+    the same draws, the state after the last output consumed, on every
+    build: ``fill_complex``, ``standard_normal`` and ``uniform`` in turn at
+    counts 0-17, a count that ends inside a batch of the lanes, and a tail
+    draw whose layer-0 rejection falls on each of the first eight lanes of
+    a call's first batch (so on the first and the last lane of every
+    build's batch)."""
+    loaded = (contextlib.nullcontext if build == "default"
+              else request.getfixturevalue(build))
+    seed = 11
+    tail = _first_tail_draw(seed)
+
+    def draw(stream, rng, call, k):
+        if call == "fill_complex":
+            got, want = _draws(stream, k), rng.standard_normal(2 * k)
+        elif call == "standard_normal":
+            got, want = stream.standard_normal(k), rng.standard_normal(k)
+        else:
+            got, want = np.array([stream.uniform(-1.0, 2.0)]), rng.uniform(-1.0, 2.0, 1)
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"{call}({k})")
+        assert _stream_state(stream) == rng.bit_generator.state["state"], f"{call}({k})"
+
+    with loaded():
+        stream, rng = NormalStream(seed), np.random.default_rng(seed)
+        for k in range(18):
+            for call in ("fill_complex", "standard_normal", "uniform"):
+                draw(stream, rng, call, k)
+        draw(stream, rng, "standard_normal", 1003)
+        for lane in range(8):
+            stream, rng = NormalStream(seed), np.random.default_rng(seed)
+            draw(stream, rng, "standard_normal", tail - lane)
+            draw(stream, rng, "standard_normal", lane + 1)  # ends with the tail draw
+            draw(stream, rng, "fill_complex", 5)
 
 
 # seeds of one, two and three 32-bit words, and the noise seeds of the

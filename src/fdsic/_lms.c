@@ -24,11 +24,14 @@
  * vector repeating the scalar operations in their order, so a lane returns
  * the bits one sample or one job returns alone. A build with AVX-512F and
  * AVX-512DQ runs eight lanes per vector, one with AVX2 and FMA four, any
- * other build one (lms_lanes). The render's lanes are consecutive output
- * samples, formed in blocks of RB samples on the heap; one call renders
- * the observations of several points (struct point) from one source row
- * and draws their noise once, RB normals at a time, each block added in
- * the lanes to every point's row as that point alone adds it. A job of an
+ * other build one (lms_lanes). The wide vectors are GCC vector types, so
+ * each operation that C writes lane by lane is written once for every
+ * build, and only the others once per build. The render's lanes are
+ * consecutive output samples, formed in blocks of RB samples on the heap;
+ * one call renders the observations of several points (struct point) from
+ * one source row and draws their noise once, RB normals at a time, each
+ * block added in the lanes to every point's row as that point alone adds
+ * it. A job of an
  * lms_raw call is one trial's run, with its own source row z, scale and
  * observation row, so the jobs of one call may belong to different trials:
  * the harness fills the lanes with (trial, job) pairs, job-major, so that a
@@ -155,36 +158,62 @@ struct run {
 };
 
 /* The vector operations of the draws, the render and the LMS steps, on the
- * LANES lanes of a vec: with AVX-512F and AVX-512DQ each is one intrinsic
- * (or a short sequence) on eight doubles, with AVX2 and FMA on four, else
- * plain C on one double. Compares give masks, each lane all bits set or none (on
- * AVX-512, a compare's mask register spread to the lanes' bits by v_mask);
- * v_and keeps a lane where the mask is set, v_blend(a, b, mask) takes b
- * where the mask's sign bit is set, a elsewhere, and v_movemask gathers the
- * sign bits. v_max(a, b) is a > b ? a : b and v_min(a, b) is a < b ? a : b,
- * as maxpd and minpd are. v_fmsub(a, b, c) is fma(a, b, -c), the vfmsub
+ * LANES lanes of a vec of doubles and an ivec of unsigned 64-bit integers.
+ * With AVX-512F and AVX-512DQ a vector holds eight lanes and with AVX2 and
+ * FMA four, as GCC vector types, whose C operators act lane by lane; any
+ * other build holds one plain double and uint64_t, as a one-element vector
+ * type ran that build's LMS and render far slower. Every operation that C
+ * writes lane by lane is written once, after this block. The block keeps,
+ * per build, the operations that C writes differently per build, cannot
+ * write lane by lane, or wrote slower, one reason a line:
+ *   v_bits, v_double, v_mask: a cast reinterprets a vector, not a double,
+ *     and a compare gives a vector's lanes all bits or none, a double's 1;
+ *   v_gather, v_load2, v_store2, v_lookup, v_ulookup: they move doubles
+ *     between lanes or gather them from memory;
+ *   v_sqrt, v_fmadd, v_fmsub, v_mulhi: no C operator (sqrt() and fma() take
+ *     scalars, and the high word of a product needs 128 bits);
+ *   v_movemask, v_ult: a bitmask of lanes (v_ult as a C compare and
+ *     v_movemask drew the AVX-512 normals about 4% slower);
+ *   v_abs: fabs() keeps the one-lane build's double out of the integer
+ *     registers, where a C bit-and would take it;
+ *   v_blend, v_max, v_min: blendv, maxpd and minpd (a C bit-select, and a C
+ *     compare and that blend, ran the wide builds' LMS 2-4% slower);
+ *   v_uror: AVX-512's rotate, and AVX2's shift by 64 - r, which C leaves
+ *     undefined for r = 0;
+ *   v_u52tod: AVX-512's conversion, and the one-lane build's (a C bit-or
+ *     and subtraction drew that build's normals 7% slower).
+ * Compares give masks, each lane all bits set or none; v_and keeps a lane
+ * where the mask is set, v_blend(a, b, mask) takes b where the mask's sign
+ * bit is set, a elsewhere, and v_movemask gathers the sign bits (lane l at
+ * bit l). v_max(a, b) is a > b ? a : b and v_min(a, b) is a < b ? a : b, as
+ * maxpd and minpd are. v_fmsub(a, b, c) is fma(a, b, -c), the vfmsub
  * instruction the compiler gives that fma() (a NaN c keeps its sign there,
  * where negating it first would flip it). v_gather(p, o) loads the double
  * p[l][o] into each lane l. v_load2(p, re, im) loads the LANES complex
  * values at p, interleaved (re, im), as the vectors re and im of their
  * parts, and v_store2(p, re, im) stores them back interleaved.
- * The draws' operations act on an ivec of LANES unsigned 64-bit integers:
- * v_u* as their names say (v_ushr and v_ushl shift every lane by n, v_uror
- * rotates each lane right by its own count), v_mullo and v_mulhi the low
- * and high 64 bits of the 128-bit product, v_uaddc the sum and, in
- * *carry, 1 where it wrapped, v_ult the bits (lane l at bit l) of the
- * lanes where a < b unsigned, v_ulookup and v_lookup the entries t[i] of
- * an integer and a double table, v_u52tod the double of an integer below
- * 2^52 (exact), and v_xorbits a with its bits xor b. */
+ * The draws' operations act on an ivec: v_u* as their names say (v_ushr and
+ * v_ushl shift every lane by n, v_uror rotates each lane right by its own
+ * count), v_mullo and v_mulhi the low and high 64 bits of the 128-bit
+ * product, v_uaddc the sum and, in *carry, 1 where it wrapped, v_ult the
+ * bits of the lanes where a < b unsigned, v_ulookup and v_lookup the
+ * entries t[i] of an integer and a double table, v_u52tod the double of an
+ * integer below 2^52 (exact), and v_xorbits a with its bits xor b. */
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 #include <immintrin.h>
 
 #define LANES 8
-typedef __m512d vec;
+typedef double vec __attribute__((vector_size(8 * LANES)));
+typedef uint64_t ivec __attribute__((vector_size(8 * LANES)));
 
-static inline vec v_set1(double a) { return _mm512_set1_pd(a); }
-static inline vec v_load(const double *p) { return _mm512_loadu_pd(p); }
-static inline void v_store(double *p, vec a) { _mm512_storeu_pd(p, a); }
+static inline ivec v_bits(vec a) { return (ivec)a; }
+static inline vec v_double(ivec a) { return (vec)a; }
+static inline vec v_mask(ivec on) { return (vec)on; }
+static inline vec v_abs(vec a) { return _mm512_andnot_pd(_mm512_set1_pd(-0.0), a); }
+static inline vec v_blend(vec a, vec b, vec mask)
+{
+    return _mm512_mask_blend_pd(_mm512_movepi64_mask((__m512i)mask), a, b);
+}
 static inline vec v_gather(const double *const *p, int64_t o)
 {
     return _mm512_set_pd(p[7][o], p[6][o], p[5][o], p[4][o], p[3][o], p[2][o],
@@ -203,75 +232,49 @@ static inline void v_store2(double *p, vec re, vec im)
     _mm512_storeu_pd(p + 8, _mm512_permutex2var_pd(
         re, _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), im));
 }
-static inline vec v_add(vec a, vec b) { return _mm512_add_pd(a, b); }
-static inline vec v_sub(vec a, vec b) { return _mm512_sub_pd(a, b); }
-static inline vec v_mul(vec a, vec b) { return _mm512_mul_pd(a, b); }
-static inline vec v_div(vec a, vec b) { return _mm512_div_pd(a, b); }
 static inline vec v_sqrt(vec a) { return _mm512_sqrt_pd(a); }
-static inline vec v_fmadd(vec a, vec b, vec c) { return _mm512_fmadd_pd(a, b, c); }
-static inline vec v_fmsub(vec a, vec b, vec c) { return _mm512_fmsub_pd(a, b, c); }
 static inline vec v_max(vec a, vec b) { return _mm512_max_pd(a, b); }
 static inline vec v_min(vec a, vec b) { return _mm512_min_pd(a, b); }
-static inline vec v_abs(vec a) { return _mm512_andnot_pd(_mm512_set1_pd(-0.0), a); }
-static inline vec v_neg(vec a) { return _mm512_xor_pd(a, _mm512_set1_pd(-0.0)); }
-static inline vec v_and(vec mask, vec a) { return _mm512_and_pd(mask, a); }
-static inline vec v_or(vec a, vec b) { return _mm512_or_pd(a, b); }
-static inline vec v_mask(__mmask8 on) { return _mm512_castsi512_pd(_mm512_movm_epi64(on)); }
-static inline vec v_eq(vec a, vec b) { return v_mask(_mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ)); }
-static inline vec v_lt(vec a, vec b) { return v_mask(_mm512_cmp_pd_mask(a, b, _CMP_LT_OQ)); }
-static inline vec v_unord(vec a, vec b) { return v_mask(_mm512_cmp_pd_mask(a, b, _CMP_UNORD_Q)); }
-static inline int v_movemask(vec mask) { return _mm512_movepi64_mask(_mm512_castpd_si512(mask)); }
-static inline vec v_blend(vec a, vec b, vec mask)
+static inline vec v_fmadd(vec a, vec b, vec c) { return _mm512_fmadd_pd(a, b, c); }
+static inline vec v_fmsub(vec a, vec b, vec c) { return _mm512_fmsub_pd(a, b, c); }
+static inline int v_movemask(vec mask) { return _mm512_movepi64_mask((__m512i)mask); }
+static inline int v_ult(ivec a, ivec b) { return _mm512_cmplt_epu64_mask((__m512i)a, (__m512i)b); }
+static inline ivec v_uror(ivec a, ivec r)
 {
-    return _mm512_mask_blend_pd(_mm512_movepi64_mask(_mm512_castpd_si512(mask)), a, b);
+    return (ivec)_mm512_rorv_epi64((__m512i)a, (__m512i)r);
 }
-
-typedef __m512i ivec;
-
-static inline ivec v_uset1(uint64_t a) { return _mm512_set1_epi64((long long)a); }
-static inline ivec v_uload(const uint64_t *p) { return _mm512_loadu_si512(p); }
-static inline void v_ustore(uint64_t *p, ivec a) { _mm512_storeu_si512(p, a); }
-static inline ivec v_uadd(ivec a, ivec b) { return _mm512_add_epi64(a, b); }
-static inline ivec v_uxor(ivec a, ivec b) { return _mm512_xor_si512(a, b); }
-static inline ivec v_uand(ivec a, ivec b) { return _mm512_and_si512(a, b); }
-static inline ivec v_ushr(ivec a, unsigned n) { return _mm512_srli_epi64(a, n); }
-static inline ivec v_ushl(ivec a, unsigned n) { return _mm512_slli_epi64(a, n); }
-static inline ivec v_uror(ivec a, ivec r) { return _mm512_rorv_epi64(a, r); }
-static inline ivec v_mullo(ivec a, ivec b) { return _mm512_mullo_epi64(a, b); }
 static inline ivec v_mulhi(ivec a, ivec b)
 {
-    ivec ah = _mm512_srli_epi64(a, 32), bh = _mm512_srli_epi64(b, 32);
-    ivec t = _mm512_add_epi64(_mm512_mul_epu32(ah, b),
-                              _mm512_srli_epi64(_mm512_mul_epu32(a, b), 32));
-    ivec w = _mm512_add_epi64(_mm512_and_si512(t, _mm512_set1_epi64(0xffffffff)),
-                              _mm512_mul_epu32(a, bh));
-    return _mm512_add_epi64(_mm512_add_epi64(_mm512_mul_epu32(ah, bh),
-                                             _mm512_srli_epi64(t, 32)),
-                            _mm512_srli_epi64(w, 32));
+    __m512i ah = _mm512_srli_epi64((__m512i)a, 32), bh = _mm512_srli_epi64((__m512i)b, 32);
+    __m512i t = _mm512_add_epi64(_mm512_mul_epu32(ah, (__m512i)b),
+                                 _mm512_srli_epi64(_mm512_mul_epu32((__m512i)a, (__m512i)b), 32));
+    __m512i w = _mm512_add_epi64(_mm512_and_si512(t, _mm512_set1_epi64(0xffffffff)),
+                                 _mm512_mul_epu32((__m512i)a, bh));
+    return (ivec)_mm512_add_epi64(_mm512_add_epi64(_mm512_mul_epu32(ah, bh),
+                                                   _mm512_srli_epi64(t, 32)),
+                                  _mm512_srli_epi64(w, 32));
 }
-static inline ivec v_uaddc(ivec a, ivec b, ivec *carry)
+static inline ivec v_ulookup(const uint64_t *t, ivec i)
 {
-    ivec sum = _mm512_add_epi64(a, b);
-    *carry = _mm512_maskz_set1_epi64(_mm512_cmplt_epu64_mask(sum, b), 1);
-    return sum;
+    return (ivec)_mm512_i64gather_epi64((__m512i)i, t, 8);
 }
-static inline int v_ult(ivec a, ivec b) { return _mm512_cmplt_epu64_mask(a, b); }
-static inline ivec v_ulookup(const uint64_t *t, ivec i) { return _mm512_i64gather_epi64(i, t, 8); }
-static inline vec v_lookup(const double *t, ivec i) { return _mm512_i64gather_pd(i, t, 8); }
-static inline vec v_u52tod(ivec a) { return _mm512_cvtepi64_pd(a); }
-static inline vec v_xorbits(vec a, ivec b)
+static inline vec v_lookup(const double *t, ivec i)
 {
-    return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(a), b));
+    return _mm512_i64gather_pd((__m512i)i, t, 8);
 }
+static inline vec v_u52tod(ivec a) { return _mm512_cvtepi64_pd((__m512i)a); }
 #elif defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
 #define LANES 4
-typedef __m256d vec;
+typedef double vec __attribute__((vector_size(8 * LANES)));
+typedef uint64_t ivec __attribute__((vector_size(8 * LANES)));
 
-static inline vec v_set1(double a) { return _mm256_set1_pd(a); }
-static inline vec v_load(const double *p) { return _mm256_loadu_pd(p); }
-static inline void v_store(double *p, vec a) { _mm256_storeu_pd(p, a); }
+static inline ivec v_bits(vec a) { return (ivec)a; }
+static inline vec v_double(ivec a) { return (vec)a; }
+static inline vec v_mask(ivec on) { return (vec)on; }
+static inline vec v_abs(vec a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
+static inline vec v_blend(vec a, vec b, vec mask) { return _mm256_blendv_pd(a, b, mask); }
 static inline vec v_gather(const double *const *p, int64_t o)
 {
     return _mm256_set_pd(p[3][o], p[2][o], p[1][o], p[0][o]);
@@ -288,109 +291,49 @@ static inline void v_store2(double *p, vec re, vec im)
     _mm256_storeu_pd(p, _mm256_permute2f128_pd(lo, hi, 0x20));
     _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
 }
-static inline vec v_add(vec a, vec b) { return _mm256_add_pd(a, b); }
-static inline vec v_sub(vec a, vec b) { return _mm256_sub_pd(a, b); }
-static inline vec v_mul(vec a, vec b) { return _mm256_mul_pd(a, b); }
-static inline vec v_div(vec a, vec b) { return _mm256_div_pd(a, b); }
 static inline vec v_sqrt(vec a) { return _mm256_sqrt_pd(a); }
-static inline vec v_fmadd(vec a, vec b, vec c) { return _mm256_fmadd_pd(a, b, c); }
-static inline vec v_fmsub(vec a, vec b, vec c) { return _mm256_fmsub_pd(a, b, c); }
 static inline vec v_max(vec a, vec b) { return _mm256_max_pd(a, b); }
 static inline vec v_min(vec a, vec b) { return _mm256_min_pd(a, b); }
-static inline vec v_abs(vec a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
-static inline vec v_neg(vec a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
-static inline vec v_and(vec mask, vec a) { return _mm256_and_pd(mask, a); }
-static inline vec v_or(vec a, vec b) { return _mm256_or_pd(a, b); }
-static inline vec v_eq(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
-static inline vec v_lt(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
-static inline vec v_unord(vec a, vec b) { return _mm256_cmp_pd(a, b, _CMP_UNORD_Q); }
-static inline vec v_blend(vec a, vec b, vec mask) { return _mm256_blendv_pd(a, b, mask); }
+static inline vec v_fmadd(vec a, vec b, vec c) { return _mm256_fmadd_pd(a, b, c); }
+static inline vec v_fmsub(vec a, vec b, vec c) { return _mm256_fmsub_pd(a, b, c); }
 static inline int v_movemask(vec mask) { return _mm256_movemask_pd(mask); }
-
-typedef __m256i ivec;
-
-static inline ivec v_uset1(uint64_t a) { return _mm256_set1_epi64x((long long)a); }
-static inline ivec v_uload(const uint64_t *p) { return _mm256_loadu_si256((const ivec *)p); }
-static inline void v_ustore(uint64_t *p, ivec a) { _mm256_storeu_si256((ivec *)p, a); }
-static inline ivec v_uadd(ivec a, ivec b) { return _mm256_add_epi64(a, b); }
-static inline ivec v_uxor(ivec a, ivec b) { return _mm256_xor_si256(a, b); }
-static inline ivec v_uand(ivec a, ivec b) { return _mm256_and_si256(a, b); }
-static inline ivec v_ushr(ivec a, unsigned n) { return _mm256_srli_epi64(a, (int)n); }
-static inline ivec v_ushl(ivec a, unsigned n) { return _mm256_slli_epi64(a, (int)n); }
+static inline int v_ult(ivec a, ivec b) { return _mm256_movemask_pd((vec)(a < b)); }
 static inline ivec v_uror(ivec a, ivec r)
 {
-    return _mm256_or_si256(_mm256_srlv_epi64(a, r),
-                           _mm256_sllv_epi64(a, _mm256_sub_epi64(_mm256_set1_epi64x(64), r)));
-}
-static inline ivec v_mullo(ivec a, ivec b)
-{
-    ivec cross = _mm256_add_epi64(_mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-                                  _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-    return _mm256_add_epi64(_mm256_mul_epu32(a, b), _mm256_slli_epi64(cross, 32));
+    return (ivec)_mm256_or_si256(_mm256_srlv_epi64((__m256i)a, (__m256i)r),
+                                 _mm256_sllv_epi64((__m256i)a, (__m256i)(64 - r)));
 }
 static inline ivec v_mulhi(ivec a, ivec b)
 {
-    ivec ah = _mm256_srli_epi64(a, 32), bh = _mm256_srli_epi64(b, 32);
-    ivec t = _mm256_add_epi64(_mm256_mul_epu32(ah, b),
-                              _mm256_srli_epi64(_mm256_mul_epu32(a, b), 32));
-    ivec w = _mm256_add_epi64(_mm256_and_si256(t, _mm256_set1_epi64x(0xffffffff)),
-                              _mm256_mul_epu32(a, bh));
-    return _mm256_add_epi64(_mm256_add_epi64(_mm256_mul_epu32(ah, bh),
-                                             _mm256_srli_epi64(t, 32)),
-                            _mm256_srli_epi64(w, 32));
-}
-/* the carry out of the top bit: set where both top bits are, or either is
- * and the sum's is not */
-static inline ivec v_uaddc(ivec a, ivec b, ivec *carry)
-{
-    ivec sum = _mm256_add_epi64(a, b);
-    *carry = _mm256_srli_epi64(_mm256_or_si256(_mm256_and_si256(a, b),
-                                               _mm256_andnot_si256(sum, _mm256_or_si256(a, b))),
-                               63);
-    return sum;
-}
-/* unsigned a < b as the signed compare of both with the top bit flipped */
-static inline int v_ult(ivec a, ivec b)
-{
-    ivec top = _mm256_set1_epi64x((long long)0x8000000000000000ULL);
-    ivec lt = _mm256_cmpgt_epi64(_mm256_xor_si256(b, top), _mm256_xor_si256(a, top));
-    return _mm256_movemask_pd(_mm256_castsi256_pd(lt));
+    __m256i ah = _mm256_srli_epi64((__m256i)a, 32), bh = _mm256_srli_epi64((__m256i)b, 32);
+    __m256i t = _mm256_add_epi64(_mm256_mul_epu32(ah, (__m256i)b),
+                                 _mm256_srli_epi64(_mm256_mul_epu32((__m256i)a, (__m256i)b), 32));
+    __m256i w = _mm256_add_epi64(_mm256_and_si256(t, _mm256_set1_epi64x(0xffffffff)),
+                                 _mm256_mul_epu32((__m256i)a, bh));
+    return (ivec)_mm256_add_epi64(_mm256_add_epi64(_mm256_mul_epu32(ah, bh),
+                                                   _mm256_srli_epi64(t, 32)),
+                                  _mm256_srli_epi64(w, 32));
 }
 static inline ivec v_ulookup(const uint64_t *t, ivec i)
 {
-    return _mm256_i64gather_epi64((const long long *)t, i, 8);
+    return (ivec)_mm256_i64gather_epi64((const long long *)t, (__m256i)i, 8);
 }
-static inline vec v_lookup(const double *t, ivec i) { return _mm256_i64gather_pd(t, i, 8); }
-static inline vec v_u52tod(ivec a)
+static inline vec v_lookup(const double *t, ivec i)
 {
-    const ivec two52 = _mm256_set1_epi64x(0x4330000000000000LL);  /* 2^52 */
-    return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(a, two52)),
-                         _mm256_set1_pd(0x1p52));
+    return _mm256_i64gather_pd(t, (__m256i)i, 8);
 }
-static inline vec v_xorbits(vec a, ivec b)
-{
-    return _mm256_castsi256_pd(_mm256_xor_si256(_mm256_castpd_si256(a), b));
-}
+/* the exponent of 2^52 set above the integer's bits, less 2^52 */
+static inline vec v_u52tod(ivec a) { return (vec)(a | 0x4330000000000000ULL) - 0x1p52; }
 #else
 #define LANES 1
 typedef double vec;
+typedef uint64_t ivec;
 
-static inline uint64_t v_bits(double a)
-{
-    uint64_t bits;
-    memcpy(&bits, &a, sizeof bits);
-    return bits;
-}
-static inline double v_mask(int on)
-{
-    uint64_t bits = on ? ~(uint64_t)0 : 0;
-    double mask;
-    memcpy(&mask, &bits, sizeof mask);
-    return mask;
-}
-static inline vec v_set1(double a) { return a; }
-static inline vec v_load(const double *p) { return *p; }
-static inline void v_store(double *p, vec a) { *p = a; }
+static inline ivec v_bits(vec a) { return (union { vec d; ivec u; }){a}.u; }
+static inline vec v_double(ivec a) { return (union { ivec u; vec d; }){a}.d; }
+static inline vec v_mask(ivec on) { return v_double(on ? ~(ivec)0 : 0); }
+static inline vec v_abs(vec a) { return fabs(a); }
+static inline vec v_blend(vec a, vec b, vec mask) { return v_bits(mask) >> 63 ? b : a; }
 static inline vec v_gather(const double *const *p, int64_t o) { return p[0][o]; }
 static inline void v_load2(const double *p, vec *re, vec *im)
 {
@@ -402,68 +345,56 @@ static inline void v_store2(double *p, vec re, vec im)
     p[0] = re;
     p[1] = im;
 }
+static inline vec v_sqrt(vec a) { return sqrt(a); }
+static inline vec v_max(vec a, vec b) { return a > b ? a : b; }
+static inline vec v_min(vec a, vec b) { return a < b ? a : b; }
+static inline vec v_fmadd(vec a, vec b, vec c) { return fma(a, b, c); }
+static inline vec v_fmsub(vec a, vec b, vec c) { return fma(a, b, -c); }
+static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
+static inline int v_ult(ivec a, ivec b) { return a < b; }
+static inline ivec v_uror(ivec a, ivec r) { return a >> r | a << (-r & 63); }
+static inline ivec v_mulhi(ivec a, ivec b) { return (unsigned __int128)a * b >> 64; }
+static inline ivec v_ulookup(const uint64_t *t, ivec i) { return t[i]; }
+static inline vec v_lookup(const double *t, ivec i) { return t[i]; }
+static inline vec v_u52tod(ivec a) { return (double)(int64_t)a; }
+#endif
+
+/* The operations written once, on C's operators. A C compare's result goes
+ * through v_mask to a mask, and v_uaddc's carry is that mask negated: 1 in
+ * each lane that wrapped. v_set1 subtracts +0, which keeps every double,
+ * -0.0 too (adding +0 would give +0 for -0.0). vec_u and ivec_u are a vec
+ * and an ivec as they lie in memory: at any double's address, aliasing it. */
+typedef vec vec_u __attribute__((aligned(8), may_alias));
+typedef ivec ivec_u __attribute__((aligned(8), may_alias));
+static inline vec v_set1(double a) { return a - (vec){0}; }
+static inline vec v_load(const double *p) { return *(const vec_u *)p; }
+static inline void v_store(double *p, vec a) { *(vec_u *)p = a; }
 static inline vec v_add(vec a, vec b) { return a + b; }
 static inline vec v_sub(vec a, vec b) { return a - b; }
 static inline vec v_mul(vec a, vec b) { return a * b; }
 static inline vec v_div(vec a, vec b) { return a / b; }
-static inline vec v_sqrt(vec a) { return sqrt(a); }
-static inline vec v_fmadd(vec a, vec b, vec c) { return fma(a, b, c); }
-static inline vec v_fmsub(vec a, vec b, vec c) { return fma(a, b, -c); }
-static inline vec v_max(vec a, vec b) { return a > b ? a : b; }
-static inline vec v_min(vec a, vec b) { return a < b ? a : b; }
-static inline vec v_abs(vec a) { return fabs(a); }
 static inline vec v_neg(vec a) { return -a; }
-static inline vec v_and(vec mask, vec a)
-{
-    uint64_t bits = v_bits(mask) & v_bits(a);
-    memcpy(&a, &bits, sizeof a);
-    return a;
-}
-static inline vec v_or(vec a, vec b)
-{
-    uint64_t bits = v_bits(a) | v_bits(b);
-    memcpy(&a, &bits, sizeof a);
-    return a;
-}
-static inline vec v_eq(vec a, vec b) { return v_mask(a == b); }
-static inline vec v_lt(vec a, vec b) { return v_mask(a < b); }
-static inline vec v_unord(vec a, vec b) { return v_mask(isunordered(a, b)); }
-static inline vec v_blend(vec a, vec b, vec mask) { return v_bits(mask) >> 63 ? b : a; }
-static inline int v_movemask(vec mask) { return (int)(v_bits(mask) >> 63); }
-
-typedef uint64_t ivec;
-
-static inline ivec v_uset1(uint64_t a) { return a; }
-static inline ivec v_uload(const uint64_t *p) { return *p; }
-static inline void v_ustore(uint64_t *p, ivec a) { *p = a; }
+static inline vec v_and(vec mask, vec a) { return v_double(v_bits(mask) & v_bits(a)); }
+static inline vec v_or(vec a, vec b) { return v_double(v_bits(a) | v_bits(b)); }
+static inline vec v_eq(vec a, vec b) { return v_mask((ivec)(a == b)); }
+static inline vec v_lt(vec a, vec b) { return v_mask((ivec)(a < b)); }
+static inline vec v_unord(vec a, vec b) { return v_mask((ivec)((a != a) | (b != b))); }
+static inline vec v_xorbits(vec a, ivec b) { return v_double(v_bits(a) ^ b); }
+static inline ivec v_uset1(uint64_t a) { return a + (ivec){0}; }
+static inline ivec v_uload(const uint64_t *p) { return *(const ivec_u *)p; }
+static inline void v_ustore(uint64_t *p, ivec a) { *(ivec_u *)p = a; }
 static inline ivec v_uadd(ivec a, ivec b) { return a + b; }
 static inline ivec v_uxor(ivec a, ivec b) { return a ^ b; }
 static inline ivec v_uand(ivec a, ivec b) { return a & b; }
 static inline ivec v_ushr(ivec a, unsigned n) { return a >> n; }
 static inline ivec v_ushl(ivec a, unsigned n) { return a << n; }
-static inline ivec v_uror(ivec a, ivec r) { return a >> r | a << (-r & 63); }
 static inline ivec v_mullo(ivec a, ivec b) { return a * b; }
-static inline ivec v_mulhi(ivec a, ivec b)
-{
-    return (uint64_t)((unsigned __int128)a * b >> 64);
-}
 static inline ivec v_uaddc(ivec a, ivec b, ivec *carry)
 {
     ivec sum = a + b;
-    *carry = sum < b;
+    *carry = -v_bits(v_mask((ivec)(sum < a)));
     return sum;
 }
-static inline int v_ult(ivec a, ivec b) { return a < b; }
-static inline ivec v_ulookup(const uint64_t *t, ivec i) { return t[i]; }
-static inline vec v_lookup(const double *t, ivec i) { return t[i]; }
-static inline vec v_u52tod(ivec a) { return (double)(int64_t)a; }
-static inline vec v_xorbits(vec a, ivec b)
-{
-    uint64_t bits = v_bits(a) ^ b;
-    memcpy(&a, &bits, sizeof a);
-    return a;
-}
-#endif
 
 /* The lanes per vector of this build, for the caller to fill */
 const int64_t lms_lanes = LANES;
@@ -548,7 +479,7 @@ static inline vec cabs_lanes(vec re, vec im)
 
 /* The reference x = scale z of the source samples (zr, zi) in every lane,
  * each part of z times scale as signals.Draw.reference forms it, and, if
- * imd, its IMD product x_imd = (k15 |x|^2) x as transceiver.imd_sequence
+ * imd, its IMD product x_imd = (k15 |x|^2) x as cancellers.regressor_matrix
  * rounds it, numpy's real-by-complex product (scale_complex), into
  * x[0 .. 5] = xr, xi, -xi, x_imd_r, x_imd_i, -x_imd_i: the six vectors of a
  * sample in an LMS history view (slot_offset), each conjugate's imaginary
@@ -570,14 +501,6 @@ static inline __attribute__((always_inline)) void reference_lanes(
     }
 }
 
-/* The vec whose lanes hold the 64-bit patterns bits[] */
-static inline vec lanes_mask(const int64_t *bits)
-{
-    vec mask;
-    memcpy(&mask, bits, sizeof mask);
-    return mask;
-}
-
 /* Point the lanes at jobs[0 .. count - 1], whose step 0 reads sample
  * m - 1 of their rows, and load their start weights and step sizes; set up
  * the layout, masks, windows and preconditioners: pre[2k] and pre[2k + 1]
@@ -586,7 +509,7 @@ static inline vec lanes_mask(const int64_t *bits)
  * has diverged. */
 static void lanes_init(struct lanes *g, struct run *jobs, int64_t count, int64_t m)
 {
-    int64_t newton[LANES] = {0};
+    uint64_t newton[LANES] = {0};
     double scale[LANES], mu[LANES] = {0}, last[LANES];
     g->half = 0;
     g->full = g->win_first = g->tap_first = INT64_MAX;
@@ -642,12 +565,12 @@ static void lanes_init(struct lanes *g, struct run *jobs, int64_t count, int64_t
     g->mu = v_load(mu);
     g->win_last = v_load(last);
     g->peak = g->steady_sum = g->steady_count = g->d_sum = v_set1(0.0);
-    g->newton_mask = lanes_mask(newton);
+    g->newton_mask = v_double(v_uload(newton));
     for (int64_t k = 0; k < g->half; k++) {
-        int64_t keep[LANES];
+        uint64_t keep[LANES];
         for (int l = 0; l < LANES; l++)
             keep[l] = g->job[l] && k < g->job[l]->dim / 2 ? -1 : 0;
-        g->keep[k] = lanes_mask(keep);
+        g->keep[k] = v_double(v_uload(keep));
     }
 }
 

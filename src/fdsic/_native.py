@@ -18,15 +18,19 @@ kernels read a trial's reference x = scale z from a source row z and a
 scale, each part of z times the scale as ``signals.Draw.reference`` forms
 it, so that one row z serves every transmit power, and both form x and its
 IMD product by one function of ``_lms.c``. Both are written once over a
-block of vector operations, eight lanes per AVX-512 vector on a build with
-AVX-512F and AVX-512DQ, four per AVX2 vector on one with AVX2 and FMA and
-one double wide on any other build (``lanes()``), each lane repeating the
-scalar arithmetic bit for bit. ``render`` forms the observations of one
-trial at any number of points (``Point``: IMD product, four FIR branches
-and their sum), one sample per lane, in blocks of samples whose rows it
-allocates on the heap, then draws the noise once, as a ``NormalStream``
-draws it, and adds each block of normals to every point's row in the
-lanes; it returns 0 if those rows cannot be allocated. ``lms_raw`` runs
+block of vector operations, eight lanes per vector on a build with
+AVX-512F and AVX-512DQ, four on one with AVX2 and FMA and one double wide
+on any other build (``lanes()``), each lane repeating the scalar
+arithmetic bit for bit. The wide vectors are GCC vector types, so each
+operation that C writes lane by lane (a sum, a product, a compare, a bit
+mask) is written once for every build, and only the others (such as fma,
+sqrt, gathers and lane shuffles) once per build. ``render`` forms the
+observations of one trial at any number of points (``Point``: IMD
+product, four FIR branches and their sum), one sample per lane, in blocks
+of samples whose rows it allocates on the heap, then draws the noise
+once, as a ``NormalStream`` draws it, and adds each block of normals to
+every point's row in the lanes; it returns 0 if those rows cannot be
+allocated. ``lms_raw`` runs
 the LMS steps of whole runs (``Run``: one job): each canceller job of a
 call is one trial's run, with its own source row z, scale and observation
 row, so the jobs of one call may be the jobs of several trials, and they
@@ -68,7 +72,10 @@ import numpy as np
 _KERNEL_SOURCE = Path(__file__).with_name("_lms.c")
 _COMPILER = "gcc"
 # no contraction or auto-vectorization: the kernel's own fma() calls are the
-# only fused operations; -march=native makes fma() an instruction
+# only fused operations; -march=native makes fma() an instruction. The
+# kernel's explicit vector types need no flag of their own, and
+# -fno-tree-vectorize leaves them as written: it stops only the compiler's
+# own vectorizing of scalar loops
 _CFLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-tree-vectorize",
            "-fno-tree-slp-vectorize", "-fPIC", "-shared")
 

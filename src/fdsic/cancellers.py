@@ -57,7 +57,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .transceiver import imd_sequence
 
 MIN_STEADY_WINDOW = 2000  # the shortest default steady-state window, in steps
 
@@ -126,7 +125,8 @@ def regressor_matrix(x, M: int, N: int = 0, k_tiq: float = 1.0) -> np.ndarray:
     rows = np.empty((*win.shape[:-1], 2 * half), dtype=np.complex128)
     rows[..., :M] = win
     if N:
-        rows[..., M:half] = newest_first(imd_sequence(xs, k_tiq))[..., :N]
+        # the third-order PA product k_tiq^{3/2} |x|^2 x
+        rows[..., M:half] = newest_first(k_tiq ** 1.5 * np.abs(xs) ** 2 * xs)[..., :N]
     np.conjugate(rows[..., :half], out=rows[..., half:])
     return rows
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -134,6 +135,13 @@ def _parse_options(texts: dict[str, str]) -> dict:
 
 
 def main(argv=None) -> int:
+    # argparse takes a value that starts with a minus sign for an option unless
+    # it is a plain number, so "--tx-grid -5:25:5" would leave --tx-grid
+    # without its value: such a value is attached to the option before it
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     texts = vars(build_parser().parse_args(argv))
     experiment = texts.pop("experiment")
     try:
@@ -158,9 +166,7 @@ def main(argv=None) -> int:
     for result in report.checks:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
-    if check and not report.all_passed:
-        return 3
-    return 0
+    return 3 if check and not report.all_passed else 0
 
 
 if __name__ == "__main__":

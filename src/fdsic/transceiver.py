@@ -438,12 +438,6 @@ def synthesize_channels(profile: TransceiverProfile, M: int, N: int, seed: int,
     return ChannelSet(h, g, h_imd, g_imd)
 
 
-def imd_sequence(x: np.ndarray, k_tiq: float) -> np.ndarray:
-    """Third-order PA product k_tiq^{3/2} |x|^2 x of a sample stream."""
-    x = np.asarray(x)
-    return k_tiq ** 1.5 * np.abs(x) ** 2 * x
-
-
 COMPONENTS = ("linear_si", "image_si", "imd_si", "image_imd_si", "thermal",
               "quantization", "soi")
 

@@ -985,9 +985,10 @@ def _kernel_code() -> str:
 def test_kernel_writes_the_lms_once():
     """The LMS is written once, over the vector operations v_*: the block
     that defines them 8 wide (AVX-512F and AVX-512DQ), 4 wide (AVX2 and
-    FMA) or 1 wide defines nothing else, every vector operation of a wide
-    branch has its 1-wide form, no AVX name appears outside the block, and
-    ``lms_raw`` chooses no path by build."""
+    FMA) or 1 wide defines nothing else, its three branches define the same
+    operations, each once, and every other vector operation is defined once,
+    outside the block, for every build; no AVX name appears outside the
+    block, and ``lms_raw`` chooses no path by build."""
     source = _kernel_code()
     block = re.search(r"^#if defined\(__AVX512F__\) && defined\(__AVX512DQ__\)\n(.*?)"
                       r"^#elif defined\(__AVX2__\) && defined\(__FMA__\)\n(.*?)"
@@ -997,10 +998,15 @@ def test_kernel_writes_the_lms_once():
                      for branch in block.groups())
     for names in (*wide, narrow):
         assert all(name.startswith("v_") for name in names), names
+        assert len(names) == len(set(names)), names
     for names in wide:
         assert set(names) <= set(narrow)
+        assert set(names) == set(narrow), set(names) ^ set(narrow)
     assert re.findall(r"#define LANES (\d+)", block.group(0)) == ["8", "4", "1"]
     outside = source[:block.start()] + source[block.end():]
+    shared = re.findall(r"^static inline \w+ (v_\w+)\(", outside, re.M)
+    assert len(shared) == len(set(shared)), shared
+    assert not set(shared) & set(narrow), set(shared) & set(narrow)
     assert not re.findall(r"immintrin\.h|_mm(256|512)_\w*|__m(256|512)\w*|__mmask\w*",
                           outside)
     [body] = re.findall(r"^int64_t lms_raw\([^)]*\)\n\{(.*?)^\}", source, re.S | re.M)

@@ -207,6 +207,19 @@ def test_cli_runs_power_budget(tmp_path):
     assert (tmp_path / "meta.txt").exists()
 
 
+@pytest.mark.parametrize("grid, written", [
+    (["--tx-grid", "-5:25:5"], "-5,0,5,10,15,20,25"),
+    (["--tx-grid", "-5,0,5"], "-5,0,5"),
+    (["--tx-grid=-5:25:5"], "-5,0,5,10,15,20,25"),
+])
+def test_cli_takes_a_grid_below_0_dbm(tmp_path, grid, written):
+    """A transmit-power grid that starts below 0 dBm is the value of
+    --tx-grid in either form, not an option of its own."""
+    code = cli_main(["power-budget", "--profile", "type2", *grid, "--out", str(tmp_path)])
+    assert code == 0
+    assert f"tx_grid_dbm = {written}\n" in (tmp_path / "meta.txt").read_text()
+
+
 def test_cli_small_bias_run(tmp_path):
     code = cli_main(["bias", "--profile", "type2", "--trials", "3",
                      "--iterations", "4000", "--out", str(tmp_path)])

@@ -19,8 +19,7 @@
  * doubles. The render and the LMS read a trial's
  * reference x = scale z from a source row z and a scale, and form x and its
  * IMD product in one place (reference_lanes): each part of z times the
- * scale, as signals.Draw.reference does, so one row z serves every transmit
- * power. Both are written over the vector operations v_*, each lane of a
+ * scale, so one row z serves every transmit power. Both are written over the vector operations v_*, each lane of a
  * vector repeating the scalar operations in their order, so a lane returns
  * the bits one sample or one job returns alone. A build with AVX-512F and
  * AVX-512DQ runs eight lanes per vector, one with AVX2 and FMA four, any
@@ -478,12 +477,12 @@ static inline vec cabs_lanes(vec re, vec im)
 }
 
 /* The reference x = scale z of the source samples (zr, zi) in every lane,
- * each part of z times scale as signals.Draw.reference forms it, and, if
- * imd, its IMD product x_imd = (k15 |x|^2) x as cancellers.regressor_matrix
- * rounds it, numpy's real-by-complex product (scale_complex), into
- * x[0 .. 5] = xr, xi, -xi, x_imd_r, x_imd_i, -x_imd_i: the six vectors of a
- * sample in an LMS history view (slot_offset), each conjugate's imaginary
- * part negated bit for bit as np.conj negates it. */
+ * each part of z times scale, and, if imd, its IMD product
+ * x_imd = (k15 |x|^2) x as cancellers.regressor_matrix rounds it, numpy's
+ * real-by-complex product (scale_complex), into x[0 .. 5] = xr, xi, -xi,
+ * x_imd_r, x_imd_i, -x_imd_i: the six vectors of a sample in an LMS history
+ * view (slot_offset), each conjugate's imaginary part negated bit for bit
+ * as np.conj negates it. */
 static inline __attribute__((always_inline)) void reference_lanes(
     vec scale, vec zr, vec zi, double k15, int imd, vec *x)
 {

@@ -15,9 +15,9 @@ are kept and that draw goes on in stream order through the wedge and tail
 tests, on the outputs that follow. The state stored back is the state
 after the last output consumed, so calls continue one stream. Both other
 kernels read a trial's reference x = scale z from a source row z and a
-scale, each part of z times the scale as ``signals.Draw.reference`` forms
-it, so that one row z serves every transmit power, and both form x and its
-IMD product by one function of ``_lms.c``. Both are written once over a
+scale, each part of z times the scale, so that one row z serves every
+transmit power, and both form x and its IMD product by one function of
+``_lms.c``. Both are written once over a
 block of vector operations, eight lanes per vector on a build with
 AVX-512F and AVX-512DQ, four on one with AVX2 and FMA and one double wide
 on any other build (``lanes()``), each lane repeating the scalar

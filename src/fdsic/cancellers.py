@@ -39,11 +39,11 @@ e = d - reg^T w (einsum), w += mu e conj(reg) (or mu e (p_kk conj(reg_k) +
 p_kj conj(reg_j)), j the partner of k, entry by entry) and |e|^2 do, so
 results are bit-identical to a numpy loop over the steps. The kernel moves
 each job's regressor on by one sample of its z per step, forming
-x = scale z (each part of z times the scale, as ``signals.Draw.reference``
-does) and x_imd from it; the jobs run as the lanes of vectors, eight jobs
-per vector on a build with AVX-512F and AVX-512DQ, four on one with AVX2
-and FMA and one on any other (``_native.lanes()``), each lane on its own
-regressor, and return the bits each job returns alone. A kernel that
+x = scale z (each part of z times the scale) and x_imd from it; the jobs
+run as the lanes of vectors, eight jobs per vector on a build with
+AVX-512F and AVX-512DQ, four on one with AVX2 and FMA and one on any
+other (``_native.lanes()``), each lane on its own regressor, and return the
+bits each job returns alone. A kernel that
 cannot allocate its lanes' state raises ``MemoryError``.
 ``regressor_matrix`` builds the same regressors as rows, for the tests'
 numpy loop.
@@ -208,13 +208,13 @@ def run_jobs(jobs: list[Job], M: int, k_tiq: float, track_taps: tuple[int, ...] 
     A job runs on the reference x = ``job.scale`` z of its source row
     ``job.z`` and on its observation row ``job.d``: every job's z and d are
     1-D rows of one length (a ``ValueError`` otherwise). Each part of x is
-    the part of z times the scale, as ``signals.Draw.reference`` forms it
-    (so a scale of 1 runs on z itself). The jobs may differ in every field,
-    their rows included, so the jobs of one call may be those of several
-    trials; a job with mu < 0 or N outside 0 <= N < M is a ``ValueError``. Each job returns exactly what it returns alone; a
-    kernel that cannot allocate its lanes' state is a ``MemoryError``. A
-    job's ``residuals`` row, of one value per step, has |e|^2 of each step
-    added to it; its ``taps`` row, (ceil(steps / tap_stride),
+    the part of z times the scale (so a scale of 1 runs on z itself). The
+    jobs may differ in every field, their rows included, so the jobs of one
+    call may be those of several trials; a job with mu < 0 or N outside
+    0 <= N < M is a ``ValueError``. Each job returns exactly what it returns
+    alone; a kernel that cannot allocate its lanes' state is a
+    ``MemoryError``. A job's ``residuals`` row, of one value per step, has
+    |e|^2 of each step added to it; its ``taps`` row, (ceil(steps / tap_stride),
     len(track_taps)), has the weights listed in ``track_taps`` (indices
     into each job's own weight vector) after steps 0, tap_stride,
     2 tap_stride, ... added to it. Jobs may share a row: each step's

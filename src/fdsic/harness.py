@@ -118,6 +118,7 @@ DEFAULT_MU_FRAC = {"sinr-sweep": 0.15}
 # convergence and bounds-probe run fixed fractions of their own bounds and
 # ignore --mu-frac and --mu
 CONVERGENCE_MU_FRAC = 0.005        # of the ANCLMS mean-convergence bound
+CONVERGENCE_TX_DBM = 15.0          # convergence's one transmit power
 PROBE_MU_FRACS = (0.5, 0.9, 1.1, 1.5)  # of each canceller's mean-square bound
 
 
@@ -148,6 +149,12 @@ class ExperimentConfig:
             raise ValueError("empty transmit-power grid")
         for tx in self.tx_grid_dbm:
             self.profile.with_tx_power(tx)  # raises outside the supported range
+        # the noise budget at each transmit power the run renders at raises
+        # outside the floating-point range
+        runs_at = {"bias": [self.profile.tx_power_dbm], "convergence": [CONVERGENCE_TX_DBM],
+                   "bounds-probe": self.tx_grid_dbm[:1]}
+        for tx in runs_at.get(self.experiment, self.tx_grid_dbm):
+            compute_noise_budget(self.profile.with_tx_power(tx))
         if self.signal_source not in ("gaussian", "ofdm"):
             raise ValueError(f"unknown signal source {self.signal_source!r}")
         if self.experiment == "convergence" and self.signal_source != "gaussian":
@@ -306,7 +313,6 @@ class ExperimentReport:
     svg_paths: list[Path] = field(default_factory=list)
     meta_path: Path | None = None
     checks: list[CheckResult] = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     clock: PhaseClock = field(default_factory=PhaseClock)
 
@@ -353,13 +359,12 @@ def _fmt(v) -> str:
 
 def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
     """First column ``x_name``, one column per curve, each written as
-    ``_fmt_column`` writes it: one row per x value, each curve's values
-    after the last row unwritten."""
+    ``_fmt_column`` writes it: one row per x value, and a ``ValueError`` for
+    a curve of any other length."""
     fmts, columns = zip(_column(x_values), *map(_column, curves.values()))
-    rows = len(columns[0])
     row = ",".join(fmts)
     lines = [",".join([x_name, *curves.keys()]),
-             *(row % values for values in zip(*(c[:rows] for c in columns), strict=True))]
+             *(row % values for values in zip(*columns, strict=True))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -433,11 +438,13 @@ def _trial(config: ExperimentConfig, t: int, n: int, clock: PhaseClock, z=None):
     return draw, render
 
 
+@contextmanager
 def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
                 clock: PhaseClock, group: int = 1):
-    """Yield the trials t = 0 ... config.trials - 1 in groups of ``group``
-    consecutive trials (the last may be shorter), each group a list of
-    ``(draw, ds)``, one per trial, made by ``_trial``: the draw of ``n``
+    """A context manager, ``with iter_trials(...) as groups``, whose
+    ``groups`` yields the trials t = 0 ... config.trials - 1 in groups of
+    ``group`` consecutive trials (the last may be shorter), each group a list
+    of ``(draw, ds)``, one per trial, made by ``_trial``: the draw of ``n``
     samples and the observation row d of each point. ``clock`` also times
     the waits for each group.
 
@@ -449,9 +456,12 @@ def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
     are overwritten once the caller asks for the group after it: a consumer
     copies whatever it keeps. Only the ``config.trials`` trials asked for
     are made (a caller that wants fewer passes a config with fewer). An
-    error in the producer is raised here with its own type; an error in the
-    caller, or closing the generator, lets the producer finish the group in
-    hand and joins its thread.
+    error in the producer is raised from ``groups`` with its own type.
+    Leaving the block, by an error in the caller or before the last group,
+    lets the producer finish the group in hand and joins its thread; a
+    producer error that no group handed over becomes the ``__context__`` at
+    the end of the caller's error's context chain, so that its traceback
+    names both.
     """
     firsts = range(0, config.trials, group)
     rows = [[(np.empty(n, dtype=np.complex128),
@@ -484,11 +494,7 @@ def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
             slot.append(exc)
             handed.release()
 
-    # a daemon, so that a loop left unfinished and unclosed cannot hold up
-    # the interpreter's exit with its producer waiting for a request
-    producer = threading.Thread(target=produce, name="fdsic-trials", daemon=True)
-    producer.start()
-    try:
+    def groups():
         for _ in firsts:
             with clock.phase("wait"):
                 handed.acquire()
@@ -499,10 +505,25 @@ def iter_trials(config: ExperimentConfig, points: list[OperatingPoint], n: int,
             # take the next (if there is one)
             asked.release()
             yield made
+
+    # a daemon, so that a context entered and never left cannot hold up the
+    # interpreter's exit with its producer waiting for a request
+    producer = threading.Thread(target=produce, name="fdsic-trials", daemon=True)
+    producer.start()
+    failed = None  # the caller's error that ends the block
+    try:
+        yield groups()
+    except BaseException as exc:
+        failed = exc
+        raise
     finally:
         stopping = True
         asked.release()
         producer.join()
+        if failed is not None and slot and isinstance(slot[0], BaseException):
+            while failed.__context__ is not None:
+                failed = failed.__context__
+            failed.__context__ = slot[0]
 
 
 def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict[str, Job]]],
@@ -548,16 +569,17 @@ def run_trials(config: ExperimentConfig, points: list[tuple[OperatingPoint, dict
     if group * (1 + len(points)) > lanes:
         group = lanes // math.gcd(lanes, len(calls))
     runs = {label: [] for _, jobs in points for label in jobs}
-    for made in iter_trials(config, [point for point, _ in points], n, clock, group):
-        jobs = [job._replace(z=draw.samples, d=ds[k], scale=draw.scale(points[k][0].sigma_x2))
-                for _, k, job in calls for draw, ds in made]
-        with clock.phase("lms"):
-            results = iter(run_jobs(jobs, M, k_tiq, **run_options))
-        ran = [(label, run) for label, *_ in calls
-               for run in itertools.islice(results, len(made))]
-        clock.count_lms(ran, lanes)
-        for label, run in ran if keep else ():
-            runs[label].append(keep(run))
+    with iter_trials(config, [point for point, _ in points], n, clock, group) as groups:
+        for made in groups:
+            jobs = [job._replace(z=draw.samples, d=ds[k], scale=draw.scale(points[k][0].sigma_x2))
+                    for _, k, job in calls for draw, ds in made]
+            with clock.phase("lms"):
+                results = iter(run_jobs(jobs, M, k_tiq, **run_options))
+            ran = [(label, run) for label, *_ in calls
+                   for run in itertools.islice(results, len(made))]
+            clock.count_lms(ran, lanes)
+            for label, run in ran if keep else ():
+                runs[label].append(keep(run))
     return runs
 
 
@@ -693,9 +715,9 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
                 # order from -0.0 too
                 mean_err = sum((w - w_opt for w in mean_weights[f"{label}_{tag}"]),
                                np.full(len(w_opt), -0.0j)) / config.trials
-            for tap in (0, 1):
-                err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
-                traces[f"{label}_{tag}_tap{tap + 1}"] = err
+                for tap in (0, 1):
+                    err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
+                    traces[f"{label}_{tag}_tap{tap + 1}"] = err
             if label == "alms" and mu == base_mu:
                 idx = np.concatenate([np.arange(config.N),
                                       config.M + np.arange(config.N)])
@@ -728,8 +750,6 @@ def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
         line_plot, out / "bias.svg", iters_axis, db_traces,
         "Normalized error-coefficient magnitude (dB)", "iteration",
         "20 log10 |w_err / w_opt|")
-    report.tables["bias_taps"] = bias_table
-    report.tables["traces"] = traces
 
     rel = bias_table["rel_error"]
     report.add_check("alms_bias_10pct", bool(np.all(rel <= 0.10)),
@@ -799,7 +819,6 @@ def run_sinr_sweep(config: ExperimentConfig, report: ExperimentReport, out: Path
         report.add_svg(
             line_plot, out / svg, grid, {k: np.array(v) for k, v in cols.items() if view in k},
             title, "transmit power (dBm)", "dB")
-    report.tables["columns"] = cols
     report.meta["anclms_iterations"] = ";".join(f"{tx:g}:{config.iterations}"
                                                 for tx in grid)
     report.meta["anclms_start"] = "wiener"
@@ -851,7 +870,7 @@ def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> 
 
 def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Condition-number heatmap plus whitened-vs-raw SINR evolution."""
-    prof = config.profile.with_tx_power(15.0)
+    prof = config.profile.with_tx_power(CONVERGENCE_TX_DBM)
     report.meta["tx_power_dbm"] = _fmt(prof.tx_power_dbm)
     k = prof.k_tiq
 
@@ -934,14 +953,14 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     iters_axis = (np.arange(n_points) + 0.5) * block
     report.add_csv(out / "convergence.csv", "iteration", iters_axis, curves)
     report.add_svg(line_plot, out / "convergence.svg", iters_axis, curves,
-                   "SINR evolution at 15 dBm transmit power", "iteration", "SINR (dB)")
+                   f"SINR evolution at {CONVERGENCE_TX_DBM:g} dBm transmit power", "iteration",
+                   "SINR (dB)")
 
     reach = {}
     for label in ("anclms_optimal", "anclms_suboptimal", "anclms_whitened"):
         steady = _median(curves[label][-max(n_points // 10, 1):])
         reach[label] = _iterations_to_within(curves[label], steady, block)
         report.meta[f"iters_to_1db_{label}"] = str(reach[label])
-    report.tables["reach"] = reach
 
     report.add_check("heatmap_min_4p64", abs(heatmap_min - 4.6417) < 0.1,
                      f"min condition number {heatmap_min:.4f}")
@@ -1025,7 +1044,6 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
         {"alms_diverged": np.array([r["n_diverged"] for r in rows[:len(fracs)]]),
          "anclms_diverged": np.array([r["n_diverged"] for r in rows[len(fracs):]])},
         "Diverged trials vs step-size fraction", "mu / bound", "diverged trials")
-    report.tables["rows"] = rows
 
     by = {(r["variant"], r["mu_frac"]): r for r in rows}
     report.add_check("alms_0.9_converged",

@@ -62,9 +62,12 @@ def _write_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
 
 def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
               xlabel: str, ylabel: str) -> Path:
-    """Write a multi-curve line plot; NaN/inf samples break the polyline."""
+    """Write a multi-curve line plot; NaN/inf samples break the polyline.
+    A curve of other than one value per x value is a ``ValueError``."""
     x = np.asarray(x, dtype=float)
     curves = {name: np.asarray(ys, dtype=float) for name, ys in curves.items()}
+    if any(ys.shape != x.shape for ys in curves.values()):
+        raise ValueError("each curve needs one value per x value")
     finite_y = np.concatenate([[], *curves.values()])
     finite_y = finite_y[np.isfinite(finite_y)]
     if not finite_y.size:
@@ -105,7 +108,6 @@ def line_plot(path: str | Path, x, curves: dict[str, np.ndarray], title: str,
     px = ["%.2f," % v for v in sx(x).tolist()]
     for ci, (name, ys) in enumerate(curves.items()):
         color = _COLORS[ci % len(_COLORS)]
-        ys = ys[:len(px)]
         py = sy(ys).tolist()
         # each run of finite samples is one polyline
         edges = np.flatnonzero(np.diff(np.concatenate([[0], np.isfinite(ys), [0]])))

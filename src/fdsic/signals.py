@@ -9,12 +9,11 @@ and the oversampled WLAN OFDM waveform of the paper's simulations (16-QAM
 on 50 of 64 subcarriers, a 16-sample cyclic prefix, 4x oversampling: 320
 samples per symbol). Both are deterministic for a fixed seed, and one draw
 serves every power: the kernels of ``_native`` form x from z and the scale
-sample by sample, each part of z times the scale, as ``Draw.reference``
-forms it. A source writes its samples into ``out`` if given, a row the
-caller owns, which must be writable, C-contiguous, complex128 and of n
-samples: the one check of every row a kernel writes,
-``_native.row_address``, refuses any other with a ``ValueError`` before a
-sample is drawn. The Gaussian source draws its normals in C
+sample by sample, each part of z times the scale. A source writes its
+samples into ``out`` if given, a row the caller owns, which must be
+writable, C-contiguous, complex128 and of n samples: the one check of every
+row a kernel writes, ``_native.row_address``, refuses any other with a
+``ValueError`` before a sample is drawn. The Gaussian source draws its normals in C
 (``_native.NormalStream``), bit for bit those of
 ``np.random.default_rng(seed).standard_normal``, from numpy's seeding
 written out in Python, so a Gaussian run never imports ``numpy.random``;
@@ -59,10 +58,6 @@ class Draw:
         if not sigma_x2 > 0:
             raise ValueError("sigma_x2 must be positive")
         return np.sqrt(sigma_x2 / self.power)
-
-    def reference(self, sigma_x2: float) -> np.ndarray:
-        """The reference x of power ``sigma_x2``, a new row."""
-        return (self.samples.view(np.float64) * self.scale(sigma_x2)).view(np.complex128)
 
 
 def _check_n(n: int) -> None:

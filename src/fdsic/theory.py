@@ -321,8 +321,10 @@ def _mean_square_blocks(sigma_x2: float, k_tiq: float, M: int, N: int,
     cls = cls.reshape(-1)  # flat on every numpy: 2.0.0's may carry an extra axis
     size = np.bincount(cls)[cls]
     order = np.lexsort((cls, size))  # stable: ascending vec index in a class
-    powers = np.arange(9)  # each factor brings at most 2 powers of x
-    moment = np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers
+    # a nonzero moment has p = q <= 6, each factor bringing p + q = 1 or 3;
+    # p_tot reaches 8 only where p != q, whose moment is never read
+    powers = np.arange(7)
+    moment = np.r_[np.array([math.factorial(i) for i in powers]) * sigma_x2 ** powers, 0, 0]
     blocks = []
     for n in np.flatnonzero(np.bincount(size)):  # np.unique would import numpy.ma
         index = order[size[order] == n].reshape(-1, n)

@@ -326,8 +326,10 @@ class NoiseBudget:
     alpha1: float
 
     def __post_init__(self):
-        if min(self.sigma_v2, self.sigma_q2, self.p_x_soi) < 0 or self.k_bb <= 0:
-            raise ValueError("invalid noise budget")
+        values = (self.sigma_v2, self.sigma_q2, self.k_bb, self.p_x_soi, self.alpha1)
+        if (not all(map(math.isfinite, values))
+                or min(self.sigma_v2, self.sigma_q2, self.p_x_soi) < 0 or self.k_bb <= 0):
+            raise ValueError(f"invalid noise budget: {self}")
 
 
 def compute_noise_budget(profile: TransceiverProfile) -> NoiseBudget:
@@ -342,18 +344,29 @@ def compute_noise_budget(profile: TransceiverProfile) -> NoiseBudget:
     quantization-noise variance follows the ADC SQNR rule sigma_q2 = p_adc /
     10^((6.02 beta + 4.76 - PAPR_dB)/10); the exponent is a dB quantity
     divided by 10.
+
+    A budget that leaves the floating-point range (a power of ten that
+    overflows, a gain, the SOI power or the echo power that underflows to
+    zero, or a value that is not finite) is a ``ValueError``.
     """
-    sigma_x2 = profile.natural_sigma_x2
-    a0 = profile.alpha0_amp
-    alpha1 = -(4.0 / 3.0) * a0 / profile.iip3_mw
-    p_lin = a0 ** 2 * profile.k_vga * profile.k_tiq * sigma_x2
-    p_imd = alpha1 ** 2 * profile.k_vga ** 3 * profile.k_tiq ** 3 * sigma_x2 ** 3
-    denom = (p_lin + p_imd) * profile.f_rfe_norm2 + profile.p_sen_mw
-    k_bb = profile.p_adc_mw / (profile.k_lna * profile.k_riq * denom)
-    sigma_v2 = k_bb * profile.k_lna * profile.k_riq * profile.p_sen_mw / profile.snr_req
-    sqnr_db = 6.02 * profile.adc_bits + 4.76 - profile.papr_db
-    sigma_q2 = profile.p_adc_mw / db_to_lin(sqnr_db)
-    p_x_soi = profile.p_sen_mw * profile.k_lna * k_bb * profile.k_riq
+    try:
+        sigma_x2 = profile.natural_sigma_x2
+        a0 = profile.alpha0_amp
+        alpha1 = -(4.0 / 3.0) * a0 / profile.iip3_mw
+        p_lin = a0 ** 2 * profile.k_vga * profile.k_tiq * sigma_x2
+        p_imd = alpha1 ** 2 * profile.k_vga ** 3 * profile.k_tiq ** 3 * sigma_x2 ** 3
+        denom = (p_lin + p_imd) * profile.f_rfe_norm2 + profile.p_sen_mw
+        k_bb = profile.p_adc_mw / (profile.k_lna * profile.k_riq * denom)
+        sigma_v2 = k_bb * profile.k_lna * profile.k_riq * profile.p_sen_mw / profile.snr_req
+        sqnr_db = 6.02 * profile.adc_bits + 4.76 - profile.papr_db
+        sigma_q2 = profile.p_adc_mw / db_to_lin(sqnr_db)
+        p_x_soi = profile.p_sen_mw * profile.k_lna * k_bb * profile.k_riq
+    except ArithmeticError as exc:  # Python's float ** overflows, / by zero
+        raise ValueError(f"noise budget at {profile.tx_power_dbm:g} dBm out of "
+                         f"floating-point range: {exc}") from None
+    if 0 in (p_x_soi, profile.f_rfe_norm2):  # positive powers, underflowed
+        raise ValueError(f"the SOI or echo power at {profile.tx_power_dbm:g} dBm "
+                         f"underflows to 0")
     return NoiseBudget(sigma_v2, sigma_q2, k_bb, p_x_soi, alpha1)
 
 
@@ -449,7 +462,7 @@ def render_observations(zs: np.ndarray, points, seed: int, ds,
 
     Each point is an ``(OperatingPoint, scale)`` pair, its reference
     x = ``scale`` ``zs``: each part of x is the part of ``zs`` times
-    ``scale``, as ``signals.Draw.reference`` forms it. Each branch is
+    ``scale``. Each branch is
     the channel's FIR response to its input, truncated to ``len(zs)``
     samples (zero initial state); each noise is ``sqrt(power / 2) * (re +
     1j * im)``, with the point's power, of the real then imaginary

@@ -184,14 +184,34 @@ def assert_refuses(call, good: np.ndarray, name: str) -> None:
         assert np.array_equal(np.asarray(row), before, equal_nan=True)
 
 
+def reference(draw, sigma_x2: float) -> np.ndarray:
+    """The reference x of power ``sigma_x2`` of the source draw ``draw`` (a
+    ``signals.Draw``), a new row: each part of z times the draw's scale, as
+    the kernels form it."""
+    return (draw.samples.view(np.float64) * draw.scale(sigma_x2)).view(np.complex128)
+
+
+def read_meta(report) -> dict[str, str]:
+    """The ``key = value`` lines of the ``meta.txt`` that ``report``'s run
+    wrote."""
+    return dict(line.split(" = ", 1) for line in report.meta_path.read_text().splitlines())
+
+
+def read_csv(path) -> dict[str, np.ndarray]:
+    """The columns of a CSV that a run wrote, by header name, each as floats."""
+    header, *rows = path.read_text().splitlines()
+    cells = np.array([row.split(",") for row in rows], dtype=float)
+    return dict(zip(header.split(","), cells.T, strict=True))
+
+
 def stack_trials(config, point, n):
     """The references and copies of the observations ``harness.iter_trials``
     hands over for ``point``, stacked as ``(xs, ds)`` of shape
     (config.trials, n): the batch of the experiments' trials for tests that
     run them at once."""
-    rows = [(draw.reference(point.sigma_x2), d.copy())
-            for group in harness.iter_trials(config, [point], n, harness.PhaseClock())
-            for draw, [d] in group]
+    with harness.iter_trials(config, [point], n, harness.PhaseClock()) as groups:
+        rows = [(reference(draw, point.sigma_x2), d.copy())
+                for group in groups for draw, [d] in group]
     return tuple(np.stack(r) for r in zip(*rows))
 
 

@@ -23,7 +23,7 @@ from fdsic.theory import (alms_ms_bound, anclms_mean_bound, anclms_ms_analysis,
 from fdsic.transceiver import (compute_noise_budget, render_observation,
                                synthesize_channels)
 from conftest import (M, N, SEED, WARNING_FLAGS, assert_refuses, operating_point,
-                      stack_trials)
+                      reference, stack_trials)
 
 complex_st = st.complex_numbers(min_magnitude=0, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
@@ -113,7 +113,7 @@ def test_one_step_contraction(window, mu_rel, d):
 def test_alms_noiseless_convergence_to_ls_oracle():
     rng = np.random.default_rng(5)
     w_opt = rng.standard_normal(2 * M) + 1j * rng.standard_normal(2 * M)
-    x = gen_proper_gaussian(10_000 + M, seed=6).reference(1.0)
+    x = reference(gen_proper_gaussian(10_000 + M, seed=6), 1.0)
     regs = regressor_matrix(x, M)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
@@ -130,7 +130,7 @@ def test_anclms_noiseless_residual_floor():
     rng = np.random.default_rng(8)
     dim = 2 * (M + N)
     w_opt = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x = gen_proper_gaussian(20_000, seed=9).reference(0.3)
+    x = reference(gen_proper_gaussian(20_000, seed=9), 0.3)
     regs = regressor_matrix(x, M, N, 1.0)
     d_tail = regs @ w_opt
     d = np.concatenate([np.zeros(M - 1), d_tail])
@@ -145,7 +145,7 @@ def test_anclms_matches_widely_nonlinear_ls():
     m, n = 2, 1
     rng = np.random.default_rng(12)
     w_opt = rng.standard_normal(2 * (m + n)) + 1j * rng.standard_normal(2 * (m + n))
-    x = gen_proper_gaussian(60_000, seed=13).reference(0.3)
+    x = reference(gen_proper_gaussian(60_000, seed=13), 0.3)
     regs = regressor_matrix(x, m, n, 1.5)
     d_tail = regs @ w_opt
     ls = np.linalg.lstsq(regs, d_tail, rcond=None)[0]
@@ -167,7 +167,7 @@ def test_prewhitening_whitens(type2):
     Phi^T Phi is the Newton preconditioner R^-1, exactly pairwise."""
     s2 = optimal_sigma_x2(type2.k_tiq)
     phi = _exact_whitening(s2, type2.k_tiq)
-    regs = regressor_matrix(gen_proper_gaussian(50_000, seed=20).reference(s2),
+    regs = regressor_matrix(reference(gen_proper_gaussian(50_000, seed=20), s2),
                             M, N, type2.k_tiq)
 
     def spread(rows):
@@ -209,7 +209,7 @@ def test_whitened_weights_map_back(type2):
     """The whitened LMS, run in numpy on Phi-whitened regressors and mapped
     back by w = Phi^T v, is the Newton job: the same weights to rounding."""
     s2 = optimal_sigma_x2(type2.k_tiq)
-    x = gen_proper_gaussian(3000, seed=22).reference(s2)
+    x = reference(gen_proper_gaussian(3000, seed=22), s2)
     rng = np.random.default_rng(23)
     d = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
     mu = 0.01
@@ -226,7 +226,7 @@ def test_whitened_weights_map_back(type2):
 
 
 def test_run_batch_zero_observation():
-    x = gen_proper_gaussian(4000, seed=30).reference(1.0)
+    x = reference(gen_proper_gaussian(4000, seed=30), 1.0)
     d = np.zeros(4000, dtype=complex)
     [(run, residuals, _)] = run_batch(x[None, :], d[None, :], Job(0.05), M, 1.0)
     assert np.all(residuals == 0.0)
@@ -276,7 +276,7 @@ def test_default_steady_window():
 
 def test_regressor_matrix_row_indexing():
     """Row t is the regressor at sample M-1+t, for one trial and for a batch."""
-    x = gen_proper_gaussian(50, seed=40).reference(1.0)
+    x = reference(gen_proper_gaussian(50, seed=40), 1.0)
     regs = regressor_matrix(x, 4, 2, 3.0)
     window = x[10:6:-1]  # newest first for row index 10 - (4-1) = 7
     imd = 3.0 ** 1.5 * np.abs(window[:2]) ** 2 * window[:2]
@@ -553,7 +553,7 @@ def _group_jobs(kernel_setup, wiener, point_rows, count):
                         N if kind == "newton" else kind, window, None, ds, draw.scale(s2),
                         wiener if start == "wiener" else None,
                         _exact_inverse(kernel_setup) if kind == "newton" else None))
-        own.append((draw.reference(s2), ds))
+        own.append((reference(draw, s2), ds))
     return jobs, own
 
 
@@ -666,7 +666,7 @@ def test_newton_jobs_pairing_differently(kernel_setup, wiener):
 def test_grouped_jobs_zero_observation():
     """A zero residual is |e|^2 = 0 in every lane (numpy's |0| is 0, where
     the lanes' max * sqrt(1 + (min/max)^2) would be 0/0)."""
-    x = gen_proper_gaussian(4000, seed=30).reference(1.0)
+    x = reference(gen_proper_gaussian(4000, seed=30), 1.0)
     d = np.zeros(4000, dtype=complex)
     jobs = [Job(0.05, n_imd, z=x, d=d) for n_imd in (0, N, 1)]
     for run, residuals, _ in _own_rows(jobs, 1.0):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -29,7 +30,8 @@ from fdsic.signals import gen_proper_gaussian
 from fdsic.transceiver import (OperatingPoint, builtin_profile, compute_noise_budget,
                                render_observation, synthesize_channels)
 
-from conftest import M, N, SEED, operating_point, stack_trials
+from conftest import (M, N, SEED, operating_point, read_csv, read_meta, reference,
+                      stack_trials)
 
 
 def test_parse_tx_grid():
@@ -73,29 +75,37 @@ def _fmt_one(v) -> str:
 def test_write_csv_formats_each_column_as_each_value(tmp_path):
     """A column of integers (or bools) is written by str(int), any other as
     floats to 9 digits, each value as ``_fmt_one`` writes it alone; a curve
-    longer than the x values is cut to them, a shorter one is an error."""
+    longer or shorter than the x values is an error, and no file is
+    written."""
     x = np.arange(4)
     curves = {"ints": [3, -7, 10**12, 0], "bools": np.array([True, False, True, False]),
               "floats": [1.23456789012, -np.nan, np.inf, -np.inf],
               "float32": np.array([0.1, 2.5, -3.0, 1e-9], dtype=np.float32),
-              "digits": ["0", "1", "1", "0"], "longer": np.linspace(0.0, 1.0, 6)}
+              "digits": ["0", "1", "1", "0"]}
     lines = write_csv(tmp_path / "t.csv", "x", x, curves).read_text().splitlines()
     assert lines[0] == "x," + ",".join(curves)
     assert lines[1:] == [",".join([_fmt_one(x[i]), *(_fmt_one(c[i]) for c in curves.values())])
                          for i in range(len(x))]
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "u.csv", "x", x, {"shorter": [1.0, 2.0]})
+    for curve in ([1.0, 2.0], np.linspace(0.0, 1.0, 6)):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "u.csv", "x", x, curves | {"other": curve})
+        assert not (tmp_path / "u.csv").exists()
 
 
 def test_line_plot_draws_each_finite_run_as_one_polyline(tmp_path):
     """Each run of finite samples of a curve is one polyline, each point at
     the pixel coordinates the scalar formulas give; the y range spans every
-    finite value, and a curve's samples past the last x are not drawn."""
+    finite value, and a curve of more or fewer samples than x values is an
+    error, and no file is written."""
     x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     curves = {"a": [1.0, np.nan, 2.0, 3.0, np.inf, 4.0], "b": [np.nan] * 6,
-              "c": [-np.inf, 2.5, 2.5, 2.5, 2.5, 2.5, 9.0]}
+              "c": [-np.inf, 2.5, 2.5, 2.5, 2.5, 2.5]}
+    for other in ([*curves["c"], 9.0], curves["c"][:5]):
+        with pytest.raises(ValueError):
+            plots.line_plot(tmp_path / "q.svg", x, curves | {"d": other}, "t", "x", "y")
+        assert not (tmp_path / "q.svg").exists()
     svg = plots.line_plot(tmp_path / "p.svg", x, curves, "t", "x", "y").read_text()
-    ylo, yhi = 1.0 - 0.05 * 8.0, 9.0 + 0.05 * 8.0
+    ylo, yhi = 1.0 - 0.05 * 3.0, 4.0 + 0.05 * 3.0
 
     def point(xv, yv):
         px = plots._ML + (xv - 0.0) / (5.0 - 0.0) * (plots._W - plots._ML - plots._MR)
@@ -137,7 +147,7 @@ def test_mu_frac_defaults(type2, tmp_path):
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=1,
                            iterations=3000, tx_grid_dbm=(0.0,), seed=SEED,
                            output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert meta["mu_frac"] == "0.15" and "mu_abs" not in meta
 
 
@@ -192,7 +202,7 @@ def test_ofdm_run_says_what_its_theory_assumes(experiment, type2, tmp_path):
         cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=1,
                                iterations=3000, tx_grid_dbm=(-5.0,), signal_source=source,
                                seed=SEED, output_dir=tmp_path / source)
-        metas[source] = _meta(run_experiment(cfg))
+        metas[source] = read_meta(run_experiment(cfg))
     assert metas["ofdm"]["theory_input"] == ("white proper Gaussian, which the ofdm "
                                              "source is not")
     assert "theory_input" not in metas["gaussian"]
@@ -648,18 +658,13 @@ def test_cli_run_records_its_blas_threads(preset, threads, tmp_path):
     assert meta["blas_threads"] == threads
 
 
-def _meta(report) -> dict[str, str]:
-    return dict(line.split(" = ", 1)
-                for line in report.meta_path.read_text().splitlines())
-
-
 def test_power_budget_meta_names_no_step_size(type2, tmp_path):
     """power-budget runs no canceller, so meta.txt names no step size."""
     for mu_abs in (None, 1e-3):
         cfg = ExperimentConfig(experiment="power-budget", profile=type2,
                                tx_grid_dbm=(0.0,), mu_abs=mu_abs, seed=SEED,
                                output_dir=tmp_path)
-        meta = _meta(run_experiment(cfg))
+        meta = read_meta(run_experiment(cfg))
         assert meta["experiment"] == "power-budget"
         assert "mu_frac" not in meta and "mu_abs" not in meta
 
@@ -669,7 +674,7 @@ def test_convergence_meta_names_its_step_size(type2, tmp_path):
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
                            iterations=3000, mu_abs=1.0, seed=SEED,
                            output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert meta["mu_frac"] == "0.005"
     assert meta["mu_bound"] == "anclms_mean_bound"
     assert "mu_abs" not in meta
@@ -680,21 +685,23 @@ def test_convergence_meta_records_its_peak_rss_rise(type2, tmp_path):
     MB: 0 or more (0 when an earlier run of the process peaked higher)."""
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
                            iterations=3000, seed=SEED, output_dir=tmp_path)
-    rise = float(_meta(run_experiment(cfg))["peak_rss_rise_mb"])
+    rise = float(read_meta(run_experiment(cfg))["peak_rss_rise_mb"])
     assert math.isfinite(rise) and rise >= 0
 
 
 def test_meta_records_the_runs_cpu_time_and_page_faults(type2, tmp_path):
     """meta.txt records the process's user and system CPU seconds and its
     minor page faults over the run, as getrusage differences: each is 0 or
-    more, the faults a count, and the CPU time no more than the process has
-    spent in all."""
+    more, the faults a count, the CPU time no more than the process has
+    spent in all, and their sum above 0. Either part alone may read 0, as
+    the kernel splits a short run's sampled CPU time between the two."""
     cfg = ExperimentConfig(experiment="bounds-probe", profile=type2, trials=2,
                            iterations=3000, seed=SEED, output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     spent = resource.getrusage(resource.RUSAGE_SELF)
     user, system = float(meta["cpu_user_s"]), float(meta["cpu_sys_s"])
-    assert 0 < user <= spent.ru_utime and 0 <= system <= spent.ru_stime
+    assert 0 <= user <= spent.ru_utime and 0 <= system <= spent.ru_stime
+    assert 0 < user + system
     assert 0 <= int(meta["minor_faults"]) <= spent.ru_minflt
 
 
@@ -705,7 +712,7 @@ def test_convergence_meta_names_the_iterations_it_ran(iterations, run, type2, tm
     takes iterations_run + 1 steps a trial."""
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=1,
                            iterations=iterations, seed=SEED, output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert meta["iterations"] == str(iterations)
     assert meta["iterations_run"] == str(run)
     assert int(meta["trial_steps"]) == 3 * cfg.trials * (run + 1)
@@ -726,7 +733,7 @@ def test_convergence_renders_two_runs(type2, tmp_path, monkeypatch, lms_calls):
                         seeds.append(seed) or real_source(n, seed, **k))
     cfg = ExperimentConfig(experiment="convergence", profile=type2, trials=2,
                            iterations=3000, seed=SEED, output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert rendered == [2] * cfg.trials
     assert int(meta["samples_rendered"]) == 2 * cfg.trials * (20_000 + cfg.M)
     assert seeds == [SEED + t for t in range(cfg.trials)]
@@ -783,9 +790,10 @@ def test_sweep_writes_attenuation_view(type2, tmp_path):
     assert [p.name for p in report.svg_paths] == ["sinr-sweep.svg", "attenuation.svg"]
     svg = (tmp_path / "attenuation.svg").read_text()
     assert ">Digital attenuation</text>" in svg
-    att = [k for k in report.tables["columns"] if "_att_" in k]
+    columns = [*read_csv(tmp_path / "sinr-sweep.csv")][1:]
+    att = [k for k in columns if "_att_" in k]
     assert len(att) == 4
-    for key in report.tables["columns"]:
+    for key in columns:
         assert (f">{key}</text>" in svg) == (key in att), key
     assert svg.count("<polyline") == 4
 
@@ -798,11 +806,10 @@ def test_sweep_anclms_starts_in_steady_state(type2, tmp_path):
                            iterations=30_000, tx_grid_dbm=(10.0, 15.0), seed=SEED,
                            output_dir=tmp_path)
     report = run_experiment(cfg)
-    cols = report.tables["columns"]
-    gaps = (np.array(cols["anclms_sinr_sim_db"])
-            - np.array(cols["anclms_sinr_theory_db"]))
+    cols = read_csv(tmp_path / "sinr-sweep.csv")
+    gaps = cols["anclms_sinr_sim_db"] - cols["anclms_sinr_theory_db"]
     assert np.all(np.abs(gaps) <= 0.2), gaps
-    assert _meta(report)["anclms_start"] == "wiener"
+    assert read_meta(report)["anclms_start"] == "wiener"
 
 
 @pytest.fixture
@@ -853,7 +860,7 @@ def test_meta_records_phase_times(experiment, trial_steps, type2, tmp_path, lms_
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     for key in ("phase.generate_s", "phase.render_s", "phase.lms_s",
                 "phase.wait_s", "ns_per_sample.generate",
                 "ns_per_sample.render", "ns_per_trial_step"):
@@ -962,7 +969,7 @@ def test_kernel_build_is_not_timed_as_generation(experiment, type2, tmp_path,
         patch.setattr(_native, "_build_kernel", timed_build)
         _native.library.cache_clear()
         try:
-            meta = _meta(run_experiment(cfg))
+            meta = read_meta(run_experiment(cfg))
         finally:
             _native.library.cache_clear()  # the next call loads the package's build
     [(thread, built_s)] = builds
@@ -985,7 +992,7 @@ def test_meta_times_the_output(experiment, type2, tmp_path, monkeypatch):
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
     report = run_experiment(cfg)
-    meta = _meta(report)
+    meta = read_meta(report)
     assert 0 < float(meta["phase.output_s"]) <= float(meta["duration_s"]) + 0.05
     assert len(written) == len(report.csv_paths) + len(report.svg_paths) > 0
 
@@ -1000,7 +1007,7 @@ def test_meta_records_phase_cpu(experiment, type2, tmp_path):
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     cpu = {name: float(meta[f"phase_cpu.{name}_s"]) for name in harness.PhaseClock.PHASES}
     for name, seconds in cpu.items():
         assert 0 <= seconds <= float(meta[f"phase.{name}_s"]) * 1.001 + 1e-3, name
@@ -1024,7 +1031,7 @@ def test_meta_names_the_lms_path(experiment, trials, widths, points, type2, tmp_
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=trials,
                            iterations=3000, tx_grid_dbm=(-5.0,), seed=SEED,
                            output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     calls = _call_jobs(trials, widths, points)
     assert int(meta["lms_calls"]) == len(lms_calls) == len(calls)
     assert [count for count, _ in lms_calls] == calls
@@ -1083,7 +1090,7 @@ def test_meta_pairs_the_trials_on_eight_lanes(experiment, options, jobs, calls, 
         pytest.skip("the build runs no 8-lane vectors")
     cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=50, seed=SEED,
                            output_dir=tmp_path, **options)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert meta["lms_lanes"] == "8"
     assert meta["lms_calls"] == str(calls)
     assert meta["lms_lane_fill"] == fill
@@ -1108,7 +1115,7 @@ def test_sweep_runs_grid_points_in_pairs(grid, jobs, type2, tmp_path, monkeypatc
     cfg = ExperimentConfig(experiment="sinr-sweep", profile=type2, trials=3,
                            iterations=3000, tx_grid_dbm=grid, seed=SEED,
                            output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     passes = len(jobs)
     # a pass of k jobs runs an ALMS and an ANCLMS job at each of k / 2 points
     calls = [count for k in jobs
@@ -1130,8 +1137,8 @@ def test_meta_names_diverged_trials(type2, tmp_path):
                            iterations=3000, tx_grid_dbm=(0.0, 25.0), mu_frac=0.95,
                            seed=SEED, output_dir=tmp_path)
     report = run_experiment(cfg)
-    meta = _meta(report)
-    assert report.tables["columns"]["anclms_sinr_sim_db"][1] < -100
+    meta = read_meta(report)
+    assert read_csv(tmp_path / "sinr-sweep.csv")["anclms_sinr_sim_db"][1] < -100
     assert meta["diverged_trials[anclms@25dBm]"] == "2"
     assert meta["diverged_trials"] == "2"
     assert meta["first_nonfinite_step"] == "none"
@@ -1181,7 +1188,19 @@ _EDGE_CASES = {
     "adc-30bits": ([], {"adc_bits": "30"}),
     "ktiq-minus-inf": ([], {"k_tiq": "-inf dB"}),
     "pa-gain-67dB": ([], {"pa_gain": "67 dB"}),
+    "adc-bits-2000": ([], {"adc_bits": "2000"}),
+    "snr-req-5000dB": ([], {"snr_req": "5000 dB"}),
+    "papr-5000dB": ([], {"papr": "5000 dB"}),
+    "adc-range-minus-5000dB": ([], {"adc_dynamic_range": "-5000 dB"}),
+    "p-sen-minus-5000dBm": ([], {"p_sen": "-5000 dBm"}),
+    "rf-attenuation-5000dB": ([], {"rf_attenuation": "5000 dB"}),
+    "pa-gain-minus-200dB": ([], {"pa_gain": "-200 dB"}),
+    "ktiq-minus-300dB": ([], {"k_tiq": "-300 dB"}),
 }
+# the cases whose noise budget leaves the floating-point range at every
+# transmit power: a configuration error of every experiment
+_BUDGET_CASES = ("adc-bits-2000", "snr-req-5000dB", "papr-5000dB", "adc-range-minus-5000dB",
+                 "p-sen-minus-5000dBm", "rf-attenuation-5000dB")
 
 
 def _edited_type2(path: Path, entries: dict[str, str]) -> Path:
@@ -1236,9 +1255,10 @@ def test_edge_cases_run_explained(experiment, case, tmp_path, capsys):
     powers match the rendered ones at every case, so it exits 0 at each,
     a 30-bit ADC's included, whose quantization noise stays below the
     thermal noise over the whole grid. A k_tiq of -inf dB is a configuration
-    error (exit 2), and so is bounds-probe at a PA gain of 67 dB, whose
-    regressor covariance is singular at -5 dBm: each prints one line that
-    says so."""
+    error (exit 2), and so is a noise budget out of the floating-point
+    range (``_BUDGET_CASES``), and bounds-probe at a PA gain of 67 or
+    -200 dB or a k_tiq of -300 dB, whose regressor covariance is singular
+    at -5 dBm: each prints one line that says so."""
     options, entries = _EDGE_CASES[case]
     profile = _edited_type2(tmp_path / "edge.profile", entries)
     out = tmp_path / "out"
@@ -1248,8 +1268,9 @@ def test_edge_cases_run_explained(experiment, case, tmp_path, capsys):
         warnings.simplefilter("error")
         code = cli_main(argv)
     assert code in (0, 2, 3)
-    singular = (experiment, case) == ("bounds-probe", "pa-gain-67dB")
-    assert (code == 2) == (case == "ktiq-minus-inf" or singular), case
+    singular = experiment == "bounds-probe" and case in (
+        "pa-gain-67dB", "pa-gain-minus-200dB", "ktiq-minus-300dB")
+    assert (code == 2) == (case in ("ktiq-minus-inf", *_BUDGET_CASES) or singular), case
     if code == 2:
         error = capsys.readouterr().err
         assert error.startswith("configuration error: ") and error.count("\n") == 1, error
@@ -1313,7 +1334,7 @@ def test_nonfinite_observation_is_a_diverged_trial(type2, tmp_path, monkeypatch)
         cfg = ExperimentConfig(experiment=experiment, profile=type2, trials=2,
                                iterations=3000, seed=SEED,
                                output_dir=tmp_path / experiment)
-        meta = _meta(run_experiment(cfg))
+        meta = read_meta(run_experiment(cfg))
         step = str(100 - (cfg.M - 1))
         diverged = {key: value for key, value in meta.items()
                     if key.startswith("diverged_trials[")}
@@ -1332,7 +1353,7 @@ def test_phase_clock_counts_diverged_trials():
     the calls filled: a 9-run call on 4 lanes per vector, then a 3-run call
     on 1, then a 6-run call on 8; ``lms_lanes`` names the lanes of the last
     call."""
-    x = gen_proper_gaussian(3000, seed=30).reference(1.0)
+    x = reference(gen_proper_gaussian(3000, seed=30), 1.0)
     calm = [run for run, _, _ in run_batch(np.stack([x] * 3), np.stack([x] * 3),
                                            Job(0.01), M, 1.0, keep_residuals=False)]
     grown = [dataclasses.replace(run, peak_residual=peak)
@@ -1373,7 +1394,7 @@ def test_divergence_threshold_is_the_runs_observed_power():
     """A finite run diverges when its peak residual exceeds 1e3 times the
     mean |d|^2 of the observation it ran on (``JobRun.d_power``): a peak one
     ulp below or at that level does not, one ulp above does."""
-    x = gen_proper_gaussian(3000, seed=30).reference(1.0)
+    x = reference(gen_proper_gaussian(3000, seed=30), 1.0)
     [(run, _, _)] = run_batch(x, x, Job(0.01), M, 1.0, keep_residuals=False)
     level = 1e3 * run.d_power
     for peak, want in ((np.nextafter(level, 0), False), (level, False),
@@ -1402,15 +1423,22 @@ def test_point_holds_the_profiles_fields_bit_for_bit(type2):
                         == getattr(channels, name).tobytes()), name
 
 
-def _trial_loop(type2, trials=3, n=3000 + M, clock=None):
-    """An ``iter_trials`` generator over ``trials`` trials of type2 at -5 dBm,
-    one trial a group."""
+def _trial_groups(type2, trials=3, n=3000 + M, clock=None):
+    """``iter_trials`` over ``trials`` trials of type2 at -5 dBm, one trial
+    a group."""
     prof = type2.with_tx_power(-5.0)
     config = ExperimentConfig(experiment="bias", profile=prof, trials=trials,
                               seed=SEED)
     point = operating_point(prof, synthesize_channels(prof, M, N, seed=SEED),
                             compute_noise_budget(prof))
     return harness.iter_trials(config, [point], n, clock or harness.PhaseClock())
+
+
+def _trial_loop(type2, **options):
+    """The groups of ``_trial_groups(type2, **options)``, as a generator
+    that leaves the context when it ends or is closed."""
+    with _trial_groups(type2, **options) as groups:
+        yield from groups
 
 
 def test_run_trials_equals_one_call_per_trial(type2):
@@ -1520,7 +1548,7 @@ def test_one_point_passes_run_one_width_per_vector(experiment, widths, calls_at_
     cfg = ExperimentConfig(experiment=experiment, profile=type2,
                            trials=50 if lanes == 8 else 5, iterations=3000,
                            seed=SEED, output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert [len(call) for call in calls] == _call_jobs(cfg.trials, widths)
     for call in calls:
         assert call == sorted(call)
@@ -1541,7 +1569,7 @@ def test_power_budget_draws_its_source_once(type2, tmp_path, monkeypatch):
                         seeds.append(seed) or real(n, seed, **k))
     cfg = ExperimentConfig(experiment="power-budget", profile=type2,
                            tx_grid_dbm=(0.0, 10.0, 20.0), seed=SEED, output_dir=tmp_path)
-    meta = _meta(run_experiment(cfg))
+    meta = read_meta(run_experiment(cfg))
     assert seeds == [SEED]
     assert int(meta["samples"]) == 100_000
     assert int(meta["samples_rendered"]) == 3 * 100_000
@@ -1575,7 +1603,7 @@ def test_trial_rows_match_one_thread(type2):
     n = 3000 + M
     for t, [(draw, [d])] in enumerate(_trial_loop(type2, trials=4, n=n)):
         want = gen_proper_gaussian(n, seed=SEED + t)
-        want_d = render_observation(want.reference(prof.natural_sigma_x2),
+        want_d = render_observation(reference(want, prof.natural_sigma_x2),
                                     operating_point(prof, channels, budget),
                                     seed=SEED + harness._NOISE_SEED_OFFSET + t)
         time.sleep(0.02)  # the producer renders trial t + 1 meanwhile
@@ -1599,17 +1627,26 @@ def test_phase_clock_counts_exactly_across_threads(type2):
     assert all(s > 0 for s in clock.seconds.values()), clock.seconds
 
 
-def test_producer_error_reaches_the_caller(type2, tmp_path, monkeypatch):
-    """An error rendering a trial is raised in the caller, and out of the
-    CLI, with its own type, and the producer thread is gone."""
+def _fail_render_of_trial_1(monkeypatch) -> threading.Event:
+    """Make the render of trial 1 raise ``ValueError("render failed on
+    trial 1")``; the event returned is set as it raises."""
     real = harness.render_observations
+    failed = threading.Event()
 
     def render(x, *args, seed, **kwargs):
         if seed == SEED + harness._NOISE_SEED_OFFSET + 1:
+            failed.set()
             raise ValueError("render failed on trial 1")
         return real(x, *args, seed=seed, **kwargs)
 
     monkeypatch.setattr(harness, "render_observations", render)
+    return failed
+
+
+def test_producer_error_reaches_the_caller(type2, tmp_path, monkeypatch):
+    """An error rendering a trial is raised in the caller, and out of the
+    CLI, with its own type, and the producer thread is gone."""
+    _fail_render_of_trial_1(monkeypatch)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="trial 1"):
         list(_trial_loop(type2))
@@ -1647,6 +1684,34 @@ def test_caller_error_or_close_joins_the_producer(type2):
     assert threading.active_count() == threads + 1
     trials.close()
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("in_handler", [False, True])
+def test_caller_error_names_the_producer_error(in_handler, type2, monkeypatch):
+    """An error in the caller's loop while it holds trial 0, whose producer
+    fails to render trial 1 meanwhile, is raised with the producer's error
+    at the end of its context chain (after the error it was handling, if
+    any): its traceback names both, and the producer thread is gone."""
+    render_failed = _fail_render_of_trial_1(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(KeyError) as caught:
+        with _trial_groups(type2) as groups:
+            for _ in groups:
+                assert render_failed.wait(timeout=60)
+                if not in_handler:
+                    raise KeyError("caller failed")
+                try:
+                    raise LookupError("handled")
+                except LookupError:
+                    raise KeyError("caller failed")  # noqa: B904, the context is the point
+    assert threading.active_count() == threads
+    chain = [caught.value]
+    while chain[-1].__context__ is not None:
+        chain.append(chain[-1].__context__)
+    assert [type(e) for e in chain] == [KeyError, *[LookupError] * in_handler, ValueError]
+    text = "".join(traceback.format_exception(type(caught.value), caught.value,
+                                              caught.value.__traceback__))
+    assert "caller failed" in text and "render failed on trial 1" in text
 
 
 def test_convergence_leaves_the_bound_uncomputed(type2, tmp_path, monkeypatch):
@@ -1820,8 +1885,8 @@ def test_bias_plateau_earlier_for_larger_mu(type2, tmp_path):
     """The larger step size settles onto its bias plateau in fewer iterations."""
     cfg = ExperimentConfig(experiment="bias", profile=type2, trials=10,
                            iterations=10_000, seed=SEED, output_dir=tmp_path)
-    report = run_experiment(cfg)
-    traces = report.tables["traces"]
+    run_experiment(cfg)
+    traces = read_csv(tmp_path / "bias.csv")
 
     def settle(curve):
         plateau = np.median(curve[-len(curve) // 5:])
@@ -1839,11 +1904,12 @@ def test_bounds_probe_records_first_divergence(type2, tmp_path):
                            iterations=6000, tx_grid_dbm=(-5.0, 10.0), seed=SEED,
                            output_dir=tmp_path)
     report = run_experiment(cfg)
-    lines = _meta(report)
+    lines = read_meta(report)
     assert lines["tx_power_dbm"] == "-5"
-    for row in report.tables["rows"]:
-        label = f"{row['variant']}_mu{row['mu_frac']:g}"
-        assert int(lines.get(f"diverged_trials[{label}]", 0)) == row["n_diverged"]
+    rows = read_csv(tmp_path / "bounds-probe.csv")
+    for variant, frac, n_diverged in zip(rows["variant"], rows["mu_frac"], rows["n_diverged"]):
+        label = f"{('alms', 'anclms')[int(variant)]}_mu{frac:g}"
+        assert int(lines.get(f"diverged_trials[{label}]", 0)) == n_diverged
     assert lines["mu_frac"] == "0.5,0.9,1.1,1.5"
     assert lines["mu_bound"] == "alms_ms_bound,anclms_ms_bound"
     notes = {k: v for k, v in lines.items() if k.startswith("first_divergence[")}
@@ -1863,8 +1929,8 @@ def test_bias_check_at_infinite_irr(type2, tmp_path):
                            iterations=3000, seed=SEED, output_dir=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = run_experiment(cfg)
-    table = report.tables["bias_taps"]
+        run_experiment(cfg)
+    table = read_csv(tmp_path / "bias_taps.csv")
     assert np.all(table["theory_abs"][N:] == 0)
     assert np.all(np.isfinite(table["rel_error"]))
 

@@ -11,7 +11,7 @@ from fdsic.signals import (ACTIVE_BINS, CYCLIC_PREFIX, OVERSAMPLING,
                            SAMPLES_PER_SYMBOL, SUBCARRIERS, gen_ofdm_waveform,
                            gen_proper_gaussian)
 
-from conftest import assert_refuses
+from conftest import assert_refuses, reference
 
 # Even absolute moments of a proper complex Gaussian: |x|^2 is exponential
 # with mean s2, so E|x|^(2m) = m! s2^m. Cross-checked by brute force with an
@@ -43,7 +43,7 @@ def test_moment_law_oracle():
 
 
 def test_proper_gaussian_examples():
-    stats = Stats(gen_proper_gaussian(10 ** 6, seed=7).reference(1.0))
+    stats = Stats(reference(gen_proper_gaussian(10 ** 6, seed=7), 1.0))
     assert stats.variance == pytest.approx(1.0, rel=0.005)
     assert abs(stats.pseudo_variance) < 0.01
     assert stats.abs_moment4 == pytest.approx(2.0, rel=0.02)
@@ -51,7 +51,7 @@ def test_proper_gaussian_examples():
 
 
 def test_proper_gaussian_moment_ratios():
-    stats = Stats(gen_proper_gaussian(10 ** 6, seed=3).reference(0.37))
+    stats = Stats(reference(gen_proper_gaussian(10 ** 6, seed=3), 0.37))
     assert abs(stats.pseudo_variance) < 0.01 * stats.variance
     assert 1.96 <= stats.abs_moment4 / stats.variance ** 2 <= 2.04
     assert 5.8 <= stats.abs_moment6 / stats.variance ** 3 <= 6.2
@@ -66,8 +66,8 @@ def test_proper_gaussian_args_and_determinism():
     for out in (np.empty(11, dtype=complex), np.empty(20, dtype=complex)[::2]):
         with pytest.raises(ValueError):
             gen_proper_gaussian(10, seed=1, out=out)
-    a = gen_proper_gaussian(1000, seed=9).reference(0.5)
-    b = gen_proper_gaussian(1000, seed=9).reference(0.5)
+    a = reference(gen_proper_gaussian(1000, seed=9), 0.5)
+    b = reference(gen_proper_gaussian(1000, seed=9), 0.5)
     assert np.array_equal(a, b)
 
 
@@ -232,7 +232,7 @@ def test_proper_gaussian_matches_two_draws(n):
                                   (re + 1j * im).view(np.uint64))
     for sigma_x2 in (1.0, 0.37, 3e-5):
         want = np.sqrt(sigma_x2 / 2.0) * (re + 1j * im)
-        got = gen_proper_gaussian(n, seed=n).reference(sigma_x2)
+        got = reference(gen_proper_gaussian(n, seed=n), sigma_x2)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         assert draw.scale(sigma_x2) == np.sqrt(sigma_x2 / 2.0)
 
@@ -243,7 +243,7 @@ def test_ofdm_symbol_geometry():
     assert SAMPLES_PER_SYMBOL == (64 + 16) * 4
     assert list(ACTIVE_BINS) == [*range(39, 64), *range(1, 26)]
     sigma_x2 = 0.37
-    x = gen_ofdm_waveform(SAMPLES_PER_SYMBOL, seed=0).reference(sigma_x2)
+    x = reference(gen_ofdm_waveform(SAMPLES_PER_SYMBOL, seed=0), sigma_x2)
     assert x.shape == (SAMPLES_PER_SYMBOL,)
     ncp = CYCLIC_PREFIX * OVERSAMPLING
     np.testing.assert_array_equal(x[:ncp], x[-ncp:])
@@ -256,7 +256,7 @@ def test_ofdm_symbol_geometry():
 
 
 def test_ofdm_power_normalization():
-    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, seed=4).reference(1.0)
+    wf = reference(gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, seed=4), 1.0)
     power_db = 10 * np.log10(np.mean(np.abs(wf) ** 2))
     assert abs(power_db) < 0.1
 
@@ -270,12 +270,12 @@ def test_ofdm_reference_scales_the_whole_waveform():
     for sigma_x2 in (1.0, 0.37, 3e-5):
         scale = np.sqrt(sigma_x2 / np.mean(np.abs(whole) ** 2))
         want = (whole.view(np.float64) * scale).view(np.complex128)[:500]
-        np.testing.assert_array_equal(draw.reference(sigma_x2).view(np.uint64),
+        np.testing.assert_array_equal(reference(draw, sigma_x2).view(np.uint64),
                                       want.view(np.uint64))
 
 
 def test_ofdm_properness():
-    wf = gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, seed=4).reference(1.0)
+    wf = reference(gen_ofdm_waveform(500 * SAMPLES_PER_SYMBOL, seed=4), 1.0)
     stats = Stats(wf)
     assert abs(stats.pseudo_variance) / stats.variance < 0.02
 
@@ -284,8 +284,8 @@ def test_ofdm_seed_determinism():
     """A seed fixes the waveform; n samples that end mid-symbol are the first
     n of the whole symbol's waveform, written into ``out``; the arguments are
     checked as the Gaussian source checks them."""
-    a = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, seed=11).reference(1.0)
-    b = gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, seed=11).reference(1.0)
+    a = reference(gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, seed=11), 1.0)
+    b = reference(gen_ofdm_waveform(3 * SAMPLES_PER_SYMBOL, seed=11), 1.0)
     assert np.array_equal(a, b)
     row = np.full(100, np.nan, dtype=complex)
     seq = gen_ofdm_waveform(100, seed=11, out=row)
@@ -320,7 +320,7 @@ def test_estimate_stats_degenerate_and_errors():
 
 
 def test_estimate_stats_consistency():
-    stats = Stats(gen_proper_gaussian(10 ** 6, seed=21).reference(0.25))
+    stats = Stats(reference(gen_proper_gaussian(10 ** 6, seed=21), 0.25))
     assert stats.variance == pytest.approx(0.25, rel=0.01)
     assert stats.abs_moment4 == pytest.approx(2 * 0.25 ** 2, rel=0.02)
 
@@ -328,7 +328,7 @@ def test_estimate_stats_consistency():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31), st.floats(0.01, 10.0))
 def test_cauchy_schwarz_moment_inequality(seed, sigma):
-    stats = Stats(gen_proper_gaussian(256, seed=seed).reference(sigma))
+    stats = Stats(reference(gen_proper_gaussian(256, seed=seed), sigma))
     assert stats.abs_moment4 >= stats.variance ** 2 * (1 - 1e-12)
     assert stats.abs_moment6 >= 0
 

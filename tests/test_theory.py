@@ -25,7 +25,7 @@ from fdsic.units import lin_to_db
 
 from conftest import (M, N, SEED, dense_bound, dense_exact_steady_mse,
                       dense_ms_matrices, dense_transient, fourth_moment,
-                      operating_point)
+                      operating_point, reference)
 
 
 def numeric_min_condition_number(lo: float = 1e-4, hi: float = 1e2) -> tuple[float, float]:
@@ -265,7 +265,7 @@ def test_fourth_moment_matches_sample_estimate(sigma, k):
     engine's, lies within 5 standard errors of the sample estimate; the
     standard errors come from 20 block means."""
     m, n = 2, 1
-    x = gen_proper_gaussian(200_000 + m - 1, seed=41).reference(sigma)
+    x = reference(gen_proper_gaussian(200_000 + m - 1, seed=41), sigma)
     blocks = np.array_split(regressor_matrix(x, m, n, k), 20)
     block_means = np.stack([theory.estimate_fourth_moment(b) for b in blocks])
     estimate = block_means.mean(axis=0)
@@ -403,7 +403,7 @@ def test_q3_diag_monte_carlo(type2):
     budget = compute_noise_budget(prof)
     point = operating_point(prof, channels, budget)
     n = 1_000_000
-    x = gen_proper_gaussian(n, seed=77).reference(s2)
+    x = reference(gen_proper_gaussian(n, seed=77), s2)
     _, parts = render_observation(x, point, seed=78, components=True)
     u = parts["imd_si"] + parts["image_imd_si"] + parts["thermal"] + parts["quantization"]
     regs = regressor_matrix(x, M)

@@ -21,7 +21,8 @@ from fdsic.transceiver import (COMPONENTS, ChannelSet, NoiseBudget, OperatingPoi
                                synthesize_channels)
 from fdsic.units import dbm_to_mw, mw_to_dbm
 
-from conftest import M, N, SEED, assert_refuses, gain_chain_powers, operating_point
+from conftest import (M, N, SEED, assert_refuses, gain_chain_powers, operating_point,
+                      reference)
 
 
 def test_builtin_profiles(type1, type2):
@@ -160,7 +161,7 @@ def _imd_free_point(profile, channels, budget):
 def test_render_zero_channels(type2):
     ch = ChannelSet(h=np.array([1e-300, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
-    x = gen_proper_gaussian(500, seed=1).reference(1.0)
+    x = reference(gen_proper_gaussian(500, seed=1), 1.0)
     d = render_observation(x, operating_point(type2, ch, _zero_budget()), seed=2)
     assert np.allclose(d, 0.0, atol=1e-290)
 
@@ -168,7 +169,7 @@ def test_render_zero_channels(type2):
 def test_render_identity_channel(type2):
     ch = ChannelSet(h=np.array([1.0, 0, 0, 0, 0]), g=np.zeros(5),
                     h_imd=np.zeros(4), g_imd=np.zeros(4))
-    x = gen_proper_gaussian(500, seed=1).reference(1.0)
+    x = reference(gen_proper_gaussian(500, seed=1), 1.0)
     d = render_observation(x, operating_point(type2, ch, _zero_budget()), seed=2)
     assert np.array_equal(d, x)
 
@@ -208,7 +209,7 @@ def test_component_sum_identity(type2):
     """d is the in-order sum of every component but the SOI, bit for bit."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
-    x = gen_proper_gaussian(10_000, seed=5).reference(type2.natural_sigma_x2)
+    x = reference(gen_proper_gaussian(10_000, seed=5), type2.natural_sigma_x2)
     d, parts = render_observation(x, operating_point(type2, ch, budget), seed=6,
                                   components=True)
     assert np.any(parts["soi"])
@@ -219,7 +220,7 @@ def test_component_sum_identity(type2):
 def test_imd_moment_law(type2):
     ch = synthesize_channels(type2, M, N, seed=SEED)
     budget = compute_noise_budget(type2)
-    x = gen_proper_gaussian(100_000, seed=7).reference(type2.natural_sigma_x2)
+    x = reference(gen_proper_gaussian(100_000, seed=7), type2.natural_sigma_x2)
     _, parts = render_observation(x, operating_point(type2, ch, budget), seed=8,
                                   components=True)
     measured = np.mean(np.abs(parts["imd_si"]) ** 2)
@@ -395,7 +396,7 @@ def test_render_matches_numpy(type2, components):
     for tx in (-5.0, 15.0, 25.0):
         prof = type2.with_tx_power(tx)
         ch = synthesize_channels(prof, M, N, seed=SEED)
-        x = gen_proper_gaussian(3000, seed=4).reference(prof.natural_sigma_x2)
+        x = reference(gen_proper_gaussian(3000, seed=4), prof.natural_sigma_x2)
         _assert_render_exact(x, operating_point(prof, ch, compute_noise_budget(prof)), 9,
                              components)
 
@@ -409,7 +410,7 @@ def test_render_matches_numpy_edges(type2, n_imd):
     for prof in (type2, inf_irr):
         ch = synthesize_channels(prof, M, n_imd, seed=SEED)
         for n in (M + 1, 500):
-            x = gen_proper_gaussian(n, seed=n_imd).reference(prof.natural_sigma_x2)
+            x = reference(gen_proper_gaussian(n, seed=n_imd), prof.natural_sigma_x2)
             _assert_render_exact(x, operating_point(prof, ch, budget), 3,
                                  components=n_imd % 2 == 0)
 
@@ -419,7 +420,7 @@ def test_render_matches_numpy_zero_noise(type2, components):
     """With every noise scale zero the noise components are numpy's signed
     zeros, 0.0 * (re + 1j im), and d still equals the numpy sum bit for bit."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
-    x = gen_proper_gaussian(2000, seed=4).reference(type2.natural_sigma_x2)
+    x = reference(gen_proper_gaussian(2000, seed=4), type2.natural_sigma_x2)
     _assert_render_exact(x, operating_point(type2, ch, _zero_budget()), 9, components)
 
 
@@ -430,7 +431,7 @@ def test_render_allocates_no_normals(type2):
     n = 200_000
     point = operating_point(type2, synthesize_channels(type2, M, N, seed=SEED),
                             compute_noise_budget(type2))
-    x = gen_proper_gaussian(n, seed=4).reference(type2.natural_sigma_x2)
+    x = reference(gen_proper_gaussian(n, seed=4), type2.natural_sigma_x2)
     row = np.empty(n, dtype=complex)
     render_observation(x, point, seed=5, out=row)  # builds the kernel
     tracemalloc.start()
@@ -524,7 +525,7 @@ def test_render_raises_memory_error_when_unallocated(type2, monkeypatch):
     """A kernel that returns 0, its block rows not allocated and nothing
     rendered, is a MemoryError, not an observation of untouched memory."""
     ch = synthesize_channels(type2, M, N, seed=SEED)
-    x = gen_proper_gaussian(100, seed=1).reference(type2.natural_sigma_x2)
+    x = reference(gen_proper_gaussian(100, seed=1), type2.natural_sigma_x2)
 
     class Refusing:
         def render(self, *args):

@@ -1,60 +1,29 @@
 """Experiment runner: sweeps, Monte Carlo trials, CSV/SVG reports.
 
-Every experiment is deterministic for a fixed (config, seed): trial t draws
-its source row z with seed ``base_seed + t`` and its receiver noise with
-seed ``base_seed + _NOISE_SEED_OFFSET + t``, and the reference of every
-transmit power is x = scale z of that one row (``signals.Draw``).
-``_trial`` is the one function that applies this rule: it draws the row,
-and renders the observations of any number of points from it in one call
-(``transceiver.render_observations``), with one noise draw shared by all.
-A grid point is a ``transceiver.OperatingPoint``, made by ``_point``: the
-one record of it that the render and the closed forms read, so a runner
-hands the point it simulates to the theory with each step size.
-``run_trials`` is the trial loop of every canceller runner: it runs a pass
-over one or more grid points, each with its canceller jobs
-(``cancellers.Job``: step size, N and what a job adds to), with the M and
-k_tiq the points of the pass share, takes the trials from ``iter_trials``
-a group at a time in reused rows, the source row and one observation row
-per point of each trial, and runs every job of every point of the pass on
-every trial of the group in one LMS kernel call (``run_jobs``), while one
-producer thread draws and renders the next group into a second set of
-rows. A group of trials fills whole vectors of the kernel build's lanes
-(8 on AVX-512, 4 on AVX2, else 1), and the call lays its jobs out
-width-major, then job-major (``run_trials``): on 8 lanes, bias's four jobs
-run four trials a call and bounds-probe's eight two, one canceller width N
-per vector; the sweep's pairs of points run two, and convergence's three
-jobs eight, one job per vector, so only the whitened job's vector pays the
-LMS-Newton step. So a run holds two groups' rows at a time whatever the
-number of trials: the SINR sweep walks its grid in passes of two points,
-2 x group x (1 + 2) rows, each call running the ALMS and ANCLMS jobs of
-both; convergence runs its two reference powers as one pass, its three
-jobs in one call; every other runner runs one point per pass. A runner
-takes from ``run_trials`` what it keeps of each job's runs, in trial
-order, and keeps only its science: it builds the jobs and reduces the
-per-trial runs across trials. In convergence and bias a run's trial mean
-is its per-step row summed in trial order over the trial count: the job
-carries one row, which ``run_trials`` hands to every trial and into which
-the kernel adds each trial's records in lane order, so that no per-trial
-row is made; bias keeps each run's window-mean weights and sums their
-errors in trial order, the sweep keeps each run's steady-state MSE and
-takes numpy's sum of them, and convergence keeps nothing of its runs.
-``power-budget`` runs no canceller and renders trial 0 at every grid
-point, a point at a time, from one draw, by ``_trial`` alone. Each
-plotted curve is backed by a CSV column, and
-``meta.txt`` records the busy time of the generate, render and LMS phases,
-the time the LMS loop waited for its next trial, the time spent on the
-closed-form theory (``phase.theory_s``: bounds, analyses, transients and
-the condition landscape, each timed where it runs) and writing CSVs and SVGs
-(``phase.output_s``; a runner writes them through ``ExperimentReport``'s
-``add_csv`` and ``add_svg``), each phase's thread CPU beside it
-(``phase_cpu.*``), what the LMS calls ran (``lms_lane_fill``) and the
-trials that diverged, by job (``PhaseClock.count_lms`` makes the one
-verdict, ``_diverged``, for every runner). ``run_experiment`` is every
-run's skeleton: it makes the output directory and the report, times the
-run and writes ``meta.txt``; a runner fills the report in, the step size
-it runs and its checks against the closed-form theory included. Every run
-makes its checks; what a failed one means is its caller's choice (the
-command line's ``--check`` turns it into exit status 3).
+Every experiment is deterministic for a fixed (config, seed): ``_trial``
+applies the seed rule, ``iter_trials`` makes the trials a group at a time
+on one producer thread, and ``run_trials`` runs every canceller job
+(``cancellers.Job``) of a pass of grid points on them, a group a kernel
+call. A grid point is a ``transceiver.OperatingPoint``, made by ``_point``:
+the one record of it that the render and the closed forms read, so a
+runner hands the point it simulates to the theory with each step size.
+
+A runner builds its jobs and reduces their runs across trials once,
+straight into the CSV columns, ``meta.txt`` lines and checks it writes:
+bias and convergence read the rows into which the kernel sums each job's
+trials in trial order (tap trajectories, residual powers), and bias sums
+its base step's window-mean weight errors in trial order too; the sweep
+sums each job's steady-state MSEs, and bounds-probe reads each run's MSE
+and divergence verdict. The sweep walks its grid in passes of two points,
+convergence runs its two reference powers as one pass, and every other
+canceller runner one point a pass. ``power-budget`` runs no canceller: it
+renders trial 0 at every grid point, a point at a time, from one draw, by
+``_trial`` alone. Each plotted curve is backed by a CSV column.
+``run_experiment`` is every run's skeleton: it makes the output directory
+and the report, times the run and writes ``meta.txt``, with the phase
+times of ``PhaseClock``. Every run makes its checks; what a failed one
+means is its caller's choice (the command line's ``--check`` turns it into
+exit status 3).
 
 Step-size conventions (fractions of closed-form bounds):
 
@@ -346,20 +315,15 @@ def _column(values) -> tuple[str, list]:
     return "%.9g", column.astype(float).tolist()
 
 
-def _fmt_column(values) -> list[str]:
-    """Every value of a column as ``_column`` formats it."""
-    fmt, column = _column(values)
-    return [fmt % v for v in column]
-
-
 def _fmt(v) -> str:
-    """One value as ``_fmt_column`` writes it."""
-    return _fmt_column([v])[0]
+    """One value as ``_column`` formats it."""
+    fmt, (value,) = _column([v])
+    return fmt % value
 
 
 def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
-    """First column ``x_name``, one column per curve, each written as
-    ``_fmt_column`` writes it: one row per x value, and a ``ValueError`` for
+    """First column ``x_name``, one column per curve, each in ``_column``'s
+    format: one row per x value, and a ``ValueError`` for
     a curve of any other length."""
     fmts, columns = zip(_column(x_values), *map(_column, curves.values()))
     row = ",".join(fmts)
@@ -371,8 +335,9 @@ def write_csv(path: Path, x_name: str, x_values, curves: dict) -> Path:
 
 def _write_meta(report: ExperimentReport, config: ExperimentConfig,
                 out: Path, started: float):
-    """Write ``meta.txt``: the configuration, the duration, ``report.meta``
-    (a runner's step size among it), the phase clock and the checks."""
+    """Write ``meta.txt``: the configuration, the duration since the
+    ``time.perf_counter()`` reading ``started``, ``report.meta`` (a runner's
+    step size among it), the phase clock and the checks."""
     lines = [
         f"experiment = {config.experiment}",
         f"version = {__version__}",
@@ -382,8 +347,8 @@ def _write_meta(report: ExperimentReport, config: ExperimentConfig,
         f"signal_source = {config.signal_source}",
         f"M = {config.M}",
         f"N = {config.N}",
-        f"tx_grid_dbm = {','.join(_fmt_column(config.tx_grid_dbm))}",
-        f"duration_s = {time.time() - started:.1f}",
+        f"tx_grid_dbm = {','.join(map(_fmt, config.tx_grid_dbm))}",
+        f"duration_s = {time.perf_counter() - started:.4g}",
     ]
     lines += [f"{k} = {v}" for k, v in report.meta.items()]
     lines += report.clock.meta_lines()
@@ -673,92 +638,76 @@ def run_power_budget(config: ExperimentConfig, report: ExperimentReport, out: Pa
 def run_bias(config: ExperimentConfig, report: ExperimentReport, out: Path):
     """Trial-averaged error-coefficient trajectories and steady bias table."""
     point = _point(config, config.profile)
-    channels = point.channels
     report.meta["tx_power_dbm"] = _fmt(config.profile.tx_power_dbm)
     with report.clock.phase("theory"):
         bound = alms_ms_bound(point.sigma_x2, config.M)
     n_iters = config.iterations
-
     stride = max(1, n_iters // 2000)
     # the plotted steps of the n_iters + 1, as the kernel keeps them
     iters_axis = np.arange(0, n_iters + 1, stride)
-    traces: dict[str, np.ndarray] = {}
-    bias_table = None
     base_mu = _resolve_mu(config, bound, report)
     # each column is labelled with its step size as a fraction of the bound
-    base_tag = f"mu{base_mu / bound:g}"
+    tags = [f"mu{mu / bound:g}" for mu in (base_mu, 2 * base_mu)]
+    w_opts = {"alms": point.channels.stacked_linear(),
+              "anclms": point.channels.stacked_nonlinear()}
 
     # per job, by label: taps 1 and 2 at the plotted steps, (steps, 2), summed
     # by the kernel in trial order (run_trials' job-major lanes) into one row
     # that starts at -0.0, as a -0.0 + x is x bit for bit
-    jobs = {f"{label}_mu{mu / bound:g}": Job(mu, n_imd,
-                                             int(0.9 * n_iters) if label == "alms" else None,
-                                             taps=np.full((len(iters_axis), 2), -0.0j))
-            for mu in (base_mu, 2 * base_mu)
+    jobs = {f"{label}_{tag}": Job(mu, n_imd, int(0.9 * n_iters) if label == "alms" else None,
+                                  taps=np.full((len(iters_axis), 2), -0.0j))
+            for mu, tag in zip((base_mu, 2 * base_mu), tags)
             for label, n_imd in (("alms", 0), ("anclms", config.N))}
-    w_opts = {"alms": channels.stacked_linear(), "anclms": channels.stacked_nonlinear()}
     mean_weights = run_trials(config, [(point, jobs)], n_iters + config.M, report.clock,
                               keep=lambda run: run.mean_weights,
                               track_taps=(0, 1), tap_stride=stride)
-
     # the bias does not depend on the step size
     with report.clock.phase("theory"):
         bias = alms_bias(point)
-    for mu in (base_mu, 2 * base_mu):
-        tag = f"mu{mu / bound:g}"
-        for label, w_opt in w_opts.items():
-            # a diverged trial's inf or nan weights may overflow the sums,
-            # and a complex quotient of inf or nan parts warns
-            with np.errstate(over="ignore", invalid="ignore"):
-                tap_mean = jobs[f"{label}_{tag}"].taps / config.trials
-                # the error of the window-mean weights, summed in trial
-                # order from -0.0 too
-                mean_err = sum((w - w_opt for w in mean_weights[f"{label}_{tag}"]),
-                               np.full(len(w_opt), -0.0j)) / config.trials
-                for tap in (0, 1):
-                    err = np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap])
-                    traces[f"{label}_{tag}_tap{tap + 1}"] = err
-            if label == "alms" and mu == base_mu:
-                idx = np.concatenate([np.arange(config.N),
-                                      config.M + np.arange(config.N)])
-                theory_abs = np.abs(bias[idx])
-                # a tap with no theoretical bias (image taps at irr = inf)
-                # is held relative to the largest bias of the table
-                scale = np.where(theory_abs > 0, theory_abs, theory_abs.max())
-                bias_table = {
-                    "tap": idx + 1,
-                    "theory_abs": theory_abs,
-                    "measured_abs": np.abs(mean_err[idx]),
-                    "rel_error": np.abs(mean_err[idx] - bias[idx]) / scale,
-                }
-            if label == "anclms" and mu == base_mu:
-                # finite errors near 1e300 overflow the norm's squares: inf
-                with np.errstate(over="ignore"):
-                    report.meta["anclms_weight_error_norm_frac"] = _fmt(
-                        np.linalg.norm(mean_err) / np.linalg.norm(w_opt))
-        for tap in (0, 1):
-            level = abs(bias[tap]) / abs(w_opts["alms"][tap])
-            traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
-                len(traces[f"alms_{tag}_tap{tap + 1}"]), level)
 
+    # a diverged trial's inf or nan weights may overflow the sums and the
+    # norm's squares, and a complex quotient of inf or nan parts warns
+    traces = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tag in tags:
+            for label, w_opt in w_opts.items():
+                tap_mean = jobs[f"{label}_{tag}"].taps / config.trials
+                for tap in (0, 1):
+                    traces[f"{label}_{tag}_tap{tap + 1}"] = (
+                        np.abs(tap_mean[:, tap] - w_opt[tap]) / abs(w_opt[tap]))
+            for tap in (0, 1):
+                traces[f"theory_bias_{tag}_tap{tap + 1}"] = np.full(
+                    len(iters_axis), abs(bias[tap]) / abs(w_opts["alms"][tap]))
+        # the error of the base step's window-mean weights, summed in trial
+        # order from -0.0 too
+        mean_err = {label: sum((w - w_opt for w in mean_weights[f"{label}_{tags[0]}"]),
+                               np.full(len(w_opt), -0.0j)) / config.trials
+                    for label, w_opt in w_opts.items()}
+        anorm = np.linalg.norm(mean_err["anclms"]) / np.linalg.norm(w_opts["anclms"])
+    report.meta["anclms_weight_error_norm_frac"] = _fmt(anorm)
+
+    idx = np.concatenate([np.arange(config.N), config.M + np.arange(config.N)])
+    theory_abs = np.abs(bias[idx])
+    # a tap with no theoretical bias (image taps at irr = inf) is held
+    # relative to the largest bias of the table
+    scale = np.where(theory_abs > 0, theory_abs, theory_abs.max())
+    rel = np.abs(mean_err["alms"][idx] - bias[idx]) / scale
     report.add_csv(out / "bias.csv", "iteration", iters_axis, traces)
-    report.add_csv(out / "bias_taps.csv", "tap", bias_table["tap"],
-                   {k: v for k, v in bias_table.items() if k != "tap"})
-    with np.errstate(divide="ignore"):
-        db_traces = {k: 20.0 * np.log10(np.maximum(v, 1e-300)) for k, v in traces.items()}
+    report.add_csv(out / "bias_taps.csv", "tap", idx + 1,
+                   {"theory_abs": theory_abs, "measured_abs": np.abs(mean_err["alms"][idx]),
+                    "rel_error": rel})
     report.add_svg(
-        line_plot, out / "bias.svg", iters_axis, db_traces,
+        line_plot, out / "bias.svg", iters_axis,
+        {k: 20.0 * np.log10(np.maximum(v, 1e-300)) for k, v in traces.items()},
         "Normalized error-coefficient magnitude (dB)", "iteration",
         "20 log10 |w_err / w_opt|")
 
-    rel = bias_table["rel_error"]
     report.add_check("alms_bias_10pct", bool(np.all(rel <= 0.10)),
                      f"worst per-tap rel error {rel.max():.3g}")
     for tap in (1, 2):
-        final = traces[f"anclms_{base_tag}_tap{tap}"][-5:].mean()
+        final = traces[f"anclms_{tags[0]}_tap{tap}"][-5:].mean()
         report.add_check(f"anclms_bias_removed_tap{tap}", final < 1e-2,
                          f"final normalized error {final:.2e} (< -40 dB)")
-    anorm = float(report.meta["anclms_weight_error_norm_frac"])
     report.add_check("anclms_error_norm_5pct", anorm < 0.05,
                      f"weight error norm {anorm:.4f} of ||w_opt||")
 
@@ -857,15 +806,14 @@ def _median(values) -> float:
     return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
-def _iterations_to_within(sinr_db: np.ndarray, target_db: float, block: int) -> int:
-    """First iteration index whose smoothed SINR stays within 1 dB of target."""
-    ok = sinr_db >= target_db - 1.0
-    idx = len(ok)
-    for i in range(len(ok) - 1, -1, -1):
-        if not ok[i]:
-            break
-        idx = i
-    return idx * block
+def _iterations_to_within(curve: np.ndarray, block: int) -> int:
+    """The iterations until ``curve``, an SINR in dB per ``block``
+    iterations, stays within 1 dB below its steady state, the median of its
+    last tenth of blocks (at least one): ``block`` times the blocks up to
+    and including the last one further below (or NaN)."""
+    steady = _median(curve[-max(len(curve) // 10, 1):])
+    short = np.flatnonzero(~(curve >= steady - 1.0))
+    return int(short[-1] + 1 if short.size else 0) * block
 
 
 def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Path):
@@ -913,28 +861,28 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     report.meta["mu_frac"] = f"{CONVERGENCE_MU_FRAC:g}"
     report.meta["mu_bound"] = "anclms_mean_bound"
 
-    def job(mu, preconditioner=None):
-        """A job at ``mu`` with a residual row, into which the kernel adds its
-        trials' residual powers in trial order (run_trials' job-major lanes),
-        from -0.0, as -0.0 + x is x bit for bit."""
-        return Job(mu, config.N, preconditioner=preconditioner,
-                   residuals=np.full(n_steps, -0.0))
-
-    # the SINR curve of each run, in the column order of convergence.csv,
-    # each of n_points block means
-    curves = dict.fromkeys(("anclms_optimal", "anclms_suboptimal", "anclms_whitened"))
     n_steps = n_iters + 1
     n_points = n_steps // block
+    # the runs in the column order of convergence.csv, each with a residual
+    # row, into which the kernel adds its trials' residual powers in trial
+    # order (run_trials' job-major lanes), from -0.0, as -0.0 + x is x bit
+    # for bit
+    jobs = {label: Job(mu, config.N, preconditioner=pre, residuals=np.full(n_steps, -0.0))
+            for label, mu, pre in (("anclms_optimal", mu_opt, None),
+                                   ("anclms_suboptimal", mu_sub, None),
+                                   ("anclms_whitened", mu_white, newton))}
     # one pass of both reference powers, as the sweep's pairs of points: each
     # trial draws its source row once, renders it at each power and runs all
     # three jobs in one kernel call
-    points = [(opt, {"anclms_optimal": job(mu_opt), "anclms_whitened": job(mu_white, newton)}),
-              (_point(config, prof, s_sub), {"anclms_suboptimal": job(mu_sub)})]
+    points = [(opt, {k: jobs[k] for k in ("anclms_optimal", "anclms_whitened")}),
+              (_point(config, prof, s_sub), {"anclms_suboptimal": jobs["anclms_suboptimal"]})]
     run_trials(config, points, n_iters + config.M, report.clock)
-    # a diverged trial's huge or non-finite residuals may have overflowed a sum;
-    # a quotient by the trial count never overflows
-    for label, ran in (points[0][1] | points[1][1]).items():
-        mean = ran.residuals / config.trials
+    # each run's SINR curve of n_points block means: a diverged trial's huge
+    # or non-finite residuals may have overflowed a sum; a quotient by the
+    # trial count never overflows
+    curves = {}
+    for label, job in jobs.items():
+        mean = job.residuals / config.trials
         smooth = mean[: n_points * block].reshape(-1, block).mean(axis=1)
         curves[label] = lin_to_db(opt.p_x_soi / smooth)
 
@@ -956,11 +904,9 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
                    f"SINR evolution at {CONVERGENCE_TX_DBM:g} dBm transmit power", "iteration",
                    "SINR (dB)")
 
-    reach = {}
-    for label in ("anclms_optimal", "anclms_suboptimal", "anclms_whitened"):
-        steady = _median(curves[label][-max(n_points // 10, 1):])
-        reach[label] = _iterations_to_within(curves[label], steady, block)
-        report.meta[f"iters_to_1db_{label}"] = str(reach[label])
+    reach = {label: _iterations_to_within(curves[label], block) for label in jobs}
+    for label, iters in reach.items():
+        report.meta[f"iters_to_1db_{label}"] = str(iters)
 
     report.add_check("heatmap_min_4p64", abs(heatmap_min - 4.6417) < 0.1,
                      f"min condition number {heatmap_min:.4f}")
@@ -1005,56 +951,41 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     trial_runs = run_trials(config, [(point, jobs)], config.iterations + config.M,
                             report.clock, keep=lambda run: (run.steady_state_mse, _diverged(run)))
 
-    rows = []
+    cols = {key: [] for key in ("variant", "mu_frac", "mu", "n_diverged", "theory_mse",
+                                "mean_mse", "median_mse")}
     for label, frac in itertools.product(bounds, fracs):
         key = f"{label}_mu{frac:g}"
-        job = jobs[key]
+        mu = jobs[key].mu
         steady_mse, grew = map(np.array, zip(*trial_runs[key]))
-        n_div = int(grew.sum())
         report.meta[f"first_divergence[{key}]"] = _divergence_note(
             report.clock.first_nonfinite.get(key, []))
         j_theory = math.inf
         if frac < 1.0:
             with report.clock.phase("theory"):
-                if label == "alms":
-                    j_theory = alms_steady_mse(point, job.mu, alms_regime(point))
-                else:
-                    j_theory = anclms_exact_steady_mse(ana, noise, job.mu)
+                j_theory = (alms_steady_mse(point, mu, alms_regime(point)) if label == "alms"
+                            else anclms_exact_steady_mse(ana, noise, mu))
         conv = steady_mse[~grew]
-        rows.append({
-            "variant": label,
-            "mu_frac": frac,
-            "mu": job.mu,
-            "n_diverged": n_div,
-            "verdict": "diverged" if n_div > config.trials // 2 else "converged",
-            "theory_mse": j_theory,
-            "mean_mse": float(conv.mean()) if conv.size else math.inf,
-            "median_mse": float(_median(steady_mse)),
-        })
+        # variant 0 is ALMS, 1 ANCLMS
+        for column, value in zip(cols.values(), (
+                label == "anclms", frac, mu, int(grew.sum()), j_theory,
+                conv.mean() if conv.size else math.inf, _median(steady_mse))):
+            column.append(value)
 
-    axis = np.arange(len(rows))
-    report.add_csv(
-        out / "bounds-probe.csv", "row", axis,
-        {key: [r[key] if key != "variant" else ("0" if r[key] == "alms" else "1")
-               for r in rows]
-         for key in ("variant", "mu_frac", "mu", "n_diverged", "theory_mse",
-                     "mean_mse", "median_mse")})
+    report.add_csv(out / "bounds-probe.csv", "row", np.arange(len(jobs)), cols)
+    n_div = cols["n_diverged"]
     report.add_svg(
-        line_plot, out / "bounds-probe.svg", [r["mu_frac"] for r in rows[:len(fracs)]],
-        {"alms_diverged": np.array([r["n_diverged"] for r in rows[:len(fracs)]]),
-         "anclms_diverged": np.array([r["n_diverged"] for r in rows[len(fracs):]])},
+        line_plot, out / "bounds-probe.svg", fracs,
+        {"alms_diverged": n_div[:len(fracs)], "anclms_diverged": n_div[len(fracs):]},
         "Diverged trials vs step-size fraction", "mu / bound", "diverged trials")
 
-    by = {(r["variant"], r["mu_frac"]): r for r in rows}
-    report.add_check("alms_0.9_converged",
-                     by[("alms", 0.9)]["verdict"] == "converged",
-                     f"{by[('alms', 0.9)]['n_diverged']} diverged")
-    report.add_check("alms_1.5_diverged",
-                     by[("alms", 1.5)]["n_diverged"] >= 0.9 * config.trials,
-                     f"{by[('alms', 1.5)]['n_diverged']} diverged")
-    edge_ok = (by[("anclms", 0.9)]["verdict"] == "converged"
-               and by[("anclms", 1.5)]["verdict"] == "diverged")
-    report.add_check("anclms_edge_bracketed", edge_ok,
+    # a probe's verdict is diverged if more than half its trials diverged
+    diverged, half = dict(zip(jobs, n_div)), config.trials // 2
+    report.add_check("alms_0.9_converged", diverged["alms_mu0.9"] <= half,
+                     f"{diverged['alms_mu0.9']} diverged")
+    report.add_check("alms_1.5_diverged", diverged["alms_mu1.5"] >= 0.9 * config.trials,
+                     f"{diverged['alms_mu1.5']} diverged")
+    report.add_check("anclms_edge_bracketed",
+                     diverged["anclms_mu0.9"] <= half < diverged["anclms_mu1.5"],
                      "empirical edge between the mean-square and mean bounds")
 
 
@@ -1095,7 +1026,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     (``none`` where numpy bundles no OpenBLAS). A run on any source but the
     Gaussian one records ``theory_input``: every closed form it checks
     against assumes white proper Gaussian input."""
-    started = time.time()
+    started = time.perf_counter()
     before = getrusage(RUSAGE_SELF)
     _native.library()
     out = Path(config.output_dir) if config.output_dir else Path(".")

@@ -1760,6 +1760,33 @@ def test_median_equals_numpys(values):
     assert harness._median(values) == got or math.isnan(got)
 
 
+
+def test_reach_counts_to_the_last_block_below_the_steady_state():
+    """``_iterations_to_within`` reads a curve's steady state as the median
+    of its last tenth of blocks and counts the iterations up to the last
+    block more than 1 dB below it (or NaN): a flat curve reaches at once, a
+    late dip restarts the count, a block exactly 1 dB below is within, and
+    a curve that still drifts in its last fifth is judged by its last tenth
+    alone."""
+    reach = harness._iterations_to_within
+    assert reach(np.full(100, 12.0), 100) == 0
+    # 0.4 dB a block up to 11.6 dB at block 29, then flat at 12 dB
+    rising = np.concatenate([0.4 * np.arange(30), np.full(70, 12.0)])
+    assert reach(rising, 100) == 2800  # 10.8 dB at block 27 is the last short one
+    dipped = rising.copy()
+    dipped[85] = 10.8   # 1.2 dB below: the count restarts after it
+    dipped[90] = 11.0   # exactly 1 dB below, in the steady window: within
+    assert reach(dipped, 100) == 8600
+    assert reach(dipped, 50) == 4300
+    gap = rising.copy()
+    gap[50] = np.nan
+    assert reach(gap, 100) == 5100
+    # flat at 10 dB, then 0.1 dB a block over the last fifth: the last
+    # tenth's median is 11.55 dB, so blocks 80-84 (10.1-10.5 dB) are short;
+    # the last fifth's, 11.05 dB, would leave only the flat part short
+    drifting = np.concatenate([np.full(80, 10.0), 10.0 + 0.1 * np.arange(1, 21)])
+    assert reach(drifting, 100) == 8500
+
 def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
     """The sweep holds two groups of trials' samples at a time, a group the
     lanes / gcd(lanes, 2) trials whose two jobs share a kernel call: its

@@ -874,7 +874,7 @@ def run_convergence(config: ExperimentConfig, report: ExperimentReport, out: Pat
     # one pass of both reference powers, as the sweep's pairs of points: each
     # trial draws its source row once, renders it at each power and runs all
     # three jobs in one kernel call
-    points = [(opt, {k: jobs[k] for k in ("anclms_optimal", "anclms_whitened")}),
+    points = [(opt, {label: jobs[label] for label in ("anclms_optimal", "anclms_whitened")}),
               (_point(config, prof, s_sub), {"anclms_suboptimal": jobs["anclms_suboptimal"]})]
     run_trials(config, points, n_iters + config.M, report.clock)
     # each run's SINR curve of n_points block means: a diverged trial's huge
@@ -951,8 +951,7 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
     trial_runs = run_trials(config, [(point, jobs)], config.iterations + config.M,
                             report.clock, keep=lambda run: (run.steady_state_mse, _diverged(run)))
 
-    cols = {key: [] for key in ("variant", "mu_frac", "mu", "n_diverged", "theory_mse",
-                                "mean_mse", "median_mse")}
+    rows = []
     for label, frac in itertools.product(bounds, fracs):
         key = f"{label}_mu{frac:g}"
         mu = jobs[key].mu
@@ -966,10 +965,10 @@ def run_bounds_probe(config: ExperimentConfig, report: ExperimentReport, out: Pa
                             else anclms_exact_steady_mse(ana, noise, mu))
         conv = steady_mse[~grew]
         # variant 0 is ALMS, 1 ANCLMS
-        for column, value in zip(cols.values(), (
-                label == "anclms", frac, mu, int(grew.sum()), j_theory,
-                conv.mean() if conv.size else math.inf, _median(steady_mse))):
-            column.append(value)
+        rows.append((label == "anclms", frac, mu, int(grew.sum()), j_theory,
+                     conv.mean() if conv.size else math.inf, _median(steady_mse)))
+    cols = dict(zip(("variant", "mu_frac", "mu", "n_diverged", "theory_mse", "mean_mse",
+                     "median_mse"), zip(*rows), strict=True))
 
     report.add_csv(out / "bounds-probe.csv", "row", np.arange(len(jobs)), cols)
     n_div = cols["n_diverged"]

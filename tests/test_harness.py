@@ -1760,7 +1760,6 @@ def test_median_equals_numpys(values):
     assert harness._median(values) == got or math.isnan(got)
 
 
-
 def test_reach_counts_to_the_last_block_below_the_steady_state():
     """``_iterations_to_within`` reads a curve's steady state as the median
     of its last tenth of blocks and counts the iterations up to the last
@@ -1786,6 +1785,7 @@ def test_reach_counts_to_the_last_block_below_the_steady_state():
     # the last fifth's, 11.05 dB, would leave only the flat part short
     drifting = np.concatenate([np.full(80, 10.0), 10.0 + 0.1 * np.arange(1, 21)])
     assert reach(drifting, 100) == 8500
+
 
 def test_sweep_memory_does_not_grow_with_trials(type2, tmp_path):
     """The sweep holds two groups of trials' samples at a time, a group the

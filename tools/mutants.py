@@ -1,15 +1,14 @@
 """Mutation audit: does tier-1 catch each of a fixed list of one-line faults?
 
-Usage: python tools/mutants.py [NAME ...] [--timeout SECONDS]
+Usage: python tools/mutants.py [--timeout SECONDS]
 
 Each mutant is an exact ``(file, old, new)`` triple against the source as
 it stands: a triple whose ``old`` text is not found exactly once in its
 file is an error (exit 2, before anything runs), so the list cannot go
-stale unseen. For each mutant, every one or the NAMEs given, the checkout
-is copied to a temporary directory (without ``.git`` and caches), the
-mutant is applied there, and tier-1 runs there (``python -m pytest -q -x``
-with that copy's ``src`` on ``PYTHONPATH``) under the time limit, 600 s by
-default. One JSON object is printed: each mutant's result, ``caught`` (a
+stale unseen. For each mutant, the checkout is copied to a temporary
+directory (without ``.git`` and caches), the mutant is applied there, and
+tier-1 runs there (``python -m pytest -q -x`` with that copy's ``src`` on
+``PYTHONPATH``) under the time limit, 600 s by default. One JSON object is printed: each mutant's result, ``caught`` (a
 test failed), ``survived`` (every test passed), ``timeout`` or ``error``
 (pytest exited with another status), the first failing test and the
 seconds taken. The exit status is 1 if any mutant survived.
@@ -70,9 +69,9 @@ _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                      ".hypothesis", ".perfbench", "out")
 
 
-def stale(names) -> list[str]:
-    """The named mutants whose ``old`` text is not in their file exactly once."""
-    return [name for name in names
+def stale() -> list[str]:
+    """The mutants whose ``old`` text is not in their file exactly once."""
+    return [name for name in MUTANTS
             if (ROOT / MUTANTS[name][0]).read_text().count(MUTANTS[name][1]) != 1]
 
 
@@ -103,20 +102,14 @@ def run_mutant(name: str, timeout: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"mutants to run (default all: {', '.join(MUTANTS)})")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="seconds allowed to each mutant's tier-1 run")
     args = parser.parse_args(argv)
-    names = args.names or list(MUTANTS)
-    unknown = [name for name in names if name not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    missing = stale(names)
+    missing = stale()
     if missing:
         print(f"mutant text not found exactly once: {', '.join(missing)}", file=sys.stderr)
         return 2
-    results = {name: run_mutant(name, args.timeout) for name in names}
+    results = {name: run_mutant(name, args.timeout) for name in MUTANTS}
     counts = {kind: sum(r["result"] == kind for r in results.values())
               for kind in ("caught", "survived", "timeout", "error")}
     print(json.dumps({"mutants": results, **counts}, indent=2))
